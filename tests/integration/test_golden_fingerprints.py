@@ -1,0 +1,239 @@
+"""Golden same-seed fingerprints: behaviour pinned *across commits*.
+
+The determinism suites (``tests/sim/test_determinism.py``,
+``tests/obs/test_trace_determinism.py``) compare two runs of the same code,
+so a refactor that changes behaviour consistently passes them.  The literal
+constants below were recorded once, before the ordering / harness collapse,
+from fixed-seed :class:`~repro.sim.context.FixedCompute` runs; a refactor
+that claims "behaviour unchanged" must reproduce every one of them
+untouched.  Refresh them only for an *intended* protocol or timing-model
+change, by running this file as a script (it prints the new table).
+
+Each scenario runs two ``run_workload`` calls on one system and records:
+
+- ``stream``: SHA-256 over the ordered stream -- per block its global height,
+  block hash, group members and ordering shards (scaled), or the
+  coordinator's log block hashes (classic);
+- ``anchors``: SHA-256 over the epoch-anchor chain's hashes (``""`` = none);
+- ``makespan`` / ``messages`` / ``bytes``: the virtual makespan and the
+  network's message and byte counters;
+- ``trace``: the tracer's span fingerprint;
+- ``audit``: the full offline audit's verdict (2PC: the refusal's name).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.api import (
+    FidesSystem,
+    ScaledFidesSystem,
+    SystemConfig,
+    sharded_sequencer,
+    single_sequencer,
+)
+from repro.common.errors import AuditError
+from repro.net.latency import lan_latency
+from repro.obs import Observability
+from repro.sim.context import FixedCompute
+from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
+
+SEED = 2020
+
+
+def _config(num_servers: int) -> SystemConfig:
+    return SystemConfig(
+        num_servers=num_servers,
+        items_per_shard=40,
+        txns_per_block=2,
+        ops_per_txn=2,
+        multi_versioned=False,
+        message_signing="hash",
+        seed=SEED,
+    )
+
+
+def _classic(protocol: str):
+    obs = Observability(tracing=True)
+    system = FidesSystem(
+        _config(4),
+        protocol=protocol,
+        latency=lan_latency(seed=SEED),
+        compute_model=FixedCompute(0.001),
+        obs=obs,
+    )
+    workload = YcsbWorkload(
+        item_ids=system.shard_map.all_items(),
+        ops_per_txn=2,
+        conflict_free_window=2,
+        seed=SEED,
+    )
+    return system, obs, workload
+
+
+def _scaled(sequencer, locality: float, group_size: int = 2):
+    obs = Observability(tracing=True)
+    system = ScaledFidesSystem(
+        _config(8),
+        latency=lan_latency(seed=SEED),
+        compute_model=FixedCompute(0.001),
+        obs=obs,
+        sequencer=sequencer,
+    )
+    server_ids = list(system.config.server_ids)
+    partitions = [
+        [
+            item
+            for sid in server_ids[start : start + group_size]
+            for item in system.shard_map.items_of(sid)
+        ]
+        for start in range(0, len(server_ids), group_size)
+    ]
+    workload = PartitionedWorkload(
+        partitions=partitions,
+        ops_per_txn=2,
+        locality=locality,
+        conflict_free_window=2,
+        seed=SEED,
+    )
+    return system, obs, workload
+
+
+SCENARIOS = {
+    "classic-tfcommit": lambda: _classic("tfcommit"),
+    "classic-2pc": lambda: _classic("2pc"),
+    "single-0": lambda: _scaled(single_sequencer(0), 0.8),
+    "single-2": lambda: _scaled(single_sequencer(2), 0.8),
+    "sharded-4": lambda: _scaled(sharded_sequencer(4), 0.8),
+    # Single-server groups, four per lane: the only shape where a lane holds
+    # other groups' blocks long enough for the capacity drain to matter.
+    "sharded-2-cap2": lambda: _scaled(sharded_sequencer(2, epoch_max_blocks=2), 0.9, 1),
+    "sharded-2-cap32": lambda: _scaled(sharded_sequencer(2), 0.9, 1),
+    "sharded-1": lambda: _scaled(sharded_sequencer(1), 0.8),
+    "sharded-3-local": lambda: _scaled(sharded_sequencer(3), 1.0),
+}
+
+
+def fingerprint(name: str) -> dict:
+    system, obs, workload = SCENARIOS[name]()
+    system.run_workload(workload.generate(14), num_clients=2)
+    system.run_workload(workload.generate(10), num_clients=2)
+    stream = hashlib.sha256()
+    anchors = hashlib.sha256()
+    ordering = getattr(system, "ordering", None)
+    if ordering is not None:
+        for ordered in ordering.ordered_blocks:
+            stream.update(
+                repr(
+                    (
+                        ordered.global_height,
+                        ordered.block_hash.hex(),
+                        sorted(ordered.group.members),
+                        tuple(ordered.shards),
+                    )
+                ).encode()
+            )
+        anchor_chain = list(getattr(ordering, "epoch_anchors", ()))
+    else:
+        for block in system.servers[system.config.server_ids[0]].log:
+            stream.update(block.block_hash())
+        anchor_chain = []
+    for anchor in anchor_chain:
+        anchors.update(anchor.anchor_hash())
+    return {
+        "stream": stream.hexdigest(),
+        "anchors": anchors.hexdigest() if anchor_chain else "",
+        "makespan": repr(system.sim.makespan),
+        "messages": obs.metrics.counter_value("net.messages"),
+        "bytes": obs.metrics.counter_value("net.bytes_total"),
+        "trace": obs.tracer.fingerprint(),
+        "audit": _audit_verdict(system),
+    }
+
+
+def _audit_verdict(system):
+    """``True``/``False``, or the error name when no copy is auditable (2PC
+    blocks carry no co-sign, so the auditor has no verifiable reference)."""
+    try:
+        return system.audit().ok
+    except AuditError as exc:
+        return type(exc).__name__
+
+
+#: Recorded at the commit that defined the wall-clock benchmark (PR 11).
+GOLDEN = {'classic-2pc': {'anchors': '',
+                 'audit': 'AuditError',
+                 'bytes': 252121.0,
+                 'makespan': '0.06019295655926519',
+                 'messages': 259.0,
+                 'stream': '7f555b521e335c192ca50128b208b67134847a47f50b1d45f30a8c51f84f3b3a',
+                 'trace': 'b0e2e14764389432f1056cea91b8fbd11cf7f6e32deb76f82cda28bc4f9b7ce7'},
+ 'classic-tfcommit': {'anchors': '',
+                      'audit': True,
+                      'bytes': 352945.0,
+                      'makespan': '0.09511470841588471',
+                      'messages': 307.0,
+                      'stream': '5a1eb9adc91fb174ee4f98f1694b64ed796e344a68734222ac9ac6a354399821',
+                      'trace': '5a3e5e2668fe93c0f628ede2cef220707a89958cd0808e4315b56e62adaf11a1'},
+ 'sharded-1': {'anchors': '473357a76396716fdb1e97bbacabaf6c7252e5eb672a120176fb0ab54fe0db24',
+               'audit': True,
+               'bytes': 363328.0,
+               'makespan': '0.0481597524123589',
+               'messages': 372.0,
+               'stream': '20e1cb1cf8da0230a87c5b2e5ad3e4c9beb98119e479b6054d58faeddb223864',
+               'trace': '8d2e813c29f66472338ee9b21a9054ce6fd3e75c347fb3c8e1fcbffc0eca36de'},
+ 'sharded-2-cap2': {'anchors': '1ae1fe1f4245df45b5cb1cc1e93bd6fcf0ec3c482b327ed614c081c9f17780a1',
+                    'audit': True,
+                    'bytes': 320923.0,
+                    'makespan': '0.030477101202259552',
+                    'messages': 354.0,
+                    'stream': '0534ac1a6471d14ecd6afd48183137a2fb4a21a53ec349f71e5dbb2f79ea8186',
+                    'trace': 'c1d1079d311e9be6da43d26720e65cf17ba9e9686c92d7e8970c7e571ad912d9'},
+ 'sharded-2-cap32': {'anchors': '1ae1fe1f4245df45b5cb1cc1e93bd6fcf0ec3c482b327ed614c081c9f17780a1',
+                     'audit': True,
+                     'bytes': 320923.0,
+                     'makespan': '0.030325671325832363',
+                     'messages': 354.0,
+                     'stream': '694675386be5b67895bb9c8c32224825040ecba91a8468f29b0d85f8033e50c1',
+                     'trace': '1a5ea63dc6797351a8a901bfa6da6aeef3b4fbce71f57df3146a4643093a2e06'},
+ 'sharded-3-local': {'anchors': 'f4fc52a86155d8e60d90ddaf6a345607d5ec074fae46df7eede3927259fe7a15',
+                     'audit': True,
+                     'bytes': 332749.0,
+                     'makespan': '0.03510452822162348',
+                     'messages': 358.0,
+                     'stream': '1fd1d572800b704546650df5be8d442842b5404e00e62fbcd62768fdcd3a98c4',
+                     'trace': '7a095d37a763930f3795dc385666da255ede546b7973dcdef1e0879479083276'},
+ 'sharded-4': {'anchors': '7fe045072c386eafa2558fbe00c9ef6e3e62a86cebac2d33ee5061b6a3be4158',
+               'audit': True,
+               'bytes': 393184.0,
+               'makespan': '0.040352050401986986',
+               'messages': 436.0,
+               'stream': '4082203c6297cc46c2cd46bc624b4eaf69856d67f4142727322b1f6f2b108277',
+               'trace': 'b02920b0fde504626a5b8fcc53acad8f0cc758fe3f2875b68e973b813a6947ce'},
+ 'single-0': {'anchors': '',
+              'audit': True,
+              'bytes': 358408.0,
+              'makespan': '0.04805887517591532',
+              'messages': 356.0,
+              'stream': 'b1493b921b047d89e709080e9ca93918b01a6652841f0ff7e30544207e951af6',
+              'trace': '3fc664eb19ddb4592ce5987f91001d800e45a65854d354b3714c8ef44a860313'},
+ 'single-2': {'anchors': '',
+              'audit': True,
+              'bytes': 357823.0,
+              'makespan': '0.04607369384638363',
+              'messages': 356.0,
+              'stream': 'b9f82588310e82020f3d04b4b19b81551bd4429bb8493aa3f65b73532f92983b',
+              'trace': '2f503f75f28507f1c3c16ad8af76f6653671097d79a3cf20b792f0ceb83187d0'}}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_fingerprint_matches_the_recorded_constant(name):
+    assert fingerprint(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({name: fingerprint(name) for name in sorted(SCENARIOS)}, width=100)
