@@ -1,4 +1,4 @@
-"""The supported public surface of the reproduction (DESIGN.md §13).
+"""The supported public surface of the reproduction.
 
 Everything an external caller -- a notebook, a script, the examples under
 ``examples/`` -- needs lives behind this one module, so internal layout can
@@ -6,27 +6,26 @@ keep moving without breaking users:
 
 - **Deployments**: :class:`FidesSystem` (classic single-coordinator
   TFCommit, plus the 2PC baseline via ``protocol="2pc"``) and
-  :class:`ScaledFidesSystem` (dynamic groups over a pluggable ordering
-  layer), both configured with :class:`SystemConfig`.
-- **Sequencing**: the :class:`Sequencer` protocol and its two
-  implementations -- the classic single-lane :class:`OrderingService` and
-  the :class:`ShardedOrderingService` -- with the
-  :func:`single_sequencer` / :func:`sharded_sequencer` factories that
-  ``ScaledFidesSystem(sequencer=...)`` accepts, and
-  :class:`OrderingShardMap` for key-range -> shard placement.
-- **Experiments**: :func:`run` executes one :class:`ExperimentConfig`
-  point, choosing the deployment from ``config.deployment`` -- the single
-  entrypoint that replaced the per-deployment runner functions (which stay
-  importable here for callers that want them explicitly).
+  :class:`ScaledFidesSystem` (dynamic groups merged by the ordering
+  service), both configured with :class:`SystemConfig`.
+- **Ordering** (DESIGN.md §5): the one lane-based :class:`OrderingService`
+  and its two settings, :func:`single_sequencer` (one lane with a reorder
+  window) and :func:`sharded_sequencer` (one lane per ordering shard of an
+  :class:`OrderingShardMap`, sealing :class:`EpochAnchor` chains) -- the
+  factories ``ScaledFidesSystem(sequencer=...)`` accepts.  The finalized
+  stream is a list of :class:`OrderedBlock`.
+- **Experiments**: :func:`run` executes one :class:`ExperimentConfig` point
+  and returns an :class:`ExperimentResult`; ``config.deployment`` picks the
+  deployment.  It is the only runner: a comparison is two ``run`` calls.
 
 Quickstart::
 
     from repro.api import ExperimentConfig, run
 
     result = run(ExperimentConfig(num_servers=5, num_requests=50))
-    print(result.throughput)
+    print(result.throughput_tps)
 
-Scale-out (paper §4.6 + the sharded sequencer)::
+Scale-out (paper §4.6 + ordering shards)::
 
     from repro.api import ScaledFidesSystem, SystemConfig, sharded_sequencer
 
@@ -40,21 +39,15 @@ from __future__ import annotations
 
 from repro.audit.auditor import Auditor
 from repro.audit.report import AuditReport
-from repro.bench.experiments import run
-from repro.bench.harness import (
-    ExperimentConfig,
-    run_experiment,
-    run_scaled_from_config,
-)
+from repro.bench.harness import ExperimentConfig, ExperimentResult, run
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
-from repro.core.ordserv import OrderedBlock, OrderingService
 from repro.core.scaled import ScaledFidesSystem
 from repro.core.sequencing import (
+    OrderedBlock,
+    OrderingService,
     OrderingShardMap,
-    Sequencer,
     SequencerFactory,
-    ShardedOrderingService,
     sharded_sequencer,
     single_sequencer,
 )
@@ -65,18 +58,15 @@ __all__ = [
     "Auditor",
     "EpochAnchor",
     "ExperimentConfig",
+    "ExperimentResult",
     "FidesSystem",
     "OrderedBlock",
     "OrderingService",
     "OrderingShardMap",
     "ScaledFidesSystem",
-    "Sequencer",
     "SequencerFactory",
-    "ShardedOrderingService",
     "SystemConfig",
     "run",
-    "run_experiment",
-    "run_scaled_from_config",
     "sharded_sequencer",
     "single_sequencer",
 ]

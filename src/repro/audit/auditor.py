@@ -27,8 +27,6 @@ states.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.audit.report import AuditReport
@@ -42,6 +40,7 @@ from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog
 from repro.net.message import MessageType
 from repro.net.network import Network
+from repro.obs.timing import Stopwatch
 from repro.storage.shard import ShardMap
 from repro.txn.occ import classify_conflicts
 from repro.txn.transaction import Transaction
@@ -330,7 +329,7 @@ class Auditor:
                 )
             )
 
-    # -- epoch-anchor verification (sharded ordering, DESIGN.md section 13) -----------------
+    # -- epoch-anchor verification (sharded ordering, DESIGN.md section 5) -----------------
 
     def check_epoch_anchors(
         self,
@@ -557,7 +556,7 @@ class Auditor:
         (sharded ordering deployments) additionally run
         :meth:`check_epoch_anchors` against the reference log.
         """
-        started = time.perf_counter()
+        watch = Stopwatch()
         report = AuditReport()
         if logs is not None:
             collected = dict(logs)
@@ -568,12 +567,12 @@ class Auditor:
             collected = self.collect_logs()
         reference = self.check_logs(collected, report)
         if reference is None:
-            report.audit_wall_time_s = time.perf_counter() - started
+            report.audit_wall_time_s = watch.elapsed()
             return report
         self.check_transactions(reference, report)
         if epoch_anchors is not None and ordering_shard_map is not None:
             self.check_epoch_anchors(reference, epoch_anchors, ordering_shard_map, report)
         if check_datastore:
             self.check_datastores(reference, report, mode=datastore_mode)
-        report.audit_wall_time_s = time.perf_counter() - started
+        report.audit_wall_time_s = watch.elapsed()
         return report

@@ -34,7 +34,7 @@ class ViolationType(Enum):
     #: A commit block is missing an involved server's root, or an abort block has all roots.
     MALFORMED_BLOCK = "malformed-block"
     #: The sharded sequencer's epoch-anchor chain does not match the per-shard
-    #: chains replayed from the reference log (DESIGN.md section 13).
+    #: chains replayed from the reference log (DESIGN.md section 5).
     ANCHOR_MISMATCH = "epoch-anchor-mismatch"
 
 

@@ -13,44 +13,37 @@ live here as well; they back the design-choice discussion in DESIGN.md.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.harness import (
     ExperimentConfig,
     ExperimentResult,
-    PipelineExperimentResult,
-    ScaledExperimentResult,
-    run_experiment,
-    run_pipelined_experiment,
-    run_scaled_experiment,
-    run_scaled_from_config,
+    locality_partitions,
+    run,
 )
-from repro.common.errors import ConfigurationError
-from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
-from repro.net.latency import lan_latency, wan_latency
+from repro.common.config import SystemConfig
+from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT, FidesSystem
+from repro.core.scaled import ScaledFidesSystem
+from repro.faultsim.plan import FaultPlan
+from repro.faultsim.policy import PlannedFaultPolicy
+from repro.net.latency import ConstantLatency, lan_latency, wan_latency
+from repro.obs.timing import Stopwatch
+from repro.recovery import FileStateStore
+from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
 
 
 def _rows(results: Sequence[ExperimentResult]) -> List[Dict[str, object]]:
     return [result.as_row() for result in results]
 
 
-def run(config: ExperimentConfig, latency=None):
-    """Run one experiment point; the deployment is chosen by the config.
-
-    This is the single entrypoint the :mod:`repro.api` facade exports:
-    ``config.deployment`` selects the runner (``"classic"`` -> one
-    coordinator over the whole cluster, ``"scaled"`` -> dynamic groups plus
-    the ordering service), so callers no longer pick between
-    :func:`run_experiment` and the historical ``run_scaled_experiment``
-    keyword-per-knob signature.
-    """
-    if config.deployment == "classic":
-        return run_experiment(config, latency=latency)
-    if config.deployment == "scaled":
-        return run_scaled_from_config(config, latency=latency)
-    raise ConfigurationError(
-        f"unknown deployment {config.deployment!r} (expected 'classic' or 'scaled')"
-    )
+def _ratio(result: ExperimentResult, reference: ExperimentResult) -> float:
+    """``result``'s throughput over ``reference``'s (0 when there is none)."""
+    if reference.throughput_tps <= 0:
+        return 0.0
+    return result.throughput_tps / reference.throughput_tps
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +72,7 @@ def figure12_2pc_vs_tfcommit(
                 txns_per_block=1,
                 num_requests=num_requests,
             )
-            results.append(run_experiment(config))
+            results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -112,7 +105,7 @@ def figure13_txns_per_block(
             num_requests=max(num_requests, batch),
             fixed_compute_ms=fixed_compute_ms,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -143,7 +136,7 @@ def figure14_number_of_servers(
             txns_per_block=txns_per_block,
             num_requests=num_requests,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -172,7 +165,7 @@ def figure15_items_per_shard(
             txns_per_block=txns_per_block,
             num_requests=num_requests,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -208,7 +201,7 @@ def multiclient_scaling(
             num_clients=clients,
             fixed_compute_ms=fixed_compute_ms,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -265,9 +258,10 @@ def scaledgroups(
     :class:`~repro.core.scaled.ScaledFidesSystem` (per-group TFCommit rounds
     merged by the ordering service) and through the classic single-coordinator
     deployment, reporting scaled vs baseline throughput.  Group coordinators
-    are distinct machines, so the scaled run's simulated duration is the
-    busiest coordinator's, not the sum -- the speedup column quantifies how
-    much the dynamic groups buy at each locality level.
+    are distinct machines whose rounds interleave on the shared timeline, so
+    the scaled run's makespan is shorter than the baseline's sequential sum
+    -- the speedup column quantifies how much the dynamic groups buy at each
+    locality level.
 
     ``smoke=True`` restricts the grid to one point per axis (the CI
     configuration).
@@ -277,23 +271,33 @@ def scaledgroups(
         localities = tuple(localities)[:1]
         batch_sizes = tuple(batch_sizes)[:1]
         num_requests = min(num_requests, 16)
-    results: List[ScaledExperimentResult] = []
+    results: List[ExperimentResult] = []
+    rows: List[Dict[str, object]] = []
     for servers in server_counts:
         for locality in localities:
             for batch in batch_sizes:
-                results.append(
-                    run_scaled_experiment(
-                        label=f"scaled-{servers}s-loc{locality}-b{batch}",
-                        num_servers=servers,
-                        group_size=group_size,
-                        locality=locality,
-                        items_per_shard=items_per_shard,
-                        txns_per_block=batch,
-                        num_requests=num_requests,
-                        num_clients=num_clients,
-                    )
+                config = ExperimentConfig(
+                    label=f"scaled-{servers}s-loc{locality}-b{batch}",
+                    deployment="scaled",
+                    num_servers=servers,
+                    items_per_shard=items_per_shard,
+                    txns_per_block=batch,
+                    ops_per_txn=2,
+                    num_requests=num_requests,
+                    num_clients=num_clients,
+                    group_size=group_size,
+                    locality=locality,
                 )
-    rows = [result.as_row() for result in results]
+                result = run(config)
+                baseline = run(replace(config, deployment="classic"))
+                results.append(result)
+                rows.append(
+                    {
+                        **result.as_row(),
+                        "baseline tps": round(baseline.throughput_tps, 1),
+                        "speedup": round(_ratio(result, baseline), 2),
+                    }
+                )
     return (results, rows) if return_results else rows
 
 
@@ -317,10 +321,10 @@ def scaleout(
 
     Every point drives a Zipfian-skewed (``home_skew_theta``)
     locality-partitioned workload through 128 single-server groups and the
-    :class:`~repro.core.sequencing.Sequencer` selected by ``shard_counts``:
-    1 is the classic single-lane ordering service (the pre-sharding
-    saturation point), more swap in the sharded service whose lanes order
-    single-shard blocks independently (DESIGN.md section 13).
+    :class:`~repro.core.sequencing.OrderingService` with ``shard_counts``
+    lanes: 1 is the classic single-lane sequencer (the pre-sharding
+    saturation point), more order single-shard blocks independently per
+    lane (DESIGN.md section 5).
     ``cross_shard_ratios`` sets the fraction of transactions spanning two
     home partitions; each ratio's 1-shard point is the reference for that
     ratio's ``speedup vs 1 shard`` column, and ``ordserv busy`` reports the
@@ -344,9 +348,9 @@ def scaleout(
             num_requests = 38_400
     if num_requests is None:
         num_requests = 170_000
-    results: List[ScaledExperimentResult] = []
+    results: List[ExperimentResult] = []
     rows: List[Dict[str, object]] = []
-    reference_tps: Dict[float, float] = {}
+    reference: Dict[float, ExperimentResult] = {}
     for ratio in cross_shard_ratios:
         for shards in shard_counts:
             config = ExperimentConfig(
@@ -365,9 +369,8 @@ def scaleout(
                 epoch_max_blocks=epoch_max_blocks,
                 fixed_compute_ms=fixed_compute_ms,
             )
-            result = run_scaled_from_config(config, baseline=False)
+            result = run(config)
             results.append(result)
-            reference = reference_tps.setdefault(ratio, result.scaled_tps)
             rows.append(
                 {
                     "label": config.label,
@@ -378,12 +381,12 @@ def scaleout(
                     "committed": result.committed_txns,
                     "groups": result.distinct_groups,
                     "epochs": result.epochs,
-                    "scaled tps": round(result.scaled_tps, 1),
+                    "throughput (txns/s)": round(result.throughput_tps, 1),
                     "ordserv busy": round(result.ordering_busy_frac, 3),
-                    "speedup vs 1 shard": (
-                        round(result.scaled_tps / reference, 2) if reference > 0 else 0.0
+                    "speedup vs 1 shard": round(
+                        _ratio(result, reference.setdefault(ratio, result)), 2
                     ),
-                    "makespan (s)": round(result.scaled_time_s, 4),
+                    "makespan (s)": round(result.total_time_s, 4),
                 }
             )
     return (results, rows) if return_results else rows
@@ -405,6 +408,12 @@ def pipeline(
     Every point runs the same workload twice -- once at the given pipeline
     depth, once sequentially (depth 1) -- on the discrete-event timeline
     (DESIGN.md section 7) and reports the pipelined-vs-sequential speedup.
+    Only ``pipeline_depth`` differs between the two runs: the workload's
+    conflict-free window spans ``depth`` consecutive batches in both, so the
+    comparison measures the scheduler, not workload-conflict luck.  At depth
+    1 the speedup is exactly 1.0 by construction (the depth-1 schedule *is*
+    the sequential schedule, so it is not run twice), and the dependency
+    rules cap how far it can rise with depth.
     The ``classic`` deployment pipelines one coordinator's consecutive
     blocks (phase 1 of block N+1 overlapping phases 2-5 of block N); the
     ``scaled`` deployment additionally interleaves per-group coordinators
@@ -425,24 +434,47 @@ def pipeline(
         depths = tuple(d for d in depths if d >= 2)[:1] or (2,)
         batch_sizes = batch_sizes[:1]
         num_requests = min(num_requests, 16)
-    results: List[PipelineExperimentResult] = []
+    results: List[ExperimentResult] = []
+    rows: List[Dict[str, object]] = []
     for deployment in deployments:
         scaled = deployment == "scaled"
         for depth in depths:
             for batch in batch_sizes:
-                results.append(
-                    run_pipelined_experiment(
-                        label=f"pipeline-{deployment}-d{depth}-b{batch}",
-                        pipeline_depth=depth,
-                        num_servers=num_servers,
-                        group_size=group_size if scaled else 0,
-                        txns_per_block=batch,
-                        num_requests=num_requests,
-                        num_clients=2 if scaled else 1,
-                        obs=obs,
-                    )
+                config = ExperimentConfig(
+                    label=f"pipeline-{deployment}-d{depth}-b{batch}",
+                    deployment=deployment,
+                    num_servers=num_servers,
+                    items_per_shard=200,
+                    txns_per_block=batch,
+                    ops_per_txn=2,
+                    num_requests=num_requests,
+                    num_clients=2 if scaled else 1,
+                    pipeline_depth=depth,
+                    fixed_compute_ms=1.0,
+                    audit=True,
+                    group_size=group_size if scaled else 0,
+                    conflict_free_window=max(1, depth) * batch,
                 )
-    rows = [result.as_row() for result in results]
+                result = run(config, obs=obs)
+                sequential = (
+                    result if depth == 1 else run(replace(config, pipeline_depth=1), obs=obs)
+                )
+                results.append(result)
+                rows.append(
+                    {
+                        "label": config.label,
+                        "servers": num_servers,
+                        "deployment": deployment,
+                        "depth": depth,
+                        "txns/block": batch,
+                        "committed": result.committed_txns,
+                        "blocks": result.blocks,
+                        "throughput (txns/s)": round(result.throughput_tps, 1),
+                        "sequential tps": round(sequential.throughput_tps, 1),
+                        "speedup": round(_ratio(result, sequential), 3),
+                        "audit clean": result.auditor_clean and sequential.auditor_clean,
+                    }
+                )
     return (results, rows) if return_results else rows
 
 
@@ -478,17 +510,6 @@ def recovery(
     ``num_requests`` (the CLI's ``--requests``) overrides the largest gap
     size; ``smoke=True`` restricts the grid to one point per axis.
     """
-    import shutil
-    import tempfile
-    import time as _time
-
-    from repro.bench.harness import locality_partitions
-    from repro.common.config import SystemConfig
-    from repro.core.scaled import ScaledFidesSystem
-    from repro.net.latency import ConstantLatency
-    from repro.recovery import FileStateStore
-    from repro.workload.ycsb import PartitionedWorkload
-
     gap_requests = tuple(gap_requests)
     if num_requests is not None:
         gap_requests = tuple(g for g in gap_requests if g < num_requests) + (num_requests,)
@@ -530,7 +551,7 @@ def recovery(
                     seed=2020,
                 )
                 target = config.server_ids[-1]
-                workload_started = _time.perf_counter()
+                workload_watch = Stopwatch()
                 warmup = system.run_workload(
                     workload.generate(warmup_requests), num_clients=num_clients
                 )
@@ -540,7 +561,7 @@ def recovery(
                 gap_result = system.run_workload(
                     workload.generate(gap), num_clients=num_clients
                 )
-                workload_time = _time.perf_counter() - workload_started
+                workload_time = workload_watch.elapsed()
                 recovery_result = system.recover_server(target)
                 wal_bytes = system.servers[target].state_store.size_bytes()
                 if tmpdir is not None:
@@ -598,17 +619,6 @@ def failover(
     depth; ``smoke=True`` restricts the grid to the smallest depth per
     deployment (the CI configuration).
     """
-    import time as _time
-
-    from repro.bench.harness import locality_partitions
-    from repro.common.config import SystemConfig
-    from repro.core.fides import FidesSystem
-    from repro.core.scaled import ScaledFidesSystem
-    from repro.faultsim.plan import FaultPlan
-    from repro.faultsim.policy import PlannedFaultPolicy
-    from repro.net.latency import ConstantLatency
-    from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
-
     deployments = tuple(deployments)
     stall_requests = tuple(stall_requests)
     if num_requests is not None:
@@ -669,9 +679,9 @@ def failover(
                 workload.generate(stall), num_clients=num_clients
             )
             system.recover_server(target)
-            started = _time.perf_counter()
+            view_change_watch = Stopwatch()
             outcome = system.fail_over(target)
-            wall_time = _time.perf_counter() - started
+            wall_time = view_change_watch.elapsed()
             post = system.run_workload(
                 workload.generate(post_requests), num_clients=num_clients
             )
@@ -710,7 +720,7 @@ def ablation_latency_regime(
             txns_per_block=20,
             num_requests=num_requests,
         )
-        results.append(run_experiment(config, latency=latency))
+        results.append(run(config, latency=latency))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -730,7 +740,7 @@ def ablation_signing_scheme(
             num_requests=num_requests,
             message_signing=scheme,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 

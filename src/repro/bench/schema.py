@@ -28,13 +28,13 @@ per-phase / per-subsystem breakdown built by
 per protocol phase, wall-clock crypto/storage totals, byte counts, and the
 full metrics snapshot.
 
-Sweeps report throughput and latency under sweep-specific column names
-(classic sweeps in txns/s and amortised ms, the scaled sweep as
-``scaled tps``, the pipeline sweep as ``pipelined tps``, the recovery sweep
-as ``recover (ms)``); :func:`summarize_rows` normalises them so the gate --
-and anyone plotting trajectories across sweeps -- reads one shape.
-Fault-matrix rows carry neither metric; their report has an empty
-``labels`` map and the gate skips them.
+Every throughput-reporting sweep uses the one ``throughput (txns/s)``
+column of :meth:`~repro.bench.harness.ExperimentResult.as_row`; latency is
+``txn latency (ms)`` or, for the recovery sweep, ``recover (ms)``.
+:func:`summarize_rows` lifts them into the ``metrics`` block the gate -- and
+anyone plotting trajectories across sweeps -- reads.  Fault-matrix rows
+carry neither metric; their report has an empty ``labels`` map and the gate
+skips them.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from typing import Dict, List, Optional, Sequence
 
 SCHEMA_VERSION = 1
 
-#: Column names carrying a row's throughput, in priority order.
-THROUGHPUT_COLUMNS = ("throughput (txns/s)", "pipelined tps", "scaled tps")
+#: The column carrying a row's throughput.
+THROUGHPUT_COLUMNS = ("throughput (txns/s)",)
 #: Column names carrying a row's headline latency, in priority order.
 LATENCY_COLUMNS = ("txn latency (ms)", "recover (ms)")
 #: Latency-percentile columns (present on the classic experiment rows).

@@ -33,17 +33,13 @@ The rules over ``src/repro``:
     ``python -O``); protocol invariants raise
     :class:`~repro.common.errors.ProtocolInvariantError` instead.
 
-``missing-decoder``
-    Every class defining ``to_wire`` must have a strict decoder registered
-    under its class name in ``recovery/wire.py``'s ``WIRE_DECODERS`` -- the
-    static half of the wire round-trip property test.
-
 A trailing ``# lint: allow`` comment on the offending line suppresses
-*every* rule for that line -- for ``missing-decoder``, the line is the
-``class`` statement of the ``to_wire`` class.  It is used nowhere in the
-library today; it exists so a future opt-out is explicit rather than
-silent.  (The whole-program analyzer's ``# static: allow`` marker in
-:mod:`repro.check.static` follows the same convention.)
+*every* rule for that line.  It is used nowhere in the library today; it
+exists so a future opt-out is explicit rather than silent.  (The
+whole-program analyzer's ``# static: allow`` marker in
+:mod:`repro.check.static` follows the same convention; cross-module rules
+such as codec coverage -- ``missing-decoder`` -- live there, in
+:mod:`repro.check.static.flowgraph`.)
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 #: Packages whose runtime code is a protocol hot path (bare asserts banned).
 PROTOCOL_PACKAGES = (
@@ -125,7 +121,6 @@ class _FileChecker(ast.NodeVisitor):
         #: True when the file lives in a protocol package (stricter rules).
         self.protocol = protocol
         self.violations: List[LintViolation] = []
-        self.wire_classes: Dict[str, int] = {}
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(
@@ -187,53 +182,15 @@ class _FileChecker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- wire codec inventory ------------------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        # `# lint: allow` on the class line exempts it from missing-decoder.
-        if not _allowed(self.lines, node.lineno):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "to_wire":
-                    self.wire_classes[node.name] = node.lineno
-        self.generic_visit(node)
-
-
-def _registered_decoders(wire_registry: Path) -> Set[str]:
-    """Class names keyed in ``WIRE_DECODERS`` -- extracted statically.
-
-    The registry is read via AST, not import, so the lint runs without the
-    package installed (the CI lint job checks out sources only).
-    """
-    tree = ast.parse(wire_registry.read_text(), filename=str(wire_registry))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "WIRE_DECODERS" not in targets or not isinstance(node.value, ast.Dict):
-            continue
-        return {
-            key.value
-            for key in node.value.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
-    raise LookupError(
-        f"{wire_registry}: no literal `WIRE_DECODERS = {{...}}` dict found"
-    )
-
 
 def _is_protocol_path(relative: Path) -> bool:
     return bool(relative.parts) and relative.parts[0] in PROTOCOL_PACKAGES
 
 
-def lint_tree(
-    root: Path, wire_registry: Optional[Path] = None
-) -> List[LintViolation]:
+def lint_tree(root: Path) -> List[LintViolation]:
     """Lint every ``*.py`` under ``root``; returns all violations, sorted."""
     root = root.resolve()
-    if wire_registry is None:
-        wire_registry = root / "recovery" / "wire.py"
     violations: List[LintViolation] = []
-    wire_classes: Dict[str, tuple] = {}
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
         source = path.read_text()
@@ -249,27 +206,6 @@ def lint_tree(
         )
         checker.visit(tree)
         violations.extend(checker.violations)
-        for class_name, line in checker.wire_classes.items():
-            wire_classes[class_name] = (str(relative), line)
-    if wire_registry.exists():
-        registered = _registered_decoders(wire_registry)
-        for class_name, (relative, line) in sorted(wire_classes.items()):
-            if class_name not in registered:
-                violations.append(
-                    LintViolation(
-                        relative,
-                        line,
-                        "missing-decoder",
-                        f"class {class_name} defines to_wire but has no "
-                        "decoder registered in recovery/wire.py WIRE_DECODERS",
-                    )
-                )
-    else:
-        violations.append(
-            LintViolation(
-                str(wire_registry), 0, "missing-decoder", "wire registry file not found"
-            )
-        )
     return sorted(violations, key=lambda v: (v.path, v.line, v.rule))
 
 
@@ -281,7 +217,7 @@ def default_root() -> Path:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.lint",
-        description="Determinism / codec-coverage / bare-assert lint for src/repro.",
+        description="Determinism / bare-assert lint for src/repro.",
     )
     parser.add_argument(
         "--root",
@@ -290,17 +226,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="package tree to lint (default: the installed repro package)",
     )
     parser.add_argument(
-        "--wire-registry",
-        type=Path,
-        default=None,
-        help="wire.py holding WIRE_DECODERS (default: <root>/recovery/wire.py)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit violations as JSON on stdout"
     )
     args = parser.parse_args(argv)
     root = args.root if args.root is not None else default_root()
-    violations = lint_tree(root, wire_registry=args.wire_registry)
+    violations = lint_tree(root)
     if args.json:
         print(
             json.dumps(

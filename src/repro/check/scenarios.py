@@ -30,6 +30,7 @@ from repro.check.invariants import RunRecord
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import sharded_sequencer, single_sequencer
 from repro.server.faults import FaultPolicy
 from repro.sim.context import FixedCompute
 from repro.txn.operations import ReadOp, WriteOp
@@ -317,7 +318,7 @@ class ScaledReorderScenario(Scenario):
     def run(self) -> RunRecord:
         system = ScaledFidesSystem(
             config=tiny_config(),
-            reorder_window=2,
+            sequencer=single_sequencer(2),
             compute_model=FixedCompute(0.001),
         )
         s0, s1, s2 = system.config.server_ids
@@ -341,7 +342,7 @@ class ScaledReorderScenario(Scenario):
 
 
 class ShardedOrderingScenario(Scenario):
-    """4-server scaled deployment over a 2-shard sequencer (DESIGN.md §13).
+    """4-server scaled deployment over a 2-shard sequencer (DESIGN.md §5).
 
     Servers split into two ordering shards ({s0, s1} and {s2, s3}); two
     lane-local transactions per shard keep both lanes non-empty whenever a
@@ -358,8 +359,6 @@ class ShardedOrderingScenario(Scenario):
     features = frozenset({"shard-merge", "net-order"})
 
     def run(self) -> RunRecord:
-        from repro.core.sequencing import sharded_sequencer
-
         system = ScaledFidesSystem(
             config=tiny_config(num_servers=4),
             compute_model=FixedCompute(0.001),

@@ -23,8 +23,8 @@ the **dispatch table** of ``FidesServer.handle`` (the dict literal mapping
 
 ``missing-decoder``
     A class defining ``to_wire`` has no strict decoder registered in
-    ``recovery/wire.py``'s ``WIRE_DECODERS`` -- subsumes the same-named
-    ``lint.py`` rule, reusing its extraction.
+    ``recovery/wire.py``'s ``WIRE_DECODERS`` -- the static half of the wire
+    round-trip property test.
 
 Send sites whose message type is a *variable* (the generic forwarders inside
 ``timed_exchange`` and ``Network.broadcast``) carry no static type and are
@@ -79,7 +79,6 @@ DEPLOYMENT_MODULES: Dict[str, Tuple[str, ...]] = {
         "core/tfcommit.py",
         "core/viewchange.py",
         "core/scaled.py",
-        "core/ordserv.py",
         "core/sequencing.py",
     ),
     "twopc": (
@@ -159,6 +158,29 @@ def extract_flow_graph(tree: SourceTree) -> FlowGraph:
                     _extract_dispatch(graph, relative, node)
     graph.send_sites.sort(key=lambda site: (site.path, site.line, site.message_type))
     return graph
+
+
+def registered_decoders(wire_registry: Path) -> Set[str]:
+    """Class names keyed in ``WIRE_DECODERS`` -- extracted statically.
+
+    The registry is read via AST, not import, so the analyzer runs without
+    the package installed (the CI job checks out sources only).
+    """
+    tree = ast.parse(wire_registry.read_text(), filename=str(wire_registry))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if "WIRE_DECODERS" not in targets or not isinstance(node.value, ast.Dict):
+            continue
+        return {
+            key.value
+            for key in node.value.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        }
+    raise LookupError(
+        f"{wire_registry}: no literal `WIRE_DECODERS = {{...}}` dict found"
+    )
 
 
 def _extract_dispatch(graph: FlowGraph, relative: str, func: ast.AST) -> None:
@@ -259,9 +281,7 @@ def flow_findings(
 
     registry = wire_registry or (tree.root / "recovery" / "wire.py")
     if registry.exists():
-        from repro.check.lint import _registered_decoders
-
-        graph.decoders = _registered_decoders(registry)
+        graph.decoders = registered_decoders(registry)
         for class_name, (path, line) in sorted(graph.wire_classes.items()):
             if class_name not in graph.decoders:
                 findings.append(

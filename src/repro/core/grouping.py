@@ -4,7 +4,7 @@ To avoid dragging every server into every termination, "servers are divided
 into small dynamic groups.  The servers accessed by a transaction form one
 group, in which one server acts as the coordinator to terminate that
 transaction."  Each group runs TFCommit internally; the resulting blocks are
-handed to the ordering service (:mod:`repro.core.ordserv`) which broadcasts a
+handed to the ordering service (:mod:`repro.core.sequencing`) which broadcasts a
 single consistently ordered block stream to all servers.
 """
 

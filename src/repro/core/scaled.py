@@ -7,7 +7,7 @@ acts as the coordinator to terminate that transaction"; the per-group blocks
 are then merged into the single consistently ordered global log by an
 ordering service (realisable with Kafka as in Veritas, or with
 dependency-tracking as in ParBlockchain -- here
-:class:`~repro.core.ordserv.OrderingService`).
+:class:`~repro.core.sequencing.OrderingService`).
 
 :class:`ScaledFidesSystem` wires the pieces together:
 
@@ -36,8 +36,12 @@ from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.common.types import ServerId, Value
 from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
 from repro.core.grouping import ServerGroup, group_for_batch, group_for_transaction
-from repro.core.ordserv import OrderedBlock, OrderingService
-from repro.core.sequencing import Sequencer, SequencerFactory, single_sequencer
+from repro.core.sequencing import (
+    OrderedBlock,
+    OrderingService,
+    SequencerFactory,
+    single_sequencer,
+)
 from repro.core.tfcommit import TFCommitCoordinator, TimingBreakdown, timed_broadcast
 from repro.core.viewchange import ViewChangeOutcome, elect_successor, run_view_change
 from repro.crypto.keys import keypair_for
@@ -71,7 +75,7 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
         server,
         network: Network,
         shard_map: ShardMap,
-        ordering: Sequencer,
+        ordering: OrderingService,
         system: "ScaledFidesSystem",
         txns_per_block: int = 1,
         latency: Optional[LatencyModel] = None,
@@ -213,16 +217,13 @@ class ScaledFidesSystem(FidesSystem):
     disjoint shard sets commit through distinct group coordinators and the
     global log is produced by the ordering service's atomic broadcast.
 
-    The ordering layer is pluggable through ``sequencer``, a
+    ``sequencer`` configures the ordering service: a
     :data:`~repro.core.sequencing.SequencerFactory` called with the system's
-    config once the server set is known.  The default,
-    ``single_sequencer(reorder_window)``, reproduces the classic
-    single-lane :class:`OrderingService` bit-for-bit;
-    :func:`~repro.core.sequencing.sharded_sequencer` swaps in the sharded
-    service (DESIGN.md §13).  ``reorder_window`` only applies to the
-    default factory: 0 keeps submission order; larger windows let blocks of
-    disjoint groups be reordered, exercising the freedom the paper grants
-    OrdServ.
+    config once the server set is known.  The default, ``single_sequencer()``,
+    is one lane in submission order; ``single_sequencer(w)`` lets up to ``w``
+    blocks of disjoint groups be reordered (the freedom the paper grants
+    OrdServ), and :func:`~repro.core.sequencing.sharded_sequencer` gives
+    every ordering shard its own lane (DESIGN.md §5).
     """
 
     def __init__(
@@ -230,14 +231,12 @@ class ScaledFidesSystem(FidesSystem):
         config: Optional[SystemConfig] = None,
         latency: Optional[LatencyModel] = None,
         initial_value: Value = 0,
-        reorder_window: int = 0,
         state_store_factory=None,
         compute_model=None,
         obs=None,
         sequencer: Optional[SequencerFactory] = None,
     ) -> None:
-        self._reorder_window = reorder_window
-        self._sequencer_factory = sequencer
+        self._sequencer_factory = sequencer or single_sequencer()
         super().__init__(
             config=config,
             protocol=PROTOCOL_TFCOMMIT,
@@ -251,8 +250,7 @@ class ScaledFidesSystem(FidesSystem):
     # -- wiring ---------------------------------------------------------------------
 
     def _wire_termination(self) -> None:
-        factory = self._sequencer_factory or single_sequencer(self._reorder_window)
-        self.ordering: Sequencer = factory(self.config)
+        self.ordering: OrderingService = self._sequencer_factory(self.config)
         self.ordering.attach_obs(self.sim.obs)
         self._group_coordinators: Dict[ServerId, GroupTFCommitCoordinator] = {}
         #: signing digest -> the round timing awaiting its delivery charge.
@@ -282,9 +280,7 @@ class ScaledFidesSystem(FidesSystem):
             ORDSERV_ID, keypair_for(ORDSERV_ID, seed=self.config.seed)
         )
         self.ordering.subscribe(self._deliver_ordered)
-        subscribe_anchors = getattr(self.ordering, "subscribe_anchors", None)
-        if subscribe_anchors is not None:
-            subscribe_anchors(self._broadcast_anchor)
+        self.ordering.subscribe_anchors(self._broadcast_anchor)
         for server_id, server in self.servers.items():
             server.set_coordinator_role(GroupDispatcher(self, server_id))
         #: No single designated coordinator exists in the scaled deployment.
@@ -546,16 +542,17 @@ class ScaledFidesSystem(FidesSystem):
     def audit(self):
         """Run the full offline audit, including epoch-anchor verification.
 
-        With the default single sequencer this is exactly the base audit;
-        a sharded sequencer additionally has its anchor chain replayed
-        against the reference log (DESIGN.md §13).
+        Without sealed anchors (a single-lane sequencer) this is exactly the
+        base audit; a sharded sequencer additionally has its anchor chain
+        replayed against the reference log (DESIGN.md §5).
         """
-        anchors = getattr(self.ordering, "epoch_anchors", None)
-        shard_map = getattr(self.ordering, "shard_map", None)
-        if not anchors or shard_map is None:
+        anchors = self.ordering.epoch_anchors
+        if not anchors:
             return super().audit()
         return self.auditor().run_audit(
-            self.servers, epoch_anchors=anchors, ordering_shard_map=shard_map
+            self.servers,
+            epoch_anchors=anchors,
+            ordering_shard_map=self.ordering.shard_map,
         )
 
     # -- workload-engine hooks ----------------------------------------------------------

@@ -1,60 +1,65 @@
-"""The ``Sequencer`` API and the sharded ordering service (DESIGN.md §13).
+"""OrdServ: the one ordering service of the scaled deployment (DESIGN.md §5).
 
-The paper's global ordering service is its own scalability ceiling: every
-co-signed group block funnels through one sequencer, so throughput saturates
-long before the per-group TFCommit coordinators do.  This module first pins
-down the small surface :class:`~repro.core.scaled.ScaledFidesSystem`
-actually needs from an ordering layer -- the :class:`Sequencer` protocol --
-and then provides a second implementation,
-:class:`ShardedOrderingService`, that moves the ceiling: one logical
-sequencer lane per *ordering shard* (a contiguous range of servers, hence of
-key ranges), with single-shard blocks ordered locally in their lane and only
-cross-shard blocks paying for a global epoch merge.
+When different server groups terminate transactions concurrently, someone has
+to merge their per-group blocks into the single, consistently ordered,
+globally replicated log.  The paper (Section 4.6, Figure 9) abstracts this as
+an ordering service that "atomically broadcasts a single stream of blocks"
+and fills in the hash-of-previous-block pointers; it can be realised with
+PBFT among the coordinators, with Kafka (as in Veritas), or with a
+dependency-tracking scheme such as ParBlockchain.  :class:`OrderingService`
+implements the abstraction directly, and it is built from *lanes*:
+
+* Without a shard map there is one lane and every block goes through it --
+  the classic sequencer.  Its ``reorder_window`` *w* lets up to *w* blocks
+  float: once the lane holds more, it releases blocks (any whose pending
+  predecessors it does not depend on -- a model-checker choice point) until
+  *w* are left.  ``w = 0`` keeps submission order.
+* With an :class:`OrderingShardMap` there is one lane per *ordering shard*
+  (a range of servers).  A single-shard block buffers in its lane, which
+  lands its whole backlog in submission order once ``epoch_max_blocks`` have
+  piled up; a cross-shard block is a barrier: every lane drains (lane order
+  is a choice point), the block finalizes, and an
+  :class:`~repro.ledger.anchor.EpochAnchor` seals the per-shard hash chains
+  against the global height range (see :mod:`repro.ledger.anchor` for the
+  trust argument).  This moves the paper's scalability ceiling -- one
+  sequencer every group block funnels through -- because lanes occupy
+  separate timeline resources.
 
 Why lane-local ordering is dependency-safe: a block's group is exactly the
 set of servers storing its items, and ordering shards partition the servers.
 Two single-shard blocks of *different* lanes therefore have disjoint server
 sets, hence disjoint item sets, hence no data dependency and no group
-overlap -- any interleaving of lanes is equivalent under the existing
-dependency rules (item-conflict, commit-frontier, chain-at-aggregate).
-Within a lane, submission order is preserved, which is always
-dependency-safe.  A cross-shard block acts as a barrier: every lane drains
-(in a model-checker-choosable lane order) before it finalizes, so anything
-it could depend on lands first, and everything published after it lands
-after it.
+overlap -- any interleaving of lanes is equivalent under the dependency rules
+(item-conflict, commit-frontier, chain-at-aggregate).  Within a lane a block
+is never released before a pending predecessor it depends on.  Everything a
+cross-shard block could depend on lands before it, everything published
+after it lands after it.
 
-Each merge point seals an :class:`~repro.ledger.anchor.EpochAnchor` binding
-the per-shard hash chains to the global height range (see
-:mod:`repro.ledger.anchor` for the trust argument).  The global stream
-itself remains a single gapless hash chain -- heights are assigned in
-finalize order -- so servers, the auditor, and the view-change machinery are
-oblivious to how the stream was produced.
+The contract the deployment relies on, whatever the lane settings:
+
+* ``publish`` is idempotent per round identity (group membership + txn set)
+  and returns ``False`` on a suppressed duplicate;
+* the finalized stream is a single gapless hash chain -- the *n*-th delivered
+  :class:`OrderedBlock` has ``global_height == n`` and extends the previous
+  block's hash -- so servers, the auditor and the view-change machinery are
+  oblivious to how the stream was produced;
+* the stream never orders a block before another block it depends on when
+  their groups overlap (``verify_dependency_order``);
+* ``flush_conflicting(group)`` lands every floating block whose group
+  overlaps ``group`` (plus whatever must precede those blocks) before
+  returning, so a coordinator's next round reads a settled prefix;
+* subscribers registered via ``subscribe`` see every finalized block, in
+  stream order, exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.check.choices import choose
 from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.core.grouping import ServerGroup, dependency_between
-from repro.core.ordserv import (
-    OrderedBlock,
-    OrderingService,
-    _PendingBlock,
-    stream_respects_dependencies,
-)
 from repro.crypto.hashing import EMPTY_HASH
 from repro.ledger.anchor import (
     GENESIS_ANCHOR_HASH,
@@ -65,61 +70,37 @@ from repro.ledger.anchor import (
 from repro.ledger.block import Block
 
 
-@runtime_checkable
-class Sequencer(Protocol):
-    """What the scaled deployment needs from an ordering layer.
+@dataclass(frozen=True)
+class OrderedBlock:
+    """A block as finalised by the ordering service.
 
-    The contract every implementation must honour:
-
-    * ``publish`` is idempotent per round identity (group membership + txn
-      set) and returns ``False`` on a suppressed duplicate;
-    * the finalized stream is a single gapless hash chain -- the *n*-th
-      delivered :class:`~repro.core.ordserv.OrderedBlock` has
-      ``global_height == n`` and extends the previous block's hash;
-    * the stream never orders a block before another block it depends on
-      when their groups overlap (``verify_dependency_order``);
-    * ``flush_conflicting(group)`` lands every floating block whose group
-      overlaps ``group`` (plus whatever must precede those blocks) before
-      returning, so a coordinator's next round reads a settled prefix;
-    * subscribers registered via ``subscribe`` see every finalized block,
-      in stream order, exactly once.
+    ``shards`` names the ordering shards the block involved (empty without a
+    shard map, where the stream has no shard structure); the deployment layer
+    uses it to charge the delivery to per-shard timeline resources.
     """
 
-    def attach_obs(self, obs) -> None: ...
-
-    def seen(self, block: Block, group: ServerGroup) -> bool: ...
-
-    def publish(self, block: Block, group: ServerGroup) -> bool: ...
-
-    def flush(self) -> None: ...
-
-    def flush_conflicting(self, group: ServerGroup) -> None: ...
-
-    def subscribe(self, callback: Callable[[OrderedBlock], None]) -> None: ...
+    global_height: int
+    block: Block
+    group: ServerGroup
+    shards: Tuple[int, ...] = field(default=())
 
     @property
-    def ordered_blocks(self) -> List[OrderedBlock]: ...
-
-    @property
-    def stream_length(self) -> int: ...
-
-    def verify_dependency_order(self) -> bool: ...
-
-
-#: A factory the deployment calls with its ``SystemConfig`` once the server
-#: set is known; keeps ``ScaledFidesSystem`` ignorant of concrete classes.
-SequencerFactory = Callable[[object], Sequencer]
+    def block_hash(self) -> bytes:
+        return self.block.block_hash()
 
 
 @dataclass(frozen=True)
 class OrderingShardMap:
-    """Key-range → ordering-shard mapping over the deployment's servers.
+    """Server → ordering-shard mapping over the deployment's servers.
 
-    Servers are sorted and cut into ``num_shards`` contiguous ranges; since
-    the storage layer assigns each server a contiguous item key range, a
-    contiguous server range *is* a key range, which is the mapping the
-    tentpole asks for.  A group's ordering shards are the shards of its
-    member servers.
+    Server ids are sorted *as strings* and cut into ``num_shards`` runs of
+    equal length; a group's ordering shards are the shards of its members.
+    Up to ten servers a run is a contiguous server range and hence (the
+    storage layer gives each server a contiguous item key range) a key
+    range.  Beyond that it is not: ``"s10" < "s2"``, so with 32 servers over
+    4 shards shard 0 is ``{s0, s1, s10, ..., s15}``.  Nothing depends on
+    contiguity -- any partition of the servers is dependency-safe -- and the
+    cut is pinned by the gated ``scaleout`` numbers, so it stays as it is.
     """
 
     shard_by_server: Mapping[str, int]
@@ -149,8 +130,22 @@ class OrderingShardMap:
         return tuple(sorted({self.shard_of(member) for member in members}))
 
 
-class _ShardLane:
-    """One shard's local sequencer lane: a submission-ordered buffer + chain."""
+@dataclass(eq=False)  # identity: a block sits in at most one lane buffer
+class _PendingBlock:
+    block: Block
+    group: ServerGroup
+    sequence: int
+    shards: Tuple[int, ...]
+
+    def feeds_into(self, later: "_PendingBlock") -> bool:
+        """Whether ``later`` must not be finalised before this block."""
+        return self.group.overlaps(later.group) and dependency_between(
+            self.block.transactions, later.block.transactions
+        )
+
+
+class _Lane:
+    """One sequencer lane: a submission-ordered buffer and its hash chain."""
 
     __slots__ = ("index", "buffer", "height", "head")
 
@@ -161,132 +156,194 @@ class _ShardLane:
         self.head: bytes = GENESIS_SHARD_HEAD
 
 
-class ShardedOrderingService:
-    """One sequencer lane per ordering shard, merged at cross-shard epochs.
+class OrderingService:
+    """A dependency-preserving atomic broadcast of per-group blocks.
 
-    Single-shard blocks buffer in their lane (ordering locally, bounded by
-    ``epoch_max_blocks``); a cross-shard publication drains every lane --
-    lane order is a model-checker choice point (feature ``"shard-merge"``)
-    -- finalizes the cross-shard block, and seals an epoch anchor.
-    ``flush()`` seals the final, possibly cross-shard-free epoch so the
-    anchor chain always covers the whole stream.
+    A lane holds blocks until it has ``epoch_max_blocks`` (default: one more
+    than the window) and then releases down to ``reorder_window``.  The two
+    settings in use are :func:`single_sequencer` -- one lane, window *w* --
+    and :func:`sharded_sequencer` -- a lane per ordering shard, window 0.
     """
 
-    def __init__(self, shard_map: OrderingShardMap, epoch_max_blocks: int = 32) -> None:
+    def __init__(
+        self,
+        reorder_window: int = 0,
+        shard_map: Optional[OrderingShardMap] = None,
+        epoch_max_blocks: Optional[int] = None,
+    ) -> None:
         self._map = shard_map
-        self._lanes = [_ShardLane(index) for index in range(shard_map.num_shards)]
-        self._epoch_max_blocks = max(1, int(epoch_max_blocks))
+        self._lanes = [_Lane(index) for index in range(shard_map.num_shards if shard_map else 1)]
+        self._low = max(0, int(reorder_window))
+        self._high = self._low + 1 if epoch_max_blocks is None else max(1, int(epoch_max_blocks))
         self._ordered: List[OrderedBlock] = []
         self._subscribers: List[Callable[[OrderedBlock], None]] = []
         self._anchor_subscribers: List[Callable[[EpochAnchor], None]] = []
         self._anchors: List[EpochAnchor] = []
+        #: Round identities already accepted (pending or finalised); see
+        #: :meth:`round_identity`.
         self._identities: set = set()
         self._sequence = 0
         self._epoch_start_height = 0
+        #: Observability bundle (attached by the deployment layer).
         self._obs = None
+
+    def attach_obs(self, obs) -> None:
+        """Report publication/ordering/epoch metrics through ``obs``."""
+        self._obs = obs
+
+    def _count(self, name: str) -> None:
+        if self._obs is not None:
+            self._obs.metrics.counter(name)
+
+    def _shards_of(self, group: ServerGroup) -> Tuple[int, ...]:
+        """The ordering shards ``group`` involves; none without a shard map."""
+        return self._map.shards_of(group.members) if self._map else ()
 
     # -- introspection ---------------------------------------------------------------
 
     @property
-    def num_shards(self) -> int:
-        return self._map.num_shards
-
-    @property
-    def shard_map(self) -> OrderingShardMap:
+    def shard_map(self) -> Optional[OrderingShardMap]:
         return self._map
 
     @property
     def epoch_anchors(self) -> List[EpochAnchor]:
+        """The sealed anchor chain (always empty without a shard map)."""
         return list(self._anchors)
 
     @property
     def pending_count(self) -> int:
         return sum(len(lane.buffer) for lane in self._lanes)
 
-    def shard_heads(self) -> Tuple[Tuple[int, ...], Tuple[bytes, ...]]:
-        """Current per-shard (heights, chain heads) -- what the next anchor seals."""
-        heights = tuple(lane.height for lane in self._lanes)
-        heads = tuple(lane.head for lane in self._lanes)
-        return heights, heads
+    @property
+    def ordered_blocks(self) -> List[OrderedBlock]:
+        return list(self._ordered)
 
-    def shards_of_group(self, group: ServerGroup) -> Tuple[int, ...]:
-        return self._map.shards_of(group.members)
-
-    def attach_obs(self, obs) -> None:
-        """Report publication/ordering/epoch metrics through ``obs``."""
-        self._obs = obs
+    @property
+    def stream_length(self) -> int:
+        return len(self._ordered)
 
     # -- publication -----------------------------------------------------------------
 
+    @staticmethod
+    def round_identity(block: Block, group: ServerGroup):
+        """What makes two published blocks "the same round".
+
+        Group membership plus the transaction set -- the view is deliberately
+        *excluded*: a successor coordinator re-proposes a stalled round at a
+        higher view, and if the original publication is still floating in a
+        lane (the deposed coordinator died after publishing but before anyone
+        saw the stream), both copies reach the service.  Only one may enter
+        the global log.
+        """
+        return (
+            tuple(sorted(group.members)),
+            tuple(sorted(txn.txn_id for txn in block.transactions)),
+        )
+
     def seen(self, block: Block, group: ServerGroup) -> bool:
         """Whether a block with this round identity was already accepted."""
-        return OrderingService.round_identity(block, group) in self._identities
+        return self.round_identity(block, group) in self._identities
 
     def publish(self, block: Block, group: ServerGroup) -> bool:
         """A group coordinator hands over a locally co-signed block.
 
-        Same idempotency contract as the single sequencer; routing differs:
-        a single-shard block buffers in its lane, a cross-shard block
-        triggers the epoch merge.
+        Returns ``False`` (publication ignored) when a block with the same
+        round identity was already accepted -- the dedup that makes
+        coordinator failover's re-proposal idempotent at the ordering layer.
         """
-        identity = OrderingService.round_identity(block, group)
+        identity = self.round_identity(block, group)
         if identity in self._identities:
-            if self._obs is not None:
-                self._obs.metrics.counter("ordserv.duplicates_suppressed")
+            self._count("ordserv.duplicates_suppressed")
             return False
         self._identities.add(identity)
-        if self._obs is not None:
-            self._obs.metrics.counter("ordserv.published")
-        pending = _PendingBlock(block=block, group=group, sequence=self._sequence)
+        self._count("ordserv.published")
+        shards = self._shards_of(group)
+        pending = _PendingBlock(block, group, self._sequence, shards)
         self._sequence += 1
-        shards = self.shards_of_group(group)
-        if len(shards) == 1:
-            lane = self._lanes[shards[0]]
-            lane.buffer.append(pending)
-            if len(lane.buffer) >= self._epoch_max_blocks:
-                # Capacity drain: the lane lands its prefix without sealing
-                # an epoch (anchors mark merge points, not buffer pressure).
-                self._drain_lane(lane)
+        if len(shards) > 1:
+            self._merge_lanes()
+            self._finalize(pending)
+            self._seal_epoch()
             return True
-        self._merge_lanes()
-        self._finalize(pending, shards)
-        self._seal_epoch()
+        lane = self._lanes[shards[0] if shards else 0]
+        lane.buffer.append(pending)
+        if len(lane.buffer) >= self._high:
+            # Anchors mark merge points, not buffer pressure: no epoch here.
+            self._release(lane, self._low)
         return True
 
     def flush(self) -> None:
-        """Finalise every buffered block and seal the trailing epoch."""
+        """Finalise every pending block and seal the trailing epoch, so the
+        anchor chain always covers the whole stream."""
         self._merge_lanes()
         if len(self._ordered) > self._epoch_start_height:
             self._seal_epoch()
 
     def flush_conflicting(self, group: ServerGroup) -> None:
-        """Land all floating blocks overlapping ``group``, per shard.
+        """Finalise every pending block whose group overlaps ``group``.
 
-        Only the lanes of ``group``'s own shards are touched: a buffered
-        block can overlap ``group`` only if it shares a server with it,
-        which pins it to one of those lanes.  Within each such lane the
-        buffered *prefix* up to the last overlapping block lands (lane
-        order is submission order, so the prefix contains every in-lane
-        block the overlapping ones could depend on); later blocks and other
-        lanes keep floating -- this is the per-shard flush the deposed
-        coordinator's recovery path relies on.
+        A group coordinator calls this before starting a new TFCommit round:
+        the speculative Merkle roots its cohorts are about to compute must
+        reflect every already-published block touching the same shards.  A
+        buffered block can overlap ``group`` only if it shares a server with
+        it, so only the lanes of ``group``'s own shards are touched.  What
+        lands with the overlapping blocks depends on how the lane releases:
+
+        * a submission-order lane (window 0) lands its *prefix* up to the
+          last overlapping block -- the prefix contains every in-lane block
+          the overlapping ones could depend on;
+        * a windowed lane lands only the overlapping blocks and, transitively,
+          the earlier blocks that feed into them; other blocks of disjoint
+          groups stay pending and keep their reordering freedom.
         """
-        for shard in self.shards_of_group(group):
+        for shard in self._shards_of(group) or (0,):
             lane = self._lanes[shard]
-            last_overlap = None
-            for index, pending in enumerate(lane.buffer):
-                if pending.group.overlaps(group):
-                    last_overlap = index
-            if last_overlap is not None:
-                self._drain_lane(lane, count=last_overlap + 1)
+            overlapping = [p for p in lane.buffer if p.group.overlaps(group)]
+            if not overlapping:
+                continue
+            if self._low == 0:
+                must_land = lane.buffer[: lane.buffer.index(overlapping[-1]) + 1]
+            else:
+                must_land = overlapping
+                changed = True
+                while changed:
+                    changed = False
+                    for pending in lane.buffer:
+                        if pending not in must_land and any(
+                            pending.sequence < landing.sequence and pending.feeds_into(landing)
+                            for landing in must_land
+                        ):
+                            must_land.append(pending)
+                            changed = True
+            # Submission order within the selected subset is always
+            # dependency-safe, and every upstream dependency was pulled in.
+            for pending in sorted(must_land, key=lambda p: p.sequence):
+                lane.buffer.remove(pending)
+                self._finalize(pending)
 
-    # -- the epoch merge -------------------------------------------------------------
+    # -- release and merge -----------------------------------------------------------
 
-    def _drain_lane(self, lane: _ShardLane, count: Optional[int] = None) -> None:
-        take = len(lane.buffer) if count is None else min(count, len(lane.buffer))
-        for _ in range(take):
-            pending = lane.buffer.pop(0)
-            self._finalize(pending, (lane.index,))
+    def _release(self, lane: _Lane, keep: int) -> None:
+        while len(lane.buffer) > keep:
+            self._finalize(lane.buffer.pop(self._pick_next(lane) if self._low else 0))
+
+    def _pick_next(self, lane: _Lane) -> int:
+        """Pick the next block a windowed lane finalises.
+
+        Any pending block may go next as long as no *earlier-submitted*
+        pending block has a dependency flowing into it.  Under the model
+        checker the pick among all eligible candidates is a branch point, so
+        every dependency-safe release order of the reorder window gets
+        explored.
+        """
+        eligible = [
+            index
+            for index, candidate in enumerate(lane.buffer)
+            if not any(prior.feeds_into(candidate) for prior in lane.buffer[:index])
+        ]
+        if not eligible:
+            return 0
+        return eligible[choose("ordserv/pick-next", len(eligible), 0, feature="ordserv-pick")]
 
     def _merge_lanes(self) -> None:
         """Drain every lane; the lane interleaving is a checker choice point.
@@ -299,33 +356,23 @@ class ShardedOrderingService:
             nonempty = [lane for lane in self._lanes if lane.buffer]
             if not nonempty:
                 return
-            pick = 0
-            if len(nonempty) > 1:
-                pick = choose(
-                    "ordserv/epoch-merge", len(nonempty), 0, feature="shard-merge"
-                )
-            self._drain_lane(nonempty[pick])
+            pick = choose("ordserv/epoch-merge", len(nonempty), 0, feature="shard-merge")
+            self._release(nonempty[pick], 0)
 
-    def _finalize(self, pending: _PendingBlock, shards: Tuple[int, ...]) -> None:
+    def _finalize(self, pending: _PendingBlock) -> None:
         for lane in self._lanes:
             for prior in lane.buffer:
-                if (
-                    prior.sequence < pending.sequence
-                    and prior.group.overlaps(pending.group)
-                    and dependency_between(
-                        prior.block.transactions, pending.block.transactions
-                    )
-                ):
+                if prior.sequence < pending.sequence and prior.feeds_into(pending):
                     raise ProtocolInvariantError(
-                        f"sharded ordering service would finalise block "
-                        f"seq={pending.sequence} before buffered dependency "
-                        f"seq={prior.sequence} in lane {lane.index}"
+                        f"ordering service would finalise block seq={pending.sequence} "
+                        f"before pending dependency seq={prior.sequence} of an "
+                        f"overlapping group in lane {lane.index}"
                     )
         previous_hash = self._ordered[-1].block_hash if self._ordered else EMPTY_HASH
         chained = replace(
             pending.block, height=len(self._ordered), previous_hash=previous_hash
         )
-        for shard in shards:
+        for shard in pending.shards:
             lane = self._lanes[shard]
             lane.height += 1
             lane.head = fold_shard_head(lane.head, chained)
@@ -333,7 +380,7 @@ class ShardedOrderingService:
             global_height=len(self._ordered),
             block=chained,
             group=pending.group,
-            shards=shards,
+            shards=pending.shards,
         )
         self._ordered.append(ordered)
         if self._obs is not None:
@@ -343,20 +390,20 @@ class ShardedOrderingService:
             subscriber(ordered)
 
     def _seal_epoch(self) -> None:
-        previous = self._anchors[-1].anchor_hash() if self._anchors else GENESIS_ANCHOR_HASH
-        heights, heads = self.shard_heads()
+        """Seal one epoch anchor; a stream without shard structure has none."""
+        if self._map is None:
+            return
         anchor = EpochAnchor(
             epoch=len(self._anchors),
             start_height=self._epoch_start_height,
             end_height=len(self._ordered),
-            shard_heights=heights,
-            shard_heads=heads,
-            previous=previous,
+            shard_heights=tuple(lane.height for lane in self._lanes),
+            shard_heads=tuple(lane.head for lane in self._lanes),
+            previous=self._anchors[-1].anchor_hash() if self._anchors else GENESIS_ANCHOR_HASH,
         )
         self._anchors.append(anchor)
         self._epoch_start_height = anchor.end_height
-        if self._obs is not None:
-            self._obs.metrics.counter("ordserv.epochs")
+        self._count("ordserv.epochs")
         for subscriber in self._anchor_subscribers:
             subscriber(anchor)
 
@@ -370,50 +417,52 @@ class ShardedOrderingService:
         """Register a callback fired once per sealed epoch anchor."""
         self._anchor_subscribers.append(callback)
 
-    @property
-    def ordered_blocks(self) -> List[OrderedBlock]:
-        return list(self._ordered)
-
-    @property
-    def stream_length(self) -> int:
-        return len(self._ordered)
+    # -- self-checks (tests, model-checker scenarios) -------------------------------
 
     def verify_dependency_order(self) -> bool:
-        """See :func:`repro.core.ordserv.stream_respects_dependencies`."""
-        return stream_respects_dependencies(self._ordered)
+        """Check that the finalised stream never reorders dependent blocks:
+        between blocks of overlapping groups, dependencies point forward."""
+        for later_index, later in enumerate(self._ordered):
+            for earlier in self._ordered[:later_index]:
+                if (
+                    earlier.group.overlaps(later.group)
+                    and dependency_between(later.block.transactions, earlier.block.transactions)
+                    and not dependency_between(
+                        earlier.block.transactions, later.block.transactions
+                    )
+                ):
+                    return False
+        return True
 
     def verify_shard_chains(self) -> bool:
         """Recompute every lane chain from the finalized stream and compare."""
-        heights: Dict[int, int] = {lane.index: 0 for lane in self._lanes}
-        heads: Dict[int, bytes] = {lane.index: GENESIS_SHARD_HEAD for lane in self._lanes}
+        heights = [0] * len(self._lanes)
+        heads = [GENESIS_SHARD_HEAD] * len(self._lanes)
         for ordered in self._ordered:
-            for shard in self._map.shards_of(ordered.group.members):
+            for shard in self._shards_of(ordered.group):
                 heights[shard] += 1
                 heads[shard] = fold_shard_head(heads[shard], ordered.block)
         return all(
-            lane.height == heights[lane.index] and lane.head == heads[lane.index]
+            (lane.height, lane.head) == (heights[lane.index], heads[lane.index])
             for lane in self._lanes
         )
 
 
-# -- factories -----------------------------------------------------------------------
+# -- the two constructors ------------------------------------------------------------
+
+#: What ``ScaledFidesSystem(sequencer=...)`` takes: a factory called with the
+#: deployment's ``SystemConfig`` once the server set is known.
+SequencerFactory = Callable[[object], OrderingService]
 
 
 def single_sequencer(reorder_window: int = 0) -> SequencerFactory:
-    """Factory for the classic single-lane :class:`OrderingService`."""
-
-    def build(config) -> Sequencer:
-        del config  # the single sequencer needs no deployment knowledge
-        return OrderingService(reorder_window=reorder_window)
-
-    return build
+    """The classic one-lane service: up to ``reorder_window`` blocks float."""
+    return lambda config: OrderingService(reorder_window=reorder_window)
 
 
 def sharded_sequencer(num_shards: int, epoch_max_blocks: int = 32) -> SequencerFactory:
-    """Factory for a :class:`ShardedOrderingService` over the config's servers."""
-
-    def build(config) -> Sequencer:
-        shard_map = OrderingShardMap.for_servers(config.server_ids, num_shards)
-        return ShardedOrderingService(shard_map, epoch_max_blocks=epoch_max_blocks)
-
-    return build
+    """One submission-order lane per ordering shard of the config's servers."""
+    return lambda config: OrderingService(
+        shard_map=OrderingShardMap.for_servers(config.server_ids, num_shards),
+        epoch_max_blocks=epoch_max_blocks,
+    )

@@ -433,23 +433,110 @@ def timed_broadcast(
 
 
 class SimScheduledRounds:
-    """Mixin: schedule a coordinator's block rounds on the virtual timeline.
+    """A coordinator's front-end, and its rounds on the virtual timeline.
 
-    Shared by the TFCommit coordinator and the 2PC baseline -- both chain
-    blocks at aggregation time and deliver decisions in order, so the same
-    dependency rules govern how far their rounds pipeline.  Requires the
-    host class to provide ``coordinator_id``, ``_sim``, ``_sim_task``, and
-    ``_sim_blocks``.
-
-    Also hosts the small queue/frontier surface a coordinator failover needs
-    (both coordinator classes define ``_pending`` and
-    ``_latest_committed_ts`` in their constructors).
+    The base of the TFCommit coordinator and the 2PC baseline.  Both queue
+    ``end_transaction`` requests, cut them into batches, and report outcomes
+    the same way (they differ in :meth:`commit_batch` and in what proof an
+    outcome carries, :meth:`_wire_outcomes`); both chain blocks at
+    aggregation time and deliver decisions in order, so the same dependency
+    rules govern how far their rounds pipeline; and a coordinator failover
+    needs the same small queue/frontier surface from either.
     """
 
-    #: Open trace span of the current round, tracked in lockstep with
-    #: ``_sim_task`` (the scaled deployment nulls both at the ordering
-    #: handoff and closes the span at delivery instead).
-    _sim_span: Optional[int] = None
+    def __init__(
+        self,
+        server,
+        network: Network,
+        server_ids: Sequence[str],
+        txns_per_block: int = 1,
+        latency: Optional[LatencyModel] = None,
+        sim: Optional[SimContext] = None,
+        view: int = 0,
+    ) -> None:
+        self.server = server
+        self.network = network
+        self.server_ids = list(server_ids)
+        self.batch_builder = BatchBuilder(txns_per_block)
+        self._latency = latency or network.latency_model
+        self._pending: List[Tuple[Transaction, Envelope]] = []
+        self._latest_committed_ts = Timestamp.zero()
+        #: Coordinator view this instance proposes in: 0 for the original
+        #: coordinator, bumped per view change.  Stamped into every proposed
+        #: block (and hence into ``round_key``), so cohorts can refuse
+        #: proposals from a deposed coordinator's stale view.
+        self.view = view
+        #: Simulation context: when present, every phase of every round is
+        #: scheduled as an event window on the shared virtual timeline and
+        #: consecutive rounds pipeline per the scheduler's dependency rules.
+        self._sim = sim
+        self._sim_task: Optional[BlockTask] = None
+        #: Open trace span of the current round, tracked in lockstep with
+        #: ``_sim_task`` (the scaled deployment nulls both at the ordering
+        #: handoff and closes the span at delivery instead).
+        self._sim_span: Optional[int] = None
+        self._sim_blocks = 0
+        #: History of every block round driven by this coordinator.
+        self.results: List[BlockCommitResult] = []
+
+    @property
+    def coordinator_id(self) -> str:
+        return self.server.server_id
+
+    @property
+    def available(self) -> bool:
+        """False while the coordinator's own server is crashed.
+
+        A crashed server cannot drive rounds; its queued transactions stay
+        pending until it recovers (clients see them fail / retry), and the
+        workload engine must not try to flush through it.
+        """
+        return not getattr(self.server, "crashed", False)
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._pending)
+
+    # -- client entry point -------------------------------------------------------
+
+    def on_end_transaction(self, envelope: Envelope) -> Dict:
+        """Handle a client's ``end_transaction`` request.
+
+        Stale requests (commit timestamp at or below the latest committed
+        timestamp) are ignored, as specified in Section 4.3.1.  Otherwise the
+        transaction is queued; once a full batch is available the coordinator
+        runs its commit protocol and returns the outcomes.
+        """
+        txn: Transaction = envelope.payload["transaction"]
+        if txn.commit_ts <= self._latest_committed_ts:
+            return stale_failure_response(txn, self._latest_committed_ts)
+        self._pending.append((txn, envelope))
+        if len(self._pending) >= self.batch_builder.txns_per_block:
+            return self.flush()
+        return {"status": "queued"}
+
+    def flush(self) -> Dict:
+        """Commit every pending transaction (possibly across several blocks)."""
+        results: Dict[str, Dict] = {}
+        while self._pending:
+            batch = drain_stale(
+                self.batch_builder, self._pending, self._latest_committed_ts, results
+            )
+            if not batch:
+                # Every remaining transaction was stale; nothing left to commit.
+                break
+            results.update(self._wire_outcomes(self.commit_batch(batch)))
+        return flushed_response(results, self._latest_committed_ts)
+
+    def commit_batch(self, batch: Sequence[Tuple[Transaction, Envelope]]) -> BlockCommitResult:
+        """Run one round of the commit protocol over ``batch``."""
+        raise NotImplementedError
+
+    def _wire_outcomes(self, result: BlockCommitResult) -> Dict[str, Dict]:
+        """One round's outcomes as the client sees them, keyed by txn id."""
+        return {outcome.txn_id: outcome.to_wire() for outcome in result.outcomes}
+
+    # -- failover surface ---------------------------------------------------------
 
     def take_pending(self) -> List[Tuple[Transaction, "Envelope"]]:
         """Drain and return this coordinator's unproposed queue.
@@ -566,89 +653,14 @@ class TFCommitCoordinator(SimScheduledRounds):
     every round as a cohort via the same network messages as everyone else.
     """
 
-    def __init__(
-        self,
-        server,
-        network: Network,
-        server_ids: Sequence[str],
-        txns_per_block: int = 1,
-        latency: Optional[LatencyModel] = None,
-        sim: Optional[SimContext] = None,
-        view: int = 0,
-    ) -> None:
-        self.server = server
-        self.network = network
-        self.server_ids = list(server_ids)
-        self.batch_builder = BatchBuilder(txns_per_block)
-        self._latency = latency or network.latency_model
-        self._pending: List[Tuple[Transaction, Envelope]] = []
-        self._latest_committed_ts = Timestamp.zero()
-        #: Coordinator view this instance proposes in: 0 for the original
-        #: coordinator, bumped per view change.  Stamped into every proposed
-        #: block (and hence into ``round_key``), so cohorts can refuse
-        #: proposals from a deposed coordinator's stale view.
-        self.view = view
-        #: Simulation context: when present, every phase of every round is
-        #: scheduled as an event window on the shared virtual timeline and
-        #: consecutive rounds pipeline per the scheduler's dependency rules.
-        self._sim = sim
-        self._sim_task: Optional[BlockTask] = None
-        self._sim_blocks = 0
-        #: History of every block round driven by this coordinator.
-        self.results: List[BlockCommitResult] = []
-
-    @property
-    def coordinator_id(self) -> str:
-        return self.server.server_id
-
-    @property
-    def available(self) -> bool:
-        """False while the coordinator's own server is crashed.
-
-        A crashed server cannot drive rounds; its queued transactions stay
-        pending until it recovers (clients see them fail / retry), and the
-        workload engine must not try to flush through it.
-        """
-        return not getattr(self.server, "crashed", False)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    # -- client entry point -------------------------------------------------------
-
-    def on_end_transaction(self, envelope: Envelope) -> Dict:
-        """Handle a client's ``end_transaction`` request.
-
-        Stale requests (commit timestamp at or below the latest committed
-        timestamp) are ignored, as specified in Section 4.3.1.  Otherwise the
-        transaction is queued; once a full batch is available the coordinator
-        runs TFCommit and returns the outcomes.
-        """
-        txn: Transaction = envelope.payload["transaction"]
-        if txn.commit_ts <= self._latest_committed_ts:
-            return stale_failure_response(txn, self._latest_committed_ts)
-        self._pending.append((txn, envelope))
-        if len(self._pending) >= self.batch_builder.txns_per_block:
-            return self.flush()
-        return {"status": "queued"}
-
-    def flush(self) -> Dict:
-        """Commit every pending transaction (possibly across several blocks)."""
-        results: Dict[str, Dict] = {}
-        while self._pending:
-            batch = drain_stale(
-                self.batch_builder, self._pending, self._latest_committed_ts, results
-            )
-            if not batch:
-                # Every remaining transaction was stale; nothing left to commit.
-                break
-            result = self.commit_batch(batch)
-            digest = result.block.signing_digest() if result.block is not None else None
-            cosign = result.block.cosign if result.block is not None else None
-            for outcome in result.outcomes:
-                results[outcome.txn_id] = outcome.to_wire(block_digest=digest, cosign=cosign)
-        return flushed_response(results, self._latest_committed_ts)
+    def _wire_outcomes(self, result: BlockCommitResult) -> Dict[str, Dict]:
+        """Outcomes carry their proof: the block's digest and its co-sign."""
+        digest = result.block.signing_digest() if result.block is not None else None
+        cosign = result.block.cosign if result.block is not None else None
+        return {
+            outcome.txn_id: outcome.to_wire(block_digest=digest, cosign=cosign)
+            for outcome in result.outcomes
+        }
 
     # -- the protocol ----------------------------------------------------------------
 

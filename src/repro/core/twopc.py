@@ -10,101 +10,30 @@ only two communication rounds (prepare/vote and decision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.check.mutations import mutation_enabled
-from repro.common.timestamps import Timestamp
 from repro.core.tfcommit import (
-    BatchBuilder,
     BlockCommitResult,
     SimScheduledRounds,
     TimingBreakdown,
     TxnOutcome,
-    drain_stale,
-    flushed_response,
-    stale_failure_response,
     timed_broadcast,
     validate_batch,
 )
 from repro.ledger.block import Block, BlockDecision, make_partial_block
-from repro.net.latency import LatencyModel
 from repro.net.message import Envelope, MessageType
-from repro.net.network import Network
 from repro.obs.timing import Stopwatch
-from repro.sim.context import SimContext
-from repro.sim.scheduler import KIND_BROADCAST, KIND_COMPUTE, KIND_TERMINAL, BlockTask
+from repro.sim.scheduler import KIND_BROADCAST, KIND_COMPUTE, KIND_TERMINAL
 from repro.txn.transaction import Transaction
 
 
 class TwoPhaseCommitCoordinator(SimScheduledRounds):
-    """Classic 2PC over the same servers, clients, and network as TFCommit."""
+    """Classic 2PC over the same servers, clients, and network as TFCommit.
 
-    def __init__(
-        self,
-        server,
-        network: Network,
-        server_ids: Sequence[str],
-        txns_per_block: int = 1,
-        latency: Optional[LatencyModel] = None,
-        sim: Optional[SimContext] = None,
-        view: int = 0,
-    ) -> None:
-        self.server = server
-        self.network = network
-        self.server_ids = list(server_ids)
-        self.batch_builder = BatchBuilder(txns_per_block)
-        self._latency = latency or network.latency_model
-        self._pending: List[Tuple[Transaction, Envelope]] = []
-        self._latest_committed_ts = Timestamp.zero()
-        #: Coordinator view (same contract as the TFCommit coordinator's).
-        self.view = view
-        self._sim = sim
-        self._sim_task: Optional[BlockTask] = None
-        self._sim_blocks = 0
-        self.results: List[BlockCommitResult] = []
-
-    @property
-    def coordinator_id(self) -> str:
-        return self.server.server_id
-
-    @property
-    def available(self) -> bool:
-        """False while the coordinator's own server is crashed (same
-        contract as the TFCommit coordinator's)."""
-        return not getattr(self.server, "crashed", False)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    # -- client entry point -----------------------------------------------------------
-
-    def on_end_transaction(self, envelope: Envelope) -> Dict:
-        """Queue a terminated transaction; commit a block once the batch is full."""
-        txn: Transaction = envelope.payload["transaction"]
-        if txn.commit_ts <= self._latest_committed_ts:
-            return stale_failure_response(txn, self._latest_committed_ts)
-        self._pending.append((txn, envelope))
-        if len(self._pending) >= self.batch_builder.txns_per_block:
-            return self.flush()
-        return {"status": "queued"}
-
-    def flush(self) -> Dict:
-        """Commit every pending transaction."""
-        results: Dict[str, Dict] = {}
-        while self._pending:
-            batch = drain_stale(
-                self.batch_builder, self._pending, self._latest_committed_ts, results
-            )
-            if not batch:
-                break
-            result = self.commit_batch(batch)
-            for outcome in result.outcomes:
-                results[outcome.txn_id] = outcome.to_wire()
-        return flushed_response(results, self._latest_committed_ts)
-
-    # -- the protocol -------------------------------------------------------------------
+    The front-end (queueing, batching, flushing) is the shared base's; 2PC
+    outcomes carry no proof, so the base's plain wire form applies.
+    """
 
     def commit_batch(self, batch: Sequence[Tuple[Transaction, Envelope]]) -> BlockCommitResult:
         """One 2PC round: prepare/vote then decision."""

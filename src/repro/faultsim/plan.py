@@ -66,7 +66,7 @@ FAULT_KINDS: Dict[str, Dict[str, object]] = {
     # A misbehaving sharded ordering service publishing an epoch anchor that
     # does not match the per-shard chains of the blocks it delivered.  Not a
     # server-side FaultPolicy hook: the campaign runner doctors the service's
-    # anchor chain directly after the workload (DESIGN.md section 13).
+    # anchor chain directly after the workload (DESIGN.md section 5).
     "anchor-tamper": {"hook": "tamper_anchor", "scope": "ordserv", "detected_by": "audit"},
     # -- log ------------------------------------------------------------------
     "log-tamper": {"hook": "tamper_log", "scope": "log", "detected_by": "audit"},

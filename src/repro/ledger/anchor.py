@@ -17,7 +17,7 @@ The auditor replays the reference log through the same fold
 (:func:`replay_shard_chains`) and compares; a sequencer that reordered,
 dropped, or invented blocks inside an epoch cannot produce a matching anchor
 chain (collision-resistance of SHA-256), which is the trust argument of
-DESIGN.md section 13.
+DESIGN.md section 5.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def fold_shard_head(head: bytes, block: Block) -> bytes:
 
 @dataclass(frozen=True)
 class EpochAnchor:
-    """One sealed ordering epoch (DESIGN.md section 13).
+    """One sealed ordering epoch (DESIGN.md section 5).
 
     ``shard_heights[s]`` / ``shard_heads[s]`` are shard ``s``'s cumulative
     block count and chain head *at the end* of this epoch; ``start_height``

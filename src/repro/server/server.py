@@ -355,7 +355,7 @@ class DatabaseServer:
         return response
 
     def _on_epoch_anchor(self, envelope: Envelope):
-        """Record one sealed ordering-epoch anchor (DESIGN.md §13).
+        """Record one sealed ordering-epoch anchor (DESIGN.md §5).
 
         The server keeps the chain it can vouch for: a stale or replayed
         epoch is rejected, and a directly consecutive anchor must extend

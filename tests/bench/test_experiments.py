@@ -57,10 +57,13 @@ class TestFigureSweeps:
         results, rows = scaledgroups(num_requests=8, smoke=True, return_results=True)
         assert len(rows) == 1  # one point per axis in smoke mode
         row = rows[0]
-        assert {"servers", "locality", "scaled tps", "baseline tps", "speedup"} <= set(row)
+        assert {
+            "servers", "locality", "throughput (txns/s)", "baseline tps", "speedup"
+        } <= set(row)
         assert results[0].group_coordinators >= 2
-        assert results[0].scaled_tps > 0
-        assert results[0].baseline_tps > 0
+        assert row["throughput (txns/s)"] > 0
+        assert row["baseline tps"] > 0
+        assert row["speedup"] == round(row["throughput (txns/s)"] / row["baseline tps"], 2)
 
     def test_scaleout_tiny_rows(self):
         from repro.bench.experiments import scaleout
@@ -75,7 +78,9 @@ class TestFigureSweeps:
         )
         assert [row["shards"] for row in rows] == [1, 2]
         for row in rows:
-            assert {"scaled tps", "ordserv busy", "speedup vs 1 shard", "epochs"} <= set(row)
+            assert {
+                "throughput (txns/s)", "ordserv busy", "speedup vs 1 shard", "epochs"
+            } <= set(row)
         # The 1-shard point anchors the per-ratio speedup column at 1.0.
         assert rows[0]["speedup vs 1 shard"] == 1.0
         assert all(result.committed_txns > 0 for result in results)
@@ -115,7 +120,8 @@ class TestRunFacade:
             ordering_shards=2, message_signing="hash", fixed_compute_ms=1.0,
         ))
         assert result.committed_txns == 4
-        assert result.ordering_shards == 2
+        assert result.group_coordinators >= 1
+        assert result.epochs >= 1  # two ordering shards seal an anchor chain
 
     def test_unknown_deployment_rejected(self):
         import pytest

@@ -40,10 +40,10 @@ class TestSchema:
         assert metrics["latency_ms"]["p50"] == pytest.approx(1.15)
         assert metrics["latency_ms"]["p95"] == pytest.approx(2.3)
 
-    def test_summarize_handles_sweep_specific_columns(self):
+    def test_summarize_handles_partial_rows(self):
         rows = [
-            {"label": "scaled", "scaled tps": 50.0, "txn latency (ms)": 3.0},
-            {"label": "pipe", "pipelined tps": 75.0},
+            {"label": "scaled", "throughput (txns/s)": 50.0, "txn latency (ms)": 3.0},
+            {"label": "pipe", "throughput (txns/s)": 75.0},
             {"label": "recover", "recover (ms)": 12.0},
             {"label": "matrix", "detected": True},  # no metrics at all
         ]

@@ -32,7 +32,7 @@ class TestRepositoryIsClean:
 class TestFixturesAreFlagged:
     @pytest.fixture(scope="class")
     def violations(self):
-        return lint_tree(FIXTURES, wire_registry=FIXTURES / "wire_registry.py")
+        return lint_tree(FIXTURES)
 
     def test_wallclock_rule(self, violations):
         flagged = _by_rule(violations, "wallclock")
@@ -67,24 +67,8 @@ class TestFixturesAreFlagged:
         # The `# lint: allow` assert in the same file is exempt.
         assert len(flagged) == 1
 
-    def test_missing_decoder_rule(self, violations):
-        flagged = _by_rule(violations, "missing-decoder")
-        assert [v.path for v in flagged] == ["decoder_bad.py"]
-        assert "Orphan" in flagged[0].message
-        # The `# lint: allow` marker on the class line is honored.
-        assert "ExemptedOrphan" not in flagged[0].message
-        assert len(flagged) == 1
-
     def test_cli_exit_code_and_json(self, capsys):
-        code = main(
-            [
-                "--root",
-                str(FIXTURES),
-                "--wire-registry",
-                str(FIXTURES / "wire_registry.py"),
-                "--json",
-            ]
-        )
+        code = main(["--root", str(FIXTURES), "--json"])
         assert code == 1
         import json
 
@@ -95,24 +79,10 @@ class TestFixturesAreFlagged:
             "no-print",
             "unseeded-random",
             "bare-assert",
-            "missing-decoder",
         }
 
 
-class TestRegistryExtraction:
-    def test_missing_registry_file_is_itself_a_violation(self, tmp_path):
-        (tmp_path / "mod.py").write_text("class X:\n    def to_wire(self):\n        return {}\n")
-        violations = lint_tree(tmp_path, wire_registry=tmp_path / "nope.py")
-        assert _rules(violations) == {"missing-decoder"}
-
-    def test_non_literal_registry_is_rejected(self, tmp_path):
-        registry = tmp_path / "wire.py"
-        registry.write_text("WIRE_DECODERS = dict(Block=None)\n")
-        with pytest.raises(LookupError):
-            lint_tree(tmp_path, wire_registry=registry)
-
+class TestUnparsableSources:
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         (tmp_path / "broken.py").write_text("def oops(:\n")
-        (tmp_path / "wire.py").write_text("WIRE_DECODERS = {}\n")
-        violations = lint_tree(tmp_path, wire_registry=tmp_path / "wire.py")
-        assert _rules(violations) == {"syntax"}
+        assert _rules(lint_tree(tmp_path)) == {"syntax"}

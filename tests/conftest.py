@@ -12,6 +12,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import single_sequencer
 from repro.crypto.keys import keypair_for
 from repro.net.latency import ConstantLatency
 from repro.workload.ycsb import YcsbWorkload
@@ -99,7 +100,10 @@ def make_system():
 
 @pytest.fixture
 def make_scaled_system():
-    """Factory for scaled multi-coordinator deployments (Section 4.6)."""
+    """Factory for scaled multi-coordinator deployments (Section 4.6).
+
+    ``reorder_window`` is shorthand for ``sequencer=single_sequencer(w)``.
+    """
 
     def build(
         num_servers: int = 4,
@@ -124,8 +128,7 @@ def make_scaled_system():
         return ScaledFidesSystem(
             config,
             latency=ConstantLatency(latency_s),
-            reorder_window=reorder_window,
-            sequencer=sequencer,
+            sequencer=sequencer or single_sequencer(reorder_window),
         )
 
     return build

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup
-from repro.core.ordserv import OrderingService
+from repro.core.sequencing import OrderingService
 from repro.crypto.hashing import EMPTY_HASH
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry

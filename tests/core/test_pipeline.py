@@ -2,40 +2,52 @@
 
 from __future__ import annotations
 
-from repro.bench.harness import run_pipelined_experiment
+from repro.bench.experiments import pipeline
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
+from repro.core.sequencing import single_sequencer
 from repro.net.latency import lan_latency
 from repro.sim import FixedCompute
 from repro.txn.operations import WriteOp
 from repro.workload.ycsb import TransactionSpec
 
 
+def pipeline_point(deployment: str, depth: int, num_requests: int):
+    """One point of the ``pipeline`` sweep: (depth-``depth`` result, its row)."""
+    [result], [row] = pipeline(
+        depths=(depth,),
+        deployments=(deployment,),
+        batch_sizes=(4,),
+        num_requests=num_requests,
+        return_results=True,
+    )
+    return result, row
+
+
 class TestPipelinedExperiment:
     def test_depth_one_speedup_is_exactly_one(self):
-        result = run_pipelined_experiment("anchor", pipeline_depth=1, num_requests=16)
-        assert result.speedup == 1.0
-        assert result.pipelined_time_s == result.sequential_time_s
+        _, row = pipeline_point("classic", 1, 16)
+        assert row["speedup"] == 1.0
+        assert row["throughput (txns/s)"] == row["sequential tps"]
 
     def test_depth_two_beats_sequential_classic(self):
-        result = run_pipelined_experiment("classic", pipeline_depth=2, num_requests=24)
+        result, row = pipeline_point("classic", 2, 24)
         assert result.committed_txns == 24
-        assert result.speedup > 1.05
-        assert result.auditor_clean
+        assert row["speedup"] > 1.05
+        assert row["audit clean"]
 
     def test_depth_two_beats_sequential_scaled(self):
-        result = run_pipelined_experiment(
-            "scaled", pipeline_depth=2, group_size=2, num_requests=24
-        )
+        result, row = pipeline_point("scaled", 2, 24)
         assert result.committed_txns == 24
-        assert result.speedup > 1.05
-        assert result.auditor_clean
+        assert result.group_coordinators >= 2
+        assert row["speedup"] > 1.05
+        assert row["audit clean"]
 
     def test_results_are_deterministic(self):
-        a = run_pipelined_experiment("rep", pipeline_depth=2, num_requests=16)
-        b = run_pipelined_experiment("rep", pipeline_depth=2, num_requests=16)
-        assert a.pipelined_tps == b.pipelined_tps
-        assert a.sequential_tps == b.sequential_tps
+        a, a_row = pipeline_point("classic", 2, 16)
+        b, b_row = pipeline_point("classic", 2, 16)
+        assert a.throughput_tps == b.throughput_tps
+        assert a_row == b_row
 
 
 class TestPipelinedSemantics:
@@ -112,7 +124,7 @@ class TestPipelinedSemantics:
         system = ScaledFidesSystem(
             config,
             latency=lan_latency(seed=13),
-            reorder_window=1,
+            sequencer=single_sequencer(1),
             compute_model=FixedCompute(0.001),
         )
         shared = system.shard_map.items_of("s1")[0]

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.core.grouping import ServerGroup
-from repro.core.ordserv import OrderingService
+from repro.core.sequencing import OrderingService
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block, BlockDecision
 from repro.txn.operations import ReadOp, WriteOp

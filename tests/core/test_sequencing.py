@@ -1,16 +1,17 @@
-"""The ``Sequencer`` API and the sharded ordering service (DESIGN.md §13).
+"""The ordering service with one lane per ordering shard (DESIGN.md §5).
 
-Three layers of coverage:
+Three layers of coverage (``tests/core/test_ordserv.py`` covers the one-lane
+setting):
 
-- :class:`OrderingShardMap` unit semantics (contiguous server cuts, clamping,
+- :class:`OrderingShardMap` unit semantics (server cuts, clamping,
   unknown-server rejection);
-- :class:`ShardedOrderingService` driven directly with hand-built co-signed
-  blocks -- lane buffering, epoch merges, anchor sealing, per-shard flush
-  semantics, and a random-interleaving property sweep;
+- a sharded :class:`OrderingService` driven directly with hand-built
+  co-signed blocks -- lane buffering, epoch merges, anchor sealing, per-shard
+  flush semantics, and a random-interleaving property sweep;
 - the full scaled deployment running over ``sharded_sequencer`` -- identical
-  replicated logs, clean anchor-verifying audits, coordinator failover, and
-  the bit-identical regression pinning ``single_sequencer`` to the classic
-  ``OrderingService`` behaviour.
+  replicated logs, clean anchor-verifying audits, coordinator failover.
+  (That neither setting's behaviour moved when the two services became one
+  is pinned by ``tests/integration/test_golden_fingerprints.py``.)
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup
-from repro.core.ordserv import OrderingService
-from repro.core.sequencing import (
-    OrderingShardMap,
-    Sequencer,
-    ShardedOrderingService,
-    sharded_sequencer,
-    single_sequencer,
-)
+from repro.core.sequencing import OrderingService, OrderingShardMap, sharded_sequencer
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 from repro.workload.ycsb import PartitionedWorkload
@@ -43,6 +37,10 @@ ITEMS = {sid: [f"{sid}-item-{j}" for j in range(4)] for sid in SERVERS}
 
 def make_map(num_shards: int = 2, servers=SERVERS) -> OrderingShardMap:
     return OrderingShardMap.for_servers(servers, num_shards)
+
+
+def sharded(num_shards: int = 2, epoch_max_blocks: int = 32) -> OrderingService:
+    return OrderingService(shard_map=make_map(num_shards), epoch_max_blocks=epoch_max_blocks)
 
 
 def publish(service, counter: int, members, items=None):
@@ -95,6 +93,14 @@ class TestOrderingShardMap:
         assert [shard_map.shard_of(sid) for sid in SERVERS] == [0, 0, 1, 1]
         assert shard_map.num_shards == 2
 
+    def test_ids_sort_as_strings_so_big_clusters_are_not_contiguous(self):
+        # Documented as-is: "s10" < "s2", so shard 0 of 12 servers over 2
+        # shards is {s0, s1, s10, s11, s2, s3}, not s0..s5.  Any partition is
+        # dependency-safe; the gated scaleout numbers pin this cut.
+        shard_map = make_map(2, servers=tuple(f"s{i}" for i in range(12)))
+        shard_zero = {sid for sid, shard in shard_map.shard_by_server.items() if shard == 0}
+        assert shard_zero == {"s0", "s1", "s10", "s11", "s2", "s3"}
+
     def test_shards_of_dedups_and_sorts(self):
         shard_map = make_map(2)
         assert shard_map.shards_of(["s3", "s0", "s1"]) == (0, 1)
@@ -116,7 +122,7 @@ class TestOrderingShardMap:
 
 class TestShardedServiceLanes:
     def test_single_shard_blocks_float_until_flush(self):
-        service = ShardedOrderingService(make_map(2))
+        service = sharded(2)
         publish(service, 0, ["s0"])
         publish(service, 1, ["s2"])
         assert service.pending_count == 2
@@ -129,7 +135,7 @@ class TestShardedServiceLanes:
         assert service.epoch_anchors[0].end_height == 2
 
     def test_cross_shard_block_merges_lanes_and_seals_an_anchor(self):
-        service = ShardedOrderingService(make_map(2))
+        service = sharded(2)
         publish(service, 0, ["s0"])
         publish(service, 1, ["s2"])
         publish(service, 2, ["s1", "s3"])  # spans both shards
@@ -143,7 +149,7 @@ class TestShardedServiceLanes:
         assert service.verify_shard_chains()
 
     def test_publish_is_idempotent_per_round_identity(self):
-        service = ShardedOrderingService(make_map(2))
+        service = sharded(2)
         ok, block, group = publish(service, 0, ["s0"])
         assert ok
         assert service.seen(block, group)
@@ -151,7 +157,7 @@ class TestShardedServiceLanes:
         assert service.pending_count == 1
 
     def test_capacity_drain_lands_prefix_without_an_anchor(self):
-        service = ShardedOrderingService(make_map(2), epoch_max_blocks=2)
+        service = sharded(2, epoch_max_blocks=2)
         publish(service, 0, ["s0"])
         publish(service, 1, ["s1"])
         # The lane hit capacity: blocks landed, but no merge happened, so
@@ -161,7 +167,7 @@ class TestShardedServiceLanes:
         assert service.epoch_anchors == []
 
     def test_flush_conflicting_drains_only_the_overlapping_lane_prefix(self):
-        service = ShardedOrderingService(make_map(2))
+        service = sharded(2)
         publish(service, 0, ["s0"])  # lane 0, before the overlap
         publish(service, 1, ["s1"])  # lane 0, the overlap
         publish(service, 2, ["s0"])  # lane 0, after the overlap: keeps floating
@@ -176,7 +182,7 @@ class TestShardedServiceLanes:
         assert service.epoch_anchors == []
 
     def test_flush_conflicting_ignores_groups_of_other_shards(self):
-        service = ShardedOrderingService(make_map(2))
+        service = sharded(2)
         publish(service, 0, ["s0"])
         other_shard = ServerGroup(members=frozenset({"s3"}), coordinator="s3")
         service.flush_conflicting(other_shard)
@@ -191,9 +197,7 @@ class TestShardedServiceProperty:
 
     @staticmethod
     def _random_run(rng: random.Random, num_shards: int):
-        service = ShardedOrderingService(
-            make_map(num_shards), epoch_max_blocks=rng.choice([1, 2, 4, 32])
-        )
+        service = sharded(num_shards, epoch_max_blocks=rng.choice([1, 2, 4, 32]))
         for counter in range(rng.randint(5, 14)):
             members = rng.sample(SERVERS, rng.randint(1, 3))
             publish(service, counter, members)
@@ -239,10 +243,6 @@ def partitioned_specs(system, count: int, locality: float = 1.0, seed: int = 3):
 
 
 class TestShardedDeployment:
-    def test_sequencer_protocol_is_satisfied_by_both_implementations(self):
-        assert isinstance(OrderingService(), Sequencer)
-        assert isinstance(ShardedOrderingService(make_map(2)), Sequencer)
-
     def test_commits_replicate_one_global_log(self, make_scaled_system):
         system = make_scaled_system(num_servers=4, sequencer=sharded_sequencer(2))
         result = system.run_workload(
@@ -278,34 +278,24 @@ class TestShardedDeployment:
         assert system.audit().ok
 
 
-class TestSingleSequencerRegression:
-    """``sequencer=single_sequencer(w)`` must reproduce the default
-    (reorder-window) deployment bit for bit on the same seed."""
+class TestDefaultSequencer:
+    def test_no_sequencer_means_one_submission_order_lane(self, make_scaled_system):
+        """``ScaledFidesSystem(config)`` is ``sequencer=single_sequencer(0)``."""
+        from repro.core.scaled import ScaledFidesSystem
+        from repro.net.latency import ConstantLatency
 
-    @staticmethod
-    def _trace(system, count=10):
-        """The deterministic part of a run: outcomes, stream, replica logs.
+        injected = make_scaled_system(num_servers=4, reorder_window=0)
+        default = ScaledFidesSystem(injected.config, latency=ConstantLatency(0.0002))
 
-        (Virtual end-time is excluded: the default compute model charges
-        *measured* wall time, which is not seed-reproducible.)
-        """
-        result = system.run_workload(
-            partitioned_specs(system, count, locality=0.8), num_clients=2
-        )
-        return (
-            result.committed,
-            tuple(o.block.block_hash() for o in system.ordering.ordered_blocks),
-            {
-                server_id: tuple(block.block_hash() for block in server.log)
-                for server_id, server in system.servers.items()
-            },
-        )
+        def trace(system):
+            result = system.run_workload(
+                partitioned_specs(system, 10, locality=0.8), num_clients=2
+            )
+            return (
+                result.committed,
+                tuple(o.block.block_hash() for o in system.ordering.ordered_blocks),
+            )
 
-    @pytest.mark.parametrize("window", [0, 2])
-    def test_same_seed_traces_are_bit_identical(self, make_scaled_system, window):
-        default = make_scaled_system(num_servers=4, reorder_window=window)
-        injected = make_scaled_system(
-            num_servers=4, sequencer=single_sequencer(window)
-        )
-        assert self._trace(default) == self._trace(injected)
-        assert isinstance(injected.ordering, OrderingService)
+        assert trace(default) == trace(injected)
+        assert default.ordering.shard_map is None
+        assert default.ordering.epoch_anchors == []

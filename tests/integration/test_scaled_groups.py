@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import group_for_transaction
-from repro.core.ordserv import OrderingService
+from repro.core.sequencing import OrderingService
 from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
