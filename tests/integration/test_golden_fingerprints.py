@@ -9,7 +9,10 @@ that claims "behaviour unchanged" must reproduce every one of them
 untouched.  Refresh them only for an *intended* protocol or timing-model
 change, by running this file as a script (it prints the new table).
 
-Each scenario runs two ``run_workload`` calls on one system and records:
+Each scenario runs two ``run_workload`` calls on one system -- the
+``*-failover`` ones crash and depose a leader in between (2PC: up front,
+because a non-empty 2PC log carries no co-signs to recover from) -- and
+records:
 
 - ``stream``: SHA-256 over the ordered stream -- per block its global height,
   block hash, group members and ordering shards (scaled), or the
@@ -37,7 +40,9 @@ from repro.api import (
 from repro.common.errors import AuditError
 from repro.net.latency import lan_latency
 from repro.obs import Observability
+from repro.server.faults import CrashFault
 from repro.sim.context import FixedCompute
+from repro.txn.operations import WriteOp
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
 
 SEED = 2020
@@ -101,6 +106,22 @@ def _scaled(sequencer, locality: float, group_size: int = 2):
     return system, obs, workload
 
 
+def _strand_and_fail_over(system) -> None:
+    """Between the two workloads: the leader crashes mid-round (the round
+    stays armed on its cohorts), recovers, is handed one more transaction
+    (a partial batch left in its queue) and is then deposed."""
+    leader, peer = system.config.server_ids[:2]
+    mine, theirs = system.shard_map.items_of(leader), system.shard_map.items_of(peer)
+    system.inject_fault(leader, CrashFault(phase="vote"))
+    for index in range(system.config.txns_per_block):
+        system.run_transaction([WriteOp(mine[index], index), WriteOp(theirs[index], index)])
+    assert leader in system.crashed_servers()
+    system.recover_server(leader)
+    assert system.run_transaction([WriteOp(mine[5], 5), WriteOp(theirs[5], 5)]).pending
+    outcome = system.fail_over(leader)
+    assert outcome.stalled_rounds
+
+
 SCENARIOS = {
     "classic-tfcommit": lambda: _classic("tfcommit"),
     "classic-2pc": lambda: _classic("2pc"),
@@ -115,11 +136,25 @@ SCENARIOS = {
     "sharded-3-local": lambda: _scaled(sharded_sequencer(3), 1.0),
 }
 
+#: Scenarios that run :func:`_strand_and_fail_over`, and before which of the
+#: two workloads (the base scenario is the name minus ``-failover``).
+FAILOVER_BEFORE_WORKLOAD = {
+    "classic-tfcommit-failover": 1,
+    "classic-2pc-failover": 0,
+    "single-0-failover": 1,
+    "sharded-4-failover": 1,
+}
+SCENARIOS.update(
+    {name: SCENARIOS[name[: -len("-failover")]] for name in FAILOVER_BEFORE_WORKLOAD}
+)
+
 
 def fingerprint(name: str) -> dict:
     system, obs, workload = SCENARIOS[name]()
-    system.run_workload(workload.generate(14), num_clients=2)
-    system.run_workload(workload.generate(10), num_clients=2)
+    for index, requests in enumerate((14, 10)):
+        if FAILOVER_BEFORE_WORKLOAD.get(name) == index:
+            _strand_and_fail_over(system)
+        system.run_workload(workload.generate(requests), num_clients=2)
     stream = hashlib.sha256()
     anchors = hashlib.sha256()
     ordering = getattr(system, "ordering", None)
@@ -226,6 +261,39 @@ GOLDEN = {'classic-2pc': {'anchors': '',
               'messages': 356.0,
               'stream': 'b9f82588310e82020f3d04b4b19b81551bd4429bb8493aa3f65b73532f92983b',
               'trace': '2f503f75f28507f1c3c16ad8af76f6653671097d79a3cf20b792f0ceb83187d0'}}
+
+
+#: The failover rows, recorded at PR 12 (before the two system classes merged).
+GOLDEN.update(
+{'classic-2pc-failover': {'anchors': '',
+                          'audit': 'AuditError',
+                          'bytes': 290337.0,
+                          'makespan': '0.1',
+                          'messages': 316.0,
+                          'stream': '7214e7cd408c89464a8f5e5786a474e373da7bda0628cb8d1a87b8dd6099b5c1',
+                          'trace': 'ba3c471c87dcad42cae243a76d0317ebdace67e3788c4601961d530106b3194c'},
+ 'classic-tfcommit-failover': {'anchors': '',
+                               'audit': True,
+                               'bytes': 401071.0,
+                               'makespan': '0.15542289124187453',
+                               'messages': 366.0,
+                               'stream': '23f9666e33671a21eb45784187bac3857c6620afe2331009d1b6d1de08c50eb7',
+                               'trace': 'a744aae75ff55cbb38cac5c3c0362601375cd07ac4250ebb0fd67526a90cdfa1'},
+ 'sharded-4-failover': {'anchors': 'cee66a81258f3b8e1be8dcf83944563c01278e500adfe10c44a8468988fb8f7e',
+                        'audit': True,
+                        'bytes': 434949.0,
+                        'makespan': '0.12025131312818842',
+                        'messages': 496.0,
+                        'stream': 'd8b0234cbc5e97a6a4fb865ca55d670abb48a15d39eeffe452c92e2a54d98db1',
+                        'trace': '27b98d371da9c4a15305dfa9b2f106882c63a9d6a026e4aefbe1716b9113623a'},
+ 'single-0-failover': {'anchors': '',
+                       'audit': True,
+                       'bytes': 396677.0,
+                       'makespan': '0.12194220730371404',
+                       'messages': 408.0,
+                       'stream': '4eb3b790057e614ab9704f5e37d45d84b1f02031668d6edd64fde3e21aeb6e57',
+                       'trace': '26725f33fcd83389547955d775a42a8cee7302c5de0f6947d1e5e7527f84174b'}}
+)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
