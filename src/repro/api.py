@@ -6,8 +6,9 @@ keep moving without breaking users:
 
 - **Deployments**: :class:`FidesSystem` (classic single-coordinator
   TFCommit, plus the 2PC baseline via ``protocol="2pc"``) and
-  :class:`ScaledFidesSystem` (dynamic groups merged by the ordering
-  service), both configured with :class:`SystemConfig`.
+  :class:`ScaledFidesSystem` (the same system wired with dynamic groups
+  and the ordering service that merges their blocks -- one ``fail_over``,
+  ``flush``, ``audit`` for both), configured with :class:`SystemConfig`.
 - **Ordering** (DESIGN.md §5): the one lane-based :class:`OrderingService`
   and its two settings, :func:`single_sequencer` (one lane with a reorder
   window) and :func:`sharded_sequencer` (one lane per ordering shard of an

@@ -25,8 +25,8 @@ from repro.bench.harness import (
     run,
 )
 from repro.common.config import SystemConfig
-from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT, FidesSystem
-from repro.core.scaled import ScaledFidesSystem
+from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
+from repro.core.scaled import ScaledFidesSystem, build_system
 from repro.faultsim.plan import FaultPlan
 from repro.faultsim.policy import PlannedFaultPolicy
 from repro.net.latency import ConstantLatency, lan_latency, wan_latency
@@ -628,7 +628,6 @@ def failover(
 
     results = []
     for deployment in deployments:
-        scaled = deployment == "scaled"
         for stall in stall_requests:
             config = SystemConfig(
                 num_servers=num_servers,
@@ -639,23 +638,25 @@ def failover(
                 message_signing="hash",
                 seed=2020,
             )
-            if scaled:
-                system = ScaledFidesSystem(config, latency=ConstantLatency(0.0002))
-                workload = PartitionedWorkload(
+            system = build_system(deployment, config, latency=ConstantLatency(0.0002))
+            # Group-local transactions where groups exist, the plain YCSB
+            # mix where every round spans the cluster anyway.
+            workload = (
+                PartitionedWorkload(
                     partitions=locality_partitions(system, group_size),
                     ops_per_txn=2,
                     locality=1.0,
                     conflict_free_window=txns_per_block,
                     seed=2020,
                 )
-            else:
-                system = FidesSystem(config, latency=ConstantLatency(0.0002))
-                workload = YcsbWorkload(
+                if deployment == "scaled"
+                else YcsbWorkload(
                     item_ids=list(system.shard_map.all_items()),
                     ops_per_txn=2,
                     conflict_free_window=txns_per_block,
                     seed=2020,
                 )
+            )
             target = config.server_ids[0]
             warmup = system.run_workload(
                 workload.generate(warmup_requests), num_clients=num_clients

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigurationError
-from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
-from repro.core.scaled import ScaledFidesSystem
+from repro.core.fides import PROTOCOL_TFCOMMIT
+from repro.core.scaled import build_system
 from repro.core.sequencing import sharded_sequencer
 from repro.net.latency import LatencyModel, lan_latency
 from repro.sim.context import FixedCompute
@@ -231,8 +230,15 @@ def run(
     """
     if obs is not None:
         obs.tracer.begin_process(f"{config.label}/d{config.pipeline_depth}")
-    shared = dict(
-        config=config.system_config(),
+    system = build_system(
+        config.deployment,
+        config.system_config(),
+        protocol=config.protocol,
+        sequencer=(
+            sharded_sequencer(config.ordering_shards, config.epoch_max_blocks)
+            if config.ordering_shards > 1
+            else None
+        ),
         latency=latency or lan_latency(seed=config.seed),
         compute_model=(
             FixedCompute(config.fixed_compute_ms / 1000.0)
@@ -241,21 +247,6 @@ def run(
         ),
         obs=obs,
     )
-    if config.deployment == "classic":
-        system = FidesSystem(protocol=config.protocol, **shared)
-    elif config.deployment == "scaled":
-        system = ScaledFidesSystem(
-            sequencer=(
-                sharded_sequencer(config.ordering_shards, config.epoch_max_blocks)
-                if config.ordering_shards > 1
-                else None
-            ),
-            **shared,
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown deployment {config.deployment!r} (expected 'classic' or 'scaled')"
-        )
     window = config.conflict_free_window or config.txns_per_block
     if config.group_size:
         workload = PartitionedWorkload(
@@ -280,7 +271,7 @@ def run(
     result = ExperimentResult(config=config)
     result.committed_txns = outcome.committed
     result.aborted_txns = outcome.aborted
-    if config.deployment == "scaled":
+    if system.ordering is not None:
         result.group_coordinators = len(system.active_group_coordinators)
         result.distinct_groups = len(system.groups_used())
         result.epochs = len(system.ordering.epoch_anchors)

@@ -14,11 +14,10 @@
   dedup and counterexample minimization;
 - :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples
   into deterministic regression tests;
-- :mod:`repro.check.lint` -- the AST lint pass (``python -m
-  repro.check.lint``) enforcing determinism/codec/assert rules;
 - :mod:`repro.check.static` -- the whole-program protocol analyzer
   (``python -m repro.check.static``): message-flow totality, round-state
-  leak detection, and exception-effect checking.
+  leak detection, exception-effect checking, and the per-file
+  determinism/assert rules.
 
 Heavy submodules are loaded lazily: ``core``/``sim``/``net`` import the two
 leaf modules above at import time, so this package ``__init__`` must not
@@ -36,7 +35,6 @@ _LAZY = {
     "scenarios": "repro.check.scenarios",
     "explorer": "repro.check.explorer",
     "replay": "repro.check.replay",
-    "lint": "repro.check.lint",
     "static": "repro.check.static",
 }
 

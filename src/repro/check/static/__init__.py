@@ -1,8 +1,9 @@
 """Whole-program static protocol analyzer (``python -m repro.check.static``).
 
 The static counterpart to the PR 6 model checker: where the explorer proves
-properties of *runs it can reach*, this package proves three properties of
-*every path in the source*, before anything executes:
+properties of *runs it can reach*, this package proves properties of *every
+path in the source*, before anything executes -- three whole-program
+analyses and one set of per-file rules:
 
 - :mod:`repro.check.static.flowgraph` -- message-flow totality: every sent
   ``MessageType`` has a dispatch entry, every dispatch entry a sender, every
@@ -14,6 +15,9 @@ properties of *runs it can reach*, this package proves three properties of
 - :mod:`repro.check.static.effects` -- exception effects: handler-reachable
   code must not let non-``FidesError`` exceptions escape (response-map
   subscripts, un-defaulted ``max``/``min``, broad excepts, builtin raises).
+- :mod:`repro.check.static.determinism` -- determinism and hygiene rules:
+  no wall clock, ad-hoc timers, ``print`` or bare ``assert`` in protocol
+  packages, no unseeded randomness anywhere.
 
 Findings are :class:`~repro.check.static.model.Finding` values, reported via
 :mod:`repro.check.static.report` against the checked-in ``baseline.json``.
@@ -28,12 +32,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import FrozenSet, List, Optional
 
+from repro.check.static.determinism import determinism_findings
 from repro.check.static.effects import effect_findings
 from repro.check.static.flowgraph import flow_findings
 from repro.check.static.leaks import leak_findings
-from repro.check.static.model import Finding, SourceTree
+from repro.check.static.model import Finding, SourceTree, default_root
 
-__all__ = ["Finding", "SourceTree", "run_analyses"]
+__all__ = ["Finding", "SourceTree", "default_root", "run_analyses"]
 
 
 def run_analyses(
@@ -41,11 +46,12 @@ def run_analyses(
     mutations: FrozenSet[str] = frozenset(),
     wire_registry: Optional[Path] = None,
 ) -> List[Finding]:
-    """Run all three analyses; suppressed findings are dropped here."""
+    """Run all four analyses; suppressed findings are dropped here."""
     findings: List[Finding] = []
     findings.extend(flow_findings(tree, wire_registry=wire_registry))
     findings.extend(leak_findings(tree, mutations))
     findings.extend(effect_findings(tree, mutations))
+    findings.extend(determinism_findings(tree))
     kept = []
     for finding in findings:
         module = tree.modules.get(finding.path)

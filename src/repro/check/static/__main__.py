@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from repro.check.mutations import MUTATIONS
 from repro.check.static import run_analyses
-from repro.check.static.model import SourceTree
+from repro.check.static.model import SourceTree, default_root
 from repro.check.static.report import (
     build_report,
     default_baseline_path,
@@ -38,8 +38,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.static",
         description=(
-            "Message-flow totality, round-state leak, and exception-effect "
-            "checks over src/repro."
+            "Message-flow totality, round-state leak, exception-effect and "
+            "determinism checks over src/repro."
         ),
     )
     parser.add_argument(
@@ -80,12 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.root is not None:
-        root = args.root
-    else:
-        from repro.check.lint import default_root
-
-        root = default_root()
+    root = args.root if args.root is not None else default_root()
     tree = SourceTree(root)
     mutations = frozenset(args.mutation)
     findings = run_analyses(tree, mutations, wire_registry=args.wire_registry)

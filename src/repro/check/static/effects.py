@@ -49,6 +49,7 @@ import ast
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.check.static.model import (
+    PROTOCOL_PACKAGES,
     Finding,
     FunctionDecl,
     SourceTree,
@@ -56,15 +57,6 @@ from repro.check.static.model import (
     fold_test,
     iter_live,
 )
-
-#: Packages whose code the broad-except rule covers (mirrors lint's set).
-PROTOCOL_PACKAGES = (
-    "core", "server", "net", "ledger", "recovery",
-    "storage", "txn", "crypto", "sim",
-)
-
-#: Packages whose handler-reachable functions must not raise builtins.
-RAISE_PACKAGES = PROTOCOL_PACKAGES
 
 #: Calls that return a response map (server id -> response dict).
 RESPONSE_SOURCES = frozenset(
@@ -382,7 +374,7 @@ def _escaping_raises(tree: SourceTree, enabled: FrozenSet[str]) -> List[Finding]
     findings: List[Finding] = []
     for name in sorted(tree.functions):
         for decl in tree.functions[name]:
-            if decl.module.package not in RAISE_PACKAGES:
+            if decl.module.package not in PROTOCOL_PACKAGES:
                 continue
             if id(decl.node) not in reachable:
                 continue

@@ -5,8 +5,8 @@ Everything in :mod:`repro.check.static` works on this layer:
 - :class:`SourceTree` parses every module under the analyzed root exactly
   once and indexes functions, classes, and class hierarchies **by name** so
   the analyses can resolve calls without importing the package (the CI job
-  checks out sources only, mirroring :mod:`repro.check.lint`).
-- :class:`Finding` is the one result type all three analyses emit; its
+  checks out sources only).
+- :class:`Finding` is the one result type all four analyses emit; its
   :attr:`Finding.key` deliberately excludes line numbers so baseline entries
   survive pure line drift.
 - :func:`fold_test` statically evaluates branch conditions over
@@ -40,6 +40,12 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 #: (comma-separable) suppresses only the named rule(s).
 ALLOW_MARKER = "# static: allow"
 
+#: Packages whose runtime code is a protocol hot path: the stricter
+#: determinism rules and the exception-effect rules apply to them.
+PROTOCOL_PACKAGES = frozenset(
+    {"core", "server", "net", "ledger", "recovery", "storage", "txn", "crypto", "sim"}
+)
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -49,7 +55,7 @@ class Finding:
     numbers) for leak findings; empty elsewhere.
     """
 
-    analysis: str  # "flow" | "leak" | "effects"
+    analysis: str  # "flow" | "leak" | "effects" | "determinism"
     rule: str
     path: str  # module path relative to the analyzed root (posix)
     line: int
@@ -81,6 +87,11 @@ class Finding:
             "trace": list(self.trace),
             "key": self.key,
         }
+
+
+def default_root() -> Path:
+    """``src/repro`` as located relative to this module file."""
+    return Path(__file__).resolve().parent.parent.parent
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 * :mod:`repro.core.tfcommit` -- the TrustFree Commitment protocol (Section 4.3).
 * :mod:`repro.core.twopc` -- the trusted Two-Phase Commit baseline (Section 6.1).
-* :mod:`repro.core.fides` -- cluster assembly: servers, clients, coordinator, audits.
+* :mod:`repro.core.fides` -- the one deployment: servers, clients, the
+  coordinator table, failover, flush, audits.
 * :mod:`repro.core.grouping` / :mod:`repro.core.sequencing` -- the scale-out path
-  of Section 4.6 (per-group coordinators and the block ordering service).
-* :mod:`repro.core.scaled` -- the scaled multi-coordinator deployment wiring
-  dynamic groups and the ordering service into a full system.
+  of Section 4.6 (dynamic groups and the block ordering service).
+* :mod:`repro.core.scaled` -- the Section 4.6 wiring of that deployment:
+  group coordinators, the ordered-delivery subscriber, ``build_system``.
 """
 
 from repro.core.tfcommit import (

@@ -1,19 +1,25 @@
-"""Fides: assembling servers, clients, coordinator, and auditor into a system.
+"""Fides: assembling servers, clients, coordinators, and auditor into a system.
 
 :class:`FidesSystem` is the top-level convenience API of the library: it
 builds the whole deployment of Figure 4 from a
 :class:`~repro.common.config.SystemConfig` -- the sharded servers, the signed
-network, the designated coordinator (running either TFCommit or the 2PC
+network, the termination coordinators (running either TFCommit or the 2PC
 baseline), and client handles -- and exposes the operations examples,
 tests, and benchmarks need: executing transactions, injecting faults,
-collecting logs, and running audits.
+failing a leader over, collecting logs, and running audits.
+
+It is the *one* deployment.  What a deployment chooses -- who leads a round,
+with what coordinator, whether one server is the designated coordinator,
+whether an ordering service stamps the chain -- is set in a single hook,
+:meth:`FidesSystem._wire_termination`, and
+:class:`~repro.core.scaled.ScaledFidesSystem` overrides nothing else.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.check.mutations import mutation_enabled
 from repro.client.client import CommitOutcome, FidesClient
@@ -24,6 +30,7 @@ from repro.common.types import ClientId, ServerId, Value, make_client_id
 from repro.core.tfcommit import (
     STALE_TIMESTAMP_REASON,
     BlockCommitResult,
+    SimScheduledRounds,
     TFCommitCoordinator,
 )
 from repro.core.twopc import TwoPhaseCommitCoordinator
@@ -40,6 +47,7 @@ from repro.server.server import DatabaseServer
 from repro.sim.context import ComputeModel, SimContext
 from repro.storage.shard import build_uniform_partition
 from repro.txn.operations import Operation
+from repro.txn.transaction import Transaction
 from repro.workload.ycsb import TransactionSpec
 
 
@@ -136,95 +144,134 @@ class FidesSystem:
             server.attach_obs(self.sim.obs)
             self.servers[server_id] = server
 
-        self.coordinator_id = self.config.server_ids[0]
         #: Servers deposed by a view change: they keep serving as cohorts but
         #: never lead rounds again (routing and group formation skip them).
         self._deposed: set = set()
-        #: Coordinators replaced by a failover; kept so their block results
-        #: stay visible to the workload engine's accounting.
-        self._retired_coordinators: List = []
+        #: The view the latest failover installed: a designated coordinator is
+        #: created in it, group coordinators propose every round in it.
+        self.view = 0
         #: Completed view changes, newest last.
         self.view_changes: List = []
+        #: ``server_id -> coordinator`` for every server that ever led a round,
+        #: in the order they first did (:meth:`coordinator_for`).  A deposed
+        #: leader's entry stays: its block results still count.
+        self.coordinators: Dict[ServerId, SimScheduledRounds] = {}
         self._wire_termination()
 
         self._clients: Dict[ClientId, FidesClient] = {}
 
-    # -- deployment hooks --------------------------------------------------------------
+    # -- the deployment: who leads, with what, under which ordering ---------------------
 
     def _wire_termination(self) -> None:
         """Install the termination layer: one designated coordinator for all servers.
 
-        :class:`~repro.core.scaled.ScaledFidesSystem` overrides this to wire
-        per-group coordinators and the ordering service instead.
+        The one place a deployment is defined.  It sets ``coordinator_id``
+        (the designated coordinator; ``None`` when any server may lead),
+        ``ordering`` (the ordering service; ``None`` when the coordinator
+        stamps the chain itself), ``_route`` (a round's transactions -> the
+        server leading it) and ``_new_coordinator`` (that server -> its
+        coordinator).
         """
-        coordinator_server = self.servers[self.coordinator_id]
+        self.coordinator_id: Optional[ServerId] = self.config.server_ids[0]
+        self.ordering = None
+        self._route = lambda transactions: self.coordinator_id
+        self._new_coordinator = self._designated_coordinator
+        self.coordinator_for(self.coordinator_id)
+
+    def _designated_coordinator(self, server_id: ServerId) -> SimScheduledRounds:
+        """A full-cluster coordinator in the current view."""
         coordinator_cls = (
             TFCommitCoordinator
             if self.protocol == PROTOCOL_TFCOMMIT
             else TwoPhaseCommitCoordinator
         )
-        self.coordinator = coordinator_cls(
-            server=coordinator_server,
+        coordinator = coordinator_cls(
+            server=self.servers[server_id],
             network=self.network,
             server_ids=self.config.server_ids,
+            sim=self.sim,
             txns_per_block=self.config.txns_per_block,
             latency=self.latency,
-            sim=self.sim,
+            view=self.view,
         )
-        coordinator_server.set_coordinator_role(self.coordinator)
+        # It chains onto its own log, so its committed frontier is the log's:
+        # empty at deployment time, the certified one when a successor takes over.
+        for block in coordinator.server.log:
+            if block.is_commit:
+                coordinator.observe_frontier(block.max_commit_ts)
+        return coordinator
 
-    def _make_client(self, client_id: ClientId) -> FidesClient:
-        """Build one client handle, routed per :meth:`_coordinator_router`."""
-        return FidesClient(
-            client_id=client_id,
-            keypair=keypair_for(client_id, seed=self.config.seed),
-            network=self.network,
-            shard_map=self.shard_map,
-            coordinator_id=self.coordinator_id,
-            coordinator_router=self._coordinator_router(),
-        )
+    def coordinator_for(self, server_id: ServerId) -> SimScheduledRounds:
+        """The coordinator ``server_id`` leads rounds with, created (and given
+        the server's termination role, Section 4.1) on first use."""
+        if server_id not in self.coordinators:
+            self.coordinators[server_id] = self._new_coordinator(server_id)
+            self.servers[server_id].set_coordinator_role(self.coordinators[server_id])
+        return self.coordinators[server_id]
 
-    def _coordinator_router(self):
-        """Per-transaction coordinator routing.  The classic deployment has
-        one designated coordinator, but reads it dynamically so clients
-        follow a view change to the successor; the scaled system routes each
-        transaction to its dynamic group's coordinator."""
-        return lambda txn: self.coordinator_id
+    def _lead(self, transactions: Sequence[Transaction]) -> SimScheduledRounds:
+        """The one router: the coordinator leading a round over ``transactions``
+        (asked per round, so clients follow a view change without being told)."""
+        return self.coordinator_for(self._route(transactions))
 
-    def _coordinators(self) -> List:
-        """Every termination coordinator currently wired into the system."""
-        return [self.coordinator] + list(self._retired_coordinators)
+    @property
+    def coordinator(self) -> Optional[SimScheduledRounds]:
+        """The designated coordinator; ``None`` in a deployment without one."""
+        return self.coordinators.get(self.coordinator_id)
 
     def deposed_servers(self) -> frozenset:
         """Servers stripped of coordinator duty by a view change."""
         return frozenset(self._deposed)
 
-    def _pending_count(self) -> int:
-        """Transactions queued but not yet proposed, across all *live* coordinators.
-
-        Transactions stuck in a crashed coordinator's queue cannot be flushed
-        until it recovers, so they must not keep the workload loop spinning.
-        """
-        return sum(
-            coordinator.pending_count
-            for coordinator in self._coordinators()
-            if coordinator.available
-        )
+    def _live_coordinators(self) -> Iterator[SimScheduledRounds]:
+        """Coordinators whose server is up, checked as each is reached (a
+        flush can crash the next one's server).  A crashed one's queue waits
+        for recovery or failover and must not keep the workload loop spinning."""
+        return (c for c in list(self.coordinators.values()) if c.available)
 
     def _flush_pending(self) -> Dict:
-        """Flush every coordinator's partial batch; responses are merged."""
-        return self.coordinator.flush()
+        """Flush every live coordinator's partial batch and merge the responses.
 
-    def _finish_workload(self) -> None:
-        """Post-run hook; the scaled system flushes the ordering service here."""
+        The merged frontier is the maximum across coordinators -- observing a
+        larger committed timestamp is always safe for a retrying client.
+        """
+        merged: Dict[str, Dict] = {}
+        frontier: Optional[Tuple[int, str]] = None
+        for coordinator in self._live_coordinators():
+            response = coordinator.flush()
+            merged.update(response.get("results", {}))
+            reported = response.get("latest_committed_ts")
+            if reported is not None and (frontier is None or tuple(reported) > frontier):
+                frontier = tuple(reported)
+        return {"status": "flushed", "results": merged, "latest_committed_ts": frontier}
+
+    def _land_stream(self) -> None:
+        """Have the ordering service (if any) finalise every block it holds."""
+        if self.ordering is not None:
+            self.ordering.flush()
+
+    def _release_execution(self, txn_id: str) -> None:
+        """Drop the execution state ``txn_id`` buffered on every live server
+        (what their timeouts do for a transaction that will see no decision)."""
+        for server in self.servers.values():
+            if not server.crashed:
+                server.execution.finish(txn_id)
 
     # -- clients ----------------------------------------------------------------------
 
     def client(self, index: int = 0) -> FidesClient:
-        """Return (creating on first use) the client with the given index."""
+        """Return (creating on first use) the client with the given index;
+        its ``end_transaction``s go to the server :meth:`_lead` names."""
         client_id = make_client_id(index)
         if client_id not in self._clients:
-            self._clients[client_id] = self._make_client(client_id)
+            self._clients[client_id] = FidesClient(
+                client_id=client_id,
+                keypair=keypair_for(client_id, seed=self.config.seed),
+                network=self.network,
+                shard_map=self.shard_map,
+                coordinator_id=self.config.server_ids[0],
+                coordinator_router=lambda txn: self._lead([txn]).coordinator_id,
+            )
         return self._clients[client_id]
 
     # -- transaction execution ----------------------------------------------------------
@@ -251,9 +298,7 @@ class FidesSystem:
             # or mid-round).  The transaction fails -- the client would retry
             # after recovery -- and the execution state it buffered on the
             # *reachable* servers is released, as their timeouts would.
-            for server in self.servers.values():
-                if not server.crashed:
-                    server.execution.finish(session.txn_id)
+            self._release_execution(session.txn_id)
             outcome = CommitOutcome(
                 txn_id=session.txn_id,
                 status="failed",
@@ -285,8 +330,8 @@ class FidesSystem:
         # the per-coordinator lengths so this run reports only its own blocks
         # (a second run_workload must not double-count the first run's).
         results_marker = {
-            id(coordinator): len(coordinator.results)
-            for coordinator in self._coordinators()
+            server_id: len(coordinator.results)
+            for server_id, coordinator in self.coordinators.items()
         }
         if mutation_enabled("pr3-double-count-blocks"):
             results_marker = {}
@@ -323,9 +368,7 @@ class FidesSystem:
                 # broadcast will release its buffered execution state; the
                 # real system expires it by timeout, the in-process engine
                 # releases it directly.
-                for server in self.servers.values():
-                    if not server.crashed:
-                        server.execution.finish(outcome.txn_id)
+                self._release_execution(outcome.txn_id)
             if stale and attempt < self.STALE_RETRY_LIMIT:
                 frontier = response.get("latest_committed_ts")
                 if frontier is not None:
@@ -341,7 +384,7 @@ class FidesSystem:
                 outcome = clients[slot].interpret_outcome(txn_id, response)
                 settle(outcome, slot, spec, attempt, response)
 
-        while work or queued or self._pending_count():
+        while work or queued or any(c.pending_count for c in self._live_coordinators()):
             if work:
                 spec, slot, attempt = work.popleft()
                 outcome, response = self._run_transaction_raw(
@@ -365,27 +408,27 @@ class FidesSystem:
             # Like the stale path: a never-flushed transaction terminated
             # without a decision broadcast, so its buffered execution state
             # must be released explicitly on every server.
-            for server in self.servers.values():
-                if not server.crashed:
-                    server.execution.finish(txn_id)
+            self._release_execution(txn_id)
             record(
                 CommitOutcome(txn_id=txn_id, status="failed", reason="never flushed"),
                 clients[slot],
             )
-        self._finish_workload()
+        self._land_stream()
         # Fire the timeline's pending events in deterministic order so the
         # run's makespan and event trace are final when the caller reads them.
         self.sim.drain()
         result.block_results = [
             block_result
-            for coordinator in self._coordinators()
-            for block_result in coordinator.results[results_marker.get(id(coordinator), 0):]
+            for server_id, coordinator in self.coordinators.items()
+            for block_result in coordinator.results[results_marker.get(server_id, 0):]
         ]
         return result
 
     def flush(self) -> Dict:
-        """Force the coordinator to commit any partially filled batch."""
-        return self.coordinator.flush()
+        """Commit every coordinator's partial batch and finalise the ordered stream."""
+        response = self._flush_pending()
+        self._land_stream()
+        return response
 
     # -- crash / recovery / checkpointing ------------------------------------------------
 
@@ -419,27 +462,31 @@ class FidesSystem:
     def fail_over(
         self, server_id: Optional[ServerId] = None, reason: str = ""
     ) -> ViewChangeOutcome:
-        """Depose the designated coordinator and elect its successor.
+        """Depose a leading server and hand its work to whoever leads next.
 
         Runs the view-change protocol of :mod:`repro.core.viewchange`: the
         next-smallest live server solicits every surviving cohort's commit
         frontier and stalled rounds (``VIEW_CHANGE``), verifies the frontier
-        certificates, announces the new view (``NEW_VIEW``), and re-proposes
-        each stalled round at the new view.  The deposed server keeps serving
-        as a cohort -- recover it first if it crashed -- but never leads
-        again.  ``reason`` is informational (campaign reports record it).
+        certificates and announces the new view (``NEW_VIEW``).  One view
+        change (``group=None``) fences the deposed server in every round it
+        led; the router skips it from then on, and its queued transactions
+        and each stalled round go -- at the new view -- to the coordinator
+        the router now names.  The deposed server keeps serving as a cohort
+        (recover it first if it crashed).  Only a designated coordinator can
+        be deposed where there is one (the successor takes the role);
+        otherwise name the server.  ``reason`` is informational.
         """
         deposed = server_id if server_id is not None else self.coordinator_id
-        if deposed != self.coordinator_id:
+        if deposed is None or self.coordinator_id not in (None, deposed):
             raise ConfigurationError(
-                f"{deposed} is not the designated coordinator ({self.coordinator_id})"
+                f"cannot depose {deposed}: the designated coordinator is "
+                f"{self.coordinator_id} (None: name the leading server to depose)"
             )
         # Settle in-flight timeline events so the round timers the view
         # change is about to expire reflect every phase that actually ran.
         self.sim.drain()
         excluded = self._deposed | {deposed} | set(self.crashed_servers())
         successor = elect_successor(self.config.server_ids, excluded)
-        old = self.coordinator
         outcome = run_view_change(
             self.network,
             self.latency,
@@ -447,49 +494,29 @@ class FidesSystem:
             members=self.config.server_ids,
             deposed=deposed,
             group=None,
-            current_view=old.view,
+            current_view=self.view,
             successor_log=self.servers[successor].log,
             sim=self.sim,
-            clock=self.sim.clock,
             trusted=(self.protocol == PROTOCOL_2PC),
         )
         self._deposed.add(deposed)
-        self.coordinator_id = successor
-        self._retired_coordinators.append(old)
-        self._install_successor(successor, outcome.new_view, old)
+        self.view = outcome.new_view
+        if self.coordinator_id is not None:
+            self.coordinator_id = successor
+            self.coordinator_for(successor)
         self.view_changes.append(outcome)
-        self._repropose(outcome)
+        if deposed in self.coordinators:
+            # Transactions stranded in the deposed leader's queue re-route one
+            # by one: their groups may now be led by different servers.
+            for txn, envelope in self.coordinators[deposed].take_pending():
+                self._lead([txn]).adopt_pending([(txn, envelope)])
+        for block, client_requests in outcome.stalled_rounds:
+            self._lead(block.transactions).commit_batch(
+                list(zip(block.transactions, client_requests))
+            )
+        self._land_stream()
         self.sim.drain()
         return outcome
-
-    def _install_successor(self, successor: ServerId, view: int, old) -> None:
-        """Stand up the successor's coordinator and migrate the old queue."""
-        server = self.servers[successor]
-        coordinator_cls = (
-            TFCommitCoordinator
-            if self.protocol == PROTOCOL_TFCOMMIT
-            else TwoPhaseCommitCoordinator
-        )
-        self.coordinator = coordinator_cls(
-            server=server,
-            network=self.network,
-            server_ids=self.config.server_ids,
-            txns_per_block=self.config.txns_per_block,
-            latency=self.latency,
-            sim=self.sim,
-            view=view,
-        )
-        for block in server.log:
-            if block.is_commit:
-                self.coordinator.observe_frontier(block.max_commit_ts)
-        server.set_coordinator_role(self.coordinator)
-        if old is not None:
-            self.coordinator.adopt_pending(old.take_pending())
-
-    def _repropose(self, outcome: ViewChangeOutcome) -> None:
-        """Re-run every stalled round at the new view."""
-        for block, client_requests in outcome.stalled_rounds:
-            self.coordinator.commit_batch(list(zip(block.transactions, client_requests)))
 
     def create_checkpoint(self, install: bool = True) -> Checkpoint:
         """Build, co-sign, and (by default) install a checkpoint of the full log.
@@ -500,32 +527,22 @@ class FidesSystem:
         truncates every live server's log under the checkpoint and compacts
         its durable state store (Section 3.3's storage bound).
         """
-        reference_server = next(
-            server for server in self.servers.values() if not server.crashed
-        )
-        shard_roots = {
-            sid: server.store.merkle_root()
-            for sid, server in self.servers.items()
-            if not server.crashed
-        }
-        checkpoint = build_checkpoint(
-            reference_server.log,
-            shard_roots,
-            previous=reference_server.latest_checkpoint,
-        )
         # Only live servers can contribute to the CoSi round; a crashed
         # machine signs nothing, and cosi_verify checks exactly the signers
         # the signature lists, so the checkpoint still verifies.
-        keypairs = {
-            sid: server.keypair
-            for sid, server in self.servers.items()
-            if not server.crashed
-        }
-        checkpoint = cosign_checkpoint(checkpoint, keypairs)
+        live = {sid: server for sid, server in self.servers.items() if not server.crashed}
+        reference_server = next(iter(live.values()))
+        checkpoint = build_checkpoint(
+            reference_server.log,
+            {sid: server.store.merkle_root() for sid, server in live.items()},
+            previous=reference_server.latest_checkpoint,
+        )
+        checkpoint = cosign_checkpoint(
+            checkpoint, {sid: server.keypair for sid, server in live.items()}
+        )
         if install:
-            for server in self.servers.values():
-                if not server.crashed:
-                    server.install_checkpoint(checkpoint)
+            for server in live.values():
+                server.install_checkpoint(checkpoint)
         return checkpoint
 
     # -- fault injection and audits ---------------------------------------------------------
@@ -548,9 +565,20 @@ class FidesSystem:
             shard_map=self.shard_map,
         )
 
-    def audit(self):
-        """Run a full offline audit and return the report."""
-        return self.auditor().run_audit(self.servers)
+    def audit(self, **options):
+        """Run a full offline audit and return the report.
+
+        ``options`` go to :meth:`~repro.audit.auditor.Auditor.run_audit`
+        (e.g. ``datastore_mode``).  Once the ordering service has sealed
+        epoch anchors, the anchor chain is replayed against the reference log
+        as well (DESIGN.md §5).
+        """
+        if self.ordering is not None and self.ordering.epoch_anchors:
+            options.update(
+                epoch_anchors=self.ordering.epoch_anchors,
+                ordering_shard_map=self.ordering.shard_map,
+            )
+        return self.auditor().run_audit(self.servers, **options)
 
     # -- introspection -------------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ the timing model used by the benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
@@ -94,8 +94,8 @@ class TxnOutcome:
     block_height: Optional[int] = None
     reason: str = ""
     #: Virtual time at which the block's decision landed (the end of the
-    #: round's terminal phase on the simulated timeline); ``None`` when the
-    #: coordinator runs without a simulation context.
+    #: round's terminal phase on the simulated timeline); ``None`` while a
+    #: published group block still waits for its ordered delivery.
     decided_at: Optional[float] = None
 
     def to_wire(self, block_digest: Optional[bytes] = None, cosign=None):
@@ -253,6 +253,15 @@ def validate_batch(transactions: Sequence[Transaction]) -> None:
                 )
 
 
+def footprint(transactions: Sequence[Transaction]) -> Tuple[frozenset, frozenset]:
+    """The items a batch reads and the items it writes -- what the scheduler
+    compares to decide which rounds and ordered deliveries may overlap."""
+    return (
+        frozenset(entry.item_id for txn in transactions for entry in txn.read_set),
+        frozenset(entry.item_id for txn in transactions for entry in txn.write_set),
+    )
+
+
 def timed_exchange(
     network: Network,
     latency: LatencyModel,
@@ -262,7 +271,7 @@ def timed_exchange(
     payload_for,
     timing: TimingBreakdown,
     phase: str,
-    sim: Optional[SimContext] = None,
+    sim: SimContext,
     task: Optional[BlockTask] = None,
     kind: str = KIND_BROADCAST,
     timeout: float = ROUND_TIMEOUT_S,
@@ -288,12 +297,12 @@ def timed_exchange(
     work in parallel on real hardware, so the max is the right aggregate;
     the ``default=0.0`` guards keep empty recipient lists at zero cost.
 
-    When a simulation context and a block task are given, the phase is also
-    scheduled as an event window on the shared virtual timeline (its start
-    is assigned *before* the messages go out, so fault hooks fire at the
-    phase's virtual time); with only ``sim`` given, the context's compute
-    model still applies but no window is scheduled (the caller schedules
-    the activity itself, e.g. the ordering service's delivery).
+    When a block task is given, the phase is also scheduled as an event
+    window on the shared virtual timeline (its start is assigned *before*
+    the messages go out, so fault hooks fire at the phase's virtual time);
+    without one, ``sim``'s compute model still applies but no window is
+    scheduled (the caller schedules the activity itself, e.g. the ordering
+    service's delivery).
 
     A recipient that is down -- crashed before the send, or crashing while
     handling it -- yields a synthesised ``{"ok": False, "unreachable": True,
@@ -308,7 +317,7 @@ def timed_exchange(
     span per recipient whose window is that peer's own round trip -- the
     coordinator -> cohort causal edge in the trace.
     """
-    if sim is not None and task is not None:
+    if task is not None:
         sim.scheduler.begin_phase(task, phase, kind=kind)
     # Cohorts process a phase's message in no guaranteed order relative to
     # one another; under the model checker that order is a branch point (it
@@ -340,9 +349,9 @@ def timed_exchange(
             round_trip = net = timeout
             compute = 0.0
         else:
-            compute = responses[recipient].get("compute_time", 0.0) or 0.0
-            if sim is not None:
-                compute = sim.effective_compute(phase, compute)
+            compute = sim.effective_compute(
+                phase, responses[recipient].get("compute_time", 0.0) or 0.0
+            )
             round_trip = outbound[recipient] + compute + inbound[recipient]
             net = outbound[recipient] + inbound[recipient]
         round_trips[recipient] = round_trip
@@ -353,19 +362,17 @@ def timed_exchange(
     timing.phases[phase] = slowest
     timing.network_time += slowest_net
     timing.compute_time += slowest_compute
-    obs = sim.obs if sim is not None else None
-    if obs is not None:
-        obs.metrics.counter(f"phase.{phase}.count")
-        obs.metrics.observe(f"phase.{phase}.s", slowest)
-        for recipient in recipients:
-            if responses[recipient].get("unreachable"):
-                obs.metrics.counter("net.unreachable")
-            else:
-                obs.metrics.observe(f"net.rtt.{phase}_s", round_trips[recipient])
-    if sim is not None and task is not None:
-        window = sim.scheduler.end_phase(task, phase, slowest)
-        if obs is not None and obs.tracing and window is not None:
-            phase_start, phase_end = window
+    obs = sim.obs
+    obs.metrics.counter(f"phase.{phase}.count")
+    obs.metrics.observe(f"phase.{phase}.s", slowest)
+    for recipient in recipients:
+        if responses[recipient].get("unreachable"):
+            obs.metrics.counter("net.unreachable")
+        else:
+            obs.metrics.observe(f"net.rtt.{phase}_s", round_trips[recipient])
+    if task is not None:
+        phase_start, phase_end = sim.scheduler.end_phase(task, phase, slowest)
+        if obs.tracing:
             timed_out = any(
                 responses[recipient].get("timed_out") for recipient in recipients
             )
@@ -404,31 +411,18 @@ def timed_broadcast(
     payload: Dict,
     timing: TimingBreakdown,
     phase: str,
-    sim: Optional[SimContext] = None,
-    task: Optional[BlockTask] = None,
-    kind: str = KIND_BROADCAST,
-    timeout: float = ROUND_TIMEOUT_S,
-    span: Optional[int] = None,
+    sim: SimContext,
+    **options,
 ) -> Dict[str, Dict]:
     """Broadcast one phase's message to every recipient (same payload each).
 
-    Thin wrapper over :func:`timed_exchange`; see there for the timing and
+    Thin wrapper over :func:`timed_exchange`; see there for ``options``
+    (``task``, ``kind``, ``timeout``, ``span``) and for the timing and
     unreachable-handling contract.
     """
     return timed_exchange(
-        network,
-        latency,
-        sender,
-        recipients,
-        message_type,
-        lambda _recipient: payload,
-        timing,
-        phase,
-        sim=sim,
-        task=task,
-        kind=kind,
-        timeout=timeout,
-        span=span,
+        network, latency, sender, recipients, message_type,
+        lambda _recipient: payload, timing, phase, sim, **options,
     )
 
 
@@ -444,14 +438,21 @@ class SimScheduledRounds:
     needs the same small queue/frontier surface from either.
     """
 
+    #: Whether this coordinator's blocks chain onto its local log at proposal
+    #: time (the classic deployment).  Group blocks do not -- the ordering
+    #: service assigns their chain metadata later -- so consecutive rounds of
+    #: one group coordinator have no chaining dependency, and the scheduler
+    #: is told the round's group (its cohort set) instead.
+    CHAINS_ON_LOG = True
+
     def __init__(
         self,
         server,
         network: Network,
         server_ids: Sequence[str],
+        sim: SimContext,
         txns_per_block: int = 1,
         latency: Optional[LatencyModel] = None,
-        sim: Optional[SimContext] = None,
         view: int = 0,
     ) -> None:
         self.server = server
@@ -466,9 +467,9 @@ class SimScheduledRounds:
         #: block (and hence into ``round_key``), so cohorts can refuse
         #: proposals from a deposed coordinator's stale view.
         self.view = view
-        #: Simulation context: when present, every phase of every round is
-        #: scheduled as an event window on the shared virtual timeline and
-        #: consecutive rounds pipeline per the scheduler's dependency rules.
+        #: Simulation context: every phase of every round is scheduled as an
+        #: event window on its shared virtual timeline, and consecutive
+        #: rounds pipeline per the scheduler's dependency rules.
         self._sim = sim
         self._sim_task: Optional[BlockTask] = None
         #: Open trace span of the current round, tracked in lockstep with
@@ -491,7 +492,7 @@ class SimScheduledRounds:
         pending until it recovers (clients see them fail / retry), and the
         workload engine must not try to flush through it.
         """
-        return not getattr(self.server, "crashed", False)
+        return not self.server.crashed
 
     @property
     def pending_count(self) -> int:
@@ -536,6 +537,41 @@ class SimScheduledRounds:
         """One round's outcomes as the client sees them, keyed by txn id."""
         return {outcome.txn_id: outcome.to_wire() for outcome in result.outcomes}
 
+    def _decide(
+        self,
+        final_block: Block,
+        transactions: Sequence[Transaction],
+        timing: TimingBreakdown,
+        abort_reasons: List[str],
+    ) -> BlockCommitResult:
+        """The round produced its decision block: deliver it the protocol's
+        way (:meth:`_deliver_block`), close the round and report the outcomes."""
+        status = "committed" if final_block.is_commit else "aborted"
+        result = BlockCommitResult(
+            status=status,
+            block=final_block,
+            outcomes=[
+                TxnOutcome(txn.txn_id, status, final_block.height, "; ".join(abort_reasons))
+                for txn in transactions
+            ],
+            timing=timing,
+            abort_reasons=abort_reasons,
+        )
+        self._deliver_block(result)
+        if final_block.is_commit:
+            self._latest_committed_ts = max(
+                self._latest_committed_ts, final_block.max_commit_ts
+            )
+        decided_at = self._end_sim_block(status)
+        if decided_at is not None:
+            # (``None``: the round's task went to the ordering service with
+            # the block, whose delivery stamps the outcomes instead.)
+            result.outcomes = [
+                replace(outcome, decided_at=decided_at) for outcome in result.outcomes
+            ]
+        self.results.append(result)
+        return result
+
     # -- failover surface ---------------------------------------------------------
 
     def take_pending(self) -> List[Tuple[Transaction, "Envelope"]]:
@@ -561,25 +597,16 @@ class SimScheduledRounds:
         """
         self._latest_committed_ts = max(self._latest_committed_ts, stamp)
 
-    def _begin_sim_block(self, transactions: Sequence[Transaction]) -> Optional[BlockTask]:
-        """Admit this round to the virtual timeline (no-op without a sim).
+    def _begin_sim_block(self, transactions: Sequence[Transaction]) -> BlockTask:
+        """Admit this round to the virtual timeline.
 
         The task carries the batch's read/write footprint and commit-
         timestamp range so the scheduler can decide how far this round may
         overlap earlier in-flight rounds (see the dependency rules in
         :mod:`repro.sim.scheduler`).
         """
-        if self._sim is None:
-            self._sim_task = None
-            self._sim_span = None
-            return None
         self._sim_blocks += 1
-        reads = frozenset(
-            entry.item_id for txn in transactions for entry in txn.read_set
-        )
-        writes = frozenset(
-            entry.item_id for txn in transactions for entry in txn.write_set
-        )
+        reads, writes = footprint(transactions)
         stamps = [txn.commit_ts for txn in transactions]
         self._sim_task = self._sim.scheduler.begin_block(
             resource=self.coordinator_id,
@@ -588,8 +615,8 @@ class SimScheduledRounds:
             write_items=writes,
             min_commit_ts=min(stamps).as_tuple() if stamps else None,
             max_commit_ts=max(stamps).as_tuple() if stamps else None,
-            chained=self._sim_chained(),
-            group_members=self._sim_group_members(),
+            chained=self.CHAINS_ON_LOG,
+            group_members=None if self.CHAINS_ON_LOG else frozenset(self.server_ids),
         )
         self._sim_span = self._sim.obs.tracer.open_span(
             self._sim_task.label,
@@ -597,52 +624,75 @@ class SimScheduledRounds:
             self.coordinator_id,
             self._sim_task.ready_at,
             txns=[txn.txn_id for txn in transactions],
-            view=getattr(self, "view", 0),
+            view=self.view,
         )
         return self._sim_task
 
-    def _sim_chained(self) -> bool:
-        """Whether this coordinator's blocks chain onto its local log at
-        proposal time (the classic deployment); group blocks do not -- the
-        ordering service assigns their chain metadata later."""
-        return True
-
-    def _sim_group_members(self):
-        """The dynamic group this round covers (scaled deployment only)."""
-        return None
-
     def _end_sim_block(self, status: str) -> Optional[float]:
-        """Finish the round on the timeline; returns its virtual end time."""
+        """Finish the round on the timeline; returns its virtual end time
+        (``None`` once the task was handed to the ordering service)."""
         task, self._sim_task = self._sim_task, None
         span, self._sim_span = self._sim_span, None
-        if self._sim is not None:
-            self._sim.obs.metrics.counter(f"rounds.{status}")
-        if task is None or self._sim is None:
+        self._sim.obs.metrics.counter(f"rounds.{status}")
+        if task is None:
             return None
         done_at = self._sim.scheduler.end_block(task, status=status)
         self._sim.obs.tracer.close_span(span, done_at, status=status)
         return done_at
 
-    def _effective_compute(self, phase: str, measured: float) -> float:
-        """Measured coordinator compute, overridden by the sim's compute model."""
-        if self._sim is None:
-            return measured
-        return self._sim.effective_compute(phase, measured)
-
     def _obs_crypto(self, op: str, seconds: float) -> None:
         """Charge one coordinator-side crypto operation to the crypto
         micro-timer (op count + wall seconds, kept out of virtual time)."""
-        if self._sim is not None:
-            self._sim.obs.metrics.counter(f"crypto.{op}.ops")
-            self._sim.obs.metrics.counter(f"crypto.{op}.s", seconds)
+        self._sim.obs.metrics.counter(f"crypto.{op}.ops")
+        self._sim.obs.metrics.counter(f"crypto.{op}.s", seconds)
 
-    def _obs_compute_phase(self, phase: str, window) -> None:
-        """Trace one coordinator compute phase (aggregate/finalize) as a span."""
-        if self._sim is not None and window is not None:
-            start, end = window
-            self._sim.obs.tracer.add_span(
-                phase, "phase", self.coordinator_id, start, end, parent=self._sim_span
-            )
+    def _broadcast_phase(
+        self,
+        phase: str,
+        message_type: MessageType,
+        payload: Dict,
+        timing: TimingBreakdown,
+        kind: str = KIND_BROADCAST,
+    ) -> Dict[str, Dict]:
+        """Send one phase's message to every cohort via :func:`timed_broadcast`."""
+        return timed_broadcast(
+            self.network,
+            self._latency,
+            self.coordinator_id,
+            self.server_ids,
+            message_type,
+            payload,
+            timing,
+            phase,
+            sim=self._sim,
+            task=self._sim_task,
+            kind=kind,
+            span=self._sim_span,
+        )
+
+    def _release_cohorts(self, block: Block) -> None:
+        """Tell the round's (reachable) cohorts to drop the state they armed
+        for ``block``: it will never see a decision."""
+        self.network.broadcast(
+            self.coordinator_id,
+            self.server_ids,
+            MessageType.ROUND_FAILED,
+            {"round_key": block.round_key()},
+            skip_unreachable=True,
+        )
+
+    def _begin_compute_phase(self, phase: str) -> None:
+        """Open a coordinator compute phase (aggregate/finalize) on the
+        round's task, *before* the work runs: fault hooks inside it fire at
+        the phase's virtual start."""
+        self._sim.scheduler.begin_phase(self._sim_task, phase, kind=KIND_COMPUTE)
+
+    def _end_compute_phase(self, phase: str, elapsed: float) -> None:
+        """Close the compute phase at ``elapsed`` virtual seconds and trace it."""
+        start, end = self._sim.scheduler.end_phase(self._sim_task, phase, elapsed)
+        self._sim.obs.tracer.add_span(
+            phase, "phase", self.coordinator_id, start, end, parent=self._sim_span
+        )
 
 
 class TFCommitCoordinator(SimScheduledRounds):
@@ -704,7 +754,9 @@ class TFCommitCoordinator(SimScheduledRounds):
             # crashed party, the cohorts must keep their armed round state:
             # it is exactly what the view change collects and re-proposes, so
             # no ROUND_FAILED release is broadcast on its behalf.
-            timing.coordinator_time += self._effective_compute("aggregate", assembly_elapsed)
+            timing.coordinator_time += self._sim.effective_compute(
+                "aggregate", assembly_elapsed
+            )
             return self._failed_result(
                 transactions,
                 timing,
@@ -716,8 +768,7 @@ class TFCommitCoordinator(SimScheduledRounds):
             )
 
         # Phase 3: <null, SchChallenge> -- aggregate votes into the block.
-        if self._sim_task is not None:
-            self._sim.scheduler.begin_phase(self._sim_task, "aggregate", kind=KIND_COMPUTE)
+        self._begin_compute_phase("aggregate")
         coordinator_watch = Stopwatch()
         faults.observe_phase(
             "coordinate", partial_block.height, tuple(t.txn_id for t in transactions)
@@ -755,16 +806,12 @@ class TFCommitCoordinator(SimScheduledRounds):
         aggregate_commitment = aggregate_points(commitments.values())
         challenge = compute_challenge(aggregate_commitment, block.signing_digest())
         self._obs_crypto("aggregate_commitments", crypto_watch.elapsed())
-        aggregate_elapsed = self._effective_compute(
+        aggregate_elapsed = self._sim.effective_compute(
             "aggregate", assembly_elapsed + coordinator_watch.elapsed()
         )
         timing.coordinator_time += aggregate_elapsed
         timing.phases["aggregate"] = aggregate_elapsed
-        if self._sim_task is not None:
-            self._obs_compute_phase(
-                "aggregate",
-                self._sim.scheduler.end_phase(self._sim_task, "aggregate", aggregate_elapsed),
-            )
+        self._end_compute_phase("aggregate", aggregate_elapsed)
 
         # Phase 4: <null, SchResponse>.
         if faults.equivocate() and decision is BlockDecision.COMMIT:
@@ -821,35 +868,7 @@ class TFCommitCoordinator(SimScheduledRounds):
                 transactions, timing, block, abort_reasons, [], culprits
             )
         self._record_finalize_time(timing, coordinator_watch)
-
-        decision_failures = self._deliver_block(final_block, timing)
-
-        if final_block.is_commit:
-            self._latest_committed_ts = max(
-                self._latest_committed_ts, final_block.max_commit_ts
-            )
-        status = "committed" if final_block.is_commit else "aborted"
-        decided_at = self._end_sim_block(status)
-        outcomes = [
-            TxnOutcome(
-                txn_id=txn.txn_id,
-                status=status,
-                block_height=final_block.height,
-                reason="; ".join(abort_reasons),
-                decided_at=decided_at,
-            )
-            for txn in transactions
-        ]
-        result = BlockCommitResult(
-            status=status,
-            block=final_block,
-            outcomes=outcomes,
-            timing=timing,
-            abort_reasons=abort_reasons,
-            refusals=decision_failures,
-        )
-        self.results.append(result)
-        return result
+        return self._decide(final_block, transactions, timing, abort_reasons)
 
     # -- deployment hooks ----------------------------------------------------------------
 
@@ -866,19 +885,19 @@ class TFCommitCoordinator(SimScheduledRounds):
             view=self.view,
         )
 
-    def _deliver_block(self, final_block: Block, timing: TimingBreakdown) -> List[Dict]:
-        """Phase 5 delivery: broadcast the decision to every cohort.
+    def _deliver_block(self, result: BlockCommitResult) -> None:
+        """Phase 5 delivery: broadcast the decision to every cohort and
+        record the per-server failure responses.
 
-        Returns the per-server failure responses.  The scaled per-group
-        coordinator overrides this to publish the co-signed group block to
-        the ordering service instead, which delivers the globally chained
-        stream to all servers.
+        The scaled per-group coordinator overrides this to publish the
+        co-signed group block to the ordering service instead, which
+        delivers the globally chained stream to all servers.
         """
         decisions = self._broadcast_phase(
-            "decision", MessageType.DECISION, {"block": final_block}, timing,
+            "decision", MessageType.DECISION, {"block": result.block}, result.timing,
             kind=KIND_TERMINAL,
         )
-        return [resp for resp in decisions.values() if not resp.get("ok")]
+        result.refusals = [resp for resp in decisions.values() if not resp.get("ok")]
 
     # -- helpers -------------------------------------------------------------------------
 
@@ -886,39 +905,11 @@ class TFCommitCoordinator(SimScheduledRounds):
         """Charge the phase-5 coordinator work (signature aggregation and
         co-sign verification) to both ``coordinator_time`` and a ``finalize``
         phase entry so :attr:`TimingBreakdown.total` accounts for it."""
-        elapsed = self._effective_compute("finalize", watch.elapsed())
+        elapsed = self._sim.effective_compute("finalize", watch.elapsed())
         timing.coordinator_time += elapsed
         timing.phases["finalize"] = timing.phases.get("finalize", 0.0) + elapsed
-        if self._sim_task is not None:
-            self._sim.scheduler.begin_phase(self._sim_task, "finalize", kind=KIND_COMPUTE)
-            self._obs_compute_phase(
-                "finalize",
-                self._sim.scheduler.end_phase(self._sim_task, "finalize", elapsed),
-            )
-
-    def _broadcast_phase(
-        self,
-        phase: str,
-        message_type: MessageType,
-        payload: Dict,
-        timing: TimingBreakdown,
-        kind: str = KIND_BROADCAST,
-    ) -> Dict[str, Dict]:
-        """Send one phase's message to every cohort via :func:`timed_broadcast`."""
-        return timed_broadcast(
-            self.network,
-            self._latency,
-            self.coordinator_id,
-            self.server_ids,
-            message_type,
-            payload,
-            timing,
-            phase,
-            sim=self._sim,
-            task=self._sim_task,
-            kind=kind,
-            span=self._sim_span,
-        )
+        self._begin_compute_phase("finalize")
+        self._end_compute_phase("finalize", elapsed)
 
     def _equivocate_challenge(
         self,
@@ -982,29 +973,28 @@ class TFCommitCoordinator(SimScheduledRounds):
         notify_cohorts: bool = True,
     ) -> BlockCommitResult:
         reasons = [r.get("reason", "") for r in refusals] or abort_reasons
-        if self._sim is not None:
-            # Detection events: whatever made this round fail (a silent
-            # peer, a refusing cohort, an identified faulty signer) becomes
-            # a trace instant so the fault campaign's injections can be
-            # matched against the protocol's detections on one timeline.
-            obs = self._sim.obs
-            now = self._sim.clock.now
-            for culprit in culprits:
-                obs.metrics.counter("faults.culprits_identified")
-                obs.tracer.instant(
-                    f"detect:faulty-signer:{culprit}", "fault-detect", culprit, now
-                )
-            for refusal in refusals:
-                peer = refusal.get("server_id", "?")
-                event = "unreachable" if refusal.get("unreachable") else "refusal"
-                obs.metrics.counter(f"faults.detected_{event}")
-                obs.tracer.instant(
-                    f"detect:{event}:{peer}",
-                    "fault-detect",
-                    str(peer),
-                    now,
-                    reason=refusal.get("reason", ""),
-                )
+        # Detection events: whatever made this round fail (a silent peer, a
+        # refusing cohort, an identified faulty signer) becomes a trace
+        # instant so the fault campaign's injections can be matched against
+        # the protocol's detections on one timeline.
+        obs = self._sim.obs
+        now = self._sim.clock.now
+        for culprit in culprits:
+            obs.metrics.counter("faults.culprits_identified")
+            obs.tracer.instant(
+                f"detect:faulty-signer:{culprit}", "fault-detect", culprit, now
+            )
+        for refusal in refusals:
+            peer = refusal.get("server_id", "?")
+            event = "unreachable" if refusal.get("unreachable") else "refusal"
+            obs.metrics.counter(f"faults.detected_{event}")
+            obs.tracer.instant(
+                f"detect:{event}:{peer}",
+                "fault-detect",
+                str(peer),
+                now,
+                reason=refusal.get("reason", ""),
+            )
         if (
             block is not None
             and notify_cohorts
@@ -1018,13 +1008,7 @@ class TFCommitCoordinator(SimScheduledRounds):
             # When the coordinator itself died (``notify_cohorts=False``) the
             # release is deliberately *not* sent: the armed round state is
             # what the surviving cohorts hand the view change for re-proposal.
-            self.network.broadcast(
-                self.coordinator_id,
-                self.server_ids,
-                MessageType.ROUND_FAILED,
-                {"round_key": block.round_key()},
-                skip_unreachable=True,
-            )
+            self._release_cohorts(block)
         failed_at = self._end_sim_block("failed")
         outcomes = [
             TxnOutcome(

@@ -18,13 +18,12 @@ from repro.core.tfcommit import (
     SimScheduledRounds,
     TimingBreakdown,
     TxnOutcome,
-    timed_broadcast,
     validate_batch,
 )
 from repro.ledger.block import Block, BlockDecision, make_partial_block
 from repro.net.message import Envelope, MessageType
 from repro.obs.timing import Stopwatch
-from repro.sim.scheduler import KIND_BROADCAST, KIND_COMPUTE, KIND_TERMINAL
+from repro.sim.scheduler import KIND_TERMINAL
 from repro.txn.transaction import Transaction
 
 
@@ -68,15 +67,14 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
             # vote fields) or refused a stale-view proposal: fail the round
             # exactly like TFCommit's phase-1 unreachable check instead of
             # KeyError-ing on ``vote["involved"]`` in the tally below.
-            timing.coordinator_time += self._effective_compute(
+            timing.coordinator_time += self._sim.effective_compute(
                 "aggregate", assembly_elapsed
             )
             return self._failed_result(
                 transactions, timing, block, unreachable + refused
             )
 
-        if self._sim_task is not None:
-            self._sim.scheduler.begin_phase(self._sim_task, "aggregate", kind=KIND_COMPUTE)
+        self._begin_compute_phase("aggregate")
         coordinator_watch = Stopwatch()
         decision = BlockDecision.COMMIT
         abort_reasons: List[str] = []
@@ -92,49 +90,23 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
                 if vote["reason"]:
                     abort_reasons.append(f"{server_id}: {vote['reason']}")
         final_block = block.with_decision(decision, {})
-        aggregate_elapsed = self._effective_compute(
+        aggregate_elapsed = self._sim.effective_compute(
             "aggregate", assembly_elapsed + coordinator_watch.elapsed()
         )
         timing.coordinator_time += aggregate_elapsed
         timing.phases["aggregate"] = aggregate_elapsed
-        if self._sim_task is not None:
-            self._obs_compute_phase(
-                "aggregate",
-                self._sim.scheduler.end_phase(self._sim_task, "aggregate", aggregate_elapsed),
-            )
+        self._end_compute_phase("aggregate", aggregate_elapsed)
 
-        self._broadcast_phase(
-            "decision", MessageType.COMMIT_DECISION, {"block": final_block}, timing,
-            kind=KIND_TERMINAL,
-        )
-
-        if final_block.is_commit:
-            self._latest_committed_ts = max(
-                self._latest_committed_ts, final_block.max_commit_ts
-            )
-        status = "committed" if final_block.is_commit else "aborted"
-        decided_at = self._end_sim_block(status)
-        outcomes = [
-            TxnOutcome(
-                txn_id=txn.txn_id,
-                status=status,
-                block_height=final_block.height,
-                reason="; ".join(abort_reasons),
-                decided_at=decided_at,
-            )
-            for txn in transactions
-        ]
-        result = BlockCommitResult(
-            status=status,
-            block=final_block,
-            outcomes=outcomes,
-            timing=timing,
-            abort_reasons=abort_reasons,
-        )
-        self.results.append(result)
-        return result
+        return self._decide(final_block, transactions, timing, abort_reasons)
 
     # -- helpers ---------------------------------------------------------------------------
+
+    def _deliver_block(self, result: BlockCommitResult) -> None:
+        """Phase 2: broadcast the decision (nothing a cohort answers matters)."""
+        self._broadcast_phase(
+            "decision", MessageType.COMMIT_DECISION, {"block": result.block},
+            result.timing, kind=KIND_TERMINAL,
+        )
 
     def _failed_result(
         self,
@@ -182,33 +154,3 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
         )
         self.results.append(result)
         return result
-
-    def _broadcast_phase(
-        self,
-        phase: str,
-        message_type: MessageType,
-        payload: Dict,
-        timing: TimingBreakdown,
-        kind: str = KIND_BROADCAST,
-    ) -> Dict[str, Dict]:
-        """Send one phase's message via :func:`timed_broadcast`.
-
-        The shared helper carries the ``default=0.0`` guards (ported from
-        TFCommit in PR 1): an empty cohort list or a compute-free response
-        set must cost zero, not raise ``ValueError: max() arg is an empty
-        sequence``.
-        """
-        return timed_broadcast(
-            self.network,
-            self._latency,
-            self.coordinator_id,
-            self.server_ids,
-            message_type,
-            payload,
-            timing,
-            phase,
-            sim=self._sim,
-            task=self._sim_task,
-            kind=kind,
-            span=self._sim_span,
-        )

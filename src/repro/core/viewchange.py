@@ -31,8 +31,9 @@ bounded one:
    re-proposed transactions read.
 
 This module implements steps 2-4 (the wire protocol and the certificate
-trust argument); the deployment classes own election, coordinator
-construction, and the re-proposal loop, because those touch routing state.
+trust argument); :meth:`repro.core.fides.FidesSystem.fail_over` owns
+election, the coordinator table, and the re-proposal loop, because those
+touch routing state.
 """
 
 from __future__ import annotations
@@ -185,8 +186,7 @@ def run_view_change(
     group: Optional[Tuple[str, ...]],
     current_view: int,
     successor_log: TransactionLog,
-    sim=None,
-    clock=None,
+    sim,
     trusted: bool = False,
 ) -> ViewChangeOutcome:
     """Drive one view change from the successor's side (steps 2-4 above).
@@ -210,14 +210,13 @@ def run_view_change(
         successor=successor_id,
         new_view=new_view,
     )
-    obs = sim.obs if sim is not None else None
-    started = clock.now if clock is not None else None
+    obs, clock = sim.obs, sim.clock
+    started = clock.now
     live = [member for member in members if member != deposed]
-    if clock is not None:
-        # Time the stalled rounds out for real: the cohorts' deadlines are
-        # virtual-clock instants, and a view change begins only after the
-        # round timer genuinely elapsed with no decision.
-        clock.advance(ROUND_TIMEOUT_S)
+    # Time the stalled rounds out for real: the cohorts' deadlines are
+    # virtual-clock instants, and a view change begins only after the round
+    # timer genuinely elapsed with no decision.
+    clock.advance(ROUND_TIMEOUT_S)
     payload = {
         "group": list(group) if group is not None else None,
         "deposed": deposed,
@@ -286,26 +285,22 @@ def run_view_change(
         for key in ordered_keys
         if not already_committed(successor_log, stalled[key][0])
     ]
-    if obs is not None:
-        obs.metrics.counter("viewchange.count")
-        obs.metrics.counter(
-            "viewchange.rejected_certificates",
-            float(len(outcome.rejected_certificates)),
-        )
-        obs.metrics.counter(
-            "viewchange.stalled_reproposed", float(len(outcome.stalled_rounds))
-        )
-        if started is not None:
-            # The span covers the timeout wait plus both broadcasts; it is
-            # top-level (the stalled round it supersedes is a different
-            # coordinator's span tree).
-            obs.tracer.add_span(
-                f"view-change:v{new_view}",
-                "viewchange",
-                successor_id,
-                started,
-                clock.now,
-                deposed=deposed,
-                rejected=len(outcome.rejected_certificates),
-            )
+    obs.metrics.counter("viewchange.count")
+    obs.metrics.counter(
+        "viewchange.rejected_certificates", float(len(outcome.rejected_certificates))
+    )
+    obs.metrics.counter(
+        "viewchange.stalled_reproposed", float(len(outcome.stalled_rounds))
+    )
+    # The span covers the timeout wait plus both broadcasts; it is top-level
+    # (the stalled round it supersedes is a different coordinator's span tree).
+    obs.tracer.add_span(
+        f"view-change:v{new_view}",
+        "viewchange",
+        successor_id,
+        started,
+        clock.now,
+        deposed=deposed,
+        rejected=len(outcome.rejected_certificates),
+    )
     return outcome

@@ -31,6 +31,8 @@ from repro.audit.report import AuditReport
 from repro.audit.violations import ViolationType
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
+from repro.core.scaled import build_system
+from repro.core.sequencing import sharded_sequencer
 from repro.faultsim.plan import (
     RESERVED_ITEM,
     CampaignScenario,
@@ -163,18 +165,13 @@ class CampaignRunner:
     # -- system / workload plumbing ------------------------------------------
 
     def build_system(self, deployment: str = "classic") -> FidesSystem:
-        if deployment == "sharded":
-            from repro.core.scaled import ScaledFidesSystem
-            from repro.core.sequencing import sharded_sequencer
-
-            return ScaledFidesSystem(
-                self.config.system_config(),
-                latency=ConstantLatency(self.config.latency_s),
-                sequencer=sharded_sequencer(2, epoch_max_blocks=4),
-            )
-        return FidesSystem(
+        """``"classic"``, or ``"sharded"``: the scaled deployment over a
+        two-lane sequencer (the only one that seals epoch anchors)."""
+        return build_system(
+            {"sharded": "scaled"}.get(deployment, deployment),
             self.config.system_config(),
             latency=ConstantLatency(self.config.latency_s),
+            sequencer=sharded_sequencer(2, epoch_max_blocks=4),
         )
 
     @staticmethod
@@ -272,7 +269,7 @@ class CampaignRunner:
         if self._honest_audit_time is None:
             system = self.build_system()
             system.run_workload(self.workload_specs(system), num_clients=self.config.num_clients)
-            report = system.auditor().run_audit(system.servers, datastore_mode="all")
+            report = system.audit(datastore_mode="all")
             if not report.ok:  # pragma: no cover - would mean a broken harness
                 raise AssertionError(f"honest baseline not clean: {report.summary()}")
             self._honest_audit_time = report.audit_wall_time_s
@@ -303,9 +300,10 @@ class CampaignRunner:
         # up (or still lying): the view change re-proposes the stalled
         # rounds and the probe below must commit under the successor.
         failover_outcome = system.fail_over() if scenario.failover else None
-        pre_probe_results = (
-            len(system.coordinator.results) if system.coordinator is not None else 0
-        )
+        pre_probe_results = {
+            server_id: len(coordinator.results)
+            for server_id, coordinator in system.coordinators.items()
+        }
         self._run_probe(system, scenario)
         if scenario.liveness:
             # A late trigger (height/phase not reached until the probe) can
@@ -315,9 +313,7 @@ class CampaignRunner:
         if anchor_plans:
             self._tamper_anchors(system)
 
-        report = system.auditor().run_audit(
-            system.servers, datastore_mode="all", **self._audit_kwargs(system)
-        )
+        report = system.audit(datastore_mode="all")
 
         result = DetectionResult(
             scenario=scenario.name,
@@ -344,7 +340,8 @@ class CampaignRunner:
             result.new_view = failover_outcome.new_view
             result.post_failover_committed = sum(
                 1
-                for block_result in system.coordinator.results[pre_probe_results:]
+                for server_id, coordinator in system.coordinators.items()
+                for block_result in coordinator.results[pre_probe_results.get(server_id, 0):]
                 if block_result.status == "committed"
             )
             result.recovered_after_failover = (
@@ -380,18 +377,6 @@ class CampaignRunner:
             ]
             recoveries[server_id] = system.recover_server(server_id, peer_order=peers)
         return recoveries
-
-    @staticmethod
-    def _audit_kwargs(system) -> Dict[str, object]:
-        """Anchor-verification arguments for sharded-sequencer deployments."""
-        ordering = getattr(system, "ordering", None)
-        if ordering is None:
-            return {}
-        anchors = getattr(ordering, "epoch_anchors", None)
-        shard_map = getattr(ordering, "shard_map", None)
-        if not anchors or shard_map is None:
-            return {}
-        return {"epoch_anchors": anchors, "ordering_shard_map": shard_map}
 
     @staticmethod
     def _tamper_anchors(system) -> None:
@@ -460,7 +445,7 @@ class CampaignRunner:
         # Retired coordinators are scanned too: after a failover the lying
         # coordinator's failed rounds live in *its* result list, not the
         # successor's, and refusals implicate the server that drove the round.
-        for coordinator in system._coordinators():
+        for coordinator in system.coordinators.values():
             for block_result in coordinator.results:
                 if block_result.status != "failed":
                     continue
@@ -495,7 +480,7 @@ class CampaignRunner:
         target -- ``misattributed`` records whether that invariant held.
         """
         culprits: List[str] = []
-        for coordinator in system._coordinators():
+        for coordinator in system.coordinators.values():
             for block_result in coordinator.results:
                 for refusal in block_result.refusals:
                     server_id = refusal.get("server_id")

@@ -61,7 +61,7 @@ class Histogram:
             and self.maximum == other.maximum
         )
 
-    def to_wire(self) -> Dict:  # lint: allow
+    def to_wire(self) -> Dict:
         return {
             "count": self.count,
             "sum": self.total,

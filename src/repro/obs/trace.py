@@ -14,7 +14,7 @@ tree mirrors the protocol's causal structure::
 
 Parent links cross the coordinator -> cohort boundary (RPC spans carry the
 cohort's server id as their resource) and the coordinator -> OrderingService
-boundary (the round span is handed through ``register_inflight`` and closed
+boundary (the round span is handed over in a ``RoundHandoff`` and closed
 only when the ordered block is delivered).  Fault injections and
 detections appear as instants, so a Perfetto timeline shows *when* a
 campaign fired relative to the round that caught it.
@@ -71,7 +71,7 @@ class Span:
     status: str = "ok"
     attrs: Dict = field(default_factory=dict)
 
-    def to_wire(self) -> Dict:  # lint: allow
+    def to_wire(self) -> Dict:
         return {
             "id": self.span_id,
             "parent": self.parent,

@@ -409,7 +409,7 @@ def span_from_wire(data: Mapping) -> "Span":
 
 
 #: Every ``to_wire`` class in the library, keyed by class name, mapped to its
-#: strict decoder.  ``repro.check.lint`` extracts the keys of this dict
+#: strict decoder.  ``repro.check.static`` extracts the keys of this dict
 #: *statically* (a literal dict, parsed via AST, no import needed) to enforce
 #: that no encoder ships without its inverse; the round-trip property test in
 #: ``tests/check`` exercises the values dynamically.

@@ -7,5 +7,5 @@ def commit(height):
 
 
 def checked_commit(height):
-    assert height >= 0, "explicitly exempted"  # lint: allow
+    assert height >= 0, "explicitly exempted"  # static: allow
     return height

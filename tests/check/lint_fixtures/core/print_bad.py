@@ -7,5 +7,5 @@ def announce(height):
 
 
 def announce_allowed(height):
-    print("debugging a flake")  # lint: allow
+    print("debugging a flake")  # static: allow
     return height

@@ -12,4 +12,4 @@ def measure():
 
 
 def measure_allowed():
-    return time.perf_counter()  # lint: allow
+    return time.perf_counter()  # static: allow

@@ -12,4 +12,4 @@ def stamp():
 
 
 def stamp_allowed():
-    return time.time()  # lint: allow
+    return time.time()  # static: allow

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.lint import default_root
+from repro.check.static import default_root
 from repro.check.static import run_analyses
 from repro.check.static.flowgraph import (
     deployment_edges,

@@ -1,28 +1,33 @@
-"""The AST lint: clean on the real tree, each rule fires on its fixture."""
+"""The determinism rules (analysis 4 of ``repro.check.static``): clean on the
+real tree, each rule fires on its fixture."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.check.lint import default_root, lint_tree, main
+from repro.check.static import SourceTree, default_root, run_analyses
+from repro.check.static.__main__ import main
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
-
-def _rules(violations):
-    return {violation.rule for violation in violations}
+RULES = {"wallclock", "adhoc-timing", "no-print", "unseeded-random", "bare-assert"}
 
 
-def _by_rule(violations, rule):
-    return [violation for violation in violations if violation.rule == rule]
+def _determinism(root):
+    return [f for f in run_analyses(SourceTree(root)) if f.analysis == "determinism"]
+
+
+def _by_rule(findings, rule):
+    return [finding for finding in findings if finding.rule == rule]
 
 
 class TestRepositoryIsClean:
     def test_src_repro_has_no_violations(self):
-        violations = lint_tree(default_root())
-        assert violations == [], "\n".join(str(v) for v in violations)
+        findings = _determinism(default_root())
+        assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_cli_exits_zero_on_the_repository(self, capsys):
         assert main([]) == 0
@@ -32,27 +37,28 @@ class TestRepositoryIsClean:
 class TestFixturesAreFlagged:
     @pytest.fixture(scope="class")
     def violations(self):
-        return lint_tree(FIXTURES)
+        return _determinism(FIXTURES)
 
     def test_wallclock_rule(self, violations):
         flagged = _by_rule(violations, "wallclock")
         assert {v.path for v in flagged} == {"wallclock_bad.py"}
         # time.time() and datetime.now() flagged; perf_counter and the
-        # `# lint: allow` line are not.
+        # `# static: allow` line are not.
         assert len(flagged) == 2
+        assert {v.function for v in flagged} == {"stamp"}
 
     def test_no_print_rule_only_in_protocol_packages(self, violations):
         flagged = _by_rule(violations, "no-print")
-        assert [v.path for v in flagged] == [str(Path("core") / "print_bad.py")]
-        # The `# lint: allow` print in the same file is exempt.
+        assert [v.path for v in flagged] == ["core/print_bad.py"]
+        # The `# static: allow` print in the same file is exempt.
         assert len(flagged) == 1
 
     def test_adhoc_timing_rule_only_in_protocol_packages(self, violations):
         flagged = _by_rule(violations, "adhoc-timing")
         # perf_counter, monotonic, and the bare-name process_time call are
         # flagged inside core/; the perf_counter in wallclock_bad.py (not a
-        # protocol package) and the `# lint: allow` line are not.
-        assert {v.path for v in flagged} == {str(Path("core") / "timing_bad.py")}
+        # protocol package) and the `# static: allow` line are not.
+        assert {v.path for v in flagged} == {"core/timing_bad.py"}
         assert len(flagged) == 3
 
     def test_unseeded_random_rule(self, violations):
@@ -63,26 +69,25 @@ class TestFixturesAreFlagged:
 
     def test_bare_assert_rule_only_in_protocol_packages(self, violations):
         flagged = _by_rule(violations, "bare-assert")
-        assert [v.path for v in flagged] == [str(Path("core") / "assert_bad.py")]
-        # The `# lint: allow` assert in the same file is exempt.
+        assert [v.path for v in flagged] == ["core/assert_bad.py"]
+        # The `# static: allow` assert in the same file is exempt.
         assert len(flagged) == 1
 
     def test_cli_exit_code_and_json(self, capsys):
-        code = main(["--root", str(FIXTURES), "--json"])
+        code = main(["--root", str(FIXTURES), "--json", "-"])
         assert code == 1
-        import json
-
         report = json.loads(capsys.readouterr().out)
-        assert {entry["rule"] for entry in report} == {
-            "wallclock",
-            "adhoc-timing",
-            "no-print",
-            "unseeded-random",
-            "bare-assert",
-        }
+        flagged = {e["rule"] for e in report["findings"] if e["analysis"] == "determinism"}
+        assert flagged == RULES
+        # Every one is new against the (empty) checked-in baseline.
+        assert all(count >= 1 for rule, count in report["counts"].items() if rule in RULES)
+        assert len(report["new_findings"]) >= len(RULES)
 
 
 class TestUnparsableSources:
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         (tmp_path / "broken.py").write_text("def oops(:\n")
-        assert _rules(lint_tree(tmp_path)) == {"syntax"}
+        rules = {f.rule for f in run_analyses(SourceTree(tmp_path))}
+        # (Plus the whole-program analyses' complaint that a tree holding
+        # only a broken file has no wire registry.)
+        assert "syntax" in rules and not rules & RULES

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.lint import default_root
+from repro.check.static import default_root
 from repro.check.static import run_analyses
 from repro.check.static.__main__ import main
 from repro.check.static.model import SourceTree

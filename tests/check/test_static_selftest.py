@@ -9,7 +9,7 @@ re-introduced bug is reported at its original site.
 
 from __future__ import annotations
 
-from repro.check.lint import default_root
+from repro.check.static import default_root
 from repro.check.static import run_analyses
 from repro.check.static.model import SourceTree
 

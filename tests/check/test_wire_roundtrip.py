@@ -14,7 +14,7 @@ import ast
 
 import pytest
 
-from repro.check.lint import default_root
+from repro.check.static import default_root
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup

@@ -105,7 +105,7 @@ class TestClassicFailover:
         item = small_system.shard_map.items_of("s1")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
-        zombie = small_system._retired_coordinators[-1]
+        zombie = small_system.coordinators["s0"]
         result = zombie.results[-1]
         assert result.status == "failed"
         assert any(
@@ -168,6 +168,37 @@ class TestScaledFailover:
     def test_scaled_failover_requires_naming_the_leader(self, make_scaled_system):
         with pytest.raises(ConfigurationError):
             make_scaled_system().fail_over()
+
+    def test_suppressed_duplicate_reproposal_reports_the_original(self, make_scaled_system):
+        # Regression: the leader dies *after* publishing (its block floats in
+        # the reorder window, its cohorts are still armed), so the successor
+        # re-proposes a round the ordering service already holds.  The
+        # duplicate is suppressed; its result used to be filed under its own
+        # view-1 digest, never delivered, and left saying "aborted, no height"
+        # while the original committed at height 0.
+        system = make_scaled_system(txns_per_block=1, reorder_window=2)
+        item_a = system.shard_map.items_of("s0")[0]
+        item_b = system.shard_map.items_of("s1")[0]
+        system.run_transaction([WriteOp(item_a, 1), WriteOp(item_b, 2)])
+        assert system.ordering.pending_count == 1
+        system.crash_server("s0")
+        system.recover_server("s0")
+        outcome = system.fail_over("s0")
+        assert len(outcome.stalled_rounds) == 1
+        system.flush()
+
+        assert system.ordering.stream_length == 1
+        assert system.delivery.handoffs == {}
+        original = system.coordinators["s0"].results[-1]
+        duplicate = system.coordinators["s1"].results[-1]
+        assert duplicate.block.view == 0  # the delivered block is the original's
+        for result in (original, duplicate):
+            assert result.status == "committed"
+            assert result.block.block_hash() == system.server("s2").log[0].block_hash()
+            assert [(o.status, o.block_height) for o in result.outcomes] == [("committed", 0)]
+        assert system.server("s1").store.read(item_b).value == 2
+        _assert_no_round_state(system)
+        assert system.audit().ok
 
 
 class TestTwoPhaseCommitCrashPaths:

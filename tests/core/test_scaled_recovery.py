@@ -68,7 +68,7 @@ class TestScaledCrashRecoveryEndToEnd:
         # The failed round observed s3 as unreachable, never as malicious.
         unreachable_refusals = [
             refusal
-            for coordinator in system._coordinators()
+            for coordinator in system.coordinators.values()
             for result in coordinator.results
             for refusal in result.refusals
             if refusal.get("unreachable")

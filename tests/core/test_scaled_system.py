@@ -156,7 +156,7 @@ class TestScaledDeployment:
         first = system.run_workload(partitioned_specs(system, 6, seed=3), num_clients=2)
         second = system.run_workload(partitioned_specs(system, 6, seed=9), num_clients=2)
         total_results = sum(
-            len(coordinator.results) for coordinator in system._coordinators()
+            len(coordinator.results) for coordinator in system.coordinators.values()
         )
         assert len(first.block_results) + len(second.block_results) == total_results
         assert second.committed == 6
@@ -353,6 +353,20 @@ class TestDecisionPathGroupDefense:
         result = system.run_workload(partitioned_specs(system, 8), num_clients=2)
         assert system.delivery_failures == []
         assert all(not r.refusals for r in result.block_results)
+
+    def test_handoff_table_is_empty_after_a_long_honest_run(self, make_scaled_system):
+        # One hand-off record per published round, dropped once the block is
+        # delivered and the round's result stamped: nothing accumulates, even
+        # with blocks floating in the reorder window along the way.
+        system = make_scaled_system(items_per_shard=200, txns_per_block=1, reorder_window=2)
+        result = system.run_workload(partitioned_specs(system, 300), num_clients=2)
+        assert system.ordering.stream_length == 300
+        assert system.delivery.handoffs == {}
+        heights = sorted(
+            outcome.block_height for r in result.block_results for outcome in r.outcomes
+        )
+        assert heights == list(range(300))
+        assert all(o.decided_at is not None for r in result.block_results for o in r.outcomes)
 
 
 class TestOrderingServiceProperty:

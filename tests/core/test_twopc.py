@@ -63,6 +63,7 @@ class TestEmptyCohortGuards:
             server=twopc_system.server("s0"),
             network=twopc_system.network,
             server_ids=[],
+            sim=twopc_system.sim,
             txns_per_block=1,
         )
         timing = TimingBreakdown()
@@ -85,6 +86,7 @@ class TestEmptyCohortGuards:
             server=twopc_system.server("s0"),
             network=twopc_system.network,
             server_ids=[],
+            sim=twopc_system.sim,
             txns_per_block=1,
         )
         txn = Transaction(
