@@ -168,7 +168,7 @@ class CampaignRunner:
         """``"classic"``, or ``"sharded"``: the scaled deployment over a
         two-lane sequencer (the only one that seals epoch anchors)."""
         return build_system(
-            {"sharded": "scaled"}.get(deployment, deployment),
+            "scaled" if deployment == "sharded" else deployment,
             self.config.system_config(),
             latency=ConstantLatency(self.config.latency_s),
             sequencer=sharded_sequencer(2, epoch_max_blocks=4),
