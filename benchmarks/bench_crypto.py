@@ -1,9 +1,11 @@
 """Micro-benchmarks of the cryptographic substrate.
 
 Not a figure from the paper, but these are the primitives whose cost drives
-every TFCommit data point: Schnorr signing/verification, one full CoSi round,
-collective-signature verification, Merkle tree construction, incremental leaf
-updates, and Verification Object checks.
+every TFCommit data point: Schnorr signing/verification (object level, the
+per-envelope byte level, and under a key seen for the first time, which has no
+window table yet), one full CoSi round, collective-signature verification,
+Merkle tree construction, incremental leaf updates, and Verification Object
+checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
 from repro.crypto.keys import keypair_for
 from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.crypto.schnorr import schnorr_sign, schnorr_verify
+from repro.crypto.signing import SchnorrSigningScheme
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +25,32 @@ def keypair():
 
 
 def bench_schnorr_sign(benchmark, keypair):
-    benchmark(lambda: schnorr_sign(keypair.private, b"benchmark message"))
+    benchmark(lambda: schnorr_sign(keypair, b"benchmark message"))
 
 
 def bench_schnorr_verify(benchmark, keypair):
-    signature = schnorr_sign(keypair.private, b"benchmark message")
+    signature = schnorr_sign(keypair, b"benchmark message")
     result = benchmark(lambda: schnorr_verify(keypair.public, b"benchmark message", signature))
+    assert result
+
+
+def bench_schnorr_envelope_verify_bytes(benchmark, keypair):
+    scheme = SchnorrSigningScheme()
+    signature = scheme.sign_bytes(keypair, b"benchmark message")
+    result = benchmark(lambda: scheme.verify_bytes(keypair.public, b"benchmark message", signature))
+    assert result
+
+
+def bench_schnorr_verify_never_seen_key(benchmark):
+    # A new key every call: the first sighting of a point multiplies it by
+    # plain double-and-add, no window table (signing is outside the timer).
+    counter = iter(range(10_000_000))
+
+    def fresh():
+        signer = keypair_for(f"bench-stranger-{next(counter)}")
+        return (signer.public, b"benchmark message", schnorr_sign(signer, b"benchmark message")), {}
+
+    result = benchmark.pedantic(schnorr_verify, setup=fresh, rounds=30)
     assert result
 
 

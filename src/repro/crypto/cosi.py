@@ -35,12 +35,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.common.errors import ProtocolError
 from repro.crypto.group import (
     CURVE_ORDER,
-    INFINITY,
     Point,
-    cached_scalar_multiply,
+    aggregate_points,
+    fused_multiply,
     generator_multiply,
-    point_add,
-    scalar_multiply,
 )
 from repro.crypto.hashing import hash_concat, hash_to_int
 from repro.crypto.keys import KeyPair, PublicKey
@@ -85,14 +83,6 @@ def _commitment_scalar(keypair: KeyPair, record: bytes) -> int:
 def compute_challenge(aggregate_commitment: Point, record: bytes) -> int:
     """Schnorr challenge ``c = H(X || record)`` (Section 2.2, Challenge phase)."""
     return hash_to_int(hash_concat(aggregate_commitment.encode(), record), CURVE_ORDER)
-
-
-def aggregate_points(points: Iterable[Point]) -> Point:
-    """Sum a collection of curve points."""
-    total = INFINITY
-    for point in points:
-        total = point_add(total, point)
-    return total
 
 
 def aggregate_scalars(scalars: Iterable[int]) -> int:
@@ -249,12 +239,11 @@ def cosi_verify(
     cached = signature.__dict__.get("_verify_cache")
     if cached is not None and cached[0] == cache_key:
         return cached[1]
-    aggregate_key = aggregate_points(key_points)
     # The aggregate public key is the same for every block signed by the same
-    # server set, so the cached window table makes repeated verifications cheap.
-    reconstructed = point_add(
-        generator_multiply(signature.response),
-        cached_scalar_multiply(signature.challenge, aggregate_key),
+    # server set, so from its second block on it has a window table and
+    # R*G + c*sum(P_i) is one table-driven accumulation.
+    reconstructed = fused_multiply(
+        signature.response, signature.challenge, aggregate_points(key_points)
     )
     verdict = compute_challenge(reconstructed, record_bytes) == signature.challenge
     object.__setattr__(signature, "_verify_cache", (cache_key, verdict))
@@ -269,9 +258,7 @@ def verify_partial(
     public_key: PublicKey,
 ) -> bool:
     """Check one witness's contribution: ``r_i*G + c*P_i == V_i``."""
-    reconstructed = point_add(
-        generator_multiply(response), cached_scalar_multiply(challenge, public_key.point)
-    )
+    reconstructed = fused_multiply(response, challenge, public_key.point)
     return reconstructed == commitment and witness_id is not None
 
 

@@ -10,7 +10,12 @@ non-interactive with the Fiat-Shamir transform:
 
 * signing:  pick nonce ``k``, compute ``R = k*G``,
   ``e = H(R || P || m)``, ``s = k + e*x  (mod n)``; the signature is ``(R, s)``.
-* verifying: accept iff ``s*G == R + e*P``.
+* verifying: accept iff ``encode(s*G - e*P) == encode(R)``.  Comparing
+  encodings rather than points lets the byte-level path
+  (:func:`schnorr_verify_encoded`, one per envelope) skip decompressing ``R``
+  -- a modular square root -- and still reject exactly what decompression
+  rejects: the left side is always the canonical encoding of a curve point,
+  so a bad prefix, an off-curve or an unreduced ``x`` can never equal it.
 
 Nonces are derived deterministically (RFC 6979 style, via HMAC-free hashing
 of the secret key and message) so signing never depends on an external
@@ -21,15 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.group import (
-    CURVE_ORDER,
-    Point,
-    cached_scalar_multiply,
-    generator_multiply,
-    point_add,
-)
+from repro.crypto.group import CURVE_ORDER, Point, fused_multiply, generator_multiply
 from repro.crypto.hashing import hash_concat, hash_to_int
-from repro.crypto.keys import PrivateKey, PublicKey
+from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,9 @@ class SchnorrSignature:
         return self.nonce_point.encode() + self.scalar.to_bytes(32, "big")
 
 
-def _challenge(nonce_point: Point, public_key: PublicKey, message: bytes) -> int:
+def _challenge(nonce_bytes: bytes, public_key: PublicKey, message: bytes) -> int:
     """Fiat-Shamir challenge ``e = H(R || P || m)`` reduced into the scalar field."""
-    return hash_to_int(
-        hash_concat(nonce_point.encode(), public_key.encode(), message), CURVE_ORDER
-    )
+    return hash_to_int(hash_concat(nonce_bytes, public_key.encode(), message), CURVE_ORDER)
 
 
 def _deterministic_nonce(private: PrivateKey, message: bytes) -> int:
@@ -58,27 +55,36 @@ def _deterministic_nonce(private: PrivateKey, message: bytes) -> int:
     return nonce
 
 
-def schnorr_sign(private: PrivateKey, message: bytes) -> SchnorrSignature:
-    """Sign ``message`` with ``private`` and return the signature."""
-    nonce = _deterministic_nonce(private, message)
+def schnorr_sign(keypair: KeyPair, message: bytes) -> SchnorrSignature:
+    """Sign ``message`` with ``keypair`` and return the signature.
+
+    The challenge binds the public key, which the key pair already holds;
+    deriving it from the secret again would double the cost of signing.
+    """
+    nonce = _deterministic_nonce(keypair.private, message)
     nonce_point = generator_multiply(nonce)
-    challenge = _challenge(nonce_point, private.public_key(), message)
-    scalar = (nonce + challenge * private.scalar) % CURVE_ORDER
+    challenge = _challenge(nonce_point.encode(), keypair.public, message)
+    scalar = (nonce + challenge * keypair.secret_scalar) % CURVE_ORDER
     return SchnorrSignature(nonce_point, scalar)
+
+
+def schnorr_verify_encoded(
+    public: PublicKey, message: bytes, nonce_bytes: bytes, scalar: int
+) -> bool:
+    """Verify ``(R, s)`` with ``R`` given as its encoding: one fused multiply."""
+    if not 0 <= scalar < CURVE_ORDER:
+        return False
+    challenge = _challenge(nonce_bytes, public, message)
+    # Public keys recur across messages, so -e*P goes through a window table.
+    return fused_multiply(scalar, -challenge, public.point).encode() == nonce_bytes
 
 
 def schnorr_verify(public: PublicKey, message: bytes, signature: SchnorrSignature) -> bool:
     """Return True iff ``signature`` is a valid signature of ``message`` under ``public``."""
     if not isinstance(signature, SchnorrSignature):
         return False
-    if not 0 <= signature.scalar < CURVE_ORDER:
-        return False
     if not signature.nonce_point.is_on_curve():
         return False
-    challenge = _challenge(signature.nonce_point, public, message)
-    # Public keys recur across messages, so the cached window table applies.
-    left = generator_multiply(signature.scalar)
-    right = point_add(
-        signature.nonce_point, cached_scalar_multiply(challenge, public.point)
+    return schnorr_verify_encoded(
+        public, message, signature.nonce_point.encode(), signature.scalar
     )
-    return left == right

@@ -22,13 +22,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any
 
 from repro.common.encoding import canonical_encode
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.crypto.keys import KeyPair, PublicKey
-from repro.crypto.schnorr import SchnorrSignature, schnorr_sign, schnorr_verify
+from repro.crypto.schnorr import schnorr_sign, schnorr_verify_encoded
 
 
 class SigningScheme(ABC):
@@ -68,26 +67,15 @@ class SchnorrSigningScheme(SigningScheme):
     name = "schnorr"
 
     def sign_bytes(self, keypair: KeyPair, message: bytes) -> bytes:
-        return schnorr_sign(keypair.private, message).encode()
+        return schnorr_sign(keypair, message).encode()
 
     def verify_bytes(self, public: PublicKey, message: bytes, signature: bytes) -> bool:
         if not isinstance(signature, (bytes, bytearray)) or len(signature) != 65:
             return False
-        decoded = _decode_schnorr(bytes(signature))
-        if decoded is None:
-            return False
-        return schnorr_verify(public, message, decoded)
-
-
-def _decode_schnorr(blob: bytes) -> SchnorrSignature:
-    """Decode the 65-byte wire form produced by ``SchnorrSignature.encode``."""
-    from repro.crypto.group import decompress_point
-
-    try:
-        nonce_point = decompress_point(blob[0:33])
-    except ValidationError:
-        return None
-    return SchnorrSignature(nonce_point, int.from_bytes(blob[33:65], "big"))
+        blob = bytes(signature)
+        return schnorr_verify_encoded(
+            public, message, blob[:33], int.from_bytes(blob[33:], "big")
+        )
 
 
 class HashSigningScheme(SigningScheme):
@@ -112,12 +100,6 @@ class HashSigningScheme(SigningScheme):
             return False
         expected = hmac.new(self._mac_key(public), message, hashlib.sha256).digest()
         return hmac.compare_digest(expected, bytes(signature))
-
-
-@dataclass(frozen=True)
-class _SchemeRegistryEntry:
-    name: str
-    factory: type
 
 
 _SCHEMES = {

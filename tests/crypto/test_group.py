@@ -7,20 +7,91 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ValidationError
+from repro.crypto import group
 from repro.crypto.group import (
     CURVE_ORDER,
+    FIELD_PRIME,
     GENERATOR,
     INFINITY,
     Point,
-    cached_scalar_multiply,
+    aggregate_points,
     decompress_point,
-    double_scalar_multiply,
+    fused_multiply,
     generator_multiply,
     point_add,
     scalar_multiply,
 )
 
 _scalars = st.integers(min_value=1, max_value=CURVE_ORDER - 1)
+
+#: Published secp256k1 known-answer vectors ``k -> k*G`` (affine x, y).
+_KNOWN_MULTIPLES = [
+    (
+        1,
+        0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+        0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
+    ),
+    (
+        2,
+        0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+        0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A,
+    ),
+    (
+        3,
+        0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+        0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
+    ),
+    (
+        112233445566778899,
+        0xA90CC3D3F3E146DAADFC74CA1372207CB4B725AE708CEF713A98EDD73D99EF29,
+        0x5A79D6B289610C68BC3B47F3D72F9788A26A06868B4D8E433E1E2AD76FB7DC76,
+    ),
+    (
+        112233445566778899112233445566778899,
+        0xE5A2636BCFD412EBF36EC45B19BFB68A1BC5F8632E678132B885F7DF99C5E9B3,
+        0x736C1CE161AE27B405CAFD2A7520370153C2C861AC51D6C1D5985D9606B45F39,
+    ),
+    (
+        0xAA5E28D6A97A2479A65527F7290311A3624D4CC0FA1578598EE3C2613BF99522,
+        0x34F9460F0E4F08393D192B3C5133A6BA099AA0AD9FD54EBCCFACDFA239FF49C6,
+        0x0B71EA9BD730FD8923F6D25A7A91E7DD7728A960686CB5A901BB419E0F2CA232,
+    ),
+    (
+        0x7E2B897B8CEBC6361663AD410835639826D590F393D90A9538881735256DFAE3,
+        0xD74BF844B0862475103D96A611CF2D898447E288D34B360BC885CB8CE7C00575,
+        0x131C670D414C4546B88AC3FF664611B1C38CEB1C21D76369D7A7A0969D61D97D,
+    ),
+    (
+        CURVE_ORDER - 1,
+        0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+        0xB7C52588D95C3B9AA25B0403F1EEF75702E84BB7597AABE663B82F6F04EF2777,
+    ),
+]
+
+
+def _edge_scalars(width: int):
+    """Scalars on the boundaries of a ``width``-bit signed recoding."""
+    half = 1 << (width - 1)
+    return [
+        0,
+        1,
+        CURVE_ORDER - 1,
+        CURVE_ORDER,
+        CURVE_ORDER + 1,
+        # The largest digit taken as it is, and the first that borrows from the next window.
+        half - 1,
+        half,
+        half + 1,
+        2 * half - 1,
+        2 * half,
+        # Every digit borrows, and the top one carries into the extra window.
+        (1 << 256) - 1,
+    ]
+
+
+_WIDTHS = (group._GENERATOR_WINDOW_BITS, group._KEY_WINDOW_BITS)
+_EDGES = sorted({scalar for width in _WIDTHS for scalar in _edge_scalars(width)})
+_edge_or_random = st.one_of(st.sampled_from(_EDGES), st.integers(0, (1 << 256) - 1))
 
 
 class TestGroupLaw:
@@ -49,12 +120,6 @@ class TestGroupLaw:
         assert generator_multiply(scalar) == scalar_multiply(scalar, GENERATOR)
 
     @settings(max_examples=10, deadline=None)
-    @given(_scalars)
-    def test_cached_multiply_matches_plain(self, scalar):
-        point = generator_multiply(12345)
-        assert cached_scalar_multiply(scalar, point) == scalar_multiply(scalar, point)
-
-    @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=2**64), st.integers(min_value=1, max_value=2**64))
     def test_multiplication_distributes_over_addition(self, a, b):
         left = scalar_multiply(a + b, GENERATOR)
@@ -62,16 +127,126 @@ class TestGroupLaw:
         assert left == right
 
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=1, max_value=2**48), st.integers(min_value=1, max_value=2**48))
-    def test_double_scalar_multiply(self, a, b):
-        q = generator_multiply(999)
-        expected = point_add(scalar_multiply(a, GENERATOR), scalar_multiply(b, q))
-        assert double_scalar_multiply(a, GENERATOR, b, q) == expected
-
-    @settings(max_examples=10, deadline=None)
     @given(_scalars)
     def test_results_stay_on_curve(self, scalar):
         assert scalar_multiply(scalar, GENERATOR).is_on_curve()
+
+
+class TestKnownAnswers:
+    """Oracles that share no code with the implementation."""
+
+    @pytest.mark.parametrize("scalar, x, y", _KNOWN_MULTIPLES, ids=lambda v: f"{v:x}"[:12])
+    def test_generator_multiples(self, scalar, x, y):
+        expected = Point(x, y)
+        assert expected.is_on_curve()
+        assert scalar_multiply(scalar, GENERATOR) == expected
+        assert generator_multiply(scalar) == expected
+        assert fused_multiply(scalar, 0, GENERATOR) == expected
+        assert fused_multiply(0, scalar, GENERATOR) == expected
+
+
+class TestFastPathsAgainstReference:
+    """Every table-driven path against the untabled ``scalar_multiply``."""
+
+    #: A recurring point; ``fused_multiply`` uses its table from the second sighting.
+    tabled = scalar_multiply(12345, GENERATOR)
+    key_table = group._WindowTable(tabled, group._KEY_WINDOW_BITS)
+
+    @pytest.mark.parametrize("scalar", _EDGES, ids=lambda v: f"{v:x}"[:12])
+    def test_edge_scalars(self, scalar):
+        fused_multiply(0, 1, self.tabled)  # a sighting: tabled from the second row on
+        assert generator_multiply(scalar) == scalar_multiply(scalar, GENERATOR)
+        on_key = scalar_multiply(scalar, self.tabled)
+        # The table itself takes any scalar below 2^256, reduced or not.
+        assert group._from_jacobian(
+            self.key_table.accumulate(scalar, group._JAC_INFINITY)
+        ) == on_key
+        assert fused_multiply(0, scalar, self.tabled) == on_key
+        assert fused_multiply(scalar, scalar, self.tabled) == point_add(
+            scalar_multiply(scalar, GENERATOR), on_key
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(_edge_or_random)
+    def test_generator_table(self, scalar):
+        assert generator_multiply(scalar) == scalar_multiply(scalar, GENERATOR)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_edge_or_random)
+    def test_key_table(self, scalar):
+        jacobian = self.key_table.accumulate(scalar, group._JAC_INFINITY)
+        assert group._from_jacobian(jacobian) == scalar_multiply(scalar, self.tabled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_edge_or_random, _edge_or_random, st.booleans())
+    def test_fused_multiply(self, a, b, recurring):
+        # A point seen for the first time takes the untabled branch.
+        point = self.tabled if recurring else scalar_multiply(a | 1, self.tabled)
+        if recurring:
+            fused_multiply(0, 1, point)
+        expected = point_add(scalar_multiply(a, GENERATOR), scalar_multiply(b, point))
+        assert fused_multiply(a, b, point) == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(_scalars)
+    def test_opposite_multiples_cancel(self, a):
+        # a*G + (n - a)*G: the last mixed addition meets its own negation ...
+        assert fused_multiply(a, CURVE_ORDER - a, GENERATOR) == INFINITY
+        # ... and a*G + a*G meets itself, which is a doubling.
+        assert fused_multiply(a, a, GENERATOR) == scalar_multiply(2 * a, GENERATOR)
+
+    def test_identity_operands(self):
+        assert fused_multiply(0, 0, GENERATOR) == INFINITY
+        assert fused_multiply(5, 7, INFINITY) == scalar_multiply(5, GENERATOR)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(_scalars, max_size=6))
+    def test_aggregate_points_matches_repeated_addition(self, scalars):
+        points = [generator_multiply(s) for s in scalars] + [INFINITY]
+        expected = INFINITY
+        for point in points:
+            expected = point_add(expected, point)
+        assert aggregate_points(points) == expected
+        assert aggregate_points(points + [-p for p in points]) == INFINITY
+        assert aggregate_points(points + points) == scalar_multiply(2, expected)
+
+
+class TestKeyTables:
+    """Which points get a window table, and which one makes room."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The points a table was built for, in order (the build itself is stubbed)."""
+        built = []
+
+        def build(point, width):
+            built.append(point)
+            return (point, width)
+
+        monkeypatch.setattr(group, "_WindowTable", build)
+        return built
+
+    def test_a_point_seen_once_gets_no_table(self, builds):
+        tables = group._KeyTables()
+        assert tables.lookup(GENERATOR) is None
+        assert builds == []
+        assert tables.lookup(GENERATOR) is not None
+        assert builds == [GENERATOR]
+
+    def test_more_recurring_keys_than_slots_build_one_table_each(self, builds):
+        tables = group._KeyTables()
+        keys = [Point(x, 0) for x in range(group._MAX_KEY_TABLES + 8)]
+        for index, key in enumerate(keys):
+            tables.lookup(key)
+            tables.lookup(key)
+            # The keys still in use stay resident while new ones arrive.
+            for recent in keys[max(0, index - 5):index]:
+                assert tables.lookup(recent) is not None
+        assert builds == keys
+        # Only the least recently used made room: the newest slots-many remain.
+        for key in keys[-group._MAX_KEY_TABLES:]:
+            assert tables.lookup(key) is not None
+        assert builds == keys
 
 
 class TestPointEncoding:
@@ -94,6 +269,13 @@ class TestPointEncoding:
         # x = 5 is not the abscissa of a curve point on secp256k1.
         with pytest.raises(ValidationError):
             decompress_point(b"\x02" + (5).to_bytes(32, "big"))
+
+    @pytest.mark.parametrize("x", [FIELD_PRIME, FIELD_PRIME + 1, 2**256 - 1])
+    def test_unreduced_x_rejected(self, x):
+        # x = p + 1 would otherwise be a second encoding of the point at x = 1.
+        assert decompress_point(b"\x02" + (1).to_bytes(32, "big")).x == 1
+        with pytest.raises(ValidationError):
+            decompress_point(b"\x02" + x.to_bytes(32, "big"))
 
     @settings(max_examples=10, deadline=None)
     @given(_scalars)

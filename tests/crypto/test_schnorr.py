@@ -22,38 +22,38 @@ def other_keypair():
 
 class TestSchnorrSignatures:
     def test_sign_verify_roundtrip(self, keypair):
-        signature = schnorr_sign(keypair.private, b"a message")
+        signature = schnorr_sign(keypair, b"a message")
         assert schnorr_verify(keypair.public, b"a message", signature)
 
     def test_modified_message_rejected(self, keypair):
-        signature = schnorr_sign(keypair.private, b"a message")
+        signature = schnorr_sign(keypair, b"a message")
         assert not schnorr_verify(keypair.public, b"another message", signature)
 
     def test_wrong_public_key_rejected(self, keypair, other_keypair):
-        signature = schnorr_sign(keypair.private, b"a message")
+        signature = schnorr_sign(keypair, b"a message")
         assert not schnorr_verify(other_keypair.public, b"a message", signature)
 
     def test_forgery_requires_secret_key(self, keypair, other_keypair):
         # Bob signing with his own key cannot produce a signature that
         # verifies under Alice's public key (Section 2.1's forgery claim).
-        forged = schnorr_sign(other_keypair.private, b"pay bob")
+        forged = schnorr_sign(other_keypair, b"pay bob")
         assert not schnorr_verify(keypair.public, b"pay bob", forged)
 
     def test_tampered_scalar_rejected(self, keypair):
-        signature = schnorr_sign(keypair.private, b"msg")
+        signature = schnorr_sign(keypair, b"msg")
         tampered = SchnorrSignature(signature.nonce_point, signature.scalar + 1)
         assert not schnorr_verify(keypair.public, b"msg", tampered)
 
     def test_signature_is_deterministic(self, keypair):
-        assert schnorr_sign(keypair.private, b"m") == schnorr_sign(keypair.private, b"m")
+        assert schnorr_sign(keypair, b"m") == schnorr_sign(keypair, b"m")
 
     def test_distinct_messages_get_distinct_nonces(self, keypair):
-        sig_a = schnorr_sign(keypair.private, b"m1")
-        sig_b = schnorr_sign(keypair.private, b"m2")
+        sig_a = schnorr_sign(keypair, b"m1")
+        sig_b = schnorr_sign(keypair, b"m2")
         assert sig_a.nonce_point != sig_b.nonce_point
 
     def test_encode_length(self, keypair):
-        assert len(schnorr_sign(keypair.private, b"m").encode()) == 65
+        assert len(schnorr_sign(keypair, b"m").encode()) == 65
 
     def test_non_signature_object_rejected(self, keypair):
         assert not schnorr_verify(keypair.public, b"m", "not a signature")
@@ -62,7 +62,7 @@ class TestSchnorrSignatures:
     @given(st.binary(min_size=0, max_size=64))
     def test_roundtrip_for_arbitrary_messages(self, message):
         keypair = keypair_for("prop-signer", seed=5)
-        signature = schnorr_sign(keypair.private, message)
+        signature = schnorr_sign(keypair, message)
         assert schnorr_verify(keypair.public, message, signature)
         assert not schnorr_verify(keypair.public, message + b"x", signature)
 
