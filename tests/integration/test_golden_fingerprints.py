@@ -22,6 +22,13 @@ records:
   network's message and byte counters;
 - ``trace``: the tracer's span fingerprint;
 - ``audit``: the full offline audit's verdict (2PC: the refusal's name).
+
+The ``*-fails`` scenarios pin the round's failure exits instead: between the
+two workloads one classic TFCommit round fails -- a non-leader cohort crashes
+at ``vote``, a cohort refuses a faked root at ``challenge``, or a bad Schnorr
+response ends the round in ``culprits`` -- and the row also records
+``pending``, every server's ``pending_round_count()`` right after that round
+(a failed round must leave no armed round state behind).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from repro.api import (
 from repro.common.errors import AuditError
 from repro.net.latency import lan_latency
 from repro.obs import Observability
-from repro.server.faults import CrashFault
+from repro.server.faults import BadCosiFault, CrashFault, FakeRootFault, HonestBehavior
 from repro.sim.context import FixedCompute
 from repro.txn.operations import WriteOp
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
@@ -122,6 +129,51 @@ def _strand_and_fail_over(system) -> None:
     assert outcome.stalled_rounds
 
 
+def _fail_one_round(system, server_id, fault, expect) -> dict:
+    """Between the two workloads: ``server_id`` misbehaves for exactly one
+    round, which fails the way ``expect`` (a predicate over its
+    :class:`BlockCommitResult`) says; the server is then healed (recovered
+    if it crashed) so the second workload runs on an honest cluster.
+    Returns every server's ``pending_round_count()`` right after it."""
+    leader, peer = system.config.server_ids[:2]
+    mine, theirs = system.shard_map.items_of(leader), system.shard_map.items_of(peer)
+    system.inject_fault(server_id, fault)
+    for index in range(system.config.txns_per_block):
+        system.run_transaction([WriteOp(mine[index], index), WriteOp(theirs[index], index)])
+    result = system.coordinator.results[-1]
+    assert result.status == "failed" and expect(result), result
+    if server_id in system.crashed_servers():
+        system.recover_server(server_id)
+    else:
+        system.inject_fault(server_id, HonestBehavior())
+    return {
+        server_id: server.commitment.pending_round_count()
+        for server_id, server in system.servers.items()
+    }
+
+
+#: Scenarios that run :func:`_fail_one_round` before the second workload:
+#: ``name -> (faulty server, its policy, what the failed result must show)``.
+FAILED_ROUNDS = {
+    "classic-tfcommit-cohort-crash-fails": lambda: (
+        "s2",
+        CrashFault(phase="vote"),
+        lambda result: [r["server_id"] for r in result.refusals if r.get("unreachable")]
+        == ["s2"],
+    ),
+    "classic-tfcommit-fake-root-fails": lambda: (
+        "s0",
+        FakeRootFault(victim="s1"),
+        lambda result: any("different root" in r["reason"] for r in result.refusals),
+    ),
+    "classic-tfcommit-bad-cosi-fails": lambda: (
+        "s2",
+        BadCosiFault(corrupt_resp=True),
+        lambda result: result.culprits == ["s2"],
+    ),
+}
+
+
 SCENARIOS = {
     "classic-tfcommit": lambda: _classic("tfcommit"),
     "classic-2pc": lambda: _classic("2pc"),
@@ -147,13 +199,17 @@ FAILOVER_BEFORE_WORKLOAD = {
 SCENARIOS.update(
     {name: SCENARIOS[name[: -len("-failover")]] for name in FAILOVER_BEFORE_WORKLOAD}
 )
+SCENARIOS.update({name: SCENARIOS["classic-tfcommit"] for name in FAILED_ROUNDS})
 
 
 def fingerprint(name: str) -> dict:
     system, obs, workload = SCENARIOS[name]()
+    pending = {}
     for index, requests in enumerate((14, 10)):
         if FAILOVER_BEFORE_WORKLOAD.get(name) == index:
             _strand_and_fail_over(system)
+        if name in FAILED_ROUNDS and index == 1:
+            pending = {"pending": _fail_one_round(system, *FAILED_ROUNDS[name]())}
         system.run_workload(workload.generate(requests), num_clients=2)
     stream = hashlib.sha256()
     anchors = hashlib.sha256()
@@ -178,6 +234,7 @@ def fingerprint(name: str) -> dict:
     for anchor in anchor_chain:
         anchors.update(anchor.anchor_hash())
     return {
+        **pending,
         "stream": stream.hexdigest(),
         "anchors": anchors.hexdigest() if anchor_chain else "",
         "makespan": repr(system.sim.makespan),
@@ -293,6 +350,36 @@ GOLDEN.update(
                        'messages': 408.0,
                        'stream': '4eb3b790057e614ab9704f5e37d45d84b1f02031668d6edd64fde3e21aeb6e57',
                        'trace': '26725f33fcd83389547955d775a42a8cee7302c5de0f6947d1e5e7527f84174b'}}
+)
+
+
+#: The failure-exit rows, recorded at PR 14 (before the round became one
+#: object with a declared lifecycle).
+GOLDEN.update(
+{'classic-tfcommit-bad-cosi-fails': {'anchors': '',
+                                     'audit': True,
+                                     'bytes': 372630.0,
+                                     'makespan': '0.10182183190232984',
+                                     'messages': 343.0,
+                                     'pending': {'s0': 0, 's1': 0, 's2': 0, 's3': 0},
+                                     'stream': '35fca0482aab61d818639edd67ec0b849b74568a0126fc1b024178db5ed94ef9',
+                                     'trace': '81044fd44d9765f2213f8e4e3239da57eb324aede50be0ab78550e3ab296f370'},
+ 'classic-tfcommit-cohort-crash-fails': {'anchors': '',
+                                         'audit': True,
+                                         'bytes': 367575.0,
+                                         'makespan': '0.14538471245000104',
+                                         'messages': 341.0,
+                                         'pending': {'s0': 0, 's1': 0, 's2': 0, 's3': 0},
+                                         'stream': '35fca0482aab61d818639edd67ec0b849b74568a0126fc1b024178db5ed94ef9',
+                                         'trace': 'f8c134345b429796c9139fa7e2db781d605df33686d02fe6f537bd3f112487e9'},
+ 'classic-tfcommit-fake-root-fails': {'anchors': '',
+                                      'audit': True,
+                                      'bytes': 372630.0,
+                                      'makespan': '0.10082183190232984',
+                                      'messages': 343.0,
+                                      'pending': {'s0': 0, 's1': 0, 's2': 0, 's3': 0},
+                                      'stream': '35fca0482aab61d818639edd67ec0b849b74568a0126fc1b024178db5ed94ef9',
+                                      'trace': '2ff5c88dda43623dce57aff64e9545debab0a789254020dd37c9511e28e577f6'}}
 )
 
 
