@@ -15,9 +15,8 @@
 - :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples
   into deterministic regression tests;
 - :mod:`repro.check.static` -- the whole-program protocol analyzer
-  (``python -m repro.check.static``): message-flow totality, round-state
-  leak detection, exception-effect checking, and the per-file
-  determinism/assert rules.
+  (``python -m repro.check.static``): message-flow totality,
+  exception-effect checking, and the per-file determinism/assert rules.
 
 Heavy submodules are loaded lazily: ``core``/``sim``/``net`` import the two
 leaf modules above at import time, so this package ``__init__`` must not

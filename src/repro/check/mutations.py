@@ -34,11 +34,10 @@ MUTATIONS: Dict[str, Mutation] = {
         Mutation(
             name="pr3-round-failed-leak",
             description=(
-                "Coordinator does not broadcast ROUND_FAILED when a round "
-                "aborts early (cohort unreachable / voter loss), so cohorts "
-                "that already registered the round leak its RoundState "
-                "(fixed in PR 3; caught by the round-state-released "
-                "invariant)."
+                "A failed round's one exit (SimScheduledRounds._close) does "
+                "not broadcast ROUND_FAILED, so cohorts that already "
+                "registered the round leak its RoundState (fixed in PR 3; "
+                "caught by the round-state-released invariant)."
             ),
         ),
         Mutation(

@@ -6,7 +6,7 @@ and returns the :class:`~repro.check.invariants.RunRecord` the invariant
 library evaluates.  All nondeterminism flows through :mod:`repro.check.choices`:
 
 - delivery/processing order (``net-order`` / ``loop-order`` features, wired
-  into :func:`repro.core.tfcommit.timed_broadcast`, ``Network.broadcast``,
+  into :func:`repro.core.rounds.timed_broadcast`, ``Network.broadcast``,
   and the event loop's same-time tie-break);
 - crash injection (:class:`ChoiceCrashPolicy`: every vote/decision phase
   observation of every server is a binary crash branch, one crash per run);

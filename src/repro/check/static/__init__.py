@@ -2,16 +2,12 @@
 
 The static counterpart to the PR 6 model checker: where the explorer proves
 properties of *runs it can reach*, this package proves properties of *every
-path in the source*, before anything executes -- three whole-program
+path in the source*, before anything executes -- two whole-program
 analyses and one set of per-file rules:
 
 - :mod:`repro.check.static.flowgraph` -- message-flow totality: every sent
   ``MessageType`` has a dispatch entry, every dispatch entry a sender, every
   enum member is reachable, every ``to_wire`` class has a strict decoder.
-- :mod:`repro.check.static.leaks` -- round-state leaks: every path that arms
-  per-round state (``GET_VOTE``/``PREPARE`` send, virtual-timeline window)
-  reaches a release on every exit, over the CFGs of
-  :mod:`repro.check.static.cfg`.
 - :mod:`repro.check.static.effects` -- exception effects: handler-reachable
   code must not let non-``FidesError`` exceptions escape (response-map
   subscripts, un-defaulted ``max``/``min``, broad excepts, builtin raises).
@@ -25,6 +21,11 @@ The analyses run pure-AST (no package import needed) and compose with the
 mutation registry through static branch folding -- see
 :func:`~repro.check.static.model.fold_test` and the self-tests in
 ``tests/check/test_static_selftest.py``.
+
+Round-state hygiene is *not* an analysis here: a round is one object with a
+declared lifecycle (:data:`repro.core.rounds.ROUND_TRANSITIONS`,
+:data:`repro.server.commitment.COHORT_TRANSITIONS`) whose every exit
+releases in one place, so there is no arm/release pairing left to infer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import FrozenSet, List, Optional
 from repro.check.static.determinism import determinism_findings
 from repro.check.static.effects import effect_findings
 from repro.check.static.flowgraph import flow_findings
-from repro.check.static.leaks import leak_findings
 from repro.check.static.model import Finding, SourceTree, default_root
 
 __all__ = ["Finding", "SourceTree", "default_root", "run_analyses"]
@@ -46,10 +46,9 @@ def run_analyses(
     mutations: FrozenSet[str] = frozenset(),
     wire_registry: Optional[Path] = None,
 ) -> List[Finding]:
-    """Run all four analyses; suppressed findings are dropped here."""
+    """Run all three analyses; suppressed findings are dropped here."""
     findings: List[Finding] = []
     findings.extend(flow_findings(tree, wire_registry=wire_registry))
-    findings.extend(leak_findings(tree, mutations))
     findings.extend(effect_findings(tree, mutations))
     findings.extend(determinism_findings(tree))
     kept = []

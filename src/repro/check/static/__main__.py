@@ -5,7 +5,7 @@
     python -m repro.check.static                      # human-readable, exit 1 on new findings
     python -m repro.check.static --json report.json   # also write the CI artifact
     python -m repro.check.static --json -             # report JSON on stdout
-    python -m repro.check.static --mutation pr3-round-failed-leak
+    python -m repro.check.static --mutation pr7-2pc-vote-keyerror
     python -m repro.check.static --update-baseline    # accept current findings
 
 Exit status is 1 exactly when a finding is *not* covered by the baseline
@@ -38,8 +38,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.static",
         description=(
-            "Message-flow totality, round-state leak, exception-effect and "
-            "determinism checks over src/repro."
+            "Message-flow totality, exception-effect and determinism checks "
+            "over src/repro."
         ),
     )
     parser.add_argument(

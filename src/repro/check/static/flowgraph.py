@@ -62,13 +62,14 @@ SEND_CALLEES = (
 
 #: Modules each deployment drives (path prefixes relative to the root).
 #: The client, auditor, and recovery manager run against every deployment;
-#: the coordinator module is what distinguishes them, and the view-change
-#: protocol serves all three.
+#: the coordinator module is what distinguishes them; the shared round driver
+#: and the view-change protocol serve all three.
 DEPLOYMENT_MODULES: Dict[str, Tuple[str, ...]] = {
     "classic": (
         "client/",
         "audit/",
         "recovery/",
+        "core/rounds.py",
         "core/tfcommit.py",
         "core/viewchange.py",
     ),
@@ -76,6 +77,7 @@ DEPLOYMENT_MODULES: Dict[str, Tuple[str, ...]] = {
         "client/",
         "audit/",
         "recovery/",
+        "core/rounds.py",
         "core/tfcommit.py",
         "core/viewchange.py",
         "core/scaled.py",
@@ -85,6 +87,7 @@ DEPLOYMENT_MODULES: Dict[str, Tuple[str, ...]] = {
         "client/",
         "audit/",
         "recovery/",
+        "core/rounds.py",
         "core/twopc.py",
         "core/viewchange.py",
     ),

@@ -6,7 +6,7 @@ Everything in :mod:`repro.check.static` works on this layer:
   once and indexes functions, classes, and class hierarchies **by name** so
   the analyses can resolve calls without importing the package (the CI job
   checks out sources only).
-- :class:`Finding` is the one result type all four analyses emit; its
+- :class:`Finding` is the one result type all three analyses emit; its
   :attr:`Finding.key` deliberately excludes line numbers so baseline entries
   survive pure line drift.
 - :func:`fold_test` statically evaluates branch conditions over
@@ -24,8 +24,7 @@ module-level ``f`` plus constructors of classes named ``f``, and
 ``obj.m(...)`` to every function named ``m`` anywhere in the tree.  That
 over-approximates reachability -- safe for the escape checker (it may flag
 too much, never too little) -- while the class-aware ``self.`` rule keeps
-same-named helpers (e.g. the two ``_failed_result`` methods) from masking
-each other in the leak detector's releasing-callee fixpoint.
+same-named methods of sibling coordinator classes from masking each other.
 """
 
 from __future__ import annotations
@@ -49,19 +48,14 @@ PROTOCOL_PACKAGES = frozenset(
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer result.
+    """One analyzer result."""
 
-    ``trace`` carries the arming->leaking statement path (source line
-    numbers) for leak findings; empty elsewhere.
-    """
-
-    analysis: str  # "flow" | "leak" | "effects" | "determinism"
+    analysis: str  # "flow" | "effects" | "determinism"
     rule: str
     path: str  # module path relative to the analyzed root (posix)
     line: int
     function: str  # qualified name, "" for module-level findings
     message: str  # line-number free: baseline keys must survive drift
-    trace: Tuple[int, ...] = ()
 
     @property
     def key(self) -> str:
@@ -71,10 +65,7 @@ class Finding:
     def __str__(self) -> str:
         where = f"{self.path}:{self.line}"
         subject = f" {self.function}:" if self.function else ""
-        rendered = f"{where}: [{self.rule}]{subject} {self.message}"
-        if self.trace:
-            rendered += " (path: " + " -> ".join(str(line) for line in self.trace) + ")"
-        return rendered
+        return f"{where}: [{self.rule}]{subject} {self.message}"
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -84,7 +75,6 @@ class Finding:
             "line": self.line,
             "function": self.function,
             "message": self.message,
-            "trace": list(self.trace),
             "key": self.key,
         }
 

@@ -158,6 +158,8 @@ def _decode_at(data: bytes, offset: int) -> tuple:
         result = {}
         for _ in range(length):
             key, offset = _decode_at(data, offset)
+            if isinstance(key, (list, dict)):
+                raise ValueError("canonical encoding uses a container as a dict key")
             value, offset = _decode_at(data, offset)
             result[key] = value
         return result, offset

@@ -1,5 +1,7 @@
 """The paper's primary contribution: TFCommit and the Fides system assembly.
 
+* :mod:`repro.core.rounds` -- the round object, its lifecycle and the driver
+  both commit protocols share.
 * :mod:`repro.core.tfcommit` -- the TrustFree Commitment protocol (Section 4.3).
 * :mod:`repro.core.twopc` -- the trusted Two-Phase Commit baseline (Section 6.1).
 * :mod:`repro.core.fides` -- the one deployment: servers, clients, the
@@ -10,13 +12,8 @@
   group coordinators, the ordered-delivery subscriber, ``build_system``.
 """
 
-from repro.core.tfcommit import (
-    BatchBuilder,
-    BlockCommitResult,
-    TFCommitCoordinator,
-    TimingBreakdown,
-    TxnOutcome,
-)
+from repro.core.rounds import BatchBuilder, BlockCommitResult, TimingBreakdown, TxnOutcome
+from repro.core.tfcommit import TFCommitCoordinator
 from repro.core.twopc import TwoPhaseCommitCoordinator
 from repro.core.fides import FidesSystem
 from repro.core.grouping import ServerGroup, group_for_batch, group_for_transaction

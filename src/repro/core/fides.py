@@ -27,12 +27,8 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, UnreachableError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ClientId, ServerId, Value, make_client_id
-from repro.core.tfcommit import (
-    STALE_TIMESTAMP_REASON,
-    BlockCommitResult,
-    SimScheduledRounds,
-    TFCommitCoordinator,
-)
+from repro.core.rounds import STALE_TIMESTAMP_REASON, BlockCommitResult, SimScheduledRounds
+from repro.core.tfcommit import TFCommitCoordinator
 from repro.core.twopc import TwoPhaseCommitCoordinator
 from repro.core.viewchange import ViewChangeOutcome, elect_successor, run_view_change
 from repro.crypto.keys import keypair_for
@@ -134,14 +130,14 @@ class FidesSystem:
                 server_id=server_id,
                 keypair=keypair_for(server_id, seed=self.config.seed),
                 items=per_server_items[server_id],
+                clock=self.sim.clock,
+                obs=self.sim.obs,
                 multi_versioned=self.config.multi_versioned,
                 state_store=(
                     state_store_factory(server_id) if state_store_factory else None
                 ),
             )
             server.attach(self.network)
-            server.attach_sim_clock(self.sim.clock)
-            server.attach_obs(self.sim.obs)
             self.servers[server_id] = server
 
         #: Servers deposed by a view change: they keep serving as cohorts but

@@ -30,27 +30,27 @@ Everything else is :class:`~repro.core.fides.FidesSystem`'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.common.types import ServerId, Value
 from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
-from repro.core.grouping import ServerGroup, group_for_batch
-from repro.core.sequencing import OrderedBlock, SequencerFactory, single_sequencer
-from repro.core.tfcommit import (
+from repro.core.grouping import group_for_batch
+from repro.core.rounds import (
     BlockCommitResult,
-    TFCommitCoordinator,
+    Round,
+    RoundStatus,
     TimingBreakdown,
     footprint,
     timed_broadcast,
 )
+from repro.core.sequencing import OrderedBlock, SequencerFactory, single_sequencer
+from repro.core.tfcommit import TFCommitCoordinator
 from repro.crypto.keys import keypair_for
 from repro.ledger.anchor import EpochAnchor
-from repro.ledger.block import Block, make_group_partial_block
 from repro.net.message import MessageType
-from repro.sim.scheduler import ORDSERV_RESOURCE, BlockTask
+from repro.sim.scheduler import ORDSERV_RESOURCE
 from repro.txn.transaction import Transaction
 
 #: Identity under which the ordering service broadcasts on the network.
@@ -66,8 +66,6 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
     service instead of broadcasting a decision itself.
     """
 
-    CHAINS_ON_LOG = False
-
     def __init__(self, server, system: "ScaledFidesSystem") -> None:
         super().__init__(
             server=server,
@@ -79,14 +77,12 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
         )
         self._system = system
         self._ordering = system.ordering
-        self._current_group: Optional[ServerGroup] = None
 
-    def commit_batch(self, batch) -> object:
-        """Run one TFCommit round over the batch's dynamic group."""
+    def _cohorts_for(self, transactions: Sequence[Transaction]):
+        """The batch's dynamic group, in the deployment's current view (one
+        view change fences a deposed leader across all the groups it drove)."""
         group = group_for_batch(
-            [txn for txn, _ in batch],
-            self._system.shard_map,
-            exclude=self._system.deposed_servers(),
+            transactions, self._system.shard_map, exclude=self._system.deposed_servers()
         )
         if group.coordinator != self.coordinator_id:
             # The union of per-transaction groups always has this server as
@@ -100,42 +96,20 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
         # service's reorder window must land first: the speculative roots
         # this round is about to compute have to reflect their writes.
         self._ordering.flush_conflicting(group)
-        self._current_group = group
-        self.server_ids = sorted(group.members)
-        # Every group proposes in the deployment's current view: one view
-        # change fences a deposed leader across all the groups it drove.
-        self.view = self._system.view
-        try:
-            return super().commit_batch(batch)
-        finally:
-            # A round that raised (or failed) must not leave this group's
-            # membership behind: the next batch may form a *different* group,
-            # and stale ``server_ids`` would drag the wrong cohort set into
-            # its phases.
-            self._current_group = None
-            self.server_ids = [self.coordinator_id]
+        return sorted(group.members), group, self._system.view
 
-    # -- deployment hooks overridden for the scaled path ----------------------------
-
-    def _make_partial_block(self, transactions: Sequence[Transaction]) -> Block:
-        return make_group_partial_block(
-            transactions,
-            group_members=sorted(self._current_group.members),
-            view=self.view,
-        )
-
-    def _deliver_block(self, result: BlockCommitResult) -> None:
-        """Publish the co-signed group block; delivery happens via OrdServ.
+    def _deliver(self, round: Round) -> None:
+        """Hand the co-signed group block over; delivery happens via OrdServ.
 
         The ordering service may hold the block in its reorder window, so the
-        round is handed over with it (:class:`RoundHandoff`): the ordered
+        round goes with it (:attr:`OrderedDelivery.handoffs`): the ordered
         delivery is the round's terminal phase, scheduled on the shared
         ``ordserv`` resource, charged to this round's timing and stamped into
         its result when the block lands in the stream.
         """
-        delivery, group = self._system.delivery, self._current_group
-        identity = self._ordering.round_identity(result.block, group)
-        if self._ordering.seen(result.block, group):
+        ordering = self._ordering
+        identity = ordering.round_identity(round.block, round.group)
+        if ordering.seen(round.block, round.group):
             # The round was already published: the deposed coordinator died
             # *after* handing its block to the ordering service, and this is
             # a successor's re-proposal of it.  ``flush_conflicting`` landed
@@ -143,73 +117,41 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
             # decision.  The duplicate must not enter the stream twice, so no
             # ORDERED_BLOCK will ever release the state its cohorts armed for
             # it -- tell them now.
-            self._release_cohorts(result.block)
-            original = next(
+            self._release_cohorts(round)
+            round.decision = next(
                 ordered.block
-                for ordered in self._ordering.ordered_blocks
-                if self._ordering.round_identity(ordered.block, ordered.group) == identity
+                for ordered in ordering.ordered_blocks
+                if ordering.round_identity(ordered.block, ordered.group) == identity
             )
-            delivery.stamp(result, original, None, [])
-            return
-        # Until the stream delivers the block its outcomes carry ``None``
-        # rather than the misleading placeholder height 0.
-        result.outcomes = [replace(outcome, block_height=None) for outcome in result.outcomes]
-        delivery.handoffs[identity] = RoundHandoff(result, self._sim_task, self._sim_span)
-        self._sim_task = None
-        self._sim_span = None
-        self._ordering.publish(result.block, group)
+            round.advance(RoundStatus.DECIDED)
+        else:
+            self._system.delivery.handoffs[identity] = round
+            round.advance(RoundStatus.PUBLISHED)
 
-
-@dataclass
-class RoundHandoff:
-    """A published round until its ordered delivery, filed under the ordering
-    service's view-independent round identity: its result (stamped by the
-    delivery), timeline task (the delivery is its terminal ``order`` phase)
-    and open trace span (closed at delivery)."""
-
-    result: Optional[BlockCommitResult]
-    task: Optional[BlockTask]
-    span: Optional[int]
+    def _close(self, round: Round) -> BlockCommitResult:
+        result = super()._close(round)
+        if round.status is RoundStatus.PUBLISHED:
+            # Only now that the round's result is on file may the stream
+            # deliver the block (at once, without a reorder window).
+            self._ordering.publish(round.block, round.group)
+        return result
 
 
 class OrderedDelivery:
     """The ordering service's subscriber, the stream's atomic broadcast:
     delivers every finalised block (and sealed epoch anchor) to every server
-    and completes the publishing round's :class:`RoundHandoff`."""
+    and takes the publishing round from ``published`` to ``delivered``."""
 
     def __init__(self, system: "ScaledFidesSystem") -> None:
         self._system = system
         #: round identity -> published, not yet delivered round (empty
         #: whenever the stream is flushed).
-        self.handoffs: Dict[tuple, RoundHandoff] = {}
+        self.handoffs: Dict[tuple, Round] = {}
         #: Every refusal a server answered an ordered block or anchor with.
         self.failures: List[Dict] = []
         #: Global height the next ordered delivery must carry (the stream is
         #: an atomic broadcast: no gaps, no replays).
         self._next_height = 0
-
-    @staticmethod
-    def stamp(result, chained: Block, decided_at: Optional[float], failures: List[Dict]):
-        """Make ``result`` say what the stream decided: the delivered block
-        is the decision -- also for a duplicate re-proposal, whatever its
-        own (suppressed) round concluded."""
-        status = "committed" if chained.is_commit else "aborted"
-        result.status = status
-        result.block = chained
-        result.outcomes = [
-            replace(
-                outcome,
-                status=status,
-                block_height=chained.height,
-                decided_at=decided_at,
-                reason=outcome.reason if outcome.status == status else "",
-            )
-            for outcome in result.outcomes
-        ]
-        # A server that rejected the ordered block (diverged log, bad
-        # signature under fault injection) surfaces exactly like a phase-5
-        # decision failure does in the classic deployment.
-        result.refusals = list(result.refusals) + failures
 
     def deliver(self, ordered: OrderedBlock) -> None:
         """Atomically broadcast one finalised block to every server.
@@ -226,13 +168,11 @@ class OrderedDelivery:
                 "atomic broadcast)"
             )
         self._next_height += 1
-        # No hand-off means the block was published directly (tests): it is
+        # No round means the block was published directly (tests): it is
         # delivered all the same, its cost charged to a scratch breakdown.
-        handoff = self.handoffs.pop(
-            system.ordering.round_identity(block, ordered.group),
-            RoundHandoff(None, None, None),
-        )
-        timing = handoff.result.timing if handoff.result else TimingBreakdown()
+        round = self.handoffs.pop(system.ordering.round_identity(block, ordered.group), None)
+        timing = round.timing if round else TimingBreakdown()
+        task, span = (round.task, round.span) if round else (None, None)
         # The delivery is the round's terminal phase on the virtual timeline:
         # it serializes on the shared "ordserv" resource (the service emits
         # one stream) and cannot start before the publishing round's
@@ -245,7 +185,7 @@ class OrderedDelivery:
         resources = tuple(
             f"{ORDSERV_RESOURCE}/s{shard}" for shard in ordered.shards
         ) or (ORDSERV_RESOURCE,)
-        start = sim.scheduler.begin_delivery(handoff.task, label, resources=resources)
+        start = sim.scheduler.begin_delivery(task, label, resources=resources)
         responses = timed_broadcast(
             system.network,
             system.latency,
@@ -260,39 +200,41 @@ class OrderedDelivery:
         status = "committed" if block.is_commit else "aborted"
         reads, writes = footprint(block.transactions)
         _, delivered_at = sim.scheduler.end_delivery(
-            handoff.task,
+            task,
             label,
             start,
             timing.phases["order"],
             read_items=reads,
             write_items=writes,
-            status=status,
             resources=resources,
         )
-        tracer = sim.obs.tracer
         span_actor = (
             f"{ORDSERV_ID}/s" + "+".join(str(shard) for shard in ordered.shards)
             if ordered.shards
             else ORDSERV_ID
         )
-        tracer.add_span(
+        sim.obs.tracer.add_span(
             "order",
             "delivery",
             span_actor,
             start,
             delivered_at,
-            parent=handoff.span,
+            parent=span,
             global_height=ordered.global_height,
         )
-        # Close the round span handed over at publication: the ordered
-        # delivery is the round's terminal phase, so the round's causal
-        # window ends here, not at the group co-sign.
-        tracer.close_span(handoff.span, delivered_at, status=status)
         sim.obs.metrics.counter(f"rounds.delivered_{status}")
         failures = [resp for resp in responses.values() if not resp.get("ok")]
         self.failures.extend(failures)
-        if handoff.result is not None:
-            self.stamp(handoff.result, block, delivered_at, failures)
+        if round is not None:
+            # The ordered delivery is the round's terminal phase, so its
+            # causal window (and trace span) ends here, not at the group
+            # co-sign.  A server that rejected the ordered block (diverged
+            # log, bad signature under fault injection) surfaces exactly
+            # like a phase-5 decision failure in the classic deployment.
+            round.decision = block
+            round.refusals = round.refusals + failures
+            round.advance(RoundStatus.DELIVERED)
+            system.coordinators[round.coordinator]._close(round)
 
     def broadcast_anchor(self, anchor: EpochAnchor) -> None:
         """Publish one sealed epoch anchor to every server.

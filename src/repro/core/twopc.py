@@ -10,51 +10,34 @@ only two communication rounds (prepare/vote and decision).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
 from repro.check.mutations import mutation_enabled
-from repro.core.tfcommit import (
-    BlockCommitResult,
-    SimScheduledRounds,
-    TimingBreakdown,
-    TxnOutcome,
-    validate_batch,
-)
-from repro.ledger.block import Block, BlockDecision, make_partial_block
-from repro.net.message import Envelope, MessageType
+from repro.core.rounds import Round, RoundStatus, SimScheduledRounds
+from repro.ledger.block import BlockDecision
+from repro.net.message import MessageType
 from repro.obs.timing import Stopwatch
 from repro.sim.scheduler import KIND_TERMINAL
-from repro.txn.transaction import Transaction
 
 
 class TwoPhaseCommitCoordinator(SimScheduledRounds):
     """Classic 2PC over the same servers, clients, and network as TFCommit.
 
-    The front-end (queueing, batching, flushing) is the shared base's; 2PC
-    outcomes carry no proof, so the base's plain wire form applies.
+    The front-end (queueing, batching, flushing) and the round's exits are
+    the shared base's; 2PC outcomes carry no proof, so the base's plain wire
+    form applies.
     """
 
-    def commit_batch(self, batch: Sequence[Tuple[Transaction, Envelope]]) -> BlockCommitResult:
+    def _run(self, round: Round) -> None:
         """One 2PC round: prepare/vote then decision."""
-        transactions = [txn for txn, _ in batch]
-        validate_batch(transactions)
-        timing = TimingBreakdown(num_txns=len(transactions))
-        self._begin_sim_block(transactions)
-
+        timing = round.timing
         assembly_watch = Stopwatch()
-        block = make_partial_block(
-            height=self.server.log.height,
-            transactions=transactions,
-            previous_hash=self.server.log.head_hash,
-            view=self.view,
-        )
+        round.block = block = self._partial_block(round)
         assembly_elapsed = assembly_watch.elapsed()
 
         votes = self._broadcast_phase(
+            round,
             "prepare",
             MessageType.PREPARE,
-            {"block": block, "client_requests": [envelope for _, envelope in batch]},
-            timing,
+            {"block": block, "client_requests": round.client_requests},
         )
         unreachable = [resp for resp in votes.values() if resp.get("unreachable")]
         refused = [
@@ -70,14 +53,13 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
             timing.coordinator_time += self._sim.effective_compute(
                 "aggregate", assembly_elapsed
             )
-            return self._failed_result(
-                transactions, timing, block, unreachable + refused
-            )
+            return round.fail(unreachable + refused)
+        round.advance(RoundStatus.VOTED)
 
-        self._begin_compute_phase("aggregate")
+        self._begin_compute_phase(round, "aggregate")
         coordinator_watch = Stopwatch()
         decision = BlockDecision.COMMIT
-        abort_reasons: List[str] = []
+        abort_reasons = round.abort_reasons
         for server_id, vote in votes.items():
             if mutation_enabled("pr7-2pc-vote-keyerror"):
                 # The pre-fix tally: a bare subscript that KeyErrors on the
@@ -89,68 +71,17 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
                 decision = BlockDecision.ABORT
                 if vote["reason"]:
                     abort_reasons.append(f"{server_id}: {vote['reason']}")
-        final_block = block.with_decision(decision, {})
+        round.block = block.with_decision(decision, {})
         aggregate_elapsed = self._sim.effective_compute(
             "aggregate", assembly_elapsed + coordinator_watch.elapsed()
         )
         timing.coordinator_time += aggregate_elapsed
         timing.phases["aggregate"] = aggregate_elapsed
-        self._end_compute_phase("aggregate", aggregate_elapsed)
+        self._end_compute_phase(round, "aggregate", aggregate_elapsed)
 
-        return self._decide(final_block, transactions, timing, abort_reasons)
-
-    # -- helpers ---------------------------------------------------------------------------
-
-    def _deliver_block(self, result: BlockCommitResult) -> None:
-        """Phase 2: broadcast the decision (nothing a cohort answers matters)."""
+        # Phase 2: broadcast the decision (nothing a cohort answers matters).
         self._broadcast_phase(
-            "decision", MessageType.COMMIT_DECISION, {"block": result.block},
-            result.timing, kind=KIND_TERMINAL,
+            round, "decision", MessageType.COMMIT_DECISION, {"block": round.block},
+            kind=KIND_TERMINAL,
         )
-
-    def _failed_result(
-        self,
-        transactions: Sequence[Transaction],
-        timing: TimingBreakdown,
-        block: Block,
-        refusals: List[Dict],
-    ) -> BlockCommitResult:
-        """Fail the round without a decision (mirrors TFCommit's shape).
-
-        Cohorts that saw the ``PREPARE`` are told to release their armed
-        round state -- unless the coordinator itself is the crashed party, in
-        which case the state is kept for the view change to collect.
-        """
-        self_down = any(
-            resp.get("unreachable") and resp.get("server_id") == self.coordinator_id
-            for resp in refusals
-        )
-        if not self_down:
-            self.network.broadcast(
-                self.coordinator_id,
-                self.server_ids,
-                MessageType.ROUND_FAILED,
-                {"round_key": block.round_key()},
-                skip_unreachable=True,
-            )
-        failed_at = self._end_sim_block("failed")
-        outcomes = [
-            TxnOutcome(
-                txn_id=txn.txn_id,
-                status="failed",
-                reason="; ".join(
-                    filter(None, (resp.get("reason", "") for resp in refusals))
-                ),
-                decided_at=failed_at,
-            )
-            for txn in transactions
-        ]
-        result = BlockCommitResult(
-            status="failed",
-            block=None,
-            outcomes=outcomes,
-            timing=timing,
-            refusals=refusals,
-        )
-        self.results.append(result)
-        return result
+        round.advance(RoundStatus.DECIDED)

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
 from repro.common.errors import ProtocolError, ProtocolInvariantError, ValidationError
-from repro.core.tfcommit import ROUND_TIMEOUT_S, TimingBreakdown, timed_broadcast
+from repro.core.rounds import ROUND_TIMEOUT_S, TimingBreakdown, timed_broadcast
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block
 from repro.ledger.log import TransactionLog

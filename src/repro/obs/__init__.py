@@ -3,7 +3,7 @@
 One :class:`Observability` bundle rides on every :class:`~repro.sim.context.
 SimContext` as ``sim.obs``, which is how all protocol layers reach it --
 the network via ``attach_sim``, coordinators via their ``sim=`` parameter,
-servers via ``DatabaseServer.attach_obs``.  Metrics are always on (one
+servers via their ``obs=`` parameter.  Metrics are always on (one
 dict write per instrument point); span tracing is off by default and
 enabled per run (``enable_tracing()``), keeping the disabled-path cost to
 a single attribute check.

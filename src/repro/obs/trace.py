@@ -14,7 +14,7 @@ tree mirrors the protocol's causal structure::
 
 Parent links cross the coordinator -> cohort boundary (RPC spans carry the
 cohort's server id as their resource) and the coordinator -> OrderingService
-boundary (the round span is handed over in a ``RoundHandoff`` and closed
+boundary (a published ``Round`` keeps its span open, and it is closed
 only when the ordered block is delivered).  Fault injections and
 detections appear as instants, so a Perfetto timeline shows *when* a
 campaign fired relative to the round that caught it.

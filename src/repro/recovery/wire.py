@@ -32,60 +32,92 @@ from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; see the deferred imports below
     from repro.core.grouping import ServerGroup
-    from repro.core.tfcommit import TxnOutcome
+    from repro.core.rounds import TxnOutcome
     from repro.net.message import Envelope
     from repro.server.commitment import VoteResult
+
+
+#: What a decoder's field accesses and coercions raise on malformed input.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _fail(what: str, exc: Exception) -> ValidationError:
     return ValidationError(f"malformed wire encoding of {what}: {exc}")
 
 
+def _is(value, kind, what: str):
+    """``value``, if it is a ``kind`` (a bool is not a number): identifiers
+    and integers are checked, not coerced -- ``str(b"s0")`` would decode."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValidationError(f"{what} must be {kind}, not {type(value).__name__}")
+    return value
+
+
+def _scalar(value, what: str) -> int:
+    """A Schnorr scalar: an integer that fits the 32 bytes it is encoded in."""
+    if not 0 <= _is(value, int, what) < 1 << 256:
+        raise ValidationError(f"{what} must fit 32 bytes")
+    return value
+
+
+def _ids(values, what: str) -> tuple:
+    """A list of string identifiers (server ids, signer ids)."""
+    return tuple(_is(value, str, what) for value in _is(values, (list, tuple), what))
+
+
+def _roots(roots, what: str) -> dict:
+    """A ``server id -> Merkle root`` mapping."""
+    for server_id, root in _is(roots, Mapping, what).items():
+        _is(server_id, str, what)
+        _is(root, bytes, what)
+    return dict(roots)
+
+
 def timestamp_from_wire(pair) -> Timestamp:
     """Inverse of :meth:`Timestamp.as_tuple` (tuples arrive as lists)."""
     try:
-        counter, client_id = pair
-        return Timestamp(int(counter), str(client_id))
-    except (TypeError, ValueError) as exc:
+        counter, client_id = _is(pair, (list, tuple), "timestamp")
+        return Timestamp(_is(counter, int, "counter"), _is(client_id, str, "client id"))
+    except _MALFORMED as exc:
         raise _fail("timestamp", exc) from None
 
 
 def read_entry_from_wire(data: Mapping) -> ReadSetEntry:
     try:
         return ReadSetEntry(
-            item_id=data["item_id"],
+            item_id=_is(data["item_id"], str, "item id"),
             value=data["value"],
             rts=timestamp_from_wire(data["rts"]),
             wts=timestamp_from_wire(data["wts"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _fail("read-set entry", exc) from None
 
 
 def write_entry_from_wire(data: Mapping) -> WriteSetEntry:
     try:
         return WriteSetEntry(
-            item_id=data["item_id"],
+            item_id=_is(data["item_id"], str, "item id"),
             new_value=data["new_value"],
             old_value=data["old_value"],
             rts=timestamp_from_wire(data["rts"]),
             wts=timestamp_from_wire(data["wts"]),
             blind=bool(data["blind"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _fail("write-set entry", exc) from None
 
 
 def transaction_from_wire(data: Mapping) -> Transaction:
     try:
         return Transaction(
-            txn_id=data["txn_id"],
-            client_id=data["client_id"],
+            txn_id=_is(data["txn_id"], str, "txn id"),
+            client_id=_is(data["client_id"], str, "client id"),
             commit_ts=timestamp_from_wire(data["commit_ts"]),
             read_set=tuple(read_entry_from_wire(entry) for entry in data["read_set"]),
             write_set=tuple(write_entry_from_wire(entry) for entry in data["write_set"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _fail("transaction", exc) from None
 
 
@@ -94,11 +126,11 @@ def cosign_from_wire(data: Optional[Mapping]) -> Optional[CollectiveSignature]:
         return None
     try:
         return CollectiveSignature(
-            challenge=int(data["challenge"]),
-            response=int(data["response"]),
-            signer_ids=tuple(str(signer) for signer in data["signers"]),
+            challenge=_scalar(data["challenge"], "challenge"),
+            response=_scalar(data["response"], "response"),
+            signer_ids=_ids(data["signers"], "signer ids"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("collective signature", exc) from None
 
 
@@ -107,47 +139,35 @@ def block_from_wire(data: Mapping) -> Block:
     try:
         body = data["body"]
         group = body["group"]
-        roots = body["roots"]
-        if not isinstance(roots, Mapping) or not all(
-            isinstance(root, bytes) for root in roots.values()
-        ):
-            raise ValidationError("block roots must map server ids to bytes")
-        if not isinstance(body["previous_hash"], bytes):
-            raise ValidationError("block previous_hash must be bytes")
         return Block(
-            height=int(body["height"]),
+            height=_is(body["height"], int, "block height"),
             transactions=tuple(
-                transaction_from_wire(txn) for txn in body["transactions"]
+                transaction_from_wire(txn)
+                for txn in _is(body["transactions"], (list, tuple), "block transactions")
             ),
-            roots=dict(roots),
+            roots=_roots(body["roots"], "block roots"),
             decision=BlockDecision(body["decision"]),
-            previous_hash=body["previous_hash"],
+            previous_hash=_is(body["previous_hash"], bytes, "block previous_hash"),
             cosign=cosign_from_wire(data["cosign"]),
-            group=tuple(group) if group is not None else None,
-            view=int(body["view"]),
+            group=_ids(group, "block group") if group is not None else None,
+            view=_is(body["view"], int, "block view"),
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("block", exc) from None
 
 
 def checkpoint_from_wire(data: Mapping) -> Checkpoint:
     """Inverse of :meth:`Checkpoint.to_wire`."""
     try:
-        if not isinstance(data["head_hash"], bytes):
-            raise ValidationError("checkpoint head_hash must be bytes")
         return Checkpoint(
-            height=int(data["height"]),
-            head_hash=data["head_hash"],
-            shard_roots=dict(data["shard_roots"]),
+            height=_is(data["height"], int, "checkpoint height"),
+            head_hash=_is(data["head_hash"], bytes, "checkpoint head_hash"),
+            shard_roots=_roots(data["shard_roots"], "checkpoint shard roots"),
             latest_commit_ts=timestamp_from_wire(data["latest_commit_ts"]),
-            transactions_covered=int(data["transactions_covered"]),
+            transactions_covered=_is(data["transactions_covered"], int, "transactions covered"),
             cosign=cosign_from_wire(data["cosign"]),
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("checkpoint", exc) from None
 
 
@@ -174,9 +194,7 @@ def envelope_from_wire(data: Mapping) -> "Envelope":
             payload=content["payload"],
             signature=signature,
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("envelope", exc) from None
 
 
@@ -185,13 +203,11 @@ def operation_from_wire(data: Mapping) -> Union[ReadOp, WriteOp]:
     try:
         op = data["op"]
         if op == "read":
-            return ReadOp(item_id=data["item_id"])
+            return ReadOp(item_id=_is(data["item_id"], str, "item id"))
         if op == "write":
-            return WriteOp(item_id=data["item_id"], value=data["value"])
+            return WriteOp(item_id=_is(data["item_id"], str, "item id"), value=data["value"])
         raise ValidationError(f"unknown operation tag {op!r}")
-    except ValidationError:
-        raise
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _fail("operation", exc) from None
 
 
@@ -217,9 +233,7 @@ def vote_result_from_wire(data: Mapping) -> "VoteResult":
             mht_hashes=int(data["mht_hashes"]),
             abort_reason=str(data["abort_reason"]),
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("vote result", exc) from None
 
 
@@ -233,13 +247,11 @@ def verification_object_from_wire(data: Mapping) -> VerificationObject:
                 raise ValidationError("verification object siblings must be bytes")
             siblings.append((sibling, bool(is_left)))
         return VerificationObject(
-            item_id=data["item_id"],
+            item_id=_is(data["item_id"], str, "item id"),
             leaf_index=int(data["leaf_index"]),
             siblings=tuple(siblings),
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("verification object", exc) from None
 
 
@@ -251,7 +263,7 @@ def record_version_from_wire(data: Mapping) -> RecordVersion:
             wts=timestamp_from_wire(data["wts"]),
             rts=timestamp_from_wire(data["rts"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _fail("record version", exc) from None
 
 
@@ -259,12 +271,12 @@ def read_result_from_wire(data: Mapping) -> ReadResult:
     """Inverse of :meth:`ReadResult.to_wire`."""
     try:
         return ReadResult(
-            item_id=data["item_id"],
+            item_id=_is(data["item_id"], str, "item id"),
             value=data["value"],
             rts=timestamp_from_wire(data["rts"]),
             wts=timestamp_from_wire(data["wts"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _fail("read result", exc) from None
 
 
@@ -284,7 +296,7 @@ def epoch_anchor_from_wire(data: Mapping) -> EpochAnchor:
             shard_heads=tuple(heads),
             previous=data["previous"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("epoch anchor", exc) from None
 
 
@@ -298,7 +310,7 @@ def server_group_from_wire(data: Mapping) -> "ServerGroup":
             members=frozenset(str(member) for member in data["members"]),
             coordinator=str(data["coordinator"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("server group", exc) from None
 
 
@@ -325,9 +337,7 @@ def frontier_certificate_from_wire(data: Mapping) -> "FrontierCertificate":
             head_hash=data["head_hash"],
             head=dict(head) if head is not None else None,
         )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("frontier certificate", exc) from None
 
 
@@ -339,7 +349,7 @@ def txn_outcome_from_wire(data: Mapping) -> "TxnOutcome":
     intentionally dropped here.
     """
     # Deferred: repro.core imports recovery.manager, which imports us.
-    from repro.core.tfcommit import TxnOutcome
+    from repro.core.rounds import TxnOutcome
 
     try:
         block_height = data["block_height"]
@@ -351,7 +361,7 @@ def txn_outcome_from_wire(data: Mapping) -> "TxnOutcome":
             reason=str(data["reason"]),
             decided_at=float(decided_at) if decided_at is not None else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("transaction outcome", exc) from None
 
 
@@ -373,9 +383,7 @@ def histogram_from_wire(data: Mapping) -> "Histogram":
         histogram.minimum = float(data["min"]) if data["min"] is not None else None
         histogram.maximum = float(data["max"]) if data["max"] is not None else None
         return histogram
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("metrics histogram", exc) from None
 
 
@@ -404,7 +412,7 @@ def span_from_wire(data: Mapping) -> "Span":
             status=str(data["status"]),
             attrs=dict(data["attrs"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _fail("trace span", exc) from None
 
 

@@ -26,11 +26,12 @@ latency accounting (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from enum import Enum
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.common.errors import ProtocolError, ServerCrashed
 from repro.common.types import ServerId
-from repro.core.tfcommit import ROUND_TIMEOUT_S
+from repro.core.rounds import ROUND_TIMEOUT_S
 from repro.crypto.cosi import CoSiWitness, compute_challenge, cosi_verify
 from repro.crypto.group import decompress_point
 from repro.crypto.keys import KeyPair, PublicKey
@@ -44,6 +45,27 @@ from repro.txn.occ import OccValidator
 from repro.txn.transaction import Transaction
 
 
+class CohortStatus(Enum):
+    """Where an armed round stands on one cohort (DESIGN.md section 10)."""
+
+    VOTED = "voted"  # answered GET_VOTE / PREPARE; the witness nonce is unused
+    CHALLENGED = "challenged"  # answered CHALLENGE: the nonce is spent
+    RELEASED = "released"  # dropped from the table (terminal)
+
+
+#: What a cohort lets its coordinator -- an untrusted peer -- do to a round.
+#: A message asking for anything else is *refused*, never an exception.  A
+#: ``voted`` round may be re-armed (the same coordinator retrying the same
+#: log position); a ``challenged`` one may not, and answers no second
+#: challenge: its nonce already produced a response, and a second response
+#: under another challenge would hand the coordinator this cohort's key.
+COHORT_TRANSITIONS: Dict[CohortStatus, FrozenSet[CohortStatus]] = {
+    CohortStatus.VOTED: frozenset(CohortStatus),
+    CohortStatus.CHALLENGED: frozenset({CohortStatus.RELEASED}),
+    CohortStatus.RELEASED: frozenset(),
+}
+
+
 @dataclass
 class RoundState:
     """Per-block state a cohort keeps between TFCommit phases.
@@ -53,31 +75,26 @@ class RoundState:
     (whose height is assigned later by the ordering service).
 
     The round timer of the view-change protocol lives here: ``deadline`` is
-    armed (virtual clock + :data:`~repro.core.tfcommit.ROUND_TIMEOUT_S`) when
+    armed (virtual clock + :data:`~repro.core.rounds.ROUND_TIMEOUT_S`) when
     the cohort first sees the round's ``GET_VOTE``/``PREPARE`` and refreshed
     on each later phase message.  A round past its deadline whose coordinator
     has been deposed is *stalled*: the cohort hands its block and client
     requests to the view change for re-proposal.
     """
 
-    height: int
     witness: Optional[CoSiWitness]
     involved: bool
     local_decision: BlockDecision
-    reported_root: Optional[bytes] = None
-    block: Optional[Block] = None
-    mht_hashes: int = 0
+    block: Block
     #: Monotone per-cohort registration counter, used to expire abandoned
     #: group rounds (whose placeholder height carries no ordering).
-    generation: int = 0
+    generation: int
     #: Who drove this round (the ``GET_VOTE``/``PREPARE`` envelope's sender).
-    coordinator: Optional[ServerId] = None
-    #: Coordinator view the proposal carried.
-    view: int = 0
-    #: Virtual time after which the round counts as stalled (``None`` when
-    #: the deployment runs without a virtual clock: then deposition alone
-    #: stalls the round).
-    deadline: Optional[float] = None
+    coordinator: Optional[ServerId]
+    #: Virtual time after which the round counts as stalled.
+    deadline: float
+    reported_root: Optional[bytes] = None
+    status: CohortStatus = CohortStatus.VOTED
     #: The signed client requests encapsulated in the proposal, kept so a
     #: successor coordinator can re-verify and re-propose the round.
     client_requests: Tuple = field(default_factory=tuple)
@@ -124,13 +141,19 @@ class CommitmentLayer:
         keypair: KeyPair,
         store: DataStore,
         log: TransactionLog,
+        clock,
+        obs,
         faults: Optional[FaultPolicy] = None,
         on_block_applied=None,
     ) -> None:
+        """``clock`` is the deployment's virtual clock (it arms the round
+        timers), ``obs`` its observability bundle (storage metrics)."""
         self.server_id = server_id
         self._keypair = keypair
         self._store = store
         self._log = log
+        self._clock = clock
+        self._obs = obs
         self._faults = faults or HonestBehavior()
         self._validator = OccValidator(store)
         self._rounds: Dict[tuple, RoundState] = {}
@@ -140,39 +163,31 @@ class CommitmentLayer:
         #: from an older view are refused: a deposed coordinator cannot keep
         #: driving rounds after its group moved on.
         self._group_views: Dict[Optional[Tuple[ServerId, ...]], int] = {}
-        #: Virtual clock of the deployment (if any); arms round deadlines.
-        self._clock = None
-        #: Observability bundle (if any); storage metrics report through it.
-        self._obs = None
         #: Durability hook: called with each block after it is appended and
         #: applied, so the server can persist it to its state store.
         self._on_block_applied = on_block_applied
 
-    def _maybe_crash(self) -> None:
-        """Crash-fault injection point, consulted after each phase observation."""
+    def _enter(self, phase: str, block: Optional[Block] = None) -> Stopwatch:
+        """Every handler's first steps: start its compute timer, tell the
+        fault policy where the protocol is (a phase of ``block``'s round, or
+        of a view change at the log's head), and crash here if it says so."""
+        watch = Stopwatch()
+        if block is not None:
+            self._faults.observe_phase(
+                phase, block.height, tuple(t.txn_id for t in block.transactions)
+            )
+        else:
+            self._faults.observe_phase(phase, self._log.height, ())
         if self._faults.crash_now():
             raise ServerCrashed(f"{self.server_id} crashed (injected fault)")
-
-    def attach_clock(self, clock) -> None:
-        """Thread the deployment's virtual clock in (round timers need it)."""
-        self._clock = clock
-
-    def attach_obs(self, obs) -> None:
-        """Report Merkle-sweep sizes and timings through ``obs``."""
-        self._obs = obs
+        return watch
 
     def _obs_mht(self, hashes: int, seconds: float) -> None:
-        if self._obs is not None and hashes:
+        """Report one Merkle sweep's size and timing."""
+        if hashes:
             self._obs.metrics.counter("storage.mht_hashes", float(hashes))
             self._obs.metrics.observe("storage.mht_sweep_hashes", float(hashes))
             self._obs.metrics.counter("storage.mht_s", seconds)
-
-    def _now(self) -> Optional[float]:
-        return self._clock.now if self._clock is not None else None
-
-    def _arm_deadline(self) -> Optional[float]:
-        now = self._now()
-        return now + ROUND_TIMEOUT_S if now is not None else None
 
     def current_view(self, group: Optional[Tuple[ServerId, ...]]) -> int:
         """The highest view this cohort accepted for ``group``."""
@@ -202,20 +217,107 @@ class CommitmentLayer:
         """Writes from the batch that land on this shard, latest timestamp wins."""
         return block_local_writes(transactions, self._store)
 
-    # -- TFCommit phase 2: <Vote, SchCommitment> ----------------------------------
+    def _validate(self, block: Block) -> Tuple[BlockDecision, str]:
+        """OCC-validate the transactions touching this shard: the local vote."""
+        if not self._faults.skip_validation():
+            for txn in block.transactions:
+                if self._local_items(txn):
+                    outcome = self._validator.validate(txn)
+                    if outcome.abort:
+                        return BlockDecision.ABORT, outcome.reason()
+        return BlockDecision.COMMIT, ""
 
-    def _stale_view_refusal(self, block: Block, watch: Stopwatch) -> Dict[str, object]:
-        """Refusal for a proposal from a view this cohort already moved past."""
+    # -- the round table: one way in, one way out -----------------------------------
+
+    def _refuse_proposal(self, block: Block, watch: Stopwatch) -> Optional[Dict[str, object]]:
+        """The refusal for a ``GET_VOTE``/``PREPARE`` this cohort will not
+        vote on (``None``: it will): the proposal's view is one its group
+        already moved past -- honouring a deposed coordinator would let two
+        coordinators drive rounds concurrently -- or it would re-arm a round
+        whose status forbids that (:data:`COHORT_TRANSITIONS`)."""
+        state = self._rounds.get(block.round_key())
+        if block.view < self.current_view(block.group):
+            reason = (
+                f"proposal view {block.view} is below this cohort's current view "
+                f"{self.current_view(block.group)}"
+            )
+        elif state is not None and CohortStatus.VOTED not in COHORT_TRANSITIONS[state.status]:
+            reason = f"round {block.round_key()} is {state.status.value}: it cannot be re-armed"
+        else:
+            return None
         return {
             "server_id": self.server_id,
             "ok": False,
             "refused": True,
-            "reason": (
-                f"proposal view {block.view} is below this cohort's current view "
-                f"{self.current_view(block.group)}"
-            ),
+            "reason": reason,
             "compute_time": watch.elapsed(),
         }
+
+    def _arm(
+        self,
+        block: Block,
+        witness: Optional[CoSiWitness],
+        involved: bool,
+        decision: BlockDecision,
+        coordinator: Optional[ServerId],
+        client_requests: Tuple,
+        root: Optional[bytes] = None,
+    ) -> None:
+        """Register the round this cohort just voted on and arm its timer."""
+        self._round_generation += 1
+        self._rounds[block.round_key()] = RoundState(
+            witness=witness,
+            involved=involved,
+            local_decision=decision,
+            block=block,
+            generation=self._round_generation,
+            coordinator=coordinator,
+            deadline=self._clock.now + ROUND_TIMEOUT_S,
+            reported_root=root,
+            client_requests=tuple(client_requests),
+        )
+
+    def _release(self, key: tuple) -> Optional[RoundState]:
+        """Drop a round's state -- the one way out of the table, whoever asks:
+        a decision, an ordered block, ``ROUND_FAILED``, expiry, a new view."""
+        state = self._rounds.pop(key, None)
+        if state is not None:
+            state.status = CohortStatus.RELEASED
+        return state
+
+    def pending_round_count(self) -> int:
+        """How many rounds this cohort is currently buffering state for."""
+        return len(self._rounds)
+
+    def _expire_stale_rounds(self) -> None:
+        """Defensive cleanup for rounds a (crashed or malicious) coordinator
+        never terminated: classic rounds below the log height can no longer
+        receive a decision that appends, and any round (group rounds
+        included, whose placeholder height carries no ordering) that is
+        still undecided ``ROUND_STATE_TTL`` registrations later is
+        abandoned."""
+        expiry_generation = self._round_generation - self.ROUND_STATE_TTL
+        stale = [
+            key
+            for key, state in self._rounds.items()
+            if (key[0] == "height" and state.block.height < self._log.height)
+            or state.generation <= expiry_generation
+        ]
+        for key in stale:
+            self._release(key)
+
+    def handle_round_failed(self, round_key: tuple) -> Dict[str, object]:
+        """Release the state of a round its coordinator abandoned.
+
+        Rounds that fail at the challenge phase (refusals, bad co-sign) never
+        receive a decision, so without this notification the cohort's
+        :class:`RoundState` -- witness nonce, speculative root -- would leak
+        forever.
+        """
+        released = self._release(tuple(round_key))
+        return {"server_id": self.server_id, "ok": True, "released": released is not None}
+
+    # -- TFCommit phase 2: <Vote, SchCommitment> ----------------------------------
 
     def handle_get_vote(
         self,
@@ -233,20 +335,14 @@ class CommitmentLayer:
         signature verification: the cohort still co-signs (the abort must be
         signed too) but votes abort.
 
-        A proposal carrying a view below the cohort's current view for its
-        group is refused outright (returns a refusal dict instead of a
-        :class:`VoteResult`): the group already elected a successor, and
-        honouring the deposed coordinator would let two coordinators drive
-        rounds concurrently.
+        A proposal this cohort will not vote on (:meth:`_refuse_proposal`)
+        returns a refusal dict instead of a :class:`VoteResult`.
         """
-        watch = Stopwatch()
-        self._faults.observe_phase(
-            "vote", partial_block.height, tuple(t.txn_id for t in partial_block.transactions)
-        )
-        self._maybe_crash()
+        watch = self._enter("vote", partial_block)
         self._expire_stale_rounds()
-        if partial_block.view < self.current_view(partial_block.group):
-            return self._stale_view_refusal(partial_block, watch)
+        refusal = self._refuse_proposal(partial_block, watch)
+        if refusal is not None:
+            return refusal
         if (
             partial_block.group is None
             and partial_block.height != self._log.height
@@ -266,24 +362,14 @@ class CommitmentLayer:
         commitment = self._faults.corrupt_commitment(witness.commit())
 
         involved = any(self._local_items(txn) for txn in partial_block.transactions)
-        decision = BlockDecision.COMMIT
-        abort_reason = ""
+        decision, abort_reason = BlockDecision.COMMIT, ""
         root: Optional[bytes] = None
         mht_time = 0.0
         mht_hashes = 0
         if force_abort_reason:
-            decision = BlockDecision.ABORT
-            abort_reason = force_abort_reason
+            decision, abort_reason = BlockDecision.ABORT, force_abort_reason
         elif involved:
-            if not self._faults.skip_validation():
-                for txn in partial_block.transactions:
-                    if not self._local_items(txn):
-                        continue
-                    outcome = self._validator.validate(txn)
-                    if outcome.abort:
-                        decision = BlockDecision.ABORT
-                        abort_reason = outcome.reason()
-                        break
+            decision, abort_reason = self._validate(partial_block)
             if decision is BlockDecision.COMMIT:
                 mht_watch = Stopwatch()
                 speculative_root, mht_hashes = self._store.speculative_root(
@@ -293,20 +379,8 @@ class CommitmentLayer:
                 self._obs_mht(mht_hashes, mht_time)
                 root = self._faults.corrupt_root(speculative_root)
 
-        self._round_generation += 1
-        self._rounds[partial_block.round_key()] = RoundState(
-            height=partial_block.height,
-            witness=witness,
-            involved=involved,
-            local_decision=decision,
-            reported_root=root,
-            block=partial_block,
-            mht_hashes=mht_hashes,
-            generation=self._round_generation,
-            coordinator=coordinator,
-            view=partial_block.view,
-            deadline=self._arm_deadline(),
-            client_requests=tuple(client_requests),
+        self._arm(
+            partial_block, witness, involved, decision, coordinator, client_requests, root
         )
         return VoteResult(
             server_id=self.server_id,
@@ -329,6 +403,9 @@ class CommitmentLayer:
 
         A correct cohort refuses to respond (returns ``ok=False``) when:
 
+        * the round is not one it voted on and has not answered yet
+          (:data:`COHORT_TRANSITIONS`: no challenge before the vote, and no
+          second response from a spent nonce);
         * the block's decision is inconsistent with the recorded roots
           (commit must carry a root from every involved server, abort must be
           missing at least one -- Section 4.3.2);
@@ -337,17 +414,8 @@ class CommitmentLayer:
         * the challenge does not equal ``H(X_sch || block)`` for the block it
           actually received (Lemma 5, equivocation detection).
         """
-        watch = Stopwatch()
-        self._faults.observe_phase(
-            "challenge", block.height, tuple(t.txn_id for t in block.transactions)
-        )
-        self._maybe_crash()
+        watch = self._enter("challenge", block)
         state = self._rounds.get(block.round_key())
-        if state is None:
-            raise ProtocolError(f"{self.server_id}: challenge for unknown round {block.round_key()}")
-        state.block = block
-        # The coordinator made progress; give it a fresh round-timer window.
-        state.deadline = self._arm_deadline()
 
         def refusal(reason: str) -> Dict[str, object]:
             return {
@@ -357,6 +425,14 @@ class CommitmentLayer:
                 "response": None,
                 "compute_time": watch.elapsed(),
             }
+
+        if state is None or state.witness is None:
+            return refusal(f"challenge for a round this cohort never voted on: {block.round_key()}")
+        if CohortStatus.CHALLENGED not in COHORT_TRANSITIONS[state.status]:
+            return refusal(f"round {block.round_key()} already answered its challenge")
+        state.block = block
+        # The coordinator made progress; give it a fresh round-timer window.
+        state.deadline = self._clock.now + ROUND_TIMEOUT_S
 
         if not self._faults.collude_on_challenge():
             involved_servers = set(block.roots)
@@ -374,6 +450,7 @@ class CommitmentLayer:
             if expected_challenge != challenge:
                 return refusal("challenge does not correspond to the received block")
 
+        state.status = CohortStatus.CHALLENGED
         response = self._faults.corrupt_response(state.witness.respond(challenge))
         return {
             "server_id": self.server_id,
@@ -383,31 +460,25 @@ class CommitmentLayer:
             "compute_time": watch.elapsed(),
         }
 
-    # -- TFCommit phase 5: <Decision, null> ----------------------------------------
+    # -- TFCommit phase 5: <Decision, null>, and the ordered stream (Section 4.6) ----
 
     def handle_decision(
         self, block: Block, public_keys: Dict[str, PublicKey]
     ) -> Dict[str, object]:
-        """Verify the finalised block's co-sign, log it, and apply its writes."""
-        return self._accept_final_block(block, public_keys)
+        """Verify the finalised block's co-sign, log it, and apply its writes.
 
-    def _accept_final_block(
-        self, block: Block, public_keys: Dict[str, PublicKey]
-    ) -> Dict[str, object]:
-        """The shared terminal path: verify the co-sign, append, apply.
-
-        Used for both the classic phase-5 decision broadcast and the scaled
-        ordered-stream delivery.  A dynamic-group block must be signed by
-        exactly its recorded group regardless of the delivery path --
-        ``cosi_verify`` checks only the signers the signature itself lists,
-        so without this a lone signer could forge "group" blocks.
+        The one terminal path of the classic phase-5 decision broadcast and
+        of the scaled ordered-stream delivery, where every server -- group
+        member or not -- receives the block.  A dynamic-group block must be
+        signed by exactly its recorded group regardless of the delivery path
+        -- ``cosi_verify`` checks only the signers the signature itself
+        lists, so without this a lone signer could forge "group" blocks.
+        Servers that co-signed it release the round state they buffered; a
+        decision for a round this server holds no state for is accepted all
+        the same (``state_known: False``): the co-sign is its authority.
         """
-        watch = Stopwatch()
-        self._faults.observe_phase(
-            "decision", block.height, tuple(t.txn_id for t in block.transactions)
-        )
-        self._maybe_crash()
-        state = self._rounds.pop(block.round_key(), None)
+        watch = self._enter("decision", block)
+        state = self._release(block.round_key())
 
         reason = ""
         if block.cosign is None or not cosi_verify(
@@ -461,57 +532,6 @@ class CommitmentLayer:
             return 0
         return self._store.apply_batch(commits)
 
-    # -- scaled deployment: ordered-stream delivery (Section 4.6) -------------------
-
-    def handle_ordered_block(
-        self, block: Block, public_keys: Dict[str, PublicKey]
-    ) -> Dict[str, object]:
-        """Apply one block of the ordering service's global stream.
-
-        Every server -- group member or not -- receives the stream; it checks
-        the group's collective signature (over the group body digest, which
-        the ordering service's re-chaining left untouched), verifies that the
-        signer set is exactly the recorded group, appends the block to the
-        global chain, and applies the writes landing on its shard.  Group
-        members additionally release the round state they buffered while
-        co-signing the block.
-        """
-        return self._accept_final_block(block, public_keys)
-
-    # -- round-state hygiene ---------------------------------------------------------
-
-    def handle_round_failed(self, round_key: tuple) -> Dict[str, object]:
-        """Release the state of a round its coordinator abandoned.
-
-        Rounds that fail at the challenge phase (refusals, bad co-sign) never
-        receive a decision, so without this notification the cohort's
-        :class:`RoundState` -- witness nonce, speculative root -- would leak
-        forever.
-        """
-        released = self._rounds.pop(tuple(round_key), None)
-        return {"server_id": self.server_id, "ok": True, "released": released is not None}
-
-    def _expire_stale_rounds(self) -> None:
-        """Defensive cleanup for rounds a (crashed or malicious) coordinator
-        never terminated: classic rounds below the log height can no longer
-        receive a decision that appends, and any round (group rounds
-        included, whose placeholder height carries no ordering) that is
-        still undecided ``ROUND_STATE_TTL`` registrations later is
-        abandoned."""
-        expiry_generation = self._round_generation - self.ROUND_STATE_TTL
-        stale = [
-            key
-            for key, state in self._rounds.items()
-            if (key[0] == "height" and state.height < self._log.height)
-            or state.generation <= expiry_generation
-        ]
-        for key in stale:
-            del self._rounds[key]
-
-    def pending_round_count(self) -> int:
-        """How many rounds this cohort is currently buffering state for."""
-        return len(self._rounds)
-
     # -- coordinator failover (view change) --------------------------------------------
 
     def _stalled_rounds(
@@ -519,28 +539,20 @@ class CommitmentLayer:
     ) -> List[RoundState]:
         """Armed rounds the deposed coordinator drove and then went silent on.
 
-        A round is stalled once its timer expired (or immediately, without a
-        virtual clock to time against): the cohort voted, buffered state, and
-        no decision or explicit ROUND_FAILED ever arrived.  ``group=None``
-        matches every round the deposed coordinator drove, whatever its
-        group: in the scaled deployment one coordinator leads many dynamic
-        groups, and a single view change deposes it from all of them.
+        A round is stalled once its timer expired: the cohort voted, buffered
+        state, and no decision or explicit ROUND_FAILED ever arrived.
+        ``group=None`` matches every round the deposed coordinator drove,
+        whatever its group: in the scaled deployment one coordinator leads
+        many dynamic groups, and a single view change deposes it from all of
+        them.
         """
-        key = tuple(group) if group is not None else None
-        now = self._now()
-        stalled = []
-        for state in self._rounds.values():
-            block = state.block
-            if block is None or state.coordinator != deposed:
-                continue
-            if group is not None:
-                block_key = tuple(block.group) if block.group is not None else None
-                if block_key != key:
-                    continue
-            if state.deadline is not None and now is not None and now < state.deadline:
-                continue
-            stalled.append(state)
-        return stalled
+        return [
+            state
+            for state in self._rounds.values()
+            if state.coordinator == deposed
+            and (group is None or state.block.group == tuple(group))
+            and self._clock.now >= state.deadline
+        ]
 
     def handle_view_change(
         self,
@@ -560,9 +572,7 @@ class CommitmentLayer:
         # which must not be a prerequisite of the server package.
         from repro.core.viewchange import FrontierCertificate
 
-        watch = Stopwatch()
-        self._faults.observe_phase("view-change", self._log.height, ())
-        self._maybe_crash()
+        watch = self._enter("view-change")
         head = self._log.last_block()
         certificate = FrontierCertificate(
             server_id=self.server_id,
@@ -600,9 +610,7 @@ class CommitmentLayer:
         the successor re-proposes the stalled ones under fresh round keys, so
         the old entries can never receive a legitimate decision again.
         """
-        watch = Stopwatch()
-        self._faults.observe_phase("new-view", self._log.height, ())
-        self._maybe_crash()
+        watch = self._enter("new-view")
         key = tuple(group) if group is not None else None
         #: Every group key the announcement fences.  The named group always;
         #: plus, when deposing across all groups (``group=None``), the group
@@ -611,19 +619,15 @@ class CommitmentLayer:
         #: deposed coordinator's zombies (below it) are refused.
         bumped = {key}
         dropped = 0
-        for round_key in list(self._rounds):
-            state = self._rounds[round_key]
-            if state.coordinator != deposed or state.view >= new_view:
-                continue
+        for round_key, state in list(self._rounds.items()):
             block = state.block
-            if block is not None and block.group is not None:
-                block_key = tuple(block.group)
-                if group is not None and block_key != key:
-                    continue
-                bumped.add(block_key)
-            elif group is not None and block is not None:
+            if state.coordinator != deposed or block.view >= new_view:
                 continue
-            del self._rounds[round_key]
+            if group is not None and block.group != key:
+                continue
+            if block.group is not None:
+                bumped.add(block.group)
+            self._release(round_key)
             dropped += 1
         for bumped_key in bumped:
             self._group_views[bumped_key] = max(
@@ -652,39 +656,14 @@ class CommitmentLayer:
         change must collect (the paper's baseline enjoys the same liveness
         fix, keeping the comparison apples-to-apples).
         """
-        watch = Stopwatch()
-        self._faults.observe_phase(
-            "vote", block.height, tuple(t.txn_id for t in block.transactions)
-        )
-        self._maybe_crash()
+        watch = self._enter("vote", block)
         self._expire_stale_rounds()
-        if block.view < self.current_view(block.group):
-            return self._stale_view_refusal(block, watch)
-        decision = BlockDecision.COMMIT
-        reason = ""
+        refusal = self._refuse_proposal(block, watch)
+        if refusal is not None:
+            return refusal
         involved = any(self._local_items(txn) for txn in block.transactions)
-        if involved and not self._faults.skip_validation():
-            for txn in block.transactions:
-                if not self._local_items(txn):
-                    continue
-                outcome = self._validator.validate(txn)
-                if outcome.abort:
-                    decision = BlockDecision.ABORT
-                    reason = outcome.reason()
-                    break
-        self._round_generation += 1
-        self._rounds[block.round_key()] = RoundState(
-            height=block.height,
-            witness=None,
-            involved=involved,
-            local_decision=decision,
-            block=block,
-            generation=self._round_generation,
-            coordinator=coordinator,
-            view=block.view,
-            deadline=self._arm_deadline(),
-            client_requests=tuple(client_requests),
-        )
+        decision, reason = self._validate(block) if involved else (BlockDecision.COMMIT, "")
+        self._arm(block, None, involved, decision, coordinator, client_requests)
         return {
             "server_id": self.server_id,
             "involved": involved,
@@ -695,12 +674,8 @@ class CommitmentLayer:
 
     def handle_2pc_decision(self, block: Block) -> Dict[str, object]:
         """2PC decision: append the (unsigned) block and apply writes if commit."""
-        watch = Stopwatch()
-        self._faults.observe_phase(
-            "decision", block.height, tuple(t.txn_id for t in block.transactions)
-        )
-        self._maybe_crash()
-        self._rounds.pop(block.round_key(), None)
+        watch = self._enter("decision", block)
+        self._release(block.round_key())
         self._log.append(block, verify_link=False)
         if block.is_commit:
             self._apply_block(block)

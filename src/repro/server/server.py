@@ -52,28 +52,26 @@ class DatabaseServer:
         server_id: ServerId,
         keypair: KeyPair,
         items: Mapping[str, Value],
+        clock,
+        obs,
         multi_versioned: bool = True,
         faults: Optional[FaultPolicy] = None,
         state_store: Optional[StateStore] = None,
     ) -> None:
         self.server_id = server_id
         self.keypair = keypair
-        faults = faults or HonestBehavior()
+        #: The deployment's virtual clock and observability bundle: like the
+        #: keys they are configuration, so they survive crashes and are
+        #: handed to whatever layers and fault policy are active.
+        self._clock = clock
+        self._obs = obs
         #: Durable state (WAL or its in-memory simulation).  Every server has
         #: one -- crash/recovery is part of the deployment model, not an
         #: optional extra -- and it survives :meth:`crash` untouched.
         self.state_store = state_store or MemoryStateStore()
         self.store = DataStore(items, multi_versioned=multi_versioned)
         self.log = TransactionLog()
-        self.execution = ExecutionLayer(self.store, faults)
-        self.commitment = CommitmentLayer(
-            server_id,
-            keypair,
-            self.store,
-            self.log,
-            faults,
-            on_block_applied=self._persist_block,
-        )
+        self._build_layers(faults or HonestBehavior())
         self.state_store.initialize(server_id, self.store.export_state())
         #: Latest collectively signed checkpoint this server's log was
         #: truncated under (None until one is installed).
@@ -84,14 +82,6 @@ class DatabaseServer:
         self.epoch_anchors: List = []
         self.crashed = False
         self._network: Optional[Network] = None
-        #: Virtual clock of the deployment's simulation context (if any);
-        #: survives crashes (it is configuration, like the keys) and is
-        #: re-attached to whatever fault policy is active so time-based
-        #: triggers fire on the event timeline.
-        self._sim_clock = None
-        #: Observability bundle (if any); like the clock, it survives
-        #: crashes and is re-attached to the rebuilt layers on recovery.
-        self._obs = None
         #: Coordinator role (TFCommit or 2PC) if this server is the designated
         #: coordinator; set via :meth:`set_coordinator_role`.
         self.coordinator_role = None
@@ -109,27 +99,31 @@ class DatabaseServer:
             raise ProtocolError(f"server {self.server_id} is not attached to a network")
         return self._network
 
-    @property
-    def faults(self) -> FaultPolicy:
-        return self.commitment.faults
-
-    def attach_sim_clock(self, clock) -> None:
-        """Thread the deployment's virtual clock into the fault hooks and
-        the commitment layer's round timers."""
-        self._sim_clock = clock
-        self.faults.attach_clock(clock)
-        self.commitment.attach_clock(clock)
-
-    def attach_obs(self, obs) -> None:
-        """Thread the deployment's observability bundle into both layers
-        (re-attached across crash/recovery, like the virtual clock)."""
-        self._obs = obs
-        self.faults.attach_obs(obs)
-        self.commitment.attach_obs(obs)
+    def _build_layers(self, faults: FaultPolicy) -> None:
+        """The volatile half of the server -- both layers over the current
+        store and log, under ``faults`` -- at deployment and after a crash."""
+        self.execution = ExecutionLayer(self.store, faults)
+        self.commitment = CommitmentLayer(
+            self.server_id,
+            self.keypair,
+            self.store,
+            self.log,
+            self._clock,
+            self._obs,
+            faults,
+            on_block_applied=self._persist_block,
+        )
+        self.set_faults(faults)
 
     def set_faults(self, faults: FaultPolicy) -> None:
-        """Swap in a (possibly malicious) behaviour policy for both layers."""
-        faults.attach_clock(self._sim_clock)
+        """Swap in a (possibly malicious) behaviour policy for both layers.
+
+        The policy is configuration, not volatile state: a faulty machine
+        that reboots is still the same (possibly faulty) machine.  Time-based
+        triggers fire on the deployment's clock, injections report to its obs.
+        """
+        self.faults = faults
+        faults.attach_clock(self._clock)
         faults.attach_obs(self._obs)
         self.execution.set_faults(faults)
         self.commitment.set_faults(faults)
@@ -141,8 +135,7 @@ class DatabaseServer:
     def _persist_block(self, block) -> None:
         """Durability hook: record each applied block + resulting shard root."""
         self.state_store.record_block(block, self.store.merkle_root())
-        if self._obs is not None:
-            self._obs.metrics.counter("recovery.wal_appends")
+        self._obs.metrics.counter("recovery.wal_appends")
 
     # -- crash / recovery life-cycle -------------------------------------------
 
@@ -159,9 +152,6 @@ class DatabaseServer:
             return
         if self._network is not None:
             self._network.unregister(self.server_id)
-        # The behaviour policy is configuration, not volatile state: a faulty
-        # machine that reboots is still the same (possibly faulty) machine.
-        self._faults_across_crash = self.commitment.faults
         self.crashed = True
         self.store = None
         self.log = None
@@ -187,25 +177,11 @@ class DatabaseServer:
         self.store = store
         self.log = log
         self.latest_checkpoint = checkpoint
-        faults = getattr(self, "_faults_across_crash", None) or HonestBehavior()
-        faults.attach_clock(self._sim_clock)
-        self.execution = ExecutionLayer(self.store, faults)
-        self.commitment = CommitmentLayer(
-            self.server_id,
-            self.keypair,
-            self.store,
-            self.log,
-            faults,
-            on_block_applied=self._persist_block,
+        self._build_layers(self.faults)
+        self._obs.metrics.counter("recovery.recoveries")
+        self._obs.metrics.observe(
+            "recovery.replayed_blocks", float(result.replayed_blocks + result.fetched_blocks)
         )
-        self.commitment.attach_clock(self._sim_clock)
-        if self._obs is not None:
-            self.attach_obs(self._obs)
-            self._obs.metrics.counter("recovery.recoveries")
-            self._obs.metrics.observe(
-                "recovery.replayed_blocks",
-                float(result.replayed_blocks + result.fetched_blocks),
-            )
         self.crashed = False
         self.attach(self._network, rejoin=True)
         return result
@@ -345,14 +321,9 @@ class DatabaseServer:
     # -- scaled deployment: ordered-stream delivery (Section 4.6) -------------------------
 
     def _on_ordered_block(self, envelope: Envelope):
-        """Apply one globally ordered block delivered by the ordering service."""
-        block = envelope.payload["block"]
-        response = self.commitment.handle_ordered_block(
-            block, self.network.public_key_directory()
-        )
-        if response.get("ok"):
-            self.execution.finish_many(txn.txn_id for txn in block.transactions)
-        return response
+        """Apply one globally ordered block delivered by the ordering
+        service: the terminal path of a phase-5 decision, for every server."""
+        return self._on_decision(envelope)
 
     def _on_epoch_anchor(self, envelope: Envelope):
         """Record one sealed ordering-epoch anchor (DESIGN.md §5).

@@ -305,10 +305,10 @@ class PipelinedRoundScheduler:
         read_items: FrozenSet[str] = frozenset(),
         write_items: FrozenSet[str] = frozenset(),
         phase: str = "order",
-        status: str = "committed",
         resources: Sequence[str] = (ORDSERV_RESOURCE,),
     ) -> Tuple[float, float]:
-        """Close an ordered delivery and record the cross-group frontier."""
+        """Close an ordered delivery and record the cross-group frontier (the
+        publishing round's block, ``task``, is the caller's to end)."""
         if not resources:
             resources = (ORDSERV_RESOURCE,)
         end = start + max(0.0, duration)
@@ -325,7 +325,6 @@ class PipelinedRoundScheduler:
             task.delivery_resources = tuple(resources)
             task.phases[phase] = (start, end)
             task.ready_at = end
-            self.end_block(task, status=status)
         return start, end
 
     def delivery_frontier(

@@ -149,77 +149,6 @@ class TestFlowTotality:
         assert [f.path for f in findings] == ["core/broken.py"]
 
 
-class TestRoundStateLeaks:
-    def test_leaking_early_return_is_flagged(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            from repro.net.message import MessageType
-
-            class Coordinator:
-                def commit(self, batch):
-                    votes = self.network.broadcast("c", MessageType.GET_VOTE, {})
-                    if not votes:
-                        return None  # leaks: armed cohorts never hear back
-                    self.network.broadcast("c", MessageType.DECISION, {})
-                    return votes
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "round-state-leak")
-        assert [f.path for f in findings] == ["core/coord.py"]
-        assert "GET_VOTE" in findings[0].message
-        assert findings[0].trace, "a leak finding must carry its path trace"
-
-    def test_release_on_every_path_is_clean(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            from repro.net.message import MessageType
-
-            class Coordinator:
-                def commit(self, batch):
-                    votes = self.network.broadcast("c", MessageType.GET_VOTE, {})
-                    if not votes:
-                        self._fail()
-                        return None
-                    self.network.broadcast("c", MessageType.DECISION, {})
-                    return votes
-
-                def _fail(self):
-                    self.network.broadcast("c", MessageType.ROUND_FAILED, {})
-            """
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "round-state-leak") == []
-
-    def test_exception_edge_leak_is_flagged(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            from repro.net.message import MessageType
-
-            class Coordinator:
-                def commit(self, batch):
-                    votes = self.network.broadcast("c", MessageType.GET_VOTE, {})
-                    if self.tally(votes) is None:
-                        raise RuntimeError("bad tally escapes before any release")
-                    self.network.broadcast("c", MessageType.DECISION, {})
-                    return votes
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "round-state-leak")
-        assert findings and "raise" in findings[0].message
-
-    def test_protocol_invariant_panic_is_an_allowed_exit(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            from repro.common.errors import ProtocolInvariantError
-            from repro.net.message import MessageType
-
-            class Coordinator:
-                def commit(self, batch):
-                    votes = self.network.broadcast("c", MessageType.GET_VOTE, {})
-                    if self.tally(votes) is None:
-                        raise ProtocolInvariantError("deliberate panic")
-                    self.network.broadcast("c", MessageType.DECISION, {})
-                    return votes
-            """
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "round-state-leak") == []
-
-
 class TestExceptionEffects:
     def test_broad_except_flagged_in_protocol_package(self, tmp_path):
         files = base_files()

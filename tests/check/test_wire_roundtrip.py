@@ -18,7 +18,7 @@ from repro.check.static import default_root
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup
-from repro.core.tfcommit import TxnOutcome
+from repro.core.rounds import TxnOutcome
 from repro.core.viewchange import FrontierCertificate
 from repro.crypto.cosi import CollectiveSignature
 from repro.crypto.merkle import VerificationObject
@@ -195,3 +195,35 @@ def test_optional_fields_round_trip_as_none():
     assert WIRE_DECODERS["Block"](block.to_wire()) == block
     outcome = TxnOutcome(txn_id="t9", status="aborted")
     assert WIRE_DECODERS["TxnOutcome"](outcome.to_wire()) == outcome
+
+
+@pytest.mark.parametrize(
+    "class_name, path, hostile",
+    [
+        # Bytes group members used to decode, then raise AttributeError from
+        # Block._group_body_parts once anyone hashed the block.
+        ("Block", ("body", "group"), [b"s0", b"s1"]),
+        ("Block", ("body", "roots"), {b"s0": b"\x01" * 32}),
+        ("Block", ("body", "height"), "4"),
+        # An unhashable item id used to surface as TypeError in items_accessed().
+        ("Transaction", ("read_set", 0, "item_id"), ["x1"]),
+        ("Transaction", ("write_set", 0, "item_id"), {"x": 1}),
+        ("Transaction", ("txn_id",), 7),
+        ("Transaction", ("client_id",), b"c1"),
+        ("Transaction", ("commit_ts",), "5c"),
+        ("ReadOp", ("item_id",), ["x1"]),
+        ("CollectiveSignature", ("signers",), "s0"),
+        # A scalar that does not fit its 32-byte encoding used to decode, then
+        # raise OverflowError from block_hash().
+        ("CollectiveSignature", ("challenge",), -1),
+        ("CollectiveSignature", ("response",), 1 << 256),
+    ],
+)
+def test_identifiers_and_integers_are_checked_not_coerced(class_name, path, hostile):
+    wire = BUILDERS[class_name]().to_wire()
+    node = wire
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = hostile
+    with pytest.raises(ValidationError):
+        WIRE_DECODERS[class_name](wire)

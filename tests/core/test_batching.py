@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.timestamps import Timestamp
-from repro.core.tfcommit import BatchBuilder
+from repro.core.rounds import BatchBuilder
 from repro.common.errors import ProtocolError
 from repro.net.message import Envelope, MessageType
 from repro.txn.transaction import Transaction, WriteSetEntry

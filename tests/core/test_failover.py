@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.core.tfcommit import ROUND_TIMEOUT_S
+from repro.core.rounds import ROUND_TIMEOUT_S
 from repro.core.viewchange import (
     already_committed,
     elect_successor,
@@ -79,6 +79,29 @@ class TestClassicFailover:
         _assert_no_round_state(small_system)
         report = small_system.audit()
         assert report.ok, report.summary()
+
+    def test_a_lying_cohorts_malformed_certificate_is_discarded_not_fatal(self, small_system):
+        """One cohort answers VIEW_CHANGE with a head block whose group
+        members are bytes, not server ids.  Strict decoding rejects it at the
+        boundary (it used to decode, then blow up with ``AttributeError``
+        while hashing, aborting the successor's whole view change), so the
+        liar lands in ``rejected_certificates`` and the view change completes."""
+        items = small_system.shard_map.items_of("s1")
+        assert small_system.run_transaction([WriteOp(items[0], 1)]).committed
+        _strand_round(small_system, items[1])
+        liar = small_system.server("s2").commitment
+        honest_answer = liar.handle_view_change
+
+        def lying_answer(**solicitation):
+            response = honest_answer(**solicitation)
+            response["certificate"]["head"]["body"]["group"] = [b"s0", b"s1"]
+            return response
+
+        liar.handle_view_change = lying_answer
+        outcome = small_system.fail_over()
+        assert outcome.rejected_certificates == ["s2"]
+        assert sorted(outcome.certificates) == ["s1"]
+        assert outcome.frontier_height == 1 and len(outcome.stalled_rounds) == 1
 
     def test_cluster_commits_under_the_successor(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]

@@ -307,13 +307,10 @@ class TestDecisionPathGroupDefense:
 
         victim = system.server("s1")
         public_keys = system.network.public_key_directory()
-        for handler in (
-            victim.commitment.handle_decision,
-            victim.commitment.handle_ordered_block,
-        ):
-            response = handler(forged, public_keys)
-            assert not response["ok"]
-            assert "signer set" in response["reason"]
+        # DECISION and ORDERED_BLOCK both end in this one terminal path.
+        response = victim.commitment.handle_decision(forged, public_keys)
+        assert not response["ok"]
+        assert "signer set" in response["reason"]
         assert len(victim.log) == 0
         assert victim.store.read(item).value == 0
 

@@ -50,26 +50,26 @@ class TestTwoPhaseCommit:
 
 class TestEmptyCohortGuards:
     def test_broadcast_phase_with_empty_cohort_list_costs_zero(self, twopc_system):
-        """Regression: the three ``max()`` calls in ``_broadcast_phase`` need
+        """Regression: the three ``max()`` calls in ``timed_broadcast`` need
         ``default=0.0`` guards (ported from TFCommit in PR 1) -- an empty
         cohort list used to raise ``ValueError: max() arg is an empty
         sequence``."""
-        from repro.core.tfcommit import TimingBreakdown
-        from repro.core.twopc import TwoPhaseCommitCoordinator
+        from repro.core.rounds import TimingBreakdown, timed_broadcast
         from repro.ledger.block import make_partial_block
         from repro.net.message import MessageType
 
-        coordinator = TwoPhaseCommitCoordinator(
-            server=twopc_system.server("s0"),
-            network=twopc_system.network,
-            server_ids=[],
-            sim=twopc_system.sim,
-            txns_per_block=1,
-        )
         timing = TimingBreakdown()
         block = make_partial_block(0, [], b"\x00" * 32)
-        responses = coordinator._broadcast_phase(
-            "prepare", MessageType.PREPARE, {"block": block}, timing
+        responses = timed_broadcast(
+            twopc_system.network,
+            twopc_system.latency,
+            "s0",
+            [],
+            MessageType.PREPARE,
+            {"block": block},
+            timing,
+            "prepare",
+            sim=twopc_system.sim,
         )
         assert responses == {}
         assert timing.phases["prepare"] == 0.0

@@ -12,11 +12,13 @@ from repro.crypto.cosi import (
     aggregate_scalars,
     compute_challenge,
 )
-from repro.crypto.group import decompress_point
+from repro.crypto.group import CURVE_ORDER, decompress_point, generator_multiply
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, genesis_previous_hash, make_partial_block
 from repro.ledger.log import TransactionLog
+from repro.obs import Observability
 from repro.server.commitment import CommitmentLayer
+from repro.sim.clock import VirtualClock
 from repro.storage.datastore import DataStore
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
@@ -28,7 +30,12 @@ def make_cohorts():
     for server_id in SERVER_IDS:
         store = DataStore({f"{server_id}-item": 0})
         cohorts[server_id] = CommitmentLayer(
-            server_id, keypair_for(server_id, seed=5), store, TransactionLog()
+            server_id,
+            keypair_for(server_id, seed=5),
+            store,
+            TransactionLog(),
+            VirtualClock(),
+            Observability(),
         )
     return cohorts
 
@@ -113,8 +120,9 @@ class TestChallengePhase:
         cohorts = make_cohorts()
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         decided = block.with_decision(BlockDecision.COMMIT, {})
-        with pytest.raises(ProtocolError):
-            cohorts["s0"].handle_challenge(1, b"\x00", decided)
+        response = cohorts["s0"].handle_challenge(1, b"\x00", decided)
+        assert not response["ok"] and response["response"] is None
+        assert "never voted" in response["reason"]
 
     def test_cohort_detects_fake_root(self):
         # Scenario 2: the coordinator records a wrong root for a benign server.
@@ -157,6 +165,75 @@ class TestChallengePhase:
         assert not response["ok"]
 
 
+def _challenged():
+    cohorts = make_cohorts()
+    block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+    _, decided, challenge, responses = run_phases(cohorts, block)
+    assert all(resp["ok"] for resp in responses.values())
+    return cohorts, block, decided, challenge, responses
+
+
+def test_second_challenge_in_a_round_is_refused():
+    """The witness nonce is a deterministic function of the round, so a
+    second response under a *different* challenge (another aggregate
+    commitment; it passes the ``H(X || block)`` check) hands the
+    coordinator this cohort's secret key: ``x = (r1 - r2) / (c2 - c1)``."""
+    cohorts, _, decided, challenge, responses = _challenged()
+    other_aggregate = generator_multiply(12345)
+    second_challenge = compute_challenge(other_aggregate, decided.body_digest())
+    assert second_challenge != challenge
+    second = cohorts["s0"].handle_challenge(
+        second_challenge, other_aggregate.encode(), decided
+    )
+    if second["ok"]:
+        leaked = (
+            (responses["s0"]["response"] - second["response"])
+            * pow(second_challenge - challenge, -1, CURVE_ORDER)
+            % CURVE_ORDER
+        )
+        assert leaked == keypair_for("s0", seed=5).secret_scalar
+        pytest.fail("two responses from one nonce: the coordinator recovered s0's key")
+    assert second["response"] is None and "already answered" in second["reason"]
+    assert cohorts["s0"].pending_round_count() == 1
+
+
+class TestCohortLifecycle:
+    """One test per message a round's status makes illegal
+    (``COHORT_TRANSITIONS``): each is refused -- never an exception, the
+    sender is an untrusted coordinator -- and leaves the round as it was."""
+
+    @pytest.mark.parametrize("rearm", ["handle_get_vote", "handle_prepare"])
+    def test_a_challenged_round_cannot_be_rearmed(self, rearm):
+        cohorts, block, _, _, _ = _challenged()
+        answer = getattr(cohorts["s0"], rearm)(block)
+        assert isinstance(answer, dict) and answer["ok"] is False and answer["refused"]
+        assert "cannot be re-armed" in answer["reason"]
+
+    def test_a_voted_round_can_be_rearmed(self):
+        # The same coordinator retrying the same log position (it failed the
+        # round without reaching this cohort) must not wedge the cohort.
+        cohorts = make_cohorts()
+        block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+        first = cohorts["s0"].handle_get_vote(block)
+        again = cohorts["s0"].handle_get_vote(block)
+        assert again.commitment == first.commitment
+        assert cohorts["s0"].pending_round_count() == 1
+
+    def test_a_round_armed_by_prepare_answers_no_challenge(self):
+        cohorts = make_cohorts()
+        block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+        cohorts["s0"].handle_prepare(block)
+        response = cohorts["s0"].handle_challenge(1, b"\x00", block)
+        assert not response["ok"] and "never voted" in response["reason"]
+
+    def test_round_failed_releases_whatever_the_status(self):
+        cohorts, block, _, _, _ = _challenged()
+        assert cohorts["s0"].handle_round_failed(block.round_key())["released"]
+        assert cohorts["s0"].pending_round_count() == 0
+        # ... and an unknown round is nothing to release, not an error.
+        assert not cohorts["s0"].handle_round_failed(block.round_key())["released"]
+
+
 class TestDecisionPhase:
     def _finalise(self, cohorts, block):
         votes, decided, challenge, responses = run_phases(cohorts, block)
@@ -178,6 +255,18 @@ class TestDecisionPhase:
             assert len(layer.log) == 1
         assert cohorts["s0"].store.read("s0-item").value == 42
         assert cohorts["s1"].store.read("s1-item").value == 0
+
+    def test_decision_for_an_unknown_round_is_accepted_on_its_cosign(self):
+        # A server that holds no state for the round (it was down, or is not
+        # a member of the block's group) still applies a co-signed decision.
+        cohorts = make_cohorts()
+        public_keys = {sid: keypair_for(sid, seed=5).public for sid in SERVER_IDS}
+        block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+        final = self._finalise(cohorts, block)
+        cohorts["s1"].handle_round_failed(block.round_key())
+        result = cohorts["s1"].handle_decision(final, public_keys)
+        assert result["ok"] and result["state_known"] is False
+        assert cohorts["s0"].handle_decision(final, public_keys)["state_known"] is True
 
     def test_decision_with_invalid_cosign_rejected(self):
         cohorts = make_cohorts()

@@ -10,13 +10,17 @@ from repro.crypto.merkle import verify_inclusion
 from repro.net.latency import ConstantLatency
 from repro.net.message import MessageType
 from repro.net.network import Network
+from repro.obs import Observability
 from repro.server.server import DatabaseServer
+from repro.sim.clock import VirtualClock
 
 
 @pytest.fixture
 def wired_server():
     network = Network(latency=ConstantLatency(0.0001))
-    server = DatabaseServer("s0", keypair_for("s0"), {"a": 1, "b": 2})
+    server = DatabaseServer(
+        "s0", keypair_for("s0"), {"a": 1, "b": 2}, VirtualClock(), Observability()
+    )
     server.attach(network)
     network.register_observer("c0", keypair_for("c0"))
     return network, server
