@@ -45,14 +45,23 @@ from repro.api import (
     single_sequencer,
 )
 from repro.common.errors import AuditError
+from repro.faultsim import FaultPlan
+from repro.faultsim.policy import PlannedFaultPolicy
 from repro.net.latency import lan_latency
 from repro.obs import Observability
-from repro.server.faults import BadCosiFault, CrashFault, FakeRootFault, HonestBehavior
 from repro.sim.context import FixedCompute
 from repro.txn.operations import WriteOp
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
 
 SEED = 2020
+
+#: The one-shot crash every fault row uses: the first ``vote`` observation.
+AT_VOTE = {"kind": "phase", "phases": ["vote"]}
+
+
+def _inject(system, server_id: str, *plans: FaultPlan) -> None:
+    """``server_id`` runs ``plans`` from now on (none: it is honest again)."""
+    system.inject_fault(server_id, PlannedFaultPolicy(plans))
 
 
 def _config(num_servers: int) -> SystemConfig:
@@ -119,7 +128,7 @@ def _strand_and_fail_over(system) -> None:
     (a partial batch left in its queue) and is then deposed."""
     leader, peer = system.config.server_ids[:2]
     mine, theirs = system.shard_map.items_of(leader), system.shard_map.items_of(peer)
-    system.inject_fault(leader, CrashFault(phase="vote"))
+    _inject(system, leader, FaultPlan("crash", leader, AT_VOTE))
     for index in range(system.config.txns_per_block):
         system.run_transaction([WriteOp(mine[index], index), WriteOp(theirs[index], index)])
     assert leader in system.crashed_servers()
@@ -129,15 +138,16 @@ def _strand_and_fail_over(system) -> None:
     assert outcome.stalled_rounds
 
 
-def _fail_one_round(system, server_id, fault, expect) -> dict:
-    """Between the two workloads: ``server_id`` misbehaves for exactly one
+def _fail_one_round(system, plan, expect) -> dict:
+    """Between the two workloads: ``plan.target`` misbehaves for exactly one
     round, which fails the way ``expect`` (a predicate over its
     :class:`BlockCommitResult`) says; the server is then healed (recovered
     if it crashed) so the second workload runs on an honest cluster.
     Returns every server's ``pending_round_count()`` right after it."""
     leader, peer = system.config.server_ids[:2]
     mine, theirs = system.shard_map.items_of(leader), system.shard_map.items_of(peer)
-    system.inject_fault(server_id, fault)
+    server_id = plan.target
+    _inject(system, server_id, plan)
     for index in range(system.config.txns_per_block):
         system.run_transaction([WriteOp(mine[index], index), WriteOp(theirs[index], index)])
     result = system.coordinator.results[-1]
@@ -145,7 +155,7 @@ def _fail_one_round(system, server_id, fault, expect) -> dict:
     if server_id in system.crashed_servers():
         system.recover_server(server_id)
     else:
-        system.inject_fault(server_id, HonestBehavior())
+        _inject(system, server_id)
     return {
         server_id: server.commitment.pending_round_count()
         for server_id, server in system.servers.items()
@@ -153,22 +163,19 @@ def _fail_one_round(system, server_id, fault, expect) -> dict:
 
 
 #: Scenarios that run :func:`_fail_one_round` before the second workload:
-#: ``name -> (faulty server, its policy, what the failed result must show)``.
+#: ``name -> (the fault plan, what the failed result must show)``.
 FAILED_ROUNDS = {
     "classic-tfcommit-cohort-crash-fails": lambda: (
-        "s2",
-        CrashFault(phase="vote"),
+        FaultPlan("crash", "s2", AT_VOTE),
         lambda result: [r["server_id"] for r in result.refusals if r.get("unreachable")]
         == ["s2"],
     ),
     "classic-tfcommit-fake-root-fails": lambda: (
-        "s0",
-        FakeRootFault(victim="s1"),
+        FaultPlan("fake-root", "s0", params={"victim": "s1"}),
         lambda result: any("different root" in r["reason"] for r in result.refusals),
     ),
     "classic-tfcommit-bad-cosi-fails": lambda: (
-        "s2",
-        BadCosiFault(corrupt_resp=True),
+        FaultPlan("corrupt-response", "s2"),
         lambda result: result.culprits == ["s2"],
     ),
 }
@@ -320,7 +327,9 @@ GOLDEN = {'classic-2pc': {'anchors': '',
               'trace': '2f503f75f28507f1c3c16ad8af76f6653671097d79a3cf20b792f0ceb83187d0'}}
 
 
-#: The failover rows, recorded at PR 12 (before the two system classes merged).
+#: The failover rows, recorded at PR 12 (before the two system classes merged);
+#: ``trace`` re-recorded at PR 16, when the file's faults became plans (the plan
+#: executor emits an ``inject:<kind>`` instant the legacy classes never did).
 GOLDEN.update(
 {'classic-2pc-failover': {'anchors': '',
                           'audit': 'AuditError',
@@ -328,33 +337,33 @@ GOLDEN.update(
                           'makespan': '0.1',
                           'messages': 316.0,
                           'stream': '7214e7cd408c89464a8f5e5786a474e373da7bda0628cb8d1a87b8dd6099b5c1',
-                          'trace': 'ba3c471c87dcad42cae243a76d0317ebdace67e3788c4601961d530106b3194c'},
+                          'trace': '1a6d60718cef3016577e0a16d6b63688147b780837d4a64e8a13e92b3d9bcb78'},
  'classic-tfcommit-failover': {'anchors': '',
                                'audit': True,
                                'bytes': 401071.0,
                                'makespan': '0.15542289124187453',
                                'messages': 366.0,
                                'stream': '23f9666e33671a21eb45784187bac3857c6620afe2331009d1b6d1de08c50eb7',
-                               'trace': 'a744aae75ff55cbb38cac5c3c0362601375cd07ac4250ebb0fd67526a90cdfa1'},
+                               'trace': '6da0c48125a4edfe898fcd256e102c59aa6933d23db12234854cf557d703b545'},
  'sharded-4-failover': {'anchors': 'cee66a81258f3b8e1be8dcf83944563c01278e500adfe10c44a8468988fb8f7e',
                         'audit': True,
                         'bytes': 434949.0,
                         'makespan': '0.12025131312818842',
                         'messages': 496.0,
                         'stream': 'd8b0234cbc5e97a6a4fb865ca55d670abb48a15d39eeffe452c92e2a54d98db1',
-                        'trace': '27b98d371da9c4a15305dfa9b2f106882c63a9d6a026e4aefbe1716b9113623a'},
+                        'trace': '20b8178779b6802ccc0bf6a169e497198cd63c934fa6ec8aac7d1ac15f66b426'},
  'single-0-failover': {'anchors': '',
                        'audit': True,
                        'bytes': 396677.0,
                        'makespan': '0.12194220730371404',
                        'messages': 408.0,
                        'stream': '4eb3b790057e614ab9704f5e37d45d84b1f02031668d6edd64fde3e21aeb6e57',
-                       'trace': '26725f33fcd83389547955d775a42a8cee7302c5de0f6947d1e5e7527f84174b'}}
+                       'trace': '1b75c83fb472bfed582e0e98401b5ea59e0b6e4b9fa7420f140265094655946b'}}
 )
 
 
 #: The failure-exit rows, recorded at PR 14 (before the round became one
-#: object with a declared lifecycle).
+#: object with a declared lifecycle); ``trace`` re-recorded at PR 16, as above.
 GOLDEN.update(
 {'classic-tfcommit-bad-cosi-fails': {'anchors': '',
                                      'audit': True,
@@ -363,7 +372,7 @@ GOLDEN.update(
                                      'messages': 343.0,
                                      'pending': {'s0': 0, 's1': 0, 's2': 0, 's3': 0},
                                      'stream': '35fca0482aab61d818639edd67ec0b849b74568a0126fc1b024178db5ed94ef9',
-                                     'trace': '81044fd44d9765f2213f8e4e3239da57eb324aede50be0ab78550e3ab296f370'},
+                                     'trace': '3156528512de25c31a8436cd18e45f10ffc53a2bf4d671fcc18f99747b8e60fb'},
  'classic-tfcommit-cohort-crash-fails': {'anchors': '',
                                          'audit': True,
                                          'bytes': 367575.0,
@@ -371,7 +380,7 @@ GOLDEN.update(
                                          'messages': 341.0,
                                          'pending': {'s0': 0, 's1': 0, 's2': 0, 's3': 0},
                                          'stream': '35fca0482aab61d818639edd67ec0b849b74568a0126fc1b024178db5ed94ef9',
-                                         'trace': 'f8c134345b429796c9139fa7e2db781d605df33686d02fe6f537bd3f112487e9'},
+                                         'trace': 'a0b14d7399b715984dd90b6aa0270a14afedd2751dc1c844d7e12e39cdfe7b48'},
  'classic-tfcommit-fake-root-fails': {'anchors': '',
                                       'audit': True,
                                       'bytes': 372630.0,
@@ -379,7 +388,7 @@ GOLDEN.update(
                                       'messages': 343.0,
                                       'pending': {'s0': 0, 's1': 0, 's2': 0, 's3': 0},
                                       'stream': '35fca0482aab61d818639edd67ec0b849b74568a0126fc1b024178db5ed94ef9',
-                                      'trace': '2ff5c88dda43623dce57aff64e9545debab0a789254020dd37c9511e28e577f6'}}
+                                      'trace': '5d1e6b25c2e8bd412afee1d56cead875e1ecf2e65abd6a6d53254b83ba26e0ac'}}
 )
 
 
