@@ -20,8 +20,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import FidesSystem, SystemConfig
-from repro.server.faults import StaleReadFault
+from repro.api import FaultPlan, FidesSystem, SystemConfig
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -49,7 +48,9 @@ def main() -> None:
     print(f"T1: {outcome.status} in block {outcome.block_height}")
 
     print("\n== server s1 turns malicious: replays the stale $1000 balance ==")
-    system.inject_fault("s1", StaleReadFault(target_item=account_x, wrong_value=1000))
+    system.inject_fault(
+        "s1", [FaultPlan("read-corruption", "s1", params={"item": account_x, "value": 1000})]
+    )
 
     print("== T2: another withdrawal, fooled by the stale read ==")
     client = system.client(1)

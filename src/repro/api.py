@@ -15,6 +15,9 @@ keep moving without breaking users:
   :class:`OrderingShardMap`, sealing :class:`EpochAnchor` chains) -- the
   factories ``ScaledFidesSystem(sequencer=...)`` accepts.  The finalized
   stream is a list of :class:`OrderedBlock`.
+- **Fault injection**: ``system.inject_fault(server_id, plans)`` takes
+  :class:`FaultPlan` rows -- which fault, which server, when (a trigger
+  spec), with what parameters; an empty list makes the server honest again.
 - **Experiments**: :func:`run` executes one :class:`ExperimentConfig` point
   and returns an :class:`ExperimentResult`; ``config.deployment`` picks the
   deployment.  It is the only runner: a comparison is two ``run`` calls.
@@ -53,6 +56,7 @@ from repro.core.sequencing import (
     single_sequencer,
 )
 from repro.ledger.anchor import EpochAnchor
+from repro.server.faults import FaultPlan
 
 __all__ = [
     "AuditReport",
@@ -60,6 +64,7 @@ __all__ = [
     "EpochAnchor",
     "ExperimentConfig",
     "ExperimentResult",
+    "FaultPlan",
     "FidesSystem",
     "OrderedBlock",
     "OrderingService",

@@ -27,11 +27,10 @@ from repro.bench.harness import (
 from repro.common.config import SystemConfig
 from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
 from repro.core.scaled import ScaledFidesSystem, build_system
-from repro.faultsim.plan import FaultPlan
-from repro.faultsim.policy import PlannedFaultPolicy
 from repro.net.latency import ConstantLatency, lan_latency, wan_latency
 from repro.obs.timing import Stopwatch
 from repro.recovery import FileStateStore
+from repro.server.faults import FaultPlan
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
 
 
@@ -666,15 +665,13 @@ def failover(
             # the surviving cohorts.
             system.inject_fault(
                 target,
-                PlannedFaultPolicy(
-                    [
-                        FaultPlan(
-                            fault="coordinator-crash",
-                            target=target,
-                            trigger={"kind": "phase", "phases": ["vote"]},
-                        )
-                    ]
-                ),
+                [
+                    FaultPlan(
+                        fault="coordinator-crash",
+                        target=target,
+                        trigger={"kind": "phase", "phases": ["vote"]},
+                    )
+                ],
             )
             stall_result = system.run_workload(
                 workload.generate(stall), num_clients=num_clients

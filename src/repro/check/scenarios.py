@@ -8,11 +8,12 @@ library evaluates.  All nondeterminism flows through :mod:`repro.check.choices`:
 - delivery/processing order (``net-order`` / ``loop-order`` features, wired
   into :func:`repro.core.rounds.timed_broadcast`, ``Network.broadcast``,
   and the event loop's same-time tie-break);
-- crash injection (:class:`ChoiceCrashPolicy`: every vote/decision phase
-  observation of every server is a binary crash branch, one crash per run);
-- Byzantine coordinator actions (:class:`ChoiceByzantinePolicy`: per round
-  the coordinator picks honest / drop a victim's root / fake a victim's
-  root / equivocate, and the victim itself is a choice);
+- fault injection: ordinary :class:`~repro.server.faults.FaultPlan` rows
+  under the ``choice`` trigger (:func:`explored`), sharing one
+  :class:`~repro.server.triggers.ChoiceBudget` so a run takes at most one
+  fault -- a crash at any vote/decision phase observation of any server
+  (:func:`explored_crash`), or a coordinator that drops or fakes a victim's
+  root or equivocates (:func:`explored_byzantine_coordinator`);
 - ordering-service release order (``ordserv-pick`` feature inside
   ``OrderingService._pick_next``).
 
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional
 
-from repro.check.choices import choose
 from repro.check.invariants import RunRecord
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
 from repro.core.sequencing import sharded_sequencer, single_sequencer
-from repro.server.faults import FaultPolicy
+from repro.server.faults import FaultPlan
+from repro.server.triggers import ChoiceBudget
 from repro.sim.context import FixedCompute
 from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.ycsb import TransactionSpec
@@ -49,91 +50,37 @@ def tiny_config(num_servers: int = 3, seed: int = 2020) -> SystemConfig:
     )
 
 
-class _CrashBudget:
-    """Shared between per-server crash policies: at most one crash per run."""
+def explored(fault: str, target: str, budget: ChoiceBudget, phases=(), **params) -> FaultPlan:
+    """``fault`` on ``target`` as a branch of the explored tree.
 
-    def __init__(self, crashes: int = 1) -> None:
-        self.remaining = crashes
-
-
-class ChoiceCrashPolicy(FaultPolicy):
-    """Every vote/decision phase observation is a binary crash branch."""
-
-    name = "choice-crash"
-
-    def __init__(self, server_id: str, budget: _CrashBudget) -> None:
-        self._server_id = server_id
-        self._budget = budget
-        self._fired = False
-
-    def crash_now(self) -> bool:
-        if self._fired or self._budget.remaining <= 0:
-            return False
-        ctx = self.context
-        if ctx.phase not in ("vote", "decision"):
-            return False
-        pick = choose(
-            f"fault/crash/{self._server_id}/{ctx.phase}@{ctx.block_height}",
-            2,
-            0,
-            feature="faults",
-        )
-        if pick == 1:
-            self._fired = True
-            self._budget.remaining -= 1
-            return True
-        return False
-
-
-class ChoiceByzantinePolicy(FaultPolicy):
-    """Coordinator-side Byzantine actions as an enumerable per-round choice.
-
-    At each round's ``coordinate`` observation the policy picks one of:
-    honest, drop a victim's root from the block, record a fake root for a
-    victim (Scenario 2), or equivocate commit/abort (Figure 8).  A victim,
-    where applicable, is itself a choice among the other cohorts.  One
-    non-honest action per run keeps the branch factor bounded.
+    Every consultation of the plan's hook (in ``phases`` only, if given) is
+    a binary fire / don't-fire choice while ``budget`` lasts -- any kind in
+    :data:`~repro.server.faults.FAULT_KINDS` is explorable this way.  The
+    choice site is labelled ``fault/<kind>/<target>[/<param>...]``.
     """
+    site = "/".join(["fault", fault, target, *(str(value) for value in params.values())])
+    trigger: dict = {"kind": "choice", "site": site, "budget": budget}
+    if phases:
+        trigger = {"kind": "all", "of": [{"kind": "phase", "phases": phases}, trigger]}
+    return FaultPlan(fault, target, trigger, params)
 
-    name = "choice-byzantine"
 
-    ACTION_HONEST, ACTION_DROP_ROOT, ACTION_FAKE_ROOT, ACTION_EQUIVOCATE = range(4)
+def explored_crash(server_id: str, budget: ChoiceBudget) -> List[FaultPlan]:
+    """Every vote/decision phase observation of ``server_id`` is a crash branch."""
+    return [explored("crash", server_id, budget, phases=("vote", "decision"))]
 
-    def __init__(self, victims: List[str]) -> None:
-        self._victims = list(victims)
-        self._latched = False
-        self._action = self.ACTION_HONEST
-        self._victim: Optional[str] = None
-        #: True once any non-honest action ran (the scenario then counts
-        #: this server as Byzantine for the invariant quantifications).
-        self.acted = False
 
-    def observe_phase(self, phase, block_height=None, txn_ids=()) -> None:
-        super().observe_phase(phase, block_height, txn_ids)
-        if phase != "coordinate":
-            return
-        if self._latched:
-            self._action = self.ACTION_HONEST
-            return
-        self._action = choose("fault/byzantine-action", 4, 0, feature="faults")
-        if self._action in (self.ACTION_DROP_ROOT, self.ACTION_FAKE_ROOT) and self._victims:
-            pick = choose("fault/byzantine-victim", len(self._victims), 0, feature="faults")
-            self._victim = self._victims[pick]
-        if self._action != self.ACTION_HONEST:
-            self._latched = True
-            self.acted = True
-
-    def fake_root_for(self, server_id, root):
-        if server_id != self._victim or root is None:
-            return root
-        if self._action == self.ACTION_DROP_ROOT:
-            return None
-        if self._action == self.ACTION_FAKE_ROOT:
-            return b"\x00" * 32
-        return root
-
-    def equivocate(self) -> bool:
-        return self._action == self.ACTION_EQUIVOCATE
+def explored_byzantine_coordinator(
+    coordinator: str, victims: List[str], budget: ChoiceBudget
+) -> List[FaultPlan]:
+    """Per round the coordinator may drop or fake a victim's root, or
+    equivocate commit/abort (Figure 8): each a binary branch where its hook
+    is consulted."""
+    return [
+        explored(fault, coordinator, budget, victim=victim)
+        for fault in ("drop-root", "fake-root")
+        for victim in victims
+    ] + [explored("equivocate", coordinator, budget)]
 
 
 class Scenario:
@@ -173,9 +120,9 @@ class ClassicCrashScenario(Scenario):
 
     def run(self) -> RunRecord:
         system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
-        budget = _CrashBudget(crashes=1)
-        for server_id, server in system.servers.items():
-            server.set_faults(ChoiceCrashPolicy(server_id, budget))
+        budget = ChoiceBudget(1)
+        for server_id in system.servers:
+            system.inject_fault(server_id, explored_crash(server_id, budget))
         items: Dict[str, List[str]] = {
             server_id: sorted(system.shard_map.items_of(server_id))
             for server_id in system.config.server_ids
@@ -217,18 +164,15 @@ class ViewChangeScenario(Scenario):
     name = "view-change"
     features = frozenset({"faults", "net-order", "view-change"})
 
-    MODE_CRASH, MODE_BYZANTINE = range(2)
-
     def run(self) -> RunRecord:
         system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
         s0, s1, s2 = system.config.server_ids
-        mode = choose("view-change/coordinator-fault", 2, 0, feature="faults")
-        byzantine_policy: Optional[ChoiceByzantinePolicy] = None
-        if mode == self.MODE_CRASH:
-            system.servers[s0].set_faults(ChoiceCrashPolicy(s0, _CrashBudget(crashes=1)))
-        else:
-            byzantine_policy = ChoiceByzantinePolicy(victims=[s1, s2])
-            system.servers[s0].set_faults(byzantine_policy)
+        # One fault per run, whichever the explorer takes first.
+        budget = ChoiceBudget(1)
+        system.inject_fault(
+            s0,
+            explored_crash(s0, budget) + explored_byzantine_coordinator(s0, [s1, s2], budget),
+        )
         items = {
             server_id: sorted(system.shard_map.items_of(server_id))
             for server_id in system.config.server_ids
@@ -252,17 +196,13 @@ class ViewChangeScenario(Scenario):
         for server_id in system.crashed_servers():
             system.recover_server(server_id)
         system.sim.drain()
-        byzantine = (
-            frozenset({s0})
-            if byzantine_policy is not None and byzantine_policy.acted
-            else frozenset()
-        )
+        fired = set(system.servers[s0].faults.fired_heights)
         return RunRecord(
             system=system,
             slices=slices,
-            byzantine=byzantine,
+            byzantine=frozenset({s0}) if fired - {"crash"} else frozenset(),
             notes={
-                "mode": "crash" if mode == self.MODE_CRASH else "byzantine",
+                "fault": sorted(fired),
                 "successor": outcome.successor,
                 "new_view": outcome.new_view,
                 "reproposed": len(outcome.stalled_rounds),
@@ -284,8 +224,7 @@ class ClassicByzantineScenario(Scenario):
     def run(self) -> RunRecord:
         system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
         s0, s1, s2 = system.config.server_ids
-        policy = ChoiceByzantinePolicy(victims=[s1, s2])
-        system.servers[s0].set_faults(policy)
+        system.inject_fault(s0, explored_byzantine_coordinator(s0, [s1, s2], ChoiceBudget(1)))
         items = {
             server_id: sorted(system.shard_map.items_of(server_id))
             for server_id in system.config.server_ids
@@ -299,7 +238,7 @@ class ClassicByzantineScenario(Scenario):
             )
         ]
         system.sim.drain()
-        byzantine = frozenset({s0}) if policy.acted else frozenset()
+        byzantine = frozenset({s0}) if system.servers[s0].faults.fired() else frozenset()
         return RunRecord(system=system, slices=slices, byzantine=byzantine)
 
 

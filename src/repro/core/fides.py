@@ -38,7 +38,7 @@ from repro.ledger.log import TransactionLog
 from repro.net.latency import LatencyModel, lan_latency
 from repro.net.network import Network
 from repro.recovery.manager import RecoveryResult
-from repro.server.faults import FaultPolicy
+from repro.server.faults import FaultPlan
 from repro.server.server import DatabaseServer
 from repro.sim.context import ComputeModel, SimContext
 from repro.storage.shard import build_uniform_partition
@@ -543,9 +543,9 @@ class FidesSystem:
 
     # -- fault injection and audits ---------------------------------------------------------
 
-    def inject_fault(self, server_id: ServerId, policy: FaultPolicy) -> None:
-        """Make ``server_id`` behave according to ``policy`` from now on."""
-        self.servers[server_id].set_faults(policy)
+    def inject_fault(self, server_id: ServerId, plans: Sequence[FaultPlan]) -> None:
+        """Make ``server_id`` misbehave as ``plans`` say from now on (none: honestly)."""
+        self.servers[server_id].set_faults(plans)
 
     def collect_logs(self) -> Dict[ServerId, TransactionLog]:
         """Gather (copies of) every server's log, as the auditor would."""

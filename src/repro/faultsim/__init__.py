@@ -1,10 +1,12 @@
-"""Declarative fault campaigns: plans, triggers, policies, and the runner.
+"""Declarative fault campaigns: scenarios, the matrix, and the runner.
 
 The paper's central claim is *detection*: any malicious server behaviour is
 caught by the external auditor (Lemmas 1-7) or by the TFCommit round itself.
 This package turns that guarantee into a measurable, sweepable artifact --
 see DESIGN.md ("Fault model & campaign engine") and
-``python -m repro.bench faultmatrix``.
+``python -m repro.bench faultmatrix``.  The fault vocabulary itself
+(:class:`~repro.server.faults.FaultPlan`, its kinds and triggers) lives with
+the server that executes it, in :mod:`repro.server.faults`.
 """
 
 from repro.faultsim.campaign import (
@@ -14,41 +16,17 @@ from repro.faultsim.campaign import (
     run_campaign,
 )
 from repro.faultsim.plan import (
-    FAULT_KINDS,
     RESERVED_ITEM,
     CampaignScenario,
-    FaultPlan,
     build_fault_matrix,
-)
-from repro.faultsim.policy import PlannedFaultPolicy
-from repro.faultsim.triggers import (
-    AfterCallsTrigger,
-    AtHeightTrigger,
-    AtTimeTrigger,
-    PhaseTrigger,
-    ProbabilisticTrigger,
-    Trigger,
-    TxnPredicateTrigger,
-    trigger_from_spec,
 )
 
 __all__ = [
-    "AfterCallsTrigger",
-    "AtHeightTrigger",
-    "AtTimeTrigger",
     "CampaignConfig",
     "CampaignRunner",
     "CampaignScenario",
     "DetectionResult",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "PhaseTrigger",
-    "PlannedFaultPolicy",
-    "ProbabilisticTrigger",
     "RESERVED_ITEM",
-    "Trigger",
-    "TxnPredicateTrigger",
     "build_fault_matrix",
     "run_campaign",
-    "trigger_from_spec",
 ]

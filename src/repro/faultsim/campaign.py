@@ -4,8 +4,8 @@ A campaign takes declarative :class:`~repro.faultsim.plan.CampaignScenario`
 rows, and for each one:
 
 1. builds a fresh :class:`~repro.core.fides.FidesSystem`;
-2. injects a :class:`~repro.faultsim.policy.PlannedFaultPolicy` per
-   misbehaving server;
+2. injects each misbehaving server's
+   :class:`~repro.server.faults.FaultPlan` rows;
 3. drives the multi-client background workload through
    ``FidesSystem.run_workload`` (the PR-1 engine), then the scenario's
    *probe* -- a short scripted transaction sequence on a reserved item that
@@ -33,14 +33,9 @@ from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import build_system
 from repro.core.sequencing import sharded_sequencer
-from repro.faultsim.plan import (
-    RESERVED_ITEM,
-    CampaignScenario,
-    FaultPlan,
-    build_fault_matrix,
-)
-from repro.faultsim.policy import PlannedFaultPolicy
+from repro.faultsim.plan import RESERVED_ITEM, CampaignScenario, build_fault_matrix
 from repro.net.latency import ConstantLatency
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.ycsb import YcsbWorkload
 
@@ -278,19 +273,16 @@ class CampaignRunner:
     def run_scenario(self, scenario: CampaignScenario) -> DetectionResult:
         system = self.build_system(scenario.deployment)
         reserved = self.reserved_items(system)
-        policies: Dict[str, PlannedFaultPolicy] = {}
         by_target: Dict[str, List[FaultPlan]] = {}
-        # Anchor faults target the ordering service, which has no
-        # FaultPolicy hooks; the runner applies them after the workload.
+        # Anchor faults target the ordering service, which has no fault
+        # hooks; the runner applies them after the workload.
         anchor_plans = [p for p in scenario.plans if p.fault == "anchor-tamper"]
         for plan in scenario.plans:
             if plan.fault == "anchor-tamper":
                 continue
             by_target.setdefault(plan.target, []).append(self._resolve(plan, reserved))
         for target, plans in by_target.items():
-            policy = PlannedFaultPolicy(plans)
-            policies[target] = policy
-            system.inject_fault(target, policy)
+            system.inject_fault(target, plans)
 
         workload_result = system.run_workload(
             self.workload_specs(system), num_clients=self.config.num_clients
@@ -330,7 +322,7 @@ class CampaignRunner:
             failed=workload_result.failed,
             report=report,
         )
-        heights = [p.first_fired_height() for p in policies.values()]
+        heights = [system.servers[target].faults.first_fired_height() for target in by_target]
         heights = [h for h in heights if h is not None]
         result.fault_height = min(heights) if heights else None
 

@@ -1,13 +1,8 @@
-"""Declarative fault plans and the campaign matrix.
+"""Campaign scenarios and the fault x trigger matrix.
 
-A :class:`FaultPlan` says *which* server misbehaves, *which* fault (one entry
-per :class:`~repro.server.faults.FaultPolicy` hook), and *when* (a trigger
-spec, see :mod:`repro.faultsim.triggers`).  Plans are plain data -- every
-field JSON-serialisable -- so campaigns can be written down, diffed, and
-swept.
-
-A :class:`CampaignScenario` composes one or more plans (multi-server
-collusion needs two) with the probe that surfaces the fault and the
+A :class:`CampaignScenario` composes one or more
+:class:`~repro.server.faults.FaultPlan` rows (multi-server collusion needs
+two) with the probe that surfaces the fault and the
 *expectation*: the :class:`~repro.audit.violations.ViolationType` the auditor
 must report (or ``None`` for faults the TFCommit round itself must catch)
 and the culprit attribution the detection must pin.
@@ -19,108 +14,17 @@ detection-matrix test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.audit.violations import ViolationType
 from repro.common.errors import ConfigurationError
+from repro.server.faults import FaultPlan
 
 #: Placeholder resolved by the campaign runner to the target server's
 #: reserved probe item (the first item of its shard, excluded from the
 #: background workload so probes stay deterministic).
 RESERVED_ITEM = "$reserved"
-
-#: Fault kinds, one per FaultPolicy hook.  ``scope`` says which role the
-#: target server must play; ``detected_by`` is where the paper's guarantees
-#: catch the misbehaviour ("audit" for the offline auditor, "protocol" for
-#: the TFCommit round itself).
-FAULT_KINDS: Dict[str, Dict[str, object]] = {
-    # -- execution layer ------------------------------------------------------
-    "read-corruption": {"hook": "corrupt_read_value", "scope": "cohort", "detected_by": "audit"},
-    # drop-write acts at apply time (the server co-signs the correct root,
-    # then never persists the write); the buffered-drop hook is inert for
-    # committed state, so the plan drives only filter_applied_writes.
-    "drop-write": {"hook": "filter_applied_writes", "scope": "cohort", "detected_by": "audit"},
-    # -- commitment layer -----------------------------------------------------
-    "skip-validation": {"hook": "skip_validation", "scope": "cohort", "detected_by": "audit"},
-    "corrupt-commitment": {"hook": "corrupt_commitment", "scope": "cohort", "detected_by": "protocol"},
-    "corrupt-response": {"hook": "corrupt_response", "scope": "cohort", "detected_by": "protocol"},
-    "corrupt-root": {"hook": "corrupt_root", "scope": "cohort", "detected_by": "audit"},
-    "collude": {"hook": "collude_on_challenge", "scope": "cohort", "detected_by": "audit"},
-    # -- datastore ------------------------------------------------------------
-    "post-commit-corruption": {"hook": "post_commit_corruption", "scope": "cohort", "detected_by": "audit"},
-    # -- coordinator ----------------------------------------------------------
-    "equivocate": {"hook": "equivocate", "scope": "coordinator", "detected_by": "protocol"},
-    "fake-root": {"hook": "fake_root_for", "scope": "coordinator", "detected_by": "protocol"},
-    "drop-root": {"hook": "fake_root_for", "scope": "coordinator", "detected_by": "audit"},
-    # A coordinator crash stalls every round it was driving: cohorts keep
-    # their armed round state (no ROUND_FAILED can arrive -- the sender is
-    # dead) until a view change deposes it and the elected successor
-    # re-proposes from the certified commit frontier.
-    "coordinator-crash": {"hook": "crash_now", "scope": "coordinator", "detected_by": "liveness"},
-    # An equivocating coordinator the cluster *deposes*: detection is the
-    # cohorts' challenge refusals (protocol), recovery is the view change
-    # electing an honest successor that commits where the liar could not.
-    "byzantine-coordinator": {"hook": "equivocate", "scope": "coordinator", "detected_by": "protocol"},
-    # -- ordering service ------------------------------------------------------
-    # A misbehaving sharded ordering service publishing an epoch anchor that
-    # does not match the per-shard chains of the blocks it delivered.  Not a
-    # server-side FaultPolicy hook: the campaign runner doctors the service's
-    # anchor chain directly after the workload (DESIGN.md section 5).
-    "anchor-tamper": {"hook": "tamper_anchor", "scope": "ordserv", "detected_by": "audit"},
-    # -- log ------------------------------------------------------------------
-    "log-tamper": {"hook": "tamper_log", "scope": "log", "detected_by": "audit"},
-    "log-truncate": {"hook": "tamper_log", "scope": "log", "detected_by": "audit"},
-    "fork-decision": {"hook": "tamper_log", "scope": "log", "detected_by": "audit"},
-    "forge-cosign": {"hook": "tamper_log", "scope": "log", "detected_by": "audit"},
-    # -- crash / recovery (liveness axis) --------------------------------------
-    # A crash is a *liveness* event: it is detected by the TFCommit round
-    # failing (the cohort became unreachable) and must never be attributed as
-    # a protocol violation by the auditor.
-    "crash": {"hook": "crash_now", "scope": "cohort", "detected_by": "liveness"},
-    # A malicious peer serving doctored catch-up blocks to a recovering
-    # server; detection is the recovering server *rejecting* the response.
-    "tamper-catchup": {"hook": "tamper_state_response", "scope": "peer", "detected_by": "recovery"},
-}
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """One server's declared misbehaviour: which fault, where, and when."""
-
-    fault: str
-    target: str
-    trigger: Mapping = field(default_factory=dict)
-    params: Mapping = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.fault not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.fault!r}; known: {sorted(FAULT_KINDS)}"
-            )
-        object.__setattr__(self, "trigger", dict(self.trigger))
-        object.__setattr__(self, "params", dict(self.params))
-
-    @property
-    def hook(self) -> str:
-        return str(FAULT_KINDS[self.fault]["hook"])
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "fault": self.fault,
-            "target": self.target,
-            "trigger": dict(self.trigger),
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FaultPlan":
-        return cls(
-            fault=data["fault"],
-            target=data["target"],
-            trigger=data.get("trigger", {}),
-            params=data.get("params", {}),
-        )
 
 
 @dataclass(frozen=True)

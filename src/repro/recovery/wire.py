@@ -60,9 +60,32 @@ def _scalar(value, what: str) -> int:
     return value
 
 
+def _opt(value, kind, what: str):
+    """``value``, if it is ``None`` or a ``kind``."""
+    return None if value is None else _is(value, kind, what)
+
+
+def _list(values, what: str):
+    return _is(values, (list, tuple), what)
+
+
 def _ids(values, what: str) -> tuple:
     """A list of string identifiers (server ids, signer ids)."""
-    return tuple(_is(value, str, what) for value in _is(values, (list, tuple), what))
+    return tuple(_is(value, str, what) for value in _list(values, what))
+
+
+def _id_set(values, what: str) -> tuple:
+    """A set of identifiers in its one wire form: sorted, without repeats
+    (any other order would decode to the same set but not re-encode to the
+    bytes it came from)."""
+    members = _ids(values, what)
+    if list(members) != sorted(set(members)):
+        raise ValidationError(f"{what} must be sorted and free of repeats")
+    return members
+
+
+#: Durations and virtual times: either number type, kept as it arrived.
+_NUMBER = (int, float)
 
 
 def _roots(roots, what: str) -> dict:
@@ -102,7 +125,7 @@ def write_entry_from_wire(data: Mapping) -> WriteSetEntry:
             old_value=data["old_value"],
             rts=timestamp_from_wire(data["rts"]),
             wts=timestamp_from_wire(data["wts"]),
-            blind=bool(data["blind"]),
+            blind=_is(data["blind"], bool, "blind flag"),
         )
     except _MALFORMED as exc:
         raise _fail("write-set entry", exc) from None
@@ -114,8 +137,12 @@ def transaction_from_wire(data: Mapping) -> Transaction:
             txn_id=_is(data["txn_id"], str, "txn id"),
             client_id=_is(data["client_id"], str, "client id"),
             commit_ts=timestamp_from_wire(data["commit_ts"]),
-            read_set=tuple(read_entry_from_wire(entry) for entry in data["read_set"]),
-            write_set=tuple(write_entry_from_wire(entry) for entry in data["write_set"]),
+            read_set=tuple(
+                read_entry_from_wire(entry) for entry in _list(data["read_set"], "read set")
+            ),
+            write_set=tuple(
+                write_entry_from_wire(entry) for entry in _list(data["write_set"], "write set")
+            ),
         )
     except _MALFORMED as exc:
         raise _fail("transaction", exc) from None
@@ -142,14 +169,13 @@ def block_from_wire(data: Mapping) -> Block:
         return Block(
             height=_is(body["height"], int, "block height"),
             transactions=tuple(
-                transaction_from_wire(txn)
-                for txn in _is(body["transactions"], (list, tuple), "block transactions")
+                transaction_from_wire(txn) for txn in _list(body["transactions"], "transactions")
             ),
             roots=_roots(body["roots"], "block roots"),
             decision=BlockDecision(body["decision"]),
             previous_hash=_is(body["previous_hash"], bytes, "block previous_hash"),
             cosign=cosign_from_wire(data["cosign"]),
-            group=_ids(group, "block group") if group is not None else None,
+            group=_id_set(group, "block group") if group is not None else None,
             view=_is(body["view"], int, "block view"),
         )
     except _MALFORMED as exc:
@@ -184,15 +210,12 @@ def envelope_from_wire(data: Mapping) -> "Envelope":
 
     try:
         content = data["content"]
-        signature = data["signature"]
-        if signature is not None and not isinstance(signature, bytes):
-            raise ValidationError("envelope signature must be bytes or None")
         return Envelope(
-            sender=str(content["sender"]),
-            recipient=str(content["recipient"]),
+            sender=_is(content["sender"], str, "sender"),
+            recipient=_is(content["recipient"], str, "recipient"),
             message_type=MessageType(content["type"]),
             payload=content["payload"],
-            signature=signature,
+            signature=_opt(data["signature"], bytes, "envelope signature"),
         )
     except _MALFORMED as exc:
         raise _fail("envelope", exc) from None
@@ -217,21 +240,16 @@ def vote_result_from_wire(data: Mapping) -> "VoteResult":
     from repro.server.commitment import VoteResult
 
     try:
-        root = data["root"]
-        if root is not None and not isinstance(root, bytes):
-            raise ValidationError("vote result root must be bytes or None")
-        if not isinstance(data["commitment"], bytes):
-            raise ValidationError("vote result commitment must be bytes")
         return VoteResult(
-            server_id=str(data["server_id"]),
-            involved=bool(data["involved"]),
-            decision=str(data["decision"]),
-            commitment=data["commitment"],
-            root=root,
-            compute_time=float(data["compute_time"]),
-            mht_time=float(data["mht_time"]),
-            mht_hashes=int(data["mht_hashes"]),
-            abort_reason=str(data["abort_reason"]),
+            server_id=_is(data["server_id"], str, "server id"),
+            involved=_is(data["involved"], bool, "involved flag"),
+            decision=_is(data["decision"], str, "decision"),
+            commitment=_is(data["commitment"], bytes, "commitment"),
+            root=_opt(data["root"], bytes, "vote result root"),
+            compute_time=_is(data["compute_time"], _NUMBER, "compute time"),
+            mht_time=_is(data["mht_time"], _NUMBER, "mht time"),
+            mht_hashes=_is(data["mht_hashes"], int, "mht hashes"),
+            abort_reason=_is(data["abort_reason"], str, "abort reason"),
         )
     except _MALFORMED as exc:
         raise _fail("vote result", exc) from None
@@ -241,14 +259,12 @@ def verification_object_from_wire(data: Mapping) -> VerificationObject:
     """Inverse of :meth:`VerificationObject.to_wire`."""
     try:
         siblings = []
-        for entry in data["siblings"]:
-            sibling, is_left = entry
-            if not isinstance(sibling, bytes):
-                raise ValidationError("verification object siblings must be bytes")
-            siblings.append((sibling, bool(is_left)))
+        for entry in _list(data["siblings"], "siblings"):
+            sibling, is_left = _list(entry, "sibling entry")
+            siblings.append((_is(sibling, bytes, "sibling"), _is(is_left, bool, "sibling side")))
         return VerificationObject(
             item_id=_is(data["item_id"], str, "item id"),
-            leaf_index=int(data["leaf_index"]),
+            leaf_index=_is(data["leaf_index"], int, "leaf index"),
             siblings=tuple(siblings),
         )
     except _MALFORMED as exc:
@@ -283,18 +299,18 @@ def read_result_from_wire(data: Mapping) -> ReadResult:
 def epoch_anchor_from_wire(data: Mapping) -> EpochAnchor:
     """Inverse of :meth:`EpochAnchor.to_wire`."""
     try:
-        heads = data["shard_heads"]
-        if not all(isinstance(head, bytes) for head in heads):
-            raise ValidationError("anchor shard_heads must be bytes")
-        if not isinstance(data["previous"], bytes):
-            raise ValidationError("anchor previous must be bytes")
         return EpochAnchor(
-            epoch=int(data["epoch"]),
-            start_height=int(data["start_height"]),
-            end_height=int(data["end_height"]),
-            shard_heights=tuple(int(height) for height in data["shard_heights"]),
-            shard_heads=tuple(heads),
-            previous=data["previous"],
+            epoch=_is(data["epoch"], int, "epoch"),
+            start_height=_is(data["start_height"], int, "start height"),
+            end_height=_is(data["end_height"], int, "end height"),
+            shard_heights=tuple(
+                _is(height, int, "shard height")
+                for height in _list(data["shard_heights"], "shard heights")
+            ),
+            shard_heads=tuple(
+                _is(head, bytes, "shard head") for head in _list(data["shard_heads"], "shard heads")
+            ),
+            previous=_is(data["previous"], bytes, "anchor previous"),
         )
     except _MALFORMED as exc:
         raise _fail("epoch anchor", exc) from None
@@ -307,8 +323,8 @@ def server_group_from_wire(data: Mapping) -> "ServerGroup":
 
     try:
         return ServerGroup(
-            members=frozenset(str(member) for member in data["members"]),
-            coordinator=str(data["coordinator"]),
+            members=frozenset(_id_set(data["members"], "group members")),
+            coordinator=_is(data["coordinator"], str, "group coordinator"),
         )
     except _MALFORMED as exc:
         raise _fail("server group", exc) from None
@@ -325,16 +341,12 @@ def frontier_certificate_from_wire(data: Mapping) -> "FrontierCertificate":
     from repro.core.viewchange import FrontierCertificate
 
     try:
-        if not isinstance(data["head_hash"], bytes):
-            raise ValidationError("frontier certificate head_hash must be bytes")
-        head = data["head"]
-        if head is not None and not isinstance(head, Mapping):
-            raise ValidationError("frontier certificate head must be a mapping or None")
+        head = _opt(data["head"], Mapping, "frontier certificate head")
         return FrontierCertificate(
-            server_id=str(data["server_id"]),
-            view=int(data["view"]),
-            height=int(data["height"]),
-            head_hash=data["head_hash"],
+            server_id=_is(data["server_id"], str, "server id"),
+            view=_is(data["view"], int, "view"),
+            height=_is(data["height"], int, "height"),
+            head_hash=_is(data["head_hash"], bytes, "frontier certificate head_hash"),
             head=dict(head) if head is not None else None,
         )
     except _MALFORMED as exc:
@@ -352,14 +364,12 @@ def txn_outcome_from_wire(data: Mapping) -> "TxnOutcome":
     from repro.core.rounds import TxnOutcome
 
     try:
-        block_height = data["block_height"]
-        decided_at = data["decided_at"]
         return TxnOutcome(
-            txn_id=str(data["txn_id"]),
-            status=str(data["status"]),
-            block_height=int(block_height) if block_height is not None else None,
-            reason=str(data["reason"]),
-            decided_at=float(decided_at) if decided_at is not None else None,
+            txn_id=_is(data["txn_id"], str, "txn id"),
+            status=_is(data["status"], str, "status"),
+            block_height=_opt(data["block_height"], int, "block height"),
+            reason=_is(data["reason"], str, "reason"),
+            decided_at=_opt(data["decided_at"], _NUMBER, "decided at"),
         )
     except _MALFORMED as exc:
         raise _fail("transaction outcome", exc) from None
@@ -373,15 +383,17 @@ def histogram_from_wire(data: Mapping) -> "Histogram":
     from repro.obs.metrics import Histogram
 
     try:
-        histogram = Histogram(bounds=tuple(float(bound) for bound in data["bounds"]))
-        buckets = [int(count) for count in data["buckets"]]
+        histogram = Histogram(
+            bounds=tuple(_is(bound, _NUMBER, "bound") for bound in _list(data["bounds"], "bounds"))
+        )
+        buckets = [_is(count, int, "bucket") for count in _list(data["buckets"], "buckets")]
         if len(buckets) != len(histogram.buckets):
             raise ValidationError("histogram bucket count does not match its bounds")
         histogram.buckets = buckets
-        histogram.count = int(data["count"])
-        histogram.total = float(data["sum"])
-        histogram.minimum = float(data["min"]) if data["min"] is not None else None
-        histogram.maximum = float(data["max"]) if data["max"] is not None else None
+        histogram.count = _is(data["count"], int, "count")
+        histogram.total = _is(data["sum"], _NUMBER, "sum")
+        histogram.minimum = _opt(data["min"], _NUMBER, "min")
+        histogram.maximum = _opt(data["max"], _NUMBER, "max")
         return histogram
     except _MALFORMED as exc:
         raise _fail("metrics histogram", exc) from None
@@ -397,20 +409,18 @@ def span_from_wire(data: Mapping) -> "Span":
     from repro.obs.trace import Span
 
     try:
-        parent = data["parent"]
-        end = data["end"]
         return Span(
-            span_id=int(data["id"]),
-            parent=int(parent) if parent is not None else None,
-            kind=str(data["kind"]),
-            name=str(data["name"]),
-            category=str(data["cat"]),
-            resource=str(data["resource"]),
-            pid=int(data["pid"]),
-            start=float(data["start"]),
-            end=float(end) if end is not None else None,
-            status=str(data["status"]),
-            attrs=dict(data["attrs"]),
+            span_id=_is(data["id"], int, "span id"),
+            parent=_opt(data["parent"], int, "parent"),
+            kind=_is(data["kind"], str, "kind"),
+            name=_is(data["name"], str, "name"),
+            category=_is(data["cat"], str, "category"),
+            resource=_is(data["resource"], str, "resource"),
+            pid=_is(data["pid"], int, "pid"),
+            start=_is(data["start"], _NUMBER, "start"),
+            end=_opt(data["end"], _NUMBER, "end"),
+            status=_is(data["status"], str, "status"),
+            attrs=dict(_is(data["attrs"], Mapping, "attrs")),
         )
     except _MALFORMED as exc:
         raise _fail("trace span", exc) from None

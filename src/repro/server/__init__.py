@@ -3,38 +3,20 @@
 A Fides database server has four components (Figure 3 of the paper): an
 execution layer, a commitment layer, a datastore, and a tamper-proof log.
 :class:`~repro.server.server.DatabaseServer` wires them together;
-:mod:`repro.server.faults` provides the malicious behaviours the evaluation
-and the audit tests inject.
+:mod:`repro.server.faults` is the one vocabulary for the malicious
+behaviours the evaluation and the audit tests inject.
 """
 
 from repro.server.execution import ExecutionLayer
 from repro.server.commitment import CommitmentLayer
 from repro.server.server import DatabaseServer
-from repro.server.faults import (
-    BadCosiFault,
-    DatastoreCorruptionFault,
-    EquivocatingCoordinatorFault,
-    FakeRootFault,
-    FaultPolicy,
-    HonestBehavior,
-    IsolationViolationFault,
-    LogTamperFault,
-    LogTruncationFault,
-    StaleReadFault,
-)
+from repro.server.faults import FAULT_KINDS, FaultPlan, FaultPolicy
 
 __all__ = [
-    "BadCosiFault",
     "CommitmentLayer",
     "DatabaseServer",
-    "DatastoreCorruptionFault",
-    "EquivocatingCoordinatorFault",
     "ExecutionLayer",
-    "FakeRootFault",
+    "FAULT_KINDS",
+    "FaultPlan",
     "FaultPolicy",
-    "HonestBehavior",
-    "IsolationViolationFault",
-    "LogTamperFault",
-    "LogTruncationFault",
-    "StaleReadFault",
 ]

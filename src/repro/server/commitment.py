@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.common.errors import ProtocolError, ServerCrashed
+from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
 from repro.core.rounds import ROUND_TIMEOUT_S
 from repro.crypto.cosi import CoSiWitness, compute_challenge, cosi_verify
@@ -38,7 +38,7 @@ from repro.crypto.keys import KeyPair, PublicKey
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog
 from repro.obs.timing import Stopwatch
-from repro.server.faults import FaultPolicy, HonestBehavior
+from repro.server.faults import FaultPolicy
 from repro.storage.apply import block_local_writes, block_store_commits
 from repro.storage.datastore import DataStore
 from repro.txn.occ import OccValidator
@@ -154,7 +154,7 @@ class CommitmentLayer:
         self._log = log
         self._clock = clock
         self._obs = obs
-        self._faults = faults or HonestBehavior()
+        self._faults = faults or FaultPolicy()
         self._validator = OccValidator(store)
         self._rounds: Dict[tuple, RoundState] = {}
         self._round_generation = 0
@@ -229,12 +229,16 @@ class CommitmentLayer:
 
     # -- the round table: one way in, one way out -----------------------------------
 
-    def _refuse_proposal(self, block: Block, watch: Stopwatch) -> Optional[Dict[str, object]]:
+    def _refuse_proposal(
+        self, block: Block, watch: Stopwatch, chained: bool = False
+    ) -> Optional[Dict[str, object]]:
         """The refusal for a ``GET_VOTE``/``PREPARE`` this cohort will not
         vote on (``None``: it will): the proposal's view is one its group
         already moved past -- honouring a deposed coordinator would let two
-        coordinators drive rounds concurrently -- or it would re-arm a round
-        whose status forbids that (:data:`COHORT_TRANSITIONS`)."""
+        coordinators drive rounds concurrently -- it would re-arm a round
+        whose status forbids that (:data:`COHORT_TRANSITIONS`), or (a
+        ``chained`` proposal: TFCommit's) it is for another log position than
+        the next one."""
         state = self._rounds.get(block.round_key())
         if block.view < self.current_view(block.group):
             reason = (
@@ -243,6 +247,21 @@ class CommitmentLayer:
             )
         elif state is not None and CohortStatus.VOTED not in COHORT_TRANSITIONS[state.status]:
             reason = f"round {block.round_key()} is {state.status.value}: it cannot be re-armed"
+        elif (
+            chained
+            and block.group is None
+            and block.height != self._log.height
+            and self._faults.maintains_log_integrity()
+        ):
+            # A server that doctored its own log (truncation) is out of sync
+            # by construction; it keeps participating, and the audit catches
+            # the short log instead.  Group blocks carry placeholder chain
+            # metadata (the ordering service assigns the real height), so
+            # the check does not apply to them.
+            reason = (
+                f"partial block height {block.height} does not extend local log "
+                f"of height {self._log.height}"
+            )
         else:
             return None
         return {
@@ -340,23 +359,9 @@ class CommitmentLayer:
         """
         watch = self._enter("vote", partial_block)
         self._expire_stale_rounds()
-        refusal = self._refuse_proposal(partial_block, watch)
+        refusal = self._refuse_proposal(partial_block, watch, chained=True)
         if refusal is not None:
             return refusal
-        if (
-            partial_block.group is None
-            and partial_block.height != self._log.height
-            and self._faults.maintains_log_integrity()
-        ):
-            # A server that doctored its own log (truncation) is out of sync
-            # by construction; it keeps participating rather than crashing
-            # the round, and the audit catches the short log instead.  Group
-            # blocks carry placeholder chain metadata (the ordering service
-            # assigns the real height), so the check does not apply to them.
-            raise ProtocolError(
-                f"{self.server_id}: partial block height {partial_block.height} does not extend "
-                f"local log of height {self._log.height}"
-            )
         witness = CoSiWitness(self.server_id, self._keypair)
         witness.on_announcement(partial_block.signing_digest())
         commitment = self._faults.corrupt_commitment(witness.commit())
@@ -487,6 +492,13 @@ class CommitmentLayer:
             reason = "invalid collective signature on final block"
         elif block.group is not None and set(block.cosign.signer_ids) != set(block.group):
             reason = "block signer set does not match its recorded group"
+        else:
+            try:
+                self._log.append(block, verify_link=self._faults.maintains_log_integrity())
+            except ValidationError as exc:
+                # A replayed or out-of-order decision: refused like any other
+                # message this peer should not have sent, not raised.
+                reason = str(exc)
         if reason:
             return {
                 "server_id": self.server_id,
@@ -494,7 +506,6 @@ class CommitmentLayer:
                 "reason": reason,
                 "compute_time": watch.elapsed(),
             }
-        self._log.append(block, verify_link=self._faults.maintains_log_integrity())
         mht_hashes = 0
         if block.is_commit:
             mht_watch = Stopwatch()

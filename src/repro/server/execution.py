@@ -9,8 +9,8 @@ Responsibilities (Section 4.2.1):
   itself against a malicious client's falsified blame (Section 3.2).
 
 The layer consults the server's :class:`~repro.server.faults.FaultPolicy`
-so malicious behaviours (returning wrong read values, dropping buffered
-writes) can be injected without touching the honest code path.
+so malicious behaviour (returning wrong read values) can be injected without
+touching the honest code path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.common.errors import StorageError
 from repro.common.types import ClientId, ItemId, TxnId, Value
 from repro.net.message import Envelope
-from repro.server.faults import FaultPolicy, HonestBehavior
+from repro.server.faults import FaultPolicy
 from repro.storage.datastore import DataStore, ReadResult
 
 
@@ -40,7 +40,7 @@ class ExecutionLayer:
 
     def __init__(self, store: DataStore, faults: Optional[FaultPolicy] = None) -> None:
         self._store = store
-        self._faults = faults or HonestBehavior()
+        self._faults = faults or FaultPolicy()
         self._active: Dict[TxnId, ActiveTransaction] = {}
         #: Archive of signed client envelopes, the server's defence against
         #: falsified client accusations (Section 3.2).
@@ -88,8 +88,7 @@ class ExecutionLayer:
         if item_id not in self._store:
             raise StorageError(f"item {item_id!r} is not stored on this server")
         active = self._active.setdefault(txn_id, ActiveTransaction(txn_id, client_id=""))
-        if not self._faults.drop_buffered_write(item_id):
-            active.buffered_writes[item_id] = value
+        active.buffered_writes[item_id] = value
         return self._store.read(item_id)
 
     def buffered_writes(self, txn_id: TxnId) -> Dict[ItemId, Value]:

@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.common.errors import (
+    ConfigurationError,
     ProtocolError,
-    RecoveryError,
     ServerCrashed,
     UnreachableError,
 )
@@ -40,7 +40,7 @@ from repro.recovery.manager import RecoveryResult, recover_server_state
 from repro.recovery.statestore import MemoryStateStore, StateStore
 from repro.server.commitment import CommitmentLayer
 from repro.server.execution import ExecutionLayer
-from repro.server.faults import FaultPolicy, HonestBehavior
+from repro.server.faults import FaultPlan, FaultPolicy
 from repro.storage.datastore import DataStore
 
 
@@ -55,7 +55,6 @@ class DatabaseServer:
         clock,
         obs,
         multi_versioned: bool = True,
-        faults: Optional[FaultPolicy] = None,
         state_store: Optional[StateStore] = None,
     ) -> None:
         self.server_id = server_id
@@ -71,7 +70,10 @@ class DatabaseServer:
         self.state_store = state_store or MemoryStateStore()
         self.store = DataStore(items, multi_versioned=multi_versioned)
         self.log = TransactionLog()
-        self._build_layers(faults or HonestBehavior())
+        #: The behaviour policy is configuration, not volatile state: a faulty
+        #: machine that reboots is still the same (possibly faulty) machine.
+        self.faults = FaultPolicy((), clock, obs)
+        self._build_layers()
         self.state_store.initialize(server_id, self.store.export_state())
         #: Latest collectively signed checkpoint this server's log was
         #: truncated under (None until one is installed).
@@ -99,10 +101,11 @@ class DatabaseServer:
             raise ProtocolError(f"server {self.server_id} is not attached to a network")
         return self._network
 
-    def _build_layers(self, faults: FaultPolicy) -> None:
+    def _build_layers(self) -> None:
         """The volatile half of the server -- both layers over the current
-        store and log, under ``faults`` -- at deployment and after a crash."""
-        self.execution = ExecutionLayer(self.store, faults)
+        store and log, under the current fault policy -- at deployment and
+        after a crash."""
+        self.execution = ExecutionLayer(self.store, self.faults)
         self.commitment = CommitmentLayer(
             self.server_id,
             self.keypair,
@@ -110,23 +113,24 @@ class DatabaseServer:
             self.log,
             self._clock,
             self._obs,
-            faults,
+            self.faults,
             on_block_applied=self._persist_block,
         )
-        self.set_faults(faults)
 
-    def set_faults(self, faults: FaultPolicy) -> None:
-        """Swap in a (possibly malicious) behaviour policy for both layers.
+    def set_faults(self, plans: Sequence[FaultPlan]) -> None:
+        """From now on this server misbehaves as ``plans`` say (none: honestly).
 
-        The policy is configuration, not volatile state: a faulty machine
-        that reboots is still the same (possibly faulty) machine.  Time-based
-        triggers fire on the deployment's clock, injections report to its obs.
+        Time-based triggers fire on the deployment's clock, injections report
+        to its obs.
         """
-        self.faults = faults
-        faults.attach_clock(self._clock)
-        faults.attach_obs(self._obs)
-        self.execution.set_faults(faults)
-        self.commitment.set_faults(faults)
+        for plan in plans:
+            if plan.target != self.server_id:
+                raise ConfigurationError(
+                    f"fault plan targets {plan.target!r}, not server {self.server_id!r}"
+                )
+        self.faults = FaultPolicy(plans, self._clock, self._obs)
+        self.execution.set_faults(self.faults)
+        self.commitment.set_faults(self.faults)
 
     def set_coordinator_role(self, role) -> None:
         """Give this server the coordinator's extra termination duties (Section 4.1)."""
@@ -177,7 +181,7 @@ class DatabaseServer:
         self.store = store
         self.log = log
         self.latest_checkpoint = checkpoint
-        self._build_layers(self.faults)
+        self._build_layers()
         self._obs.metrics.counter("recovery.recoveries")
         self._obs.metrics.observe(
             "recovery.replayed_blocks", float(result.replayed_blocks + result.fetched_blocks)

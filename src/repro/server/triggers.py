@@ -1,22 +1,27 @@
 """Trigger predicates: *when* a planned fault fires.
 
-A :class:`~repro.faultsim.plan.FaultPlan` pairs a fault kind with a trigger
-spec.  Triggers are evaluated against the :class:`~repro.server.faults.FaultContext`
-the server layers maintain (protocol phase, block height, transactions in
-flight) plus whatever per-call detail the hook itself has (the item being
-read, the transaction id), so one declarative schema covers all four firing
-modes the campaign engine sweeps:
+A :class:`~repro.server.faults.FaultPlan` pairs a fault kind with a trigger
+spec.  Triggers are evaluated against the :class:`FaultContext` the server
+layers maintain (protocol phase, block height, transactions in flight) plus
+whatever per-call detail the hook itself has (the item being read, the
+transaction id), so one declarative schema covers every firing mode:
 
-* ``always`` -- fire on every consultation (the classic hand-wired faults);
+* ``always`` -- fire on every consultation;
 * ``at-height`` -- fire at (or from) a given block height;
+* ``at-time`` -- fire from a given virtual time;
 * ``phase`` -- fire only while the server is in one of the given phases;
 * ``txn`` -- fire only for matching transactions / items;
 * ``probability`` -- fire with a seeded pseudo-random probability, latching
   on once fired so runs stay deterministic for a given seed;
-* ``after-calls`` -- fire from the N-th consultation onwards.
+* ``after-calls`` -- fire from the N-th consultation onwards;
+* ``choice`` -- ask the model checker (:func:`repro.check.choices.choose`)
+  whether to fire: every consultation is a binary branch of the explored
+  tree while the trigger's :class:`ChoiceBudget` lasts.  The default pick
+  is "no", so outside the checker the trigger is inert;
+* ``all`` -- the conjunction of the specs listed under ``of``.
 
-Triggers are *stateful* (probability latches, call counters), so each plan
-materialises its own instance via :func:`trigger_from_spec`.
+Triggers are *stateful* (probability latches, call counters, budgets), so
+each plan materialises its own instance via :func:`trigger_from_spec`.
 """
 
 from __future__ import annotations
@@ -25,8 +30,32 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
+from repro.check.choices import choose
 from repro.common.errors import ConfigurationError
-from repro.server.faults import FaultContext
+
+
+@dataclass
+class FaultContext:
+    """Where in the protocol a fault hook is being consulted.
+
+    The server layers update this context before consulting any hook, so a
+    plan's trigger can decide *when* to misbehave -- by protocol phase, block
+    height, or transaction -- without the hooks themselves growing extra
+    parameters.
+    """
+
+    #: Protocol phase: "execute", "vote", "challenge", "decision", or
+    #: "coordinate" (coordinator-side block assembly).
+    phase: str = ""
+    #: Height of the block being processed; for execution-layer hooks this is
+    #: the height the *next* block would carry (the local log height).
+    block_height: Optional[int] = None
+    #: Transactions in flight for the current hook consultation.
+    txn_ids: Tuple[str, ...] = ()
+    #: Virtual time of the phase being executed on the simulated event
+    #: timeline; time-based triggers fire on this, so fault campaigns compose
+    #: with pipelined rounds.
+    sim_time: Optional[float] = None
 
 
 class Trigger:
@@ -41,9 +70,6 @@ class Trigger:
         txn_id: Optional[str] = None,
     ) -> bool:
         return True
-
-    def describe(self) -> str:
-        return self.kind
 
 
 @dataclass
@@ -61,10 +87,6 @@ class AtHeightTrigger(Trigger):
             return ctx.block_height == self.height
         return ctx.block_height >= self.height
 
-    def describe(self) -> str:
-        op = "==" if self.exact else ">="
-        return f"height{op}{self.height}"
-
 
 @dataclass
 class PhaseTrigger(Trigger):
@@ -75,9 +97,6 @@ class PhaseTrigger(Trigger):
 
     def fires(self, ctx, item_id=None, txn_id=None) -> bool:
         return ctx.phase in self.phases
-
-    def describe(self) -> str:
-        return f"phase:{'|'.join(self.phases)}"
 
 
 @dataclass
@@ -96,11 +115,6 @@ class TxnPredicateTrigger(Trigger):
             return any(t is not None and t.startswith(self.txn_prefix) for t in candidates)
         return bool(candidates)
 
-    def describe(self) -> str:
-        if self.item_ids:
-            return f"txn:items={','.join(self.item_ids)}"
-        return f"txn:prefix={self.txn_prefix}"
-
 
 @dataclass
 class AtTimeTrigger(Trigger):
@@ -118,9 +132,6 @@ class AtTimeTrigger(Trigger):
 
     def fires(self, ctx, item_id=None, txn_id=None) -> bool:
         return ctx.sim_time is not None and ctx.sim_time >= self.time
-
-    def describe(self) -> str:
-        return f"t>={self.time}"
 
 
 @dataclass
@@ -147,9 +158,6 @@ class ProbabilisticTrigger(Trigger):
             return True
         return False
 
-    def describe(self) -> str:
-        return f"p={self.probability}"
-
 
 @dataclass
 class AfterCallsTrigger(Trigger):
@@ -163,8 +171,55 @@ class AfterCallsTrigger(Trigger):
         self._calls += 1
         return self._calls > self.skip
 
-    def describe(self) -> str:
-        return f"after{self.skip}"
+
+@dataclass
+class ChoiceBudget:
+    """How many more times ``choice`` triggers may fire in this run.
+
+    A checker scenario shares one budget between the plans it installs, so
+    the explored tree holds "at most ``remaining`` faults per run" rather
+    than every combination of them.
+    """
+
+    remaining: int = 1
+
+
+@dataclass
+class ChoiceTrigger(Trigger):
+    """Fire where the model checker says so: a binary branch per consultation.
+
+    ``site`` prefixes the choice-point label (the phase and block height are
+    appended), so a saved trace names the fault it took.
+    """
+
+    site: str = "fault"
+    budget: ChoiceBudget = field(default_factory=ChoiceBudget)
+    kind = "choice"
+
+    def fires(self, ctx, item_id=None, txn_id=None) -> bool:
+        if self.budget.remaining <= 0:
+            return False
+        label = f"{self.site}/{ctx.phase}@{ctx.block_height}"
+        if choose(label, 2, 0, feature="faults") == 0:
+            return False
+        self.budget.remaining -= 1
+        return True
+
+
+@dataclass
+class AllTrigger(Trigger):
+    """Fire when every part fires.
+
+    Parts are consulted in order and consultation stops at the first that
+    does not fire, so a stateful part (a call counter, a checker choice)
+    placed last only sees the consultations the earlier parts let through.
+    """
+
+    of: Tuple[Trigger, ...] = ()
+    kind = "all"
+
+    def fires(self, ctx, item_id=None, txn_id=None) -> bool:
+        return all(part.fires(ctx, item_id=item_id, txn_id=txn_id) for part in self.of)
 
 
 _TRIGGER_KINDS = {
@@ -175,6 +230,8 @@ _TRIGGER_KINDS = {
     "txn": TxnPredicateTrigger,
     "probability": ProbabilisticTrigger,
     "after-calls": AfterCallsTrigger,
+    "choice": ChoiceTrigger,
+    "all": AllTrigger,
 }
 
 
@@ -198,6 +255,8 @@ def trigger_from_spec(spec: Optional[Mapping]) -> Trigger:
     for tuple_field in ("phases", "item_ids"):
         if tuple_field in kwargs:
             kwargs[tuple_field] = tuple(kwargs[tuple_field])
+    if "of" in kwargs:
+        kwargs["of"] = tuple(trigger_from_spec(part) for part in kwargs["of"])
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from repro.audit.violations import ViolationType
-from repro.server.faults import DatastoreCorruptionFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -36,7 +36,7 @@ class TestDatastoreCorruptionDetection:
     def test_fault_policy_corruption_detected(self, small_system):
         item = small_system.shard_map.items_of("s2")[0]
         small_system.inject_fault(
-            "s2", DatastoreCorruptionFault(corruptions={item: -999})
+            "s2", [FaultPlan("post-commit-corruption", "s2", params={"items": {item: -999}})]
         )
         assert small_system.run_transaction([ReadOp(item), WriteOp(item, 7)]).committed
         report = small_system.audit()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from repro.audit.violations import ViolationType
-from repro.server.faults import StaleReadFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -13,7 +13,9 @@ class TestIncorrectReadDetection:
         """Commit a known value, then make its server lie about it to the next reader."""
         item = system.shard_map.items_of("s1")[0]
         assert system.run_transaction([ReadOp(item), WriteOp(item, 1000)]).committed
-        system.inject_fault("s1", StaleReadFault(target_item=item, wrong_value=0))
+        system.inject_fault(
+            "s1", [FaultPlan("read-corruption", "s1", params={"item": item, "value": 0})]
+        )
         # The next transaction reads the stale value 0 (with fresh timestamps,
         # as in the paper's Figure 10 example) and still commits.
         outcome = system.run_transaction([ReadOp(item), WriteOp(item, 900)], client_index=1)
@@ -49,7 +51,9 @@ class TestIncorrectReadDetection:
             [ReadOp(account_x), ReadOp(account_y), WriteOp(account_x, 900), WriteOp(account_y, 400)]
         ).committed
         # The server storing x now replays the pre-withdrawal balance.
-        small_system.inject_fault("s1", StaleReadFault(target_item=account_x, wrong_value=1000))
+        small_system.inject_fault(
+            "s1", [FaultPlan("read-corruption", "s1", params={"item": account_x, "value": 1000})]
+        )
         # T2 withdraws another $100 using the stale balance.
         assert small_system.run_transaction(
             [ReadOp(account_x), WriteOp(account_x, 900)], client_index=1

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 
 from repro.audit.violations import ViolationType
-from repro.server.faults import LogTamperFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -42,7 +42,7 @@ class TestLogTamperingDetection:
 
     def test_fault_policy_tampering_detected(self, small_system, run_history):
         run_history(small_system, count=3, seed=52)
-        small_system.inject_fault("s1", LogTamperFault(target_height=1))
+        small_system.inject_fault("s1", [FaultPlan("log-tamper", "s1", params={"height": 1})])
         # The fault rewrites history right after the next block is appended.
         item = small_system.shard_map.items_of("s0")[0]
         assert small_system.run_transaction([ReadOp(item), WriteOp(item, 5)]).committed

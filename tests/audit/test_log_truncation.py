@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from repro.audit.violations import ViolationType
-from repro.server.faults import LogTruncationFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -23,7 +23,7 @@ class TestLogTruncationDetection:
 
     def test_truncation_via_fault_policy(self, small_system, run_history):
         run_history(small_system, count=3, seed=62)
-        small_system.inject_fault("s1", LogTruncationFault(keep_blocks=1))
+        small_system.inject_fault("s1", [FaultPlan("log-truncate", "s1", params={"keep": 1})])
         item = small_system.shard_map.items_of("s0")[0]
         assert small_system.run_transaction([ReadOp(item), WriteOp(item, 1)]).committed
         report = small_system.audit()

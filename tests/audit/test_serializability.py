@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from repro.audit.violations import ViolationType
-from repro.server.faults import IsolationViolationFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -25,7 +25,7 @@ class TestIsolationViolationDetection:
 
         # The server storing the item stops validating, so the stale
         # transaction commits instead of aborting.
-        system.inject_fault("s1", IsolationViolationFault())
+        system.inject_fault("s1", [FaultPlan("skip-validation", "s1")])
         client.write(session, item, 30)
         outcome = client.commit(session)
         assert outcome.committed

@@ -10,7 +10,10 @@ oracle is the trust boundary's contract: a decoder either raises
 object that is *sound* -- its wire form re-encodes and every digest / key /
 footprint it can be asked for computes.  Any other exception means hostile
 bytes half-materialised into an object that blows up later, far from the
-boundary and with the wrong exception type.
+boundary and with the wrong exception type.  A damaged valid form that is
+accepted must moreover be *faithful*: the object re-encodes to the bytes it
+was decoded from, which a decoder that coerces (``str(b"s0")``, ``int("2")``,
+``int(True)``) instead of checking violates.
 
 The runs are derandomized: tier-1 must not flake on a rare draw.  To hunt,
 raise ``max_examples`` and drop ``derandomize`` locally.
@@ -62,6 +65,10 @@ plain_data = st.recursive(
 )
 
 
+#: Wire keys that are not object state: advisory extras the client layer
+#: verifies itself, and derived values the decoder recomputes.
+NOT_STATE = {"TxnOutcome": ("block_digest", "cosign"), "Histogram": ("mean",)}
+
 _DROP = object()
 
 
@@ -79,17 +86,23 @@ def _valid_wire(class_name):
     return canonical_decode(canonical_encode(BUILDERS[class_name]().to_wire()))
 
 
-def assert_rejected_or_sound(class_name, wire):
+def assert_rejected_or_sound(class_name, wire, faithful=False):
     try:
         decoded = WIRE_DECODERS[class_name](wire)
     except ValidationError:
         return
     if decoded is None:  # the optional-cosign decoder maps None -> None
         return
-    canonical_encode(decoded.to_wire())
+    again = decoded.to_wire()
+    canonical_encode(again)
     for name in DERIVED:
         if callable(getattr(decoded, name, None)):
             getattr(decoded, name)()
+    if faithful:
+        state = {k: v for k, v in wire.items() if k not in NOT_STATE.get(class_name, ())}
+        for key in NOT_STATE.get(class_name, ()):
+            again.pop(key, None)
+        assert canonical_encode(again) == canonical_encode(state), (class_name, wire, again)
 
 
 @pytest.mark.parametrize("class_name", sorted(WIRE_DECODERS))
@@ -110,7 +123,7 @@ def test_a_mutated_valid_form_is_rejected_or_decodes_soundly(class_name, data):
             del parent[path[-1]]
         else:
             parent[path[-1]] = replacement
-        assert_rejected_or_sound(class_name, wire)
+        assert_rejected_or_sound(class_name, wire, faithful=True)
 
 
 @pytest.mark.parametrize("class_name", sorted(WIRE_DECODERS))
@@ -142,3 +155,29 @@ def test_a_valid_prefix_with_a_flipped_tag_still_only_raises_value_error():
             except ValueError:
                 continue
             assert_rejected_or_sound(class_name, wire)
+
+
+@pytest.mark.parametrize(
+    "class_name, damage",
+    [
+        ("ServerGroup", {"members": [b"s0", 7], "coordinator": 7}),
+        ("ServerGroup", {"members": ["s1", "s0"]}),  # one set, a second spelling
+        ("FrontierCertificate", {"server_id": b"s1"}),
+        ("FrontierCertificate", {"view": "2"}),
+        ("FrontierCertificate", {"height": True}),
+        ("VoteResult", {"involved": 1}),
+        ("TxnOutcome", {"block_height": "4"}),
+        ("Envelope", {"content": {"sender": 5}}),
+    ],
+)
+def test_a_lying_peers_field_is_refused_not_coerced(class_name, damage):
+    """What PR 15's strictness missed: these decoded (``str(b"s1")`` is the
+    server id ``"b's1'"``, ``int(True)`` the height 1) instead of raising."""
+    wire = _valid_wire(class_name)
+    for key, value in damage.items():
+        if isinstance(value, dict):
+            wire[key].update(value)
+        else:
+            wire[key] = value
+    with pytest.raises(ValidationError):
+        WIRE_DECODERS[class_name](wire)

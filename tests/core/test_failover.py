@@ -22,8 +22,13 @@ from repro.core.viewchange import (
     elect_successor,
     verify_certificate,
 )
-from repro.server.faults import CrashFault, EquivocatingCoordinatorFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
+
+
+def crash_at(server_id: str, phase: str):
+    """``server_id`` crashes (once) at its first observation of ``phase``."""
+    return [FaultPlan("crash", server_id, {"kind": "phase", "phases": [phase]})]
 
 
 def _assert_no_round_state(system):
@@ -33,7 +38,7 @@ def _assert_no_round_state(system):
 
 def _strand_round(system, item, value=9):
     """Crash the coordinator mid-vote, stranding one armed round on cohorts."""
-    system.inject_fault("s0", CrashFault(phase="vote"))
+    system.inject_fault("s0", crash_at("s0", "vote"))
     outcome = system.run_transaction([WriteOp(item, value)])
     assert outcome.status == "failed"
     assert "s0" in system.crashed_servers()
@@ -161,7 +166,7 @@ class TestScaledFailover:
         item_d = system.shard_map.items_of("s3")[0]
         assert system.run_transaction([WriteOp(item_a, 1), WriteOp(item_b, 2)]).committed
 
-        system.inject_fault("s0", CrashFault(phase="vote"))
+        system.inject_fault("s0", crash_at("s0", "vote"))
         stalled = system.run_transaction([WriteOp(item_a, 3), WriteOp(item_b, 4)])
         assert stalled.status == "failed"
         assert "s0" in system.crashed_servers()
@@ -229,7 +234,7 @@ class TestTwoPhaseCommitCrashPaths:
         # Regression: a crashed cohort's synthesised response carries no vote
         # fields, and the tally used to KeyError on ``vote["involved"]``
         # instead of failing the round like TFCommit's phase-1 check.
-        twopc_system.inject_fault("s2", CrashFault(phase="vote"))
+        twopc_system.inject_fault("s2", crash_at("s2", "vote"))
         item = twopc_system.shard_map.items_of("s1")[0]
         outcome = twopc_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -274,8 +279,8 @@ class TestCrashDuringEquivocation:
         # timed_exchange, so a cohort crashing while handling its challenge
         # raised UnreachableError straight through the coordinator instead of
         # becoming a synthesised refusal.
-        small_system.inject_fault("s0", EquivocatingCoordinatorFault())
-        small_system.inject_fault("s2", CrashFault(phase="challenge"))
+        small_system.inject_fault("s0", [FaultPlan("equivocate", "s0")])
+        small_system.inject_fault("s2", crash_at("s2", "challenge"))
         item = small_system.shard_map.items_of("s1")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -291,7 +296,7 @@ class TestCrashDuringEquivocation:
         assert small_system.servers["s1"].commitment.pending_round_count() == 0
 
     def test_equivocating_coordinator_is_deposed_and_cluster_recovers(self, small_system):
-        small_system.inject_fault("s0", EquivocatingCoordinatorFault())
+        small_system.inject_fault("s0", [FaultPlan("equivocate", "s0")])
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
 

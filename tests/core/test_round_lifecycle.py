@@ -14,7 +14,7 @@ import pytest
 from repro.common.errors import ProtocolInvariantError
 from repro.core.rounds import ROUND_TRANSITIONS, RoundStatus
 from repro.server.commitment import COHORT_TRANSITIONS, CohortStatus
-from repro.server.faults import CrashFault, FakeRootFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import WriteOp
 
 TABLES = {
@@ -96,19 +96,19 @@ class TestCoordinatorRound:
             coordinator._close(round)
 
     @pytest.mark.parametrize(
-        "server_id, fault, sends_round_failed",
+        "plan, sends_round_failed",
         [
-            ("s2", CrashFault(phase="vote"), True),
-            ("s0", FakeRootFault(victim="s1"), True),
+            (FaultPlan("crash", "s2", {"kind": "phase", "phases": ["vote"]}), True),
+            (FaultPlan("fake-root", "s0", params={"victim": "s1"}), True),
             # The coordinator's own server is the silent peer: the armed
             # state is kept for the view change to collect.
-            ("s0", CrashFault(phase="vote"), False),
+            (FaultPlan("crash", "s0", {"kind": "phase", "phases": ["vote"]}), False),
         ],
     )
     def test_a_failed_round_releases_its_cohorts_from_the_one_exit(
-        self, small_system, server_id, fault, sends_round_failed
+        self, small_system, plan, sends_round_failed
     ):
-        small_system.inject_fault(server_id, fault)
+        small_system.inject_fault(plan.target, [plan])
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
         sent = small_system.sim.obs.metrics.counter_value("net.bytes.round_failed")

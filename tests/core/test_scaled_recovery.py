@@ -11,35 +11,7 @@ completes with all servers holding identical, auditor-clean logs.
 
 from __future__ import annotations
 
-
-from repro.server.faults import CrashFault, FaultPolicy
-
-
-class TamperCatchupFault(FaultPolicy):
-    """Malicious catch-up peer: flips one write value in the served range."""
-
-    name = "tamper-catchup"
-    tampered = False
-
-    def tamper_state_response(self, blocks):
-        if not blocks:
-            return blocks
-        doctored = [dict(block) for block in blocks]
-        body = dict(doctored[0]["body"])
-        transactions = [dict(txn) for txn in body["transactions"]]
-        for index, txn in enumerate(transactions):
-            if txn["write_set"]:
-                write_set = [dict(entry) for entry in txn["write_set"]]
-                write_set[0]["new_value"] = 424_242
-                txn = dict(txn)
-                txn["write_set"] = write_set
-                transactions[index] = txn
-                self.tampered = True
-                break
-        body["transactions"] = transactions
-        doctored[0] = dict(doctored[0])
-        doctored[0]["body"] = body
-        return doctored
+from repro.server.faults import FaultPlan
 
 
 class TestScaledCrashRecoveryEndToEnd:
@@ -57,7 +29,7 @@ class TestScaledCrashRecoveryEndToEnd:
         )
 
         # Phase 2: a group member crashes mid-round (vote phase).
-        system.inject_fault("s3", CrashFault(phase="vote"))
+        system.inject_fault("s3", [FaultPlan("crash", "s3", {"kind": "phase", "phases": ["vote"]})])
         second = system.run_workload(workload.generate(10))
         assert "s3" in system.crashed_servers()
         assert second.failed > 0
@@ -80,16 +52,15 @@ class TestScaledCrashRecoveryEndToEnd:
 
         # Phase 3: recovery from the latest checkpoint via peer catch-up,
         # with the first consulted peer serving tampered blocks.
-        tamperer = TamperCatchupFault()
-        system.inject_fault("s1", tamperer)
+        system.inject_fault("s1", [FaultPlan("tamper-catchup", "s1", params={"value": 424_242})])
         result = system.recover_server("s3", peer_order=["s1", "s0", "s2"])
-        assert tamperer.tampered, "the tampered response was never exercised"
+        assert system.servers["s1"].faults.fired(), "the tampered response was never exercised"
         assert result.rejected_peers == ("s1",)
         assert result.served_by == "s0"
         assert result.from_checkpoint_height == checkpoint.height
         assert result.fetched_blocks > 0
         assert not system.crashed_servers()
-        system.inject_fault("s1", FaultPolicy())  # back to honest
+        system.inject_fault("s1", [])  # back to honest
 
         # Phase 4: the rejoined server participates in new rounds.  (A
         # workload-level OCC abort is possible -- the generator's

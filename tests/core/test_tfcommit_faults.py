@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-
-from repro.server.faults import (
-    BadCosiFault,
-    EquivocatingCoordinatorFault,
-    FakeRootFault,
-)
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
 
 class TestBadCosiValues:
     def test_bad_response_is_detected_and_culprit_identified(self, small_system):
         """Lemma 4: the coordinator pinpoints the server with bad crypto values."""
-        small_system.inject_fault("s2", BadCosiFault(corrupt_resp=True))
+        small_system.inject_fault("s2", [FaultPlan("corrupt-response", "s2")])
         item = small_system.shard_map.items_of("s1")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -25,7 +20,7 @@ class TestBadCosiValues:
         assert all(height == 0 for height in small_system.log_heights().values())
 
     def test_bad_commitment_still_yields_failed_round(self, small_system):
-        small_system.inject_fault("s1", BadCosiFault(corrupt_commit=True, corrupt_resp=False))
+        small_system.inject_fault("s1", [FaultPlan("corrupt-commitment", "s1")])
         item = small_system.shard_map.items_of("s2")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -36,7 +31,7 @@ class TestBadCosiValues:
 class TestFakeRoot:
     def test_benign_cohort_detects_fake_root(self, small_system):
         """Scenario 2: the coordinator records a wrong MHT root for a benign server."""
-        small_system.inject_fault("s0", FakeRootFault(victim="s1"))
+        small_system.inject_fault("s0", [FaultPlan("fake-root", "s0", params={"victim": "s1"})])
         item = small_system.shard_map.items_of("s1")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -62,19 +57,19 @@ class TestFailedRoundCleanup:
             assert server.commitment.pending_round_count() == 0, server_id
 
     def test_refusal_failed_round_releases_state_everywhere(self, small_system):
-        small_system.inject_fault("s0", FakeRootFault(victim="s1"))
+        small_system.inject_fault("s0", [FaultPlan("fake-root", "s0", params={"victim": "s1"})])
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
         self._assert_no_round_state(small_system)
 
     def test_bad_cosign_failed_round_releases_state_everywhere(self, small_system):
-        small_system.inject_fault("s2", BadCosiFault(corrupt_resp=True))
+        small_system.inject_fault("s2", [FaultPlan("corrupt-response", "s2")])
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
         self._assert_no_round_state(small_system)
 
     def test_equivocation_failed_round_releases_state_everywhere(self, small_system):
-        small_system.inject_fault("s0", EquivocatingCoordinatorFault())
+        small_system.inject_fault("s0", [FaultPlan("equivocate", "s0")])
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
         self._assert_no_round_state(small_system)
@@ -88,7 +83,7 @@ class TestFailedRoundCleanup:
 class TestEquivocatingCoordinator:
     def test_correct_cohorts_refuse_mismatched_challenge(self, small_system):
         """Lemma 5 / Figure 8, Case 1: the same challenge cannot cover two blocks."""
-        small_system.inject_fault("s0", EquivocatingCoordinatorFault())
+        small_system.inject_fault("s0", [FaultPlan("equivocate", "s0")])
         item = small_system.shard_map.items_of("s1")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -100,12 +95,10 @@ class TestEquivocatingCoordinator:
         assert small_system.server("s1").store.read(item).value == 0
 
     def test_cluster_recovers_after_coordinator_becomes_honest(self, small_system):
-        from repro.server.faults import HonestBehavior
-
-        small_system.inject_fault("s0", EquivocatingCoordinatorFault())
+        small_system.inject_fault("s0", [FaultPlan("equivocate", "s0")])
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
-        small_system.inject_fault("s0", HonestBehavior())
+        small_system.inject_fault("s0", [])
         outcome = small_system.run_transaction([ReadOp(item), WriteOp(item, 10)])
         assert outcome.committed
         assert small_system.server("s1").store.read(item).value == 10

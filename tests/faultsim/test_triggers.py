@@ -1,24 +1,27 @@
-"""Unit tests for fault triggers, plans, and the plan-driven policy."""
+"""Unit tests for fault triggers, plans, and the policy that executes them."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.check.choices import ChoiceSource, driven_by
 from repro.common.errors import ConfigurationError
-from repro.faultsim import (
+from repro.faultsim import build_fault_matrix
+from repro.server.faults import FaultPlan, FaultPolicy
+from repro.server.triggers import (
     AfterCallsTrigger,
+    AllTrigger,
     AtHeightTrigger,
     AtTimeTrigger,
-    FaultPlan,
+    ChoiceBudget,
+    ChoiceTrigger,
+    FaultContext,
     PhaseTrigger,
-    PlannedFaultPolicy,
     ProbabilisticTrigger,
     Trigger,
     TxnPredicateTrigger,
-    build_fault_matrix,
     trigger_from_spec,
 )
-from repro.server.faults import FaultContext
 
 
 def ctx(phase="vote", height=3, txns=("t1",)):
@@ -89,6 +92,58 @@ class TestTriggers:
             trigger_from_spec({"kind": "at-height", "altitude": 3})
 
 
+class TestAllTrigger:
+    def test_fires_only_when_every_part_fires(self):
+        trigger = trigger_from_spec(
+            {
+                "kind": "all",
+                "of": [{"kind": "phase", "phases": ["vote"]}, {"kind": "at-height", "height": 2}],
+            }
+        )
+        assert isinstance(trigger, AllTrigger)
+        assert [type(part) for part in trigger.of] == [PhaseTrigger, AtHeightTrigger]
+        assert trigger.fires(ctx(phase="vote", height=2))
+        assert not trigger.fires(ctx(phase="vote", height=1))
+        assert not trigger.fires(ctx(phase="decision", height=2))
+
+    def test_a_part_is_only_consulted_if_the_earlier_ones_fired(self):
+        counter = AfterCallsTrigger(skip=1)
+        trigger = AllTrigger(of=(PhaseTrigger(phases=("vote",)), counter))
+        assert not trigger.fires(ctx(phase="decision"))  # counter not consulted
+        assert not trigger.fires(ctx(phase="vote"))  # counter's first call
+        assert trigger.fires(ctx(phase="vote"))
+
+
+class TestChoiceTrigger:
+    def test_inert_outside_the_checker(self):
+        budget = ChoiceBudget(1)
+        trigger = trigger_from_spec({"kind": "choice", "site": "fault/crash/s1", "budget": budget})
+        assert isinstance(trigger, ChoiceTrigger)
+        assert not any(trigger.fires(ctx()) for _ in range(3))
+        assert budget.remaining == 1
+
+    def test_every_consultation_is_a_labelled_binary_choice(self):
+        trigger = ChoiceTrigger(site="fault/crash/s1")
+        source = ChoiceSource(prefix=[0, 1], features={"faults"})
+        with driven_by(source):
+            fired = [trigger.fires(ctx(phase="vote", height=h)) for h in (0, 1, 2)]
+        assert fired == [False, True, False]
+        # The third consultation asked nothing: the budget was spent.
+        assert [(point.label, point.options) for point in source.trace] == [
+            ("fault/crash/s1/vote@0", 2),
+            ("fault/crash/s1/vote@1", 2),
+        ]
+
+    def test_plans_sharing_a_budget_fire_once_between_them(self):
+        budget = ChoiceBudget(1)
+        first = ChoiceTrigger(site="a", budget=budget)
+        second = ChoiceTrigger(site="b", budget=budget)
+        with driven_by(ChoiceSource(prefix=[1, 1], features={"faults"})) as source:
+            assert first.fires(ctx())
+            assert not second.fires(ctx())
+        assert len(source.trace) == 1
+
+
 class TestAtTimeTrigger:
     def test_fires_from_the_virtual_time_onwards(self):
         trigger = AtTimeTrigger(time=1.5)
@@ -96,7 +151,6 @@ class TestAtTimeTrigger:
         late = FaultContext(phase="vote", sim_time=2.0)
         assert not trigger.fires(early)
         assert trigger.fires(late)
-        assert trigger.describe() == "t>=1.5"
 
     def test_never_fires_without_a_simulation_context(self):
         trigger = AtTimeTrigger(time=0.0)
@@ -107,15 +161,14 @@ class TestAtTimeTrigger:
         assert isinstance(trigger, AtTimeTrigger)
         assert trigger.time == 0.25
 
-    def test_observe_phase_stamps_the_attached_clock(self):
-        from repro.server.faults import HonestBehavior
+    def test_observe_phase_stamps_the_policys_clock(self):
         from repro.sim import VirtualClock
 
-        clock = VirtualClock()
-        policy = HonestBehavior()
+        policy = FaultPolicy()
         policy.observe_phase("vote", 0)
         assert policy.context.sim_time is None
-        policy.attach_clock(clock)
+        clock = VirtualClock()
+        policy = FaultPolicy(clock=clock)
         clock.set(3.25)
         policy.observe_phase("vote", 0)
         assert policy.context.sim_time == 3.25
@@ -124,7 +177,6 @@ class TestAtTimeTrigger:
         """An at-time planned fault detonates mid-run at its virtual time."""
         from repro.common.config import SystemConfig
         from repro.core.fides import FidesSystem
-        from repro.faultsim import PlannedFaultPolicy
         from repro.net.latency import ConstantLatency
         from repro.sim import FixedCompute
         from repro.workload.ycsb import YcsbWorkload
@@ -149,7 +201,7 @@ class TestAtTimeTrigger:
                 target="s1",
                 trigger={"kind": "at-time", "time": trigger_time},
             )
-            system.inject_fault("s1", PlannedFaultPolicy([plan]))
+            system.inject_fault("s1", [plan])
             workload = YcsbWorkload(
                 item_ids=system.shard_map.all_items(), ops_per_txn=2, seed=9
             )
@@ -189,12 +241,12 @@ class TestFaultPlans:
         assert len({scenario.name for scenario in matrix}) == len(matrix)
 
 
-class TestPlannedPolicy:
+class TestFaultPolicy:
     def test_hooks_stay_honest_until_trigger_fires(self):
         plan = FaultPlan(
             fault="read-corruption", target="s1", trigger={"kind": "at-height", "height": 5}
         )
-        policy = PlannedFaultPolicy([plan])
+        policy = FaultPolicy([plan])
         policy.observe_phase("execute", 1, ("t1",))
         assert policy.corrupt_read_value("x", 42) == 42
         assert not policy.fired()
@@ -204,13 +256,13 @@ class TestPlannedPolicy:
 
     def test_item_restriction(self):
         plan = FaultPlan(fault="read-corruption", target="s1", params={"item": "x"})
-        policy = PlannedFaultPolicy([plan])
+        policy = FaultPolicy([plan])
         policy.observe_phase("execute", 0)
         assert policy.corrupt_read_value("y", 1) == 1
         assert policy.corrupt_read_value("x", 1) != 1
 
     def test_composed_plans_on_one_server(self):
-        policy = PlannedFaultPolicy(
+        policy = FaultPolicy(
             [
                 FaultPlan(fault="skip-validation", target="s1"),
                 FaultPlan(fault="collude", target="s1"),
@@ -223,14 +275,14 @@ class TestPlannedPolicy:
 
     def test_drop_write_filters_applied_writes(self):
         plan = FaultPlan(fault="drop-write", target="s1", params={"item": "x"})
-        policy = PlannedFaultPolicy([plan])
+        policy = FaultPolicy([plan])
         policy.observe_phase("decision", 0)
         assert policy.filter_applied_writes({"x": 1, "y": 2}) == {"y": 2}
 
     def test_log_integrity_flag_flips_after_tamper(self):
         from repro.ledger.log import TransactionLog
 
-        policy = PlannedFaultPolicy(
+        policy = FaultPolicy(
             [FaultPlan(fault="log-truncate", target="s1", params={"keep": 0})]
         )
         assert policy.maintains_log_integrity()

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.net.latency import ConstantLatency
-from repro.server.faults import DatastoreCorruptionFault, StaleReadFault
+from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.ycsb import YcsbWorkload
 
@@ -97,9 +97,11 @@ class TestEndToEnd:
         assert system.run_transaction([ReadOp(items_s1[0]), WriteOp(items_s1[0], 10)]).committed
         assert system.run_transaction([ReadOp(items_s2[0]), WriteOp(items_s2[0], 20)]).committed
 
-        system.inject_fault("s1", StaleReadFault(target_item=items_s1[0], wrong_value=0))
         system.inject_fault(
-            "s2", DatastoreCorruptionFault(corruptions={items_s2[0]: -5})
+            "s1", [FaultPlan("read-corruption", "s1", params={"item": items_s1[0], "value": 0})]
+        )
+        system.inject_fault(
+            "s2", [FaultPlan("post-commit-corruption", "s2", params={"item": items_s2[0], "value": -5})]
         )
         assert system.run_transaction(
             [ReadOp(items_s1[0]), WriteOp(items_s1[0], 11)], client_index=1

@@ -45,10 +45,9 @@ from repro.api import (
     single_sequencer,
 )
 from repro.common.errors import AuditError
-from repro.faultsim import FaultPlan
-from repro.faultsim.policy import PlannedFaultPolicy
 from repro.net.latency import lan_latency
 from repro.obs import Observability
+from repro.server.faults import FaultPlan
 from repro.sim.context import FixedCompute
 from repro.txn.operations import WriteOp
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
@@ -61,7 +60,7 @@ AT_VOTE = {"kind": "phase", "phases": ["vote"]}
 
 def _inject(system, server_id: str, *plans: FaultPlan) -> None:
     """``server_id`` runs ``plans`` from now on (none: it is honest again)."""
-    system.inject_fault(server_id, PlannedFaultPolicy(plans))
+    system.inject_fault(server_id, plans)
 
 
 def _config(num_servers: int) -> SystemConfig:

@@ -12,11 +12,9 @@ from __future__ import annotations
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
-from repro.faultsim.plan import FaultPlan
-from repro.faultsim.policy import PlannedFaultPolicy
 from repro.net.latency import ConstantLatency
 from repro.obs import Observability
-from repro.server.faults import CrashFault
+from repro.server.faults import FaultPlan
 from repro.sim.context import FixedCompute
 from repro.workload.ycsb import YcsbWorkload
 
@@ -76,7 +74,7 @@ def _traced_failover_run() -> tuple:
         obs=obs,
     )
     system.run_workload(_workload(system, 2))
-    system.inject_fault("s0", CrashFault(phase="vote"))
+    system.inject_fault("s0", [FaultPlan("crash", "s0", {"kind": "phase", "phases": ["vote"]})])
     system.run_workload(_workload(system, 2))
     system.recover_server("s0")
     system.fail_over()
@@ -165,14 +163,7 @@ class TestMetricsFromRuns:
             compute_model=FixedCompute(0.001),
             obs=obs,
         )
-        system.inject_fault(
-            "s1",
-            PlannedFaultPolicy(
-                [
-                    FaultPlan(fault="corrupt-commitment", target="s1")
-                ]
-            ),
-        )
+        system.inject_fault("s1", [FaultPlan(fault="corrupt-commitment", target="s1")])
         system.run_workload(_workload(system, 2))
         assert obs.metrics.counter_value("faults.injected") >= 1.0
         injected = [s for s in obs.tracer.spans if s.category == "fault-inject"]

@@ -12,32 +12,17 @@ from repro.common.errors import (
 from repro.crypto.keys import keypair_for
 from repro.net.message import MessageType
 from repro.recovery.statestore import FileStateStore
-from repro.server.faults import CrashFault, FaultPolicy
+from repro.server.faults import FaultPlan
 
 
-class TamperCatchupFault(FaultPolicy):
-    """Hand-wired malicious catch-up peer: doctors the first served block."""
+def crash_at(server_id: str, phase: str):
+    """``server_id`` crashes (once) at its first observation of ``phase``."""
+    return [FaultPlan("crash", server_id, {"kind": "phase", "phases": [phase]})]
 
-    name = "tamper-catchup"
 
-    def tamper_state_response(self, blocks):
-        if not blocks:
-            return blocks
-        doctored = [dict(block) for block in blocks]
-        body = dict(doctored[0]["body"])
-        transactions = [dict(txn) for txn in body["transactions"]]
-        for index, txn in enumerate(transactions):
-            if txn["write_set"]:
-                write_set = [dict(entry) for entry in txn["write_set"]]
-                write_set[0]["new_value"] = 666_666
-                txn = dict(txn)
-                txn["write_set"] = write_set
-                transactions[index] = txn
-                break
-        body["transactions"] = transactions
-        doctored[0] = dict(doctored[0])
-        doctored[0]["body"] = body
-        return doctored
+def tamper_catchup(server_id: str):
+    """``server_id`` doctors the first block of every catch-up range it serves."""
+    return [FaultPlan("tamper-catchup", server_id)]
 
 
 class TestNetworkRejoin:
@@ -106,7 +91,7 @@ class TestCrashLifecycle:
         self, small_system, run_history, workload_factory
     ):
         run_history(small_system, count=3)
-        small_system.inject_fault("s2", CrashFault(phase="vote"))
+        small_system.inject_fault("s2", crash_at("s2", "vote"))
         workload = workload_factory(small_system, seed=91)
         result = small_system.run_workload(workload.generate(3))
         assert result.committed == 0 and result.failed == 3
@@ -129,7 +114,7 @@ class TestCrashLifecycle:
         self, small_system, run_history
     ):
         run_history(small_system, count=2)
-        small_system.inject_fault("s1", CrashFault(phase="decision"))
+        small_system.inject_fault("s1", crash_at("s1", "decision"))
         run_history(small_system, count=1, seed=63)  # commits; s1 misses the block
         assert "s1" in small_system.crashed_servers()
         result = small_system.recover_server("s1")
@@ -141,9 +126,9 @@ class TestCrashLifecycle:
 
     def test_tampered_catchup_response_is_rejected(self, small_system, run_history):
         run_history(small_system, count=2)
-        small_system.inject_fault("s1", CrashFault(phase="decision"))
+        small_system.inject_fault("s1", crash_at("s1", "decision"))
         run_history(small_system, count=1, seed=63)
-        small_system.inject_fault("s2", TamperCatchupFault())
+        small_system.inject_fault("s2", tamper_catchup("s2"))
         result = small_system.recover_server("s1", peer_order=["s2", "s0"])
         assert result.rejected_peers == ("s2",)
         assert "invalid collective signature" in result.rejected[0][1]
@@ -157,7 +142,7 @@ class TestCrashLifecycle:
         catch-up early: every peer is consulted, so the honest up-to-date
         peer still brings the server to the real head."""
         run_history(small_system, count=2)
-        small_system.inject_fault("s1", CrashFault(phase="decision"))
+        small_system.inject_fault("s1", crash_at("s1", "decision"))
         run_history(small_system, count=1, seed=63)
         network = small_system.network
         restored_height = small_system.server("s0").log.height - 1
@@ -181,10 +166,10 @@ class TestCrashLifecycle:
 
     def test_recovery_fails_when_every_peer_lies(self, small_system, run_history):
         run_history(small_system, count=2)
-        small_system.inject_fault("s1", CrashFault(phase="decision"))
+        small_system.inject_fault("s1", crash_at("s1", "decision"))
         run_history(small_system, count=1, seed=63)
-        small_system.inject_fault("s0", TamperCatchupFault())
-        small_system.inject_fault("s2", TamperCatchupFault())
+        small_system.inject_fault("s0", tamper_catchup("s0"))
+        small_system.inject_fault("s2", tamper_catchup("s2"))
         with pytest.raises(RecoveryError):
             small_system.recover_server("s1", peer_order=["s0", "s2"])
 

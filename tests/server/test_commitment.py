@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ProtocolError
+from dataclasses import replace
+
 from repro.common.timestamps import Timestamp
 from repro.crypto.cosi import (
     CollectiveSignature,
@@ -16,8 +17,12 @@ from repro.crypto.group import CURVE_ORDER, decompress_point, generator_multiply
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, genesis_previous_hash, make_partial_block
 from repro.ledger.log import TransactionLog
+from repro.net.latency import ConstantLatency
+from repro.net.message import MessageType
+from repro.net.network import Network
 from repro.obs import Observability
-from repro.server.commitment import CommitmentLayer
+from repro.server.commitment import COHORT_TRANSITIONS, CohortStatus, CommitmentLayer
+from repro.server.server import DatabaseServer
 from repro.sim.clock import VirtualClock
 from repro.storage.datastore import DataStore
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
@@ -102,11 +107,13 @@ class TestVotePhase:
         assert vote.decision == "abort"
         assert vote.abort_reason
 
-    def test_wrong_height_rejected(self):
+    def test_wrong_height_refused(self):
         cohorts = make_cohorts()
         block = make_partial_block(3, [make_txn("s0-item")], genesis_previous_hash())
-        with pytest.raises(ProtocolError):
-            cohorts["s0"].handle_get_vote(block)
+        answer = cohorts["s0"].handle_get_vote(block)
+        assert answer["ok"] is False and answer["refused"]
+        assert "does not extend local log" in answer["reason"]
+        assert cohorts["s0"].pending_round_count() == 0
 
 
 class TestChallengePhase:
@@ -195,6 +202,172 @@ def test_second_challenge_in_a_round_is_refused():
         pytest.fail("two responses from one nonce: the coordinator recovered s0's key")
     assert second["response"] is None and "already answered" in second["reason"]
     assert cohorts["s0"].pending_round_count() == 1
+
+
+class UntrustedCoordinator:
+    """``s0``'s identity driving the cohort ``s1`` through its server's
+    dispatch table, with the strongest messages a coordinator can forge:
+    well-signed envelopes, challenges that pass ``H(X || block)`` for the
+    block they carry, and the real co-sign wherever one can exist."""
+
+    def __init__(self) -> None:
+        self.network = Network(latency=ConstantLatency(0.0001))
+        clock, obs = VirtualClock(), Observability()
+        self.servers = {}
+        for server_id in SERVER_IDS:
+            server = DatabaseServer(
+                server_id, keypair_for(server_id, seed=5), {f"{server_id}-item": 0}, clock, obs
+            )
+            server.attach(self.network)
+            self.servers[server_id] = server
+            # Everyone is in view 1, so a view-0 message is a stale one.
+            self.send(server_id, MessageType.NEW_VIEW, {"group": None, "deposed": "-", "view": 1})
+        self.cohort = self.servers["s1"].commitment
+        self.partial = make_partial_block(
+            0, [make_txn("s1-item")], genesis_previous_hash(), view=1
+        )
+        self.votes = {}
+        self.responses = {}
+        self.aggregate = generator_multiply(7)
+        #: Every Schnorr response ``s1`` gave for the round's one nonce.
+        self.answers = []
+
+    def send(self, to, message_type, payload):
+        reply = self.network.send("s0", to, message_type, payload)
+        if to == "s1" and reply.get("response") is not None:
+            self.answers.append(reply["response"])
+        return reply
+
+    def status(self):
+        state = self.cohort._rounds.get(self.partial.round_key())
+        return state.status if state is not None else None
+
+    def arm(self, status) -> None:
+        """Bring the round to ``status`` on both servers (``RELEASED``: on
+        ``s1``, by ``ROUND_FAILED`` after it answered its challenge)."""
+        if status is None:
+            return
+        get_vote = self.payload(MessageType.GET_VOTE, "fresh")
+        self.votes = {sid: self.send(sid, MessageType.GET_VOTE, get_vote) for sid in SERVER_IDS}
+        self.aggregate = aggregate_points(
+            decompress_point(vote["commitment"]) for vote in self.votes.values()
+        )
+        if status is CohortStatus.VOTED:
+            return
+        challenge = self.payload(MessageType.CHALLENGE, "fresh")
+        self.responses = {
+            sid: self.send(sid, MessageType.CHALLENGE, challenge) for sid in SERVER_IDS
+        }
+        assert all(response["ok"] for response in self.responses.values())
+        if status is CohortStatus.RELEASED:
+            round_failed = self.payload(MessageType.ROUND_FAILED, "fresh")
+            assert self.send("s1", MessageType.ROUND_FAILED, round_failed)["released"]
+
+    def variant_of(self, block, variant):
+        if variant == "stale-view":
+            return replace(block, view=0)
+        if variant == "wrong-round":
+            return replace(block, height=1)
+        return block
+
+    def payload(self, message_type, variant):
+        if message_type in (MessageType.GET_VOTE, MessageType.PREPARE):
+            return {"block": self.variant_of(self.partial, variant), "client_requests": []}
+        roots = {sid: vote["root"] for sid, vote in self.votes.items() if vote["root"]}
+        decided = self.variant_of(
+            self.partial.with_decision(BlockDecision.COMMIT, roots), variant
+        )
+        if message_type is MessageType.ROUND_FAILED:
+            return {"round_key": decided.round_key()}
+        if message_type is MessageType.COMMIT_DECISION:
+            return {"block": decided}
+        challenge = compute_challenge(self.aggregate, decided.signing_digest())
+        if message_type is MessageType.CHALLENGE:
+            return {
+                "challenge": challenge,
+                "aggregate_commitment": self.aggregate.encode(),
+                "block": decided,
+            }
+        # DECISION / ORDERED_BLOCK: the real co-sign once both cohorts have
+        # responded (it only verifies for the block they responded to).
+        cosign = CollectiveSignature(
+            challenge=challenge,
+            response=aggregate_scalars(r["response"] for r in self.responses.values())
+            if self.responses
+            else 1,
+            signer_ids=tuple(SERVER_IDS),
+        )
+        return {"block": decided.with_cosign(cosign)}
+
+
+ROUND_MESSAGES = (
+    MessageType.GET_VOTE,
+    MessageType.PREPARE,
+    MessageType.CHALLENGE,
+    MessageType.DECISION,
+    MessageType.COMMIT_DECISION,
+    MessageType.ROUND_FAILED,
+    MessageType.ORDERED_BLOCK,
+)
+
+
+def declared_accepted(status, message_type, variant) -> bool:
+    """Does the cohort act on the (last) message, or refuse it?"""
+    if message_type in (MessageType.ROUND_FAILED, MessageType.COMMIT_DECISION):
+        # Releasing is always safe; the 2PC baseline trusts its coordinator.
+        return True
+    if message_type is MessageType.PREPARE:
+        # ... and checks a proposal against the view gate and the table only.
+        rearm = variant != "wrong-round"
+        return variant != "stale-view" and not (status is CohortStatus.CHALLENGED and rearm)
+    if variant in ("stale-view", "wrong-round"):
+        return False
+    if message_type is MessageType.GET_VOTE:
+        return status is not CohortStatus.CHALLENGED
+    if message_type is MessageType.CHALLENGE:
+        return status is CohortStatus.VOTED and variant == "fresh"
+    # A decision is believed on its co-sign, which exists once the cohort
+    # answered its challenge, and applied once.
+    return status in (CohortStatus.CHALLENGED, CohortStatus.RELEASED) and variant == "fresh"
+
+
+@pytest.mark.parametrize("variant", ["fresh", "duplicate", "stale-view", "wrong-round"])
+@pytest.mark.parametrize("message_type", ROUND_MESSAGES, ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "status", [None, *COHORT_TRANSITIONS], ids=lambda s: s.value if s else "no-round"
+)
+def test_the_cohort_table_against_every_message_an_untrusted_coordinator_can_send(
+    status, message_type, variant
+):
+    """``COHORT_TRANSITIONS`` x the server's round-carrying dispatch entries
+    x {fresh, sent twice, from a deposed view, for another round}: the cohort
+    acts on the message (a legal transition) or refuses it with a reason --
+    it never raises, never answers a second challenge from its one nonce,
+    and ``ROUND_FAILED`` always leaves nothing armed."""
+    peer = UntrustedCoordinator()
+    peer.arm(status)
+    before = peer.status()
+    assert before is (None if status is CohortStatus.RELEASED else status)
+
+    payload = peer.payload(message_type, variant)
+    for _ in range(2 if variant == "duplicate" else 1):
+        reply = peer.send("s1", message_type, payload)
+
+    accepted = reply.get("ok", True) is not False
+    assert accepted is declared_accepted(status, message_type, variant), reply
+    if not accepted:
+        assert isinstance(reply["reason"], str) and reply["reason"]
+    after = peer.status()
+    if before is None:
+        proposal = message_type in (MessageType.GET_VOTE, MessageType.PREPARE)
+        assert after is None or (after is CohortStatus.VOTED and proposal)
+    else:
+        assert after is before or (after or CohortStatus.RELEASED) in COHORT_TRANSITIONS[before]
+    assert len(peer.answers) <= 1, "two responses from one nonce leak the cohort's key"
+
+    for block in (peer.partial, peer.variant_of(peer.partial, variant)):
+        peer.send("s1", MessageType.ROUND_FAILED, {"round_key": block.round_key()})
+    assert peer.cohort.pending_round_count() == 0
 
 
 class TestCohortLifecycle:

@@ -8,7 +8,7 @@ from repro.common.errors import StorageError
 from repro.common.timestamps import Timestamp
 from repro.net.message import Envelope, MessageType
 from repro.server.execution import ExecutionLayer
-from repro.server.faults import StaleReadFault
+from repro.server.faults import FaultPlan, FaultPolicy
 from repro.storage.datastore import DataStore
 
 
@@ -59,19 +59,19 @@ class TestReadsAndWrites:
         assert layer.buffered_writes("t2") == {"y": 88}
 
 
+def _lies_about_x() -> FaultPolicy:
+    return FaultPolicy([FaultPlan("read-corruption", "s0", params={"item": "x", "value": -1})])
+
+
 class TestFaultHooks:
-    def test_stale_read_fault_corrupts_returned_value(self):
-        layer = ExecutionLayer(
-            DataStore({"x": 10}), faults=StaleReadFault(target_item="x", wrong_value=-1)
-        )
+    def test_read_corruption_corrupts_returned_value(self):
+        layer = ExecutionLayer(DataStore({"x": 10}), faults=_lies_about_x())
         assert layer.read("t1", "x").value == -1
         # The datastore itself is untouched; only the response lies.
         assert layer.store.read("x").value == 10
 
     def test_fault_only_affects_target_item(self):
-        layer = ExecutionLayer(
-            DataStore({"x": 10, "y": 20}), faults=StaleReadFault(target_item="x", wrong_value=-1)
-        )
+        layer = ExecutionLayer(DataStore({"x": 10, "y": 20}), faults=_lies_about_x())
         assert layer.read("t1", "y").value == 20
 
 

@@ -88,14 +88,22 @@ class TestAuditMessages:
 
 class TestFaultWiring:
     def test_set_faults_applies_to_both_layers(self, wired_server):
-        from repro.server.faults import IsolationViolationFault
+        from repro.server.faults import FaultPlan
 
         _, server = wired_server
-        policy = IsolationViolationFault()
-        server.set_faults(policy)
-        assert server.execution.faults is policy
-        assert server.commitment.faults is policy
-        assert server.faults is policy
+        server.set_faults([FaultPlan("skip-validation", "s0")])
+        assert server.faults.name == "skip-validation"
+        assert server.execution.faults is server.faults
+        assert server.commitment.faults is server.faults
+
+    def test_a_plan_for_another_server_is_refused(self, wired_server):
+        from repro.common.errors import ConfigurationError
+        from repro.server.faults import FaultPlan
+
+        _, server = wired_server
+        with pytest.raises(ConfigurationError, match="targets 's1'"):
+            server.set_faults([FaultPlan("skip-validation", "s1")])
+        assert server.faults.name == "honest"
 
     def test_snapshot(self, wired_server):
         _, server = wired_server

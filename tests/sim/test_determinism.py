@@ -13,7 +13,7 @@ from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
 from repro.net.latency import lan_latency
-from repro.server.faults import CrashFault
+from repro.server.faults import FaultPlan
 from repro.sim import FixedCompute
 from repro.workload.ycsb import YcsbWorkload
 
@@ -42,7 +42,11 @@ def run_classic(depth: int = 2, seed: int = 2020, crash: bool = False):
         # A cohort crashes in the vote phase of the round at height >= 1:
         # that round fails, the workload continues on retry semantics, and
         # the server recovers mid-run -- all of it on the virtual timeline.
-        system.inject_fault("s2", CrashFault(phase="vote", at_height=1))
+        vote_at_or_after_1 = {
+            "kind": "all",
+            "of": [{"kind": "phase", "phases": ["vote"]}, {"kind": "at-height", "height": 1}],
+        }
+        system.inject_fault("s2", [FaultPlan("crash", "s2", vote_at_or_after_1)])
     workload = YcsbWorkload(
         item_ids=system.shard_map.all_items(),
         ops_per_txn=2,
