@@ -1,0 +1,74 @@
+"""Pinned wire bytes: the one byte form of every wire class, as a constant.
+
+The round-trip suite proves decode inverts encode, and the golden
+fingerprints prove whole runs hash the same; neither says *which* bytes a
+single object encodes to.  These digests do -- recorded at the commit before
+the ``to_wire`` methods became derived from per-class declarations, so a
+refactor of how the wire form is produced must leave every literal here
+untouched.  A digest that moves is a wire-format change: every WAL, exported
+log and signature made before it stops verifying.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.common.encoding import canonical_encode
+
+from test_wire_roundtrip import BUILDERS
+
+#: ``sha256(canonical_encode(BUILDERS[name]().to_wire()))``.
+WIRE_DIGESTS = {
+    "Block": "903ae11031209b777829d09346f30c82b80e44a25e8ae21c98ff2f520f1a9ff4",
+    "Checkpoint": "2ba1304c01b1f1197821438714b93f59c2148ab3a159c2ae8af87627703590db",
+    "CollectiveSignature": "3b63e84be99256c4d0c264d20f8b2c283a97810651ddda44b66da628e0eb983a",
+    "Envelope": "7e4db3220852c1acae4312c9d43bab88449dc15f2b0841ada5760e94f7bf0b2e",
+    "EpochAnchor": "b971220b2d73d717dbd3f43d226c2e824198904ad3f5b490100138e71ee67025",
+    "FrontierCertificate": "6d6fe87ad605788ac4cebb679c8a19739b14036aee84f2e7069e208997474d0e",
+    "Histogram": "9973204e62929d55489539ca636a1f2747485234106a3036866fe37335716a23",
+    "ReadOp": "50e0565b22577d66f28b8e46136e3c12ee9537832d61f5228124be5aae605ca9",
+    "ReadResult": "645e81334fb6f40159fea51e8b9c17f20d7a81e59f8ce111fabddfad9da96037",
+    "ReadSetEntry": "503888af5711001fc4ebfe60074e7771be468948190f2c29d8c364b634e5ec7a",
+    "RecordVersion": "cfbf4951b67f9ee6012c4eede7ab13f8dbe1d272202a3baae7aa3beab54271ed",
+    "ServerGroup": "4a27b9ee384de4271b5b853045e96a17160003d83e1dc5df4e8f737930ff794d",
+    "Span": "eaad28d8ace4cdae75c50afb8df8d86f6d0609314ae65702adfd66dca6f19434",
+    "Transaction": "99019ee12f1d22d3c5ecce6a85ed4e4ba0ba8ddb90d1f3d8d73262e41317aa5a",
+    "TxnOutcome": "d2bb3cb04205730d8e065024f32fbc2c1b75cd31eb3a5d0d03090c6564b6a04e",
+    "VerificationObject": "aaefca2e7d0b0cf3be520415d10fdf26571d2e7800a0e0c501c22df4d6d4c623",
+    "VoteResult": "12297b746bc427762508a320fe674d5f18e65df59f509ee627c39b217cd1a9ba",
+    "WriteOp": "9cf70d7617d5a503656464bdd21b1160af8b6c412cadcd98d727bd231f31e3a9",
+    "WriteSetEntry": "68d794f7f94c8ddcf456058f35aa4f8c6f0ba0bbdb2ff530b5866b81f0aba952",
+}
+
+#: The two sub-forms that are hashed or signed on their own.
+SIGNED_CONTENT_DIGEST = "d3c5da4241150e0154a08e118763b60a4d6d2c491bdb5c9be50a0607509050d8"
+BLOCK_BODY_DIGEST = "19c22d32129dcbc05b38e8bd4c97edd9eb4da45305905ad915c88c117fa018cd"
+
+
+def _digest(wire) -> str:
+    return hashlib.sha256(canonical_encode(wire)).hexdigest()
+
+
+def test_every_builder_is_pinned():
+    assert set(WIRE_DIGESTS) == set(BUILDERS)
+
+
+@pytest.mark.parametrize("class_name", sorted(WIRE_DIGESTS))
+def test_wire_form_encodes_to_the_pinned_bytes(class_name):
+    assert _digest(BUILDERS[class_name]().to_wire()) == WIRE_DIGESTS[class_name]
+
+
+def test_an_object_encodes_as_its_wire_form():
+    """``canonical_encode(x)`` and ``canonical_encode(x.to_wire())`` agree."""
+    for class_name, digest in WIRE_DIGESTS.items():
+        assert _digest(BUILDERS[class_name]()) == digest, class_name
+
+
+def test_envelope_signed_content_is_pinned():
+    assert _digest(BUILDERS["Envelope"]().signed_content()) == SIGNED_CONTENT_DIGEST
+
+
+def test_block_body_is_pinned():
+    assert _digest(BUILDERS["Block"]().body()) == BLOCK_BODY_DIGEST
