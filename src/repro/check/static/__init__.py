@@ -7,7 +7,7 @@ analyses and one set of per-file rules:
 
 - :mod:`repro.check.static.flowgraph` -- message-flow totality: every sent
   ``MessageType`` has a dispatch entry, every dispatch entry a sender, every
-  enum member is reachable, every ``to_wire`` class has a strict decoder.
+  enum member is reachable.
 - :mod:`repro.check.static.effects` -- exception effects: handler-reachable
   code must not let non-``FidesError`` exceptions escape (response-map
   subscripts, un-defaulted ``max``/``min``, broad excepts, builtin raises).
@@ -30,8 +30,7 @@ releases in one place, so there is no arm/release pairing left to infer.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List
 
 from repro.check.static.determinism import determinism_findings
 from repro.check.static.effects import effect_findings
@@ -42,13 +41,11 @@ __all__ = ["Finding", "SourceTree", "default_root", "run_analyses"]
 
 
 def run_analyses(
-    tree: SourceTree,
-    mutations: FrozenSet[str] = frozenset(),
-    wire_registry: Optional[Path] = None,
+    tree: SourceTree, mutations: FrozenSet[str] = frozenset()
 ) -> List[Finding]:
     """Run all three analyses; suppressed findings are dropped here."""
     findings: List[Finding] = []
-    findings.extend(flow_findings(tree, wire_registry=wire_registry))
+    findings.extend(flow_findings(tree))
     findings.extend(effect_findings(tree, mutations))
     findings.extend(determinism_findings(tree))
     kept = []

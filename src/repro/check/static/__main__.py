@@ -49,12 +49,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="package tree to analyze (default: the installed repro package)",
     )
     parser.add_argument(
-        "--wire-registry",
-        type=Path,
-        default=None,
-        help="wire.py holding WIRE_DECODERS (default: <root>/recovery/wire.py)",
-    )
-    parser.add_argument(
         "--baseline",
         type=Path,
         default=None,
@@ -83,7 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     root = args.root if args.root is not None else default_root()
     tree = SourceTree(root)
     mutations = frozenset(args.mutation)
-    findings = run_analyses(tree, mutations, wire_registry=args.wire_registry)
+    findings = run_analyses(tree, mutations)
 
     baseline_path = args.baseline or default_baseline_path()
     if args.update_baseline:

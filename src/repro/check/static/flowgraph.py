@@ -21,11 +21,6 @@ the **dispatch table** of ``FidesServer.handle`` (the dict literal mapping
     is synchronous RPC, so every response travels as the handler's return
     payload, not as an envelope.)
 
-``missing-decoder``
-    A class defining ``to_wire`` has no strict decoder registered in
-    ``recovery/wire.py``'s ``WIRE_DECODERS`` -- the static half of the wire
-    round-trip property test.
-
 Send sites whose message type is a *variable* (the generic forwarders inside
 ``timed_exchange`` and ``Network.broadcast``) carry no static type and are
 excluded: every protocol phase names its type literally at the call site
@@ -40,7 +35,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.check.static.model import (
@@ -118,10 +112,6 @@ class FlowGraph:
     message_types: Dict[str, int] = field(default_factory=dict)
     #: Path of the module defining ``MessageType``.
     message_module: str = ""
-    #: Classes defining ``to_wire``: name -> (path, line).
-    wire_classes: Dict[str, Tuple[str, int]] = field(default_factory=dict)
-    #: Class names registered in ``WIRE_DECODERS``.
-    decoders: Set[str] = field(default_factory=set)
 
     def sent_types(self) -> Set[str]:
         return {site.message_type for site in self.send_sites}
@@ -145,45 +135,18 @@ def extract_flow_graph(tree: SourceTree) -> FlowGraph:
                     graph.send_sites.append(
                         SendSite(relative, node.lineno, call_name(node), type_name)
                     )
-            elif isinstance(node, ast.ClassDef):
-                if node.name == "MessageType":
-                    graph.message_module = relative
-                    for item in node.body:
-                        if isinstance(item, ast.Assign):
-                            for target in item.targets:
-                                if isinstance(target, ast.Name):
-                                    graph.message_types[target.id] = item.lineno
+            elif isinstance(node, ast.ClassDef) and node.name == "MessageType":
+                graph.message_module = relative
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name == "to_wire":
-                        graph.wire_classes[node.name] = (relative, node.lineno)
+                    if isinstance(item, ast.Assign):
+                        for target in item.targets:
+                            if isinstance(target, ast.Name):
+                                graph.message_types[target.id] = item.lineno
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.name == "handle":
                     _extract_dispatch(graph, relative, node)
     graph.send_sites.sort(key=lambda site: (site.path, site.line, site.message_type))
     return graph
-
-
-def registered_decoders(wire_registry: Path) -> Set[str]:
-    """Class names keyed in ``WIRE_DECODERS`` -- extracted statically.
-
-    The registry is read via AST, not import, so the analyzer runs without
-    the package installed (the CI job checks out sources only).
-    """
-    tree = ast.parse(wire_registry.read_text(), filename=str(wire_registry))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "WIRE_DECODERS" not in targets or not isinstance(node.value, ast.Dict):
-            continue
-        return {
-            key.value
-            for key in node.value.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
-    raise LookupError(
-        f"{wire_registry}: no literal `WIRE_DECODERS = {{...}}` dict found"
-    )
 
 
 def _extract_dispatch(graph: FlowGraph, relative: str, func: ast.AST) -> None:
@@ -228,9 +191,7 @@ def format_edges(edges: Set[Tuple[str, str]]) -> List[str]:
     return [f"{name} -> {handler}" for name, handler in sorted(edges)]
 
 
-def flow_findings(
-    tree: SourceTree, wire_registry: Optional[Path] = None
-) -> List[Finding]:
+def flow_findings(tree: SourceTree) -> List[Finding]:
     """Run the totality checks; returns findings (not yet suppressed)."""
     graph = extract_flow_graph(tree)
     findings: List[Finding] = list(tree.syntax_errors)
@@ -281,28 +242,4 @@ def flow_findings(
                     "payloads, not as envelopes)",
                 )
             )
-
-    registry = wire_registry or (tree.root / "recovery" / "wire.py")
-    if registry.exists():
-        graph.decoders = registered_decoders(registry)
-        for class_name, (path, line) in sorted(graph.wire_classes.items()):
-            if class_name not in graph.decoders:
-                findings.append(
-                    Finding(
-                        "flow",
-                        "missing-decoder",
-                        path,
-                        line,
-                        "",
-                        f"class {class_name} defines to_wire but has no decoder "
-                        "registered in recovery/wire.py WIRE_DECODERS",
-                    )
-                )
-    else:
-        findings.append(
-            Finding(
-                "flow", "missing-decoder", str(registry), 0, "",
-                "wire registry file not found",
-            )
-        )
     return findings

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.common.errors import SignatureError
-from repro.common.timestamps import Timestamp, TimestampGenerator
+from repro.common.timestamps import TimestampGenerator
 from repro.common.types import ClientId, ItemId, Value
 from repro.crypto.cosi import cosi_verify
 from repro.crypto.keys import KeyPair
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.client.session import TransactionSession
+from repro.storage.datastore import ReadResult
 from repro.storage.shard import ShardMap
 from repro.txn.transaction import Transaction
 
@@ -100,12 +101,11 @@ class FidesClient:
             MessageType.READ,
             {"txn_id": session.txn_id, "item_id": item_id},
         )
-        rts = Timestamp(*response["rts"])
-        wts = Timestamp(*response["wts"])
-        self._clock.observe(rts)
-        self._clock.observe(wts)
-        session.record_read(item_id, response["value"], rts, wts)
-        return response["value"]
+        result = ReadResult.from_wire(response)
+        self._clock.observe(result.rts)
+        self._clock.observe(result.wts)
+        session.record_read(item_id, result.value, result.rts, result.wts)
+        return result.value
 
     def write(self, session: TransactionSession, item_id: ItemId, value: Value) -> None:
         """Write ``value`` to ``item_id`` within ``session`` (buffered server-side)."""
@@ -117,12 +117,10 @@ class FidesClient:
             MessageType.WRITE,
             {"txn_id": session.txn_id, "item_id": item_id, "value": value},
         )
-        old = response["old"]
-        rts = Timestamp(*old["rts"])
-        wts = Timestamp(*old["wts"])
-        self._clock.observe(rts)
-        self._clock.observe(wts)
-        session.record_write(item_id, value, old["value"], rts, wts)
+        old = ReadResult.from_wire(response.get("old"))
+        self._clock.observe(old.rts)
+        self._clock.observe(old.wts)
+        session.record_write(item_id, value, old.value, old.rts, old.wts)
 
     def commit(self, session: TransactionSession) -> CommitOutcome:
         """Terminate the transaction: send ``end_transaction`` to the coordinator.

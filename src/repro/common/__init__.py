@@ -6,7 +6,7 @@ canonical byte encoding used for hashing and signing, configuration
 objects, and the exception hierarchy.
 """
 
-from repro.common.encoding import canonical_encode, encode_str, decode_str
+from repro.common.encoding import canonical_encode
 from repro.common.errors import (
     AuditError,
     ConfigurationError,
@@ -36,6 +36,4 @@ __all__ = [
     "TxnId",
     "ValidationError",
     "canonical_encode",
-    "decode_str",
-    "encode_str",
 ]

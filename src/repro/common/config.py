@@ -86,20 +86,5 @@ class SystemConfig:
         """Total number of data items across all shards."""
         return self.num_servers * self.items_per_shard
 
-    def with_updates(self, **changes) -> "SystemConfig":
-        """Return a copy of this config with ``changes`` applied."""
-        current = {
-            "num_servers": self.num_servers,
-            "items_per_shard": self.items_per_shard,
-            "txns_per_block": self.txns_per_block,
-            "ops_per_txn": self.ops_per_txn,
-            "multi_versioned": self.multi_versioned,
-            "message_signing": self.message_signing,
-            "pipeline_depth": self.pipeline_depth,
-            "seed": self.seed,
-        }
-        current.update(changes)
-        return SystemConfig(**current)
-
 
 DEFAULT_CONFIG = SystemConfig()

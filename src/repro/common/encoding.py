@@ -11,8 +11,10 @@ canonical encoder:
 * ``list`` / ``tuple`` encode their length then each element.
 * ``dict`` encodes entries sorted by the encoded key, making the encoding
   independent of insertion order.
-* Objects exposing ``to_wire()`` (returning any of the above) are encoded via
-  that method, which lets higher layers opt in without import cycles.
+* A wire class -- one that declares its form with
+  :func:`repro.common.wire.wire_form` -- is encoded as its ``to_wire()``.
+  Nothing else with a ``to_wire`` attribute is: a declared class comes with
+  its strict decoder, a hand-rolled method would not.
 
 The format is not meant to be a general interchange format -- only to be
 deterministic, unambiguous (length-prefixed, so no delimiter injection), and
@@ -31,6 +33,8 @@ from __future__ import annotations
 import struct
 from typing import Any
 
+from repro.common.wire import WIRE_CLASSES
+
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
 _TAG_FALSE = b"F"
@@ -40,16 +44,6 @@ _TAG_STR = b"S"
 _TAG_BYTES = b"B"
 _TAG_LIST = b"L"
 _TAG_DICT = b"M"
-
-
-def encode_str(text: str) -> bytes:
-    """UTF-8 encode ``text`` (tiny convenience wrapper)."""
-    return text.encode("utf-8")
-
-
-def decode_str(data: bytes) -> str:
-    """UTF-8 decode ``data`` (tiny convenience wrapper)."""
-    return data.decode("utf-8")
 
 
 def _length_prefixed(payload: bytes) -> bytes:
@@ -62,8 +56,8 @@ def canonical_encode(value: Any) -> bytes:
     Raises
     ------
     TypeError
-        If ``value`` (or anything nested inside it) is of an unsupported type
-        and does not provide a ``to_wire()`` method.
+        If ``value`` (or anything nested inside it) is neither plain data
+        nor an instance of a registered wire class.
     """
     if value is None:
         return _TAG_NONE
@@ -95,8 +89,7 @@ def canonical_encode(value: Any) -> bytes:
             parts.append(key_bytes)
             parts.append(val_bytes)
         return b"".join(parts)
-    to_wire = getattr(value, "to_wire", None)
-    if callable(to_wire):
+    if WIRE_CLASSES.get(type(value).__name__) is type(value):
         # Immutable wire objects (frozen dataclasses that are never mutated,
         # only rebuilt via ``dataclasses.replace``) can opt into a
         # per-instance encoding cache by setting ``CANONICAL_CACHEABLE``.
@@ -107,10 +100,10 @@ def canonical_encode(value: Any) -> bytes:
             cached = value.__dict__.get("_canonical_cache")
             if cached is not None:
                 return cached
-            encoded = canonical_encode(to_wire())
+            encoded = canonical_encode(value.to_wire())
             object.__setattr__(value, "_canonical_cache", encoded)
             return encoded
-        return canonical_encode(to_wire())
+        return canonical_encode(value.to_wire())
     raise TypeError(f"cannot canonically encode object of type {type(value).__name__}")
 
 
@@ -171,7 +164,7 @@ def canonical_decode(data: bytes) -> Any:
 
     Tuples come back as lists and ``to_wire`` objects as the plain structure
     their ``to_wire()`` produced -- callers reconstruct domain objects from
-    those (see :mod:`repro.recovery.wire`).
+    those with the class's ``from_wire`` (see :mod:`repro.common.wire`).
     """
     value, offset = _decode_at(bytes(data), 0)
     if offset != len(data):

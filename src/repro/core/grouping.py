@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Sequence, Set
 
 from repro.common.errors import ValidationError
+from repro.common.wire import ID_SET, STR, wire_form
 from repro.storage.shard import ShardMap
 from repro.txn.transaction import Transaction
 
@@ -32,6 +33,7 @@ def _pick_coordinator(servers: Set[str], exclude: Iterable[str]) -> str:
     return min(candidates) if candidates else min(servers)
 
 
+@wire_form(("members", ID_SET), ("coordinator", STR))
 @dataclass(frozen=True)
 class ServerGroup:
     """One dynamic group: the servers a transaction (or batch) touches."""
@@ -40,6 +42,7 @@ class ServerGroup:
     coordinator: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", frozenset(self.members))
         if self.coordinator not in self.members:
             raise ValidationError("coordinator must be a member of its group")
 
@@ -49,9 +52,6 @@ class ServerGroup:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def to_wire(self):
-        return {"members": sorted(self.members), "coordinator": self.coordinator}
 
 
 def group_for_transaction(

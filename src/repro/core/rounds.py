@@ -19,6 +19,7 @@ from repro.check.mutations import mutation_enabled
 from repro.common.errors import ProtocolError, ProtocolInvariantError, UnreachableError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ServerId
+from repro.common.wire import INT, NUMBER, STR, extra, optional, wire_form
 from repro.core.grouping import ServerGroup
 from repro.ledger.block import Block, make_group_partial_block, make_partial_block
 from repro.net.latency import LatencyModel
@@ -61,9 +62,23 @@ class TimingBreakdown:
         return self.total / self.num_txns
 
 
+@wire_form(
+    ("txn_id", STR),
+    ("status", STR),
+    ("block_height", optional(INT)),
+    ("reason", STR),
+    ("decided_at", optional(NUMBER)),
+    extra("block_digest"),
+    extra("cosign"),
+)
 @dataclass(frozen=True)
 class TxnOutcome:
-    """Outcome of one transaction within a block."""
+    """Outcome of one transaction within a block.
+
+    On the wire an outcome travels with its proof, ``block_digest`` and
+    ``cosign``: advisory keys the TFCommit coordinator fills in and the
+    client verifies itself, not outcome state.
+    """
 
     txn_id: str
     status: str  # "committed" / "aborted" / "failed"
@@ -73,17 +88,6 @@ class TxnOutcome:
     #: round's terminal phase on the simulated timeline); ``None`` while a
     #: published group block still waits for its ordered delivery.
     decided_at: Optional[float] = None
-
-    def to_wire(self, block_digest: Optional[bytes] = None, cosign=None):
-        return {
-            "txn_id": self.txn_id,
-            "status": self.status,
-            "block_height": self.block_height,
-            "reason": self.reason,
-            "decided_at": self.decided_at,
-            "block_digest": block_digest,
-            "cosign": cosign,
-        }
 
 
 @dataclass

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.common.errors import ProtocolInvariantError
+from repro.common.errors import ProtocolInvariantError, ValidationError
 from repro.core.rounds import (
     BlockCommitResult,
     Round,
@@ -49,6 +49,7 @@ from repro.crypto.group import Point, decompress_point
 from repro.ledger.block import Block, BlockDecision
 from repro.net.message import MessageType
 from repro.obs.timing import Stopwatch
+from repro.server.commitment import VoteResult
 from repro.sim.scheduler import KIND_TERMINAL
 
 
@@ -65,7 +66,7 @@ class TFCommitCoordinator(SimScheduledRounds):
         digest = result.block.signing_digest() if result.block is not None else None
         cosign = result.block.cosign if result.block is not None else None
         return {
-            outcome.txn_id: outcome.to_wire(block_digest=digest, cosign=cosign)
+            outcome.txn_id: {**outcome.to_wire(), "block_digest": digest, "cosign": cosign}
             for outcome in result.outcomes
         }
 
@@ -97,12 +98,21 @@ class TFCommitCoordinator(SimScheduledRounds):
             for resp in votes.values()
             if resp.get("ok") is False and not resp.get("unreachable")
         ]
+        ballots: Dict[str, VoteResult] = {}
+        if not (unreachable or refused):
+            # A vote is a peer's reply: it is believed only as far as it decodes.
+            for server_id, resp in votes.items():
+                try:
+                    ballots[server_id] = VoteResult.from_wire(resp)
+                except ValidationError as exc:
+                    refused.append({"server_id": server_id, "ok": False, "reason": str(exc)})
         if unreachable or refused:
-            # A cohort crashed before or during the vote, or refused the
-            # proposal outright (e.g. it already moved to a newer view): the
-            # block cannot be co-signed by the full signer set, so the round
-            # fails and its transactions are retried (liveness, not safety --
-            # nobody is accused).
+            # A cohort crashed before or during the vote, refused the
+            # proposal outright (e.g. it already moved to a newer view), or
+            # answered with something that is not a vote: the block cannot be
+            # co-signed by the full signer set, so the round fails and its
+            # transactions are retried (liveness, not safety -- nobody is
+            # accused).
             timing.coordinator_time += self._sim.effective_compute(
                 "aggregate", assembly_elapsed
             )
@@ -119,29 +129,29 @@ class TFCommitCoordinator(SimScheduledRounds):
         abort_reasons = round.abort_reasons
         roots: Dict[str, bytes] = {}
         commitments: Dict[str, Point] = {}
-        for server_id, vote in votes.items():
-            commitments[server_id] = decompress_point(vote["commitment"])
-            if vote["involved"]:
-                if vote["decision"] == BlockDecision.ABORT.value:
+        for server_id, vote in ballots.items():
+            commitments[server_id] = decompress_point(vote.commitment)
+            if vote.involved:
+                if vote.decision == BlockDecision.ABORT.value:
                     decision = BlockDecision.ABORT
-                    if vote["abort_reason"]:
-                        abort_reasons.append(f"{server_id}: {vote['abort_reason']}")
-                elif vote["root"] is not None:
+                    if vote.abort_reason:
+                        abort_reasons.append(f"{server_id}: {vote.abort_reason}")
+                elif vote.root is not None:
                     # A malicious coordinator can record a bogus root for a
                     # victim (Scenario 2) or drop it from the block entirely
                     # (returning None), producing a malformed commit block.
-                    recorded = faults.fake_root_for(server_id, vote["root"])
+                    recorded = faults.fake_root_for(server_id, vote.root)
                     if recorded is not None:
                         roots[server_id] = recorded
-            timing.mht_time = max(timing.mht_time, vote["mht_time"])
-            timing.mht_hashes += vote["mht_hashes"]
+            timing.mht_time = max(timing.mht_time, vote.mht_time)
+            timing.mht_hashes += vote.mht_hashes
         if decision is BlockDecision.ABORT:
             # Aborted blocks must be missing at least one involved root
             # (Section 4.3.2); drop the roots of servers that voted abort.
             roots = {
                 server_id: root
                 for server_id, root in roots.items()
-                if votes[server_id]["decision"] == BlockDecision.COMMIT.value
+                if ballots[server_id].decision == BlockDecision.COMMIT.value
             }
         round.block = block = partial_block.with_decision(decision, roots)
         crypto_watch = Stopwatch()

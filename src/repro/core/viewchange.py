@@ -43,14 +43,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
 from repro.common.errors import ProtocolError, ProtocolInvariantError, ValidationError
+from repro.common.wire import BYTES, INT, MAPPING, STR, optional, wire_form
 from repro.core.rounds import ROUND_TIMEOUT_S, TimingBreakdown, timed_broadcast
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block
 from repro.ledger.log import TransactionLog
 from repro.net.message import MessageType
-from repro.recovery.wire import block_from_wire
 
 
+@wire_form(
+    ("server_id", STR),
+    ("view", INT),
+    ("height", INT),
+    ("head_hash", BYTES),
+    ("head", optional(MAPPING)),
+)
 @dataclass(frozen=True)
 class FrontierCertificate:
     """One cohort's signed-evidence claim of its commit frontier.
@@ -68,15 +75,6 @@ class FrontierCertificate:
     height: int
     head_hash: bytes
     head: Optional[dict] = None
-
-    def to_wire(self) -> dict:
-        return {
-            "server_id": self.server_id,
-            "view": self.view,
-            "height": self.height,
-            "head_hash": self.head_hash,
-            "head": self.head,
-        }
 
 
 @dataclass
@@ -101,10 +99,8 @@ class ViewChangeOutcome:
 
 def decode_certificate(data, expected_server: str) -> Optional[FrontierCertificate]:
     """Strict-decode a certificate without co-sign verification (2PC mode)."""
-    from repro.recovery.wire import frontier_certificate_from_wire
-
     try:
-        cert = frontier_certificate_from_wire(data)
+        cert = FrontierCertificate.from_wire(data)
     except ValidationError:
         return None
     return cert if cert.server_id == expected_server else None
@@ -131,7 +127,7 @@ def verify_certificate(
     if cert.head is None:
         return None
     try:
-        head = block_from_wire(cert.head)
+        head = Block.from_wire(cert.head)
     except ValidationError:
         return None
     if head.block_hash() != cert.head_hash:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.errors import ProtocolError
+from repro.common.wire import SCALAR, STR, list_of, wire_form
 from repro.crypto.group import (
     CURVE_ORDER,
     Point,
@@ -44,6 +45,11 @@ from repro.crypto.hashing import hash_concat, hash_to_int
 from repro.crypto.keys import KeyPair, PublicKey
 
 
+@wire_form(
+    ("challenge", SCALAR),
+    ("response", SCALAR),
+    ("signers", list_of(STR), "signer_ids"),
+)
 @dataclass(frozen=True)
 class CollectiveSignature:
     """A collective signature ``(challenge, response)`` over one record.
@@ -60,13 +66,6 @@ class CollectiveSignature:
     def encode(self) -> bytes:
         """Canonical wire encoding (64 bytes + signer list handled upstream)."""
         return self.challenge.to_bytes(32, "big") + self.response.to_bytes(32, "big")
-
-    def to_wire(self):
-        return {
-            "challenge": self.challenge,
-            "response": self.response,
-            "signers": list(self.signer_ids),
-        }
 
 
 def _commitment_scalar(keypair: KeyPair, record: bytes) -> int:

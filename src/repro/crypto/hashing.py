@@ -9,7 +9,7 @@ be run through :func:`repro.common.encoding.canonical_encode`.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable
+from typing import Any
 
 from repro.common.encoding import canonical_encode
 
@@ -46,11 +46,6 @@ def hash_concat(*parts: bytes) -> bytes:
 def hash_object(obj: Any) -> bytes:
     """Canonically encode ``obj`` and return its SHA-256 digest."""
     return sha256(canonical_encode(obj))
-
-
-def hash_objects(objs: Iterable[Any]) -> bytes:
-    """Hash an iterable of objects as an ordered sequence."""
-    return hash_object(list(objs))
 
 
 def hash_to_int(data: bytes, modulus: int) -> int:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import StorageError
+from repro.common.wire import BOOL, BYTES, INT, STR, list_of, pair_of, wire_form
 from repro.crypto.hashing import hash_concat, hash_object, sha256
 
 #: Domain-separation prefixes so leaves can never be confused with internal nodes.
@@ -48,6 +49,11 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return hash_concat(_NODE_PREFIX, left, right)
 
 
+@wire_form(
+    ("item_id", STR),
+    ("leaf_index", INT),
+    ("siblings", list_of(pair_of(BYTES, BOOL))),
+)
 @dataclass(frozen=True)
 class VerificationObject:
     """The sibling hashes on the path from one leaf to the root.
@@ -63,13 +69,6 @@ class VerificationObject:
 
     def __len__(self) -> int:
         return len(self.siblings)
-
-    def to_wire(self):
-        return {
-            "item_id": self.item_id,
-            "leaf_index": self.leaf_index,
-            "siblings": [[sib, left] for sib, left in self.siblings],
-        }
 
 
 def _next_power_of_two(n: int) -> int:

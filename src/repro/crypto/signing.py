@@ -13,8 +13,9 @@ provided behind the :class:`SigningScheme` interface:
   so it is never used for block co-signing, which always uses real
   Schnorr/CoSi.
 
-The scheme signs canonical encodings of arbitrary payload objects so callers
-never handle raw bytes directly.
+A scheme signs bytes: the caller (the network layer) canonically encodes an
+envelope's signed content once and uses the same bytes to sign, to verify and
+to meter the message's size.
 """
 
 from __future__ import annotations
@@ -22,24 +23,14 @@ from __future__ import annotations
 import hashlib
 import hmac
 from abc import ABC, abstractmethod
-from typing import Any
 
-from repro.common.encoding import canonical_encode
 from repro.common.errors import ConfigurationError
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.schnorr import schnorr_sign, schnorr_verify_encoded
 
 
 class SigningScheme(ABC):
-    """Interface for per-message authentication.
-
-    Schemes implement the byte-level pair (:meth:`sign_bytes` /
-    :meth:`verify_bytes`); the payload-level pair encodes once and
-    delegates.  Callers that already hold the canonical encoding (the
-    network signs *and* verifies each envelope, and also meters its wire
-    size) use the byte-level pair directly so the payload is encoded
-    exactly once per message instead of three times.
-    """
+    """Interface for per-message authentication, over already-encoded bytes."""
 
     #: Human-readable name (matches ``SystemConfig.message_signing``).
     name: str = "abstract"
@@ -51,14 +42,6 @@ class SigningScheme(ABC):
     @abstractmethod
     def verify_bytes(self, public: PublicKey, message: bytes, signature: bytes) -> bool:
         """Return True iff ``signature`` authenticates ``message`` under ``public``."""
-
-    def sign(self, keypair: KeyPair, payload: Any) -> bytes:
-        """Return a signature over the canonical encoding of ``payload``."""
-        return self.sign_bytes(keypair, canonical_encode(payload))
-
-    def verify(self, public: PublicKey, payload: Any, signature: bytes) -> bool:
-        """Return True iff ``signature`` authenticates ``payload`` under ``public``."""
-        return self.verify_bytes(public, canonical_encode(payload), signature)
 
 
 class SchnorrSigningScheme(SigningScheme):

@@ -5,7 +5,7 @@ globally replicated log of hash-chained, collectively signed blocks
 (Sections 3.1, 4.1, 4.4).  Each block carries the fields of Table 1.
 """
 
-from repro.ledger.block import Block, BlockDecision, block_body_digest
+from repro.ledger.block import Block, BlockDecision
 from repro.ledger.checkpoint import (
     Checkpoint,
     apply_checkpoint,
@@ -23,7 +23,6 @@ __all__ = [
     "LogVerificationResult",
     "TransactionLog",
     "apply_checkpoint",
-    "block_body_digest",
     "build_checkpoint",
     "cosign_checkpoint",
     "verify_checkpoint",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
+from repro.common.wire import BYTES, INT, list_of, wire_form
 from repro.crypto.hashing import EMPTY_HASH, hash_concat
 from repro.ledger.block import Block
 
@@ -47,6 +48,14 @@ def fold_shard_head(head: bytes, block: Block) -> bytes:
     return hash_concat(b"shard-chain", head, block.group_body_digest())
 
 
+@wire_form(
+    ("epoch", INT),
+    ("start_height", INT),
+    ("end_height", INT),
+    ("shard_heights", list_of(INT)),
+    ("shard_heads", list_of(BYTES)),
+    ("previous", BYTES),
+)
 @dataclass(frozen=True)
 class EpochAnchor:
     """One sealed ordering epoch (DESIGN.md section 5).
@@ -88,16 +97,6 @@ class EpochAnchor:
             parts.append(str(height).encode("ascii"))
             parts.append(head)
         return hash_concat(*parts)
-
-    def to_wire(self):
-        return {
-            "epoch": self.epoch,
-            "start_height": self.start_height,
-            "end_height": self.end_height,
-            "shard_heights": list(self.shard_heights),
-            "shard_heads": list(self.shard_heads),
-            "previous": self.previous,
-        }
 
 
 def verify_anchor_chain(anchors: Sequence[EpochAnchor]) -> Optional[str]:

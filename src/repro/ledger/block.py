@@ -46,6 +46,18 @@ from typing import Mapping, Optional, Sequence, Tuple
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ServerId
+from repro.common.wire import (
+    BYTES,
+    ID_SET,
+    INT,
+    ROOTS,
+    enum_of,
+    list_of,
+    nested,
+    optional,
+    sub,
+    wire_form,
+)
 from repro.crypto.cosi import CollectiveSignature
 from repro.crypto.hashing import EMPTY_HASH, hash_concat
 from repro.txn.transaction import Transaction
@@ -58,6 +70,19 @@ class BlockDecision(Enum):
     ABORT = "abort"
 
 
+@wire_form(
+    sub(
+        "body",
+        ("height", INT),
+        ("transactions", list_of(nested(Transaction))),
+        ("roots", ROOTS),
+        ("decision", enum_of(BlockDecision)),
+        ("previous_hash", BYTES),
+        ("group", optional(ID_SET)),
+        ("view", INT),
+    ),
+    ("cosign", optional(nested(CollectiveSignature))),
+)
 @dataclass(frozen=True)
 class Block:
     """One entry of the tamper-proof log.
@@ -140,15 +165,7 @@ class Block:
 
     def body(self) -> dict:
         """Every field except the co-sign, in canonical-encoding-friendly form."""
-        return {
-            "height": self.height,
-            "transactions": [txn.to_wire() for txn in self.transactions],
-            "roots": {server: root for server, root in sorted(self.roots.items())},
-            "decision": self.decision.value,
-            "previous_hash": self.previous_hash,
-            "group": list(self.group) if self.group is not None else None,
-            "view": self.view,
-        }
+        return self.to_wire()["body"]
 
     def body_digest(self) -> bytes:
         """The digest the participants collectively sign.
@@ -244,12 +261,6 @@ class Block:
         """Return the finalised block carrying the collective signature."""
         return replace(self, cosign=cosign)
 
-    def to_wire(self):
-        return {
-            "body": self.body(),
-            "cosign": self.cosign.to_wire() if self.cosign is not None else None,
-        }
-
 
 def make_partial_block(
     height: int,
@@ -298,8 +309,3 @@ def make_group_partial_block(
 def genesis_previous_hash() -> bytes:
     """The ``previous_hash`` value of the first block in a log."""
     return EMPTY_HASH
-
-
-def block_body_digest(block: Block) -> bytes:
-    """Convenience wrapper (kept for a stable public API)."""
-    return block.body_digest()

@@ -29,12 +29,21 @@ from typing import Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
+from repro.common.wire import BYTES, INT, ROOTS, TIMESTAMP, nested, optional, wire_form
 from repro.crypto.cosi import CollectiveSignature, CoSiWitness, cosi_verify, run_cosi_round
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.ledger.log import TransactionLog, verify_block_cosign
 
 
+@wire_form(
+    ("height", INT),
+    ("head_hash", BYTES),
+    ("shard_roots", ROOTS),
+    ("latest_commit_ts", TIMESTAMP),
+    ("transactions_covered", INT),
+    ("cosign", optional(nested(CollectiveSignature))),
+)
 @dataclass(frozen=True)
 class Checkpoint:
     """A collectively signed summary of a log prefix."""
@@ -75,16 +84,6 @@ class Checkpoint:
             transactions_covered=self.transactions_covered,
             cosign=cosign,
         )
-
-    def to_wire(self):
-        return {
-            "height": self.height,
-            "head_hash": self.head_hash,
-            "shard_roots": {sid: root for sid, root in sorted(self.shard_roots.items())},
-            "latest_commit_ts": self.latest_commit_ts.as_tuple(),
-            "transactions_covered": self.transactions_covered,
-            "cosign": self.cosign.to_wire() if self.cosign is not None else None,
-        }
 
 
 def build_checkpoint(

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
+from repro.common.wire import ANY, BYTES, STR, enum_of, optional, sub, wire_form
+
 
 class MessageType(Enum):
     """All *request* message kinds exchanged in Fides.
@@ -69,6 +71,16 @@ class MessageType(Enum):
     AUDIT_VO_REQUEST = "audit_vo_request"
 
 
+@wire_form(
+    sub(
+        "content",
+        ("sender", STR),
+        ("recipient", STR),
+        ("type", enum_of(MessageType), "message_type"),
+        ("payload", ANY),
+    ),
+    ("signature", optional(BYTES)),
+)
 @dataclass(frozen=True)
 class Envelope:
     """A signed protocol message.
@@ -86,12 +98,7 @@ class Envelope:
 
     def signed_content(self):
         """The portion of the envelope covered by the signature."""
-        return {
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "type": self.message_type.value,
-            "payload": self.payload,
-        }
+        return self.to_wire()["content"]
 
     def with_signature(self, signature: bytes) -> "Envelope":
         return Envelope(
@@ -101,6 +108,3 @@ class Envelope:
             payload=self.payload,
             signature=signature,
         )
-
-    def to_wire(self):
-        return {"content": self.signed_content(), "signature": self.signature}

@@ -70,6 +70,11 @@ class NetworkStats:
         )
 
 
+def _signed_bytes(envelope: Envelope) -> bytes:
+    """The bytes an envelope's signature covers (and its wire size is metered on)."""
+    return canonical_encode(envelope.signed_content())
+
+
 class Network:
     """Signed, synchronous, in-process message delivery between participants."""
 
@@ -172,7 +177,7 @@ class Network:
         keypair = self._keypairs.get(envelope.sender)
         if keypair is None:
             raise ConfigurationError(f"sender {envelope.sender!r} has no registered key")
-        signature = self._scheme.sign(keypair, envelope.signed_content())
+        signature = self._scheme.sign_bytes(keypair, _signed_bytes(envelope))
         return envelope.with_signature(signature)
 
     def verify_envelope(self, envelope: Envelope) -> bool:
@@ -182,7 +187,7 @@ class Network:
         public = self._public_keys.get(envelope.sender)
         if public is None:
             return False
-        return self._scheme.verify(public, envelope.signed_content(), envelope.signature)
+        return self._scheme.verify_bytes(public, _signed_bytes(envelope), envelope.signature)
 
     def send(
         self,
@@ -205,7 +210,7 @@ class Network:
         obs = self._sim.obs if self._sim is not None else None
         if presigned is not None:
             envelope = presigned
-            encoded = canonical_encode(envelope.signed_content())
+            encoded = _signed_bytes(envelope)
         else:
             keypair = self._keypairs.get(sender)
             if keypair is None:
@@ -213,7 +218,7 @@ class Network:
             envelope = Envelope(
                 sender=sender, recipient=recipient, message_type=message_type, payload=payload
             )
-            encoded = canonical_encode(envelope.signed_content())
+            encoded = _signed_bytes(envelope)
             watch = Stopwatch()
             envelope = envelope.with_signature(self._scheme.sign_bytes(keypair, encoded))
             if obs is not None:

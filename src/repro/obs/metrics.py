@@ -17,24 +17,50 @@ is measured rather than fixed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.common.errors import ValidationError
+from repro.common.wire import INT, NUMBER, extra, list_of, optional, wire_form
 
 #: Default histogram bucket upper bounds, in seconds: 1us * 4^k up to ~1s.
 DEFAULT_BUCKETS = tuple(1e-6 * (4.0**k) for k in range(11))
 
 
+@wire_form(
+    ("count", INT),
+    ("sum", NUMBER, "total"),
+    ("min", optional(NUMBER), "minimum"),
+    ("max", optional(NUMBER), "maximum"),
+    extra("mean"),
+    ("bounds", list_of(NUMBER)),
+    ("buckets", list_of(INT)),
+)
 class Histogram:
-    """Fixed-bound bucketed histogram with count/sum/min/max."""
+    """Fixed-bound bucketed histogram with count/sum/min/max.
+
+    The keyword arguments past ``bounds`` restore a recorded histogram (its
+    wire form); ``mean`` is derived, so it travels but is never read back.
+    """
 
     __slots__ = ("bounds", "buckets", "count", "total", "minimum", "maximum")
 
-    def __init__(self, bounds: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
+    def __init__(
+        self,
+        bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
+        buckets: Optional[Sequence[int]] = None,
+        count: int = 0,
+        total: float = 0.0,
+        minimum: Optional[float] = None,
+        maximum: Optional[float] = None,
+    ) -> None:
         self.bounds = bounds
-        self.buckets: List[int] = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
+        self.buckets: List[int] = [0] * (len(bounds) + 1) if buckets is None else list(buckets)
+        if len(self.buckets) != len(bounds) + 1:
+            raise ValidationError("histogram bucket count does not match its bounds")
+        self.count = count
+        self.total = total
+        self.minimum = minimum
+        self.maximum = maximum
 
     def observe(self, value: float) -> None:
         self.buckets[bisect_left(self.bounds, value)] += 1
@@ -60,17 +86,6 @@ class Histogram:
             and self.minimum == other.minimum
             and self.maximum == other.maximum
         )
-
-    def to_wire(self) -> Dict:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean,
-            "bounds": list(self.bounds),
-            "buckets": list(self.buckets),
-        }
 
 
 class MetricsRegistry:

@@ -47,6 +47,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.common.wire import INT, MAPPING, NUMBER, STR, optional, wire_form
+
 #: Nesting tolerance: virtual times are exact floats, but allow rounding
 #: noise from summed latency samples.
 _NEST_EPSILON = 1e-9
@@ -55,6 +57,19 @@ KIND_SPAN = "span"
 KIND_INSTANT = "instant"
 
 
+@wire_form(
+    ("id", INT, "span_id"),
+    ("parent", optional(INT)),
+    ("kind", STR),
+    ("name", STR),
+    ("cat", STR, "category"),
+    ("resource", STR),
+    ("pid", INT),
+    ("start", NUMBER),
+    ("end", optional(NUMBER)),
+    ("status", STR),
+    ("attrs", MAPPING),
+)
 @dataclass
 class Span:
     """One recorded span or instant (``end == start`` for instants)."""
@@ -70,37 +85,6 @@ class Span:
     end: Optional[float]
     status: str = "ok"
     attrs: Dict = field(default_factory=dict)
-
-    def to_wire(self) -> Dict:
-        return {
-            "id": self.span_id,
-            "parent": self.parent,
-            "kind": self.kind,
-            "name": self.name,
-            "cat": self.category,
-            "resource": self.resource,
-            "pid": self.pid,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_wire(cls, record: Dict) -> "Span":
-        return cls(
-            span_id=record["id"],
-            parent=record.get("parent"),
-            kind=record.get("kind", KIND_SPAN),
-            name=record["name"],
-            category=record.get("cat", ""),
-            resource=record.get("resource", ""),
-            pid=record.get("pid", 0),
-            start=record["start"],
-            end=record.get("end"),
-            status=record.get("status", "ok"),
-            attrs=dict(record.get("attrs") or {}),
-        )
 
 
 class Tracer:

@@ -4,7 +4,10 @@ The subsystem behind ``DatabaseServer.crash()`` / ``recover()``:
 
 * :mod:`repro.recovery.statestore` -- the durable state layer (in-memory and
   append-only file WAL with snapshot compaction);
-* :mod:`repro.recovery.wire` -- strict decoders for the byte boundary;
+* :mod:`repro.recovery.wire` -- the byte trust boundary: every wire class's
+  derived strict decoder, by name (the classes declare their own wire forms,
+  see :mod:`repro.common.wire`; recovery code calls ``Block.from_wire`` and
+  ``Checkpoint.from_wire`` directly);
 * :mod:`repro.recovery.manager` -- restore-and-verify plus the
   ``STATE_REQUEST`` catch-up protocol against untrusted peers (each peer's
   state response travels as the RPC return payload).
@@ -26,12 +29,6 @@ from repro.recovery.statestore import (
     PersistedState,
     StateStore,
 )
-from repro.recovery.wire import (
-    block_from_wire,
-    checkpoint_from_wire,
-    cosign_from_wire,
-    transaction_from_wire,
-)
 
 __all__ = [
     "RecoveryResult",
@@ -43,8 +40,4 @@ __all__ = [
     "MemoryStateStore",
     "PersistedState",
     "StateStore",
-    "block_from_wire",
-    "checkpoint_from_wire",
-    "cosign_from_wire",
-    "transaction_from_wire",
 ]

@@ -44,7 +44,6 @@ from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.obs.timing import Stopwatch
 from repro.recovery.statestore import PersistedState, StateStore
-from repro.recovery.wire import block_from_wire
 from repro.storage.apply import block_local_writes, block_store_commits
 from repro.storage.datastore import DataStore
 
@@ -199,7 +198,7 @@ def catch_up_from_peers(
             continue
         try:
             claimed_head = int(response.get("head_height", 0))
-            blocks = [block_from_wire(wire) for wire in response.get("blocks", ())]
+            blocks = [Block.from_wire(wire) for wire in response.get("blocks", ())]
             applied = verify_and_apply_catchup(
                 server_id,
                 store,

@@ -41,7 +41,6 @@ from repro.common.encoding import canonical_decode, canonical_encode
 from repro.common.errors import RecoveryError
 from repro.ledger.block import Block
 from repro.ledger.checkpoint import Checkpoint
-from repro.recovery.wire import block_from_wire, checkpoint_from_wire
 
 
 @dataclass
@@ -177,7 +176,7 @@ class StateStore:
         for record in self._iter_records():
             if record["kind"] == "snapshot":
                 checkpoint = (
-                    checkpoint_from_wire(record["checkpoint"])
+                    Checkpoint.from_wire(record["checkpoint"])
                     if record["checkpoint"] is not None
                     else None
                 )
@@ -191,7 +190,7 @@ class StateStore:
                 if state is None:
                     raise RecoveryError("state store has block records before any snapshot")
                 state.blocks.append(
-                    (block_from_wire(record["block"]), record["shard_root"])
+                    (Block.from_wire(record["block"]), record["shard_root"])
                 )
             else:
                 raise RecoveryError(f"unknown state-store record kind {record['kind']!r}")

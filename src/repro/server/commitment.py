@@ -31,6 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
+from repro.common.wire import BOOL, BYTES, INT, NUMBER, STR, optional, wire_form
 from repro.core.rounds import ROUND_TIMEOUT_S
 from repro.crypto.cosi import CoSiWitness, compute_challenge, cosi_verify
 from repro.crypto.group import decompress_point
@@ -100,6 +101,17 @@ class RoundState:
     client_requests: Tuple = field(default_factory=tuple)
 
 
+@wire_form(
+    ("server_id", STR),
+    ("involved", BOOL),
+    ("decision", STR),
+    ("commitment", BYTES),
+    ("root", optional(BYTES)),
+    ("compute_time", NUMBER),
+    ("mht_time", NUMBER),
+    ("mht_hashes", INT),
+    ("abort_reason", STR),
+)
 @dataclass
 class VoteResult:
     """What a cohort returns from the vote phase."""
@@ -113,19 +125,6 @@ class VoteResult:
     mht_time: float
     mht_hashes: int
     abort_reason: str = ""
-
-    def to_wire(self):
-        return {
-            "server_id": self.server_id,
-            "involved": self.involved,
-            "decision": self.decision,
-            "commitment": self.commitment,
-            "root": self.root,
-            "compute_time": self.compute_time,
-            "mht_time": self.mht_time,
-            "mht_hashes": self.mht_hashes,
-            "abort_reason": self.abort_reason,
-        }
 
 
 class CommitmentLayer:

@@ -22,10 +22,12 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from repro.common.errors import StorageError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ItemId, Value
+from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, wire_form
 from repro.crypto.merkle import MerkleTree, VerificationObject
 from repro.storage.record import RecordVersion, VersionedRecord
 
 
+@wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
 @dataclass(frozen=True)
 class ReadResult:
     """Result of a timestamped read: the value plus its current timestamps."""
@@ -34,14 +36,6 @@ class ReadResult:
     value: Value
     rts: Timestamp
     wts: Timestamp
-
-    def to_wire(self):
-        return {
-            "item_id": self.item_id,
-            "value": self.value,
-            "rts": self.rts.as_tuple(),
-            "wts": self.wts.as_tuple(),
-        }
 
 
 class DataStore:
@@ -270,23 +264,20 @@ class DataStore:
 
     @classmethod
     def import_state(cls, state: Mapping[str, object]) -> "DataStore":
-        """Rebuild a datastore from an :meth:`export_state` dump."""
+        """Rebuild a datastore from an :meth:`export_state` dump.
+
+        The dump is bytes read back from disk: a field of the wrong type is
+        refused (:class:`~repro.common.errors.ValidationError`), not coerced.
+        """
         store = cls.__new__(cls)
-        store._multi_versioned = bool(state["multi_versioned"])
+        store._multi_versioned = BOOL.decode(state["multi_versioned"], "multi_versioned")
         records: Dict[ItemId, VersionedRecord] = {}
         for item_id, versions in state["items"].items():
             if not versions:
                 raise StorageError(f"persisted item {item_id!r} has no versions")
             records[item_id] = VersionedRecord(
                 item_id=item_id,
-                versions=[
-                    RecordVersion(
-                        value=version["value"],
-                        wts=Timestamp(*version["wts"]),
-                        rts=Timestamp(*version["rts"]),
-                    )
-                    for version in versions
-                ],
+                versions=[RecordVersion.from_wire(version) for version in versions],
             )
         store._records = records
         store._merkle = MerkleTree.from_items(

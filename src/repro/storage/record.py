@@ -16,8 +16,10 @@ from typing import List, Optional
 from repro.common.errors import StorageError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ItemId, Value
+from repro.common.wire import ANY, TIMESTAMP, wire_form
 
 
+@wire_form(("value", ANY), ("wts", TIMESTAMP), ("rts", TIMESTAMP))
 @dataclass(frozen=True)
 class RecordVersion:
     """One committed version of a data item.
@@ -37,9 +39,6 @@ class RecordVersion:
         if rts < self.rts:
             return self
         return RecordVersion(self.value, self.wts, rts)
-
-    def to_wire(self):
-        return {"value": self.value, "wts": self.wts.as_tuple(), "rts": self.rts.as_tuple()}
 
 
 @dataclass

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.common.types import ItemId, Value
+from repro.common.wire import ANY, STR, tag, wire_form
 
 
+@wire_form(tag("op", "read"), ("item_id", STR))
 @dataclass(frozen=True)
 class ReadOp:
     """Read the current value of ``item_id``."""
@@ -28,10 +30,8 @@ class ReadOp:
     def is_write(self) -> bool:
         return False
 
-    def to_wire(self):
-        return {"op": "read", "item_id": self.item_id}
 
-
+@wire_form(tag("op", "write"), ("item_id", STR), ("value", ANY))
 @dataclass(frozen=True)
 class WriteOp:
     """Write ``value`` to ``item_id``."""
@@ -46,9 +46,6 @@ class WriteOp:
     @property
     def is_write(self) -> bool:
         return True
-
-    def to_wire(self):
-        return {"op": "write", "item_id": self.item_id, "value": self.value}
 
 
 Operation = Union[ReadOp, WriteOp]

@@ -17,8 +17,10 @@ from typing import Dict, Optional, Sequence, Set
 
 from repro.common.timestamps import Timestamp
 from repro.common.types import ClientId, ItemId, TxnId, Value
+from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, list_of, nested, wire_form
 
 
+@wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
 @dataclass(frozen=True)
 class ReadSetEntry:
     """One read-set entry: the value observed and its timestamps at read time."""
@@ -28,15 +30,15 @@ class ReadSetEntry:
     rts: Timestamp
     wts: Timestamp
 
-    def to_wire(self):
-        return {
-            "item_id": self.item_id,
-            "value": self.value,
-            "rts": self.rts.as_tuple(),
-            "wts": self.wts.as_tuple(),
-        }
 
-
+@wire_form(
+    ("item_id", STR),
+    ("new_value", ANY),
+    ("old_value", ANY),
+    ("rts", TIMESTAMP),
+    ("wts", TIMESTAMP),
+    ("blind", BOOL),
+)
 @dataclass(frozen=True)
 class WriteSetEntry:
     """One write-set entry: the new value and, for blind writes, the old value."""
@@ -48,17 +50,14 @@ class WriteSetEntry:
     wts: Timestamp = Timestamp.zero()
     blind: bool = False
 
-    def to_wire(self):
-        return {
-            "item_id": self.item_id,
-            "new_value": self.new_value,
-            "old_value": self.old_value,
-            "rts": self.rts.as_tuple(),
-            "wts": self.wts.as_tuple(),
-            "blind": self.blind,
-        }
 
-
+@wire_form(
+    ("txn_id", STR),
+    ("client_id", STR),
+    ("commit_ts", TIMESTAMP),
+    ("read_set", list_of(nested(ReadSetEntry))),
+    ("write_set", list_of(nested(WriteSetEntry))),
+)
 @dataclass(frozen=True)
 class Transaction:
     """A terminated (ready-to-commit) transaction.
@@ -123,15 +122,6 @@ class Transaction:
         if theirs_w & self.items_read():
             return True
         return False
-
-    def to_wire(self):
-        return {
-            "txn_id": self.txn_id,
-            "client_id": self.client_id,
-            "commit_ts": self.commit_ts.as_tuple(),
-            "read_set": [entry.to_wire() for entry in self.read_set],
-            "write_set": [entry.to_wire() for entry in self.write_set],
-        }
 
     def encoded(self) -> bytes:
         """Canonical byte encoding of this transaction, cached per instance.

@@ -9,15 +9,11 @@ readable.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.check.static import default_root
-from repro.check.static import run_analyses
 from repro.check.static.flowgraph import (
     deployment_edges,
     extract_flow_graph,
     format_edges,
-    registered_decoders,
 )
 from repro.check.static.model import SourceTree
 from repro.net.message import MessageType
@@ -110,37 +106,3 @@ class TestGraphShape:
         path, line = graph().dispatch_site
         assert path == "server/server.py"
         assert line > 0
-
-
-class TestDecoderRegistry:
-    """The ``missing-decoder`` rule's registry handling (the rule firing on
-    an unregistered ``to_wire`` class is in ``test_static_analyzer.py``)."""
-
-    WIRE_CLASS = "class Orphan:{marker}\n    def to_wire(self):\n        return {{}}\n"
-
-    def findings(self, tmp_path, marker=""):
-        (tmp_path / "mod.py").write_text(self.WIRE_CLASS.format(marker=marker))
-        return [f for f in run_analyses(SourceTree(tmp_path)) if f.rule == "missing-decoder"]
-
-    def test_the_real_registry_is_a_literal_dict_covering_the_wire_classes(self):
-        g = graph()
-        assert g.wire_classes and set(g.wire_classes) <= registered_decoders(
-            default_root() / "recovery" / "wire.py"
-        )
-
-    def test_missing_registry_file_is_itself_a_finding(self, tmp_path):
-        [finding] = self.findings(tmp_path)
-        assert "not found" in finding.message
-
-    def test_non_literal_registry_is_rejected(self, tmp_path):
-        (tmp_path / "recovery").mkdir()
-        (tmp_path / "recovery" / "wire.py").write_text("WIRE_DECODERS = dict(Block=None)\n")
-        with pytest.raises(LookupError):
-            self.findings(tmp_path)
-
-    def test_allow_marker_on_the_class_line_exempts_it(self, tmp_path):
-        (tmp_path / "recovery").mkdir()
-        (tmp_path / "recovery" / "wire.py").write_text('WIRE_DECODERS = {"Covered": None}\n')
-        [finding] = self.findings(tmp_path)
-        assert "Orphan" in finding.message
-        assert self.findings(tmp_path, marker="  # static: allow") == []

@@ -35,8 +35,7 @@ def write_tree(root: Path, files: dict) -> SourceTree:
 
 
 #: Minimal surroundings every fixture tree shares: the enum, a dispatch
-#: table covering the enum, a send site per member, and an empty decoder
-#: registry so the missing-decoder pass has a file to read.
+#: table covering the enum, and a send site per member.
 def base_files(extra_members: str = "") -> dict:
     return {
         "net/message.py": f"""
@@ -61,9 +60,6 @@ def base_files(extra_members: str = "") -> dict:
             class Driver:
                 def run(self):
                     self.network.send("a", "b", MessageType.PING, {})
-            """,
-        "recovery/wire.py": """
-            WIRE_DECODERS = {}
             """,
     }
 
@@ -131,16 +127,6 @@ class TestFlowTotality:
         findings = by_rule(run_analyses(write_tree(tmp_path, files)), "dead-message-type")
         assert [f.path for f in findings] == ["net/message.py"]
         assert "UNUSED" in findings[0].message
-
-    def test_missing_decoder(self, tmp_path):
-        files = base_files()
-        files["ledger/thing.py"] = """
-            class Thing:
-                def to_wire(self):
-                    return {}
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "missing-decoder")
-        assert [f.path for f in findings] == ["ledger/thing.py"]
 
     def test_syntax_error_is_a_finding(self, tmp_path):
         files = base_files()

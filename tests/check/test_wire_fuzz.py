@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_decode, canonical_encode
 from repro.common.errors import ValidationError
+from repro.common.wire import WIRE_CLASSES
 from repro.recovery.wire import WIRE_DECODERS
 
 from test_wire_roundtrip import BUILDERS
@@ -66,8 +67,9 @@ plain_data = st.recursive(
 
 
 #: Wire keys that are not object state: advisory extras the client layer
-#: verifies itself, and derived values the decoder recomputes.
-NOT_STATE = {"TxnOutcome": ("block_digest", "cosign"), "Histogram": ("mean",)}
+#: verifies itself, and derived values the decoder recomputes -- as each
+#: class's declaration lists them.
+NOT_STATE = {name: cls.WIRE_EXTRAS for name, cls in WIRE_CLASSES.items()}
 
 _DROP = object()
 

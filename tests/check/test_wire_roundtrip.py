@@ -1,22 +1,24 @@
-"""Round-trip property: every ``to_wire`` class decodes back to itself.
+"""Round-trip property: every wire class decodes back to itself.
 
-Coverage is by *auto-discovery*: the test walks ``src/repro`` (statically,
-via AST -- the same inventory the lint's ``missing-decoder`` rule uses),
-asserts ``WIRE_DECODERS`` registers a decoder for every discovered class,
-builds a representative instance of each, and asserts the decoder inverts
-``to_wire`` exactly.  Adding a new ``to_wire`` class without a decoder and a
-builder here fails this test (and the lint) immediately.
+The suite is parametrised from the registry (``WIRE_CLASSES``, filled by the
+``wire_form`` declarations): a class cannot have an encoder without a decoder
+-- both are derived from its one declaration -- so what is left to check is
+that each declaration is *right*: a representative instance of every
+registered class survives the trip, through real bytes, and re-encodes to the
+bytes it came from.  Registering a new wire class without a builder here
+fails ``test_every_registered_class_has_a_builder``.
 """
 
 from __future__ import annotations
 
-import ast
+from dataclasses import dataclass
 
 import pytest
 
-from repro.check.static import default_root
+from repro.common.encoding import canonical_decode, canonical_encode
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
+from repro.common.wire import INT, WIRE_CLASSES, wire_form
 from repro.core.grouping import ServerGroup
 from repro.core.rounds import TxnOutcome
 from repro.core.viewchange import FrontierCertificate
@@ -34,20 +36,6 @@ from repro.storage.datastore import ReadResult
 from repro.storage.record import RecordVersion
 from repro.txn.operations import ReadOp, WriteOp
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
-
-
-def discovered_wire_classes():
-    """Every class under ``src/repro`` that defines ``to_wire`` (via AST)."""
-    names = set()
-    for path in sorted(default_root().rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(
-                isinstance(item, ast.FunctionDef) and item.name == "to_wire"
-                for item in node.body
-            ):
-                names.add(node.name)
-    return names
 
 
 _TS = Timestamp(3, "c1")
@@ -158,14 +146,47 @@ BUILDERS = {
 
 
 class TestCoverage:
-    def test_every_discovered_class_has_a_registered_decoder(self):
-        assert discovered_wire_classes() == set(WIRE_DECODERS)
-
     def test_every_registered_class_has_a_builder(self):
-        assert set(BUILDERS) == set(WIRE_DECODERS)
+        assert set(BUILDERS) == set(WIRE_CLASSES) == set(WIRE_DECODERS)
+
+    def test_the_view_is_the_derived_decoder(self):
+        for name, cls in WIRE_CLASSES.items():
+            assert WIRE_DECODERS[name] is cls.from_wire
 
 
-@pytest.mark.parametrize("class_name", sorted(BUILDERS))
+class TestTotality:
+    """A declaration accounts for every field, or the class does not exist."""
+
+    def test_a_field_without_a_kind_fails_at_class_creation(self):
+        with pytest.raises(TypeError, match="extra_field"):
+
+            @wire_form(("height", INT))
+            @dataclass(frozen=True)
+            class Grown:
+                height: int
+                extra_field: int = 0
+
+        assert "Grown" not in WIRE_CLASSES
+
+    def test_a_kind_without_a_field_fails_too(self):
+        with pytest.raises(TypeError, match="ghost"):
+
+            @wire_form(("height", INT), ("ghost", INT))
+            @dataclass(frozen=True)
+            class Shrunk:
+                height: int
+
+    @pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
+    def test_every_wire_key_is_state_or_a_declared_extra(self, class_name):
+        cls = WIRE_CLASSES[class_name]
+        wire = BUILDERS[class_name]().to_wire()
+        assert set(cls.WIRE_EXTRAS) <= set(wire)
+        for key in cls.WIRE_EXTRAS:  # not state: the decoder must not need it
+            del wire[key]
+        assert cls.from_wire(wire) == BUILDERS[class_name]()
+
+
+@pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
 def test_round_trip(class_name):
     instance = BUILDERS[class_name]()
     decoded = WIRE_DECODERS[class_name](instance.to_wire())
@@ -174,12 +195,19 @@ def test_round_trip(class_name):
     assert decoded.to_wire() == instance.to_wire()
 
 
-@pytest.mark.parametrize("class_name", sorted(BUILDERS))
+@pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
+def test_round_trip_through_bytes_re_encodes_to_the_same_bytes(class_name):
+    instance = BUILDERS[class_name]()
+    encoded = canonical_encode(instance.to_wire())
+    decoded = WIRE_CLASSES[class_name].from_wire(canonical_decode(encoded))
+    assert canonical_encode(decoded.to_wire()) == encoded
+
+
+@pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
 def test_decoders_are_strict_on_garbage(class_name):
-    if class_name == "CollectiveSignature":
-        pytest.skip("cosign decoder maps None -> None by design (optional field)")
-    with pytest.raises(ValidationError):
-        WIRE_DECODERS[class_name]({})
+    for garbage in ({}, None, [], "block", 7):
+        with pytest.raises(ValidationError):
+            WIRE_DECODERS[class_name](garbage)
 
 
 def test_optional_fields_round_trip_as_none():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import FidesError
 from repro.common.timestamps import Timestamp
 from repro.txn.operations import ReadOp, WriteOp
 
@@ -103,3 +104,45 @@ class TestSession:
         client.read(session, items[0])
         client.write(session, items[1], 9)
         assert len(session.observed_timestamps()) == 4
+
+
+class TestLyingServer:
+    """A READ / WRITE reply is an untrusted server's word: the client decodes
+    it with ``ReadResult.from_wire``, so a malformed reply is a ``FidesError``
+    the application can catch -- it used to escape as ``TypeError``."""
+
+    @staticmethod
+    def _lie(system, item, handler, damage):
+        server = system.server(system.shard_map.server_for(item))
+        honest = getattr(server, handler)
+        setattr(server, handler, lambda envelope: damage(honest(envelope)))
+
+    @pytest.mark.parametrize(
+        "rts", [["3", 7], [3], 3, None, [-1, "c0"]],
+        ids=["swapped-types", "short", "scalar", "none", "negative"],
+    )
+    def test_a_malformed_read_reply_is_a_fides_error(self, small_system, rts):
+        item = small_system.shard_map.all_items()[0]
+        self._lie(small_system, item, "_on_read", lambda reply: {**reply, "rts": rts})
+        client = small_system.client(0)
+        session = client.begin()
+        with pytest.raises(FidesError, match="rts"):
+            client.read(session, item)
+        assert session.items_read == set()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda reply: {**reply, "old": {**reply["old"], "wts": "soon"}},
+            lambda reply: {"ok": True},
+        ],
+        ids=["str-wts", "no-old"],
+    )
+    def test_a_malformed_write_reply_is_a_fides_error(self, small_system, damage):
+        item = small_system.shard_map.all_items()[0]
+        self._lie(small_system, item, "_on_write", damage)
+        client = small_system.client(0)
+        session = client.begin()
+        with pytest.raises(FidesError):
+            client.write(session, item, 5)
+        assert session.items_written == set()

@@ -22,13 +22,6 @@ class TestSystemConfig:
     def test_total_items(self):
         assert SystemConfig(num_servers=4, items_per_shard=10).total_items == 40
 
-    def test_with_updates_returns_new_config(self):
-        config = SystemConfig()
-        other = config.with_updates(num_servers=9, txns_per_block=1)
-        assert other.num_servers == 9
-        assert other.txns_per_block == 1
-        assert config.num_servers == 5
-
     @pytest.mark.parametrize(
         "field, value",
         [

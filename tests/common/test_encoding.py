@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_decode, canonical_encode
+from repro.txn.operations import ReadOp
 
 
 class TestCanonicalEncodeBasics:
@@ -45,12 +46,26 @@ class TestCanonicalEncodeBasics:
         with pytest.raises(TypeError):
             canonical_encode(Opaque())
 
-    def test_to_wire_objects_are_encoded(self):
+    def test_a_wire_class_is_encoded_as_its_wire_form(self):
+        op = ReadOp("x1")
+        assert canonical_encode([op]) == canonical_encode([op.to_wire()])
+
+    def test_a_hand_rolled_to_wire_is_not_a_wire_class(self):
+        """Only declared classes encode: they are the ones with a decoder."""
+
         class Wired:
             def to_wire(self):
                 return {"x": 1}
 
-        assert canonical_encode(Wired()) == canonical_encode({"x": 1})
+        class ReadOp:  # the name of a registered class is not enough
+            def to_wire(self):
+                return {"op": "read", "item_id": "x1"}
+
+        for impostor in (Wired(), ReadOp()):
+            with pytest.raises(TypeError):
+                canonical_encode(impostor)
+            with pytest.raises(TypeError):
+                canonical_encode({"nested": [impostor]})
 
 
 class TestSeededRandomPayloads:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
+
+_DROP = object()
 
 
 class TestBadCosiValues:
@@ -102,3 +106,56 @@ class TestEquivocatingCoordinator:
         outcome = small_system.run_transaction([ReadOp(item), WriteOp(item, 10)])
         assert outcome.committed
         assert small_system.server("s1").store.read(item).value == 10
+
+
+class TestMalformedVote:
+    """A vote is an untrusted peer's reply: the coordinator decodes it with
+    ``VoteResult.from_wire``, and a vote that does not decode fails the round
+    like any refusal.  These used to escape ``commit_batch`` as ``KeyError``
+    (a missing field) or ``TypeError`` (a field of the wrong type)."""
+
+    @staticmethod
+    def _lie(system, server_id, damage):
+        """Make ``server_id`` answer ``GET_VOTE`` with a damaged vote."""
+        server = system.server(server_id)
+        honest = server._on_get_vote
+
+        def lying(envelope):
+            vote = dict(honest(envelope))
+            for key, value in damage.items():
+                if value is _DROP:
+                    del vote[key]
+                else:
+                    vote[key] = value
+            return vote
+
+        server._on_get_vote = lying
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("commitment", _DROP), ("commitment", 7), ("mht_hashes", "6"), ("involved", 1)],
+        ids=["missing-commitment", "int-commitment", "str-mht-hashes", "int-involved"],
+    )
+    def test_a_vote_that_does_not_decode_fails_the_round(self, small_system, field, value):
+        self._lie(small_system, "s2", {field: value})
+        item = small_system.shard_map.items_of("s1")[0]
+        outcome = small_system.run_transaction([WriteOp(item, 9)])
+        assert outcome.status == "failed"
+        result = small_system.coordinator.results[-1]
+        assert result.status == "failed"
+        # The liar's reply is the one refusal, its reason names the field,
+        # and nobody else is accused.
+        assert [refusal["server_id"] for refusal in result.refusals] == ["s2"]
+        assert field in result.refusals[0]["reason"]
+        assert result.culprits == []
+        # ROUND_FAILED went out: no cohort still holds the round, nothing committed.
+        for server_id, server in small_system.servers.items():
+            assert server.commitment.pending_round_count() == 0, server_id
+        assert all(height == 0 for height in small_system.log_heights().values())
+
+    def test_the_next_round_commits_once_the_cohort_stops_lying(self, small_system):
+        self._lie(small_system, "s2", {"commitment": _DROP})
+        item = small_system.shard_map.items_of("s1")[0]
+        assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
+        del small_system.server("s2")._on_get_vote
+        assert small_system.run_transaction([WriteOp(item, 9)]).committed

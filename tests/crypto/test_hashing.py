@@ -13,7 +13,6 @@ from repro.crypto.hashing import (
     hash_concat,
     hash_hex,
     hash_object,
-    hash_objects,
     hash_to_int,
     sha256,
 )
@@ -37,9 +36,6 @@ class TestHashing:
 
     def test_hash_object_equals_for_equal_objects(self):
         assert hash_object({"a": [1, 2]}) == hash_object({"a": [1, 2]})
-
-    def test_hash_objects_order_sensitive(self):
-        assert hash_objects([1, 2]) != hash_objects([2, 1])
 
     @settings(max_examples=30, deadline=None)
     @given(st.binary(max_size=64), st.integers(min_value=2, max_value=2**64))

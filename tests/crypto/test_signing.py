@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.encoding import canonical_encode
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.crypto.group import (
     CURVE_ORDER,
@@ -33,22 +34,22 @@ def keypair():
 
 class TestSigningSchemes:
     def test_sign_verify_roundtrip(self, scheme, keypair):
-        payload = {"type": "read", "item": "x", "nested": [1, 2, 3]}
-        signature = scheme.sign(keypair, payload)
-        assert scheme.verify(keypair.public, payload, signature)
+        message = canonical_encode({"type": "read", "item": "x", "nested": [1, 2, 3]})
+        signature = scheme.sign_bytes(keypair, message)
+        assert scheme.verify_bytes(keypair.public, message, signature)
 
     def test_modified_payload_rejected(self, scheme, keypair):
-        signature = scheme.sign(keypair, {"v": 1})
-        assert not scheme.verify(keypair.public, {"v": 2}, signature)
+        signature = scheme.sign_bytes(keypair, canonical_encode({"v": 1}))
+        assert not scheme.verify_bytes(keypair.public, canonical_encode({"v": 2}), signature)
 
     def test_wrong_key_rejected(self, scheme, keypair):
         other = keypair_for("other", seed=2)
-        signature = scheme.sign(keypair, {"v": 1})
-        assert not scheme.verify(other.public, {"v": 1}, signature)
+        signature = scheme.sign_bytes(keypair, b"v=1")
+        assert not scheme.verify_bytes(other.public, b"v=1", signature)
 
     def test_garbage_signature_rejected(self, scheme, keypair):
-        assert not scheme.verify(keypair.public, {"v": 1}, b"garbage")
-        assert not scheme.verify(keypair.public, {"v": 1}, 12345)
+        assert not scheme.verify_bytes(keypair.public, b"v=1", b"garbage")
+        assert not scheme.verify_bytes(keypair.public, b"v=1", 12345)
 
     def test_factory_round_trip(self):
         assert isinstance(make_signing_scheme("schnorr"), SchnorrSigningScheme)
@@ -60,7 +61,7 @@ class TestSigningSchemes:
 
     def test_schnorr_signature_length(self, keypair):
         scheme = SchnorrSigningScheme()
-        assert len(scheme.sign(keypair, "payload")) == 65
+        assert len(scheme.sign_bytes(keypair, b"payload")) == 65
 
 
 # -- the accept/reject set of Schnorr envelope verification ---------------------

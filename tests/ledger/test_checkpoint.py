@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -101,7 +103,7 @@ class TestCheckpointApplication:
         from repro.core.fides import FidesSystem
         from repro.net.latency import ConstantLatency
 
-        other = FidesSystem(small_config.with_updates(seed=99), latency=ConstantLatency(0.0002))
+        other = FidesSystem(replace(small_config, seed=99), latency=ConstantLatency(0.0002))
         item = other.shard_map.all_items()[0]
         other.run_transaction([WriteOp(item, 1)])
         foreign_checkpoint = make_signed_checkpoint(other)

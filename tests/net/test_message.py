@@ -65,10 +65,12 @@ class TestEnvelopeRoundTrips:
             envelope = Envelope(
                 "s0", "s1", rng.choice(list(MessageType)), random_payload(rng)
             )
-            signature = scheme.sign(keypair, envelope.signed_content())
+            signature = scheme.sign_bytes(keypair, canonical_encode(envelope.signed_content()))
             signed = envelope.with_signature(signature)
             assert signed.payload == envelope.payload
-            assert scheme.verify(keypair.public, signed.signed_content(), signed.signature)
+            assert scheme.verify_bytes(
+                keypair.public, canonical_encode(signed.signed_content()), signed.signature
+            )
 
     @pytest.mark.parametrize("seed", [1, 7, 2020])
     def test_signed_content_is_canonically_stable(self, random_payload, seed):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.encoding import canonical_encode
 from repro.common.errors import ConfigurationError, SignatureError
 from repro.crypto.keys import keypair_for
 from repro.net.message import Envelope, MessageType
@@ -83,7 +84,9 @@ class TestSignatures:
         envelope = Envelope("server", "server", MessageType.READ, {"item": "x"})
         scheme = network.signing_scheme
         forged = envelope.with_signature(
-            scheme.sign(keypair_for("mallory"), envelope.signed_content())
+            scheme.sign_bytes(
+                keypair_for("mallory"), canonical_encode(envelope.signed_content())
+            )
         )
         with pytest.raises(SignatureError):
             network.send("server", "server", MessageType.READ, {"item": "x"}, presigned=forged)

@@ -1,4 +1,4 @@
-"""Round-trip tests for the recovery wire codecs (the byte trust boundary)."""
+"""Round trips through real bytes, as the WAL and the catch-up protocol make them."""
 
 from __future__ import annotations
 
@@ -7,15 +7,11 @@ import pytest
 from repro.common.encoding import canonical_decode, canonical_encode
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
-from repro.crypto.cosi import CoSiWitness, run_cosi_round
+from repro.crypto.cosi import CollectiveSignature, CoSiWitness, run_cosi_round
 from repro.crypto.keys import keypair_for
+from repro.ledger.block import Block
 from repro.ledger.checkpoint import Checkpoint
-from repro.recovery.wire import (
-    block_from_wire,
-    checkpoint_from_wire,
-    cosign_from_wire,
-    transaction_from_wire,
-)
+from repro.txn.transaction import Transaction
 
 
 class TestBlockRoundTrip:
@@ -23,7 +19,7 @@ class TestBlockRoundTrip:
     def test_wire_round_trip_preserves_digests(self, block_factory, group):
         block = block_factory(group=group)
         # Through actual bytes, exactly as the WAL and catch-up do.
-        decoded = block_from_wire(canonical_decode(canonical_encode(block.to_wire())))
+        decoded = Block.from_wire(canonical_decode(canonical_encode(block.to_wire())))
         assert decoded.block_hash() == block.block_hash()
         assert decoded.signing_digest() == block.signing_digest()
         assert decoded.height == block.height
@@ -35,31 +31,31 @@ class TestBlockRoundTrip:
 
     def test_transaction_round_trip_preserves_encoding(self, transaction_factory):
         txn = transaction_factory()
-        decoded = transaction_from_wire(
-            canonical_decode(canonical_encode(txn.to_wire()))
-        )
+        decoded = Transaction.from_wire(canonical_decode(canonical_encode(txn.to_wire())))
         assert decoded.encoded() == txn.encoded()
         assert decoded.write_set[1].blind is True
 
     def test_cosign_round_trip(self, block_factory):
         block = block_factory()
-        decoded = cosign_from_wire(block.cosign.to_wire())
+        decoded = CollectiveSignature.from_wire(block.cosign.to_wire())
         assert decoded == block.cosign
-        assert cosign_from_wire(None) is None
+        # "No co-sign yet" is the optional field's business, not the decoder's.
+        with pytest.raises(ValidationError):
+            CollectiveSignature.from_wire(None)
 
     def test_malformed_block_rejected(self, block_factory):
         wire = block_factory().to_wire()
         broken = dict(wire)
         broken["body"] = {k: v for k, v in wire["body"].items() if k != "roots"}
         with pytest.raises(ValidationError):
-            block_from_wire(broken)
+            Block.from_wire(broken)
 
     def test_non_bytes_root_rejected(self, block_factory):
         wire = block_factory().to_wire()
         body = dict(wire["body"])
         body["roots"] = {"s0": "not-bytes"}
         with pytest.raises(ValidationError):
-            block_from_wire({"body": body, "cosign": wire["cosign"]})
+            Block.from_wire({"body": body, "cosign": wire["cosign"]})
 
 
 class TestCheckpointRoundTrip:
@@ -76,13 +72,11 @@ class TestCheckpointRoundTrip:
         checkpoint = checkpoint.with_cosign(
             run_cosi_round(checkpoint.digest(), witnesses)
         )
-        decoded = checkpoint_from_wire(
-            canonical_decode(canonical_encode(checkpoint.to_wire()))
-        )
+        decoded = Checkpoint.from_wire(canonical_decode(canonical_encode(checkpoint.to_wire())))
         assert decoded.digest() == checkpoint.digest()
         assert decoded.cosign == checkpoint.cosign
         assert decoded.latest_commit_ts == checkpoint.latest_commit_ts
 
     def test_malformed_checkpoint_rejected(self):
         with pytest.raises(ValidationError):
-            checkpoint_from_wire({"height": 1})
+            Checkpoint.from_wire({"height": 1})

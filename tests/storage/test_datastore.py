@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import StorageError
+from repro.common.encoding import canonical_decode, canonical_encode
+from repro.common.errors import FidesError, StorageError
 from repro.common.timestamps import Timestamp
 from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.storage.datastore import DataStore
@@ -229,3 +230,36 @@ class TestDataStoreMerkleIntegration:
         speculative, _ = store.speculative_root(writes)
         store.apply_commit(Timestamp(1, "c"), writes)
         assert store.merkle_root() == speculative
+
+
+class TestSnapshotImport:
+    """``import_state`` reads a snapshot record back from disk: what it is
+    handed is bytes someone may have edited, so a field of the wrong type is
+    refused, not coerced (``Timestamp(*["3", 7])`` and ``bool(1)`` both "work")."""
+
+    def _state(self):
+        store = make_store()
+        store.apply_commit(Timestamp(3, "c"), {"item-1": 5})
+        return canonical_decode(canonical_encode(store.export_state()))
+
+    def test_an_exported_state_imports_to_the_same_store(self):
+        state = self._state()
+        assert canonical_encode(DataStore.import_state(state).export_state()) == (
+            canonical_encode(state)
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda state: state["items"]["item-1"][-1].update(rts=["3", 7]),
+            lambda state: state["items"]["item-1"][0].update(wts=[0]),
+            lambda state: state["items"]["item-1"][0].pop("value"),
+            lambda state: state.update(multi_versioned=1),
+        ],
+        ids=["rts-types-swapped", "wts-short", "value-missing", "multi-versioned-int"],
+    )
+    def test_a_corrupt_snapshot_is_refused_not_coerced(self, damage):
+        state = self._state()
+        damage(state)
+        with pytest.raises(FidesError):
+            DataStore.import_state(state)
