@@ -12,28 +12,33 @@ canonical encoder:
 * ``dict`` encodes entries sorted by the encoded key, making the encoding
   independent of insertion order.
 * A wire class -- one that declares its form with
-  :func:`repro.common.wire.wire_form` -- is encoded as its ``to_wire()``.
-  Nothing else with a ``to_wire`` attribute is: a declared class comes with
-  its strict decoder, a hand-rolled method would not.
+  :func:`repro.common.wire.wire_form` -- is encoded by the encoder derived
+  from its declaration, which yields the bytes of its ``to_wire()`` without
+  building it.  Nothing else with a ``to_wire`` attribute is encoded: a
+  declared class comes with its strict decoder, a hand-rolled method would
+  not.
 
 The format is not meant to be a general interchange format -- only to be
 deterministic, unambiguous (length-prefixed, so no delimiter injection), and
-cheap.
+cheap.  There is one format and one dispatch: :data:`ENCODERS` maps an exact
+type to its encoder, plain data and wire classes alike.  Nothing here stores
+bytes; the one class that keeps its encoding says so in its declaration
+(DESIGN.md section 6, "Who owns the bytes").
 
 :func:`canonical_decode` is the exact inverse for the plain-data subset
-(``to_wire`` objects decode back as the dict/list they produced): it powers
-the durable state layer (:mod:`repro.recovery`), whose write-ahead log must
-round-trip blocks and checkpoints through bytes.  Decoding is strict --
-unknown tags, trailing bytes, or truncated payloads raise ``ValueError`` --
-because the decoder's inputs (WAL files, catch-up payloads) are untrusted.
+(wire objects decode back as the dict/list their ``to_wire()`` produces): it
+powers the durable state layer (:mod:`repro.recovery`), whose write-ahead log
+must round-trip blocks and checkpoints through bytes.  Decoding is strict --
+unknown tags, trailing bytes, truncated payloads and every *second spelling*
+of a value (``007``, ``1e0``, dict entries out of order or repeated) raise
+``ValueError`` -- because the decoder's inputs (WAL files, catch-up payloads)
+are untrusted, and bytes that decode must re-encode to themselves.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any
-
-from repro.common.wire import WIRE_CLASSES
+from typing import Any, Callable, Dict
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -45,13 +50,84 @@ _TAG_BYTES = b"B"
 _TAG_LIST = b"L"
 _TAG_DICT = b"M"
 
+_length = struct.Struct(">I").pack
 
-def _length_prefixed(payload: bytes) -> bytes:
-    return struct.pack(">I", len(payload)) + payload
+
+def _encode_int(value) -> bytes:
+    payload = str(value).encode("ascii")
+    return _TAG_INT + _length(len(payload)) + payload
+
+
+def _encode_float(value) -> bytes:
+    # repr() round-trips floats exactly in Python 3 and is deterministic.
+    payload = repr(value).encode("ascii")
+    return _TAG_FLOAT + _length(len(payload)) + payload
+
+
+def _encode_str(value) -> bytes:
+    payload = value.encode("utf-8")
+    return _TAG_STR + _length(len(payload)) + payload
+
+
+def _encode_bytes(value) -> bytes:
+    payload = bytes(value)
+    return _TAG_BYTES + _length(len(payload)) + payload
+
+
+def _encode_list(value) -> bytes:
+    parts = [_TAG_LIST + _length(len(value))]
+    parts.extend(map(_encode, value))
+    return b"".join(parts)
+
+
+def _encode_dict(value) -> bytes:
+    parts = [_TAG_DICT + _length(len(value))]
+    for entry in sorted([(_encode(key), _encode(item)) for key, item in value.items()]):
+        parts.extend(entry)
+    return b"".join(parts)
+
+
+#: Exact type -> its encoder.  The plain types are listed here; a wire class
+#: adds the encoder :func:`~repro.common.wire.wire_form` derives for it.
+ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda value: _TAG_NONE,
+    bool: lambda value: _TAG_TRUE if value else _TAG_FALSE,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    list: _encode_list,
+    tuple: _encode_list,
+    dict: _encode_dict,
+}
+
+#: Subclasses of the plain types (an ``IntEnum``, a named tuple) and the other
+#: byte buffers encode as what they are instances of.
+_BY_INSTANCE = (
+    (int, _encode_int),
+    (float, _encode_float),
+    (str, _encode_str),
+    ((bytes, bytearray, memoryview), _encode_bytes),
+    ((list, tuple), _encode_list),
+    (dict, _encode_dict),
+)
+
+
+def _encode(value) -> bytes:
+    encoder = ENCODERS.get(type(value))
+    if encoder is not None:
+        return encoder(value)
+    for plain, encoder in _BY_INSTANCE:
+        if isinstance(value, plain):
+            return encoder(value)
+    raise TypeError(f"cannot canonically encode object of type {type(value).__name__}")
 
 
 def canonical_encode(value: Any) -> bytes:
     """Return the canonical byte encoding of ``value``.
+
+    This is the way in from other layers; the walk itself recurses through
+    the private ``_encode``, so a boundary tracer sees one call per encoding.
 
     Raises
     ------
@@ -59,52 +135,21 @@ def canonical_encode(value: Any) -> bytes:
         If ``value`` (or anything nested inside it) is neither plain data
         nor an instance of a registered wire class.
     """
-    if value is None:
-        return _TAG_NONE
-    if value is True:
-        return _TAG_TRUE
-    if value is False:
-        return _TAG_FALSE
-    if isinstance(value, int):
-        payload = str(value).encode("ascii")
-        return _TAG_INT + _length_prefixed(payload)
-    if isinstance(value, float):
-        # repr() round-trips floats exactly in Python 3 and is deterministic.
-        payload = repr(value).encode("ascii")
-        return _TAG_FLOAT + _length_prefixed(payload)
-    if isinstance(value, str):
-        return _TAG_STR + _length_prefixed(value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return _TAG_BYTES + _length_prefixed(bytes(value))
-    if isinstance(value, (list, tuple)):
-        parts = [_TAG_LIST, struct.pack(">I", len(value))]
-        parts.extend(canonical_encode(item) for item in value)
-        return b"".join(parts)
-    if isinstance(value, dict):
-        encoded_items = sorted(
-            (canonical_encode(key), canonical_encode(val)) for key, val in value.items()
-        )
-        parts = [_TAG_DICT, struct.pack(">I", len(encoded_items))]
-        for key_bytes, val_bytes in encoded_items:
-            parts.append(key_bytes)
-            parts.append(val_bytes)
-        return b"".join(parts)
-    if WIRE_CLASSES.get(type(value).__name__) is type(value):
-        # Immutable wire objects (frozen dataclasses that are never mutated,
-        # only rebuilt via ``dataclasses.replace``) can opt into a
-        # per-instance encoding cache by setting ``CANONICAL_CACHEABLE``.
-        # The scaled deployment broadcasts the same Block object to every
-        # server, so without the cache one ordered-block delivery re-encodes
-        # the block once per recipient.
-        if getattr(value, "CANONICAL_CACHEABLE", False):
-            cached = value.__dict__.get("_canonical_cache")
-            if cached is not None:
-                return cached
-            encoded = canonical_encode(value.to_wire())
-            object.__setattr__(value, "_canonical_cache", encoded)
-            return encoded
-        return canonical_encode(value.to_wire())
-    raise TypeError(f"cannot canonically encode object of type {type(value).__name__}")
+    return _encode(value)
+
+
+def dict_layout(entries) -> list:
+    """The encoding of a dict whose keys are known before its values are.
+
+    ``entries`` pairs each key with the pieces that stand for its value; the
+    result is the pieces of the whole dict -- the count, then every encoded
+    key followed by its value's pieces, in the one order the format allows.
+    """
+    parts = [_TAG_DICT + _length(len(entries))]
+    for key, pieces in sorted((_encode(key), pieces) for key, pieces in entries):
+        parts.append(key)
+        parts.extend(pieces)
+    return parts
 
 
 def _read_length(data: bytes, offset: int) -> tuple:
@@ -132,13 +177,18 @@ def _decode_at(data: bytes, offset: int) -> tuple:
         if end > len(data):
             raise ValueError("truncated canonical encoding (payload shorter than prefix)")
         payload = data[offset:end]
-        if tag == _TAG_INT:
-            return int(payload.decode("ascii")), end
-        if tag == _TAG_FLOAT:
-            return float(payload.decode("ascii")), end
         if tag == _TAG_STR:
             return payload.decode("utf-8"), end
-        return bytes(payload), end
+        if tag == _TAG_BYTES:
+            return payload, end
+        # A number has one spelling, the one the encoder writes: anything else
+        # int() or float() would accept ("007", "+7", "1_0", "1e0") is refused.
+        parse, spell = (int, str) if tag == _TAG_INT else (float, repr)
+        text = payload.decode("ascii")
+        number = parse(text)
+        if spell(number) != text:
+            raise ValueError(f"non-canonical number {text!r} in canonical encoding")
+        return number, end
     if tag == _TAG_LIST:
         length, offset = _read_length(data, offset)
         items = []
@@ -149,12 +199,19 @@ def _decode_at(data: bytes, offset: int) -> tuple:
     if tag == _TAG_DICT:
         length, offset = _read_length(data, offset)
         result = {}
+        previous = None
         for _ in range(length):
+            start = offset
             key, offset = _decode_at(data, offset)
             if isinstance(key, (list, dict)):
                 raise ValueError("canonical encoding uses a container as a dict key")
-            value, offset = _decode_at(data, offset)
-            result[key] = value
+            encoded_key = data[start:offset]
+            if previous is not None and encoded_key <= previous:
+                raise ValueError("dict entries of a canonical encoding out of order or repeated")
+            previous = encoded_key
+            result[key], offset = _decode_at(data, offset)
+        if len(result) != length:  # keys that differ in bytes yet are equal: 1, 1.0, True
+            raise ValueError("canonical encoding repeats a dict key")
         return result, offset
     raise ValueError(f"unknown canonical-encoding tag {tag!r}")
 
@@ -162,9 +219,10 @@ def _decode_at(data: bytes, offset: int) -> tuple:
 def canonical_decode(data: bytes) -> Any:
     """Decode one canonically encoded value; the inverse of :func:`canonical_encode`.
 
-    Tuples come back as lists and ``to_wire`` objects as the plain structure
-    their ``to_wire()`` produced -- callers reconstruct domain objects from
-    those with the class's ``from_wire`` (see :mod:`repro.common.wire`).
+    Tuples come back as lists and wire objects as the plain structure their
+    ``to_wire()`` produces -- callers reconstruct domain objects from those
+    with the class's ``from_wire`` (see :mod:`repro.common.wire`).  Whatever
+    decodes re-encodes to exactly ``data``.
     """
     value, offset = _decode_at(bytes(data), 0)
     if offset != len(data):

@@ -9,8 +9,11 @@ fields::
     class ReadResult: ...
 
 and :func:`wire_form` derives the rest from the declaration: ``to_wire()``
-(the plain data :func:`~repro.common.encoding.canonical_encode` turns into
-bytes), the strict ``from_wire()`` that reads it back, and the entry in
+(the plain data whose :func:`~repro.common.encoding.canonical_encode` is the
+byte form), ``wire_bytes()`` (those bytes, made without building the plain
+data: the declared keys are encoded and ordered once, here, and a field that
+holds wire objects is spliced from their own bytes), the strict
+``from_wire()`` that reads the plain data back, and the entry in
 :data:`WIRE_CLASSES`, the only classes ``canonical_encode`` accepts -- so an
 encoder without an inverse cannot exist.
 
@@ -28,9 +31,11 @@ that tells sibling forms apart, :func:`extra` is a key that is not state.
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
+from functools import wraps
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
+from repro.common.encoding import ENCODERS, canonical_encode, dict_layout
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 
@@ -46,6 +51,9 @@ class Kind(NamedTuple):
     decode: Callable[[Any, str], Any]
     #: Attribute -> plain data; ``None`` when the attribute is plain data.
     encode: Optional[Callable[[Any], Any]] = None
+    #: The attribute holds wire objects, which ``canonical_encode`` splices as
+    #: they are: ``encode`` would only flatten them to be walked again.
+    spliced: bool = False
 
 
 def _exactly(label: str, *types) -> Kind:
@@ -91,16 +99,17 @@ MAPPING = Kind(lambda value, what: dict(_mapping(value, what)))
 
 def optional(kind: Kind) -> Kind:
     """``None``, or a ``kind``."""
-    decode, encode = kind
+    decode, encode, spliced = kind
     return Kind(
         lambda value, what: None if value is None else decode(value, what),
         encode and (lambda value: None if value is None else encode(value)),
+        spliced,
     )
 
 
 def list_of(kind: Kind) -> Kind:
     """A list of ``kind``; a tuple on the object."""
-    decode_item, encode_item = kind
+    decode_item, encode_item, spliced = kind
 
     def decode(values, what):
         if isinstance(values, (list, tuple)):
@@ -109,7 +118,7 @@ def list_of(kind: Kind) -> Kind:
 
     if encode_item is None:
         return Kind(decode, list)
-    return Kind(decode, lambda values: [encode_item(value) for value in values])
+    return Kind(decode, lambda values: [encode_item(value) for value in values], spliced)
 
 
 def pair_of(first: Kind, second: Kind) -> Kind:
@@ -174,7 +183,7 @@ def enum_of(enum) -> Kind:
 
 def nested(cls) -> Kind:
     """Another wire class, through its own derived codec."""
-    return Kind(lambda value, what: cls.from_wire(value), methodcaller("to_wire"))
+    return Kind(lambda value, what: cls.from_wire(value), methodcaller("to_wire"), spliced=True)
 
 
 class _Entry(NamedTuple):
@@ -211,7 +220,43 @@ def _expect(value, what, constant):
         raise ValidationError(f"{what} must be {constant!r}, not {value!r}")
 
 
-#: The two methods of a wire class.  The declaration is static, so they are
+def kept(method):
+    """A value derived from a frozen wire object's fields, computed once per instance.
+
+    It sits in the instance ``__dict__`` beside the fields it was derived from
+    (under a name no field can have) and so lives exactly as long as they do:
+    a field of a frozen instance only changes through ``dataclasses.replace``,
+    which builds a new instance without it.  This is the one memo on wire
+    objects -- ``wire_form(..., owns_bytes=True)`` applies it to the derived
+    encoder, a class to the digests it is asked for again and again.
+    """
+    slot = f"{method.__name__}()"
+
+    @wraps(method)
+    def kept_method(self):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = method(self)
+            return value
+
+    return kept_method
+
+
+def _joined(pieces) -> str:
+    """Source text of the bytes ``pieces`` add up to, constant neighbours merged."""
+    merged = []
+    for piece in pieces:
+        if isinstance(piece, bytes) and merged and isinstance(merged[-1], bytes):
+            merged[-1] += piece
+        else:
+            merged.append(piece)
+    return 'b"".join((%s,))' % ", ".join(
+        piece if isinstance(piece, str) else repr(piece) for piece in merged
+    )
+
+
+#: The methods of a wire class.  The declaration is static, so they are
 #: generated once per class, as ``dataclasses`` generates ``__init__``: a
 #: field costs one attribute load on the way out and one kind check on the
 #: way in, which is what a hand-written pair would cost.
@@ -230,51 +275,83 @@ def from_wire(data):
         raise ValidationError(f"malformed wire encoding of {name}: {{exc}}") from None
 """
 
+#: The bytes of the whole form (``wire_bytes``) or of one :func:`sub` group.
+_BYTES_METHOD = """
+def {key}_bytes(self):
+    return {spliced}
+"""
 
-def wire_form(*entries):
-    """Class decorator: derive ``to_wire()``, ``from_wire()`` and the registry entry.
+
+def wire_form(*entries, owns_bytes: bool = False):
+    """Class decorator: derive the codec -- ``to_wire()``, ``wire_bytes()``, ``from_wire()``.
 
     The declaration is total: it must account for every dataclass field (or
     slot) of the class, so a field added without a kind fails here, at class
     creation, rather than silently staying off the wire.  ``WIRE_EXTRAS``
     names the class's :func:`extra` keys, the ones a faithful re-encoding
     need not reproduce.
+
+    ``wire_bytes()`` equals ``canonical_encode(self.to_wire())`` and is what
+    ``canonical_encode(self)`` returns; each :func:`sub` group also gets
+    ``<key>_bytes()``, the bytes of that key alone.  They are put together
+    anew on every call and nothing is stored -- except by a class declared
+    with ``owns_bytes``, whose instances keep their encoding (:func:`kept`).
+    That is for a frozen leaf that many containers carry: every block,
+    envelope and WAL record holding it then splices the same bytes.
     """
 
     def derive(cls):
-        scope = dict(cls=cls, ValidationError=ValidationError, _mapping=_mapping, _expect=_expect)
-        checks, arguments, attrs, extras = [], [], [], []
+        scope = dict(
+            cls=cls,
+            ValidationError=ValidationError,
+            _mapping=_mapping,
+            _expect=_expect,
+            _bytes=canonical_encode,
+        )
+        checks, arguments, attrs, extras, groups = [], [], [], [], {}
 
-        def display(group, source: str) -> str:
-            """The dict display emitting ``group``; notes how to read it back from ``source``."""
-            items = []
+        def forms(group, source: str) -> tuple:
+            """``group`` emitted both ways, noting how to read it back from ``source``.
+
+            Returns the dict display of ``to_wire()`` and the pieces of the same
+            dict's encoding: ``bytes`` where the declaration fixes them, source
+            text where the instance does.
+            """
+            items, layout = [], []
             for entry in group:
                 key = entry[0]
                 found = f"{source}[{key!r}], {key!r}"
                 role = entry.role if isinstance(entry, _Entry) else "field"
                 if role == "sub":
                     checks.append(f"{source}_{key} = _mapping({found})")
-                    item = display(entry.detail, f"{source}_{key}")
+                    item, pieces = forms(entry.detail, f"{source}_{key}")
+                    groups[key] = pieces
                 elif role == "tag":
                     checks.append(f"_expect({found}, {entry.detail!r})")
-                    item = repr(entry.detail)
+                    item, pieces = repr(entry.detail), [canonical_encode(entry.detail)]
                 elif role == "extra":
                     extras.append(key)
                     item = f"getattr(self, {key!r}, None)"
+                    pieces = [f"_bytes({item})"]
                 else:
                     attr = entry[2] if len(entry) == 3 else key
-                    scope[f"_decode_{attr}"], scope[f"_encode_{attr}"] = entry[1]
+                    scope[f"_decode_{attr}"], scope[f"_encode_{attr}"], spliced = entry[1]
                     item = f"_encode_{attr}(self.{attr})" if entry[1].encode else f"self.{attr}"
+                    pieces = [f"_bytes(self.{attr})" if spliced else f"_bytes({item})"]
                     arguments.append(f"{attr}=_decode_{attr}({found})")
                     attrs.append(attr)
                 items.append(f"{key!r}: {item}")
-            return "{" + ", ".join(items) + "}"
+                layout.append((key, pieces))
+            return "{" + ", ".join(items) + "}", dict_layout(layout)
 
+        display, groups["wire"] = forms(entries, "data")
         source = _METHODS.format(
-            display=display(entries, "data"),
+            display=display,
             checks="\n        ".join(checks),
             arguments=", ".join(arguments),
             name=cls.__name__,
+        ) + "".join(
+            _BYTES_METHOD.format(key=key, spliced=_joined(group)) for key, group in groups.items()
         )
         state = [field.name for field in fields(cls)] if is_dataclass(cls) else cls.__slots__
         if sorted(attrs) != sorted(state):
@@ -283,9 +360,13 @@ def wire_form(*entries):
                 f"the class holds {sorted(state)}"
             )
         exec(source, scope)
-        cls.to_wire = scope["to_wire"]
+        for name in ("to_wire", *(f"{key}_bytes" for key in groups)):
+            setattr(cls, name, scope[name])
+        if owns_bytes:
+            cls.wire_bytes = kept(cls.wire_bytes)
         cls.from_wire = staticmethod(scope["from_wire"])
         cls.WIRE_EXTRAS = tuple(extras)
+        ENCODERS[cls] = cls.wire_bytes
         WIRE_CLASSES[cls.__name__] = cls
         return cls
 

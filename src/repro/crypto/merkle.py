@@ -38,14 +38,33 @@ _NODE_PREFIX = b"\x01node"
 #: Hash used to pad the leaf level up to a power of two.
 _EMPTY_LEAF = sha256(b"fides-empty-leaf")
 
+#: ``hash_concat``'s framing of the parts whose lengths never vary -- the two
+#: prefixes and a 32-byte digest -- spelled once, so that a label is one
+#: SHA-256 call over one joined buffer instead of six hasher updates.
+_LEN32 = (32).to_bytes(8, "big")
+_LEAF_HEAD = len(_LEAF_PREFIX).to_bytes(8, "big") + _LEAF_PREFIX
+_NODE_HEAD = len(_NODE_PREFIX).to_bytes(8, "big") + _NODE_PREFIX + _LEN32
+
 
 def leaf_hash(item_id: str, value) -> bytes:
-    """Hash one data item (id + value) into a leaf label."""
-    return hash_concat(_LEAF_PREFIX, item_id.encode("utf-8"), hash_object(value))
+    """Hash one data item (id + value) into a leaf label.
+
+    Equals ``hash_concat(_LEAF_PREFIX, item_id.encode("utf-8"), hash_object(value))``.
+    """
+    item = item_id.encode("utf-8")
+    return sha256(
+        _LEAF_HEAD + len(item).to_bytes(8, "big") + item + _LEN32 + hash_object(value)
+    )
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:
-    """Hash two child labels into a parent label."""
+    """Hash two child labels into a parent label.
+
+    Equals ``hash_concat(_NODE_PREFIX, left, right)``, which it falls back to
+    for children that are not 32-byte digests.
+    """
+    if len(left) == 32 == len(right):
+        return sha256(_NODE_HEAD + left + _LEN32 + right)
     return hash_concat(_NODE_PREFIX, left, right)
 
 

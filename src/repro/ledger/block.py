@@ -39,7 +39,7 @@ digest as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -52,6 +52,7 @@ from repro.common.wire import (
     INT,
     ROOTS,
     enum_of,
+    kept,
     list_of,
     nested,
     optional,
@@ -101,11 +102,6 @@ class Block:
     signed body, so cohorts co-sign the view they voted in and a deposed
     coordinator cannot replay its old proposals into a newer view.
     """
-
-    #: Blocks are immutable once built (tampering goes through
-    #: ``dataclasses.replace``), so :func:`canonical_encode` may cache the
-    #: wire encoding per instance -- see ``repro.common.encoding``.
-    CANONICAL_CACHEABLE = True
 
     height: int
     transactions: Tuple[Transaction, ...]
@@ -167,24 +163,20 @@ class Block:
         """Every field except the co-sign, in canonical-encoding-friendly form."""
         return self.to_wire()["body"]
 
+    @kept
     def body_digest(self) -> bytes:
         """The digest the participants collectively sign.
 
-        Computed from the cached per-transaction encodings plus the block's
-        own fields, and cached per block instance: every server hashes the
-        block it received exactly once, no matter how many phases touch it.
+        Hashes each transaction's flat signing form
+        (:meth:`Transaction.encoded`, which the transaction keeps) plus the
+        block's own fields.  The 32 bytes are kept per block instance -- every
+        server hashes the block it received once, however many phases touch
+        it -- but a block stores no encoding: its wire bytes are spliced from
+        its transactions' whenever they are asked for.
         """
-        cached = getattr(self, "_digest_cache", None)
-        if cached is not None:
-            return cached
-        parts = [
-            str(self.height).encode("ascii"),
-            self.previous_hash,
-        ]
-        parts.extend(self._group_body_parts())
-        digest = hash_concat(*parts)
-        object.__setattr__(self, "_digest_cache", digest)
-        return digest
+        return hash_concat(
+            str(self.height).encode("ascii"), self.previous_hash, *self._group_body_parts()
+        )
 
     def _group_body_parts(self) -> list:
         """The chain-independent fields, in canonical order."""
@@ -198,6 +190,7 @@ class Block:
             parts.append(txn.encoded())
         return parts
 
+    @kept
     def group_body_digest(self) -> bytes:
         """Digest of the chain-independent fields (Section 4.6).
 
@@ -206,12 +199,7 @@ class Block:
         the block, so the signature must not cover them.  It *does* cover the
         group membership, binding the signer set to the block.
         """
-        cached = getattr(self, "_group_digest_cache", None)
-        if cached is not None:
-            return cached
-        digest = hash_concat(b"group-body", *self._group_body_parts())
-        object.__setattr__(self, "_group_digest_cache", digest)
-        return digest
+        return hash_concat(b"group-body", *self._group_body_parts())
 
     def signing_digest(self) -> bytes:
         """The digest the participants collectively sign.

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.check.choices import choose_order
-from repro.common.encoding import canonical_encode
 from repro.common.errors import ConfigurationError, SignatureError, UnreachableError
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import SigningScheme, make_signing_scheme
@@ -71,8 +70,13 @@ class NetworkStats:
 
 
 def _signed_bytes(envelope: Envelope) -> bytes:
-    """The bytes an envelope's signature covers (and its wire size is metered on)."""
-    return canonical_encode(envelope.signed_content())
+    """The bytes an envelope's signature covers (and its wire size is metered on).
+
+    Spliced anew on each call, from the header and the bytes the payload's
+    transactions own.  The envelope itself keeps none: its payload is a
+    mutable dict, and servers archive every client envelope for life.
+    """
+    return envelope.content_bytes()
 
 
 class Network:
@@ -199,17 +203,22 @@ class Network:
     ) -> Any:
         """Deliver one signed message and return the recipient's response payload.
 
-        ``presigned`` lets fault injection pass an envelope whose signature was
-        produced over different content (forgery attempt); the receiver-side
-        verification then rejects it.
+        ``presigned`` supplies the payload and a signature made earlier (a
+        client signs its ``end_transaction`` once and the cohorts re-verify
+        it; fault injection passes forgeries).  Its header is not trusted:
+        the bytes verified are spliced from *this delivery's* sender,
+        recipient and type, so an envelope signed for another recipient or
+        as another type is rejected like any other forgery.
 
-        The signed content is canonically encoded exactly once here: the
-        same bytes feed the sender-side signature, the receiver-side
-        verification, and the wire-size accounting.
+        The signed bytes are spliced once per delivery: the same bytes feed
+        the sender-side signature, the receiver-side verification, and the
+        wire-size accounting.
         """
         obs = self._sim.obs if self._sim is not None else None
         if presigned is not None:
-            envelope = presigned
+            envelope = Envelope(
+                sender, recipient, message_type, presigned.payload, presigned.signature
+            )
             encoded = _signed_bytes(envelope)
         else:
             keypair = self._keypairs.get(sender)
@@ -230,7 +239,7 @@ class Network:
                 self.stats.messages_undeliverable += 1
                 raise UnreachableError(f"participant {recipient!r} is down (crashed)")
             raise ConfigurationError(f"recipient {recipient!r} has no registered handler")
-        public = self._public_keys.get(envelope.sender)
+        public = self._public_keys.get(sender)
         watch = Stopwatch()
         verified = (
             envelope.signature is not None
@@ -243,7 +252,7 @@ class Network:
         if not verified:
             self.stats.messages_rejected += 1
             raise SignatureError(
-                f"envelope from {envelope.sender!r} to {recipient!r} failed signature verification"
+                f"envelope from {sender!r} to {recipient!r} failed signature verification"
             )
         self.stats.record(message_type, recipient, self._latency.sample(), size=len(encoded))
         if obs is not None:

@@ -122,8 +122,9 @@ class StateStore:
         """Persist one applied block and the shard root it produced.
 
         The block is passed to the encoder as the object (not pre-flattened
-        with ``to_wire()``) so its cached canonical encoding is reused when
-        many servers persist the same delivered block.
+        with ``to_wire()``), so the record is spliced from the bytes its
+        transactions already own: the block stores no encoding, and every
+        server persisting the same delivered block re-walks only its header.
         """
         self._append(
             canonical_encode({"kind": "block", "block": block, "shard_root": shard_root})

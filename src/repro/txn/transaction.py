@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set
 
+from repro.common.encoding import canonical_encode
 from repro.common.timestamps import Timestamp
 from repro.common.types import ClientId, ItemId, TxnId, Value
-from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, list_of, nested, wire_form
+from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, kept, list_of, nested, wire_form
 
 
 @wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
@@ -57,6 +58,7 @@ class WriteSetEntry:
     ("commit_ts", TIMESTAMP),
     ("read_set", list_of(nested(ReadSetEntry))),
     ("write_set", list_of(nested(WriteSetEntry))),
+    owns_bytes=True,
 )
 @dataclass(frozen=True)
 class Transaction:
@@ -64,7 +66,9 @@ class Transaction:
 
     This is the object a client sends to the coordinator in its
     ``end_transaction`` request and the unit that TFCommit batches into
-    blocks.
+    blocks.  It is the one wire class that owns its bytes: a client builds it
+    once, and every envelope, block and WAL record that carries it splices
+    the same encoding (DESIGN.md section 6, "Who owns the bytes").
     """
 
     txn_id: TxnId
@@ -123,55 +127,48 @@ class Transaction:
             return True
         return False
 
+    @kept
     def encoded(self) -> bytes:
-        """Canonical byte encoding of this transaction, cached per instance.
+        """The flat signing form of this transaction, kept per instance.
 
-        Transactions are immutable once terminated, and the same transaction
-        object is hashed repeatedly while its block moves through the
-        TFCommit phases; caching the encoding keeps block hashing linear in
-        the number of *new* transactions.  The encoding is a flat,
-        length-prefixed field list (cheaper than the generic nested-dict
-        encoding of :meth:`to_wire` while remaining unambiguous).
+        Block digests hash this form, not :meth:`wire_bytes`: a flat,
+        length-prefixed field list.  Its bytes are signed content (every
+        co-sign covers them), so they stay as they are; until the body digest
+        can become a hash of wire bytes, a transaction carries both forms.
         """
-        cached = getattr(self, "_encoded_cache", None)
-        if cached is None:
-            from repro.common.encoding import canonical_encode
-
-            parts = [
-                self.txn_id,
-                self.client_id,
-                self.commit_ts.counter,
-                self.commit_ts.client_id,
-                len(self.read_set),
-                len(self.write_set),
-            ]
-            for entry in self.read_set:
-                parts.extend(
-                    (
-                        entry.item_id,
-                        entry.value,
-                        entry.rts.counter,
-                        entry.rts.client_id,
-                        entry.wts.counter,
-                        entry.wts.client_id,
-                    )
+        parts = [
+            self.txn_id,
+            self.client_id,
+            self.commit_ts.counter,
+            self.commit_ts.client_id,
+            len(self.read_set),
+            len(self.write_set),
+        ]
+        for entry in self.read_set:
+            parts.extend(
+                (
+                    entry.item_id,
+                    entry.value,
+                    entry.rts.counter,
+                    entry.rts.client_id,
+                    entry.wts.counter,
+                    entry.wts.client_id,
                 )
-            for entry in self.write_set:
-                parts.extend(
-                    (
-                        entry.item_id,
-                        entry.new_value,
-                        entry.old_value,
-                        entry.blind,
-                        entry.rts.counter,
-                        entry.rts.client_id,
-                        entry.wts.counter,
-                        entry.wts.client_id,
-                    )
+            )
+        for entry in self.write_set:
+            parts.extend(
+                (
+                    entry.item_id,
+                    entry.new_value,
+                    entry.old_value,
+                    entry.blind,
+                    entry.rts.counter,
+                    entry.rts.client_id,
+                    entry.wts.counter,
+                    entry.wts.client_id,
                 )
-            cached = canonical_encode(parts)
-            object.__setattr__(self, "_encoded_cache", cached)
-        return cached
+            )
+        return canonical_encode(parts)
 
 
 def partition_by_server(txn: Transaction, shard_map) -> Dict[str, Dict[str, list]]:

@@ -185,3 +185,140 @@ class TestCanonicalDecode:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             canonical_decode(b"")
+
+
+def _framed(tag: bytes, payload: bytes) -> bytes:
+    return tag + len(payload).to_bytes(4, "big") + payload
+
+
+def _dict_of(*entries: bytes) -> bytes:
+    return b"M" + (len(entries) // 2).to_bytes(4, "big") + b"".join(entries)
+
+
+_numeric_values = st.recursive(
+    st.one_of(_scalars, st.floats(allow_nan=False), st.integers(-1000, 1000)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4) | st.integers(0, 20), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+def _respell(value, choose) -> bytes:
+    """An encoding of ``value`` that takes a liberty wherever ``choose`` picks one.
+
+    ``choose(options)`` returns one of ``options``; always picking the first
+    yields ``canonical_encode(value)``.
+    """
+    if isinstance(value, bool) or value is None or isinstance(value, (str, bytes)):
+        return canonical_encode(value)
+    if isinstance(value, int):
+        text = str(value)
+        spellings = [text, "0" + text, " " + text, text + " "]
+        if value >= 0:
+            spellings.append("+" + text)
+        if value == 0:
+            spellings.append("-0")
+        if len(text.lstrip("-")) > 1:
+            spellings.append(text[:-1] + "_" + text[-1])
+        return _framed(b"I", choose(spellings).encode("ascii"))
+    if isinstance(value, float):
+        text = repr(value)
+        spellings = [text, text + "0", " " + text, "%e" % value, text.upper()]
+        if value.is_integer() and abs(value) < 2**53:
+            spellings.append(str(int(value)))
+        return _framed(b"D", choose(spellings).encode("ascii"))
+    if isinstance(value, list):
+        items = [_respell(item, choose) for item in value]
+        return b"L" + len(items).to_bytes(4, "big") + b"".join(items)
+    entries = sorted(
+        (_respell(key, choose), _respell(item, choose)) for key, item in value.items()
+    )
+    if len(entries) > 1 and choose([False, True]):
+        entries.reverse()
+    if entries and choose([False, True]):
+        entries.append(entries[0])
+    return _dict_of(*[part for entry in entries for part in entry])
+
+
+class TestOneSpellingPerValue:
+    """``canonical_encode(canonical_decode(b)) == b`` for every ``b`` that decodes.
+
+    A second byte string for the same value would let a peer hand over a WAL
+    frame, an exported log or a catch-up payload that decodes to an object
+    whose re-encoding (hence digest, hence signature) is not the one it sent.
+    """
+
+    @pytest.mark.parametrize("payload", [b"007", b"+7", b" 7", b"1_0", b"-0"])
+    def test_rejects_a_second_spelling_of_an_int(self, payload):
+        with pytest.raises(ValueError):
+            canonical_decode(_framed(b"I", payload))
+
+    @pytest.mark.parametrize("payload", [b"1", b"1.00", b"1e0", b"Infinity"])
+    def test_rejects_a_second_spelling_of_a_float(self, payload):
+        with pytest.raises(ValueError):
+            canonical_decode(_framed(b"D", payload))
+
+    def test_the_one_spelling_is_accepted(self):
+        assert canonical_decode(_framed(b"I", b"7")) == 7
+        assert canonical_decode(_framed(b"I", b"-10")) == -10
+        assert canonical_decode(_framed(b"D", b"1.0")) == 1.0
+        assert canonical_decode(_framed(b"D", b"inf")) == float("inf")
+
+    def test_rejects_dict_entries_out_of_order(self):
+        a, b = canonical_encode("a"), canonical_encode("b")
+        one, two = canonical_encode(1), canonical_encode(2)
+        assert canonical_decode(_dict_of(a, one, b, two)) == {"a": 1, "b": 2}
+        with pytest.raises(ValueError):
+            canonical_decode(_dict_of(b, two, a, one))
+
+    def test_rejects_a_repeated_dict_key(self):
+        """It used to decode, silently, to the last value."""
+        a = canonical_encode("a")
+        with pytest.raises(ValueError):
+            canonical_decode(_dict_of(a, canonical_encode(1), a, canonical_encode(2)))
+
+    def test_rejects_dict_keys_that_are_equal_but_spelled_apart(self):
+        """``1.0``, ``1`` and ``True`` are three encodings and one dict key."""
+        keys = sorted(canonical_encode(key) for key in (1, 1.0, True))
+        value = canonical_encode(None)
+        for first in range(3):
+            for second in range(first + 1, 3):
+                with pytest.raises(ValueError):
+                    canonical_decode(_dict_of(keys[first], value, keys[second], value))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_numeric_values, st.data())
+    def test_a_respelled_encoding_that_still_decodes_re_encodes_to_itself(self, value, data):
+        """Mutation at the level the format is ambiguous at: every number may be
+        respelled and every dict reordered or given a repeated entry."""
+        respelled = _respell(value, lambda options: data.draw(st.sampled_from(options)))
+        try:
+            decoded = canonical_decode(respelled)
+        except ValueError:
+            assert respelled != canonical_encode(value)  # only a liberty is refused
+            return
+        assert canonical_encode(decoded) == respelled
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_numeric_values, st.data())
+    def test_a_damaged_encoding_that_still_decodes_re_encodes_to_itself(self, value, data):
+        """Mutation at the byte level: set, drop or insert a few bytes."""
+        encoded = bytearray(canonical_encode(value))
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            position = data.draw(st.integers(0, len(encoded) - 1), label="position")
+            byte = data.draw(st.sampled_from(b"NTFIDSBLM019+-_ .e\x00\x01\x02"), label="byte")
+            edit = data.draw(st.sampled_from(["set", "drop", "insert"]), label="edit")
+            if edit == "set":
+                encoded[position] = byte
+            elif edit == "insert":
+                encoded.insert(position, byte)
+            elif len(encoded) > 1:
+                del encoded[position]
+        damaged = bytes(encoded)
+        try:
+            decoded = canonical_decode(damaged)
+        except ValueError:
+            return
+        assert canonical_encode(decoded) == damaged

@@ -9,11 +9,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
-from repro.crypto.merkle import MerkleTree, merkle_root_of, verify_inclusion
+from repro.crypto.hashing import hash_concat, hash_object
+from repro.crypto.merkle import (
+    MerkleTree,
+    leaf_hash,
+    merkle_root_of,
+    node_hash,
+    verify_inclusion,
+)
 
 
 def build_tree(count: int = 16):
     return MerkleTree.from_items({f"item-{i:04d}": i for i in range(count)})
+
+
+class TestLabels:
+    """Labels are hashed in one shot over a precomputed framing; the bytes
+    hashed are ``hash_concat``'s, part for part."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32))
+    def test_node_hash_of_two_digests(self, left, right):
+        assert node_hash(left, right) == hash_concat(b"\x01node", left, right)
+
+    @pytest.mark.parametrize(
+        "left, right", [(b"", b""), (b"short", b"\x07" * 32), (b"\x07" * 32, b"\x08" * 33)]
+    )
+    def test_node_hash_of_children_that_are_not_digests(self, left, right):
+        assert node_hash(left, right) == hash_concat(b"\x01node", left, right)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.text(max_size=12), st.one_of(st.none(), st.integers(), st.text(max_size=6)))
+    def test_leaf_hash(self, item_id, value):
+        expected = hash_concat(b"\x00leaf", item_id.encode("utf-8"), hash_object(value))
+        assert leaf_hash(item_id, value) == expected
 
 
 class TestMerkleTreeBasics:

@@ -91,6 +91,35 @@ class TestSignatures:
         with pytest.raises(SignatureError):
             network.send("server", "server", MessageType.READ, {"item": "x"}, presigned=forged)
 
+    def test_presigned_for_another_recipient_rejected(self, network):
+        """The signature covers the recipient: what was signed for one server
+        must not be deliverable to another."""
+        other = []
+        network.register("server2", keypair_for("server2"), other.append)
+        signed = network.sign_envelope(
+            Envelope("client", "server", MessageType.WRITE, {"item": "x"})
+        )
+        with pytest.raises(SignatureError):
+            network.send("client", "server2", MessageType.WRITE, {"item": "x"}, presigned=signed)
+        assert other == [] and network.received == []
+        assert network.stats.messages_rejected == 1
+        assert network.stats.messages_sent == 0
+
+    def test_presigned_as_another_type_rejected(self, network):
+        """The signature covers the type: a signed WRITE is not a READ."""
+        signed = network.sign_envelope(
+            Envelope("client", "server", MessageType.WRITE, {"item": "x"})
+        )
+        with pytest.raises(SignatureError):
+            network.send("client", "server", MessageType.READ, {"item": "x"}, presigned=signed)
+        assert network.received == []
+        assert network.stats.messages_rejected == 1
+        assert network.stats.per_type == {}
+        # Delivered as what it was signed as, it is accepted.
+        network.send("client", "server", MessageType.WRITE, {"item": "x"}, presigned=signed)
+        assert [envelope.message_type for envelope in network.received] == [MessageType.WRITE]
+        assert network.stats.per_type == {"write": 1}
+
     def test_public_key_directory(self, network):
         directory = network.public_key_directory()
         assert set(directory) == {"server", "client"}
