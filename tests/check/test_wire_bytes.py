@@ -16,8 +16,10 @@ import hashlib
 import pytest
 
 from repro.common.encoding import canonical_encode
+from repro.common.timestamps import Timestamp
+from repro.storage.record import RecordVersion
 
-from test_wire_roundtrip import BUILDERS
+from test_wire_roundtrip import _TS, _TS2, BUILDERS
 
 #: ``sha256(canonical_encode(BUILDERS[name]().to_wire()))``.
 WIRE_DIGESTS = {
@@ -46,6 +48,40 @@ WIRE_DIGESTS = {
 SIGNED_CONTENT_DIGEST = "d3c5da4241150e0154a08e118763b60a4d6d2c491bdb5c9be50a0607509050d8"
 BLOCK_BODY_DIGEST = "19c22d32129dcbc05b38e8bd4c97edd9eb4da45305905ad915c88c117fa018cd"
 
+#: The two records of the write-ahead log (``recovery/statestore.py``), recorded
+#: while they were still plain dicts built inside the state store.  Whatever
+#: writes them afterwards must hash to the same: a WAL written before must load.
+JOURNAL_RECORD_DIGESTS = {
+    "BlockRecord": "e94d313f887a4734b3e1d76a4d8b868844e4d77e6eb57807f63c10e5823ad7f1",
+    "SnapshotRecord": "d8b4579b62d9bbdb54c028f62e655363247d7f9c8363b74f36fce67c3cff011d",
+}
+
+
+def journal_record_dicts() -> dict:
+    """The two journal records as the plain data the state store used to build."""
+    versions = {
+        "x1": [RecordVersion(value=7, wts=_TS, rts=_TS2).to_wire()],
+        "x10": [
+            RecordVersion(value=None, wts=Timestamp.zero(), rts=Timestamp.zero()).to_wire(),
+            RecordVersion(value={"k": [1, b"v"]}, wts=_TS, rts=_TS).to_wire(),
+        ],
+        "x2": [RecordVersion(value="nine", wts=_TS2, rts=_TS2).to_wire()],
+    }
+    return {
+        "BlockRecord": {
+            "kind": "block",
+            "block": BUILDERS["Block"]().to_wire(),
+            "shard_root": b"\x0f" * 32,
+        },
+        "SnapshotRecord": {
+            "kind": "snapshot",
+            "server_id": "s0",
+            "next_height": 10,
+            "datastore": {"multi_versioned": True, "items": versions},
+            "checkpoint": BUILDERS["Checkpoint"]().to_wire(),
+        },
+    }
+
 
 def _digest(wire) -> str:
     return hashlib.sha256(canonical_encode(wire)).hexdigest()
@@ -72,3 +108,8 @@ def test_envelope_signed_content_is_pinned():
 
 def test_block_body_is_pinned():
     assert _digest(BUILDERS["Block"]().body()) == BLOCK_BODY_DIGEST
+
+
+@pytest.mark.parametrize("record", sorted(JOURNAL_RECORD_DIGESTS))
+def test_journal_record_dict_form_encodes_to_the_pinned_bytes(record):
+    assert _digest(journal_record_dicts()[record]) == JOURNAL_RECORD_DIGESTS[record]
