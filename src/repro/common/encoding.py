@@ -26,13 +26,17 @@ bytes; the one class that keeps its encoding says so in its declaration
 (DESIGN.md section 6, "Who owns the bytes").
 
 :func:`canonical_decode` is the exact inverse for the plain-data subset
-(wire objects decode back as the dict/list their ``to_wire()`` produces): it
-powers the durable state layer (:mod:`repro.recovery`), whose write-ahead log
-must round-trip blocks and checkpoints through bytes.  Decoding is strict --
-unknown tags, trailing bytes, truncated payloads and every *second spelling*
-of a value (``007``, ``1e0``, dict entries out of order or repeated) raise
-``ValueError`` -- because the decoder's inputs (WAL files, catch-up payloads)
-are untrusted, and bytes that decode must re-encode to themselves.
+(wire objects decode back as the dict/list their ``to_wire()`` produces).  It
+reads bytes whose layout nobody declared -- exported logs, stored values,
+message payloads -- and is the oracle for the readers that
+:func:`~repro.common.wire.wire_form` derives from a declared layout, which
+call :func:`decode_at` for exactly those undeclared values (the write-ahead
+log of :mod:`repro.recovery` is read that way).  Decoding is strict --
+unknown tags, trailing bytes, truncated payloads, nesting deeper than the
+interpreter's stack and every *second spelling* of a value (``007``, ``1e0``,
+dict entries out of order or repeated) raise ``ValueError`` -- because the
+decoder's inputs are untrusted, and bytes that decode must re-encode to
+themselves.
 """
 
 from __future__ import annotations
@@ -216,6 +220,19 @@ def _decode_at(data: bytes, offset: int) -> tuple:
     raise ValueError(f"unknown canonical-encoding tag {tag!r}")
 
 
+def decode_at(data: bytes, offset: int) -> tuple:
+    """Decode the one value that starts at ``offset``: ``(value, next offset)``.
+
+    The way in for a reader that walks a declared layout and meets a value
+    the declaration leaves open (see :mod:`repro.common.wire`).  Like
+    :func:`canonical_encode` it is only the door: the walk recurses through
+    the private ``_decode_at``.  Raises what the walk raises (``ValueError``,
+    and ``RecursionError`` on nesting deeper than the stack -- the caller's
+    boundary turns both into its own refusal).
+    """
+    return _decode_at(data, offset)
+
+
 def canonical_decode(data: bytes) -> Any:
     """Decode one canonically encoded value; the inverse of :func:`canonical_encode`.
 
@@ -224,7 +241,10 @@ def canonical_decode(data: bytes) -> Any:
     with the class's ``from_wire`` (see :mod:`repro.common.wire`).  Whatever
     decodes re-encodes to exactly ``data``.
     """
-    value, offset = _decode_at(bytes(data), 0)
+    try:
+        value, offset = _decode_at(bytes(data), 0)
+    except RecursionError:  # caught here, at the boundary: the walk itself pays nothing
+        raise ValueError("canonical encoding nests deeper than the decoder follows") from None
     if offset != len(data):
         raise ValueError(
             f"canonical encoding carries {len(data) - offset} trailing byte(s)"

@@ -8,14 +8,18 @@ fields::
     @dataclass(frozen=True)
     class ReadResult: ...
 
-and :func:`wire_form` derives the rest from the declaration: ``to_wire()``
-(the plain data whose :func:`~repro.common.encoding.canonical_encode` is the
-byte form), ``wire_bytes()`` (those bytes, made without building the plain
-data: the declared keys are encoded and ordered once, here, and a field that
-holds wire objects is spliced from their own bytes), the strict
-``from_wire()`` that reads the plain data back, and the entry in
-:data:`WIRE_CLASSES`, the only classes ``canonical_encode`` accepts -- so an
-encoder without an inverse cannot exist.
+and :func:`wire_form` derives the rest from the declaration, one codec per
+corner of ``{plain data, bytes} x {out, in}``: ``to_wire()`` (the plain data
+whose :func:`~repro.common.encoding.canonical_encode` is the byte form),
+``wire_bytes()`` (those bytes, made without building the plain data: the
+declared keys are encoded and ordered once, here, and a field that holds wire
+objects is spliced from their own bytes), the strict ``from_wire()`` that
+reads the plain data back, ``from_bytes()`` that reads the bytes back without
+building the plain data (everything between two field values is a constant
+of the declaration, so reading is ``data.startswith(constant, offset)`` and
+then the field's own reader), and the entry in :data:`WIRE_CLASSES`, the only
+classes ``canonical_encode`` accepts -- so an encoder without an inverse
+cannot exist.
 
 An entry is ``(wire key, kind)`` -- or ``(wire key, kind, attribute)`` where
 the two names differ -- and a :class:`Kind` says how that field crosses the
@@ -23,19 +27,23 @@ wire.  Strict means a kind *checks and never coerces* (``str(b"s0")`` and
 ``int(True)`` would both "decode"), and whatever is wrong with the input, the
 decoder raises :class:`~repro.common.errors.ValidationError`: its input is
 bytes an attacker may have chosen, and a garbled record must never
-half-materialise into a plausible-looking object.  Three entries are not
+half-materialise into a plausible-looking object.  ``from_bytes`` accepts
+exactly the bytes ``wire_bytes()`` can produce, names the byte at which its
+input stopped being that, and agrees with ``from_wire`` of
+``canonical_decode``, its oracle, on every input.  Three entries are not
 fields: :func:`sub` groups fields under one key, :func:`tag` is a constant
 that tells sibling forms apart, :func:`extra` is a key that is not state.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import fields, is_dataclass
 from functools import wraps
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
-from repro.common.encoding import ENCODERS, canonical_encode, dict_layout
+from repro.common.encoding import ENCODERS, canonical_encode, decode_at, dict_layout
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 
@@ -54,9 +62,54 @@ class Kind(NamedTuple):
     #: The attribute holds wire objects, which ``canonical_encode`` splices as
     #: they are: ``encode`` would only flatten them to be walked again.
     spliced: bool = False
+    #: ``read(data, offset)``: the attribute encoded at ``offset`` and the
+    #: offset after it, without building plain data.  ``None``: the kind is
+    #: read by the generic walk followed by ``decode`` (:func:`_reader`).
+    read: Optional[Callable[[bytes, int], tuple]] = None
 
 
-def _exactly(label: str, *types) -> Kind:
+#: What reading hostile bytes raises from inside, besides a reader's own
+#: refusal: a short buffer (``struct.error``, ``IndexError``), bytes that are
+#: not UTF-8 or not a number, the generic walk's and a constructor's
+#: ``ValueError``.  Whoever holds the offset of the value being read -- a
+#: class's reader, a container's loop -- turns them into :func:`_stopped`.
+_FOREIGN = (ValueError, IndexError, struct.error)
+
+#: A value's tag byte and the four bytes after it: its length, or its count.
+_head = struct.Struct(">BI").unpack_from
+_NONE, _TRUE, _FALSE, _INT, _STR, _BYTES, _LIST, _DICT = b"NTFISBLM"
+
+
+def _stopped(reason, offset: int) -> ValidationError:
+    """The refusal that says where in the bytes reading stopped."""
+    return ValidationError(f"{reason} (at byte {offset})")
+
+
+def _expected(what: str, data: bytes, offset: int) -> ValidationError:
+    return _stopped(f"expected {what}, found {data[offset : offset + 5]!r}", offset)
+
+
+def _reader(kind: Kind) -> Callable[[bytes, int], tuple]:
+    """``kind``'s byte reader: its own, or the generic walk and then its ``decode``.
+
+    The second is what makes every kind readable while only the frequent
+    ones have a direct reader, and no kind has two definitions of *valid*.
+    """
+    if kind.read is not None:
+        return kind.read
+    decode = kind.decode
+
+    def read(data, offset):
+        try:
+            value, end = decode_at(data, offset)
+            return decode(value, "the value"), end
+        except (ValidationError, *_FOREIGN) as exc:
+            raise _stopped(exc, offset) from None
+
+    return read
+
+
+def _exactly(label: str, *types, read=None) -> Kind:
     """Plain data of exactly these types (so a ``bool`` is not an ``int``)."""
 
     def decode(value, what):
@@ -64,17 +117,55 @@ def _exactly(label: str, *types) -> Kind:
             return value
         raise ValidationError(f"{what} must be {label}, not {type(value).__name__}")
 
-    return Kind(decode)
+    return Kind(decode, read=read)
 
 
-STR = _exactly("a str", str)
-INT = _exactly("an int", int)
-BOOL = _exactly("a bool", bool)
-BYTES = _exactly("bytes", bytes)
+def _read_str(data, offset):
+    tag, length = _head(data, offset)
+    end = offset + 5 + length
+    if tag != _STR or end > len(data):
+        raise _expected("a str", data, offset)
+    return data[offset + 5 : end].decode(), end
+
+
+def _read_bytes(data, offset):
+    tag, length = _head(data, offset)
+    end = offset + 5 + length
+    if tag != _BYTES or end > len(data):
+        raise _expected("bytes", data, offset)
+    return data[offset + 5 : end], end
+
+
+def _read_int(data, offset):
+    tag, length = _head(data, offset)
+    end = offset + 5 + length
+    if tag != _INT or end > len(data):
+        raise _expected("an int", data, offset)
+    text = data[offset + 5 : end]
+    number = int(text)
+    if b"%d" % number != text:  # one spelling per number: not "007", "+7", "1_0"
+        raise _stopped(f"non-canonical number {text!r}", offset)
+    return number, end
+
+
+def _read_bool(data, offset):
+    tag = data[offset]
+    if tag == _TRUE:
+        return True, offset + 1
+    if tag == _FALSE:
+        return False, offset + 1
+    raise _expected("a bool", data, offset)
+
+
+STR = _exactly("a str", str, read=_read_str)
+INT = _exactly("an int", int, read=_read_int)
+BOOL = _exactly("a bool", bool, read=_read_bool)
+BYTES = _exactly("bytes", bytes, read=_read_bytes)
 #: Durations and virtual times: either number type, kept as it arrived.
 NUMBER = _exactly("a number", int, float)
-#: Opaque to the protocol: stored values, message payloads.
-ANY = Kind(lambda value, what: value)
+#: Opaque to the protocol: stored values, message payloads.  Nothing is
+#: declared about them, so theirs is the generic walk.
+ANY = Kind(lambda value, what: value, read=decode_at)
 
 
 def _scalar(value, what):
@@ -99,26 +190,93 @@ MAPPING = Kind(lambda value, what: dict(_mapping(value, what)))
 
 def optional(kind: Kind) -> Kind:
     """``None``, or a ``kind``."""
-    decode, encode, spliced = kind
+    decode, encode, spliced, _ = kind
+    read_value = _reader(kind)
+
+    def read(data, offset):
+        if data[offset] == _NONE:
+            return None, offset + 1
+        return read_value(data, offset)
+
     return Kind(
         lambda value, what: None if value is None else decode(value, what),
         encode and (lambda value: None if value is None else encode(value)),
         spliced,
+        read,
     )
 
 
 def list_of(kind: Kind) -> Kind:
     """A list of ``kind``; a tuple on the object."""
-    decode_item, encode_item, spliced = kind
+    decode_item, encode_item, spliced, _ = kind
+    read_item = _reader(kind)
 
     def decode(values, what):
         if isinstance(values, (list, tuple)):
             return tuple([decode_item(value, what) for value in values])
         raise ValidationError(f"{what} must be a list, not {type(values).__name__}")
 
+    def read(data, offset):
+        try:
+            tag, count = _head(data, offset)
+            if tag != _LIST:
+                raise _expected("a list", data, offset)
+            offset += 5
+            items = []
+            for _ in range(count):  # a lying count runs out of bytes, not of memory
+                item, offset = read_item(data, offset)
+                items.append(item)
+        except _FOREIGN as exc:
+            raise _stopped(exc, offset) from None
+        return tuple(items), offset
+
     if encode_item is None:
-        return Kind(decode, list)
-    return Kind(decode, lambda values: [encode_item(value) for value in values], spliced)
+        return Kind(decode, list, read=read)
+    return Kind(decode, lambda values: [encode_item(value) for value in values], spliced, read)
+
+
+def map_of(kind: Kind) -> Kind:
+    """A dict from ``str`` keys to ``kind``.
+
+    Its reader holds the entries to the one order the format allows
+    (strictly increasing encoded keys), as the generic walk does.
+    """
+    decode_item, encode_item, spliced, _ = kind
+    read_item = _reader(kind)
+
+    def decode(value, what):
+        return {
+            STR.decode(key, what): decode_item(item, what)
+            for key, item in _mapping(value, what).items()
+        }
+
+    def read(data, offset):
+        try:
+            tag, count = _head(data, offset)
+            if tag != _DICT:
+                raise _expected("a dict", data, offset)
+            offset += 5
+            entries = {}
+            previous = b""
+            for _ in range(count):
+                key, end = _read_str(data, offset)
+                encoded_key = data[offset:end]
+                if encoded_key <= previous:
+                    raise _stopped("dict entries out of order or repeated", offset)
+                previous = encoded_key
+                entries[key], offset = read_item(data, end)
+        except _FOREIGN as exc:
+            raise _stopped(exc, offset) from None
+        return entries, offset
+
+    if encode_item is None:
+        return Kind(decode, lambda value: dict(sorted(value.items())), read=read)
+    return Kind(
+        decode,
+        lambda value: {key: encode_item(item) for key, item in sorted(value.items())},
+        spliced,
+        read,
+    )
 
 
 def pair_of(first: Kind, second: Kind) -> Kind:
@@ -140,7 +298,20 @@ def _timestamp(value, what):
     raise ValidationError(f"{what} must be a [counter >= 0, client id] pair, not {value!r}")
 
 
-TIMESTAMP = Kind(_timestamp, Timestamp.as_tuple)
+_PAIR = b"L\x00\x00\x00\x02"  # a list of two
+
+
+def _read_timestamp(data, offset):
+    if not data.startswith(_PAIR, offset):
+        raise _expected("a [counter, client id] pair", data, offset)
+    counter, end = _read_int(data, offset + 5)
+    client_id, end = _read_str(data, end)
+    if counter < 0:
+        raise _stopped("a timestamp counter must be >= 0", offset)
+    return Timestamp(counter, client_id), end
+
+
+TIMESTAMP = Kind(_timestamp, Timestamp.as_tuple, read=_read_timestamp)
 
 _IDS = list_of(STR)
 
@@ -157,16 +328,8 @@ def _id_set(values, what):
 #: it came from).
 ID_SET = Kind(_id_set, sorted)
 
-
-def _roots(value, what):
-    for server_id, root in _mapping(value, what).items():
-        STR.decode(server_id, what)
-        BYTES.decode(root, what)
-    return dict(value)
-
-
 #: A ``server id -> Merkle root`` mapping.
-ROOTS = Kind(_roots, lambda roots: dict(sorted(roots.items())))
+ROOTS = map_of(BYTES)
 
 
 def enum_of(enum) -> Kind:
@@ -183,7 +346,12 @@ def enum_of(enum) -> Kind:
 
 def nested(cls) -> Kind:
     """Another wire class, through its own derived codec."""
-    return Kind(lambda value, what: cls.from_wire(value), methodcaller("to_wire"), spliced=True)
+    return Kind(
+        lambda value, what: cls.from_wire(value),
+        methodcaller("to_wire"),
+        spliced=True,
+        read=cls.read_bytes,
+    )
 
 
 class _Entry(NamedTuple):
@@ -243,17 +411,58 @@ def kept(method):
     return kept_method
 
 
-def _joined(pieces) -> str:
-    """Source text of the bytes ``pieces`` add up to, constant neighbours merged."""
+def _merged(pieces) -> list:
+    """``pieces`` with constant neighbours joined into one constant."""
     merged = []
     for piece in pieces:
         if isinstance(piece, bytes) and merged and isinstance(merged[-1], bytes):
             merged[-1] += piece
         else:
             merged.append(piece)
-    return 'b"".join((%s,))' % ", ".join(
-        piece if isinstance(piece, str) else repr(piece) for piece in merged
-    )
+    return merged
+
+
+def _only(data, declared) -> None:
+    """Refuse a mapping that carries a key its declaration does not name.
+
+    Two byte strings must not decode to equal objects, or "whatever decodes
+    re-encodes to itself" would hold for plain data only.
+    """
+    undeclared = [key for key in data if key not in declared]
+    if undeclared:
+        raise ValidationError(f"undeclared key(s) {undeclared!r}")
+
+
+def _follows(data: bytes, offset: int, constant: bytes) -> int:
+    """How many bytes of ``constant`` stand in ``data`` at ``offset``."""
+    if data.startswith(constant, offset):
+        return len(constant)
+    found = data[offset : offset + len(constant)]
+    return next((i for i, (a, b) in enumerate(zip(found, constant)) if a != b), len(found))
+
+
+def _departs(data: bytes, offset: int, constant: bytes) -> ValidationError:
+    """The refusal of bytes that leave the declared layout, at the first byte that differs."""
+    same = _follows(data, offset, constant)
+    at = offset + same
+    return _stopped(f"expected {constant[same : same + 16]!r}, found {data[at : at + 16]!r}", at)
+
+
+def sibling_reader(*forms) -> Callable[[bytes], Any]:
+    """``from_bytes`` of sibling forms, the ones a :func:`tag` tells apart.
+
+    The bytes are read as the form whose opening constant they follow
+    furthest, so a refusal names the first byte that departs from the
+    *closest* form.  The forms must open differently (their tag key sorts
+    before their first field), or there would be nothing to choose by.
+    """
+    if any(a.WIRE_PREFIX.startswith(b.WIRE_PREFIX) for a in forms for b in forms if a is not b):
+        raise TypeError("sibling forms must open with different constants")
+
+    def from_bytes(data):
+        return max(forms, key=lambda form: _follows(data, 0, form.WIRE_PREFIX)).from_bytes(data)
+
+    return from_bytes
 
 
 #: The methods of a wire class.  The declaration is static, so they are
@@ -273,17 +482,44 @@ def from_wire(data):
         raise ValidationError(f"malformed wire encoding of {name}: {{exc}} is missing") from None
     except (ValidationError, ValueError) as exc:  # ValueError: a constructor's own check
         raise ValidationError(f"malformed wire encoding of {name}: {{exc}}") from None
+
+def from_bytes(data):
+    data = bytes(data)
+    try:
+        value, end = read_bytes(data, 0)
+    except ValidationError as exc:
+        raise ValidationError(f"malformed encoding of {name}: {{exc}}") from None
+    except RecursionError:  # caught here, at the boundary: the readers pay nothing
+        raise ValidationError(f"malformed encoding of {name}: nested too deeply") from None
+    if end != len(data):
+        raise ValidationError(
+            f"malformed encoding of {name}: {{len(data) - end}} trailing byte(s) (at byte {{end}})"
+        )
+    return value
 """
 
 #: The bytes of the whole form (``wire_bytes``) or of one :func:`sub` group.
 _BYTES_METHOD = """
 def {key}_bytes(self):
-    return {spliced}
+    return b"".join(({spliced},))
+"""
+
+#: ``(object, next offset)`` from the bytes at ``offset``: what ``from_bytes``
+#: and the reader of a container holding this class call.  Every step is a
+#: constant of the declaration to find, or a field's reader to run.
+_READ_METHOD = """
+def read_bytes(data, offset):
+    try:
+        {steps}
+        return cls({arguments}), offset
+    except _FOREIGN as exc:
+        raise _stopped(exc, offset) from None
 """
 
 
 def wire_form(*entries, owns_bytes: bool = False):
-    """Class decorator: derive the codec -- ``to_wire()``, ``wire_bytes()``, ``from_wire()``.
+    """Class decorator: derive the codec -- ``to_wire()``, ``wire_bytes()``,
+    ``from_wire()``, ``from_bytes()``.
 
     The declaration is total: it must account for every dataclass field (or
     slot) of the class, so a field added without a kind fails here, at class
@@ -298,6 +534,15 @@ def wire_form(*entries, owns_bytes: bool = False):
     with ``owns_bytes``, whose instances keep their encoding (:func:`kept`).
     That is for a frozen leaf that many containers carry: every block,
     envelope and WAL record holding it then splices the same bytes.
+
+    ``from_bytes(data)`` equals ``from_wire(canonical_decode(data))`` on every
+    input, refusals included, and builds no plain data on the way:
+    ``read_bytes(data, offset)`` walks the same layout ``wire_bytes()`` writes.
+    A class that declares an :func:`extra` has no such layout (the key may be
+    absent), so its ``read_bytes`` is the generic walk followed by
+    ``from_wire``, like a kind without a reader of its own.  ``WIRE_PREFIX``
+    is the constant a class's encoding opens with, which tells sibling forms
+    apart before anything is read.
     """
 
     def derive(cls):
@@ -306,7 +551,11 @@ def wire_form(*entries, owns_bytes: bool = False):
             ValidationError=ValidationError,
             _mapping=_mapping,
             _expect=_expect,
+            _only=_only,
             _bytes=canonical_encode,
+            _departs=_departs,
+            _stopped=_stopped,
+            _FOREIGN=_FOREIGN,
         )
         checks, arguments, attrs, extras, groups = [], [], [], [], {}
 
@@ -314,8 +563,8 @@ def wire_form(*entries, owns_bytes: bool = False):
             """``group`` emitted both ways, noting how to read it back from ``source``.
 
             Returns the dict display of ``to_wire()`` and the pieces of the same
-            dict's encoding: ``bytes`` where the declaration fixes them, source
-            text where the instance does.
+            dict's encoding: ``bytes`` where the declaration fixes them, and where
+            the instance does, the source text that ``(writes, reads)`` them.
             """
             items, layout = [], []
             for entry in group:
@@ -332,17 +581,27 @@ def wire_form(*entries, owns_bytes: bool = False):
                 elif role == "extra":
                     extras.append(key)
                     item = f"getattr(self, {key!r}, None)"
-                    pieces = [f"_bytes({item})"]
+                    pieces = [(f"_bytes({item})", None)]
                 else:
                     attr = entry[2] if len(entry) == 3 else key
-                    scope[f"_decode_{attr}"], scope[f"_encode_{attr}"], spliced = entry[1]
+                    scope[f"_decode_{attr}"], scope[f"_encode_{attr}"], spliced, _ = entry[1]
+                    scope[f"_read_{attr}"] = _reader(entry[1])
                     item = f"_encode_{attr}(self.{attr})" if entry[1].encode else f"self.{attr}"
-                    pieces = [f"_bytes(self.{attr})" if spliced else f"_bytes({item})"]
+                    pieces = [
+                        (
+                            f"_bytes(self.{attr})" if spliced else f"_bytes({item})",
+                            f"{attr}, offset = _read_{attr}(data, offset)",
+                        )
+                    ]
                     arguments.append(f"{attr}=_decode_{attr}({found})")
                     attrs.append(attr)
                 items.append(f"{key!r}: {item}")
                 layout.append((key, pieces))
-            return "{" + ", ".join(items) + "}", dict_layout(layout)
+            declared = tuple(entry[0] for entry in group)
+            # An absent extra could make room for an undeclared key: then every key is looked at.
+            unless = "" if set(declared) & set(extras) else f"if len({source}) != {len(declared)}: "
+            checks.append(f"{unless}_only({source}, {declared!r})")
+            return "{" + ", ".join(items) + "}", _merged(dict_layout(layout))
 
         display, groups["wire"] = forms(entries, "data")
         source = _METHODS.format(
@@ -351,8 +610,29 @@ def wire_form(*entries, owns_bytes: bool = False):
             arguments=", ".join(arguments),
             name=cls.__name__,
         ) + "".join(
-            _BYTES_METHOD.format(key=key, spliced=_joined(group)) for key, group in groups.items()
+            _BYTES_METHOD.format(
+                key=key,
+                spliced=", ".join(
+                    repr(piece) if isinstance(piece, bytes) else piece[0] for piece in group
+                ),
+            )
+            for key, group in groups.items()
         )
+        if not extras:
+            steps = []
+            for piece in groups["wire"]:
+                if isinstance(piece, bytes):
+                    steps.append(
+                        f"if not data.startswith({piece!r}, offset): "
+                        f"raise _departs(data, offset, {piece!r})"
+                    )
+                    steps.append(f"offset += {len(piece)}")
+                else:
+                    steps.append(piece[1])
+            source += _READ_METHOD.format(
+                steps="\n        ".join(steps),
+                arguments=", ".join(f"{attr}={attr}" for attr in attrs),
+            )
         state = [field.name for field in fields(cls)] if is_dataclass(cls) else cls.__slots__
         if sorted(attrs) != sorted(state):
             raise TypeError(
@@ -360,12 +640,16 @@ def wire_form(*entries, owns_bytes: bool = False):
                 f"the class holds {sorted(state)}"
             )
         exec(source, scope)
+        if extras:
+            scope["read_bytes"] = _reader(Kind(lambda value, what: scope["from_wire"](value)))
         for name in ("to_wire", *(f"{key}_bytes" for key in groups)):
             setattr(cls, name, scope[name])
         if owns_bytes:
             cls.wire_bytes = kept(cls.wire_bytes)
-        cls.from_wire = staticmethod(scope["from_wire"])
+        for name in ("from_wire", "from_bytes", "read_bytes"):
+            setattr(cls, name, staticmethod(scope[name]))
         cls.WIRE_EXTRAS = tuple(extras)
+        cls.WIRE_PREFIX = groups["wire"][0]
         ENCODERS[cls] = cls.wire_bytes
         WIRE_CLASSES[cls.__name__] = cls
         return cls

@@ -3,11 +3,13 @@
 The subsystem behind ``DatabaseServer.crash()`` / ``recover()``:
 
 * :mod:`repro.recovery.statestore` -- the durable state layer (in-memory and
-  append-only file WAL with snapshot compaction);
+  append-only file WAL with snapshot compaction); its two records are
+  declared wire forms, written by their derived ``wire_bytes()`` and read
+  back by their derived ``from_bytes()``;
 * :mod:`repro.recovery.wire` -- the byte trust boundary: every wire class's
   derived strict decoder, by name (the classes declare their own wire forms,
-  see :mod:`repro.common.wire`; recovery code calls ``Block.from_wire`` and
-  ``Checkpoint.from_wire`` directly);
+  see :mod:`repro.common.wire`; catch-up reads a peer's plain-data reply with
+  ``Block.from_wire`` directly);
 * :mod:`repro.recovery.manager` -- restore-and-verify plus the
   ``STATE_REQUEST`` catch-up protocol against untrusted peers (each peer's
   state response travels as the RPC return payload).

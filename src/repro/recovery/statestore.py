@@ -19,9 +19,15 @@ records and atomic snapshot compaction (crashes mid-append leave a truncated
 tail that loading simply ignores).
 
 Both stores hold **encoded bytes**, never live objects: state only survives a
-crash by round-tripping through :func:`~repro.common.encoding.canonical_encode`,
-so a recovered server provably rebuilt itself from serialised state rather
-than from aliased Python references.
+crash by round-tripping through its byte form, so a recovered server provably
+rebuilt itself from serialised state rather than from aliased Python
+references.  The two records are declared wire forms (:class:`BlockRecord`,
+:class:`SnapshotRecord`; see :mod:`repro.common.wire`): writing one is its
+derived ``wire_bytes()``, which splices the transactions' and versions' own
+bytes, and reading one is its derived ``from_bytes()``, which walks the
+declared layout straight into objects and refuses -- naming the byte -- any
+payload the writer could not have produced.  No record is decoded into plain
+data on the way, and none is re-encoded: compaction keeps the payloads it read.
 
 Installing a checkpoint compacts the store: one fresh snapshot (carrying the
 checkpoint and the current datastore) replaces the initial snapshot and every
@@ -35,12 +41,62 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.common.encoding import canonical_decode, canonical_encode
-from repro.common.errors import RecoveryError
+from repro.common.encoding import canonical_encode
+from repro.common.errors import RecoveryError, ValidationError
+from repro.common.wire import (
+    BOOL,
+    BYTES,
+    INT,
+    STR,
+    list_of,
+    map_of,
+    nested,
+    optional,
+    sibling_reader,
+    sub,
+    tag,
+    wire_form,
+)
 from repro.ledger.block import Block
 from repro.ledger.checkpoint import Checkpoint
+from repro.storage.record import RecordVersion
+
+
+@wire_form(tag("kind", "block"), ("block", nested(Block)), ("shard_root", BYTES))
+@dataclass(frozen=True)
+class BlockRecord:
+    """Journal record: one applied block and the shard root it produced."""
+
+    block: Block
+    shard_root: bytes
+
+
+@wire_form(
+    tag("kind", "snapshot"),
+    ("server_id", STR),
+    ("next_height", INT),
+    sub(
+        "datastore",
+        ("multi_versioned", BOOL),
+        ("items", map_of(list_of(nested(RecordVersion)))),
+    ),
+    ("checkpoint", optional(nested(Checkpoint))),
+)
+@dataclass(frozen=True)
+class SnapshotRecord:
+    """Journal record: a datastore dump (:meth:`DataStore.export_state`'s two
+    fields), the checkpoint it was taken under and the next block it expects."""
+
+    server_id: str
+    next_height: int
+    multi_versioned: bool
+    items: Dict[str, Tuple[RecordVersion, ...]]
+    checkpoint: Optional[Checkpoint]
+
+
+_read_record = sibling_reader(BlockRecord, SnapshotRecord)
 
 
 @dataclass
@@ -66,7 +122,7 @@ class PersistedState:
 
 
 class StateStore:
-    """Base class: record encoding/decoding over an abstract byte journal."""
+    """Base class: the journal's two record forms over an abstract byte journal."""
 
     # -- primitive journal operations (implemented by subclasses) --------------
 
@@ -84,34 +140,14 @@ class StateStore:
 
     # -- recording -------------------------------------------------------------
 
-    @staticmethod
-    def _snapshot_record(
-        server_id: str,
-        datastore_state: Dict,
-        checkpoint: Optional[Checkpoint],
-        next_height: int,
-    ) -> Dict:
-        return {
-            "kind": "snapshot",
-            "server_id": server_id,
-            "next_height": next_height,
-            "datastore": datastore_state,
-            "checkpoint": checkpoint.to_wire() if checkpoint is not None else None,
-        }
-
     def initialize(self, server_id: str, datastore_state: Dict) -> None:
         """Record the genesis snapshot; a no-op on a store that already has state.
 
         The no-op path is what lets a restarted process point a fresh server
         at an existing WAL file and recover from it instead of clobbering it.
         """
-        if self.is_initialized():
-            return
-        self._append(
-            canonical_encode(
-                self._snapshot_record(server_id, datastore_state, None, 0)
-            )
-        )
+        if not self.is_initialized():
+            self._append(_snapshot(server_id, datastore_state, None, 0))
 
     def is_initialized(self) -> bool:
         for _ in self._iter_payloads():
@@ -121,14 +157,11 @@ class StateStore:
     def record_block(self, block: Block, shard_root: bytes) -> None:
         """Persist one applied block and the shard root it produced.
 
-        The block is passed to the encoder as the object (not pre-flattened
-        with ``to_wire()``), so the record is spliced from the bytes its
-        transactions already own: the block stores no encoding, and every
-        server persisting the same delivered block re-walks only its header.
+        The record is spliced from the bytes the block's transactions already
+        own: the block stores no encoding, and every server persisting the
+        same delivered block re-walks only its header.
         """
-        self._append(
-            canonical_encode({"kind": "block", "block": block, "shard_root": shard_root})
-        )
+        self._append(canonical_encode(BlockRecord(block, shard_root)))
 
     def install_checkpoint(
         self,
@@ -141,66 +174,75 @@ class StateStore:
 
         Writes a fresh snapshot (checkpoint + current datastore) and retains
         only block records the checkpoint does *not* cover, atomically
-        replacing the journal contents.
+        replacing the journal contents.  A retained record is the payload
+        that was read, not a re-encoding of it: the reader accepts only bytes
+        that re-encode to themselves.
         """
-        retained: List[bytes] = []
-        for record in self._iter_records():
-            if record["kind"] != "block":
-                continue
-            if int(record["block"]["body"]["height"]) > checkpoint.height:
-                retained.append(canonical_encode(record))
-        snapshot = canonical_encode(
-            self._snapshot_record(server_id, datastore_state, checkpoint, next_height)
-        )
+        retained = [
+            payload
+            for payload, record in self._read_records()
+            if type(record) is BlockRecord and record.block.height > checkpoint.height
+        ]
+        snapshot = _snapshot(server_id, datastore_state, checkpoint, next_height)
         self._replace([snapshot] + retained)
 
     # -- loading ---------------------------------------------------------------
 
-    def _iter_records(self) -> Iterable[Dict]:
-        for payload in self._iter_payloads():
+    def _read_records(self) -> Iterator[Tuple[bytes, Union[BlockRecord, SnapshotRecord]]]:
+        """Every journal payload beside the record it encodes."""
+        for index, payload in enumerate(self._iter_payloads()):
             try:
-                record = canonical_decode(payload)
-            except ValueError as exc:
-                raise RecoveryError(f"corrupt state-store record: {exc}") from None
-            if not isinstance(record, dict) or "kind" not in record:
-                raise RecoveryError("state-store record is not a tagged dict")
-            yield record
+                record = _read_record(payload)
+            except ValidationError as exc:
+                raise RecoveryError(f"corrupt state-store record {index}: {exc}") from None
+            yield payload, record
 
     def load(self) -> PersistedState:
-        """Decode the journal into a :class:`PersistedState`.
+        """Read the journal into a :class:`PersistedState`.
 
         The *last* snapshot record wins (compaction rewrites the journal, so
         normally there is exactly one); block records after it are returned
         in journal order.
         """
         state: Optional[PersistedState] = None
-        for record in self._iter_records():
-            if record["kind"] == "snapshot":
-                checkpoint = (
-                    Checkpoint.from_wire(record["checkpoint"])
-                    if record["checkpoint"] is not None
-                    else None
-                )
+        for index, (_, record) in enumerate(self._read_records()):
+            if type(record) is SnapshotRecord:
                 state = PersistedState(
-                    server_id=record["server_id"],
-                    datastore_state=record["datastore"],
-                    checkpoint=checkpoint,
-                    snapshot_next_height=int(record["next_height"]),
+                    server_id=record.server_id,
+                    datastore_state={
+                        "multi_versioned": record.multi_versioned,
+                        "items": record.items,
+                    },
+                    checkpoint=record.checkpoint,
+                    snapshot_next_height=record.next_height,
                 )
-            elif record["kind"] == "block":
-                if state is None:
-                    raise RecoveryError("state store has block records before any snapshot")
-                state.blocks.append(
-                    (Block.from_wire(record["block"]), record["shard_root"])
+            elif state is None:
+                raise RecoveryError(
+                    f"state-store record {index} is a block record before any snapshot"
                 )
             else:
-                raise RecoveryError(f"unknown state-store record kind {record['kind']!r}")
+                state.blocks.append((record.block, record.shard_root))
         if state is None:
             raise RecoveryError("state store holds no snapshot; nothing to recover from")
         return state
 
     def close(self) -> None:  # pragma: no cover - only FileStateStore needs it
         pass
+
+
+def _snapshot(
+    server_id: str, datastore_state: Dict, checkpoint: Optional[Checkpoint], next_height: int
+) -> bytes:
+    """The snapshot record of an :meth:`DataStore.export_state` dump, encoded."""
+    return canonical_encode(
+        SnapshotRecord(
+            server_id=server_id,
+            next_height=next_height,
+            multi_versioned=datastore_state["multi_versioned"],
+            items=datastore_state["items"],
+            checkpoint=checkpoint,
+        )
+    )
 
 
 class MemoryStateStore(StateStore):

@@ -7,12 +7,17 @@ returns came from bytes an attacker could have chosen and **must** still pass
 hash-chain, co-sign, and root-replay verification before it is believed (see
 :mod:`repro.recovery.manager`).
 
-No decoder is written here, or anywhere: each wire class declares its form
-once, on the class, and :func:`repro.common.wire.wire_form` derives its
-strict ``from_wire`` (missing fields, wrong types and malformed nesting
-raise :class:`~repro.common.errors.ValidationError`).  This module completes
-the registry -- importing it imports every module that declares a wire class
--- and exposes it to the round-trip and fuzz suites as :data:`WIRE_DECODERS`.
+No decoder is written here, or anywhere, by hand: each wire class declares
+its form once, on the class, and :func:`repro.common.wire.wire_form` derives
+its two strict readers -- ``from_wire`` for plain data (handler replies,
+catch-up responses, a decoded export) and ``from_bytes`` for bytes at rest
+(the write-ahead log); missing and undeclared fields, wrong types and
+malformed nesting raise :class:`~repro.common.errors.ValidationError`.  This
+module completes the registry -- importing it imports every module that
+declares a wire class -- and exposes it to the round-trip and fuzz suites as
+:data:`WIRE_DECODERS`.  The two functions at the bottom are this layer's
+entry points for callers outside the package: functions defined in this
+module, so that a boundary tracer books a decoded block to ``recovery.wire``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import repro.ledger.checkpoint  # noqa: F401
 import repro.net.message  # noqa: F401
 import repro.obs.metrics  # noqa: F401
 import repro.obs.trace  # noqa: F401
+import repro.recovery.statestore  # noqa: F401
 import repro.server.commitment  # noqa: F401
 import repro.storage.datastore  # noqa: F401
 import repro.storage.record  # noqa: F401
@@ -39,5 +45,13 @@ from repro.ledger.block import Block
 #: Every wire class's strict decoder, by class name.
 WIRE_DECODERS = {name: cls.from_wire for name, cls in WIRE_CLASSES.items()}
 
-block_from_wire = Block.from_wire
-epoch_anchor_from_wire = EpochAnchor.from_wire
+
+
+def block_from_wire(wire) -> Block:
+    """``Block.from_wire``, entered through this layer."""
+    return Block.from_wire(wire)
+
+
+def epoch_anchor_from_wire(wire) -> EpochAnchor:
+    """``EpochAnchor.from_wire``, entered through this layer."""
+    return EpochAnchor.from_wire(wire)

@@ -246,19 +246,19 @@ class DataStore:
     # -- durable-state support (crash recovery) -------------------------------
 
     def export_state(self) -> Dict[str, object]:
-        """Wire-encodable dump of every record's full version chain.
+        """Dump of every record's full version chain: ``multi_versioned`` and
+        ``items``, each item id beside its :class:`RecordVersion` objects.
 
-        The shape round-trips through :func:`~repro.common.encoding.canonical_encode`
-        / ``canonical_decode`` and is what the recovery
-        :class:`~repro.recovery.statestore.StateStore` persists in snapshot
-        records; :meth:`import_state` is the exact inverse (byte-identical
-        Merkle root, identical rts/wts on every version).
+        These are the two datastore fields of the snapshot record the recovery
+        :class:`~repro.recovery.statestore.StateStore` persists; the versions
+        are handed over as they are, because the record's encoder splices each
+        one's own bytes.  :meth:`import_state` is the exact inverse
+        (byte-identical Merkle root, identical rts/wts on every version).
         """
         return {
             "multi_versioned": self._multi_versioned,
             "items": {
-                item_id: [version.to_wire() for version in record.versions]
-                for item_id, record in self._records.items()
+                item_id: tuple(record.versions) for item_id, record in self._records.items()
             },
         }
 
@@ -266,8 +266,12 @@ class DataStore:
     def import_state(cls, state: Mapping[str, object]) -> "DataStore":
         """Rebuild a datastore from an :meth:`export_state` dump.
 
-        The dump is bytes read back from disk: a field of the wrong type is
-        refused (:class:`~repro.common.errors.ValidationError`), not coerced.
+        The state store reads a snapshot record's bytes straight into
+        ``RecordVersion`` objects, so that is what a dump normally holds.  A
+        dump that went through ``canonical_decode`` instead holds each
+        version's plain wire form, which is read the strict way here: a
+        field of the wrong type is refused
+        (:class:`~repro.common.errors.ValidationError`), not coerced.
         """
         store = cls.__new__(cls)
         store._multi_versioned = BOOL.decode(state["multi_versioned"], "multi_versioned")
@@ -277,7 +281,10 @@ class DataStore:
                 raise StorageError(f"persisted item {item_id!r} has no versions")
             records[item_id] = VersionedRecord(
                 item_id=item_id,
-                versions=[RecordVersion.from_wire(version) for version in versions],
+                versions=[
+                    version if type(version) is RecordVersion else RecordVersion.from_wire(version)
+                    for version in versions
+                ],
             )
         store._records = records
         store._merkle = MerkleTree.from_items(

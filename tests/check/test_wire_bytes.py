@@ -24,6 +24,7 @@ from test_wire_roundtrip import _TS, _TS2, BUILDERS
 #: ``sha256(canonical_encode(BUILDERS[name]().to_wire()))``.
 WIRE_DIGESTS = {
     "Block": "903ae11031209b777829d09346f30c82b80e44a25e8ae21c98ff2f520f1a9ff4",
+    "BlockRecord": "e94d313f887a4734b3e1d76a4d8b868844e4d77e6eb57807f63c10e5823ad7f1",
     "Checkpoint": "2ba1304c01b1f1197821438714b93f59c2148ab3a159c2ae8af87627703590db",
     "CollectiveSignature": "3b63e84be99256c4d0c264d20f8b2c283a97810651ddda44b66da628e0eb983a",
     "Envelope": "7e4db3220852c1acae4312c9d43bab88449dc15f2b0841ada5760e94f7bf0b2e",
@@ -35,6 +36,7 @@ WIRE_DIGESTS = {
     "ReadSetEntry": "503888af5711001fc4ebfe60074e7771be468948190f2c29d8c364b634e5ec7a",
     "RecordVersion": "cfbf4951b67f9ee6012c4eede7ab13f8dbe1d272202a3baae7aa3beab54271ed",
     "ServerGroup": "4a27b9ee384de4271b5b853045e96a17160003d83e1dc5df4e8f737930ff794d",
+    "SnapshotRecord": "d8b4579b62d9bbdb54c028f62e655363247d7f9c8363b74f36fce67c3cff011d",
     "Span": "eaad28d8ace4cdae75c50afb8df8d86f6d0609314ae65702adfd66dca6f19434",
     "Transaction": "99019ee12f1d22d3c5ecce6a85ed4e4ba0ba8ddb90d1f3d8d73262e41317aa5a",
     "TxnOutcome": "d2bb3cb04205730d8e065024f32fbc2c1b75cd31eb3a5d0d03090c6564b6a04e",
@@ -113,3 +115,10 @@ def test_block_body_is_pinned():
 @pytest.mark.parametrize("record", sorted(JOURNAL_RECORD_DIGESTS))
 def test_journal_record_dict_form_encodes_to_the_pinned_bytes(record):
     assert _digest(journal_record_dicts()[record]) == JOURNAL_RECORD_DIGESTS[record]
+
+
+@pytest.mark.parametrize("record", sorted(JOURNAL_RECORD_DIGESTS))
+def test_the_record_classes_write_the_bytes_the_dict_forms_did(record):
+    """The literals above were recorded before the classes existed."""
+    assert WIRE_DIGESTS[record] == JOURNAL_RECORD_DIGESTS[record]
+    assert canonical_encode(BUILDERS[record]()) == canonical_encode(journal_record_dicts()[record])

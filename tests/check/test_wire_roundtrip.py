@@ -30,6 +30,7 @@ from repro.ledger.checkpoint import Checkpoint
 from repro.net.message import Envelope, MessageType
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
+from repro.recovery.statestore import BlockRecord, SnapshotRecord
 from repro.recovery.wire import WIRE_DECODERS
 from repro.server.commitment import VoteResult
 from repro.storage.datastore import ReadResult
@@ -68,6 +69,7 @@ BUILDERS = {
         cosign=_COSIGN,
         group=("s0", "s1"),
     ),
+    "BlockRecord": lambda: BlockRecord(block=BUILDERS["Block"](), shard_root=b"\x0f" * 32),
     "Checkpoint": lambda: Checkpoint(
         height=9,
         head_hash=b"\x04" * 32,
@@ -106,6 +108,20 @@ BUILDERS = {
     "RecordVersion": lambda: RecordVersion(value=7, wts=_TS, rts=_TS2),
     "ServerGroup": lambda: ServerGroup(
         members=frozenset({"s0", "s1"}), coordinator="s0"
+    ),
+    "SnapshotRecord": lambda: SnapshotRecord(
+        server_id="s0",
+        next_height=10,
+        multi_versioned=True,
+        items={
+            "x1": (RecordVersion(value=7, wts=_TS, rts=_TS2),),
+            "x10": (
+                RecordVersion(value=None, wts=Timestamp.zero(), rts=Timestamp.zero()),
+                RecordVersion(value={"k": [1, b"v"]}, wts=_TS, rts=_TS),
+            ),
+            "x2": (RecordVersion(value="nine", wts=_TS2, rts=_TS2),),
+        },
+        checkpoint=BUILDERS["Checkpoint"](),
     ),
     "Span": lambda: Span(
         span_id=7,

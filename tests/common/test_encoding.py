@@ -322,3 +322,41 @@ class TestOneSpellingPerValue:
         except ValueError:
             return
         assert canonical_encode(decoded) == damaged
+
+
+class TestDecodeAt:
+    """The door for a reader that walks a declared layout and meets a value
+    nothing was declared about: one value at an offset, and where it ends."""
+
+    def test_it_reads_one_value_and_says_where_it_ends(self):
+        from repro.common.encoding import decode_at
+
+        first, second = canonical_encode({"a": [1, b"x"]}), canonical_encode("tail")
+        data = b"\xff\xff" + first + second
+        assert decode_at(data, 2) == ({"a": [1, b"x"]}, 2 + len(first))
+        assert decode_at(data, 2 + len(first)) == ("tail", len(data))
+
+    def test_it_refuses_what_canonical_decode_refuses(self):
+        from repro.common.encoding import decode_at
+
+        for hostile in (b"", b"S\x00\x00\x00\x09ab", b"I\x00\x00\x00\x03007", b"?"):
+            with pytest.raises(ValueError):
+                decode_at(b"N" + hostile, 1)
+            with pytest.raises(ValueError):
+                canonical_decode(hostile)
+
+
+class TestNestingDeeperThanTheStack:
+    def test_25_kb_of_list_headers_is_a_value_error(self):
+        """The decoder's contract -- untrusted input raises ``ValueError`` --
+        had a hole here: this raised ``RecursionError``."""
+        with pytest.raises(ValueError, match="nests deeper"):
+            canonical_decode(b"L\x00\x00\x00\x01" * 5000 + b"N")
+        with pytest.raises(ValueError, match="nests deeper"):
+            canonical_decode(b"M\x00\x00\x00\x01S\x00\x00\x00\x01k" * 5000 + b"N")
+
+    def test_ordinary_nesting_still_decodes(self):
+        value = None
+        for _ in range(40):
+            value = [value]
+        assert canonical_decode(canonical_encode(value)) == value

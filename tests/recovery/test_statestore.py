@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.encoding import canonical_encode
 from repro.common.errors import RecoveryError
 from repro.common.timestamps import Timestamp
 from repro.ledger.checkpoint import Checkpoint
@@ -142,3 +143,166 @@ class TestWalRobustness:
         state = reopened.load()
         assert len(state.blocks) == 1
         reopened.close()
+
+
+def snapshot_dict(**changes):
+    """The snapshot record as plain data -- what the store wrote before its
+    records were declared forms, and what a hand-edited WAL would hold."""
+    record = {
+        "kind": "snapshot",
+        "server_id": "s0",
+        "next_height": 0,
+        "datastore": datastore_state(),
+        "checkpoint": None,
+    }
+    datastore_changes = changes.pop("datastore", {})
+    record.update(changes)
+    record["datastore"] = {**record["datastore"], **datastore_changes}
+    return record
+
+
+def block_dict(block, **changes):
+    return {"kind": "block", "block": block, "shard_root": b"\x01" * 32, **changes}
+
+
+def first_difference(honest: bytes, hostile: bytes) -> int:
+    return next(i for i, (a, b) in enumerate(zip(honest, hostile)) if a != b)
+
+
+class TestRecordsAreCheckedNotCoerced:
+    """``load()`` used to take a record's envelope as it came: ``server_id``
+    7 loaded as 7, ``next_height`` "3" as ``int("3")``, a junk key was
+    ignored and ``shard_root`` was never looked at.  The records are declared
+    forms now, read by the derived byte reader: anything the store could not
+    have written is refused, and the refusal names the record's place in the
+    journal and the byte inside it at which reading stopped."""
+
+    def test_the_snapshot_that_used_to_load(self, state_store):
+        state_store._append(
+            canonical_encode(
+                {
+                    "kind": "snapshot",
+                    "server_id": 7,
+                    "next_height": "3",
+                    "datastore": DataStore({"item-1": 41}).export_state(),
+                    "checkpoint": None,
+                    "junk": [1, 2],
+                }
+            )
+        )
+        with pytest.raises(RecoveryError, match=r"record 0: .*\(at byte 4\)"):
+            state_store.load()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"server_id": 7},
+            {"server_id": b"s0"},
+            {"next_height": "3"},
+            {"next_height": True},
+            {"next_height": 3.0},
+            {"datastore": {"multi_versioned": 1}},
+            {"datastore": {"junk": None}},
+            {"checkpoint": []},
+            {"junk": [1, 2]},
+        ],
+        ids=[
+            "server-id-int", "server-id-bytes", "next-height-str", "next-height-bool",
+            "next-height-float", "multi-versioned-int", "junk-in-datastore", "checkpoint-a-list",
+            "junk-key",
+        ],
+    )
+    def test_a_hostile_snapshot_record_is_refused_where_it_departs(self, state_store, changes):
+        honest = canonical_encode(snapshot_dict())
+        hostile = canonical_encode(snapshot_dict(**changes))
+        state_store.initialize("s0", datastore_state())
+        state_store._append(hostile)
+        stopped = first_difference(honest, hostile)
+        with pytest.raises(RecoveryError, match=rf"record 1: .*\(at byte {stopped}\)"):
+            state_store.load()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"shard_root": "not-bytes"},
+            {"shard_root": None},
+            {"kind": "bogus"},
+            {"kind": "snapshot"},
+            {"junk": 0},
+        ],
+        ids=["shard-root-str", "shard-root-none", "unknown-kind", "lying-kind", "junk-key"],
+    )
+    def test_a_hostile_block_record_is_refused_where_it_departs(
+        self, state_store, block_factory, changes
+    ):
+        honest = canonical_encode(block_dict(block_factory()))
+        hostile = canonical_encode(block_dict(block_factory(), **changes))
+        state_store.initialize("s0", datastore_state())
+        state_store.record_block(block_factory(), b"\x01" * 32)
+        state_store._append(hostile)
+        stopped = first_difference(honest, hostile)
+        with pytest.raises(RecoveryError, match=rf"record 2: .*\(at byte {stopped}\)"):
+            state_store.load()
+        # Compaction reads the same records the same way.
+        with pytest.raises(RecoveryError, match="record 2"):
+            state_store.install_checkpoint(
+                Checkpoint(3, b"\x00" * 32, {}, Timestamp(1, "c"), 0), datastore_state(), 5, "s0"
+            )
+
+    def test_the_shard_root_is_checked_below_the_snapshot_height_too(
+        self, state_store, block_factory
+    ):
+        state_store.initialize("s0", datastore_state())
+        state_store.install_checkpoint(
+            Checkpoint(9, b"\x00" * 32, {}, Timestamp(1, "c"), 0), datastore_state(), 10, "s0"
+        )
+        state_store._append(canonical_encode(block_dict(block_factory(), shard_root=7)))
+        with pytest.raises(RecoveryError, match="record 1"):
+            state_store.load()
+
+    def test_a_block_record_before_any_snapshot(self, state_store, block_factory):
+        state_store.record_block(block_factory(), b"\x01" * 32)
+        with pytest.raises(RecoveryError, match="record 0 is a block record before any snapshot"):
+            state_store.load()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            b"N",
+            b"\xff" * 40,
+            canonical_encode([1, 2]),
+            canonical_encode({"kind": "block"}),
+            canonical_encode(snapshot_dict())[:-3],
+            canonical_encode(snapshot_dict()) + b"N",
+            b"L\x00\x00\x00\x01" * 5000 + b"N",
+        ],
+        ids=["empty", "none", "noise", "a-list", "kind-only", "cut", "trailing", "25KB-of-nesting"],
+    )
+    def test_whatever_is_wrong_load_raises_recovery_error(self, state_store, payload):
+        state_store.initialize("s0", datastore_state())
+        state_store._append(payload)
+        with pytest.raises(RecoveryError, match="record 1"):
+            state_store.load()
+
+    def test_deep_nesting_inside_a_stored_value(self, state_store):
+        """25 KB of list headers where a value belongs used to end ``load()``
+        with ``RecursionError``."""
+        deep = b"L\x00\x00\x00\x01" * 5000 + b"N"
+        honest = canonical_encode(snapshot_dict())
+        value = canonical_encode("value") + canonical_encode(41)
+        assert honest.count(value) == 1
+        state_store._append(honest.replace(value, canonical_encode("value") + deep))
+        with pytest.raises(RecoveryError, match="nested too deeply"):
+            state_store.load()
+
+    def test_a_record_spelled_as_plain_data_still_loads(self, state_store, block_factory):
+        """The forms did not change the bytes: a WAL written by the dict-building
+        store loads."""
+        state_store._append(canonical_encode(snapshot_dict(server_id="s7", next_height=3)))
+        state_store._append(canonical_encode(block_dict(block_factory().to_wire())))
+        state = state_store.load()
+        assert (state.server_id, state.snapshot_next_height) == ("s7", 3)
+        assert [block.block_hash() for block, _ in state.blocks] == [block_factory().block_hash()]
+        restored = DataStore.import_state(state.datastore_state)
+        assert restored.snapshot() == {"item-1": 41, "item-9": 0}
