@@ -17,9 +17,10 @@ import pytest
 
 from repro.common.encoding import canonical_encode
 from repro.common.timestamps import Timestamp
+from repro.net.message import Envelope, MessageType
 from repro.storage.record import RecordVersion
 
-from test_wire_roundtrip import _TS, _TS2, BUILDERS
+from test_wire_roundtrip import _TS, _TS2, _TXN, BUILDERS
 
 #: ``sha256(canonical_encode(BUILDERS[name]().to_wire()))``.
 WIRE_DIGESTS = {
@@ -85,6 +86,63 @@ def journal_record_dicts() -> dict:
     }
 
 
+#: One representative payload of each of the 17 request messages, recorded
+#: while senders still built them as dict literals.  Whatever builds a request
+#: afterwards must hash to the same: the payload is signed content, and its
+#: length is what ``net.bytes`` meters.
+REQUEST_PAYLOAD_DIGESTS = {
+    "begin_transaction": "3f592b6740e6ec37970b0a7a136430506915e1fcfdc9f1a86ae386f354c36ce9",
+    "read": "85daabd56cb872e90917d10c3bf3d9dd10a9328115191f772d65936e8cb68edf",
+    "write": "660994a488d38da4b21d0ee3377f4a47378027550da419c2e9ac7fb4fc945ec0",
+    "end_transaction": "7b1469672581f1a74b37a54cfc4bc3125fbae25bddebe82cf4e4032e1396ed0d",
+    "get_vote": "2f353c5f80525219048cfadda3c0f8dccb766199dd93fe9d3c5305046e656912",
+    "challenge": "abbbff22b5cf6de36323ceccf2e002ff260f04c326609e1189f35b6bf2478f97",
+    "decision": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
+    "round_failed": "1273806ee3b196b7f3c0792aefb1d197ef5a07b6c932cf6ccfc4afb211bb3f8b",
+    "ordered_block": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
+    "epoch_anchor": "cf67fb06c314d2d4d8ced73a49706bb3abdd116ff1a8fad97ed4847d8a8f46a1",
+    "view_change": "3791619eda1fc401f3dd2ee239095205d2cf4bda7b68d64fd78001c678ce02cf",
+    "new_view": "3791619eda1fc401f3dd2ee239095205d2cf4bda7b68d64fd78001c678ce02cf",
+    "prepare": "2f353c5f80525219048cfadda3c0f8dccb766199dd93fe9d3c5305046e656912",
+    "commit_decision": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
+    "state_request": "d907c95e9167a5ee053da65b87b6a02e91338c4de94f1bee698afe8e80a831e9",
+    "audit_log_request": "36c56a3ce6b05d8c06f86ae5afb30c109dfbbabb2a66ad9339d95d6256eecb26",
+    "audit_vo_request": "310f5f72cfba84583515d557ed57adb40e5003188be63b72d785b8f9c7726b29",
+}
+
+
+def request_payload_dicts() -> dict:
+    """The 17 request payloads as the plain dicts their senders used to build."""
+    block = BUILDERS["Block"]()
+    end_transaction = {"transaction": _TXN, "commit_ts": _TS2.as_tuple()}
+    proposal = {
+        "block": block,
+        "client_requests": [
+            Envelope("c1", "s0", MessageType.END_TRANSACTION, end_transaction, b"\x06" * 16)
+        ],
+    }
+    view = {"group": ["s1", "s0"], "deposed": "s0", "view": 3}
+    return {
+        "begin_transaction": {"txn_id": "c1-txn-7", "client_id": "c1"},
+        "read": {"txn_id": "c1-txn-7", "item_id": "x1"},
+        "write": {"txn_id": "c1-txn-7", "item_id": "x2", "value": {"k": [1, b"v"]}},
+        "end_transaction": end_transaction,
+        "get_vote": proposal,
+        "challenge": {"challenge": 11, "aggregate_commitment": b"\x09" * 33, "block": block},
+        "decision": {"block": block},
+        "round_failed": {"round_key": ("group", 3, "t1", "t2")},
+        "ordered_block": {"block": block},
+        "epoch_anchor": {"anchor": BUILDERS["EpochAnchor"]()},
+        "view_change": view,
+        "new_view": view,
+        "prepare": proposal,
+        "commit_decision": {"block": block},
+        "state_request": {"from_height": 4},
+        "audit_log_request": {"full": True},
+        "audit_vo_request": {"item_id": "x1", "at": _TS2.as_tuple()},
+    }
+
+
 def _digest(wire) -> str:
     return hashlib.sha256(canonical_encode(wire)).hexdigest()
 
@@ -122,3 +180,13 @@ def test_the_record_classes_write_the_bytes_the_dict_forms_did(record):
     """The literals above were recorded before the classes existed."""
     assert WIRE_DIGESTS[record] == JOURNAL_RECORD_DIGESTS[record]
     assert canonical_encode(BUILDERS[record]()) == canonical_encode(journal_record_dicts()[record])
+
+
+def test_every_request_message_is_pinned():
+    assert set(REQUEST_PAYLOAD_DIGESTS) == {member.value for member in MessageType}
+    assert set(request_payload_dicts()) == set(REQUEST_PAYLOAD_DIGESTS)
+
+
+@pytest.mark.parametrize("message", sorted(REQUEST_PAYLOAD_DIGESTS))
+def test_request_payload_dict_form_encodes_to_the_pinned_bytes(message):
+    assert _digest(request_payload_dicts()[message]) == REQUEST_PAYLOAD_DIGESTS[message]
