@@ -38,6 +38,7 @@ from repro.crypto.keys import KeyPair, keypair_for
 from repro.crypto.merkle import verify_inclusion
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog
+from repro.net.forms import AuditLogRequest, AuditVoRequest
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.obs.timing import Stopwatch
@@ -80,7 +81,7 @@ class Auditor:
         self.collected_checkpoints: Dict[str, object] = {}
         for server_id in self.server_ids:
             response = self.network.send(
-                AUDITOR_ID, server_id, MessageType.AUDIT_LOG_REQUEST, {"full": True}
+                AUDITOR_ID, server_id, MessageType.AUDIT_LOG_REQUEST, AuditLogRequest()
             )
             logs[server_id] = response["log"]
             checkpoint = response.get("checkpoint")
@@ -461,7 +462,7 @@ class Auditor:
             return True
         audited_ok = True
         audit_ts = block.max_commit_ts
-        at = None if live else audit_ts.as_tuple()
+        at = None if live else audit_ts
         for txn in block.transactions:
             for entry in txn.write_set:
                 if self.shard_map.server_for(entry.item_id) != server_id:
@@ -470,7 +471,7 @@ class Auditor:
                     AUDITOR_ID,
                     server_id,
                     MessageType.AUDIT_VO_REQUEST,
-                    {"item_id": entry.item_id, "at": at},
+                    AuditVoRequest(entry.item_id, at),
                 )
                 if not response.get("ok"):
                     audited_ok = False

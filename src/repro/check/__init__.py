@@ -14,9 +14,9 @@
   dedup and counterexample minimization;
 - :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples
   into deterministic regression tests;
-- :mod:`repro.check.static` -- the whole-program protocol analyzer
-  (``python -m repro.check.static``): message-flow totality,
-  exception-effect checking, and the per-file determinism/assert rules.
+- :mod:`repro.check.static` -- the static protocol analyzer
+  (``python -m repro.check.static``): exception-effect checking and the
+  per-file determinism/assert rules.
 
 Heavy submodules are loaded lazily: ``core``/``sim``/``net`` import the two
 leaf modules above at import time, so this package ``__init__`` must not

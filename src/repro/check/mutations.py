@@ -44,10 +44,11 @@ MUTATIONS: Dict[str, Mutation] = {
             name="pr7-2pc-vote-keyerror",
             description=(
                 "2PC coordinator tallies votes without first failing the "
-                "round on unreachable/refused cohorts, so a crashed cohort's "
-                "synthesized response (which carries no vote fields) "
-                "KeyErrors the tally (fixed in PR 7; caught by the static "
-                "analyzer's unguarded-subscript rule)."
+                "round on refusals, so a round decides on the votes of the "
+                "cohorts that happened to answer (fixed in PR 7, when a "
+                "silent cohort's stand-in response still reached the tally "
+                "and KeyError'd it; caught by a 2PC round with a cohort "
+                "crashed mid-PREPARE, which must report failed)."
             ),
         ),
         Mutation(

@@ -1,18 +1,15 @@
-"""CLI for the whole-program static protocol analyzer.
+"""CLI for the static protocol analyzer.
 
 ::
 
     python -m repro.check.static                      # human-readable, exit 1 on new findings
     python -m repro.check.static --json report.json   # also write the CI artifact
     python -m repro.check.static --json -             # report JSON on stdout
-    python -m repro.check.static --mutation pr7-2pc-vote-keyerror
     python -m repro.check.static --update-baseline    # accept current findings
 
 Exit status is 1 exactly when a finding is *not* covered by the baseline
 (see :mod:`repro.check.static.report`); ``--update-baseline`` rewrites the
-baseline and exits 0.  ``--mutation`` folds the named mutation flag(s) on,
-re-introducing the guarded historical bug statically -- the analyzer's
-self-test mechanism, never used in CI gating.
+baseline and exits 0.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.check.mutations import MUTATIONS
 from repro.check.static import run_analyses
 from repro.check.static.model import SourceTree, default_root
 from repro.check.static.report import (
@@ -37,10 +33,7 @@ from repro.check.static.report import (
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.static",
-        description=(
-            "Message-flow totality, exception-effect and determinism checks "
-            "over src/repro."
-        ),
+        description="Exception-effect and determinism checks over src/repro.",
     )
     parser.add_argument(
         "--root",
@@ -60,13 +53,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="rewrite the baseline to exactly the current findings and exit 0",
     )
     parser.add_argument(
-        "--mutation",
-        action="append",
-        default=[],
-        choices=sorted(MUTATIONS),
-        help="fold this mutation flag ON (repeatable; analyzer self-test)",
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -76,8 +62,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     root = args.root if args.root is not None else default_root()
     tree = SourceTree(root)
-    mutations = frozenset(args.mutation)
-    findings = run_analyses(tree, mutations)
+    findings = run_analyses(tree)
 
     baseline_path = args.baseline or default_baseline_path()
     if args.update_baseline:
@@ -89,7 +74,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     baseline = load_baseline(baseline_path)
-    report = build_report(findings, root, mutations, baseline)
+    report = build_report(findings, root, baseline)
     if args.json == "-":
         print(json.dumps(report, indent=2))
     elif args.json is not None:

@@ -1,7 +1,7 @@
-"""Analysis 4: determinism and hygiene rules ruff cannot express.
+"""Determinism and hygiene rules ruff cannot express.
 
-Per-file rules (no cross-module reasoning), kept beside the whole-program
-analyses so there is one findings schema, one ``# static: allow`` marker, one
+Per-file rules (no cross-module reasoning), kept beside the exception-effect
+analysis so there is one findings schema, one ``# static: allow`` marker, one
 baseline and one CLI:
 
 ``wallclock``

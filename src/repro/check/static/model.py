@@ -1,4 +1,4 @@
-"""Shared AST model for the whole-program protocol analyzer.
+"""Shared AST model for the static protocol analyzer.
 
 Everything in :mod:`repro.check.static` works on this layer:
 
@@ -6,17 +6,9 @@ Everything in :mod:`repro.check.static` works on this layer:
   once and indexes functions, classes, and class hierarchies **by name** so
   the analyses can resolve calls without importing the package (the CI job
   checks out sources only).
-- :class:`Finding` is the one result type all three analyses emit; its
+- :class:`Finding` is the one result type every analysis emits; its
   :attr:`Finding.key` deliberately excludes line numbers so baseline entries
   survive pure line drift.
-- :func:`fold_test` statically evaluates branch conditions over
-  ``mutation_enabled("...")`` calls given the set of enabled mutation flags.
-  This is how static analysis composes with the runtime mutation registry
-  (:mod:`repro.check.mutations`): with a mutation *off* its guarded buggy
-  branch is statically dead and never reported; with it *on* the fixed
-  branch dies instead and the historical bug resurfaces as a finding.
-- :func:`iter_live` walks an AST yielding only nodes reachable under that
-  folding, so every rule prunes statically-dead branches the same way.
 
 Call resolution is deliberately optimistic: ``self.m(...)`` resolves through
 the enclosing class and its (name-matched) bases, ``f(...)`` to every
@@ -32,7 +24,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Trailing-comment marker suppressing a finding on its line.  Bare form
 #: (``# static: allow``) suppresses every rule; ``# static: allow[rule]``
@@ -50,7 +42,7 @@ PROTOCOL_PACKAGES = frozenset(
 class Finding:
     """One analyzer result."""
 
-    analysis: str  # "flow" | "effects" | "determinism"
+    analysis: str  # "syntax" | "effects" | "determinism"
     rule: str
     path: str  # module path relative to the analyzed root (posix)
     line: int
@@ -154,7 +146,7 @@ class SourceTree:
                 module = SourceModule(path, relative, path.read_text())
             except SyntaxError as exc:
                 self.syntax_errors.append(
-                    Finding("flow", "syntax", relative, exc.lineno or 0, "", str(exc.msg))
+                    Finding("syntax", "syntax", relative, exc.lineno or 0, "", str(exc.msg))
                 )
                 continue
             self.modules[relative] = module
@@ -258,103 +250,3 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """The terminal callee name of a call (``f`` for both ``f()``/``o.f()``)."""
-    return _terminal_name(node.func)
-
-
-def call_message_types(node: ast.Call) -> List[str]:
-    """Every ``MessageType.X`` attribute appearing in a call's arguments."""
-    types: List[str] = []
-    for arg in list(node.args) + [kw.value for kw in node.keywords]:
-        for sub in ast.walk(arg):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "MessageType"
-            ):
-                types.append(sub.attr)
-    return types
-
-
-# -- mutation folding -------------------------------------------------------------
-
-
-def fold_test(node: ast.AST, enabled: FrozenSet[str]) -> Optional[bool]:
-    """Statically evaluate a branch condition; ``None`` when unknown.
-
-    Knows literals, ``not``/``and``/``or`` composition, and
-    ``mutation_enabled("name")`` calls against the enabled set.  ``X and
-    <False>`` folds to ``False`` (the branch is dead) even when ``X`` is
-    unknown, which is exactly the shape of the in-tree mutation guards.
-    """
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (bool, int, str, bytes, float)) or node.value is None:
-            return bool(node.value)
-        return None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-        inner = fold_test(node.operand, enabled)
-        return None if inner is None else not inner
-    if isinstance(node, ast.BoolOp):
-        verdicts = [fold_test(value, enabled) for value in node.values]
-        if isinstance(node.op, ast.And):
-            if any(verdict is False for verdict in verdicts):
-                return False
-            if all(verdict is True for verdict in verdicts):
-                return True
-            return None
-        if any(verdict is True for verdict in verdicts):
-            return True
-        if all(verdict is False for verdict in verdicts):
-            return False
-        return None
-    if isinstance(node, ast.Call) and call_name(node) == "mutation_enabled":
-        if (
-            len(node.args) == 1
-            and not node.keywords
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            return node.args[0].value in enabled
-    return None
-
-
-def iter_live(
-    roots: Sequence[ast.AST], enabled: FrozenSet[str]
-) -> Iterator[ast.AST]:
-    """Walk ``roots`` yielding only nodes reachable under mutation folding.
-
-    Branches whose condition folds to a constant contribute only the taken
-    side; the condition expression itself is always yielded (it evaluates at
-    runtime regardless of which way it folds).
-    """
-    stack: List[ast.AST] = list(reversed(list(roots)))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, ast.If):
-            verdict = fold_test(node.test, enabled)
-            stack.append(node.test)
-            if verdict is not True:
-                stack.extend(reversed(node.orelse))
-            if verdict is not False:
-                stack.extend(reversed(node.body))
-            continue
-        if isinstance(node, ast.IfExp):
-            verdict = fold_test(node.test, enabled)
-            stack.append(node.test)
-            if verdict is not True:
-                stack.append(node.orelse)
-            if verdict is not False:
-                stack.append(node.body)
-            continue
-        if isinstance(node, ast.While):
-            verdict = fold_test(node.test, enabled)
-            stack.append(node.test)
-            stack.extend(reversed(node.orelse))
-            if verdict is not False:
-                stack.extend(reversed(node.body))
-            continue
-        stack.extend(reversed(list(ast.iter_child_nodes(node))))

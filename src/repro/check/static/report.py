@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.bench.schema import current_commit
 from repro.check.static.model import Finding
@@ -68,7 +68,6 @@ def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
 def build_report(
     findings: Sequence[Finding],
     root: Path,
-    mutations: Iterable[str],
     baseline: FrozenSet[str],
 ) -> Dict[str, object]:
     keys = {finding.key for finding in findings}
@@ -80,7 +79,6 @@ def build_report(
         "tool": TOOL_NAME,
         "commit": current_commit(),
         "root": str(root),
-        "mutations": sorted(mutations),
         "counts": counts,
         "findings": [finding.to_json() for finding in findings],
         "new_findings": sorted(keys - baseline),
@@ -96,8 +94,7 @@ def validate_report(report: Dict[str, object]) -> List[str]:
         problems.append(
             f"schema_version {report.get('schema_version')!r} != {SCHEMA_VERSION}"
         )
-    for key in ("tool", "commit", "root", "mutations", "counts",
-                "findings", "new_findings"):
+    for key in ("tool", "commit", "root", "counts", "findings", "new_findings"):
         if key not in report:
             problems.append(f"missing key {key!r}")
     for entry in report.get("findings", []):

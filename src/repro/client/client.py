@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.common.errors import SignatureError
+from repro.common.errors import ProtocolError, SignatureError
 from repro.common.timestamps import TimestampGenerator
 from repro.common.types import ClientId, ItemId, Value
 from repro.crypto.cosi import cosi_verify
 from repro.crypto.keys import KeyPair
-from repro.net.message import MessageType
+from repro.net.forms import BeginTxn, EndTxn, ReadItem, Refusal, WriteItem, read_reply
+from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
 from repro.client.session import TransactionSession
-from repro.storage.datastore import ReadResult
 from repro.storage.shard import ShardMap
 from repro.txn.transaction import Transaction
 
@@ -95,13 +95,7 @@ class FidesClient:
         """Read ``item_id`` within ``session``; returns the value reported by the server."""
         server_id = self._shard_map.server_for(item_id)
         self._ensure_begun(session, server_id)
-        response = self._network.send(
-            self.client_id,
-            server_id,
-            MessageType.READ,
-            {"txn_id": session.txn_id, "item_id": item_id},
-        )
-        result = ReadResult.from_wire(response)
+        result = self._ask(server_id, MessageType.READ, ReadItem(session.txn_id, item_id))
         self._clock.observe(result.rts)
         self._clock.observe(result.wts)
         session.record_read(item_id, result.value, result.rts, result.wts)
@@ -111,13 +105,9 @@ class FidesClient:
         """Write ``value`` to ``item_id`` within ``session`` (buffered server-side)."""
         server_id = self._shard_map.server_for(item_id)
         self._ensure_begun(session, server_id)
-        response = self._network.send(
-            self.client_id,
-            server_id,
-            MessageType.WRITE,
-            {"txn_id": session.txn_id, "item_id": item_id, "value": value},
-        )
-        old = ReadResult.from_wire(response.get("old"))
+        old = self._ask(
+            server_id, MessageType.WRITE, WriteItem(session.txn_id, item_id, value)
+        ).old
         self._clock.observe(old.rts)
         self._clock.observe(old.wts)
         session.record_write(item_id, value, old.value, old.rts, old.wts)
@@ -158,13 +148,11 @@ class FidesClient:
         return self.interpret_outcome(txn.txn_id, response), response
 
     def _end_transaction_envelope(self, txn: Transaction, coordinator_id: str):
-        from repro.net.message import Envelope
-
         return Envelope(
             sender=self.client_id,
             recipient=coordinator_id,
             message_type=MessageType.END_TRANSACTION,
-            payload={"transaction": txn, "commit_ts": txn.commit_ts.as_tuple()},
+            payload=EndTxn(txn, txn.commit_ts),
         )
 
     # -- outcome handling ----------------------------------------------------------------
@@ -182,7 +170,9 @@ class FidesClient:
         results = response.get("results", {})
         mine = results.get(txn_id)
         if mine is None:
-            return CommitOutcome(txn_id=txn_id, status="failed", reason="no outcome for txn")
+            return CommitOutcome(
+                txn_id=txn_id, status="failed", reason=response.get("reason", "no outcome for txn")
+            )
         verified = False
         cosign = mine.get("cosign")
         digest = mine.get("block_digest")
@@ -205,15 +195,31 @@ class FidesClient:
 
     # -- helpers ------------------------------------------------------------------------------
 
+    def _ask(self, server_id: str, message_type: MessageType, request):
+        """Send ``request`` and return the reply of its row's form.
+
+        The server is untrusted: anything else it answered -- a refusal, or
+        a reply that does not decode -- is a :class:`ProtocolError` the
+        application can catch, naming the server's reason.
+        """
+        reply = read_reply(
+            message_type,
+            server_id,
+            self._network.send(self.client_id, server_id, message_type, request),
+        )
+        if type(reply) is Refusal:
+            raise ProtocolError(
+                f"client {self.client_id}: {server_id} refused {message_type.value}: "
+                f"{reply.reason}"
+            )
+        return reply
+
     def _ensure_begun(self, session: TransactionSession, server_id: str) -> None:
         """Send Begin Transaction to a server the first time the session touches it."""
         if server_id in session.servers_contacted:
             return
-        self._network.send(
-            self.client_id,
-            server_id,
-            MessageType.BEGIN_TRANSACTION,
-            {"txn_id": session.txn_id, "client_id": self.client_id},
+        self._ask(
+            server_id, MessageType.BEGIN_TRANSACTION, BeginTxn(session.txn_id, self.client_id)
         )
         session.record_server(server_id)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
 from repro.check.mutations import mutation_enabled
@@ -22,6 +22,7 @@ from repro.common.types import ServerId
 from repro.common.wire import INT, NUMBER, STR, extra, optional, wire_form
 from repro.core.grouping import ServerGroup
 from repro.ledger.block import Block, make_group_partial_block, make_partial_block
+from repro.net.forms import Refusal, RoundFailed, read_reply
 from repro.net.latency import LatencyModel
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
@@ -99,7 +100,7 @@ class BlockCommitResult:
     outcomes: List[TxnOutcome]
     timing: TimingBreakdown
     abort_reasons: List[str] = field(default_factory=list)
-    refusals: List[Dict] = field(default_factory=list)
+    refusals: List[Refusal] = field(default_factory=list)
     culprits: List[str] = field(default_factory=list)
 
     @property
@@ -248,7 +249,7 @@ def timed_exchange(
     sender: str,
     recipients: Sequence[str],
     message_type: MessageType,
-    payload_for,
+    request_for,
     timing: TimingBreakdown,
     phase: str,
     sim: SimContext,
@@ -256,15 +257,21 @@ def timed_exchange(
     kind: str = KIND_BROADCAST,
     timeout: float = ROUND_TIMEOUT_S,
     span: Optional[int] = None,
-) -> Dict[str, Dict]:
+) -> Tuple[Dict[str, Any], List[Refusal]]:
     """Send one phase's (possibly per-recipient) message and charge ``timing``.
 
-    ``payload_for`` maps each recipient to its payload -- the honest phases
-    send every cohort the same dict (see :func:`timed_broadcast`), while the
+    Returns ``(replies, refusals)``: the recipients that answered with the
+    row's reply form (:func:`~repro.net.forms.read_reply`), by id, and --
+    apart, so that a tally can only ever iterate answers -- a
+    :class:`~repro.net.forms.Refusal` for each one that did not.
+
+    ``request_for`` maps each recipient to its request -- the honest phases
+    send every cohort the same one (see :func:`timed_broadcast`), while the
     equivocation fault injection sends different blocks to different halves.
     Routing *every* per-recipient send through here keeps three behaviours in
     one place: the ``choose_order`` branch point the model checker explores,
-    the synthesised unreachable refusal, and the simulated-time accounting.
+    the refusal standing in for a silent peer, and the simulated-time
+    accounting.
 
     The simulated-time rule lives here, shared by TFCommit, the 2PC
     baseline, and the ordering service's delivery: each recipient gets its
@@ -285,12 +292,12 @@ def timed_exchange(
     service's delivery).
 
     A recipient that is down -- crashed before the send, or crashing while
-    handling it -- yields a synthesised ``{"ok": False, "unreachable": True,
-    "timed_out": True}`` response instead of an exception: losing a cohort
-    mid-round is a liveness event the round must observe and fail on, not a
-    crash of the coordinator.  No reply ever travels from a dead peer, so
-    the phase charges the sender the full ``timeout`` wait for it rather
-    than a phantom ``outbound + 0 + inbound`` round trip.
+    handling it -- becomes a refusal marked ``unreachable``, built here and
+    nowhere else, instead of an exception: losing a cohort mid-round is a
+    liveness event the round must observe and fail on, not a crash of the
+    coordinator.  No reply ever travels from a dead peer, so the phase
+    charges the sender the full ``timeout`` wait for it rather than a
+    phantom ``outbound + 0 + inbound`` round trip.
 
     When tracing is enabled and a task is given, the phase becomes a span
     (parented under ``span``, the caller's round span) with one child RPC
@@ -304,34 +311,29 @@ def timed_exchange(
     # decides e.g. which cohorts registered a round before one crashes).
     recipients = choose_order(f"net/phase/{phase}", list(recipients), feature="net-order")
     outbound = {recipient: latency.sample() for recipient in recipients}
-    responses: Dict[str, Dict] = {}
+    answers: Dict[str, Any] = {}
     for recipient in recipients:
         try:
-            responses[recipient] = network.send(
-                sender, recipient, message_type, payload_for(recipient)
+            answers[recipient] = read_reply(
+                message_type,
+                recipient,
+                network.send(sender, recipient, message_type, request_for(recipient)),
             )
         except UnreachableError as exc:
-            responses[recipient] = {
-                "server_id": recipient,
-                "ok": False,
-                "unreachable": True,
-                "timed_out": True,
-                "reason": str(exc),
-                "compute_time": 0.0,
-            }
+            answers[recipient] = Refusal(recipient, str(exc), unreachable=True)
     inbound = {recipient: latency.sample() for recipient in recipients}
+    refusals = [answer for answer in answers.values() if type(answer) is Refusal]
+    silent = {refusal.server_id for refusal in refusals if refusal.unreachable}
     slowest = slowest_net = slowest_compute = 0.0
     round_trips: Dict[str, float] = {}
     for recipient in recipients:
-        if responses[recipient].get("unreachable"):
+        if recipient in silent:
             # The sender waits out the round timer on a silent peer; the
             # wait is pure network idle time, no compute ever ran.
             round_trip = net = timeout
             compute = 0.0
         else:
-            compute = sim.effective_compute(
-                phase, responses[recipient].get("compute_time", 0.0) or 0.0
-            )
+            compute = sim.effective_compute(phase, answers[recipient].compute_time)
             round_trip = outbound[recipient] + compute + inbound[recipient]
             net = outbound[recipient] + inbound[recipient]
         round_trips[recipient] = round_trip
@@ -346,16 +348,13 @@ def timed_exchange(
     obs.metrics.counter(f"phase.{phase}.count")
     obs.metrics.observe(f"phase.{phase}.s", slowest)
     for recipient in recipients:
-        if responses[recipient].get("unreachable"):
+        if recipient in silent:
             obs.metrics.counter("net.unreachable")
         else:
             obs.metrics.observe(f"net.rtt.{phase}_s", round_trips[recipient])
     if task is not None:
         phase_start, phase_end = sim.scheduler.end_phase(task, phase, slowest)
         if obs.tracing:
-            timed_out = any(
-                responses[recipient].get("timed_out") for recipient in recipients
-            )
             phase_span = obs.tracer.add_span(
                 phase,
                 "phase",
@@ -363,7 +362,7 @@ def timed_exchange(
                 phase_start,
                 phase_end,
                 parent=span,
-                status="timeout" if timed_out else "ok",
+                status="timeout" if silent else "ok",
             )
             for recipient in recipients:
                 obs.tracer.add_span(
@@ -373,13 +372,12 @@ def timed_exchange(
                     phase_start,
                     phase_start + round_trips[recipient],
                     parent=phase_span,
-                    status=(
-                        "unreachable"
-                        if responses[recipient].get("unreachable")
-                        else "ok"
-                    ),
+                    status="unreachable" if recipient in silent else "ok",
                 )
-    return responses
+    replies = {
+        recipient: answer for recipient, answer in answers.items() if type(answer) is not Refusal
+    }
+    return replies, refusals
 
 
 def timed_broadcast(
@@ -388,21 +386,21 @@ def timed_broadcast(
     sender: str,
     recipients: Sequence[str],
     message_type: MessageType,
-    payload: Dict,
+    request,
     timing: TimingBreakdown,
     phase: str,
     sim: SimContext,
     **options,
-) -> Dict[str, Dict]:
-    """Broadcast one phase's message to every recipient (same payload each).
+) -> Tuple[Dict[str, Any], List[Refusal]]:
+    """Broadcast one phase's message to every recipient (same request each).
 
     Thin wrapper over :func:`timed_exchange`; see there for ``options``
-    (``task``, ``kind``, ``timeout``, ``span``) and for the timing and
-    unreachable-handling contract.
+    (``task``, ``kind``, ``timeout``, ``span``), what is returned, and the
+    timing and silent-peer contract.
     """
     return timed_exchange(
         network, latency, sender, recipients, message_type,
-        lambda _recipient: payload, timing, phase, sim, **options,
+        lambda _recipient: request, timing, phase, sim, **options,
     )
 
 
@@ -463,7 +461,7 @@ class Round:
     #: Virtual time the round ended; ``None`` while published, not delivered.
     decided_at: Optional[float] = None
     abort_reasons: List[str] = field(default_factory=list)
-    refusals: List[Dict] = field(default_factory=list)
+    refusals: List[Refusal] = field(default_factory=list)
     culprits: List[str] = field(default_factory=list)
     result: Optional[BlockCommitResult] = None
 
@@ -475,7 +473,7 @@ class Round:
             )
         self.status = status
 
-    def fail(self, refusals: Sequence[Dict] = (), culprits: Sequence[str] = ()) -> None:
+    def fail(self, refusals: Sequence[Refusal] = (), culprits: Sequence[str] = ()) -> None:
         """No decision will exist: a peer was silent or refused (liveness,
         nobody is accused), or ``culprits`` sent bogus co-signing values."""
         self.refusals, self.culprits = list(refusals), list(culprits)
@@ -492,8 +490,8 @@ class Round:
     def leader_silent(self) -> bool:
         """Whether the coordinator's *own* server is among the silent peers."""
         return any(
-            resp.get("unreachable") and resp.get("server_id") == self.coordinator
-            for resp in self.refusals
+            refusal.unreachable and refusal.server_id == self.coordinator
+            for refusal in self.refusals
         )
 
     def report(self) -> BlockCommitResult:
@@ -502,7 +500,7 @@ class Round:
         decision = self.decision or self.block
         if self.status is RoundStatus.FAILED:
             status, decision, height = "failed", None, None
-            reasons = [r.get("reason", "") for r in self.refusals] or self.abort_reasons
+            reasons = [refusal.reason for refusal in self.refusals] or self.abort_reasons
             reason = "; ".join(filter(None, reasons))
         else:
             # The stream's block is the decision -- also for a duplicate
@@ -601,7 +599,7 @@ class SimScheduledRounds:
         transaction is queued; once a full batch is available the coordinator
         runs its commit protocol and returns the outcomes.
         """
-        txn: Transaction = envelope.payload["transaction"]
+        txn: Transaction = envelope.payload.transaction
         if txn.commit_ts <= self._latest_committed_ts:
             return stale_failure_response(txn, self._latest_committed_ts)
         self._pending.append((txn, envelope))
@@ -737,7 +735,7 @@ class SimScheduledRounds:
             self.coordinator_id,
             round.cohorts,
             MessageType.ROUND_FAILED,
-            {"round_key": round.block.round_key()},
+            RoundFailed(round.block.round_key()),
             skip_unreachable=True,
         )
 
@@ -793,9 +791,9 @@ class SimScheduledRounds:
         round: Round,
         phase: str,
         message_type: MessageType,
-        payload: Dict,
+        request,
         kind: str = KIND_BROADCAST,
-    ) -> Dict[str, Dict]:
+    ) -> Tuple[Dict[str, Any], List[Refusal]]:
         """Send one phase's message to every cohort via :func:`timed_broadcast`."""
         return timed_broadcast(
             self.network,
@@ -803,7 +801,7 @@ class SimScheduledRounds:
             self.coordinator_id,
             round.cohorts,
             message_type,
-            payload,
+            request,
             round.timing,
             phase,
             sim=self._sim,

@@ -49,6 +49,7 @@ from repro.core.sequencing import OrderedBlock, SequencerFactory, single_sequenc
 from repro.core.tfcommit import TFCommitCoordinator
 from repro.crypto.keys import keypair_for
 from repro.ledger.anchor import EpochAnchor
+from repro.net.forms import AnchorSealed, DecidedBlock, Refusal, read_reply
 from repro.net.message import MessageType
 from repro.sim.scheduler import ORDSERV_RESOURCE
 from repro.txn.transaction import Transaction
@@ -148,7 +149,7 @@ class OrderedDelivery:
         #: whenever the stream is flushed).
         self.handoffs: Dict[tuple, Round] = {}
         #: Every refusal a server answered an ordered block or anchor with.
-        self.failures: List[Dict] = []
+        self.failures: List[Refusal] = []
         #: Global height the next ordered delivery must carry (the stream is
         #: an atomic broadcast: no gaps, no replays).
         self._next_height = 0
@@ -186,13 +187,13 @@ class OrderedDelivery:
             f"{ORDSERV_RESOURCE}/s{shard}" for shard in ordered.shards
         ) or (ORDSERV_RESOURCE,)
         start = sim.scheduler.begin_delivery(task, label, resources=resources)
-        responses = timed_broadcast(
+        _, failures = timed_broadcast(
             system.network,
             system.latency,
             ORDSERV_ID,
             list(system.config.server_ids),
             MessageType.ORDERED_BLOCK,
-            {"block": block},
+            DecidedBlock(block),
             timing,
             "order",
             sim=sim,
@@ -223,7 +224,6 @@ class OrderedDelivery:
             global_height=ordered.global_height,
         )
         sim.obs.metrics.counter(f"rounds.delivered_{status}")
-        failures = [resp for resp in responses.values() if not resp.get("ok")]
         self.failures.extend(failures)
         if round is not None:
             # The ordered delivery is the round's terminal phase, so its
@@ -245,16 +245,17 @@ class OrderedDelivery:
         skipped -- anchor gaps are tolerated by the handler and the
         auditor verifies against the service's full chain.
         """
-        responses = self._system.network.broadcast(
+        answers = self._system.network.broadcast(
             ORDSERV_ID,
             list(self._system.config.server_ids),
             MessageType.EPOCH_ANCHOR,
-            {"anchor": anchor},
+            AnchorSealed(anchor),
             skip_unreachable=True,
         )
-        self.failures.extend(
-            response for response in responses.values() if not response.get("ok")
-        )
+        for server_id, data in answers.items():
+            reply = read_reply(MessageType.EPOCH_ANCHOR, server_id, data)
+            if type(reply) is Refusal:
+                self.failures.append(reply)
 
 
 class ScaledFidesSystem(FidesSystem):

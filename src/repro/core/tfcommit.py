@@ -27,9 +27,9 @@ baseline live in :mod:`repro.core.rounds`.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.common.errors import ProtocolInvariantError, ValidationError
+from repro.common.errors import ProtocolInvariantError
 from repro.core.rounds import (
     BlockCommitResult,
     Round,
@@ -47,9 +47,9 @@ from repro.crypto.cosi import (
 )
 from repro.crypto.group import Point, decompress_point
 from repro.ledger.block import Block, BlockDecision
+from repro.net.forms import Challenge, ChallengeResponse, DecidedBlock, Proposal, Refusal
 from repro.net.message import MessageType
 from repro.obs.timing import Stopwatch
-from repro.server.commitment import VoteResult
 from repro.sim.scheduler import KIND_TERMINAL
 
 
@@ -86,27 +86,13 @@ class TFCommitCoordinator(SimScheduledRounds):
         round.block = partial_block = self._partial_block(round)
         partial_block.signing_digest()
         assembly_elapsed = assembly_watch.elapsed()
-        votes = self._broadcast_phase(
+        ballots, refusals = self._broadcast_phase(
             round,
             "get_vote",
             MessageType.GET_VOTE,
-            {"block": partial_block, "client_requests": round.client_requests},
+            Proposal(partial_block, tuple(round.client_requests)),
         )
-        unreachable = [resp for resp in votes.values() if resp.get("unreachable")]
-        refused = [
-            resp
-            for resp in votes.values()
-            if resp.get("ok") is False and not resp.get("unreachable")
-        ]
-        ballots: Dict[str, VoteResult] = {}
-        if not (unreachable or refused):
-            # A vote is a peer's reply: it is believed only as far as it decodes.
-            for server_id, resp in votes.items():
-                try:
-                    ballots[server_id] = VoteResult.from_wire(resp)
-                except ValidationError as exc:
-                    refused.append({"server_id": server_id, "ok": False, "reason": str(exc)})
-        if unreachable or refused:
+        if refusals:
             # A cohort crashed before or during the vote, refused the
             # proposal outright (e.g. it already moved to a newer view), or
             # answered with something that is not a vote: the block cannot be
@@ -116,7 +102,7 @@ class TFCommitCoordinator(SimScheduledRounds):
             timing.coordinator_time += self._sim.effective_compute(
                 "aggregate", assembly_elapsed
             )
-            return self._fail(round, unreachable + refused)
+            return self._fail(round, refusals)
         round.advance(RoundStatus.VOTED)
 
         # Phase 3: <null, SchChallenge> -- aggregate votes into the block.
@@ -167,28 +153,23 @@ class TFCommitCoordinator(SimScheduledRounds):
 
         # Phase 4: <null, SchResponse>.
         if faults.equivocate() and decision is BlockDecision.COMMIT:
-            responses = self._equivocate_challenge(
+            responses, refusals = self._equivocate_challenge(
                 round, aggregate_commitment, challenge
             )
         else:
-            responses = self._broadcast_phase(
+            responses, refusals = self._broadcast_phase(
                 round,
                 "challenge",
                 MessageType.CHALLENGE,
-                {
-                    "challenge": challenge,
-                    "aggregate_commitment": aggregate_commitment.encode(),
-                    "block": block,
-                },
+                Challenge(challenge, aggregate_commitment.encode(), block),
             )
-        refusals = [resp for resp in responses.values() if not resp["ok"]]
         if refusals:
             return self._fail(round, refusals)
         round.advance(RoundStatus.CHALLENGED)
 
         # Phase 5: <Decision, null> -- aggregate the collective signature.
         coordinator_watch = Stopwatch()
-        response_scalars = {sid: resp["response"] for sid, resp in responses.items()}
+        response_scalars = {sid: reply.response for sid, reply in responses.items()}
         crypto_watch = Stopwatch()
         cosign = CollectiveSignature(
             challenge=challenge,
@@ -228,11 +209,10 @@ class TFCommitCoordinator(SimScheduledRounds):
         co-signed group block to the ordering service instead, which
         delivers the globally chained stream to all servers.
         """
-        decisions = self._broadcast_phase(
-            round, "decision", MessageType.DECISION, {"block": round.block},
+        _, round.refusals = self._broadcast_phase(
+            round, "decision", MessageType.DECISION, DecidedBlock(round.block),
             kind=KIND_TERMINAL,
         )
-        round.refusals = [resp for resp in decisions.values() if not resp.get("ok")]
         round.advance(RoundStatus.DECIDED)
 
     # -- helpers -------------------------------------------------------------------------
@@ -250,7 +230,7 @@ class TFCommitCoordinator(SimScheduledRounds):
 
     def _equivocate_challenge(
         self, round: Round, aggregate_commitment: Point, challenge: int
-    ) -> Dict[str, Dict]:
+    ) -> Tuple[Dict[str, ChallengeResponse], List[Refusal]]:
         """Fault injection: send a commit block to one half and an abort block to the other.
 
         This reproduces Figure 8 (Case 1: the same challenge is sent to both
@@ -258,23 +238,19 @@ class TFCommitCoordinator(SimScheduledRounds):
         challenge does not correspond to the block they received and refuse
         to respond, so the round cannot produce a valid signature.
 
-        The split payload still travels through :func:`timed_exchange`: a
-        cohort crashing mid-challenge becomes a synthesised unreachable
-        refusal (not an exception through the equivocating coordinator), and
-        the per-recipient delivery order stays a model-checker branch point.
+        The split request still travels through :func:`timed_exchange`: a
+        cohort crashing mid-challenge becomes an unreachable refusal (not an
+        exception through the equivocating coordinator), and the
+        per-recipient delivery order stays a model-checker branch point.
         """
         commit_block: Block = round.block
         abort_block = commit_block.with_decision(BlockDecision.ABORT, {})
         half = len(round.cohorts) // 2 or 1
         commit_group = set(round.cohorts[:half])
 
-        def payload_for(server_id: str) -> Dict:
+        def request_for(server_id: str) -> Challenge:
             block = commit_block if server_id in commit_group else abort_block
-            return {
-                "challenge": challenge,
-                "aggregate_commitment": aggregate_commitment.encode(),
-                "block": block,
-            }
+            return Challenge(challenge, aggregate_commitment.encode(), block)
 
         return timed_exchange(
             self.network,
@@ -282,7 +258,7 @@ class TFCommitCoordinator(SimScheduledRounds):
             self.coordinator_id,
             round.cohorts,
             MessageType.CHALLENGE,
-            payload_for,
+            request_for,
             round.timing,
             "challenge",
             sim=self._sim,
@@ -291,7 +267,7 @@ class TFCommitCoordinator(SimScheduledRounds):
         )
 
     def _fail(
-        self, round: Round, refusals: Sequence[Dict] = (), culprits: Sequence[str] = ()
+        self, round: Round, refusals: Sequence[Refusal] = (), culprits: Sequence[str] = ()
     ) -> None:
         """Fail the round, tracing what made it fail.
 
@@ -307,14 +283,13 @@ class TFCommitCoordinator(SimScheduledRounds):
                 f"detect:faulty-signer:{culprit}", "fault-detect", culprit, now
             )
         for refusal in refusals:
-            peer = refusal.get("server_id", "?")
-            event = "unreachable" if refusal.get("unreachable") else "refusal"
+            event = "unreachable" if refusal.unreachable else "refusal"
             obs.metrics.counter(f"faults.detected_{event}")
             obs.tracer.instant(
-                f"detect:{event}:{peer}",
+                f"detect:{event}:{refusal.server_id}",
                 "fault-detect",
-                str(peer),
+                refusal.server_id,
                 now,
-                reason=refusal.get("reason", ""),
+                reason=refusal.reason,
             )
         round.fail(refusals, culprits)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.check.mutations import mutation_enabled
 from repro.core.rounds import Round, RoundStatus, SimScheduledRounds
 from repro.ledger.block import BlockDecision
+from repro.net.forms import DecidedBlock, Proposal
 from repro.net.message import MessageType
 from repro.obs.timing import Stopwatch
 from repro.sim.scheduler import KIND_TERMINAL
@@ -33,27 +34,21 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
         round.block = block = self._partial_block(round)
         assembly_elapsed = assembly_watch.elapsed()
 
-        votes = self._broadcast_phase(
+        votes, refusals = self._broadcast_phase(
             round,
             "prepare",
             MessageType.PREPARE,
-            {"block": block, "client_requests": round.client_requests},
+            Proposal(block, tuple(round.client_requests)),
         )
-        unreachable = [resp for resp in votes.values() if resp.get("unreachable")]
-        refused = [
-            resp
-            for resp in votes.values()
-            if resp.get("ok") is False and not resp.get("unreachable")
-        ]
-        if (unreachable or refused) and not mutation_enabled("pr7-2pc-vote-keyerror"):
-            # A cohort crashed mid-round (its synthesised response carries no
-            # vote fields) or refused a stale-view proposal: fail the round
-            # exactly like TFCommit's phase-1 unreachable check instead of
-            # KeyError-ing on ``vote["involved"]`` in the tally below.
+        if refusals and not mutation_enabled("pr7-2pc-vote-keyerror"):
+            # A cohort crashed mid-round or refused a stale-view proposal:
+            # fail the round exactly like TFCommit's phase-1 check.  (The
+            # mutation is PR 7's bug as it can still be made: the votes that
+            # did arrive are tallied as if they were everyone's.)
             timing.coordinator_time += self._sim.effective_compute(
                 "aggregate", assembly_elapsed
             )
-            return round.fail(unreachable + refused)
+            return round.fail(refusals)
         round.advance(RoundStatus.VOTED)
 
         self._begin_compute_phase(round, "aggregate")
@@ -61,16 +56,10 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
         decision = BlockDecision.COMMIT
         abort_reasons = round.abort_reasons
         for server_id, vote in votes.items():
-            if mutation_enabled("pr7-2pc-vote-keyerror"):
-                # The pre-fix tally: a bare subscript that KeyErrors on the
-                # synthesized response of a cohort that died mid-round.
-                involved = vote["involved"]
-            else:
-                involved = vote.get("involved")
-            if involved and vote["decision"] == BlockDecision.ABORT.value:
+            if vote.involved and vote.decision == BlockDecision.ABORT.value:
                 decision = BlockDecision.ABORT
-                if vote["reason"]:
-                    abort_reasons.append(f"{server_id}: {vote['reason']}")
+                if vote.reason:
+                    abort_reasons.append(f"{server_id}: {vote.reason}")
         round.block = block.with_decision(decision, {})
         aggregate_elapsed = self._sim.effective_compute(
             "aggregate", assembly_elapsed + coordinator_watch.elapsed()
@@ -81,7 +70,7 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
 
         # Phase 2: broadcast the decision (nothing a cohort answers matters).
         self._broadcast_phase(
-            round, "decision", MessageType.COMMIT_DECISION, {"block": round.block},
+            round, "decision", MessageType.COMMIT_DECISION, DecidedBlock(round.block),
             kind=KIND_TERMINAL,
         )
         round.advance(RoundStatus.DECIDED)

@@ -13,10 +13,10 @@ bounded one:
    *stalled*.
 2. The next-smallest live group member becomes the **successor**.  It
    broadcasts ``VIEW_CHANGE``; every surviving cohort answers with a
-   :class:`FrontierCertificate` -- its commit frontier, carried as untrusted
-   wire bytes -- plus the stalled rounds the deposed coordinator left armed.
-3. The successor **verifies** each certificate (strict decode, head-block
-   co-sign, hash consistency) and adopts the *maximum certified frontier*.
+   :class:`~repro.net.forms.FrontierCertificate` -- its commit frontier, an
+   untrusted claim -- plus the stalled rounds the deposed coordinator left armed.
+3. The successor **verifies** each certificate (the reply's strict decode,
+   head-block co-sign, hash consistency) and adopts the *maximum certified frontier*.
    Certificates that fail verification are discarded: a lying cohort cannot
    drag the new view backwards (the frontier is monotone) or forwards (a
    claimed-ahead frontier needs a co-signed head block it cannot forge).
@@ -43,38 +43,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
 from repro.common.errors import ProtocolError, ProtocolInvariantError, ValidationError
-from repro.common.wire import BYTES, INT, MAPPING, STR, optional, wire_form
 from repro.core.rounds import ROUND_TIMEOUT_S, TimingBreakdown, timed_broadcast
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block
 from repro.ledger.log import TransactionLog
+from repro.net.forms import FrontierCertificate, ViewChange
 from repro.net.message import MessageType
-
-
-@wire_form(
-    ("server_id", STR),
-    ("view", INT),
-    ("height", INT),
-    ("head_hash", BYTES),
-    ("head", optional(MAPPING)),
-)
-@dataclass(frozen=True)
-class FrontierCertificate:
-    """One cohort's signed-evidence claim of its commit frontier.
-
-    ``head`` is the cohort's last log block in wire form; the block's
-    collective signature is the certificate's authority -- the successor
-    believes ``height``/``head_hash`` only after re-verifying the co-sign
-    and recomputing the hash, so a Byzantine cohort cannot fabricate a
-    frontier it never committed.  A height-0 certificate (empty log) carries
-    no head and claims nothing that needs proving.
-    """
-
-    server_id: str
-    view: int
-    height: int
-    head_hash: bytes
-    head: Optional[dict] = None
 
 
 @dataclass
@@ -87,7 +61,8 @@ class ViewChangeOutcome:
     new_view: int
     #: Certificates that survived verification, by reporting cohort.
     certificates: Dict[str, FrontierCertificate] = field(default_factory=dict)
-    #: Cohorts whose certificate failed verification (discarded, reported).
+    #: Cohorts that answered, but not with a certificate that verifies
+    #: (discarded, reported).
     rejected_certificates: List[str] = field(default_factory=list)
     #: The maximum certified frontier height.
     frontier_height: int = 0
@@ -97,19 +72,10 @@ class ViewChangeOutcome:
     timing: TimingBreakdown = field(default_factory=TimingBreakdown)
 
 
-def decode_certificate(data, expected_server: str) -> Optional[FrontierCertificate]:
-    """Strict-decode a certificate without co-sign verification (2PC mode)."""
-    try:
-        cert = FrontierCertificate.from_wire(data)
-    except ValidationError:
-        return None
-    return cert if cert.server_id == expected_server else None
-
-
 def verify_certificate(
-    data, public_keys, expected_server: str
-) -> Optional[FrontierCertificate]:
-    """Decode and verify one untrusted certificate; ``None`` if it lies.
+    cert: FrontierCertificate, public_keys, expected_server: str, trusted: bool = False
+) -> bool:
+    """Whether one cohort's (strictly decoded, still untrusted) certificate holds.
 
     The trust argument mirrors the recovery catch-up: anything crossing the
     wire may be attacker-chosen, so the certificate is believed only to the
@@ -117,28 +83,28 @@ def verify_certificate(
     collective signature must verify over its signing digest (with the
     signer set equal to its recorded group, for group blocks), its hash must
     equal the claimed ``head_hash``, and a non-empty frontier must carry a
-    head at all.
+    head at all.  ``trusted`` (the 2PC baseline, whose blocks carry no
+    collective signature) stops after the identity check.
     """
-    cert = decode_certificate(data, expected_server)
-    if cert is None:
-        return None
+    if cert.server_id != expected_server:
+        return False
+    if trusted:
+        return True
     if cert.height <= 0:
-        return cert if cert.height == 0 and cert.head is None else None
+        return cert.height == 0 and cert.head is None
     if cert.head is None:
-        return None
+        return False
     try:
         head = Block.from_wire(cert.head)
     except ValidationError:
-        return None
+        return False
     if head.block_hash() != cert.head_hash:
-        return None
+        return False
     if head.cosign is None or not cosi_verify(
         head.cosign, head.signing_digest(), public_keys
     ):
-        return None
-    if head.group is not None and set(head.cosign.signer_ids) != set(head.group):
-        return None
-    return cert
+        return False
+    return head.group is None or set(head.cosign.signer_ids) == set(head.group)
 
 
 def elect_successor(members: Sequence[str], excluded: Sequence[str]) -> str:
@@ -213,40 +179,31 @@ def run_view_change(
     # virtual-clock instants, and a view change begins only after the round
     # timer genuinely elapsed with no decision.
     clock.advance(ROUND_TIMEOUT_S)
-    payload = {
-        "group": list(group) if group is not None else None,
-        "deposed": deposed,
-        "view": new_view,
-    }
-    responses = timed_broadcast(
+    request = ViewChange(outcome.group, deposed, new_view)
+    reports, refusals = timed_broadcast(
         network,
         latency,
         successor_id,
         live,
         MessageType.VIEW_CHANGE,
-        payload,
+        request,
         outcome.timing,
         "view-change",
         sim=sim,
     )
     public_keys = network.public_key_directory()
     stalled: Dict[tuple, Tuple[Block, list]] = {}
-    for server_id, response in responses.items():
-        if not response.get("ok"):
-            continue
-        cert = (
-            decode_certificate(response["certificate"], server_id)
-            if trusted
-            else verify_certificate(response["certificate"], public_keys, server_id)
-        )
-        if cert is None:
+    # A cohort that is down reports nothing; one that answered something
+    # else than a report is a liar like one whose certificate does not hold.
+    outcome.rejected_certificates = [r.server_id for r in refusals if not r.unreachable]
+    for server_id, report in reports.items():
+        if not verify_certificate(report.certificate, public_keys, server_id, trusted):
             outcome.rejected_certificates.append(server_id)
             continue
-        outcome.certificates[server_id] = cert
-        for entry in response.get("stalled", ()):
-            block = entry["block"]
+        outcome.certificates[server_id] = report.certificate
+        for proposal in report.stalled:
             stalled.setdefault(
-                block.round_key(), (block, list(entry.get("client_requests", ())))
+                proposal.block.round_key(), (proposal.block, list(proposal.client_requests))
             )
     outcome.frontier_height = max(
         (cert.height for cert in outcome.certificates.values()), default=0
@@ -266,7 +223,7 @@ def run_view_change(
         successor_id,
         live,
         MessageType.NEW_VIEW,
-        payload,
+        request,
         outcome.timing,
         "new-view",
         sim=sim,

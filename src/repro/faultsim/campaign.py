@@ -475,9 +475,8 @@ class CampaignRunner:
         for coordinator in system.coordinators.values():
             for block_result in coordinator.results:
                 for refusal in block_result.refusals:
-                    server_id = refusal.get("server_id")
-                    if refusal.get("unreachable") and server_id and server_id not in culprits:
-                        culprits.append(server_id)
+                    if refusal.unreachable and refusal.server_id not in culprits:
+                        culprits.append(refusal.server_id)
         for recovery in recoveries.values():
             for peer in recovery.rejected_peers:
                 if peer not in culprits:

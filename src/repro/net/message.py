@@ -23,10 +23,12 @@ class MessageType(Enum):
     phases of Figure 7.  The network is synchronous-RPC
     (:meth:`~repro.net.network.Network.send` returns the handler's result),
     so replies -- votes, read results, state and audit responses -- travel as
-    handler *return payloads* and have no enveloped type of their own.  The
-    message-flow analyzer (``python -m repro.check.static``) enforces this:
-    every member must be sent somewhere and dispatched in
-    ``Server.handle``.
+    handler *return payloads* and have no enveloped type of their own.  What
+    each member's payload and reply are is declared once, in
+    :data:`repro.net.forms.MESSAGES`; ``tests/net/test_forms.py`` holds
+    members, table rows and ``DatabaseServer._on_<value>`` handlers in
+    bijection, and ``tests/check/test_flowgraph.py`` records which members
+    each deployment really sends.
     """
 
     # Transaction execution (client <-> server), Figure 6.

@@ -73,8 +73,9 @@ def _signed_bytes(envelope: Envelope) -> bytes:
     """The bytes an envelope's signature covers (and its wire size is metered on).
 
     Spliced anew on each call, from the header and the bytes the payload's
-    transactions own.  The envelope itself keeps none: its payload is a
-    mutable dict, and servers archive every client envelope for life.
+    transactions own (the payload is its message's request form,
+    :mod:`repro.net.forms`, which splices them).  The envelope itself keeps
+    none: servers archive every client envelope for life.
     """
     return envelope.content_bytes()
 

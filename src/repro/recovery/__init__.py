@@ -8,11 +8,11 @@ The subsystem behind ``DatabaseServer.crash()`` / ``recover()``:
   back by their derived ``from_bytes()``;
 * :mod:`repro.recovery.wire` -- the byte trust boundary: every wire class's
   derived strict decoder, by name (the classes declare their own wire forms,
-  see :mod:`repro.common.wire`; catch-up reads a peer's plain-data reply with
-  ``Block.from_wire`` directly);
+  see :mod:`repro.common.wire`);
 * :mod:`repro.recovery.manager` -- restore-and-verify plus the
   ``STATE_REQUEST`` catch-up protocol against untrusted peers (each peer's
-  state response travels as the RPC return payload).
+  :class:`~repro.net.forms.StateResponse` travels as the RPC return payload
+  and is read back strictly by :func:`~repro.net.forms.read_reply`).
 
 See DESIGN.md section 6 for the recovery state machine and the trust
 argument.

@@ -40,6 +40,7 @@ from repro.common.errors import (
 )
 from repro.ledger.block import Block
 from repro.ledger.log import TransactionLog, verify_block_cosign
+from repro.net.forms import Refusal, StateRequest, read_reply
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.obs.timing import Stopwatch
@@ -182,28 +183,25 @@ def catch_up_from_peers(
     satisfied = False
     for peer in peers:
         try:
-            response = network.send(
-                server_id,
-                peer,
+            response = read_reply(
                 MessageType.STATE_REQUEST,
-                {"from_height": log.height},
+                peer,
+                network.send(
+                    server_id, peer, MessageType.STATE_REQUEST, StateRequest(log.height)
+                ),
             )
         except (UnreachableError, ConfigurationError) as exc:
             result.rejected.append((peer, f"peer unreachable: {exc}"))
             continue
-        if not response.get("ok"):
-            result.rejected.append(
-                (peer, response.get("reason", "peer refused the state request"))
-            )
+        if type(response) is Refusal:
+            result.rejected.append((peer, response.reason))
             continue
         try:
-            claimed_head = int(response.get("head_height", 0))
-            blocks = [Block.from_wire(wire) for wire in response.get("blocks", ())]
             applied = verify_and_apply_catchup(
                 server_id,
                 store,
                 log,
-                blocks,
+                response.blocks,
                 public_keys,
                 state_store=state_store,
                 result=result,
@@ -213,7 +211,7 @@ def catch_up_from_peers(
             continue
         if applied:
             result.served_by = peer
-        if log.height >= claimed_head:
+        if log.height >= response.head_height:
             satisfied = True
     result.caught_up = satisfied or not peers
     return result

@@ -25,15 +25,13 @@ from __future__ import annotations
 # The modules that declare a wire class; importing them fills WIRE_CLASSES.
 import repro.core.grouping  # noqa: F401
 import repro.core.rounds  # noqa: F401
-import repro.core.viewchange  # noqa: F401
 import repro.crypto.cosi  # noqa: F401
 import repro.crypto.merkle  # noqa: F401
 import repro.ledger.checkpoint  # noqa: F401
-import repro.net.message  # noqa: F401
+import repro.net.forms  # noqa: F401
 import repro.obs.metrics  # noqa: F401
 import repro.obs.trace  # noqa: F401
 import repro.recovery.statestore  # noqa: F401
-import repro.server.commitment  # noqa: F401
 import repro.storage.datastore  # noqa: F401
 import repro.storage.record  # noqa: F401
 import repro.txn.operations  # noqa: F401

@@ -18,9 +18,10 @@ side of plain Two-Phase Commit:
   the finalised block, append it to the tamper-proof log, and apply the
   writes to the datastore.
 
-Every handler measures its own compute time and reports it in the response
-payload; the benchmark harness uses those measurements for simulated-time
-latency accounting (see DESIGN.md).
+Every handler answers with its row's reply form (:mod:`repro.net.forms`) or a
+:class:`~repro.net.forms.Refusal`, and measures its own compute time and
+reports it in either; the benchmark harness uses those measurements for
+simulated-time latency accounting (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -31,13 +32,23 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
-from repro.common.wire import BOOL, BYTES, INT, NUMBER, STR, optional, wire_form
 from repro.core.rounds import ROUND_TIMEOUT_S
 from repro.crypto.cosi import CoSiWitness, compute_challenge, cosi_verify
 from repro.crypto.group import decompress_point
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog
+from repro.net.forms import (
+    Applied,
+    ChallengeResponse,
+    FrontierCertificate,
+    FrontierReport,
+    PrepareVote,
+    Proposal,
+    Refusal,
+    Released,
+    VoteResult,
+)
 from repro.obs.timing import Stopwatch
 from repro.server.faults import FaultPolicy
 from repro.storage.apply import block_local_writes, block_store_commits
@@ -99,32 +110,6 @@ class RoundState:
     #: The signed client requests encapsulated in the proposal, kept so a
     #: successor coordinator can re-verify and re-propose the round.
     client_requests: Tuple = field(default_factory=tuple)
-
-
-@wire_form(
-    ("server_id", STR),
-    ("involved", BOOL),
-    ("decision", STR),
-    ("commitment", BYTES),
-    ("root", optional(BYTES)),
-    ("compute_time", NUMBER),
-    ("mht_time", NUMBER),
-    ("mht_hashes", INT),
-    ("abort_reason", STR),
-)
-@dataclass
-class VoteResult:
-    """What a cohort returns from the vote phase."""
-
-    server_id: ServerId
-    involved: bool
-    decision: str
-    commitment: bytes
-    root: Optional[bytes]
-    compute_time: float
-    mht_time: float
-    mht_hashes: int
-    abort_reason: str = ""
 
 
 class CommitmentLayer:
@@ -230,7 +215,7 @@ class CommitmentLayer:
 
     def _refuse_proposal(
         self, block: Block, watch: Stopwatch, chained: bool = False
-    ) -> Optional[Dict[str, object]]:
+    ) -> Optional[Refusal]:
         """The refusal for a ``GET_VOTE``/``PREPARE`` this cohort will not
         vote on (``None``: it will): the proposal's view is one its group
         already moved past -- honouring a deposed coordinator would let two
@@ -263,13 +248,7 @@ class CommitmentLayer:
             )
         else:
             return None
-        return {
-            "server_id": self.server_id,
-            "ok": False,
-            "refused": True,
-            "reason": reason,
-            "compute_time": watch.elapsed(),
-        }
+        return Refusal(self.server_id, reason, watch.elapsed())
 
     def _arm(
         self,
@@ -324,7 +303,7 @@ class CommitmentLayer:
         for key in stale:
             self._release(key)
 
-    def handle_round_failed(self, round_key: tuple) -> Dict[str, object]:
+    def handle_round_failed(self, round_key: tuple) -> Released:
         """Release the state of a round its coordinator abandoned.
 
         Rounds that fail at the challenge phase (refusals, bad co-sign) never
@@ -332,8 +311,7 @@ class CommitmentLayer:
         :class:`RoundState` -- witness nonce, speculative root -- would leak
         forever.
         """
-        released = self._release(tuple(round_key))
-        return {"server_id": self.server_id, "ok": True, "released": released is not None}
+        return Released(int(self._release(tuple(round_key)) is not None))
 
     # -- TFCommit phase 2: <Vote, SchCommitment> ----------------------------------
 
@@ -343,7 +321,7 @@ class CommitmentLayer:
         force_abort_reason: str = "",
         coordinator: Optional[ServerId] = None,
         client_requests: Tuple = (),
-    ) -> Union[VoteResult, Dict[str, object]]:
+    ) -> Union[VoteResult, Refusal]:
         """Validate the partial block and produce this cohort's vote.
 
         Every server (involved or not) computes a Schnorr commitment because
@@ -354,7 +332,7 @@ class CommitmentLayer:
         signed too) but votes abort.
 
         A proposal this cohort will not vote on (:meth:`_refuse_proposal`)
-        returns a refusal dict instead of a :class:`VoteResult`.
+        is answered with a refusal instead of a vote.
         """
         watch = self._enter("vote", partial_block)
         self._expire_stale_rounds()
@@ -402,10 +380,10 @@ class CommitmentLayer:
 
     def handle_challenge(
         self, challenge: int, aggregate_commitment: bytes, block: Block
-    ) -> Dict[str, object]:
+    ) -> Union[ChallengeResponse, Refusal]:
         """Check the completed block and produce the Schnorr response.
 
-        A correct cohort refuses to respond (returns ``ok=False``) when:
+        A correct cohort refuses to respond when:
 
         * the round is not one it voted on and has not answered yet
           (:data:`COHORT_TRANSITIONS`: no challenge before the vote, and no
@@ -421,14 +399,8 @@ class CommitmentLayer:
         watch = self._enter("challenge", block)
         state = self._rounds.get(block.round_key())
 
-        def refusal(reason: str) -> Dict[str, object]:
-            return {
-                "server_id": self.server_id,
-                "ok": False,
-                "reason": reason,
-                "response": None,
-                "compute_time": watch.elapsed(),
-            }
+        def refusal(reason: str) -> Refusal:
+            return Refusal(self.server_id, reason, watch.elapsed())
 
         if state is None or state.witness is None:
             return refusal(f"challenge for a round this cohort never voted on: {block.round_key()}")
@@ -456,19 +428,13 @@ class CommitmentLayer:
 
         state.status = CohortStatus.CHALLENGED
         response = self._faults.corrupt_response(state.witness.respond(challenge))
-        return {
-            "server_id": self.server_id,
-            "ok": True,
-            "reason": "",
-            "response": response,
-            "compute_time": watch.elapsed(),
-        }
+        return ChallengeResponse(response, watch.elapsed())
 
     # -- TFCommit phase 5: <Decision, null>, and the ordered stream (Section 4.6) ----
 
     def handle_decision(
         self, block: Block, public_keys: Dict[str, PublicKey]
-    ) -> Dict[str, object]:
+    ) -> Union[Applied, Refusal]:
         """Verify the finalised block's co-sign, log it, and apply its writes.
 
         The one terminal path of the classic phase-5 decision broadcast and
@@ -499,17 +465,10 @@ class CommitmentLayer:
                 # message this peer should not have sent, not raised.
                 reason = str(exc)
         if reason:
-            return {
-                "server_id": self.server_id,
-                "ok": False,
-                "reason": reason,
-                "compute_time": watch.elapsed(),
-            }
-        mht_hashes = 0
+            return Refusal(self.server_id, reason, watch.elapsed())
         if block.is_commit:
             mht_watch = Stopwatch()
-            mht_hashes = self._apply_block(block)
-            self._obs_mht(mht_hashes, mht_watch.elapsed())
+            self._obs_mht(self._apply_block(block), mht_watch.elapsed())
         if self._on_block_applied is not None:
             self._on_block_applied(block)
         corruption = self._faults.post_commit_corruption()
@@ -517,14 +476,7 @@ class CommitmentLayer:
             if item_id in self._store:
                 self._store.corrupt(item_id, value)
         self._faults.tamper_log(self._log)
-        return {
-            "server_id": self.server_id,
-            "ok": True,
-            "reason": "",
-            "mht_hashes": mht_hashes,
-            "compute_time": watch.elapsed(),
-            "state_known": state is not None,
-        }
+        return Applied(state is not None, watch.elapsed())
 
     def _apply_block(self, block: Block) -> int:
         """Apply the whole block's write-set to the local shard in one sweep.
@@ -569,19 +521,15 @@ class CommitmentLayer:
         group: Optional[Tuple[ServerId, ...]],
         deposed: ServerId,
         new_view: int,
-    ) -> Dict[str, object]:
+    ) -> FrontierReport:
         """Answer a successor's ``VIEW_CHANGE`` solicitation.
 
-        The cohort reports its commit frontier as a :class:`FrontierCertificate`
-        (wire-encoded -- the successor treats it as untrusted bytes and
-        re-verifies the head block's co-sign) plus every stalled round the
-        deposed coordinator left behind, so the successor can re-propose from
-        the maximum certified frontier.
+        The cohort reports its commit frontier as a
+        :class:`~repro.net.forms.FrontierCertificate` (the successor treats it
+        as an untrusted claim and re-verifies the head block's co-sign) plus
+        every stalled round the deposed coordinator left behind, so the
+        successor can re-propose from the maximum certified frontier.
         """
-        # Deferred: repro.core.viewchange imports the coordinator machinery,
-        # which must not be a prerequisite of the server package.
-        from repro.core.viewchange import FrontierCertificate
-
         watch = self._enter("view-change")
         head = self._log.last_block()
         certificate = FrontierCertificate(
@@ -591,28 +539,18 @@ class CommitmentLayer:
             head_hash=self._log.head_hash,
             head=head.to_wire() if head is not None else None,
         )
-        stalled = [
-            {
-                "block": state.block,
-                "client_requests": list(state.client_requests),
-            }
+        stalled = tuple(
+            Proposal(state.block, state.client_requests)
             for state in self._stalled_rounds(group, deposed)
-        ]
-        return {
-            "server_id": self.server_id,
-            "ok": True,
-            "view": self.current_view(group),
-            "certificate": certificate.to_wire(),
-            "stalled": stalled,
-            "compute_time": watch.elapsed(),
-        }
+        )
+        return FrontierReport(certificate, stalled, watch.elapsed())
 
     def handle_new_view(
         self,
         group: Optional[Tuple[ServerId, ...]],
         deposed: ServerId,
         new_view: int,
-    ) -> Dict[str, object]:
+    ) -> Released:
         """Install a new coordinator view for ``group``.
 
         Bumps the view gate (older proposals are refused from here on) and
@@ -643,13 +581,7 @@ class CommitmentLayer:
             self._group_views[bumped_key] = max(
                 self._group_views.get(bumped_key, 0), new_view
             )
-        return {
-            "server_id": self.server_id,
-            "ok": True,
-            "view": self._group_views[key],
-            "released": dropped,
-            "compute_time": watch.elapsed(),
-        }
+        return Released(dropped, watch.elapsed())
 
     # -- 2PC baseline (Section 6.1) --------------------------------------------------
 
@@ -658,7 +590,7 @@ class CommitmentLayer:
         block: Block,
         coordinator: Optional[ServerId] = None,
         client_requests: Tuple = (),
-    ) -> Dict[str, object]:
+    ) -> Union[PrepareVote, Refusal]:
         """2PC prepare: validate the transactions touching this shard and vote.
 
         Arms the same round timer as TFCommit's vote phase: a 2PC cohort that
@@ -674,25 +606,15 @@ class CommitmentLayer:
         involved = any(self._local_items(txn) for txn in block.transactions)
         decision, reason = self._validate(block) if involved else (BlockDecision.COMMIT, "")
         self._arm(block, None, involved, decision, coordinator, client_requests)
-        return {
-            "server_id": self.server_id,
-            "involved": involved,
-            "decision": decision.value,
-            "reason": reason,
-            "compute_time": watch.elapsed(),
-        }
+        return PrepareVote(involved, decision.value, reason, watch.elapsed())
 
-    def handle_2pc_decision(self, block: Block) -> Dict[str, object]:
+    def handle_2pc_decision(self, block: Block) -> Applied:
         """2PC decision: append the (unsigned) block and apply writes if commit."""
         watch = self._enter("decision", block)
-        self._release(block.round_key())
+        state = self._release(block.round_key())
         self._log.append(block, verify_link=False)
         if block.is_commit:
             self._apply_block(block)
         if self._on_block_applied is not None:
             self._on_block_applied(block)
-        return {
-            "server_id": self.server_id,
-            "ok": True,
-            "compute_time": watch.elapsed(),
-        }
+        return Applied(state is not None, watch.elapsed())

@@ -19,7 +19,6 @@ trigger -- a branch of the model checker's tree (:mod:`repro.check.scenarios`).
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -386,21 +385,27 @@ class FaultPolicy:
         )
 
     def tamper_state_response(self, blocks: list) -> list:
-        """Catch-up blocks (wire dicts) this server serves to a recovering peer.
+        """Catch-up blocks this server serves to a recovering peer.
 
         A malicious peer flips the first write value of the first served
-        block (in the payload only: its own log is untouched); the recovering
+        block (in the reply only: its own log is untouched); the recovering
         server's verification (hash chain, co-sign, root replay) must reject
         the whole response.
         """
         for plan, trigger in self._armed["tamper_state_response"]:
             if not blocks or not self._fire(plan, trigger):
                 continue
-            first = deepcopy(blocks[0])
-            for txn in first["body"]["transactions"]:
-                if txn["write_set"]:
-                    txn["write_set"][0]["new_value"] = plan.params.get("value", "__tampered__")
-                    return [first] + list(blocks[1:])
+            transactions = list(blocks[0].transactions)
+            for index, txn in enumerate(transactions):
+                if txn.write_set:
+                    forged = dc_replace(
+                        txn.write_set[0], new_value=plan.params.get("value", "__tampered__")
+                    )
+                    transactions[index] = dc_replace(
+                        txn, write_set=(forged, *txn.write_set[1:])
+                    )
+                    first = dc_replace(blocks[0], transactions=tuple(transactions))
+                    return [first, *blocks[1:]]
         return blocks
 
     # -- log hooks -----------------------------------------------------------------

@@ -29,11 +29,20 @@ from repro.common.errors import (
     ServerCrashed,
     UnreachableError,
 )
-from repro.common.timestamps import Timestamp
 from repro.common.types import ServerId, Value
 from repro.crypto.keys import KeyPair
 from repro.ledger.checkpoint import Checkpoint, apply_checkpoint
 from repro.ledger.log import TransactionLog
+from repro.net.forms import (
+    MESSAGES,
+    Ack,
+    Applied,
+    EndTxn,
+    Proposal,
+    Refusal,
+    StateResponse,
+    WriteAck,
+)
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
 from repro.recovery.manager import RecoveryResult, recover_server_state
@@ -212,66 +221,76 @@ class DatabaseServer:
     # -- message dispatch -------------------------------------------------------
 
     def handle(self, envelope: Envelope):
-        """Handle one verified envelope; returns the response payload."""
-        handler = {
-            MessageType.BEGIN_TRANSACTION: self._on_begin,
-            MessageType.READ: self._on_read,
-            MessageType.WRITE: self._on_write,
-            MessageType.END_TRANSACTION: self._on_end_transaction,
-            MessageType.GET_VOTE: self._on_get_vote,
-            MessageType.CHALLENGE: self._on_challenge,
-            MessageType.DECISION: self._on_decision,
-            MessageType.ROUND_FAILED: self._on_round_failed,
-            MessageType.ORDERED_BLOCK: self._on_ordered_block,
-            MessageType.EPOCH_ANCHOR: self._on_epoch_anchor,
-            MessageType.PREPARE: self._on_prepare,
-            MessageType.COMMIT_DECISION: self._on_2pc_decision,
-            MessageType.VIEW_CHANGE: self._on_view_change,
-            MessageType.NEW_VIEW: self._on_new_view,
-            MessageType.STATE_REQUEST: self._on_state_request,
-            MessageType.AUDIT_LOG_REQUEST: self._on_audit_log_request,
-            MessageType.AUDIT_VO_REQUEST: self._on_audit_vo_request,
-        }.get(envelope.message_type)
-        if handler is None:
+        """Handle one verified envelope; returns the reply as plain data.
+
+        The message table (:data:`repro.net.forms.MESSAGES`) says what the
+        payload must be; the handler is ``_on_<type.value>``, found the way
+        ``ast.NodeVisitor`` finds ``visit_*``.  A payload that is not its
+        row's request form is refused here, before any handler reads it, and
+        a declared reply is flattened here, after its handler built it.
+        """
+        message_type = envelope.message_type
+        row = MESSAGES.get(message_type)
+        if row is None:
             raise ProtocolError(
-                f"server {self.server_id} cannot handle message type {envelope.message_type}"
+                f"server {self.server_id} cannot handle message type {message_type}"
             )
-        try:
-            return handler(envelope)
-        except ServerCrashed as exc:
-            # A crash fault fired mid-message: drop volatile state and surface
-            # the loss of the reply as unreachability, exactly what the sender
-            # of a message to a just-crashed machine observes.
-            self.crash()
-            raise UnreachableError(str(exc)) from None
+        if type(envelope.payload) is not row.request:
+            reply = self._refuse(
+                f"a {message_type.value} payload must be a {row.request.__name__}, "
+                f"not {type(envelope.payload).__name__}"
+            )
+        else:
+            try:
+                reply = getattr(self, "_on_" + message_type.value)(envelope)
+            except ServerCrashed as exc:
+                # A crash fault fired mid-message: drop volatile state and surface
+                # the loss of the reply as unreachability, exactly what the sender
+                # of a message to a just-crashed machine observes.
+                self.crash()
+                raise UnreachableError(str(exc)) from None
+        if row.reply is None and type(reply) is not Refusal:
+            return reply
+        return reply.to_wire()
+
+    def _refuse(self, reason: str) -> Refusal:
+        return Refusal(self.server_id, reason)
 
     # -- execution-layer messages (Figure 6) --------------------------------------
 
-    def _on_begin(self, envelope: Envelope):
-        payload = envelope.payload
+    def _on_begin_transaction(self, envelope: Envelope):
+        request = envelope.payload
         self.execution.archive_client_message(envelope)
-        self.execution.begin(payload["txn_id"], payload.get("client_id", envelope.sender))
-        return {"ok": True, "server_id": self.server_id}
+        if request.client_id != envelope.sender:
+            return self._refuse(
+                f"{envelope.sender} cannot open a transaction as {request.client_id}"
+            )
+        self.execution.begin(request.txn_id, request.client_id)
+        return Ack(self.server_id)
 
     def _on_read(self, envelope: Envelope):
-        payload = envelope.payload
+        request = envelope.payload
         self.execution.archive_client_message(envelope)
         # Execution-layer hooks see the height the *next* block would carry,
         # so height-based fault triggers line up with the commitment phases.
-        self.faults.observe_phase("execute", self.log.height, (payload["txn_id"],))
-        result = self.execution.read(payload["txn_id"], payload["item_id"])
-        return result.to_wire()
+        self.faults.observe_phase("execute", self.log.height, (request.txn_id,))
+        return self.execution.read(request.txn_id, request.item_id)
 
     def _on_write(self, envelope: Envelope):
-        payload = envelope.payload
+        request = envelope.payload
         self.execution.archive_client_message(envelope)
-        self.faults.observe_phase("execute", self.log.height, (payload["txn_id"],))
-        old = self.execution.write(payload["txn_id"], payload["item_id"], payload["value"])
-        return {"ok": True, "old": old.to_wire(), "server_id": self.server_id}
+        self.faults.observe_phase("execute", self.log.height, (request.txn_id,))
+        return WriteAck(self.execution.write(request.txn_id, request.item_id, request.value))
 
     def _on_end_transaction(self, envelope: Envelope):
         """Route a client's termination request to the coordinator role."""
+        request = envelope.payload
         self.execution.archive_client_message(envelope)
+        if request.commit_ts != request.transaction.commit_ts:
+            return self._refuse(
+                f"end_transaction states commit timestamp {request.commit_ts}, "
+                f"its transaction {request.transaction.commit_ts}"
+            )
         if self.coordinator_role is None:
             raise ProtocolError(
                 f"server {self.server_id} received end_transaction but is not the coordinator"
@@ -280,47 +299,56 @@ class DatabaseServer:
 
     # -- TFCommit cohort messages (Figure 7) ----------------------------------------
 
-    def _on_get_vote(self, envelope: Envelope):
-        payload = envelope.payload
-        block = payload["block"]
-        client_requests = payload.get("client_requests", [])
-        force_abort_reason = ""
-        for request in client_requests:
+    def _unbacked(self, proposal: Proposal) -> str:
+        """Why ``proposal``'s block must not commit (``""``: it may).
+
+        Section 4.3.1: a cohort verifies the client requests encapsulated in
+        the coordinator's -- that each is signed, and that every transaction
+        of the block *has* one: an ``END_TRANSACTION`` from the transaction's
+        own client carrying that very transaction.  Without the second half a
+        coordinator could have the cluster co-sign transactions no client
+        ever asked for.
+        """
+        asked = set()
+        for request in proposal.client_requests:
             if not self.network.verify_envelope(request):
-                force_abort_reason = "encapsulated client request failed signature verification"
-                break
-        vote = self.commitment.handle_get_vote(
-            block,
-            force_abort_reason=force_abort_reason,
+                return "encapsulated client request failed signature verification"
+            if request.message_type is MessageType.END_TRANSACTION and (
+                type(request.payload) is EndTxn
+            ):
+                asked.add((request.sender, request.payload.transaction.wire_bytes()))
+        for txn in proposal.block.transactions:
+            if (txn.client_id, txn.wire_bytes()) not in asked:
+                return f"no signed client request backs transaction {txn.txn_id}"
+        return ""
+
+    def _on_get_vote(self, envelope: Envelope):
+        proposal = envelope.payload
+        return self.commitment.handle_get_vote(
+            proposal.block,
+            force_abort_reason=self._unbacked(proposal),
             coordinator=envelope.sender,
-            client_requests=tuple(client_requests),
+            client_requests=proposal.client_requests,
         )
-        if isinstance(vote, dict):
-            # Stale-view refusal: already in response form.
-            return vote
-        return vote.to_wire()
 
     def _on_challenge(self, envelope: Envelope):
-        payload = envelope.payload
+        request = envelope.payload
         return self.commitment.handle_challenge(
-            challenge=payload["challenge"],
-            aggregate_commitment=payload["aggregate_commitment"],
-            block=payload["block"],
+            request.challenge, request.aggregate_commitment, request.block
         )
 
     def _on_decision(self, envelope: Envelope):
-        payload = envelope.payload
-        block = payload["block"]
-        response = self.commitment.handle_decision(block, self.network.public_key_directory())
-        if response.get("ok"):
+        block = envelope.payload.block
+        reply = self.commitment.handle_decision(block, self.network.public_key_directory())
+        if type(reply) is Applied:
             # The block terminated its transactions; release their buffered
             # execution state so long multi-client runs do not accumulate it.
             self.execution.finish_many(txn.txn_id for txn in block.transactions)
-        return response
+        return reply
 
     def _on_round_failed(self, envelope: Envelope):
         """Release buffered round state for a round the coordinator abandoned."""
-        return self.commitment.handle_round_failed(envelope.payload["round_key"])
+        return self.commitment.handle_round_failed(envelope.payload.round_key)
 
     # -- scaled deployment: ordered-stream delivery (Section 4.6) -------------------------
 
@@ -338,99 +366,64 @@ class DatabaseServer:
         was crashed during the missed epochs) are accepted -- chain
         linkage across the gap is the auditor's job, not the server's.
         """
-        anchor = envelope.payload["anchor"]
+        anchor = envelope.payload.anchor
         last = self.epoch_anchors[-1] if self.epoch_anchors else None
         if last is not None:
             if anchor.epoch <= last.epoch:
-                return {
-                    "ok": False,
-                    "server_id": self.server_id,
-                    "error": f"stale epoch anchor {anchor.epoch} (have {last.epoch})",
-                }
+                return self._refuse(f"stale epoch anchor {anchor.epoch} (have {last.epoch})")
             if anchor.epoch == last.epoch + 1 and anchor.previous != last.anchor_hash():
-                return {
-                    "ok": False,
-                    "server_id": self.server_id,
-                    "error": f"epoch anchor {anchor.epoch} breaks the anchor chain",
-                }
+                return self._refuse(f"epoch anchor {anchor.epoch} breaks the anchor chain")
         self.epoch_anchors.append(anchor)
-        return {"ok": True, "server_id": self.server_id, "epoch": anchor.epoch}
+        return Ack(self.server_id)
 
     # -- 2PC baseline messages ----------------------------------------------------------
 
     def _on_prepare(self, envelope: Envelope):
+        """The baseline trusts its infrastructure: the requests ride along for
+        a view change to re-propose, unverified."""
+        proposal = envelope.payload
         return self.commitment.handle_prepare(
-            envelope.payload["block"],
+            proposal.block,
             coordinator=envelope.sender,
-            client_requests=tuple(envelope.payload.get("client_requests", ())),
+            client_requests=proposal.client_requests,
         )
 
-    def _on_2pc_decision(self, envelope: Envelope):
-        block = envelope.payload["block"]
-        response = self.commitment.handle_2pc_decision(block)
-        if response.get("ok"):
-            self.execution.finish_many(txn.txn_id for txn in block.transactions)
-        return response
+    def _on_commit_decision(self, envelope: Envelope):
+        block = envelope.payload.block
+        reply = self.commitment.handle_2pc_decision(block)
+        self.execution.finish_many(txn.txn_id for txn in block.transactions)
+        return reply
 
     # -- coordinator failover (view change) ------------------------------------------------
 
     def _on_view_change(self, envelope: Envelope):
         """Report this cohort's commit frontier + stalled rounds to a successor."""
-        payload = envelope.payload
-        group = payload.get("group")
-        return self.commitment.handle_view_change(
-            group=tuple(group) if group is not None else None,
-            deposed=payload["deposed"],
-            new_view=int(payload["view"]),
-        )
+        request = envelope.payload
+        return self.commitment.handle_view_change(request.group, request.deposed, request.view)
 
     def _on_new_view(self, envelope: Envelope):
         """Install the successor's new view; refuse older proposals from now on."""
-        payload = envelope.payload
-        group = payload.get("group")
-        return self.commitment.handle_new_view(
-            group=tuple(group) if group is not None else None,
-            deposed=payload["deposed"],
-            new_view=int(payload["view"]),
-        )
+        request = envelope.payload
+        return self.commitment.handle_new_view(request.group, request.deposed, request.view)
 
     # -- crash recovery: serving catch-up state to a restarted peer ------------------------
 
     def _on_state_request(self, envelope: Envelope):
         """Serve the block range a recovering peer is missing.
 
-        Blocks cross this boundary as *wire dicts* (a real deployment ships
-        bytes): the requester decodes and fully re-verifies them, because
-        this server -- like any server -- is untrusted.  The fault policy's
+        The requester re-reads the reply strictly and fully re-verifies every
+        block, because this server -- like any server -- is untrusted.  The
+        fault policy's
         :meth:`~repro.server.faults.FaultPolicy.tamper_state_response` hook
-        models a malicious peer doctoring the payload.
+        models a malicious peer doctoring the range it serves.
         """
-        from_height = int(envelope.payload["from_height"])
+        from_height = envelope.payload.from_height
         if from_height < self.log.base_height:
-            return {
-                "server_id": self.server_id,
-                "ok": False,
-                "reason": (
-                    f"blocks below height {self.log.base_height} were checkpointed away"
-                ),
-                "head_height": self.log.height,
-                "checkpoint": (
-                    self.latest_checkpoint.to_wire()
-                    if self.latest_checkpoint is not None
-                    else None
-                ),
-            }
-        blocks = [
-            block.to_wire() for block in self.log if block.height >= from_height
-        ]
-        blocks = self.faults.tamper_state_response(blocks)
-        return {
-            "server_id": self.server_id,
-            "ok": True,
-            "from_height": from_height,
-            "head_height": self.log.height,
-            "blocks": blocks,
-        }
+            return self._refuse(
+                f"blocks below height {self.log.base_height} were checkpointed away"
+            )
+        blocks = [block for block in self.log if block.height >= from_height]
+        return StateResponse(self.log.height, tuple(self.faults.tamper_state_response(blocks)))
 
     # -- audit messages (Section 3.3) -----------------------------------------------------
 
@@ -444,19 +437,16 @@ class DatabaseServer:
 
     def _on_audit_vo_request(self, envelope: Envelope):
         """Produce a Verification Object for one item, optionally at a version."""
-        payload = envelope.payload
-        item_id = payload["item_id"]
-        at = payload.get("at")
+        item_id, at = envelope.payload.item_id, envelope.payload.at
         if item_id not in self.store:
-            return {"server_id": self.server_id, "ok": False, "reason": "item not stored here"}
+            return self._refuse("item not stored here")
         if at is None or not self.store.multi_versioned:
             vo = self.store.verification_object(item_id)
             root = self.store.merkle_root()
             value = self.store.read(item_id).value
         else:
-            timestamp = Timestamp(at[0], at[1]) if isinstance(at, (tuple, list)) else at
-            vo, root = self.store.verification_object_at(item_id, timestamp)
-            value = self.store.read_version(item_id, timestamp).value
+            vo, root = self.store.verification_object_at(item_id, at)
+            value = self.store.read_version(item_id, at).value
         return {"server_id": self.server_id, "ok": True, "vo": vo, "root": root, "value": value}
 
     # -- convenience -----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The determinism rules (analysis 4 of ``repro.check.static``): clean on the
+"""The determinism rules of ``repro.check.static``: clean on the
 real tree, each rule fires on its fixture."""
 
 from __future__ import annotations
@@ -88,6 +88,4 @@ class TestUnparsableSources:
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         (tmp_path / "broken.py").write_text("def oops(:\n")
         rules = {f.rule for f in run_analyses(SourceTree(tmp_path))}
-        # (Plus the whole-program analyses' complaint that a tree holding
-        # only a broken file has no wire registry.)
         assert "syntax" in rules and not rules & RULES

@@ -1,7 +1,7 @@
-"""Mutation self-test: the checker rediscovers two fixed historical bugs.
+"""Mutation self-test: the checker rediscovers fixed historical bugs.
 
-PR 3 fixed two real bugs; :mod:`repro.check.mutations` re-introduces each
-behind a flag.  The acceptance bar for the checker is that with either flag
+PR 3 fixed two real bugs and PR 7 a third; :mod:`repro.check.mutations`
+re-introduces each behind a flag.  The acceptance bar for the checker is that with either flag
 on it finds an invariant violation (with a minimized, replayable
 counterexample), and with both off a budgeted sweep over the crash and
 Byzantine branches stays invariant-clean across at least 1,000 distinct
@@ -16,6 +16,10 @@ from repro.check.explorer import Explorer
 from repro.check.mutations import enabled_mutations, mutated
 from repro.check.replay import replay, trace_from_counterexample
 from repro.check.scenarios import ClassicByzantineScenario, ClassicCrashScenario
+from repro.common.config import SystemConfig
+from repro.core.fides import FidesSystem
+from repro.server.faults import FaultPlan
+from repro.txn.operations import WriteOp
 
 
 def _explore_with(mutation: str, max_runs: int):
@@ -68,3 +72,24 @@ def test_clean_sweep_crosses_a_thousand_distinct_states():
         )
         total_states += result.distinct_states
     assert total_states >= 1000, f"only {total_states} distinct states covered"
+
+
+def _prepare_with_a_cohort_dying_mid_vote():
+    system = FidesSystem(
+        SystemConfig(num_servers=3, items_per_shard=8, txns_per_block=1, seed=7), protocol="2pc"
+    )
+    system.inject_fault("s2", [FaultPlan("crash", "s2", {"kind": "phase", "phases": ["vote"]})])
+    system.run_transaction([WriteOp(system.shard_map.items_of("s1")[0], 9)])
+    assert system.crashed_servers() == ["s2"]
+    return system.coordinator.results[-1]
+
+
+def test_the_2pc_tally_mutation_is_rediscovered_by_a_cohort_crashed_mid_prepare():
+    """``pr7-2pc-vote-keyerror``: 2PC tallies without failing the round on
+    refusals.  The tally can no longer ``KeyError`` -- ``timed_exchange``
+    hands it votes only -- so the bug as it can still be made is the worse
+    one: the round decides on the votes of whoever happened to answer."""
+    assert _prepare_with_a_cohort_dying_mid_vote().status == "failed"
+    with mutated("pr7-2pc-vote-keyerror"):
+        decided_without_s2 = _prepare_with_a_cohort_dying_mid_vote()
+    assert decided_without_s2.status == "committed"

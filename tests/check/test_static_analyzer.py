@@ -2,8 +2,8 @@
 
 Mirrors ``test_lint.py``'s structure, but the fixtures are synthetic package
 trees written to ``tmp_path`` because the analyses key off package names
-(``core``, ``server``...) and cross-module structure (the ``MessageType``
-enum, the dispatch table), which point fixtures cannot express.
+(``core``, ``server``...) and cross-module structure (a ``handle`` method and
+the ``_on_*`` handlers beside it), which point fixtures cannot express.
 """
 
 from __future__ import annotations
@@ -34,34 +34,34 @@ def write_tree(root: Path, files: dict) -> SourceTree:
     return SourceTree(root)
 
 
-#: Minimal surroundings every fixture tree shares: the enum, a dispatch
-#: table covering the enum, and a send site per member.
-def base_files(extra_members: str = "") -> dict:
+#: Minimal surroundings every fixture tree shares: a server whose ``handle``
+#: finds its handlers by name, and a driver that sends to it.
+def base_files() -> dict:
     return {
-        "net/message.py": f"""
-            class MessageType:
-                PING = "ping"
-                {extra_members}
-            """,
         "server/server.py": """
-            from repro.net.message import MessageType
-
             class Server:
                 def handle(self, envelope):
-                    handlers = {MessageType.PING: self._on_ping}
-                    return handlers[envelope.message_type](envelope)
+                    return getattr(self, "_on_" + envelope.message_type.value)(envelope)
 
                 def _on_ping(self, envelope):
-                    return {"ok": True}
+                    return Ack(self.server_id)
             """,
         "core/driver.py": """
-            from repro.net.message import MessageType
-
             class Driver:
                 def run(self):
-                    self.network.send("a", "b", MessageType.PING, {})
+                    self.network.send("a", "b", MessageType.PING, Ping())
             """,
     }
+
+
+#: A protocol-package file with one ``broad-except`` finding on its line 5.
+SLOPPY = """
+    def load(data):
+        try:
+            return decode(data)
+        except Exception:{marker}
+            return None
+    """
 
 
 def rules(findings):
@@ -82,51 +82,10 @@ class TestRepositoryIsClean:
         assert "clean" in capsys.readouterr().out
 
 
-class TestFlowTotality:
+class TestSourceTree:
     def test_clean_base_tree(self, tmp_path):
         tree = write_tree(tmp_path, base_files())
         assert run_analyses(tree) == []
-
-    def test_unhandled_message(self, tmp_path):
-        files = base_files(extra_members='ROGUE = "rogue"')
-        files["core/rogue.py"] = """
-            from repro.net.message import MessageType
-
-            def fire(network):
-                network.broadcast("a", MessageType.ROGUE, {})
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "unhandled-message")
-        assert [f.path for f in findings] == ["core/rogue.py"]
-        assert "ROGUE" in findings[0].message
-
-    def test_unsent_handler(self, tmp_path):
-        files = base_files(extra_members='GHOST = "ghost"')
-        files["server/server.py"] = """
-            from repro.net.message import MessageType
-
-            class Server:
-                def handle(self, envelope):
-                    handlers = {
-                        MessageType.PING: self._on_ping,
-                        MessageType.GHOST: self._on_ghost,
-                    }
-                    return handlers[envelope.message_type](envelope)
-
-                def _on_ping(self, envelope):
-                    return {"ok": True}
-
-                def _on_ghost(self, envelope):
-                    return {"ok": True}
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "unsent-handler")
-        assert [f.path for f in findings] == ["server/server.py"]
-        assert "GHOST" in findings[0].message
-
-    def test_dead_message_type(self, tmp_path):
-        files = base_files(extra_members='UNUSED = "unused"')
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "dead-message-type")
-        assert [f.path for f in findings] == ["net/message.py"]
-        assert "UNUSED" in findings[0].message
 
     def test_syntax_error_is_a_finding(self, tmp_path):
         files = base_files()
@@ -138,94 +97,47 @@ class TestFlowTotality:
 class TestExceptionEffects:
     def test_broad_except_flagged_in_protocol_package(self, tmp_path):
         files = base_files()
-        files["core/sloppy.py"] = """
-            def load(data):
-                try:
-                    return decode(data)
-                except Exception:
-                    return None
-            """
+        files["core/sloppy.py"] = SLOPPY.format(marker="")
         findings = by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except")
         assert [f.path for f in findings] == ["core/sloppy.py"]
 
     def test_broad_except_ignored_outside_protocol_packages(self, tmp_path):
         files = base_files()
-        files["bench/sloppy.py"] = """
-            def load(data):
-                try:
-                    return decode(data)
-                except Exception:
-                    return None
-            """
+        files["bench/sloppy.py"] = SLOPPY.format(marker="")
         assert by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except") == []
-
-    def test_unguarded_subscript_on_response_map(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            def tally(self):
-                votes = timed_broadcast(self.network, "c", [], None, {})
-                return [vote["decision"] for vote in votes.values()]
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "unguarded-subscript")
-        assert findings and "decision" in findings[0].message
-
-    def test_guarded_subscript_is_clean(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            def tally(self):
-                votes = timed_broadcast(self.network, "c", [], None, {})
-                unreachable = [v for v in votes.values() if v.get("unreachable")]
-                if unreachable:
-                    return None
-                return [vote["decision"] for vote in votes.values()]
-            """
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "unguarded-subscript") == []
-
-    def test_safe_keys_are_exempt(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            def tally(self):
-                votes = timed_broadcast(self.network, "c", [], None, {})
-                return [vote["ok"] for vote in votes.values()]
-            """
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "unguarded-subscript") == []
-
-    def test_unguarded_minmax(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            def newest(self):
-                votes = timed_broadcast(self.network, "c", [], None, {})
-                return max(votes)
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "unguarded-minmax")
-        assert findings and "default=" in findings[0].message
-
-    def test_minmax_with_default_is_clean(self, tmp_path):
-        files = base_files()
-        files["core/coord.py"] = """
-            def newest(self):
-                votes = timed_broadcast(self.network, "c", [], None, {})
-                return max(votes, default=0)
-            """
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "unguarded-minmax") == []
 
     def test_escaping_raise_in_handler_reachable_code(self, tmp_path):
         files = base_files()
         files["server/server.py"] = """
-            from repro.net.message import MessageType
-
             class Server:
                 def handle(self, envelope):
-                    handlers = {MessageType.PING: self._on_ping}
-                    return handlers[envelope.message_type](envelope)
+                    return getattr(self, "_on_" + envelope.message_type.value)(envelope)
 
                 def _on_ping(self, envelope):
-                    if not envelope.payload:
+                    return self.layer.ping(envelope.payload)
+
+            class Layer:
+                def ping(self, request):
+                    if not request.nonce:
                         raise ValueError("empty ping")
-                    return {"ok": True}
+                    return Ack("s0")
             """
         findings = by_rule(run_analyses(write_tree(tmp_path, files)), "escaping-raise")
-        assert findings and "ValueError" in findings[0].message
+        assert [f.function for f in findings] == ["Layer.ping"]
+        assert "ValueError" in findings[0].message
+
+    def test_a_handler_is_a_root_by_its_name_alone(self, tmp_path):
+        # No table names the handler: ``_on_<type>`` beside ``handle`` is enough.
+        files = base_files()
+        files["server/server.py"] += """
+                def _on_pong(self, envelope):
+                    raise KeyError("pong")
+
+                def helper_nobody_calls(self):
+                    raise KeyError("unreachable")
+            """
+        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "escaping-raise")
+        assert [f.function for f in findings] == ["Server._on_pong"]
 
     def test_raise_unreachable_from_dispatch_is_ignored(self, tmp_path):
         files = base_files()
@@ -240,18 +152,19 @@ class TestExceptionEffects:
 
 class TestSuppressionAndBaseline:
     def test_static_allow_marker_suppresses(self, tmp_path):
-        files = base_files(extra_members='UNUSED = "unused"  # static: allow')
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "dead-message-type") == []
+        files = {**base_files(), "core/sloppy.py": SLOPPY.format(marker="  # static: allow")}
+        assert by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except") == []
 
     def test_static_allow_with_rule_list_is_selective(self, tmp_path):
-        files = base_files(
-            extra_members='UNUSED = "unused"  # static: allow[unguarded-subscript]'
-        )
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "dead-message-type")
+        files = {
+            **base_files(),
+            "core/sloppy.py": SLOPPY.format(marker="  # static: allow[escaping-raise]"),
+        }
+        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except")
         assert findings, "marker names a different rule, so the finding stays"
 
     def test_baseline_roundtrip_and_report_schema(self, tmp_path):
-        files = base_files(extra_members='UNUSED = "unused"')
+        files = {**base_files(), "core/sloppy.py": SLOPPY.format(marker="")}
         tree = write_tree(tmp_path, files)
         findings = run_analyses(tree)
         assert findings
@@ -261,14 +174,13 @@ class TestSuppressionAndBaseline:
         baseline = load_baseline(baseline_path)
         assert baseline == {finding.key for finding in findings}
 
-        report = build_report(findings, tmp_path, [], baseline)
+        report = build_report(findings, tmp_path, baseline)
         assert validate_report(report) == []
         assert report["new_findings"] == []
         assert report["baselined_findings"] == sorted(baseline)
 
     def test_cli_baseline_workflow(self, tmp_path, capsys):
-        files = base_files(extra_members='UNUSED = "unused"')
-        write_tree(tmp_path, files)
+        write_tree(tmp_path, {**base_files(), "core/sloppy.py": SLOPPY.format(marker="")})
         baseline = tmp_path / "baseline.json"
         args = ["--root", str(tmp_path), "--baseline", str(baseline)]
 
@@ -282,7 +194,7 @@ class TestSuppressionAndBaseline:
         assert main(args + ["--json", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert validate_report(report) == []
-        assert report["counts"] == {"dead-message-type": 1}
+        assert report["counts"] == {"broad-except": 1}
 
     def test_stale_baseline_entry_is_reported(self, tmp_path, capsys):
         write_tree(tmp_path, base_files())

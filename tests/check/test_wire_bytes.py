@@ -17,6 +17,7 @@ import pytest
 
 from repro.common.encoding import canonical_encode
 from repro.common.timestamps import Timestamp
+from repro.net.forms import MESSAGES
 from repro.net.message import Envelope, MessageType
 from repro.storage.record import RecordVersion
 
@@ -45,6 +46,30 @@ WIRE_DIGESTS = {
     "VoteResult": "12297b746bc427762508a320fe674d5f18e65df59f509ee627c39b217cd1a9ba",
     "WriteOp": "9cf70d7617d5a503656464bdd21b1160af8b6c412cadcd98d727bd231f31e3a9",
     "WriteSetEntry": "68d794f7f94c8ddcf456058f35aa4f8c6f0ba0bbdb2ff530b5866b81f0aba952",
+    # The request forms of the message table: REQUEST_PAYLOAD_DIGESTS' literals.
+    "BeginTxn": "3f592b6740e6ec37970b0a7a136430506915e1fcfdc9f1a86ae386f354c36ce9",
+    "ReadItem": "85daabd56cb872e90917d10c3bf3d9dd10a9328115191f772d65936e8cb68edf",
+    "WriteItem": "660994a488d38da4b21d0ee3377f4a47378027550da419c2e9ac7fb4fc945ec0",
+    "EndTxn": "7b1469672581f1a74b37a54cfc4bc3125fbae25bddebe82cf4e4032e1396ed0d",
+    "Proposal": "2f353c5f80525219048cfadda3c0f8dccb766199dd93fe9d3c5305046e656912",
+    "Challenge": "abbbff22b5cf6de36323ceccf2e002ff260f04c326609e1189f35b6bf2478f97",
+    "DecidedBlock": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
+    "RoundFailed": "1273806ee3b196b7f3c0792aefb1d197ef5a07b6c932cf6ccfc4afb211bb3f8b",
+    "AnchorSealed": "cf67fb06c314d2d4d8ced73a49706bb3abdd116ff1a8fad97ed4847d8a8f46a1",
+    "ViewChange": "3791619eda1fc401f3dd2ee239095205d2cf4bda7b68d64fd78001c678ce02cf",
+    "StateRequest": "d907c95e9167a5ee053da65b87b6a02e91338c4de94f1bee698afe8e80a831e9",
+    "AuditLogRequest": "36c56a3ce6b05d8c06f86ae5afb30c109dfbbabb2a66ad9339d95d6256eecb26",
+    "AuditVoRequest": "310f5f72cfba84583515d557ed57adb40e5003188be63b72d785b8f9c7726b29",
+    # The reply forms (new with the table: replies are neither signed nor metered).
+    "Refusal": "879416750e837a4da2efd41b6b4fb7f6e7384da07a6b9164c260ca1d073a1ba5",
+    "Ack": "846b2828cddd804b633e6a61213cd4058e33f969a45d5f3703f34c01f8afff45",
+    "WriteAck": "ff32cb8cc6d4d36db9dd8582cabc74a2d02849a60ca4da77486d88a1469cff58",
+    "PrepareVote": "0e50849be121f06e386552bb3c304f0e361c263f19b1a72fe229d5454d49fdf7",
+    "ChallengeResponse": "d610d561e97d38a874f80c12ed7faf38e9969f345bff796eeefb90d860e11edf",
+    "Applied": "944319e1ef02c00c06782786f475b86c26751bded6e417b2075f79231b55aa58",
+    "Released": "9c6278ad062a81018494c241d2f4990ed780c3bef274ffad0f49c45355c34fdb",
+    "FrontierReport": "77f1daad50ee6468ee4d7bfb351773b599024c662b4e960153426069a3c9d600",
+    "StateResponse": "eeff80b99b84e6df884e8215d7b9f1704d25ac5581ac5af80bfa29fcd27aeaa9",
 }
 
 #: The two sub-forms that are hashed or signed on their own.
@@ -190,3 +215,13 @@ def test_every_request_message_is_pinned():
 @pytest.mark.parametrize("message", sorted(REQUEST_PAYLOAD_DIGESTS))
 def test_request_payload_dict_form_encodes_to_the_pinned_bytes(message):
     assert _digest(request_payload_dicts()[message]) == REQUEST_PAYLOAD_DIGESTS[message]
+
+
+@pytest.mark.parametrize("message_type", MessageType, ids=lambda m: m.value)
+def test_the_request_forms_write_the_bytes_the_dict_payloads_did(message_type):
+    """The literals above were recorded before the forms existed."""
+    form = MESSAGES[message_type].request.__name__
+    assert WIRE_DIGESTS[form] == REQUEST_PAYLOAD_DIGESTS[message_type.value]
+    assert canonical_encode(BUILDERS[form]()) == canonical_encode(
+        request_payload_dicts()[message_type.value]
+    )

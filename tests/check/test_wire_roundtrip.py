@@ -21,18 +21,18 @@ from repro.common.timestamps import Timestamp
 from repro.common.wire import INT, WIRE_CLASSES, wire_form
 from repro.core.grouping import ServerGroup
 from repro.core.rounds import TxnOutcome
-from repro.core.viewchange import FrontierCertificate
 from repro.crypto.cosi import CollectiveSignature
 from repro.crypto.merkle import VerificationObject
 from repro.ledger.anchor import EpochAnchor
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.checkpoint import Checkpoint
+from repro.net import forms
+from repro.net.forms import FrontierCertificate, VoteResult
 from repro.net.message import Envelope, MessageType
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
 from repro.recovery.statestore import BlockRecord, SnapshotRecord
 from repro.recovery.wire import WIRE_DECODERS
-from repro.server.commitment import VoteResult
 from repro.storage.datastore import ReadResult
 from repro.storage.record import RecordVersion
 from repro.txn.operations import ReadOp, WriteOp
@@ -158,6 +158,47 @@ BUILDERS = {
     ),
     "WriteOp": lambda: WriteOp(item_id="x2", value=9),
     "WriteSetEntry": lambda: _WRITE,
+    # -- the request forms of the message table (repro.net.forms) -------------------
+    "BeginTxn": lambda: forms.BeginTxn(txn_id="c1-txn-7", client_id="c1"),
+    "ReadItem": lambda: forms.ReadItem(txn_id="c1-txn-7", item_id="x1"),
+    "WriteItem": lambda: forms.WriteItem(txn_id="c1-txn-7", item_id="x2", value={"k": [1, b"v"]}),
+    "EndTxn": lambda: forms.EndTxn(transaction=_TXN, commit_ts=_TS2),
+    "Proposal": lambda: forms.Proposal(
+        block=BUILDERS["Block"](),
+        client_requests=(
+            Envelope(
+                "c1", "s0", MessageType.END_TRANSACTION, BUILDERS["EndTxn"](), b"\x06" * 16
+            ),
+        ),
+    ),
+    "Challenge": lambda: forms.Challenge(
+        challenge=11, aggregate_commitment=b"\x09" * 33, block=BUILDERS["Block"]()
+    ),
+    "DecidedBlock": lambda: forms.DecidedBlock(block=BUILDERS["Block"]()),
+    "RoundFailed": lambda: forms.RoundFailed(round_key=("group", 3, "t1", "t2")),
+    "AnchorSealed": lambda: forms.AnchorSealed(anchor=BUILDERS["EpochAnchor"]()),
+    "ViewChange": lambda: forms.ViewChange(group=("s1", "s0"), deposed="s0", view=3),
+    "StateRequest": lambda: forms.StateRequest(from_height=4),
+    "AuditLogRequest": lambda: forms.AuditLogRequest(full=True),
+    "AuditVoRequest": lambda: forms.AuditVoRequest(item_id="x1", at=_TS2),
+    # -- ... and the reply forms --------------------------------------------------
+    "Refusal": lambda: forms.Refusal(
+        server_id="s1", reason="round is challenged", compute_time=0.5, unreachable=False
+    ),
+    "Ack": lambda: forms.Ack(server_id="s1"),
+    "WriteAck": lambda: forms.WriteAck(old=BUILDERS["ReadResult"]()),
+    "PrepareVote": lambda: forms.PrepareVote(
+        involved=True, decision="abort", reason="stale read", compute_time=0.5
+    ),
+    "ChallengeResponse": lambda: forms.ChallengeResponse(response=22, compute_time=0.5),
+    "Applied": lambda: forms.Applied(state_known=True, compute_time=0.5),
+    "Released": lambda: forms.Released(released=2, compute_time=0.5),
+    "FrontierReport": lambda: forms.FrontierReport(
+        certificate=BUILDERS["FrontierCertificate"](),
+        stalled=(BUILDERS["Proposal"](),),
+        compute_time=0.5,
+    ),
+    "StateResponse": lambda: forms.StateResponse(head_height=5, blocks=(BUILDERS["Block"](),)),
 }
 
 

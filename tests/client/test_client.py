@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import FidesError
 from repro.common.timestamps import Timestamp
+from repro.net.message import MessageType
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -107,23 +108,18 @@ class TestSession:
 
 
 class TestLyingServer:
-    """A READ / WRITE reply is an untrusted server's word: the client decodes
-    it with ``ReadResult.from_wire``, so a malformed reply is a ``FidesError``
-    the application can catch -- it used to escape as ``TypeError``."""
-
-    @staticmethod
-    def _lie(system, item, handler, damage):
-        server = system.server(system.shard_map.server_for(item))
-        honest = getattr(server, handler)
-        setattr(server, handler, lambda envelope: damage(honest(envelope)))
+    """A READ / WRITE reply is an untrusted server's word: the client reads
+    it with ``read_reply``, so a malformed reply is a ``FidesError`` the
+    application can catch -- it used to escape as ``TypeError``."""
 
     @pytest.mark.parametrize(
         "rts", [["3", 7], [3], 3, None, [-1, "c0"]],
         ids=["swapped-types", "short", "scalar", "none", "negative"],
     )
-    def test_a_malformed_read_reply_is_a_fides_error(self, small_system, rts):
+    def test_a_malformed_read_reply_is_a_fides_error(self, small_system, lie, rts):
         item = small_system.shard_map.all_items()[0]
-        self._lie(small_system, item, "_on_read", lambda reply: {**reply, "rts": rts})
+        server_id = small_system.shard_map.server_for(item)
+        lie(small_system, server_id, MessageType.READ, lambda reply: {**reply, "rts": rts})
         client = small_system.client(0)
         session = client.begin()
         with pytest.raises(FidesError, match="rts"):
@@ -138,9 +134,9 @@ class TestLyingServer:
         ],
         ids=["str-wts", "no-old"],
     )
-    def test_a_malformed_write_reply_is_a_fides_error(self, small_system, damage):
+    def test_a_malformed_write_reply_is_a_fides_error(self, small_system, lie, damage):
         item = small_system.shard_map.all_items()[0]
-        self._lie(small_system, item, "_on_write", damage)
+        lie(small_system, small_system.shard_map.server_for(item), MessageType.WRITE, damage)
         client = small_system.client(0)
         session = client.begin()
         with pytest.raises(FidesError):

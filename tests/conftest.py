@@ -135,6 +135,27 @@ def make_scaled_system():
 
 
 @pytest.fixture
+def lie():
+    """Have a server damage its replies to one message type.
+
+    The damage is done to what crosses the wire -- the reply as plain data,
+    after ``DatabaseServer.handle`` flattened it -- so it can say anything a
+    lying peer could, not only what a reply form can hold.
+    """
+
+    def install(system: FidesSystem, server_id: str, message_type, damage) -> None:
+        server = system.servers[server_id]
+
+        def handle(envelope):
+            reply = server.handle(envelope)
+            return damage(reply) if envelope.message_type is message_type else reply
+
+        system.network.register(server_id, server.keypair, handle, replace=True)
+
+    return install
+
+
+@pytest.fixture
 def run_history(workload_factory):
     """Drive ``count`` committed transactions through a system.
 

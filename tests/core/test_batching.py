@@ -7,6 +7,7 @@ import pytest
 from repro.common.timestamps import Timestamp
 from repro.core.rounds import BatchBuilder
 from repro.common.errors import ProtocolError
+from repro.net.forms import EndTxn
 from repro.net.message import Envelope, MessageType
 from repro.txn.transaction import Transaction, WriteSetEntry
 
@@ -109,7 +110,7 @@ class TestBatchedCommit:
                     sender="c0",
                     recipient=coordinator.coordinator_id,
                     message_type=MessageType.END_TRANSACTION,
-                    payload={"transaction": txn, "commit_ts": txn.commit_ts.as_tuple()},
+                    payload=EndTxn(txn, txn.commit_ts),
                 )
             )
             return coordinator.on_end_transaction(envelope)

@@ -13,6 +13,8 @@ mid-challenge cohort crash, and the round-timeout charge for silent peers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolError
@@ -22,6 +24,8 @@ from repro.core.viewchange import (
     elect_successor,
     verify_certificate,
 )
+from repro.net.forms import FrontierCertificate
+from repro.net.message import MessageType
 from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
@@ -52,7 +56,7 @@ class TestClassicFailover:
         result = small_system.coordinator.results[-1]
         assert result.status == "failed"
         assert any(
-            r.get("unreachable") and r.get("server_id") == "s0"
+            r.unreachable and r.server_id == "s0"
             for r in result.refusals
         )
         # No ROUND_FAILED went out on the dead coordinator's behalf: the
@@ -85,7 +89,9 @@ class TestClassicFailover:
         report = small_system.audit()
         assert report.ok, report.summary()
 
-    def test_a_lying_cohorts_malformed_certificate_is_discarded_not_fatal(self, small_system):
+    def test_a_lying_cohorts_malformed_certificate_is_discarded_not_fatal(
+        self, small_system, lie
+    ):
         """One cohort answers VIEW_CHANGE with a head block whose group
         members are bytes, not server ids.  Strict decoding rejects it at the
         boundary (it used to decode, then blow up with ``AttributeError``
@@ -94,15 +100,12 @@ class TestClassicFailover:
         items = small_system.shard_map.items_of("s1")
         assert small_system.run_transaction([WriteOp(items[0], 1)]).committed
         _strand_round(small_system, items[1])
-        liar = small_system.server("s2").commitment
-        honest_answer = liar.handle_view_change
 
-        def lying_answer(**solicitation):
-            response = honest_answer(**solicitation)
-            response["certificate"]["head"]["body"]["group"] = [b"s0", b"s1"]
-            return response
+        def lying_answer(report):
+            report["certificate"]["head"]["body"]["group"] = [b"s0", b"s1"]
+            return report
 
-        liar.handle_view_change = lying_answer
+        lie(small_system, "s2", MessageType.VIEW_CHANGE, lying_answer)
         outcome = small_system.fail_over()
         assert outcome.rejected_certificates == ["s2"]
         assert sorted(outcome.certificates) == ["s1"]
@@ -137,7 +140,7 @@ class TestClassicFailover:
         result = zombie.results[-1]
         assert result.status == "failed"
         assert any(
-            "below this cohort's current view" in r.get("reason", "")
+            "below this cohort's current view" in r.reason
             for r in result.refusals
         )
         assert all(height == 0 for height in small_system.log_heights().values())
@@ -240,7 +243,7 @@ class TestTwoPhaseCommitCrashPaths:
         assert outcome.status == "failed"
         result = twopc_system.coordinator.results[-1]
         assert any(
-            r.get("unreachable") and r.get("server_id") == "s2"
+            r.unreachable and r.server_id == "s2"
             for r in result.refusals
         )
         # The live coordinator told the surviving cohorts to release their
@@ -287,7 +290,7 @@ class TestCrashDuringEquivocation:
         assert "s2" in small_system.crashed_servers()
         result = small_system.coordinator.results[-1]
         assert any(
-            r.get("unreachable") and r.get("server_id") == "s2"
+            r.unreachable and r.server_id == "s2"
             for r in result.refusals
         )
         # Atomicity held, and the surviving cohort released its round state.
@@ -355,23 +358,25 @@ class TestViewChangeUnits:
         assert small_system.run_transaction([WriteOp(item, 9)]).committed
         log = small_system.server("s1").log
         public_keys = small_system.network.public_key_directory()
-        honest = {
-            "server_id": "s1",
-            "view": 0,
-            "height": log.height,
-            "head_hash": log.head_hash,
-            "head": log.last_block().to_wire(),
-        }
-        cert = verify_certificate(honest, public_keys, "s1")
-        assert cert is not None and cert.height == 1
+        honest = FrontierCertificate(
+            server_id="s1",
+            view=0,
+            height=log.height,
+            head_hash=log.head_hash,
+            head=log.last_block().to_wire(),
+        )
+        assert honest.height == 1 and verify_certificate(honest, public_keys, "s1")
 
         # A claimed frontier whose co-signed head does not hash to it is a
         # lie the successor discards.
-        assert verify_certificate(dict(honest, head_hash=b"\x00" * 32), public_keys, "s1") is None
+        assert not verify_certificate(replace(honest, head_hash=b"\x00" * 32), public_keys, "s1")
         # A non-empty frontier with no head proves nothing.
-        assert verify_certificate(dict(honest, head=None), public_keys, "s1") is None
+        assert not verify_certificate(replace(honest, head=None), public_keys, "s1")
         # A certificate relayed under the wrong cohort id is discarded too.
-        assert verify_certificate(honest, public_keys, "s2") is None
+        assert not verify_certificate(honest, public_keys, "s2")
+        # The trusted baseline checks who it is from, and nothing else.
+        assert verify_certificate(replace(honest, head=None), public_keys, "s1", trusted=True)
+        assert not verify_certificate(honest, public_keys, "s2", trusted=True)
 
     def test_already_committed_guards_reproposals(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]

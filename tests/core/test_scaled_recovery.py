@@ -43,9 +43,9 @@ class TestScaledCrashRecoveryEndToEnd:
             for coordinator in system.coordinators.values()
             for result in coordinator.results
             for refusal in result.refusals
-            if refusal.get("unreachable")
+            if refusal.unreachable
         ]
-        assert any(r.get("server_id") == "s3" for r in unreachable_refusals)
+        assert any(r.server_id == "s3" for r in unreachable_refusals)
         # Failed rounds released their cohort state (ROUND_FAILED worked).
         for server_id in ("s0", "s1", "s2"):
             assert system.servers[server_id].commitment.pending_round_count() == 0
@@ -97,7 +97,7 @@ class TestScaledCrashRecoveryEndToEnd:
         missed = [
             failure
             for failure in system.delivery_failures[before:]
-            if failure.get("unreachable") and failure.get("server_id") == "s3"
+            if failure.unreachable and failure.server_id == "s3"
         ]
         assert len(missed) > 0
         recovery = system.recover_server("s3")

@@ -19,6 +19,7 @@ from repro.core.grouping import ServerGroup
 from repro.core.sequencing import OrderingService
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block, BlockDecision
+from repro.net.forms import Refusal
 from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.ycsb import PartitionedWorkload, TransactionSpec
 
@@ -309,8 +310,8 @@ class TestDecisionPathGroupDefense:
         public_keys = system.network.public_key_directory()
         # DECISION and ORDERED_BLOCK both end in this one terminal path.
         response = victim.commitment.handle_decision(forged, public_keys)
-        assert not response["ok"]
-        assert "signer set" in response["reason"]
+        assert isinstance(response, Refusal)
+        assert "signer set" in response.reason
         assert len(victim.log) == 0
         assert victim.store.read(item).value == 0
 

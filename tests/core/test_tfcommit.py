@@ -99,6 +99,7 @@ class TestAbortPath:
 
     def test_stale_commit_timestamp_is_ignored(self, small_system):
         from repro.common.timestamps import Timestamp
+        from repro.net.forms import EndTxn
         from repro.net.message import Envelope, MessageType
         from repro.txn.transaction import Transaction, WriteSetEntry
 
@@ -113,7 +114,9 @@ class TestAbortPath:
             write_set=[WriteSetEntry(item, 123)],
         )
         envelope = small_system.network.sign_envelope(
-            Envelope("c0", "s0", MessageType.END_TRANSACTION, {"transaction": stale_txn})
+            Envelope(
+                "c0", "s0", MessageType.END_TRANSACTION, EndTxn(stale_txn, stale_txn.commit_ts)
+            )
         )
         response = small_system.network.send(
             "c0", "s0", MessageType.END_TRANSACTION, envelope.payload, presigned=envelope

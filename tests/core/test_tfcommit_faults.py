@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.message import MessageType
 from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
@@ -41,7 +42,7 @@ class TestFakeRoot:
         assert outcome.status == "failed"
         result = small_system.coordinator.results[-1]
         assert result.refusals
-        assert any("different root" in r.get("reason", "") for r in result.refusals)
+        assert any("different root" in r.reason for r in result.refusals)
         # The victim's datastore is untouched and nothing was logged.
         assert small_system.server("s1").store.read(item).value == 0
         assert all(height == 0 for height in small_system.log_heights().values())
@@ -93,7 +94,7 @@ class TestEquivocatingCoordinator:
         assert outcome.status == "failed"
         result = small_system.coordinator.results[-1]
         assert result.refusals
-        assert any("does not correspond" in r.get("reason", "") for r in result.refusals)
+        assert any("does not correspond" in r.reason for r in result.refusals)
         # Atomicity is preserved: no server applied the write or grew its log.
         assert all(height == 0 for height in small_system.log_heights().values())
         assert small_system.server("s1").store.read(item).value == 0
@@ -109,35 +110,28 @@ class TestEquivocatingCoordinator:
 
 
 class TestMalformedVote:
-    """A vote is an untrusted peer's reply: the coordinator decodes it with
-    ``VoteResult.from_wire``, and a vote that does not decode fails the round
-    like any refusal.  These used to escape ``commit_batch`` as ``KeyError``
-    (a missing field) or ``TypeError`` (a field of the wrong type)."""
+    """A vote is an untrusted peer's reply: the coordinator reads it with
+    ``read_reply``, and a vote that does not decode fails the round like any
+    refusal.  These used to escape ``commit_batch`` as ``KeyError`` (a
+    missing field) or ``TypeError`` (a field of the wrong type)."""
 
     @staticmethod
-    def _lie(system, server_id, damage):
-        """Make ``server_id`` answer ``GET_VOTE`` with a damaged vote."""
-        server = system.server(server_id)
-        honest = server._on_get_vote
+    def _damaged(damage):
+        """A vote with ``damage`` done to it, as the liar's reply on the wire."""
 
-        def lying(envelope):
-            vote = dict(honest(envelope))
-            for key, value in damage.items():
-                if value is _DROP:
-                    del vote[key]
-                else:
-                    vote[key] = value
-            return vote
+        def lying(vote):
+            vote = {**vote, **damage}
+            return {key: value for key, value in vote.items() if value is not _DROP}
 
-        server._on_get_vote = lying
+        return lying
 
     @pytest.mark.parametrize(
         "field, value",
         [("commitment", _DROP), ("commitment", 7), ("mht_hashes", "6"), ("involved", 1)],
         ids=["missing-commitment", "int-commitment", "str-mht-hashes", "int-involved"],
     )
-    def test_a_vote_that_does_not_decode_fails_the_round(self, small_system, field, value):
-        self._lie(small_system, "s2", {field: value})
+    def test_a_vote_that_does_not_decode_fails_the_round(self, small_system, lie, field, value):
+        lie(small_system, "s2", MessageType.GET_VOTE, self._damaged({field: value}))
         item = small_system.shard_map.items_of("s1")[0]
         outcome = small_system.run_transaction([WriteOp(item, 9)])
         assert outcome.status == "failed"
@@ -145,17 +139,17 @@ class TestMalformedVote:
         assert result.status == "failed"
         # The liar's reply is the one refusal, its reason names the field,
         # and nobody else is accused.
-        assert [refusal["server_id"] for refusal in result.refusals] == ["s2"]
-        assert field in result.refusals[0]["reason"]
+        assert [refusal.server_id for refusal in result.refusals] == ["s2"]
+        assert field in result.refusals[0].reason
         assert result.culprits == []
         # ROUND_FAILED went out: no cohort still holds the round, nothing committed.
         for server_id, server in small_system.servers.items():
             assert server.commitment.pending_round_count() == 0, server_id
         assert all(height == 0 for height in small_system.log_heights().values())
 
-    def test_the_next_round_commits_once_the_cohort_stops_lying(self, small_system):
-        self._lie(small_system, "s2", {"commitment": _DROP})
+    def test_the_next_round_commits_once_the_cohort_stops_lying(self, small_system, lie):
+        lie(small_system, "s2", MessageType.GET_VOTE, self._damaged({"commitment": _DROP}))
         item = small_system.shard_map.items_of("s1")[0]
         assert small_system.run_transaction([WriteOp(item, 9)]).status == "failed"
-        del small_system.server("s2")._on_get_vote
+        small_system.server("s2").attach(small_system.network, rejoin=True)
         assert small_system.run_transaction([WriteOp(item, 9)]).committed

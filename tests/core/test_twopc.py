@@ -56,22 +56,23 @@ class TestEmptyCohortGuards:
         sequence``."""
         from repro.core.rounds import TimingBreakdown, timed_broadcast
         from repro.ledger.block import make_partial_block
+        from repro.net.forms import Proposal
         from repro.net.message import MessageType
 
         timing = TimingBreakdown()
         block = make_partial_block(0, [], b"\x00" * 32)
-        responses = timed_broadcast(
+        answers = timed_broadcast(
             twopc_system.network,
             twopc_system.latency,
             "s0",
             [],
             MessageType.PREPARE,
-            {"block": block},
+            Proposal(block),
             timing,
             "prepare",
             sim=twopc_system.sim,
         )
-        assert responses == {}
+        assert answers == ({}, [])
         assert timing.phases["prepare"] == 0.0
         assert timing.network_time == 0.0
         assert timing.compute_time == 0.0

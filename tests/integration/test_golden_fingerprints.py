@@ -166,12 +166,12 @@ def _fail_one_round(system, plan, expect) -> dict:
 FAILED_ROUNDS = {
     "classic-tfcommit-cohort-crash-fails": lambda: (
         FaultPlan("crash", "s2", AT_VOTE),
-        lambda result: [r["server_id"] for r in result.refusals if r.get("unreachable")]
+        lambda result: [r.server_id for r in result.refusals if r.unreachable]
         == ["s2"],
     ),
     "classic-tfcommit-fake-root-fails": lambda: (
         FaultPlan("fake-root", "s0", params={"victim": "s1"}),
-        lambda result: any("different root" in r["reason"] for r in result.refusals),
+        lambda result: any("different root" in r.reason for r in result.refusals),
     ),
     "classic-tfcommit-bad-cosi-fails": lambda: (
         FaultPlan("corrupt-response", "s2"),

@@ -10,6 +10,7 @@ from repro.common.errors import (
     UnreachableError,
 )
 from repro.crypto.keys import keypair_for
+from repro.net.forms import RoundFailed, StateResponse
 from repro.net.message import MessageType
 from repro.recovery.statestore import FileStateStore
 from repro.server.faults import FaultPlan
@@ -61,7 +62,7 @@ class TestNetworkRejoin:
         assert not network.is_reachable("s2")
         assert "s2" in network.public_key_directory()
         with pytest.raises(UnreachableError):
-            network.send("s0", "s2", MessageType.ROUND_FAILED, {"round_key": ["height", 0]})
+            network.send("s0", "s2", MessageType.ROUND_FAILED, RoundFailed(("height", 0)))
         assert network.stats.messages_undeliverable == 1
 
 
@@ -101,7 +102,7 @@ class TestCrashLifecycle:
             assert small_system.server(server_id).commitment.pending_round_count() == 0
         failed = [r for r in small_system.coordinator.results if r.status == "failed"]
         assert failed and any(
-            refusal.get("unreachable") and refusal.get("server_id") == "s2"
+            refusal.unreachable and refusal.server_id == "s2"
             for refusal in failed[0].refusals
         )
         recovery = small_system.recover_server("s2")
@@ -148,13 +149,8 @@ class TestCrashLifecycle:
         restored_height = small_system.server("s0").log.height - 1
 
         def lagging_handler(envelope):
-            return {
-                "server_id": "laggard",
-                "ok": True,
-                "from_height": envelope.payload["from_height"],
-                "head_height": restored_height,  # "you are already caught up"
-                "blocks": [],
-            }
+            # "You are already caught up."
+            return StateResponse(head_height=restored_height, blocks=()).to_wire()
 
         network.register("laggard", keypair_for("laggard", seed=3), lagging_handler)
         result = small_system.recover_server("s1", peer_order=["laggard", "s0"])

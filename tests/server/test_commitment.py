@@ -17,8 +17,21 @@ from repro.crypto.group import CURVE_ORDER, decompress_point, generator_multiply
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, genesis_previous_hash, make_partial_block
 from repro.ledger.log import TransactionLog
+from repro.net.forms import (
+    Applied,
+    Challenge,
+    ChallengeResponse,
+    DecidedBlock,
+    EndTxn,
+    Proposal,
+    ReadItem,
+    Refusal,
+    RoundFailed,
+    ViewChange,
+    read_reply,
+)
 from repro.net.latency import ConstantLatency
-from repro.net.message import MessageType
+from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
 from repro.obs import Observability
 from repro.server.commitment import COHORT_TRANSITIONS, CohortStatus, CommitmentLayer
@@ -111,8 +124,8 @@ class TestVotePhase:
         cohorts = make_cohorts()
         block = make_partial_block(3, [make_txn("s0-item")], genesis_previous_hash())
         answer = cohorts["s0"].handle_get_vote(block)
-        assert answer["ok"] is False and answer["refused"]
-        assert "does not extend local log" in answer["reason"]
+        assert isinstance(answer, Refusal)
+        assert "does not extend local log" in answer.reason
         assert cohorts["s0"].pending_round_count() == 0
 
 
@@ -121,15 +134,15 @@ class TestChallengePhase:
         cohorts = make_cohorts()
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         _, decided, challenge, responses = run_phases(cohorts, block)
-        assert all(resp["ok"] for resp in responses.values())
+        assert all(isinstance(resp, ChallengeResponse) for resp in responses.values())
 
     def test_challenge_for_unknown_round_rejected(self):
         cohorts = make_cohorts()
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         decided = block.with_decision(BlockDecision.COMMIT, {})
         response = cohorts["s0"].handle_challenge(1, b"\x00", decided)
-        assert not response["ok"] and response["response"] is None
-        assert "never voted" in response["reason"]
+        assert isinstance(response, Refusal)
+        assert "never voted" in response.reason
 
     def test_cohort_detects_fake_root(self):
         # Scenario 2: the coordinator records a wrong root for a benign server.
@@ -141,8 +154,8 @@ class TestChallengePhase:
         aggregate = aggregate_points(decompress_point(v.commitment) for v in votes.values())
         challenge = compute_challenge(aggregate, decided.body_digest())
         response = cohorts["s0"].handle_challenge(challenge, aggregate.encode(), decided)
-        assert not response["ok"]
-        assert "different root" in response["reason"]
+        assert isinstance(response, Refusal)
+        assert "different root" in response.reason
 
     def test_cohort_detects_challenge_block_mismatch(self):
         # Lemma 5 / Case 1: the challenge was computed over a different block.
@@ -155,8 +168,8 @@ class TestChallengePhase:
         aggregate = aggregate_points(decompress_point(v.commitment) for v in votes.values())
         challenge = compute_challenge(aggregate, commit_block.body_digest())
         response = cohorts["s1"].handle_challenge(challenge, aggregate.encode(), abort_block)
-        assert not response["ok"]
-        assert "does not correspond" in response["reason"]
+        assert isinstance(response, Refusal)
+        assert "does not correspond" in response.reason
 
     def test_cohort_refuses_commit_after_voting_abort(self):
         cohorts = make_cohorts()
@@ -169,14 +182,14 @@ class TestChallengePhase:
         aggregate = aggregate_points(decompress_point(v.commitment) for v in votes.values())
         challenge = compute_challenge(aggregate, decided.body_digest())
         response = cohorts["s0"].handle_challenge(challenge, aggregate.encode(), decided)
-        assert not response["ok"]
+        assert isinstance(response, Refusal)
 
 
 def _challenged():
     cohorts = make_cohorts()
     block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
     _, decided, challenge, responses = run_phases(cohorts, block)
-    assert all(resp["ok"] for resp in responses.values())
+    assert all(isinstance(resp, ChallengeResponse) for resp in responses.values())
     return cohorts, block, decided, challenge, responses
 
 
@@ -192,23 +205,24 @@ def test_second_challenge_in_a_round_is_refused():
     second = cohorts["s0"].handle_challenge(
         second_challenge, other_aggregate.encode(), decided
     )
-    if second["ok"]:
+    if not isinstance(second, Refusal):
         leaked = (
-            (responses["s0"]["response"] - second["response"])
+            (responses["s0"].response - second.response)
             * pow(second_challenge - challenge, -1, CURVE_ORDER)
             % CURVE_ORDER
         )
         assert leaked == keypair_for("s0", seed=5).secret_scalar
         pytest.fail("two responses from one nonce: the coordinator recovered s0's key")
-    assert second["response"] is None and "already answered" in second["reason"]
+    assert "already answered" in second.reason
     assert cohorts["s0"].pending_round_count() == 1
 
 
 class UntrustedCoordinator:
     """``s0``'s identity driving the cohort ``s1`` through its server's
-    dispatch table, with the strongest messages a coordinator can forge:
-    well-signed envelopes, challenges that pass ``H(X || block)`` for the
-    block they carry, and the real co-sign wherever one can exist."""
+    handlers, with the strongest messages a coordinator can forge:
+    well-signed envelopes, the client's real signed request, challenges that
+    pass ``H(X || block)`` for the block they carry, and the real co-sign
+    wherever one can exist."""
 
     def __init__(self) -> None:
         self.network = Network(latency=ConstantLatency(0.0001))
@@ -221,21 +235,25 @@ class UntrustedCoordinator:
             server.attach(self.network)
             self.servers[server_id] = server
             # Everyone is in view 1, so a view-0 message is a stale one.
-            self.send(server_id, MessageType.NEW_VIEW, {"group": None, "deposed": "-", "view": 1})
+            self.send(server_id, MessageType.NEW_VIEW, ViewChange(None, "-", 1))
         self.cohort = self.servers["s1"].commitment
-        self.partial = make_partial_block(
-            0, [make_txn("s1-item")], genesis_previous_hash(), view=1
+        self.network.register_observer("c0", keypair_for("c0", seed=5))
+        txn = make_txn("s1-item")
+        #: What the client really sent ``s0``: the one thing it cannot forge.
+        self.client_request = self.network.sign_envelope(
+            Envelope("c0", "s0", MessageType.END_TRANSACTION, EndTxn(txn, txn.commit_ts))
         )
+        self.partial = make_partial_block(0, [txn], genesis_previous_hash(), view=1)
         self.votes = {}
         self.responses = {}
         self.aggregate = generator_multiply(7)
         #: Every Schnorr response ``s1`` gave for the round's one nonce.
         self.answers = []
 
-    def send(self, to, message_type, payload):
-        reply = self.network.send("s0", to, message_type, payload)
-        if to == "s1" and reply.get("response") is not None:
-            self.answers.append(reply["response"])
+    def send(self, to, message_type, request):
+        reply = read_reply(message_type, to, self.network.send("s0", to, message_type, request))
+        if to == "s1" and isinstance(reply, ChallengeResponse):
+            self.answers.append(reply.response)
         return reply
 
     def status(self):
@@ -247,21 +265,21 @@ class UntrustedCoordinator:
         ``s1``, by ``ROUND_FAILED`` after it answered its challenge)."""
         if status is None:
             return
-        get_vote = self.payload(MessageType.GET_VOTE, "fresh")
+        get_vote = self.request(MessageType.GET_VOTE, "fresh")
         self.votes = {sid: self.send(sid, MessageType.GET_VOTE, get_vote) for sid in SERVER_IDS}
         self.aggregate = aggregate_points(
-            decompress_point(vote["commitment"]) for vote in self.votes.values()
+            decompress_point(vote.commitment) for vote in self.votes.values()
         )
         if status is CohortStatus.VOTED:
             return
-        challenge = self.payload(MessageType.CHALLENGE, "fresh")
+        challenge = self.request(MessageType.CHALLENGE, "fresh")
         self.responses = {
             sid: self.send(sid, MessageType.CHALLENGE, challenge) for sid in SERVER_IDS
         }
-        assert all(response["ok"] for response in self.responses.values())
+        assert all(isinstance(r, ChallengeResponse) for r in self.responses.values())
         if status is CohortStatus.RELEASED:
-            round_failed = self.payload(MessageType.ROUND_FAILED, "fresh")
-            assert self.send("s1", MessageType.ROUND_FAILED, round_failed)["released"]
+            round_failed = self.request(MessageType.ROUND_FAILED, "fresh")
+            assert self.send("s1", MessageType.ROUND_FAILED, round_failed).released
 
     def variant_of(self, block, variant):
         if variant == "stale-view":
@@ -270,34 +288,34 @@ class UntrustedCoordinator:
             return replace(block, height=1)
         return block
 
-    def payload(self, message_type, variant):
+    def request(self, message_type, variant):
+        if variant == "malformed":
+            # What a sender from before the message table would put on the
+            # wire: the right keys, the right values, in a dict.
+            return dict(vars(self.request(message_type, "fresh")))
         if message_type in (MessageType.GET_VOTE, MessageType.PREPARE):
-            return {"block": self.variant_of(self.partial, variant), "client_requests": []}
-        roots = {sid: vote["root"] for sid, vote in self.votes.items() if vote["root"]}
+            return Proposal(self.variant_of(self.partial, variant), (self.client_request,))
+        roots = {sid: vote.root for sid, vote in self.votes.items() if vote.root}
         decided = self.variant_of(
             self.partial.with_decision(BlockDecision.COMMIT, roots), variant
         )
         if message_type is MessageType.ROUND_FAILED:
-            return {"round_key": decided.round_key()}
+            return RoundFailed(decided.round_key())
         if message_type is MessageType.COMMIT_DECISION:
-            return {"block": decided}
+            return DecidedBlock(decided)
         challenge = compute_challenge(self.aggregate, decided.signing_digest())
         if message_type is MessageType.CHALLENGE:
-            return {
-                "challenge": challenge,
-                "aggregate_commitment": self.aggregate.encode(),
-                "block": decided,
-            }
+            return Challenge(challenge, self.aggregate.encode(), decided)
         # DECISION / ORDERED_BLOCK: the real co-sign once both cohorts have
         # responded (it only verifies for the block they responded to).
         cosign = CollectiveSignature(
             challenge=challenge,
-            response=aggregate_scalars(r["response"] for r in self.responses.values())
+            response=aggregate_scalars(r.response for r in self.responses.values())
             if self.responses
             else 1,
             signer_ids=tuple(SERVER_IDS),
         )
-        return {"block": decided.with_cosign(cosign)}
+        return DecidedBlock(decided.with_cosign(cosign))
 
 
 ROUND_MESSAGES = (
@@ -313,6 +331,8 @@ ROUND_MESSAGES = (
 
 def declared_accepted(status, message_type, variant) -> bool:
     """Does the cohort act on the (last) message, or refuse it?"""
+    if variant == "malformed":
+        return False
     if message_type in (MessageType.ROUND_FAILED, MessageType.COMMIT_DECISION):
         # Releasing is always safe; the 2PC baseline trusts its coordinator.
         return True
@@ -331,7 +351,9 @@ def declared_accepted(status, message_type, variant) -> bool:
     return status in (CohortStatus.CHALLENGED, CohortStatus.RELEASED) and variant == "fresh"
 
 
-@pytest.mark.parametrize("variant", ["fresh", "duplicate", "stale-view", "wrong-round"])
+@pytest.mark.parametrize(
+    "variant", ["fresh", "duplicate", "stale-view", "wrong-round", "malformed"]
+)
 @pytest.mark.parametrize("message_type", ROUND_MESSAGES, ids=lambda m: m.value)
 @pytest.mark.parametrize(
     "status", [None, *COHORT_TRANSITIONS], ids=lambda s: s.value if s else "no-round"
@@ -339,25 +361,27 @@ def declared_accepted(status, message_type, variant) -> bool:
 def test_the_cohort_table_against_every_message_an_untrusted_coordinator_can_send(
     status, message_type, variant
 ):
-    """``COHORT_TRANSITIONS`` x the server's round-carrying dispatch entries
-    x {fresh, sent twice, from a deposed view, for another round}: the cohort
-    acts on the message (a legal transition) or refuses it with a reason --
-    it never raises, never answers a second challenge from its one nonce,
-    and ``ROUND_FAILED`` always leaves nothing armed."""
+    """``COHORT_TRANSITIONS`` x the server's round-carrying handlers x {fresh,
+    sent twice, from a deposed view, for another round, not the row's request
+    form}: the cohort acts on the message (a legal transition) or refuses it
+    with a reason -- it never raises, never answers a second challenge from
+    its one nonce, and ``ROUND_FAILED`` always leaves nothing armed."""
     peer = UntrustedCoordinator()
     peer.arm(status)
     before = peer.status()
     assert before is (None if status is CohortStatus.RELEASED else status)
 
-    payload = peer.payload(message_type, variant)
+    request = peer.request(message_type, variant)
     for _ in range(2 if variant == "duplicate" else 1):
-        reply = peer.send("s1", message_type, payload)
+        reply = peer.send("s1", message_type, request)
 
-    accepted = reply.get("ok", True) is not False
+    accepted = not isinstance(reply, Refusal)
     assert accepted is declared_accepted(status, message_type, variant), reply
     if not accepted:
-        assert isinstance(reply["reason"], str) and reply["reason"]
+        assert reply.reason
     after = peer.status()
+    if variant == "malformed":
+        assert after is before
     if before is None:
         proposal = message_type in (MessageType.GET_VOTE, MessageType.PREPARE)
         assert after is None or (after is CohortStatus.VOTED and proposal)
@@ -366,8 +390,69 @@ def test_the_cohort_table_against_every_message_an_untrusted_coordinator_can_sen
     assert len(peer.answers) <= 1, "two responses from one nonce leak the cohort's key"
 
     for block in (peer.partial, peer.variant_of(peer.partial, variant)):
-        peer.send("s1", MessageType.ROUND_FAILED, {"round_key": block.round_key()})
+        peer.send("s1", MessageType.ROUND_FAILED, RoundFailed(block.round_key()))
     assert peer.cohort.pending_round_count() == 0
+
+
+class TestUnaskedTransactions:
+    """Section 4.3.1: a cohort verifies the client request encapsulated in the
+    coordinator's.  It used to verify the signatures of whatever requests
+    were attached and never that each transaction *had* one, so a block
+    holding a transaction no client ever signed was voted ``commit``."""
+
+    @staticmethod
+    def vote_on(peer, transactions, client_requests):
+        block = make_partial_block(0, transactions, genesis_previous_hash(), view=1)
+        return peer.send("s1", MessageType.GET_VOTE, Proposal(block, tuple(client_requests)))
+
+    def forged(self, client_id="c9"):
+        return replace(make_txn("s1-item", counter=6), txn_id="forged", client_id=client_id)
+
+    def test_the_clients_own_request_backs_its_transaction(self):
+        peer = UntrustedCoordinator()
+        vote = self.vote_on(peer, peer.partial.transactions, [peer.client_request])
+        assert vote.decision == "commit" and vote.root is not None
+
+    def test_no_request_at_all(self):
+        peer = UntrustedCoordinator()
+        vote = self.vote_on(peer, [self.forged()], [])
+        assert vote.decision == "abort" and vote.root is None
+        assert "no signed client request backs transaction forged" in vote.abort_reason
+
+    def test_another_transactions_request_does_not_back_it(self):
+        peer = UntrustedCoordinator()
+        for forged in (self.forged("c9"), self.forged("c0")):
+            vote = self.vote_on(
+                peer, [*peer.partial.transactions, forged], [peer.client_request]
+            )
+            assert vote.decision == "abort" and "forged" in vote.abort_reason
+
+    def test_a_signed_request_of_another_kind_does_not_back_it(self):
+        peer = UntrustedCoordinator()
+        forged = self.forged("c0")
+        read = peer.network.sign_envelope(
+            Envelope("c0", "s1", MessageType.READ, ReadItem(forged.txn_id, "s1-item"))
+        )
+        assert peer.network.verify_envelope(read)
+        vote = self.vote_on(peer, [forged], [read])
+        assert vote.decision == "abort" and "forged" in vote.abort_reason
+
+    def test_the_request_must_come_from_the_transactions_client(self):
+        # c1 really signs an end_transaction -- for a transaction stamped c0.
+        peer = UntrustedCoordinator()
+        peer.network.register_observer("c1", keypair_for("c1", seed=5))
+        forged = self.forged("c0")
+        request = peer.network.sign_envelope(
+            Envelope("c1", "s0", MessageType.END_TRANSACTION, EndTxn(forged, forged.commit_ts))
+        )
+        vote = self.vote_on(peer, [forged], [request])
+        assert vote.decision == "abort" and "forged" in vote.abort_reason
+
+    def test_a_bad_client_signature_still_aborts_as_before(self):
+        peer = UntrustedCoordinator()
+        unsigned = replace(peer.client_request, signature=b"\x00" * 64)
+        vote = self.vote_on(peer, peer.partial.transactions, [unsigned])
+        assert vote.decision == "abort" and "signature verification" in vote.abort_reason
 
 
 class TestCohortLifecycle:
@@ -379,8 +464,8 @@ class TestCohortLifecycle:
     def test_a_challenged_round_cannot_be_rearmed(self, rearm):
         cohorts, block, _, _, _ = _challenged()
         answer = getattr(cohorts["s0"], rearm)(block)
-        assert isinstance(answer, dict) and answer["ok"] is False and answer["refused"]
-        assert "cannot be re-armed" in answer["reason"]
+        assert isinstance(answer, Refusal)
+        assert "cannot be re-armed" in answer.reason
 
     def test_a_voted_round_can_be_rearmed(self):
         # The same coordinator retrying the same log position (it failed the
@@ -397,14 +482,14 @@ class TestCohortLifecycle:
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         cohorts["s0"].handle_prepare(block)
         response = cohorts["s0"].handle_challenge(1, b"\x00", block)
-        assert not response["ok"] and "never voted" in response["reason"]
+        assert isinstance(response, Refusal) and "never voted" in response.reason
 
     def test_round_failed_releases_whatever_the_status(self):
         cohorts, block, _, _, _ = _challenged()
-        assert cohorts["s0"].handle_round_failed(block.round_key())["released"]
+        assert cohorts["s0"].handle_round_failed(block.round_key()).released
         assert cohorts["s0"].pending_round_count() == 0
         # ... and an unknown round is nothing to release, not an error.
-        assert not cohorts["s0"].handle_round_failed(block.round_key())["released"]
+        assert not cohorts["s0"].handle_round_failed(block.round_key()).released
 
 
 class TestDecisionPhase:
@@ -412,7 +497,7 @@ class TestDecisionPhase:
         votes, decided, challenge, responses = run_phases(cohorts, block)
         cosign = CollectiveSignature(
             challenge=challenge,
-            response=aggregate_scalars(r["response"] for r in responses.values()),
+            response=aggregate_scalars(r.response for r in responses.values()),
             signer_ids=tuple(sorted(cohorts)),
         )
         return decided.with_cosign(cosign)
@@ -424,7 +509,7 @@ class TestDecisionPhase:
         final = self._finalise(cohorts, block)
         for layer in cohorts.values():
             result = layer.handle_decision(final, public_keys)
-            assert result["ok"]
+            assert isinstance(result, Applied)
             assert len(layer.log) == 1
         assert cohorts["s0"].store.read("s0-item").value == 42
         assert cohorts["s1"].store.read("s1-item").value == 0
@@ -438,8 +523,8 @@ class TestDecisionPhase:
         final = self._finalise(cohorts, block)
         cohorts["s1"].handle_round_failed(block.round_key())
         result = cohorts["s1"].handle_decision(final, public_keys)
-        assert result["ok"] and result["state_known"] is False
-        assert cohorts["s0"].handle_decision(final, public_keys)["state_known"] is True
+        assert isinstance(result, Applied) and result.state_known is False
+        assert cohorts["s0"].handle_decision(final, public_keys).state_known is True
 
     def test_decision_with_invalid_cosign_rejected(self):
         cohorts = make_cohorts()
@@ -454,7 +539,7 @@ class TestDecisionPhase:
             )
         )
         result = cohorts["s0"].handle_decision(forged, public_keys)
-        assert not result["ok"]
+        assert isinstance(result, Refusal)
         assert len(cohorts["s0"].log) == 0
         assert cohorts["s0"].store.read("s0-item").value == 0
 
@@ -464,10 +549,10 @@ class TestTwoPhaseCommitCohort:
         cohorts = make_cohorts()
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         vote = cohorts["s0"].handle_prepare(block)
-        assert vote["involved"] and vote["decision"] == "commit"
+        assert vote.involved and vote.decision == "commit"
         decided = block.with_decision(BlockDecision.COMMIT, {})
         result = cohorts["s0"].handle_2pc_decision(decided)
-        assert result["ok"]
+        assert isinstance(result, Applied)
         assert cohorts["s0"].store.read("s0-item").value == 42
         assert len(cohorts["s0"].log) == 1
 
@@ -476,4 +561,4 @@ class TestTwoPhaseCommitCohort:
         cohorts["s0"].store.apply_commit(Timestamp(10, "z"), {"s0-item": 7})
         block = make_partial_block(0, [make_txn("s0-item", counter=5)], genesis_previous_hash())
         vote = cohorts["s0"].handle_prepare(block)
-        assert vote["decision"] == "abort"
+        assert vote.decision == "abort"

@@ -21,7 +21,7 @@ PARAMS = {
 
 @pytest.fixture(scope="module")
 def committed():
-    """A server's real log of two co-signed commit blocks, plus their wire form."""
+    """A server's real log of two co-signed commit blocks, plus the blocks as served."""
     system = FidesSystem(
         SystemConfig(
             num_servers=3, items_per_shard=8, txns_per_block=1, message_signing="hash", seed=3
@@ -32,12 +32,12 @@ def committed():
         assert system.run_transaction([WriteOp(item, index)]).committed
     log = system.servers["s1"].log
     assert len(log) == 2 and all(block.is_commit for block in log)
-    return log, [block.to_wire() for block in log]
+    return log, list(log)
 
 
 def observe(policy: FaultPolicy, committed) -> dict:
     """Consult every hook once with honest inputs: hook -> what came back."""
-    log, wire_blocks = committed
+    log, served_blocks = committed
     log = log.copy()
     policy.observe_phase("decision", 1, ("t1",))
     seen = {
@@ -52,7 +52,7 @@ def observe(policy: FaultPolicy, committed) -> dict:
         "equivocate": policy.equivocate(),
         "fake_root_for": policy.fake_root_for("s2", b"r" * 32),
         "crash_now": policy.crash_now(),
-        "tamper_state_response": policy.tamper_state_response(wire_blocks),
+        "tamper_state_response": policy.tamper_state_response(served_blocks),
     }
     policy.tamper_log(log)
     seen["tamper_log"] = [block.block_hash() for block in log], [
@@ -66,7 +66,7 @@ def test_the_probe_consults_every_hook_the_table_names(committed):
 
 
 def test_a_policy_without_plans_is_honest(committed):
-    log, wire_blocks = committed
+    log, served_blocks = committed
     policy = FaultPolicy()
     assert policy.name == "honest"
     assert observe(policy, committed) == {
@@ -81,7 +81,7 @@ def test_a_policy_without_plans_is_honest(committed):
         "equivocate": False,
         "fake_root_for": b"r" * 32,
         "crash_now": False,
-        "tamper_state_response": wire_blocks,
+        "tamper_state_response": served_blocks,
         "tamper_log": ([b.block_hash() for b in log], [b.cosign for b in log]),
     }
     assert policy.maintains_log_integrity() and not policy.fired()
