@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import ablation_latency_regime
+from repro.bench.experiments import run_sweep
 
 
 def bench_ablation_latency_regime(benchmark):
     results, rows = run_once(
-        benchmark, ablation_latency_regime, num_requests=40, return_results=True
+        benchmark, run_sweep, "ablation-latency", num_requests=40, return_results=True
     )
     by_label = {r.config.label: r for r in results}
     lan = by_label["ablation-latency-lan"]

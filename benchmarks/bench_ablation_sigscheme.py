@@ -16,13 +16,13 @@ import time
 
 from conftest import run_once
 
-from repro.bench.experiments import ablation_signing_scheme
+from repro.bench.experiments import run_sweep
 
 
 def bench_ablation_signing_scheme(benchmark):
     started = time.perf_counter()
     results, rows = run_once(
-        benchmark, ablation_signing_scheme, num_requests=20, return_results=True
+        benchmark, run_sweep, "ablation-signing", num_requests=20, return_results=True
     )
     elapsed = time.perf_counter() - started
     by_label = {r.config.label: r for r in results}

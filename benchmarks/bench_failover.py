@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import failover
+from repro.bench.experiments import run_sweep
 
 
 def bench_failover_smoke(benchmark):
     """One depth per deployment: view change completes, cluster commits again."""
     results, rows = run_once(
         benchmark,
-        failover,
+        run_sweep,
+        "failover",
         smoke=True,
         return_results=True,
     )
     assert rows, "the failover sweep produced no rows"
-    for outcome, row in results:
+    for outcome, row in zip(results, rows):
         assert row["successor"] != "s0", "the deposed coordinator was re-elected"
         assert row["new view"] >= 1
         assert row["reproposed rounds"] >= 1, "the stranded round was not re-proposed"
@@ -39,12 +40,13 @@ def bench_failover_outage_depth_grows_the_certified_frontier(benchmark):
     """Scaled deployment: a longer outage means a higher certified frontier."""
     results, rows = run_once(
         benchmark,
-        failover,
+        run_sweep,
+        "failover",
         deployments=("scaled",),
         stall_requests=(4, 8),
         return_results=True,
     )
-    by_stall = {row["stall requests"]: row for _, row in results}
+    by_stall = {row["stall requests"]: row for row in rows}
     assert set(by_stall) == {4, 8}
     # Disjoint groups kept committing during the outage, so the successor's
     # certified frontier is strictly deeper for the longer outage.

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import faultmatrix
+from repro.bench.experiments import run_sweep
 
 
 def bench_faultmatrix_smoke(benchmark):
     """Always-trigger grid: every fault detected, right culprit, audit timed."""
     results, rows = run_once(
         benchmark,
-        faultmatrix,
+        run_sweep,
+        "faultmatrix",
         num_requests=6,
         smoke=True,
         return_results=True,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import figure12_2pc_vs_tfcommit
+from repro.bench.experiments import run_sweep
 from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
 
 
@@ -20,7 +20,8 @@ def bench_figure12_sweep(benchmark):
     """Regenerate the Figure 12 series (reduced size) and check its shape."""
     results, rows = run_once(
         benchmark,
-        figure12_2pc_vs_tfcommit,
+        run_sweep,
+        "figure12",
         server_counts=(3, 5, 7),
         num_requests=20,
         items_per_shard=500,

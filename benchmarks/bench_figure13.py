@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import figure13_txns_per_block
+from repro.bench.experiments import run_sweep
 
 
 def bench_figure13_sweep(benchmark):
     """Regenerate the Figure 13 series (reduced size) and check its shape."""
     results, rows = run_once(
         benchmark,
-        figure13_txns_per_block,
+        run_sweep,
+        "figure13",
         batch_sizes=(2, 20, 80),
         num_requests=160,
         items_per_shard=1000,

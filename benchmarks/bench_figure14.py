@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import figure14_number_of_servers
+from repro.bench.experiments import run_sweep
 
 
 def bench_figure14_sweep(benchmark):
     """Regenerate the Figure 14 series (reduced size) and check its shape."""
     results, rows = run_once(
         benchmark,
-        figure14_number_of_servers,
+        run_sweep,
+        "figure14",
         server_counts=(3, 6, 9),
         num_requests=200,
         items_per_shard=1000,

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import figure15_items_per_shard
+from repro.bench.experiments import run_sweep
 
 
 def bench_figure15_sweep(benchmark):
     """Regenerate the Figure 15 series (reduced size) and check its shape."""
     results, rows = run_once(
         benchmark,
-        figure15_items_per_shard,
+        run_sweep,
+        "figure15",
         shard_sizes=(1000, 4000, 10000),
         num_requests=100,
         txns_per_block=100,

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import multiclient_scaling
+from repro.bench.experiments import run_sweep
 
 
 def bench_multiclient_scaling(benchmark):
     """Sweep 1-8 concurrent clients over one conflict-free workload."""
     results, rows = run_once(
         benchmark,
-        multiclient_scaling,
+        run_sweep,
+        "multiclient",
         client_counts=(1, 2, 4, 8),
         num_requests=32,
         items_per_shard=400,

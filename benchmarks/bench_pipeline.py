@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import pipeline
+from repro.bench.experiments import run_sweep
 
 
 def bench_pipeline_sweep(benchmark):
     """Sweep pipeline depth x deployment x batch size."""
     results, rows = run_once(
         benchmark,
-        pipeline,
+        run_sweep,
+        "pipeline",
         depths=(1, 2),
         deployments=("classic", "scaled"),
         batch_sizes=(4,),

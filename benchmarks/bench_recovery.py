@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import recovery
+from repro.bench.experiments import run_sweep
 
 
 def bench_recovery_smoke(benchmark):
     """One point per axis: recovery completes, catch-up verified, WAL bounded."""
     results, rows = run_once(
         benchmark,
-        recovery,
+        run_sweep,
+        "recovery",
         smoke=True,
         return_results=True,
     )
     assert rows, "the recovery sweep produced no rows"
-    for recovery_result, row in results:
+    for recovery_result, row in zip(results, rows):
         assert recovery_result.caught_up
         assert not recovery_result.rejected, (
             f"honest peers were rejected: {recovery_result.rejected}"
@@ -39,13 +40,14 @@ def bench_recovery_checkpoint_bounds_restore(benchmark):
     """With a checkpoint installed, restore replays nothing before it."""
     results, rows = run_once(
         benchmark,
-        recovery,
+        run_sweep,
+        "recovery",
         gap_requests=(8,),
         checkpoint_intervals=(0, 1),
         store_kinds=("memory",),
         return_results=True,
     )
-    by_ckpt = {row["checkpointed"]: (result, row) for result, row in results}
+    by_ckpt = {row["checkpointed"]: (result, row) for result, row in zip(results, rows)}
     assert set(by_ckpt) == {False, True}
     unchecked_result, unchecked_row = by_ckpt[False]
     checked_result, checked_row = by_ckpt[True]

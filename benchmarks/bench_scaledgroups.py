@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments import scaledgroups
+from repro.bench.experiments import run_sweep
 
 
 def bench_scaledgroups_sweep(benchmark):
     """Sweep servers x locality x batch size for the scaled deployment."""
     results, rows = run_once(
         benchmark,
-        scaledgroups,
+        run_sweep,
+        "scaledgroups",
         server_counts=(4, 6),
         localities=(1.0,),
         batch_sizes=(2,),

@@ -20,35 +20,30 @@ Run with::
 from __future__ import annotations
 
 from repro.api import ExperimentConfig, run
-from repro.bench.experiments import (
-    figure12_2pc_vs_tfcommit,
-    figure13_txns_per_block,
-    figure14_number_of_servers,
-    figure15_items_per_shard,
-)
+from repro.bench.experiments import run_sweep
 from repro.bench.reporting import format_table
 
 
 def main() -> None:
     print(format_table(
-        figure12_2pc_vs_tfcommit(server_counts=(3, 5, 7), num_requests=20, items_per_shard=500),
+        run_sweep("figure12", server_counts=(3, 5, 7), num_requests=20, items_per_shard=500),
         title="Figure 12: 2PC vs TFCommit (1 txn per block)",
     ))
     print()
     print(format_table(
-        figure13_txns_per_block(batch_sizes=(2, 20, 40, 80, 120), num_requests=240,
-                                items_per_shard=1000),
+        run_sweep("figure13", batch_sizes=(2, 20, 40, 80, 120), num_requests=240,
+                  items_per_shard=1000),
         title="Figure 13: transactions per block (5 servers)",
     ))
     print()
     print(format_table(
-        figure14_number_of_servers(server_counts=(3, 5, 7, 9), num_requests=200,
-                                   items_per_shard=1000),
+        run_sweep("figure14", server_counts=(3, 5, 7, 9), num_requests=200,
+                  items_per_shard=1000),
         title="Figure 14: number of servers (100 txns per block)",
     ))
     print()
     print(format_table(
-        figure15_items_per_shard(shard_sizes=(1000, 4000, 7000, 10000), num_requests=100),
+        run_sweep("figure15", shard_sizes=(1000, 4000, 7000, 10000), num_requests=100),
         title="Figure 15: items per shard (5 servers, 100 txns per block)",
     ))
     # Beyond the paper: one scale-out point through the same run() every

@@ -21,6 +21,8 @@ keep moving without breaking users:
 - **Experiments**: :func:`run` executes one :class:`ExperimentConfig` point
   and returns an :class:`ExperimentResult`; ``config.deployment`` picks the
   deployment.  It is the only runner: a comparison is two ``run`` calls.
+  The paper's figures are grids of such points, declared as rows of
+  ``repro.bench.SWEEPS`` and run by ``repro.bench.run_sweep(name, ...)``.
 
 Quickstart::
 

@@ -74,33 +74,35 @@ class SerializationGraph:
         return set(self._edges.get(txn_id, set()))
 
     def find_cycle(self) -> Optional[List[str]]:
-        """Return one cycle (as a list of txn ids) or None if the graph is acyclic."""
-        visiting: Set[str] = set()
+        """Return one cycle (as a list of txn ids) or None if the graph is acyclic.
+
+        A depth-first walk in sorted order on its own stack, not the
+        interpreter's: a history whose conflicts form one chain is as deep as
+        it is long.
+        """
         finished: Set[str] = set()
-        path: List[str] = []
-
-        def dfs(node: str) -> Optional[List[str]]:
-            visiting.add(node)
-            path.append(node)
-            for child in sorted(self._edges.get(node, set())):
-                if child in finished:
-                    continue
-                if child in visiting:
-                    return path[path.index(child):] + [child]
-                found = dfs(child)
-                if found:
-                    return found
-            visiting.discard(node)
-            finished.add(node)
-            path.pop()
-            return None
-
-        for node in sorted(self._edges):
-            if node in finished:
+        for root in sorted(self._edges):
+            if root in finished:
                 continue
-            cycle = dfs(node)
-            if cycle:
-                return cycle
+            path: List[str] = [root]
+            on_path: Set[str] = {root}
+            #: Per node on ``path``, its children not looked at yet.
+            unvisited = [iter(sorted(self._edges[root]))]
+            while path:
+                for child in unvisited[-1]:
+                    if child in finished:
+                        continue
+                    if child in on_path:
+                        return path[path.index(child):] + [child]
+                    path.append(child)
+                    on_path.add(child)
+                    unvisited.append(iter(sorted(self._edges.get(child, ()))))
+                    break
+                else:
+                    unvisited.pop()
+                    done = path.pop()
+                    on_path.discard(done)
+                    finished.add(done)
         return None
 
     def is_serializable(self) -> bool:

@@ -15,7 +15,8 @@ List available experiments::
     python -m repro.bench --list
 
 Exit codes: 0 on success, 1 when the sweep raised or produced no rows (so a
-silently empty sweep can never pass a CI smoke step), 2 for usage errors.
+silently empty sweep can never pass a CI smoke step), 2 for usage errors
+(an unknown sweep, or a flag its row of ``SWEEPS`` does not declare).
 ``--json`` writes the canonical report schema consumed by the CI baseline
 gate (:mod:`repro.bench.gate`).
 """
@@ -23,13 +24,12 @@ gate (:mod:`repro.bench.gate`).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import traceback
 from typing import List, Optional
 
-from repro.bench.experiments import EXPERIMENT_REGISTRY
+from repro.bench.experiments import SWEEPS, run_sweep
 from repro.bench.reporting import format_table, rows_to_csv
 from repro.bench.schema import canonical_report
 from repro.common.errors import FidesError
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(EXPERIMENT_REGISTRY),
+        choices=sorted(SWEEPS),
         help="which figure / ablation to run",
     )
     parser.add_argument("--requests", type=int, default=None, help="client requests per point")
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced grid for experiments that support it (faultmatrix: always-trigger only)",
+        help="reduced grid for experiments that have one (faultmatrix: always-trigger only)",
     )
     parser.add_argument(
         "--fixed-compute-ms",
@@ -96,38 +96,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list or not args.experiment:
         print("available experiments:")
-        for name in sorted(EXPERIMENT_REGISTRY):
+        for name in sorted(SWEEPS):
             print(f"  {name}")
         return 0
-    runner = EXPERIMENT_REGISTRY[args.experiment]
-    parameters = inspect.signature(runner).parameters
-    kwargs = {}
+    sweep = SWEEPS[args.experiment]
+    tracing = bool(args.trace or args.trace_jsonl or args.metrics)
+    #: What a sweep supports is declared on its row of ``SWEEPS``.
+    supported = {
+        "--smoke": sweep.smoke is not None or not args.smoke,
+        "--fixed-compute-ms": "fixed_compute_ms" in sweep.defaults or args.fixed_compute_ms is None,
+        "--trace/--trace-jsonl/--metrics": sweep.traced or not tracing,
+    }
+    refused = [flag for flag, fine in supported.items() if not fine]
+    if refused:
+        print(f"{args.experiment} does not support {', '.join(refused)}", file=sys.stderr)
+        return 2
+    #: The report's config block describes the sweep's *parameters*; the
+    #: observability bundle is a measurement channel, not a parameter.
+    report_config = {}
     if args.requests is not None:
-        kwargs["num_requests"] = args.requests
-    if args.smoke and "smoke" in parameters:
-        kwargs["smoke"] = True
+        report_config["num_requests"] = args.requests
+    if args.smoke:
+        report_config["smoke"] = True
     if args.fixed_compute_ms is not None:
-        if "fixed_compute_ms" not in parameters:
-            print(
-                f"{args.experiment} does not support --fixed-compute-ms", file=sys.stderr
-            )
-            return 2
-        kwargs["fixed_compute_ms"] = args.fixed_compute_ms
-    observability = None
-    if args.trace or args.trace_jsonl or args.metrics:
-        if "obs" not in parameters:
-            print(
-                f"{args.experiment} does not support --trace/--trace-jsonl/--metrics",
-                file=sys.stderr,
-            )
-            return 2
-        observability = Observability(tracing=bool(args.trace or args.trace_jsonl))
-        kwargs["obs"] = observability
-    #: The report's config block must describe the sweep's *parameters*;
-    #: the observability bundle is a measurement channel, not a parameter.
-    report_config = {name: value for name, value in kwargs.items() if name != "obs"}
+        report_config["fixed_compute_ms"] = args.fixed_compute_ms
+    observability = (
+        Observability(tracing=bool(args.trace or args.trace_jsonl)) if tracing else None
+    )
     try:
-        rows = runner(**kwargs)
+        rows = run_sweep(args.experiment, obs=observability, **report_config)
     except (FidesError, OSError):
         traceback.print_exc()
         print(f"sweep {args.experiment!r} raised; failing the run", file=sys.stderr)

@@ -17,18 +17,19 @@ Commit latency per transaction is the block latency amortised over the
 transactions batched in the block -- this is what Figure 13 reports when it
 shows latency dropping as the batch grows.
 
-:func:`run` is the only function that turns an :class:`ExperimentConfig`
-into a system plus a workload, and :class:`ExperimentResult` the only result
-type.  A comparison (scaled vs the classic baseline, depth *d* vs depth 1)
-is two ``run`` calls whose configs differ in the one compared field; the
-sweep that builds the table row computes the ratio.
+:func:`build` is the only function that turns an :class:`ExperimentConfig`
+into a system plus a workload, :func:`run` drives and measures the pair, and
+:class:`ExperimentResult` is the only result type.  A comparison (scaled vs
+the classic baseline, depth *d* vs depth 1) is two ``run`` calls whose
+configs differ in the one compared field; the sweep's row of
+:data:`repro.bench.experiments.SWEEPS` computes the ratio.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.config import SystemConfig
@@ -216,20 +217,16 @@ def locality_partitions(system, group_size: int) -> List[List[str]]:
     return partitions
 
 
-def run(
-    config: ExperimentConfig, latency: Optional[LatencyModel] = None, obs=None
-) -> ExperimentResult:
-    """Build the configured deployment, drive its workload, measure it.
+def build(config: ExperimentConfig, latency: Optional[LatencyModel] = None, **options):
+    """The configured deployment and its workload generator, not yet driven.
 
     ``latency`` defaults to a LAN model seeded from the config -- every call
     gets its own, since sharing one instance between two runs would let the
-    first advance the RNG stream the second samples from.  ``obs`` is a
-    shared :class:`~repro.obs.Observability` bundle (the traced bench CLI
-    passes a tracing-enabled one); each run becomes its own trace process
-    so the timelines of a comparison stay separable in the exported trace.
+    first advance the RNG stream the second samples from.  ``options`` are
+    the constructor arguments :func:`~repro.core.scaled.build_system` forwards
+    (``obs``, ``state_store_factory``).  :func:`run` drives and measures the
+    pair; a sweep's event script (crash, recover, fail over) drives it itself.
     """
-    if obs is not None:
-        obs.tracer.begin_process(f"{config.label}/d{config.pipeline_depth}")
     system = build_system(
         config.deployment,
         config.system_config(),
@@ -245,7 +242,7 @@ def run(
             if config.fixed_compute_ms is not None
             else None
         ),
-        obs=obs,
+        **options,
     )
     window = config.conflict_free_window or config.txns_per_block
     if config.group_size:
@@ -264,6 +261,22 @@ def run(
             conflict_free_window=window,
             seed=config.seed,
         )
+    return system, workload
+
+
+def run(
+    config: ExperimentConfig, latency: Optional[LatencyModel] = None, obs=None
+) -> ExperimentResult:
+    """Build the configured deployment, drive its workload, measure it.
+
+    ``obs`` is a shared :class:`~repro.obs.Observability` bundle (the traced
+    bench CLI passes a tracing-enabled one); each run becomes its own trace
+    process so the timelines of a comparison stay separable in the exported
+    trace.
+    """
+    if obs is not None:
+        obs.tracer.begin_process(f"{config.label}/d{config.pipeline_depth}")
+    system, workload = build(config, latency, obs=obs)
     outcome = system.run_workload(
         workload.generate(config.num_requests), num_clients=config.num_clients
     )
@@ -332,37 +345,3 @@ def _measure_blocks(result: ExperimentResult, system, block_results) -> None:
     for name in sorted(phase_names):
         samples = [r.timing.phases.get(name, 0.0) for r in block_results]
         result.phase_ms[name] = statistics.mean(samples) * 1000.0
-
-
-def run_average(config: ExperimentConfig, repeats: int = 1) -> ExperimentResult:
-    """Run ``repeats`` independent runs (different seeds) and average the metrics.
-
-    The paper averages 3 runs per data point; tests and quick benchmarks use
-    1 to stay fast.  Every field of the result is merged by its type (counts
-    round to the nearest integer, verdicts must hold in every run), so a
-    field added to :class:`ExperimentResult` later is averaged too.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    runs = [run(replace(config, seed=config.seed + repeat)) for repeat in range(repeats)]
-    if len(runs) == 1:
-        return runs[0]
-    merged = ExperimentResult(config=config)
-    for spec in fields(ExperimentResult):
-        values = [getattr(result, spec.name) for result in runs]
-        if isinstance(values[0], bool):
-            setattr(merged, spec.name, all(values))
-        elif isinstance(values[0], int):
-            setattr(merged, spec.name, round(statistics.mean(values)))
-        elif isinstance(values[0], float):
-            setattr(merged, spec.name, statistics.mean(values))
-        elif isinstance(values[0], dict):
-            # A run missing a key (e.g. a repeat whose every block failed
-            # before "finalize") contributes 0 to that key's mean.
-            names = sorted({name for value in values for name in value})
-            setattr(
-                merged,
-                spec.name,
-                {name: statistics.mean(v.get(name, 0.0) for v in values) for name in names},
-            )
-    return merged

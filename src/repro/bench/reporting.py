@@ -43,18 +43,3 @@ def rows_to_csv(rows: Sequence[Dict[str, object]]) -> str:
     for row in rows:
         buffer.write(",".join(str(row.get(column, "")) for column in columns) + "\n")
     return buffer.getvalue()
-
-
-def shape_ratio(rows: Sequence[Dict[str, object]], column: str) -> float:
-    """Ratio of the last to the first value of ``column`` across a sweep.
-
-    Used by benchmark assertions that check the *shape* of a figure (e.g.
-    throughput should rise by at least X from the first to the last point).
-    """
-    if not rows:
-        raise ValueError("no rows")
-    first = float(rows[0][column])
-    last = float(rows[-1][column])
-    if first == 0:
-        raise ValueError(f"first value of {column!r} is zero")
-    return last / first

@@ -9,9 +9,9 @@ Schema (version 1)::
 
     {
       "schema_version": 1,
-      "sweep": "<registry name>",
+      "sweep": "<the sweep's key in SWEEPS>",
       "commit": "<git SHA or 'unknown'>",
-      "config": {"requests": ..., "smoke": ..., "fixed_compute_ms": ...},
+      "config": {"num_requests": ..., "smoke": ..., "fixed_compute_ms": ...},
       "rows": [...],                      # the sweep's table rows, verbatim
       "metrics": {
         "labels": {"<row label>": {"throughput_tps": .., "latency_ms": ..}},

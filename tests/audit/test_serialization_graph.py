@@ -56,6 +56,71 @@ class TestSerializationGraph:
         graph.add_edge("a", "a")
         assert not graph.is_serializable()
 
+    @staticmethod
+    def conflict_chain(length):
+        """``length`` transactions whose conflicts form one chain: deeper than
+        the interpreter's recursion limit, which a recursive walk ran into."""
+        names = [f"t{i:04d}" for i in range(length)]
+        graph = SerializationGraph()
+        for earlier, later in zip(names, names[1:]):
+            graph.add_edge(earlier, later)
+        return names, graph
+
+    def test_a_long_conflict_chain_is_acyclic(self):
+        _, graph = self.conflict_chain(1200)
+        assert graph.find_cycle() is None
+
+    def test_a_long_conflict_chain_closed_into_a_cycle_is_reported(self):
+        names, graph = self.conflict_chain(1200)
+        graph.add_edge(names[-1], names[0])
+        assert graph.find_cycle() == names + [names[0]]
+
+    def test_reports_the_cycle_a_recursive_walk_in_sorted_order_finds(self):
+        import random
+
+        def recursive_cycle(edges):
+            visiting, finished, path = set(), set(), []
+
+            def dfs(node):
+                visiting.add(node)
+                path.append(node)
+                for child in sorted(edges.get(node, ())):
+                    if child in finished:
+                        continue
+                    if child in visiting:
+                        return path[path.index(child):] + [child]
+                    found = dfs(child)
+                    if found:
+                        return found
+                visiting.discard(node)
+                finished.add(node)
+                path.pop()
+                return None
+
+            for node in sorted(edges):
+                if node not in finished:
+                    cycle = dfs(node)
+                    if cycle:
+                        return cycle
+            return None
+
+        rng = random.Random(22)
+        cyclic = 0
+        for _ in range(200):
+            nodes = [f"n{i}" for i in range(rng.randint(1, 9))]
+            edges = {node: set() for node in nodes}
+            for _ in range(rng.randint(0, 14)):
+                edges[rng.choice(nodes)].add(rng.choice(nodes))
+            graph = SerializationGraph()
+            for node, children in edges.items():
+                graph.add_transaction(make_txn(node, 1))
+                for child in children:
+                    graph.add_edge(node, child)
+            expected = recursive_cycle(edges)
+            assert graph.find_cycle() == expected
+            cyclic += expected is not None
+        assert 20 < cyclic < 180  # both verdicts are exercised
+
     def test_node_and_edge_counts(self):
         t1 = make_txn("t1", 1, writes=["x"])
         t2 = make_txn("t2", 2, reads=["x"], writes=["y"])

@@ -8,53 +8,42 @@ columns the reporting layer expects.
 from __future__ import annotations
 
 
-from repro.bench.experiments import (
-    EXPERIMENT_REGISTRY,
-    ablation_signing_scheme,
-    figure12_2pc_vs_tfcommit,
-    figure13_txns_per_block,
-    figure14_number_of_servers,
-    figure15_items_per_shard,
-)
+from repro.bench.experiments import run_sweep
 
 
 class TestFigureSweeps:
     def test_figure12_rows(self):
-        rows = figure12_2pc_vs_tfcommit(server_counts=(3,), num_requests=3, items_per_shard=60)
+        rows = run_sweep("figure12", server_counts=(3,), num_requests=3, items_per_shard=60)
         assert len(rows) == 2  # one per protocol
         assert {row["protocol"] for row in rows} == {"2pc", "tfcommit"}
 
     def test_figure13_rows(self):
-        rows = figure13_txns_per_block(batch_sizes=(2, 4), num_requests=8, items_per_shard=120)
+        rows = run_sweep("figure13", batch_sizes=(2, 4), num_requests=8, items_per_shard=120)
         assert [row["txns/block"] for row in rows] == [2, 4]
         assert all(row["committed"] == 8 for row in rows)
 
     def test_figure14_rows(self):
-        rows = figure14_number_of_servers(
-            server_counts=(3, 4), num_requests=4, items_per_shard=60, txns_per_block=2
+        rows = run_sweep(
+            "figure14", server_counts=(3, 4), num_requests=4, items_per_shard=60, txns_per_block=2
         )
         assert [row["servers"] for row in rows] == [3, 4]
 
     def test_figure15_rows(self):
-        rows = figure15_items_per_shard(shard_sizes=(50, 100), num_requests=4, txns_per_block=2)
+        rows = run_sweep("figure15", shard_sizes=(50, 100), num_requests=4, txns_per_block=2)
         assert [row["items/shard"] for row in rows] == [50, 100]
 
     def test_ablation_signing_scheme_rows(self):
-        rows = ablation_signing_scheme(num_requests=2)
+        rows = run_sweep("ablation-signing", num_requests=2)
         assert len(rows) == 2
 
     def test_faultmatrix_smoke_rows(self):
-        from repro.bench.experiments import faultmatrix
-
-        rows = faultmatrix(num_requests=2, smoke=True)
+        rows = run_sweep("faultmatrix", num_requests=2, smoke=True)
         assert len(rows) == 19  # one per fault kind, always-trigger grid
         for row in rows:
             assert {"scenario", "detected", "blocks-to-detect", "audit overhead (x)"} <= set(row)
 
     def test_scaledgroups_smoke_rows(self):
-        from repro.bench.experiments import scaledgroups
-
-        results, rows = scaledgroups(num_requests=8, smoke=True, return_results=True)
+        results, rows = run_sweep("scaledgroups", num_requests=8, smoke=True, return_results=True)
         assert len(rows) == 1  # one point per axis in smoke mode
         row = rows[0]
         assert {
@@ -66,9 +55,8 @@ class TestFigureSweeps:
         assert row["speedup"] == round(row["throughput (txns/s)"] / row["baseline tps"], 2)
 
     def test_scaleout_tiny_rows(self):
-        from repro.bench.experiments import scaleout
-
-        results, rows = scaleout(
+        results, rows = run_sweep(
+            "scaleout",
             shard_counts=(1, 2),
             cross_shard_ratios=(0.1,),
             num_servers=8,
@@ -84,20 +72,6 @@ class TestFigureSweeps:
         # The 1-shard point anchors the per-ratio speedup column at 1.0.
         assert rows[0]["speedup vs 1 shard"] == 1.0
         assert all(result.committed_txns > 0 for result in results)
-
-    def test_registry_covers_every_figure(self):
-        assert {
-            "figure12",
-            "figure13",
-            "figure14",
-            "figure15",
-            "faultmatrix",
-            "scaledgroups",
-            "scaleout",
-            "pipeline",
-            "recovery",
-            "failover",
-        } <= set(EXPERIMENT_REGISTRY)
 
 
 class TestRunFacade:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ExperimentConfig, run, run_average
+from repro.bench.harness import ExperimentConfig, run
 from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
 
 
@@ -54,38 +54,6 @@ class TestExperimentRunner:
         twopc = run(tiny_config(protocol=PROTOCOL_2PC, txns_per_block=1))
         assert tfc.txn_latency_ms > twopc.txn_latency_ms
         assert twopc.throughput_tps > tfc.throughput_tps
-
-    def test_run_average_merges_repeats(self):
-        merged = run_average(tiny_config(), repeats=2)
-        assert merged.committed_txns == 4
-        assert merged.throughput_tps > 0
-
-    def test_run_average_keeps_phase_breakdown_and_blocks(self):
-        # Regression: with repeats > 1 the merged result used to drop the
-        # per-phase means entirely.
-        merged = run_average(tiny_config(), repeats=2)
-        assert merged.blocks == 2
-        assert merged.phase_ms
-        singles = [run(tiny_config(seed=2020 + i)) for i in range(2)]
-        assert set(merged.phase_ms) == {name for run in singles for name in run.phase_ms}
-        assert all(value > 0 for value in merged.phase_ms.values())
-
-    def test_run_average_honours_the_deployment(self):
-        # Regression: run_average used to call the classic runner
-        # unconditionally, silently measuring a scaled config on one
-        # coordinator (and dropping every scaled-only field when merging).
-        scaled = tiny_config(
-            deployment="scaled", num_servers=4, group_size=2, num_requests=8, num_clients=2
-        )
-        for repeats in (1, 2):
-            merged = run_average(scaled, repeats=repeats)
-            assert merged.committed_txns == 8
-            assert merged.group_coordinators > 0
-            assert merged.distinct_groups > 0
-
-    def test_run_average_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            run_average(tiny_config(), repeats=0)
 
     def test_phase5_work_lands_in_finalize_phase(self):
         result = run(tiny_config())

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.reporting import format_table, rows_to_csv, shape_ratio
+from repro.bench.reporting import format_table, rows_to_csv
 
 ROWS = [
     {"label": "a", "throughput": 100, "latency": 2.0},
@@ -29,10 +27,3 @@ class TestReporting:
         assert lines[0] == "label,throughput,latency"
         assert lines[1] == "a,100,2.0"
         assert rows_to_csv([]) == ""
-
-    def test_shape_ratio(self):
-        assert shape_ratio(ROWS, "throughput") == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            shape_ratio([], "throughput")
-        with pytest.raises(ValueError):
-            shape_ratio([{"x": 0}, {"x": 1}], "x")

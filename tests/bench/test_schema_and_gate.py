@@ -154,32 +154,24 @@ class TestGate:
 
 
 class TestBenchCliExitCodes:
-    def test_empty_sweep_fails(self, capsys):
+    def test_empty_sweep_fails(self, capsys, monkeypatch):
         from repro.bench import __main__ as cli
 
-        original = cli.EXPERIMENT_REGISTRY.get("figure12")
-        cli.EXPERIMENT_REGISTRY["figure12"] = lambda **kwargs: []
-        try:
-            assert cli.main(["figure12"]) == 1
-        finally:
-            cli.EXPERIMENT_REGISTRY["figure12"] = original
+        monkeypatch.setattr(cli, "run_sweep", lambda name, **kwargs: [])
+        assert cli.main(["figure12"]) == 1
         assert "no result rows" in capsys.readouterr().err
 
-    def test_raising_sweep_fails(self, capsys):
+    def test_raising_sweep_fails(self, capsys, monkeypatch):
         # The CLI catches the library's own error family (plus OSError);
         # anything else is a programming bug and propagates loudly.
         from repro.bench import __main__ as cli
         from repro.common.errors import StorageError
 
-        def boom(**kwargs):
+        def boom(name, **kwargs):
             raise StorageError("sweep exploded")
 
-        original = cli.EXPERIMENT_REGISTRY.get("figure12")
-        cli.EXPERIMENT_REGISTRY["figure12"] = boom
-        try:
-            assert cli.main(["figure12"]) == 1
-        finally:
-            cli.EXPERIMENT_REGISTRY["figure12"] = original
+        monkeypatch.setattr(cli, "run_sweep", boom)
+        assert cli.main(["figure12"]) == 1
         assert "raised" in capsys.readouterr().err
 
     def test_fixed_compute_flag_rejected_for_unsupported_sweep(self, capsys):
@@ -187,6 +179,25 @@ class TestBenchCliExitCodes:
 
         assert main(["recovery", "--fixed-compute-ms", "1"]) == 2
         assert "--fixed-compute-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # No smoke grid: the full sweep used to run, the flag silently dropped.
+            (["figure13", "--smoke"], "--smoke"),
+            (["ablation-signing", "--smoke"], "--smoke"),
+            (["figure13", "--trace", "unwritten.json"], "--trace"),
+            (["recovery", "--smoke", "--metrics", "unwritten.json"], "--metrics"),
+        ],
+    )
+    def test_flag_refused_by_a_sweep_that_does_not_declare_it(self, argv, flag, capsys, tmp_path):
+        from repro.bench import __main__ as cli
+
+        report = tmp_path / "report.json"
+        assert cli.main([*argv, "--json", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err and flag in err
+        assert not report.exists()
 
     def test_fixed_compute_runs_are_reproducible(self, tmp_path):
         from repro.bench.__main__ import main

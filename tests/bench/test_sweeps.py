@@ -1,0 +1,95 @@
+"""The sweep table: what every row of ``SWEEPS`` must declare, and what
+``run_sweep`` refuses.  What the rows *report* is pinned by
+``test_sweep_rows.py``; this file holds the table to its contract."""
+
+from __future__ import annotations
+
+import pathlib
+import re
+
+import pytest
+
+from repro.bench import experiments
+from repro.bench.experiments import SWEEPS, run_sweep
+
+CLI_NAMES = {
+    "figure12",
+    "figure13",
+    "figure14",
+    "figure15",
+    "multiclient",
+    "faultmatrix",
+    "scaledgroups",
+    "scaleout",
+    "pipeline",
+    "recovery",
+    "failover",
+    "ablation-latency",
+    "ablation-signing",
+}
+
+#: name -> overrides that shrink the sweep to a tiny grid (same shape, few requests).
+TINY = {
+    "figure12": dict(num_requests=2, items_per_shard=60),
+    "figure13": dict(batch_sizes=(2, 4), num_requests=4, items_per_shard=60),
+    "figure14": dict(server_counts=(3, 4), num_requests=2, items_per_shard=60, txns_per_block=2),
+    "figure15": dict(shard_sizes=(50, 100), num_requests=2, txns_per_block=2),
+    "multiclient": dict(client_counts=(1, 2), num_requests=4, items_per_shard=60),
+    "faultmatrix": dict(num_requests=2),
+    "scaledgroups": dict(num_requests=4),
+    "scaleout": dict(shard_counts=(1, 2), num_servers=8, num_requests=16, fixed_compute_ms=1.0),
+    "pipeline": dict(num_requests=8),
+    "recovery": dict(gap_requests=(2, 4)),
+    "failover": dict(stall_requests=(2, 4)),
+    "ablation-latency": dict(num_requests=2),
+    "ablation-signing": dict(num_requests=2),
+}
+
+
+def test_the_table_has_exactly_the_cli_names():
+    assert set(SWEEPS) == CLI_NAMES == set(TINY)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_NAMES))
+def test_every_row_says_what_it_sweeps(name):
+    sweep = SWEEPS[name]
+    assert sweep.doc.strip()
+    assert sweep.axes or sweep.script is not None
+    assert all(isinstance(values, tuple) and values for values in sweep.axes.values())
+    assert not set(sweep.axes) & set(sweep.defaults)
+    # --requests reaches every sweep as ``num_requests``.
+    assert "num_requests" in sweep.defaults
+
+
+@pytest.mark.parametrize("name", sorted(CLI_NAMES))
+def test_results_pair_with_rows_and_labels_are_unique(name):
+    results, rows = run_sweep(name, return_results=True, **TINY[name])
+    assert rows and len(results) == len(rows)
+    # ``schema.summarize_rows`` keys by label and would silently overwrite a
+    # duplicate (fault-matrix rows are named by their ``scenario``).
+    labels = [row.get("label", row.get("scenario")) for row in rows]
+    assert None not in labels
+    assert len(set(labels)) == len(labels)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_NAMES))
+def test_an_unknown_override_is_refused(name):
+    with pytest.raises(TypeError, match="bogus"):
+        run_sweep(name, bogus=1)
+
+
+def test_smoke_and_obs_are_refused_where_the_row_does_not_declare_them():
+    assert SWEEPS["figure13"].smoke is None and not SWEEPS["figure13"].traced
+    with pytest.raises(TypeError, match="smoke"):
+        run_sweep("figure13", smoke=True)
+    with pytest.raises(TypeError, match="obs"):
+        run_sweep("recovery", obs=object())
+    assert {name for name, sweep in SWEEPS.items() if sweep.traced} == {"pipeline"}
+
+
+def test_experiments_builds_nothing_by_hand():
+    """One builder: systems and workloads come from ``harness.build`` only,
+    and nothing probes a signature to learn what a sweep takes."""
+    source = pathlib.Path(experiments.__file__).read_text()
+    assert "inspect" not in source
+    assert not re.search(r"SystemConfig\(|PartitionedWorkload\(|YcsbWorkload\(", source)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.experiments import pipeline
+from repro.bench.experiments import run_sweep
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.sequencing import single_sequencer
@@ -14,7 +14,8 @@ from repro.workload.ycsb import TransactionSpec
 
 def pipeline_point(deployment: str, depth: int, num_requests: int):
     """One point of the ``pipeline`` sweep: (depth-``depth`` result, its row)."""
-    [result], [row] = pipeline(
+    [result], [row] = run_sweep(
+        "pipeline",
         depths=(depth,),
         deployments=(deployment,),
         batch_sizes=(4,),
