@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import tempfile
-from dataclasses import dataclass, fields, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
@@ -34,16 +35,18 @@ class Sweep:
     first; ``defaults`` holds every other keyword.  Together they are the
     overrides :func:`run_sweep` accepts.  The callables below receive ``p``,
     a namespace of all keywords after overrides, and ``*values``, the grid
-    point (one value per axis, in ``axes`` order).
+    point (one value per axis: ``fixed``'s, then ``axes``', in order).
     """
 
     #: The sweep's prose: what the paper plots and what the columns mean.
     doc: str
-    axes: Mapping[str, tuple]
     defaults: Mapping[str, object]
     #: ``(p, *values)`` -> the point's label and other :class:`ExperimentConfig` fields;
     #: a default named like a config field is passed on unless the point says otherwise.
     point: Callable[..., Dict[str, object]]
+    axes: Mapping[str, tuple] = field(default_factory=dict)
+    #: Axes looped outside ``axes`` that are what the sweep compares: no override replaces them.
+    fixed: Mapping[str, tuple] = field(default_factory=dict)
     #: ``p`` -> keywords to replace before the grid is laid out.
     prepare: Optional[Callable[[SimpleNamespace], Dict[str, object]]] = None
     #: ``p`` -> keywords to replace under ``smoke=True`` (after ``prepare``);
@@ -83,7 +86,7 @@ def run_sweep(
         refused.append("obs")
     if refused:
         raise TypeError(f"sweep {name!r} does not take {', '.join(refused)}")
-    p = SimpleNamespace(**{**keywords, **overrides})
+    p = SimpleNamespace(**{**sweep.fixed, **keywords, **overrides})
     for axis in sweep.axes:
         setattr(p, axis, tuple(getattr(p, axis)))
     for step in (sweep.prepare, sweep.smoke if smoke else None):
@@ -102,7 +105,7 @@ def run_sweep(
         return ran[key]
 
     pairs = []
-    for values in itertools.product(*(getattr(p, axis) for axis in sweep.axes)):
+    for values in itertools.product(*(getattr(p, axis) for axis in (*sweep.fixed, *sweep.axes))):
         config = ExperimentConfig(**{**passed_on, **sweep.point(p, *values)})
         if sweep.script is not None:
             pairs.extend(sweep.script(p, config, *values))
@@ -142,13 +145,11 @@ def _fault_campaign(p, config):
     from repro.faultsim.plan import DEFAULT_TRIGGER_VARIANTS
 
     campaign = CampaignConfig(
-        num_servers=config.num_servers,
-        items_per_shard=config.items_per_shard,
-        txns_per_block=config.txns_per_block,
-        num_requests=config.num_requests,
-        num_clients=config.num_clients,
+        num_servers=p.num_servers, items_per_shard=p.items_per_shard,
+        txns_per_block=p.txns_per_block, num_requests=p.num_requests, num_clients=p.num_clients,
     )
-    variants = DEFAULT_TRIGGER_VARIANTS[: p.trigger_variants]
+    # ``smoke`` leaves ``trigger_variants`` = how many of the variants to keep; otherwise all.
+    variants = DEFAULT_TRIGGER_VARIANTS[: getattr(p, "trigger_variants", None)]
     scenarios = build_fault_matrix(campaign.server_ids, trigger_variants=variants)
     return [(result, result.as_row()) for result in run_campaign(campaign, scenarios)]
 
@@ -156,7 +157,7 @@ def _fault_campaign(p, config):
 def _crash_and_recover(p, config, store_kind, gap, interval):
     """One ``recovery`` point: warm up, checkpoint, crash, commit the gap, recover."""
     wal = store_kind == "wal"
-    with tempfile.TemporaryDirectory(prefix="fides-wal-") as directory:
+    with tempfile.TemporaryDirectory(prefix="fides-wal-") if wal else nullcontext() as directory:
         system, workload = build(
             config,
             ConstantLatency(0.0002),
@@ -243,7 +244,8 @@ SWEEPS: Dict[str, Sweep] = {
 
         The paper finds TFCommit ~1.8x slower and ~2.1x lower-throughput than 2PC
         because of the extra phase, the collective signature, and the MHT update.""",
-        axes=dict(protocols=(PROTOCOL_2PC, PROTOCOL_TFCOMMIT), server_counts=(3, 4, 5, 6, 7)),
+        fixed=dict(protocols=(PROTOCOL_2PC, PROTOCOL_TFCOMMIT)),
+        axes=dict(server_counts=(3, 4, 5, 6, 7)),
         defaults=dict(num_requests=60, items_per_shard=1000),
         point=lambda p, protocol, servers: dict(
             label=f"fig12-{protocol}-{servers}s",
@@ -311,10 +313,8 @@ SWEEPS: Dict[str, Sweep] = {
         attribution is correct, blocks-until-detection, and the audit wall-time
         against an honest-run baseline.  ``smoke=True`` restricts the grid to the
         always-firing trigger variant (the CI configuration).""",
-        axes={},
         defaults=dict(
-            num_requests=8, num_clients=2, num_servers=3, items_per_shard=48, txns_per_block=2,
-            trigger_variants=None,  # how many of DEFAULT_TRIGGER_VARIANTS, in order; None = all
+            num_requests=8, num_clients=2, num_servers=3, items_per_shard=48, txns_per_block=2
         ),
         point=lambda p: dict(label="faultmatrix"),
         smoke=lambda p: dict(trigger_variants=1),
@@ -529,7 +529,7 @@ SWEEPS: Dict[str, Sweep] = {
     ),
     "ablation-latency": Sweep(
         doc="""LAN vs WAN latency: where TFCommit shifts from compute- to network-bound.""",
-        axes=dict(regimes=(("lan", lan_latency), ("wan", wan_latency))),
+        fixed=dict(regimes=(("lan", lan_latency), ("wan", wan_latency))),
         defaults=dict(num_requests=60),
         point=lambda p, regime: dict(
             label=f"ablation-latency-{regime[0]}",
@@ -539,7 +539,7 @@ SWEEPS: Dict[str, Sweep] = {
     ),
     "ablation-signing": Sweep(
         doc="""Real Schnorr vs keyed-hash message envelopes (co-signing always Schnorr).""",
-        axes=dict(schemes=("hash", "schnorr")),
+        fixed=dict(schemes=("hash", "schnorr")),
         defaults=dict(num_requests=40),
         point=lambda p, scheme: dict(
             label=f"ablation-signing-{scheme}",

@@ -54,9 +54,11 @@ def test_the_table_has_exactly_the_cli_names():
 def test_every_row_says_what_it_sweeps(name):
     sweep = SWEEPS[name]
     assert sweep.doc.strip()
-    assert sweep.axes or sweep.script is not None
-    assert all(isinstance(values, tuple) and values for values in sweep.axes.values())
-    assert not set(sweep.axes) & set(sweep.defaults)
+    grid = {**sweep.fixed, **sweep.axes}
+    assert grid or sweep.script is not None
+    assert all(isinstance(values, tuple) and values for values in grid.values())
+    assert len(grid) == len(sweep.fixed) + len(sweep.axes)
+    assert not set(grid) & set(sweep.defaults)
     # --requests reaches every sweep as ``num_requests``.
     assert "num_requests" in sweep.defaults
 
@@ -76,6 +78,27 @@ def test_results_pair_with_rows_and_labels_are_unique(name):
 def test_an_unknown_override_is_refused(name):
     with pytest.raises(TypeError, match="bogus"):
         run_sweep(name, bogus=1)
+
+
+@pytest.mark.parametrize(
+    "name, keyword",
+    [
+        ("figure12", "protocols"),
+        ("ablation-latency", "regimes"),
+        ("ablation-signing", "schemes"),
+        ("faultmatrix", "trigger_variants"),
+    ],
+)
+def test_what_was_a_literal_loop_is_not_an_override(name, keyword):
+    """The overrides are the keyword names the sweeps always took; what a
+    sweep compares (2PC vs TFCommit, LAN vs WAN ...) is not one of them."""
+    with pytest.raises(TypeError, match=keyword):
+        run_sweep(name, **{keyword: ()})
+    assert {n: tuple(s.fixed) for n, s in SWEEPS.items() if s.fixed} == {
+        "figure12": ("protocols",),
+        "ablation-latency": ("regimes",),
+        "ablation-signing": ("schemes",),
+    }
 
 
 def test_smoke_and_obs_are_refused_where_the_row_does_not_declare_them():
