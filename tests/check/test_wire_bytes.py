@@ -15,11 +15,17 @@ import hashlib
 
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.common.encoding import canonical_encode
 from repro.common.timestamps import Timestamp
+from repro.core.fides import FidesSystem
+from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import sharded_sequencer
 from repro.net.forms import MESSAGES
+from repro.net.latency import ConstantLatency
 from repro.net.message import Envelope, MessageType
 from repro.storage.record import RecordVersion
+from repro.workload.ycsb import YcsbWorkload
 
 from test_wire_roundtrip import _TS, _TS2, _TXN, BUILDERS
 
@@ -225,3 +231,154 @@ def test_the_request_forms_write_the_bytes_the_dict_payloads_did(message_type):
     assert canonical_encode(BUILDERS[form]()) == canonical_encode(
         request_payload_dicts()[message_type.value]
     )
+
+
+# -- what a delivery signs and what the network meters ---------------------------
+#
+# Recorded before the network kept a per-link header and phases began to hand
+# one splice to several deliveries: the bytes an envelope's signature covers
+# are ``content_bytes()`` of the envelope, these bytes, whoever puts them
+# together, and a run's traffic is metered on their lengths.
+
+#: ``sha256(Envelope("s0", "s1", type, BUILDERS[request form]()).content_bytes())``.
+SIGNED_BYTES_DIGESTS = {
+    "begin_transaction": "1067debbed8994272c9306050a3b05507e31d56499b200c036d1fe1a25d61a5c",
+    "read": "07538033b9c944f8cc3003d25a4fdd0e0db00f5e51c5fd27dd421836425f5fdf",
+    "write": "8dea2e741fe41912295eaf885095ca8699f73cca32cbc6b9b04e6224db9d3c36",
+    "end_transaction": "9f0bf4bfeb80d398cfd367a4e99f1d062703abdec92d7ec4f4f829c144ae8e8e",
+    "get_vote": "95eab69a8dfa60b72e72465c2fb0a541e8f983a355aee78a96391cbed0115720",
+    "challenge": "b77075dec62db4b35afcfd37d92c9a9cf608e924af6b210e1e9e3928dc6deb93",
+    "decision": "6ff2a334122f9a5e2d99d8de95227723a25f51235cf422bfac1b610b5224ac5a",
+    "round_failed": "f32f7058763edd56ae6e1425c1f1b63c966b868365241eaf451b1e6868cd1632",
+    "ordered_block": "6bd4959cc6c956cdc75aabb1b3315cd68e9891b6f85fcc41f1b7cb567cfc6de5",
+    "epoch_anchor": "9f34bb042b79abfbf2307fd477015f41e22459a5dde08739f5fc766eac5cca9b",
+    "view_change": "a3c479a90bfa9c9be39028b70089156a03caff26d58c2dcb139e632d1f7cb2bd",
+    "new_view": "8fc6edd0b35e0f09737419c0c4a802941ee38d4d5dd5ba9dadd1327cf400b967",
+    "prepare": "4a6ace62dcaa0a14123abbd6c281e66b9f67aea25562b59596b17c6496cf9ada",
+    "commit_decision": "1e471fc87a5439147b394bfc37dfa5bb10320f6e97482dc35bea74d633ff8ff8",
+    "state_request": "075be23f265c4981d3ae0b79ab171c02540eac532091f284b02d28236a54d645",
+    "audit_log_request": "0346bb2c5ed96315335734d71cbbbbd7ad148874dddd49a2a0117ea65dfba762",
+    "audit_vo_request": "1346e7a487bec6dd00d0610b6ed3d7566afb8e0ade6537c7f07755f1592d7494",
+}
+
+
+@pytest.mark.parametrize("message_type", MessageType, ids=lambda m: m.value)
+def test_an_envelopes_signed_bytes_are_pinned(message_type):
+    request = BUILDERS[MESSAGES[message_type].request.__name__]()
+    envelope = Envelope("s0", "s1", message_type, request)
+    digest = hashlib.sha256(envelope.content_bytes()).hexdigest()
+    assert digest == SIGNED_BYTES_DIGESTS[message_type.value]
+    assert envelope.content_bytes() == canonical_encode(envelope.signed_content())
+    # The signature is not part of what it covers.
+    assert envelope.with_signature(b"\x06" * 32).content_bytes() == envelope.content_bytes()
+
+
+#: ``NetworkStats.per_type`` / ``bytes_per_type`` of six two-op transactions
+#: (YCSB seed 3) on three servers, config seed 11, hash envelopes, two per
+#: block -- followed by an audit where the deployment has co-signed blocks.
+TRAFFIC = {
+    "classic": {
+        "per_type": {
+            "audit_log_request": 3,
+            "audit_vo_request": 4,
+            "begin_transaction": 11,
+            "challenge": 9,
+            "decision": 9,
+            "end_transaction": 6,
+            "get_vote": 9,
+            "read": 12,
+            "write": 12,
+        },
+        "bytes_per_type": {
+            "audit_log_request": 321,
+            "audit_vo_request": 604,
+            "begin_transaction": 1507,
+            "challenge": 15294,
+            "decision": 15957,
+            "end_transaction": 4289,
+            "get_vote": 27237,
+            "read": 1596,
+            "write": 1803,
+        },
+    },
+    "scaled": {
+        "per_type": {
+            "audit_log_request": 3,
+            "audit_vo_request": 3,
+            "begin_transaction": 11,
+            "challenge": 8,
+            "end_transaction": 6,
+            "epoch_anchor": 6,
+            "get_vote": 8,
+            "ordered_block": 12,
+            "read": 12,
+            "write": 12,
+        },
+        "bytes_per_type": {
+            "audit_log_request": 321,
+            "audit_vo_request": 402,
+            "begin_transaction": 1507,
+            "challenge": 11316,
+            "end_transaction": 4289,
+            "epoch_anchor": 2088,
+            "get_vote": 18916,
+            "ordered_block": 17889,
+            "read": 1596,
+            "write": 1803,
+        },
+    },
+    "2pc": {
+        "per_type": {
+            "begin_transaction": 11,
+            "commit_decision": 9,
+            "end_transaction": 6,
+            "prepare": 9,
+            "read": 12,
+            "write": 12,
+        },
+        "bytes_per_type": {
+            "begin_transaction": 1507,
+            "commit_decision": 12993,
+            "end_transaction": 4289,
+            "prepare": 27228,
+            "read": 1596,
+            "write": 1803,
+        },
+    },
+}
+
+
+def traffic_run(deployment: str):
+    """The fixed run ``TRAFFIC`` was recorded from; returns the system afterwards."""
+    config = SystemConfig(
+        num_servers=3,
+        items_per_shard=40,
+        txns_per_block=2,
+        ops_per_txn=2,
+        multi_versioned=True,
+        message_signing="hash",
+        seed=11,
+    )
+    latency = ConstantLatency(0.0002)
+    if deployment == "scaled":
+        system = ScaledFidesSystem(config, latency=latency, sequencer=sharded_sequencer(2))
+    else:
+        protocol = "2pc" if deployment == "2pc" else "tfcommit"
+        system = FidesSystem(config, protocol=protocol, latency=latency)
+    workload = YcsbWorkload(
+        item_ids=system.shard_map.all_items(), ops_per_txn=2, conflict_free_window=0, seed=3
+    )
+    assert system.run_workload(workload.generate(6)).committed == 6
+    if deployment != "2pc":  # the baseline has no co-signed blocks to audit
+        assert system.audit().ok
+    return system
+
+
+@pytest.mark.parametrize("deployment", sorted(TRAFFIC))
+def test_a_runs_traffic_is_pinned(deployment):
+    stats = traffic_run(deployment).network.stats
+    assert stats.per_type == TRAFFIC[deployment]["per_type"]
+    assert stats.bytes_per_type == TRAFFIC[deployment]["bytes_per_type"]
+    assert stats.messages_sent == sum(TRAFFIC[deployment]["per_type"].values())
+    assert stats.bytes_total == sum(TRAFFIC[deployment]["bytes_per_type"].values())
+    assert stats.messages_rejected == 0
