@@ -25,6 +25,7 @@ import hmac
 from abc import ABC, abstractmethod
 
 from repro.common.errors import ConfigurationError
+from repro.common.wire import kept
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.schnorr import schnorr_sign, schnorr_verify_encoded
 
@@ -61,8 +62,19 @@ class SchnorrSigningScheme(SigningScheme):
         )
 
 
+@kept
+def _mac_key(public: PublicKey) -> bytes:
+    """The MAC key of ``public``'s holder, derived once per key object.
+
+    It stays with the :class:`PublicKey` it was derived from (a frozen
+    value: another key is another object) and so lives as long as the
+    directory entry or key pair that holds it.
+    """
+    return hashlib.sha256(b"fides-mac:" + public.encode()).digest()
+
+
 class HashSigningScheme(SigningScheme):
-    """Keyed-hash MAC standing in for a public-key signature.
+    """Keyed-hash MAC (HMAC-SHA-256) standing in for a public-key signature.
 
     The MAC key is derived from the signer's *public* key so any participant
     can verify; this trades unforgeability for speed and is therefore only
@@ -71,18 +83,13 @@ class HashSigningScheme(SigningScheme):
 
     name = "hash"
 
-    @staticmethod
-    def _mac_key(public: PublicKey) -> bytes:
-        return hashlib.sha256(b"fides-mac:" + public.encode()).digest()
-
     def sign_bytes(self, keypair: KeyPair, message: bytes) -> bytes:
-        return hmac.new(self._mac_key(keypair.public), message, hashlib.sha256).digest()
+        return hmac.digest(_mac_key(keypair.public), message, "sha256")
 
     def verify_bytes(self, public: PublicKey, message: bytes, signature: bytes) -> bool:
         if not isinstance(signature, (bytes, bytearray)):
             return False
-        expected = hmac.new(self._mac_key(public), message, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, bytes(signature))
+        return hmac.compare_digest(hmac.digest(_mac_key(public), message, "sha256"), signature)
 
 
 _SCHEMES = {
