@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
+from repro.common.encoding import canonical_encode
 from repro.common.wire import ANY, BYTES, STR, enum_of, optional, sub, wire_form
 
 
@@ -110,3 +111,22 @@ class Envelope:
             payload=self.payload,
             signature=signature,
         )
+
+
+#: Stands in the payload's place while :func:`content_frame` reads the layout
+#: around it.  Everything else in ``content`` is UTF-8 text behind a four-byte
+#: length, where sixteen ``0xFF`` bytes cannot occur.
+_PAYLOAD_MARK = b"\xff" * 16
+
+
+def content_frame(sender: str, recipient: str, message_type: MessageType) -> Tuple[bytes, bytes]:
+    """The bytes of an envelope's ``content`` before and after its payload's.
+
+    ``b"".join((before, canonical_encode(payload), after))`` is
+    ``Envelope(sender, recipient, message_type, payload).content_bytes()`` for
+    every payload: the two halves are cut from the derived encoder's own
+    output, so whoever splices them writes the declared layout.
+    """
+    framed = Envelope(sender, recipient, message_type, _PAYLOAD_MARK).content_bytes()
+    before, _, after = framed.partition(canonical_encode(_PAYLOAD_MARK))
+    return before, after

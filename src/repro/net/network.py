@@ -21,14 +21,15 @@ latency model keeps the timing realistic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.check.choices import choose_order
+from repro.common.encoding import canonical_encode
 from repro.common.errors import ConfigurationError, SignatureError, UnreachableError
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import SigningScheme, make_signing_scheme
 from repro.net.latency import LatencyModel, lan_latency
-from repro.net.message import Envelope, MessageType
+from repro.net.message import Envelope, MessageType, content_frame
 from repro.obs.timing import Stopwatch
 
 #: A message handler: receives the verified envelope, returns a response payload.
@@ -56,28 +57,35 @@ class NetworkStats:
     bytes_total: int = 0
     bytes_per_type: Dict[str, int] = field(default_factory=dict)
 
-    def record(
-        self, message_type: MessageType, recipient: str, delay: float, size: int = 0
-    ) -> None:
+    def record(self, type_name: str, recipient: str, delay: float, size: int = 0) -> None:
         self.messages_sent += 1
         self.simulated_delay += delay
-        self.per_type[message_type.value] = self.per_type.get(message_type.value, 0) + 1
+        self.per_type[type_name] = self.per_type.get(type_name, 0) + 1
         self.per_node[recipient] = self.per_node.get(recipient, 0) + 1
         self.bytes_total += size
-        self.bytes_per_type[message_type.value] = (
-            self.bytes_per_type.get(message_type.value, 0) + size
-        )
+        self.bytes_per_type[type_name] = self.bytes_per_type.get(type_name, 0) + size
 
 
-def _signed_bytes(envelope: Envelope) -> bytes:
-    """The bytes an envelope's signature covers (and its wire size is metered on).
+class _Link(NamedTuple):
+    """What never changes about one sender's messages of one type to one recipient.
 
-    Spliced anew on each call, from the header and the bytes the payload's
-    transactions own (the payload is its message's request form,
-    :mod:`repro.net.forms`, which splices them).  The envelope itself keeps
-    none: servers archive every client envelope for life.
+    ``before`` and ``after`` are the bytes of the envelope's ``content`` on
+    either side of the payload's (:func:`~repro.net.message.content_frame`),
+    so the bytes a delivery signs, verifies and is metered on are one join
+    around the payload's own.  They are spliced anew for each delivery, from
+    the bytes the payload's transactions own (the payload is its message's
+    request form, :mod:`repro.net.forms`, which splices them); no envelope
+    keeps any: servers archive every client envelope for life.
     """
-    return envelope.content_bytes()
+
+    before: bytes
+    after: bytes
+    type_name: str
+    bytes_counter: str
+
+    def signed_bytes(self, payload: Any) -> bytes:
+        """``Envelope(sender, recipient, type, payload).content_bytes()``."""
+        return b"".join((self.before, canonical_encode(payload), self.after))
 
 
 class Network:
@@ -102,6 +110,9 @@ class Network:
         #: directory -- co-signs involving them must keep verifying -- but
         #: delivery raises :class:`UnreachableError` until they re-register.
         self._departed: set = set()
+        #: One record per ``(sender, recipient, type)`` that has carried a
+        #: message: at most participants^2 x the types in use.
+        self._links: Dict[Tuple[str, str, MessageType], _Link] = {}
         self.stats = NetworkStats()
 
     def attach_sim(self, sim) -> None:
@@ -177,12 +188,23 @@ class Network:
 
     # -- delivery -------------------------------------------------------------
 
+    def _link(self, sender: str, recipient: str, message_type: MessageType) -> _Link:
+        key = (sender, recipient, message_type)
+        link = self._links.get(key)
+        if link is None:
+            name = message_type.value
+            link = self._links[key] = _Link(
+                *content_frame(sender, recipient, message_type), name, f"net.bytes.{name}"
+            )
+        return link
+
     def sign_envelope(self, envelope: Envelope) -> Envelope:
         """Sign an envelope with the sender's registered key."""
         keypair = self._keypairs.get(envelope.sender)
         if keypair is None:
             raise ConfigurationError(f"sender {envelope.sender!r} has no registered key")
-        signature = self._scheme.sign_bytes(keypair, _signed_bytes(envelope))
+        link = self._link(envelope.sender, envelope.recipient, envelope.message_type)
+        signature = self._scheme.sign_bytes(keypair, link.signed_bytes(envelope.payload))
         return envelope.with_signature(signature)
 
     def verify_envelope(self, envelope: Envelope) -> bool:
@@ -192,7 +214,10 @@ class Network:
         public = self._public_keys.get(envelope.sender)
         if public is None:
             return False
-        return self._scheme.verify_bytes(public, _signed_bytes(envelope), envelope.signature)
+        link = self._link(envelope.sender, envelope.recipient, envelope.message_type)
+        return self._scheme.verify_bytes(
+            public, link.signed_bytes(envelope.payload), envelope.signature
+        )
 
     def send(
         self,
@@ -216,21 +241,17 @@ class Network:
         wire-size accounting.
         """
         obs = self._sim.obs if self._sim is not None else None
+        link = self._link(sender, recipient, message_type)
         if presigned is not None:
-            envelope = Envelope(
-                sender, recipient, message_type, presigned.payload, presigned.signature
-            )
-            encoded = _signed_bytes(envelope)
+            payload, signature = presigned.payload, presigned.signature
+            encoded = link.signed_bytes(payload)
         else:
             keypair = self._keypairs.get(sender)
             if keypair is None:
                 raise ConfigurationError(f"sender {sender!r} has no registered key")
-            envelope = Envelope(
-                sender=sender, recipient=recipient, message_type=message_type, payload=payload
-            )
-            encoded = _signed_bytes(envelope)
+            encoded = link.signed_bytes(payload)
             watch = Stopwatch()
-            envelope = envelope.with_signature(self._scheme.sign_bytes(keypair, encoded))
+            signature = self._scheme.sign_bytes(keypair, encoded)
             if obs is not None:
                 obs.metrics.counter("crypto.envelope_sign.ops")
                 obs.metrics.counter("crypto.envelope_sign.s", watch.elapsed())
@@ -243,9 +264,9 @@ class Network:
         public = self._public_keys.get(sender)
         watch = Stopwatch()
         verified = (
-            envelope.signature is not None
+            signature is not None
             and public is not None
-            and self._scheme.verify_bytes(public, encoded, envelope.signature)
+            and self._scheme.verify_bytes(public, encoded, signature)
         )
         if obs is not None:
             obs.metrics.counter("crypto.envelope_verify.ops")
@@ -255,20 +276,21 @@ class Network:
             raise SignatureError(
                 f"envelope from {sender!r} to {recipient!r} failed signature verification"
             )
-        self.stats.record(message_type, recipient, self._latency.sample(), size=len(encoded))
+        size = len(encoded)
+        self.stats.record(link.type_name, recipient, self._latency.sample(), size=size)
         if obs is not None:
             obs.metrics.counter("net.messages")
-            obs.metrics.counter("net.bytes_total", len(encoded))
-            obs.metrics.counter(f"net.bytes.{message_type.value}", len(encoded))
+            obs.metrics.counter("net.bytes_total", size)
+            obs.metrics.counter(link.bytes_counter, size)
         if self._sim is not None:
             self._sim.loop.schedule(
                 self._sim.clock.now,
                 "message",
                 resource=recipient,
-                label=message_type.value,
+                label=link.type_name,
                 detail={"sender": sender},
             )
-        return handler(envelope)
+        return handler(Envelope(sender, recipient, message_type, payload, signature))
 
     def broadcast(
         self,
