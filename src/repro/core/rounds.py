@@ -16,6 +16,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
 from repro.check.mutations import mutation_enabled
+from repro.common.encoding import canonical_encode
 from repro.common.errors import ProtocolError, ProtocolInvariantError, UnreachableError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ServerId
@@ -312,12 +313,21 @@ def timed_exchange(
     recipients = choose_order(f"net/phase/{phase}", list(recipients), feature="net-order")
     outbound = {recipient: latency.sample() for recipient in recipients}
     answers: Dict[str, Any] = {}
+    # The request last spliced and its bytes, held while this phase lasts: the
+    # honest phases hand every cohort one object, which is spliced once; an
+    # equivocator's requests are distinct objects, each spliced on its own.
+    spliced: Optional[Tuple[Any, bytes]] = None
     for recipient in recipients:
+        request = request_for(recipient)
+        if spliced is None or request is not spliced[0]:
+            spliced = (request, canonical_encode(request))
         try:
             answers[recipient] = read_reply(
                 message_type,
                 recipient,
-                network.send(sender, recipient, message_type, request_for(recipient)),
+                network.send(
+                    sender, recipient, message_type, request, payload_bytes=spliced[1]
+                ),
             )
         except UnreachableError as exc:
             answers[recipient] = Refusal(recipient, str(exc), unreachable=True)

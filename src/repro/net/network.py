@@ -83,9 +83,10 @@ class _Link(NamedTuple):
     type_name: str
     bytes_counter: str
 
-    def signed_bytes(self, payload: Any) -> bytes:
-        """``Envelope(sender, recipient, type, payload).content_bytes()``."""
-        return b"".join((self.before, canonical_encode(payload), self.after))
+    def signed_bytes(self, payload_bytes: bytes) -> bytes:
+        """``Envelope(sender, recipient, type, payload).content_bytes()``, given
+        ``canonical_encode(payload)``."""
+        return b"".join((self.before, payload_bytes, self.after))
 
 
 class Network:
@@ -204,7 +205,7 @@ class Network:
         if keypair is None:
             raise ConfigurationError(f"sender {envelope.sender!r} has no registered key")
         link = self._link(envelope.sender, envelope.recipient, envelope.message_type)
-        signature = self._scheme.sign_bytes(keypair, link.signed_bytes(envelope.payload))
+        signature = self._scheme.sign_bytes(keypair, link.signed_bytes(canonical_encode(envelope.payload)))
         return envelope.with_signature(signature)
 
     def verify_envelope(self, envelope: Envelope) -> bool:
@@ -216,7 +217,7 @@ class Network:
             return False
         link = self._link(envelope.sender, envelope.recipient, envelope.message_type)
         return self._scheme.verify_bytes(
-            public, link.signed_bytes(envelope.payload), envelope.signature
+            public, link.signed_bytes(canonical_encode(envelope.payload)), envelope.signature
         )
 
     def send(
@@ -226,6 +227,8 @@ class Network:
         message_type: MessageType,
         payload: Any,
         presigned: Optional[Envelope] = None,
+        *,
+        payload_bytes: Optional[bytes] = None,
     ) -> Any:
         """Deliver one signed message and return the recipient's response payload.
 
@@ -239,17 +242,29 @@ class Network:
         The signed bytes are spliced once per delivery: the same bytes feed
         the sender-side signature, the receiver-side verification, and the
         wire-size accounting.
+
+        ``payload_bytes`` (keyword-only) is the sender's own splice of
+        ``payload``, ``canonical_encode(payload)``: a sender with the same
+        request for many recipients (:meth:`broadcast`, a protocol phase)
+        splices it once and hands the bytes to each delivery, holding them for
+        as long as the phase lasts and no longer.  Nothing checks them against
+        the payload here -- the recipient's ``verify_envelope`` splices the
+        payload afresh -- so the only callers are those two, and
+        ``tests/net/test_links.py`` holds every deployment's metered bytes to
+        the envelopes its handlers received.
         """
         obs = self._sim.obs if self._sim is not None else None
         link = self._link(sender, recipient, message_type)
         if presigned is not None:
             payload, signature = presigned.payload, presigned.signature
-            encoded = link.signed_bytes(payload)
+            encoded = link.signed_bytes(canonical_encode(payload))
         else:
             keypair = self._keypairs.get(sender)
             if keypair is None:
                 raise ConfigurationError(f"sender {sender!r} has no registered key")
-            encoded = link.signed_bytes(payload)
+            if payload_bytes is None:
+                payload_bytes = canonical_encode(payload)
+            encoded = link.signed_bytes(payload_bytes)
             watch = Stopwatch()
             signature = self._scheme.sign_bytes(keypair, encoded)
             if obs is not None:
@@ -308,13 +323,18 @@ class Network:
 
         A real network gives no ordering guarantee across recipients, so
         under the model checker the delivery order is a branch point.
+
+        The payload is spliced once, here, for all of them.
         """
+        payload_bytes = canonical_encode(payload)
         responses: Dict[str, Any] = {}
         for recipient in choose_order(
             f"net/broadcast/{message_type.value}", list(recipients), feature="net-order"
         ):
             try:
-                responses[recipient] = self.send(sender, recipient, message_type, payload)
+                responses[recipient] = self.send(
+                    sender, recipient, message_type, payload, payload_bytes=payload_bytes
+                )
             except UnreachableError:
                 if not skip_unreachable:
                     raise
