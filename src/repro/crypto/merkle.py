@@ -208,23 +208,55 @@ class MerkleTree:
         for a batch of k leaves instead of the O(k*log n) a per-leaf loop
         pays.  Returns the number of node hashes actually recomputed, which
         is the quantity the benchmark harness accumulates as MHT update work.
+
+        A batch that is refused -- an unknown id, a value that cannot be
+        encoded -- is refused whole: every new leaf label is hashed before
+        anything is written.
         """
+        return self._sweep(updates, None)
+
+    def speculative_root(self, updates: Mapping[str, object]) -> Tuple[bytes, int]:
+        """The root :meth:`update_many` would leave, and the hashes it would cost.
+
+        The same sweep, journalling every value and label it replaces; the
+        root is read and the journal put back, so each dirty path is hashed
+        once and the tree is left exactly as it was, whatever happens on the
+        way.
+        """
+        journal: List[tuple] = []
+        try:
+            work = self._sweep(updates, journal)
+            return self.root, work
+        finally:
+            for holder, key, replaced in reversed(journal):
+                holder[key] = replaced
+
+    def _sweep(self, updates: Mapping[str, object], journal: Optional[List[tuple]]) -> int:
+        """The batched sweep; ``journal`` collects ``(holder, key, replaced)``
+        for each value and label about to be overwritten."""
         if not updates:
             return 0
         unknown = [item_id for item_id in updates if item_id not in self._index]
         if unknown:
             raise StorageError(f"items not in Merkle tree: {unknown}")
+        labels = [leaf_hash(item_id, value) for item_id, value in updates.items()]
+        values, leaves = self._values, self._levels[0]
         dirty: set = set()
-        for item_id, value in updates.items():
-            self._values[item_id] = value
+        for (item_id, value), label in zip(updates.items(), labels):
             index = self._index[item_id]
-            self._levels[0][index] = leaf_hash(item_id, value)
+            if journal is not None:
+                journal.append((values, item_id, values[item_id]))
+                journal.append((leaves, index, leaves[index]))
+            values[item_id] = value
+            leaves[index] = label
             dirty.add(index)
         hashes_recomputed = len(dirty)
         for level in range(1, len(self._levels)):
             parents = {index // 2 for index in dirty}
             below = self._levels[level - 1]
             row = self._levels[level]
+            if journal is not None:
+                journal.extend([(row, parent, row[parent]) for parent in parents])
             for parent in parents:
                 row[parent] = node_hash(below[2 * parent], below[2 * parent + 1])
             hashes_recomputed += len(parents)

@@ -186,14 +186,7 @@ class DataStore:
         datastore (Section 4.3.1).  Returns ``(root, mht_hashes_recomputed)``
         and leaves the tree exactly as it was.
         """
-        unknown = [item for item in writes if item not in self._records]
-        if unknown:
-            raise StorageError(f"speculative writes touch unknown items: {unknown}")
-        originals = {item_id: self._merkle.value_of(item_id) for item_id in writes}
-        work = self._merkle.update_many(writes)
-        root = self._merkle.root
-        self._merkle.update_many(originals)
-        return root, work
+        return self._merkle.speculative_root(writes)
 
     def verification_object(self, item_id: ItemId) -> VerificationObject:
         """VO authenticating ``item_id`` against the *current* Merkle root."""
