@@ -389,14 +389,15 @@ def _expect(value, what, constant):
 
 
 def kept(method):
-    """A value derived from a frozen wire object's fields, computed once per instance.
+    """A value derived from a frozen object's fields, computed once per instance.
 
     It sits in the instance ``__dict__`` beside the fields it was derived from
     (under a name no field can have) and so lives exactly as long as they do:
     a field of a frozen instance only changes through ``dataclasses.replace``,
     which builds a new instance without it.  This is the one memo on wire
-    objects -- ``wire_form(..., owns_bytes=True)`` applies it to the derived
-    encoder, a class to the digests it is asked for again and again.
+    objects -- ``wire_form``, asked for ``owns_bytes``, applies it to the derived
+    encoder, a class to the digests it is asked for again and again -- and on
+    a public key, for the MAC key derived from it.
     """
     slot = f"{method.__name__}()"
 

@@ -205,8 +205,8 @@ class Network:
         if keypair is None:
             raise ConfigurationError(f"sender {envelope.sender!r} has no registered key")
         link = self._link(envelope.sender, envelope.recipient, envelope.message_type)
-        signature = self._scheme.sign_bytes(keypair, link.signed_bytes(canonical_encode(envelope.payload)))
-        return envelope.with_signature(signature)
+        encoded = link.signed_bytes(canonical_encode(envelope.payload))
+        return envelope.with_signature(self._scheme.sign_bytes(keypair, encoded))
 
     def verify_envelope(self, envelope: Envelope) -> bool:
         """Verify an envelope's signature against the sender's public key."""
@@ -250,8 +250,8 @@ class Network:
         as long as the phase lasts and no longer.  Nothing checks them against
         the payload here -- the recipient's ``verify_envelope`` splices the
         payload afresh -- so the only callers are those two, and
-        ``tests/net/test_links.py`` holds every deployment's metered bytes to
-        the envelopes its handlers received.
+        ``tests/check/test_wire_links.py`` holds every deployment's metered
+        bytes to the envelopes its handlers received.
         """
         obs = self._sim.obs if self._sim is not None else None
         link = self._link(sender, recipient, message_type)

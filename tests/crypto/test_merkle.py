@@ -236,6 +236,71 @@ class TestBatchedUpdates:
         assert dup.value_of("item-0004") == 99
 
 
+class TestARefusedBatchIsRefusedWhole:
+    """A value that cannot be encoded used to raise half-way through the
+    leaves: ``root`` still read the old root over a leaf level that no longer
+    hashed to it, and the next sweep through a neighbouring path folded the
+    phantom label in."""
+
+    def _observed(self, tree):
+        return (
+            tree.root,
+            tree.snapshot(),
+            [tree.verification_object(item_id) for item_id in tree.item_ids()],
+        )
+
+    def test_update_many_with_an_unencodable_value_leaves_the_tree_alone(self):
+        tree = build_tree(8)
+        before = self._observed(tree)
+        with pytest.raises(TypeError):
+            tree.update_many({"item-0001": 100, "item-0002": {1, 2}})
+        assert self._observed(tree) == before
+        assert tree.value_of("item-0001") == 1
+        # The next sweep through a neighbouring path sees no phantom label.
+        tree.update_many({"item-0000": "next"})
+        items = {f"item-{i:04d}": i for i in range(8)}
+        items["item-0000"] = "next"
+        assert tree.root == MerkleTree.from_items(items).root
+
+    def test_update_many_with_an_unknown_id_leaves_the_tree_alone(self):
+        tree = build_tree(8)
+        before = self._observed(tree)
+        with pytest.raises(StorageError):
+            tree.update_many({"item-0001": 100, "missing": 5})
+        assert self._observed(tree) == before
+
+    def test_a_refused_speculation_leaves_the_tree_alone(self):
+        tree = build_tree(8)
+        before = self._observed(tree)
+        with pytest.raises(TypeError):
+            tree.speculative_root({"item-0001": 100, "item-0002": {1, 2}})
+        with pytest.raises(StorageError):
+            tree.speculative_root({"item-0001": 100, "missing": 5})
+        assert self._observed(tree) == before
+        assert tree.speculative_root({}) == (tree.root, 0)
+
+    def test_a_speculation_interrupted_mid_sweep_puts_back_what_it_replaced(self, monkeypatch):
+        """The journal is restored in a ``finally``, whatever stops the sweep."""
+        from repro.crypto import merkle
+
+        tree = build_tree(16)
+        before = self._observed(tree)
+        real, calls = merkle.node_hash, []
+
+        def failing(left, right):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(left, right)
+
+        monkeypatch.setattr(merkle, "node_hash", failing)
+        with pytest.raises(KeyboardInterrupt):
+            tree.speculative_root({"item-0003": "a", "item-0012": "b"})
+        monkeypatch.undo()
+        assert self._observed(tree) == before
+        assert tree.speculative_root({"item-0003": 3}) == (tree.root, tree.depth + 1)
+
+
 class TestSeededRandomSequences:
     """Seeded-random operation sequences: incremental paths == full rebuild.
 

@@ -192,6 +192,22 @@ class TestDataStoreMerkleIntegration:
         with pytest.raises(StorageError):
             make_store().speculative_root({"missing": 1})
 
+    def test_refused_speculative_root_leaves_the_store_as_it_was(self):
+        """An unencodable write used to raise after the tree was half-written."""
+        store = make_store()
+        baseline = store.merkle_root()
+        proofs = {item_id: store.verification_object(item_id) for item_id in store.item_ids()}
+        with pytest.raises(TypeError):
+            store.speculative_root({"item-1": 100, "item-2": {1, 2}})
+        assert store.merkle_root() == baseline
+        assert {
+            item_id: store.verification_object(item_id) for item_id in store.item_ids()
+        } == proofs
+        assert store.merkle_root() == MerkleTree.from_items(store.snapshot()).root
+        root, _ = store.speculative_root({"item-3": 7})
+        store.apply_commit(Timestamp(1, "c"), {"item-3": 7})
+        assert store.merkle_root() == root == MerkleTree.from_items(store.snapshot()).root
+
     def test_verification_object_current(self):
         store = make_store()
         store.apply_commit(Timestamp(1, "c"), {"item-2": 99})
