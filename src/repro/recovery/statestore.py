@@ -296,15 +296,26 @@ class FileStateStore(StateStore):
         os.fsync(self._handle.fileno())
 
     def _replace(self, payloads: List[bytes]) -> None:
+        """Write the new journal beside the old one, then rename it over it.
+
+        The live handle is swapped only once the rename has happened (POSIX
+        replaces a file that is open), so a compaction that fails at any step
+        leaves the old journal in place and appendable, and no ``<path>.tmp``.
+        """
         tmp_path = self.path + ".tmp"
-        with open(tmp_path, "wb") as tmp:
-            for payload in payloads:
-                tmp.write(self._frame(payload))
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        self._handle.close()
-        os.replace(tmp_path, self.path)
-        self._handle = open(self.path, "ab")
+        try:
+            with open(tmp_path, "wb") as tmp:
+                for payload in payloads:
+                    tmp.write(self._frame(payload))
+                tmp.flush()
+                os.fsync(tmp.fileno())
+            os.replace(tmp_path, self.path)
+        except OSError:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
+            raise
+        previous, self._handle = self._handle, open(self.path, "ab")
+        previous.close()
 
     def _iter_payloads(self) -> Iterable[bytes]:
         self._handle.flush()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.common.encoding import canonical_encode
@@ -131,6 +133,41 @@ class TestWalRobustness:
         path.write_bytes(bytes(data))
         reopened = FileStateStore(str(path))
         assert reopened.load().blocks == []
+        reopened.close()
+
+    def test_a_failed_compaction_leaves_the_old_journal_appendable(
+        self, tmp_path, block_factory, monkeypatch
+    ):
+        """The live handle used to be closed before the rename: a rename that
+        failed left a closed handle and a stray ``.tmp``, and the next append
+        raised ``ValueError: write to closed file``."""
+        path = tmp_path / "server.wal"
+        store = FileStateStore(str(path))
+        store.initialize("s0", datastore_state())
+        covered = block_factory()  # height 4
+        store.record_block(covered, b"\x01" * 32)
+        before = list(store._iter_payloads())
+        checkpoint = Checkpoint(4, covered.block_hash(), {}, Timestamp(9, "c"), 2)
+
+        def refuse(source, destination):
+            raise OSError("rename refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refuse)
+            with pytest.raises(OSError, match="rename refused"):
+                store.install_checkpoint(checkpoint, datastore_state(), 5, "s0")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["server.wal"]
+        assert list(store._iter_payloads()) == before
+        assert [b.height for b, _ in store.load().blocks] == [4]
+        store.record_block(block_factory(height=5), b"\x02" * 32)
+        assert [b.height for b, _ in store.load().blocks] == [4, 5]
+        # The next compaction goes through, and appends follow it.
+        store.install_checkpoint(checkpoint, datastore_state(), 5, "s0")
+        store.record_block(block_factory(height=6), b"\x03" * 32)
+        assert [b.height for b, _ in store.load().blocks] == [5, 6]
+        store.close()
+        reopened = FileStateStore(str(path))
+        assert [b.height for b, _ in reopened.load().blocks] == [5, 6]
         reopened.close()
 
     def test_wal_survives_reopen(self, tmp_path, block_factory):
