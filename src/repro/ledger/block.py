@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ValidationError
@@ -90,7 +91,8 @@ class Block:
 
     ``roots`` maps each involved server to the Merkle root its shard would
     have with the block's transactions applied; for an aborted block at least
-    one root is missing (Section 4.3.2).
+    one root is missing (Section 4.3.2).  It is a read-only mapping that
+    compares equal to the plain dict it was built from.
 
     ``group`` is ``None`` for classic full-cluster blocks; for blocks
     terminated by a dynamic server group (Section 4.6) it records the group's
@@ -114,7 +116,9 @@ class Block:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transactions", tuple(self.transactions))
-        object.__setattr__(self, "roots", dict(self.roots))
+        # Read-only: the kept bytes and digests describe these roots, so they
+        # change only through ``dataclasses.replace``, like every other field.
+        object.__setattr__(self, "roots", MappingProxyType(dict(self.roots)))
         if self.group is not None:
             object.__setattr__(self, "group", tuple(sorted(self.group)))
         if self.height < 0:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.encoding import canonical_encode
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 from repro.crypto.cosi import CoSiWitness, run_cosi_round
@@ -134,3 +137,47 @@ class TestBlockStructure:
         wire = make_block().to_wire()
         assert set(wire) == {"body", "cosign"}
         assert wire["body"]["decision"] == "commit"
+
+
+class TestRootsAreReadOnly:
+    """A block keeps its digests (and its bytes): a root changed in place would
+    leave them describing a block that no longer exists."""
+
+    def test_in_place_changes_are_refused(self):
+        block = make_block()
+        with pytest.raises(TypeError):
+            block.roots["s0"] = b"\x02" * 32
+        with pytest.raises(TypeError):
+            block.roots["s9"] = b"\x02" * 32
+        with pytest.raises(TypeError):
+            del block.roots["s0"]
+        assert block.roots == {"s0": b"\x01" * 32}
+
+    def test_the_given_mapping_is_copied(self):
+        roots = {"s0": b"\x01" * 32}
+        block = make_partial_block(0, [make_txn()], genesis_previous_hash()).with_decision(
+            BlockDecision.COMMIT, roots
+        )
+        roots["s0"] = b"\x02" * 32
+        direct = Block(0, (), roots, BlockDecision.ABORT, EMPTY_HASH)
+        roots["s1"] = b"\x03" * 32
+        assert block.roots == {"s0": b"\x01" * 32}
+        assert direct.roots == {"s0": b"\x02" * 32}
+
+    def test_equality_and_the_wire_form_are_a_plain_dicts(self):
+        block = make_block()
+        assert block.roots == {"s0": b"\x01" * 32} and {"s0": b"\x01" * 32} == block.roots
+        assert block == Block.from_wire(block.to_wire())
+        roots = block.to_wire()["body"]["roots"]
+        assert type(roots) is dict and roots == {"s0": b"\x01" * 32}
+        assert Block.from_bytes(canonical_encode(block)) == block
+
+    def test_replacing_the_roots_yields_fresh_bytes_and_digests(self):
+        block = make_block()
+        before = (canonical_encode(block), block.body_digest(), block.group_body_digest())
+        changed = replace(block, roots={"s0": b"\x02" * 32})
+        after = (canonical_encode(changed), changed.body_digest(), changed.group_body_digest())
+        assert all(old != new for old, new in zip(before, after))
+        fresh = Block.from_wire(changed.to_wire())
+        assert after == (canonical_encode(fresh), fresh.body_digest(), fresh.group_body_digest())
+        assert (canonical_encode(block), block.body_digest()) == before[:2]
