@@ -533,8 +533,13 @@ def wire_form(*entries, owns_bytes: bool = False):
     ``<key>_bytes()``, the bytes of that key alone.  They are put together
     anew on every call and nothing is stored -- except by a class declared
     with ``owns_bytes``, whose instances keep their encoding (:func:`kept`).
-    That is for a frozen leaf that many containers carry: every block,
-    envelope and WAL record holding it then splices the same bytes.
+    That is for a frozen object that many holders splice or store -- a
+    transaction, which every envelope, block and journal record carrying it
+    splices, and a block, which every delivery and every server's journal
+    does -- so they all share one bytes object.  A memory journal holds such
+    bytes as a record's pieces (bytes, never the object), joined only when
+    the record is read; request forms, envelopes and journal records keep
+    nothing.
 
     ``from_bytes(data)`` equals ``from_wire(canonical_decode(data))`` on every
     input, refusals included, and builds no plain data on the way:

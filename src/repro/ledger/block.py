@@ -84,6 +84,7 @@ class BlockDecision(Enum):
         ("view", INT),
     ),
     ("cosign", optional(nested(CollectiveSignature))),
+    owns_bytes=True,
 )
 @dataclass(frozen=True)
 class Block:
@@ -103,6 +104,11 @@ class Block:
     original coordinator, bumped by one per view change.  It is part of the
     signed body, so cohorts co-sign the view they voted in and a deposed
     coordinator cannot replay its old proposals into a newer view.
+
+    A block owns its bytes, as a transaction does: every message that carries
+    one block instance (``GET_VOTE``, ``DECISION``, the 32-way
+    ``ORDERED_BLOCK``, a catch-up reply) and every server's journal record of
+    it splice the same encoding (DESIGN.md section 6, "Who owns the bytes").
     """
 
     height: int
@@ -173,10 +179,9 @@ class Block:
 
         Hashes each transaction's flat signing form
         (:meth:`Transaction.encoded`, which the transaction keeps) plus the
-        block's own fields.  The 32 bytes are kept per block instance -- every
-        server hashes the block it received once, however many phases touch
-        it -- but a block stores no encoding: its wire bytes are spliced from
-        its transactions' whenever they are asked for.
+        block's own fields.  The 32 bytes are kept per block instance, beside
+        its wire bytes -- every server hashes the block it received once,
+        however many phases touch it.
         """
         return hash_concat(
             str(self.height).encode("ascii"), self.previous_hash, *self._group_body_parts()

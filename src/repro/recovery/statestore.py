@@ -22,12 +22,18 @@ Both stores hold **encoded bytes**, never live objects: state only survives a
 crash by round-tripping through its byte form, so a recovered server provably
 rebuilt itself from serialised state rather than from aliased Python
 references.  The two records are declared wire forms (:class:`BlockRecord`,
-:class:`SnapshotRecord`; see :mod:`repro.common.wire`): writing one is its
-derived ``wire_bytes()``, which splices the transactions' and versions' own
-bytes, and reading one is its derived ``from_bytes()``, which walks the
-declared layout straight into objects and refuses -- naming the byte -- any
-payload the writer could not have produced.  No record is decoded into plain
-data on the way, and none is re-encoded: compaction keeps the payloads it read.
+:class:`SnapshotRecord`; see :mod:`repro.common.wire`): a snapshot record is
+its derived ``wire_bytes()``, which splices the versions' own bytes, and a
+block record is appended as three byte pieces -- the form's opening
+constant, the bytes the block owns, the shard root under its key -- whose join
+is exactly its ``wire_bytes()``.  The memory store keeps those pieces as they
+are, so the 32 journals of the scaled deployment share one copy of each
+delivered block's bytes, and joins a record only when it is read; the file
+store writes their join as one frame.  Reading a record is its derived
+``from_bytes()``, which walks the declared layout straight into objects and
+refuses -- naming the byte -- any payload the writer could not have produced.
+No record is decoded into plain data on the way, and none is re-encoded:
+compaction keeps a retained record as it was stored.
 
 Installing a checkpoint compacts the store: one fresh snapshot (carrying the
 checkpoint and the current datastore) replaces the initial snapshot and every
@@ -121,22 +127,37 @@ class PersistedState:
         return self.checkpoint.height + 1 if self.checkpoint is not None else 0
 
 
+#: A journal record as it is stored: byte pieces whose join is its payload.
+Pieces = Tuple[bytes, ...]
+
+#: What follows the block in a block record's bytes: the ``shard_root`` key
+#: (the root's own encoding comes after it).
+_SHARD_ROOT_KEY = canonical_encode("shard_root")
+
+
 class StateStore:
     """Base class: the journal's two record forms over an abstract byte journal."""
 
     # -- primitive journal operations (implemented by subclasses) --------------
 
-    def _append(self, payload: bytes) -> None:
+    def _append(self, *pieces: bytes) -> None:
+        """Append one record, the join of ``pieces``."""
         raise NotImplementedError
 
-    def _replace(self, payloads: List[bytes]) -> None:
+    def _replace(self, records: List[Pieces]) -> None:
         raise NotImplementedError
 
-    def _iter_payloads(self) -> Iterable[bytes]:
+    def _iter_stored(self) -> Iterable[Pieces]:
+        """Every record as it is stored, in journal order."""
         raise NotImplementedError
 
     def size_bytes(self) -> int:
         raise NotImplementedError
+
+    def _iter_payloads(self) -> Iterator[bytes]:
+        """Every record's payload, joined one at a time as it is read."""
+        for pieces in self._iter_stored():
+            yield b"".join(pieces)
 
     # -- recording -------------------------------------------------------------
 
@@ -150,18 +171,24 @@ class StateStore:
             self._append(_snapshot(server_id, datastore_state, None, 0))
 
     def is_initialized(self) -> bool:
-        for _ in self._iter_payloads():
+        for _ in self._iter_stored():
             return True
         return False
 
     def record_block(self, block: Block, shard_root: bytes) -> None:
         """Persist one applied block and the shard root it produced.
 
-        The record is spliced from the bytes the block's transactions already
-        own: the block stores no encoding, and every server persisting the
-        same delivered block re-walks only its header.
+        The record is appended as three pieces whose join is
+        ``canonical_encode(BlockRecord(block, shard_root))``: the constant the
+        form opens with, the bytes the block owns, and the shard root under
+        its key.  Every server persisting the same delivered block appends the
+        same block bytes object, and nothing is spliced for the record.
         """
-        self._append(canonical_encode(BlockRecord(block, shard_root)))
+        self._append(
+            BlockRecord.WIRE_PREFIX,
+            block.wire_bytes(),
+            _SHARD_ROOT_KEY + canonical_encode(shard_root),
+        )
 
     def install_checkpoint(
         self,
@@ -174,28 +201,28 @@ class StateStore:
 
         Writes a fresh snapshot (checkpoint + current datastore) and retains
         only block records the checkpoint does *not* cover, atomically
-        replacing the journal contents.  A retained record is the payload
-        that was read, not a re-encoding of it: the reader accepts only bytes
-        that re-encode to themselves.
+        replacing the journal contents.  A retained record is kept as it was
+        stored, not re-encoded from what was read: the reader accepts only
+        bytes that re-encode to themselves.
         """
         retained = [
-            payload
-            for payload, record in self._read_records()
+            pieces
+            for pieces, record in self._read_records()
             if type(record) is BlockRecord and record.block.height > checkpoint.height
         ]
         snapshot = _snapshot(server_id, datastore_state, checkpoint, next_height)
-        self._replace([snapshot] + retained)
+        self._replace([(snapshot,)] + retained)
 
     # -- loading ---------------------------------------------------------------
 
-    def _read_records(self) -> Iterator[Tuple[bytes, Union[BlockRecord, SnapshotRecord]]]:
-        """Every journal payload beside the record it encodes."""
-        for index, payload in enumerate(self._iter_payloads()):
+    def _read_records(self) -> Iterator[Tuple[Pieces, Union[BlockRecord, SnapshotRecord]]]:
+        """Every stored record beside what its payload encodes."""
+        for index, pieces in enumerate(self._iter_stored()):
             try:
-                record = _read_record(payload)
+                record = _read_record(b"".join(pieces))
             except ValidationError as exc:
                 raise RecoveryError(f"corrupt state-store record {index}: {exc}") from None
-            yield payload, record
+            yield pieces, record
 
     def load(self) -> PersistedState:
         """Read the journal into a :class:`PersistedState`.
@@ -246,32 +273,48 @@ def _snapshot(
 
 
 class MemoryStateStore(StateStore):
-    """Journal in a list of encoded records (simulated durable storage)."""
+    """Journal in a list of encoded records (simulated durable storage).
+
+    A record is kept as the pieces it was appended as -- bytes, never objects
+    -- so the journals of every server that persisted one delivered block
+    reference that block's one bytes object; a record is joined only when it
+    is read.
+    """
 
     def __init__(self) -> None:
-        self._payloads: List[bytes] = []
+        self._records: List[Pieces] = []
 
-    def _append(self, payload: bytes) -> None:
-        self._payloads.append(payload)
+    def _append(self, *pieces: bytes) -> None:
+        self._records.append(pieces)
 
-    def _replace(self, payloads: List[bytes]) -> None:
-        self._payloads = list(payloads)
+    def _replace(self, records: List[Pieces]) -> None:
+        self._records = list(records)
 
-    def _iter_payloads(self) -> Iterable[bytes]:
-        return iter(list(self._payloads))
+    def _iter_stored(self) -> Iterable[Pieces]:
+        return iter(list(self._records))
 
     def size_bytes(self) -> int:
-        return sum(len(p) for p in self._payloads)
+        return sum(len(piece) for pieces in self._records for piece in pieces)
 
 
 #: Frame header: payload length + CRC32 of the payload.
 _FRAME_HEADER = struct.Struct(">II")
 
 
+def _frame_header(pieces: Pieces) -> bytes:
+    """The header of the frame whose payload is the join of ``pieces``."""
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    return _FRAME_HEADER.pack(sum(map(len, pieces)), crc)
+
+
 class FileStateStore(StateStore):
     """Append-only write-ahead log file with CRC framing and atomic compaction.
 
-    Each record is framed as ``length || crc32 || payload``.  Loading stops
+    Each record is framed as ``length || crc32 || payload``, the payload
+    written as the pieces it was appended as and its CRC computed over them
+    in turn, so no record is joined to be written.  Loading stops
     silently at the first truncated or CRC-corrupt frame: that is the frame a
     crash interrupted, and everything before it is intact by construction.
     Compaction writes the replacement journal to ``<path>.tmp`` and
@@ -286,16 +329,13 @@ class FileStateStore(StateStore):
             os.makedirs(directory, exist_ok=True)
         self._handle = open(path, "ab")
 
-    @staticmethod
-    def _frame(payload: bytes) -> bytes:
-        return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-    def _append(self, payload: bytes) -> None:
-        self._handle.write(self._frame(payload))
+    def _append(self, *pieces: bytes) -> None:
+        self._handle.write(_frame_header(pieces))
+        self._handle.writelines(pieces)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def _replace(self, payloads: List[bytes]) -> None:
+    def _replace(self, records: List[Pieces]) -> None:
         """Write the new journal beside the old one, then rename it over it.
 
         The live handle is swapped only once the rename has happened (POSIX
@@ -305,8 +345,9 @@ class FileStateStore(StateStore):
         tmp_path = self.path + ".tmp"
         try:
             with open(tmp_path, "wb") as tmp:
-                for payload in payloads:
-                    tmp.write(self._frame(payload))
+                for pieces in records:
+                    tmp.write(_frame_header(pieces))
+                    tmp.writelines(pieces)
                 tmp.flush()
                 os.fsync(tmp.fileno())
             os.replace(tmp_path, self.path)
@@ -317,7 +358,7 @@ class FileStateStore(StateStore):
         previous, self._handle = self._handle, open(self.path, "ab")
         previous.close()
 
-    def _iter_payloads(self) -> Iterable[bytes]:
+    def _iter_stored(self) -> Iterable[Pieces]:
         self._handle.flush()
         with open(self.path, "rb") as handle:
             data = handle.read()
@@ -331,7 +372,7 @@ class FileStateStore(StateStore):
             payload = data[start:end]
             if zlib.crc32(payload) != crc:
                 break
-            yield payload
+            yield (payload,)
             offset = end
 
     def size_bytes(self) -> int:

@@ -66,9 +66,9 @@ class Transaction:
 
     This is the object a client sends to the coordinator in its
     ``end_transaction`` request and the unit that TFCommit batches into
-    blocks.  It is the one wire class that owns its bytes: a client builds it
-    once, and every envelope, block and WAL record that carries it splices
-    the same encoding (DESIGN.md section 6, "Who owns the bytes").
+    blocks.  It owns its bytes, as a block does: a client builds it once, and
+    every envelope, block and WAL record that carries it splices the same
+    encoding (DESIGN.md section 6, "Who owns the bytes").
     """
 
     txn_id: TxnId

@@ -1,19 +1,25 @@
 """Who owns the bytes: derived encoders against the walker, and the one memo.
 
 ``wire_form`` derives ``wire_bytes()`` from each declaration (keys encoded and
-ordered once, wire-object fields spliced from the child's own bytes), and one
-class -- ``Transaction`` -- keeps what it encodes to.  Three things have to
-hold for that to be safe:
+ordered once, wire-object fields spliced from the child's own bytes), and two
+classes -- ``Transaction`` and ``Block``, the frozen objects many holders
+splice or store -- keep what they encode to.  Four things have to hold for
+that to be safe:
 
 * the derived bytes are the walker's: ``canonical_encode`` of the *fully
   flattened* plain data is the reference, and it never touches a derived
   encoder;
 * no kept value survives a change of a signed field;
-* containers (``Block``, ``Envelope``) store no bytes beyond a digest.
+* request forms, envelopes and journal records store no bytes, and a block
+  nothing beyond its own bytes and two digests;
+* a memory journal holds a block record as pieces that join to the record's
+  bytes, the block's piece being the bytes the block owns.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import fields, replace
 
 import pytest
@@ -30,9 +36,11 @@ from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
+from repro.recovery.statestore import BlockRecord, FileStateStore, MemoryStateStore
 from repro.server.faults import _LOG_TAMPERS
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
+from test_wire_bytes import traffic_run
 from test_wire_roundtrip import BUILDERS
 
 _WIRE_TYPES = tuple(WIRE_CLASSES.values())
@@ -287,6 +295,36 @@ class TestNoKeptValueSurvivesAChange:
         assert_as_if_fresh(log[0])
         assert log[0].body_digest() != block.body_digest()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "with_decision", "with_cosign", "tamper_replace",
+            "log-tamper", "fork-decision", "forge-cosign",
+        ],
+    )
+    def test_a_blocks_kept_bytes_do_not_survive_a_change(self, change):
+        """A block owns its bytes: every way a block changes builds a new
+        instance, which encodes afresh, and leaves the old one's bytes alone."""
+        block = replace(BUILDERS["Block"](), height=0, group=None)
+        kept_bytes = block.wire_bytes()
+        assert _kept(block)["wire_bytes()"] is kept_bytes
+        if change == "with_decision":
+            changed = block.with_decision(BlockDecision.ABORT, {})
+        elif change == "with_cosign":
+            changed = block.with_cosign(replace(block.cosign, response=block.cosign.response ^ 1))
+        else:
+            log = TransactionLog([block])
+            if change == "tamper_replace":
+                log.tamper_replace(0, replace(block, view=3))
+            else:
+                assert _LOG_TAMPERS[change](log, {"height": 0})
+            changed = log[0]
+        assert changed is not block
+        assert "wire_bytes()" not in _kept(changed)
+        assert changed.wire_bytes() == reference(changed) != kept_bytes
+        assert _kept(changed)["wire_bytes()"] is changed.wire_bytes()
+        assert block.wire_bytes() is kept_bytes == reference(block)
+
     def test_a_payload_mutated_after_signing_fails_verification(self):
         """An envelope's payload is a plain, mutable dict: were the signed bytes
         kept, a change made after signing would still verify."""
@@ -315,23 +353,36 @@ def _long_bytes(instance) -> dict:
     }
 
 
+#: The classes declared ``owns_bytes=True``: frozen objects that many holders splice or store.
+OWNERS = {"Block", "Transaction"}
+
+
 class TestContainersStoreNothing:
-    def test_only_transaction_is_declared_to_own_its_bytes(self):
-        """Encoding leaves every other instance exactly as it was."""
+    def test_only_transaction_and_block_are_declared_to_own_their_bytes(self):
+        """An owner keeps the bytes it encodes to; encoding leaves every other
+        instance -- request forms, envelopes, journal records -- exactly as it was."""
+        kept_encoders = {
+            name for name, cls in WIRE_CLASSES.items() if hasattr(cls.wire_bytes, "__wrapped__")
+        }
+        assert kept_encoders == OWNERS
         for class_name, build in BUILDERS.items():
             instance = build()
-            if class_name == "Transaction" or not hasattr(instance, "__dict__"):
+            if not hasattr(instance, "__dict__"):
                 continue
             before = dict(vars(instance))
-            canonical_encode(instance)
-            instance.wire_bytes()
-            assert vars(instance) == before, class_name
+            encoded = canonical_encode(instance)
+            assert instance.wire_bytes() == encoded
+            if class_name in OWNERS:
+                assert vars(instance) == {**before, "wire_bytes()": encoded}, class_name
+                assert instance.wire_bytes() is encoded
+            else:
+                assert vars(instance) == before, class_name
 
-    def test_a_block_keeps_digests_only(self):
+    def test_a_block_keeps_its_bytes_and_digests_only(self):
         block = BUILDERS["Block"]()
         _warm(block)
-        assert set(_kept(block)) == {"body_digest()", "group_body_digest()"}
-        assert _long_bytes(block) == {}
+        assert set(_kept(block)) == {"wire_bytes()", "body_digest()", "group_body_digest()"}
+        assert _long_bytes(block) == {"wire_bytes()": canonical_encode(block)}
 
     def test_an_envelope_keeps_nothing(self):
         network = Network()
@@ -348,3 +399,63 @@ class TestContainersStoreNothing:
         canonical_encode(envelope)
         assert _kept(envelope) == {}
         assert _long_bytes(envelope) == {}
+
+
+def _stored(store) -> list:
+    """The records a state store holds, as it stores them."""
+    return list(store._iter_stored())
+
+
+class TestAJournalHoldsABlockRecordAsPieces:
+    """``record_block`` appends the bytes a block owns between two short
+    pieces.  Joined, they are the record's one byte form, which the derived
+    encoder and the walker still define; and every memory journal recording
+    one block instance holds that instance's one bytes object."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_blocks, _digests)
+    def test_the_pieces_join_to_the_record(self, block, root):
+        store = MemoryStateStore()
+        store.record_block(block, root)
+        (pieces,) = _stored(store)
+        record = BlockRecord(block, root)
+        assert b"".join(pieces) == canonical_encode(record) == reference(record)
+        assert pieces[0] == BlockRecord.WIRE_PREFIX
+        assert pieces[1] is block.wire_bytes()
+        assert list(store._iter_payloads()) == [canonical_encode(record)]
+        assert store.size_bytes() == len(canonical_encode(record))
+        assert BlockRecord.from_bytes(b"".join(pieces)) == record
+
+    def test_a_file_journal_frames_the_join(self, tmp_path):
+        block, root = BUILDERS["Block"](), b"\x0f" * 32
+        store = FileStateStore(str(tmp_path / "s0.wal"))
+        store.record_block(block, root)
+        store.close()
+        payload = canonical_encode(BlockRecord(block, root))
+        framed = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        assert (tmp_path / "s0.wal").read_bytes() == framed
+
+    def test_journals_recording_one_block_share_its_bytes(self):
+        block = BUILDERS["Block"]()
+        copied = replace(block)  # equal, but another instance
+        equivocated = block.with_decision(BlockDecision.ABORT, {})  # same height, other content
+        journals = [MemoryStateStore(), MemoryStateStore()]
+        for index, store in enumerate(journals):
+            for recorded in (block, copied, equivocated):
+                store.record_block(recorded, bytes([index]) * 32)
+        (mine, my_copy, my_fork), (theirs, their_copy, their_fork) = map(_stored, journals)
+        assert mine[1] is theirs[1] is block.wire_bytes()
+        assert my_copy[1] is their_copy[1] is copied.wire_bytes()
+        assert my_copy[1] == mine[1] and my_copy[1] is not mine[1]
+        assert my_fork[1] is their_fork[1] is equivocated.wire_bytes() != mine[1]
+        # The shard root is each journal's own.
+        assert mine[0] is theirs[0] and mine[2] != theirs[2]
+
+    @pytest.mark.parametrize("deployment", ["classic", "scaled", "2pc"])
+    def test_every_server_of_a_deployment_shares_each_blocks_bytes(self, deployment):
+        system = traffic_run(deployment)
+        journals = [_stored(system.server(sid).state_store) for sid in system.server_ids]
+        assert len({len(journal) for journal in journals}) == 1
+        for records in list(zip(*journals))[1:]:  # the genesis snapshot is each server's own
+            assert len({id(pieces[1]) for pieces in records}) == 1
+        assert len(journals[0]) > 2
