@@ -301,12 +301,13 @@ class MemoryStateStore(StateStore):
 _FRAME_HEADER = struct.Struct(">II")
 
 
-def _frame_header(pieces: Pieces) -> bytes:
-    """The header of the frame whose payload is the join of ``pieces``."""
+def _write_frame(handle, pieces: Pieces) -> None:
+    """Write the frame whose payload is the join of ``pieces``, without joining them."""
     crc = 0
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
-    return _FRAME_HEADER.pack(sum(map(len, pieces)), crc)
+    handle.write(_FRAME_HEADER.pack(sum(map(len, pieces)), crc))
+    handle.writelines(pieces)
 
 
 class FileStateStore(StateStore):
@@ -330,8 +331,7 @@ class FileStateStore(StateStore):
         self._handle = open(path, "ab")
 
     def _append(self, *pieces: bytes) -> None:
-        self._handle.write(_frame_header(pieces))
-        self._handle.writelines(pieces)
+        _write_frame(self._handle, pieces)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -346,8 +346,7 @@ class FileStateStore(StateStore):
         try:
             with open(tmp_path, "wb") as tmp:
                 for pieces in records:
-                    tmp.write(_frame_header(pieces))
-                    tmp.writelines(pieces)
+                    _write_frame(tmp, pieces)
                 tmp.flush()
                 os.fsync(tmp.fileno())
             os.replace(tmp_path, self.path)
