@@ -1,9 +1,9 @@
 """Command-line entry point for the model checker.
 
 ``python -m repro.check --smoke`` runs the bounded CI budget: every
-registered scenario (crash, Byzantine, ordering-service reorder, and pure
-interleaving branches) under a small per-scenario run cap, failing the
-process if any invariant violation is found.  Counterexamples are minimized
+registered scenario (crash, Byzantine, view-change, ordering-service
+reorder and shard-merge branches) under a small per-scenario run cap,
+failing the process if any invariant violation is found.  Counterexamples are minimized
 and -- with ``--traces-dir`` -- saved as replayable JSON traces, which CI
 uploads as artifacts so a red run ships its own reproducer.
 

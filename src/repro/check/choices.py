@@ -1,10 +1,10 @@
 """Enumerable nondeterminism: the ChoicePoint API.
 
-The reproduction's runs are deterministic by construction -- the event loop
-orders everything by ``(time, seq)`` and every random draw is seeded.  That
+The reproduction's runs are deterministic by construction -- protocol code
+executes synchronously in one order and every random draw is seeded.  That
 determinism is what makes the implementation *checkable*: if every place
-where a real deployment could behave differently (same-time delivery order,
-which cohort a broadcast reaches first, when a crash fires, what a Byzantine
+where a real deployment could behave differently (which cohort a phase or a
+broadcast reaches first, when a crash fires, what a Byzantine
 coordinator does, which buffered block the ordering service releases) asks an
 explicit question instead of baking in one answer, then the set of reachable
 behaviours becomes an enumerable tree of integer choices.
@@ -58,8 +58,8 @@ class ChoiceSource:
 
     ``features`` restricts which families of choice sites are live (``None``
     means all): sites gate themselves with a feature tag so a scenario can,
-    say, explore crash injection without also exploding every same-time
-    event tie into ``k!`` interleavings.
+    say, explore crash injection without also permuting every broadcast's
+    delivery order.
     """
 
     def __init__(

@@ -13,7 +13,7 @@ how far a behaviour strays from the default), bounded by ``max_runs`` /
 
 Deduplication is by fingerprint: every choice-tree node carries a hash-chain
 fingerprint (shared prefixes share nodes), and every completed run a
-terminal fingerprint over the event-loop timeline plus the final per-server
+terminal fingerprint over the recorded timeline plus the final per-server
 logs.  The union of both sets is the "distinct states" count; a prefix whose
 terminal fingerprint was already seen is not expanded further.
 
@@ -38,7 +38,7 @@ from repro.check.scenarios import Scenario
 def run_fingerprint(record: RunRecord) -> str:
     """Terminal fingerprint of one run: the timeline plus the final logs."""
     digest = hashlib.sha256()
-    digest.update(record.system.sim.loop.fingerprint().encode("utf-8"))
+    digest.update(record.system.sim.fingerprint().encode("utf-8"))
     for server_id, server in sorted(record.system.servers.items()):
         digest.update(server_id.encode("utf-8"))
         if server.crashed:

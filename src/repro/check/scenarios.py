@@ -5,9 +5,8 @@ A scenario builds a *fresh* tiny deployment out of the real system classes
 and returns the :class:`~repro.check.invariants.RunRecord` the invariant
 library evaluates.  All nondeterminism flows through :mod:`repro.check.choices`:
 
-- delivery/processing order (``net-order`` / ``loop-order`` features, wired
-  into :func:`repro.core.rounds.timed_broadcast`, ``Network.broadcast``,
-  and the event loop's same-time tie-break);
+- delivery/processing order (the ``net-order`` feature, wired into
+  :func:`repro.core.rounds.timed_exchange` and ``Network.broadcast``);
 - fault injection: ordinary :class:`~repro.server.faults.FaultPlan` rows
   under the ``choice`` trigger (:func:`explored`), sharing one
   :class:`~repro.server.triggers.ChoiceBudget` so a run takes at most one
@@ -143,7 +142,6 @@ class ClassicCrashScenario(Scenario):
         recover_and_maybe_fail_over()
         slices.append(system.run_workload([_spec(1, items[s1][1], items[s2][0])]))
         recover_and_maybe_fail_over()
-        system.sim.drain()
         return RunRecord(system=system, slices=slices, notes={"crashes": crashes})
 
 
@@ -195,7 +193,6 @@ class ViewChangeScenario(Scenario):
         # plain cohort; recover it so the invariants quantify over all logs.
         for server_id in system.crashed_servers():
             system.recover_server(server_id)
-        system.sim.drain()
         fired = set(system.servers[s0].faults.fired_heights)
         return RunRecord(
             system=system,
@@ -237,7 +234,6 @@ class ClassicByzantineScenario(Scenario):
                 ]
             )
         ]
-        system.sim.drain()
         byzantine = frozenset({s0}) if system.servers[s0].faults.fired() else frozenset()
         return RunRecord(system=system, slices=slices, byzantine=byzantine)
 
@@ -276,7 +272,6 @@ class ScaledReorderScenario(Scenario):
                 ]
             )
         ]
-        system.sim.drain()
         return RunRecord(system=system, slices=slices)
 
 
@@ -323,7 +318,6 @@ class ShardedOrderingScenario(Scenario):
                 ]
             )
         ]
-        system.sim.drain()
         return RunRecord(
             system=system,
             slices=slices,
@@ -334,37 +328,6 @@ class ShardedOrderingScenario(Scenario):
         )
 
 
-class InterleavingScenario(Scenario):
-    """Classic deployment exploring same-time event-loop interleavings.
-
-    No faults: this scenario turns on the ``loop-order`` tie-break (and the
-    broadcast order), checking that *scheduling* freedom alone can never
-    break an invariant -- and supplying the bulk of the distinct-state count
-    for the smoke budget.
-    """
-
-    name = "classic-interleaving"
-    features = frozenset({"loop-order", "net-order"})
-
-    def run(self) -> RunRecord:
-        system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
-        s0, s1, s2 = system.config.server_ids
-        items = {
-            server_id: sorted(system.shard_map.items_of(server_id))
-            for server_id in system.config.server_ids
-        }
-        slices = [
-            system.run_workload(
-                [
-                    _spec(0, items[s0][0], items[s1][0]),
-                    _spec(1, items[s2][0], items[s0][1]),
-                ]
-            )
-        ]
-        system.sim.drain()
-        return RunRecord(system=system, slices=slices)
-
-
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     scenario_cls.name: scenario_cls
     for scenario_cls in (
@@ -373,7 +336,6 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
         ViewChangeScenario,
         ScaledReorderScenario,
         ShardedOrderingScenario,
-        InterleavingScenario,
     )
 }
 

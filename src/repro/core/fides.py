@@ -107,11 +107,10 @@ class FidesSystem:
             raise ConfigurationError(f"unknown protocol {protocol!r}")
         self.protocol = protocol
         self.latency = latency or lan_latency(seed=self.config.seed)
-        #: The deployment's discrete-event timeline: every protocol phase is
-        #: scheduled on it, and the benchmark harness reads the run's
-        #: makespan off it (DESIGN.md section 7).
+        #: The deployment's virtual timeline: every protocol phase is
+        #: scheduled and recorded on it, and the benchmark harness reads the
+        #: run's makespan off it (DESIGN.md section 7).
         self.sim = SimContext(
-            seed=self.config.seed,
             pipeline_depth=self.config.pipeline_depth,
             compute_model=compute_model,
         )
@@ -410,9 +409,6 @@ class FidesSystem:
                 clients[slot],
             )
         self._land_stream()
-        # Fire the timeline's pending events in deterministic order so the
-        # run's makespan and event trace are final when the caller reads them.
-        self.sim.drain()
         result.block_results = [
             block_result
             for server_id, coordinator in self.coordinators.items()
@@ -478,9 +474,6 @@ class FidesSystem:
                 f"cannot depose {deposed}: the designated coordinator is "
                 f"{self.coordinator_id} (None: name the leading server to depose)"
             )
-        # Settle in-flight timeline events so the round timers the view
-        # change is about to expire reflect every phase that actually ran.
-        self.sim.drain()
         excluded = self._deposed | {deposed} | set(self.crashed_servers())
         successor = elect_successor(self.config.server_ids, excluded)
         outcome = run_view_change(
@@ -511,7 +504,6 @@ class FidesSystem:
                 list(zip(block.transactions, client_requests))
             )
         self._land_stream()
-        self.sim.drain()
         return outcome
 
     def create_checkpoint(self, install: bool = True) -> Checkpoint:

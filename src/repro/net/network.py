@@ -292,18 +292,21 @@ class Network:
                 f"envelope from {sender!r} to {recipient!r} failed signature verification"
             )
         size = len(encoded)
+        # This draw only feeds ``NetworkStats.simulated_delay``, but it
+        # advances the same RNG ``timed_exchange`` draws its phase delays
+        # from: dropping it moves every makespan the golden tests pin.
         self.stats.record(link.type_name, recipient, self._latency.sample(), size=size)
         if obs is not None:
             obs.metrics.counter("net.messages")
             obs.metrics.counter("net.bytes_total", size)
             obs.metrics.counter(link.bytes_counter, size)
         if self._sim is not None:
-            self._sim.loop.schedule(
+            self._sim.timeline.record(
                 self._sim.clock.now,
                 "message",
                 resource=recipient,
                 label=link.type_name,
-                detail={"sender": sender},
+                detail=f"sender={sender}",
             )
         return handler(Envelope(sender, recipient, message_type, payload, signature))
 

@@ -12,8 +12,8 @@ Because execution order and timeline order differ once rounds pipeline or
 coordinators interleave, the clock is *not* globally monotone: scheduling
 coordinator B's first phase after coordinator A's third may legitimately move
 it backwards.  Consumers must treat ``now`` as "the time at which the current
-activity occurs", never as a monotone sequence number (the event loop's
-``seq`` counter provides that).
+activity occurs", never as a monotone sequence number (the order in which
+the :class:`~repro.sim.events.Timeline` records events provides that).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The simulation context: one bundle of clock + event loop + scheduler.
+"""The simulation context: one bundle of clock + timeline + scheduler.
 
 A :class:`SimContext` is created per deployment (one per
 :class:`~repro.core.fides.FidesSystem`) and threaded through everything that
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from repro.obs import Observability
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventLoop
+from repro.sim.events import Timeline
 from repro.sim.scheduler import PipelinedRoundScheduler
 
 #: A compute model maps ``(phase, measured_seconds)`` to the compute charge
@@ -27,7 +27,7 @@ class FixedCompute:
     """Deterministic compute model: every phase costs a fixed time.
 
     Replaces the *measured* (wall-clock, hence noisy) compute charges with a
-    constant so that two runs with the same seed produce byte-identical
+    constant so that two runs with the same seed record identical
     timelines -- the determinism test suite runs under this model.  Network
     latency stays governed by the (already deterministic) seeded
     ``LatencyModel``.
@@ -47,14 +47,13 @@ class SimContext:
 
     def __init__(
         self,
-        seed: int = 2020,
         pipeline_depth: int = 1,
         compute_model: Optional[ComputeModel] = None,
     ) -> None:
-        self.loop = EventLoop(seed=seed)
+        self.timeline = Timeline()
         self.clock = VirtualClock()
         self.scheduler = PipelinedRoundScheduler(
-            self.loop, clock=self.clock, pipeline_depth=pipeline_depth
+            self.timeline, clock=self.clock, pipeline_depth=pipeline_depth
         )
         self.compute_model = compute_model
         #: The observability bundle every sim-threaded component reports
@@ -68,8 +67,8 @@ class SimContext:
 
     @property
     def makespan(self) -> float:
-        """Virtual duration of everything scheduled so far, in seconds."""
-        return self.loop.horizon
+        """Virtual duration of everything recorded so far, in seconds."""
+        return self.timeline.horizon
 
     def effective_compute(self, phase: str, measured: float) -> float:
         """The compute charge used for scheduling (model-overridden if set)."""
@@ -77,16 +76,9 @@ class SimContext:
             return measured
         return self.compute_model(phase, measured)
 
-    def drain(self):
-        """Fire pending events in deterministic order; returns them."""
-        return self.loop.run_until_idle()
-
     def fingerprint(self) -> str:
-        """Determinism fingerprint of the full timeline (see EventLoop)."""
-        return self.loop.fingerprint()
+        """Determinism fingerprint of the recorded timeline (see Timeline)."""
+        return self.timeline.fingerprint()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimContext(depth={self.pipeline_depth}, "
-            f"makespan={self.makespan:.6f}, events={len(self.loop.timeline)})"
-        )
+        return f"SimContext(depth={self.pipeline_depth}, makespan={self.makespan:.6f})"

@@ -1,188 +1,58 @@
-"""The deterministic event loop behind the simulated timeline.
+"""The recorded virtual timeline: a makespan and a running digest.
 
-Every scheduled activity (a protocol phase starting or completing, an ordered
-block delivery, a network message) becomes a :class:`SimEvent`.  Events are
-totally ordered by ``(time, seq)``: ``seq`` is a monotone creation counter,
-so two runs that schedule the same activities in the same execution order
-produce byte-identical timelines -- the property the determinism test suite
-(and any future replay/debug tooling) relies on.
-
-The loop is intentionally small: the current reproduction executes protocol
-handlers synchronously and uses the loop as the *authoritative record* of
-when each activity happens in virtual time (the scheduler computes the
-windows).  Callbacks are supported so future asynchronous backends (real
-sockets, per-server threads) can drive execution *from* the loop instead;
-``run_until_idle`` already delivers events in deterministic timeline order.
+Protocol handlers execute synchronously; the scheduler computes when each
+activity (a protocol phase starting or completing, an ordered block
+delivery, a network message) happens in virtual time and records it here.
+Nothing is kept per event: each record raises :attr:`Timeline.horizon` (the
+run's makespan) and folds one canonical line into a SHA-256, so two runs
+that record the same activities in the same order give the same
+:meth:`Timeline.fingerprint` -- the property the determinism suites and the
+model checker's dedup rely on -- while recording costs no memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.check.choices import active_choices
 from repro.common.errors import ProtocolInvariantError
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One timestamped occurrence on the virtual timeline."""
+class Timeline:
+    """Folds every recorded event into a running digest; keeps no events."""
 
-    time: float
-    seq: int
-    kind: str  # "phase_start", "phase_end", "block_start", "block_end", "message", ...
-    resource: str = ""  # the machine/service the event belongs to
-    label: str = ""  # e.g. "block-3/get_vote"
-    detail: Tuple[Tuple[str, object], ...] = ()
-
-    def detail_dict(self) -> Dict[str, object]:
-        return dict(self.detail)
-
-    def describe(self) -> str:
-        """Canonical one-line rendering (the fingerprint hashes these)."""
-        extras = " ".join(f"{key}={value}" for key, value in self.detail)
-        return f"{self.time:.9f} {self.kind} {self.resource} {self.label} {extras}".rstrip()
-
-
-def _freeze_detail(detail: Optional[Dict[str, object]]) -> Tuple[Tuple[str, object], ...]:
-    if not detail:
-        return ()
-    return tuple(sorted(detail.items()))
-
-
-@dataclass(order=True)
-class _Scheduled:
-    sort_key: Tuple[float, int]
-    event: SimEvent = field(compare=False)
-    callback: Optional[Callable[[SimEvent], None]] = field(compare=False, default=None)
-
-
-class EventLoop:
-    """A deterministic discrete-event loop with a virtual-time heap.
-
-    Determinism comes from the total ``(time, seq)`` order alone -- the loop
-    itself draws no randomness.  ``seed`` is carried as trace metadata (the
-    deployment's seed, for tooling that labels or compares timelines); the
-    seeded inputs live in the latency model and the workload generator.
-    """
-
-    def __init__(self, seed: int = 2020) -> None:
-        self.seed = seed
-        self._seq = 0
-        self._pending: List[_Scheduled] = []
-        #: Events in firing order; authoritative once :meth:`run_until_idle`
-        #: has drained everything scheduled so far.
-        self.timeline: List[SimEvent] = []
-        #: Largest event time ever scheduled -- the run's makespan.
+    def __init__(self) -> None:
+        #: Largest event time ever recorded -- the run's makespan.
         self.horizon: float = 0.0
+        self._digest = hashlib.sha256()
 
-    # -- scheduling -------------------------------------------------------------
-
-    def schedule(
+    def record(
         self,
         time: float,
         kind: str,
         resource: str = "",
         label: str = "",
-        detail: Optional[Dict[str, object]] = None,
-        callback: Optional[Callable[[SimEvent], None]] = None,
-    ) -> SimEvent:
-        """Schedule one event at an absolute virtual time."""
+        detail: str = "",
+    ) -> None:
+        """Record one event at an absolute virtual time.
+
+        ``kind`` is e.g. ``"phase_start"``, ``"block_end"`` or ``"message"``;
+        ``resource`` is the machine or service the event belongs to, ``label``
+        names the activity (``"block-3/get_vote"``) and ``detail`` is free
+        text (``"status=committed"``).
+        """
         if time < 0:
-            raise ProtocolInvariantError(
-                f"cannot schedule an event at negative time {time}"
-            )
-        event = SimEvent(
-            time=float(time),
-            seq=self._next_seq(),
-            kind=kind,
-            resource=resource,
-            label=label,
-            detail=_freeze_detail(detail),
-        )
-        heapq.heappush(self._pending, _Scheduled((event.time, event.seq), event, callback))
-        self.horizon = max(self.horizon, event.time)
-        return event
+            raise ProtocolInvariantError(f"cannot record an event at negative time {time}")
+        if time > self.horizon:
+            self.horizon = float(time)
+        line = f"{time:.9f} {kind} {resource} {label} {detail}".rstrip()
+        self._digest.update(f"{line}\n".encode("utf-8"))
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    def fingerprint(self) -> str:
+        """SHA-256 over every line recorded so far, in record order.
 
-    # -- draining ---------------------------------------------------------------
-
-    def run_until_idle(self) -> List[SimEvent]:
-        """Fire every pending event in ``(time, seq)`` order.
-
-        Returns the events fired by this call (they are also appended to
-        :attr:`timeline`).  Callbacks may schedule further events; those fire
-        within the same drain as long as their time keeps the heap non-empty.
-
-        Under the model checker the ``seq`` tie-break among events scheduled
-        at the *same* virtual time becomes a choice point: a real deployment
-        gives no ordering guarantee between simultaneous activities, so each
-        interleaving of a tie group is a distinct explorable schedule.
+        Reading it does not disturb later records.
         """
-        fired: List[SimEvent] = []
-        while self._pending:
-            scheduled = self._pop_next()
-            self.timeline.append(scheduled.event)
-            fired.append(scheduled.event)
-            if scheduled.callback is not None:
-                scheduled.callback(scheduled.event)
-        return fired
-
-    def _pop_next(self) -> _Scheduled:
-        """Pop the next event; choice-driven among same-time ties when driven."""
-        source = active_choices()
-        if source is None or not source.enabled("loop-order") or len(self._pending) < 2:
-            return heapq.heappop(self._pending)
-        first = heapq.heappop(self._pending)
-        tied: List[_Scheduled] = [first]
-        while self._pending and self._pending[0].event.time == first.event.time:
-            tied.append(heapq.heappop(self._pending))
-        if len(tied) == 1:
-            return first
-        pick = source.choose(
-            f"loop/tie@{first.event.time:.9f}x{len(tied)}", len(tied), 0
-        )
-        chosen = tied.pop(pick)
-        for other in tied:
-            heapq.heappush(self._pending, other)
-        return chosen
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    # -- determinism ------------------------------------------------------------
-
-    def fingerprint(self, precision: int = 9) -> str:
-        """SHA-256 over the canonical rendering of the full timeline.
-
-        Two runs with the same seed and configuration must produce the same
-        fingerprint; the determinism test suite asserts exactly this.  Events
-        still pending are included (in sort order) so the fingerprint does
-        not depend on whether the caller drained the loop first.
-        """
-        digest = hashlib.sha256()
-        pending = sorted(self._pending)
-        for event in self.timeline + [scheduled.event for scheduled in pending]:
-            rounded = SimEvent(
-                time=round(event.time, precision),
-                seq=event.seq,
-                kind=event.kind,
-                resource=event.resource,
-                label=event.label,
-                detail=event.detail,
-            )
-            digest.update(rounded.describe().encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        return self._digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EventLoop(seed={self.seed}, fired={len(self.timeline)}, "
-            f"pending={len(self._pending)}, horizon={self.horizon:.6f})"
-        )
+        return f"Timeline(horizon={self.horizon:.6f})"

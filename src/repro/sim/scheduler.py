@@ -56,7 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolInvariantError
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventLoop
+from repro.sim.events import Timeline
 
 #: Phase kinds: how an activity occupies its resource.
 KIND_BROADCAST = "broadcast"  # network round trip + parallel cohort compute
@@ -126,13 +126,13 @@ class PipelinedRoundScheduler:
 
     def __init__(
         self,
-        loop: EventLoop,
+        timeline: Timeline,
         clock: Optional[VirtualClock] = None,
         pipeline_depth: int = 1,
     ) -> None:
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        self.loop = loop
+        self.timeline = timeline
         self.clock = clock or VirtualClock()
         self.pipeline_depth = pipeline_depth
         self._tasks: Dict[str, List[BlockTask]] = {}
@@ -197,7 +197,7 @@ class PipelinedRoundScheduler:
         del history[:-_TASK_WINDOW]
         self.blocks_scheduled += 1
         self.clock.set(earliest)
-        self.loop.schedule(earliest, "block_start", resource=resource, label=label)
+        self.timeline.record(earliest, "block_start", resource=resource, label=label)
         return task
 
     def begin_phase(self, task: BlockTask, phase: str, kind: str = KIND_BROADCAST) -> float:
@@ -218,7 +218,7 @@ class PipelinedRoundScheduler:
             start = max(start, self._terminal_free.get(task.resource, 0.0))
         task._pending_phase = (phase, start, kind)
         self.clock.set(start)
-        self.loop.schedule(
+        self.timeline.record(
             start, "phase_start", resource=task.resource, label=f"{task.label}/{phase}"
         )
         return start
@@ -241,7 +241,7 @@ class PipelinedRoundScheduler:
         if phase == self.CHAIN_PHASE:
             task.chain_ready_at = end
         self.clock.set(end)
-        self.loop.schedule(
+        self.timeline.record(
             end, "phase_end", resource=task.resource, label=f"{task.label}/{phase}"
         )
         return start, end
@@ -254,12 +254,12 @@ class PipelinedRoundScheduler:
             self.end_phase(task, task._pending_phase[0], 0.0)
         task.done_at = task.ready_at
         task.status = status
-        self.loop.schedule(
+        self.timeline.record(
             task.done_at,
             "block_end",
             resource=task.resource,
             label=task.label,
-            detail={"status": status},
+            detail=f"status={status}",
         )
         return task.done_at
 
@@ -293,7 +293,7 @@ class PipelinedRoundScheduler:
                 )
             start = max(start, task.ready_at)
         self.clock.set(start)
-        self.loop.schedule(start, "phase_start", resource=resources[0], label=label)
+        self.timeline.record(start, "phase_start", resource=resources[0], label=label)
         return start
 
     def end_delivery(
@@ -320,7 +320,7 @@ class PipelinedRoundScheduler:
         self._deliveries.append((frozenset(read_items), frozenset(write_items), end))
         del self._deliveries[:-_DELIVERY_WINDOW]
         self.clock.set(end)
-        self.loop.schedule(end, "phase_end", resource=resources[0], label=label)
+        self.timeline.record(end, "phase_end", resource=resources[0], label=label)
         if task is not None:
             task.delivery_resources = tuple(resources)
             task.phases[phase] = (start, end)
@@ -369,5 +369,5 @@ class PipelinedRoundScheduler:
 
     @property
     def makespan(self) -> float:
-        """The end of the last scheduled activity -- the run's virtual duration."""
-        return self.loop.horizon
+        """The end of the last recorded activity -- the run's virtual duration."""
+        return self.timeline.horizon

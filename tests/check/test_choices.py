@@ -101,26 +101,3 @@ class TestChooseOrder:
         source = ChoiceSource([])
         with driven_by(source):
             assert choose_order("perm", ["x", "y", "z"]) == ["x", "y", "z"]
-
-
-class TestEventLoopTieBreak:
-    def test_same_time_events_run_in_chosen_order(self):
-        from repro.sim.events import EventLoop
-
-        def run(prefix):
-            log = []
-            loop = EventLoop()
-            for name in ("first", "second"):
-                loop.schedule(
-                    1.0,
-                    "message",
-                    label=name,
-                    callback=(lambda n: (lambda event: log.append(n)))(name),
-                )
-            source = ChoiceSource(prefix, features={"loop-order"})
-            with driven_by(source):
-                loop.run_until_idle()
-            return log
-
-        assert run([]) == ["first", "second"]
-        assert run([1]) == ["second", "first"]

@@ -13,7 +13,7 @@ from repro.check.choices import choose
 from repro.check.explorer import Explorer, run_fingerprint
 from repro.check.invariants import RunRecord
 from repro.check.scenarios import (
-    InterleavingScenario,
+    ClassicByzantineScenario,
     Scenario,
     ShardedOrderingScenario,
 )
@@ -27,7 +27,7 @@ def _stub_record(fingerprint: str, pending_rounds: int = 0) -> RunRecord:
         commitment=SimpleNamespace(pending_round_count=lambda: pending_rounds),
     )
     system = SimpleNamespace(
-        sim=SimpleNamespace(loop=SimpleNamespace(fingerprint=lambda: fingerprint)),
+        sim=SimpleNamespace(fingerprint=lambda: fingerprint),
         servers={"s0": server},
     )
     return RunRecord(system=system)
@@ -158,8 +158,8 @@ class TestFingerprints:
 
 
 class TestRealScenario:
-    def test_tiny_interleaving_budget_is_clean(self):
-        result = Explorer(InterleavingScenario, max_runs=4).explore()
+    def test_tiny_byzantine_budget_is_clean(self):
+        result = Explorer(ClassicByzantineScenario, max_runs=4).explore()
         assert result.clean
         assert result.runs == 4
         assert result.distinct_states > 4

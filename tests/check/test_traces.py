@@ -56,8 +56,6 @@ class TestTraceFormat:
             load_trace(path)
 
     def test_clean_witness_trace_passes(self):
-        trace = Trace(
-            scenario="classic-interleaving", choices=[], expect="clean"
-        )
+        trace = Trace(scenario="classic-byzantine", choices=[], expect="clean")
         _, violations = replay(trace)
         assert violations == []

@@ -1,11 +1,13 @@
-"""Unit tests for the virtual clock and the deterministic event loop."""
+"""Unit tests for the virtual clock and the recorded timeline."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
 from repro.common.errors import ProtocolInvariantError
-from repro.sim import EventLoop, VirtualClock
+from repro.sim import Timeline, VirtualClock
 
 
 class TestVirtualClock:
@@ -27,58 +29,64 @@ class TestVirtualClock:
             VirtualClock().advance(-0.1)
 
 
-class TestEventLoop:
-    def test_events_fire_in_time_order(self):
-        loop = EventLoop()
-        loop.schedule(2.0, "b")
-        loop.schedule(1.0, "a")
-        loop.schedule(3.0, "c")
-        fired = loop.run_until_idle()
-        assert [event.kind for event in fired] == ["a", "b", "c"]
-        assert loop.timeline == fired
+#: One record per argument of :meth:`Timeline.record`, in that order.
+RECORDS = [
+    (0.5, "phase_start", "s0", "block-1/get_vote", ""),
+    (1.0, "message", "s1", "get_vote", "sender=s0"),
+    (1.0, "block_end", "s0", "block-1", "status=committed"),
+]
 
-    def test_ties_break_by_creation_order(self):
-        loop = EventLoop()
-        first = loop.schedule(1.0, "x", label="first")
-        second = loop.schedule(1.0, "x", label="second")
-        assert first.seq < second.seq
-        fired = loop.run_until_idle()
-        assert [event.label for event in fired] == ["first", "second"]
 
+def fingerprint_of(records) -> str:
+    timeline = Timeline()
+    for record in records:
+        timeline.record(*record)
+    return timeline.fingerprint()
+
+
+class TestTimeline:
     def test_horizon_tracks_latest_scheduled_time(self):
-        loop = EventLoop()
-        loop.schedule(5.0, "a")
-        loop.schedule(1.0, "b")
-        assert loop.horizon == 5.0
+        timeline = Timeline()
+        timeline.record(5.0, "a")
+        timeline.record(1.0, "b")
+        assert timeline.horizon == 5.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ProtocolInvariantError):
-            EventLoop().schedule(-1.0, "bad")
+            Timeline().record(-1.0, "bad")
 
-    def test_callbacks_run_and_may_schedule_more(self):
-        loop = EventLoop()
-        seen = []
+    def test_same_records_same_fingerprint(self):
+        assert fingerprint_of(RECORDS) == fingerprint_of(list(RECORDS))
 
-        def chain(event):
-            seen.append(event.label)
-            if len(seen) < 3:
-                loop.schedule(event.time + 1.0, "tick", label=f"t{len(seen)}", callback=chain)
+    @pytest.mark.parametrize("field", range(5))
+    def test_every_field_is_fingerprinted(self, field):
+        time, kind, resource, label, detail = RECORDS[1]
+        changed = [time + 1e-9, kind + "x", resource + "x", label + "x", detail + "x"]
+        record = list(RECORDS[1])
+        record[field] = changed[field]
+        altered = [RECORDS[0], tuple(record), RECORDS[2]]
+        assert fingerprint_of(altered) != fingerprint_of(RECORDS)
 
-        loop.schedule(0.0, "tick", label="t0", callback=chain)
-        loop.run_until_idle()
-        assert seen == ["t0", "t1", "t2"]
+    def test_record_order_is_fingerprinted(self):
+        swapped = [RECORDS[0], RECORDS[2], RECORDS[1]]
+        assert fingerprint_of(swapped) != fingerprint_of(RECORDS)
 
-    def test_fingerprint_is_stable_and_covers_pending_events(self):
-        def build():
-            loop = EventLoop()
-            loop.schedule(1.0, "a", resource="r", label="x", detail={"k": 1})
-            loop.schedule(0.5, "b")
-            return loop
+    def test_reading_the_fingerprint_does_not_disturb_it(self):
+        timeline = Timeline()
+        for record in RECORDS:
+            timeline.fingerprint()
+            timeline.record(*record)
+        assert timeline.fingerprint() == fingerprint_of(RECORDS)
 
-        drained = build()
-        drained.run_until_idle()
-        pending = build()
-        assert drained.fingerprint() == pending.fingerprint()
-        other = build()
-        other.schedule(0.75, "c")
-        assert other.fingerprint() != pending.fingerprint()
+    def test_recording_keeps_no_events(self):
+        timeline = Timeline()
+        timeline.record(0.0, "warm", "s0", "block-0", "status=committed")
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for index in range(100_000):
+                timeline.record(index * 1e-3, "phase_end", "s0", f"block-{index}/decision")
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ProtocolInvariantError
-from repro.sim import EventLoop, PipelinedRoundScheduler
+from repro.sim import PipelinedRoundScheduler, Timeline
 from repro.sim.scheduler import KIND_COMPUTE, KIND_TERMINAL
 
 
 def make_scheduler(depth: int = 1) -> PipelinedRoundScheduler:
-    return PipelinedRoundScheduler(EventLoop(), pipeline_depth=depth)
+    return PipelinedRoundScheduler(Timeline(), pipeline_depth=depth)
 
 
 def run_round(scheduler, resource="c0", label="b", **kwargs):
