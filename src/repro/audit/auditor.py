@@ -38,7 +38,7 @@ from repro.crypto.keys import KeyPair, keypair_for
 from repro.crypto.merkle import verify_inclusion
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog
-from repro.net.forms import AuditLogRequest, AuditVoRequest
+from repro.net.forms import AuditLogRequest, AuditVoRequest, Refusal, read_reply
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.obs.timing import Stopwatch
@@ -467,20 +467,21 @@ class Auditor:
             for entry in txn.write_set:
                 if self.shard_map.server_for(entry.item_id) != server_id:
                     continue
-                response = self.network.send(
+                data = self.network.send(
                     AUDITOR_ID,
                     server_id,
                     MessageType.AUDIT_VO_REQUEST,
                     AuditVoRequest(entry.item_id, at),
                 )
-                if not response.get("ok"):
+                inclusion = read_reply(MessageType.AUDIT_VO_REQUEST, server_id, data)
+                if type(inclusion) is Refusal:
                     audited_ok = False
                     report.add(
                         Violation(
                             kind=ViolationType.DATASTORE_CORRUPTION,
                             description=(
                                 f"server refused to produce a verification object for "
-                                f"{entry.item_id}: {response.get('reason', 'unknown')}"
+                                f"{entry.item_id}: {inclusion.reason}"
                             ),
                             culprits=(server_id,),
                             block_height=block.height,
@@ -488,9 +489,9 @@ class Auditor:
                         )
                     )
                     continue
-                stored_value = response["value"]
+                stored_value = inclusion.value
                 proof_ok = verify_inclusion(
-                    entry.item_id, stored_value, response["vo"], expected_root
+                    entry.item_id, stored_value, inclusion.vo, expected_root
                 )
                 if not proof_ok or stored_value != entry.new_value:
                     audited_ok = False

@@ -14,14 +14,23 @@ audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Union
 
 from repro.common.errors import ProtocolError, SignatureError
 from repro.common.timestamps import TimestampGenerator
 from repro.common.types import ClientId, ItemId, Value
 from repro.crypto.cosi import cosi_verify
 from repro.crypto.keys import KeyPair
-from repro.net.forms import BeginTxn, EndTxn, ReadItem, Refusal, WriteItem, read_reply
+from repro.net.forms import (
+    BeginTxn,
+    EndTxn,
+    ReadItem,
+    Refusal,
+    Termination,
+    TxnOutcome,
+    WriteItem,
+    read_reply,
+)
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
 from repro.client.session import TransactionSession
@@ -75,6 +84,8 @@ class FidesClient:
         self._coordinator_router = coordinator_router
         self._clock = TimestampGenerator(client_id)
         self._txn_counter = 0
+        #: The last proof that verified: the outcomes of one block share it.
+        self._verified_proof = None
         network.register_observer(client_id, keypair)
 
     def coordinator_for(self, txn: Transaction) -> str:
@@ -124,11 +135,12 @@ class FidesClient:
         return outcome
 
     def commit_with_response(self, session: TransactionSession):
-        """Like :meth:`commit` but also return the coordinator's raw response.
+        """Like :meth:`commit` but also return the coordinator's reply, a
+        :class:`~repro.net.forms.Termination` or a :class:`Refusal`.
 
-        The raw response may carry outcomes of *other* queued transactions
-        that were flushed as part of the same block; batch drivers (the
-        workload runner, the benchmark harness) use it to resolve those.
+        A flushed reply may carry outcomes of *other* queued transactions
+        that terminated in the same flush; the workload engine and the
+        benchmark harness use it to resolve those.
         """
         for stamp in session.observed_timestamps():
             self._clock.observe(stamp)
@@ -138,14 +150,15 @@ class FidesClient:
         envelope = self._network.sign_envelope(
             self._end_transaction_envelope(txn, coordinator_id)
         )
-        response = self._network.send(
+        data = self._network.send(
             self.client_id,
             coordinator_id,
             MessageType.END_TRANSACTION,
             envelope.payload,
             presigned=envelope,
         )
-        return self.interpret_outcome(txn.txn_id, response), response
+        reply = read_reply(MessageType.END_TRANSACTION, coordinator_id, data)
+        return self.interpret_outcome(txn.txn_id, reply), reply
 
     def _end_transaction_envelope(self, txn: Transaction, coordinator_id: str):
         return Envelope(
@@ -157,40 +170,43 @@ class FidesClient:
 
     # -- outcome handling ----------------------------------------------------------------
 
-    def interpret_outcome(self, txn_id: str, response: Dict) -> CommitOutcome:
-        """Turn a coordinator response into a :class:`CommitOutcome`.
-
-        If the response carries the block digest and collective signature the
-        client verifies it against the public keys of all servers before
-        accepting the decision.
-        """
-        status = response.get("status", "failed")
-        if status == "queued":
+    def interpret_outcome(self, txn_id: str, reply: Union[Termination, Refusal]) -> CommitOutcome:
+        """Turn a coordinator's reply into ``txn_id``'s :class:`CommitOutcome`:
+        ``failed`` with the reason of a refusal, or of a flush that carries
+        no outcome for it."""
+        if type(reply) is Refusal:
+            return CommitOutcome(txn_id=txn_id, status="failed", reason=reply.reason)
+        if reply.queued:
             return CommitOutcome(txn_id=txn_id, status="queued")
-        results = response.get("results", {})
-        mine = results.get(txn_id)
-        if mine is None:
-            return CommitOutcome(
-                txn_id=txn_id, status="failed", reason=response.get("reason", "no outcome for txn")
-            )
-        verified = False
-        cosign = mine.get("cosign")
-        digest = mine.get("block_digest")
-        if cosign is not None and digest is not None:
-            verified = cosi_verify(cosign, digest, self._network.public_key_directory())
-            if not verified:
+        for outcome in reply.outcomes:
+            if outcome.txn_id == txn_id:
+                return self.accept(outcome)
+        return CommitOutcome(txn_id=txn_id, status="failed", reason="no outcome for txn")
+
+    def accept(self, outcome: TxnOutcome) -> CommitOutcome:
+        """One outcome, believed once its proof -- the block digest and
+        collective signature, if it carries them -- verifies against the
+        public keys of all servers."""
+        proof = (outcome.block_digest, outcome.cosign)
+        verified = outcome.block_digest is not None and outcome.cosign is not None
+        if verified and proof != self._verified_proof:
+            if not cosi_verify(
+                outcome.cosign, outcome.block_digest, self._network.public_key_directory()
+            ):
                 # An invalid co-sign on a decision is itself an anomaly the
                 # client reports (it would trigger an audit, Section 4.3.1).
                 raise SignatureError(
-                    f"client {self.client_id}: decision for {txn_id} carries an invalid co-sign"
+                    f"client {self.client_id}: decision for {outcome.txn_id} "
+                    "carries an invalid co-sign"
                 )
+            self._verified_proof = proof
         return CommitOutcome(
-            txn_id=txn_id,
-            status=mine["status"],
-            block_height=mine.get("block_height"),
-            reason=mine.get("reason", ""),
+            txn_id=outcome.txn_id,
+            status=outcome.status,
+            block_height=outcome.block_height,
+            reason=outcome.reason,
             cosign_verified=verified,
-            decided_at=mine.get("decided_at"),
+            decided_at=outcome.decided_at,
         )
 
     # -- helpers ------------------------------------------------------------------------------

@@ -375,10 +375,9 @@ def tag(key: str, constant) -> _Entry:
 def extra(key: str) -> _Entry:
     """A key that is not state, which the decoder ignores.
 
-    It carries the same-named attribute where the class has one (a
-    histogram's derived ``mean``) and ``None`` otherwise, for the sender to
-    fill in (the proof a ``TxnOutcome`` travels with, which the client
-    verifies itself).
+    It carries the same-named attribute where the class has one and ``None``
+    otherwise; its one use is a histogram's derived ``mean``
+    (:class:`~repro.obs.metrics.Histogram`).
     """
     return _Entry(key, "extra")
 

@@ -35,6 +35,7 @@ from repro.crypto.keys import keypair_for
 from repro.crypto.signing import make_signing_scheme
 from repro.ledger.checkpoint import Checkpoint, build_checkpoint, cosign_checkpoint
 from repro.ledger.log import TransactionLog
+from repro.net.forms import Termination
 from repro.net.latency import LatencyModel, lan_latency
 from repro.net.network import Network
 from repro.recovery.manager import RecoveryResult
@@ -224,21 +225,18 @@ class FidesSystem:
         for recovery or failover and must not keep the workload loop spinning."""
         return (c for c in list(self.coordinators.values()) if c.available)
 
-    def _flush_pending(self) -> Dict:
-        """Flush every live coordinator's partial batch and merge the responses.
+    def _flush_pending(self) -> Termination:
+        """Flush every live coordinator's partial batch and merge the replies.
 
         The merged frontier is the maximum across coordinators -- observing a
         larger committed timestamp is always safe for a retrying client.
         """
-        merged: Dict[str, Dict] = {}
-        frontier: Optional[Tuple[int, str]] = None
-        for coordinator in self._live_coordinators():
-            response = coordinator.flush()
-            merged.update(response.get("results", {}))
-            reported = response.get("latest_committed_ts")
-            if reported is not None and (frontier is None or tuple(reported) > frontier):
-                frontier = tuple(reported)
-        return {"status": "flushed", "results": merged, "latest_committed_ts": frontier}
+        flushed = [coordinator.flush() for coordinator in self._live_coordinators()]
+        return Termination(
+            False,
+            tuple(outcome for reply in flushed for outcome in reply.outcomes),
+            max((reply.frontier for reply in flushed), default=None),
+        )
 
     def _land_stream(self) -> None:
         """Have the ordering service (if any) finalise every block it holds."""
@@ -279,6 +277,8 @@ class FidesSystem:
         return outcome
 
     def _run_transaction_raw(self, operations: Sequence[Operation], client_index: int = 0):
+        """``(outcome, reply)``: the coordinator's reply as the client read
+        it, ``None`` when a server the transaction needed was unreachable."""
         client = self.client(client_index)
         session = client.begin()
         try:
@@ -299,7 +299,7 @@ class FidesSystem:
                 status="failed",
                 reason=f"server unreachable: {exc}",
             )
-            return outcome, {}
+            return outcome, None
 
     def run_workload(
         self,
@@ -346,15 +346,19 @@ class FidesSystem:
                 result.committed_by_client[owner.client_id] += 1
 
         def settle(
-            outcome: CommitOutcome, slot: int, spec: TransactionSpec, attempt: int, response: Dict
+            outcome: CommitOutcome,
+            slot: int,
+            spec: TransactionSpec,
+            attempt: int,
+            frontier: Optional[Timestamp],
         ) -> None:
             """Record a terminal outcome, or re-enqueue a stale-failed txn.
 
             A commit timestamp can fall behind the committed frontier when
             other clients' blocks commit between this client's operations and
             its termination request; like any OCC client, it retries with a
-            refreshed clock (the coordinator reports the frontier timestamp
-            in its response).
+            refreshed clock (the coordinator reports the ``frontier`` in its
+            reply).
             """
             owner = clients[slot]
             stale = outcome.status == "failed" and outcome.reason == STALE_TIMESTAMP_REASON
@@ -365,32 +369,30 @@ class FidesSystem:
                 # releases it directly.
                 self._release_execution(outcome.txn_id)
             if stale and attempt < self.STALE_RETRY_LIMIT:
-                frontier = response.get("latest_committed_ts")
                 if frontier is not None:
-                    owner.clock.observe(Timestamp(frontier[0], frontier[1]))
+                    owner.clock.observe(frontier)
                 work.append((spec, slot, attempt + 1))
             else:
                 record(outcome, owner)
 
-        def resolve_from(response: Dict) -> None:
-            flushed = response.get("results", {})
-            for txn_id in [t for t in queued if t in flushed]:
+        def resolve_from(reply: Termination) -> None:
+            by_txn = {outcome.txn_id: outcome for outcome in reply.outcomes}
+            for txn_id in [t for t in queued if t in by_txn]:
                 slot, spec, attempt = queued.pop(txn_id)
-                outcome = clients[slot].interpret_outcome(txn_id, response)
-                settle(outcome, slot, spec, attempt, response)
+                outcome = clients[slot].accept(by_txn[txn_id])
+                settle(outcome, slot, spec, attempt, reply.frontier)
 
         while work or queued or any(c.pending_count for c in self._live_coordinators()):
             if work:
                 spec, slot, attempt = work.popleft()
-                outcome, response = self._run_transaction_raw(
-                    spec.operations, client_index + slot
-                )
+                outcome, reply = self._run_transaction_raw(spec.operations, client_index + slot)
+                flushed = type(reply) is Termination and not reply.queued
                 if outcome.pending:
                     queued[outcome.txn_id] = (slot, spec, attempt)
                 else:
-                    settle(outcome, slot, spec, attempt, response)
-                if response.get("status") == "flushed":
-                    resolve_from(response)
+                    settle(outcome, slot, spec, attempt, reply.frontier if flushed else None)
+                if flushed:
+                    resolve_from(reply)
                 continue
             # Drain the partially filled final batch (including transactions
             # left pending by earlier calls); resolutions may re-enqueue
@@ -416,11 +418,11 @@ class FidesSystem:
         ]
         return result
 
-    def flush(self) -> Dict:
+    def flush(self) -> Termination:
         """Commit every coordinator's partial batch and finalise the ordered stream."""
-        response = self._flush_pending()
+        flushed = self._flush_pending()
         self._land_stream()
-        return response
+        return flushed
 
     # -- crash / recovery / checkpointing ------------------------------------------------
 

@@ -20,10 +20,9 @@ from repro.common.encoding import canonical_encode
 from repro.common.errors import ProtocolError, ProtocolInvariantError, UnreachableError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ServerId
-from repro.common.wire import INT, NUMBER, STR, extra, optional, wire_form
 from repro.core.grouping import ServerGroup
 from repro.ledger.block import Block, make_group_partial_block, make_partial_block
-from repro.net.forms import Refusal, RoundFailed, read_reply
+from repro.net.forms import Refusal, RoundFailed, Termination, TxnOutcome, read_reply
 from repro.net.latency import LatencyModel
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
@@ -62,34 +61,6 @@ class TimingBreakdown:
         if self.num_txns == 0:
             return self.total
         return self.total / self.num_txns
-
-
-@wire_form(
-    ("txn_id", STR),
-    ("status", STR),
-    ("block_height", optional(INT)),
-    ("reason", STR),
-    ("decided_at", optional(NUMBER)),
-    extra("block_digest"),
-    extra("cosign"),
-)
-@dataclass(frozen=True)
-class TxnOutcome:
-    """Outcome of one transaction within a block.
-
-    On the wire an outcome travels with its proof, ``block_digest`` and
-    ``cosign``: advisory keys the TFCommit coordinator fills in and the
-    client verifies itself, not outcome state.
-    """
-
-    txn_id: str
-    status: str  # "committed" / "aborted" / "failed"
-    block_height: Optional[int] = None
-    reason: str = ""
-    #: Virtual time at which the block's decision landed (the end of the
-    #: round's terminal phase on the simulated timeline); ``None`` while a
-    #: published group block still waits for its ordered delivery.
-    decided_at: Optional[float] = None
 
 
 @dataclass
@@ -163,48 +134,6 @@ STALE_TIMESTAMP_REASON = "stale commit timestamp"
 
 def _stale_outcome(txn: Transaction) -> TxnOutcome:
     return TxnOutcome(txn.txn_id, "failed", reason=STALE_TIMESTAMP_REASON)
-
-
-def stale_failure_response(txn: Transaction, latest_committed_ts: Timestamp) -> Dict:
-    """Coordinator response failing one transaction for a stale timestamp.
-
-    Shared by TFCommit and the 2PC baseline so the staleness contract (the
-    failure reason and the ``latest_committed_ts`` clients refresh their
-    clocks from) lives in one place.
-    """
-    outcome = _stale_outcome(txn)
-    return {
-        "status": "flushed",
-        "results": {txn.txn_id: outcome.to_wire()},
-        "latest_committed_ts": latest_committed_ts.as_tuple(),
-    }
-
-
-def flushed_response(results: Dict[str, Dict], latest_committed_ts: Timestamp) -> Dict:
-    """Coordinator response carrying a flush's outcomes.
-
-    Clients observe ``latest_committed_ts`` to refresh their Lamport clocks,
-    exactly as they observe rts/wts on reads; a client retrying a stale
-    commit needs it to pick a timestamp above the committed frontier.
-    """
-    return {
-        "status": "flushed",
-        "results": results,
-        "latest_committed_ts": latest_committed_ts.as_tuple(),
-    }
-
-
-def drain_stale(
-    batch_builder: BatchBuilder,
-    pending: List[Tuple[Transaction, Envelope]],
-    latest_committed_ts: Timestamp,
-    results: Dict[str, Dict],
-) -> List[Tuple[Transaction, Envelope]]:
-    """Take the next batch, recording a failure for every stale transaction."""
-    batch, stale = batch_builder.take_batch(pending, latest_committed_ts)
-    for txn, _ in stale:
-        results[txn.txn_id] = _stale_outcome(txn).to_wire()
-    return batch
 
 
 #: Virtual seconds a participant waits on a phase's response before declaring
@@ -520,11 +449,14 @@ class Round:
             # Until the stream delivers a published block its outcomes carry
             # ``None`` rather than the misleading placeholder height 0.
             height = None if self.status is RoundStatus.PUBLISHED else decision.height
+        proof = (None, None)  # what a client verifies itself; 2PC blocks carry none
+        if decision is not None and decision.cosign is not None:
+            proof = (decision.signing_digest(), decision.cosign)
         fields = dict(
             status=status,
             block=decision,
             outcomes=[
-                TxnOutcome(txn.txn_id, status, height, reason, self.decided_at)
+                TxnOutcome(txn.txn_id, status, height, reason, self.decided_at, *proof)
                 for txn in self.transactions
             ],
             timing=self.timing,
@@ -544,11 +476,10 @@ class SimScheduledRounds:
 
     The base of the TFCommit coordinator and the 2PC baseline.  Both queue
     ``end_transaction`` requests, cut them into batches, and report outcomes
-    the same way (they differ in :meth:`_run` and in what proof an outcome
-    carries, :meth:`_wire_outcomes`); both chain blocks at aggregation time
-    and deliver decisions in order, so the same dependency rules govern how
-    far their rounds pipeline; and a coordinator failover needs the same
-    small queue/frontier surface from either.
+    the same way (they differ only in :meth:`_run`); both chain blocks at
+    aggregation time and deliver decisions in order, so the same dependency
+    rules govern how far their rounds pipeline; and a coordinator failover
+    needs the same small queue/frontier surface from either.
     """
 
     def __init__(
@@ -601,38 +532,37 @@ class SimScheduledRounds:
 
     # -- client entry point -------------------------------------------------------
 
-    def on_end_transaction(self, envelope: Envelope) -> Dict:
+    def on_end_transaction(self, envelope: Envelope) -> Termination:
         """Handle a client's ``end_transaction`` request.
 
         Stale requests (commit timestamp at or below the latest committed
-        timestamp) are ignored, as specified in Section 4.3.1.  Otherwise the
+        timestamp) are failed, as specified in Section 4.3.1, with the
+        frontier a retrying client refreshes its clock from.  Otherwise the
         transaction is queued; once a full batch is available the coordinator
         runs its commit protocol and returns the outcomes.
         """
         txn: Transaction = envelope.payload.transaction
         if txn.commit_ts <= self._latest_committed_ts:
-            return stale_failure_response(txn, self._latest_committed_ts)
+            return Termination(False, (_stale_outcome(txn),), self._latest_committed_ts)
         self._pending.append((txn, envelope))
         if len(self._pending) >= self.batch_builder.txns_per_block:
             return self.flush()
-        return {"status": "queued"}
+        return Termination(queued=True)
 
-    def flush(self) -> Dict:
-        """Commit every pending transaction (possibly across several blocks)."""
-        results: Dict[str, Dict] = {}
+    def flush(self) -> Termination:
+        """Commit every pending transaction (possibly across several blocks);
+        a transaction an earlier block of the flush made stale fails."""
+        outcomes: List[TxnOutcome] = []
         while self._pending:
-            batch = drain_stale(
-                self.batch_builder, self._pending, self._latest_committed_ts, results
+            batch, stale = self.batch_builder.take_batch(
+                self._pending, self._latest_committed_ts
             )
+            outcomes.extend(_stale_outcome(txn) for txn, _ in stale)
             if not batch:
                 # Every remaining transaction was stale; nothing left to commit.
                 break
-            results.update(self._wire_outcomes(self.commit_batch(batch)))
-        return flushed_response(results, self._latest_committed_ts)
-
-    def _wire_outcomes(self, result: BlockCommitResult) -> Dict[str, Dict]:
-        """One round's outcomes as the client sees them, keyed by txn id."""
-        return {outcome.txn_id: outcome.to_wire() for outcome in result.outcomes}
+            outcomes.extend(self.commit_batch(batch).outcomes)
+        return Termination(False, tuple(outcomes), self._latest_committed_ts)
 
     # -- the round template --------------------------------------------------------
 

@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import ProtocolInvariantError
 from repro.core.rounds import (
-    BlockCommitResult,
     Round,
     RoundStatus,
     SimScheduledRounds,
@@ -60,15 +59,6 @@ class TFCommitCoordinator(SimScheduledRounds):
     responsibilities during termination (Section 4.1); it participates in
     every round as a cohort via the same network messages as everyone else.
     """
-
-    def _wire_outcomes(self, result: BlockCommitResult) -> Dict[str, Dict]:
-        """Outcomes carry their proof: the block's digest and its co-sign."""
-        digest = result.block.signing_digest() if result.block is not None else None
-        cosign = result.block.cosign if result.block is not None else None
-        return {
-            outcome.txn_id: {**outcome.to_wire(), "block_digest": digest, "cosign": cosign}
-            for outcome in result.outcomes
-        }
 
     # -- the protocol ----------------------------------------------------------------
 

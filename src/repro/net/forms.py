@@ -39,6 +39,8 @@ from repro.common.wire import (
     optional,
     wire_form,
 )
+from repro.crypto.cosi import CollectiveSignature
+from repro.crypto.merkle import VerificationObject
 from repro.ledger.anchor import EpochAnchor
 from repro.ledger.block import Block
 from repro.net.message import Envelope, MessageType
@@ -300,6 +302,60 @@ class StateResponse:
     blocks: Tuple[Block, ...]
 
 
+@wire_form(
+    ("txn_id", STR),
+    ("status", STR),
+    ("block_height", optional(INT)),
+    ("reason", STR),
+    ("decided_at", optional(NUMBER)),
+    ("block_digest", optional(BYTES)),
+    ("cosign", optional(nested(CollectiveSignature))),
+)
+@dataclass(frozen=True)
+class TxnOutcome:
+    """Outcome of one transaction within a block, and its proof: the decision
+    block's signing digest and co-sign, which the client verifies itself
+    (``None`` where the block carries no co-sign: 2PC, a failed round)."""
+
+    txn_id: str
+    status: str  # "committed" / "aborted" / "failed"
+    block_height: Optional[int] = None
+    reason: str = ""
+    #: Virtual time at which the block's decision landed (the end of the
+    #: round's terminal phase on the simulated timeline); ``None`` while a
+    #: published group block still waits for its ordered delivery.
+    decided_at: Optional[float] = None
+    block_digest: Optional[bytes] = None
+    cosign: Optional[CollectiveSignature] = None
+
+
+@wire_form(
+    ("queued", BOOL),
+    ("outcomes", list_of(nested(TxnOutcome))),
+    ("frontier", optional(TIMESTAMP)),
+)
+@dataclass(frozen=True)
+class Termination:
+    """A coordinator's answer to ``END_TRANSACTION``: ``queued`` until the
+    transaction's block fills, else the ``outcomes`` of every transaction the
+    flush terminated and the committed ``frontier`` a client retrying a stale
+    commit refreshes its clock from."""
+
+    queued: bool
+    outcomes: Tuple[TxnOutcome, ...] = ()
+    frontier: Optional[Timestamp] = None
+
+
+@wire_form(("value", ANY), ("vo", nested(VerificationObject)))
+@dataclass(frozen=True)
+class Inclusion:
+    """An item's stored value and the Merkle path that should prove it (the
+    auditor holds the co-signed root it must lead to)."""
+
+    value: Any
+    vo: VerificationObject
+
+
 # -- the table -----------------------------------------------------------------------
 
 
@@ -315,9 +371,7 @@ MESSAGES: Dict[MessageType, Row] = {
     _T.BEGIN_TRANSACTION: Row(BeginTxn, Ack),
     _T.READ: Row(ReadItem, ReadResult),
     _T.WRITE: Row(WriteItem, WriteAck),
-    # Half-wire: TxnOutcome dicts with a live CollectiveSignature, read by the
-    # workload engine as well as the client.
-    _T.END_TRANSACTION: Row(EndTxn, None),
+    _T.END_TRANSACTION: Row(EndTxn, Termination),
     _T.GET_VOTE: Row(Proposal, VoteResult),
     _T.CHALLENGE: Row(Challenge, ChallengeResponse),
     _T.DECISION: Row(DecidedBlock, Applied),
@@ -329,9 +383,10 @@ MESSAGES: Dict[MessageType, Row] = {
     _T.PREPARE: Row(Proposal, PrepareVote),
     _T.COMMIT_DECISION: Row(DecidedBlock, Applied),
     _T.STATE_REQUEST: Row(StateRequest, StateResponse),
-    # The auditor is handed a live TransactionLog and a live VerificationObject.
+    # The auditor is handed a live TransactionLog: a declared form would
+    # flatten every log at once (ROADMAP item 5(b)'s streamed form).
     _T.AUDIT_LOG_REQUEST: Row(AuditLogRequest, None),
-    _T.AUDIT_VO_REQUEST: Row(AuditVoRequest, None),
+    _T.AUDIT_VO_REQUEST: Row(AuditVoRequest, Inclusion),
 }
 
 

@@ -38,6 +38,7 @@ from repro.net.forms import (
     Ack,
     Applied,
     EndTxn,
+    Inclusion,
     Proposal,
     Refusal,
     StateResponse,
@@ -442,12 +443,9 @@ class DatabaseServer:
             return self._refuse("item not stored here")
         if at is None or not self.store.multi_versioned:
             vo = self.store.verification_object(item_id)
-            root = self.store.merkle_root()
-            value = self.store.read(item_id).value
-        else:
-            vo, root = self.store.verification_object_at(item_id, at)
-            value = self.store.read_version(item_id, at).value
-        return {"server_id": self.server_id, "ok": True, "vo": vo, "root": root, "value": value}
+            return Inclusion(self.store.read(item_id).value, vo)
+        vo, _ = self.store.verification_object_at(item_id, at)
+        return Inclusion(self.store.read_version(item_id, at).value, vo)
 
     # -- convenience -----------------------------------------------------------------------
 

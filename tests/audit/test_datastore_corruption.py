@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.audit.violations import ViolationType
+from repro.net.message import MessageType
 from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
 
@@ -67,3 +69,31 @@ class TestDatastoreCorruptionDetection:
         small_system.server("s1").store.corrupt(item, 31337)
         report = small_system.audit()
         assert report.culprit_servers() == ("s1",)
+
+
+class TestLyingInclusionReply:
+    """A verification-object reply is believed only as far as it decodes: one
+    that is not an ``Inclusion`` is that server's datastore corruption.  It
+    used to raise ``AttributeError`` out of the audit."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda reply: {**reply, "vo": "not a proof"},
+            lambda reply: {key: value for key, value in reply.items() if key != "value"},
+        ],
+        ids=["vo-not-a-proof", "no-value"],
+    )
+    def test_a_malformed_inclusion_reply_is_corruption_of_that_server(
+        self, small_system, workload_factory, lie, damage
+    ):
+        workload = workload_factory(small_system, ops_per_txn=2, seed=33)
+        small_system.run_workload(workload.generate(5))
+        last = small_system.server("s0").log.blocks[-1].transactions[-1].write_set[-1]
+        liar = small_system.shard_map.server_for(last.item_id)
+        lie(small_system, liar, MessageType.AUDIT_VO_REQUEST, damage)
+        report = small_system.audit()
+        violations = report.violations_of(ViolationType.DATASTORE_CORRUPTION)
+        assert violations and report.violations == violations
+        assert {v.culprits for v in violations} == {(liar,)}
+        assert last.item_id in {v.item_id for v in violations}

@@ -76,6 +76,8 @@ WIRE_DIGESTS = {
     "Released": "9c6278ad062a81018494c241d2f4990ed780c3bef274ffad0f49c45355c34fdb",
     "FrontierReport": "77f1daad50ee6468ee4d7bfb351773b599024c662b4e960153426069a3c9d600",
     "StateResponse": "eeff80b99b84e6df884e8215d7b9f1704d25ac5581ac5af80bfa29fcd27aeaa9",
+    "Termination": "d3f833d8a0f0d3e3937fc5c7fd02d933c7fed9e72e0275b7b79689463f6692e3",
+    "Inclusion": "7184ae4e860eec786fa79bb30e38de8eb51d9263b5dec8a584ed6a73f4b43ad6",
 }
 
 #: The two sub-forms that are hashed or signed on their own.

@@ -424,7 +424,7 @@ class TestUndeclaredKeysAreRefused:
     def test_sub_groups_were_found(self):
         assert hasattr(Block, "body_bytes") and hasattr(SnapshotRecord, "datastore_bytes")
 
-    @pytest.mark.parametrize("class_name", ["Histogram", "TxnOutcome"])
+    @pytest.mark.parametrize("class_name", ["Histogram"])
     def test_a_declared_extra_may_be_there_or_not(self, class_name):
         cls, instance = WIRE_CLASSES[class_name], BUILDERS[class_name]()
         wire = instance.to_wire()

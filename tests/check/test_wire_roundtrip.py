@@ -199,6 +199,25 @@ BUILDERS = {
         compute_time=0.5,
     ),
     "StateResponse": lambda: forms.StateResponse(head_height=5, blocks=(BUILDERS["Block"](),)),
+    "Termination": lambda: forms.Termination(
+        queued=False,
+        outcomes=(
+            BUILDERS["TxnOutcome"](),
+            TxnOutcome(
+                txn_id="t2",
+                status="aborted",
+                block_height=4,
+                reason="stale read",
+                decided_at=1.25,
+                block_digest=b"\x10" * 32,
+                cosign=_COSIGN,
+            ),
+        ),
+        frontier=_TS2,
+    ),
+    "Inclusion": lambda: forms.Inclusion(
+        value={"k": [1, b"v"]}, vo=BUILDERS["VerificationObject"]()
+    ),
 }
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import FidesError
+from repro.common.errors import FidesError, SignatureError
 from repro.common.timestamps import Timestamp
 from repro.net.message import MessageType
 from repro.txn.operations import ReadOp, WriteOp
+from repro.workload.ycsb import TransactionSpec
 
 
 class TestClientLifecycle:
@@ -142,3 +143,54 @@ class TestLyingServer:
         with pytest.raises(FidesError):
             client.write(session, item, 5)
         assert session.items_written == set()
+
+
+def _without_status(reply):
+    for outcome in reply["outcomes"]:
+        del outcome["status"]
+    return reply
+
+
+def _forged_cosign(reply):
+    for outcome in reply["outcomes"]:
+        outcome["cosign"]["response"] += 1
+    return reply
+
+
+class TestLyingCoordinator:
+    """The coordinator is untrusted too: a termination reply that is not a
+    ``Termination`` fails the transaction with the reason it did not decode.
+    It used to escape as ``AttributeError`` / ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "damage, names",
+        [
+            (lambda reply: None, "must be a dict, not NoneType"),
+            (lambda reply: "no", "must be a dict, not str"),
+            (lambda reply: {"status": "flushed", "results": None}, "undeclared key"),
+            (_without_status, "'status' is missing"),
+        ],
+        ids=["none", "no", "flushed-without-results", "outcome-without-status"],
+    )
+    @pytest.mark.parametrize("entry", ["run_transaction", "run_workload"])
+    def test_a_malformed_termination_reply_is_a_failed_outcome(
+        self, small_system, lie, damage, names, entry
+    ):
+        item = small_system.shard_map.all_items()[0]
+        lie(small_system, small_system.coordinator_id, MessageType.END_TRANSACTION, damage)
+        operations = (ReadOp(item), WriteOp(item, 5))
+        if entry == "run_transaction":
+            outcome = small_system.run_transaction(operations)
+        else:
+            (outcome,) = small_system.run_workload([TransactionSpec(0, operations)]).outcomes
+        assert outcome.status == "failed"
+        assert "Termination" in outcome.reason and names in outcome.reason
+
+    def test_a_forged_co_sign_is_an_anomaly_after_a_verified_one(self, small_system, lie):
+        """The client checks every proof it has not seen verify: outcomes of
+        one block share one, a forged one is not it."""
+        item = small_system.shard_map.all_items()[0]
+        assert small_system.run_transaction([WriteOp(item, 1)]).cosign_verified
+        lie(small_system, small_system.coordinator_id, MessageType.END_TRANSACTION, _forged_cosign)
+        with pytest.raises(SignatureError, match="invalid co-sign"):
+            small_system.run_transaction([WriteOp(item, 2)])

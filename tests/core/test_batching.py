@@ -115,13 +115,13 @@ class TestBatchedCommit:
             )
             return coordinator.on_end_transaction(envelope)
 
-        assert enqueue("t-high", 5)["status"] == "queued"
-        assert enqueue("t-low", 1)["status"] == "queued"
-        response = coordinator.flush()
-        assert response["results"]["t-high"]["status"] == "committed"
-        low = response["results"]["t-low"]
-        assert low["status"] == "failed"
-        assert low["reason"] == "stale commit timestamp"
+        assert enqueue("t-high", 5).queued
+        assert enqueue("t-low", 1).queued
+        outcomes = {outcome.txn_id: outcome for outcome in coordinator.flush().outcomes}
+        assert outcomes["t-high"].status == "committed"
+        low = outcomes["t-low"]
+        assert low.status == "failed"
+        assert low.reason == "stale commit timestamp"
 
     def test_transactions_within_block_do_not_conflict(self, batched_system, workload_factory):
         workload = workload_factory(batched_system, ops_per_txn=2, window=4, seed=2)

@@ -99,7 +99,7 @@ class TestAbortPath:
 
     def test_stale_commit_timestamp_is_ignored(self, small_system):
         from repro.common.timestamps import Timestamp
-        from repro.net.forms import EndTxn
+        from repro.net.forms import EndTxn, read_reply
         from repro.net.message import Envelope, MessageType
         from repro.txn.transaction import Transaction, WriteSetEntry
 
@@ -118,8 +118,9 @@ class TestAbortPath:
                 "c0", "s0", MessageType.END_TRANSACTION, EndTxn(stale_txn, stale_txn.commit_ts)
             )
         )
-        response = small_system.network.send(
+        data = small_system.network.send(
             "c0", "s0", MessageType.END_TRANSACTION, envelope.payload, presigned=envelope
         )
-        assert response["results"]["stale"]["status"] == "failed"
+        (outcome,) = read_reply(MessageType.END_TRANSACTION, "s0", data).outcomes
+        assert (outcome.txn_id, outcome.status) == ("stale", "failed")
         assert small_system.server("s0").store.read(item).value == 1

@@ -22,11 +22,7 @@ from repro.server.server import DatabaseServer
 
 #: Replies that are not declared forms yet, each for a stated reason (see the
 #: table's comments and ROADMAP item 2).  The set can only shrink.
-UNDECLARED_REPLIES = {
-    MessageType.END_TRANSACTION,
-    MessageType.AUDIT_LOG_REQUEST,
-    MessageType.AUDIT_VO_REQUEST,
-}
+UNDECLARED_REPLIES = {MessageType.AUDIT_LOG_REQUEST}
 
 
 class TestTheTableIsTotal:
@@ -35,7 +31,7 @@ class TestTheTableIsTotal:
         handlers = {name for name in vars(DatabaseServer) if name.startswith("_on_")}
         assert handlers == {f"_on_{member.value}" for member in MessageType}
 
-    def test_the_undeclared_replies_are_exactly_the_three_named(self):
+    def test_the_undeclared_replies_are_exactly_those_named(self):
         assert {m for m, row in MESSAGES.items() if row.reply is None} == UNDECLARED_REPLIES
 
     def test_every_form_is_a_wire_class(self):

@@ -99,8 +99,8 @@ class TestSignedButUnreadFields:
     def test_the_outer_commit_timestamp_must_be_the_transactions(self, wired_server):
         network, server = wired_server
         server.set_coordinator_role(object())  # never reached
-        data = ask(network, MessageType.END_TRANSACTION, _end_txn(Timestamp(6, "c0")))
-        assert "commit timestamp" in Refusal.from_wire(data).reason
+        refusal = ask(network, MessageType.END_TRANSACTION, _end_txn(Timestamp(6, "c0")))
+        assert isinstance(refusal, Refusal) and "commit timestamp" in refusal.reason
 
 
 class TestMalformedRequests:
@@ -151,14 +151,13 @@ class TestAuditMessages:
 
     def test_audit_vo_request_latest(self, wired_server):
         network, server = wired_server
-        response = ask(network, MessageType.AUDIT_VO_REQUEST, AuditVoRequest("a"))
-        assert response["ok"]
-        assert verify_inclusion("a", response["value"], response["vo"], response["root"])
+        inclusion = ask(network, MessageType.AUDIT_VO_REQUEST, AuditVoRequest("a"))
+        assert verify_inclusion("a", inclusion.value, inclusion.vo, server.store.merkle_root())
 
     def test_audit_vo_request_unknown_item(self, wired_server):
         network, _ = wired_server
-        response = ask(network, MessageType.AUDIT_VO_REQUEST, AuditVoRequest("zz"))
-        assert Refusal.from_wire(response).reason == "item not stored here"
+        refusal = ask(network, MessageType.AUDIT_VO_REQUEST, AuditVoRequest("zz"))
+        assert refusal.reason == "item not stored here"
 
 
 class TestFaultWiring:
