@@ -15,8 +15,8 @@
 - :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples
   into deterministic regression tests;
 - :mod:`repro.check.static` -- the static protocol analyzer
-  (``python -m repro.check.static``): exception-effect checking and the
-  per-file determinism/assert rules.
+  (``python -m repro.check.static``): one walk over each module's AST
+  applying the per-node exception and determinism/assert rules.
 
 Heavy submodules are loaded lazily: ``core``/``sim``/``net`` import the two
 leaf modules above at import time, so this package ``__init__`` must not

@@ -1,19 +1,19 @@
 """Static protocol analyzer (``python -m repro.check.static``).
 
 The static counterpart to the model checker: where the explorer proves
-properties of *runs it can reach*, this package checks *every path in the
-source*, before anything executes:
+properties of *runs it can reach*, this package checks *every line of the
+source*, before anything executes.  :mod:`repro.check.static.rules` is one
+walk over each module's AST applying per-node rules:
 
-- :mod:`repro.check.static.effects` -- exception effects: handler-reachable
-  code must not let non-``FidesError`` exceptions escape (broad excepts,
-  builtin raises).
-- :mod:`repro.check.static.determinism` -- determinism and hygiene rules:
-  no wall clock, ad-hoc timers, ``print`` or bare ``assert`` in protocol
-  packages, no unseeded randomness anywhere.
+- exception rules -- no broad ``except`` and no ``raise`` of a builtin
+  exception in the protocol packages, so only ``FidesError`` can leave a
+  handler;
+- determinism and hygiene rules -- no wall clock, ad-hoc timers, ``print``
+  or bare ``assert`` in protocol packages, no unseeded randomness anywhere.
 
-Findings are :class:`~repro.check.static.model.Finding` values, reported via
-:mod:`repro.check.static.report` against the checked-in ``baseline.json``.
-The analyses run pure-AST (no package import needed).
+Findings are :class:`~repro.check.static.model.Finding` values; a trailing
+``# static: allow[rule]`` on the flagged line is the one way to excuse one.
+The rules run pure-AST (no package import needed).
 
 What is *not* an analysis here, because it is data or a type instead of
 something to infer from source text:
@@ -35,16 +35,15 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.check.static.determinism import determinism_findings
-from repro.check.static.effects import effect_findings
 from repro.check.static.model import Finding, SourceTree, default_root
+from repro.check.static.rules import rule_findings
 
 __all__ = ["Finding", "SourceTree", "default_root", "run_analyses"]
 
 
 def run_analyses(tree: SourceTree) -> List[Finding]:
-    """Run every analysis; suppressed findings are dropped here."""
-    findings = tree.syntax_errors + effect_findings(tree) + determinism_findings(tree)
+    """Run every rule; suppressed findings are dropped here."""
+    findings = tree.syntax_errors + rule_findings(tree)
     kept = []
     for finding in findings:
         module = tree.modules.get(finding.path)

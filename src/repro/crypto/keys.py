@@ -12,6 +12,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 
+from repro.common.errors import ConfigurationError
 from repro.crypto.group import CURVE_ORDER, Point, generator_multiply
 
 
@@ -38,7 +39,7 @@ class PrivateKey:
 
     def __post_init__(self) -> None:
         if not 1 <= self.scalar < CURVE_ORDER:
-            raise ValueError("private key scalar out of range")
+            raise ConfigurationError("private key scalar out of range")
 
     def public_key(self) -> PublicKey:
         """Derive the matching public key ``scalar * G``."""

@@ -16,6 +16,8 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.common.errors import ConfigurationError
+
 
 class LatencyModel(ABC):
     """Produces one-way message delays, in seconds."""
@@ -49,7 +51,7 @@ class UniformLatency(LatencyModel):
 
     def __post_init__(self) -> None:
         if self.low > self.high:
-            raise ValueError("low latency bound exceeds high bound")
+            raise ConfigurationError("low latency bound exceeds high bound")
         self._rng = random.Random(self.seed)
 
     def sample(self) -> float:

@@ -18,6 +18,8 @@ the :class:`~repro.sim.events.Timeline` records events provides that).
 
 from __future__ import annotations
 
+from repro.common.errors import ProtocolInvariantError
+
 
 class VirtualClock:
     """Holds the virtual time of the currently executing activity."""
@@ -36,7 +38,7 @@ class VirtualClock:
     def advance(self, delta: float) -> float:
         """Move forward by ``delta`` seconds and return the new time."""
         if delta < 0:
-            raise ValueError(f"cannot advance the clock by a negative delta ({delta})")
+            raise ProtocolInvariantError(f"cannot advance the clock by a negative delta ({delta})")
         self._now += delta
         return self._now
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.common.errors import ConfigurationError
 from repro.obs import Observability
 from repro.sim.clock import VirtualClock
 from repro.sim.events import Timeline
@@ -35,7 +36,7 @@ class FixedCompute:
 
     def __init__(self, seconds: float = 0.0) -> None:
         if seconds < 0:
-            raise ValueError("fixed compute time must be >= 0")
+            raise ConfigurationError("fixed compute time must be >= 0")
         self.seconds = seconds
 
     def __call__(self, phase: str, measured: float) -> float:

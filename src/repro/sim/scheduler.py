@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ProtocolInvariantError
+from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.sim.clock import VirtualClock
 from repro.sim.events import Timeline
 
@@ -131,7 +131,7 @@ class PipelinedRoundScheduler:
         pipeline_depth: int = 1,
     ) -> None:
         if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
+            raise ConfigurationError("pipeline_depth must be >= 1")
         self.timeline = timeline
         self.clock = clock or VirtualClock()
         self.pipeline_depth = pipeline_depth

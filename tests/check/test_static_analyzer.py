@@ -1,9 +1,8 @@
 """The static analyzer: clean on the real tree, each rule fires on a fixture.
 
 Mirrors ``test_lint.py``'s structure, but the fixtures are synthetic package
-trees written to ``tmp_path`` because the analyses key off package names
-(``core``, ``server``...) and cross-module structure (a ``handle`` method and
-the ``_on_*`` handlers beside it), which point fixtures cannot express.
+trees written to ``tmp_path`` because the rules key off package names
+(``core``, ``server``, ``bench``...).
 """
 
 from __future__ import annotations
@@ -12,18 +11,10 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.check.static import default_root
 from repro.check.static import run_analyses
 from repro.check.static.__main__ import main
 from repro.check.static.model import SourceTree
-from repro.check.static.report import (
-    build_report,
-    load_baseline,
-    validate_report,
-    write_baseline,
-)
 
 
 def write_tree(root: Path, files: dict) -> SourceTree:
@@ -53,6 +44,14 @@ def base_files() -> dict:
             """,
     }
 
+
+#: A helper no handler calls, raising a builtin exception.
+UNCALLED_HELPER = """
+    def helper(x):
+        if x < 0:
+            raise ValueError("never called from a handler")
+        return x
+    """
 
 #: A protocol-package file with one ``broad-except`` finding on its line 5.
 SLOPPY = """
@@ -106,7 +105,7 @@ class TestExceptionEffects:
         files["bench/sloppy.py"] = SLOPPY.format(marker="")
         assert by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except") == []
 
-    def test_escaping_raise_in_handler_reachable_code(self, tmp_path):
+    def test_builtin_raise_in_handler_code_is_flagged(self, tmp_path):
         files = base_files()
         files["server/server.py"] = """
             class Server:
@@ -122,35 +121,61 @@ class TestExceptionEffects:
                         raise ValueError("empty ping")
                     return Ack("s0")
             """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "escaping-raise")
+        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "builtin-raise")
         assert [f.function for f in findings] == ["Layer.ping"]
         assert "ValueError" in findings[0].message
 
-    def test_a_handler_is_a_root_by_its_name_alone(self, tmp_path):
-        # No table names the handler: ``_on_<type>`` beside ``handle`` is enough.
+    def test_raise_unreachable_from_dispatch_is_flagged(self, tmp_path):
+        # No reachability: a builtin raise anywhere in a protocol package is
+        # a finding, whether or not a handler calls it today.
         files = base_files()
-        files["server/server.py"] += """
-                def _on_pong(self, envelope):
-                    raise KeyError("pong")
+        files["core/viewchange.py"] = UNCALLED_HELPER
+        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "builtin-raise")
+        assert [(f.path, f.function) for f in findings] == [("core/viewchange.py", "helper")]
 
-                def helper_nobody_calls(self):
-                    raise KeyError("unreachable")
-            """
-        findings = by_rule(run_analyses(write_tree(tmp_path, files)), "escaping-raise")
-        assert [f.function for f in findings] == ["Server._on_pong"]
-
-    def test_raise_unreachable_from_dispatch_is_ignored(self, tmp_path):
+    def test_builtin_raise_ignored_outside_protocol_packages(self, tmp_path):
         files = base_files()
-        files["core/util.py"] = """
-            def helper(x):
-                if x < 0:
-                    raise ValueError("never called from a handler")
-                return x
+        files["bench/viewchange.py"] = UNCALLED_HELPER
+        assert by_rule(run_analyses(write_tree(tmp_path, files)), "builtin-raise") == []
+
+    def test_protocol_errors_and_reraises_are_not_flagged(self, tmp_path):
+        files = base_files()
+        files["core/errors_ok.py"] = """
+            from repro.common import errors
+            from repro.common.errors import ConfigurationError
+
+            class Interface:
+                def step(self):
+                    raise NotImplementedError
+
+            def configure(depth):
+                if depth < 1:
+                    raise ConfigurationError("depth must be >= 1")
+                try:
+                    return decode(depth)
+                except errors.ValidationError:
+                    raise
+                except KeyError as exc:
+                    raise errors.ProtocolError(str(exc)) from None
             """
-        assert by_rule(run_analyses(write_tree(tmp_path, files)), "escaping-raise") == []
+        assert run_analyses(write_tree(tmp_path, files)) == []
 
 
-class TestSuppressionAndBaseline:
+class TestCallNames:
+    def test_a_local_function_named_random_is_not_a_draw(self, tmp_path):
+        # A one-part name that no import binds has no module to match.
+        files = base_files()
+        files["core/dice.py"] = """
+            def random():
+                return 4
+
+            def roll():
+                return random()
+            """
+        assert run_analyses(write_tree(tmp_path, files)) == []
+
+
+class TestSuppression:
     def test_static_allow_marker_suppresses(self, tmp_path):
         files = {**base_files(), "core/sloppy.py": SLOPPY.format(marker="  # static: allow")}
         assert by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except") == []
@@ -158,56 +183,16 @@ class TestSuppressionAndBaseline:
     def test_static_allow_with_rule_list_is_selective(self, tmp_path):
         files = {
             **base_files(),
-            "core/sloppy.py": SLOPPY.format(marker="  # static: allow[escaping-raise]"),
+            "core/sloppy.py": SLOPPY.format(marker="  # static: allow[builtin-raise]"),
         }
         findings = by_rule(run_analyses(write_tree(tmp_path, files)), "broad-except")
         assert findings, "marker names a different rule, so the finding stays"
 
-    def test_baseline_roundtrip_and_report_schema(self, tmp_path):
-        files = {**base_files(), "core/sloppy.py": SLOPPY.format(marker="")}
-        tree = write_tree(tmp_path, files)
-        findings = run_analyses(tree)
-        assert findings
-
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-        baseline = load_baseline(baseline_path)
-        assert baseline == {finding.key for finding in findings}
-
-        report = build_report(findings, tmp_path, baseline)
-        assert validate_report(report) == []
-        assert report["new_findings"] == []
-        assert report["baselined_findings"] == sorted(baseline)
-
-    def test_cli_baseline_workflow(self, tmp_path, capsys):
+    def test_cli_fails_on_a_finding_and_writes_the_report(self, tmp_path, capsys):
         write_tree(tmp_path, {**base_files(), "core/sloppy.py": SLOPPY.format(marker="")})
-        baseline = tmp_path / "baseline.json"
-        args = ["--root", str(tmp_path), "--baseline", str(baseline)]
-
-        assert main(args) == 1  # un-baselined finding fails
-        assert main(args + ["--update-baseline"]) == 0
-        assert main(args) == 0  # now accepted debt
-        out = capsys.readouterr().out
-        assert "[baselined]" in out
-
         report_path = tmp_path / "report.json"
-        assert main(args + ["--json", str(report_path)]) == 0
+        assert main(["--root", str(tmp_path), "--json", str(report_path)]) == 1
+        assert "1 finding(s)" in capsys.readouterr().out
         report = json.loads(report_path.read_text())
-        assert validate_report(report) == []
+        assert set(report) == {"tool", "commit", "root", "counts", "findings"}
         assert report["counts"] == {"broad-except": 1}
-
-    def test_stale_baseline_entry_is_reported(self, tmp_path, capsys):
-        write_tree(tmp_path, base_files())
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "schema_version": 1,
-            "suppressions": ["gone::core/x.py::f::whatever"],
-        }))
-        assert main(["--root", str(tmp_path), "--baseline", str(baseline)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_baseline_schema_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"schema_version": 99, "suppressions": []}))
-        with pytest.raises(ValueError):
-            load_baseline(bad)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.net.latency import (
     ConstantLatency,
     UniformLatency,
@@ -30,7 +31,7 @@ class TestLatencyModels:
         assert a == b
 
     def test_uniform_latency_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             UniformLatency(low=0.2, high=0.1)
 
     def test_lan_is_much_faster_than_wan(self):

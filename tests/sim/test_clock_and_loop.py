@@ -25,7 +25,7 @@ class TestVirtualClock:
         assert clock.now == 2.0
 
     def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolInvariantError):
             VirtualClock().advance(-0.1)
 
 

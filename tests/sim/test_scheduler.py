@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ProtocolInvariantError
+from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.sim import PipelinedRoundScheduler, Timeline
 from repro.sim.scheduler import KIND_COMPUTE, KIND_TERMINAL
 
@@ -159,5 +159,5 @@ class TestLifecycleGuards:
         assert task.status == "failed"
 
     def test_depth_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             make_scheduler(depth=0)
