@@ -37,7 +37,7 @@ from repro.common.timestamps import Timestamp
 from repro.crypto.keys import KeyPair, keypair_for
 from repro.crypto.merkle import verify_inclusion
 from repro.ledger.block import Block, BlockDecision
-from repro.ledger.log import TransactionLog
+from repro.ledger.log import TransactionLog, verify_copies
 from repro.net.forms import AuditLogRequest, AuditVoRequest, Refusal, read_reply
 from repro.net.message import MessageType
 from repro.net.network import Network
@@ -101,15 +101,12 @@ class Auditor:
         copy vouches for its dropped prefix with the checkpoint's collective
         signature, so it competes on equal footing with full copies when the
         longest correct log is selected (Lemma 7 across the truncation
-        boundary).
+        boundary).  Each copy is verified on its own, except that a co-sign
+        every copy holds is checked once per call (:func:`verify_copies`).
         """
         if checkpoints is None:
             checkpoints = getattr(self, "collected_checkpoints", {})
-        public_keys = self.network.public_key_directory()
-        results = {
-            server_id: log.verify(public_keys, checkpoint=checkpoints.get(server_id))
-            for server_id, log in logs.items()
-        }
+        results = verify_copies(logs, self.network.public_key_directory(), checkpoints)
         report.log_results = dict(results)
 
         valid = {
@@ -541,7 +538,6 @@ class Auditor:
 
     def run_audit(
         self,
-        servers=None,
         logs: Optional[Mapping[str, TransactionLog]] = None,
         check_datastore: bool = True,
         datastore_mode: str = "latest",
@@ -550,11 +546,10 @@ class Auditor:
     ) -> AuditReport:
         """Run a complete offline audit and return the report.
 
-        ``servers`` is accepted (and ignored beyond convenience) so callers
-        holding a :class:`~repro.core.fides.FidesSystem` can simply pass its
-        server map; logs and verification objects are always fetched over the
-        network so the audit exercises the same signed message paths a real
-        external auditor would.  ``epoch_anchors`` + ``ordering_shard_map``
+        Unless ``logs`` are given, logs are fetched over the network, and
+        verification objects always are, so the audit exercises the same
+        signed message paths a real external auditor would.
+        ``epoch_anchors`` + ``ordering_shard_map``
         (sharded ordering deployments) additionally run
         :meth:`check_epoch_anchors` against the reference log.
         """

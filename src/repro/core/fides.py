@@ -568,7 +568,7 @@ class FidesSystem:
                 epoch_anchors=self.ordering.epoch_anchors,
                 ordering_shard_map=self.ordering.shard_map,
             )
-        return self.auditor().run_audit(self.servers, **options)
+        return self.auditor().run_audit(**options)
 
     # -- introspection -------------------------------------------------------------------------
 

@@ -241,9 +241,11 @@ class Block:
     def block_hash(self) -> bytes:
         """Hash-pointer value used as the next block's ``previous_hash``.
 
-        The pointer covers the body *and* the collective signature so that
-        replacing a signature (even with another valid-looking one) breaks
-        the chain.
+        The pointer covers the body *and* the collective signature's
+        ``challenge || response``, so that replacing a signature (even with
+        another valid-looking one) breaks the chain.  It does not cover the
+        signature's ``signer_ids``: a block with a signer dropped keeps its
+        pointer and fails only its co-sign check.
         """
         cosign_bytes = self.cosign.encode() if self.cosign is not None else b""
         return hash_concat(self.body_digest(), cosign_bytes)

@@ -13,10 +13,10 @@ Lemmas 6 and 7 so the auditor's detection can be exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ValidationError
-from repro.crypto.cosi import cosi_verify
+from repro.crypto.cosi import CollectiveSignature, cosi_verify
 from repro.crypto.keys import PublicKey
 from repro.ledger.block import Block, genesis_previous_hash
 
@@ -36,7 +36,29 @@ class LogVerificationResult:
     reason: str = ""
 
 
-def verify_block_cosign(block: Block, public_keys: Dict[str, PublicKey]) -> str:
+def _cosign_holds(
+    cosign, digest: bytes, public_keys: Dict[str, PublicKey], verdicts: Optional[dict]
+) -> bool:
+    """``cosi_verify(cosign, digest, public_keys)``, answered once per distinct input.
+
+    ``verdicts`` belongs to one verification call (:func:`verify_copies`), for
+    which the key directory is fixed, so the key is the rest of what the check
+    reads: the digest, the challenge, the response and the signer ids.  A
+    block's :meth:`~repro.ledger.block.Block.block_hash` would not do -- it
+    covers ``challenge || response`` but not the signer ids.
+    """
+    if verdicts is None or not isinstance(cosign, CollectiveSignature):
+        return cosi_verify(cosign, digest, public_keys)
+    key = (digest, cosign.challenge, cosign.response, tuple(cosign.signer_ids))
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = cosi_verify(cosign, digest, public_keys)
+    return verdict
+
+
+def verify_block_cosign(
+    block: Block, public_keys: Dict[str, PublicKey], verdicts: Optional[dict] = None
+) -> str:
     """Check one block's collective signature; returns "" or a failure reason.
 
     The single source of truth for the co-sign rules shared by full-log
@@ -47,14 +69,37 @@ def verify_block_cosign(block: Block, public_keys: Dict[str, PublicKey]) -> str:
     * a dynamic-group block must be signed by *exactly* its recorded group --
       a subset could not have run the round, and extra signers mean the
       recorded membership was doctored.
+
+    ``verdicts`` is the co-sign table of the :func:`verify_copies` call this
+    check runs in, if any.
     """
     if block.cosign is None:
         return "missing collective signature"
     if block.group is not None and set(block.cosign.signer_ids) != set(block.group):
         return "group block signer set does not match its recorded group"
-    if not cosi_verify(block.cosign, block.signing_digest(), public_keys):
+    if not _cosign_holds(block.cosign, block.signing_digest(), public_keys, verdicts):
         return "invalid collective signature"
     return ""
+
+
+def verify_copies(
+    logs: Mapping[str, "TransactionLog"],
+    public_keys: Dict[str, PublicKey],
+    checkpoints: Mapping[str, object],
+) -> Dict[str, LogVerificationResult]:
+    """Verify every server's log copy, each against its own checkpoint.
+
+    Every copy gets its own chain, height and signer-set checks over its own
+    signing digests; only the group arithmetic is shared, through one
+    co-sign table that lives for this call.  In an honest run every copy
+    holds the same blocks, so each distinct co-sign is checked once rather
+    than once per copy, and a second call starts from an empty table.
+    """
+    verdicts: Dict[tuple, bool] = {}
+    return {
+        server: log._verify(public_keys, checkpoints.get(server), verdicts)
+        for server, log in logs.items()
+    }
 
 
 class TransactionLog:
@@ -173,6 +218,11 @@ class TransactionLog:
         its coverage must match the truncation boundary, and the retained
         suffix must chain onto its head hash.
         """
+        return self._verify(public_keys, checkpoint, {})
+
+    def _verify(
+        self, public_keys: Dict[str, PublicKey], checkpoint, verdicts: dict
+    ) -> LogVerificationResult:
         if self._base_height > 0:
             if checkpoint is None:
                 return LogVerificationResult(
@@ -182,8 +232,8 @@ class TransactionLog:
                     self._base_height,
                     "log is checkpoint-truncated but no checkpoint was presented",
                 )
-            if checkpoint.cosign is None or not cosi_verify(
-                checkpoint.cosign, checkpoint.digest(), public_keys
+            if checkpoint.cosign is None or not _cosign_holds(
+                checkpoint.cosign, checkpoint.digest(), public_keys, verdicts
             ):
                 # Wording deliberately avoids "signature": the auditor's
                 # forged-block classifier keys on that word to refine a
@@ -218,7 +268,7 @@ class TransactionLog:
                 return LogVerificationResult(
                     False, len(self._blocks), index, height, "broken hash pointer"
                 )
-            reason = verify_block_cosign(block, public_keys)
+            reason = verify_block_cosign(block, public_keys, verdicts)
             if reason:
                 return LogVerificationResult(False, len(self._blocks), index, height, reason)
             expected_prev = block.block_hash()
@@ -278,25 +328,3 @@ class TransactionLog:
             del self._blocks[:count]
         return count
 
-
-def select_correct_log(
-    logs: Dict[str, TransactionLog], public_keys: Dict[str, PublicKey]
-) -> tuple:
-    """Pick the correct and complete log out of the copies collected from all servers.
-
-    Implements the auditor's first step (Section 3.3 / Lemma 7): verify every
-    copy, keep the valid ones, and return the longest (ties broken by server
-    id for determinism).  Returns ``(server_id, log, per_server_results)``.
-
-    Raises
-    ------
-    ValidationError
-        If no copy verifies -- which the failure model rules out (at least one
-        server is correct), so hitting this means the audit inputs are bad.
-    """
-    results = {server: log.verify(public_keys) for server, log in logs.items()}
-    valid = [(server, logs[server]) for server, result in results.items() if result.valid]
-    if not valid:
-        raise ValidationError("no correct log copy found among the collected logs")
-    best_server, best_log = max(valid, key=lambda pair: (len(pair[1]), pair[0]))
-    return best_server, best_log, results

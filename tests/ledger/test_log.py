@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ValidationError
+from repro.audit.auditor import Auditor
+from repro.audit.report import AuditReport
+from repro.common.errors import AuditError, ValidationError
 from repro.common.timestamps import Timestamp
 from repro.crypto.cosi import CoSiWitness, run_cosi_round
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
-from repro.ledger.log import TransactionLog, select_correct_log
+from repro.ledger.log import TransactionLog
+from repro.net.network import Network
 from repro.txn.transaction import Transaction, WriteSetEntry
 
 SERVER_IDS = ["s0", "s1", "s2"]
@@ -132,6 +135,19 @@ class TestTamperedLogs:
             build_log(2).truncate(-1)
 
 
+def select_correct_log(logs):
+    """Pick the reference copy the one way the code does: ``Auditor.check_logs``.
+
+    Returns ``(server_id, log, per_server_results)``.
+    """
+    network = Network()
+    for sid, keypair in KEYPAIRS.items():
+        network.register_observer(sid, keypair)
+    report = AuditReport()
+    reference = Auditor(network, SERVER_IDS, shard_map=None).check_logs(logs, report, {})
+    return report.reference_log_server, reference, report.log_results
+
+
 class TestSelectCorrectLog:
     def test_longest_valid_copy_wins(self):
         full = build_log(5)
@@ -140,7 +156,7 @@ class TestSelectCorrectLog:
         tampered = full.copy()
         tampered.tamper_reorder(0, 1)
         logs = {"s0": short, "s1": full, "s2": tampered}
-        chosen_server, chosen_log, results = select_correct_log(logs, PUBLIC_KEYS)
+        chosen_server, chosen_log, results = select_correct_log(logs)
         assert chosen_server == "s1"
         assert len(chosen_log) == 5
         assert not results["s2"].valid and results["s0"].valid
@@ -148,8 +164,8 @@ class TestSelectCorrectLog:
     def test_no_valid_copy_raises(self):
         log = build_log(2)
         log.tamper_reorder(0, 1)
-        with pytest.raises(ValidationError):
-            select_correct_log({"s0": log}, PUBLIC_KEYS)
+        with pytest.raises(AuditError):
+            select_correct_log({"s0": log})
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=4))
@@ -157,8 +173,6 @@ class TestSelectCorrectLog:
         full = build_log(4)
         short = full.copy()
         short.truncate(keep)
-        chosen_server, chosen_log, _ = select_correct_log(
-            {"s0": short, "s1": full}, PUBLIC_KEYS
-        )
+        chosen_server, chosen_log, _ = select_correct_log({"s0": short, "s1": full})
         assert chosen_server == "s1"
         assert len(chosen_log) == 4
