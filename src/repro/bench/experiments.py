@@ -138,20 +138,12 @@ def _under_regime(p, config, regime):
     return [(result, result.as_row())]
 
 
-def _fault_campaign(p, config):
-    """The whole fault x trigger grid, run by :mod:`repro.faultsim`."""
-    # Imported here: ``repro.api`` imports this package; only this row needs the engine.
-    from repro.faultsim import CampaignConfig, build_fault_matrix, run_campaign
-    from repro.faultsim.plan import DEFAULT_TRIGGER_VARIANTS
+def _fault_matrix(p, config):
+    """The whole fault x trigger grid, one row per scenario (:mod:`repro.faultsim`)."""
+    # Imported here: ``repro.faultsim`` builds through this package's harness.
+    from repro.faultsim import fault_matrix
 
-    campaign = CampaignConfig(
-        num_servers=p.num_servers, items_per_shard=p.items_per_shard,
-        txns_per_block=p.txns_per_block, num_requests=p.num_requests, num_clients=p.num_clients,
-    )
-    # ``smoke`` leaves ``trigger_variants`` = how many of the variants to keep; otherwise all.
-    variants = DEFAULT_TRIGGER_VARIANTS[: getattr(p, "trigger_variants", None)]
-    scenarios = build_fault_matrix(campaign.server_ids, trigger_variants=variants)
-    return [(result, result.as_row()) for result in run_campaign(campaign, scenarios)]
+    return fault_matrix(p, config)
 
 
 def _crash_and_recover(p, config, store_kind, gap, interval):
@@ -306,19 +298,25 @@ SWEEPS: Dict[str, Sweep] = {
     "faultmatrix": Sweep(
         doc="""The detection matrix: sweep the full fault x trigger grid (Lemmas 1-7).
 
-        Every scenario injects one declarative :class:`~repro.faultsim.FaultPlan`
+        Every scenario injects one declarative :class:`~repro.server.faults.FaultPlan`
         composition into a fresh deployment, drives the multi-client workload
         engine plus a deterministic probe, and reports whether the auditor (or
         the TFCommit round itself) detected the misbehaviour, whether the culprit
         attribution is correct, blocks-until-detection, and the audit wall-time
-        against an honest-run baseline.  ``smoke=True`` restricts the grid to the
-        always-firing trigger variant (the CI configuration).""",
+        against an honest run of the same deployment.  ``smoke=True`` restricts
+        the grid to the always-firing trigger variant (the CI configuration).""",
         defaults=dict(
             num_requests=8, num_clients=2, num_servers=3, items_per_shard=48, txns_per_block=2
         ),
-        point=lambda p: dict(label="faultmatrix"),
+        # Multi-versioned stores let the audit authenticate every block
+        # exhaustively, which pinpoints the corrupted version (Lemma 2); two
+        # ordering shards make the scaled scenarios seal epoch anchors.
+        point=lambda p: dict(
+            label="faultmatrix", ops_per_txn=2, multi_versioned=True,
+            ordering_shards=2, epoch_max_blocks=4,
+        ),
         smoke=lambda p: dict(trigger_variants=1),
-        script=_fault_campaign,
+        script=_fault_matrix,
     ),
     "scaledgroups": Sweep(
         doc="""The Section 4.6 scale-out sweep: servers x group-locality x txns/block.

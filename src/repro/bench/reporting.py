@@ -6,6 +6,7 @@ series as aligned text tables (and CSV for anyone who wants to re-plot them).
 
 from __future__ import annotations
 
+import csv
 import io
 from typing import Dict, List, Sequence
 
@@ -34,12 +35,13 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
 
 
 def rows_to_csv(rows: Sequence[Dict[str, object]]) -> str:
-    """Render rows as CSV text (no external dependency)."""
+    """Render rows as CSV text; a cell holding a comma or a quote is quoted."""
     if not rows:
         return ""
     columns = list(rows[0].keys())
     buffer = io.StringIO()
-    buffer.write(",".join(str(column) for column in columns) + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        buffer.write(",".join(str(row.get(column, "")) for column in columns) + "\n")
+        writer.writerow(str(row.get(column, "")) for column in columns)
     return buffer.getvalue()

@@ -21,7 +21,7 @@ from repro.audit.violations import ViolationType
 from repro.common.errors import ConfigurationError
 from repro.server.faults import FaultPlan
 
-#: Placeholder resolved by the campaign runner to the target server's
+#: Placeholder resolved by the fault-matrix script to the target server's
 #: reserved probe item (the first item of its shard, excluded from the
 #: background workload so probes stay deterministic).
 RESERVED_ITEM = "$reserved"
@@ -41,22 +41,19 @@ class CampaignScenario:
     #: inside the TFCommit round (refusals / faulty-signer identification).
     expected_violation: Optional[ViolationType] = None
     expected_culprits: Tuple[str, ...] = ()
-    #: False for seeded-probability variants, where the trigger may simply
-    #: never draw -- the sweep reports those rather than asserting on them.
-    deterministic: bool = True
-    #: True for crash/recovery scenarios: the campaign runner recovers every
+    #: True for crash/recovery scenarios: the fault-matrix script recovers every
     #: crashed server before probing and auditing, and detection is
     #: classified as a liveness event (round failure / rejected catch-up),
     #: never as a safety violation.
     liveness: bool = False
-    #: True when the runner must depose the (crashed or Byzantine)
+    #: True when the script must depose the (crashed or Byzantine)
     #: coordinator via ``system.fail_over()`` after recovery, then verify
     #: that post-view-change commits succeed under the elected successor.
     failover: bool = False
     #: Which deployment the scenario runs against: ``"classic"`` (the
-    #: default single-coordinator FidesSystem) or ``"sharded"`` (a
-    #: ScaledFidesSystem with the sharded sequencer -- the only deployment
-    #: where epoch anchors, and hence anchor faults, exist).
+    #: default single-coordinator FidesSystem) or ``"scaled"`` (a
+    #: ScaledFidesSystem; the sweep row's two ordering shards make it seal
+    #: epoch anchors, so only there do anchor faults exist).
     deployment: str = "classic"
 
     def __post_init__(self) -> None:
@@ -207,11 +204,11 @@ def _base_scenarios(server_ids: Sequence[str]) -> List[CampaignScenario]:
             probe="none",
             expected_violation=ViolationType.ANCHOR_MISMATCH,
             expected_culprits=("ordserv",),
-            deployment="sharded",
+            deployment="scaled",
         ),
         CampaignScenario(
             # The cohort crashes mid-round (vote phase, one-shot): the round
-            # fails with the cohort unreachable, the runner recovers it via
+            # fails with the cohort unreachable, the script recovers it via
             # peer catch-up, and the probe + audit then succeed cleanly.
             name="crash",
             plans=(plan("crash", cohort),),
@@ -249,7 +246,7 @@ def _base_scenarios(server_ids: Sequence[str]) -> List[CampaignScenario]:
             # The *coordinator* crashes mid-round.  Unlike a cohort crash,
             # no ROUND_FAILED can be sent (the sender is the dead server), so
             # surviving cohorts keep their armed round state and the rounds
-            # stall.  The runner recovers the server, deposes it via the view
+            # stall.  The script recovers the server, deposes it via the view
             # change, and the successor re-proposes the stalled rounds from
             # the certified frontier; the probe then commits under the new
             # coordinator and the audit must stay clean.
@@ -281,22 +278,23 @@ def _base_scenarios(server_ids: Sequence[str]) -> List[CampaignScenario]:
 #: Trigger variants swept by the full matrix.  ``at-height`` activates the
 #: fault only from block 2 on (the first blocks commit honestly, giving the
 #: blocks-until-detection metric something to measure); ``probability`` draws
-#: per consultation with a fixed seed and latches once fired.
-DEFAULT_TRIGGER_VARIANTS: Tuple[Tuple[str, Mapping, bool], ...] = (
-    ("always", {}, True),
-    ("at-height-2", {"kind": "at-height", "height": 2}, True),
-    ("p50", {"kind": "probability", "probability": 0.5, "seed": 77}, False),
+#: per consultation with a fixed seed and latches once fired (it may never
+#: draw, so the sweep reports those rows rather than asserting on them).
+DEFAULT_TRIGGER_VARIANTS: Tuple[Tuple[str, Mapping], ...] = (
+    ("always", {}),
+    ("at-height-2", {"kind": "at-height", "height": 2}),
+    ("p50", {"kind": "probability", "probability": 0.5, "seed": 77}),
 )
 
 
 def build_fault_matrix(
     server_ids: Sequence[str],
-    trigger_variants: Optional[Sequence[Tuple[str, Mapping, bool]]] = None,
+    trigger_variants: Optional[Sequence[Tuple[str, Mapping]]] = None,
 ) -> List[CampaignScenario]:
     """Enumerate the full fault x trigger grid as concrete scenarios."""
     variants = DEFAULT_TRIGGER_VARIANTS if trigger_variants is None else trigger_variants
     matrix: List[CampaignScenario] = []
-    for suffix, trigger_spec, deterministic in variants:
+    for suffix, trigger_spec in variants:
         for scenario in _base_scenarios(server_ids):
             plans = tuple(
                 FaultPlan(
@@ -318,7 +316,6 @@ def build_fault_matrix(
                     probe=scenario.probe,
                     expected_violation=scenario.expected_violation,
                     expected_culprits=scenario.expected_culprits,
-                    deterministic=deterministic and scenario.deterministic,
                     liveness=scenario.liveness,
                     failover=scenario.failover,
                     deployment=scenario.deployment,

@@ -12,8 +12,9 @@ coordinator consult.  Every hook of a policy without plans behaves honestly;
 a plan makes exactly the hook :data:`FAULT_KINDS` names for its kind deviate,
 whenever its trigger fires.
 
-Plans are plain data, so the same plan is a row of the campaign matrix
-(:mod:`repro.faultsim`), a line in a test, and -- under the ``choice``
+Plans are plain data, so the same plan is a row of the fault matrix
+(:mod:`repro.faultsim`, run by the ``faultmatrix`` sweep's script), a line
+in a test, and -- under the ``choice``
 trigger -- a branch of the model checker's tree (:mod:`repro.check.scenarios`).
 """
 
@@ -76,7 +77,7 @@ FAULT_KINDS: Dict[str, Optional[str]] = {
     # -- ordering service ------------------------------------------------------
     # A misbehaving sharded ordering service publishing an epoch anchor that
     # does not match the per-shard chains of the blocks it delivered.  The
-    # service has no fault hooks: the campaign runner doctors its anchor
+    # service has no fault hooks: the fault-matrix script doctors its anchor
     # chain directly after the workload (DESIGN.md section 5).
     "anchor-tamper": None,
 }

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 from repro.bench.reporting import format_table, rows_to_csv
 
 ROWS = [
@@ -27,3 +30,9 @@ class TestReporting:
         assert lines[0] == "label,throughput,latency"
         assert lines[1] == "a,100,2.0"
         assert rows_to_csv([]) == ""
+
+    def test_rows_to_csv_quotes_cells_that_hold_delimiters(self):
+        """A fault-matrix ``culprits`` cell such as ``s2,s1`` stays one cell."""
+        rows = [{"scenario": "tampered-catchup@always", "culprits": "s2,s1", "note": 'say "hi"'}]
+        parsed = list(csv.reader(io.StringIO(rows_to_csv(rows))))
+        assert parsed == [["scenario", "culprits", "note"], list(rows[0].values())]

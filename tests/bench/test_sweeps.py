@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench import experiments
 from repro.bench.experiments import SWEEPS, run_sweep
+from repro.faultsim import campaign
 
 CLI_NAMES = {
     "figure12",
@@ -116,3 +117,12 @@ def test_experiments_builds_nothing_by_hand():
     source = pathlib.Path(experiments.__file__).read_text()
     assert "inspect" not in source
     assert not re.search(r"SystemConfig\(|PartitionedWorkload\(|YcsbWorkload\(", source)
+
+
+def test_the_fault_script_builds_nothing_by_hand():
+    """The fault matrix's script gets every system from ``harness.build`` too;
+    it constructs one workload itself, the background that leaves out each
+    shard's reserved probe item."""
+    source = pathlib.Path(campaign.__file__).read_text()
+    assert "harness.build(" in source
+    assert not re.search(r"SystemConfig\(|FidesSystem\(|ScaledFidesSystem\(|build_system\(", source)
