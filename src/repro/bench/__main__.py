@@ -16,9 +16,10 @@ List available experiments::
 
 Exit codes: 0 on success, 1 when the sweep raised or produced no rows (so a
 silently empty sweep can never pass a CI smoke step), 2 for usage errors
-(an unknown sweep, or a flag its row of ``SWEEPS`` does not declare).
-``--json`` writes the canonical report schema consumed by the CI baseline
-gate (:mod:`repro.bench.gate`).
+(an unknown sweep, ``--requests`` below 1, or a flag its row of ``SWEEPS``
+does not declare).  ``--json`` writes the canonical report schema
+(:mod:`repro.bench.schema`), the form ``tests/bench/test_sweep_rows.py``
+pins.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MS",
         help="charge a fixed per-phase compute instead of measured wall time, "
-        "making simulated throughput deterministic (experiments that support it; "
-        "used by the CI baseline gate)",
+        "making simulated throughput deterministic (experiments that support it)",
     )
     parser.add_argument(
         "--json",
@@ -99,6 +99,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in sorted(SWEEPS):
             print(f"  {name}")
         return 0
+    if args.requests is not None and args.requests < 1:
+        print(f"--requests must be at least 1, not {args.requests}", file=sys.stderr)
+        return 2
     sweep = SWEEPS[args.experiment]
     tracing = bool(args.trace or args.trace_jsonl or args.metrics)
     #: What a sweep supports is declared on its row of ``SWEEPS``.

@@ -4,10 +4,11 @@ A sweep is data: a row of :data:`SWEEPS` (see :class:`Sweep`), interpreted by
 :func:`run_sweep`, which lays the grid out, runs the experiment at each point
 and returns the table rows (plus the raw result objects with
 ``return_results=True``).  The sweeps default to a reduced request count so
-they finish quickly under pytest-benchmark; pass ``num_requests=1000`` (the
-paper's size) for a full run via ``python -m repro.bench``.  The ablation
-sweeps (latency regime, signing scheme) back the design-choice discussion in
-DESIGN.md.
+they finish quickly; pass ``num_requests=1000`` (the paper's size) for a full
+run via ``python -m repro.bench``.  The ablation sweeps (latency regime,
+signing scheme) back the design-choice discussion in DESIGN.md.  What the
+paper found is asserted in ``tests/bench/test_experiments.py``
+(``TestPaperClaims``), one test per figure or ablation.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ SWEEPS: Dict[str, Sweep] = {
         The paper reports per-transaction latency dropping ~2.6x and throughput
         rising ~2.5x once >= 80 transactions share a block.
         ``fixed_compute_ms`` makes the sweep's simulated throughput
-        deterministic (the CI baseline gate runs it that way).""",
+        deterministic (tier-1 pins it that way).""",
         axes=dict(batch_sizes=(2, 20, 40, 60, 80, 100, 120)),
         defaults=dict(num_requests=240, items_per_shard=1000, fixed_compute_ms=None),
         point=lambda p, batch: dict(
@@ -371,7 +372,7 @@ SWEEPS: Dict[str, Sweep] = {
         ``smoke=True`` keeps the three shard counts at one non-zero ratio and
         ~38k requests per point (>= 10^5 transactions and >= 128 distinct
         groups total, the CI configuration).  ``fixed_compute_ms`` makes the
-        throughputs deterministic for the baseline gate.""",
+        throughputs deterministic, which is how tier-1 pins them.""",
         axes=dict(cross_shard_ratios=(0.0, 0.1), shard_counts=(1, 4, 16)),
         defaults=dict(
             num_servers=128, group_size=1, items_per_shard=64, txns_per_block=16, ops_per_txn=2,
@@ -423,7 +424,7 @@ SWEEPS: Dict[str, Sweep] = {
         ``scaled`` deployment additionally interleaves per-group coordinators
         and the ordering service on the shared timeline.  Runs use the
         deterministic fixed-compute model, so every number is reproducible
-        bit-for-bit -- the CI baseline gate compares these throughputs exactly.
+        bit-for-bit -- tier-1 pins these throughputs exactly.
 
         The depth-1 points are sanity anchors (speedup 1.0 by construction);
         ``smoke=True`` restricts the grid to one depth >= 2 point per

@@ -66,7 +66,7 @@ class ExperimentConfig:
     pipeline_depth: int = 1
     #: Per-phase compute charge in milliseconds; ``None`` (the default) uses
     #: the measured wall-clock compute of the hybrid simulated-time model.
-    #: CI's baseline-gated sweeps set it so their throughput is
+    #: The sweeps whose throughput tier-1 pins set it, so that throughput is
     #: deterministic across machines (DESIGN.md section 7).
     fixed_compute_ms: Optional[float] = None
     seed: int = 2020
@@ -113,7 +113,7 @@ def percentile(samples: List[float], fraction: float) -> float:
 
     The canonical benchmark schema reports p50/p95/p99 commit latencies; the
     nearest-rank definition keeps the value an actual observed sample, which
-    makes baseline comparisons stable at small smoke-sweep sizes.
+    keeps the pinned values stable at small smoke-sweep sizes.
     """
     if not samples:
         return 0.0

@@ -1,9 +1,9 @@
 """The canonical benchmark-report schema and the JSON report builder.
 
 Every ``python -m repro.bench <sweep> --json PATH`` invocation emits one
-report in this schema; ``benchmarks/baseline.json`` stores the recorded
-per-label throughputs CI compares new reports against (see
-:mod:`repro.bench.gate` and DESIGN.md section 7).
+report in this schema; ``tests/bench/test_sweep_rows.py`` pins the rows and
+``metrics`` blocks of the reports it builds (DESIGN.md section 7, "One
+contract").
 
 Schema (version 1)::
 
@@ -31,10 +31,9 @@ full metrics snapshot.
 Every throughput-reporting sweep uses the one ``throughput (txns/s)``
 column of :meth:`~repro.bench.harness.ExperimentResult.as_row`; latency is
 ``txn latency (ms)`` or, for the recovery sweep, ``recover (ms)``.
-:func:`summarize_rows` lifts them into the ``metrics`` block the gate -- and
-anyone plotting trajectories across sweeps -- reads.  Fault-matrix rows
-carry neither metric; their report has an empty ``labels`` map and the gate
-skips them.
+:func:`summarize_rows` lifts them into the ``metrics`` block that tier-1
+pins and anyone plotting trajectories across sweeps reads.  Fault-matrix
+rows carry neither metric; their report has an empty ``labels`` map.
 """
 
 from __future__ import annotations
@@ -140,18 +139,3 @@ def canonical_report(
         report["attribution"] = attribution
     return report
 
-
-def validate_report(report: Dict[str, object]) -> List[str]:
-    """Return the list of schema problems (empty = valid)."""
-    problems: List[str] = []
-    if report.get("schema_version") != SCHEMA_VERSION:
-        problems.append(
-            f"schema_version {report.get('schema_version')!r} != {SCHEMA_VERSION}"
-        )
-    for key in ("sweep", "commit", "config", "rows", "metrics"):
-        if key not in report:
-            problems.append(f"missing key {key!r}")
-    metrics = report.get("metrics")
-    if isinstance(metrics, dict) and "labels" not in metrics:
-        problems.append("metrics block is missing 'labels'")
-    return problems

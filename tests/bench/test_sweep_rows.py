@@ -16,9 +16,12 @@ row, with ``...`` in the cells that depend on measured wall time:
   measured compute unless the run fixes it (``--fixed-compute-ms``; the
   ``pipeline`` sweep always does), so they are pinned in those runs only.
 
-``GATED_METRICS`` is the full ``metrics`` block of the four invocations the
-CI baseline gate runs (``benchmarks/baseline.json`` records their
-throughputs; this pins the latencies and aggregates beside them).
+``GATED_METRICS`` is the full ``metrics`` block of the four fixed-compute
+invocations whose throughputs are the virtual-time model's contract
+(DESIGN.md section 7, "One contract"): every label, throughput, latency and
+aggregate exactly.  The ``reports`` fixture (``conftest.py``) runs each case
+once a session, so the paper's claims in ``test_experiments.py`` read the
+same reports.
 
 Refresh the literals only for an *intended* change to a sweep's grid, labels,
 columns or timing model, by running this file as a script (it prints them).
@@ -56,7 +59,7 @@ CASES = {
     "ablation-signing": ["ablation-signing", "--requests", "2"],
 }
 
-#: The four invocations of CI's ``bench-gate`` job.
+#: The four invocations whose whole ``metrics`` block is pinned.
 GATED = ("pipeline", "multiclient", "figure13", "scaleout")
 
 WALL_CLOCK = frozenset(
@@ -424,19 +427,6 @@ GATED_METRICS = {'figure13': {'labels': {'fig13-batch-100': {'latency_ms': 0.082
                                                     'throughput_tps': 3828.6}},
               'latency_ms': {'p50': None, 'p95': None, 'p99': None},
               'throughput_tps': {'mean': 6075.799999999999, 'min': 1420.2}}}
-
-
-@pytest.fixture(scope="module")
-def reports(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("sweep-rows")
-    cache = {}
-
-    def get(case):
-        if case not in cache:
-            cache[case] = run_case(case, directory)
-        return cache[case]
-
-    return get
 
 
 def test_the_cases_cover_every_sweep(capsys):

@@ -55,6 +55,13 @@ class TestSchnorrSignatures:
     def test_encode_length(self, keypair):
         assert len(schnorr_sign(keypair, b"m").encode()) == 65
 
+    def test_verify_under_a_key_never_seen_before(self):
+        # A key's first verification has no window table for it yet: the
+        # fused multiply takes its plain double-and-add branch.
+        stranger = keypair_for("first-sighting", seed=1)
+        signature = schnorr_sign(stranger, b"a message")
+        assert schnorr_verify(stranger.public, b"a message", signature)
+
     def test_non_signature_object_rejected(self, keypair):
         assert not schnorr_verify(keypair.public, b"m", "not a signature")
 
