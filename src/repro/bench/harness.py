@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.config import SystemConfig
-from repro.core.fides import PROTOCOL_TFCOMMIT
-from repro.core.scaled import build_system
-from repro.core.sequencing import sharded_sequencer
+from repro.common.errors import ConfigurationError
+from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
+from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import sharded_sequencer, single_sequencer
 from repro.net.latency import LatencyModel, lan_latency
 from repro.sim.context import FixedCompute
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
@@ -94,6 +95,9 @@ class ExperimentConfig:
     ordering_shards: int = 1
     #: Per-lane buffer bound of the sharded sequencer.
     epoch_max_blocks: int = 32
+    #: Blocks the single sequencer may hold back and release in any order
+    #: (``ordering_shards == 1`` only; 0 releases in submission order).
+    reorder_window: int = 0
 
     def system_config(self) -> SystemConfig:
         return SystemConfig(
@@ -220,30 +224,36 @@ def locality_partitions(system, group_size: int) -> List[List[str]]:
 def build(config: ExperimentConfig, latency: Optional[LatencyModel] = None, **options):
     """The configured deployment and its workload generator, not yet driven.
 
+    Outside :mod:`repro.core` this is the only code that constructs a system.
     ``latency`` defaults to a LAN model seeded from the config -- every call
     gets its own, since sharing one instance between two runs would let the
     first advance the RNG stream the second samples from.  ``options`` are
-    the constructor arguments :func:`~repro.core.scaled.build_system` forwards
-    (``obs``, ``state_store_factory``).  :func:`run` drives and measures the
-    pair; a sweep's event script (crash, recover, fail over) drives it itself.
+    the constructor arguments both deployments share (``obs``,
+    ``state_store_factory``).  :func:`run` drives and measures the pair; a
+    sweep's event script (crash, recover, fail over) or a checker scenario
+    drives it itself.
     """
-    system = build_system(
-        config.deployment,
-        config.system_config(),
-        protocol=config.protocol,
-        sequencer=(
-            sharded_sequencer(config.ordering_shards, config.epoch_max_blocks)
-            if config.ordering_shards > 1
-            else None
-        ),
+    options.update(
         latency=latency or lan_latency(seed=config.seed),
         compute_model=(
             FixedCompute(config.fixed_compute_ms / 1000.0)
             if config.fixed_compute_ms is not None
             else None
         ),
-        **options,
     )
+    if config.deployment == "classic":
+        system = FidesSystem(config.system_config(), protocol=config.protocol, **options)
+    elif config.deployment == "scaled":
+        sequencer = (
+            sharded_sequencer(config.ordering_shards, config.epoch_max_blocks)
+            if config.ordering_shards > 1
+            else single_sequencer(config.reorder_window)
+        )
+        system = ScaledFidesSystem(config.system_config(), sequencer=sequencer, **options)
+    else:
+        raise ConfigurationError(
+            f"unknown deployment {config.deployment!r} (expected 'classic' or 'scaled')"
+        )
     window = config.conflict_free_window or config.txns_per_block
     if config.group_size:
         workload = PartitionedWorkload(

@@ -8,8 +8,11 @@
   checker self-tests (zero ``repro`` imports);
 - :mod:`repro.check.invariants` -- the safety-property library evaluated
   against every explored run;
-- :mod:`repro.check.scenarios` -- small checkable deployments (crash,
-  Byzantine, ordering-service reorder) built from the real system classes;
+- :mod:`repro.check.scenarios` -- :data:`~repro.check.scenarios.SCENARIOS`,
+  small checkable deployments (crash, Byzantine, view change,
+  ordering-service reorder and shard merge) as rows: each a config that
+  :func:`repro.bench.harness.build` turns into a real system, and a script
+  that drives it;
 - :mod:`repro.check.explorer` -- prefix-branching BFS/DFS with fingerprint
   dedup and counterexample minimization;
 - :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples

@@ -31,26 +31,6 @@ from repro.check.scenarios import SCENARIOS
 SMOKE_MAX_RUNS = 15
 
 
-def _explore_one(
-    name: str,
-    max_runs: int,
-    max_states: Optional[int],
-    max_depth: Optional[int],
-    strategy: str,
-    keep_going: bool,
-) -> ExplorationResult:
-    explorer = Explorer(
-        SCENARIOS[name],
-        max_runs=max_runs,
-        max_states=max_states,
-        max_depth=max_depth,
-        strategy=strategy,
-        stop_at_first_violation=not keep_going,
-        minimize=True,
-    )
-    return explorer.explore()
-
-
 def _result_document(result: ExplorationResult) -> Dict:
     return {
         "scenario": result.scenario,
@@ -140,20 +120,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     names = args.scenario if args.scenario else sorted(SCENARIOS)
-    max_runs = SMOKE_MAX_RUNS if args.smoke else args.max_runs
+    try:
+        explorers = [
+            Explorer(
+                SCENARIOS[name],
+                max_runs=SMOKE_MAX_RUNS if args.smoke else args.max_runs,
+                max_states=args.max_states,
+                max_depth=args.max_depth,
+                strategy=args.strategy,
+                stop_at_first_violation=not args.keep_going,
+            )
+            for name in names
+        ]
+    except ValueError as error:
+        parser.error(str(error))
 
     results: List[ExplorationResult] = []
     trace_paths: List[Path] = []
     with mutated(*args.mutation):
-        for name in names:
-            result = _explore_one(
-                name,
-                max_runs=max_runs,
-                max_states=args.max_states,
-                max_depth=args.max_depth,
-                strategy=args.strategy,
-                keep_going=args.keep_going,
-            )
+        for explorer in explorers:
+            result = explorer.explore()
             results.append(result)
             if args.traces_dir is not None and result.counterexamples:
                 trace_paths.extend(

@@ -28,11 +28,11 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.check.choices import ChoiceError, ChoiceSource, driven_by
 from repro.check.invariants import RunRecord, Violation, evaluate
-from repro.check.scenarios import Scenario
+from repro.check.scenarios import ScenarioRow
 
 
 def run_fingerprint(record: RunRecord) -> str:
@@ -83,11 +83,17 @@ class ExplorationResult:
 
 
 class Explorer:
-    """Budgeted BFS/DFS over one scenario's choice tree."""
+    """Budgeted BFS/DFS over one scenario's choice tree.
+
+    ``scenario`` is a :class:`~repro.check.scenarios.ScenarioRow` (anything
+    with its ``name``, ``features``, ``invariants`` and ``run()`` will do).
+    A budget that admits no run is refused: an exploration that explores
+    nothing must not report itself clean.
+    """
 
     def __init__(
         self,
-        scenario_factory: Callable[[], Scenario],
+        scenario: ScenarioRow,
         max_runs: int = 200,
         max_states: Optional[int] = None,
         max_depth: Optional[int] = None,
@@ -97,7 +103,13 @@ class Explorer:
     ) -> None:
         if strategy not in ("bfs", "dfs"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        self._factory = scenario_factory
+        if max_runs < 1:
+            raise ValueError(f"max_runs must be >= 1, got {max_runs}")
+        if max_states is not None and max_states < 1:
+            raise ValueError(f"max_states must be >= 1, got {max_states}")
+        if max_depth is not None and max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        self.scenario = scenario
         self.max_runs = max_runs
         self.max_states = max_states
         self.max_depth = max_depth
@@ -109,27 +121,23 @@ class Explorer:
 
     def _execute(self, prefix: List[int]) -> Tuple[Optional[ChoiceSource], Optional[RunRecord]]:
         """One fresh scenario run under ``prefix``; (None, None) if stale."""
-        scenario = self._factory()
-        source = ChoiceSource(prefix, features=set(scenario.features))
+        source = ChoiceSource(prefix, features=set(self.scenario.features))
         try:
             with driven_by(source):
-                record = scenario.run()
+                record = self.scenario.run()
         except ChoiceError:
             # The prefix no longer matches the tree (an earlier pick changed
             # which later sites exist); the frontier entry is simply dropped.
             return None, None
         return source, record
 
-    def _violations(self, scenario_invariants, record: RunRecord) -> List[Violation]:
-        return evaluate(record, scenario_invariants)
+    def _violations(self, record: RunRecord) -> List[Violation]:
+        return evaluate(record, self.scenario.invariants)
 
     # -- the search ----------------------------------------------------------------
 
     def explore(self) -> ExplorationResult:
-        probe_scenario = self._factory()
-        scenario_name = probe_scenario.name
-        scenario_invariants = probe_scenario.invariants
-        result = ExplorationResult(scenario=scenario_name)
+        result = ExplorationResult(scenario=self.scenario.name)
         visited: Set[str] = set()
         seen_prefixes: Set[Tuple[int, ...]] = {()}
         frontier: deque = deque([[]])
@@ -149,10 +157,10 @@ class Explorer:
             terminal = run_fingerprint(record)
             already_seen = terminal in visited
             visited.add(terminal)
-            violations = self._violations(scenario_invariants, record)
+            violations = self._violations(record)
             if violations:
                 counterexample = Counterexample(
-                    scenario=scenario_name,
+                    scenario=self.scenario.name,
                     picks=source.picks(),
                     violations=violations,
                 )
@@ -191,13 +199,11 @@ class Explorer:
         """
         target = set(counterexample.invariants)
 
-        scenario_invariants = self._factory().invariants
-
         def still_violates(candidate: List[int]) -> Optional[List[Violation]]:
             source, record = self._execute(candidate)
             if source is None:
                 return None
-            violations = self._violations(scenario_invariants, record)
+            violations = self._violations(record)
             if {violation.invariant for violation in violations} & target:
                 return violations
             return None

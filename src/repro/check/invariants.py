@@ -52,8 +52,6 @@ class RunRecord:
     #: Servers whose fault policy misbehaved this run (excluded from the
     #: honest-server quantifications).
     byzantine: FrozenSet[str] = frozenset()
-    #: Free-form scenario annotations (crash points taken, recoveries...).
-    notes: Dict[str, object] = field(default_factory=dict)
 
     def honest_servers(self) -> Dict[str, object]:
         return {
@@ -385,6 +383,39 @@ def check_pipeline_conformance(record: RunRecord) -> List[Violation]:
     return violations
 
 
+def check_ordering_consistent(record: RunRecord) -> List[Violation]:
+    """The ordering service's finalised stream passes its own self-checks.
+
+    Every lane's (height, head) must equal the chain recomputed from the
+    stream, and no block may precede a block of an overlapping group that it
+    depends on.  Evaluated after every explored lane interleaving and
+    release pick, so the dependency-safety argument of
+    :mod:`repro.core.sequencing` is checked rather than trusted.  Classic
+    deployments have no ordering service and are skipped.
+    """
+    ordering = getattr(record.system, "ordering", None)
+    if ordering is None:
+        return []
+    violations: List[Violation] = []
+    if not ordering.verify_shard_chains():
+        violations.append(
+            Violation(
+                "ordering-consistent",
+                "a lane's height or head differs from the chain recomputed "
+                "from the finalised stream",
+            )
+        )
+    if not ordering.verify_dependency_order():
+        violations.append(
+            Violation(
+                "ordering-consistent",
+                "the finalised stream places a block ahead of a block of "
+                "an overlapping group that it depends on",
+            )
+        )
+    return violations
+
+
 #: The catalogue, in evaluation order.
 INVARIANTS: Dict[str, InvariantFn] = {
     "agreement": check_agreement,
@@ -396,6 +427,7 @@ INVARIANTS: Dict[str, InvariantFn] = {
     "round-state-released": check_round_state_released,
     "workload-accounting": check_workload_accounting,
     "pipeline-conformance": check_pipeline_conformance,
+    "ordering-consistent": check_ordering_consistent,
 }
 
 

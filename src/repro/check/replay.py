@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.check.choices import ChoiceSource, driven_by
 from repro.check.explorer import Counterexample
-from repro.check.invariants import RunRecord, Violation, evaluate
+from repro.check.invariants import INVARIANTS, RunRecord, Violation, evaluate
 from repro.check.mutations import MUTATIONS, mutated
-from repro.check.scenarios import make_scenario
+from repro.check.scenarios import SCENARIOS
 
 #: Bump when the trace document shape changes incompatibly.
 TRACE_VERSION = 1
@@ -77,14 +77,18 @@ def save_trace(trace: Trace, path) -> Path:
 
 
 def load_trace(path) -> Trace:
+    """Read a saved trace, refusing one that cannot assert what it claims.
+
+    An unknown scenario, mutation or invariant, an ``expect`` other than
+    ``violation``/``clean``, and a violation trace that names no invariant
+    are all refused here with :class:`ValueError`: such a trace would fail
+    only at replay, or pass :func:`assert_trace` vacuously.
+    """
     document = json.loads(Path(path).read_text())
     version = document.get("version")
     if version != TRACE_VERSION:
         raise ValueError(f"{path}: unsupported trace version {version!r}")
-    for name in document.get("mutations", []):
-        if name not in MUTATIONS:
-            raise ValueError(f"{path}: unknown mutation {name!r}")
-    return Trace(
+    trace = Trace(
         scenario=document["scenario"],
         choices=[int(pick) for pick in document["choices"]],
         invariants=list(document.get("invariants", [])),
@@ -93,6 +97,19 @@ def load_trace(path) -> Trace:
         description=document.get("description", ""),
         version=version,
     )
+    if trace.scenario not in SCENARIOS:
+        raise ValueError(f"{path}: unknown scenario {trace.scenario!r}")
+    for name in trace.mutations:
+        if name not in MUTATIONS:
+            raise ValueError(f"{path}: unknown mutation {name!r}")
+    for name in trace.invariants:
+        if name not in INVARIANTS:
+            raise ValueError(f"{path}: unknown invariant {name!r}")
+    if trace.expect not in ("violation", "clean"):
+        raise ValueError(f"{path}: expect is {trace.expect!r}, not 'violation' or 'clean'")
+    if trace.expect == "violation" and not trace.invariants:
+        raise ValueError(f"{path}: a violation trace names no invariant")
+    return trace
 
 
 def replay(
@@ -105,7 +122,7 @@ def replay(
     code is clean on the exact schedule that broke the buggy code.
     """
     enabled = trace.mutations if (with_mutations is None or with_mutations) else ()
-    scenario = make_scenario(trace.scenario)
+    scenario = SCENARIOS[trace.scenario]
     with mutated(*enabled):
         source = ChoiceSource(trace.choices, features=set(scenario.features))
         with driven_by(source):

@@ -1,9 +1,13 @@
 """Checkable deployments: small real systems with enumerable fault branches.
 
-A scenario builds a *fresh* tiny deployment out of the real system classes
-(no mocks), runs a short workload under the active :class:`ChoiceSource`,
-and returns the :class:`~repro.check.invariants.RunRecord` the invariant
-library evaluates.  All nondeterminism flows through :mod:`repro.check.choices`:
+A scenario is a row of :data:`SCENARIOS`: a name, the choice-site families
+it explores, an :class:`~repro.bench.harness.ExperimentConfig`, and a script.
+:meth:`ScenarioRow.run` builds a *fresh* deployment with
+:func:`repro.bench.harness.build` -- the real system classes, no mocks --
+and hands it with its item table to the script, which drives a short
+workload under the active :class:`ChoiceSource` and returns the
+:class:`~repro.check.invariants.RunRecord` the invariant library evaluates.
+All nondeterminism flows through :mod:`repro.check.choices`:
 
 - delivery/processing order (the ``net-order`` feature, wired into
   :func:`repro.core.rounds.timed_exchange` and ``Network.broadcast``);
@@ -16,37 +20,36 @@ library evaluates.  All nondeterminism flows through :mod:`repro.check.choices`:
 - ordering-service release order (``ordserv-pick`` feature inside
   ``OrderingService._pick_next``).
 
-Configurations are deliberately tiny (3 servers, 4 items per shard, hash
-"signing", fixed compute) so a full run costs tens of milliseconds and the
-explorer can afford hundreds of them.
+Configurations are deliberately tiny (:data:`TINY`: 3 servers, 4 items per
+shard, hash "signing", fixed compute) so a full run costs tens of
+milliseconds and the explorer can afford hundreds of them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional
 
+from repro.bench import harness
 from repro.check.invariants import RunRecord
-from repro.common.config import SystemConfig
-from repro.core.fides import FidesSystem
-from repro.core.scaled import ScaledFidesSystem
-from repro.core.sequencing import sharded_sequencer, single_sequencer
 from repro.server.faults import FaultPlan
 from repro.server.triggers import ChoiceBudget
-from repro.sim.context import FixedCompute
 from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.ycsb import TransactionSpec
 
+#: What a script gets besides the system: server id -> its sorted items.
+Items = Dict[str, List[str]]
 
-def tiny_config(num_servers: int = 3, seed: int = 2020) -> SystemConfig:
-    """The checker's standard deployment: small, fast, hash-'signed'."""
-    return SystemConfig(
-        num_servers=num_servers,
-        items_per_shard=4,
-        txns_per_block=1,
-        ops_per_txn=2,
-        message_signing="hash",
-        seed=seed,
-    )
+#: The checker's standard deployment: small, fast, hash-"signed".
+TINY = harness.ExperimentConfig(
+    label="check",
+    num_servers=3,
+    items_per_shard=4,
+    txns_per_block=1,
+    ops_per_txn=2,
+    multi_versioned=True,
+    fixed_compute_ms=1.0,
+)
 
 
 def explored(fault: str, target: str, budget: ChoiceBudget, phases=(), **params) -> FaultPlan:
@@ -82,25 +85,34 @@ def explored_byzantine_coordinator(
     ] + [explored("equivocate", coordinator, budget)]
 
 
-class Scenario:
-    """One checkable deployment; subclasses implement :meth:`run`."""
+@dataclass(frozen=True)
+class ScenarioRow:
+    """One row of :data:`SCENARIOS`: a checkable deployment and its script."""
 
-    #: Registry key; overridden per subclass.
-    name = ""
+    name: str
     #: Choice-site families this scenario explores.
-    features: FrozenSet[str] = frozenset()
+    features: FrozenSet[str]
+    #: ``(system, items) -> RunRecord``: drives the fresh deployment.
+    script: Callable[[object, Items], RunRecord]
+    config: harness.ExperimentConfig = TINY
     #: Invariants to evaluate (``None`` means the whole catalogue).
     invariants: Optional[List[str]] = None
 
     def run(self) -> RunRecord:
-        raise NotImplementedError
+        """One run on a fresh deployment, under the active choice source."""
+        system, _ = harness.build(self.config)
+        items = {
+            server_id: sorted(system.shard_map.items_of(server_id))
+            for server_id in system.config.server_ids
+        }
+        return self.script(system, items)
 
 
 def _spec(index: int, write_item: str, read_item: str) -> TransactionSpec:
     return TransactionSpec(index, (WriteOp(write_item, index + 100), ReadOp(read_item)))
 
 
-class ClassicCrashScenario(Scenario):
+def classic_crash(system, items: Items) -> RunRecord:
     """3-server classic TFCommit, 2 workload runs, 1 enumerable crash.
 
     A crash can fire at any cohort's vote or decision phase; crashed servers
@@ -113,39 +125,27 @@ class ClassicCrashScenario(Scenario):
     workload-accounting invariant meaningful (it is what catches the PR 3
     double-count mutation on the all-defaults path).
     """
+    budget = ChoiceBudget(1)
+    for server_id in system.servers:
+        system.inject_fault(server_id, explored_crash(server_id, budget))
+    s0, s1, s2 = items
+    slices: List[object] = []
 
-    name = "classic-crash"
-    features = frozenset({"faults", "net-order"})
+    def recover_and_maybe_fail_over() -> None:
+        coordinator_down = system.coordinator_id in system.crashed_servers()
+        for server_id in system.crashed_servers():
+            system.recover_server(server_id)
+        if coordinator_down:
+            system.fail_over()
 
-    def run(self) -> RunRecord:
-        system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
-        budget = ChoiceBudget(1)
-        for server_id in system.servers:
-            system.inject_fault(server_id, explored_crash(server_id, budget))
-        items: Dict[str, List[str]] = {
-            server_id: sorted(system.shard_map.items_of(server_id))
-            for server_id in system.config.server_ids
-        }
-        s0, s1, s2 = system.config.server_ids
-        slices: List[object] = []
-        crashes: List[str] = []
-
-        def recover_and_maybe_fail_over() -> None:
-            coordinator_down = system.coordinator_id in system.crashed_servers()
-            crashes.extend(system.crashed_servers())
-            for server_id in system.crashed_servers():
-                system.recover_server(server_id)
-            if coordinator_down:
-                system.fail_over()
-
-        slices.append(system.run_workload([_spec(0, items[s0][0], items[s1][0])]))
-        recover_and_maybe_fail_over()
-        slices.append(system.run_workload([_spec(1, items[s1][1], items[s2][0])]))
-        recover_and_maybe_fail_over()
-        return RunRecord(system=system, slices=slices, notes={"crashes": crashes})
+    slices.append(system.run_workload([_spec(0, items[s0][0], items[s1][0])]))
+    recover_and_maybe_fail_over()
+    slices.append(system.run_workload([_spec(1, items[s1][1], items[s2][0])]))
+    recover_and_maybe_fail_over()
+    return RunRecord(system=system, slices=slices)
 
 
-class ViewChangeScenario(Scenario):
+def view_change(system, items: Items) -> RunRecord:
     """Coordinator failover under every enumerable coordinator fault.
 
     The initial coordinator either crashes (at any of its vote/decision
@@ -158,87 +158,61 @@ class ViewChangeScenario(Scenario):
     ``decided-once``: no schedule may let an original proposal and its
     re-proposal both decide.
     """
-
-    name = "view-change"
-    features = frozenset({"faults", "net-order", "view-change"})
-
-    def run(self) -> RunRecord:
-        system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
-        s0, s1, s2 = system.config.server_ids
-        # One fault per run, whichever the explorer takes first.
-        budget = ChoiceBudget(1)
-        system.inject_fault(
-            s0,
-            explored_crash(s0, budget) + explored_byzantine_coordinator(s0, [s1, s2], budget),
+    s0, s1, s2 = items
+    # One fault per run, whichever the explorer takes first.
+    budget = ChoiceBudget(1)
+    system.inject_fault(
+        s0,
+        explored_crash(s0, budget) + explored_byzantine_coordinator(s0, [s1, s2], budget),
+    )
+    slices: List[object] = [
+        system.run_workload(
+            [
+                _spec(0, items[s0][0], items[s1][0]),
+                _spec(1, items[s1][1], items[s2][0]),
+            ]
         )
-        items = {
-            server_id: sorted(system.shard_map.items_of(server_id))
-            for server_id in system.config.server_ids
-        }
-        slices: List[object] = [
-            system.run_workload(
-                [
-                    _spec(0, items[s0][0], items[s1][0]),
-                    _spec(1, items[s1][1], items[s2][0]),
-                ]
-            )
-        ]
-        # Re-proposal needs the full cluster co-signing again, so a crashed
-        # coordinator is recovered *before* it is deposed.
-        for server_id in system.crashed_servers():
-            system.recover_server(server_id)
-        outcome = system.fail_over()
-        slices.append(system.run_workload([_spec(2, items[s2][1], items[s0][1])]))
-        # A crash choice that waited past the failover fires with s0 as a
-        # plain cohort; recover it so the invariants quantify over all logs.
-        for server_id in system.crashed_servers():
-            system.recover_server(server_id)
-        fired = set(system.servers[s0].faults.fired_heights)
-        return RunRecord(
-            system=system,
-            slices=slices,
-            byzantine=frozenset({s0}) if fired - {"crash"} else frozenset(),
-            notes={
-                "fault": sorted(fired),
-                "successor": outcome.successor,
-                "new_view": outcome.new_view,
-                "reproposed": len(outcome.stalled_rounds),
-            },
-        )
+    ]
+    # Re-proposal needs the full cluster co-signing again, so a crashed
+    # coordinator is recovered *before* it is deposed.
+    for server_id in system.crashed_servers():
+        system.recover_server(server_id)
+    system.fail_over()
+    slices.append(system.run_workload([_spec(2, items[s2][1], items[s0][1])]))
+    # A crash choice that waited past the failover fires with s0 as a
+    # plain cohort; recover it so the invariants quantify over all logs.
+    for server_id in system.crashed_servers():
+        system.recover_server(server_id)
+    fired = set(system.servers[s0].faults.fired_heights)
+    return RunRecord(
+        system=system,
+        slices=slices,
+        byzantine=frozenset({s0}) if fired - {"crash"} else frozenset(),
+    )
 
 
-class ClassicByzantineScenario(Scenario):
+def classic_byzantine(system, items: Items) -> RunRecord:
     """3-server classic TFCommit with an enumerable Byzantine coordinator.
 
     Every coordinator action (root drop, fake root, equivocation) must make
     the round fail without any honest-server invariant breaking -- the
     paper's claim that malicious coordinators cost liveness, never safety.
     """
-
-    name = "classic-byzantine"
-    features = frozenset({"faults", "net-order"})
-
-    def run(self) -> RunRecord:
-        system = FidesSystem(config=tiny_config(), compute_model=FixedCompute(0.001))
-        s0, s1, s2 = system.config.server_ids
-        system.inject_fault(s0, explored_byzantine_coordinator(s0, [s1, s2], ChoiceBudget(1)))
-        items = {
-            server_id: sorted(system.shard_map.items_of(server_id))
-            for server_id in system.config.server_ids
-        }
-        slices = [
-            system.run_workload(
-                [
-                    _spec(0, items[s1][0], items[s2][0]),
-                    _spec(1, items[s2][1], items[s0][0]),
-                ]
-            )
-        ]
-        byzantine = frozenset({s0}) if system.servers[s0].faults.fired() else frozenset()
-        return RunRecord(system=system, slices=slices, byzantine=byzantine)
+    s0, s1, s2 = items
+    system.inject_fault(s0, explored_byzantine_coordinator(s0, [s1, s2], ChoiceBudget(1)))
+    slices = [
+        system.run_workload(
+            [
+                _spec(0, items[s1][0], items[s2][0]),
+                _spec(1, items[s2][1], items[s0][0]),
+            ]
+        )
+    ]
+    byzantine = frozenset({s0}) if system.servers[s0].faults.fired() else frozenset()
+    return RunRecord(system=system, slices=slices, byzantine=byzantine)
 
 
-class ScaledReorderScenario(Scenario):
+def scaled_reorder(system, items: Items) -> RunRecord:
     """3-group scaled deployment driving the ordering service's freedom.
 
     Three disjoint-group transactions overflow a reorder window of 2, so
@@ -246,36 +220,22 @@ class ScaledReorderScenario(Scenario):
     transaction exercises ``flush_conflicting`` and the dependency rules
     under every explored release order.
     """
-
-    name = "scaled-reorder"
-    features = frozenset({"ordserv-pick", "net-order"})
-
-    def run(self) -> RunRecord:
-        system = ScaledFidesSystem(
-            config=tiny_config(),
-            sequencer=single_sequencer(2),
-            compute_model=FixedCompute(0.001),
+    s0, s1, s2 = items
+    slices = [
+        system.run_workload(
+            [
+                _spec(0, items[s0][0], items[s0][1]),
+                _spec(1, items[s1][0], items[s1][1]),
+                _spec(2, items[s2][0], items[s2][1]),
+                # Cross-group: reads s0's shard, writes s1's.
+                TransactionSpec(3, (WriteOp(items[s1][2], 7), ReadOp(items[s0][2]))),
+            ]
         )
-        s0, s1, s2 = system.config.server_ids
-        items = {
-            server_id: sorted(system.shard_map.items_of(server_id))
-            for server_id in system.config.server_ids
-        }
-        slices = [
-            system.run_workload(
-                [
-                    _spec(0, items[s0][0], items[s0][1]),
-                    _spec(1, items[s1][0], items[s1][1]),
-                    _spec(2, items[s2][0], items[s2][1]),
-                    # Cross-group: reads s0's shard, writes s1's.
-                    TransactionSpec(3, (WriteOp(items[s1][2], 7), ReadOp(items[s0][2]))),
-                ]
-            )
-        ]
-        return RunRecord(system=system, slices=slices)
+    ]
+    return RunRecord(system=system, slices=slices)
 
 
-class ShardedOrderingScenario(Scenario):
+def sharded_ordering(system, items: Items) -> RunRecord:
     """4-server scaled deployment over a 2-shard sequencer (DESIGN.md §5).
 
     Servers split into two ordering shards ({s0, s1} and {s2, s3}); two
@@ -284,65 +244,55 @@ class ShardedOrderingScenario(Scenario):
     ``shard-merge`` lane-pick branch.  Two cross-shard transactions produce
     two sealed epoch anchors per run, and the trailing ``run_workload``
     flush drains whatever still floats.  The invariant catalogue (agreement,
-    hash-chain, frontier monotonicity, no-commit-lost, ...) must hold under
-    every explored lane interleaving -- the dependency-safety argument in
-    :mod:`repro.core.sequencing`'s docstring, checked rather than trusted.
+    hash-chain, frontier monotonicity, no-commit-lost, ordering-consistent,
+    ...) must hold under every explored lane interleaving -- the
+    dependency-safety argument in :mod:`repro.core.sequencing`'s docstring,
+    checked rather than trusted.
     """
-
-    name = "sharded-ordering"
-    features = frozenset({"shard-merge", "net-order"})
-
-    def run(self) -> RunRecord:
-        system = ScaledFidesSystem(
-            config=tiny_config(num_servers=4),
-            compute_model=FixedCompute(0.001),
-            sequencer=sharded_sequencer(2, epoch_max_blocks=8),
+    s0, s1, s2, s3 = items
+    slices = [
+        system.run_workload(
+            [
+                # Lane 0 and lane 1 each buffer a local block...
+                _spec(0, items[s0][0], items[s0][1]),
+                _spec(1, items[s2][0], items[s2][1]),
+                # ...so this cross-shard block merges two live lanes.
+                _spec(2, items[s1][0], items[s3][0]),
+                # Refill both lanes and merge again: a second epoch.
+                _spec(3, items[s1][1], items[s1][2]),
+                _spec(4, items[s3][1], items[s3][2]),
+                _spec(5, items[s0][2], items[s2][2]),
+            ]
         )
-        s0, s1, s2, s3 = system.config.server_ids
-        items = {
-            server_id: sorted(system.shard_map.items_of(server_id))
-            for server_id in system.config.server_ids
-        }
-        slices = [
-            system.run_workload(
-                [
-                    # Lane 0 and lane 1 each buffer a local block...
-                    _spec(0, items[s0][0], items[s0][1]),
-                    _spec(1, items[s2][0], items[s2][1]),
-                    # ...so this cross-shard block merges two live lanes.
-                    _spec(2, items[s1][0], items[s3][0]),
-                    # Refill both lanes and merge again: a second epoch.
-                    _spec(3, items[s1][1], items[s1][2]),
-                    _spec(4, items[s3][1], items[s3][2]),
-                    _spec(5, items[s0][2], items[s2][2]),
-                ]
-            )
-        ]
-        return RunRecord(
-            system=system,
-            slices=slices,
-            notes={
-                "epochs": len(system.ordering.epoch_anchors),
-                "shard_chains_ok": system.ordering.verify_shard_chains(),
-            },
-        )
+    ]
+    return RunRecord(system=system, slices=slices)
 
 
-SCENARIOS: Dict[str, Callable[[], Scenario]] = {
-    scenario_cls.name: scenario_cls
-    for scenario_cls in (
-        ClassicCrashScenario,
-        ClassicByzantineScenario,
-        ViewChangeScenario,
-        ScaledReorderScenario,
-        ShardedOrderingScenario,
+SCENARIOS: Dict[str, ScenarioRow] = {
+    row.name: row
+    for row in (
+        ScenarioRow("classic-crash", frozenset({"faults", "net-order"}), classic_crash),
+        ScenarioRow("classic-byzantine", frozenset({"faults", "net-order"}), classic_byzantine),
+        ScenarioRow(
+            "view-change", frozenset({"faults", "net-order", "view-change"}), view_change
+        ),
+        ScenarioRow(
+            "scaled-reorder",
+            frozenset({"ordserv-pick", "net-order"}),
+            scaled_reorder,
+            replace(TINY, deployment="scaled", reorder_window=2),
+        ),
+        ScenarioRow(
+            "sharded-ordering",
+            frozenset({"shard-merge", "net-order"}),
+            sharded_ordering,
+            replace(
+                TINY,
+                num_servers=4,
+                deployment="scaled",
+                ordering_shards=2,
+                epoch_max_blocks=8,
+            ),
+        ),
     )
 }
-
-
-def make_scenario(name: str) -> Scenario:
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}") from None
-    return factory()

@@ -86,5 +86,3 @@ class SystemConfig:
         """Total number of data items across all shards."""
         return self.num_servers * self.items_per_shard
 
-
-DEFAULT_CONFIG = SystemConfig()

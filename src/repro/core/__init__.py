@@ -9,7 +9,10 @@
 * :mod:`repro.core.grouping` / :mod:`repro.core.sequencing` -- the scale-out path
   of Section 4.6 (dynamic groups and the block ordering service).
 * :mod:`repro.core.scaled` -- the Section 4.6 wiring of that deployment:
-  group coordinators, the ordered-delivery subscriber, ``build_system``.
+  group coordinators and the ordered-delivery subscriber.
+
+Elsewhere in ``repro``, :func:`repro.bench.harness.build` is the only code
+that constructs a deployment (from an ``ExperimentConfig``).
 """
 
 from repro.core.rounds import BatchBuilder, BlockCommitResult, TimingBreakdown, TxnOutcome

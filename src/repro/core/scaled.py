@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigurationError, ProtocolInvariantError
+from repro.common.errors import ProtocolInvariantError
 from repro.common.types import ServerId, Value
 from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
 from repro.core.grouping import group_for_batch
@@ -339,21 +339,3 @@ class ScaledFidesSystem(FidesSystem):
             f"ordered_blocks={self.ordering.stream_length})"
         )
 
-
-def build_system(
-    deployment: str,
-    config: Optional[SystemConfig] = None,
-    protocol: str = PROTOCOL_TFCOMMIT,
-    sequencer: Optional[SequencerFactory] = None,
-    **options,
-) -> FidesSystem:
-    """Build a deployment by name: ``"classic"`` takes ``protocol``,
-    ``"scaled"`` takes ``sequencer``; ``options`` are the constructor
-    arguments both share."""
-    if deployment == "classic":
-        return FidesSystem(config, protocol=protocol, **options)
-    if deployment == "scaled":
-        return ScaledFidesSystem(config, sequencer=sequencer, **options)
-    raise ConfigurationError(
-        f"unknown deployment {deployment!r} (expected 'classic' or 'scaled')"
-    )

@@ -77,11 +77,14 @@ class OrderedBlock:
     ``shards`` names the ordering shards the block involved (empty without a
     shard map, where the stream has no shard structure); the deployment layer
     uses it to charge the delivery to per-shard timeline resources.
+    ``sequence`` is the block's publication order, which dependent blocks
+    of overlapping groups must keep in the stream.
     """
 
     global_height: int
     block: Block
     group: ServerGroup
+    sequence: int
     shards: Tuple[int, ...] = field(default=())
 
     @property
@@ -380,6 +383,7 @@ class OrderingService:
             global_height=len(self._ordered),
             block=chained,
             group=pending.group,
+            sequence=pending.sequence,
             shards=pending.shards,
         )
         self._ordered.append(ordered)
@@ -421,15 +425,15 @@ class OrderingService:
 
     def verify_dependency_order(self) -> bool:
         """Check that the finalised stream never reorders dependent blocks:
-        between blocks of overlapping groups, dependencies point forward."""
+        between blocks of overlapping groups that share a written item, the
+        stream keeps publication order.  (The data relation is symmetric,
+        so only ``sequence`` says which of two such blocks came first.)"""
         for later_index, later in enumerate(self._ordered):
             for earlier in self._ordered[:later_index]:
                 if (
-                    earlier.group.overlaps(later.group)
-                    and dependency_between(later.block.transactions, earlier.block.transactions)
-                    and not dependency_between(
-                        earlier.block.transactions, later.block.transactions
-                    )
+                    earlier.sequence > later.sequence
+                    and earlier.group.overlaps(later.group)
+                    and dependency_between(earlier.block.transactions, later.block.transactions)
                 ):
                     return False
         return True

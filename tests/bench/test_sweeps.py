@@ -4,12 +4,13 @@
 
 from __future__ import annotations
 
+import ast
 import pathlib
-import re
 
 import pytest
 
-from repro.bench import experiments
+import repro
+from repro.bench import experiments, harness
 from repro.bench.experiments import SWEEPS, run_sweep
 from repro.faultsim import campaign
 
@@ -111,18 +112,37 @@ def test_smoke_and_obs_are_refused_where_the_row_does_not_declare_them():
     assert {name for name, sweep in SWEEPS.items() if sweep.traced} == {"pipeline"}
 
 
-def test_experiments_builds_nothing_by_hand():
-    """One builder: systems and workloads come from ``harness.build`` only,
-    and nothing probes a signature to learn what a sweep takes."""
+def _calls_to(path: pathlib.Path, names) -> list:
+    return [
+        f"{path}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    ]
+
+
+def test_harness_build_is_the_only_builder():
+    """One builder: outside ``core`` (the system classes themselves), only
+    ``harness.build`` constructs a system or its config -- the sweeps, the
+    fault matrix's script and the checker's scenarios all call it."""
+    root = pathlib.Path(repro.__file__).parent
+    by_hand = [
+        call
+        for path in sorted(root.rglob("*.py"))
+        if path != pathlib.Path(harness.__file__) and "core" not in path.relative_to(root).parts
+        for call in _calls_to(path, {"SystemConfig", "FidesSystem", "ScaledFidesSystem"})
+    ]
+    assert by_hand == []
+    assert "harness.build(" in pathlib.Path(campaign.__file__).read_text()
+
+
+def test_sweeps_build_no_workload_and_probe_no_signature():
+    """The sweeps take their workload from ``harness.build`` too, and nothing
+    probes a signature to learn what a sweep takes.  (The fault matrix builds
+    one workload itself: the background that leaves out each shard's
+    reserved probe item.)"""
     source = pathlib.Path(experiments.__file__).read_text()
     assert "inspect" not in source
-    assert not re.search(r"SystemConfig\(|PartitionedWorkload\(|YcsbWorkload\(", source)
-
-
-def test_the_fault_script_builds_nothing_by_hand():
-    """The fault matrix's script gets every system from ``harness.build`` too;
-    it constructs one workload itself, the background that leaves out each
-    shard's reserved probe item."""
-    source = pathlib.Path(campaign.__file__).read_text()
-    assert "harness.build(" in source
-    assert not re.search(r"SystemConfig\(|FidesSystem\(|ScaledFidesSystem\(|build_system\(", source)
+    assert _calls_to(
+        pathlib.Path(experiments.__file__), {"PartitionedWorkload", "YcsbWorkload"}
+    ) == []

@@ -4,6 +4,7 @@ Every run is deterministic given its pick prefix, so a ``--smoke`` sweep
 covers exactly the same runs, states and choice points on every machine.
 A change to how a scenario's deployment is built or driven that moves any
 of these counts changes what the checker explores, and must say so here.
+A budget that admits no run is a usage error, not a clean exploration.
 """
 
 from __future__ import annotations
@@ -53,3 +54,15 @@ def test_smoke_is_clean_and_totals_the_scenarios(smoke_report):
     assert smoke_report["total_distinct_states"] == sum(
         states for _, states, _ in SMOKE.values()
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-runs", "0"], ["--max-runs", "-3"], ["--max-states", "0"], ["--max-depth", "-1"]],
+    ids=" ".join,
+)
+def test_a_budget_that_admits_no_run_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "must be >=" in capsys.readouterr().err

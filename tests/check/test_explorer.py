@@ -9,14 +9,12 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from repro.check.choices import choose
-from repro.check.explorer import Explorer, run_fingerprint
+import pytest
+
+from repro.check.choices import ChoiceSource, choose, driven_by
+from repro.check.explorer import Counterexample, Explorer, run_fingerprint
 from repro.check.invariants import RunRecord
-from repro.check.scenarios import (
-    ClassicByzantineScenario,
-    Scenario,
-    ShardedOrderingScenario,
-)
+from repro.check.scenarios import SCENARIOS
 
 
 def _stub_record(fingerprint: str, pending_rounds: int = 0) -> RunRecord:
@@ -33,34 +31,35 @@ def _stub_record(fingerprint: str, pending_rounds: int = 0) -> RunRecord:
     return RunRecord(system=system)
 
 
-class ToyBuggyScenario(Scenario):
+def _toy(name: str, run) -> SimpleNamespace:
+    """A scenario-shaped stand-in with no deployment: ``run`` makes the choices."""
+    return SimpleNamespace(
+        name=name, features=frozenset(), invariants=["round-state-released"], run=run
+    )
+
+
+def _buggy_run() -> RunRecord:
     """Three binary choices; exactly the pick sequence [1, 0, 1] is buggy."""
-
-    name = "toy-buggy"
-    invariants = ["round-state-released"]
-
-    def run(self) -> RunRecord:
-        picks = [choose(f"toy/{i}", 2, 0) for i in range(3)]
-        return _stub_record(
-            fingerprint="".join(map(str, picks)),
-            pending_rounds=1 if picks == [1, 0, 1] else 0,
-        )
+    picks = [choose(f"toy/{i}", 2, 0) for i in range(3)]
+    return _stub_record(
+        fingerprint="".join(map(str, picks)),
+        pending_rounds=1 if picks == [1, 0, 1] else 0,
+    )
 
 
-class ToyCollapsingScenario(Scenario):
+def _collapsing_run() -> RunRecord:
     """One 3-way choice whose alternatives all reach the same final state."""
+    choose("toy/only", 3, 0)
+    return _stub_record(fingerprint="same-everywhere")
 
-    name = "toy-collapsing"
-    invariants = ["round-state-released"]
 
-    def run(self) -> RunRecord:
-        choose("toy/only", 3, 0)
-        return _stub_record(fingerprint="same-everywhere")
+TOY_BUGGY = _toy("toy-buggy", _buggy_run)
+TOY_COLLAPSING = _toy("toy-collapsing", _collapsing_run)
 
 
 class TestSearch:
     def test_bfs_finds_and_minimizes_the_buggy_schedule(self):
-        result = Explorer(ToyBuggyScenario, max_runs=50).explore()
+        result = Explorer(TOY_BUGGY, max_runs=50).explore()
         assert not result.clean
         [cex] = result.counterexamples
         assert cex.minimized
@@ -68,16 +67,15 @@ class TestSearch:
         assert cex.invariants == ["round-state-released"]
 
     def test_dfs_also_finds_it(self):
-        result = Explorer(ToyBuggyScenario, max_runs=50, strategy="dfs").explore()
+        result = Explorer(TOY_BUGGY, max_runs=50, strategy="dfs").explore()
         assert not result.clean
 
     def test_exhaustive_exploration_of_a_clean_tree_terminates(self):
-        class CleanScenario(ToyBuggyScenario):
-            def run(self):
-                picks = [choose(f"toy/{i}", 2, 0) for i in range(3)]
-                return _stub_record("".join(map(str, picks)))
+        def clean_run():
+            picks = [choose(f"toy/{i}", 2, 0) for i in range(3)]
+            return _stub_record("".join(map(str, picks)))
 
-        result = Explorer(CleanScenario, max_runs=100).explore()
+        result = Explorer(_toy("toy-clean", clean_run), max_runs=100).explore()
         assert result.clean
         assert not result.budget_exhausted
         # All 2^3 behaviours reached: 8 terminal fingerprints plus the
@@ -86,7 +84,7 @@ class TestSearch:
         assert result.distinct_states >= 8
 
     def test_terminal_dedup_stops_expansion(self):
-        result = Explorer(ToyCollapsingScenario, max_runs=100).explore()
+        result = Explorer(TOY_COLLAPSING, max_runs=100).explore()
         # Default run + two alternatives; collapsing terminals are not
         # re-expanded, so the search stops at exactly 3 runs.
         assert result.runs == 3
@@ -94,53 +92,65 @@ class TestSearch:
         assert result.distinct_states == 4
 
     def test_run_budget_is_respected(self):
-        result = Explorer(ToyBuggyScenario, max_runs=2, minimize=False).explore()
+        result = Explorer(TOY_BUGGY, max_runs=2, minimize=False).explore()
         assert result.runs == 2
         assert result.budget_exhausted
 
     def test_state_budget_is_respected(self):
-        result = Explorer(ToyBuggyScenario, max_runs=100, max_states=3).explore()
+        result = Explorer(TOY_BUGGY, max_runs=100, max_states=3).explore()
         assert result.budget_exhausted
         assert result.distinct_states >= 3
 
     def test_max_depth_limits_deviation_sites(self):
         # Deviations allowed only at choice index 0: the buggy [1, 0, 1]
         # needs a deviation at index 2, so a depth-1 search stays clean.
-        result = Explorer(ToyBuggyScenario, max_runs=100, max_depth=1).explore()
+        result = Explorer(TOY_BUGGY, max_runs=100, max_depth=1).explore()
         assert result.clean
         assert result.runs == 2  # default run + the one index-0 alternative
 
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            dict(max_runs=0),
+            dict(max_runs=-3),
+            dict(max_states=0),
+            dict(max_depth=-1),
+            dict(strategy="random"),
+        ],
+        ids=lambda budget: "-".join(f"{key}={value}" for key, value in budget.items()),
+    )
+    def test_a_budget_that_admits_no_run_is_refused(self, budget):
+        # An exploration that runs nothing would report itself clean.
+        with pytest.raises(ValueError):
+            Explorer(TOY_BUGGY, **budget)
+
+    def test_depth_zero_runs_only_the_default_schedule(self):
+        result = Explorer(TOY_BUGGY, max_runs=100, max_depth=0).explore()
+        assert (result.runs, result.clean) == (1, True)
+
+
 class TestMinimization:
     def test_non_minimal_counterexample_shrinks(self):
-        explorer = Explorer(ToyBuggyScenario, max_runs=10)
-        from repro.check.explorer import Counterexample
-
+        explorer = Explorer(TOY_BUGGY, max_runs=10)
         fat = Counterexample(
             scenario="toy-buggy",
             picks=[1, 0, 1],  # already minimal: every pick is load-bearing
-            violations=[],
-        )
-        fat.violations = explorer._violations(
-            ToyBuggyScenario.invariants, _stub_record("101", pending_rounds=1)
+            violations=explorer._violations(_stub_record("101", pending_rounds=1)),
         )
         shrunk = explorer.minimize(fat)
         assert shrunk.minimized
         assert shrunk.picks == [1, 0, 1]
 
     def test_trailing_defaults_are_dropped(self):
-        class TailBuggy(Scenario):
-            name = "toy-tail"
-            invariants = ["round-state-released"]
+        def tail_buggy_run():
+            picks = [choose(f"toy/{i}", 2, 0) for i in range(4)]
+            return _stub_record(
+                "".join(map(str, picks)),
+                pending_rounds=1 if picks[0] == 1 else 0,
+            )
 
-            def run(self):
-                picks = [choose(f"toy/{i}", 2, 0) for i in range(4)]
-                return _stub_record(
-                    "".join(map(str, picks)),
-                    pending_rounds=1 if picks[0] == 1 else 0,
-                )
-
-        result = Explorer(TailBuggy, max_runs=50).explore()
+        result = Explorer(_toy("toy-tail", tail_buggy_run), max_runs=50).explore()
         [cex] = result.counterexamples
         assert cex.picks == [1]
 
@@ -159,19 +169,17 @@ class TestFingerprints:
 
 class TestRealScenario:
     def test_tiny_byzantine_budget_is_clean(self):
-        result = Explorer(ClassicByzantineScenario, max_runs=4).explore()
+        result = Explorer(SCENARIOS["classic-byzantine"], max_runs=4).explore()
         assert result.clean
         assert result.runs == 4
         assert result.distinct_states > 4
 
     def test_sharded_ordering_default_run_merges_two_epochs(self):
-        from repro.check.choices import ChoiceSource, driven_by
-
-        scenario = ShardedOrderingScenario()
+        scenario = SCENARIOS["sharded-ordering"]
         with driven_by(ChoiceSource(features=scenario.features)) as source:
             record = scenario.run()
-        assert record.notes["epochs"] == 2
-        assert record.notes["shard_chains_ok"]
+        assert len(record.system.ordering.epoch_anchors) == 2
+        assert record.system.ordering.verify_shard_chains()
         merges = [p for p in source.trace if p.label == "ordserv/epoch-merge"]
         # Both cross-shard transactions find two live lanes to interleave.
         assert len(merges) >= 2
@@ -180,7 +188,7 @@ class TestRealScenario:
     def test_sharded_ordering_exploration_is_clean_past_1000_states(self):
         # The PR's acceptance budget: cross-shard lane interleavings (plus
         # delivery order) stay invariant-clean across >= 1000 distinct states.
-        result = Explorer(ShardedOrderingScenario, max_runs=120).explore()
+        result = Explorer(SCENARIOS["sharded-ordering"], max_runs=120).explore()
         assert result.clean
         assert result.distinct_states >= 1000
         assert result.choice_points > 0

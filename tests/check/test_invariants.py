@@ -8,10 +8,12 @@ covered by the explorer and mutation self-tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from repro.bench import harness
 from repro.check.invariants import (
     INVARIANTS,
     RunRecord,
@@ -20,12 +22,16 @@ from repro.check.invariants import (
     check_frontier_monotonic,
     check_hash_chain,
     check_no_commit_lost,
+    check_ordering_consistent,
     check_pipeline_conformance,
     check_round_state_released,
     check_workload_accounting,
     evaluate,
 )
+from repro.check.scenarios import SCENARIOS, TINY
 from repro.common.timestamps import Timestamp
+from repro.txn.operations import ReadOp, WriteOp
+from repro.workload.ycsb import TransactionSpec
 
 
 def _txn(txn_id, commit_ts=None):
@@ -273,6 +279,41 @@ class TestPipelineConformance:
         assert check_pipeline_conformance(record) == []
 
 
+class TestOrderingConsistent:
+    """A real stream passes; the same stream tampered after the run does not."""
+
+    def test_an_honest_sharded_stream_is_clean(self):
+        assert check_ordering_consistent(SCENARIOS["sharded-ordering"].run()) == []
+
+    def test_a_tampered_lane_head_is_reported(self):
+        record = SCENARIOS["sharded-ordering"].run()
+        record.system.ordering._lanes[0].head = bytes(32)
+        [violation] = check_ordering_consistent(record)
+        assert "lane" in violation.message
+
+    def test_two_swapped_dependent_blocks_are_reported(self):
+        system, _ = harness.build(replace(TINY, deployment="scaled"))
+        x = system.shard_map.items_of("s0")[0]
+        y = system.shard_map.items_of("s1")[0]
+        # Groups {s0} and {s0, s1} overlap, and the second reads what the
+        # first wrote: the stream must keep them in publication order.
+        system.run_workload(
+            [
+                TransactionSpec(0, (WriteOp(x, 1),)),
+                TransactionSpec(1, (ReadOp(x), WriteOp(y, 2))),
+            ]
+        )
+        record = RunRecord(system=system)
+        assert check_ordering_consistent(record) == []
+        stream = system.ordering._ordered
+        stream[0], stream[1] = stream[1], stream[0]
+        [violation] = check_ordering_consistent(record)
+        assert "depends on" in violation.message
+
+    def test_a_deployment_without_an_ordering_service_is_skipped(self):
+        assert check_ordering_consistent(RunRecord(system=SimpleNamespace(ordering=None))) == []
+
+
 class TestEvaluate:
     def test_unknown_invariant_raises(self):
         record = _record({"s0": _server()})
@@ -297,4 +338,5 @@ class TestEvaluate:
             "round-state-released",
             "workload-accounting",
             "pipeline-conformance",
+            "ordering-consistent",
         }

@@ -15,7 +15,7 @@ import pytest
 from repro.check.explorer import Explorer
 from repro.check.mutations import enabled_mutations, mutated
 from repro.check.replay import replay, trace_from_counterexample
-from repro.check.scenarios import ClassicByzantineScenario, ClassicCrashScenario
+from repro.check.scenarios import SCENARIOS
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.server.faults import FaultPlan
@@ -24,22 +24,26 @@ from repro.txn.operations import WriteOp
 
 def _explore_with(mutation: str, max_runs: int):
     with mutated(mutation):
-        return Explorer(ClassicCrashScenario, max_runs=max_runs).explore()
+        return Explorer(SCENARIOS["classic-crash"], max_runs=max_runs).explore()
 
 
 @pytest.mark.parametrize(
-    "mutation, invariant",
+    "mutation, invariant, picks, runs, states",
     [
-        ("pr3-round-failed-leak", "round-state-released"),
-        ("pr3-double-count-blocks", "workload-accounting"),
+        ("pr3-round-failed-leak", "round-state-released", [0] * 15 + [1], 21, 319),
+        ("pr3-double-count-blocks", "workload-accounting", [], 1, 25),
     ],
 )
-def test_mutation_is_rediscovered_with_replayable_counterexample(mutation, invariant):
+def test_mutation_is_rediscovered_with_replayable_counterexample(
+    mutation, invariant, picks, runs, states
+):
     result = _explore_with(mutation, max_runs=60)
     assert result.counterexamples, f"{mutation}: checker failed to find the bug"
     cex = result.counterexamples[0]
     assert cex.minimized
     assert invariant in cex.invariants
+    # Found after the same search, at the same minimal schedule, every time.
+    assert (cex.picks, result.runs, result.distinct_states) == (picks, runs, states)
 
     # The minimized counterexample replays: the violation reproduces with
     # the mutation on, and the identical schedule is clean with it off.
@@ -55,19 +59,17 @@ def test_round_failed_leak_needs_a_crash_branch():
     (no-crash) schedule is clean, so rediscovery genuinely exercises the
     crash choice points rather than falling out of run #1."""
     with mutated("pr3-round-failed-leak"):
-        result = Explorer(
-            ClassicCrashScenario, max_runs=1, minimize=False
-        ).explore()
+        result = Explorer(SCENARIOS["classic-crash"], max_runs=1, minimize=False).explore()
     assert result.clean
 
 
 def test_clean_sweep_crosses_a_thousand_distinct_states():
     assert enabled_mutations() == ()
     total_states = 0
-    for scenario_cls in (ClassicCrashScenario, ClassicByzantineScenario):
-        result = Explorer(scenario_cls, max_runs=60).explore()
+    for name in ("classic-crash", "classic-byzantine"):
+        result = Explorer(SCENARIOS[name], max_runs=60).explore()
         assert result.clean, (
-            f"{scenario_cls.name}: unexpected violation(s) "
+            f"{name}: unexpected violation(s) "
             f"{[cex.invariants for cex in result.counterexamples]}"
         )
         total_states += result.distinct_states

@@ -10,6 +10,7 @@ is the re-introduced mutation, not the live code).
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,35 @@ class TestTraceFormat:
         )
         with pytest.raises(ValueError, match="no-such-bug"):
             load_trace(path)
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"scenario": "no-such-scenario", "invariants": ["agreement"]}, "no-such-scenario"),
+            ({"invariants": ["agreemnet"]}, "agreemnet"),
+            ({"invariants": ["agreement"], "expect": "clena"}, "clena"),
+            ({"expect": "violation"}, "names no invariant"),
+            ({}, "names no invariant"),
+        ],
+        ids=["scenario", "invariant", "expect", "no-invariant", "no-invariant-by-default"],
+    )
+    def test_a_trace_that_cannot_assert_what_it_claims_is_rejected(
+        self, tmp_path, fields, named
+    ):
+        path = tmp_path / "t.json"
+        path.write_text(
+            json.dumps({"version": 1, "scenario": "classic-crash", "choices": [], **fields})
+        )
+        with pytest.raises(ValueError, match=named) as error:
+            load_trace(path)
+        assert str(path) in str(error.value)
+
+    def test_a_clean_trace_needs_no_invariant(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"version": 1, "scenario": "classic-byzantine", "choices": [], "expect": "clean"}'
+        )
+        assert load_trace(path).expect == "clean"
 
     def test_clean_witness_trace_passes(self):
         trace = Trace(scenario="classic-byzantine", choices=[], expect="clean")
