@@ -106,7 +106,9 @@ class Auditor:
         """
         if checkpoints is None:
             checkpoints = getattr(self, "collected_checkpoints", {})
-        results = verify_copies(logs, self.network.public_key_directory(), checkpoints)
+        results = verify_copies(
+            logs, self.network.public_key_directory(), self.server_ids, checkpoints
+        )
         report.log_results = dict(results)
 
         valid = {

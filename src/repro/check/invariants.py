@@ -128,7 +128,9 @@ def check_hash_chain(record: RunRecord) -> List[Violation]:
     violations: List[Violation] = []
     directory = record.system.network.public_key_directory()
     for server_id, server in sorted(record.honest_servers().items()):
-        result = server.log.verify(directory, checkpoint=server.latest_checkpoint)
+        result = server.log.verify(
+            directory, record.system.config.server_ids, checkpoint=server.latest_checkpoint
+        )
         if not result.valid:
             violations.append(
                 Violation(

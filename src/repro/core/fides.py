@@ -132,6 +132,7 @@ class FidesSystem:
                 items=per_server_items[server_id],
                 clock=self.sim.clock,
                 obs=self.sim.obs,
+                cluster=self.config.server_ids,
                 multi_versioned=self.config.multi_versioned,
                 state_store=(
                     state_store_factory(server_id) if state_store_factory else None
@@ -514,24 +515,28 @@ class FidesSystem:
         Mirrors the in-process CoSi round of
         :func:`~repro.ledger.checkpoint.cosign_checkpoint`: every server
         contributes its shard root and its signature.  ``install=True``
-        truncates every live server's log under the checkpoint and compacts
-        its durable state store (Section 3.3's storage bound).
+        truncates every server's log under the checkpoint and compacts its
+        durable state store (Section 3.3's storage bound).
+
+        A checkpoint verifies only if every server co-signed it (DESIGN.md
+        section 5), and a crashed machine signs nothing, so none may be down.
         """
-        # Only live servers can contribute to the CoSi round; a crashed
-        # machine signs nothing, and cosi_verify checks exactly the signers
-        # the signature lists, so the checkpoint still verifies.
-        live = {sid: server for sid, server in self.servers.items() if not server.crashed}
-        reference_server = next(iter(live.values()))
+        crashed = self.crashed_servers()
+        if crashed:
+            raise ConfigurationError(
+                f"a checkpoint needs every server's co-sign, and {sorted(crashed)} are down"
+            )
+        reference_server = next(iter(self.servers.values()))
         checkpoint = build_checkpoint(
             reference_server.log,
-            {sid: server.store.merkle_root() for sid, server in live.items()},
+            {sid: server.store.merkle_root() for sid, server in self.servers.items()},
             previous=reference_server.latest_checkpoint,
         )
         checkpoint = cosign_checkpoint(
-            checkpoint, {sid: server.keypair for sid, server in live.items()}
+            checkpoint, {sid: server.keypair for sid, server in self.servers.items()}
         )
         if install:
-            for server in live.values():
+            for server in self.servers.values():
                 server.install_checkpoint(checkpoint)
         return checkpoint
 

@@ -39,7 +39,7 @@ touch routing state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
 from repro.common.errors import ProtocolError, ProtocolInvariantError, ValidationError
@@ -73,7 +73,11 @@ class ViewChangeOutcome:
 
 
 def verify_certificate(
-    cert: FrontierCertificate, public_keys, expected_server: str, trusted: bool = False
+    cert: FrontierCertificate,
+    public_keys,
+    servers: Collection[str],
+    expected_server: str,
+    trusted: bool = False,
 ) -> bool:
     """Whether one cohort's (strictly decoded, still untrusted) certificate holds.
 
@@ -81,7 +85,8 @@ def verify_certificate(
     wire may be attacker-chosen, so the certificate is believed only to the
     extent its co-signed head block backs it -- the head must decode, its
     collective signature must verify over its signing digest (with the
-    signer set equal to its recorded group, for group blocks), its hash must
+    signer set equal to its recorded group for a group block, and to the
+    cluster's ``servers`` for a classic one), its hash must
     equal the claimed ``head_hash``, and a non-empty frontier must carry a
     head at all.  ``trusted`` (the 2PC baseline, whose blocks carry no
     collective signature) stops after the identity check.
@@ -104,7 +109,8 @@ def verify_certificate(
         head.cosign, head.signing_digest(), public_keys
     ):
         return False
-    return head.group is None or set(head.cosign.signer_ids) == set(head.group)
+    signers = head.group if head.group is not None else servers
+    return set(head.cosign.signer_ids) == set(signers)
 
 
 def elect_successor(members: Sequence[str], excluded: Sequence[str]) -> str:
@@ -153,6 +159,8 @@ def run_view_change(
 ) -> ViewChangeOutcome:
     """Drive one view change from the successor's side (steps 2-4 above).
 
+    ``members`` is the cluster: the successor solicits every member but the
+    deposed one, and a classic head block must be co-signed by every member.
     ``group`` is ``None`` for the classic full-cluster deployment (and for
     the scaled one, where it means "every group the deposed coordinator
     led").  The caller passes the view being left behind; the protocol
@@ -197,7 +205,7 @@ def run_view_change(
     # else than a report is a liar like one whose certificate does not hold.
     outcome.rejected_certificates = [r.server_id for r in refusals if not r.unreachable]
     for server_id, report in reports.items():
-        if not verify_certificate(report.certificate, public_keys, server_id, trusted):
+        if not verify_certificate(report.certificate, public_keys, members, server_id, trusted):
             outcome.rejected_certificates.append(server_id)
             continue
         outcome.certificates[server_id] = report.certificate

@@ -12,11 +12,17 @@ Python:
 * one precomputed-table type (:class:`_WindowTable`) behind every fast path:
   signed fixed windows of affine multiples, 8 bits wide for the generator
   (33 x 128 points, ~0.8 MB, built once in ~35 ms) and 5 bits wide for a
-  recurring public or aggregate key (52 x 16 points, ~150 KB, ~7 ms, at most
-  64 of them).  :func:`generator_multiply` is ~32 mixed additions and
-  :func:`fused_multiply`, the ``a*G + b*P`` of every verification equation,
-  ~84 with a single inversion -- about 0.14 ms and 0.33 ms in CPython, against
-  1.5 ms for double-and-add.
+  recurring key or signer set (52 x 16 points, ~150 KB, ~7 ms).
+  :func:`generator_multiply` is ~32 mixed additions, about 0.14 ms in
+  CPython against 1.5 ms for double-and-add.
+* :func:`fused_multiply_sum`, the ``a*G + b*sum(P_i)`` of every verification
+  equation, accumulated into one Jacobian point with a single final
+  inversion.  By linearity ``b*sum(P_i) = sum(b*P_i)``, so a co-sign's signer
+  set goes through its signers' own tables, ~52 mixed additions (~0.19 ms)
+  per signer, and needs no table of its own.  :class:`_KeyTables` holds the
+  tables under two rules: a single key gets one on its second sighting (64
+  of them at most, least recently used out), and a signer set only once its
+  reuse has paid for the build; the sets are counted apart from the keys.
 """
 
 from __future__ import annotations
@@ -171,10 +177,9 @@ def _jac_add(p, q):
     return (x3, y3, z3)
 
 
-def _jac_multiply(scalar: int, point: Point):
-    """``scalar * point`` as a Jacobian triple: plain double-and-add, no table."""
+def _jac_multiply(scalar: int, addend):
+    """``scalar * addend`` for a Jacobian triple: plain double-and-add, no table."""
     result = _JAC_INFINITY
-    addend = _to_jacobian(point)
     while scalar:
         if scalar & 1:
             result = _jac_add(result, addend)
@@ -190,7 +195,7 @@ def scalar_multiply(scalar: int, point: Point) -> Point:
     identity element.  This is the untabled reference every table-driven path
     is tested against.
     """
-    return _from_jacobian(_jac_multiply(scalar % CURVE_ORDER, point))
+    return _from_jacobian(_jac_multiply(scalar % CURVE_ORDER, _to_jacobian(point)))
 
 
 # -- Precomputed window tables (internal) ----------------------------------------
@@ -199,8 +204,14 @@ def scalar_multiply(scalar: int, point: Point) -> Point:
 _GENERATOR_WINDOW_BITS = 8
 #: Window width of a recurring point's table: 52 windows x 16 affine points.
 _KEY_WINDOW_BITS = 5
-#: Recurring points (public keys, aggregate keys) tracked at once.
+#: Single keys (server and client public keys) tracked at once.
 _MAX_KEY_TABLES = 64
+#: Signer sets tracked at once, counted apart from the single keys.
+_MAX_SIGNER_SETS = 64
+#: What building a 5-bit table costs, in accumulations through one (about 7 ms
+#: against about 0.19 ms in CPython): the saving a signer set's uses must
+#: reach before it gets a table of its own.
+_TABLE_BUILD_COST = 36
 
 
 class _WindowTable:
@@ -288,31 +299,78 @@ class _WindowTable:
 
 
 class _KeyTables:
-    """Window tables for the points that are multiplied over and over.
+    """Window tables for the points that are multiplied over and over, under two rules.
 
-    Signature and co-signature verification multiply the *same* points (a
-    server's public key, the aggregate key of a signer set) again and again,
-    so a table pays for itself after a handful of uses.  A point gets its
-    table on its second sighting; a point seen once is only remembered, and
-    its multiplication is plain double-and-add.  At most ``_MAX_KEY_TABLES``
-    points are tracked, and the least recently used one makes room.
+    Verification multiplies the *same* points again and again: a server's or
+    a client's public key, and the sum of a co-sign's signer set.
+
+    * A single key gets its table on its second sighting; a key seen once is
+      only remembered, and its multiplication is plain double-and-add.  At
+      most ``_MAX_KEY_TABLES`` keys are tracked, and the least recently used
+      one makes room.
+    * A signer set of ``k`` keys is multiplied through its signers' own
+      tables (``b * sum(P_i) = sum(b * P_i)``): ``k`` accumulations and no
+      build.  A table of its own would make that one accumulation, so the
+      set gets one only once its reuse has paid for the build, when ``uses x
+      (k - 1)`` reaches ``_TABLE_BUILD_COST``.  This is the rent-or-buy
+      rule: a set that recurs rarely never builds, and however often a set
+      recurs, it costs at most twice what the best choice in hindsight
+      would have.  Signer sets are counted apart from the single keys, at
+      most ``_MAX_SIGNER_SETS`` of them, so a stream of new sets never
+      evicts a server key.
     """
 
     def __init__(self) -> None:
         # (x, y) -> table, or None after one sighting; least recently used first.
-        self._entries = {}
+        self._keys = {}
+        # signer points -> [uses, table or None]; least recently used first.
+        self._sets = {}
 
     def lookup(self, point: Point) -> Optional[_WindowTable]:
-        """Note a sighting of ``point``; return its table once it has one."""
+        """Note a sighting of the single key ``point``; return its table once it has one."""
         key = (point.x, point.y)
-        if key in self._entries:
-            table = self._entries.pop(key) or _WindowTable(point, _KEY_WINDOW_BITS)
+        if key in self._keys:
+            table = self._keys.pop(key) or _WindowTable(point, _KEY_WINDOW_BITS)
         else:
             table = None
-            if len(self._entries) >= _MAX_KEY_TABLES:
-                del self._entries[next(iter(self._entries))]
-        self._entries[key] = table
+            if len(self._keys) >= _MAX_KEY_TABLES:
+                del self._keys[next(iter(self._keys))]
+        self._keys[key] = table
         return table
+
+    def set_table(self, points: tuple) -> Optional[_WindowTable]:
+        """Note a use of the signer set ``points``; return its table once it has earned one."""
+        entry = self._sets.pop(points, None)
+        if entry is None:
+            entry = [0, None]
+            if len(self._sets) >= _MAX_SIGNER_SETS:
+                del self._sets[next(iter(self._sets))]
+        self._sets[points] = entry
+        if entry[1] is None:
+            entry[0] += 1
+            if entry[0] * (len(points) - 1) >= _TABLE_BUILD_COST:
+                total = aggregate_points(points)
+                if not total.is_infinity:
+                    entry[1] = _WindowTable(total, _KEY_WINDOW_BITS)
+        return entry[1]
+
+    def accumulate(self, scalar: int, points: tuple, accumulator):
+        """Return Jacobian ``accumulator + scalar * sum(points)``; no point is the identity."""
+        table = self.lookup(points[0]) if len(points) == 1 else self.set_table(points)
+        if table is not None:
+            return table.accumulate(scalar, accumulator)
+        # Through each signer's own table; the ones without a table yet are
+        # summed and take one double-and-add between them.
+        untabled = _JAC_INFINITY
+        for point in points:
+            table = self.lookup(point)
+            if table is None:
+                untabled = _jac_add(untabled, _to_jacobian(point))
+            else:
+                accumulator = table.accumulate(scalar, accumulator)
+        if untabled[2]:
+            accumulator = _jac_add(accumulator, _jac_multiply(scalar, untabled))
+        return accumulator
 
 
 _KEY_TABLES = _KeyTables()
@@ -326,24 +384,24 @@ def _generator_table() -> _WindowTable:
 
 def generator_multiply(scalar: int) -> Point:
     """Return ``scalar * G`` from the generator's window table."""
-    return fused_multiply(scalar, 0, INFINITY)
+    return fused_multiply_sum(scalar, 0, ())
 
 
-def fused_multiply(a: int, b: int, point: Point) -> Point:
-    """Return ``a*G + b*point``: one accumulation, one final inversion.
+def fused_multiply_sum(a: int, b: int, points: Iterable[Point]) -> Point:
+    """Return ``a*G + b*sum(points)``: one accumulation pass, one final inversion.
 
-    This is the shape of every verification equation (``s*G - e*P``,
-    ``r*G + c*P``).  ``point`` is multiplied through its window table if it
-    is a recurring one (see :class:`_KeyTables`), else by double-and-add.
+    This is the shape of every verification equation: ``s*G - e*P`` for a
+    Schnorr signature, ``r*G + c*P`` for one witness's response, and
+    ``R*G + c*sum(P_i)`` for a collective signature.  The generator goes
+    through its own table, and the points through the key tables under the
+    two rules of :class:`_KeyTables`.
     """
     result = _generator_table().accumulate(a % CURVE_ORDER, _JAC_INFINITY)
     b %= CURVE_ORDER
-    if b and not point.is_infinity:
-        table = _KEY_TABLES.lookup(point)
-        if table is None:
-            result = _jac_add(result, _jac_multiply(b, point))
-        else:
-            result = table.accumulate(b, result)
+    if b:
+        points = tuple(point for point in points if not point.is_infinity)
+        if points:
+            result = _KEY_TABLES.accumulate(b, points, result)
     return _from_jacobian(result)
 
 

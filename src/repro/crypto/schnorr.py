@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.group import CURVE_ORDER, Point, fused_multiply, generator_multiply
+from repro.crypto.group import CURVE_ORDER, Point, fused_multiply_sum, generator_multiply
 from repro.crypto.hashing import hash_concat, hash_to_int
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 
@@ -76,7 +76,7 @@ def schnorr_verify_encoded(
         return False
     challenge = _challenge(nonce_bytes, public, message)
     # Public keys recur across messages, so -e*P goes through a window table.
-    return fused_multiply(scalar, -challenge, public.point).encode() == nonce_bytes
+    return fused_multiply_sum(scalar, -challenge, (public.point,)).encode() == nonce_bytes
 
 
 def schnorr_verify(public: PublicKey, message: bytes, signature: SchnorrSignature) -> bool:

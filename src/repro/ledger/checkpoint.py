@@ -25,7 +25,7 @@ checks the co-sign and the chaining of the remaining log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Collection, Dict, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
@@ -137,9 +137,11 @@ def cosign_checkpoint(checkpoint: Checkpoint, keypairs: Mapping[str, KeyPair]) -
     return checkpoint.with_cosign(cosign)
 
 
-def verify_checkpoint(checkpoint: Checkpoint, public_keys: Dict[str, PublicKey]) -> bool:
-    """Verify the checkpoint's collective signature."""
-    if checkpoint.cosign is None:
+def verify_checkpoint(
+    checkpoint: Checkpoint, public_keys: Dict[str, PublicKey], servers: Collection[str]
+) -> bool:
+    """Verify the checkpoint's collective signature: by every one of ``servers``, the cluster."""
+    if checkpoint.cosign is None or set(checkpoint.cosign.signer_ids) != set(servers):
         return False
     return cosi_verify(checkpoint.cosign, checkpoint.digest(), public_keys)
 
@@ -170,6 +172,7 @@ def verify_log_against_checkpoint(
     log: TransactionLog,
     checkpoint: Checkpoint,
     public_keys: Dict[str, PublicKey],
+    servers: Collection[str],
 ) -> bool:
     """Auditor-side check of a checkpointed log copy.
 
@@ -177,7 +180,7 @@ def verify_log_against_checkpoint(
     onto the checkpoint's head hash, and the retained suffix must be
     internally consistent (hash pointers + per-block co-signs).
     """
-    if not verify_checkpoint(checkpoint, public_keys):
+    if not verify_checkpoint(checkpoint, public_keys, servers):
         return False
     if len(log) == 0:
         return True
@@ -195,10 +198,10 @@ def verify_log_against_checkpoint(
             return False
         if block.previous_hash != expected_prev:
             return False
-        if verify_block_cosign(block, public_keys):
-            # Non-empty reason: missing/invalid co-sign, or a group block
-            # whose signer set does not match its recorded group (the
-            # chaining-vs-cosign split's defense, same as full-log verify).
+        if verify_block_cosign(block, public_keys, servers):
+            # Non-empty reason: missing/invalid co-sign, or a signer set
+            # that is not the block's -- its recorded group, or every server
+            # for a classic block (same rule as full-log verify).
             return False
         expected_prev = block.block_hash()
     return True

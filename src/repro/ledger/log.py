@@ -13,7 +13,7 @@ Lemmas 6 and 7 so the auditor's detection can be exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Collection, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ValidationError
 from repro.crypto.cosi import CollectiveSignature, cosi_verify
@@ -57,7 +57,10 @@ def _cosign_holds(
 
 
 def verify_block_cosign(
-    block: Block, public_keys: Dict[str, PublicKey], verdicts: Optional[dict] = None
+    block: Block,
+    public_keys: Dict[str, PublicKey],
+    servers: Collection[str],
+    verdicts: Optional[dict] = None,
 ) -> str:
     """Check one block's collective signature; returns "" or a failure reason.
 
@@ -66,9 +69,12 @@ def verify_block_cosign(
 
     * a collective signature must be present and verify over the block's
       signing digest (group body digest for dynamic-group blocks);
-    * a dynamic-group block must be signed by *exactly* its recorded group --
-      a subset could not have run the round, and extra signers mean the
-      recorded membership was doctored.
+    * the signer set must be *exactly* the block's: its recorded group for a
+      dynamic-group block, the cluster's ``servers`` for a classic one -- a
+      subset could not have run the round, and extra signers mean the
+      recorded membership was doctored.  ``cosi_verify`` checks only the
+      signers the signature itself lists, so without this one server could
+      co-sign a block alone.
 
     ``verdicts`` is the co-sign table of the :func:`verify_copies` call this
     check runs in, if any.
@@ -79,12 +85,15 @@ def verify_block_cosign(
         return "group block signer set does not match its recorded group"
     if not _cosign_holds(block.cosign, block.signing_digest(), public_keys, verdicts):
         return "invalid collective signature"
+    if block.group is None and set(block.cosign.signer_ids) != set(servers):
+        return "collective signature of a classic block is not by exactly the cluster's servers"
     return ""
 
 
 def verify_copies(
     logs: Mapping[str, "TransactionLog"],
     public_keys: Dict[str, PublicKey],
+    servers: Collection[str],
     checkpoints: Mapping[str, object],
 ) -> Dict[str, LogVerificationResult]:
     """Verify every server's log copy, each against its own checkpoint.
@@ -97,7 +106,7 @@ def verify_copies(
     """
     verdicts: Dict[tuple, bool] = {}
     return {
-        server: log._verify(public_keys, checkpoints.get(server), verdicts)
+        server: log._verify(public_keys, servers, checkpoints.get(server), verdicts)
         for server, log in logs.items()
     }
 
@@ -207,21 +216,27 @@ class TransactionLog:
     # -- verification ---------------------------------------------------------
 
     def verify(
-        self, public_keys: Dict[str, PublicKey], checkpoint=None
+        self, public_keys: Dict[str, PublicKey], servers: Collection[str], checkpoint=None
     ) -> LogVerificationResult:
         """Verify hash chaining and every block's collective signature.
 
         This is the procedure the auditor runs on each collected log copy to
         decide whether it is correct (Lemma 6) before picking the longest
-        correct copy (Lemma 7).  A checkpoint-truncated copy verifies only
-        against its ``checkpoint``: the checkpoint's own co-sign must verify,
-        its coverage must match the truncation boundary, and the retained
-        suffix must chain onto its head hash.
+        correct copy (Lemma 7).  ``servers`` is the cluster, whose every
+        member must have co-signed a classic block and a checkpoint.  A
+        checkpoint-truncated copy verifies only against its ``checkpoint``:
+        the checkpoint's own co-sign must verify, its coverage must match the
+        truncation boundary, and the retained suffix must chain onto its head
+        hash.
         """
-        return self._verify(public_keys, checkpoint, {})
+        return self._verify(public_keys, servers, checkpoint, {})
 
     def _verify(
-        self, public_keys: Dict[str, PublicKey], checkpoint, verdicts: dict
+        self,
+        public_keys: Dict[str, PublicKey],
+        servers: Collection[str],
+        checkpoint,
+        verdicts: dict,
     ) -> LogVerificationResult:
         if self._base_height > 0:
             if checkpoint is None:
@@ -232,8 +247,10 @@ class TransactionLog:
                     self._base_height,
                     "log is checkpoint-truncated but no checkpoint was presented",
                 )
-            if checkpoint.cosign is None or not _cosign_holds(
-                checkpoint.cosign, checkpoint.digest(), public_keys, verdicts
+            if (
+                checkpoint.cosign is None
+                or set(checkpoint.cosign.signer_ids) != set(servers)
+                or not _cosign_holds(checkpoint.cosign, checkpoint.digest(), public_keys, verdicts)
             ):
                 # Wording deliberately avoids "signature": the auditor's
                 # forged-block classifier keys on that word to refine a
@@ -268,7 +285,7 @@ class TransactionLog:
                 return LogVerificationResult(
                     False, len(self._blocks), index, height, "broken hash pointer"
                 )
-            reason = verify_block_cosign(block, public_keys, verdicts)
+            reason = verify_block_cosign(block, public_keys, servers, verdicts)
             if reason:
                 return LogVerificationResult(False, len(self._blocks), index, height, reason)
             expected_prev = block.block_hash()

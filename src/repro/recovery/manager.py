@@ -14,9 +14,10 @@ The recovery pipeline has two halves:
   range is believed only if (1) heights are sequential and the hash chain
   extends the local head, (2) every block's collective signature verifies --
   for dynamic-group blocks over the group body digest with the signer set
-  equal to the recorded group -- and (3) replaying each commit block onto
-  the restored shard reproduces the root the block advertises for this
-  server *before* the writes are applied.  A response failing any check is
+  equal to the recorded group, for classic blocks with every server as a
+  signer -- and (3) replaying each commit block onto the restored shard
+  reproduces the root the block advertises for this server *before* the
+  writes are applied.  A response failing any check is
   rejected wholesale and the next peer is tried; blocks verified before the
   failure stay applied (each one was individually proven correct).
 
@@ -30,7 +31,7 @@ collision to make a recovering server accept a wrong block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -108,6 +109,7 @@ def verify_and_apply_catchup(
     log: TransactionLog,
     blocks: Sequence[Block],
     public_keys: Dict,
+    servers: Collection[str],
     state_store: Optional[StateStore] = None,
     result: Optional[RecoveryResult] = None,
 ) -> int:
@@ -116,6 +118,7 @@ def verify_and_apply_catchup(
     Each block is verified *then* applied, one at a time, so a failure
     mid-range leaves the server in a consistent state at a higher height
     (everything already applied passed all three checks independently).
+    ``servers`` is the cluster, the signer set of a classic block.
     ``result.fetched_blocks`` is advanced per applied block, so blocks that
     stay applied before a mid-range rejection are still accounted for.
     """
@@ -129,7 +132,7 @@ def verify_and_apply_catchup(
             raise RecoveryError(
                 f"catch-up block {block.height} does not chain onto the local head"
             )
-        reason = verify_block_cosign(block, public_keys)
+        reason = verify_block_cosign(block, public_keys, servers)
         if reason:
             raise RecoveryError(f"catch-up block {block.height}: {reason}")
         if block.is_commit and server_id in block.roots:
@@ -157,6 +160,7 @@ def catch_up_from_peers(
     log: TransactionLog,
     network: Network,
     peers: Sequence[str],
+    servers: Collection[str],
     state_store: Optional[StateStore] = None,
     result: Optional[RecoveryResult] = None,
 ) -> RecoveryResult:
@@ -203,6 +207,7 @@ def catch_up_from_peers(
                 log,
                 response.blocks,
                 public_keys,
+                servers,
                 state_store=state_store,
                 result=result,
             )
@@ -222,6 +227,7 @@ def recover_server_state(
     state_store: StateStore,
     network: Network,
     peers: Sequence[str],
+    servers: Collection[str],
 ) -> Tuple[DataStore, TransactionLog, Optional[object], RecoveryResult]:
     """The full recovery pipeline: load, restore+verify, catch up.
 
@@ -245,7 +251,7 @@ def recover_server_state(
     )
     store, log = restore_from_state(state, result)
     catch_up_from_peers(
-        server_id, store, log, network, peers, state_store=state_store, result=result
+        server_id, store, log, network, peers, servers, state_store=state_store, result=result
     )
     if not result.caught_up:
         raise RecoveryError(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
@@ -433,19 +433,21 @@ class CommitmentLayer:
     # -- TFCommit phase 5: <Decision, null>, and the ordered stream (Section 4.6) ----
 
     def handle_decision(
-        self, block: Block, public_keys: Dict[str, PublicKey]
+        self, block: Block, public_keys: Dict[str, PublicKey], servers: Collection[ServerId]
     ) -> Union[Applied, Refusal]:
         """Verify the finalised block's co-sign, log it, and apply its writes.
 
         The one terminal path of the classic phase-5 decision broadcast and
         of the scaled ordered-stream delivery, where every server -- group
-        member or not -- receives the block.  A dynamic-group block must be
-        signed by exactly its recorded group regardless of the delivery path
-        -- ``cosi_verify`` checks only the signers the signature itself
-        lists, so without this a lone signer could forge "group" blocks.
-        Servers that co-signed it release the round state they buffered; a
-        decision for a round this server holds no state for is accepted all
-        the same (``state_known: False``): the co-sign is its authority.
+        member or not -- receives the block.  A block must be signed by
+        exactly its signer set regardless of the delivery path: a
+        dynamic-group block by its recorded group, a classic block by the
+        cluster's ``servers`` -- ``cosi_verify`` checks only the signers the
+        signature itself lists, so without this a lone signer could forge a
+        block.  Servers that co-signed it release the round state they
+        buffered; a decision for a round this server holds no state for is
+        accepted all the same (``state_known: False``): the co-sign is its
+        authority.
         """
         watch = self._enter("decision", block)
         state = self._release(block.round_key())
@@ -457,6 +459,8 @@ class CommitmentLayer:
             reason = "invalid collective signature on final block"
         elif block.group is not None and set(block.cosign.signer_ids) != set(block.group):
             reason = "block signer set does not match its recorded group"
+        elif block.group is None and set(block.cosign.signer_ids) != set(servers):
+            reason = "block signer set does not match the cluster's servers"
         else:
             try:
                 self._log.append(block, verify_link=self._faults.maintains_log_integrity())

@@ -64,11 +64,15 @@ class DatabaseServer:
         items: Mapping[str, Value],
         clock,
         obs,
+        cluster: Sequence[ServerId],
         multi_versioned: bool = True,
         state_store: Optional[StateStore] = None,
     ) -> None:
         self.server_id = server_id
         self.keypair = keypair
+        #: Every server of the deployment, this one included: the signer set
+        #: a classic block and a checkpoint must carry (DESIGN.md section 5).
+        self.cluster = tuple(cluster)
         #: The deployment's virtual clock and observability bundle: like the
         #: keys they are configuration, so they survive crashes and are
         #: handed to whatever layers and fault policy are active.
@@ -186,7 +190,7 @@ class DatabaseServer:
         if self._network is None:
             raise ProtocolError(f"server {self.server_id} was never attached to a network")
         store, log, checkpoint, result = recover_server_state(
-            self.server_id, self.state_store, self._network, list(peers)
+            self.server_id, self.state_store, self._network, list(peers), self.cluster
         )
         self.store = store
         self.log = log
@@ -340,7 +344,9 @@ class DatabaseServer:
 
     def _on_decision(self, envelope: Envelope):
         block = envelope.payload.block
-        reply = self.commitment.handle_decision(block, self.network.public_key_directory())
+        reply = self.commitment.handle_decision(
+            block, self.network.public_key_directory(), self.cluster
+        )
         if type(reply) is Applied:
             # The block terminated its transactions; release their buffered
             # execution state so long multi-client runs do not accumulate it.

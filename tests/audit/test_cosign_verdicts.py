@@ -202,7 +202,9 @@ class TestSharedVerdictsMatchEachCopyAlone:
 
         results, violations, reference, raised = check(system, logs, checkpoints)
         assert results == {
-            server: fresh_copy(log).verify(keys, checkpoint=checkpoints.get(server))
+            server: fresh_copy(log).verify(
+                keys, system.server_ids, checkpoint=checkpoints.get(server)
+            )
             for server, log in logs.items()
         }
         with pytest.MonkeyPatch.context() as patch:
@@ -220,9 +222,9 @@ class TestEachAuditStartsCold:
         system, honest, _ = honest_sets["scaled"]
         assert len(honest) == 8 and len({log.head_hash for log in honest.values()}) == 1
         calls = []
-        real = cosi_module.fused_multiply
+        real = cosi_module.fused_multiply_sum
         monkeypatch.setattr(
-            cosi_module, "fused_multiply", lambda *args: calls.append(args) or real(*args)
+            cosi_module, "fused_multiply_sum", lambda *args: calls.append(args) or real(*args)
         )
         counts = []
         for _ in range(2):

@@ -132,7 +132,7 @@ class TestHashChain:
     def test_invalid_log_fires(self):
         bad = _server()
         bad.log = SimpleNamespace(
-            verify=lambda directory, checkpoint=None: SimpleNamespace(
+            verify=lambda directory, servers, checkpoint=None: SimpleNamespace(
                 valid=False, first_invalid_height=3, reason="hash mismatch"
             )
         )

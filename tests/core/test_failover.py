@@ -358,6 +358,7 @@ class TestViewChangeUnits:
         assert small_system.run_transaction([WriteOp(item, 9)]).committed
         log = small_system.server("s1").log
         public_keys = small_system.network.public_key_directory()
+        servers = small_system.server_ids
         honest = FrontierCertificate(
             server_id="s1",
             view=0,
@@ -365,18 +366,20 @@ class TestViewChangeUnits:
             head_hash=log.head_hash,
             head=log.last_block().to_wire(),
         )
-        assert honest.height == 1 and verify_certificate(honest, public_keys, "s1")
+        assert honest.height == 1 and verify_certificate(honest, public_keys, servers, "s1")
 
         # A claimed frontier whose co-signed head does not hash to it is a
         # lie the successor discards.
-        assert not verify_certificate(replace(honest, head_hash=b"\x00" * 32), public_keys, "s1")
+        bad_hash = replace(honest, head_hash=b"\x00" * 32)
+        assert not verify_certificate(bad_hash, public_keys, servers, "s1")
         # A non-empty frontier with no head proves nothing.
-        assert not verify_certificate(replace(honest, head=None), public_keys, "s1")
+        assert not verify_certificate(replace(honest, head=None), public_keys, servers, "s1")
         # A certificate relayed under the wrong cohort id is discarded too.
-        assert not verify_certificate(honest, public_keys, "s2")
+        assert not verify_certificate(honest, public_keys, servers, "s2")
         # The trusted baseline checks who it is from, and nothing else.
-        assert verify_certificate(replace(honest, head=None), public_keys, "s1", trusted=True)
-        assert not verify_certificate(honest, public_keys, "s2", trusted=True)
+        headless = replace(honest, head=None)
+        assert verify_certificate(headless, public_keys, servers, "s1", trusted=True)
+        assert not verify_certificate(honest, public_keys, servers, "s2", trusted=True)
 
     def test_already_committed_guards_reproposals(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]

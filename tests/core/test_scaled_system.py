@@ -85,7 +85,7 @@ class TestScaledDeployment:
         system.run_workload(partitioned_specs(system, 8), num_clients=2)
         public_keys = system.network.public_key_directory()
         for server in system.servers.values():
-            verdict = server.log.verify(public_keys)
+            verdict = server.log.verify(public_keys, system.server_ids)
             assert verdict.valid
         # Every block's co-sign verifies against the *group body digest*
         # even though the ordering service rewrote height/previous_hash.
@@ -202,7 +202,7 @@ class TestGroupCosignTamperDetection:
             group=("s0",),
         )
         victim.log.tamper_replace(0, doctored)
-        verdict = victim.log.verify(system.network.public_key_directory())
+        verdict = victim.log.verify(system.network.public_key_directory(), system.server_ids)
         assert not verdict.valid
         assert "signer set" in verdict.reason or "signature" in verdict.reason
 
@@ -309,7 +309,7 @@ class TestDecisionPathGroupDefense:
         victim = system.server("s1")
         public_keys = system.network.public_key_directory()
         # DECISION and ORDERED_BLOCK both end in this one terminal path.
-        response = victim.commitment.handle_decision(forged, public_keys)
+        response = victim.commitment.handle_decision(forged, public_keys, system.server_ids)
         assert isinstance(response, Refusal)
         assert "signer set" in response.reason
         assert len(victim.log) == 0

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
+from repro.crypto import group
 from repro.crypto.cosi import (
     CollectiveSignature,
     CoSiCoordinator,
     CoSiWitness,
+    compute_challenge,
     cosi_verify,
     identify_faulty_signers,
     run_cosi_round,
     verify_partial,
 )
-from repro.crypto.group import CURVE_ORDER
+from repro.crypto.group import CURVE_ORDER, GENERATOR, INFINITY, point_add, scalar_multiply
 from repro.crypto.keys import keypair_for
 
 
@@ -78,6 +80,79 @@ class TestCoSiRound:
         witnesses = make_witnesses(count, seed=9)
         cosign = run_cosi_round(record, witnesses)
         assert cosi_verify(cosign, record, public_keys_of(witnesses))
+
+
+#: The oracle's key directory: 32 servers, the most a scaled block's group holds here.
+_ORACLE_KEYS = {f"s{index}": keypair_for(f"s{index}", seed=35) for index in range(32)}
+
+
+def _untabled_signature(record: bytes, signer_ids) -> CollectiveSignature:
+    """A valid co-sign for any signer list, a repeated id included, built by hand."""
+    nonces = [(7 * index + len(record) + 1) ** 5 % CURVE_ORDER for index in range(len(signer_ids))]
+    challenge = compute_challenge(scalar_multiply(sum(nonces), GENERATOR), record)
+    secrets = sum(_ORACLE_KEYS[signer].secret_scalar for signer in signer_ids)
+    return CollectiveSignature(
+        challenge, (sum(nonces) - challenge * secrets) % CURVE_ORDER, tuple(signer_ids)
+    )
+
+
+def _untabled_verdict(signature: CollectiveSignature, record: bytes, public_keys) -> bool:
+    """``compute_challenge(s*G + c*sum(P_i), record) == c`` by double-and-add only."""
+    total = INFINITY
+    for signer in signature.signer_ids:
+        if signer not in public_keys:
+            return False
+        total = point_add(total, scalar_multiply(1, public_keys[signer].point))
+    reconstructed = point_add(
+        scalar_multiply(signature.response, GENERATOR),
+        scalar_multiply(signature.challenge, total),
+    )
+    return compute_challenge(reconstructed, record) == signature.challenge
+
+
+class TestAgainstUntabledReference:
+    """``cosi_verify`` agrees with a check that shares no code with its tables."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(0, 31), min_size=1, max_size=32, unique=True),
+        st.booleans(),
+        st.binary(min_size=1, max_size=24),
+        st.sampled_from(["none", "record", "response", "drop", "add", "swap", "repeat"]),
+        st.integers(0, 31),
+        st.booleans(),
+    )
+    def test_verdicts_agree(self, indices, repeated, record, tamper, other, earned):
+        signer_ids = [f"s{index}" for index in sorted(indices)]
+        if repeated:
+            signer_ids.append(signer_ids[0])
+        signature = _untabled_signature(record, signer_ids)
+        ids = list(signature.signer_ids)
+        response = signature.response
+        if tamper == "record":
+            record = record + b"!"
+        elif tamper == "response":
+            response = (response + 1) % CURVE_ORDER
+        elif tamper == "drop" and len(ids) > 1:
+            ids.pop(other % len(ids))
+        elif tamper == "add":
+            ids.append(f"s{other}")
+        elif tamper == "swap":
+            ids[other % len(ids)] = f"s{other}" if f"s{other}" not in ids else "c0"
+        elif tamper == "repeat":
+            ids.append(ids[other % len(ids)])
+        public_keys = {signer: keypair.public for signer, keypair in _ORACLE_KEYS.items()}
+        expected = _untabled_verdict(
+            CollectiveSignature(signature.challenge, response, tuple(ids)), record, public_keys
+        )
+        assert expected == (tamper == "none" or (tamper == "drop" and len(ids) == len(signer_ids)))
+        with pytest.MonkeyPatch.context() as patch:
+            if earned:
+                patch.setattr(group, "_TABLE_BUILD_COST", 1)
+            # Fresh signature objects, so each check runs the group arithmetic again.
+            for _ in range(3):
+                forged = CollectiveSignature(signature.challenge, response, tuple(ids))
+                assert cosi_verify(forged, record, public_keys) is expected
 
 
 class TestCoSiProtocolStates:

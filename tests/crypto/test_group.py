@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.crypto.group import (
     Point,
     aggregate_points,
     decompress_point,
-    fused_multiply,
+    fused_multiply_sum,
     generator_multiply,
     point_add,
     scalar_multiply,
@@ -141,28 +143,28 @@ class TestKnownAnswers:
         assert expected.is_on_curve()
         assert scalar_multiply(scalar, GENERATOR) == expected
         assert generator_multiply(scalar) == expected
-        assert fused_multiply(scalar, 0, GENERATOR) == expected
-        assert fused_multiply(0, scalar, GENERATOR) == expected
+        assert fused_multiply_sum(scalar, 0, (GENERATOR,)) == expected
+        assert fused_multiply_sum(0, scalar, (GENERATOR,)) == expected
 
 
 class TestFastPathsAgainstReference:
     """Every table-driven path against the untabled ``scalar_multiply``."""
 
-    #: A recurring point; ``fused_multiply`` uses its table from the second sighting.
+    #: A recurring point; ``fused_multiply_sum`` uses its table from the second sighting.
     tabled = scalar_multiply(12345, GENERATOR)
     key_table = group._WindowTable(tabled, group._KEY_WINDOW_BITS)
 
     @pytest.mark.parametrize("scalar", _EDGES, ids=lambda v: f"{v:x}"[:12])
     def test_edge_scalars(self, scalar):
-        fused_multiply(0, 1, self.tabled)  # a sighting: tabled from the second row on
+        fused_multiply_sum(0, 1, (self.tabled,))  # a sighting: tabled from the second row on
         assert generator_multiply(scalar) == scalar_multiply(scalar, GENERATOR)
         on_key = scalar_multiply(scalar, self.tabled)
         # The table itself takes any scalar below 2^256, reduced or not.
         assert group._from_jacobian(
             self.key_table.accumulate(scalar, group._JAC_INFINITY)
         ) == on_key
-        assert fused_multiply(0, scalar, self.tabled) == on_key
-        assert fused_multiply(scalar, scalar, self.tabled) == point_add(
+        assert fused_multiply_sum(0, scalar, (self.tabled,)) == on_key
+        assert fused_multiply_sum(scalar, scalar, (self.tabled,)) == point_add(
             scalar_multiply(scalar, GENERATOR), on_key
         )
 
@@ -179,25 +181,61 @@ class TestFastPathsAgainstReference:
 
     @settings(max_examples=25, deadline=None)
     @given(_edge_or_random, _edge_or_random, st.booleans())
-    def test_fused_multiply(self, a, b, recurring):
+    def test_fused_multiply_sum(self, a, b, recurring):
         # A point seen for the first time takes the untabled branch.
         point = self.tabled if recurring else scalar_multiply(a | 1, self.tabled)
         if recurring:
-            fused_multiply(0, 1, point)
+            fused_multiply_sum(0, 1, (point,))
         expected = point_add(scalar_multiply(a, GENERATOR), scalar_multiply(b, point))
-        assert fused_multiply(a, b, point) == expected
+        assert fused_multiply_sum(a, b, (point,)) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(_scalars)
     def test_opposite_multiples_cancel(self, a):
         # a*G + (n - a)*G: the last mixed addition meets its own negation ...
-        assert fused_multiply(a, CURVE_ORDER - a, GENERATOR) == INFINITY
+        assert fused_multiply_sum(a, CURVE_ORDER - a, (GENERATOR,)) == INFINITY
         # ... and a*G + a*G meets itself, which is a doubling.
-        assert fused_multiply(a, a, GENERATOR) == scalar_multiply(2 * a, GENERATOR)
+        assert fused_multiply_sum(a, a, (GENERATOR,)) == scalar_multiply(2 * a, GENERATOR)
 
     def test_identity_operands(self):
-        assert fused_multiply(0, 0, GENERATOR) == INFINITY
-        assert fused_multiply(5, 7, INFINITY) == scalar_multiply(5, GENERATOR)
+        assert fused_multiply_sum(0, 0, (GENERATOR,)) == INFINITY
+        assert fused_multiply_sum(5, 7, (INFINITY,)) == scalar_multiply(5, GENERATOR)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        _edge_or_random,
+        _edge_or_random,
+        st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_fused_multiply_sum_of_a_set(self, a, b, indices, cancel, identity, earned):
+        """A signer set through its signers' tables, or through its own once earned."""
+        points = [generator_multiply(index * 7919) for index in indices]
+        if cancel:
+            points.append(-points[0])  # P + (-P): the sum may be the identity
+        if identity:
+            points.insert(len(points) // 2, INFINITY)
+        expected = INFINITY
+        for point in points:
+            expected = point_add(expected, scalar_multiply(1, point))
+        expected = point_add(scalar_multiply(a, GENERATOR), scalar_multiply(b, expected))
+        with pytest.MonkeyPatch.context() as patch:
+            if earned:
+                patch.setattr(group, "_TABLE_BUILD_COST", 1)
+            for _ in range(3):  # first sighting, second sighting, tabled
+                assert fused_multiply_sum(a, b, tuple(points)) == expected
+
+    def test_sums_that_cancel(self):
+        point = generator_multiply(424242)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(group, "_TABLE_BUILD_COST", 1)
+            for _ in range(3):
+                assert fused_multiply_sum(9, 11, (point, -point)) == generator_multiply(9)
+                assert fused_multiply_sum(0, 11, (point, INFINITY, -point)) == INFINITY
+                assert fused_multiply_sum(9, 11, (INFINITY, INFINITY)) == generator_multiply(9)
+                assert fused_multiply_sum(9, 11, ()) == generator_multiply(9)
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(_scalars, max_size=6))
@@ -226,6 +264,9 @@ class TestKeyTables:
         monkeypatch.setattr(group, "_WindowTable", build)
         return built
 
+    #: Real points: a signer set's table is built for their sum.
+    signers = tuple(generator_multiply(index) for index in range(1, 33))
+
     def test_a_point_seen_once_gets_no_table(self, builds):
         tables = group._KeyTables()
         assert tables.lookup(GENERATOR) is None
@@ -247,6 +288,103 @@ class TestKeyTables:
         for key in keys[-group._MAX_KEY_TABLES:]:
             assert tables.lookup(key) is not None
         assert builds == keys
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 32])
+    def test_a_signer_set_builds_once_its_reuse_pays(self, builds, size):
+        tables = group._KeyTables()
+        points = self.signers[:size]
+        # uses x (k - 1) reaches the cost on this use, and not before.
+        paid = -(-group._TABLE_BUILD_COST // (size - 1))
+        for _ in range(paid - 1):
+            assert tables.set_table(points) is None
+        assert builds == []
+        assert tables.set_table(points) is not None
+        assert builds == [aggregate_points(points)]
+        for _ in range(3):
+            assert tables.set_table(points) is not None
+        assert len(builds) == 1
+
+    def test_signer_sets_are_bounded_apart_from_the_keys(self, builds):
+        tables = group._KeyTables()
+        keys = [Point(x, 0) for x in range(group._MAX_KEY_TABLES)]
+        for key in keys + keys:
+            tables.lookup(key)
+        first, *others = itertools.combinations(self.signers, 2)
+        tables.set_table(first)
+        # Many more sets than slots come and go without a build ...
+        for pair in others[: 2 * group._MAX_SIGNER_SETS]:
+            assert tables.set_table(pair) is None
+        assert builds == keys
+        # ... evict none of the keys ...
+        for key in keys:
+            assert tables.lookup(key) is not None
+        assert builds == keys
+        # ... and the least recently used set lost its count: it starts over.
+        for _ in range(group._TABLE_BUILD_COST - 1):
+            assert tables.set_table(first) is None
+        assert builds == keys
+
+    def test_a_set_goes_through_its_signers_tables_until_it_earns_its_own(self, monkeypatch):
+        built = []
+
+        class Counting(group._WindowTable):
+            def __init__(self, point, width):
+                built.append(point)
+                super().__init__(point, width)
+
+        monkeypatch.setattr(group, "_WindowTable", Counting)
+        monkeypatch.setattr(group, "_KEY_TABLES", group._KeyTables())
+        points = self.signers[:4]
+        expected = point_add(generator_multiply(3), scalar_multiply(5, aggregate_points(points)))
+        paid = -(-group._TABLE_BUILD_COST // 3)
+        for use in range(1, paid + 3):
+            assert fused_multiply_sum(3, 5, points) == expected
+            # Each signer gets its table on its second sighting, the set on its paid-th use.
+            assert built == list(points[: 4 * (use >= 2)]) + [aggregate_points(points)] * (
+                use >= paid
+            )
+
+    def test_a_scaled_run_builds_no_table_in_its_steady_state(self, monkeypatch):
+        """More signer sets plus keys than slots: a least-recently-used cache of
+        every multiplied point would keep rebuilding the tables it evicted."""
+        from repro.api import ScaledFidesSystem, SystemConfig, sharded_sequencer
+        from repro.sim.context import FixedCompute
+        from repro.workload.ycsb import PartitionedWorkload
+
+        built = []
+
+        class Counting(group._WindowTable):
+            def __init__(self, point, width):
+                built.append(point)
+                super().__init__(point, width)
+
+        monkeypatch.setattr(group, "_WindowTable", Counting)
+        monkeypatch.setattr(group, "_KEY_TABLES", group._KeyTables())
+        config = SystemConfig(
+            num_servers=32,
+            items_per_shard=1_000,
+            txns_per_block=4,
+            ops_per_txn=2,
+            multi_versioned=False,
+            message_signing="hash",
+            seed=2020,
+        )
+        system = ScaledFidesSystem(
+            config, compute_model=FixedCompute(0.001), sequencer=sharded_sequencer(4)
+        )
+        specs = PartitionedWorkload(
+            partitions=[system.shard_map.items_of(sid) for sid in config.server_ids],
+            ops_per_txn=2,
+            locality=0.9,
+            conflict_free_window=4,
+            seed=2020,
+        ).generate(256)
+        assert system.run_workload(specs[:128]).committed == 128
+        warm = len(built)
+        assert system.run_workload(specs[128:]).committed == 128
+        signer_sets = {block.cosign.signer_ids for block in system.servers["s0"].log}
+        assert len(signer_sets | set(config.server_ids)) > group._MAX_KEY_TABLES
+        assert warm > 0 and len(built) == warm
 
 
 class TestPointEncoding:

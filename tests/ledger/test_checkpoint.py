@@ -44,14 +44,16 @@ class TestCheckpointConstruction:
     def test_cosign_verifies_with_all_server_keys(self, system_with_history):
         checkpoint = make_signed_checkpoint(system_with_history)
         public_keys = system_with_history.network.public_key_directory()
-        assert verify_checkpoint(checkpoint, public_keys)
+        assert verify_checkpoint(checkpoint, public_keys, system_with_history.server_ids)
 
     def test_unsigned_checkpoint_does_not_verify(self, system_with_history):
         log = system_with_history.server("s0").log
         roots = {sid: b"\x00" * 32 for sid in system_with_history.server_ids}
         unsigned = build_checkpoint(log, roots)
         assert not verify_checkpoint(
-            unsigned, system_with_history.network.public_key_directory()
+            unsigned,
+            system_with_history.network.public_key_directory(),
+            system_with_history.server_ids,
         )
 
     def test_empty_log_cannot_be_checkpointed(self, small_system):
@@ -71,7 +73,9 @@ class TestCheckpointConstruction:
             cosign=checkpoint.cosign,
         )
         assert not verify_checkpoint(
-            altered, system_with_history.network.public_key_directory()
+            altered,
+            system_with_history.network.public_key_directory(),
+            system_with_history.server_ids,
         )
 
 
@@ -89,7 +93,7 @@ class TestCheckpointApplication:
         assert removed == 6
         assert len(log) == 2
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys)
+        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
 
     def test_unsigned_checkpoint_rejected(self, system_with_history):
         system = system_with_history
@@ -119,13 +123,13 @@ class TestCheckpointApplication:
         log = system.server("s2").log
         apply_checkpoint(log, checkpoint)
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys)
+        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
         # Dropping the first retained block breaks the chain onto the checkpoint.
         log.drop_prefix(1)
-        assert not verify_log_against_checkpoint(log, checkpoint, public_keys)
+        assert not verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
         # An empty suffix, by contrast, is perfectly valid.
         log.drop_prefix(10)
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys)
+        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
 
 
 class TestGroupBlockSuffix:
@@ -145,7 +149,7 @@ class TestGroupBlockSuffix:
         log = system.server("s2").log
         apply_checkpoint(log, checkpoint)
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys)
+        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
 
         # Forge a "group" version of the retained block, claiming the full
         # server set but co-signed by s0 alone over the group body digest.
@@ -164,7 +168,7 @@ class TestGroupBlockSuffix:
         )
         forged = dc_replace(forged, previous_hash=checkpoint.head_hash)
         log.tamper_replace(0, forged)
-        assert not verify_log_against_checkpoint(log, checkpoint, public_keys)
+        assert not verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
 
 
 class TestDropPrefix:
@@ -250,7 +254,7 @@ class TestLiveSystemKeepsOperatingAfterCheckpoint:
         # set == recorded group).
         assert all(block.group is not None for block in log)
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log.copy(), checkpoint, public_keys)
+        assert verify_log_against_checkpoint(log.copy(), checkpoint, public_keys, system.server_ids)
         report = system.audit()
         assert report.ok, report.summary()
 

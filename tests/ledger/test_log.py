@@ -53,7 +53,7 @@ class TestHonestLog:
         assert [block.height for block in log] == [0, 1, 2]
 
     def test_verify_accepts_honest_log(self):
-        result = build_log(4).verify(PUBLIC_KEYS)
+        result = build_log(4).verify(PUBLIC_KEYS, SERVER_IDS)
         assert result.valid
         assert result.valid_prefix_length == 4
 
@@ -109,7 +109,7 @@ class TestTamperedLogs:
         forged = forged.with_decision(BlockDecision.COMMIT, {"s0": b"\x09" * 32})
         forged = forged.with_cosign(log[1].cosign)  # reuse the old signature
         log.tamper_replace(1, forged)
-        result = log.verify(PUBLIC_KEYS)
+        result = log.verify(PUBLIC_KEYS, SERVER_IDS)
         assert not result.valid
         assert result.first_invalid_height == 1
         assert "signature" in result.reason
@@ -117,7 +117,7 @@ class TestTamperedLogs:
     def test_reordered_blocks_detected(self):
         log = build_log(4)
         log.tamper_reorder(1, 2)
-        result = log.verify(PUBLIC_KEYS)
+        result = log.verify(PUBLIC_KEYS, SERVER_IDS)
         assert not result.valid
         assert result.first_invalid_height == 1
 
@@ -126,7 +126,7 @@ class TestTamperedLogs:
         # against the other copies reveals the missing tail.
         log = build_log(4)
         log.truncate(2)
-        result = log.verify(PUBLIC_KEYS)
+        result = log.verify(PUBLIC_KEYS, SERVER_IDS)
         assert result.valid
         assert result.length == 2
 

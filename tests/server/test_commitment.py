@@ -230,7 +230,12 @@ class UntrustedCoordinator:
         self.servers = {}
         for server_id in SERVER_IDS:
             server = DatabaseServer(
-                server_id, keypair_for(server_id, seed=5), {f"{server_id}-item": 0}, clock, obs
+                server_id,
+                keypair_for(server_id, seed=5),
+                {f"{server_id}-item": 0},
+                clock,
+                obs,
+                SERVER_IDS,
             )
             server.attach(self.network)
             self.servers[server_id] = server
@@ -508,7 +513,7 @@ class TestDecisionPhase:
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         final = self._finalise(cohorts, block)
         for layer in cohorts.values():
-            result = layer.handle_decision(final, public_keys)
+            result = layer.handle_decision(final, public_keys, SERVER_IDS)
             assert isinstance(result, Applied)
             assert len(layer.log) == 1
         assert cohorts["s0"].store.read("s0-item").value == 42
@@ -522,9 +527,9 @@ class TestDecisionPhase:
         block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
         final = self._finalise(cohorts, block)
         cohorts["s1"].handle_round_failed(block.round_key())
-        result = cohorts["s1"].handle_decision(final, public_keys)
+        result = cohorts["s1"].handle_decision(final, public_keys, SERVER_IDS)
         assert isinstance(result, Applied) and result.state_known is False
-        assert cohorts["s0"].handle_decision(final, public_keys).state_known is True
+        assert cohorts["s0"].handle_decision(final, public_keys, SERVER_IDS).state_known is True
 
     def test_decision_with_invalid_cosign_rejected(self):
         cohorts = make_cohorts()
@@ -538,7 +543,7 @@ class TestDecisionPhase:
                 signer_ids=final.cosign.signer_ids,
             )
         )
-        result = cohorts["s0"].handle_decision(forged, public_keys)
+        result = cohorts["s0"].handle_decision(forged, public_keys, SERVER_IDS)
         assert isinstance(result, Refusal)
         assert len(cohorts["s0"].log) == 0
         assert cohorts["s0"].store.read("s0-item").value == 0

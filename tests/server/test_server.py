@@ -33,7 +33,7 @@ from repro.txn.transaction import Transaction, WriteSetEntry
 def wired_server():
     network = Network(latency=ConstantLatency(0.0001))
     server = DatabaseServer(
-        "s0", keypair_for("s0"), {"a": 1, "b": 2}, VirtualClock(), Observability()
+        "s0", keypair_for("s0"), {"a": 1, "b": 2}, VirtualClock(), Observability(), ["s0"]
     )
     server.attach(network)
     network.register_observer("c0", keypair_for("c0"))
