@@ -7,7 +7,10 @@ and falsely accuse each other.  This module provides a small, dependency-free
 canonical encoder:
 
 * ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes`` are encoded with a
-  one-byte type tag followed by a length-prefixed payload.
+  one-byte type tag followed by a length-prefixed payload.  A number is
+  spelled by its value -- an ``int`` in decimal, a ``float`` by
+  ``float.__repr__`` -- so a subclass (an ``IntEnum`` member) encodes as the
+  plain number it is, whatever its own ``__str__`` or ``__repr__`` says.
 * ``list`` / ``tuple`` encode their length then each element.
 * ``dict`` encodes entries sorted by the encoded key, making the encoding
   independent of insertion order.
@@ -36,7 +39,10 @@ unknown tags, trailing bytes, truncated payloads, nesting deeper than the
 interpreter's stack and every *second spelling* of a value (``007``, ``1e0``,
 dict entries out of order or repeated) raise ``ValueError`` -- because the
 decoder's inputs are untrusted, and bytes that decode must re-encode to
-themselves.
+themselves.  The walk is on the cold audit's path (every exported log is
+decoded by it), so it is written for speed: it dispatches on the tag byte as
+the integer ``data[offset]`` is, reads a ``str`` dict key in place -- every
+key of a wire form is one -- and checks an int's spelling on its bytes.
 """
 
 from __future__ import annotations
@@ -44,48 +50,64 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable, Dict
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_STR = b"S"
-_TAG_BYTES = b"B"
-_TAG_LIST = b"L"
-_TAG_DICT = b"M"
+#: The format's tag bytes, as the integers ``data[offset]`` reads.  This is
+#: the one table of them: :mod:`repro.common.wire` reads and writes the same.
+(
+    TAG_NONE,
+    TAG_TRUE,
+    TAG_FALSE,
+    TAG_INT,
+    TAG_FLOAT,
+    TAG_STR,
+    TAG_BYTES,
+    TAG_LIST,
+    TAG_DICT,
+) = b"NTFIDSBLM"
 
-_length = struct.Struct(">I").pack
+#: A tagged value's head: its tag byte and the four bytes after it, its
+#: payload's length or its container's count.
+HEAD = struct.Struct(">BI")
+_pack_head = HEAD.pack
+_length_at = struct.Struct(">I").unpack_from
+
+_NONE, _TRUE, _FALSE = bytes((TAG_NONE,)), bytes((TAG_TRUE,)), bytes((TAG_FALSE,))
+#: The values that are a tag alone, and the tags a head of five bytes opens.
+_BARE = {TAG_NONE: None, TAG_TRUE: True, TAG_FALSE: False}
+_HEADED = frozenset((TAG_INT, TAG_FLOAT, TAG_STR, TAG_BYTES, TAG_LIST, TAG_DICT))
 
 
 def _encode_int(value) -> bytes:
-    payload = str(value).encode("ascii")
-    return _TAG_INT + _length(len(payload)) + payload
+    # "%d" spells any int by its value: an IntEnum's or another subclass's
+    # own __str__ would spell it in a way the decoder refuses.
+    payload = b"%d" % value
+    return _pack_head(TAG_INT, len(payload)) + payload
 
 
 def _encode_float(value) -> bytes:
-    # repr() round-trips floats exactly in Python 3 and is deterministic.
-    payload = repr(value).encode("ascii")
-    return _TAG_FLOAT + _length(len(payload)) + payload
+    # float.__repr__ round-trips floats exactly and is deterministic; a
+    # subclass's own __repr__ need be neither.
+    payload = float.__repr__(value).encode("ascii")
+    return _pack_head(TAG_FLOAT, len(payload)) + payload
 
 
 def _encode_str(value) -> bytes:
     payload = value.encode("utf-8")
-    return _TAG_STR + _length(len(payload)) + payload
+    return _pack_head(TAG_STR, len(payload)) + payload
 
 
 def _encode_bytes(value) -> bytes:
     payload = bytes(value)
-    return _TAG_BYTES + _length(len(payload)) + payload
+    return _pack_head(TAG_BYTES, len(payload)) + payload
 
 
 def _encode_list(value) -> bytes:
-    parts = [_TAG_LIST + _length(len(value))]
+    parts = [_pack_head(TAG_LIST, len(value))]
     parts.extend(map(_encode, value))
     return b"".join(parts)
 
 
 def _encode_dict(value) -> bytes:
-    parts = [_TAG_DICT + _length(len(value))]
+    parts = [_pack_head(TAG_DICT, len(value))]
     for entry in sorted([(_encode(key), _encode(item)) for key, item in value.items()]):
         parts.extend(entry)
     return b"".join(parts)
@@ -94,8 +116,8 @@ def _encode_dict(value) -> bytes:
 #: Exact type -> its encoder.  The plain types are listed here; a wire class
 #: adds the encoder :func:`~repro.common.wire.wire_form` derives for it.
 ENCODERS: Dict[type, Callable[[Any], bytes]] = {
-    type(None): lambda value: _TAG_NONE,
-    bool: lambda value: _TAG_TRUE if value else _TAG_FALSE,
+    type(None): lambda value: _NONE,
+    bool: lambda value: _TRUE if value else _FALSE,
     int: _encode_int,
     float: _encode_float,
     str: _encode_str,
@@ -106,7 +128,7 @@ ENCODERS: Dict[type, Callable[[Any], bytes]] = {
 }
 
 #: Subclasses of the plain types (an ``IntEnum``, a named tuple) and the other
-#: byte buffers encode as what they are instances of.
+#: byte buffers encode as what they are instances of, by their value.
 _BY_INSTANCE = (
     (int, _encode_int),
     (float, _encode_float),
@@ -149,75 +171,79 @@ def dict_layout(entries) -> list:
     result is the pieces of the whole dict -- the count, then every encoded
     key followed by its value's pieces, in the one order the format allows.
     """
-    parts = [_TAG_DICT + _length(len(entries))]
+    parts = [_pack_head(TAG_DICT, len(entries))]
     for key, pieces in sorted((_encode(key), pieces) for key, pieces in entries):
         parts.append(key)
         parts.extend(pieces)
     return parts
 
 
-def _read_length(data: bytes, offset: int) -> tuple:
-    if offset + 4 > len(data):
-        raise ValueError("truncated canonical encoding (missing length prefix)")
-    (length,) = struct.unpack_from(">I", data, offset)
-    return length, offset + 4
-
-
 def _decode_at(data: bytes, offset: int) -> tuple:
     """Decode one value starting at ``offset``; returns ``(value, next_offset)``."""
-    if offset >= len(data):
+    size = len(data)
+    if offset >= size:
         raise ValueError("truncated canonical encoding (missing type tag)")
-    tag = data[offset : offset + 1]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag in (_TAG_INT, _TAG_FLOAT, _TAG_STR, _TAG_BYTES):
-        length, offset = _read_length(data, offset)
-        end = offset + length
-        if end > len(data):
-            raise ValueError("truncated canonical encoding (payload shorter than prefix)")
-        payload = data[offset:end]
-        if tag == _TAG_STR:
-            return payload.decode("utf-8"), end
-        if tag == _TAG_BYTES:
-            return payload, end
-        # A number has one spelling, the one the encoder writes: anything else
-        # int() or float() would accept ("007", "+7", "1_0", "1e0") is refused.
-        parse, spell = (int, str) if tag == _TAG_INT else (float, repr)
-        text = payload.decode("ascii")
-        number = parse(text)
-        if spell(number) != text:
-            raise ValueError(f"non-canonical number {text!r} in canonical encoding")
-        return number, end
-    if tag == _TAG_LIST:
-        length, offset = _read_length(data, offset)
+    tag = data[offset]
+    if tag in _BARE:
+        return _BARE[tag], offset + 1
+    if tag not in _HEADED:
+        raise ValueError(f"unknown canonical-encoding tag {bytes((tag,))!r}")
+    if offset + 5 > size:
+        raise ValueError("truncated canonical encoding (missing length prefix)")
+    (length,) = _length_at(data, offset + 1)
+    offset += 5
+    if tag == TAG_LIST:
         items = []
         for _ in range(length):
             item, offset = _decode_at(data, offset)
             items.append(item)
         return items, offset
-    if tag == _TAG_DICT:
-        length, offset = _read_length(data, offset)
+    if tag == TAG_DICT:
         result = {}
-        previous = None
+        previous = b""  # every encoded key sorts after it
         for _ in range(length):
             start = offset
-            key, offset = _decode_at(data, offset)
-            if isinstance(key, (list, dict)):
-                raise ValueError("canonical encoding uses a container as a dict key")
+            if offset + 5 <= size and data[offset] == TAG_STR:
+                # Every key of a wire form is a str: read it here, not by a call.
+                offset += 5 + _length_at(data, offset + 1)[0]
+                if offset > size:
+                    raise ValueError("truncated canonical encoding (payload shorter than prefix)")
+                key = data[start + 5 : offset].decode("utf-8")
+            else:
+                key, offset = _decode_at(data, offset)
+                if isinstance(key, (list, dict)):
+                    raise ValueError("canonical encoding uses a container as a dict key")
             encoded_key = data[start:offset]
-            if previous is not None and encoded_key <= previous:
+            if encoded_key <= previous:
                 raise ValueError("dict entries of a canonical encoding out of order or repeated")
             previous = encoded_key
             result[key], offset = _decode_at(data, offset)
         if len(result) != length:  # keys that differ in bytes yet are equal: 1, 1.0, True
             raise ValueError("canonical encoding repeats a dict key")
         return result, offset
-    raise ValueError(f"unknown canonical-encoding tag {tag!r}")
+    end = offset + length
+    if end > size:
+        raise ValueError("truncated canonical encoding (payload shorter than prefix)")
+    payload = data[offset:end]
+    if tag == TAG_STR:
+        return payload.decode("utf-8"), end
+    if tag == TAG_BYTES:
+        return payload, end
+    # A number has one spelling, the one the encoder writes: anything else
+    # int() or float() would accept ("007", "+7", "1_0", "1e0") is refused.
+    if tag == TAG_INT:
+        try:  # int() reads bytes as it reads their ASCII text
+            number = int(payload)
+        except ValueError:
+            number = None  # refused below, with the text path's message
+        if number is not None and b"%d" % number == payload:
+            return number, end
+    parse, spell = (int, str) if tag == TAG_INT else (float, repr)
+    text = payload.decode("ascii")
+    number = parse(text)
+    if spell(number) != text:
+        raise ValueError(f"non-canonical number {text!r} in canonical encoding")
+    return number, end
 
 
 def decode_at(data: bytes, offset: int) -> tuple:

@@ -43,7 +43,21 @@ from functools import wraps
 from operator import attrgetter, methodcaller
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
-from repro.common.encoding import ENCODERS, canonical_encode, decode_at, dict_layout
+from repro.common.encoding import (
+    ENCODERS,
+    HEAD,
+    TAG_BYTES,
+    TAG_DICT,
+    TAG_FALSE,
+    TAG_INT,
+    TAG_LIST,
+    TAG_NONE,
+    TAG_STR,
+    TAG_TRUE,
+    canonical_encode,
+    decode_at,
+    dict_layout,
+)
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 
@@ -75,9 +89,7 @@ class Kind(NamedTuple):
 #: class's reader, a container's loop -- turns them into :func:`_stopped`.
 _FOREIGN = (ValueError, IndexError, struct.error)
 
-#: A value's tag byte and the four bytes after it: its length, or its count.
-_head = struct.Struct(">BI").unpack_from
-_NONE, _TRUE, _FALSE, _INT, _STR, _BYTES, _LIST, _DICT = b"NTFISBLM"
+_head = HEAD.unpack_from
 
 
 def _stopped(reason, offset: int) -> ValidationError:
@@ -123,7 +135,7 @@ def _exactly(label: str, *types, read=None) -> Kind:
 def _read_str(data, offset):
     tag, length = _head(data, offset)
     end = offset + 5 + length
-    if tag != _STR or end > len(data):
+    if tag != TAG_STR or end > len(data):
         raise _expected("a str", data, offset)
     return data[offset + 5 : end].decode(), end
 
@@ -131,7 +143,7 @@ def _read_str(data, offset):
 def _read_bytes(data, offset):
     tag, length = _head(data, offset)
     end = offset + 5 + length
-    if tag != _BYTES or end > len(data):
+    if tag != TAG_BYTES or end > len(data):
         raise _expected("bytes", data, offset)
     return data[offset + 5 : end], end
 
@@ -139,7 +151,7 @@ def _read_bytes(data, offset):
 def _read_int(data, offset):
     tag, length = _head(data, offset)
     end = offset + 5 + length
-    if tag != _INT or end > len(data):
+    if tag != TAG_INT or end > len(data):
         raise _expected("an int", data, offset)
     text = data[offset + 5 : end]
     number = int(text)
@@ -150,9 +162,9 @@ def _read_int(data, offset):
 
 def _read_bool(data, offset):
     tag = data[offset]
-    if tag == _TRUE:
+    if tag == TAG_TRUE:
         return True, offset + 1
-    if tag == _FALSE:
+    if tag == TAG_FALSE:
         return False, offset + 1
     raise _expected("a bool", data, offset)
 
@@ -194,7 +206,7 @@ def optional(kind: Kind) -> Kind:
     read_value = _reader(kind)
 
     def read(data, offset):
-        if data[offset] == _NONE:
+        if data[offset] == TAG_NONE:
             return None, offset + 1
         return read_value(data, offset)
 
@@ -219,7 +231,7 @@ def list_of(kind: Kind) -> Kind:
     def read(data, offset):
         try:
             tag, count = _head(data, offset)
-            if tag != _LIST:
+            if tag != TAG_LIST:
                 raise _expected("a list", data, offset)
             offset += 5
             items = []
@@ -253,7 +265,7 @@ def map_of(kind: Kind) -> Kind:
     def read(data, offset):
         try:
             tag, count = _head(data, offset)
-            if tag != _DICT:
+            if tag != TAG_DICT:
                 raise _expected("a dict", data, offset)
             offset += 5
             entries = {}
@@ -298,7 +310,7 @@ def _timestamp(value, what):
     raise ValidationError(f"{what} must be a [counter >= 0, client id] pair, not {value!r}")
 
 
-_PAIR = b"L\x00\x00\x00\x02"  # a list of two
+_PAIR = HEAD.pack(TAG_LIST, 2)  # a list of two
 
 
 def _read_timestamp(data, offset):

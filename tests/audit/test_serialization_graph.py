@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.audit.serialization_graph import SerializationGraph
 from repro.common.timestamps import Timestamp
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 
-def make_txn(txn_id, counter, reads=(), writes=()):
+def make_txn(txn_id, counter, reads=(), writes=(), client="c0"):
     zero = Timestamp.zero()
     return Transaction(
         txn_id=txn_id,
-        client_id="c0",
-        commit_ts=Timestamp(counter, "c0"),
+        client_id=client,
+        commit_ts=Timestamp(counter, client),
         read_set=[ReadSetEntry(i, 0, zero, zero) for i in reads],
         write_set=[WriteSetEntry(i, 1) for i in writes],
     )
@@ -128,3 +131,85 @@ class TestSerializationGraph:
         graph = SerializationGraph.from_transactions([t1, t2, t3])
         assert graph.node_count == 3
         assert graph.edge_count == 2
+
+
+#: A small history: ids repeat (a@1 -> b@2 -> a@3 is the one way to a cycle)
+#: and commit timestamps tie.
+_histories = st.lists(
+    st.tuples(
+        st.sampled_from("abcd"),
+        st.integers(0, 3),
+        st.sampled_from(["c0", "c1"]),
+        st.sets(st.sampled_from("xyz")),
+        st.sets(st.sampled_from("xyz")),
+    ),
+    max_size=7,
+)
+
+
+def _reference_edges(history):
+    """Every ordered pair of positions, taken on its own: an edge from the one
+    that commits first -- the earlier in the list on a tie -- to the other,
+    whenever the two touch an item and at least one of them writes it."""
+    edges = set()
+    for i, (id_i, ts_i, reads_i, writes_i) in enumerate(history):
+        for j, (id_j, ts_j, reads_j, writes_j) in enumerate(history):
+            first = ts_i < ts_j or (ts_i == ts_j and i < j)
+            if first and (writes_i & (reads_j | writes_j) or reads_i & writes_j):
+                edges.add((id_i, id_j))
+    return edges
+
+
+def _reaches_itself(nodes, edges):
+    reach = {node: {b for a, b in edges if a == node} for node in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            grown = reach[node].union(*(reach[other] for other in reach[node]))
+            if grown != reach[node]:
+                reach[node], changed = grown, True
+    return any(node in reach[node] for node in nodes)
+
+
+class TestFromTransactionsAgainstAllPairs:
+    """Pins ``from_transactions`` -- its edges, and the cycle ``find_cycle``
+    reports on them -- to a brute-force reference over every pair."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_histories)
+    def test_edges_and_cycle_match_the_reference(self, raw):
+        txns = [
+            make_txn(txn_id, counter, sorted(reads), sorted(writes), client)
+            for txn_id, counter, client, reads, writes in raw
+        ]
+        history = [
+            (t.txn_id, t.commit_ts, t.items_read(), t.items_written()) for t in txns
+        ]
+        graph = SerializationGraph.from_transactions(txns)
+
+        nodes = {t.txn_id for t in txns}
+        edges = _reference_edges(history)
+        assert graph.node_count == len(nodes)
+        assert {(a, b) for a in nodes for b in graph.successors(a)} == edges
+
+        cycle = graph.find_cycle()
+        assert (cycle is not None) == _reaches_itself(nodes, edges)
+        if cycle is not None:
+            assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+            assert all(step in edges for step in zip(cycle, cycle[1:]))
+        if len(nodes) == len(txns):  # edges follow commit order: no repeated id, no cycle
+            assert cycle is None
+
+    def test_a_repeated_id_closes_a_cycle(self):
+        txns = [
+            make_txn("a", 1, writes=["x"]),
+            make_txn("b", 2, reads=["x"], writes=["y"]),
+            make_txn("a", 3, reads=["y"]),
+        ]
+        assert SerializationGraph.from_transactions(txns).find_cycle() == ["a", "b", "a"]
+
+    def test_equal_commit_timestamps_keep_the_order_given(self):
+        first, second = make_txn("p", 1, writes=["x"]), make_txn("q", 1, writes=["x"])
+        assert SerializationGraph.from_transactions([first, second]).successors("p") == {"q"}
+        assert SerializationGraph.from_transactions([second, first]).successors("q") == {"p"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from enum import Enum, IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,46 @@ class TestCanonicalEncodeBasics:
                 canonical_encode(impostor)
             with pytest.raises(TypeError):
                 canonical_encode({"nested": [impostor]})
+
+
+class _Level(IntEnum):
+    HIGH = 3
+
+
+class _Mode(int, Enum):
+    BURST = 2
+
+
+class _Named(int):
+    def __str__(self):
+        return "named"
+
+    __repr__ = __str__
+
+
+class _Rounded(float):
+    def __repr__(self):
+        return "about 1.5"
+
+
+class TestSubclassesEncodeAsTheirValue:
+    """An int or float subclass is spelled by its value, never by its own
+    ``__str__``/``__repr__``: ``str()`` of an ``(int, Enum)`` member is
+    ``"_Mode.BURST"`` (and of an ``IntEnum`` member on Python 3.10), bytes the
+    decoder refuses and that would differ between interpreters."""
+
+    @pytest.mark.parametrize("value", [_Level.HIGH, _Mode.BURST, _Named(-41)])
+    def test_an_int_subclass_encodes_as_its_int(self, value):
+        encoded = canonical_encode(value)
+        assert encoded == canonical_encode(int(value))
+        assert canonical_decode(encoded) == int(value)
+        assert canonical_encode({"k": [value]}) == canonical_encode({"k": [int(value)]})
+
+    def test_a_float_subclass_encodes_as_its_float(self):
+        value = _Rounded(1.5)
+        encoded = canonical_encode(value)
+        assert encoded == canonical_encode(1.5)
+        assert canonical_decode(encoded) == 1.5
 
 
 class TestSeededRandomPayloads:
