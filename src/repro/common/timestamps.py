@@ -7,6 +7,12 @@ suggests a Lamport clock of the form ``<client_id : client_time>``.  That is
 exactly what :class:`Timestamp` implements: a ``(counter, client_id)`` pair
 ordered lexicographically, so two clients can never produce the same
 timestamp and the order is total.
+
+Every item starts at the *genesis stamp* ``(0, "")``, so it is by far the most
+common timestamp in a datastore, a snapshot and a read reply.  There is one
+such object: :meth:`Timestamp.zero` returns it, and the wire readers
+(:data:`repro.common.wire.TIMESTAMP`) hand it back for every encoded
+``(0, "")`` instead of minting another one.
 """
 
 from __future__ import annotations
@@ -24,13 +30,20 @@ class Timestamp:
     """A totally ordered Lamport timestamp ``(counter, client_id)``.
 
     The counter is the primary sort key; the client id breaks ties so
-    timestamps from distinct clients are never equal.
+    timestamps from distinct clients are never equal.  The counter is exactly
+    an ``int`` and the client id exactly a ``str``: ``True`` or ``2.0`` would
+    compare equal to an int stamp yet encode as a different one, which no
+    reader accepts back.
     """
 
     counter: int
     client_id: ClientId = ""
 
     def __post_init__(self) -> None:
+        if type(self.counter) is not int:
+            raise ValueError(f"timestamp counter must be an int, got {self.counter!r}")
+        if type(self.client_id) is not str:
+            raise ValueError(f"timestamp client id must be a str, got {self.client_id!r}")
         if self.counter < 0:
             raise ValueError(f"timestamp counter must be >= 0, got {self.counter}")
 
@@ -59,8 +72,15 @@ class Timestamp:
 
     @staticmethod
     def zero(client_id: ClientId = "") -> "Timestamp":
-        """Return the smallest timestamp for ``client_id``."""
-        return Timestamp(0, client_id)
+        """Return the smallest timestamp for ``client_id``.
+
+        Without a client id that is the genesis stamp, always the same object.
+        """
+        return Timestamp(0, client_id) if client_id else _GENESIS
+
+
+#: The genesis stamp ``(0, "")`` every item starts at; :meth:`Timestamp.zero`.
+_GENESIS = Timestamp(0, "")
 
 
 @dataclass

@@ -12,14 +12,15 @@ and :func:`wire_form` derives the rest from the declaration, one codec per
 corner of ``{plain data, bytes} x {out, in}``: ``to_wire()`` (the plain data
 whose :func:`~repro.common.encoding.canonical_encode` is the byte form),
 ``wire_bytes()`` (those bytes, made without building the plain data: the
-declared keys are encoded and ordered once, here, and a field that holds wire
-objects is spliced from their own bytes), the strict ``from_wire()`` that
-reads the plain data back, ``from_bytes()`` that reads the bytes back without
-building the plain data (everything between two field values is a constant
-of the declaration, so reading is ``data.startswith(constant, offset)`` and
-then the field's own reader), and the entry in :data:`WIRE_CLASSES`, the only
-classes ``canonical_encode`` accepts -- so an encoder without an inverse
-cannot exist.
+declared keys are encoded and ordered once, here, a field that holds wire
+objects is spliced from their own bytes, and a kind with a writer of its own
+-- a timestamp -- writes its field's bytes directly), the strict
+``from_wire()`` that reads the plain data back, ``from_bytes()`` that reads
+the bytes back without building the plain data (everything between two field
+values is a constant of the declaration, so reading is
+``data.startswith(constant, offset)`` and then the field's own reader), and
+the entry in :data:`WIRE_CLASSES`, the only classes ``canonical_encode``
+accepts -- so an encoder without an inverse cannot exist.
 
 An entry is ``(wire key, kind)`` -- or ``(wire key, kind, attribute)`` where
 the two names differ -- and a :class:`Kind` says how that field crosses the
@@ -80,6 +81,10 @@ class Kind(NamedTuple):
     #: offset after it, without building plain data.  ``None``: the kind is
     #: read by the generic walk followed by ``decode`` (:func:`_reader`).
     read: Optional[Callable[[bytes, int], tuple]] = None
+    #: ``write(value)``: the attribute's bytes, the mirror of ``read``, without
+    #: building plain data.  ``None``: ``canonical_encode`` of ``encode(value)``
+    #: (or of the value, for plain data and spliced wire objects).
+    write: Optional[Callable[[Any], bytes]] = None
 
 
 #: What reading hostile bytes raises from inside, besides a reader's own
@@ -90,6 +95,8 @@ class Kind(NamedTuple):
 _FOREIGN = (ValueError, IndexError, struct.error)
 
 _head = HEAD.unpack_from
+_pack = HEAD.pack
+_NONE = bytes((TAG_NONE,))
 
 
 def _stopped(reason, offset: int) -> ValidationError:
@@ -202,7 +209,7 @@ MAPPING = Kind(lambda value, what: dict(_mapping(value, what)))
 
 def optional(kind: Kind) -> Kind:
     """``None``, or a ``kind``."""
-    decode, encode, spliced, _ = kind
+    decode, encode, spliced, _, write = kind
     read_value = _reader(kind)
 
     def read(data, offset):
@@ -215,12 +222,13 @@ def optional(kind: Kind) -> Kind:
         encode and (lambda value: None if value is None else encode(value)),
         spliced,
         read,
+        write and (lambda value: _NONE if value is None else write(value)),
     )
 
 
 def list_of(kind: Kind) -> Kind:
     """A list of ``kind``; a tuple on the object."""
-    decode_item, encode_item, spliced, _ = kind
+    decode_item, encode_item, spliced = kind[:3]
     read_item = _reader(kind)
 
     def decode(values, what):
@@ -253,7 +261,7 @@ def map_of(kind: Kind) -> Kind:
     Its reader holds the entries to the one order the format allows
     (strictly increasing encoded keys), as the generic walk does.
     """
-    decode_item, encode_item, spliced, _ = kind
+    decode_item, encode_item, spliced = kind[:3]
     read_item = _reader(kind)
 
     def decode(value, what):
@@ -302,28 +310,64 @@ def pair_of(first: Kind, second: Kind) -> Kind:
     return Kind(decode, list)
 
 
+#: The genesis stamp every item starts at, and its bytes.  Both readers hand
+#: back ``Timestamp.zero()`` for it, so a restored datastore shares one stamp
+#: as a live one does.
+_GENESIS = Timestamp.zero()
+_PAIR = _pack(TAG_LIST, 2)  # a list of two
+_GENESIS_BYTES = canonical_encode(list(_GENESIS.as_tuple()))
+
+
 def _timestamp(value, what):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         counter, client_id = value
         if type(counter) is int and counter >= 0 and type(client_id) is str:
-            return Timestamp(counter, client_id)
+            return Timestamp(counter, client_id) if counter or client_id else Timestamp.zero()
     raise ValidationError(f"{what} must be a [counter >= 0, client id] pair, not {value!r}")
 
 
-_PAIR = HEAD.pack(TAG_LIST, 2)  # a list of two
-
-
 def _read_timestamp(data, offset):
+    """A stamp in one step: the genesis constant, or the pair, int and str inline.
+
+    Inline, it is :func:`_read_int` then :func:`_read_str` -- the same checks
+    in the same order, so every refusal is theirs, at the same byte.
+    """
+    if data.startswith(_GENESIS_BYTES, offset):
+        return Timestamp.zero(), offset + len(_GENESIS_BYTES)
     if not data.startswith(_PAIR, offset):
         raise _expected("a [counter, client id] pair", data, offset)
-    counter, end = _read_int(data, offset + 5)
-    client_id, end = _read_str(data, end)
+    start = offset + 5
+    tag, length = _head(data, start)
+    end = start + 5 + length
+    if tag != TAG_INT or end > len(data):
+        raise _expected("an int", data, start)
+    text = data[start + 5 : end]
+    counter = int(text)
+    if b"%d" % counter != text:
+        raise _stopped(f"non-canonical number {text!r}", start)
+    start = end
+    tag, length = _head(data, start)
+    end = start + 5 + length
+    if tag != TAG_STR or end > len(data):
+        raise _expected("a str", data, start)
+    client_id = data[start + 5 : end].decode()
     if counter < 0:
         raise _stopped("a timestamp counter must be >= 0", offset)
     return Timestamp(counter, client_id), end
 
 
-TIMESTAMP = Kind(_timestamp, Timestamp.as_tuple, read=_read_timestamp)
+def _write_timestamp(stamp) -> bytes:
+    """``canonical_encode(list(stamp.as_tuple()))``, its heads packed directly."""
+    if stamp is _GENESIS:
+        return _GENESIS_BYTES
+    counter = b"%d" % stamp.counter
+    client_id = stamp.client_id.encode()
+    return b"".join(
+        (_PAIR, _pack(TAG_INT, len(counter)), counter, _pack(TAG_STR, len(client_id)), client_id)
+    )
+
+
+TIMESTAMP = Kind(_timestamp, Timestamp.as_tuple, read=_read_timestamp, write=_write_timestamp)
 
 _IDS = list_of(STR)
 
@@ -601,15 +645,15 @@ def wire_form(*entries, owns_bytes: bool = False):
                     pieces = [(f"_bytes({item})", None)]
                 else:
                     attr = entry[2] if len(entry) == 3 else key
-                    scope[f"_decode_{attr}"], scope[f"_encode_{attr}"], spliced, _ = entry[1]
-                    scope[f"_read_{attr}"] = _reader(entry[1])
-                    item = f"_encode_{attr}(self.{attr})" if entry[1].encode else f"self.{attr}"
-                    pieces = [
-                        (
-                            f"_bytes(self.{attr})" if spliced else f"_bytes({item})",
-                            f"{attr}, offset = _read_{attr}(data, offset)",
-                        )
-                    ]
+                    kind = entry[1]
+                    scope[f"_decode_{attr}"], scope[f"_encode_{attr}"] = kind.decode, kind.encode
+                    scope[f"_read_{attr}"], scope[f"_write_{attr}"] = _reader(kind), kind.write
+                    item = f"_encode_{attr}(self.{attr})" if kind.encode else f"self.{attr}"
+                    if kind.write:
+                        written = f"_write_{attr}(self.{attr})"
+                    else:
+                        written = f"_bytes(self.{attr})" if kind.spliced else f"_bytes({item})"
+                    pieces = [(written, f"{attr}, offset = _read_{attr}(data, offset)")]
                     arguments.append(f"{attr}=_decode_{attr}({found})")
                     attrs.append(attr)
                 items.append(f"{key!r}: {item}")
@@ -635,6 +679,14 @@ def wire_form(*entries, owns_bytes: bool = False):
             )
             for key, group in groups.items()
         )
+        state = [field.name for field in fields(cls)] if is_dataclass(cls) else cls.__slots__
+        # read_bytes passes a dataclass its fields positionally, in field order,
+        # which makes a frozen dataclass's __init__ about a quarter cheaper than
+        # keywords (a slots class's __init__ need not take its slots in order).
+        # from_wire keeps keywords: it is the cold audit's path, and a faster
+        # audit op would leave the benchmark's traced self-test (a fixed
+        # teardown under 2 % of the wall) without room (ROADMAP item 1(a)).
+        in_order = state if is_dataclass(cls) else [f"{attr}={attr}" for attr in attrs]
         if not extras:
             steps = []
             for piece in groups["wire"]:
@@ -647,10 +699,8 @@ def wire_form(*entries, owns_bytes: bool = False):
                 else:
                     steps.append(piece[1])
             source += _READ_METHOD.format(
-                steps="\n        ".join(steps),
-                arguments=", ".join(f"{attr}={attr}" for attr in attrs),
+                steps="\n        ".join(steps), arguments=", ".join(in_order)
             )
-        state = [field.name for field in fields(cls)] if is_dataclass(cls) else cls.__slots__
         if sorted(attrs) != sorted(state):
             raise TypeError(
                 f"{cls.__name__}: the wire form covers {sorted(attrs)}, "

@@ -318,6 +318,9 @@ class FileStateStore(StateStore):
     in turn, so no record is joined to be written.  Loading stops
     silently at the first truncated or CRC-corrupt frame: that is the frame a
     crash interrupted, and everything before it is intact by construction.
+    A read that stops there cuts the file back to the last intact frame (and
+    fsyncs the cut), so the next append follows that frame instead of
+    landing behind bytes no later load reads past.
     Compaction writes the replacement journal to ``<path>.tmp`` and
     ``os.replace``\\ s it into place, so a crash during compaction leaves
     either the old journal or the new one, never a mix.
@@ -373,6 +376,9 @@ class FileStateStore(StateStore):
                 break
             yield (payload,)
             offset = end
+        if offset < len(data):
+            self._handle.truncate(offset)
+            os.fsync(self._handle.fileno())
 
     def size_bytes(self) -> int:
         self._handle.flush()

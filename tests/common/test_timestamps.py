@@ -71,3 +71,26 @@ class TestTimestampGenerator:
             gen.observe(Timestamp(counter, "other"))
         fresh = gen.next()
         assert all(fresh > Timestamp(counter, "other") for counter in observations)
+
+
+class TestOnlyReadableStampsAreBuilt:
+    """``True`` and ``2.0`` compare and hash like ``1`` and ``2``, but encode
+    as a bool and a float, which no timestamp reader accepts back: such a
+    stamp in a journal record made ``load()`` raise."""
+
+    @pytest.mark.parametrize("counter", [True, False, 2.0, 0.0, "3", None])
+    def test_a_counter_that_is_not_an_int_is_refused(self, counter):
+        with pytest.raises(ValueError, match="counter must be an int"):
+            Timestamp(counter, "c")
+
+    @pytest.mark.parametrize("client_id", [b"c", None, 7, ("c",)])
+    def test_a_client_id_that_is_not_a_str_is_refused(self, client_id):
+        with pytest.raises(ValueError, match="client id must be a str"):
+            Timestamp(1, client_id)
+
+
+class TestOneGenesisStamp:
+    def test_zero_is_one_object(self):
+        assert Timestamp.zero() is Timestamp.zero()
+        assert Timestamp.zero() == Timestamp(0, "")
+        assert Timestamp.zero("z") is not Timestamp.zero("z")

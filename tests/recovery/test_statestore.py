@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import os
+import struct
 
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.common.encoding import canonical_encode
 from repro.common.errors import RecoveryError
 from repro.common.timestamps import Timestamp
+from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import single_sequencer
 from repro.ledger.checkpoint import Checkpoint
+from repro.net.latency import ConstantLatency
 from repro.recovery.statestore import FileStateStore, MemoryStateStore
+from repro.sim.context import FixedCompute
 from repro.storage.datastore import DataStore
+from repro.workload.ycsb import PartitionedWorkload
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -343,3 +350,67 @@ class TestRecordsAreCheckedNotCoerced:
         assert [block.block_hash() for block, _ in state.blocks] == [block_factory().block_hash()]
         restored = DataStore.import_state(state.datastore_state)
         assert restored.snapshot() == {"item-1": 41, "item-9": 0}
+
+
+class TestTornTailIsCut:
+    """A record appended after a torn tail used to sit behind bytes no load
+    reads past: loading stopped at the torn frame, but the append handle kept
+    writing after it, so every later load missed the record."""
+
+    def test_a_record_appended_after_a_torn_tail_is_loaded(self, tmp_path, block_factory):
+        path = tmp_path / "server.wal"
+        store = FileStateStore(str(path))
+        store.initialize("s0", datastore_state())
+        intact = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(struct.pack(">II", 100, 0) + b"\x00" * 7)  # promises 100 bytes
+        assert store.load().blocks == []
+        assert path.stat().st_size == intact  # cut back to the last intact frame
+        store.record_block(block_factory(), b"\x01" * 32)
+        assert [b.height for b, _ in store.load().blocks] == [4]
+        store.close()
+        reopened = FileStateStore(str(path))
+        assert [b.height for b, _ in reopened.load().blocks] == [4]
+        reopened.close()
+
+    def test_blocks_fetched_after_a_torn_tail_are_restored_next_time(self, tmp_path):
+        config = SystemConfig(
+            num_servers=3,
+            items_per_shard=40,
+            txns_per_block=2,
+            ops_per_txn=2,
+            multi_versioned=False,
+            message_signing="hash",
+            seed=7,
+        )
+        system = ScaledFidesSystem(
+            config,
+            latency=ConstantLatency(0.0002),
+            compute_model=FixedCompute(0.0005),
+            sequencer=single_sequencer(0),
+            state_store_factory=lambda sid: FileStateStore(str(tmp_path / f"{sid}.wal")),
+        )
+
+        def commit(server_ids, count, seed):
+            workload = PartitionedWorkload(
+                partitions=[system.shard_map.items_of(sid) for sid in server_ids],
+                ops_per_txn=2,
+                locality=1.0,
+                conflict_free_window=2,
+                seed=seed,
+            )
+            assert system.run_workload(workload.generate(count)).committed == count
+
+        commit(config.server_ids, 10, seed=7)
+        system.crash_server("s1")
+        commit(["s0", "s2"], 6, seed=8)
+        with open(tmp_path / "s1.wal", "ab") as handle:
+            handle.write(struct.pack(">II", 100, 0) + b"\x00" * 7)  # a torn frame
+        first = system.recover_server("s1")
+        assert first.fetched_blocks > 0
+        system.crash_server("s1")
+        second = system.recover_server("s1")
+        assert second.restored_blocks == first.restored_blocks + first.fetched_blocks
+        assert second.fetched_blocks == 0
+        for server in system.servers.values():
+            server.state_store.close()
