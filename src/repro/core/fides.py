@@ -118,10 +118,10 @@ class FidesSystem:
         if obs is not None:
             self.sim.obs = obs
         self.network = Network(
+            self.sim,
             signing_scheme=make_signing_scheme(self.config.message_signing),
             latency=self.latency,
         )
-        self.network.attach_sim(self.sim)
 
         per_server_items, self.shard_map = build_uniform_partition(self.config, initial_value)
         self.servers: Dict[ServerId, DatabaseServer] = {}

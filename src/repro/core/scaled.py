@@ -267,11 +267,12 @@ class ScaledFidesSystem(FidesSystem):
 
     ``sequencer`` configures the ordering service: a
     :data:`~repro.core.sequencing.SequencerFactory` called with the system's
-    config once the server set is known.  The default, ``single_sequencer()``,
-    is one lane in submission order; ``single_sequencer(w)`` lets up to ``w``
-    blocks of disjoint groups be reordered (the freedom the paper grants
-    OrdServ), and :func:`~repro.core.sequencing.sharded_sequencer` gives
-    every ordering shard its own lane (DESIGN.md §5).
+    config and observability bundle once the server set is known.  The
+    default, ``single_sequencer()``, is one lane in submission order;
+    ``single_sequencer(w)`` lets up to ``w`` blocks of disjoint groups be
+    reordered (the freedom the paper grants OrdServ), and
+    :func:`~repro.core.sequencing.sharded_sequencer` gives every ordering
+    shard its own lane (DESIGN.md §5).
     """
 
     def __init__(
@@ -295,8 +296,7 @@ class ScaledFidesSystem(FidesSystem):
         round's dynamic group leads it, with a :class:`GroupTFCommitCoordinator`,
         and the ordering service stamps and delivers the chain."""
         self.coordinator_id = None
-        self.ordering = self._sequencer_factory(self.config)
-        self.ordering.attach_obs(self.sim.obs)
+        self.ordering = self._sequencer_factory(self.config, self.sim.obs)
         self.network.register_observer(
             ORDSERV_ID, keypair_for(ORDSERV_ID, seed=self.config.seed)
         )

@@ -68,6 +68,7 @@ from repro.ledger.anchor import (
     fold_shard_head,
 )
 from repro.ledger.block import Block
+from repro.obs import Observability
 
 
 @dataclass(frozen=True)
@@ -166,14 +167,21 @@ class OrderingService:
     than the window) and then releases down to ``reorder_window``.  The two
     settings in use are :func:`single_sequencer` -- one lane, window *w* --
     and :func:`sharded_sequencer` -- a lane per ordering shard, window 0.
+
+    ``obs`` is the deployment's :class:`~repro.obs.Observability` bundle: the
+    service counts ``ordserv.published``, ``ordserv.duplicates_suppressed``,
+    ``ordserv.ordered`` and ``ordserv.epochs`` in its registry and keeps the
+    ``ordserv.stream_length`` gauge there.
     """
 
     def __init__(
         self,
+        obs: Observability,
         reorder_window: int = 0,
         shard_map: Optional[OrderingShardMap] = None,
         epoch_max_blocks: Optional[int] = None,
     ) -> None:
+        self._metrics = obs.metrics
         self._map = shard_map
         self._lanes = [_Lane(index) for index in range(shard_map.num_shards if shard_map else 1)]
         self._low = max(0, int(reorder_window))
@@ -187,16 +195,6 @@ class OrderingService:
         self._identities: set = set()
         self._sequence = 0
         self._epoch_start_height = 0
-        #: Observability bundle (attached by the deployment layer).
-        self._obs = None
-
-    def attach_obs(self, obs) -> None:
-        """Report publication/ordering/epoch metrics through ``obs``."""
-        self._obs = obs
-
-    def _count(self, name: str) -> None:
-        if self._obs is not None:
-            self._obs.metrics.counter(name)
 
     def _shards_of(self, group: ServerGroup) -> Tuple[int, ...]:
         """The ordering shards ``group`` involves; none without a shard map."""
@@ -256,10 +254,10 @@ class OrderingService:
         """
         identity = self.round_identity(block, group)
         if identity in self._identities:
-            self._count("ordserv.duplicates_suppressed")
+            self._metrics.counter("ordserv.duplicates_suppressed")
             return False
         self._identities.add(identity)
-        self._count("ordserv.published")
+        self._metrics.counter("ordserv.published")
         shards = self._shards_of(group)
         pending = _PendingBlock(block, group, self._sequence, shards)
         self._sequence += 1
@@ -387,9 +385,8 @@ class OrderingService:
             shards=pending.shards,
         )
         self._ordered.append(ordered)
-        if self._obs is not None:
-            self._obs.metrics.counter("ordserv.ordered")
-            self._obs.metrics.gauge("ordserv.stream_length", float(len(self._ordered)))
+        self._metrics.counter("ordserv.ordered")
+        self._metrics.gauge("ordserv.stream_length", float(len(self._ordered)))
         for subscriber in self._subscribers:
             subscriber(ordered)
 
@@ -407,7 +404,7 @@ class OrderingService:
         )
         self._anchors.append(anchor)
         self._epoch_start_height = anchor.end_height
-        self._count("ordserv.epochs")
+        self._metrics.counter("ordserv.epochs")
         for subscriber in self._anchor_subscribers:
             subscriber(anchor)
 
@@ -455,18 +452,20 @@ class OrderingService:
 # -- the two constructors ------------------------------------------------------------
 
 #: What ``ScaledFidesSystem(sequencer=...)`` takes: a factory called with the
-#: deployment's ``SystemConfig`` once the server set is known.
-SequencerFactory = Callable[[object], OrderingService]
+#: deployment's ``SystemConfig`` and ``Observability`` once the server set is
+#: known.
+SequencerFactory = Callable[[object, Observability], OrderingService]
 
 
 def single_sequencer(reorder_window: int = 0) -> SequencerFactory:
     """The classic one-lane service: up to ``reorder_window`` blocks float."""
-    return lambda config: OrderingService(reorder_window=reorder_window)
+    return lambda config, obs: OrderingService(obs, reorder_window=reorder_window)
 
 
 def sharded_sequencer(num_shards: int, epoch_max_blocks: int = 32) -> SequencerFactory:
     """One submission-order lane per ordering shard of the config's servers."""
-    return lambda config: OrderingService(
+    return lambda config, obs: OrderingService(
+        obs,
         shard_map=OrderingShardMap.for_servers(config.server_ids, num_shards),
         epoch_max_blocks=epoch_max_blocks,
     )

@@ -15,7 +15,7 @@ from repro.net.latency import (
     lan_latency,
     wan_latency,
 )
-from repro.net.network import Network, NetworkStats
+from repro.net.network import Network
 
 __all__ = [
     "ConstantLatency",
@@ -23,7 +23,6 @@ __all__ = [
     "LatencyModel",
     "MessageType",
     "Network",
-    "NetworkStats",
     "UniformLatency",
     "lan_latency",
     "wan_latency",

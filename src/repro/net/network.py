@@ -8,10 +8,12 @@ deployment.  It:
   incoming envelope with the sender's public key (Section 3.1) -- unless the
   sender deliberately sends an unsigned/forged envelope, which receivers then
   reject;
-* keeps per-message-type traffic statistics and accumulates the simulated
-  network delay each message would have cost on the configured
-  :class:`~repro.net.latency.LatencyModel` (the benchmark harness reads these
-  to cost out protocol rounds).
+* counts every delivery, once, in the deployment's always-on
+  :class:`~repro.obs.metrics.MetricsRegistry` (``sim.obs.metrics``): messages
+  and wire bytes, in total and per message type, deliveries per recipient,
+  rejected and undeliverable messages, and the simulated delay each message
+  would have cost on the configured :class:`~repro.net.latency.LatencyModel`
+  (DESIGN.md section 12 names the counters).
 
 Delivery is synchronous: ``send`` returns the recipient handler's response
 payload, which keeps the protocol implementations easy to read while the
@@ -20,7 +22,6 @@ latency model keeps the timing realistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.check.choices import choose_order
@@ -31,39 +32,10 @@ from repro.crypto.signing import SigningScheme, make_signing_scheme
 from repro.net.latency import LatencyModel, lan_latency
 from repro.net.message import Envelope, MessageType, content_frame
 from repro.obs.timing import Stopwatch
+from repro.sim.context import SimContext
 
 #: A message handler: receives the verified envelope, returns a response payload.
 Handler = Callable[[Envelope], Any]
-
-
-@dataclass
-class NetworkStats:
-    """Counters the benchmark harness and tests read back.
-
-    ``per_node`` counts messages *delivered to* each participant; it survives
-    a participant crashing and re-registering (the stats object belongs to
-    the network, not to the handler), so restart-heavy runs keep an accurate
-    per-node traffic picture.
-    """
-
-    messages_sent: int = 0
-    messages_rejected: int = 0
-    messages_undeliverable: int = 0
-    simulated_delay: float = 0.0
-    per_type: Dict[str, int] = field(default_factory=dict)
-    per_node: Dict[str, int] = field(default_factory=dict)
-    #: Wire bytes (canonical-encoded signed content), total and per type --
-    #: the size every message *would* occupy on a real transport.
-    bytes_total: int = 0
-    bytes_per_type: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, type_name: str, recipient: str, delay: float, size: int = 0) -> None:
-        self.messages_sent += 1
-        self.simulated_delay += delay
-        self.per_type[type_name] = self.per_type.get(type_name, 0) + 1
-        self.per_node[recipient] = self.per_node.get(recipient, 0) + 1
-        self.bytes_total += size
-        self.bytes_per_type[type_name] = self.bytes_per_type.get(type_name, 0) + size
 
 
 class _Link(NamedTuple):
@@ -76,12 +48,17 @@ class _Link(NamedTuple):
     the bytes the payload's transactions own (the payload is its message's
     request form, :mod:`repro.net.forms`, which splices them); no envelope
     keeps any: servers archive every client envelope for life.
+
+    The three counter names are the registry's per-type and per-recipient
+    ledger entries, formatted once here so a delivery formats no strings.
     """
 
     before: bytes
     after: bytes
     type_name: str
+    messages_counter: str
     bytes_counter: str
+    delivered_counter: str
 
     def signed_bytes(self, payload_bytes: bytes) -> bytes:
         """``Envelope(sender, recipient, type, payload).content_bytes()``, given
@@ -94,15 +71,17 @@ class Network:
 
     def __init__(
         self,
+        sim: SimContext,
         signing_scheme: Optional[SigningScheme] = None,
         latency: Optional[LatencyModel] = None,
     ) -> None:
+        """``sim`` is the deployment's simulation context: every delivered
+        message is counted in its registry and recorded on its timeline at the
+        clock's current activity time (see repro.sim)."""
+        self._sim = sim
+        self._metrics = sim.obs.metrics
         self._scheme = signing_scheme or make_signing_scheme("schnorr")
         self._latency = latency or lan_latency()
-        #: Optional simulation context: when attached, every delivered
-        #: message is also recorded as an event on the virtual timeline at
-        #: the clock's current activity time (see repro.sim).
-        self._sim = None
         self._handlers: Dict[str, Handler] = {}
         self._keypairs: Dict[str, KeyPair] = {}
         self._public_keys: Dict[str, PublicKey] = {}
@@ -114,11 +93,6 @@ class Network:
         #: One record per ``(sender, recipient, type)`` that has carried a
         #: message: at most participants^2 x the types in use.
         self._links: Dict[Tuple[str, str, MessageType], _Link] = {}
-        self.stats = NetworkStats()
-
-    def attach_sim(self, sim) -> None:
-        """Record delivered messages on a simulation context's timeline."""
-        self._sim = sim
 
     # -- membership -----------------------------------------------------------
 
@@ -129,8 +103,8 @@ class Network:
 
         A participant id can only be taken once; a *restarting* server rejoins
         with ``replace=True``, which requires the same key pair it registered
-        with originally (a rejoin must not be able to swap identities) and
-        preserves the per-node traffic stats accumulated before the crash.
+        with originally (a rejoin must not be able to swap identities); its
+        ``net.delivered.<id>`` count carries on from before the crash.
         """
         if identity in self._handlers and not replace:
             raise ConfigurationError(
@@ -190,12 +164,21 @@ class Network:
     # -- delivery -------------------------------------------------------------
 
     def _link(self, sender: str, recipient: str, message_type: MessageType) -> _Link:
+        """The link's record, built on first use for a recipient in the key
+        directory only: an envelope may name any recipient it likes, and a
+        record per made-up name would grow the table without bound."""
         key = (sender, recipient, message_type)
         link = self._links.get(key)
         if link is None:
+            if recipient not in self._public_keys:
+                raise ConfigurationError(f"unknown participant {recipient!r}")
             name = message_type.value
             link = self._links[key] = _Link(
-                *content_frame(sender, recipient, message_type), name, f"net.bytes.{name}"
+                *content_frame(sender, recipient, message_type),
+                name,
+                f"net.messages.{name}",
+                f"net.bytes.{name}",
+                f"net.delivered.{recipient}",
             )
         return link
 
@@ -209,11 +192,16 @@ class Network:
         return envelope.with_signature(self._scheme.sign_bytes(keypair, encoded))
 
     def verify_envelope(self, envelope: Envelope) -> bool:
-        """Verify an envelope's signature against the sender's public key."""
-        if envelope.signature is None:
-            return False
+        """Verify an envelope's signature against the sender's public key.
+
+        An envelope addressed to a participant outside the key directory does
+        not verify."""
         public = self._public_keys.get(envelope.sender)
-        if public is None:
+        if (
+            envelope.signature is None
+            or public is None
+            or envelope.recipient not in self._public_keys
+        ):
             return False
         link = self._link(envelope.sender, envelope.recipient, envelope.message_type)
         return self._scheme.verify_bytes(
@@ -253,7 +241,7 @@ class Network:
         ``tests/check/test_wire_links.py`` holds every deployment's metered
         bytes to the envelopes its handlers received.
         """
-        obs = self._sim.obs if self._sim is not None else None
+        metrics = self._metrics
         link = self._link(sender, recipient, message_type)
         if presigned is not None:
             payload, signature = presigned.payload, presigned.signature
@@ -267,13 +255,12 @@ class Network:
             encoded = link.signed_bytes(payload_bytes)
             watch = Stopwatch()
             signature = self._scheme.sign_bytes(keypair, encoded)
-            if obs is not None:
-                obs.metrics.counter("crypto.envelope_sign.ops")
-                obs.metrics.counter("crypto.envelope_sign.s", watch.elapsed())
+            metrics.counter("crypto.envelope_sign.ops")
+            metrics.counter("crypto.envelope_sign.s", watch.elapsed())
         handler = self._handlers.get(recipient)
         if handler is None:
             if recipient in self._departed:
-                self.stats.messages_undeliverable += 1
+                metrics.counter("net.undeliverable")
                 raise UnreachableError(f"participant {recipient!r} is down (crashed)")
             raise ConfigurationError(f"recipient {recipient!r} has no registered handler")
         public = self._public_keys.get(sender)
@@ -283,31 +270,30 @@ class Network:
             and public is not None
             and self._scheme.verify_bytes(public, encoded, signature)
         )
-        if obs is not None:
-            obs.metrics.counter("crypto.envelope_verify.ops")
-            obs.metrics.counter("crypto.envelope_verify.s", watch.elapsed())
+        metrics.counter("crypto.envelope_verify.ops")
+        metrics.counter("crypto.envelope_verify.s", watch.elapsed())
         if not verified:
-            self.stats.messages_rejected += 1
+            metrics.counter("net.rejected")
             raise SignatureError(
                 f"envelope from {sender!r} to {recipient!r} failed signature verification"
             )
         size = len(encoded)
-        # This draw only feeds ``NetworkStats.simulated_delay``, but it
-        # advances the same RNG ``timed_exchange`` draws its phase delays
-        # from: dropping it moves every makespan the golden tests pin.
-        self.stats.record(link.type_name, recipient, self._latency.sample(), size=size)
-        if obs is not None:
-            obs.metrics.counter("net.messages")
-            obs.metrics.counter("net.bytes_total", size)
-            obs.metrics.counter(link.bytes_counter, size)
-        if self._sim is not None:
-            self._sim.timeline.record(
-                self._sim.clock.now,
-                "message",
-                resource=recipient,
-                label=link.type_name,
-                detail=f"sender={sender}",
-            )
+        metrics.counter("net.messages")
+        metrics.counter(link.messages_counter)
+        metrics.counter(link.delivered_counter)
+        metrics.counter("net.bytes_total", size)
+        metrics.counter(link.bytes_counter, size)
+        # This draw only feeds ``net.delay_s``, but it advances the same RNG
+        # ``timed_exchange`` draws its phase delays from: dropping it moves
+        # every makespan the golden tests pin.
+        metrics.counter("net.delay_s", self._latency.sample())
+        self._sim.timeline.record(
+            self._sim.clock.now,
+            "message",
+            resource=recipient,
+            label=link.type_name,
+            detail=f"sender={sender}",
+        )
         return handler(Envelope(sender, recipient, message_type, payload, signature))
 
     def broadcast(

@@ -1,9 +1,10 @@
 """Zero-dependency observability: causal tracing + metrics (DESIGN.md §12).
 
 One :class:`Observability` bundle rides on every :class:`~repro.sim.context.
-SimContext` as ``sim.obs``, which is how all protocol layers reach it --
-the network via ``attach_sim``, coordinators via their ``sim=`` parameter,
-servers via their ``obs=`` parameter.  Metrics are always on (one
+SimContext` as ``sim.obs``, which is how all protocol layers reach it,
+each from its constructor -- the network and coordinators via their ``sim``
+argument, servers and the ordering service via their ``obs`` argument.
+Metrics are always on (one
 dict write per instrument point); span tracing is off by default and
 enabled per run (``enable_tracing()``), keeping the disabled-path cost to
 a single attribute check.
@@ -63,12 +64,7 @@ class Observability:
             "subsystems": {
                 "crypto_wall_s": crypto_s,
                 "net_bytes_total": self.metrics.counter_value("net.bytes_total"),
-                "net_bytes_per_type": {
-                    name[len("net.bytes."):]: value
-                    for name, value in self.metrics.counters_matching(
-                        "net.bytes."
-                    ).items()
-                },
+                "net_bytes_per_type": self.metrics.breakdown("net.bytes"),
                 "net_messages": self.metrics.counter_value("net.messages"),
                 "storage_mht_hashes": self.metrics.counter_value(
                     "storage.mht_hashes"

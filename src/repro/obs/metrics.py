@@ -6,7 +6,10 @@ the full naming scheme is DESIGN.md section 12).  The registry is a plain
 dict-of-floats: recording is an ``O(1)`` dict update with no locking, no
 export thread, and no sampling, so it stays enabled even when tracing is
 off -- the near-zero-overhead budget is one dict write per instrument
-point.
+point.  A deployment's registry is its only traffic ledger: the network
+counts each delivery in it once (``net.messages``, ``net.messages.<type>``,
+``net.delivered.<id>``, ...) and keeps no second copy, and a family of
+counters reads back by key with :meth:`MetricsRegistry.breakdown`.
 
 Histograms use fixed power-of-four bucket bounds (1us .. ~1s for the
 default seconds-scale) so two runs of the same workload always produce
@@ -123,6 +126,15 @@ class MetricsRegistry:
             name: value
             for name, value in sorted(self._counters.items())
             if name.startswith(prefix)
+        }
+
+    def breakdown(self, family: str) -> Dict[str, float]:
+        """The counters named ``<family>.<key>``, by key: ``breakdown("net.bytes")``
+        is the wire bytes per message type."""
+        prefix = family + "."
+        return {
+            name[len(prefix):]: value
+            for name, value in self.counters_matching(prefix).items()
         }
 
     def snapshot(self) -> Dict:

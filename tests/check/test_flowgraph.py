@@ -91,7 +91,7 @@ def traffic(kind: str, cohort: str, leader: str) -> set:
             system.audit()
     else:
         assert system.audit().ok
-    return set(system.network.stats.per_type)
+    return set(system.sim.obs.metrics.breakdown("net.messages"))
 
 
 class TestTrafficOfARun:

@@ -275,9 +275,10 @@ def test_an_envelopes_signed_bytes_are_pinned(message_type):
     assert envelope.with_signature(b"\x06" * 32).content_bytes() == envelope.content_bytes()
 
 
-#: ``NetworkStats.per_type`` / ``bytes_per_type`` of six two-op transactions
-#: (YCSB seed 3) on three servers, config seed 11, hash envelopes, two per
-#: block -- followed by an audit where the deployment has co-signed blocks.
+#: The registry's ``net.messages.<type>`` / ``net.bytes.<type>`` counters of
+#: six two-op transactions (YCSB seed 3) on three servers, config seed 11, hash
+#: envelopes, two per block -- followed by an audit where the deployment has
+#: co-signed blocks.
 TRAFFIC = {
     "classic": {
         "per_type": {
@@ -378,9 +379,11 @@ def traffic_run(deployment: str):
 
 @pytest.mark.parametrize("deployment", sorted(TRAFFIC))
 def test_a_runs_traffic_is_pinned(deployment):
-    stats = traffic_run(deployment).network.stats
-    assert stats.per_type == TRAFFIC[deployment]["per_type"]
-    assert stats.bytes_per_type == TRAFFIC[deployment]["bytes_per_type"]
-    assert stats.messages_sent == sum(TRAFFIC[deployment]["per_type"].values())
-    assert stats.bytes_total == sum(TRAFFIC[deployment]["bytes_per_type"].values())
-    assert stats.messages_rejected == 0
+    metrics = traffic_run(deployment).sim.obs.metrics
+    assert metrics.breakdown("net.messages") == TRAFFIC[deployment]["per_type"]
+    assert metrics.breakdown("net.bytes") == TRAFFIC[deployment]["bytes_per_type"]
+    assert metrics.counter_value("net.messages") == sum(TRAFFIC[deployment]["per_type"].values())
+    assert metrics.counter_value("net.bytes_total") == sum(
+        TRAFFIC[deployment]["bytes_per_type"].values()
+    )
+    assert metrics.counter_value("net.rejected") == 0

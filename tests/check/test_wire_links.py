@@ -29,6 +29,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.message import Envelope, MessageType, content_frame
 from repro.net.network import Network
 from repro.server.faults import FaultPlan
+from repro.sim.context import SimContext
 from repro.txn.operations import WriteOp
 from repro.workload.ycsb import YcsbWorkload
 
@@ -51,7 +52,9 @@ def _request(message_type: MessageType):
 
 
 def _hash_network(*observers: str) -> Network:
-    network = Network(make_signing_scheme("hash"), latency=ConstantLatency(0.001))
+    sim = SimContext()
+    network = Network(sim, make_signing_scheme("hash"), latency=ConstantLatency(0.001))
+    network.metrics = sim.obs.metrics
     for identity in observers:
         network.register_observer(identity, keypair_for(identity))
     return network
@@ -81,12 +84,12 @@ class TestTheLinkSplicesTheDerivedEncodersBytes:
         for sender, recipient in LINKS:
             oracle = Envelope(sender, recipient, message_type, payload).content_bytes()
             network = _hash_network(sender)
+            received = []
+            network.register(recipient, keypair_for(recipient), received.append)
             signed = network.sign_envelope(Envelope(sender, recipient, message_type, payload))
             assert signed.signature == _mac(keypair_for(sender), oracle)
             assert network.verify_envelope(signed)
 
-            received = []
-            network.register(recipient, keypair_for(recipient), received.append)
             network.send(sender, recipient, message_type, payload)
             network.send(
                 sender, recipient, message_type, payload, payload_bytes=canonical_encode(payload)
@@ -97,8 +100,8 @@ class TestTheLinkSplicesTheDerivedEncodersBytes:
             for envelope in received:
                 assert envelope == signed
                 assert envelope.payload is payload
-            assert network.stats.bytes_per_type == {message_type.value: 4 * len(oracle)}
-            assert network.stats.per_type == {message_type.value: 4}
+            assert network.metrics.breakdown("net.bytes") == {message_type.value: 4 * len(oracle)}
+            assert network.metrics.breakdown("net.messages") == {message_type.value: 4}
 
 
 class TestAPresignedEnvelopeIsBoundToItsLink:
@@ -126,8 +129,8 @@ class TestAPresignedEnvelopeIsBoundToItsLink:
             network.send("c1", "s0", MessageType.WRITE, request, presigned=signed)
         with pytest.raises(SignatureError):  # ... nor under another sender's name
             network.send("s1", "s0", MessageType.END_TRANSACTION, request, presigned=signed)
-        assert network.stats.messages_rejected == 3
-        assert network.stats.messages_sent == 3
+        assert network.metrics.counter_value("net.rejected") == 3
+        assert network.metrics.counter_value("net.messages") == 3
         assert len(network.received["s0"]) == 2 and len(network.received["s1"]) == 1
 
         # A header the envelope itself lies about changes nothing either way.
@@ -145,7 +148,7 @@ class TestAPresignedEnvelopeIsBoundToItsLink:
             presigned=signed, payload_bytes=canonical_encode(BUILDERS["BeginTxn"]()),
         )
         assert network.received["s0"] == [signed]
-        assert network.stats.bytes_total == len(signed.content_bytes())
+        assert network.metrics.counter_value("net.bytes_total") == len(signed.content_bytes())
 
 
 class TestALinkOutlivesARestart:
@@ -247,7 +250,7 @@ class TestAPhaseSignsEachRequestsOwnBytes:
             assert system.network.verify_envelope(envelope)
             metered += len(oracle.content_bytes())
         assert received["s1"][0].payload.block.decision != received["s2"][0].payload.block.decision
-        assert system.network.stats.bytes_per_type["challenge"] == metered
+        assert system.sim.obs.metrics.counter_value("net.bytes.challenge") == metered
 
     def test_requests_that_alternate_are_never_signed_with_the_others_bytes(self, recording):
         system, received = recording
@@ -272,7 +275,7 @@ class TestAPhaseSignsEachRequestsOwnBytes:
         assert outcome.status == "failed"
         refusals = batched_system.coordinator.results[-1].refusals
         assert [(r.server_id, r.unreachable) for r in refusals] == [("s2", True)]
-        assert batched_system.network.stats.messages_undeliverable >= 1
+        assert batched_system.sim.obs.metrics.counter_value("net.undeliverable") >= 1
 
 
 def _deployment(name: str) -> FidesSystem:
@@ -319,8 +322,15 @@ def test_the_bytes_metered_are_the_bytes_of_the_envelopes_received(name):
     if name != "2pc":
         assert system.audit().ok
 
-    stats = system.network.stats
-    assert stats.bytes_per_type == dict(received_bytes)
-    assert stats.per_type == dict(received_count)
-    assert stats.bytes_total == sum(received_bytes.values())
-    assert stats.messages_rejected == 0
+    metrics = system.sim.obs.metrics
+    assert metrics.breakdown("net.bytes") == dict(received_bytes)
+    assert metrics.breakdown("net.messages") == dict(received_count)
+    assert metrics.counter_value("net.bytes_total") == sum(received_bytes.values())
+    assert metrics.counter_value("net.rejected") == 0
+    # The per-type ledger adds up to the totals.
+    assert sum(metrics.breakdown("net.messages").values()) == metrics.counter_value(
+        "net.messages"
+    )
+    assert sum(metrics.breakdown("net.bytes").values()) == metrics.counter_value(
+        "net.bytes_total"
+    )

@@ -38,6 +38,7 @@ from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
 from repro.recovery.statestore import BlockRecord, FileStateStore, MemoryStateStore
 from repro.server.faults import _LOG_TAMPERS
+from repro.sim.context import SimContext
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 from test_wire_bytes import traffic_run
@@ -333,8 +334,9 @@ class TestNoKeptValueSurvivesAChange:
     def test_a_payload_mutated_after_signing_fails_verification(self):
         """An envelope's payload is a plain, mutable dict: were the signed bytes
         kept, a change made after signing would still verify."""
-        network = Network()
-        network.register_observer("c0", keypair_for("c0"))
+        network = Network(SimContext())
+        for identity in ("c0", "s0"):
+            network.register_observer(identity, keypair_for(identity))
         payload = {"transaction": BUILDERS["Transaction"](), "commit_ts": [5, "c2"]}
         envelope = network.sign_envelope(
             Envelope("c0", "s0", MessageType.END_TRANSACTION, payload)
@@ -390,8 +392,9 @@ class TestContainersStoreNothing:
         assert _long_bytes(block) == {"wire_bytes()": canonical_encode(block)}
 
     def test_an_envelope_keeps_nothing(self):
-        network = Network()
-        network.register_observer("c0", keypair_for("c0"))
+        network = Network(SimContext())
+        for identity in ("c0", "s0"):
+            network.register_observer(identity, keypair_for(identity))
         envelope = network.sign_envelope(
             Envelope(
                 "c0",

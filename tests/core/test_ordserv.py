@@ -8,6 +8,7 @@ from repro.core.grouping import ServerGroup
 from repro.core.sequencing import OrderingService
 from repro.crypto.hashing import EMPTY_HASH
 from repro.ledger.block import BlockDecision, make_partial_block
+from repro.obs import Observability
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 
@@ -30,7 +31,7 @@ def group(*members):
 
 class TestOrderingService:
     def test_blocks_get_consecutive_heights_and_chained_hashes(self):
-        service = OrderingService()
+        service = OrderingService(Observability())
         service.publish(make_block(["a"], 1), group("s0"))
         service.publish(make_block(["b"], 2), group("s1"))
         service.flush()
@@ -40,7 +41,7 @@ class TestOrderingService:
         assert ordered[1].block.previous_hash == ordered[0].block_hash
 
     def test_subscribers_receive_stream_in_order(self):
-        service = OrderingService()
+        service = OrderingService(Observability())
         delivered = []
         service.subscribe(lambda ob: delivered.append(ob.global_height))
         service.publish(make_block(["a"], 1), group("s0"))
@@ -49,7 +50,7 @@ class TestOrderingService:
         assert delivered == [0, 1]
 
     def test_dependent_blocks_keep_submission_order(self):
-        service = OrderingService(reorder_window=2)
+        service = OrderingService(Observability(), reorder_window=2)
         service.publish(make_block(["x"], 1), group("s0", "s1"))
         service.publish(make_block(["x"], 2), group("s1", "s2"))
         service.flush()
@@ -58,7 +59,7 @@ class TestOrderingService:
         assert service.verify_dependency_order()
 
     def test_disjoint_blocks_may_be_reordered_safely(self):
-        service = OrderingService(reorder_window=3)
+        service = OrderingService(Observability(), reorder_window=3)
         service.publish(make_block(["a"], 1), group("s0"))
         service.publish(make_block(["b"], 2), group("s1"))
         service.publish(make_block(["c"], 3), group("s2"))
@@ -69,7 +70,7 @@ class TestOrderingService:
     def test_stream_is_a_valid_chain_for_every_subscriber_log(self):
         from repro.ledger.log import TransactionLog
 
-        service = OrderingService()
+        service = OrderingService(Observability())
         log = TransactionLog()
         service.subscribe(lambda ob: log.append(ob.block, verify_link=False))
         for counter in range(1, 5):

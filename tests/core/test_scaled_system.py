@@ -20,6 +20,7 @@ from repro.core.sequencing import OrderingService
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block, BlockDecision
 from repro.net.forms import Refusal
+from repro.obs import Observability
 from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.ycsb import PartitionedWorkload, TransactionSpec
 
@@ -255,7 +256,7 @@ class TestFlushConflicting:
         return group
 
     def test_disjoint_blocks_keep_their_reordering_freedom(self):
-        service = OrderingService(reorder_window=5)
+        service = OrderingService(Observability(), reorder_window=5)
         self._publish(service, "t-disjoint", {"s2": ["x2"], "s3": ["x3"]}, 1)
         overlapping = self._publish(service, "t-overlap", {"s0": ["x0"], "s1": ["x1"]}, 2)
         service.flush_conflicting(overlapping)
@@ -266,7 +267,7 @@ class TestFlushConflicting:
         assert service.stream_length == 2
 
     def test_upstream_dependency_lands_with_the_conflicting_block(self):
-        service = OrderingService(reorder_window=5)
+        service = OrderingService(Observability(), reorder_window=5)
         # t-up writes x1 on s1; t-mid reads/writes x1 too (depends on t-up)
         # and also spans s0, so it overlaps the new group {s0}.
         self._publish(service, "t-up", {"s1": ["x1"]}, 1)
@@ -379,7 +380,7 @@ class TestOrderingServiceProperty:
 
         servers = [f"s{i}" for i in range(6)]
         items_by_server = {sid: [f"{sid}-item-{j}" for j in range(3)] for sid in servers}
-        service = OrderingService(reorder_window=window)
+        service = OrderingService(Observability(), reorder_window=window)
         zero = Timestamp.zero()
         for counter in range(rng.randint(4, 10)):
             members = rng.sample(servers, rng.randint(1, 3))

@@ -25,6 +25,7 @@ from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup
 from repro.core.sequencing import OrderingService, OrderingShardMap, sharded_sequencer
 from repro.ledger.block import BlockDecision, make_partial_block
+from repro.obs import Observability
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 from repro.workload.ycsb import PartitionedWorkload
 
@@ -40,7 +41,9 @@ def make_map(num_shards: int = 2, servers=SERVERS) -> OrderingShardMap:
 
 
 def sharded(num_shards: int = 2, epoch_max_blocks: int = 32) -> OrderingService:
-    return OrderingService(shard_map=make_map(num_shards), epoch_max_blocks=epoch_max_blocks)
+    return OrderingService(
+        Observability(), shard_map=make_map(num_shards), epoch_max_blocks=epoch_max_blocks
+    )
 
 
 def publish(service, counter: int, members, items=None):
@@ -263,6 +266,21 @@ class TestShardedDeployment:
         assert len(system.ordering.epoch_anchors) >= 1
         report = system.audit()
         assert report.ok
+
+    def test_the_services_counters_reach_the_deployments_registry(self, make_scaled_system):
+        """The deployment hands the service its observability at construction,
+        so what the service counts is in ``system.sim.obs.metrics``."""
+        system = make_scaled_system(num_servers=4, sequencer=sharded_sequencer(2))
+        system.run_workload(partitioned_specs(system, 12, locality=0.7), num_clients=2)
+        system.flush()
+        service, metrics = system.ordering, system.sim.obs.metrics
+        stream = service.ordered_blocks
+        assert service.pending_count == 0 and len(stream) >= 1
+        assert metrics.counter_value("ordserv.published") == len(stream)
+        assert metrics.counter_value("ordserv.ordered") == len(stream)
+        assert metrics.snapshot()["gauges"]["ordserv.stream_length"] == len(stream)
+        assert len(service.epoch_anchors) >= 1
+        assert metrics.counter_value("ordserv.epochs") == len(service.epoch_anchors)
 
     def test_fail_over_with_a_sharded_sequencer(self, make_scaled_system):
         system = make_scaled_system(num_servers=4, sequencer=sharded_sequencer(2))

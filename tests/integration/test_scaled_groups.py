@@ -18,6 +18,7 @@ from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.ledger.log import TransactionLog
+from repro.obs import Observability
 from repro.storage.shard import ShardMap
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
@@ -60,7 +61,7 @@ def group_commit(txn):
 
 class TestScaledTfcommit:
     def test_disjoint_groups_merge_into_one_consistent_log(self):
-        service = OrderingService()
+        service = OrderingService(Observability())
         logs = {sid: TransactionLog() for sid in SERVERS}
         for sid in SERVERS:
             service.subscribe(lambda ob, log=logs[sid]: log.append(ob.block, verify_link=False))
@@ -78,7 +79,7 @@ class TestScaledTfcommit:
         assert service.verify_dependency_order()
 
     def test_overlapping_groups_preserve_dependency_order(self):
-        service = OrderingService(reorder_window=2)
+        service = OrderingService(Observability(), reorder_window=2)
         txn_first = make_txn("t-first", ["x"], 1)  # group {s1}
         txn_second = make_txn("t-second", ["x", "b0"], 2)  # group {s1, s2}, depends on t-first
         for txn in (txn_first, txn_second):

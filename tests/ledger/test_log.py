@@ -15,6 +15,7 @@ from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.ledger.log import TransactionLog
 from repro.net.network import Network
+from repro.sim.context import SimContext
 from repro.txn.transaction import Transaction, WriteSetEntry
 
 SERVER_IDS = ["s0", "s1", "s2"]
@@ -140,7 +141,7 @@ def select_correct_log(logs):
 
     Returns ``(server_id, log, per_server_results)``.
     """
-    network = Network()
+    network = Network(SimContext())
     for sid, keypair in KEYPAIRS.items():
         network.register_observer(sid, keypair)
     report = AuditReport()

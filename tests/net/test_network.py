@@ -10,11 +10,13 @@ from repro.crypto.keys import keypair_for
 from repro.net.message import Envelope, MessageType
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.sim.context import SimContext
 
 
 @pytest.fixture
 def network():
-    net = Network(latency=ConstantLatency(0.001))
+    sim = SimContext()
+    net = Network(sim, latency=ConstantLatency(0.001))
     received = []
 
     def handler(envelope):
@@ -24,6 +26,7 @@ def network():
     net.register("server", keypair_for("server"), handler)
     net.register_observer("client", keypair_for("client"))
     net.received = received
+    net.metrics = sim.obs.metrics
     return net
 
 
@@ -52,12 +55,17 @@ class TestDelivery:
         responses = network.broadcast("client", ["server", "server2"], MessageType.READ, {})
         assert set(responses) == {"server", "server2"}
 
-    def test_stats_accumulate(self, network):
+    def test_the_registry_counts_each_delivery(self, network):
         network.send("client", "server", MessageType.READ, {})
         network.send("client", "server", MessageType.WRITE, {})
-        assert network.stats.messages_sent == 2
-        assert network.stats.per_type == {"read": 1, "write": 1}
-        assert network.stats.simulated_delay == pytest.approx(0.002)
+        metrics = network.metrics
+        assert metrics.counter_value("net.messages") == 2
+        assert metrics.breakdown("net.messages") == {"read": 1, "write": 1}
+        assert metrics.breakdown("net.delivered") == {"server": 2}
+        assert metrics.counter_value("net.delay_s") == pytest.approx(0.002)
+        assert sum(metrics.breakdown("net.bytes").values()) == metrics.counter_value(
+            "net.bytes_total"
+        )
 
 
 class TestSignatures:
@@ -71,7 +79,7 @@ class TestSignatures:
         )
         with pytest.raises(SignatureError):
             network.send("client", "server", MessageType.READ, {"item": "y"}, presigned=forged)
-        assert network.stats.messages_rejected == 1
+        assert network.metrics.counter_value("net.rejected") == 1
 
     def test_unsigned_envelope_rejected(self, network):
         bare = Envelope("client", "server", MessageType.READ, {"item": "x"})
@@ -102,8 +110,8 @@ class TestSignatures:
         with pytest.raises(SignatureError):
             network.send("client", "server2", MessageType.WRITE, {"item": "x"}, presigned=signed)
         assert other == [] and network.received == []
-        assert network.stats.messages_rejected == 1
-        assert network.stats.messages_sent == 0
+        assert network.metrics.counter_value("net.rejected") == 1
+        assert network.metrics.counter_value("net.messages") == 0
 
     def test_presigned_as_another_type_rejected(self, network):
         """The signature covers the type: a signed WRITE is not a READ."""
@@ -113,12 +121,12 @@ class TestSignatures:
         with pytest.raises(SignatureError):
             network.send("client", "server", MessageType.READ, {"item": "x"}, presigned=signed)
         assert network.received == []
-        assert network.stats.messages_rejected == 1
-        assert network.stats.per_type == {}
+        assert network.metrics.counter_value("net.rejected") == 1
+        assert network.metrics.breakdown("net.messages") == {}
         # Delivered as what it was signed as, it is accepted.
         network.send("client", "server", MessageType.WRITE, {"item": "x"}, presigned=signed)
         assert [envelope.message_type for envelope in network.received] == [MessageType.WRITE]
-        assert network.stats.per_type == {"write": 1}
+        assert network.metrics.breakdown("net.messages") == {"write": 1}
 
     def test_public_key_directory(self, network):
         directory = network.public_key_directory()
@@ -128,3 +136,39 @@ class TestSignatures:
     def test_public_key_of_unknown(self, network):
         with pytest.raises(ConfigurationError):
             network.public_key_of("nobody")
+
+
+class TestAnUnknownRecipientGetsNoLink:
+    """An envelope names any recipient it likes; only those in the key
+    directory get a link record."""
+
+    def test_forged_envelopes_to_made_up_recipients_neither_verify_nor_grow_the_table(
+        self, network
+    ):
+        honest = network.sign_envelope(
+            Envelope("client", "server", MessageType.END_TRANSACTION, {"txn": 1})
+        )
+        assert network.verify_envelope(honest)
+        links = len(network._links)
+        for index in range(5000):
+            forged = Envelope(
+                "client", f"ghost-{index}", MessageType.END_TRANSACTION, {"txn": 1},
+                signature=honest.signature,
+            )
+            assert not network.verify_envelope(forged)
+        # Not even when the sender's own key signed it.
+        stray = Envelope("client", "nobody", MessageType.END_TRANSACTION, {"txn": 1})
+        stray = stray.with_signature(
+            network.signing_scheme.sign_bytes(keypair_for("client"), stray.content_bytes())
+        )
+        assert not network.verify_envelope(stray)
+        assert len(network._links) == links
+
+    def test_send_and_sign_refuse_one_before_building_its_link(self, network):
+        links = len(network._links)
+        with pytest.raises(ConfigurationError):
+            network.send("client", "nobody", MessageType.READ, {})
+        with pytest.raises(ConfigurationError):
+            network.sign_envelope(Envelope("client", "nobody", MessageType.READ, {}))
+        assert len(network._links) == links
+        assert network.metrics.counter_value("crypto.envelope_sign.ops") == 0

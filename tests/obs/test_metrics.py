@@ -28,6 +28,15 @@ class TestCountersAndGauges:
         matched = metrics.counters_matching("crypto.")
         assert set(matched) == {"crypto.envelope_sign.ops", "crypto.envelope_sign.s"}
 
+    def test_breakdown_reads_a_family_by_key(self):
+        metrics = MetricsRegistry()
+        metrics.counter("net.messages")
+        metrics.counter("net.messages.read", 2.0)
+        metrics.counter("net.messages.write")
+        metrics.counter("net.bytes_total", 9.0)
+        assert metrics.breakdown("net.messages") == {"read": 2.0, "write": 1.0}
+        assert metrics.breakdown("net.bytes") == {}
+
 
 class TestHistograms:
     def test_observe_tracks_count_sum_min_max_mean(self):

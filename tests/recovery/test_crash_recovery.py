@@ -37,13 +37,14 @@ class TestNetworkRejoin:
     def test_rejoin_with_replace_keeps_per_node_stats(self, small_system, run_history):
         run_history(small_system, count=2)
         network = small_system.network
-        delivered_before = network.stats.per_node["s1"]
+        metrics = small_system.sim.obs.metrics
+        delivered_before = metrics.counter_value("net.delivered.s1")
         assert delivered_before > 0
         server = small_system.server("s1")
         network.unregister("s1")
         network.register("s1", server.keypair, server.handle, replace=True)
         run_history(small_system, count=2, seed=77)
-        assert network.stats.per_node["s1"] > delivered_before
+        assert metrics.counter_value("net.delivered.s1") > delivered_before
 
     def test_rejoin_with_a_different_key_is_rejected(self, small_system):
         network = small_system.network
@@ -63,7 +64,7 @@ class TestNetworkRejoin:
         assert "s2" in network.public_key_directory()
         with pytest.raises(UnreachableError):
             network.send("s0", "s2", MessageType.ROUND_FAILED, RoundFailed(("height", 0)))
-        assert network.stats.messages_undeliverable == 1
+        assert small_system.sim.obs.metrics.counter_value("net.undeliverable") == 1
 
 
 class TestCrashLifecycle:

@@ -37,6 +37,7 @@ from repro.obs import Observability
 from repro.server.commitment import COHORT_TRANSITIONS, CohortStatus, CommitmentLayer
 from repro.server.server import DatabaseServer
 from repro.sim.clock import VirtualClock
+from repro.sim.context import SimContext
 from repro.storage.datastore import DataStore
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
@@ -225,7 +226,7 @@ class UntrustedCoordinator:
     wherever one can exist."""
 
     def __init__(self) -> None:
-        self.network = Network(latency=ConstantLatency(0.0001))
+        self.network = Network(SimContext(), latency=ConstantLatency(0.0001))
         clock, obs = VirtualClock(), Observability()
         self.servers = {}
         for server_id in SERVER_IDS:

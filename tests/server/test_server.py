@@ -26,12 +26,13 @@ from repro.net.network import Network
 from repro.obs import Observability
 from repro.server.server import DatabaseServer
 from repro.sim.clock import VirtualClock
+from repro.sim.context import SimContext
 from repro.txn.transaction import Transaction, WriteSetEntry
 
 
 @pytest.fixture
 def wired_server():
-    network = Network(latency=ConstantLatency(0.0001))
+    network = Network(SimContext(), latency=ConstantLatency(0.0001))
     server = DatabaseServer(
         "s0", keypair_for("s0"), {"a": 1, "b": 2}, VirtualClock(), Observability(), ["s0"]
     )
