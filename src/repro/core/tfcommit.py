@@ -168,9 +168,9 @@ class TFCommitCoordinator(SimScheduledRounds):
         )
         self._obs_crypto("aggregate_responses", crypto_watch.elapsed())
         final_block = block.with_cosign(cosign)
-        if set(cosign.signer_ids) != set(round.cohorts):
+        if set(response_scalars) != set(round.cohorts):
             raise ProtocolInvariantError(
-                f"collective signature covers {sorted(cosign.signer_ids)} "
+                f"collective signature covers {sorted(response_scalars)} "
                 f"but the round's cohort set is {sorted(round.cohorts)}"
             )
         public_keys = self.network.public_key_directory()

@@ -16,10 +16,11 @@ bounded one:
    :class:`~repro.net.forms.FrontierCertificate` -- its commit frontier, an
    untrusted claim -- plus the stalled rounds the deposed coordinator left armed.
 3. The successor **verifies** each certificate (the reply's strict decode,
-   head-block co-sign, hash consistency) and adopts the *maximum certified frontier*.
-   Certificates that fail verification are discarded: a lying cohort cannot
-   drag the new view backwards (the frontier is monotone) or forwards (a
-   claimed-ahead frontier needs a co-signed head block it cannot forge).
+   head-block co-sign, hash and height consistency) and adopts the *maximum
+   certified frontier*.  Certificates that fail verification are discarded:
+   a lying cohort cannot drag the new view backwards (the frontier is
+   monotone) or forwards (a claimed-ahead frontier needs a co-signed head
+   block at the height just below it).
 4. The successor broadcasts ``NEW_VIEW``.  Cohorts bump their per-group view
    gate -- proposals from the deposed view are refused from here on -- and
    release pre-new-view round state.
@@ -44,9 +45,8 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 from repro.check.choices import choose_order
 from repro.common.errors import ProtocolError, ProtocolInvariantError, ValidationError
 from repro.core.rounds import ROUND_TIMEOUT_S, TimingBreakdown, timed_broadcast
-from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block
-from repro.ledger.log import TransactionLog
+from repro.ledger.log import TransactionLog, verify_block_cosign
 from repro.net.forms import FrontierCertificate, ViewChange
 from repro.net.message import MessageType
 
@@ -83,13 +83,12 @@ def verify_certificate(
 
     The trust argument mirrors the recovery catch-up: anything crossing the
     wire may be attacker-chosen, so the certificate is believed only to the
-    extent its co-signed head block backs it -- the head must decode, its
-    collective signature must verify over its signing digest (with the
-    signer set equal to its recorded group for a group block, and to the
-    cluster's ``servers`` for a classic one), its hash must
-    equal the claimed ``head_hash``, and a non-empty frontier must carry a
-    head at all.  ``trusted`` (the 2PC baseline, whose blocks carry no
-    collective signature) stops after the identity check.
+    extent its head block backs it -- the head must decode, pass the
+    ledger's co-sign rule (:func:`~repro.ledger.log.verify_block_cosign`),
+    hash to the claimed ``head_hash`` and sit just below the claimed
+    ``height``, and a non-empty frontier must carry a head at all.
+    ``trusted`` (the 2PC baseline, whose blocks carry no collective
+    signature) stops after the identity check.
     """
     if cert.server_id != expected_server:
         return False
@@ -103,14 +102,11 @@ def verify_certificate(
         head = Block.from_wire(cert.head)
     except ValidationError:
         return False
-    if head.block_hash() != cert.head_hash:
-        return False
-    if head.cosign is None or not cosi_verify(
-        head.cosign, head.signing_digest(), public_keys
-    ):
-        return False
-    signers = head.group if head.group is not None else servers
-    return set(head.cosign.signer_ids) == set(signers)
+    return (
+        head.height + 1 == cert.height
+        and head.block_hash() == cert.head_hash
+        and not verify_block_cosign(head, public_keys, servers)
+    )
 
 
 def elect_successor(members: Sequence[str], excluded: Sequence[str]) -> str:

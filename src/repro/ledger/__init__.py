@@ -11,10 +11,8 @@ from repro.ledger.checkpoint import (
     apply_checkpoint,
     build_checkpoint,
     cosign_checkpoint,
-    verify_checkpoint,
-    verify_log_against_checkpoint,
 )
-from repro.ledger.log import LogVerificationResult, TransactionLog
+from repro.ledger.log import LogVerificationResult, TransactionLog, verify_checkpoint
 
 __all__ = [
     "Block",
@@ -26,5 +24,4 @@ __all__ = [
     "build_checkpoint",
     "cosign_checkpoint",
     "verify_checkpoint",
-    "verify_log_against_checkpoint",
 ]

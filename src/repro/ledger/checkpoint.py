@@ -17,23 +17,24 @@ A :class:`Checkpoint` captures, for a prefix of the log:
 * a collective signature by all servers over all of the above.
 
 ``build_checkpoint`` / ``cosign_checkpoint`` create and sign a checkpoint,
-``TransactionLog`` prefixes can then be dropped with
-:func:`apply_checkpoint`, and the auditor-side :func:`verify_checkpoint`
-checks the co-sign and the chaining of the remaining log.
+and ``TransactionLog`` prefixes can then be dropped with
+:func:`apply_checkpoint`.  There is one verifier of a truncated copy,
+``TransactionLog.verify(..., checkpoint=...)``: the checkpoint's co-sign and
+boundary rules live beside the block rules in :mod:`repro.ledger.log`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 from repro.common.wire import BYTES, INT, ROOTS, TIMESTAMP, nested, optional, wire_form
-from repro.crypto.cosi import CollectiveSignature, CoSiWitness, cosi_verify, run_cosi_round
+from repro.crypto.cosi import CollectiveSignature, CoSiWitness, run_cosi_round
 from repro.crypto.hashing import hash_concat
-from repro.crypto.keys import KeyPair, PublicKey
-from repro.ledger.log import TransactionLog, verify_block_cosign
+from repro.crypto.keys import KeyPair
+from repro.ledger.log import TransactionLog, checkpoint_covers
 
 
 @wire_form(
@@ -109,7 +110,7 @@ def build_checkpoint(
             raise ValidationError(
                 "checkpointing an already-truncated log needs the previous checkpoint"
             )
-        if previous.height + 1 != log.base_height or previous.head_hash != log.base_hash:
+        if not checkpoint_covers(previous, log.base_height, log.base_hash):
             raise ValidationError(
                 "previous checkpoint does not cover this log's truncation boundary"
             )
@@ -137,15 +138,6 @@ def cosign_checkpoint(checkpoint: Checkpoint, keypairs: Mapping[str, KeyPair]) -
     return checkpoint.with_cosign(cosign)
 
 
-def verify_checkpoint(
-    checkpoint: Checkpoint, public_keys: Dict[str, PublicKey], servers: Collection[str]
-) -> bool:
-    """Verify the checkpoint's collective signature: by every one of ``servers``, the cluster."""
-    if checkpoint.cosign is None or set(checkpoint.cosign.signer_ids) != set(servers):
-        return False
-    return cosi_verify(checkpoint.cosign, checkpoint.digest(), public_keys)
-
-
 def apply_checkpoint(log: TransactionLog, checkpoint: Checkpoint) -> int:
     """Drop every block covered by ``checkpoint`` from ``log``.
 
@@ -167,41 +159,3 @@ def apply_checkpoint(log: TransactionLog, checkpoint: Checkpoint) -> int:
         raise ValidationError("checkpoint head hash does not match the local log")
     return log.drop_prefix(checkpoint.height + 1 - log.base_height)
 
-
-def verify_log_against_checkpoint(
-    log: TransactionLog,
-    checkpoint: Checkpoint,
-    public_keys: Dict[str, PublicKey],
-    servers: Collection[str],
-) -> bool:
-    """Auditor-side check of a checkpointed log copy.
-
-    The checkpoint's co-sign must verify, the first retained block must chain
-    onto the checkpoint's head hash, and the retained suffix must be
-    internally consistent (hash pointers + per-block co-signs).
-    """
-    if not verify_checkpoint(checkpoint, public_keys, servers):
-        return False
-    if len(log) == 0:
-        return True
-    first = log[0]
-    if first.previous_hash != checkpoint.head_hash:
-        return False
-    if first.height != checkpoint.height + 1:
-        return False
-    expected_prev = first.previous_hash
-    for index, block in enumerate(log):
-        # Heights must stay sequential across the truncation boundary; the
-        # hash pointer covers the height so a doctored height breaks the
-        # chain anyway, but checking it directly gives a precise failure.
-        if block.height != checkpoint.height + 1 + index:
-            return False
-        if block.previous_hash != expected_prev:
-            return False
-        if verify_block_cosign(block, public_keys, servers):
-            # Non-empty reason: missing/invalid co-sign, or a signer set
-            # that is not the block's -- its recorded group, or every server
-            # for a classic block (same rule as full-log verify).
-            return False
-        expected_prev = block.block_hash()
-    return True

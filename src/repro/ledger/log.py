@@ -4,6 +4,13 @@ The log is "a linked-list of transaction blocks linked using cryptographic
 hash pointers" (Section 3.1).  Every server appends the same co-signed block
 after a successful TFCommit round, producing a globally replicated log.
 
+This module is also the one place that says what makes a block or a
+checkpoint acceptable, as three rules every acceptor calls: the co-sign rule
+(:func:`verify_block_cosign`, :func:`verify_checkpoint`), the chain rule
+(:func:`verify_block_link`) and the boundary rule (:func:`checkpoint_covers`).
+:func:`verify_block` is the chain rule and then the co-sign rule, for an
+acceptor that knows the head a block must extend.
+
 Besides the honest operations (append, iterate, verify) this module exposes
 *tampering helpers* -- ``tamper_replace``, ``tamper_reorder``, ``truncate`` --
 used by the fault-injection tests to produce exactly the malicious logs of
@@ -62,10 +69,11 @@ def verify_block_cosign(
     servers: Collection[str],
     verdicts: Optional[dict] = None,
 ) -> str:
-    """Check one block's collective signature; returns "" or a failure reason.
+    """The co-sign rule for a block; returns "" or a failure reason.
 
-    The single source of truth for the co-sign rules shared by full-log
-    verification, checkpoint-suffix verification, and recovery catch-up:
+    Every acceptor of a block -- full-log verification, the decision
+    handler, recovery catch-up, and the view change's frontier certificate
+    -- runs this one check:
 
     * a collective signature must be present and verify over the block's
       signing digest (group body digest for dynamic-group blocks);
@@ -76,6 +84,8 @@ def verify_block_cosign(
       signers the signature itself lists, so without this one server could
       co-sign a block alone.
 
+    The auditor tells a forged co-sign from plain tampering by the word
+    "signature" in a reason, so the reasons below are part of its contract.
     ``verdicts`` is the co-sign table of the :func:`verify_copies` call this
     check runs in, if any.
     """
@@ -88,6 +98,55 @@ def verify_block_cosign(
     if block.group is None and set(block.cosign.signer_ids) != set(servers):
         return "collective signature of a classic block is not by exactly the cluster's servers"
     return ""
+
+
+def verify_checkpoint(
+    checkpoint,
+    public_keys: Dict[str, PublicKey],
+    servers: Collection[str],
+    verdicts: Optional[dict] = None,
+) -> bool:
+    """The co-sign rule for a checkpoint: by exactly the cluster's ``servers``, over its digest."""
+    return (
+        checkpoint.cosign is not None
+        and set(checkpoint.cosign.signer_ids) == set(servers)
+        and _cosign_holds(checkpoint.cosign, checkpoint.digest(), public_keys, verdicts)
+    )
+
+
+def verify_block_link(block: Block, height: int, head_hash: bytes) -> str:
+    """The chain rule: "" if ``block`` extends ``(height, head_hash)``, else why not.
+
+    ``height`` is the height the next block must carry and ``head_hash`` the
+    hash it must point at.  The reasons never say "signature" (see
+    :func:`verify_block_cosign`).
+    """
+    if block.height != height:
+        return f"block height {block.height} does not extend log height {height}"
+    if block.previous_hash != head_hash:
+        return "block previous_hash does not match the log head"
+    return ""
+
+
+def verify_block(
+    block: Block,
+    height: int,
+    head_hash: bytes,
+    public_keys: Dict[str, PublicKey],
+    servers: Collection[str],
+    verdicts: Optional[dict] = None,
+) -> str:
+    """The chain rule, then the co-sign rule: "" if ``block`` may follow
+    ``(height, head_hash)``, else the first rule's reason."""
+    return verify_block_link(block, height, head_hash) or verify_block_cosign(
+        block, public_keys, servers, verdicts
+    )
+
+
+def checkpoint_covers(checkpoint, base_height: int, base_hash: bytes) -> bool:
+    """The boundary rule: ``checkpoint`` ends exactly where a log truncated at
+    ``(base_height, base_hash)`` begins."""
+    return checkpoint.height + 1 == base_height and checkpoint.head_hash == base_hash
 
 
 def verify_copies(
@@ -191,12 +250,9 @@ class TransactionLog:
         injection can disable the check to model sloppy/malicious servers.
         """
         if verify_link:
-            if block.height != self.height:
-                raise ValidationError(
-                    f"block height {block.height} does not extend log of height {self.height}"
-                )
-            if block.previous_hash != self.head_hash:
-                raise ValidationError("block previous_hash does not match log head")
+            reason = verify_block_link(block, self.height, self.head_hash)
+            if reason:
+                raise ValidationError(reason)
             if block.cosign is None:
                 raise ValidationError("refusing to append a block without a collective signature")
         self._blocks.append(block)
@@ -240,52 +296,23 @@ class TransactionLog:
     ) -> LogVerificationResult:
         if self._base_height > 0:
             if checkpoint is None:
-                return LogVerificationResult(
-                    False,
-                    len(self._blocks),
-                    0,
-                    self._base_height,
-                    "log is checkpoint-truncated but no checkpoint was presented",
-                )
-            if (
-                checkpoint.cosign is None
-                or set(checkpoint.cosign.signer_ids) != set(servers)
-                or not _cosign_holds(checkpoint.cosign, checkpoint.digest(), public_keys, verdicts)
-            ):
+                reason = "log is checkpoint-truncated but no checkpoint was presented"
+            elif not verify_checkpoint(checkpoint, public_keys, servers, verdicts):
                 # Wording deliberately avoids "signature": the auditor's
                 # forged-block classifier keys on that word to refine a
                 # *block*-level co-sign failure, and this failure is about
                 # the checkpoint artifact, not any retained block.
-                return LogVerificationResult(
-                    False,
-                    len(self._blocks),
-                    0,
-                    self._base_height,
-                    "checkpoint cosign failed verification",
-                )
-            if (
-                checkpoint.height + 1 != self._base_height
-                or checkpoint.head_hash != self._base_hash
-            ):
-                return LogVerificationResult(
-                    False,
-                    len(self._blocks),
-                    0,
-                    self._base_height,
-                    "checkpoint does not cover this log's truncation boundary",
-                )
+                reason = "checkpoint cosign failed verification"
+            elif not checkpoint_covers(checkpoint, self._base_height, self._base_hash):
+                reason = "checkpoint does not cover this log's truncation boundary"
+            else:
+                reason = ""
+            if reason:
+                return LogVerificationResult(False, len(self._blocks), 0, self._base_height, reason)
         expected_prev = self._base_hash
         for index, block in enumerate(self._blocks):
             height = self._base_height + index
-            if block.height != height:
-                return LogVerificationResult(
-                    False, len(self._blocks), index, height, "block height out of sequence"
-                )
-            if block.previous_hash != expected_prev:
-                return LogVerificationResult(
-                    False, len(self._blocks), index, height, "broken hash pointer"
-                )
-            reason = verify_block_cosign(block, public_keys, servers, verdicts)
+            reason = verify_block(block, height, expected_prev, public_keys, servers, verdicts)
             if reason:
                 return LogVerificationResult(False, len(self._blocks), index, height, reason)
             expected_prev = block.block_hash()

@@ -11,13 +11,12 @@ The recovery pipeline has two halves:
 
 * :func:`catch_up_from_peers` -- fetch the block range the WAL does not
   cover.  Peers are **untrusted** (the whole point of Fides), so a fetched
-  range is believed only if (1) heights are sequential and the hash chain
-  extends the local head, (2) every block's collective signature verifies --
-  for dynamic-group blocks over the group body digest with the signer set
-  equal to the recorded group, for classic blocks with every server as a
-  signer -- and (3) replaying each commit block onto the restored shard
-  reproduces the root the block advertises for this server *before* the
-  writes are applied.  A response failing any check is
+  range is believed only if every block passes (1) the ledger's chain rule
+  -- it extends the local head -- and (2) its co-sign rule -- signed by
+  exactly its recorded group, or by every server for a classic block (both
+  in :mod:`repro.ledger.log`) -- and (3) replaying each commit block onto
+  the restored shard reproduces the root the block advertises for this
+  server *before* the writes are applied.  A response failing any check is
   rejected wholesale and the next peer is tried; blocks verified before the
   failure stay applied (each one was individually proven correct).
 
@@ -40,7 +39,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.ledger.block import Block
-from repro.ledger.log import TransactionLog, verify_block_cosign
+from repro.ledger.log import TransactionLog, verify_block
 from repro.net.forms import Refusal, StateRequest, read_reply
 from repro.net.message import MessageType
 from repro.net.network import Network
@@ -124,15 +123,7 @@ def verify_and_apply_catchup(
     """
     applied = 0
     for block in blocks:
-        if block.height != log.height:
-            raise RecoveryError(
-                f"catch-up block height {block.height} does not extend local height {log.height}"
-            )
-        if block.previous_hash != log.head_hash:
-            raise RecoveryError(
-                f"catch-up block {block.height} does not chain onto the local head"
-            )
-        reason = verify_block_cosign(block, public_keys, servers)
+        reason = verify_block(block, log.height, log.head_hash, public_keys, servers)
         if reason:
             raise RecoveryError(f"catch-up block {block.height}: {reason}")
         if block.is_commit and server_id in block.roots:

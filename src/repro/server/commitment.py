@@ -33,11 +33,11 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Tuple, Union
 from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
 from repro.core.rounds import ROUND_TIMEOUT_S
-from repro.crypto.cosi import CoSiWitness, compute_challenge, cosi_verify
+from repro.crypto.cosi import CoSiWitness, compute_challenge
 from repro.crypto.group import decompress_point
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.ledger.block import Block, BlockDecision
-from repro.ledger.log import TransactionLog
+from repro.ledger.log import TransactionLog, verify_block_cosign
 from repro.net.forms import (
     Applied,
     ChallengeResponse,
@@ -435,33 +435,23 @@ class CommitmentLayer:
     def handle_decision(
         self, block: Block, public_keys: Dict[str, PublicKey], servers: Collection[ServerId]
     ) -> Union[Applied, Refusal]:
-        """Verify the finalised block's co-sign, log it, and apply its writes.
+        """Verify the finalised block, log it, and apply its writes.
 
         The one terminal path of the classic phase-5 decision broadcast and
         of the scaled ordered-stream delivery, where every server -- group
-        member or not -- receives the block.  A block must be signed by
-        exactly its signer set regardless of the delivery path: a
-        dynamic-group block by its recorded group, a classic block by the
-        cluster's ``servers`` -- ``cosi_verify`` checks only the signers the
-        signature itself lists, so without this a lone signer could forge a
-        block.  Servers that co-signed it release the round state they
-        buffered; a decision for a round this server holds no state for is
-        accepted all the same (``state_known: False``): the co-sign is its
-        authority.
+        member or not -- receives the block.  Whatever the delivery path,
+        the block must pass the ledger's co-sign rule, and then its chain
+        rule, which ``TransactionLog.append`` applies (both in
+        :mod:`repro.ledger.log`).  Servers that co-signed it release the
+        round state they buffered; a decision for a round this server holds
+        no state for is accepted all the same (``state_known: False``): the
+        co-sign is its authority.
         """
         watch = self._enter("decision", block)
         state = self._release(block.round_key())
 
-        reason = ""
-        if block.cosign is None or not cosi_verify(
-            block.cosign, block.signing_digest(), public_keys
-        ):
-            reason = "invalid collective signature on final block"
-        elif block.group is not None and set(block.cosign.signer_ids) != set(block.group):
-            reason = "block signer set does not match its recorded group"
-        elif block.group is None and set(block.cosign.signer_ids) != set(servers):
-            reason = "block signer set does not match the cluster's servers"
-        else:
+        reason = verify_block_cosign(block, public_keys, servers)
+        if not reason:
             try:
                 self._log.append(block, verify_link=self._faults.maintains_log_integrity())
             except ValidationError as exc:

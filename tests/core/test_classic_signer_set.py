@@ -15,8 +15,8 @@ from repro.common.errors import AuditError, ConfigurationError, RecoveryError
 from repro.core.fides import FidesSystem
 from repro.core.viewchange import FrontierCertificate, verify_certificate
 from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
-from repro.ledger.checkpoint import build_checkpoint, cosign_checkpoint, verify_checkpoint
-from repro.ledger.log import TransactionLog, verify_block_cosign
+from repro.ledger.checkpoint import build_checkpoint, cosign_checkpoint
+from repro.ledger.log import TransactionLog, verify_block_cosign, verify_checkpoint
 from repro.net.forms import Applied, Refusal
 from repro.net.latency import ConstantLatency
 from repro.recovery.manager import verify_and_apply_catchup
@@ -61,7 +61,9 @@ class TestALoneCosignOnAClassicBlock:
         keys = keys_of(fresh)
         refusal = cohort.handle_decision(forged, keys, fresh.server_ids)
         assert isinstance(refusal, Refusal)
-        assert refusal.reason == "block signer set does not match the cluster's servers"
+        assert refusal.reason == (
+            "collective signature of a classic block is not by exactly the cluster's servers"
+        )
         assert len(fresh.server("s1").log) == 0
         assert isinstance(cohort.handle_decision(honest, keys, fresh.server_ids), Applied)
 

@@ -111,6 +111,28 @@ class TestClassicFailover:
         assert sorted(outcome.certificates) == ["s1"]
         assert outcome.frontier_height == 1 and len(outcome.stalled_rounds) == 1
 
+    def test_a_cohort_inflating_its_frontier_height_is_discarded_not_fatal(
+        self, make_system, lie
+    ):
+        """One cohort reports its honest, co-signed head under a frontier
+        height of a million.  The head backs height 1 only, so the liar lands
+        in ``rejected_certificates`` and the view change completes; believing
+        the height used to stop it, the successor being "behind the certified
+        frontier"."""
+        system = make_system(num_servers=4, txns_per_block=1)
+        item = system.shard_map.items_of("s1")[0]
+        assert system.run_transaction([WriteOp(item, 1)]).committed
+
+        def inflated(report):
+            report["certificate"]["height"] = 10**6
+            return report
+
+        lie(system, "s3", MessageType.VIEW_CHANGE, inflated)
+        outcome = system.fail_over()
+        assert outcome.rejected_certificates == ["s3"]
+        assert sorted(outcome.certificates) == ["s1", "s2"]
+        assert outcome.frontier_height == 1
+
     def test_cluster_commits_under_the_successor(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]
         _strand_round(small_system, item)
@@ -372,6 +394,9 @@ class TestViewChangeUnits:
         # lie the successor discards.
         bad_hash = replace(honest, head_hash=b"\x00" * 32)
         assert not verify_certificate(bad_hash, public_keys, servers, "s1")
+        # Nor is a frontier its head does not sit just below.
+        assert not verify_certificate(replace(honest, height=10**6), public_keys, servers, "s1")
+        assert not verify_certificate(replace(honest, height=2), public_keys, servers, "s1")
         # A non-empty frontier with no head proves nothing.
         assert not verify_certificate(replace(honest, head=None), public_keys, servers, "s1")
         # A certificate relayed under the wrong cohort id is discarded too.

@@ -7,13 +7,8 @@ from dataclasses import replace
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.ledger.checkpoint import (
-    apply_checkpoint,
-    build_checkpoint,
-    cosign_checkpoint,
-    verify_checkpoint,
-    verify_log_against_checkpoint,
-)
+from repro.ledger.checkpoint import apply_checkpoint, build_checkpoint, cosign_checkpoint
+from repro.ledger.log import TransactionLog, verify_checkpoint
 from repro.txn.operations import ReadOp, WriteOp
 
 
@@ -57,8 +52,6 @@ class TestCheckpointConstruction:
         )
 
     def test_empty_log_cannot_be_checkpointed(self, small_system):
-        from repro.ledger.log import TransactionLog
-
         with pytest.raises(ValidationError):
             build_checkpoint(TransactionLog(), {})
 
@@ -93,7 +86,7 @@ class TestCheckpointApplication:
         assert removed == 6
         assert len(log) == 2
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
+        assert log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
 
     def test_unsigned_checkpoint_rejected(self, system_with_history):
         system = system_with_history
@@ -123,13 +116,16 @@ class TestCheckpointApplication:
         log = system.server("s2").log
         apply_checkpoint(log, checkpoint)
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
+        assert log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
         # Dropping the first retained block breaks the chain onto the checkpoint.
         log.drop_prefix(1)
-        assert not verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
-        # An empty suffix, by contrast, is perfectly valid.
+        assert not log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
+        # So does dropping the rest: the base is still past the boundary.
         log.drop_prefix(10)
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
+        assert not log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
+        # An empty suffix at the boundary, by contrast, is perfectly valid.
+        empty = TransactionLog(base_height=checkpoint.height + 1, base_hash=checkpoint.head_hash)
+        assert empty.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
 
 
 class TestGroupBlockSuffix:
@@ -149,7 +145,7 @@ class TestGroupBlockSuffix:
         log = system.server("s2").log
         apply_checkpoint(log, checkpoint)
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
+        assert log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
 
         # Forge a "group" version of the retained block, claiming the full
         # server set but co-signed by s0 alone over the group body digest.
@@ -168,7 +164,7 @@ class TestGroupBlockSuffix:
         )
         forged = dc_replace(forged, previous_hash=checkpoint.head_hash)
         log.tamper_replace(0, forged)
-        assert not verify_log_against_checkpoint(log, checkpoint, public_keys, system.server_ids)
+        assert not log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
 
 
 class TestDropPrefix:
@@ -254,7 +250,7 @@ class TestLiveSystemKeepsOperatingAfterCheckpoint:
         # set == recorded group).
         assert all(block.group is not None for block in log)
         public_keys = system.network.public_key_directory()
-        assert verify_log_against_checkpoint(log.copy(), checkpoint, public_keys, system.server_ids)
+        assert log.copy().verify(public_keys, system.server_ids, checkpoint=checkpoint).valid
         report = system.audit()
         assert report.ok, report.summary()
 
