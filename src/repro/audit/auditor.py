@@ -36,6 +36,7 @@ from repro.common.errors import AuditError
 from repro.common.timestamps import Timestamp
 from repro.crypto.keys import KeyPair, keypair_for
 from repro.crypto.merkle import verify_inclusion
+from repro.ledger.anchor import EpochAnchor, verify_anchor_chain
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.log import TransactionLog, verify_copies
 from repro.net.forms import AuditLogRequest, AuditVoRequest, Refusal, read_reply
@@ -334,77 +335,32 @@ class Auditor:
     def check_epoch_anchors(
         self,
         reference: TransactionLog,
-        anchors: Sequence,
+        anchors: Sequence[EpochAnchor],
         ordering_shard_map,
         report: AuditReport,
     ) -> None:
-        """Replay the reference log's per-shard chains against the anchor chain.
+        """Hold the reference log to the anchor chain (the ledger's replay rule).
 
         A sharded ordering service never sees the whole log through one
-        sequencer; its epoch anchors are what vouch for the merge.  The
-        auditor recomputes every ordering shard's hash chain from the
-        *reference log's global order* and the shard mapping -- entirely
-        independent of the sequencer's own bookkeeping -- and checks each
-        anchor's per-shard heights/heads and the anchors' own hash chain.
-        A sequencer that reordered, dropped, or invented blocks inside an
-        epoch cannot produce a matching chain.
+        sequencer; its epoch anchors are what vouch for the merge, so any
+        way they fail to vouch for the reference log is the ordering
+        service's fault.
         """
-        from repro.ledger.anchor import GENESIS_SHARD_HEAD, fold_shard_head, verify_anchor_chain
-
-        reason = verify_anchor_chain(anchors)
-        if reason is not None:
+        reason, height = verify_anchor_chain(
+            anchors,
+            reference,
+            ordering_shard_map.num_shards,
+            lambda block: ordering_shard_map.shards_of(block.group or ()),
+        )
+        if reason:
             report.add(
                 Violation(
                     kind=ViolationType.ANCHOR_MISMATCH,
-                    description=f"epoch-anchor chain is malformed: {reason}",
+                    description=reason,
                     culprits=("ordserv",),
+                    block_height=height,
                 )
             )
-            return
-        blocks = list(reference)
-        num_shards = ordering_shard_map.num_shards
-        heights = [0] * num_shards
-        heads = [GENESIS_SHARD_HEAD] * num_shards
-        replayed = 0
-        for anchor in anchors:
-            if anchor.end_height > len(blocks):
-                report.add(
-                    Violation(
-                        kind=ViolationType.ANCHOR_MISMATCH,
-                        description=(
-                            f"anchor {anchor.epoch} covers heights up to "
-                            f"{anchor.end_height} but the reference log ends at "
-                            f"{len(blocks)}"
-                        ),
-                        culprits=("ordserv",),
-                        block_height=len(blocks),
-                    )
-                )
-                return
-            while replayed < anchor.end_height:
-                block = blocks[replayed]
-                members = block.group if block.group is not None else ()
-                for shard in ordering_shard_map.shards_of(members):
-                    heights[shard] += 1
-                    heads[shard] = fold_shard_head(heads[shard], block)
-                replayed += 1
-            if (
-                tuple(heights) != anchor.shard_heights
-                or tuple(heads) != anchor.shard_heads
-            ):
-                report.add(
-                    Violation(
-                        kind=ViolationType.ANCHOR_MISMATCH,
-                        description=(
-                            f"anchor {anchor.epoch} disagrees with the per-shard "
-                            f"chains replayed from the reference log at height "
-                            f"{anchor.end_height}"
-                        ),
-                        culprits=("ordserv",),
-                        block_height=anchor.end_height,
-                    )
-                )
-                return
 
     # -- datastore authentication (Lemma 2) -------------------------------------------------
 

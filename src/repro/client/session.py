@@ -14,7 +14,6 @@ from typing import Dict, List, Set
 from repro.common.errors import ProtocolError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ClientId, ItemId, TxnId, Value
-from repro.txn.operations import Operation, ReadOp, WriteOp
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 
@@ -101,9 +100,3 @@ class TransactionSession:
         if self.finished:
             raise ProtocolError(f"transaction {self.txn_id} has already been terminated")
 
-
-def operations_of(session_reads: Set[ItemId], session_writes: Dict[ItemId, Value]) -> List[Operation]:
-    """Helper used by tests: reconstruct an operation list from session state."""
-    ops: List[Operation] = [ReadOp(item) for item in sorted(session_reads)]
-    ops.extend(WriteOp(item, value) for item, value in sorted(session_writes.items()))
-    return ops

@@ -26,7 +26,7 @@ from repro.client.client import CommitOutcome, FidesClient
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, UnreachableError
 from repro.common.timestamps import Timestamp
-from repro.common.types import ClientId, ServerId, Value, make_client_id
+from repro.common.types import ClientId, ServerId, make_client_id
 from repro.core.rounds import STALE_TIMESTAMP_REASON, BlockCommitResult, SimScheduledRounds
 from repro.core.tfcommit import TFCommitCoordinator
 from repro.core.twopc import TwoPhaseCommitCoordinator
@@ -87,7 +87,6 @@ class FidesSystem:
         config: Optional[SystemConfig] = None,
         protocol: str = PROTOCOL_TFCOMMIT,
         latency: Optional[LatencyModel] = None,
-        initial_value: Value = 0,
         state_store_factory=None,
         compute_model: Optional[ComputeModel] = None,
         obs=None,
@@ -123,7 +122,7 @@ class FidesSystem:
             latency=self.latency,
         )
 
-        per_server_items, self.shard_map = build_uniform_partition(self.config, initial_value)
+        per_server_items, self.shard_map = build_uniform_partition(self.config)
         self.servers: Dict[ServerId, DatabaseServer] = {}
         for server_id in self.config.server_ids:
             server = DatabaseServer(
@@ -520,12 +519,15 @@ class FidesSystem:
 
         A checkpoint verifies only if every server co-signed it (DESIGN.md
         section 5), and a crashed machine signs nothing, so none may be down.
+        The ordered stream is landed first, as :meth:`flush` does, so a
+        sharded deployment's checkpoint falls on an epoch-anchor boundary.
         """
         crashed = self.crashed_servers()
         if crashed:
             raise ConfigurationError(
                 f"a checkpoint needs every server's co-sign, and {sorted(crashed)} are down"
             )
+        self._land_stream()
         reference_server = next(iter(self.servers.values()))
         checkpoint = build_checkpoint(
             reference_server.log,
@@ -564,11 +566,12 @@ class FidesSystem:
         """Run a full offline audit and return the report.
 
         ``options`` go to :meth:`~repro.audit.auditor.Auditor.run_audit`
-        (e.g. ``datastore_mode``).  Once the ordering service has sealed
-        epoch anchors, the anchor chain is replayed against the reference log
-        as well (DESIGN.md §5).
+        (e.g. ``datastore_mode``).  Where the ordering service has a shard
+        map, the ordered stream is landed first and its anchor chain -- empty
+        or not -- is replayed against the reference log as well (DESIGN.md §5).
         """
-        if self.ordering is not None and self.ordering.epoch_anchors:
+        if self.ordering is not None and self.ordering.shard_map is not None:
+            self._land_stream()
             options.update(
                 epoch_anchors=self.ordering.epoch_anchors,
                 ordering_shard_map=self.ordering.shard_map,

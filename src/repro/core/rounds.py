@@ -45,7 +45,6 @@ class TimingBreakdown:
     phases: Dict[str, float] = field(default_factory=dict)
     network_time: float = 0.0
     compute_time: float = 0.0
-    coordinator_time: float = 0.0
     mht_time: float = 0.0
     mht_hashes: int = 0
     num_txns: int = 0

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ProtocolInvariantError
-from repro.common.types import ServerId, Value
+from repro.common.types import ServerId
 from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
 from repro.core.grouping import group_for_batch
 from repro.core.rounds import (
@@ -279,7 +279,6 @@ class ScaledFidesSystem(FidesSystem):
         self,
         config: Optional[SystemConfig] = None,
         latency=None,
-        initial_value: Value = 0,
         state_store_factory=None,
         compute_model=None,
         obs=None,
@@ -287,8 +286,7 @@ class ScaledFidesSystem(FidesSystem):
     ) -> None:
         self._sequencer_factory = sequencer or single_sequencer()
         super().__init__(
-            config, PROTOCOL_TFCOMMIT, latency, initial_value, state_store_factory,
-            compute_model, obs,
+            config, PROTOCOL_TFCOMMIT, latency, state_store_factory, compute_model, obs
         )
 
     def _wire_termination(self) -> None:

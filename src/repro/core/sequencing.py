@@ -65,6 +65,7 @@ from repro.ledger.anchor import (
     GENESIS_ANCHOR_HASH,
     GENESIS_SHARD_HEAD,
     EpochAnchor,
+    ShardChains,
     fold_shard_head,
 )
 from repro.ledger.block import Block
@@ -436,16 +437,12 @@ class OrderingService:
         return True
 
     def verify_shard_chains(self) -> bool:
-        """Recompute every lane chain from the finalized stream and compare."""
-        heights = [0] * len(self._lanes)
-        heads = [GENESIS_SHARD_HEAD] * len(self._lanes)
+        """Replay the finalized stream through the anchor fold; compare every lane's chain."""
+        chains = ShardChains.genesis(len(self._lanes))
         for ordered in self._ordered:
-            for shard in self._shards_of(ordered.group):
-                heights[shard] += 1
-                heads[shard] = fold_shard_head(heads[shard], ordered.block)
-        return all(
-            (lane.height, lane.head) == (heights[lane.index], heads[lane.index])
-            for lane in self._lanes
+            chains.fold(ordered.block, self._shards_of(ordered.group))
+        return chains.matches(
+            [lane.height for lane in self._lanes], [lane.head for lane in self._lanes]
         )
 
 

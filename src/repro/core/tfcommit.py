@@ -89,9 +89,6 @@ class TFCommitCoordinator(SimScheduledRounds):
             # co-signed by the full signer set, so the round fails and its
             # transactions are retried (liveness, not safety -- nobody is
             # accused).
-            timing.coordinator_time += self._sim.effective_compute(
-                "aggregate", assembly_elapsed
-            )
             return self._fail(round, refusals)
         round.advance(RoundStatus.VOTED)
 
@@ -137,7 +134,6 @@ class TFCommitCoordinator(SimScheduledRounds):
         aggregate_elapsed = self._sim.effective_compute(
             "aggregate", assembly_elapsed + coordinator_watch.elapsed()
         )
-        timing.coordinator_time += aggregate_elapsed
         timing.phases["aggregate"] = aggregate_elapsed
         self._end_compute_phase(round, "aggregate", aggregate_elapsed)
 
@@ -209,11 +205,10 @@ class TFCommitCoordinator(SimScheduledRounds):
 
     def _record_finalize_time(self, round: Round, watch: Stopwatch) -> None:
         """Charge the phase-5 coordinator work (signature aggregation and
-        co-sign verification) to both ``coordinator_time`` and a ``finalize``
-        phase entry so :attr:`TimingBreakdown.total` accounts for it."""
+        co-sign verification) to a ``finalize`` phase entry so
+        :attr:`TimingBreakdown.total` accounts for it."""
         timing = round.timing
         elapsed = self._sim.effective_compute("finalize", watch.elapsed())
-        timing.coordinator_time += elapsed
         timing.phases["finalize"] = timing.phases.get("finalize", 0.0) + elapsed
         self._begin_compute_phase(round, "finalize")
         self._end_compute_phase(round, "finalize", elapsed)

@@ -45,9 +45,6 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
             # fail the round exactly like TFCommit's phase-1 check.  (The
             # mutation is PR 7's bug as it can still be made: the votes that
             # did arrive are tallied as if they were everyone's.)
-            timing.coordinator_time += self._sim.effective_compute(
-                "aggregate", assembly_elapsed
-            )
             return round.fail(refusals)
         round.advance(RoundStatus.VOTED)
 
@@ -64,7 +61,6 @@ class TwoPhaseCommitCoordinator(SimScheduledRounds):
         aggregate_elapsed = self._sim.effective_compute(
             "aggregate", assembly_elapsed + coordinator_watch.elapsed()
         )
-        timing.coordinator_time += aggregate_elapsed
         timing.phases["aggregate"] = aggregate_elapsed
         self._end_compute_phase(round, "aggregate", aggregate_elapsed)
 

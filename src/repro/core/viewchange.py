@@ -19,8 +19,8 @@ bounded one:
    head-block co-sign, hash and height consistency) and adopts the *maximum
    certified frontier*.  Certificates that fail verification are discarded:
    a lying cohort cannot drag the new view backwards (the frontier is
-   monotone) or forwards (a claimed-ahead frontier needs a co-signed head
-   block at the height just below it).
+   monotone) or forwards (a frontier above the successor's own log height is
+   discarded, so the adopted one never exceeds it).
 4. The successor broadcasts ``NEW_VIEW``.  Cohorts bump their per-group view
    gate -- proposals from the deposed view are refused from here on -- and
    release pre-new-view round state.
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.choices import choose_order
-from repro.common.errors import ProtocolError, ProtocolInvariantError, ValidationError
+from repro.common.errors import ProtocolError, ValidationError
 from repro.core.rounds import ROUND_TIMEOUT_S, TimingBreakdown, timed_broadcast
 from repro.ledger.block import Block
 from repro.ledger.log import TransactionLog, verify_block_cosign
@@ -201,7 +201,13 @@ def run_view_change(
     # else than a report is a liar like one whose certificate does not hold.
     outcome.rejected_certificates = [r.server_id for r in refusals if not r.unreachable]
     for server_id, report in reports.items():
-        if not verify_certificate(report.certificate, public_keys, members, server_id, trusted):
+        # A frontier ahead of the successor's own log names blocks the
+        # successor never applied, and every decision reaches every live
+        # server, so such a claim is a lie even when its head verifies (a
+        # group block's co-sign leaves its height out).
+        if report.certificate.height > successor_log.height or not verify_certificate(
+            report.certificate, public_keys, members, server_id, trusted
+        ):
             outcome.rejected_certificates.append(server_id)
             continue
         outcome.certificates[server_id] = report.certificate
@@ -212,15 +218,6 @@ def run_view_change(
     outcome.frontier_height = max(
         (cert.height for cert in outcome.certificates.values()), default=0
     )
-    if successor_log.height < outcome.frontier_height:
-        # Certified frontiers only ever name blocks every live server applied
-        # (decisions broadcast to the full cohort set), so a successor behind
-        # the maximum certified frontier indicates a wiring bug, not a
-        # runtime condition to paper over.
-        raise ProtocolInvariantError(
-            f"successor {successor_id} log height {successor_log.height} is behind "
-            f"the certified frontier {outcome.frontier_height}"
-        )
     timed_broadcast(
         network,
         latency,

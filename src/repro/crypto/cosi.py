@@ -193,14 +193,6 @@ class CoSiCoordinator:
             signer_ids=tuple(sorted(self._commitments)),
         )
 
-    def partial_signature(self, exclude: Sequence[str]) -> CollectiveSignature:
-        """Aggregate a signature that excludes some witnesses (culprit search)."""
-        keep = [w for w in self._commitments if w not in set(exclude)]
-        response = aggregate_scalars(self._responses[w] for w in keep)
-        return CollectiveSignature(
-            challenge=self._challenge, response=response, signer_ids=tuple(sorted(keep))
-        )
-
     @property
     def commitments(self) -> Dict[str, Point]:
         return dict(self._commitments)

@@ -57,10 +57,6 @@ class KeyPair:
     def secret_scalar(self) -> int:
         return self.private.scalar
 
-    @property
-    def public_point(self) -> Point:
-        return self.public.point
-
 
 def generate_keypair(seed: bytes = None) -> KeyPair:
     """Generate a key pair.

@@ -151,10 +151,6 @@ class MerkleTree:
         return self._levels[-1][0]
 
     @property
-    def root_hex(self) -> str:
-        return self.root.hex()
-
-    @property
     def size(self) -> int:
         """Number of real (non-padding) leaves."""
         return len(self._ids)

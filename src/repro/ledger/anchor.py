@@ -13,11 +13,17 @@ and the hash of the previous anchor.
 The per-shard chain folds each finalized block's *group body digest* -- the
 exact digest the group co-signed -- so an anchor commits (transitively) to
 every co-signed block body in its epoch without re-serialising any of them.
-The auditor replays the reference log through the same fold
-(:func:`replay_shard_chains`) and compares; a sequencer that reordered,
-dropped, or invented blocks inside an epoch cannot produce a matching anchor
-chain (collision-resistance of SHA-256), which is the trust argument of
-DESIGN.md section 5.
+A sequencer that reordered, dropped, or invented blocks inside an epoch
+cannot produce a matching anchor chain (collision-resistance of SHA-256),
+which is the trust argument of DESIGN.md section 5.
+
+This module is the one place that says what makes an anchor chain
+acceptable, as two rules: the link rule (:func:`verify_anchor_link`: an
+anchor directly extends the one before it) and the replay rule
+(:func:`verify_anchor_chain`: a chain vouches for a log's whole per-shard
+order, up to the log's head).  The auditor calls the replay rule, a server
+receiving ``EPOCH_ANCHOR`` the link rule, and the ordering service's
+self-check replays its stream through the same fold (:class:`ShardChains`).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.common.errors import ValidationError
 from repro.common.wire import BYTES, INT, list_of, wire_form
 from repro.crypto.hashing import EMPTY_HASH, hash_concat
 from repro.ledger.block import Block
+from repro.ledger.log import TransactionLog
 
 #: Chain head of a shard that has not yet contributed any block.
 GENESIS_SHARD_HEAD = EMPTY_HASH
@@ -99,44 +106,106 @@ class EpochAnchor:
         return hash_concat(*parts)
 
 
-def verify_anchor_chain(anchors: Sequence[EpochAnchor]) -> Optional[str]:
-    """Check the anchors form one gapless hash chain; return a reason or None."""
-    previous_hash = GENESIS_ANCHOR_HASH
-    next_epoch = 0
-    next_height = 0
-    for anchor in anchors:
-        if anchor.epoch != next_epoch:
-            return f"anchor epoch {anchor.epoch} != expected {next_epoch}"
-        if anchor.start_height != next_height:
-            return (
-                f"anchor {anchor.epoch} starts at height {anchor.start_height}, "
-                f"expected {next_height}"
-            )
-        if anchor.previous != previous_hash:
-            return f"anchor {anchor.epoch} does not extend the previous anchor"
-        previous_hash = anchor.anchor_hash()
-        next_epoch = anchor.epoch + 1
-        next_height = anchor.end_height
-    return None
+def verify_anchor_link(anchor: EpochAnchor, previous: Optional[EpochAnchor]) -> str:
+    """The link rule: "" if ``anchor`` directly extends ``previous`` (``None``:
+    genesis) -- the next epoch, starting at its end height, carrying its
+    hash -- else why not."""
+    if previous is None:
+        epoch, height, previous_hash = 0, 0, GENESIS_ANCHOR_HASH
+    else:
+        epoch, height = previous.epoch + 1, previous.end_height
+        previous_hash = previous.anchor_hash()
+    if anchor.epoch != epoch:
+        return f"anchor epoch {anchor.epoch} != expected {epoch}"
+    if anchor.start_height != height:
+        return f"anchor {anchor.epoch} starts at height {anchor.start_height}, expected {height}"
+    if anchor.previous != previous_hash:
+        return f"anchor {anchor.epoch} does not extend the previous anchor"
+    return ""
 
 
-def replay_shard_chains(
-    blocks: Sequence[Block],
-    shards_for_block: Callable[[Block], Sequence[int]],
+class ShardChains:
+    """Every ordering shard's chain height and head, folded one block at a time."""
+
+    __slots__ = ("heights", "heads")
+
+    def __init__(self, heights: Sequence[int], heads: Sequence[bytes]) -> None:
+        self.heights = list(heights)
+        self.heads = list(heads)
+
+    @classmethod
+    def genesis(cls, num_shards: int) -> "ShardChains":
+        return cls([0] * num_shards, [GENESIS_SHARD_HEAD] * num_shards)
+
+    def fold(self, block: Block, shards: Sequence[int]) -> None:
+        """Extend the chain of each of ``shards`` with ``block``."""
+        for shard in shards:
+            self.heights[shard] += 1
+            self.heads[shard] = fold_shard_head(self.heads[shard], block)
+
+    def matches(self, heights: Sequence[int], heads: Sequence[bytes]) -> bool:
+        return tuple(self.heights) == tuple(heights) and tuple(self.heads) == tuple(heads)
+
+
+def verify_anchor_chain(
+    anchors: Sequence[EpochAnchor],
+    log: TransactionLog,
     num_shards: int,
-) -> Tuple[Tuple[int, ...], Tuple[bytes, ...]]:
-    """Recompute every shard's (height, head) from a globally ordered prefix.
+    shards_of: Callable[[Block], Sequence[int]],
+) -> Tuple[str, Optional[int]]:
+    """The replay rule: ``("", None)`` if ``anchors`` vouch for ``log``, else
+    ``(reason, block_height)``.
 
-    ``shards_for_block`` maps a block to the ordering shards it involves --
-    derived from the block's recorded group and the shard mapping, never from
-    sequencer-provided metadata, so the replay is an independent check.
+    The link rule holds throughout (a malformed chain has no height).  One
+    pass folds the log's blocks by global height, and each anchor must match
+    the fold at its end height (else reported there; an anchor past the
+    log's end is reported at the log's height).  The chain must end at the
+    log's height (the coverage clause; reported where the chain stops).  A
+    checkpoint-truncated log is folded from the state of the first anchor
+    ending at or above its base: the blocks below are the checkpoint's to
+    vouch for.  ``shards_of`` maps a block to its ordering shards from its
+    recorded group, never from the sequencer's bookkeeping.
     """
-    heights = [0] * num_shards
-    heads = [GENESIS_SHARD_HEAD] * num_shards
-    for block in blocks:
-        for shard in shards_for_block(block):
-            if not 0 <= shard < num_shards:
-                raise ValidationError(f"block maps to unknown ordering shard {shard}")
-            heights[shard] += 1
-            heads[shard] = fold_shard_head(heads[shard], block)
-    return tuple(heights), tuple(heads)
+    previous = None
+    for anchor in anchors:
+        reason = verify_anchor_link(anchor, previous)
+        if reason:
+            return f"epoch-anchor chain is malformed: {reason}", None
+        previous = anchor
+    blocks, base = log.blocks, log.base_height
+    folded, chains = 0, ShardChains.genesis(num_shards)
+    if base > 0:
+        boundary = next((a for a in anchors if a.end_height >= base), None)
+        if boundary is None:
+            folded = log.height  # every anchor ends below the retained blocks
+        else:
+            folded = boundary.end_height
+            if boundary.num_shards == num_shards:  # else it fails its own comparison
+                chains = ShardChains(boundary.shard_heights, boundary.shard_heads)
+    for anchor in anchors:
+        if anchor.end_height > log.height:
+            return (
+                f"anchor {anchor.epoch} covers heights up to {anchor.end_height} "
+                f"but the reference log ends at {log.height}",
+                log.height,
+            )
+        if anchor.end_height < folded:
+            continue
+        while folded < anchor.end_height:
+            block = blocks[folded - base]
+            chains.fold(block, shards_of(block))
+            folded += 1
+        if not chains.matches(anchor.shard_heights, anchor.shard_heads):
+            return (
+                f"anchor {anchor.epoch} disagrees with the per-shard chains replayed "
+                f"from the reference log at height {anchor.end_height}",
+                anchor.end_height,
+            )
+    end = anchors[-1].end_height if anchors else 0
+    if end != log.height:
+        return (
+            f"the anchor chain ends at height {end} but the reference log reaches "
+            f"{log.height}: no anchor vouches for the blocks above it",
+            end,
+        )
+    return "", None

@@ -31,6 +31,7 @@ from repro.common.errors import (
 )
 from repro.common.types import ServerId, Value
 from repro.crypto.keys import KeyPair
+from repro.ledger.anchor import verify_anchor_link
 from repro.ledger.checkpoint import Checkpoint, apply_checkpoint
 from repro.ledger.log import TransactionLog
 from repro.net.forms import (
@@ -368,18 +369,21 @@ class DatabaseServer:
         """Record one sealed ordering-epoch anchor (DESIGN.md §5).
 
         The server keeps the chain it can vouch for: a stale or replayed
-        epoch is rejected, and a directly consecutive anchor must extend
-        the previous one's hash.  Anchors arriving after a gap (this server
-        was crashed during the missed epochs) are accepted -- chain
+        epoch is refused, and a directly consecutive anchor (epoch 0 first)
+        must pass the ledger's link rule.  Anchors arriving after a gap (this
+        server was crashed during the missed epochs) are accepted -- chain
         linkage across the gap is the auditor's job, not the server's.
         """
         anchor = envelope.payload.anchor
         last = self.epoch_anchors[-1] if self.epoch_anchors else None
-        if last is not None:
-            if anchor.epoch <= last.epoch:
-                return self._refuse(f"stale epoch anchor {anchor.epoch} (have {last.epoch})")
-            if anchor.epoch == last.epoch + 1 and anchor.previous != last.anchor_hash():
-                return self._refuse(f"epoch anchor {anchor.epoch} breaks the anchor chain")
+        if last is not None and anchor.epoch <= last.epoch:
+            return self._refuse(f"stale epoch anchor {anchor.epoch} (have {last.epoch})")
+        if anchor.epoch == (0 if last is None else last.epoch + 1):
+            reason = verify_anchor_link(anchor, last)
+            if reason:
+                return self._refuse(
+                    f"epoch anchor {anchor.epoch} breaks the anchor chain: {reason}"
+                )
         self.epoch_anchors.append(anchor)
         return Ack(self.server_id)
 

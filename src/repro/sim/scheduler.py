@@ -114,9 +114,6 @@ class BlockTask:
             or (write_items & (self.read_items | self.write_items))
         )
 
-    def phase_window(self, phase: str) -> Optional[Tuple[float, float]]:
-        return self.phases.get(phase)
-
 
 class PipelinedRoundScheduler:
     """Assigns every protocol phase a window on the shared virtual timeline."""

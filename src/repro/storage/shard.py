@@ -67,7 +67,7 @@ class ShardMap:
         return len(self._assignment)
 
 
-def build_uniform_partition(config: SystemConfig, initial_value: Value = 0):
+def build_uniform_partition(config: SystemConfig):
     """Create per-server item dictionaries and the matching shard map.
 
     Items are named ``item-00000000`` ... and assigned round-robin-free:
@@ -84,7 +84,7 @@ def build_uniform_partition(config: SystemConfig, initial_value: Value = 0):
         base = server_index * config.items_per_shard
         for offset in range(config.items_per_shard):
             item_id = make_item_id(base + offset)
-            items[item_id] = initial_value
+            items[item_id] = 0
             assignment[item_id] = server_id
         per_server[server_id] = items
     return per_server, ShardMap(assignment)

@@ -23,10 +23,6 @@ class KeyDistribution(ABC):
         self._item_ids = list(item_ids)
         self._rng = random.Random(seed)
 
-    @property
-    def universe_size(self) -> int:
-        return len(self._item_ids)
-
     @abstractmethod
     def sample(self) -> str:
         """Return one item id."""

@@ -24,6 +24,7 @@ from repro.core.viewchange import (
     elect_successor,
     verify_certificate,
 )
+from repro.ledger.block import Block
 from repro.net.forms import FrontierCertificate
 from repro.net.message import MessageType
 from repro.server.faults import FaultPlan
@@ -221,6 +222,29 @@ class TestScaledFailover:
     def test_scaled_failover_requires_naming_the_leader(self, make_scaled_system):
         with pytest.raises(ConfigurationError):
             make_scaled_system().fail_over()
+
+    def test_a_cohort_rewriting_its_group_head_height_is_discarded_not_fatal(
+        self, make_scaled_system, lie
+    ):
+        """A group block's co-sign leaves its height out, so a cohort can
+        rewrite its head's height to 10**6 - 1, recompute the hash and claim a
+        frontier of 10**6 that still verifies.  It is above the successor's own
+        log, so the liar lands in ``rejected_certificates``; the view change
+        used to raise ``ProtocolInvariantError`` instead."""
+        system = make_scaled_system(txns_per_block=1)
+        item = system.shard_map.items_of("s1")[0]
+        assert system.run_transaction([WriteOp(item, 1)]).committed
+
+        def rewritten(report):
+            certificate = report["certificate"]
+            head = replace(Block.from_wire(certificate["head"]), height=10**6 - 1)
+            certificate.update(head=head.to_wire(), head_hash=head.block_hash(), height=10**6)
+            return report
+
+        lie(system, "s3", MessageType.VIEW_CHANGE, rewritten)
+        outcome = system.fail_over("s1")
+        assert outcome.rejected_certificates == ["s3"]
+        assert outcome.frontier_height == 1
 
     def test_suppressed_duplicate_reproposal_reports_the_original(self, make_scaled_system):
         # Regression: the leader dies *after* publishing (its block floats in
