@@ -48,8 +48,7 @@ from repro.core.rounds import (
 from repro.core.sequencing import OrderedBlock, SequencerFactory, single_sequencer
 from repro.core.tfcommit import TFCommitCoordinator
 from repro.crypto.keys import keypair_for
-from repro.ledger.anchor import EpochAnchor
-from repro.net.forms import AnchorSealed, DecidedBlock, Refusal, read_reply
+from repro.net.forms import DecidedBlock, Refusal
 from repro.net.message import MessageType
 from repro.sim.scheduler import ORDSERV_RESOURCE
 from repro.txn.transaction import Transaction
@@ -140,15 +139,14 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
 
 class OrderedDelivery:
     """The ordering service's subscriber, the stream's atomic broadcast:
-    delivers every finalised block (and sealed epoch anchor) to every server
-    and takes the publishing round from ``published`` to ``delivered``."""
+    delivers every finalised block to every server and takes the publishing round from ``published`` to ``delivered``."""
 
     def __init__(self, system: "ScaledFidesSystem") -> None:
         self._system = system
         #: round identity -> published, not yet delivered round (empty
         #: whenever the stream is flushed).
         self.handoffs: Dict[tuple, Round] = {}
-        #: Every refusal a server answered an ordered block or anchor with.
+        #: Every refusal a server answered an ordered block with.
         self.failures: List[Refusal] = []
         #: Global height the next ordered delivery must carry (the stream is
         #: an atomic broadcast: no gaps, no replays).
@@ -236,27 +234,6 @@ class OrderedDelivery:
             round.advance(RoundStatus.DELIVERED)
             system.coordinators[round.coordinator]._close(round)
 
-    def broadcast_anchor(self, anchor: EpochAnchor) -> None:
-        """Publish one sealed epoch anchor to every server.
-
-        Servers record the anchor chain so a later audit (or an external
-        verifier holding only the thin chain) can check the per-shard
-        ordering without trusting the sequencer; crashed servers are
-        skipped -- anchor gaps are tolerated by the handler and the
-        auditor verifies against the service's full chain.
-        """
-        answers = self._system.network.broadcast(
-            ORDSERV_ID,
-            list(self._system.config.server_ids),
-            MessageType.EPOCH_ANCHOR,
-            AnchorSealed(anchor),
-            skip_unreachable=True,
-        )
-        for server_id, data in answers.items():
-            reply = read_reply(MessageType.EPOCH_ANCHOR, server_id, data)
-            if type(reply) is Refusal:
-                self.failures.append(reply)
-
 
 class ScaledFidesSystem(FidesSystem):
     """A Fides deployment terminating transactions in dynamic server groups.
@@ -301,7 +278,6 @@ class ScaledFidesSystem(FidesSystem):
         self.delivery = OrderedDelivery(self)
         self.delivery_failures = self.delivery.failures
         self.ordering.subscribe(self.delivery.deliver)
-        self.ordering.subscribe_anchors(self.delivery.broadcast_anchor)
         self._route = lambda transactions: group_for_batch(
             transactions, self.shard_map, exclude=self._deposed
         ).coordinator

@@ -189,7 +189,6 @@ class OrderingService:
         self._high = self._low + 1 if epoch_max_blocks is None else max(1, int(epoch_max_blocks))
         self._ordered: List[OrderedBlock] = []
         self._subscribers: List[Callable[[OrderedBlock], None]] = []
-        self._anchor_subscribers: List[Callable[[EpochAnchor], None]] = []
         self._anchors: List[EpochAnchor] = []
         #: Round identities already accepted (pending or finalised); see
         #: :meth:`round_identity`.
@@ -406,18 +405,12 @@ class OrderingService:
         self._anchors.append(anchor)
         self._epoch_start_height = anchor.end_height
         self._metrics.counter("ordserv.epochs")
-        for subscriber in self._anchor_subscribers:
-            subscriber(anchor)
 
     # -- delivery --------------------------------------------------------------------
 
     def subscribe(self, callback: Callable[[OrderedBlock], None]) -> None:
         """Register a delivery callback (one per server, typically)."""
         self._subscribers.append(callback)
-
-    def subscribe_anchors(self, callback: Callable[[EpochAnchor], None]) -> None:
-        """Register a callback fired once per sealed epoch anchor."""
-        self._anchor_subscribers.append(callback)
 
     # -- self-checks (tests, model-checker scenarios) -------------------------------
 

@@ -1,29 +1,33 @@
-"""Epoch anchors: the thin chain that stitches per-shard order back together.
+"""Epoch anchors: the thin chain the sharded ordering service seals at each merge.
 
 A sharded ordering service (:mod:`repro.core.sequencing`) finalizes
-single-shard blocks independently per shard, so no single sequencer sees --
-or vouches for -- the whole global log.  What restores the auditor's
-global-log verification is a second, much thinner hash chain over *epochs*:
-whenever the shards merge (a cross-shard block arrives, or the stream is
-flushed), the service seals an :class:`EpochAnchor` recording, for every
-ordering shard, how many blocks that shard has contributed and the head of
-its per-shard hash chain, plus the global-height interval the epoch covers
-and the hash of the previous anchor.
+single-shard blocks independently per shard.  Whenever the shards merge (a
+cross-shard block arrives, or the stream is flushed), the service seals an
+:class:`EpochAnchor` recording, for every ordering shard, how many blocks
+that shard has contributed and the head of its per-shard hash chain, plus
+the global-height interval the epoch covers and the hash of the previous
+anchor -- a second, much thinner hash chain over *epochs*.
 
 The per-shard chain folds each finalized block's *group body digest* -- the
 exact digest the group co-signed -- so an anchor commits (transitively) to
 every co-signed block body in its epoch without re-serialising any of them.
 A sequencer that reordered, dropped, or invented blocks inside an epoch
-cannot produce a matching anchor chain (collision-resistance of SHA-256),
-which is the trust argument of DESIGN.md section 5.
+cannot produce a matching anchor chain (collision-resistance of SHA-256).
+
+The chain is the service's own report, kept by the service alone: no server
+receives a copy, and ``FidesSystem.audit`` hands the service's chain to the
+auditor.  An accepted chain is a function of the replicated, co-signed log,
+the shard map and the epochs' end heights, so it adds nothing to what the
+log already proves (DESIGN.md section 5); it stays while a benchmark
+workload exports it.
 
 This module is the one place that says what makes an anchor chain
 acceptable, as two rules: the link rule (:func:`verify_anchor_link`: an
 anchor directly extends the one before it) and the replay rule
-(:func:`verify_anchor_chain`: a chain vouches for a log's whole per-shard
-order, up to the log's head).  The auditor calls the replay rule, a server
-receiving ``EPOCH_ANCHOR`` the link rule, and the ordering service's
-self-check replays its stream through the same fold (:class:`ShardChains`).
+(:func:`verify_anchor_chain`: the link rule over the whole chain, then the
+chain vouches for a log's whole per-shard order, up to the log's head).
+The auditor calls the replay rule, and the ordering service's self-check
+replays its stream through the same fold (:class:`ShardChains`).
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from repro.common.wire import (
 )
 from repro.crypto.cosi import CollectiveSignature
 from repro.crypto.merkle import VerificationObject
-from repro.ledger.anchor import EpochAnchor
 from repro.ledger.block import Block
 from repro.net.message import Envelope, MessageType
 from repro.storage.datastore import ReadResult
@@ -115,12 +114,6 @@ class RoundFailed:
     """:meth:`~repro.ledger.block.Block.round_key` of a round that will see no decision."""
 
     round_key: tuple
-
-
-@wire_form(("anchor", nested(EpochAnchor)))
-@dataclass(frozen=True)
-class AnchorSealed:
-    anchor: EpochAnchor
 
 
 @wire_form(("group", optional(list_of(STR))), ("deposed", STR), ("view", INT))
@@ -377,7 +370,6 @@ MESSAGES: Dict[MessageType, Row] = {
     _T.DECISION: Row(DecidedBlock, Applied),
     _T.ROUND_FAILED: Row(RoundFailed, Released),
     _T.ORDERED_BLOCK: Row(DecidedBlock, Applied),
-    _T.EPOCH_ANCHOR: Row(AnchorSealed, Ack),
     _T.VIEW_CHANGE: Row(ViewChange, FrontierReport),
     _T.NEW_VIEW: Row(ViewChange, Released),
     _T.PREPARE: Row(Proposal, PrepareVote),

@@ -51,9 +51,6 @@ class MessageType(Enum):
     # Scaled deployment (Section 4.6): the ordering service's atomic broadcast
     # of globally chained per-group blocks.
     ORDERED_BLOCK = "ordered_block"
-    #: Sharded ordering (DESIGN.md §5): one sealed epoch anchor binding the
-    #: per-shard hash chains to a global-height interval.
-    EPOCH_ANCHOR = "epoch_anchor"
 
     # Coordinator failover (view change): the successor solicits each
     # surviving cohort's commit frontier + stalled rounds, then announces the

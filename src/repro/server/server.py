@@ -21,7 +21,7 @@ the catch-up performs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.common.errors import (
     ConfigurationError,
@@ -31,7 +31,6 @@ from repro.common.errors import (
 )
 from repro.common.types import ServerId, Value
 from repro.crypto.keys import KeyPair
-from repro.ledger.anchor import verify_anchor_link
 from repro.ledger.checkpoint import Checkpoint, apply_checkpoint
 from repro.ledger.log import TransactionLog
 from repro.net.forms import (
@@ -93,10 +92,6 @@ class DatabaseServer:
         #: Latest collectively signed checkpoint this server's log was
         #: truncated under (None until one is installed).
         self.latest_checkpoint: Optional[Checkpoint] = None
-        #: Epoch anchors received from a sharded ordering service, in epoch
-        #: order (possibly with gaps if this server was down when one was
-        #: broadcast); volatile, like the rest of the unlogged message state.
-        self.epoch_anchors: List = []
         self.crashed = False
         self._network: Optional[Network] = None
         #: Coordinator role (TFCommit or 2PC) if this server is the designated
@@ -176,7 +171,6 @@ class DatabaseServer:
         self.log = None
         self.execution = None
         self.commitment = None
-        self.epoch_anchors = []
 
     def recover(self, peers: Sequence[ServerId] = ()) -> RecoveryResult:
         """Restore from the state store, catch up from ``peers``, and rejoin.
@@ -364,28 +358,6 @@ class DatabaseServer:
         """Apply one globally ordered block delivered by the ordering
         service: the terminal path of a phase-5 decision, for every server."""
         return self._on_decision(envelope)
-
-    def _on_epoch_anchor(self, envelope: Envelope):
-        """Record one sealed ordering-epoch anchor (DESIGN.md §5).
-
-        The server keeps the chain it can vouch for: a stale or replayed
-        epoch is refused, and a directly consecutive anchor (epoch 0 first)
-        must pass the ledger's link rule.  Anchors arriving after a gap (this
-        server was crashed during the missed epochs) are accepted -- chain
-        linkage across the gap is the auditor's job, not the server's.
-        """
-        anchor = envelope.payload.anchor
-        last = self.epoch_anchors[-1] if self.epoch_anchors else None
-        if last is not None and anchor.epoch <= last.epoch:
-            return self._refuse(f"stale epoch anchor {anchor.epoch} (have {last.epoch})")
-        if anchor.epoch == (0 if last is None else last.epoch + 1):
-            reason = verify_anchor_link(anchor, last)
-            if reason:
-                return self._refuse(
-                    f"epoch anchor {anchor.epoch} breaks the anchor chain: {reason}"
-                )
-        self.epoch_anchors.append(anchor)
-        return Ack(self.server_id)
 
     # -- 2PC baseline messages ----------------------------------------------------------
 

@@ -300,8 +300,8 @@ PINS = {
             ('scaleout-128s-sh4-x0.0', 128, 4, 0.0, 384, 370, 116, 1, 4959.0, 0.926, 3.37, 0.0746),
             ('scaleout-128s-sh16-x0.0', 128, 16, 0.0, 384, 370, 116, 1, 12990.6, 0.682, 8.83, 0.0285),
             ('scaleout-128s-sh1-x0.1', 128, 1, 0.1, 384, 374, 119, 0, 1420.2, 0.977, 1.0, 0.2633),
-            ('scaleout-128s-sh4-x0.1', 128, 4, 0.1, 384, 372, 119, 6, 3828.6, 0.756, 2.7, 0.0972),
-            ('scaleout-128s-sh16-x0.1', 128, 16, 0.1, 384, 374, 119, 10, 11784.9, 0.751, 8.3, 0.0317),
+            ('scaleout-128s-sh4-x0.1', 128, 4, 0.1, 384, 372, 119, 6, 3831.9, 0.757, 2.7, 0.0971),
+            ('scaleout-128s-sh16-x0.1', 128, 16, 0.1, 384, 374, 119, 10, 11656.1, 0.741, 8.21, 0.0321),
         ],
     },
     'scaleout-smoke': {
@@ -309,8 +309,8 @@ PINS = {
         'columns': ('label', 'servers', 'shards', 'cross ratio', 'requests', 'committed', 'groups', 'epochs', 'throughput (txns/s)', 'ordserv busy', 'speedup vs 1 shard', 'makespan (s)'),
         'rows': [
             ('scaleout-128s-sh1-x0.1', 128, 1, 0.1, 128, 123, 66, 0, 826.7, 0.959, 1.0, 0.1488),
-            ('scaleout-128s-sh4-x0.1', 128, 4, 0.1, 128, 123, 66, 3, 2045.5, 0.898, 2.47, 0.0601),
-            ('scaleout-128s-sh16-x0.1', 128, 16, 0.1, 128, 123, 66, 5, 5390.0, 0.667, 6.52, 0.0228),
+            ('scaleout-128s-sh4-x0.1', 128, 4, 0.1, 128, 123, 66, 3, 2042.1, 0.898, 2.47, 0.0602),
+            ('scaleout-128s-sh16-x0.1', 128, 16, 0.1, 128, 123, 66, 5, 5395.8, 0.667, 6.53, 0.0228),
         ],
     },
     'pipeline': {
@@ -420,13 +420,13 @@ GATED_METRICS = {'figure13': {'labels': {'fig13-batch-100': {'latency_ms': 0.082
                          'scaleout-128s-sh16-x0.0': {'latency_ms': None,
                                                      'throughput_tps': 12990.6},
                          'scaleout-128s-sh16-x0.1': {'latency_ms': None,
-                                                     'throughput_tps': 11784.9},
+                                                     'throughput_tps': 11656.1},
                          'scaleout-128s-sh4-x0.0': {'latency_ms': None,
                                                     'throughput_tps': 4959.0},
                          'scaleout-128s-sh4-x0.1': {'latency_ms': None,
-                                                    'throughput_tps': 3828.6}},
+                                                    'throughput_tps': 3831.9}},
               'latency_ms': {'p50': None, 'p95': None, 'p99': None},
-              'throughput_tps': {'mean': 6075.799999999999, 'min': 1420.2}}}
+              'throughput_tps': {'mean': 6054.883333333334, 'min': 1420.2}}}
 
 
 def test_the_cases_cover_every_sweep(capsys):

@@ -22,7 +22,7 @@ SMOKE = {
     "classic-byzantine": (15, 215, 275),
     "classic-crash": (15, 265, 317),
     "scaled-reorder": (15, 137, 179),
-    "sharded-ordering": (15, 408, 450),
+    "sharded-ordering": (15, 318, 360),
     "view-change": (15, 389, 445),
 }
 

@@ -45,7 +45,6 @@ SCALED_TRAFFIC = COMMON_TRAFFIC | {
     "get_vote",
     "challenge",
     "ordered_block",
-    "epoch_anchor",
     "audit_vo_request",
 }
 

@@ -61,7 +61,6 @@ WIRE_DIGESTS = {
     "Challenge": "abbbff22b5cf6de36323ceccf2e002ff260f04c326609e1189f35b6bf2478f97",
     "DecidedBlock": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
     "RoundFailed": "1273806ee3b196b7f3c0792aefb1d197ef5a07b6c932cf6ccfc4afb211bb3f8b",
-    "AnchorSealed": "cf67fb06c314d2d4d8ced73a49706bb3abdd116ff1a8fad97ed4847d8a8f46a1",
     "ViewChange": "3791619eda1fc401f3dd2ee239095205d2cf4bda7b68d64fd78001c678ce02cf",
     "StateRequest": "d907c95e9167a5ee053da65b87b6a02e91338c4de94f1bee698afe8e80a831e9",
     "AuditLogRequest": "36c56a3ce6b05d8c06f86ae5afb30c109dfbbabb2a66ad9339d95d6256eecb26",
@@ -119,7 +118,7 @@ def journal_record_dicts() -> dict:
     }
 
 
-#: One representative payload of each of the 17 request messages, recorded
+#: One representative payload of each of the 16 request messages, recorded
 #: while senders still built them as dict literals.  Whatever builds a request
 #: afterwards must hash to the same: the payload is signed content, and its
 #: length is what ``net.bytes`` meters.
@@ -133,7 +132,6 @@ REQUEST_PAYLOAD_DIGESTS = {
     "decision": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
     "round_failed": "1273806ee3b196b7f3c0792aefb1d197ef5a07b6c932cf6ccfc4afb211bb3f8b",
     "ordered_block": "3ef7f69e63d0fd63a79072d470d8bbe54f5b4a35a5476f557646ce1a3c408cea",
-    "epoch_anchor": "cf67fb06c314d2d4d8ced73a49706bb3abdd116ff1a8fad97ed4847d8a8f46a1",
     "view_change": "3791619eda1fc401f3dd2ee239095205d2cf4bda7b68d64fd78001c678ce02cf",
     "new_view": "3791619eda1fc401f3dd2ee239095205d2cf4bda7b68d64fd78001c678ce02cf",
     "prepare": "2f353c5f80525219048cfadda3c0f8dccb766199dd93fe9d3c5305046e656912",
@@ -145,7 +143,7 @@ REQUEST_PAYLOAD_DIGESTS = {
 
 
 def request_payload_dicts() -> dict:
-    """The 17 request payloads as the plain dicts their senders used to build."""
+    """The 16 request payloads as the plain dicts their senders used to build."""
     block = BUILDERS["Block"]()
     end_transaction = {"transaction": _TXN, "commit_ts": _TS2.as_tuple()}
     proposal = {
@@ -165,7 +163,6 @@ def request_payload_dicts() -> dict:
         "decision": {"block": block},
         "round_failed": {"round_key": ("group", 3, "t1", "t2")},
         "ordered_block": {"block": block},
-        "epoch_anchor": {"anchor": BUILDERS["EpochAnchor"]()},
         "view_change": view,
         "new_view": view,
         "prepare": proposal,
@@ -253,7 +250,6 @@ SIGNED_BYTES_DIGESTS = {
     "decision": "6ff2a334122f9a5e2d99d8de95227723a25f51235cf422bfac1b610b5224ac5a",
     "round_failed": "f32f7058763edd56ae6e1425c1f1b63c966b868365241eaf451b1e6868cd1632",
     "ordered_block": "6bd4959cc6c956cdc75aabb1b3315cd68e9891b6f85fcc41f1b7cb567cfc6de5",
-    "epoch_anchor": "9f34bb042b79abfbf2307fd477015f41e22459a5dde08739f5fc766eac5cca9b",
     "view_change": "a3c479a90bfa9c9be39028b70089156a03caff26d58c2dcb139e632d1f7cb2bd",
     "new_view": "8fc6edd0b35e0f09737419c0c4a802941ee38d4d5dd5ba9dadd1327cf400b967",
     "prepare": "4a6ace62dcaa0a14123abbd6c281e66b9f67aea25562b59596b17c6496cf9ada",
@@ -311,7 +307,6 @@ TRAFFIC = {
             "begin_transaction": 11,
             "challenge": 8,
             "end_transaction": 6,
-            "epoch_anchor": 6,
             "get_vote": 8,
             "ordered_block": 12,
             "read": 12,
@@ -323,7 +318,6 @@ TRAFFIC = {
             "begin_transaction": 1507,
             "challenge": 11316,
             "end_transaction": 4289,
-            "epoch_anchor": 2088,
             "get_vote": 18916,
             "ordered_block": 17889,
             "read": 1596,

@@ -176,7 +176,6 @@ BUILDERS = {
     ),
     "DecidedBlock": lambda: forms.DecidedBlock(block=BUILDERS["Block"]()),
     "RoundFailed": lambda: forms.RoundFailed(round_key=("group", 3, "t1", "t2")),
-    "AnchorSealed": lambda: forms.AnchorSealed(anchor=BUILDERS["EpochAnchor"]()),
     "ViewChange": lambda: forms.ViewChange(group=("s1", "s0"), deposed="s0", view=3),
     "StateRequest": lambda: forms.StateRequest(from_height=4),
     "AuditLogRequest": lambda: forms.AuditLogRequest(full=True),

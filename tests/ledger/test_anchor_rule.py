@@ -1,12 +1,12 @@
-"""One table of anchor-chain lies, judged alike by every acceptor of an anchor.
+"""One table of anchor-chain lies, judged alike by the replay rule and the auditor.
 
 What makes an epoch-anchor chain acceptable is said once, in
 ``repro.ledger.anchor``: the link rule (an anchor directly extends the one
-before it) and the replay rule (the chain vouches for the log's per-shard
-order, up to its head).  The auditor calls the replay rule, so every lie
-below is one ``epoch-anchor-mismatch`` pinned on the ordering service at the
-same block height whichever way it is driven; a server receiving
-``EPOCH_ANCHOR`` calls the link rule.
+before it) and the replay rule (the link rule over the whole chain, then the
+chain vouches for the log's per-shard order, up to its head).  The auditor
+calls the replay rule, so every lie below is one ``epoch-anchor-mismatch``
+pinned on the ordering service at the same block height whichever way it is
+driven.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import pytest
 
 from repro.audit.violations import ViolationType
 from repro.common.config import SystemConfig
-from repro.core.scaled import ORDSERV_ID, ScaledFidesSystem
+from repro.core.scaled import ScaledFidesSystem
 from repro.core.sequencing import sharded_sequencer
 from repro.ledger.anchor import EpochAnchor, verify_anchor_chain
-from repro.net.forms import Ack, AnchorSealed, Refusal, read_reply
 from repro.net.latency import ConstantLatency
-from repro.net.message import MessageType
 from repro.sim.context import FixedCompute
 from repro.workload.ycsb import PartitionedWorkload
 
@@ -107,6 +105,12 @@ CLEAN = "clean"
 #: chain, the block height it is reported at -- or CLEAN)``.
 LIES = [
     ("the honest chain", "plain", lambda a: a, CLEAN),
+    (
+        "a first anchor that does not extend genesis",
+        "plain",
+        lambda a: relinked([replace(a[0], previous=b"\x01" * 32)] + a[1:]),
+        None,
+    ),
     ("a wrong epoch number", "plain", lambda a: a[:2] + [replace(a[2], epoch=9)] + a[3:], None),
     (
         "a start-height gap",
@@ -229,68 +233,3 @@ class TestFidesSystemAudit:
             (ViolationType.ANCHOR_MISMATCH, ("ordserv",), 0)
         ]
 
-
-class TestEpochAnchorAtAServer:
-    """A server keeps the chain it can vouch for (the link rule), tolerating gaps."""
-
-    @pytest.fixture
-    def server(self):
-        """s1 of a fresh deployment, which has seen no anchor yet."""
-        return build().server("s1")
-
-    @pytest.fixture
-    def deliver(self, server):
-        def send(anchor):
-            data = server.network.send(
-                ORDSERV_ID, "s1", MessageType.EPOCH_ANCHOR, AnchorSealed(anchor)
-            )
-            return read_reply(MessageType.EPOCH_ANCHOR, "s1", data)
-
-        return send
-
-    def test_accepts_the_honest_chain(self, plain, server, deliver):
-        anchors = plain.ordering.epoch_anchors
-        assert all(type(deliver(anchor)) is Ack for anchor in anchors)
-        assert server.epoch_anchors == anchors
-
-    @pytest.mark.parametrize("replayed", [1, 2])
-    def test_refuses_a_replayed_epoch(self, plain, deliver, replayed):
-        anchors = plain.ordering.epoch_anchors
-        for anchor in anchors[:3]:
-            deliver(anchor)
-        reply = deliver(anchors[replayed])
-        assert type(reply) is Refusal
-        assert reply.reason == f"stale epoch anchor {replayed} (have 2)"
-
-    @pytest.mark.parametrize(
-        "breaks,reason",
-        [
-            (
-                lambda a: replace(a, previous=b"\x01" * 32),
-                "anchor 2 does not extend the previous anchor",
-            ),
-            (lambda a: replace(a, start_height=2), "anchor 2 starts at height 2, expected 3"),
-        ],
-        ids=["previous", "start height"],
-    )
-    def test_refuses_a_consecutive_anchor_that_breaks_the_link(
-        self, plain, server, deliver, breaks, reason
-    ):
-        anchors = plain.ordering.epoch_anchors
-        for anchor in anchors[:2]:
-            deliver(anchor)
-        reply = deliver(breaks(anchors[2]))
-        assert type(reply) is Refusal
-        assert reply.reason == f"epoch anchor 2 breaks the anchor chain: {reason}"
-        assert server.epoch_anchors == anchors[:2]
-
-    def test_refuses_a_first_anchor_that_does_not_extend_genesis(self, plain, server, deliver):
-        reply = deliver(replace(plain.ordering.epoch_anchors[0], previous=b"\x01" * 32))
-        assert type(reply) is Refusal and "breaks the anchor chain" in reply.reason
-
-    def test_accepts_an_anchor_after_a_gap(self, plain, server, deliver):
-        anchors = plain.ordering.epoch_anchors
-        for anchor in anchors[:2]:
-            deliver(anchor)
-        assert type(deliver(anchors[3])) is Ack
-        assert server.epoch_anchors == anchors[:2] + [anchors[3]]
