@@ -27,7 +27,7 @@ states.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.audit.report import AuditReport
 from repro.audit.serialization_graph import SerializationGraph
@@ -43,7 +43,7 @@ from repro.net.forms import AuditLogRequest, AuditVoRequest, Refusal, read_reply
 from repro.net.message import MessageType
 from repro.net.network import Network
 from repro.obs.timing import Stopwatch
-from repro.storage.shard import ShardMap
+from repro.storage.shard import INITIAL_VALUE, ShardMap
 from repro.txn.occ import classify_conflicts
 from repro.txn.transaction import Transaction
 
@@ -195,9 +195,16 @@ class Auditor:
     # -- replay checks (Lemmas 1, 3, 5) --------------------------------------------------
 
     def check_transactions(self, reference: TransactionLog, report: AuditReport) -> None:
-        """Replay the reference log and detect read/isolation/structure anomalies."""
-        expected_values: Dict[str, object] = {}
-        last_writer_ts: Dict[str, Timestamp] = {}
+        """Replay the reference log and detect read/isolation/structure anomalies.
+
+        A log that starts at genesis says what an item holds before its first
+        logged write: its initial value, at the genesis stamp.  A
+        checkpoint-truncated log does not (its base state is the checkpoint's
+        roots, not values), so a read of an item it has not written yet goes
+        unchecked.
+        """
+        latest: Dict[str, Tuple[object, Timestamp]] = {}
+        unwritten = (INITIAL_VALUE, Timestamp.zero()) if reference.base_height == 0 else None
         committed: List[Transaction] = []
 
         for block in reference:
@@ -208,11 +215,10 @@ class Auditor:
             for txn in sorted(block.transactions, key=lambda t: t.commit_ts):
                 report.transactions_audited += 1
                 committed.append(txn)
-                self._check_reads(txn, block, expected_values, last_writer_ts, report)
+                self._check_reads(txn, block, latest, unwritten, report)
                 self._check_timestamp_order(txn, block, report)
                 for entry in txn.write_set:
-                    expected_values[entry.item_id] = entry.new_value
-                    last_writer_ts[entry.item_id] = txn.commit_ts
+                    latest[entry.item_id] = (entry.new_value, txn.commit_ts)
 
         graph = SerializationGraph.from_transactions(committed)
         cycle = graph.find_cycle()
@@ -274,22 +280,25 @@ class Auditor:
         self,
         txn: Transaction,
         block: Block,
-        expected_values: Dict[str, object],
-        last_writer_ts: Dict[str, Timestamp],
+        latest: Dict[str, Tuple[object, Timestamp]],
+        unwritten: Optional[Tuple[object, Timestamp]],
         report: AuditReport,
     ) -> None:
-        """Lemma 1: every read must reflect the latest logged write of that item."""
+        """Lemma 1: every read must reflect the latest logged write of that item
+        (``unwritten`` before the first one; ``None``: not known)."""
         for entry in txn.read_set:
-            if entry.item_id not in expected_values:
+            expected = latest.get(entry.item_id, unwritten)
+            if expected is None:
                 continue
-            if entry.value != expected_values[entry.item_id]:
+            value, wts = expected
+            source = "last committed write" if entry.item_id in latest else "initial value"
+            if entry.value != value:
                 report.add(
                     Violation(
                         kind=ViolationType.INCORRECT_READ,
                         description=(
                             f"transaction {txn.txn_id} read {entry.value!r} for "
-                            f"{entry.item_id} but the last committed write was "
-                            f"{expected_values[entry.item_id]!r}"
+                            f"{entry.item_id} but the {source} was {value!r}"
                         ),
                         culprits=(self.shard_map.server_for(entry.item_id),),
                         block_height=block.height,
@@ -297,15 +306,14 @@ class Auditor:
                         txn_id=txn.txn_id,
                     )
                 )
-            expected_wts = last_writer_ts.get(entry.item_id)
-            if expected_wts is not None and entry.wts != expected_wts:
+            if entry.wts != wts:
                 report.add(
                     Violation(
                         kind=ViolationType.ISOLATION_VIOLATION,
                         description=(
                             f"transaction {txn.txn_id} read {entry.item_id} with write "
-                            f"timestamp {entry.wts} but the latest committed write was at "
-                            f"{expected_wts} (stale or fabricated timestamp)"
+                            f"timestamp {entry.wts} but the {source} was at {wts} "
+                            f"(stale or fabricated timestamp)"
                         ),
                         culprits=(self.shard_map.server_for(entry.item_id),),
                         block_height=block.height,

@@ -18,6 +18,10 @@ from repro.common.types import ItemId, ServerId, Value, make_item_id
 from repro.storage.datastore import DataStore
 
 
+#: What every item holds before any transaction writes it.
+INITIAL_VALUE: Value = 0
+
+
 @dataclass
 class Shard:
     """One data shard: an id, the owning server, and its datastore."""
@@ -84,7 +88,7 @@ def build_uniform_partition(config: SystemConfig):
         base = server_index * config.items_per_shard
         for offset in range(config.items_per_shard):
             item_id = make_item_id(base + offset)
-            items[item_id] = 0
+            items[item_id] = INITIAL_VALUE
             assignment[item_id] = server_id
         per_server[server_id] = items
     return per_server, ShardMap(assignment)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-
 from repro.audit.violations import ViolationType
 from repro.server.faults import FaultPlan
 from repro.txn.operations import ReadOp, WriteOp
@@ -32,6 +31,23 @@ class TestIncorrectReadDetection:
         assert violation.item_id == item
         assert violation.culprits == ("s1",)
         # The precise point in history: the block holding the lying read.
+        assert violation.block_height == 1
+
+    def test_a_lie_about_a_never_written_item_is_detected(self, small_system):
+        """The first read of an item is checked against its initial value."""
+        assert small_system.run_transaction(
+            [WriteOp(small_system.shard_map.items_of("s2")[0], 7)]
+        ).committed
+        item = small_system.shard_map.items_of("s1")[0]
+        small_system.inject_fault(
+            "s1", [FaultPlan("read-corruption", "s1", params={"item": item, "value": 12345})]
+        )
+        assert small_system.run_transaction([ReadOp(item)], client_index=1).committed
+        report = small_system.audit()
+        [violation] = report.violations
+        assert violation.kind is ViolationType.INCORRECT_READ
+        assert violation.item_id == item
+        assert violation.culprits == ("s1",)
         assert violation.block_height == 1
 
     def test_honest_servers_are_not_blamed(self, small_system):

@@ -187,7 +187,7 @@ PINS = {
         'config': {'num_requests': 2, 'smoke': True},
         'columns': ('scenario', 'faults', 'targets', 'expected', 'detected', 'detected by', 'culprit ok', 'culprits', 'fault@block', 'blocks-to-detect', 'view change', 'recovered', 'audit (ms)', 'audit overhead (x)', 'committed'),
         'rows': [
-            ('read-corruption@always', 'read-corruption', 's1', 'incorrect-read', True, 'audit', True, 's1', 1, 0, '-', '-', ..., ..., 2),
+            ('read-corruption@always', 'read-corruption', 's1', 'incorrect-read', True, 'audit', True, 's1', 1, 1, '-', '-', ..., ..., 2),
             ('drop-write@always', 'drop-write', 's1', 'datastore-corruption', True, 'audit', True, 's1', 1, 1, '-', '-', ..., ..., 2),
             ('skip-validation@always', 'skip-validation', 's1', 'isolation-violation', True, 'audit', True, 's1', 1, 0, '-', '-', ..., ..., 2),
             ('corrupt-root@always', 'corrupt-root', 's1', 'datastore-corruption', True, 'audit', True, 's1', 1, 1, '-', '-', ..., ..., 2),
@@ -212,7 +212,7 @@ PINS = {
         'config': {'num_requests': 2},
         'columns': ('scenario', 'faults', 'targets', 'expected', 'detected', 'detected by', 'culprit ok', 'culprits', 'fault@block', 'blocks-to-detect', 'view change', 'recovered', 'audit (ms)', 'audit overhead (x)', 'committed'),
         'rows': [
-            ('read-corruption@always', 'read-corruption', 's1', 'incorrect-read', True, 'audit', True, 's1', 1, 0, '-', '-', ..., ..., 2),
+            ('read-corruption@always', 'read-corruption', 's1', 'incorrect-read', True, 'audit', True, 's1', 1, 1, '-', '-', ..., ..., 2),
             ('drop-write@always', 'drop-write', 's1', 'datastore-corruption', True, 'audit', True, 's1', 1, 1, '-', '-', ..., ..., 2),
             ('skip-validation@always', 'skip-validation', 's1', 'isolation-violation', True, 'audit', True, 's1', 1, 0, '-', '-', ..., ..., 2),
             ('corrupt-root@always', 'corrupt-root', 's1', 'datastore-corruption', True, 'audit', True, 's1', 1, 1, '-', '-', ..., ..., 2),
