@@ -139,7 +139,8 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
 
 class OrderedDelivery:
     """The ordering service's subscriber, the stream's atomic broadcast:
-    delivers every finalised block to every server and takes the publishing round from ``published`` to ``delivered``."""
+    delivers every finalised block to every server and takes the publishing
+    round from ``published`` to ``delivered``."""
 
     def __init__(self, system: "ScaledFidesSystem") -> None:
         self._system = system
