@@ -19,7 +19,7 @@ from repro.audit.violations import ViolationType
 from repro.common.config import SystemConfig
 from repro.core.scaled import ScaledFidesSystem
 from repro.core.sequencing import sharded_sequencer
-from repro.ledger.anchor import EpochAnchor, verify_anchor_chain
+from repro.ledger.anchor import EpochAnchor, verify_anchor_chain, verify_anchor_link
 from repro.net.latency import ConstantLatency
 from repro.sim.context import FixedCompute
 from repro.workload.ycsb import PartitionedWorkload
@@ -139,6 +139,11 @@ LIES = [
     ("an anchor past the log's end", "plain", extra_anchor, 11),
     ("the last anchor withheld", "plain", lambda a: a[:-1], 7),
     ("no anchors", "plain", lambda a: [], 0),
+    ("the first anchor withheld", "plain", lambda a: a[1:], None),
+    ("an anchor withheld mid-chain", "plain", lambda a: a[:2] + a[3:], None),
+    ("a replayed epoch", "plain", lambda a: a[:3] + [a[1]] + a[3:], None),
+    ("an epoch sealed twice", "plain", lambda a: a[:3] + [a[2]] + a[3:], None),
+    ("the chain in reverse", "plain", lambda a: a[::-1], None),
     ("a checkpoint-truncated honest log", "checkpointed", lambda a: a, CLEAN),
     (
         "a doctored shard head above a truncated log's base",
@@ -147,6 +152,18 @@ LIES = [
         15,
     ),
     ("the last anchor withheld from a truncated log", "checkpointed", lambda a: a[:-1], 21),
+    (
+        "a broken link below a truncated log's base",
+        "checkpointed",
+        lambda a: a[:1] + [replace(a[1], previous=b"\x01" * 32)] + a[2:],
+        None,
+    ),
+    (
+        "an anchor withheld below a truncated log's base",
+        "checkpointed",
+        lambda a: a[:1] + a[2:],
+        None,
+    ),
 ]
 
 
@@ -192,6 +209,66 @@ def test_the_auditor(request, system_name, doctor, height):
     assert violation.culprits == ("ordserv",)
     assert violation.block_height == height
     assert violation.description == replay(system, anchors, system.server("s0").log)[0]
+
+
+#: ``(case, the anchor and its predecessor -- None: genesis -- made from the
+#: honest chain, the link rule's verdict)``.
+LINKS = [
+    ("the first anchor extends genesis", lambda a: (a[0], None), ""),
+    ("an anchor extends the one before it", lambda a: (a[2], a[1]), ""),
+    (
+        "a first anchor that does not extend genesis",
+        lambda a: (replace(a[0], previous=b"\x01" * 32), None),
+        "anchor 0 does not extend the previous anchor",
+    ),
+    (
+        "a first anchor that starts above genesis",
+        lambda a: (replace(a[0], start_height=1), None),
+        "anchor 0 starts at height 1, expected 0",
+    ),
+    (
+        "a chain that starts at a later epoch",
+        lambda a: (a[1], None),
+        "anchor epoch 1 != expected 0",
+    ),
+    ("a replayed epoch", lambda a: (a[1], a[2]), "anchor epoch 1 != expected 3"),
+    ("the same epoch twice", lambda a: (a[2], a[2]), "anchor epoch 2 != expected 3"),
+    ("a skipped epoch", lambda a: (a[3], a[1]), "anchor epoch 3 != expected 2"),
+    (
+        "a broken previous link",
+        lambda a: (replace(a[2], previous=b"\x01" * 32), a[1]),
+        "anchor 2 does not extend the previous anchor",
+    ),
+    (
+        "a start height below the previous end",
+        lambda a: (replace(a[2], start_height=2), a[1]),
+        "anchor 2 starts at height 2, expected 3",
+    ),
+    (
+        "a start height above the previous end",
+        lambda a: (replace(a[2], start_height=4), a[1]),
+        "anchor 2 starts at height 4, expected 3",
+    ),
+    (
+        "a predecessor doctored after it was linked to",
+        lambda a: (a[2], replace(a[1], shard_heads=(b"\x00" * 32,) * 2)),
+        "anchor 2 does not extend the previous anchor",
+    ),
+]
+
+
+@pytest.mark.parametrize("pair,verdict", [row[1:] for row in LINKS], ids=[row[0] for row in LINKS])
+def test_the_link_rule(plain, pair, verdict):
+    """The link rule's verdict, and the replay rule refusing, with that reason
+    and at no height, the honest chain up to ``previous`` ending in the broken
+    link."""
+    anchors = plain.ordering.epoch_anchors
+    anchor, previous = pair(anchors)
+    assert verify_anchor_link(anchor, previous) == verdict
+    if verdict:
+        chain = anchors[: previous.epoch] + [previous, anchor] if previous else [anchor]
+        malformed = (f"epoch-anchor chain is malformed: {verdict}", None)
+        assert replay(plain, chain, plain.server("s0").log) == malformed
 
 
 def test_a_truncated_log_is_replayed_from_the_anchor_boundary_at_or_above_its_base(plain):
