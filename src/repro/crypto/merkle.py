@@ -19,6 +19,14 @@ hashes for k touched leaves instead of O(k*log n).  The batched path is what
 makes the paper's Figures 14-15 shapes visible (MHT update cost grows with
 tree depth and with the number of touched leaves) at realistic block sizes;
 see DESIGN.md for the accounting model.
+
+A full build costs what differs, not the padded width.  At genesis every item
+holds the same value object, so consecutive leaves that hold *the same object*
+share one value digest; identity, not ``==``, decides, because ``0``,
+``False``, ``0.0`` and ``-0.0`` compare equal but encode, and so hash, apart.
+The leaf level is padded up to a power of two with one constant label, and
+every node above padding alone is one label per level, hashed once: a
+10 000-item shard hashes about 10 000 internal nodes, not 16 383.
 """
 
 from __future__ import annotations
@@ -124,16 +132,33 @@ class MerkleTree:
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
-        """(Re)build every level of the tree from the current values."""
-        width = max(1, _next_power_of_two(len(self._ids)))
-        leaves = [leaf_hash(item_id, self._values[item_id]) for item_id in self._ids]
-        leaves.extend([_EMPTY_LEAF] * (width - len(leaves)))
+        """(Re)build every level of the tree from the current values.
+
+        A leaf holding the same object as the previous leaf reuses its value
+        digest (by identity, see the module docstring), and a level hashes
+        the pairs with a real leaf below them, then the padding label once.
+        """
+        values = self._values
+        leaves: List[bytes] = []
+        append = leaves.append
+        previous = digest = None
+        for item_id in self._ids:
+            value = values[item_id]
+            if digest is None or value is not previous:
+                previous, digest = value, hash_object(value)
+            item = item_id.encode("utf-8")
+            append(sha256(_LEAF_HEAD + len(item).to_bytes(8, "big") + item + _LEN32 + digest))
+        real = len(leaves)
+        padding = _EMPTY_LEAF
+        leaves.extend([padding] * (max(1, _next_power_of_two(real)) - real))
         levels = [leaves]
         current = leaves
         while len(current) > 1:
-            parents = [
-                node_hash(current[i], current[i + 1]) for i in range(0, len(current), 2)
-            ]
+            real = (real + 1) // 2
+            parents = [node_hash(current[i], current[i + 1]) for i in range(0, 2 * real, 2)]
+            if len(current) // 2 > real:
+                padding = node_hash(padding, padding)
+                parents.extend([padding] * (len(current) // 2 - real))
             levels.append(parents)
             current = parents
         self._levels = levels

@@ -19,12 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from repro.common.encoding import canonical_encode
 from repro.common.errors import StorageError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ItemId, Value
 from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, wire_form
 from repro.crypto.merkle import MerkleTree, VerificationObject
-from repro.storage.record import RecordVersion, VersionedRecord
+from repro.storage.record import (
+    RecordVersion,
+    VersionedRecord,
+    initial_version,
+    shared_version,
+)
 
 
 @wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
@@ -45,23 +51,20 @@ class DataStore:
     ----------
     items:
         Initial ``item_id -> value`` contents; all initial versions carry the
-        zero timestamp.
+        genesis stamp, and an item that starts at the initial value holds the
+        one :data:`~repro.storage.record.GENESIS_VERSION`.
     multi_versioned:
         Keep the full version chain (True, the default used in the paper's
         audit discussion) or only the latest version.
     """
 
     def __init__(self, items: Mapping[ItemId, Value], multi_versioned: bool = True) -> None:
-        zero = Timestamp.zero()
         self._multi_versioned = multi_versioned
         self._records: Dict[ItemId, VersionedRecord] = {
-            item_id: VersionedRecord(
-                item_id=item_id,
-                versions=[RecordVersion(value=value, wts=zero, rts=zero)],
-            )
+            item_id: VersionedRecord(item_id, [initial_version(value)])
             for item_id, value in items.items()
         }
-        self._merkle = MerkleTree.from_items({k: v for k, v in items.items()})
+        self._merkle = MerkleTree.from_items(items)
         self._mht_node_updates = 0
         #: Historical trees derived for audit VO requests, keyed by the audit
         #: timestamp; invalidated whenever the stored state changes.
@@ -216,6 +219,10 @@ class DataStore:
         cached so an audit asking for every written item of a block pays the
         derivation once.  The cache is cleared on any state change (including
         injected corruption, which alters the values the records report).
+
+        A leaf differs when its value is another object that encodes
+        differently: ``==`` would call ``False`` and ``0`` the same and leave
+        the later leaf in the earlier tree.
         """
         key = at.as_tuple()
         tree = self._historical_trees.get(key)
@@ -223,7 +230,10 @@ class DataStore:
             diff = {}
             for other_id, record in self._records.items():
                 historical_value = record.version_at(at).value
-                if historical_value != self._merkle.value_of(other_id):
+                current = self._merkle.value_of(other_id)
+                if historical_value is not current and (
+                    canonical_encode(historical_value) != canonical_encode(current)
+                ):
                     diff[other_id] = historical_value
             tree = self._merkle.clone()
             tree.update_many(diff)
@@ -264,7 +274,9 @@ class DataStore:
         dump that went through ``canonical_decode`` instead holds each
         version's plain wire form, which is read the strict way here: a
         field of the wrong type is refused
-        (:class:`~repro.common.errors.ValidationError`), not coerced.
+        (:class:`~repro.common.errors.ValidationError`), not coerced.  Either
+        way, an item restored at its initial state holds the one genesis
+        version again, as it did before the dump.
         """
         store = cls.__new__(cls)
         store._multi_versioned = BOOL.decode(state["multi_versioned"], "multi_versioned")
@@ -275,7 +287,11 @@ class DataStore:
             records[item_id] = VersionedRecord(
                 item_id=item_id,
                 versions=[
-                    version if type(version) is RecordVersion else RecordVersion.from_wire(version)
+                    shared_version(
+                        version
+                        if type(version) is RecordVersion
+                        else RecordVersion.from_wire(version)
+                    )
                     for version in versions
                 ],
             )

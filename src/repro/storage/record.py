@@ -6,6 +6,14 @@ that read / wrote the item (Section 3.1).  Multi-versioned datastores keep
 one :class:`RecordVersion` per committed write so that audits can examine any
 historical version and the application can roll back to the last sanitised
 version after a detected failure (Section 4.2.1).
+
+Every item starts at :data:`INITIAL_VALUE` at the genesis stamp, so before
+any write a shard holds one state many times over.  There is one object for
+it, :data:`GENESIS_VERSION`: every item that starts at the initial value holds
+it, in a new datastore and in one restored from a snapshot
+(:func:`initial_version`, :func:`shared_version`).  It is picked by exact type
+and value, never by ``==``: ``False`` and ``0.0`` equal ``0`` but encode, and
+so hash, differently.
 """
 
 from __future__ import annotations
@@ -19,8 +27,12 @@ from repro.common.types import ItemId, Value
 from repro.common.wire import ANY, TIMESTAMP, wire_form
 
 
+#: What every item holds before any transaction writes it.
+INITIAL_VALUE: Value = 0
+
+
 @wire_form(("value", ANY), ("wts", TIMESTAMP), ("rts", TIMESTAMP))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordVersion:
     """One committed version of a data item.
 
@@ -41,7 +53,38 @@ class RecordVersion:
         return RecordVersion(self.value, self.wts, rts)
 
 
-@dataclass
+_GENESIS_STAMP = Timestamp.zero()
+
+#: The version every item that starts at :data:`INITIAL_VALUE` holds.
+GENESIS_VERSION = RecordVersion(INITIAL_VALUE, _GENESIS_STAMP, _GENESIS_STAMP)
+
+
+def _is_initial(value: Value) -> bool:
+    """``value`` is the initial value, by exact type and value (not ``==``)."""
+    return type(value) is type(INITIAL_VALUE) and value == INITIAL_VALUE
+
+
+def initial_version(value: Value) -> RecordVersion:
+    """The version an item starting at ``value`` holds: at the genesis stamp,
+    and :data:`GENESIS_VERSION` itself for the initial value."""
+    if _is_initial(value):
+        return GENESIS_VERSION
+    return RecordVersion(value, _GENESIS_STAMP, _GENESIS_STAMP)
+
+
+def shared_version(version: RecordVersion) -> RecordVersion:
+    """``version``, or :data:`GENESIS_VERSION` when it holds exactly that state.
+
+    The stamps are matched by identity: the wire readers hand back the one
+    genesis stamp for every encoded ``(0, "")``.
+    """
+    stamp = _GENESIS_STAMP
+    if version.wts is stamp and version.rts is stamp and _is_initial(version.value):
+        return GENESIS_VERSION
+    return version
+
+
+@dataclass(slots=True)
 class VersionedRecord:
     """The full version chain of one data item.
 

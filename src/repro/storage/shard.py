@@ -16,10 +16,7 @@ from repro.common.config import SystemConfig
 from repro.common.errors import StorageError
 from repro.common.types import ItemId, ServerId, Value, make_item_id
 from repro.storage.datastore import DataStore
-
-
-#: What every item holds before any transaction writes it.
-INITIAL_VALUE: Value = 0
+from repro.storage.record import INITIAL_VALUE
 
 
 @dataclass

@@ -97,3 +97,20 @@ class TestLyingInclusionReply:
         assert violations and report.violations == violations
         assert {v.culprits for v in violations} == {(liar,)}
         assert last.item_id in {v.item_id for v in violations}
+
+
+class TestEqualValuesThatEncodeApart:
+    """A historical tree re-hashes every leaf whose value encodes differently.
+
+    ``False == 0``, so a datastore that picked the changed leaves by ``==``
+    left a later ``False`` in the tree of an earlier block, and the
+    exhaustive audit blamed an honest server for it.
+    """
+
+    def test_writing_false_over_zero_blames_no_one(self, small_system):
+        first, second = small_system.shard_map.items_of("s0")[:2]
+        assert small_system.run_transaction([ReadOp(first), WriteOp(first, 5)]).committed
+        assert small_system.run_transaction([ReadOp(second), WriteOp(second, False)]).committed
+        assert small_system.auditor().run_audit(datastore_mode="latest").ok
+        report = small_system.auditor().run_audit(datastore_mode="all")
+        assert report.ok, [v.description for v in report.violations]
