@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.audit.report import AuditReport
 from repro.audit.serialization_graph import SerializationGraph
 from repro.audit.violations import Violation, ViolationType
+from repro.common.encoding import canonical_encode
 from repro.common.errors import AuditError
 from repro.common.timestamps import Timestamp
 from repro.crypto.keys import KeyPair, keypair_for
@@ -49,6 +50,17 @@ from repro.txn.transaction import Transaction
 
 #: Identity under which the auditor registers on the network.
 AUDITOR_ID = "auditor"
+
+#: Types whose ``==`` between two values of the type agrees with their
+#: canonical encodings (not ``float``: ``0.0 == -0.0``, ``nan != nan``).
+_PLAIN_SCALARS = frozenset({int, str, bytes, bool, type(None)})
+
+
+def _same_value(left: object, right: object) -> bool:
+    """Whether two item values encode alike (``False == 0 == 0.0`` do not)."""
+    if type(left) is type(right) and type(left) in _PLAIN_SCALARS:
+        return left == right
+    return canonical_encode(left) == canonical_encode(right)
 
 
 class Auditor:
@@ -292,7 +304,7 @@ class Auditor:
                 continue
             value, wts = expected
             source = "last committed write" if entry.item_id in latest else "initial value"
-            if entry.value != value:
+            if not _same_value(entry.value, value):
                 report.add(
                     Violation(
                         kind=ViolationType.INCORRECT_READ,
@@ -456,7 +468,7 @@ class Auditor:
                 proof_ok = verify_inclusion(
                     entry.item_id, stored_value, inclusion.vo, expected_root
                 )
-                if not proof_ok or stored_value != entry.new_value:
+                if not proof_ok or not _same_value(stored_value, entry.new_value):
                     audited_ok = False
                     report.add(
                         Violation(

@@ -13,8 +13,8 @@ how far a behaviour strays from the default), bounded by ``max_runs`` /
 
 Deduplication is by fingerprint: every choice-tree node carries a hash-chain
 fingerprint (shared prefixes share nodes), and every completed run a
-terminal fingerprint over the recorded timeline plus the final per-server
-logs.  The union of both sets is the "distinct states" count; a prefix whose
+terminal fingerprint over the protocol state it ended in, not its schedule.
+The union of both sets is the "distinct states" count; a prefix whose
 terminal fingerprint was already seen is not expanded further.
 
 A run whose invariants fail becomes a :class:`Counterexample`; the explorer
@@ -36,17 +36,25 @@ from repro.check.scenarios import ScenarioRow
 
 
 def run_fingerprint(record: RunRecord) -> str:
-    """Terminal fingerprint of one run: the timeline plus the final logs."""
-    digest = hashlib.sha256()
-    digest.update(record.system.sim.fingerprint().encode("utf-8"))
+    """Terminal fingerprint of one run: the protocol state it ended in (per
+    server its log head, datastore root, group views and round table; per
+    workload slice what each client was told), never the delivery order."""
+    state: list = []
     for server_id, server in sorted(record.system.servers.items()):
-        digest.update(server_id.encode("utf-8"))
         if server.crashed:
-            digest.update(b"crashed")
+            state.append((server_id, "crashed"))
             continue
-        digest.update(str(server.log.height).encode("utf-8"))
-        digest.update(server.log.head_hash)
-    return digest.hexdigest()
+        log, root = server.log, server.store.merkle_root()
+        cohort = server.commitment.protocol_state()
+        state.append((server_id, log.height, log.head_hash, root, cohort))
+    for workload in record.slices:
+        state.append(
+            [
+                (o.txn_id, o.status, o.block_height, o.reason, o.cosign_verified)
+                for o in workload.outcomes
+            ]
+        )
+    return hashlib.sha256(repr(state).encode("utf-8")).hexdigest()
 
 
 @dataclass

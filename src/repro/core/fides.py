@@ -108,8 +108,8 @@ class FidesSystem:
         self.protocol = protocol
         self.latency = latency or lan_latency(seed=self.config.seed)
         #: The deployment's virtual timeline: every protocol phase is
-        #: scheduled and recorded on it, and the benchmark harness reads the
-        #: run's makespan off it (DESIGN.md section 7).
+        #: scheduled on it, and the benchmark harness reads the run's
+        #: makespan off it (DESIGN.md section 7).
         self.sim = SimContext(
             pipeline_depth=self.config.pipeline_depth,
             compute_model=compute_model,

@@ -178,14 +178,13 @@ class OrderedDelivery:
         # one stream) and cannot start before the publishing round's
         # co-signing finished.  Assigning the start before the sends lets
         # fault hooks inside the apply handlers fire at the delivery's time.
-        label = f"ordserv/deliver-{ordered.global_height}"
         # A sharded sequencer stamps the block's ordering shards: its
         # delivery occupies only those lanes' timeline resources, so
         # disjoint shards interleave and a cross-shard block barriers.
         resources = tuple(
             f"{ORDSERV_RESOURCE}/s{shard}" for shard in ordered.shards
         ) or (ORDSERV_RESOURCE,)
-        start = sim.scheduler.begin_delivery(task, label, resources=resources)
+        start = sim.scheduler.begin_delivery(task, resources=resources)
         _, failures = timed_broadcast(
             system.network,
             system.latency,
@@ -201,7 +200,6 @@ class OrderedDelivery:
         reads, writes = footprint(block.transactions)
         _, delivered_at = sim.scheduler.end_delivery(
             task,
-            label,
             start,
             timing.phases["order"],
             read_items=reads,

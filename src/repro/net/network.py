@@ -55,7 +55,6 @@ class _Link(NamedTuple):
 
     before: bytes
     after: bytes
-    type_name: str
     messages_counter: str
     bytes_counter: str
     delivered_counter: str
@@ -76,9 +75,7 @@ class Network:
         latency: Optional[LatencyModel] = None,
     ) -> None:
         """``sim`` is the deployment's simulation context: every delivered
-        message is counted in its registry and recorded on its timeline at the
-        clock's current activity time (see repro.sim)."""
-        self._sim = sim
+        message is counted in its metrics registry."""
         self._metrics = sim.obs.metrics
         self._scheme = signing_scheme or make_signing_scheme("schnorr")
         self._latency = latency or lan_latency()
@@ -175,7 +172,6 @@ class Network:
             name = message_type.value
             link = self._links[key] = _Link(
                 *content_frame(sender, recipient, message_type),
-                name,
                 f"net.messages.{name}",
                 f"net.bytes.{name}",
                 f"net.delivered.{recipient}",
@@ -287,13 +283,6 @@ class Network:
         # ``timed_exchange`` draws its phase delays from: dropping it moves
         # every makespan the golden tests pin.
         metrics.counter("net.delay_s", self._latency.sample())
-        self._sim.timeline.record(
-            self._sim.clock.now,
-            "message",
-            resource=recipient,
-            label=link.type_name,
-            detail=f"sender={sender}",
-        )
         return handler(Envelope(sender, recipient, message_type, payload, signature))
 
     def broadcast(

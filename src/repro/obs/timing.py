@@ -6,7 +6,7 @@ through handlers are invisible to the observability layer and tempt code
 into treating wall time as protocol state.  They use a :class:`Stopwatch`
 instead -- the one place in the library that reads the process clock for
 duration measurement.  The measured values feed ``compute_time`` fields
-and metrics only; virtual time (the recorded timeline) remains the sole notion
+and metrics only; virtual time (the scheduler's clock) remains the sole notion
 of *protocol* time.
 """
 

@@ -286,6 +286,13 @@ class CommitmentLayer:
         """How many rounds this cohort is currently buffering state for."""
         return len(self._rounds)
 
+    def protocol_state(self) -> Tuple[list, list]:
+        """Its view per group and, per buffered round, its local decision and
+        involvement; sorted, so the order rounds arrived in does not show."""
+        views = sorted((repr(group), view) for group, view in self._group_views.items())
+        rounds = [(repr(k), r.local_decision.value, r.involved) for k, r in self._rounds.items()]
+        return views, sorted(rounds)
+
     def _expire_stale_rounds(self) -> None:
         """Defensive cleanup for rounds a (crashed or malicious) coordinator
         never terminated: classic rounds below the log height can no longer

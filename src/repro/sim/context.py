@@ -1,11 +1,10 @@
-"""The simulation context: one bundle of clock + timeline + scheduler.
+"""The simulation context: one bundle of clock + scheduler.
 
 A :class:`SimContext` is created per deployment (one per
 :class:`~repro.core.fides.FidesSystem`) and threaded through everything that
 touches simulated time: protocol coordinators schedule their phases on it,
-the network stamps message records with its clock, fault hooks read the
-clock to fire time-based triggers, and the benchmark harness reads the
-makespan off it.
+fault hooks read the clock to fire time-based triggers, and the benchmark
+harness reads the makespan off it.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Callable, Optional
 from repro.common.errors import ConfigurationError
 from repro.obs import Observability
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Timeline
 from repro.sim.scheduler import PipelinedRoundScheduler
 
 #: A compute model maps ``(phase, measured_seconds)`` to the compute charge
@@ -28,8 +26,8 @@ class FixedCompute:
     """Deterministic compute model: every phase costs a fixed time.
 
     Replaces the *measured* (wall-clock, hence noisy) compute charges with a
-    constant so that two runs with the same seed record identical
-    timelines -- the determinism test suite runs under this model.  Network
+    constant so that two runs with the same seed schedule identical
+    timings -- the determinism test suite runs under this model.  Network
     latency stays governed by the (already deterministic) seeded
     ``LatencyModel``.
     """
@@ -51,11 +49,8 @@ class SimContext:
         pipeline_depth: int = 1,
         compute_model: Optional[ComputeModel] = None,
     ) -> None:
-        self.timeline = Timeline()
         self.clock = VirtualClock()
-        self.scheduler = PipelinedRoundScheduler(
-            self.timeline, clock=self.clock, pipeline_depth=pipeline_depth
-        )
+        self.scheduler = PipelinedRoundScheduler(clock=self.clock, pipeline_depth=pipeline_depth)
         self.compute_model = compute_model
         #: The observability bundle every sim-threaded component reports
         #: through (metrics always on, tracing off until enabled); the
@@ -68,18 +63,15 @@ class SimContext:
 
     @property
     def makespan(self) -> float:
-        """Virtual duration of everything recorded so far, in seconds."""
-        return self.timeline.horizon
+        """Virtual duration of everything scheduled so far, in seconds: the
+        clock's high-water mark."""
+        return self.clock.high_water
 
     def effective_compute(self, phase: str, measured: float) -> float:
         """The compute charge used for scheduling (model-overridden if set)."""
         if self.compute_model is None:
             return measured
         return self.compute_model(phase, measured)
-
-    def fingerprint(self) -> str:
-        """Determinism fingerprint of the recorded timeline (see Timeline)."""
-        return self.timeline.fingerprint()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimContext(depth={self.pipeline_depth}, makespan={self.makespan:.6f})"

@@ -56,7 +56,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Timeline
 
 #: Phase kinds: how an activity occupies its resource.
 KIND_BROADCAST = "broadcast"  # network round trip + parallel cohort compute
@@ -123,13 +122,11 @@ class PipelinedRoundScheduler:
 
     def __init__(
         self,
-        timeline: Timeline,
         clock: Optional[VirtualClock] = None,
         pipeline_depth: int = 1,
     ) -> None:
         if pipeline_depth < 1:
             raise ConfigurationError("pipeline_depth must be >= 1")
-        self.timeline = timeline
         self.clock = clock or VirtualClock()
         self.pipeline_depth = pipeline_depth
         self._tasks: Dict[str, List[BlockTask]] = {}
@@ -194,14 +191,13 @@ class PipelinedRoundScheduler:
         del history[:-_TASK_WINDOW]
         self.blocks_scheduled += 1
         self.clock.set(earliest)
-        self.timeline.record(earliest, "block_start", resource=resource, label=label)
         return task
 
     def begin_phase(self, task: BlockTask, phase: str, kind: str = KIND_BROADCAST) -> float:
         """Assign the phase's start time and point the clock at it.
 
         Called *before* the phase's messages are sent, so fault hooks and
-        message records that run inside the handlers observe the phase's
+        round timers that run inside the handlers observe the phase's
         virtual start time.
         """
         if task._pending_phase is not None:
@@ -215,9 +211,6 @@ class PipelinedRoundScheduler:
             start = max(start, self._terminal_free.get(task.resource, 0.0))
         task._pending_phase = (phase, start, kind)
         self.clock.set(start)
-        self.timeline.record(
-            start, "phase_start", resource=task.resource, label=f"{task.label}/{phase}"
-        )
         return start
 
     def end_phase(self, task: BlockTask, phase: str, duration: float) -> Tuple[float, float]:
@@ -238,9 +231,6 @@ class PipelinedRoundScheduler:
         if phase == self.CHAIN_PHASE:
             task.chain_ready_at = end
         self.clock.set(end)
-        self.timeline.record(
-            end, "phase_end", resource=task.resource, label=f"{task.label}/{phase}"
-        )
         return start, end
 
     def end_block(self, task: BlockTask, status: str = "committed") -> float:
@@ -251,13 +241,6 @@ class PipelinedRoundScheduler:
             self.end_phase(task, task._pending_phase[0], 0.0)
         task.done_at = task.ready_at
         task.status = status
-        self.timeline.record(
-            task.done_at,
-            "block_end",
-            resource=task.resource,
-            label=task.label,
-            detail=f"status={status}",
-        )
         return task.done_at
 
     # -- ordered deliveries (scaled deployment) ---------------------------------------
@@ -265,7 +248,6 @@ class PipelinedRoundScheduler:
     def begin_delivery(
         self,
         task: Optional[BlockTask],
-        label: str,
         resources: Sequence[str] = (ORDSERV_RESOURCE,),
     ) -> float:
         """Start an ordered-stream delivery on the given ordering resource(s).
@@ -290,13 +272,11 @@ class PipelinedRoundScheduler:
                 )
             start = max(start, task.ready_at)
         self.clock.set(start)
-        self.timeline.record(start, "phase_start", resource=resources[0], label=label)
         return start
 
     def end_delivery(
         self,
         task: Optional[BlockTask],
-        label: str,
         start: float,
         duration: float,
         read_items: FrozenSet[str] = frozenset(),
@@ -317,7 +297,6 @@ class PipelinedRoundScheduler:
         self._deliveries.append((frozenset(read_items), frozenset(write_items), end))
         del self._deliveries[:-_DELIVERY_WINDOW]
         self.clock.set(end)
-        self.timeline.record(end, "phase_end", resource=resources[0], label=label)
         if task is not None:
             task.delivery_resources = tuple(resources)
             task.phases[phase] = (start, end)
@@ -366,5 +345,6 @@ class PipelinedRoundScheduler:
 
     @property
     def makespan(self) -> float:
-        """The end of the last recorded activity -- the run's virtual duration."""
-        return self.timeline.horizon
+        """The end of the last scheduled activity -- the run's virtual duration
+        (the clock's high-water mark: every start and end passes through it)."""
+        return self.clock.high_water

@@ -62,6 +62,20 @@ class TestIncorrectReadDetection:
         # The precise point in history: the block holding the lying read.
         assert violation.block_height == 1
 
+    # Each lie compares equal to the written value and is another value on
+    # the wire; ``0.0 == -0.0`` is why two floats are compared by encoding.
+    @pytest.mark.parametrize("written, lie", [(0.0, -0.0), (1, True), (1, 1.0)])
+    def test_a_lie_equal_only_by_comparison_is_detected(self, small_system, written, lie):
+        item = small_system.shard_map.items_of("s1")[0]
+        assert small_system.run_transaction([WriteOp(item, written)]).committed
+        small_system.inject_fault(
+            "s1", [FaultPlan("read-corruption", "s1", params={"item": item, "value": lie})]
+        )
+        assert small_system.run_transaction([ReadOp(item)], client_index=1).committed
+        [violation] = small_system.audit().violations
+        assert violation.kind is ViolationType.INCORRECT_READ
+        assert (violation.item_id, violation.culprits, violation.block_height) == (item, ("s1",), 1)
+
     def test_a_lie_about_a_never_written_item_is_detected(self, small_system):
         """The first read of an item is checked against its initial value."""
         assert small_system.run_transaction(
@@ -107,13 +121,16 @@ class TestIncorrectReadDetection:
         incorrect_reads = report.violations_of(ViolationType.INCORRECT_READ)
         assert any(v.item_id == account_x and "s1" in v.culprits for v in incorrect_reads)
 
+    # ``False == 0.0 == 0``, the initial value: the lie must be caught by
+    # what the value is, not by what it compares equal to.
+    @pytest.mark.parametrize("lie", [12345, False, 0.0])
     def test_a_lie_about_a_never_written_item_is_detected_under_sharded_ordering(
-        self, make_scaled_system
+        self, make_scaled_system, lie
     ):
         system = make_scaled_system(txns_per_block=1, sequencer=sharded_sequencer(2))
         item = system.shard_map.items_of("s1")[0]
         system.inject_fault(
-            "s1", [FaultPlan("read-corruption", "s1", params={"item": item, "value": 12345})]
+            "s1", [FaultPlan("read-corruption", "s1", params={"item": item, "value": lie})]
         )
         assert system.run_transaction([ReadOp(item)]).committed
         [violation] = system.audit().violations

@@ -19,11 +19,11 @@ from repro.check.__main__ import main
 
 #: scenario -> (runs, distinct_states, choice_points) under ``--smoke``.
 SMOKE = {
-    "classic-byzantine": (15, 215, 275),
-    "classic-crash": (15, 265, 317),
-    "scaled-reorder": (15, 137, 179),
-    "sharded-ordering": (15, 318, 360),
-    "view-change": (15, 389, 445),
+    "classic-byzantine": (15, 208, 275),
+    "classic-crash": (15, 255, 317),
+    "scaled-reorder": (15, 126, 179),
+    "sharded-ordering": (15, 305, 360),
+    "view-change": (15, 382, 445),
 }
 
 

@@ -22,13 +22,13 @@ def _stub_record(fingerprint: str, pending_rounds: int = 0) -> RunRecord:
     server = SimpleNamespace(
         crashed=False,
         log=SimpleNamespace(height=1, head_hash=fingerprint.encode("utf-8")),
-        commitment=SimpleNamespace(pending_round_count=lambda: pending_rounds),
+        store=SimpleNamespace(merkle_root=lambda: b"root"),
+        commitment=SimpleNamespace(
+            pending_round_count=lambda: pending_rounds,
+            protocol_state=lambda: ([], []),
+        ),
     )
-    system = SimpleNamespace(
-        sim=SimpleNamespace(fingerprint=lambda: fingerprint),
-        servers={"s0": server},
-    )
-    return RunRecord(system=system)
+    return RunRecord(system=SimpleNamespace(servers={"s0": server}))
 
 
 def _toy(name: str, run) -> SimpleNamespace:
@@ -159,6 +159,18 @@ class TestFingerprints:
     def test_fingerprint_distinguishes_states(self):
         assert run_fingerprint(_stub_record("a")) != run_fingerprint(_stub_record("b"))
         assert run_fingerprint(_stub_record("a")) == run_fingerprint(_stub_record("a"))
+
+    def test_every_protocol_state_field_is_fingerprinted(self):
+        root, rounds, told = _stub_record("a"), _stub_record("a"), _stub_record("a")
+        root.system.servers["s0"].store.merkle_root = lambda: b"other"
+        cohort = rounds.system.servers["s0"].commitment
+        cohort.protocol_state = lambda: ([], [("k", "commit", True)])
+        outcome = SimpleNamespace(
+            txn_id="t", status="committed", block_height=0, reason="", cosign_verified=True
+        )
+        told.slices.append(SimpleNamespace(outcomes=[outcome]))
+        fingerprints = {run_fingerprint(r) for r in (_stub_record("a"), root, rounds, told)}
+        assert len(fingerprints) == 4
 
     def test_crashed_servers_fingerprint_without_a_log(self):
         record = _stub_record("x")

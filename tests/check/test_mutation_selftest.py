@@ -30,7 +30,7 @@ def _explore_with(mutation: str, max_runs: int):
 @pytest.mark.parametrize(
     "mutation, invariant, picks, runs, states",
     [
-        ("pr3-round-failed-leak", "round-state-released", [0] * 15 + [1], 21, 319),
+        ("pr3-round-failed-leak", "round-state-released", [0] * 15 + [1], 21, 305),
         ("pr3-double-count-blocks", "workload-accounting", [], 1, 25),
     ],
 )

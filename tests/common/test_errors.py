@@ -7,7 +7,7 @@ import pytest
 from repro.common import errors
 from repro.crypto.keys import PrivateKey
 from repro.net.latency import UniformLatency
-from repro.sim import PipelinedRoundScheduler, Timeline, VirtualClock
+from repro.sim import PipelinedRoundScheduler, VirtualClock
 from repro.sim.context import FixedCompute
 
 
@@ -36,7 +36,7 @@ def test_catching_base_catches_all():
         (lambda: PrivateKey(0), errors.ConfigurationError),
         (lambda: UniformLatency(low=0.2, high=0.1), errors.ConfigurationError),
         (lambda: FixedCompute(-1), errors.ConfigurationError),
-        (lambda: PipelinedRoundScheduler(Timeline(), pipeline_depth=0), errors.ConfigurationError),
+        (lambda: PipelinedRoundScheduler(pipeline_depth=0), errors.ConfigurationError),
         (lambda: VirtualClock().advance(-0.1), errors.ProtocolInvariantError),
     ],
     ids=["private-key", "uniform-latency", "fixed-compute", "scheduler-depth", "clock-advance"],

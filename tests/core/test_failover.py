@@ -168,6 +168,16 @@ class TestClassicFailover:
         )
         assert all(height == 0 for height in small_system.log_heights().values())
 
+    def test_the_round_timeout_counts_toward_the_makespan(self, small_system):
+        # A view change schedules no phase; it advances the clock by the
+        # round timer, and the makespan is the clock's high-water mark.
+        assert small_system.run_transaction(
+            [WriteOp(small_system.shard_map.items_of("s1")[0], 1)]
+        ).committed
+        before = small_system.sim.makespan
+        small_system.fail_over()
+        assert small_system.sim.makespan == pytest.approx(before + ROUND_TIMEOUT_S)
+
     def test_failover_of_a_non_coordinator_is_rejected(self, small_system):
         with pytest.raises(ConfigurationError):
             small_system.fail_over("s1")

@@ -1,14 +1,18 @@
-"""Scheduler determinism: same seed => identical timeline, blocks, timings.
+"""Scheduler determinism: same seed => identical state, blocks, timings.
 
 These tests run whole deployments twice under the deterministic
 :class:`~repro.sim.context.FixedCompute` model (measured wall-clock compute
 is the one intentionally non-deterministic input; the model replaces it) and
-assert that the event timelines, block orders, and timing metrics are
-bit-identical -- including under crash/recovery faults.
+assert that the protocol state each run ends in (the model checker's
+:func:`~repro.check.explorer.run_fingerprint`), block orders, per-phase
+timings and makespans are bit-identical -- including under crash/recovery
+faults.
 """
 
 from __future__ import annotations
 
+from repro.check.explorer import run_fingerprint
+from repro.check.invariants import RunRecord
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
@@ -62,42 +66,56 @@ def run_classic(depth: int = 2, seed: int = 2020, crash: bool = False):
     return system, (outcome,)
 
 
+def state_of(system, outcomes) -> str:
+    return run_fingerprint(RunRecord(system=system, slices=list(outcomes)))
+
+
 def timings_of(outcomes):
-    return [
+    """Per block its status, height and phase durations; per transaction the
+    virtual time its decision landed, which pipelining moves."""
+    blocks = [
         (r.status, None if r.block is None else r.block.height, sorted(r.timing.phases.items()))
         for outcome in outcomes
         for r in outcome.block_results
     ]
+    decided = [o.decided_at for outcome in outcomes for o in outcome.outcomes]
+    return blocks, decided
 
 
 class TestClassicDeterminism:
-    def test_same_seed_same_timeline_and_metrics(self):
+    def test_same_seed_same_state_timings_and_makespan(self):
         a_system, a_outcomes = run_classic()
         b_system, b_outcomes = run_classic()
-        assert a_system.sim.fingerprint() == b_system.sim.fingerprint()
+        assert state_of(a_system, a_outcomes) == state_of(b_system, b_outcomes)
         assert timings_of(a_outcomes) == timings_of(b_outcomes)
         assert a_system.sim.makespan == b_system.sim.makespan
 
-    def test_different_seed_different_timeline(self):
-        a_system, _ = run_classic(seed=2020)
-        b_system, _ = run_classic(seed=2021)
-        assert a_system.sim.fingerprint() != b_system.sim.fingerprint()
+    def test_different_seed_different_state_timings_and_makespan(self):
+        a_system, a_outcomes = run_classic(seed=2020)
+        b_system, b_outcomes = run_classic(seed=2021)
+        assert state_of(a_system, a_outcomes) != state_of(b_system, b_outcomes)
+        assert timings_of(a_outcomes) != timings_of(b_outcomes)
+        assert a_system.sim.makespan != b_system.sim.makespan
 
-    def test_depth_changes_timeline_but_not_outcomes(self):
+    def test_depth_changes_timings_but_not_the_protocol_state(self):
         a_system, a_outcomes = run_classic(depth=1)
         b_system, b_outcomes = run_classic(depth=2)
-        assert a_system.sim.fingerprint() != b_system.sim.fingerprint()
-        a_blocks = [(s, h) for s, h, _ in timings_of(a_outcomes)]
-        b_blocks = [(s, h) for s, h, _ in timings_of(b_outcomes)]
+        assert timings_of(a_outcomes) != timings_of(b_outcomes)
+        a_blocks = [(s, h) for s, h, _ in timings_of(a_outcomes)[0]]
+        b_blocks = [(s, h) for s, h, _ in timings_of(b_outcomes)[0]]
         assert a_blocks == b_blocks
         assert b_system.sim.makespan < a_system.sim.makespan
+        # Pipelining moves when things happen, never what the servers hold
+        # or what the clients are told: the checker sees one state.
+        assert state_of(a_system, a_outcomes) == state_of(b_system, b_outcomes)
 
     def test_deterministic_under_crash_and_recovery(self):
         a_system, a_outcomes = run_classic(crash=True)
         b_system, b_outcomes = run_classic(crash=True)
         assert any(r.status == "failed" for out in a_outcomes for r in out.block_results)
-        assert a_system.sim.fingerprint() == b_system.sim.fingerprint()
+        assert state_of(a_system, a_outcomes) == state_of(b_system, b_outcomes)
         assert timings_of(a_outcomes) == timings_of(b_outcomes)
+        assert a_system.sim.makespan == b_system.sim.makespan
         assert a_system.audit().ok and b_system.audit().ok
 
 
@@ -129,10 +147,11 @@ class TestScaledDeterminism:
         outcome = system.run_workload(workload.generate(12), num_clients=2)
         return system, outcome
 
-    def test_same_seed_same_interleaved_timeline(self):
+    def test_same_seed_same_interleaved_run(self):
         a_system, a_outcome = self.run_scaled()
         b_system, b_outcome = self.run_scaled()
-        assert a_system.sim.fingerprint() == b_system.sim.fingerprint()
+        assert state_of(a_system, [a_outcome]) == state_of(b_system, [b_outcome])
+        assert timings_of([a_outcome]) == timings_of([b_outcome])
         assert a_outcome.committed == b_outcome.committed
         assert a_system.sim.makespan == b_system.sim.makespan
         # The shared timeline genuinely interleaves distinct coordinators and

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolInvariantError
-from repro.sim import PipelinedRoundScheduler, Timeline
+from repro.sim import PipelinedRoundScheduler
 from repro.sim.scheduler import KIND_COMPUTE, KIND_TERMINAL
 
 
 def make_scheduler(depth: int = 1) -> PipelinedRoundScheduler:
-    return PipelinedRoundScheduler(Timeline(), pipeline_depth=depth)
+    return PipelinedRoundScheduler(pipeline_depth=depth)
 
 
 def run_round(scheduler, resource="c0", label="b", **kwargs):
@@ -110,18 +110,35 @@ class TestPipelining:
         assert second.phases["decision"][0] >= first.phases["decision"][1]
 
 
+class TestMakespan:
+    def test_is_the_latest_end_not_the_current_time(self):
+        scheduler = make_scheduler(depth=1)
+        first = run_round(scheduler, resource="c0")
+        # Another coordinator's first block starts at 0: the clock goes back.
+        scheduler.begin_block(resource="c1", label="g")
+        assert scheduler.clock.now == 0.0
+        assert scheduler.makespan == first.done_at == 5.0
+
+    def test_an_ordered_delivery_extends_it(self):
+        scheduler = make_scheduler(depth=1)
+        run_round(scheduler)
+        start = scheduler.begin_delivery(None)
+        scheduler.end_delivery(None, start, 7.0)
+        assert (start, scheduler.makespan) == (0.0, 7.0)
+
+
 class TestDeliveries:
     def test_deliveries_serialize_on_the_ordering_resource(self):
         scheduler = make_scheduler(depth=2)
-        start_a = scheduler.begin_delivery(None, "d1")
-        scheduler.end_delivery(None, "d1", start_a, 2.0, write_items=frozenset({"x"}))
-        start_b = scheduler.begin_delivery(None, "d2")
+        start_a = scheduler.begin_delivery(None)
+        scheduler.end_delivery(None, start_a, 2.0, write_items=frozenset({"x"}))
+        start_b = scheduler.begin_delivery(None)
         assert start_b == start_a + 2.0
 
     def test_frontier_gates_only_conflicting_footprints(self):
         scheduler = make_scheduler(depth=2)
-        start = scheduler.begin_delivery(None, "d1")
-        scheduler.end_delivery(None, "d1", start, 2.0, write_items=frozenset({"x"}))
+        start = scheduler.begin_delivery(None)
+        scheduler.end_delivery(None, start, 2.0, write_items=frozenset({"x"}))
         blocked = scheduler.begin_block(
             resource="c1", label="g1", read_items=frozenset({"x"}),
             chained=False, group_members=frozenset({"s0"}),
