@@ -259,9 +259,13 @@ def map_of(kind: Kind) -> Kind:
     """A dict from ``str`` keys to ``kind``.
 
     Its reader holds the entries to the one order the format allows
-    (strictly increasing encoded keys), as the generic walk does.
+    (strictly increasing encoded keys), as the generic walk does.  Where
+    ``kind`` has a writer, so does the map, and it writes the entries in that
+    order: by encoded key, which is by UTF-8 length and then bytes, as
+    :func:`dict_layout` orders a form's keys (by ``str``, ``"b"`` would
+    precede ``"aa"``).
     """
-    decode_item, encode_item, spliced = kind[:3]
+    decode_item, encode_item, spliced, _, write_item = kind
     read_item = _reader(kind)
 
     def decode(value, what):
@@ -289,13 +293,23 @@ def map_of(kind: Kind) -> Kind:
             raise _stopped(exc, offset) from None
         return entries, offset
 
+    def write_map(value):
+        entries = {canonical_encode(key): item for key, item in value.items()}
+        parts = [_pack(TAG_DICT, len(entries))]
+        for key in sorted(entries):
+            parts.append(key)
+            parts.append(write_item(entries[key]))
+        return b"".join(parts)
+
+    write = write_item and write_map
     if encode_item is None:
-        return Kind(decode, lambda value: dict(sorted(value.items())), read=read)
+        return Kind(decode, lambda value: dict(sorted(value.items())), read=read, write=write)
     return Kind(
         decode,
         lambda value: {key: encode_item(item) for key, item in sorted(value.items())},
         spliced,
         read,
+        write,
     )
 
 

@@ -23,11 +23,13 @@ crash by round-tripping through its byte form, so a recovered server provably
 rebuilt itself from serialised state rather than from aliased Python
 references.  The two records are declared wire forms (:class:`BlockRecord`,
 :class:`SnapshotRecord`; see :mod:`repro.common.wire`): a snapshot record is
-its derived ``wire_bytes()``, which splices the versions' own bytes, and a
-block record is appended as three byte pieces -- the form's opening
-constant, the bytes the block owns, the shard root under its key -- whose join
-is exactly its ``wire_bytes()``.  The memory store keeps those pieces as they
-are, so the 32 journals of the scaled deployment share one copy of each
+its derived ``wire_bytes()``, which writes each item's chain through
+:data:`~repro.storage.record.VERSION_CHAIN` (one constant for a chain that
+is exactly the genesis version), and a block record is appended as three
+byte pieces -- the form's opening constant, the bytes the block owns, the
+shard root under its key -- whose join is exactly its ``wire_bytes()``.
+The memory store keeps those pieces as they are, so the 32 journals of the
+scaled deployment share one copy of each
 delivered block's bytes, and joins a record only when it is read; the file
 store writes their join as one frame.  Reading a record is its derived
 ``from_bytes()``, which walks the declared layout straight into objects and
@@ -56,7 +58,6 @@ from repro.common.wire import (
     BYTES,
     INT,
     STR,
-    list_of,
     map_of,
     nested,
     optional,
@@ -67,7 +68,7 @@ from repro.common.wire import (
 )
 from repro.ledger.block import Block
 from repro.ledger.checkpoint import Checkpoint
-from repro.storage.record import RecordVersion
+from repro.storage.record import VERSION_CHAIN, RecordVersion
 
 
 @wire_form(tag("kind", "block"), ("block", nested(Block)), ("shard_root", BYTES))
@@ -86,7 +87,7 @@ class BlockRecord:
     sub(
         "datastore",
         ("multi_versioned", BOOL),
-        ("items", map_of(list_of(nested(RecordVersion)))),
+        ("items", map_of(VERSION_CHAIN)),
     ),
     ("checkpoint", optional(nested(Checkpoint))),
 )

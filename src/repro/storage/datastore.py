@@ -254,9 +254,11 @@ class DataStore:
 
         These are the two datastore fields of the snapshot record the recovery
         :class:`~repro.recovery.statestore.StateStore` persists; the versions
-        are handed over as they are, because the record's encoder splices each
-        one's own bytes.  :meth:`import_state` is the exact inverse
-        (byte-identical Merkle root, identical rts/wts on every version).
+        are handed over as they are, because the record's writer takes them
+        as objects: a chain of exactly the shared genesis version is one
+        constant (:data:`~repro.storage.record.VERSION_CHAIN`), any other is
+        walked.  :meth:`import_state` is the exact inverse (byte-identical
+        Merkle root, identical rts/wts on every version).
         """
         return {
             "multi_versioned": self._multi_versioned,

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.common.encoding import canonical_encode
 from repro.common.errors import StorageError
 from repro.common.timestamps import Timestamp
 from repro.common.types import ItemId, Value
-from repro.common.wire import ANY, TIMESTAMP, wire_form
+from repro.common.wire import ANY, TIMESTAMP, list_of, nested, wire_form
 
 
 #: What every item holds before any transaction writes it.
@@ -57,6 +58,38 @@ _GENESIS_STAMP = Timestamp.zero()
 
 #: The version every item that starts at :data:`INITIAL_VALUE` holds.
 GENESIS_VERSION = RecordVersion(INITIAL_VALUE, _GENESIS_STAMP, _GENESIS_STAMP)
+
+
+#: The chain of an item no transaction has written yet, and its bytes: a
+#: constant of the format, like the genesis stamp's, not bytes kept for an
+#: instance.
+GENESIS_CHAIN = (GENESIS_VERSION,)
+_GENESIS_CHAIN_BYTES = canonical_encode(GENESIS_CHAIN)
+
+_PLAIN_CHAIN = list_of(nested(RecordVersion))
+_read_plain_chain = _PLAIN_CHAIN.read
+
+
+def _write_chain(chain) -> bytes:
+    """``canonical_encode(chain)``: the genesis constant for a chain of exactly
+    :data:`GENESIS_VERSION` (by identity), the walk for any other."""
+    if len(chain) == 1 and chain[0] is GENESIS_VERSION:
+        return _GENESIS_CHAIN_BYTES
+    return canonical_encode(chain)
+
+
+def _read_chain(data, offset):
+    """A chain in one step when it is the genesis constant, else the list
+    reader -- which reads those bytes as an equal chain at the same end."""
+    if data.startswith(_GENESIS_CHAIN_BYTES, offset):
+        return GENESIS_CHAIN, offset + len(_GENESIS_CHAIN_BYTES)
+    return _read_plain_chain(data, offset)
+
+
+#: An item's version chain, oldest first: a list on the wire, a tuple on the
+#: object.  A fresh shard's snapshot holds :data:`GENESIS_CHAIN` once per
+#: item, so it is written and read as one constant.
+VERSION_CHAIN = _PLAIN_CHAIN._replace(read=_read_chain, write=_write_chain)
 
 
 def _is_initial(value: Value) -> bool:

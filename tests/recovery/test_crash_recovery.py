@@ -208,16 +208,22 @@ class TestCrashLifecycle:
 class TestFileWalRecovery:
     def test_recovery_through_a_real_wal(self, make_system, tmp_path, workload_factory):
         system = make_system()
-        # Swap every server onto a file WAL before any history accumulates.
-        for server_id, server in system.servers.items():
-            server.state_store = FileStateStore(str(tmp_path / f"{server_id}.wal"))
-            server.state_store.initialize(server_id, server.store.export_state())
-        workload = workload_factory(system, seed=5)
-        assert system.run_workload(workload.generate(4)).committed == 4
-        system.crash_server("s2")
-        assert system.run_workload(workload.generate(2)).committed == 0
-        result = system.recover_server("s2")
-        assert result.restored_blocks > 0
-        assert system.server("s2").log.height == system.server("s0").log.height
-        assert system.run_workload(workload.generate(2)).committed == 2
-        assert system.audit().ok
+        stores = []
+        try:
+            # Swap every server onto a file WAL before any history accumulates.
+            for server_id, server in system.servers.items():
+                stores.append(FileStateStore(str(tmp_path / f"{server_id}.wal")))
+                server.state_store = stores[-1]
+                server.state_store.initialize(server_id, server.store.export_state())
+            workload = workload_factory(system, seed=5)
+            assert system.run_workload(workload.generate(4)).committed == 4
+            system.crash_server("s2")
+            assert system.run_workload(workload.generate(2)).committed == 0
+            result = system.recover_server("s2")
+            assert result.restored_blocks > 0
+            assert system.server("s2").log.height == system.server("s0").log.height
+            assert system.run_workload(workload.generate(2)).committed == 2
+            assert system.audit().ok
+        finally:
+            for store in stores:
+                store.close()
