@@ -66,9 +66,6 @@ GENESIS_VERSION = RecordVersion(INITIAL_VALUE, _GENESIS_STAMP, _GENESIS_STAMP)
 GENESIS_CHAIN = (GENESIS_VERSION,)
 _GENESIS_CHAIN_BYTES = canonical_encode(GENESIS_CHAIN)
 
-_PLAIN_CHAIN = list_of(nested(RecordVersion))
-_read_plain_chain = _PLAIN_CHAIN.read
-
 
 def _write_chain(chain) -> bytes:
     """``canonical_encode(chain)``: the genesis constant for a chain of exactly
@@ -78,18 +75,10 @@ def _write_chain(chain) -> bytes:
     return canonical_encode(chain)
 
 
-def _read_chain(data, offset):
-    """A chain in one step when it is the genesis constant, else the list
-    reader -- which reads those bytes as an equal chain at the same end."""
-    if data.startswith(_GENESIS_CHAIN_BYTES, offset):
-        return GENESIS_CHAIN, offset + len(_GENESIS_CHAIN_BYTES)
-    return _read_plain_chain(data, offset)
-
-
 #: An item's version chain, oldest first: a list on the wire, a tuple on the
 #: object.  A fresh shard's snapshot holds :data:`GENESIS_CHAIN` once per
-#: item, so it is written and read as one constant.
-VERSION_CHAIN = _PLAIN_CHAIN._replace(read=_read_chain, write=_write_chain)
+#: item, so it is written as one constant; it is read as any list is.
+VERSION_CHAIN = list_of(nested(RecordVersion))._replace(write=_write_chain)
 
 
 def _is_initial(value: Value) -> bool:

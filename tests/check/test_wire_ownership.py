@@ -33,12 +33,14 @@ from repro.crypto.cosi import CollectiveSignature
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import Block, BlockDecision
+from repro.ledger.checkpoint import Checkpoint
 from repro.ledger.log import TransactionLog
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
-from repro.recovery.statestore import BlockRecord, FileStateStore, MemoryStateStore
+from repro.recovery.statestore import BlockRecord, FileStateStore, MemoryStateStore, SnapshotRecord
 from repro.server.faults import _LOG_TAMPERS
 from repro.sim.context import SimContext
+from repro.storage.record import GENESIS_CHAIN, RecordVersion
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 from test_wire_bytes import traffic_run
@@ -115,7 +117,11 @@ class TestDerivedBytesAreTheWalkers:
             assert instance.wire_bytes() == canonical_encode(wire)
 
 
-_ids = st.text(alphabet="abcxyz0123456789-", min_size=1, max_size=6)
+#: Beside plain ids, ids whose order by encoded key (UTF-8 length, then bytes)
+#: is not their order as ``str``: "b" < "aa" < "é" on the wire.
+_ids = st.text(alphabet="abcxyz0123456789-", min_size=1, max_size=6) | st.sampled_from(
+    ["b", "aa", "é", "éa", "z\u00ff"]
+)
 #: Every item starts at the genesis stamp, which the readers take a path of
 #: their own for: it is drawn, beside its neighbours, as often as any stamp.
 _stamps = st.one_of(
@@ -175,6 +181,30 @@ _envelopes = st.builds(
     payload=st.fixed_dictionaries({"transaction": _transactions, "commit_ts": st.lists(_values)}),
     signature=st.none() | st.binary(max_size=16),
 )
+_versions = st.builds(RecordVersion, value=_values, wts=_stamps, rts=_stamps)
+#: A fresh shard's chain, chains that start with it, and chains of anything.
+_chains = st.one_of(
+    st.just(GENESIS_CHAIN),
+    st.lists(_versions, max_size=2).map(lambda rest: GENESIS_CHAIN + tuple(rest)),
+    st.lists(_versions, max_size=3).map(tuple),
+)
+_checkpoints = st.builds(
+    Checkpoint,
+    height=st.integers(0, 2**20),
+    head_hash=_digests,
+    shard_roots=st.dictionaries(_ids, _digests, max_size=3),
+    latest_commit_ts=_stamps,
+    transactions_covered=st.integers(0, 2**20),
+    cosign=st.none() | _cosigns,
+)
+_snapshot_records = st.builds(
+    SnapshotRecord,
+    server_id=_ids,
+    next_height=st.integers(0, 2**20),
+    multi_versioned=st.booleans(),
+    items=st.dictionaries(_ids, _chains, max_size=4),
+    checkpoint=st.none() | _checkpoints,
+)
 #: The shapes production sends: wire objects inside plain dicts and lists.
 _payloads = st.recursive(
     st.one_of(_values, _transactions, _blocks, _envelopes),
@@ -197,6 +227,11 @@ class TestDerivedBytesAreTheWalkersOnGeneratedInput:
     def test_blocks(self, block):
         assert block.wire_bytes() == reference(block)
         assert block.body_bytes() == reference(block.body())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_snapshot_records)
+    def test_snapshot_records(self, record):
+        assert record.wire_bytes() == reference(record)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_payloads)

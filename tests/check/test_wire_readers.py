@@ -34,7 +34,6 @@ from repro.common.errors import ValidationError
 from repro.common.wire import INT, STR, WIRE_CLASSES, list_of, map_of, nested, sibling_reader
 from repro.core.fides import FidesSystem
 from repro.ledger.block import Block
-from repro.ledger.checkpoint import Checkpoint
 from repro.net.latency import ConstantLatency
 from repro.recovery import wire as recovery_wire
 from repro.recovery.statestore import BlockRecord, SnapshotRecord
@@ -42,8 +41,7 @@ from repro.storage.record import RecordVersion
 from repro.txn.transaction import Transaction
 from repro.workload.ycsb import YcsbWorkload
 
-from test_wire_ownership import _SPARSE, _blocks, _cosigns, _digests, _ids, _stamps
-from test_wire_ownership import _transactions, _values
+from test_wire_ownership import _SPARSE, _blocks, _digests, _snapshot_records, _transactions
 from test_wire_roundtrip import BUILDERS
 
 _REFUSED = object()
@@ -132,25 +130,7 @@ class TestEveryClassReadsItsOwnBytes:
             sibling_reader(WIRE_CLASSES["ReadSetEntry"], WIRE_CLASSES["ReadResult"])
 
 
-_versions = st.builds(RecordVersion, value=_values, wts=_stamps, rts=_stamps)
-_checkpoints = st.builds(
-    Checkpoint,
-    height=st.integers(0, 2**20),
-    head_hash=_digests,
-    shard_roots=st.dictionaries(_ids, _digests, max_size=3),
-    latest_commit_ts=_stamps,
-    transactions_covered=st.integers(0, 2**20),
-    cosign=st.none() | _cosigns,
-)
 _block_records = st.builds(BlockRecord, block=_blocks, shard_root=_digests)
-_snapshot_records = st.builds(
-    SnapshotRecord,
-    server_id=_ids,
-    next_height=st.integers(0, 2**20),
-    multi_versioned=st.booleans(),
-    items=st.dictionaries(_ids, st.lists(_versions, max_size=3).map(tuple), max_size=4),
-    checkpoint=st.none() | _checkpoints,
-)
 
 
 class TestGeneratedObjectsReadBack:

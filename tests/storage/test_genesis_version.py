@@ -9,11 +9,13 @@ them keeps a version of its own.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_decode
 from repro.common.timestamps import Timestamp
 from repro.recovery.manager import restore_from_state
-from repro.recovery.statestore import MemoryStateStore
+from repro.recovery.statestore import MemoryStateStore, SnapshotRecord, _snapshot
 from repro.storage.datastore import DataStore
 from repro.storage.record import (
     GENESIS_VERSION,
@@ -118,3 +120,31 @@ def test_a_version_written_later_is_not_the_genesis_version():
         assert each.record("item-0011").latest.rts == stamp
     # The one shared object is never changed in place by a read.
     assert GENESIS_VERSION.rts is Timestamp.zero()
+
+
+@st.composite
+def _committed_stores(draw):
+    """A datastore of look-alikes and genesis items after a few commits."""
+    ids = draw(
+        st.lists(st.sampled_from(["b", "aa", "é", "éa", "item-7"]), min_size=1, unique=True)
+    )
+    initial = st.sampled_from((INITIAL_VALUE, INITIAL_VALUE, 7) + LOOKALIKES)
+    store = DataStore(
+        {item: draw(initial) for item in ids}, multi_versioned=draw(st.booleans())
+    )
+    for counter in range(1, draw(st.integers(0, 4)) + 1):
+        writes = draw(st.dictionaries(st.sampled_from(ids), initial, max_size=3))
+        reads = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+        store.apply_commit(Timestamp(counter, "c"), writes, reads)
+    return store
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_committed_stores())
+def test_a_snapshot_read_back_and_imported_keeps_the_root(store):
+    record = SnapshotRecord.from_bytes(_snapshot("s0", store.export_state(), None, 0))
+    restored = DataStore.import_state(
+        {"multi_versioned": record.multi_versioned, "items": record.items}
+    )
+    assert restored.merkle_root() == store.merkle_root()
+    assert _versions(restored) == _versions(store)

@@ -1,27 +1,18 @@
-"""The one-step chain codec against the plain list reader and the walker.
+"""The chain writer against the walker.
 
-:data:`repro.storage.record.VERSION_CHAIN` reads a chain that starts with the
-genesis chain's constant bytes in one ``startswith`` and hands back
-:data:`GENESIS_CHAIN`; anything else goes to the plain
-``list_of(nested(RecordVersion))`` reader.  On every input -- a valid chain,
-one whose numbers are spelled another way, one cut short, one with a byte
-flipped -- both readers return equal chains of the same encodings and the
-same end offset, or both refuse with the same message; and the writer's
-bytes are the walker's.
+:data:`repro.storage.record.VERSION_CHAIN` writes a chain of exactly
+:data:`GENESIS_VERSION` as one constant and walks any other; on every chain
+its bytes are ``canonical_encode``'s.
 """
 
 from __future__ import annotations
-
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_encode
-from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
-from repro.common.wire import list_of, nested
 from repro.storage.record import (
     GENESIS_CHAIN,
     GENESIS_VERSION,
@@ -29,12 +20,6 @@ from repro.storage.record import (
     RecordVersion,
     initial_version,
 )
-
-#: The reader the chain kind had before it read the genesis chain in one step.
-_PLAIN = list_of(nested(RecordVersion))
-
-_GENESIS_BYTES = canonical_encode(GENESIS_CHAIN)
-_INT_ZERO = canonical_encode(0)
 
 _stamps = st.one_of(
     st.sampled_from([Timestamp.zero(), Timestamp.zero("a"), Timestamp(1, "")]),
@@ -57,85 +42,6 @@ _chains = st.one_of(
     st.builds(lambda rest: GENESIS_CHAIN + tuple(rest), st.lists(_versions, max_size=2)),
     st.lists(_versions, max_size=3).map(tuple),
 )
-
-
-def _outcome(read, data, offset=0):
-    try:
-        chain, end = read(data, offset)
-    except (ValidationError, ValueError, IndexError, struct.error) as exc:
-        return ("refused", type(exc).__name__, str(exc))
-    # ``==`` alone would take False for 0: each version's own bytes tell them apart.
-    return ("read", type(chain), chain, [canonical_encode(v) for v in chain], end)
-
-
-def _agree(data: bytes, offset: int = 0) -> None:
-    mine = _outcome(VERSION_CHAIN.read, data, offset)
-    assert mine == _outcome(_PLAIN.read, data, offset)
-    if data.startswith(_GENESIS_BYTES, offset):
-        chain, _ = VERSION_CHAIN.read(data, offset)
-        assert chain is GENESIS_CHAIN and chain[0] is GENESIS_VERSION
-
-
-def _respellings(data: bytes):
-    """``data`` with one int ``0`` at a time spelled another way."""
-    start = data.find(_INT_ZERO)
-    while start >= 0:
-        for spelling in (b"00", b"+0", b"-0", b" 0", b"0 ", b"0_0"):
-            head = struct.pack(">BI", ord("I"), len(spelling))
-            yield data[:start] + head + spelling + data[start + len(_INT_ZERO) :]
-        start = data.find(_INT_ZERO, start + 1)
-
-
-def _flips(data: bytes):
-    """``data`` with one byte at a time changed."""
-    for position in range(len(data)):
-        for mask in (0x01, 0x20, 0x80, 0xFF):
-            flipped = bytearray(data)
-            flipped[position] ^= mask
-            yield bytes(flipped)
-
-
-class TestThePlainReaderAgrees:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_chains)
-    def test_on_valid_encodings(self, chain):
-        data = canonical_encode(chain)
-        _agree(data)
-        assert VERSION_CHAIN.read(data, 0) == (chain, len(data))
-
-    def test_on_the_genesis_chain_respelled(self):
-        respelled = list(_respellings(_GENESIS_BYTES))
-        assert len(respelled) == 18  # three zeros: the value and both counters
-        for data in respelled:
-            _agree(data)
-
-    def test_on_the_genesis_chain_cut_short(self):
-        for end in range(len(_GENESIS_BYTES)):
-            _agree(_GENESIS_BYTES[:end])
-
-    def test_on_the_genesis_chain_with_one_byte_flipped(self):
-        for data in _flips(_GENESIS_BYTES):
-            _agree(data)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(_chains, st.data())
-    def test_on_any_chain_respelled_cut_or_flipped(self, chain, data):
-        encoded = canonical_encode(chain)
-        respelled = list(_respellings(encoded))
-        if respelled:
-            _agree(data.draw(st.sampled_from(respelled), label="respelled"))
-        _agree(encoded[: data.draw(st.integers(0, len(encoded)), label="cut")])
-        _agree(data.draw(st.sampled_from(list(_flips(encoded)) or [b""]), label="flipped"))
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(_chains, st.binary(max_size=6), st.binary(max_size=6))
-    def test_at_an_offset_inside_other_bytes(self, chain, before, after):
-        _agree(before + canonical_encode(chain) + after, len(before))
-
-    @pytest.mark.parametrize("after", [b"", b"N", _GENESIS_BYTES, _GENESIS_BYTES[:-1]])
-    def test_the_genesis_chain_followed_by_anything(self, after):
-        _agree(_GENESIS_BYTES + after)
-        assert VERSION_CHAIN.read(_GENESIS_BYTES + after, 0)[1] == len(_GENESIS_BYTES)
 
 
 class TestTheWriterIsTheWalker:
