@@ -81,8 +81,3 @@ class SystemConfig:
         """Canonical identifiers of all servers in the cluster."""
         return [make_server_id(i) for i in range(self.num_servers)]
 
-    @property
-    def total_items(self) -> int:
-        """Total number of data items across all shards."""
-        return self.num_servers * self.items_per_shard
-

@@ -1,4 +1,4 @@
-"""Datastore substrate: versioned records, shards, and partitioning.
+"""Datastore substrate: version chains, shards, and partitioning.
 
 Fides partitions the database into shards, one per server (Section 3.1).
 Each data item carries a read timestamp ``rts`` and a write timestamp ``wts``
@@ -6,8 +6,8 @@ recording the last transaction that read / wrote it; the datastore can be
 single- or multi-versioned (Section 4.2.1).
 """
 
-from repro.storage.record import RecordVersion, VersionedRecord
+from repro.storage.record import RecordVersion
 from repro.storage.datastore import DataStore
 from repro.storage.shard import Shard, ShardMap
 
-__all__ = ["DataStore", "RecordVersion", "Shard", "ShardMap", "VersionedRecord"]
+__all__ = ["DataStore", "RecordVersion", "Shard", "ShardMap"]

@@ -26,11 +26,18 @@ from repro.common.types import ItemId, Value
 from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, wire_form
 from repro.crypto.merkle import MerkleTree, VerificationObject
 from repro.storage.record import (
+    GENESIS_CHAIN,
     RecordVersion,
-    VersionedRecord,
     initial_version,
+    is_initial,
+    shared_chain,
     shared_version,
 )
+
+#: An item's version chain, oldest first: a tuple no store owns (for an
+#: untouched genesis item, :data:`~repro.storage.record.GENESIS_CHAIN`
+#: itself) until the item's first touch gives it a list of its own.
+Chain = Sequence[RecordVersion]
 
 
 @wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
@@ -47,12 +54,17 @@ class ReadResult:
 class DataStore:
     """Versioned key-value store for a single shard.
 
+    Every item id maps straight to its version chain (:data:`Chain`).  An
+    item that starts at the initial value holds the one
+    :data:`~repro.storage.record.GENESIS_CHAIN`, any other initial value a
+    one-version tuple at the genesis stamp.  The first write, read-timestamp
+    advance, corruption or rollback of an item copies its chain into a list
+    only this store holds (:meth:`_own`), so a shared chain is never changed.
+
     Parameters
     ----------
     items:
-        Initial ``item_id -> value`` contents; all initial versions carry the
-        genesis stamp, and an item that starts at the initial value holds the
-        one :data:`~repro.storage.record.GENESIS_VERSION`.
+        Initial ``item_id -> value`` contents.
     multi_versioned:
         Keep the full version chain (True, the default used in the paper's
         audit discussion) or only the latest version.
@@ -60,12 +72,11 @@ class DataStore:
 
     def __init__(self, items: Mapping[ItemId, Value], multi_versioned: bool = True) -> None:
         self._multi_versioned = multi_versioned
-        self._records: Dict[ItemId, VersionedRecord] = {
-            item_id: VersionedRecord(item_id, [initial_version(value)])
+        self._records: Dict[ItemId, Chain] = {
+            item_id: GENESIS_CHAIN if is_initial(value) else (initial_version(value),)
             for item_id, value in items.items()
         }
         self._merkle = MerkleTree.from_items(items)
-        self._mht_node_updates = 0
         #: Historical trees derived for audit VO requests, keyed by the audit
         #: timestamp; invalidated whenever the stored state changes.
         self._historical_trees: Dict[Tuple, MerkleTree] = {}
@@ -85,23 +96,32 @@ class DataStore:
     def item_ids(self) -> List[ItemId]:
         return list(self._records)
 
-    def record(self, item_id: ItemId) -> VersionedRecord:
-        """Return the full versioned record of ``item_id``."""
+    def versions(self, item_id: ItemId) -> Tuple[RecordVersion, ...]:
+        """The version chain of ``item_id``, oldest first, as a tuple."""
+        return tuple(self._chain(item_id))
+
+    def _chain(self, item_id: ItemId) -> Chain:
         try:
             return self._records[item_id]
         except KeyError:
             raise StorageError(f"unknown item {item_id!r}") from None
 
+    def _own(self, item_id: ItemId) -> List[RecordVersion]:
+        """The chain of ``item_id`` as a list only this store holds, copied
+        from the shared tuple on the item's first touch."""
+        chain = self._records[item_id]
+        if type(chain) is not list:
+            chain = self._records[item_id] = list(chain)
+        return chain
+
     def read(self, item_id: ItemId) -> ReadResult:
         """Read the latest committed value and timestamps of ``item_id``."""
-        record = self.record(item_id)
-        latest = record.latest
+        latest = self._chain(item_id)[-1]
         return ReadResult(item_id=item_id, value=latest.value, rts=latest.rts, wts=latest.wts)
 
     def read_version(self, item_id: ItemId, at: Timestamp) -> ReadResult:
         """Read the value of ``item_id`` as of commit timestamp ``at``."""
-        record = self.record(item_id)
-        version = record.version_at(at)
+        version = _version_at(item_id, self._chain(item_id), at)
         return ReadResult(item_id=item_id, value=version.value, rts=version.rts, wts=version.wts)
 
     # -- commit-time mutation -----------------------------------------------
@@ -142,14 +162,21 @@ class DataStore:
             ]
             if unknown:
                 raise StorageError(f"commit touches unknown items: {unknown}")
+        records = self._records
         for commit_ts, writes, reads in ordered:
             for item_id in reads:
-                self._records[item_id].record_read(commit_ts)
+                latest = records[item_id][-1]
+                advanced = latest.with_rts(commit_ts)
+                if advanced is not latest:
+                    self._own(item_id)[-1] = advanced
             for item_id, value in writes.items():
-                self._records[item_id].append_version(value, commit_ts, self._multi_versioned)
+                written = RecordVersion(value, commit_ts, commit_ts)
+                if self._multi_versioned:
+                    self._own(item_id).append(written)
+                else:
+                    records[item_id] = [written]
                 merged_writes[item_id] = value
         mht_work = self._merkle.update_many(merged_writes) if merged_writes else 0
-        self._mht_node_updates += mht_work
         if merged_writes:
             self._historical_trees.clear()
         return mht_work
@@ -161,17 +188,28 @@ class DataStore:
         value changes in storage but the Merkle tree / log were built from the
         correct value, so a later audit detects the mismatch.
         """
-        record = self.record(item_id)
-        latest = record.latest
-        record.versions[-1] = RecordVersion(value=value, wts=latest.wts, rts=latest.rts)
+        latest = self._chain(item_id)[-1]
+        self._own(item_id)[-1] = RecordVersion(value=value, wts=latest.wts, rts=latest.rts)
         self._historical_trees.clear()
 
     def rollback_to(self, timestamp: Timestamp) -> int:
-        """Roll every record back to its last version at or before ``timestamp``."""
+        """Roll every item with more than one version back to its last version
+        at or before ``timestamp``; returns the number of versions removed.
+
+        This supports the paper's recoverability story: after an audit flags
+        a corruption at some version, the data can be reset to the last
+        sanitised version.
+        """
         removed = 0
-        for record in self._records.values():
-            if record.version_count() > 1:
-                removed += record.rollback_to(timestamp)
+        for item_id, chain in self._records.items():
+            if len(chain) > 1:
+                kept = [version for version in chain if version.wts <= timestamp]
+                if not kept:
+                    raise StorageError(
+                        f"rollback of {item_id!r} to {timestamp} would remove every version"
+                    )
+                removed += len(chain) - len(kept)
+                self._records[item_id] = kept
         self._rebuild_merkle()
         return removed
 
@@ -228,8 +266,8 @@ class DataStore:
         tree = self._historical_trees.get(key)
         if tree is None:
             diff = {}
-            for other_id, record in self._records.items():
-                historical_value = record.version_at(at).value
+            for other_id, chain in self._records.items():
+                historical_value = _version_at(other_id, chain, at).value
                 current = self._merkle.value_of(other_id)
                 if historical_value is not current and (
                     canonical_encode(historical_value) != canonical_encode(current)
@@ -244,28 +282,26 @@ class DataStore:
 
     def snapshot(self) -> Dict[ItemId, Value]:
         """Latest committed value of every item (id -> value)."""
-        return {item_id: record.value for item_id, record in self._records.items()}
+        return {item_id: chain[-1].value for item_id, chain in self._records.items()}
 
     # -- durable-state support (crash recovery) -------------------------------
 
     def export_state(self) -> Dict[str, object]:
-        """Dump of every record's full version chain: ``multi_versioned`` and
-        ``items``, each item id beside its :class:`RecordVersion` objects.
+        """Dump of every item's full version chain: ``multi_versioned`` and
+        ``items``, each item id beside its chain of :class:`RecordVersion`
+        objects.
 
         These are the two datastore fields of the snapshot record the recovery
-        :class:`~repro.recovery.statestore.StateStore` persists; the versions
-        are handed over as they are, because the record's writer takes them
-        as objects: a chain of exactly the shared genesis version is one
-        constant (:data:`~repro.storage.record.VERSION_CHAIN`), any other is
-        walked.  :meth:`import_state` is the exact inverse (byte-identical
-        Merkle root, identical rts/wts on every version).
+        :class:`~repro.recovery.statestore.StateStore` persists.  The chains
+        are handed over *live*, not copied: the next commit to this store
+        changes a chain it has touched, so a caller must encode the dump at
+        once, as the state store does (both of its stores hold bytes, never
+        objects).  A chain of exactly the shared genesis version is written
+        as one constant (:data:`~repro.storage.record.VERSION_CHAIN`), any
+        other is walked.  :meth:`import_state` is the exact inverse
+        (byte-identical Merkle root, identical rts/wts on every version).
         """
-        return {
-            "multi_versioned": self._multi_versioned,
-            "items": {
-                item_id: tuple(record.versions) for item_id, record in self._records.items()
-            },
-        }
+        return {"multi_versioned": self._multi_versioned, "items": dict(self._records)}
 
     @classmethod
     def import_state(cls, state: Mapping[str, object]) -> "DataStore":
@@ -278,30 +314,27 @@ class DataStore:
         field of the wrong type is refused
         (:class:`~repro.common.errors.ValidationError`), not coerced.  Either
         way, an item restored at its initial state holds the one genesis
-        version again, as it did before the dump.
+        chain again, as it did before the dump, and every other item a tuple
+        of its own that the dump's holder cannot change.
         """
         store = cls.__new__(cls)
         store._multi_versioned = BOOL.decode(state["multi_versioned"], "multi_versioned")
-        records: Dict[ItemId, VersionedRecord] = {}
+        records: Dict[ItemId, Chain] = {}
         for item_id, versions in state["items"].items():
             if not versions:
                 raise StorageError(f"persisted item {item_id!r} has no versions")
-            records[item_id] = VersionedRecord(
-                item_id=item_id,
-                versions=[
+            records[item_id] = shared_chain(
+                tuple(
                     shared_version(
                         version
                         if type(version) is RecordVersion
                         else RecordVersion.from_wire(version)
                     )
                     for version in versions
-                ],
+                )
             )
         store._records = records
-        store._merkle = MerkleTree.from_items(
-            {item_id: record.value for item_id, record in records.items()}
-        )
-        store._mht_node_updates = 0
+        store._merkle = MerkleTree.from_items(store.snapshot())
         store._historical_trees = {}
         return store
 
@@ -309,7 +342,17 @@ class DataStore:
         self._merkle = MerkleTree.from_items(self.snapshot())
         self._historical_trees.clear()
 
-    @property
-    def mht_node_updates(self) -> int:
-        """Total Merkle node hashes recomputed by committed writes so far."""
-        return self._mht_node_updates
+
+def _version_at(item_id: ItemId, chain: Chain, timestamp: Timestamp) -> RecordVersion:
+    """The version of ``chain`` visible at ``timestamp``: the newest whose
+    ``wts`` is <= ``timestamp``; used by per-version audits of
+    multi-versioned datastores."""
+    candidate = None
+    for version in chain:
+        if version.wts <= timestamp:
+            candidate = version
+        else:
+            break
+    if candidate is None:
+        raise StorageError(f"item {item_id!r} has no version at or before {timestamp}")
+    return candidate

@@ -61,9 +61,6 @@ class ShardMap:
     def all_items(self) -> List[ItemId]:
         return list(self._assignment)
 
-    def all_servers(self) -> List[ServerId]:
-        return sorted(self._by_server)
-
     def __len__(self) -> int:
         return len(self._assignment)
 

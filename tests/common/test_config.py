@@ -19,9 +19,6 @@ class TestSystemConfig:
     def test_server_ids(self):
         assert SystemConfig(num_servers=3).server_ids == ["s0", "s1", "s2"]
 
-    def test_total_items(self):
-        assert SystemConfig(num_servers=4, items_per_shard=10).total_items == 40
-
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -113,6 +113,4 @@ class TestPrefixReplayReproducesRoots:
             assert clone.merkle_root() == merkle_root_of(clone.snapshot())
             # Version chains survive: historical reads agree everywhere.
             for item_id in clone.item_ids():
-                assert clone.record(item_id).versions == server.store.record(
-                    item_id
-                ).versions
+                assert clone.versions(item_id) == server.store.versions(item_id)

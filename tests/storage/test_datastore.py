@@ -52,9 +52,12 @@ class TestDataStoreCommits:
 
     def test_commit_returns_mht_work(self):
         store = make_store(16)
-        work = store.apply_commit(Timestamp(1, "c"), {"item-1": 1, "item-2": 2})
+        writes = {"item-1": 1, "item-2": 2}
+        root, expected = store.speculative_root(writes)
+        work = store.apply_commit(Timestamp(1, "c"), writes)
         assert work > 0
-        assert store.mht_node_updates == work
+        assert work == expected
+        assert store.merkle_root() == root
 
     def test_multi_versioned_history_readable(self):
         store = make_store()
@@ -271,8 +274,15 @@ class TestSnapshotImport:
             lambda state: state["items"]["item-1"][0].update(wts=[0]),
             lambda state: state["items"]["item-1"][0].pop("value"),
             lambda state: state.update(multi_versioned=1),
+            lambda state: state["items"]["item-1"].clear(),
         ],
-        ids=["rts-types-swapped", "wts-short", "value-missing", "multi-versioned-int"],
+        ids=[
+            "rts-types-swapped",
+            "wts-short",
+            "value-missing",
+            "multi-versioned-int",
+            "no-versions",
+        ],
     )
     def test_a_corrupt_snapshot_is_refused_not_coerced(self, damage):
         state = self._state()

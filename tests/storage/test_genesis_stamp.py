@@ -33,7 +33,7 @@ def _timestamps() -> int:
 
 def test_a_restored_genesis_snapshot_holds_the_shared_stamp():
     store = _restored({f"item-{index}": index for index in range(20)})
-    versions = [version for item in store.item_ids() for version in store.record(item).versions]
+    versions = [version for item in store.item_ids() for version in store.versions(item)]
     assert len(versions) == 20
     for version in versions:
         assert version.wts is Timestamp.zero()

@@ -41,10 +41,6 @@ class TestShardMap:
         with pytest.raises(StorageError):
             shard_map.server_for("missing")
 
-    def test_all_servers_sorted(self):
-        _, shard_map = build_uniform_partition(SystemConfig(num_servers=3, items_per_shard=1))
-        assert shard_map.all_servers() == ["s0", "s1", "s2"]
-
 
 class TestShard:
     def test_shard_wraps_store(self):

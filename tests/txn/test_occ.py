@@ -65,7 +65,9 @@ class TestOccValidator:
 
     def test_write_below_existing_read_aborts(self):
         store = make_store()
-        store.record("y").record_read(Timestamp(10, "c1"))
+        store.apply_commit(Timestamp(10, "c1"), {}, reads=["y"])
+        assert store.read("y").rts == Timestamp(10, "c1")
+        assert store.read("y").wts == Timestamp.zero()
         txn = Transaction(
             txn_id="t",
             client_id="c0",
