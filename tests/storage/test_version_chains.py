@@ -10,7 +10,8 @@ order, so a chain is in that order too.  Hypothesis drives the model and a :clas
 through the same random operations, including a dump and restore, and holds
 every read, historical read, historical verification object, Merkle root and
 snapshot byte to the model's.  The values include ``False``, ``0.0`` and
-``-0.0``, which equal the initial ``0`` but encode apart.
+``-0.0``, which equal the initial ``0`` but encode apart.  ``TestOneChain``
+gives each rule of a single chain one worked example.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ def test_a_store_keeps_the_chains_of_the_reference_model(items, multi_versioned,
 
 def test_a_chain_that_starts_later_has_no_earlier_version():
     chain = tuple(
-        RecordVersion(value, Timestamp(ts, "c"), Timestamp(ts, "c")) for value, ts in ((1, 5), (2, 7))
+        RecordVersion(value, Timestamp(ts, "c"), Timestamp(ts, "c"))
+        for value, ts in ((1, 5), (2, 7))
     )
     store = DataStore.import_state({"multi_versioned": True, "items": {"x": chain}})
     with pytest.raises(StorageError):
@@ -231,3 +233,76 @@ def test_a_chain_that_starts_later_has_no_earlier_version():
     assert store.versions("x") == chain
     assert store.rollback_to(Timestamp(5, "c")) == 1
     assert store.versions("x") == chain[:1]
+
+
+def _later_chain(*stamps):
+    """A store whose one item ``x`` starts at ``stamps[0]``, not at genesis."""
+    chain = tuple(
+        RecordVersion(value, Timestamp(ts, "c"), Timestamp(ts, "c"))
+        for value, ts in enumerate(stamps, start=1)
+    )
+    return DataStore.import_state({"multi_versioned": True, "items": {"x": chain}})
+
+
+class TestOneChain:
+    """The rules of one item's chain, one worked example each."""
+
+    def test_latest_reflects_last_append(self):
+        store = DataStore({"x": 0})
+        store.apply_commit(Timestamp(5, "c"), {"x": 10})
+        assert store.read("x").value == 10
+        assert store.read("x").wts == Timestamp(5, "c")
+        assert store.versions("x")[-1] == RecordVersion(10, Timestamp(5, "c"), Timestamp(5, "c"))
+
+    def test_multi_versioned_keeps_history(self):
+        store = DataStore({"x": 0})
+        store.apply_commit(Timestamp(5, "c"), {"x": 10})
+        store.apply_commit(Timestamp(9, "c"), {"x": 20})
+        assert len(store.versions("x")) == 3
+        assert store.versions("x")[0] == GENESIS_VERSION
+        assert store.read_version("x", Timestamp(5, "c")).value == 10
+        assert store.read_version("x", Timestamp(20, "c")).value == 20
+
+    def test_single_versioned_discards_history(self):
+        store = DataStore({"x": 0}, multi_versioned=False)
+        store.apply_commit(Timestamp(5, "c"), {"x": 10})
+        store.apply_commit(Timestamp(9, "c"), {"x": 20})
+        assert store.versions("x") == (RecordVersion(20, Timestamp(9, "c"), Timestamp(9, "c")),)
+        assert store.read("x").value == 20
+
+    def test_record_read_advances_rts_monotonically(self):
+        store = DataStore({"x": 0})
+        store.apply_commit(Timestamp(7, "c"), {}, reads=["x"])
+        assert store.read("x").rts == Timestamp(7, "c")
+        store.apply_commit(Timestamp(3, "c"), {}, reads=["x"])
+        assert store.read("x").rts == Timestamp(7, "c")
+        assert store.read("x").wts == ZERO
+        assert len(store.versions("x")) == 1
+
+    def test_version_at_before_first_raises(self):
+        store = _later_chain(5)
+        with pytest.raises(StorageError):
+            store.read_version("x", Timestamp(1, "c"))
+        assert store.read_version("x", Timestamp(5, "c")).value == 1
+
+    def test_rollback_removes_newer_versions(self):
+        store = DataStore({"x": 0, "y": 0})
+        store.apply_commit(Timestamp(5, "c"), {"x": 10})
+        store.apply_commit(Timestamp(9, "c"), {"x": 20})
+        assert store.rollback_to(Timestamp(5, "c")) == 1
+        assert store.read("x").value == 10
+        assert store.versions("y") is GENESIS_CHAIN
+        assert store.merkle_root() == merkle_root_of({"x": 10, "y": 0})
+
+    def test_rollback_cannot_empty_record(self):
+        store = _later_chain(5, 7)
+        with pytest.raises(StorageError):
+            store.rollback_to(Timestamp(1, "c"))
+        assert [version.value for version in store.versions("x")] == [1, 2]
+
+    def test_empty_record_latest_raises(self):
+        store = DataStore({"x": 0})
+        with pytest.raises(StorageError):
+            store.read("y")
+        with pytest.raises(StorageError):
+            store.versions("y")
