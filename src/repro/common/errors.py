@@ -81,15 +81,3 @@ class RecoveryError(FidesError):
 class AuditError(FidesError):
     """The auditor could not complete an audit (e.g. no correct log exists)."""
 
-
-class TransactionAborted(FidesError):
-    """A transaction was aborted by the commit protocol.
-
-    Carries the abort ``reason`` and the offending ``txn_id`` so client code
-    can decide whether to retry.
-    """
-
-    def __init__(self, txn_id, reason: str = "") -> None:
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason

@@ -140,10 +140,6 @@ class Block:
         return tuple(str(txn.commit_ts) for txn in self.transactions)
 
     @property
-    def commit_timestamps(self) -> Tuple[Timestamp, ...]:
-        return tuple(txn.commit_ts for txn in self.transactions)
-
-    @property
     def read_set(self):
         """The concatenated read sets of every transaction in the block."""
         return tuple(entry for txn in self.transactions for entry in txn.read_set)

@@ -70,8 +70,3 @@ def lan_latency(seed: int = 2020) -> LatencyModel:
 def wan_latency(seed: int = 2020) -> LatencyModel:
     """Cross-region latency (used only by the ablation benchmark)."""
     return UniformLatency(low=0.030, high=0.045, seed=seed)
-
-
-def zero_latency() -> LatencyModel:
-    """No network delay at all; isolates pure compute cost."""
-    return ConstantLatency(0.0)

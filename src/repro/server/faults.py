@@ -103,23 +103,6 @@ class FaultPlan:
         object.__setattr__(self, "trigger", dict(self.trigger))
         object.__setattr__(self, "params", dict(self.params))
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "fault": self.fault,
-            "target": self.target,
-            "trigger": dict(self.trigger),
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FaultPlan":
-        return cls(
-            fault=data["fault"],
-            target=data["target"],
-            trigger=data.get("trigger", {}),
-            params=data.get("params", {}),
-        )
-
 
 def _forge_write_entry(log, params: Mapping) -> bool:
     """Overwrite a logged write value after the fact (Lemma 6)."""

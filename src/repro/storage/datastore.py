@@ -198,9 +198,10 @@ class DataStore:
 
         This supports the paper's recoverability story: after an audit flags
         a corruption at some version, the data can be reset to the last
-        sanitised version.
+        sanitised version.  A rollback that would empty any chain is refused
+        before it trims one, so the store is left as it was.
         """
-        removed = 0
+        trimmed: Dict[ItemId, List[RecordVersion]] = {}
         for item_id, chain in self._records.items():
             if len(chain) > 1:
                 kept = [version for version in chain if version.wts <= timestamp]
@@ -208,8 +209,9 @@ class DataStore:
                     raise StorageError(
                         f"rollback of {item_id!r} to {timestamp} would remove every version"
                     )
-                removed += len(chain) - len(kept)
-                self._records[item_id] = kept
+                trimmed[item_id] = kept
+        removed = sum(len(self._records[item_id]) - len(kept) for item_id, kept in trimmed.items())
+        self._records.update(trimmed)
         self._rebuild_merkle()
         return removed
 

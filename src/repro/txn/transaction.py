@@ -13,7 +13,7 @@ inside a block (Table 1 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.common.encoding import canonical_encode
 from repro.common.timestamps import Timestamp
@@ -92,24 +92,11 @@ class Transaction:
     def items_accessed(self) -> Set[ItemId]:
         return self.items_read() | self.items_written()
 
-    def writes_as_dict(self) -> Dict[ItemId, Value]:
-        """``item_id -> new_value`` for every written item."""
-        return {entry.item_id: entry.new_value for entry in self.write_set}
-
-    def read_entry(self, item_id: ItemId) -> Optional[ReadSetEntry]:
-        for entry in self.read_set:
-            if entry.item_id == item_id:
-                return entry
-        return None
-
     def write_entry(self, item_id: ItemId) -> Optional[WriteSetEntry]:
         for entry in self.write_set:
             if entry.item_id == item_id:
                 return entry
         return None
-
-    def is_read_only(self) -> bool:
-        return not self.write_set
 
     def conflicts_with(self, other: "Transaction") -> bool:
         """True if the two transactions access a common item and at least one writes it.
@@ -170,18 +157,3 @@ class Transaction:
             )
         return canonical_encode(parts)
 
-
-def partition_by_server(txn: Transaction, shard_map) -> Dict[str, Dict[str, list]]:
-    """Split a transaction's read/write sets by owning server.
-
-    Returns ``{server_id: {"reads": [...], "writes": [...]}}`` -- the shape
-    cohorts need when validating and applying their slice of a transaction.
-    """
-    per_server: Dict[str, Dict[str, list]] = {}
-    for entry in txn.read_set:
-        server = shard_map.server_for(entry.item_id)
-        per_server.setdefault(server, {"reads": [], "writes": []})["reads"].append(entry)
-    for entry in txn.write_set:
-        server = shard_map.server_for(entry.item_id)
-        per_server.setdefault(server, {"reads": [], "writes": []})["writes"].append(entry)
-    return per_server

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import random
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from typing import Sequence
 
 
 class KeyDistribution(ABC):
@@ -26,19 +26,6 @@ class KeyDistribution(ABC):
     @abstractmethod
     def sample(self) -> str:
         """Return one item id."""
-
-    def sample_distinct(self, count: int) -> List[str]:
-        """Return ``count`` distinct item ids (rejection sampling)."""
-        if count > len(self._item_ids):
-            raise ValueError("cannot sample more distinct keys than exist")
-        chosen: List[str] = []
-        seen = set()
-        while len(chosen) < count:
-            item = self.sample()
-            if item not in seen:
-                seen.add(item)
-                chosen.append(item)
-        return chosen
 
 
 class UniformKeys(KeyDistribution):

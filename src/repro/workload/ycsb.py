@@ -35,10 +35,6 @@ class TransactionSpec:
     def item_ids(self) -> List[str]:
         return sorted({op.item_id for op in self.operations})
 
-    @property
-    def num_operations(self) -> int:
-        return len(self.operations)
-
 
 @dataclass
 class YcsbWorkload:

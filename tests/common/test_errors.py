@@ -17,14 +17,6 @@ def test_all_errors_derive_from_fides_error():
         assert issubclass(getattr(errors, name), errors.FidesError)
 
 
-def test_transaction_aborted_carries_context():
-    exc = errors.TransactionAborted("t-1", reason="rw-conflict")
-    assert exc.txn_id == "t-1"
-    assert exc.reason == "rw-conflict"
-    assert "t-1" in str(exc)
-    assert isinstance(exc, errors.FidesError)
-
-
 def test_catching_base_catches_all():
     with pytest.raises(errors.FidesError):
         raise errors.StorageError("boom")

@@ -222,15 +222,6 @@ class TestFaultPlans:
         with pytest.raises(ConfigurationError):
             FaultPlan(fault="bribe-the-auditor", target="s1")
 
-    def test_plans_serialise_declaratively(self):
-        plan = FaultPlan(
-            fault="read-corruption",
-            target="s1",
-            trigger={"kind": "at-height", "height": 2},
-            params={"item": "item-1"},
-        )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-
     def test_matrix_needs_three_servers(self):
         with pytest.raises(ConfigurationError):
             build_fault_matrix(["s0", "s1"])

@@ -42,7 +42,6 @@ class TestTable1Fields:
     def test_txn_id_is_the_commit_timestamp(self):
         block = make_block()
         assert block.txn_ids == (str(Timestamp(5, "c0")),)
-        assert block.commit_timestamps == (Timestamp(5, "c0"),)
 
     def test_read_set_entries(self):
         entry = make_block().read_set[0]

@@ -21,7 +21,7 @@ from repro.net.message import MessageType
 from repro.server.server import DatabaseServer
 
 #: Replies that are not declared forms yet, each for a stated reason (see the
-#: table's comments and ROADMAP item 2).  The set can only shrink.
+#: table's comments and ROADMAP item 6).  The set can only shrink.
 UNDECLARED_REPLIES = {MessageType.AUDIT_LOG_REQUEST}
 
 

@@ -10,7 +10,6 @@ from repro.net.latency import (
     UniformLatency,
     lan_latency,
     wan_latency,
-    zero_latency,
 )
 
 
@@ -38,6 +37,3 @@ class TestLatencyModels:
         lan = sum(lan_latency(seed=1).sample() for _ in range(50)) / 50
         wan = sum(wan_latency(seed=1).sample() for _ in range(50)) / 50
         assert wan > 10 * lan
-
-    def test_zero_latency(self):
-        assert zero_latency().sample() == 0.0

@@ -235,6 +235,28 @@ def test_a_chain_that_starts_later_has_no_earlier_version():
     assert store.versions("x") == chain[:1]
 
 
+def test_a_refused_rollback_changes_nothing():
+    """A rollback that would empty one chain is refused before it trims any
+    other: the chains, the Merkle root and the cached historical tree all
+    stay those of the store as it was."""
+    chains = {
+        "b": (GENESIS_VERSION, RecordVersion(6, Timestamp(6, "c"), Timestamp(6, "c"))),
+        "a": tuple(RecordVersion(ts, Timestamp(ts, "c"), Timestamp(ts, "c")) for ts in (5, 7)),
+    }
+    store = DataStore.import_state({"multi_versioned": True, "items": chains})
+    store.verification_object_at("b", Timestamp(8, "c"))
+    with pytest.raises(StorageError):
+        store.rollback_to(Timestamp(4, "c"))
+    assert {item: store.versions(item) for item in chains} == chains
+    assert store.read("b").value == 6
+    assert store.merkle_root() == merkle_root_of(store.snapshot())
+    restored = DataStore.import_state(store.export_state())
+    assert (
+        store.verification_object_at("b", Timestamp(8, "c"))[1]
+        == restored.verification_object_at("b", Timestamp(8, "c"))[1]
+    )
+
+
 def _later_chain(*stamps):
     """A store whose one item ``x`` starts at ``stamps[0]``, not at genesis."""
     chain = tuple(

@@ -1,0 +1,163 @@
+"""The repository's structural guards, one row each: a rule of DESIGN.md and
+the pattern whose return would break it.  A row reads the files ``git
+ls-files`` lists under its scope (pathspecs; ``*`` matches ``/``) but this one,
+finds the lines that match and that its allow-list (a regex over
+``path:line:text``) does not, and holds when what it finds, by ``kind``, is
+exactly ``expect``.  It must fail on each of its ``plants`` (``path:text``,
+appended in memory).  A ``basic`` pattern is grep's basic syntax.
+"""
+
+from __future__ import annotations
+
+import fnmatch
+import re
+import subprocess
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional, Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SELF = Path(__file__).resolve().relative_to(ROOT).as_posix()
+SRC, CODE, CI = ("src/repro",), ("src", "tests", "examples"), ".github/workflows/ci.yml"
+AUDIT = ("An audit verifies from scratch", '§5 "One audit checks each co-sign once"')
+RUNNER, LEDGER = ("One runner", "§7, §8.2"), ("One traffic ledger", "§12")
+BLOCK = ("One block rule", '§5 "Who must have signed"')
+ANCHOR = ("One anchor rule", '§5 "Epoch anchors and the trust argument"')
+CONTRACT = ("One contract for the sweeps", '§7 "One contract"')
+
+
+@dataclass(frozen=True)
+class Guard:
+    step: str
+    section: str
+    scope: Tuple[str, ...]
+    pattern: Optional[str]
+    allow: Optional[str] = None
+    plants: Tuple[str, ...] = ()
+    kind: str = "lines"
+    expect: Tuple[str, ...] = ()
+    basic: bool = False
+
+
+GUARDS = (
+    Guard("No call graph, no baseline ledger", "§11", ("src/repro/check",),
+          r"resolve_call|_reachable_decls|baseline\.json|update-baseline",
+          plants=("src/repro/check/static/rules.py:def resolve_call(node):",)),
+    Guard("No hand-rolled byte memo", '§6 "Who owns the bytes"', SRC,
+          r"CANONICAL_CACHEABLE|_canonical_cache|_encoded_cache|_digest_cache|_group_digest_cache",
+          plants=("src/repro/ledger/block.py:        self._digest_cache = {}",)),
+    Guard(*AUDIT, ("src/repro/crypto/group.py",), r"@functools\.cache", basic=True, kind="after",
+          expect=("@functools.cache", "def _generator_table() -> _WindowTable:"),
+          plants=("src/repro/crypto/group.py:@functools.cache\ndef _verdict(key):",)),
+    Guard(*AUDIT, ("src/repro/audit", "src/repro/ledger/log.py", "src/repro/crypto"),
+          r"lru_cache|functools\.cache\b|@cache\b|^[A-Za-z_][A-Za-z0-9_]*\s*(:[^=]*)?=\s*(\{|dict\(|defaultdict\(|OrderedDict\(|WeakKeyDictionary\(|WeakValueDictionary\(|_[A-Z][A-Za-z0-9]*\()",
+          r"^src/repro/crypto/(group\.py:[0-9]+:(@functools\.cache|_KEY_TABLES = _KeyTables\(\))|signing\.py:[0-9]+:_SCHEMES = \{)$",
+          plants=("src/repro/audit/auditor.py:_VERDICTS = {}", "src/repro/ledger/log.py:@cache",
+                  "src/repro/crypto/group.py:_VERDICTS: dict = dict()")),
+    Guard("Declared owners of bytes", '§6 "Who owns the bytes"', SRC, "owns_bytes=True",
+          kind="files", expect=("src/repro/ledger/block.py", "src/repro/txn/transaction.py"),
+          plants=("src/repro/net/forms.py:@wire_form(owns_bytes=True)",), basic=True),
+    Guard("No generic decode of bytes at rest", '§6 "Reading bytes at rest"', SRC,
+          r"import.*\bcanonical_decode\b|\bencoding\.canonical_decode\b|^\s*canonical_decode,?$|_iter_records",
+          r"^src/repro/common/encoding\.py:",
+          plants=("src/repro/recovery/wire.py:from repro.common.encoding import canonical_decode",
+                  "src/repro/ledger/log.py:    canonical_decode,")),
+    Guard("One spelling of the genesis stamp", '§6 "Reading bytes at rest"', SRC, "Timestamp(0",
+          r"^src/repro/common/timestamps\.py:", basic=True,
+          plants=('src/repro/storage/record.py:ZERO = Timestamp(0, "")',)),
+    Guard("One genesis version", '§6 "One genesis version"', SRC,
+          r"RecordVersion\([^)]*(zero|INITIAL_VALUE)", r"^src/repro/storage/record\.py:",
+          plants=("src/repro/storage/datastore.py:v = RecordVersion(INITIAL_VALUE, ZERO, ZERO)",)),
+    # The one exception: the AUDIT_LOG_REQUEST reply is no declared form yet (ROADMAP item 6).
+    Guard("No ad-hoc message dicts", '§6 "The message table"',
+          tuple(f"src/repro/{p}" for p in ("server", "core", "client", "recovery", "audit")),
+          r'payload\[|payload\.get\(|\.get\("ok"\)|\["ok"\]|"ok": (True|False)|(response|mine)(\.get\(|\[)',
+          r'audit/auditor.py:[0-9]+: +(logs\[server_id\] = response\["log"\]|checkpoint = response\.get\("checkpoint"\))$',
+          plants=('src/repro/server/server.py:        value = payload["value"]',
+                  'src/repro/audit/auditor.py:        height = response["height"]')),
+    Guard(*RUNNER, CODE, r"CampaignRunner|CampaignConfig|DetectionResult|run_campaign",
+          plants=("src/repro/faultsim/plan.py:CampaignRunner = None",
+                  'tests/check/traces/pr3-round-failed-leak.json:"run_campaign"')),
+    Guard(*RUNNER, SRC, r"tiny_config|make_scenario|build_system|DEFAULT_CONFIG",
+          plants=("src/repro/check/scenarios.py:def build_system(config):",)),
+    Guard(*RUNNER, CODE,
+          r"ClassicCrashScenario|ClassicByzantineScenario|ViewChangeScenario|ScaledReorderScenario|ShardedOrderingScenario",
+          plants=("examples/quickstart.py:class ViewChangeScenario:",)),
+    Guard(*LEDGER, CODE, r"NetworkStats|attach_sim|attach_obs|network\.stats|stats\.record\(",
+          plants=("tests/net/test_network.py:    network.attach_obs(obs)",)),
+    Guard(*LEDGER, ("src/repro/net", "src/repro/core/sequencing.py"),
+          r"(obs|_sim|_obs) is not None",
+          plants=("src/repro/core/sequencing.py:        if self._obs is not None:",)),
+    Guard(*BLOCK, SRC, "cosi_verify(", basic=True,
+          allow=r"^src/repro/(crypto/cosi|ledger/log|core/tfcommit|client/client|check/invariants)\.py:",
+          plants=("src/repro/audit/auditor.py:        cosi_verify(cosign, digest, keys)",)),
+    Guard(*BLOCK, SRC, r"set\([A-Za-z_.]*signer_ids\)",
+          r"^src/repro/(ledger/log|check/invariants)\.py:",
+          plants=("src/repro/audit/auditor.py:    if set(cosign.signer_ids) != keys:",)),
+    Guard(*BLOCK, CODE, "verify_log_against_checkpoint", basic=True,
+          plants=("tests/ledger/test_log.py:verify_log_against_checkpoint(log, cp)",)),
+    Guard(*ANCHOR, SRC, "fold_shard_head(", r"^src/repro/(ledger/anchor|core/sequencing)\.py:",
+          basic=True, plants=("src/repro/audit/auditor.py:    head = fold_shard_head(head, block)",)),
+    *(Guard(*ANCHOR, SRC, rf"def {rule}\b", kind="once",
+            plants=(f"src/repro/audit/auditor.py:def {rule}(a):\ndef {rule}(b):",))
+      for rule in ("replay_shard_chains", "verify_anchor_chain", "verify_anchor_link")),
+    Guard("No anchor broadcast", "§5", SRC,
+          r"EPOCH_ANCHOR|AnchorSealed|subscribe_anchors|broadcast_anchor|_on_epoch_anchor",
+          plants=('src/repro/net/message.py:    EPOCH_ANCHOR = "epoch_anchor"',)),
+    Guard(*CONTRACT, ("benchmarks/bench_*.py", "benchmarks/baseline.json"), None,
+          plants=("benchmarks/bench_audit.py:", "benchmarks/baseline.json:{}")),
+    Guard(*CONTRACT, CODE + ("benchmarks/*.py", "pyproject.toml", "setup.py"),
+          r"repro\.bench\.gate|benchmarks/baseline\.json|benchmark\.pedantic|pytest-benchmark",
+          plants=("benchmarks/perf/run.py:import repro.bench.gate",
+                  'pyproject.toml:dev = ["pytest-benchmark"]')),
+    Guard("Silent peers are refusals built in one place", '§6 "The message table"', SRC,
+          'unreachable": True', basic=True,
+          plants=('src/repro/core/tfcommit.py:        replies[peer] = {"unreachable": True}',)),
+    Guard("The timeline keeps no events", "§7", SRC,
+          r"heapq|run_until_idle|SimEvent|loop-order|Timeline|timeline\.record|sim\.fingerprint",
+          plants=("src/repro/sim/clock.py:import heapq",)),
+    Guard("The guards are this table", '§11 "The repository guards"', (CI,), "grep", basic=True,
+          plants=(f"{CI}:        run: ! grep -rn heapq src/repro",)),
+)
+
+
+def violations(guard, tree):
+    """What ``guard`` finds in ``tree`` (path -> text) if it fails, else ``[]``."""
+    paths = [path for path in tree if any(
+        path.startswith(spec + "/") or fnmatch.fnmatchcase(path, spec) for spec in guard.scope)]
+    if guard.pattern is None:
+        return paths
+    pattern = guard.pattern
+    if guard.basic:  # grep's basic syntax: ( and ) are literal, \( and \) group
+        pattern = re.sub(r"\\?[()]", lambda m: m[0][-1] if len(m[0]) == 2 else "\\" + m[0], pattern)
+    hits, after = [], []
+    for path in paths:
+        if re.search(pattern, tree[path], re.MULTILINE):
+            lines = tree[path].split("\n")
+            for number, line in enumerate(lines, 1):
+                shown = f"{path}:{number}:{line}"
+                if re.search(pattern, line) and not (guard.allow and re.search(guard.allow, shown)):
+                    hits.append(shown)
+                    after += lines[number - 1:number + 1]
+    found = {"once": hits if len(hits) > 1 else [], "after": after,
+             "files": sorted({hit.split(":", 1)[0] for hit in hits})}.get(guard.kind, hits)
+    return [] if tuple(found) == guard.expect else found
+
+
+@pytest.fixture(scope="module")
+def tree():
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout.decode().split("\0")
+    return {path: (ROOT / path).read_text("utf-8", "replace")
+            for path in listed if path and path != SELF and (ROOT / path).is_file()}
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=[f"{i:02d} {g.step}" for i, g in enumerate(GUARDS)])
+def test_the_tree_keeps_the_rule_and_each_plant_breaks_it(guard, tree):
+    assert violations(guard, tree) == []
+    assert guard.plants
+    for plant in guard.plants:
+        path, text = plant.split(":", 1)
+        assert violations(guard, {**tree, path: tree.get(path, "") + "\n" + text}), plant

@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 
-from repro.common.config import SystemConfig
 from repro.common.timestamps import Timestamp
-from repro.storage.shard import build_uniform_partition
 from repro.txn.operations import ReadOp, WriteOp
-from repro.txn.transaction import (
-    ReadSetEntry,
-    Transaction,
-    WriteSetEntry,
-    partition_by_server,
-)
+from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 
 def make_txn(reads=("a",), writes=("b",), counter=5):
@@ -43,20 +36,10 @@ class TestTransaction:
         assert txn.items_written() == {"b", "c"}
         assert txn.items_accessed() == {"a", "b", "c"}
 
-    def test_writes_as_dict(self):
-        txn = make_txn(writes=("x",))
-        assert txn.writes_as_dict() == {"x": 1}
-
     def test_entry_lookup(self):
         txn = make_txn(reads=("a",), writes=("b",))
-        assert txn.read_entry("a").item_id == "a"
-        assert txn.read_entry("zz") is None
         assert txn.write_entry("b").new_value == 1
         assert txn.write_entry("zz") is None
-
-    def test_read_only(self):
-        assert make_txn(writes=()).is_read_only()
-        assert not make_txn().is_read_only()
 
     def test_sets_are_immutable_tuples(self):
         txn = make_txn()
@@ -94,19 +77,3 @@ class TestConflicts:
             make_txn(reads=("x",), writes=())
         )
 
-
-class TestPartitionByServer:
-    def test_split_matches_shard_map(self):
-        config = SystemConfig(num_servers=2, items_per_shard=3)
-        _, shard_map = build_uniform_partition(config)
-        txn = Transaction(
-            txn_id="t1",
-            client_id="c0",
-            commit_ts=Timestamp(1, "c0"),
-            read_set=[ReadSetEntry("item-00000000", 0, Timestamp.zero(), Timestamp.zero())],
-            write_set=[WriteSetEntry("item-00000004", 9)],
-        )
-        split = partition_by_server(txn, shard_map)
-        assert set(split) == {"s0", "s1"}
-        assert split["s0"]["reads"][0].item_id == "item-00000000"
-        assert split["s1"]["writes"][0].item_id == "item-00000004"

@@ -21,15 +21,6 @@ class TestUniformKeys:
         b = [UniformKeys(ITEMS, seed=3).sample() for _ in range(20)]
         assert a == b
 
-    def test_sample_distinct(self):
-        dist = UniformKeys(ITEMS, seed=1)
-        chosen = dist.sample_distinct(10)
-        assert len(chosen) == len(set(chosen)) == 10
-
-    def test_sample_distinct_cannot_exceed_universe(self):
-        with pytest.raises(ValueError):
-            UniformKeys(ITEMS[:3], seed=1).sample_distinct(4)
-
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
             UniformKeys([], seed=1)

@@ -24,7 +24,7 @@ class TestYcsbWorkload:
         workload = YcsbWorkload(item_ids=ITEMS, ops_per_txn=5, seed=1)
         spec = workload.generate(1)[0]
         assert len(spec.item_ids()) == 5
-        assert spec.num_operations == 10
+        assert len(spec.operations) == 10
         reads = [op for op in spec.operations if op.is_read]
         writes = [op for op in spec.operations if op.is_write]
         assert len(reads) == len(writes) == 5
