@@ -10,10 +10,10 @@ directory clients use to find which server stores which item -- the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.errors import StorageError
+from repro.common.errors import ConfigurationError, StorageError
 from repro.common.types import ItemId, ServerId, Value, make_item_id
 from repro.storage.datastore import DataStore
 from repro.storage.record import INITIAL_VALUE
@@ -35,13 +35,21 @@ class Shard:
 
 
 class ShardMap:
-    """Directory mapping every item id to the server that stores it."""
+    """Directory mapping every item id to the server that stores it.
 
-    def __init__(self, assignment: Mapping[ItemId, ServerId]) -> None:
-        self._assignment: Dict[ItemId, ServerId] = dict(assignment)
-        self._by_server: Dict[ServerId, List[ItemId]] = {}
-        for item_id, server_id in self._assignment.items():
-            self._by_server.setdefault(server_id, []).append(item_id)
+    Built from each server's item ids, in order: ``all_items()`` lists the
+    servers' items in the order given.
+    """
+
+    def __init__(self, items_by_server: Mapping[ServerId, Sequence[ItemId]]) -> None:
+        self._by_server: Dict[ServerId, Tuple[ItemId, ...]] = {
+            server_id: tuple(item_ids) for server_id, item_ids in items_by_server.items()
+        }
+        self._assignment: Dict[ItemId, ServerId] = {}
+        for server_id, item_ids in self._by_server.items():
+            self._assignment.update(dict.fromkeys(item_ids, server_id))
+        if len(self._assignment) != sum(map(len, self._by_server.values())):
+            raise ConfigurationError("the shard map names an item more than once")
 
     def server_for(self, item_id: ItemId) -> ServerId:
         """Return the server storing ``item_id``."""
@@ -52,7 +60,7 @@ class ShardMap:
 
     def items_of(self, server_id: ServerId) -> List[ItemId]:
         """Return the item ids stored by ``server_id``."""
-        return list(self._by_server.get(server_id, []))
+        return list(self._by_server.get(server_id, ()))
 
     def servers_for(self, item_ids: Iterable[ItemId]) -> List[ServerId]:
         """Return the distinct servers covering ``item_ids`` (sorted)."""
@@ -76,13 +84,10 @@ def build_uniform_partition(config: SystemConfig):
     Returns ``(per_server_items, shard_map)``.
     """
     per_server: Dict[ServerId, Dict[ItemId, Value]] = {}
-    assignment: Dict[ItemId, ServerId] = {}
+    items_by_server: Dict[ServerId, List[ItemId]] = {}
     for server_index, server_id in enumerate(config.server_ids):
-        items = {}
         base = server_index * config.items_per_shard
-        for offset in range(config.items_per_shard):
-            item_id = make_item_id(base + offset)
-            items[item_id] = INITIAL_VALUE
-            assignment[item_id] = server_id
-        per_server[server_id] = items
-    return per_server, ShardMap(assignment)
+        item_ids = list(map(make_item_id, range(base, base + config.items_per_shard)))
+        items_by_server[server_id] = item_ids
+        per_server[server_id] = dict.fromkeys(item_ids, INITIAL_VALUE)
+    return per_server, ShardMap(items_by_server)

@@ -161,9 +161,12 @@ class PartitionedWorkload:
         Fraction of transactions confined to their home partition (1.0 means
         perfectly partitioned traffic, the paper's best case for scaling).
     conflict_free_window:
-        Like :class:`YcsbWorkload`: consecutive windows of this many
-        transactions *per partition* touch disjoint items, so per-group
-        batches of that size never conflict.
+        If > 0, a partition hands out its items in windows of this many
+        transactions homed on it, and within a window no item twice -- not
+        even to a cross-partition transaction homed on the partition before
+        it.  So per-group batches of that size never conflict.  0 (the
+        default) means no window: as in :class:`YcsbWorkload`, only the items
+        of one transaction are distinct, and a partition is never used up.
     seed:
         RNG seed for deterministic workloads.
     home_skew_theta:
@@ -192,6 +195,13 @@ class PartitionedWorkload:
             raise ConfigurationError("ops_per_txn must be >= 1")
         if self.home_skew_theta < 0.0:
             raise ConfigurationError("home_skew_theta must be >= 0")
+        #: Per partition, each item's position in it: the one walk of a partition.
+        self._positions: List[Dict[str, int]] = []
+        for partition in self.partitions:
+            positions = {item: position for position, item in enumerate(partition)}
+            if len(positions) != len(partition):
+                raise ConfigurationError("a locality partition names an item twice")
+            self._positions.append(positions)
         self._rng = random.Random(self.seed)
         self._home_distribution = None
         if self.home_skew_theta > 0.0 and len(self.partitions) > 1:
@@ -200,7 +210,8 @@ class PartitionedWorkload:
                 seed=self.seed + 1,
                 theta=self.home_skew_theta,
             )
-        #: Per-partition items already used in the current conflict-free window.
+        #: Per-partition items already used in the current conflict-free window
+        #: (always empty when there is no window).
         self._window_used: Dict[int, set] = {i: set() for i in range(len(self.partitions))}
         self._window_progress: Dict[int, int] = {i: 0 for i in range(len(self.partitions))}
 
@@ -216,10 +227,9 @@ class PartitionedWorkload:
                 home = self._home_distribution.sample()
             else:
                 home = index % len(self.partitions)
-            pools = [(home, list(self.partitions[home]))]
+            pools = [home]
             if len(self.partitions) > 1 and self._rng.random() >= self.locality:
-                neighbour = (home + 1) % len(self.partitions)
-                pools.append((neighbour, list(self.partitions[neighbour])))
+                pools.append((home + 1) % len(self.partitions))
             items = self._pick_items(home, pools)
             operations = []
             for item_id in items:
@@ -229,7 +239,7 @@ class PartitionedWorkload:
             specs.append(TransactionSpec(txn_index=index, operations=tuple(operations)))
         return specs
 
-    def _pick_items(self, home: int, pools: List) -> List[str]:
+    def _pick_items(self, home: int, pools: List[int]) -> List[str]:
         if self.conflict_free_window:
             if self._window_progress[home] % self.conflict_free_window == 0:
                 self._window_used[home] = set()
@@ -238,15 +248,36 @@ class PartitionedWorkload:
         # Spread the picks over every pool so cross-partition transactions
         # really touch both partitions (and hence widen their group).
         for position in range(self.ops_per_txn):
-            partition_index, pool = pools[position % len(pools)]
+            partition_index = pools[position % len(pools)]
             used = self._window_used[partition_index]
-            candidates = [item for item in pool if item not in used and item not in items]
-            if not candidates:
-                raise ConfigurationError(
-                    "locality partition exhausted; enlarge the partitions or "
-                    "shrink conflict_free_window"
-                )
-            choice = self._rng.choice(candidates)
+            choice = self._draw(partition_index, used, items)
             items.append(choice)
-            used.add(choice)
+            if self.conflict_free_window:
+                used.add(choice)
         return items
+
+    def _draw(self, partition_index: int, used: set, taken: List[str]) -> str:
+        """Draw uniformly from the partition's items not in ``used`` or ``taken``.
+
+        This is ``rng.choice`` over the partition filtered in order, without
+        the filtered list: the draw is an index among the free items, stepped
+        past the excluded positions below it, so the RNG is consumed exactly
+        as ``choice`` over the filtered list would.
+        """
+        positions = self._positions[partition_index]
+        skipped = sorted(
+            {positions[item] for item in used}
+            | {positions[item] for item in taken if item in positions}
+        )
+        free = len(positions) - len(skipped)
+        if not free:
+            raise ConfigurationError(
+                "locality partition exhausted; enlarge the partitions or "
+                "shrink conflict_free_window"
+            )
+        index = self._rng.choice(range(free))
+        for position in skipped:
+            if position > index:
+                break
+            index += 1
+        return self.partitions[partition_index][index]

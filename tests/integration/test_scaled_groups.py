@@ -24,15 +24,7 @@ from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
 
 SERVERS = ["s0", "s1", "s2", "s3"]
-SHARD_MAP = ShardMap(
-    {
-        "a0": "s0",
-        "a1": "s1",
-        "b0": "s2",
-        "b1": "s3",
-        "x": "s1",
-    }
-)
+SHARD_MAP = ShardMap({"s0": ["a0"], "s1": ["a1", "x"], "s2": ["b0"], "s3": ["b1"]})
 KEYPAIRS = {sid: keypair_for(sid, seed=77) for sid in SERVERS}
 PUBLIC_KEYS = {sid: kp.public for sid, kp in KEYPAIRS.items()}
 

@@ -49,7 +49,11 @@ def run(system: ScaledFidesSystem, seed: int) -> None:
         [item for sid in pair for item in system.shard_map.items_of(sid)]
         for pair in (("s0", "s1"), ("s2", "s3"))
     ]
-    workload = PartitionedWorkload(partitions=partitions, ops_per_txn=2, locality=0.6, seed=seed)
+    # Each partition is home to at most 10 of the 20 transactions, so a window
+    # of 20 never resets: no item is handed out twice in a run.
+    workload = PartitionedWorkload(
+        partitions=partitions, ops_per_txn=2, locality=0.6, conflict_free_window=20, seed=seed
+    )
     assert system.run_workload(workload.generate(20), num_clients=2).failed == 0
 
 
