@@ -17,13 +17,11 @@ crypto packages:
 """
 
 from repro.crypto.hashing import sha256, hash_hex, hash_concat, hash_object
-from repro.crypto.group import Point, Secp256k1, GENERATOR, CURVE_ORDER
+from repro.crypto.group import Point, GENERATOR, CURVE_ORDER
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
 from repro.crypto.schnorr import SchnorrSignature, schnorr_sign, schnorr_verify
 from repro.crypto.cosi import (
     CollectiveSignature,
-    CoSiCoordinator,
-    CoSiWitness,
     cosi_verify,
     identify_faulty_signers,
 )
@@ -38,8 +36,6 @@ from repro.crypto.signing import (
 __all__ = [
     "CURVE_ORDER",
     "CollectiveSignature",
-    "CoSiCoordinator",
-    "CoSiWitness",
     "GENERATOR",
     "HashSigningScheme",
     "KeyPair",
@@ -49,7 +45,6 @@ __all__ = [
     "PublicKey",
     "SchnorrSignature",
     "SchnorrSigningScheme",
-    "Secp256k1",
     "SigningScheme",
     "VerificationObject",
     "cosi_verify",

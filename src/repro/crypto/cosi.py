@@ -7,18 +7,27 @@ Schnorr signature, and it can only verify if *every* witness contributed a
 correct response over the *same* record -- the property TFCommit leans on to
 make 2PC decisions verifiable.
 
-The four CoSi phases map onto the API as follows:
+The four CoSi phases are functions of their inputs; none keeps state:
 
 ===================  =====================================================
-Announcement         ``CoSiCoordinator.announce(record)`` /
-                     ``CoSiWitness.on_announcement(record)``
-Commitment           ``CoSiWitness.commit()`` -> commitment point ``V_i``
-Challenge            ``CoSiCoordinator.challenge(commitments)``
+Announcement         the record (TFCommit: the partial block's
+                     ``signing_digest()``, sent in ``GET_VOTE``)
+Commitment           ``witness_commitment(keypair, record)``
+                     -> ``(v_i, V_i = v_i * G)``
+Challenge            ``compute_challenge(aggregate_points(V_i), record)``
                      -> ``c = H(sum V_i || record)``
-Response             ``CoSiWitness.respond(challenge)`` -> ``r_i = v_i - c*x_i``
-(aggregation)        ``CoSiCoordinator.aggregate(responses)``
-                     -> ``CollectiveSignature(challenge, response)``
+Response             ``witness_response(keypair, v_i, c)``
+                     -> ``r_i = v_i - c*x_i``
+(aggregation)        ``CollectiveSignature(c, aggregate_scalars(r_i),
+                     signer_ids)``
 ===================  =====================================================
+
+Which phase may run when, and that a nonce answers one challenge only, is
+the protocol's state: the coordinator's ``ROUND_TRANSITIONS``
+(``core/rounds.py``) and the cohort's ``COHORT_TRANSITIONS``
+(``server/commitment.py``), whose ``RoundState.nonce`` holds ``v_i`` between
+the vote and the challenge (DESIGN.md section 10).  :func:`cosign` runs all
+four phases in one process, for signers that are all at hand.
 
 Verification recomputes ``X' = R*G + c * sum(P_i)`` and accepts iff
 ``H(X' || record) == c``.  :func:`identify_faulty_signers` reproduces the
@@ -30,7 +39,7 @@ witnesses that lied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.wire import SCALAR, STR, list_of, wire_form
@@ -92,114 +101,42 @@ def aggregate_scalars(scalars: Iterable[int]) -> int:
     return total
 
 
-class CoSiWitness:
-    """One witness (cohort) in a CoSi round.
+def witness_commitment(keypair: KeyPair, record: bytes) -> Tuple[int, Point]:
+    """Commitment phase: the witness's nonce ``v_i`` for ``record`` and ``V_i = v_i * G``.
 
-    A witness is bound to a single record per round: it remembers the record
-    announced to it, commits to a nonce for that record, and refuses to
-    respond to a challenge that does not match the record it saw -- this is
-    the mechanism that defeats equivocating coordinators (Lemma 5).
+    The caller keeps the nonce until the response phase (a cohort keeps it
+    in its round's ``RoundState.nonce``) and must answer at most one
+    challenge with it: two responses from one nonce reveal the key.
     """
-
-    def __init__(self, identity: str, keypair: KeyPair) -> None:
-        self.identity = identity
-        self.keypair = keypair
-        self._record: Optional[bytes] = None
-        self._nonce: Optional[int] = None
-
-    def on_announcement(self, record: bytes) -> None:
-        """Announcement phase: remember the record to be collectively signed."""
-        self._record = bytes(record)
-        self._nonce = None
-
-    def commit(self) -> Point:
-        """Commitment phase: return the Schnorr commitment ``V_i = v_i * G``."""
-        if self._record is None:
-            raise ProtocolError(f"witness {self.identity} has no announced record")
-        self._nonce = _commitment_scalar(self.keypair, self._record)
-        return generator_multiply(self._nonce)
-
-    def respond(self, challenge: int, record: Optional[bytes] = None) -> int:
-        """Response phase: return ``r_i = v_i - c * x_i (mod n)``.
-
-        If ``record`` is provided the witness recomputes its nonce for that
-        record; a correct witness passes the record it validated, so a
-        coordinator that computed the challenge over a *different* record ends
-        up with an invalid aggregate signature.
-        """
-        if self._nonce is None:
-            raise ProtocolError(f"witness {self.identity} has not committed")
-        if record is not None and bytes(record) != self._record:
-            raise ProtocolError(
-                f"witness {self.identity} asked to respond for a record it never validated"
-            )
-        return (self._nonce - challenge * self.keypair.secret_scalar) % CURVE_ORDER
+    nonce = _commitment_scalar(keypair, record)
+    return nonce, generator_multiply(nonce)
 
 
-class CoSiCoordinator:
-    """The leader of a CoSi round.
+def witness_response(keypair: KeyPair, nonce: int, challenge: int) -> int:
+    """Response phase: ``r_i = v_i - c * x_i (mod n)``."""
+    return (nonce - challenge * keypair.secret_scalar) % CURVE_ORDER
 
-    Drives the four phases and aggregates the witnesses' contributions into a
-    :class:`CollectiveSignature`.  The coordinator itself is typically also a
-    witness (in TFCommit the coordinator co-signs alongside the cohorts); the
-    caller simply includes its commitment/response like any other witness's.
+
+def cosign(record: bytes, keypairs: Mapping[str, KeyPair]) -> CollectiveSignature:
+    """All four phases in one process: every key in ``keypairs`` co-signs ``record``.
+
+    Used where the signers are at hand (checkpoints, test fixtures); TFCommit
+    runs the phases itself because they interleave with 2PC voting.
     """
-
-    def __init__(self, record: bytes) -> None:
-        self.record = bytes(record)
-        self._commitments: Dict[str, Point] = {}
-        self._responses: Dict[str, int] = {}
-        self._challenge: Optional[int] = None
-
-    def announce(self) -> bytes:
-        """Announcement phase payload: the record to be signed."""
-        return self.record
-
-    def add_commitment(self, witness_id: str, commitment: Point) -> None:
-        """Record the commitment ``V_i`` received from ``witness_id``."""
-        if not isinstance(commitment, Point) or not commitment.is_on_curve():
-            raise ProtocolError(f"invalid commitment from {witness_id}")
-        self._commitments[witness_id] = commitment
-
-    def challenge(self) -> int:
-        """Challenge phase: aggregate commitments and derive ``c = H(X || record)``."""
-        if not self._commitments:
-            raise ProtocolError("cannot compute challenge with no commitments")
-        aggregate = aggregate_points(self._commitments.values())
-        self._challenge = compute_challenge(aggregate, self.record)
-        return self._challenge
-
-    @property
-    def aggregate_commitment(self) -> Point:
-        return aggregate_points(self._commitments.values())
-
-    def add_response(self, witness_id: str, response: int) -> None:
-        """Record the Schnorr response received from ``witness_id``."""
-        if witness_id not in self._commitments:
-            raise ProtocolError(f"response from unknown witness {witness_id}")
-        self._responses[witness_id] = response % CURVE_ORDER
-
-    def aggregate(self) -> CollectiveSignature:
-        """Aggregate all responses into the final collective signature."""
-        if self._challenge is None:
-            raise ProtocolError("challenge phase has not run")
-        missing = set(self._commitments) - set(self._responses)
-        if missing:
-            raise ProtocolError(f"missing responses from witnesses: {sorted(missing)}")
-        response = aggregate_scalars(self._responses.values())
-        return CollectiveSignature(
-            challenge=self._challenge,
-            response=response,
-            signer_ids=tuple(sorted(self._commitments)),
-        )
-
-    @property
-    def commitments(self) -> Dict[str, Point]:
-        return dict(self._commitments)
-
-    @property
-    def responses(self) -> Dict[str, int]:
-        return dict(self._responses)
+    if not keypairs:
+        raise ProtocolError("cannot co-sign with no signers")
+    nonces = {sid: witness_commitment(kp, record) for sid, kp in keypairs.items()}
+    challenge = compute_challenge(
+        aggregate_points(point for _, point in nonces.values()), record
+    )
+    return CollectiveSignature(
+        challenge=challenge,
+        response=aggregate_scalars(
+            witness_response(keypairs[sid], nonce, challenge)
+            for sid, (nonce, _) in nonces.items()
+        ),
+        signer_ids=tuple(sorted(keypairs)),
+    )
 
 
 def cosi_verify(
@@ -242,15 +179,10 @@ def cosi_verify(
 
 
 def verify_partial(
-    witness_id: str,
-    commitment: Point,
-    response: int,
-    challenge: int,
-    public_key: PublicKey,
+    commitment: Point, response: int, challenge: int, public_key: PublicKey
 ) -> bool:
     """Check one witness's contribution: ``r_i*G + c*P_i == V_i``."""
-    reconstructed = fused_multiply_sum(response, challenge, (public_key.point,))
-    return reconstructed == commitment and witness_id is not None
+    return fused_multiply_sum(response, challenge, (public_key.point,)) == commitment
 
 
 def identify_faulty_signers(
@@ -275,28 +207,8 @@ def identify_faulty_signers(
         if witness_id not in public_keys:
             faulty.append(witness_id)
             continue
-        ok = verify_partial(
-            witness_id, commitment, responses[witness_id], challenge, public_keys[witness_id]
-        )
-        if not ok:
+        if not verify_partial(
+            commitment, responses[witness_id], challenge, public_keys[witness_id]
+        ):
             faulty.append(witness_id)
     return sorted(faulty)
-
-
-def run_cosi_round(
-    record: bytes,
-    witnesses: Sequence[CoSiWitness],
-) -> CollectiveSignature:
-    """Convenience driver: run a full four-phase CoSi round in one call.
-
-    Used by tests and by the non-distributed fast path; TFCommit drives the
-    phases itself because they interleave with 2PC voting.
-    """
-    coordinator = CoSiCoordinator(record)
-    for witness in witnesses:
-        witness.on_announcement(coordinator.announce())
-        coordinator.add_commitment(witness.identity, witness.commit())
-    challenge = coordinator.challenge()
-    for witness in witnesses:
-        coordinator.add_response(witness.identity, witness.respond(challenge, record))
-    return coordinator.aggregate()

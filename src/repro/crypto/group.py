@@ -435,16 +435,3 @@ def decompress_point(data: bytes) -> Point:
     if (y % 2 == 1) != (data[0:1] == b"\x03"):
         y = FIELD_PRIME - y
     return Point(x, y)
-
-
-class Secp256k1:
-    """Namespace-style facade bundling the curve parameters and operations."""
-
-    prime = FIELD_PRIME
-    order = CURVE_ORDER
-    generator = GENERATOR
-    infinity = INFINITY
-
-    add = staticmethod(point_add)
-    multiply = staticmethod(scalar_multiply)
-    base_multiply = staticmethod(generator_multiply)

@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
 from repro.common.wire import BYTES, INT, ROOTS, TIMESTAMP, nested, optional, wire_form
-from repro.crypto.cosi import CollectiveSignature, CoSiWitness, run_cosi_round
+from repro.crypto.cosi import CollectiveSignature, cosign
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import KeyPair
 from repro.ledger.log import TransactionLog, checkpoint_covers
@@ -133,9 +133,7 @@ def build_checkpoint(
 
 def cosign_checkpoint(checkpoint: Checkpoint, keypairs: Mapping[str, KeyPair]) -> Checkpoint:
     """Have every server co-sign the checkpoint (in-process CoSi round)."""
-    witnesses = [CoSiWitness(server_id, kp) for server_id, kp in sorted(keypairs.items())]
-    cosign = run_cosi_round(checkpoint.digest(), witnesses)
-    return checkpoint.with_cosign(cosign)
+    return checkpoint.with_cosign(cosign(checkpoint.digest(), keypairs))
 
 
 def apply_checkpoint(log: TransactionLog, checkpoint: Checkpoint) -> int:

@@ -33,7 +33,7 @@ from typing import Collection, Dict, FrozenSet, List, Optional, Tuple, Union
 from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
 from repro.core.rounds import ROUND_TIMEOUT_S
-from repro.crypto.cosi import CoSiWitness, compute_challenge
+from repro.crypto.cosi import compute_challenge, witness_commitment, witness_response
 from repro.crypto.group import decompress_point
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.ledger.block import Block, BlockDecision
@@ -60,7 +60,7 @@ from repro.txn.transaction import Transaction
 class CohortStatus(Enum):
     """Where an armed round stands on one cohort (DESIGN.md section 10)."""
 
-    VOTED = "voted"  # answered GET_VOTE / PREPARE; the witness nonce is unused
+    VOTED = "voted"  # answered GET_VOTE / PREPARE; the nonce is unused
     CHALLENGED = "challenged"  # answered CHALLENGE: the nonce is spent
     RELEASED = "released"  # dropped from the table (terminal)
 
@@ -94,7 +94,10 @@ class RoundState:
     requests to the view change for re-proposal.
     """
 
-    witness: Optional[CoSiWitness]
+    #: The CoSi nonce ``v_i`` this cohort committed to in its vote
+    #: (:func:`~repro.crypto.cosi.witness_commitment`); ``None`` for a 2PC
+    #: round, which answers no challenge.
+    nonce: Optional[int]
     involved: bool
     local_decision: BlockDecision
     block: Block
@@ -253,7 +256,7 @@ class CommitmentLayer:
     def _arm(
         self,
         block: Block,
-        witness: Optional[CoSiWitness],
+        nonce: Optional[int],
         involved: bool,
         decision: BlockDecision,
         coordinator: Optional[ServerId],
@@ -263,7 +266,7 @@ class CommitmentLayer:
         """Register the round this cohort just voted on and arm its timer."""
         self._round_generation += 1
         self._rounds[block.round_key()] = RoundState(
-            witness=witness,
+            nonce=nonce,
             involved=involved,
             local_decision=decision,
             block=block,
@@ -315,7 +318,7 @@ class CommitmentLayer:
 
         Rounds that fail at the challenge phase (refusals, bad co-sign) never
         receive a decision, so without this notification the cohort's
-        :class:`RoundState` -- witness nonce, speculative root -- would leak
+        :class:`RoundState` -- CoSi nonce, speculative root -- would leak
         forever.
         """
         return Released(int(self._release(tuple(round_key)) is not None))
@@ -346,9 +349,8 @@ class CommitmentLayer:
         refusal = self._refuse_proposal(partial_block, watch, chained=True)
         if refusal is not None:
             return refusal
-        witness = CoSiWitness(self.server_id, self._keypair)
-        witness.on_announcement(partial_block.signing_digest())
-        commitment = self._faults.corrupt_commitment(witness.commit())
+        nonce, commitment = witness_commitment(self._keypair, partial_block.signing_digest())
+        commitment = self._faults.corrupt_commitment(commitment)
 
         involved = any(self._local_items(txn) for txn in partial_block.transactions)
         decision, abort_reason = BlockDecision.COMMIT, ""
@@ -369,7 +371,7 @@ class CommitmentLayer:
                 root = self._faults.corrupt_root(speculative_root)
 
         self._arm(
-            partial_block, witness, involved, decision, coordinator, client_requests, root
+            partial_block, nonce, involved, decision, coordinator, client_requests, root
         )
         return VoteResult(
             server_id=self.server_id,
@@ -409,7 +411,7 @@ class CommitmentLayer:
         def refusal(reason: str) -> Refusal:
             return Refusal(self.server_id, reason, watch.elapsed())
 
-        if state is None or state.witness is None:
+        if state is None or state.nonce is None:
             return refusal(f"challenge for a round this cohort never voted on: {block.round_key()}")
         if CohortStatus.CHALLENGED not in COHORT_TRANSITIONS[state.status]:
             return refusal(f"round {block.round_key()} already answered its challenge")
@@ -434,7 +436,9 @@ class CommitmentLayer:
                 return refusal("challenge does not correspond to the received block")
 
         state.status = CohortStatus.CHALLENGED
-        response = self._faults.corrupt_response(state.witness.respond(challenge))
+        response = self._faults.corrupt_response(
+            witness_response(self._keypair, state.nonce, challenge)
+        )
         return ChallengeResponse(response, watch.elapsed())
 
     # -- TFCommit phase 5: <Decision, null>, and the ordered stream (Section 4.6) ----

@@ -14,7 +14,7 @@ from repro.audit.violations import ViolationType
 from repro.common.errors import AuditError, ConfigurationError, RecoveryError
 from repro.core.fides import FidesSystem
 from repro.core.viewchange import FrontierCertificate, verify_certificate
-from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
+from repro.crypto.cosi import cosi_verify, cosign
 from repro.ledger.checkpoint import build_checkpoint, cosign_checkpoint
 from repro.ledger.log import TransactionLog, verify_block_cosign, verify_checkpoint
 from repro.net.forms import Applied, Refusal
@@ -29,8 +29,8 @@ def committed(small_system):
     item = small_system.shard_map.items_of("s1")[0]
     assert small_system.run_transaction([WriteOp(item, 9)]).committed
     honest = small_system.server("s0").log.last_block()
-    lone = CoSiWitness("s0", small_system.server("s0").keypair)
-    forged = honest.with_cosign(run_cosi_round(honest.signing_digest(), [lone]))
+    lone = {"s0": small_system.server("s0").keypair}
+    forged = honest.with_cosign(cosign(honest.signing_digest(), lone))
     return small_system, honest, forged
 
 

@@ -286,7 +286,7 @@ class TestDecisionPathGroupDefense:
         signature lists, so the signer-set-equals-group check is the sole
         defense -- it must hold for DECISION messages too, not just the
         ordered stream."""
-        from repro.crypto.cosi import CoSiWitness, run_cosi_round
+        from repro.crypto.cosi import cosign
         from repro.ledger.block import make_group_partial_block
         from repro.common.timestamps import Timestamp
         from repro.txn.transaction import Transaction, WriteSetEntry
@@ -304,8 +304,8 @@ class TestDecisionPathGroupDefense:
         forged = forged.with_decision(
             BlockDecision.COMMIT, {sid: b"\x01" * 32 for sid in system.server_ids}
         )
-        lone = CoSiWitness("s0", system.server("s0").keypair)
-        forged = forged.with_cosign(run_cosi_round(forged.group_body_digest(), [lone]))
+        lone = {"s0": system.server("s0").keypair}
+        forged = forged.with_cosign(cosign(forged.group_body_digest(), lone))
 
         victim = system.server("s1")
         public_keys = system.network.public_key_directory()

@@ -10,76 +10,82 @@ from repro.common.errors import ProtocolError
 from repro.crypto import group
 from repro.crypto.cosi import (
     CollectiveSignature,
-    CoSiCoordinator,
-    CoSiWitness,
+    aggregate_points,
+    aggregate_scalars,
     compute_challenge,
     cosi_verify,
+    cosign,
     identify_faulty_signers,
-    run_cosi_round,
     verify_partial,
+    witness_commitment,
+    witness_response,
 )
 from repro.crypto.group import CURVE_ORDER, GENERATOR, INFINITY, point_add, scalar_multiply
 from repro.crypto.keys import keypair_for
 
 
-def make_witnesses(count: int, seed: int = 0):
-    return [CoSiWitness(f"w{i}", keypair_for(f"w{i}", seed=seed)) for i in range(count)]
+def make_signers(count: int, seed: int = 0):
+    return {f"w{i}": keypair_for(f"w{i}", seed=seed) for i in range(count)}
 
 
-def public_keys_of(witnesses):
-    return {w.identity: w.keypair.public for w in witnesses}
+def public_keys_of(signers):
+    return {sid: kp.public for sid, kp in signers.items()}
 
 
 class TestCoSiRound:
     def test_round_produces_verifiable_signature(self):
-        witnesses = make_witnesses(4)
-        cosign = run_cosi_round(b"a block digest", witnesses)
-        assert cosi_verify(cosign, b"a block digest", public_keys_of(witnesses))
+        signers = make_signers(4)
+        signature = cosign(b"a block digest", signers)
+        assert cosi_verify(signature, b"a block digest", public_keys_of(signers))
 
     def test_signature_bound_to_record(self):
-        witnesses = make_witnesses(4)
-        cosign = run_cosi_round(b"record A", witnesses)
-        assert not cosi_verify(cosign, b"record B", public_keys_of(witnesses))
+        signers = make_signers(4)
+        signature = cosign(b"record A", signers)
+        assert not cosi_verify(signature, b"record B", public_keys_of(signers))
 
     def test_signature_bound_to_signer_keys(self):
-        witnesses = make_witnesses(4)
-        cosign = run_cosi_round(b"record", witnesses)
+        signers = make_signers(4)
+        signature = cosign(b"record", signers)
         # Same identities but different key pairs: the signature must not verify.
-        other_keys = public_keys_of(make_witnesses(4, seed=123))
-        assert not cosi_verify(cosign, b"record", other_keys)
+        other_keys = public_keys_of(make_signers(4, seed=123))
+        assert not cosi_verify(signature, b"record", other_keys)
 
     def test_single_witness_round(self):
-        witnesses = make_witnesses(1)
-        cosign = run_cosi_round(b"solo", witnesses)
-        assert cosi_verify(cosign, b"solo", public_keys_of(witnesses))
+        signers = make_signers(1)
+        signature = cosign(b"solo", signers)
+        assert cosi_verify(signature, b"solo", public_keys_of(signers))
 
     def test_missing_public_key_fails_verification(self):
-        witnesses = make_witnesses(3)
-        cosign = run_cosi_round(b"record", witnesses)
-        keys = public_keys_of(witnesses)
+        signers = make_signers(3)
+        signature = cosign(b"record", signers)
+        keys = public_keys_of(signers)
         keys.pop("w0")
-        assert not cosi_verify(cosign, b"record", keys)
+        assert not cosi_verify(signature, b"record", keys)
 
     def test_tampered_challenge_fails(self):
-        witnesses = make_witnesses(3)
-        cosign = run_cosi_round(b"record", witnesses)
+        signers = make_signers(3)
+        signature = cosign(b"record", signers)
         forged = CollectiveSignature(
-            challenge=(cosign.challenge + 1) % CURVE_ORDER,
-            response=cosign.response,
-            signer_ids=cosign.signer_ids,
+            challenge=(signature.challenge + 1) % CURVE_ORDER,
+            response=signature.response,
+            signer_ids=signature.signer_ids,
         )
-        assert not cosi_verify(forged, b"record", public_keys_of(witnesses))
+        assert not cosi_verify(forged, b"record", public_keys_of(signers))
 
     def test_not_a_signature_object(self):
-        witnesses = make_witnesses(2)
-        assert not cosi_verify("garbage", b"record", public_keys_of(witnesses))
+        signers = make_signers(2)
+        assert not cosi_verify("garbage", b"record", public_keys_of(signers))
+
+    def test_no_signers_is_refused(self):
+        with pytest.raises(ProtocolError):
+            cosign(b"record", {})
 
     @settings(max_examples=8, deadline=None)
     @given(st.binary(min_size=1, max_size=48), st.integers(min_value=1, max_value=5))
     def test_round_verifies_for_arbitrary_records(self, record, count):
-        witnesses = make_witnesses(count, seed=9)
-        cosign = run_cosi_round(record, witnesses)
-        assert cosi_verify(cosign, record, public_keys_of(witnesses))
+        signers = make_signers(count, seed=9)
+        signature = cosign(record, signers)
+        assert cosi_verify(signature, record, public_keys_of(signers))
 
 
 #: The oracle's key directory: 32 servers, the most a scaled block's group holds here.
@@ -155,117 +161,58 @@ class TestAgainstUntabledReference:
                 assert cosi_verify(forged, record, public_keys) is expected
 
 
-class TestCoSiProtocolStates:
-    def test_witness_requires_announcement_before_commit(self):
-        witness = make_witnesses(1)[0]
-        with pytest.raises(ProtocolError):
-            witness.commit()
-
-    def test_witness_requires_commit_before_respond(self):
-        witness = make_witnesses(1)[0]
-        witness.on_announcement(b"record")
-        with pytest.raises(ProtocolError):
-            witness.respond(7)
-
-    def test_witness_refuses_foreign_record(self):
-        witness = make_witnesses(1)[0]
-        witness.on_announcement(b"record A")
-        witness.commit()
-        with pytest.raises(ProtocolError):
-            witness.respond(7, record=b"record B")
-
-    def test_coordinator_rejects_unknown_witness_response(self):
-        coordinator = CoSiCoordinator(b"record")
-        with pytest.raises(ProtocolError):
-            coordinator.add_response("nobody", 1)
-
-    def test_coordinator_requires_commitments_for_challenge(self):
-        coordinator = CoSiCoordinator(b"record")
-        with pytest.raises(ProtocolError):
-            coordinator.challenge()
-
-    def test_coordinator_requires_all_responses(self):
-        witnesses = make_witnesses(2)
-        coordinator = CoSiCoordinator(b"record")
-        for witness in witnesses:
-            witness.on_announcement(b"record")
-            coordinator.add_commitment(witness.identity, witness.commit())
-        challenge = coordinator.challenge()
-        coordinator.add_response("w0", witnesses[0].respond(challenge))
-        with pytest.raises(ProtocolError):
-            coordinator.aggregate()
+def _round(signers, record: bytes = b"record", liar: str = ""):
+    """The phases of one round: commitments, challenge, and responses (``liar``'s off by one)."""
+    nonces = {sid: witness_commitment(kp, record) for sid, kp in signers.items()}
+    commitments = {sid: point for sid, (_, point) in nonces.items()}
+    challenge = compute_challenge(aggregate_points(commitments.values()), record)
+    responses = {
+        sid: (witness_response(signers[sid], nonce, challenge) + (sid == liar)) % CURVE_ORDER
+        for sid, (nonce, _) in nonces.items()
+    }
+    return commitments, challenge, responses
 
 
 class TestCulpritIdentification:
-    def _run_round_with_liar(self, liar_index: int):
-        witnesses = make_witnesses(4)
-        coordinator = CoSiCoordinator(b"record")
-        for witness in witnesses:
-            witness.on_announcement(b"record")
-            coordinator.add_commitment(witness.identity, witness.commit())
-        challenge = coordinator.challenge()
-        for index, witness in enumerate(witnesses):
-            response = witness.respond(challenge)
-            if index == liar_index:
-                response = (response + 1) % CURVE_ORDER
-            coordinator.add_response(witness.identity, response)
-        return witnesses, coordinator, challenge
-
     def test_bad_response_invalidates_signature(self):
-        witnesses, coordinator, _ = self._run_round_with_liar(2)
-        cosign = coordinator.aggregate()
-        assert not cosi_verify(cosign, b"record", public_keys_of(witnesses))
+        signers = make_signers(4)
+        _, challenge, responses = _round(signers, liar="w2")
+        signature = CollectiveSignature(
+            challenge, aggregate_scalars(responses.values()), tuple(sorted(signers))
+        )
+        assert not cosi_verify(signature, b"record", public_keys_of(signers))
 
     def test_identify_faulty_signer(self):
-        witnesses, coordinator, challenge = self._run_round_with_liar(2)
+        signers = make_signers(4)
+        commitments, challenge, responses = _round(signers, liar="w2")
         culprits = identify_faulty_signers(
-            coordinator.commitments,
-            coordinator.responses,
-            challenge,
-            public_keys_of(witnesses),
+            commitments, responses, challenge, public_keys_of(signers)
         )
         assert culprits == ["w2"]
 
     def test_partial_signature_excluding_culprit_verifies(self):
-        witnesses, coordinator, challenge = self._run_round_with_liar(1)
-        honest = [w for w in witnesses if w.identity != "w1"]
-        for witness in honest:
+        signers = make_signers(4)
+        commitments, challenge, responses = _round(signers, liar="w1")
+        for sid, keypair in signers.items():
             assert verify_partial(
-                witness.identity,
-                coordinator.commitments[witness.identity],
-                coordinator.responses[witness.identity],
-                challenge,
-                witness.keypair.public,
-            )
+                commitments[sid], responses[sid], challenge, keypair.public
+            ) is (sid != "w1")
 
     def test_missing_response_reported(self):
-        witnesses = make_witnesses(3)
-        coordinator = CoSiCoordinator(b"record")
-        for witness in witnesses:
-            witness.on_announcement(b"record")
-            coordinator.add_commitment(witness.identity, witness.commit())
-        challenge = coordinator.challenge()
-        coordinator.add_response("w0", witnesses[0].respond(challenge))
+        signers = make_signers(3)
+        commitments, challenge, responses = _round(signers)
         culprits = identify_faulty_signers(
-            coordinator.commitments, coordinator.responses, challenge, public_keys_of(witnesses)
+            commitments, {"w0": responses["w0"]}, challenge, public_keys_of(signers)
         )
         assert culprits == ["w1", "w2"]
 
     def test_honest_round_has_no_culprits(self):
-        witnesses = make_witnesses(3)
-        coordinator = CoSiCoordinator(b"record")
-        for witness in witnesses:
-            witness.on_announcement(b"record")
-            coordinator.add_commitment(witness.identity, witness.commit())
-        challenge = coordinator.challenge()
-        for witness in witnesses:
-            coordinator.add_response(witness.identity, witness.respond(challenge))
+        signers = make_signers(3)
+        commitments, challenge, responses = _round(signers)
         assert (
-            identify_faulty_signers(
-                coordinator.commitments,
-                coordinator.responses,
-                challenge,
-                public_keys_of(witnesses),
-            )
+            identify_faulty_signers(commitments, responses, challenge, public_keys_of(signers))
             == []
+        )
+        assert cosign(b"record", signers) == CollectiveSignature(
+            challenge, aggregate_scalars(responses.values()), tuple(sorted(signers))
         )

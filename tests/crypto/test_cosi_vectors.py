@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.timestamps import Timestamp
-from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
+from repro.crypto.cosi import cosi_verify, cosign, witness_commitment, witness_response
 from repro.crypto.group import GENERATOR, point_add, scalar_multiply
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
@@ -59,14 +59,9 @@ CHECKPOINT_VECTOR = (
 
 def _witness(identity: str):
     """(commitment, response) of ``identity``'s witness for ``RECORD``, ``CHALLENGE``."""
-    witness = CoSiWitness(identity, keypair_for(identity))
-    witness.on_announcement(RECORD)
-    commitment = witness.commit()
-    return commitment, witness.respond(CHALLENGE)
-
-
-def _cosign(record: bytes, keypairs):
-    return run_cosi_round(record, [CoSiWitness(sid, kp) for sid, kp in keypairs.items()])
+    keypair = keypair_for(identity)
+    nonce, commitment = witness_commitment(keypair, RECORD)
+    return commitment, witness_response(keypair, nonce, CHALLENGE)
 
 
 def _fixed_log() -> TransactionLog:
@@ -104,7 +99,7 @@ def test_the_witness_commits_and_responds_as_recorded(identity):
 
 
 def test_the_cosign_of_a_fixed_signer_set_is_the_recorded_one():
-    signature = _cosign(RECORD, SIGNERS)
+    signature = cosign(RECORD, SIGNERS)
     assert (signature.challenge, signature.response, signature.signer_ids) == COSIGN_VECTOR
     public_keys = {sid: kp.public for sid, kp in SIGNERS.items()}
     assert cosi_verify(signature, RECORD, public_keys)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import group_for_transaction
 from repro.core.sequencing import OrderingService
-from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
+from repro.crypto.cosi import cosi_verify, cosign
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.ledger.log import TransactionLog
@@ -46,9 +46,8 @@ def group_commit(txn):
     block = make_partial_block(0, [txn], b"\x00" * 32).with_decision(
         BlockDecision.COMMIT, {sid: b"\x01" * 32 for sid in group.members}
     )
-    witnesses = [CoSiWitness(sid, KEYPAIRS[sid]) for sid in sorted(group.members)]
-    cosign = run_cosi_round(block.body_digest(), witnesses)
-    return block.with_cosign(cosign), group
+    signers = {sid: KEYPAIRS[sid] for sid in group.members}
+    return block.with_cosign(cosign(block.body_digest(), signers)), group
 
 
 class TestScaledTfcommit:

@@ -9,7 +9,7 @@ import pytest
 from repro.common.encoding import canonical_encode
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
-from repro.crypto.cosi import CoSiWitness, run_cosi_round
+from repro.crypto.cosi import cosign
 from repro.crypto.hashing import EMPTY_HASH
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import Block, BlockDecision, genesis_previous_hash, make_partial_block
@@ -31,8 +31,8 @@ def make_block(decision=BlockDecision.COMMIT, cosigned=True, height=0):
     block = make_partial_block(height, [make_txn()], genesis_previous_hash())
     block = block.with_decision(decision, {"s0": b"\x01" * 32})
     if cosigned:
-        witnesses = [CoSiWitness(f"s{i}", keypair_for(f"s{i}")) for i in range(3)]
-        block = block.with_cosign(run_cosi_round(block.body_digest(), witnesses))
+        keypairs = {f"s{i}": keypair_for(f"s{i}") for i in range(3)}
+        block = block.with_cosign(cosign(block.body_digest(), keypairs))
     return block
 
 

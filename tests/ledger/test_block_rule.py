@@ -17,7 +17,7 @@ import pytest
 from repro.common.errors import RecoveryError
 from repro.core.fides import FidesSystem
 from repro.core.viewchange import verify_certificate
-from repro.crypto.cosi import CoSiWitness, run_cosi_round
+from repro.crypto.cosi import cosign
 from repro.ledger.log import TransactionLog
 from repro.net.forms import Applied, FrontierCertificate, Refusal
 from repro.net.latency import ConstantLatency
@@ -27,8 +27,8 @@ from repro.txn.operations import WriteOp
 
 def cosigned(block, system, signers, digest=None):
     """``block`` re-co-signed by ``signers`` over ``digest`` (its signing digest by default)."""
-    witnesses = [CoSiWitness(sid, system.server(sid).keypair) for sid in signers]
-    return block.with_cosign(run_cosi_round(digest or block.signing_digest(), witnesses))
+    keypairs = {sid: system.server(sid).keypair for sid in signers}
+    return block.with_cosign(cosign(digest or block.signing_digest(), keypairs))
 
 
 def as_group_block(block, system):

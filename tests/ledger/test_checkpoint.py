@@ -135,7 +135,7 @@ class TestGroupBlockSuffix:
         verification (the chaining-vs-cosign split's defense)."""
         from dataclasses import replace as dc_replace
 
-        from repro.crypto.cosi import CoSiWitness, run_cosi_round
+        from repro.crypto.cosi import cosign
         from repro.ledger.block import Block
 
         system = system_with_history
@@ -158,10 +158,8 @@ class TestGroupBlockSuffix:
             previous_hash=honest.previous_hash,
             group=tuple(system.server_ids),
         )
-        lone_witness = CoSiWitness("s0", system.server("s0").keypair)
-        forged = forged.with_cosign(
-            run_cosi_round(forged.group_body_digest(), [lone_witness])
-        )
+        lone = {"s0": system.server("s0").keypair}
+        forged = forged.with_cosign(cosign(forged.group_body_digest(), lone))
         forged = dc_replace(forged, previous_hash=checkpoint.head_hash)
         log.tamper_replace(0, forged)
         assert not log.verify(public_keys, system.server_ids, checkpoint=checkpoint).valid

@@ -10,7 +10,7 @@ from repro.audit.auditor import Auditor
 from repro.audit.report import AuditReport
 from repro.common.errors import AuditError, ValidationError
 from repro.common.timestamps import Timestamp
-from repro.crypto.cosi import CoSiWitness, run_cosi_round
+from repro.crypto.cosi import cosign
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.ledger.log import TransactionLog
@@ -34,8 +34,7 @@ def make_txn(index: int) -> Transaction:
 
 
 def cosign_block(block):
-    witnesses = [CoSiWitness(sid, KEYPAIRS[sid]) for sid in SERVER_IDS]
-    return block.with_cosign(run_cosi_round(block.body_digest(), witnesses))
+    return block.with_cosign(cosign(block.body_digest(), KEYPAIRS))
 
 
 def build_log(length: int = 4) -> TransactionLog:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.timestamps import Timestamp
-from repro.crypto.cosi import CoSiWitness, run_cosi_round
+from repro.crypto.cosi import cosign
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import Block, BlockDecision
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
@@ -38,8 +38,8 @@ def build_block(group=None, signers=("s0", "s1"), height: int = 4) -> Block:
         previous_hash=b"\x33" * 32,
         group=group,
     )
-    witnesses = [CoSiWitness(sid, keypair_for(sid, seed=5)) for sid in signers]
-    return block.with_cosign(run_cosi_round(block.signing_digest(), witnesses))
+    keypairs = {sid: keypair_for(sid, seed=5) for sid in signers}
+    return block.with_cosign(cosign(block.signing_digest(), keypairs))
 
 
 @pytest.fixture

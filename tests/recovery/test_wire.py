@@ -7,7 +7,7 @@ import pytest
 from repro.common.encoding import canonical_decode, canonical_encode
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
-from repro.crypto.cosi import CollectiveSignature, CoSiWitness, run_cosi_round
+from repro.crypto.cosi import CollectiveSignature, cosign
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import Block
 from repro.ledger.checkpoint import Checkpoint
@@ -68,10 +68,7 @@ class TestCheckpointRoundTrip:
             transactions_covered=17,
         )
         keypairs = {sid: keypair_for(sid, seed=5) for sid in ("s0", "s1")}
-        witnesses = [CoSiWitness(sid, kp) for sid, kp in sorted(keypairs.items())]
-        checkpoint = checkpoint.with_cosign(
-            run_cosi_round(checkpoint.digest(), witnesses)
-        )
+        checkpoint = checkpoint.with_cosign(cosign(checkpoint.digest(), keypairs))
         decoded = Checkpoint.from_wire(canonical_decode(canonical_encode(checkpoint.to_wire())))
         assert decoded.digest() == checkpoint.digest()
         assert decoded.cosign == checkpoint.cosign

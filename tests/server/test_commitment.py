@@ -12,6 +12,8 @@ from repro.crypto.cosi import (
     aggregate_points,
     aggregate_scalars,
     compute_challenge,
+    witness_commitment,
+    witness_response,
 )
 from repro.crypto.group import CURVE_ORDER, decompress_point, generator_multiply
 from repro.crypto.keys import keypair_for
@@ -144,6 +146,7 @@ class TestChallengePhase:
         response = cohorts["s0"].handle_challenge(1, b"\x00", decided)
         assert isinstance(response, Refusal)
         assert "never voted" in response.reason
+        assert cohorts["s0"].pending_round_count() == 0
 
     def test_cohort_detects_fake_root(self):
         # Scenario 2: the coordinator records a wrong root for a benign server.
@@ -489,6 +492,35 @@ class TestCohortLifecycle:
         cohorts["s0"].handle_prepare(block)
         response = cohorts["s0"].handle_challenge(1, b"\x00", block)
         assert isinstance(response, Refusal) and "never voted" in response.reason
+
+    def test_the_same_challenge_twice_is_refused(self):
+        cohorts = make_cohorts()
+        block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+        votes, decided, challenge, responses = run_phases(cohorts, block)
+        assert isinstance(responses["s1"], ChallengeResponse)
+        aggregate = aggregate_points(decompress_point(v.commitment) for v in votes.values())
+        again = cohorts["s1"].handle_challenge(challenge, aggregate.encode(), decided)
+        assert isinstance(again, Refusal) and "already answered" in again.reason
+
+    def test_a_challenge_over_another_block_spends_no_nonce(self):
+        """A challenge refused because it does not match the block sent with
+        it leaves the round ``voted``: the matching challenge is then answered
+        from the nonce the vote committed to."""
+        cohorts = make_cohorts()
+        block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+        votes = {sid: layer.handle_get_vote(block) for sid, layer in cohorts.items()}
+        roots = {sid: v.root for sid, v in votes.items() if v.root is not None}
+        decided = block.with_decision(BlockDecision.COMMIT, roots)
+        aggregate = aggregate_points(decompress_point(v.commitment) for v in votes.values())
+        challenge = compute_challenge(aggregate, decided.signing_digest())
+        other = block.with_decision(BlockDecision.ABORT, {})
+        refused = cohorts["s1"].handle_challenge(challenge, aggregate.encode(), other)
+        assert isinstance(refused, Refusal) and "does not correspond" in refused.reason
+        answered = cohorts["s1"].handle_challenge(challenge, aggregate.encode(), decided)
+        keypair = keypair_for("s1", seed=5)
+        nonce, commitment = witness_commitment(keypair, block.signing_digest())
+        assert commitment.encode() == votes["s1"].commitment
+        assert answered.response == witness_response(keypair, nonce, challenge)
 
     def test_round_failed_releases_whatever_the_status(self):
         cohorts, block, _, _, _ = _challenged()

@@ -26,6 +26,7 @@ RUNNER, LEDGER = ("One runner", "§7, §8.2"), ("One traffic ledger", "§12")
 BLOCK = ("One block rule", '§5 "Who must have signed"')
 ANCHOR = ("One anchor rule", '§5 "Epoch anchors and the trust argument"')
 CONTRACT = ("One contract for the sweeps", '§7 "One contract"')
+COSI = ("One CoSi flow", '§10 "The round lifecycle: two transition tables"')
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,11 @@ GUARDS = (
     *(Guard(*ANCHOR, SRC, rf"def {rule}\b", kind="once",
             plants=(f"src/repro/audit/auditor.py:def {rule}(a):\ndef {rule}(b):",))
       for rule in ("replay_shard_chains", "verify_anchor_chain", "verify_anchor_link")),
+    Guard(*COSI, CODE, r"CoSiWitness|CoSiCoordinator|run_cosi_round",
+          plants=("src/repro/crypto/cosi.py:class CoSiWitness:",
+                  "tests/ledger/test_log.py:from repro.crypto.cosi import run_cosi_round")),
+    Guard("One nonce", COSI[1], SRC, "cosi-nonce", kind="once", basic=True,
+          plants=('src/repro/server/commitment.py:    seed = hash_concat(b"cosi-nonce", secret, record)',)),
     Guard("No anchor broadcast", "§5", SRC,
           r"EPOCH_ANCHOR|AnchorSealed|subscribe_anchors|broadcast_anchor|_on_epoch_anchor",
           plants=('src/repro/net/message.py:    EPOCH_ANCHOR = "epoch_anchor"',)),
