@@ -91,16 +91,23 @@ class YcsbWorkload:
         """Generate ``num_transactions`` transaction specs."""
         specs: List[TransactionSpec] = []
         used_in_window: set = set()
+        fallback = random.Random(self.seed)
         for index in range(num_transactions):
             if self.conflict_free_window and index % self.conflict_free_window == 0:
                 used_in_window = set()
-            items = self._pick_items(used_in_window)
+            items = self._pick_items(used_in_window, fallback)
             if self.conflict_free_window:
                 used_in_window.update(items)
             specs.append(TransactionSpec(txn_index=index, operations=tuple(self._ops_for(items))))
         return specs
 
-    def _pick_items(self, excluded: set) -> List[str]:
+    def _pick_items(self, excluded: set, fallback: random.Random) -> List[str]:
+        """Rejection-sample ``ops_per_txn`` distinct items outside ``excluded``.
+
+        Once a window holds most of the universe, the draws mostly hit used
+        items; past the draw budget the rest are drawn by ``fallback`` from
+        the items still free, so every window ``__post_init__`` accepts fills.
+        """
         items: List[str] = []
         seen = set(excluded)
         attempts = 0
@@ -110,10 +117,14 @@ class YcsbWorkload:
             attempts += 1
             if candidate in seen:
                 if attempts > max_attempts:
-                    raise ConfigurationError(
-                        "could not find enough non-conflicting items; "
-                        "the item universe is too small for the requested window"
-                    )
+                    free = [item for item in dict.fromkeys(self.item_ids) if item not in seen]
+                    missing = self.ops_per_txn - len(items)
+                    if len(free) < missing:
+                        raise ConfigurationError(
+                            "could not find enough non-conflicting items; "
+                            "the item universe is too small for the requested window"
+                        )
+                    return items + fallback.sample(free, missing)
                 continue
             seen.add(candidate)
             items.append(candidate)

@@ -45,6 +45,24 @@ class TestYcsbWorkload:
                 assert not items & seen
                 seen |= items
 
+    def test_a_window_that_covers_the_universe_fills(self):
+        """200 transactions of 5 items use all 1 000: the last picks outrun the
+        rejection sampler's draw budget and are filled from the free items."""
+        universe = [f"item-{i:04d}" for i in range(1000)]
+
+        def generate():
+            workload = YcsbWorkload(
+                item_ids=universe, ops_per_txn=5, conflict_free_window=200, seed=4
+            )
+            return workload.generate(400)
+
+        specs = generate()
+        for start in (0, 200):
+            window = [spec.item_ids() for spec in specs[start : start + 200]]
+            assert all(len(items) == 5 for items in window)
+            assert sorted(item for items in window for item in items) == universe
+        assert specs == generate()
+
     def test_deterministic_per_seed(self):
         a = YcsbWorkload(item_ids=ITEMS, seed=5).generate(10)
         b = YcsbWorkload(item_ids=ITEMS, seed=5).generate(10)
