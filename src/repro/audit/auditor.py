@@ -487,31 +487,6 @@ class Auditor:
                     )
         return audited_ok
 
-    def find_corruption_version(self, server_id: str, reference: TransactionLog) -> Optional[int]:
-        """Exhaustive per-version audit: return the first block height whose state fails.
-
-        Implements the multi-versioned policy of Lemma 2 ("the auditor
-        identifies the precise version at which data corruption occurred by
-        systematically authenticating all blocks in the log").
-        """
-        with_roots = [
-            block
-            for block in reference
-            if block.is_commit and server_id in block.roots
-        ]
-        for block in with_roots:
-            if block.group is not None and block is not with_roots[-1]:
-                # Same rule as check_datastores: intermediate group blocks
-                # cannot be audited by a timestamp-indexed version lookup
-                # (per-group frontiers interleave commit timestamps relative
-                # to log order).
-                continue
-            probe = AuditReport()
-            live = block.group is not None
-            if not self.audit_datastore_block(server_id, block, probe, live=live):
-                return block.height
-        return None
-
     # -- the full audit -----------------------------------------------------------------------
 
     def run_audit(

@@ -53,13 +53,12 @@ class TestDatastoreCorruptionDetection:
         small_system.run_transaction([ReadOp(item), WriteOp(item, 3)])
         # Corrupt the *latest* stored version; earlier versions stay intact.
         small_system.server("s1").store.corrupt(item, 666)
-        auditor = small_system.auditor()
-        logs = auditor.collect_logs()
-        from repro.audit.report import AuditReport
-
-        report = AuditReport()
-        reference = auditor.check_logs(logs, report)
-        corrupted_height = auditor.find_corruption_version("s1", reference)
+        report = small_system.auditor().run_audit(datastore_mode="all")
+        corrupted_height = min(
+            v.block_height
+            for v in report.violations_of(ViolationType.DATASTORE_CORRUPTION)
+            if v.culprits == ("s1",)
+        )
         assert corrupted_height == 2  # the block whose version no longer authenticates
 
     def test_other_servers_stay_clean(self, small_system, workload_factory):
