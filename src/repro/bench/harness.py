@@ -334,15 +334,9 @@ def _measure_blocks(result: ExperimentResult, system, block_results) -> None:
     result.compute_ms_per_block = (
         statistics.mean(r.timing.compute_time for r in block_results) * 1000.0
     )
-    # Crypto wall time comes from the isolated micro-timers around every
-    # sign/verify/aggregate call (``crypto.*.s`` counters), not from a share
-    # of the coarse phase compute -- the row previously omitted it entirely.
-    crypto_s = sum(
-        value
-        for name, value in system.sim.obs.metrics.counters_matching("crypto.").items()
-        if name.endswith(".s")
-    )
-    result.crypto_ms_per_block = crypto_s / result.blocks * 1000.0
+    # Crypto wall time comes from the micro-timers around each crypto call,
+    # not from a share of the coarse phase compute.
+    result.crypto_ms_per_block = system.sim.obs.crypto_wall_s() / result.blocks * 1000.0
     if result.total_time_s > 0:
         result.throughput_tps = result.committed_txns / result.total_time_s
         # Ordered deliveries serialize on the ordering lanes' timeline

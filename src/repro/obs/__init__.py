@@ -46,6 +46,15 @@ class Observability:
         self.tracer.enabled = True
         return self
 
+    def crypto_wall_s(self) -> float:
+        """Wall seconds inside the isolated micro-timers around every
+        sign/verify/aggregate call: the sum of the ``crypto.*.s`` counters."""
+        return sum(
+            value
+            for name, value in self.metrics.counters_matching("crypto.").items()
+            if name.endswith(".s")
+        )
+
     def attribution(self, makespan: Optional[float] = None) -> Dict:
         """The bench report's per-phase / per-subsystem attribution block.
 
@@ -54,15 +63,10 @@ class Observability:
         time (crypto, storage) -- each entry says which it is by its
         metric name (DESIGN.md section 12).
         """
-        crypto_s = sum(
-            value
-            for name, value in self.metrics.counters_matching("crypto.").items()
-            if name.endswith(".s")
-        )
         block: Dict = {
             "phases_s": self.tracer.phase_attribution(),
             "subsystems": {
-                "crypto_wall_s": crypto_s,
+                "crypto_wall_s": self.crypto_wall_s(),
                 "net_bytes_total": self.metrics.counter_value("net.bytes_total"),
                 "net_bytes_per_type": self.metrics.breakdown("net.bytes"),
                 "net_messages": self.metrics.counter_value("net.messages"),
