@@ -79,14 +79,42 @@ class BlockCommitResult:
         return self.status == "committed"
 
 
+class ItemClaims:
+    """The items a batch accesses and the items it writes.
+
+    A transaction conflicts with the batch -- with at least one of its
+    members, by :meth:`Transaction.conflicts_with` -- exactly when its writes
+    meet ``accessed`` or its reads meet ``written``.  So one check costs
+    O(the transaction's items), whatever the batch's size.
+    """
+
+    __slots__ = ("accessed", "written")
+
+    def __init__(self) -> None:
+        self.accessed: set = set()
+        self.written: set = set()
+
+    def clash(self, txn: Transaction) -> bool:
+        return not (
+            self.accessed.isdisjoint([entry.item_id for entry in txn.write_set])
+            and self.written.isdisjoint([entry.item_id for entry in txn.read_set])
+        )
+
+    def add(self, txn: Transaction) -> None:
+        writes = [entry.item_id for entry in txn.write_set]
+        self.written.update(writes)
+        self.accessed.update(writes)
+        self.accessed.update([entry.item_id for entry in txn.read_set])
+
+
 class BatchBuilder:
     """Packs pending transactions into non-conflicting batches (Section 4.6).
 
     "The coordinator collects and inserts a set of non-conflicting client
     generated transactions and orders them within a single block" -- the
     builder walks the pending queue in arrival order and greedily selects
-    transactions that neither conflict with one another nor carry a commit
-    timestamp at or below the latest committed timestamp.
+    transactions that neither conflict with the batch's :class:`ItemClaims`
+    nor carry a commit timestamp at or below the latest committed timestamp.
     """
 
     def __init__(self, txns_per_block: int) -> None:
@@ -110,16 +138,15 @@ class BatchBuilder:
         batch: List[Tuple[Transaction, Envelope]] = []
         stale: List[Tuple[Transaction, Envelope]] = []
         remaining: List[Tuple[Transaction, Envelope]] = []
+        claims = ItemClaims()
         for txn, envelope in pending:
             if latest_committed_ts is not None and txn.commit_ts <= latest_committed_ts:
                 stale.append((txn, envelope))
                 continue
-            if len(batch) >= self.txns_per_block:
+            if len(batch) >= self.txns_per_block or claims.clash(txn):
                 remaining.append((txn, envelope))
                 continue
-            if any(txn.conflicts_with(selected) for selected, _ in batch):
-                remaining.append((txn, envelope))
-                continue
+            claims.add(txn)
             batch.append((txn, envelope))
         pending[:] = remaining
         return batch, stale
@@ -150,17 +177,21 @@ def validate_batch(transactions: Sequence[Transaction]) -> None:
 
     Shared by TFCommit and the 2PC baseline: an empty batch or one carrying
     internally conflicting transactions indicates a coordinator-side bug, not
-    a recoverable protocol condition.
+    a recoverable protocol condition.  The check runs against the batch's
+    :class:`ItemClaims`; only a clash scans the earlier transactions, to name
+    the first conflicting pair.
     """
     if not transactions:
         raise ProtocolInvariantError("commit_batch called with an empty batch")
+    claims = ItemClaims()
     for index, txn in enumerate(transactions):
-        for earlier in transactions[:index]:
-            if txn.conflicts_with(earlier):
-                raise ProtocolInvariantError(
-                    f"batch contains conflicting transactions "
-                    f"{earlier.txn_id} and {txn.txn_id} (BatchBuilder contract)"
-                )
+        if claims.clash(txn):
+            earlier = next(e for e in transactions[:index] if txn.conflicts_with(e))
+            raise ProtocolInvariantError(
+                f"batch contains conflicting transactions "
+                f"{earlier.txn_id} and {txn.txn_id} (BatchBuilder contract)"
+            )
+        claims.add(txn)
 
 
 def footprint(transactions: Sequence[Transaction]) -> Tuple[frozenset, frozenset]:

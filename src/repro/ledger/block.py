@@ -234,8 +234,10 @@ class Block:
             )
         return ("height", self.height, self.view)
 
+    @kept
     def block_hash(self) -> bytes:
-        """Hash-pointer value used as the next block's ``previous_hash``.
+        """Hash-pointer value used as the next block's ``previous_hash``, kept
+        per instance: every recipient of a delivered block checks its chain.
 
         The pointer covers the body *and* the collective signature's
         ``challenge || response``, so that replacing a signature (even with

@@ -22,7 +22,8 @@ latency model keeps the timing realistic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.check.choices import choose_order
 from repro.common.encoding import canonical_encode
@@ -82,6 +83,7 @@ class Network:
         self._handlers: Dict[str, Handler] = {}
         self._keypairs: Dict[str, KeyPair] = {}
         self._public_keys: Dict[str, PublicKey] = {}
+        self._public_key_view = MappingProxyType(self._public_keys)
         #: Participants that registered a handler once but are currently down
         #: (crashed servers awaiting recovery).  Their keys stay in the
         #: directory -- co-signs involving them must keep verifying -- but
@@ -142,9 +144,11 @@ class Network:
         except KeyError:
             raise ConfigurationError(f"unknown participant {identity!r}") from None
 
-    def public_key_directory(self) -> Dict[str, PublicKey]:
-        """The system-wide directory of public keys (Section 3.1)."""
-        return dict(self._public_keys)
+    def public_key_directory(self) -> Mapping[str, PublicKey]:
+        """The system-wide directory of public keys (Section 3.1): a live,
+        read-only view, so a handler that looks keys up on every delivery
+        copies nothing."""
+        return self._public_key_view
 
     @property
     def participants(self):

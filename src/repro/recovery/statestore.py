@@ -139,6 +139,10 @@ _SHARD_ROOT_KEY = canonical_encode("shard_root")
 class StateStore:
     """Base class: the journal's two record forms over an abstract byte journal."""
 
+    #: The last shard root recorded, and the record piece that carries it.
+    _last_root: Optional[bytes] = None
+    _last_root_piece: bytes = b""
+
     # -- primitive journal operations (implemented by subclasses) --------------
 
     def _append(self, *pieces: bytes) -> None:
@@ -183,13 +187,14 @@ class StateStore:
         ``canonical_encode(BlockRecord(block, shard_root))``: the constant the
         form opens with, the bytes the block owns, and the shard root under
         its key.  Every server persisting the same delivered block appends the
-        same block bytes object, and nothing is spliced for the record.
+        same block bytes object, and nothing is spliced for the record.  A
+        block that leaves the shard's root object as it was appends the last
+        root piece again.
         """
-        self._append(
-            BlockRecord.WIRE_PREFIX,
-            block.wire_bytes(),
-            _SHARD_ROOT_KEY + canonical_encode(shard_root),
-        )
+        if shard_root is not self._last_root:
+            self._last_root = shard_root
+            self._last_root_piece = _SHARD_ROOT_KEY + canonical_encode(shard_root)
+        self._append(BlockRecord.WIRE_PREFIX, block.wire_bytes(), self._last_root_piece)
 
     def install_checkpoint(
         self,

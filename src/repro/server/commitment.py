@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from repro.common.errors import ServerCrashed, ValidationError
 from repro.common.types import ServerId
@@ -89,9 +89,10 @@ class RoundState:
     The round timer of the view-change protocol lives here: ``deadline`` is
     armed (virtual clock + :data:`~repro.core.rounds.ROUND_TIMEOUT_S`) when
     the cohort first sees the round's ``GET_VOTE``/``PREPARE`` and refreshed
-    on each later phase message.  A round past its deadline whose coordinator
-    has been deposed is *stalled*: the cohort hands its block and client
-    requests to the view change for re-proposal.
+    by each later phase message it accepts (a refused one changes nothing).
+    A round past its deadline whose coordinator has been deposed is
+    *stalled*: the cohort hands its block and client requests to the view
+    change for re-proposal.
     """
 
     #: The CoSi nonce ``v_i`` this cohort committed to in its vote
@@ -198,7 +199,10 @@ class CommitmentLayer:
     # -- helpers -----------------------------------------------------------------
 
     def _local_items(self, txn: Transaction) -> bool:
-        return any(item in self._store for item in txn.items_accessed())
+        store = self._store
+        return any(entry.item_id in store for entry in txn.read_set) or any(
+            entry.item_id in store for entry in txn.write_set
+        )
 
     def _local_writes(self, transactions) -> Dict[str, object]:
         """Writes from the batch that land on this shard, latest timestamp wins."""
@@ -415,9 +419,6 @@ class CommitmentLayer:
             return refusal(f"challenge for a round this cohort never voted on: {block.round_key()}")
         if CohortStatus.CHALLENGED not in COHORT_TRANSITIONS[state.status]:
             return refusal(f"round {block.round_key()} already answered its challenge")
-        state.block = block
-        # The coordinator made progress; give it a fresh round-timer window.
-        state.deadline = self._clock.now + ROUND_TIMEOUT_S
 
         if not self._faults.collude_on_challenge():
             involved_servers = set(block.roots)
@@ -435,6 +436,10 @@ class CommitmentLayer:
             if expected_challenge != challenge:
                 return refusal("challenge does not correspond to the received block")
 
+        # Only an answered challenge is progress: it replaces the voted block
+        # and gives the coordinator a fresh round-timer window.
+        state.block = block
+        state.deadline = self._clock.now + ROUND_TIMEOUT_S
         state.status = CohortStatus.CHALLENGED
         response = self._faults.corrupt_response(
             witness_response(self._keypair, state.nonce, challenge)
@@ -444,7 +449,7 @@ class CommitmentLayer:
     # -- TFCommit phase 5: <Decision, null>, and the ordered stream (Section 4.6) ----
 
     def handle_decision(
-        self, block: Block, public_keys: Dict[str, PublicKey], servers: Collection[ServerId]
+        self, block: Block, public_keys: Mapping[str, PublicKey], servers: Collection[ServerId]
     ) -> Union[Applied, Refusal]:
         """Verify the finalised block, log it, and apply its writes.
 

@@ -107,11 +107,19 @@ class BlockTask:
         """
         return self.done_at if self.done_at is not None else self.ready_at
 
-    def conflicts_with(self, read_items: FrozenSet[str], write_items: FrozenSet[str]) -> bool:
-        return bool(
-            (self.write_items & (read_items | write_items))
-            or (write_items & (self.read_items | self.write_items))
-        )
+
+def _footprints_clash(
+    reads: FrozenSet[str], writes: FrozenSet[str], accessed: FrozenSet[str], written: FrozenSet[str]
+) -> bool:
+    """Whether the footprint ``(reads, writes)`` conflicts with one that
+    accesses ``accessed`` (its reads and writes) and writes ``written``: a
+    shared item with a write on either side.  The caller builds ``accessed``
+    once for every footprint it compares against."""
+    return not (
+        writes.isdisjoint(accessed)
+        and written.isdisjoint(reads)
+        and written.isdisjoint(writes)
+    )
 
 
 class PipelinedRoundScheduler:
@@ -165,8 +173,11 @@ class PipelinedRoundScheduler:
                 earliest = max(earliest, chain_ready)
             if len(history) >= self.pipeline_depth:
                 earliest = max(earliest, history[-self.pipeline_depth].gate_at)
+            accessed = read_items | write_items
             for prior in history:
-                gated = prior.conflicts_with(read_items, write_items) or (
+                gated = _footprints_clash(
+                    prior.read_items, prior.write_items, accessed, write_items
+                ) or (
                     min_commit_ts is not None
                     and prior.max_commit_ts is not None
                     and min_commit_ts <= prior.max_commit_ts
@@ -307,12 +318,12 @@ class PipelinedRoundScheduler:
         self, read_items: FrozenSet[str], write_items: FrozenSet[str]
     ) -> float:
         """When the last ordered delivery conflicting with the footprint ended."""
+        accessed = read_items | write_items
         return max(
             (
                 end
-                for delivered_reads, delivered_writes, end in self._deliveries
-                if (delivered_writes & (read_items | write_items))
-                or (write_items & (delivered_reads | delivered_writes))
+                for reads, writes, end in self._deliveries
+                if _footprints_clash(reads, writes, accessed, write_items)
             ),
             default=0.0,
         )

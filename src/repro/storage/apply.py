@@ -38,16 +38,21 @@ def block_store_commits(block, store: DataStore) -> List[tuple]:
     """The ``(commit_ts, writes, reads)`` triples ``block`` applies to ``store``.
 
     Ready to hand to :meth:`DataStore.apply_batch`; transactions touching
-    nothing on this shard contribute no triple.
+    nothing on this shard contribute no triple, and allocate nothing.
     """
     commits = []
     for txn in block.transactions:
-        local_writes = {
-            entry.item_id: entry.new_value
-            for entry in txn.write_set
-            if entry.item_id in store
-        }
-        local_reads = [entry.item_id for entry in txn.read_set if entry.item_id in store]
-        if local_writes or local_reads:
-            commits.append((txn.commit_ts, local_writes, local_reads))
+        local_writes = local_reads = None
+        for entry in txn.write_set:
+            if entry.item_id in store:
+                if local_writes is None:
+                    local_writes = {}
+                local_writes[entry.item_id] = entry.new_value
+        for entry in txn.read_set:
+            if entry.item_id in store:
+                if local_reads is None:
+                    local_reads = []
+                local_reads.append(entry.item_id)
+        if local_writes is not None or local_reads is not None:
+            commits.append((txn.commit_ts, local_writes or {}, local_reads or []))
     return commits

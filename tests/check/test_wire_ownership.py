@@ -423,7 +423,9 @@ class TestContainersStoreNothing:
     def test_a_block_keeps_its_bytes_and_digests_only(self):
         block = BUILDERS["Block"]()
         _warm(block)
-        assert set(_kept(block)) == {"wire_bytes()", "body_digest()", "group_body_digest()"}
+        assert set(_kept(block)) == {
+            "wire_bytes()", "body_digest()", "group_body_digest()", "block_hash()"
+        }
         assert _long_bytes(block) == {"wire_bytes()": canonical_encode(block)}
 
     def test_an_envelope_keeps_nothing(self):

@@ -36,6 +36,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.message import Envelope, MessageType
 from repro.net.network import Network
 from repro.obs import Observability
+from repro.core.rounds import ROUND_TIMEOUT_S
 from repro.server.commitment import COHORT_TRANSITIONS, CohortStatus, CommitmentLayer
 from repro.server.server import DatabaseServer
 from repro.sim.clock import VirtualClock
@@ -46,7 +47,7 @@ from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 SERVER_IDS = ["s0", "s1"]
 
 
-def make_cohorts():
+def make_cohorts(clock=None):
     cohorts = {}
     for server_id in SERVER_IDS:
         store = DataStore({f"{server_id}-item": 0})
@@ -55,7 +56,7 @@ def make_cohorts():
             keypair_for(server_id, seed=5),
             store,
             TransactionLog(),
-            VirtualClock(),
+            clock or VirtualClock(),
             Observability(),
         )
     return cohorts
@@ -521,6 +522,33 @@ class TestCohortLifecycle:
         nonce, commitment = witness_commitment(keypair, block.signing_digest())
         assert commitment.encode() == votes["s1"].commitment
         assert answered.response == witness_response(keypair, nonce, challenge)
+
+    def test_a_refused_challenge_keeps_the_voted_block_and_its_timer(self):
+        """A challenge the cohort refuses is no progress: the round keeps the
+        block it voted on and the deadline its vote armed, so a coordinator
+        that only sends refused challenges is reported stalled on time."""
+        clock = VirtualClock()
+        cohorts = make_cohorts(clock)
+        block = make_partial_block(0, [make_txn("s0-item")], genesis_previous_hash())
+        votes = {
+            sid: layer.handle_get_vote(block, coordinator="s0") for sid, layer in cohorts.items()
+        }
+        state = cohorts["s1"]._rounds[block.round_key()]
+        deadline = state.deadline
+        roots = {sid: v.root for sid, v in votes.items() if v.root is not None}
+        decided = block.with_decision(BlockDecision.COMMIT, roots)
+        aggregate = aggregate_points(decompress_point(v.commitment) for v in votes.values())
+        challenge = compute_challenge(aggregate, decided.signing_digest())
+        other = block.with_decision(BlockDecision.ABORT, {})
+        clock.advance(ROUND_TIMEOUT_S / 2)
+        refused = cohorts["s1"].handle_challenge(challenge, aggregate.encode(), other)
+        assert isinstance(refused, Refusal) and "does not correspond" in refused.reason
+        assert state.block is block
+        assert state.deadline == deadline
+        assert state.status is CohortStatus.VOTED
+        clock.set(deadline)
+        report = cohorts["s1"].handle_view_change(None, "s0", 1)
+        assert [proposal.block for proposal in report.stalled] == [block]
 
     def test_round_failed_releases_whatever_the_status(self):
         cohorts, block, _, _, _ = _challenged()

@@ -121,6 +121,12 @@ GUARDS = (
     Guard("Silent peers are refusals built in one place", '§6 "The message table"', SRC,
           'unreachable": True', basic=True,
           plants=('src/repro/core/tfcommit.py:        replies[peer] = {"unreachable": True}',)),
+    Guard("No pairwise batch scan", '§3 "What batch formation costs"',
+          ("src/repro/core/rounds.py", "src/repro/sim/scheduler.py"), r"\bconflicts_with\(",
+          r"^src/repro/core/rounds\.py:[0-9]+: +earlier = next\(e for e in transactions\[:index\] "
+          r"if txn\.conflicts_with\(e\)\)$",
+          plants=("src/repro/core/rounds.py:            if any(txn.conflicts_with(s) for s, _ in batch):",
+                  "src/repro/sim/scheduler.py:                gated = prior.conflicts_with(read_items, write_items)")),
     Guard("The timeline keeps no events", "§7", SRC,
           r"heapq|run_until_idle|SimEvent|loop-order|Timeline|timeline\.record|sim\.fingerprint",
           plants=("src/repro/sim/clock.py:import heapq",)),
