@@ -208,14 +208,13 @@ class CommitmentLayer:
         """Writes from the batch that land on this shard, latest timestamp wins."""
         return block_local_writes(transactions, self._store)
 
-    def _validate(self, block: Block) -> Tuple[BlockDecision, str]:
-        """OCC-validate the transactions touching this shard: the local vote."""
+    def _validate(self, local: List[Transaction]) -> Tuple[BlockDecision, str]:
+        """OCC-validate ``local``, the transactions touching this shard: the local vote."""
         if not self._faults.skip_validation():
-            for txn in block.transactions:
-                if self._local_items(txn):
-                    outcome = self._validator.validate(txn)
-                    if outcome.abort:
-                        return BlockDecision.ABORT, outcome.reason()
+            for txn in local:
+                outcome = self._validator.validate(txn)
+                if outcome.abort:
+                    return BlockDecision.ABORT, outcome.reason()
         return BlockDecision.COMMIT, ""
 
     # -- the round table: one way in, one way out -----------------------------------
@@ -356,7 +355,8 @@ class CommitmentLayer:
         nonce, commitment = witness_commitment(self._keypair, partial_block.signing_digest())
         commitment = self._faults.corrupt_commitment(commitment)
 
-        involved = any(self._local_items(txn) for txn in partial_block.transactions)
+        local = [txn for txn in partial_block.transactions if self._local_items(txn)]
+        involved = bool(local)
         decision, abort_reason = BlockDecision.COMMIT, ""
         root: Optional[bytes] = None
         mht_time = 0.0
@@ -364,11 +364,11 @@ class CommitmentLayer:
         if force_abort_reason:
             decision, abort_reason = BlockDecision.ABORT, force_abort_reason
         elif involved:
-            decision, abort_reason = self._validate(partial_block)
+            decision, abort_reason = self._validate(local)
             if decision is BlockDecision.COMMIT:
                 mht_watch = Stopwatch()
                 speculative_root, mht_hashes = self._store.speculative_root(
-                    self._local_writes(partial_block.transactions)
+                    self._local_writes(local)
                 )
                 mht_time = mht_watch.elapsed()
                 self._obs_mht(mht_hashes, mht_time)
@@ -613,8 +613,9 @@ class CommitmentLayer:
         refusal = self._refuse_proposal(block, watch)
         if refusal is not None:
             return refusal
-        involved = any(self._local_items(txn) for txn in block.transactions)
-        decision, reason = self._validate(block) if involved else (BlockDecision.COMMIT, "")
+        local = [txn for txn in block.transactions if self._local_items(txn)]
+        involved = bool(local)
+        decision, reason = self._validate(local) if involved else (BlockDecision.COMMIT, "")
         self._arm(block, None, involved, decision, coordinator, client_requests)
         return PrepareVote(involved, decision.value, reason, watch.elapsed())
 

@@ -175,15 +175,17 @@ class PipelinedRoundScheduler:
                 earliest = max(earliest, history[-self.pipeline_depth].gate_at)
             accessed = read_items | write_items
             for prior in history:
-                gated = _footprints_clash(
-                    prior.read_items, prior.write_items, accessed, write_items
-                ) or (
-                    min_commit_ts is not None
-                    and prior.max_commit_ts is not None
-                    and min_commit_ts <= prior.max_commit_ts
-                )
-                if gated:
-                    earliest = max(earliest, prior.gate_at)
+                # A prior that frees its coordinator by ``earliest`` cannot
+                # delay the block, so its footprint is not compared.
+                if prior.gate_at > earliest and (
+                    _footprints_clash(prior.read_items, prior.write_items, accessed, write_items)
+                    or (
+                        min_commit_ts is not None
+                        and prior.max_commit_ts is not None
+                        and min_commit_ts <= prior.max_commit_ts
+                    )
+                ):
+                    earliest = prior.gate_at
         if group_members is not None:
             earliest = max(earliest, self.delivery_frontier(read_items, write_items))
         task = BlockTask(
