@@ -62,17 +62,6 @@ class SerializationGraph:
 
     # -- queries -------------------------------------------------------------------
 
-    @property
-    def node_count(self) -> int:
-        return len(self._edges)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(targets) for targets in self._edges.values())
-
-    def successors(self, txn_id: str) -> Set[str]:
-        return set(self._edges.get(txn_id, set()))
-
     def find_cycle(self) -> Optional[List[str]]:
         """Return one cycle (as a list of txn ids) or None if the graph is acyclic.
 
@@ -104,7 +93,3 @@ class SerializationGraph:
                     on_path.discard(done)
                     finished.add(done)
         return None
-
-    def is_serializable(self) -> bool:
-        """True iff the conflict graph has no cycle."""
-        return self.find_cycle() is None

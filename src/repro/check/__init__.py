@@ -15,8 +15,8 @@
   that drives it;
 - :mod:`repro.check.explorer` -- prefix-branching BFS/DFS with fingerprint
   dedup and counterexample minimization;
-- :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples
-  into deterministic regression tests;
+- :mod:`repro.check.replay` -- counterexamples saved as traces, which the
+  tests replay as deterministic regression tests;
 - :mod:`repro.check.static` -- the static protocol analyzer
   (``python -m repro.check.static``): one walk over each module's AST
   applying the per-node exception and determinism/assert rules.

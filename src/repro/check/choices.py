@@ -109,11 +109,6 @@ class ChoiceSource:
 _active: Optional[ChoiceSource] = None
 
 
-def active_choices() -> Optional[ChoiceSource]:
-    """The installed :class:`ChoiceSource`, or ``None`` outside the checker."""
-    return _active
-
-
 @contextmanager
 def driven_by(source: ChoiceSource) -> Iterator[ChoiceSource]:
     """Install ``source`` as the run's choice source for the ``with`` body."""

@@ -20,7 +20,7 @@ terminal fingerprint was already seen is not expanded further.
 A run whose invariants fail becomes a :class:`Counterexample`; the explorer
 shrinks its pick sequence with a greedy delta-debugging pass (truncate the
 prefix, then default-out individual picks, to fixpoint) so the saved trace
-is minimal and replayable via :mod:`repro.check.replay`.
+is minimal and replayable (:mod:`repro.check.replay`).
 """
 
 from __future__ import annotations

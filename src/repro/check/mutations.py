@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,6 @@ def mutation_enabled(name: str) -> bool:
 def enable(name: str) -> None:
     mutation_enabled(name)  # validate the name
     _enabled[name] = True
-
-
-def disable(name: str) -> None:
-    mutation_enabled(name)
-    _enabled[name] = False
-
-
-def enabled_mutations() -> Tuple[str, ...]:
-    return tuple(sorted(name for name, on in _enabled.items() if on))
 
 
 @contextmanager

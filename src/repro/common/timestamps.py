@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.common.types import ClientId
 
@@ -110,8 +110,3 @@ class TimestampGenerator:
     def current(self) -> Timestamp:
         """Return the latest timestamp handed out (or the zero timestamp)."""
         return Timestamp(self._counter, self.client_id)
-
-    def stream(self) -> Iterator[Timestamp]:
-        """Yield an endless stream of fresh timestamps."""
-        while True:
-            yield self.next()

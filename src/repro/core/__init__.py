@@ -19,7 +19,7 @@ from repro.core.rounds import BatchBuilder, BlockCommitResult, TimingBreakdown, 
 from repro.core.tfcommit import TFCommitCoordinator
 from repro.core.twopc import TwoPhaseCommitCoordinator
 from repro.core.fides import FidesSystem
-from repro.core.grouping import ServerGroup, group_for_batch, group_for_transaction
+from repro.core.grouping import ServerGroup, group_for_batch
 from repro.core.scaled import GroupTFCommitCoordinator, ScaledFidesSystem
 from repro.core.sequencing import OrderedBlock, OrderingService
 
@@ -37,5 +37,4 @@ __all__ = [
     "TwoPhaseCommitCoordinator",
     "TxnOutcome",
     "group_for_batch",
-    "group_for_transaction",
 ]

@@ -54,23 +54,6 @@ class ServerGroup:
         return len(self.members)
 
 
-def group_for_transaction(
-    txn: Transaction, shard_map: ShardMap, exclude: Iterable[str] = ()
-) -> ServerGroup:
-    """Form the dynamic group of a transaction: the servers storing its items.
-
-    The group's coordinator is chosen deterministically (smallest server id
-    not in ``exclude``) so that all participants agree on it without extra
-    coordination; ``exclude`` carries servers deposed by a view change.
-    """
-    servers = shard_map.servers_for(txn.items_accessed())
-    if not servers:
-        raise ValidationError(f"transaction {txn.txn_id} accesses no known items")
-    return ServerGroup(
-        members=frozenset(servers), coordinator=_pick_coordinator(servers, exclude)
-    )
-
-
 def group_for_batch(
     transactions: Sequence[Transaction], shard_map: ShardMap, exclude: Iterable[str] = ()
 ) -> ServerGroup:

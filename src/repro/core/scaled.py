@@ -12,7 +12,7 @@ dependency-tracking as in ParBlockchain -- here
 :class:`ScaledFidesSystem` wires the pieces together:
 
 * clients route each ``end_transaction`` to the coordinator of the
-  transaction's dynamic group (:func:`~repro.core.grouping.group_for_transaction`);
+  transaction's dynamic group (:func:`~repro.core.grouping.group_for_batch`);
 * each group coordinator runs TFCommit over *only* the group's members
   (:class:`GroupTFCommitCoordinator`), producing a block co-signed by the
   group;

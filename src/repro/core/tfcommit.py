@@ -95,9 +95,7 @@ class TFCommitCoordinator(SimScheduledRounds):
         # Phase 3: <null, SchChallenge> -- aggregate votes into the block.
         self._begin_compute_phase(round, "aggregate")
         coordinator_watch = Stopwatch()
-        faults.observe_phase(
-            "coordinate", partial_block.height, tuple(t.txn_id for t in round.transactions)
-        )
+        faults.observe_phase("coordinate", partial_block.height)
         decision = BlockDecision.COMMIT
         abort_reasons = round.abort_reasons
         roots: Dict[str, bytes] = {}

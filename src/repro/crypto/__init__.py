@@ -16,7 +16,7 @@ crypto packages:
   benchmark sweeps).
 """
 
-from repro.crypto.hashing import sha256, hash_hex, hash_concat, hash_object
+from repro.crypto.hashing import sha256, hash_concat, hash_object
 from repro.crypto.group import Point, GENERATOR, CURVE_ORDER
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
 from repro.crypto.schnorr import SchnorrSignature, schnorr_sign, schnorr_verify
@@ -50,7 +50,6 @@ __all__ = [
     "cosi_verify",
     "generate_keypair",
     "hash_concat",
-    "hash_hex",
     "hash_object",
     "identify_faulty_signers",
     "make_signing_scheme",

@@ -25,11 +25,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def hash_hex(data: bytes) -> str:
-    """Return the SHA-256 digest of ``data`` as a hex string."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def hash_concat(*parts: bytes) -> bytes:
     """Hash the concatenation of ``parts`` with unambiguous length prefixes.
 

@@ -299,14 +299,6 @@ class MerkleTree:
         dup._levels = [list(level) for level in self._levels]
         return dup
 
-    def rebuild(self, items: Optional[Mapping[str, object]] = None) -> None:
-        """Fully rebuild the tree (optionally replacing all values)."""
-        if items is not None:
-            if set(items) != set(self._index):
-                raise StorageError("rebuild must cover exactly the existing item ids")
-            self._values = dict(items)
-        self._build()
-
     # -- proofs -------------------------------------------------------------
 
     def verification_object(self, item_id: str) -> VerificationObject:
@@ -348,7 +340,3 @@ def verify_inclusion(item_id: str, value, proof: VerificationObject, expected_ro
             running = node_hash(running, sibling)
     return running == expected_root
 
-
-def merkle_root_of(items: Mapping[str, object]) -> bytes:
-    """One-shot helper: the Merkle root over ``items`` without keeping the tree."""
-    return MerkleTree.from_items(items).root

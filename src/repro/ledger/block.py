@@ -165,10 +165,6 @@ class Block:
 
     # -- hashing / signing ----------------------------------------------------
 
-    def body(self) -> dict:
-        """Every field except the co-sign, in canonical-encoding-friendly form."""
-        return self.to_wire()["body"]
-
     @kept
     def body_digest(self) -> bytes:
         """The digest the participants collectively sign.

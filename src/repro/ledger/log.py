@@ -12,7 +12,7 @@ checkpoint acceptable, as three rules every acceptor calls: the co-sign rule
 acceptor that knows the head a block must extend.
 
 Besides the honest operations (append, iterate, verify) this module exposes
-*tampering helpers* -- ``tamper_replace``, ``tamper_reorder``, ``truncate`` --
+*tampering helpers* -- ``tamper_replace`` and ``truncate`` --
 used by the fault-injection tests to produce exactly the malicious logs of
 Lemmas 6 and 7 so the auditor's detection can be exercised.
 """
@@ -257,13 +257,6 @@ class TransactionLog:
                 raise ValidationError("refusing to append a block without a collective signature")
         self._blocks.append(block)
 
-    def committed_transactions(self):
-        """Yield ``(height, transaction)`` for every transaction in committed blocks."""
-        for block in self._blocks:
-            if block.is_commit:
-                for txn in block.transactions:
-                    yield block.height, txn
-
     def copy(self) -> "TransactionLog":
         return TransactionLog(
             self._blocks, base_height=self._base_height, base_hash=self._base_hash
@@ -339,13 +332,6 @@ class TransactionLog:
     def tamper_replace(self, height: int, block: Block) -> None:
         """Replace the block at ``height`` without any checks (malicious)."""
         self._blocks[height] = block
-
-    def tamper_reorder(self, height_a: int, height_b: int) -> None:
-        """Swap two blocks in place (malicious reordering of history)."""
-        self._blocks[height_a], self._blocks[height_b] = (
-            self._blocks[height_b],
-            self._blocks[height_a],
-        )
 
     def truncate(self, keep: int) -> None:
         """Drop every block after the first ``keep`` blocks (tail omission)."""

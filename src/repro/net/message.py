@@ -96,10 +96,6 @@ class Envelope:
     payload: Any
     signature: Optional[bytes] = None
 
-    def signed_content(self):
-        """The portion of the envelope covered by the signature."""
-        return self.to_wire()["content"]
-
     def with_signature(self, signature: bytes) -> "Envelope":
         return Envelope(
             sender=self.sender,

@@ -130,19 +130,10 @@ class Network:
         if self._handlers.pop(identity, None) is not None:
             self._departed.add(identity)
 
-    def is_reachable(self, identity: str) -> bool:
-        return identity in self._handlers
-
     def register_observer(self, identity: str, keypair: KeyPair) -> None:
         """Register a participant that only sends (e.g. a client or the auditor)."""
         self._keypairs[identity] = keypair
         self._public_keys[identity] = keypair.public
-
-    def public_key_of(self, identity: str) -> PublicKey:
-        try:
-            return self._public_keys[identity]
-        except KeyError:
-            raise ConfigurationError(f"unknown participant {identity!r}") from None
 
     def public_key_directory(self) -> Mapping[str, PublicKey]:
         """The system-wide directory of public keys (Section 3.1): a live,

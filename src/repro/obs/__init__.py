@@ -6,7 +6,7 @@ each from its constructor -- the network and coordinators via their ``sim``
 argument, servers and the ordering service via their ``obs`` argument.
 Metrics are always on (one
 dict write per instrument point); span tracing is off by default and
-enabled per run (``enable_tracing()``), keeping the disabled-path cost to
+enabled per run (``Observability(tracing=True)``), keeping the disabled-path cost to
 a single attribute check.
 
 The module also runs as a CLI: ``python -m repro.obs summarize|validate|
@@ -41,10 +41,6 @@ class Observability:
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    def enable_tracing(self) -> "Observability":
-        self.tracer.enabled = True
-        return self
 
     def crypto_wall_s(self) -> float:
         """Wall seconds inside the isolated micro-timers around every

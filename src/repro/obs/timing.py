@@ -33,6 +33,3 @@ class Stopwatch:
         elapsed = now - self._started
         self._started = now
         return elapsed
-
-    def restart(self) -> None:
-        self._started = perf_counter()

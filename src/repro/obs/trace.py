@@ -337,13 +337,6 @@ class Tracer:
             tracer._next_id = max(tracer._next_id, span.span_id + 1)
         return tracer
 
-    @classmethod
-    def load_jsonl(cls, path) -> "Tracer":
-        with open(path) as handle:
-            return cls.from_records(
-                json.loads(line) for line in handle if line.strip()
-            )
-
     def chrome_trace(self) -> Dict:
         """The trace as Chrome trace-event JSON (Perfetto-loadable)."""
         events: List[Dict] = []

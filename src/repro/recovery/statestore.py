@@ -159,11 +159,6 @@ class StateStore:
     def size_bytes(self) -> int:
         raise NotImplementedError
 
-    def _iter_payloads(self) -> Iterator[bytes]:
-        """Every record's payload, joined one at a time as it is read."""
-        for pieces in self._iter_stored():
-            yield b"".join(pieces)
-
     # -- recording -------------------------------------------------------------
 
     def initialize(self, server_id: str, datastore_state: Dict) -> None:

@@ -160,12 +160,7 @@ class CommitmentLayer:
         fault policy where the protocol is (a phase of ``block``'s round, or
         of a view change at the log's head), and crash here if it says so."""
         watch = Stopwatch()
-        if block is not None:
-            self._faults.observe_phase(
-                phase, block.height, tuple(t.txn_id for t in block.transactions)
-            )
-        else:
-            self._faults.observe_phase(phase, self._log.height, ())
+        self._faults.observe_phase(phase, self._log.height if block is None else block.height)
         if self._faults.crash_now():
             raise ServerCrashed(f"{self.server_id} crashed (injected fault)")
         return watch

@@ -60,10 +60,6 @@ class ExecutionLayer:
     def archive_client_message(self, envelope: Envelope) -> None:
         self._client_message_log.append(envelope)
 
-    @property
-    def client_message_log(self) -> List[Envelope]:
-        return list(self._client_message_log)
-
     # -- transaction life-cycle -------------------------------------------------
 
     def begin(self, txn_id: TxnId, client_id: ClientId) -> None:
@@ -113,6 +109,3 @@ class ExecutionLayer:
             if self._active.pop(txn_id, None) is not None:
                 released += 1
         return released
-
-    def active_transactions(self) -> List[TxnId]:
-        return list(self._active)

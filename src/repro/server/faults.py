@@ -102,6 +102,8 @@ class FaultPlan:
             )
         object.__setattr__(self, "trigger", dict(self.trigger))
         object.__setattr__(self, "params", dict(self.params))
+        # A bad spec fails here, where the plan is built, not at inject_fault.
+        trigger_from_spec(self.trigger)
 
 
 def _forge_write_entry(log, params: Mapping) -> bool:
@@ -172,9 +174,9 @@ class FaultPolicy:
     Hooks receive enough context to act and return the (possibly falsified)
     value the server will actually use or send.  Several plans can share one
     policy (a server running multiple misbehaviours, or a colluding cohort).
-    ``clock`` stamps phase observations with virtual time (time-based
-    triggers fire on it); each plan's first injection is reported to ``obs``
-    as a trace instant and a counter.
+    ``clock`` stamps phase observations with virtual time; each plan's
+    first injection is reported to ``obs`` as a trace instant at that time
+    and as a counter.
     """
 
     def __init__(self, plans: Sequence[FaultPlan] = (), clock=None, obs=None) -> None:
@@ -201,22 +203,16 @@ class FaultPolicy:
 
     # -- protocol context and bookkeeping ------------------------------------------
 
-    def observe_phase(
-        self,
-        phase: str,
-        block_height: Optional[int] = None,
-        txn_ids: Tuple[str, ...] = (),
-    ) -> None:
+    def observe_phase(self, phase: str, block_height: Optional[int]) -> None:
         """Called by the server layers before any hook of that phase runs."""
         ctx = self.context
         ctx.phase = phase
         ctx.block_height = block_height
-        ctx.txn_ids = tuple(txn_ids)
         ctx.sim_time = self._clock.now if self._clock is not None else None
 
-    def _fire(self, plan: FaultPlan, trigger: Trigger, item_id: Optional[str] = None) -> bool:
+    def _fire(self, plan: FaultPlan, trigger: Trigger) -> bool:
         """Consult ``plan``'s trigger; record the first firing of its kind."""
-        if not trigger.fires(self.context, item_id=item_id):
+        if not trigger.fires(self.context):
             return False
         self._mark_fired(plan)
         return True
@@ -252,7 +248,7 @@ class FaultPolicy:
         for plan, trigger in self._armed["corrupt_read_value"]:
             if plan.params.get("item") not in (None, item_id):
                 continue
-            if not self._fire(plan, trigger, item_id=item_id):
+            if not self._fire(plan, trigger):
                 continue
             if "value" in plan.params:
                 return plan.params["value"]
@@ -312,7 +308,7 @@ class FaultPolicy:
                 item_id: value
                 for item_id, value in writes.items()
                 if plan.params.get("item") not in (None, item_id)
-                or not self._fire(plan, trigger, item_id=item_id)
+                or not self._fire(plan, trigger)
             }
         return writes
 

@@ -273,13 +273,13 @@ class DatabaseServer:
         self.execution.archive_client_message(envelope)
         # Execution-layer hooks see the height the *next* block would carry,
         # so height-based fault triggers line up with the commitment phases.
-        self.faults.observe_phase("execute", self.log.height, (request.txn_id,))
+        self.faults.observe_phase("execute", self.log.height)
         return self.execution.read(request.txn_id, request.item_id)
 
     def _on_write(self, envelope: Envelope):
         request = envelope.payload
         self.execution.archive_client_message(envelope)
-        self.faults.observe_phase("execute", self.log.height, (request.txn_id,))
+        self.faults.observe_phase("execute", self.log.height)
         return WriteAck(self.execution.write(request.txn_id, request.item_id, request.value))
 
     def _on_end_transaction(self, envelope: Envelope):

@@ -332,9 +332,6 @@ class PipelinedRoundScheduler:
 
     # -- introspection -----------------------------------------------------------------
 
-    def tasks_of(self, resource: str) -> List[BlockTask]:
-        return list(self._tasks.get(resource, ()))
-
     def resources(self) -> List[str]:
         """Every resource that ever hosted a block task, sorted."""
         return sorted(self._tasks)

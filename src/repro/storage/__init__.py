@@ -8,6 +8,6 @@ single- or multi-versioned (Section 4.2.1).
 
 from repro.storage.record import RecordVersion
 from repro.storage.datastore import DataStore
-from repro.storage.shard import Shard, ShardMap
+from repro.storage.shard import ShardMap
 
-__all__ = ["DataStore", "RecordVersion", "Shard", "ShardMap"]
+__all__ = ["DataStore", "RecordVersion", "ShardMap"]

@@ -126,21 +126,6 @@ class DataStore:
 
     # -- commit-time mutation -----------------------------------------------
 
-    def apply_commit(
-        self,
-        commit_ts: Timestamp,
-        writes: Mapping[ItemId, Value],
-        reads: Iterable[ItemId] = (),
-    ) -> int:
-        """Apply a committed transaction to the datastore.
-
-        Installs a new version for every written item, advances ``rts`` of
-        every read item, and keeps the incremental Merkle tree in sync.
-        Returns the number of Merkle node hashes recomputed (the quantity the
-        benchmark harness reports as MHT update work).
-        """
-        return self.apply_batch([(commit_ts, writes, reads)])
-
     def apply_batch(
         self,
         commits: Sequence[Tuple[Timestamp, Mapping[ItemId, Value], Iterable[ItemId]]],
@@ -191,29 +176,6 @@ class DataStore:
         latest = self._chain(item_id)[-1]
         self._own(item_id)[-1] = RecordVersion(value=value, wts=latest.wts, rts=latest.rts)
         self._historical_trees.clear()
-
-    def rollback_to(self, timestamp: Timestamp) -> int:
-        """Roll every item with more than one version back to its last version
-        at or before ``timestamp``; returns the number of versions removed.
-
-        This supports the paper's recoverability story: after an audit flags
-        a corruption at some version, the data can be reset to the last
-        sanitised version.  A rollback that would empty any chain is refused
-        before it trims one, so the store is left as it was.
-        """
-        trimmed: Dict[ItemId, List[RecordVersion]] = {}
-        for item_id, chain in self._records.items():
-            if len(chain) > 1:
-                kept = [version for version in chain if version.wts <= timestamp]
-                if not kept:
-                    raise StorageError(
-                        f"rollback of {item_id!r} to {timestamp} would remove every version"
-                    )
-                trimmed[item_id] = kept
-        removed = sum(len(self._records[item_id]) - len(kept) for item_id, kept in trimmed.items())
-        self._records.update(trimmed)
-        self._rebuild_merkle()
-        return removed
 
     # -- Merkle integration --------------------------------------------------
 
@@ -339,10 +301,6 @@ class DataStore:
         store._merkle = MerkleTree.from_items(store.snapshot())
         store._historical_trees = {}
         return store
-
-    def _rebuild_merkle(self) -> None:
-        self._merkle = MerkleTree.from_items(self.snapshot())
-        self._historical_trees.clear()
 
 
 def _version_at(item_id: ItemId, chain: Chain, timestamp: Timestamp) -> RecordVersion:

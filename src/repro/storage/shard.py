@@ -1,37 +1,19 @@
 """Shards and the shard map (partitioning of items onto servers).
 
 The data is "partitioned into multiple shards and distributed on these
-servers" (Section 3.1).  A :class:`Shard` couples a shard id with its
-:class:`~repro.storage.datastore.DataStore`; a :class:`ShardMap` is the
-directory clients use to find which server stores which item -- the paper's
-"lookup and directory service for the database partitions" (Section 4.1).
+servers" (Section 3.1).  A :class:`ShardMap` is the directory clients use
+to find which server stores which item -- the paper's "lookup and directory
+service for the database partitions" (Section 4.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, StorageError
 from repro.common.types import ItemId, ServerId, Value, make_item_id
-from repro.storage.datastore import DataStore
 from repro.storage.record import INITIAL_VALUE
-
-
-@dataclass
-class Shard:
-    """One data shard: an id, the owning server, and its datastore."""
-
-    shard_id: str
-    server_id: ServerId
-    store: DataStore
-
-    def __contains__(self, item_id: ItemId) -> bool:
-        return item_id in self.store
-
-    def __len__(self) -> int:
-        return len(self.store)
 
 
 class ShardMap:

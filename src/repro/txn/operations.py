@@ -26,10 +26,6 @@ class ReadOp:
     def is_read(self) -> bool:
         return True
 
-    @property
-    def is_write(self) -> bool:
-        return False
-
 
 @wire_form(tag("op", "write"), ("item_id", STR), ("value", ANY))
 @dataclass(frozen=True)
@@ -42,10 +38,6 @@ class WriteOp:
     @property
     def is_read(self) -> bool:
         return False
-
-    @property
-    def is_write(self) -> bool:
-        return True
 
 
 Operation = Union[ReadOp, WriteOp]

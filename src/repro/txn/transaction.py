@@ -13,7 +13,7 @@ inside a block (Table 1 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Set
+from typing import Sequence, Set
 
 from repro.common.encoding import canonical_encode
 from repro.common.timestamps import Timestamp
@@ -91,12 +91,6 @@ class Transaction:
 
     def items_accessed(self) -> Set[ItemId]:
         return self.items_read() | self.items_written()
-
-    def write_entry(self, item_id: ItemId) -> Optional[WriteSetEntry]:
-        for entry in self.write_set:
-            if entry.item_id == item_id:
-                return entry
-        return None
 
     def conflicts_with(self, other: "Transaction") -> bool:
         """True if the two transactions access a common item and at least one writes it.

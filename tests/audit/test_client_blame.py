@@ -11,7 +11,7 @@ class TestClientMessageArchive:
     def test_servers_keep_signed_client_requests(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]
         small_system.run_transaction([ReadOp(item), WriteOp(item, 5)])
-        archive = small_system.server("s1").execution.client_message_log
+        archive = small_system.server("s1").execution._client_message_log
         assert archive, "server should archive client messages"
         # Every archived envelope is signed by the client and verifies, so the
         # server can later prove what the client actually asked for.
@@ -21,7 +21,7 @@ class TestClientMessageArchive:
     def test_coordinator_keeps_end_transaction_requests(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]
         small_system.run_transaction([WriteOp(item, 5)])
-        archive = small_system.server("s0").execution.client_message_log
+        archive = small_system.server("s0").execution._client_message_log
         end_requests = [e for e in archive if e.message_type is MessageType.END_TRANSACTION]
         assert end_requests
         assert all(small_system.network.verify_envelope(env) for env in end_requests)
@@ -29,5 +29,5 @@ class TestClientMessageArchive:
     def test_archived_requests_name_the_client(self, small_system):
         item = small_system.shard_map.items_of("s1")[0]
         small_system.run_transaction([WriteOp(item, 5)], client_index=1)
-        archive = small_system.server("s1").execution.client_message_log
+        archive = small_system.server("s1").execution._client_message_log
         assert all(env.sender == "c1" for env in archive)

@@ -161,7 +161,9 @@ def tamper(log: TransactionLog, kind: str, i: int, j: int) -> None:
     elif kind == "edit-write":
         log.tamper_replace(i, edit_write(log[i]))
     elif kind == "reorder":
-        log.tamper_reorder(i, j)
+        first, second = log[i], log[j]
+        log.tamper_replace(i, second)
+        log.tamper_replace(j, first)
     else:
         log.truncate(i)
 

@@ -8,7 +8,6 @@ from repro.check.choices import (
     ChoiceError,
     ChoicePoint,
     ChoiceSource,
-    active_choices,
     choose,
     choose_order,
     driven_by,
@@ -17,7 +16,6 @@ from repro.check.choices import (
 
 class TestUndriven:
     def test_choose_returns_default_without_a_source(self):
-        assert active_choices() is None
         assert choose("x", 5, 2) == 2
 
     def test_choose_order_is_identity_without_a_source(self):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.replay import Trace, assert_trace, load_trace, replay, save_trace
+from repro.check.replay import Trace, save_trace
+
+from trace_replay import assert_trace, load_trace, replay
 
 TRACES = sorted((Path(__file__).parent / "traces").glob("*.json"))
 

@@ -193,11 +193,11 @@ def test_an_object_encodes_as_its_wire_form():
 
 
 def test_envelope_signed_content_is_pinned():
-    assert _digest(BUILDERS["Envelope"]().signed_content()) == SIGNED_CONTENT_DIGEST
+    assert _digest(BUILDERS["Envelope"]().to_wire()["content"]) == SIGNED_CONTENT_DIGEST
 
 
 def test_block_body_is_pinned():
-    assert _digest(BUILDERS["Block"]().body()) == BLOCK_BODY_DIGEST
+    assert _digest(BUILDERS["Block"]().to_wire()["body"]) == BLOCK_BODY_DIGEST
 
 
 @pytest.mark.parametrize("record", sorted(JOURNAL_RECORD_DIGESTS))
@@ -266,7 +266,7 @@ def test_an_envelopes_signed_bytes_are_pinned(message_type):
     envelope = Envelope("s0", "s1", message_type, request)
     digest = hashlib.sha256(envelope.content_bytes()).hexdigest()
     assert digest == SIGNED_BYTES_DIGESTS[message_type.value]
-    assert envelope.content_bytes() == canonical_encode(envelope.signed_content())
+    assert envelope.content_bytes() == canonical_encode(envelope.to_wire()["content"])
     # The signature is not part of what it covers.
     assert envelope.with_signature(b"\x06" * 32).content_bytes() == envelope.content_bytes()
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.encoding import canonical_encode
-from repro.common.errors import ConfigurationError, SignatureError
+from repro.common.errors import ConfigurationError, SignatureError, UnreachableError
 from repro.core.fides import FidesSystem
 from repro.core.rounds import TimingBreakdown, timed_exchange
 from repro.core.scaled import ScaledFidesSystem
@@ -163,7 +163,8 @@ class TestALinkOutlivesARestart:
         network.unregister("s0")
         with pytest.raises(ConfigurationError):
             network.register("s0", keypair_for("mallory"), second.append, replace=True)
-        assert not network.is_reachable("s0")
+        with pytest.raises(UnreachableError):
+            network.send("c1", "s0", MessageType.READ, request)
         # An equal key held by another object is the same key.
         network.register("s0", keypair_for("s0"), second.append, replace=True)
 

@@ -104,8 +104,8 @@ class TestDerivedBytesAreTheWalkers:
 
     def test_a_sub_group_has_its_own_bytes(self):
         envelope, block = BUILDERS["Envelope"](), BUILDERS["Block"]()
-        assert envelope.content_bytes() == reference(envelope.signed_content())
-        assert block.body_bytes() == reference(block.body())
+        assert envelope.content_bytes() == reference(envelope.to_wire()["content"])
+        assert block.body_bytes() == reference(block.to_wire()["body"])
 
     def test_extras_and_tags_are_emitted(self):
         """``extra`` keys (a derived attribute, or ``None`` to be filled in) and
@@ -226,7 +226,7 @@ class TestDerivedBytesAreTheWalkersOnGeneratedInput:
     @given(_blocks)
     def test_blocks(self, block):
         assert block.wire_bytes() == reference(block)
-        assert block.body_bytes() == reference(block.body())
+        assert block.body_bytes() == reference(block.to_wire()["body"])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_snapshot_records)
@@ -238,7 +238,7 @@ class TestDerivedBytesAreTheWalkersOnGeneratedInput:
     def test_wire_objects_nested_in_payloads(self, payload):
         assert canonical_encode(payload) == reference(payload)
         envelope = Envelope("s0", "s1", MessageType.GET_VOTE, payload)
-        assert envelope.content_bytes() == reference(envelope.signed_content())
+        assert envelope.content_bytes() == reference(envelope.to_wire()["content"])
 
 
 def _kept(instance) -> dict:
@@ -467,7 +467,6 @@ class TestAJournalHoldsABlockRecordAsPieces:
         assert b"".join(pieces) == canonical_encode(record) == reference(record)
         assert pieces[0] == BlockRecord.WIRE_PREFIX
         assert pieces[1] is block.wire_bytes()
-        assert list(store._iter_payloads()) == [canonical_encode(record)]
         assert store.size_bytes() == len(canonical_encode(record))
         assert BlockRecord.from_bytes(b"".join(pieces)) == record
 

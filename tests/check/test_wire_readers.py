@@ -43,6 +43,7 @@ from repro.workload.ycsb import YcsbWorkload
 
 from test_wire_ownership import _SPARSE, _blocks, _digests, _snapshot_records, _transactions
 from test_wire_roundtrip import BUILDERS
+from store_helpers import journal
 
 _REFUSED = object()
 
@@ -225,7 +226,7 @@ def _real_journal() -> list:
         item_ids=system.shard_map.all_items(), ops_per_txn=2, conflict_free_window=0, seed=31
     )
     assert system.run_workload(workload.generate(4)).committed == 4
-    return list(system.server("s1").state_store._iter_payloads())
+    return journal(system.server("s1").state_store)
 
 
 class TestExactnessOnRealRecords:

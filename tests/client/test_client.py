@@ -62,7 +62,7 @@ class TestClientLifecycle:
         item = small_system.shard_map.all_items()[0]
         client.write(session, item, 77)
         txn = session.build_transaction(Timestamp(50, client.client_id))
-        entry = txn.write_entry(item)
+        (entry,) = txn.write_set
         assert entry.blind
         assert entry.old_value == 0
 
@@ -73,7 +73,7 @@ class TestClientLifecycle:
         client.read(session, item)
         client.write(session, item, 77)
         txn = session.build_transaction(Timestamp(50, client.client_id))
-        entry = txn.write_entry(item)
+        (entry,) = txn.write_set
         assert not entry.blind
         assert entry.old_value is None
 

@@ -11,7 +11,6 @@ from repro.core.grouping import (
     ServerGroup,
     dependency_between,
     group_for_batch,
-    group_for_transaction,
 )
 from repro.storage.shard import build_uniform_partition
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
@@ -37,7 +36,7 @@ def make_txn(reads=(), writes=(), counter=1, txn_id="t"):
 class TestServerGroup:
     def test_group_covers_accessed_servers_only(self, shard_map):
         txn = make_txn(reads=["item-00000000"], writes=["item-00000006"])
-        group = group_for_transaction(txn, shard_map)
+        group = group_for_batch([txn], shard_map)
         assert group.members == frozenset({"s0", "s1"})
         assert group.coordinator == "s0"
 
@@ -47,7 +46,7 @@ class TestServerGroup:
 
     def test_empty_transaction_rejected(self, shard_map):
         with pytest.raises(ValidationError):
-            group_for_transaction(make_txn(), shard_map)
+            group_for_batch([make_txn()], shard_map)
 
     def test_group_for_batch_unions_members(self, shard_map):
         txns = [

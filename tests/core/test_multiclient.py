@@ -85,7 +85,7 @@ class TestMultiClientWorkload:
         system = make_system()
         system.run_workload(conflict_free_specs(workload_factory, system, 12), num_clients=4)
         for server in system.servers.values():
-            assert server.execution.active_transactions() == []
+            assert server.execution._active == {}
 
     def test_conflict_heavy_run_resolves_every_outcome(self, make_system, workload_factory):
         # Without a conflict-free window, batches split, blocks abort, and
@@ -101,7 +101,7 @@ class TestMultiClientWorkload:
         assert len(result.outcomes) == 20
         assert result.committed + result.aborted + result.failed == 20
         for server in system.servers.values():
-            assert server.execution.active_transactions() == []
+            assert server.execution._active == {}
 
     def test_empty_spec_list_drains_preexisting_pending(self, make_system, workload_factory):
         # Regression: a transaction queued outside run_workload must still be
@@ -166,4 +166,4 @@ class TestNeverFlushedRelease:
         assert never_flushed
         assert len(result.outcomes) == 3
         for server in system.servers.values():
-            assert server.execution.active_transactions() == []
+            assert server.execution._active == {}

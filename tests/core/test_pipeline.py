@@ -143,8 +143,8 @@ class TestPipelinedSemantics:
         ]
         outcome = system.run_workload(specs)
         assert outcome.committed == 2
-        first = system.sim.scheduler.tasks_of("s0")[0]
-        second = system.sim.scheduler.tasks_of("s1")[0]
+        tasks = system.sim.scheduler.all_tasks()
+        first, second = tasks["s0"][0], tasks["s1"][0]
         # The dependent round starts no earlier than the conflicting block's
         # ordered delivery (task end = delivery end in the scaled flow).
         assert first.done_at is not None

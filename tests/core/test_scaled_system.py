@@ -148,7 +148,7 @@ class TestScaledDeployment:
         system = make_scaled_system(num_servers=4)
         system.run_workload(partitioned_specs(system, 12, locality=0.8), num_clients=3)
         for server in system.servers.values():
-            assert server.execution.active_transactions() == []
+            assert server.execution._active == {}
             assert server.commitment.pending_round_count() == 0
 
     def test_second_run_workload_reports_only_its_own_blocks(self, make_scaled_system):

@@ -11,7 +11,6 @@ from repro.crypto.hashing import (
     DIGEST_SIZE,
     EMPTY_HASH,
     hash_concat,
-    hash_hex,
     hash_object,
     hash_to_int,
     sha256,
@@ -21,9 +20,6 @@ from repro.crypto.hashing import (
 class TestHashing:
     def test_sha256_matches_stdlib(self):
         assert sha256(b"fides") == hashlib.sha256(b"fides").digest()
-
-    def test_hash_hex(self):
-        assert hash_hex(b"fides") == hashlib.sha256(b"fides").hexdigest()
 
     def test_empty_hash_constant(self):
         assert EMPTY_HASH == hashlib.sha256(b"").digest()

@@ -13,7 +13,6 @@ from repro.crypto.hashing import hash_concat, hash_object
 from repro.crypto.merkle import (
     MerkleTree,
     leaf_hash,
-    merkle_root_of,
     node_hash,
     verify_inclusion,
 )
@@ -83,10 +82,6 @@ class TestMerkleTreeBasics:
     def test_ordered_ids_must_match_items(self):
         with pytest.raises(StorageError):
             MerkleTree({"a": 1}, ordered_ids=["a", "b"])
-
-    def test_merkle_root_of_helper(self):
-        items = {"a": 1, "b": 2, "c": 3}
-        assert merkle_root_of(items) == MerkleTree.from_items(items).root
 
 
 class TestVerificationObjects:
@@ -161,11 +156,6 @@ class TestIncrementalUpdates:
     def test_update_unknown_item_raises(self):
         with pytest.raises(StorageError):
             build_tree(4).update("missing", 1)
-
-    def test_rebuild_requires_same_ids(self):
-        tree = build_tree(4)
-        with pytest.raises(StorageError):
-            tree.rebuild({"other": 1})
 
     def test_proofs_valid_after_updates(self):
         tree = build_tree(32)
@@ -330,7 +320,7 @@ class TestSeededRandomSequences:
                 items.update(batch)
                 tree.update_many(batch)
             elif op == "rebuild":
-                tree.rebuild(items)
+                tree = MerkleTree.from_items(items)
             else:
                 tree = tree.clone()
             assert tree.root == MerkleTree.from_items(items).root

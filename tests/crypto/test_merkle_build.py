@@ -85,13 +85,6 @@ def test_the_distinct_values_are_distinct_objects():
     assert [repr(value) for value in floats] == ["0.0", "0.0", "-0.0", "-0.0"]
 
 
-def test_a_rebuild_after_updates_equals_the_plain_build():
-    tree = MerkleTree(_shared(1_025))
-    tree.update_many({"item-00000003": False, "item-00001024": -0.0})
-    tree.rebuild()
-    assert tree._levels == reference_levels(tree)
-
-
 class TestWorkFollowsWhatDiffers:
     @staticmethod
     def _counted(monkeypatch, name):

@@ -9,23 +9,20 @@ from repro.common.errors import ConfigurationError
 from repro.faultsim import build_fault_matrix
 from repro.server.faults import FaultPlan, FaultPolicy
 from repro.server.triggers import (
-    AfterCallsTrigger,
     AllTrigger,
     AtHeightTrigger,
-    AtTimeTrigger,
     ChoiceBudget,
     ChoiceTrigger,
     FaultContext,
     PhaseTrigger,
     ProbabilisticTrigger,
     Trigger,
-    TxnPredicateTrigger,
     trigger_from_spec,
 )
 
 
-def ctx(phase="vote", height=3, txns=("t1",)):
-    return FaultContext(phase=phase, block_height=height, txn_ids=txns)
+def ctx(phase="vote", height=3):
+    return FaultContext(phase=phase, block_height=height)
 
 
 class TestTriggers:
@@ -39,32 +36,16 @@ class TestTriggers:
         assert trigger.fires(ctx(height=7))
         assert not trigger.fires(ctx(height=None))
 
-    def test_at_height_exact(self):
-        trigger = AtHeightTrigger(height=2, exact=True)
-        assert trigger.fires(ctx(height=2))
-        assert not trigger.fires(ctx(height=3))
-
     def test_phase_trigger(self):
         trigger = PhaseTrigger(phases=("decision",))
         assert trigger.fires(ctx(phase="decision"))
         assert not trigger.fires(ctx(phase="vote"))
 
-    def test_txn_trigger_by_item(self):
-        trigger = TxnPredicateTrigger(item_ids=("x",))
-        assert trigger.fires(ctx(), item_id="x")
-        assert not trigger.fires(ctx(), item_id="y")
-
-    def test_txn_trigger_by_prefix(self):
-        trigger = TxnPredicateTrigger(txn_prefix="c1-")
-        assert trigger.fires(ctx(txns=("c1-txn-3",)))
-        assert not trigger.fires(ctx(txns=("c0-txn-3",)))
-        assert trigger.fires(ctx(txns=()), txn_id="c1-txn-9")
-
     def test_probabilistic_is_seeded_and_latching(self):
         draws_a = [ProbabilisticTrigger(probability=0.5, seed=9).fires(ctx()) for _ in range(5)]
         draws_b = [ProbabilisticTrigger(probability=0.5, seed=9).fires(ctx()) for _ in range(5)]
         assert draws_a == draws_b
-        latching = ProbabilisticTrigger(probability=0.5, seed=9, latch=True)
+        latching = ProbabilisticTrigger(probability=0.5, seed=9)
         fired = [latching.fires(ctx()) for _ in range(20)]
         if any(fired):
             assert all(fired[fired.index(True):])
@@ -73,14 +54,10 @@ class TestTriggers:
         with pytest.raises(ConfigurationError):
             ProbabilisticTrigger(probability=1.5)
 
-    def test_after_calls(self):
-        trigger = AfterCallsTrigger(skip=2)
-        assert [trigger.fires(ctx()) for _ in range(4)] == [False, False, True, True]
-
     def test_spec_round_trip(self):
         assert isinstance(trigger_from_spec(None), Trigger)
         assert isinstance(trigger_from_spec({}), Trigger)
-        trigger = trigger_from_spec({"kind": "at-height", "height": 4, "exact": True})
+        trigger = trigger_from_spec({"kind": "at-height", "height": 4})
         assert isinstance(trigger, AtHeightTrigger) and trigger.height == 4
         trigger = trigger_from_spec({"kind": "phase", "phases": ["vote", "decision"]})
         assert trigger.phases == ("vote", "decision")
@@ -90,6 +67,20 @@ class TestTriggers:
             trigger_from_spec({"kind": "full-moon"})
         with pytest.raises(ConfigurationError):
             trigger_from_spec({"kind": "at-height", "altitude": 3})
+
+    def test_an_all_with_no_parts_is_rejected(self):
+        # all(()) is True: with no parts the conjunction would always fire.
+        with pytest.raises(ConfigurationError):
+            trigger_from_spec({"kind": "all"})
+        with pytest.raises(ConfigurationError):
+            trigger_from_spec({"kind": "all", "of": []})
+
+    def test_a_phase_trigger_with_no_phases_is_rejected(self):
+        # ... and with no phases a phase trigger would never fire.
+        with pytest.raises(ConfigurationError):
+            trigger_from_spec({"kind": "phase"})
+        with pytest.raises(ConfigurationError):
+            trigger_from_spec({"kind": "phase", "phases": []})
 
 
 class TestAllTrigger:
@@ -107,11 +98,11 @@ class TestAllTrigger:
         assert not trigger.fires(ctx(phase="decision", height=2))
 
     def test_a_part_is_only_consulted_if_the_earlier_ones_fired(self):
-        counter = AfterCallsTrigger(skip=1)
-        trigger = AllTrigger(of=(PhaseTrigger(phases=("vote",)), counter))
-        assert not trigger.fires(ctx(phase="decision"))  # counter not consulted
-        assert not trigger.fires(ctx(phase="vote"))  # counter's first call
-        assert trigger.fires(ctx(phase="vote"))
+        trigger = AllTrigger(of=(PhaseTrigger(phases=("vote",)), ChoiceTrigger(site="x")))
+        with driven_by(ChoiceSource(prefix=[1], features={"faults"})) as source:
+            assert not trigger.fires(ctx(phase="decision"))  # the choice is not asked
+            assert trigger.fires(ctx(phase="vote"))
+        assert [point.label for point in source.trace] == ["x/vote@3"]
 
 
 class TestChoiceTrigger:
@@ -144,83 +135,14 @@ class TestChoiceTrigger:
         assert len(source.trace) == 1
 
 
-class TestAtTimeTrigger:
-    def test_fires_from_the_virtual_time_onwards(self):
-        trigger = AtTimeTrigger(time=1.5)
-        early = FaultContext(phase="vote", sim_time=1.0)
-        late = FaultContext(phase="vote", sim_time=2.0)
-        assert not trigger.fires(early)
-        assert trigger.fires(late)
-
-    def test_never_fires_without_a_simulation_context(self):
-        trigger = AtTimeTrigger(time=0.0)
-        assert not trigger.fires(FaultContext(phase="vote", sim_time=None))
-
-    def test_spec_round_trip(self):
-        trigger = trigger_from_spec({"kind": "at-time", "time": 0.25})
-        assert isinstance(trigger, AtTimeTrigger)
-        assert trigger.time == 0.25
-
-    def test_observe_phase_stamps_the_policys_clock(self):
-        from repro.sim import VirtualClock
-
-        policy = FaultPolicy()
-        policy.observe_phase("vote", 0)
-        assert policy.context.sim_time is None
-        clock = VirtualClock()
-        policy = FaultPolicy(clock=clock)
-        clock.set(3.25)
-        policy.observe_phase("vote", 0)
-        assert policy.context.sim_time == 3.25
-
-    def test_time_triggered_fault_fires_on_the_event_timeline(self):
-        """An at-time planned fault detonates mid-run at its virtual time."""
-        from repro.common.config import SystemConfig
-        from repro.core.fides import FidesSystem
-        from repro.net.latency import ConstantLatency
-        from repro.sim import FixedCompute
-        from repro.workload.ycsb import YcsbWorkload
-
-        def build(trigger_time):
-            config = SystemConfig(
-                num_servers=3,
-                items_per_shard=40,
-                txns_per_block=1,
-                ops_per_txn=2,
-                multi_versioned=True,
-                message_signing="hash",
-                seed=9,
-            )
-            system = FidesSystem(
-                config=config,
-                latency=ConstantLatency(0.001),
-                compute_model=FixedCompute(0.001),
-            )
-            plan = FaultPlan(
-                fault="skip-validation",
-                target="s1",
-                trigger={"kind": "at-time", "time": trigger_time},
-            )
-            system.inject_fault("s1", [plan])
-            workload = YcsbWorkload(
-                item_ids=system.shard_map.all_items(), ops_per_txn=2, seed=9
-            )
-            system.run_workload(workload.generate(6))
-            return system
-
-        # Past the horizon: the fault never fires during the run.
-        never = build(trigger_time=10_000.0)
-        assert never.servers["s1"].faults.context.sim_time is not None
-        # From virtual time zero: fires on the very first observed phase.
-        always = build(trigger_time=0.0)
-        assert always.servers["s1"].faults.skip_validation()
-        assert not never.servers["s1"].faults.skip_validation()
-
-
 class TestFaultPlans:
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultPlan(fault="bribe-the-auditor", target="s1")
+
+    def test_a_bad_trigger_spec_fails_where_the_plan_is_built(self):
+        with pytest.raises(ConfigurationError):
+            FaultPlan(fault="crash", target="s1", trigger={"kind": "phase"})
 
     def test_matrix_needs_three_servers(self):
         with pytest.raises(ConfigurationError):
@@ -233,15 +155,27 @@ class TestFaultPlans:
 
 
 class TestFaultPolicy:
+    def test_observe_phase_stamps_the_policys_clock(self):
+        from repro.sim import VirtualClock
+
+        policy = FaultPolicy()
+        policy.observe_phase("vote", 0)
+        assert policy.context.sim_time is None
+        clock = VirtualClock()
+        policy = FaultPolicy(clock=clock)
+        clock.set(3.25)
+        policy.observe_phase("vote", 0)
+        assert policy.context.sim_time == 3.25
+
     def test_hooks_stay_honest_until_trigger_fires(self):
         plan = FaultPlan(
             fault="read-corruption", target="s1", trigger={"kind": "at-height", "height": 5}
         )
         policy = FaultPolicy([plan])
-        policy.observe_phase("execute", 1, ("t1",))
+        policy.observe_phase("execute", 1)
         assert policy.corrupt_read_value("x", 42) == 42
         assert not policy.fired()
-        policy.observe_phase("execute", 5, ("t2",))
+        policy.observe_phase("execute", 5)
         assert policy.corrupt_read_value("x", 42) != 42
         assert policy.fired_heights["read-corruption"] == 5
 

@@ -51,9 +51,10 @@ class TestEndToEnd:
         # Replay every committed write from the log and compare against the
         # actual datastores: they must agree item for item.
         expected = {}
-        for _, txn in system.server("s0").log.committed_transactions():
-            for entry in txn.write_set:
-                expected[entry.item_id] = entry.new_value
+        for block in system.server("s0").log:
+            for txn in block.transactions if block.is_commit else ():
+                for entry in txn.write_set:
+                    expected[entry.item_id] = entry.new_value
         for item_id, value in expected.items():
             server = system.server(system.shard_map.server_for(item_id))
             assert server.store.read(item_id).value == value

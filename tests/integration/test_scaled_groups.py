@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from repro.common.timestamps import Timestamp
-from repro.core.grouping import group_for_transaction
+from repro.core.grouping import group_for_batch
 from repro.core.sequencing import OrderingService
 from repro.crypto.cosi import cosi_verify, cosign
 from repro.crypto.keys import keypair_for
@@ -42,7 +42,7 @@ def make_txn(txn_id, items, counter):
 
 def group_commit(txn):
     """Run a miniature per-group TFCommit: the group members co-sign the block."""
-    group = group_for_transaction(txn, SHARD_MAP)
+    group = group_for_batch([txn], SHARD_MAP)
     block = make_partial_block(0, [txn], b"\x00" * 32).with_decision(
         BlockDecision.COMMIT, {sid: b"\x01" * 32 for sid in group.members}
     )

@@ -15,7 +15,7 @@ from repro.net.message import Envelope, MessageType
 class TestEnvelope:
     def test_signed_content_excludes_signature(self):
         envelope = Envelope("a", "b", MessageType.READ, {"x": 1}, signature=b"sig")
-        content = envelope.signed_content()
+        content = envelope.to_wire()["content"]
         assert "signature" not in content
         assert content["sender"] == "a"
         assert content["type"] == "read"
@@ -65,11 +65,11 @@ class TestEnvelopeRoundTrips:
             envelope = Envelope(
                 "s0", "s1", rng.choice(list(MessageType)), random_payload(rng)
             )
-            signature = scheme.sign_bytes(keypair, canonical_encode(envelope.signed_content()))
+            signature = scheme.sign_bytes(keypair, canonical_encode(envelope.to_wire()["content"]))
             signed = envelope.with_signature(signature)
             assert signed.payload == envelope.payload
             assert scheme.verify_bytes(
-                keypair.public, canonical_encode(signed.signed_content()), signed.signature
+                keypair.public, canonical_encode(signed.to_wire()["content"]), signed.signature
             )
 
     @pytest.mark.parametrize("seed", [1, 7, 2020])
@@ -79,8 +79,8 @@ class TestEnvelopeRoundTrips:
             payload = random_payload(rng)
             first = Envelope("a", "b", MessageType.READ, payload)
             second = Envelope("a", "b", MessageType.READ, payload)
-            assert canonical_encode(first.signed_content()) == canonical_encode(
-                second.signed_content()
+            assert canonical_encode(first.to_wire()["content"]) == canonical_encode(
+                second.to_wire()["content"]
             )
 
     @pytest.mark.parametrize("seed", [3])

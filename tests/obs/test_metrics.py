@@ -96,10 +96,8 @@ class TestHistograms:
 
 class TestObservabilityBundle:
     def test_tracing_defaults_off_and_can_be_enabled(self):
-        obs = Observability()
-        assert not obs.tracing
-        assert obs.enable_tracing() is obs
-        assert obs.tracing
+        assert not Observability().tracing
+        assert Observability(tracing=True).tracing
 
     def test_attribution_block_shape(self):
         obs = Observability(tracing=True)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs.__main__ import main
+from repro.obs.__main__ import _load, main
 from repro.obs.trace import Tracer
 
 
@@ -64,7 +64,7 @@ class TestConvert:
         assert main(["convert", str(jsonl), str(chrome), "--to", "chrome"]) == 0
         assert "traceEvents" in json.loads(chrome.read_text())
         assert main(["convert", str(chrome), str(back), "--to", "jsonl"]) == 0
-        reloaded = Tracer.load_jsonl(back)
+        reloaded = _load(back)
         assert reloaded.span_count() == tracer.span_count()
         assert [s.name for s in reloaded.spans] == [s.name for s in tracer.spans]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.obs.trace import Span, Tracer, spans_from_chrome
 
 
@@ -156,7 +158,7 @@ class TestExports:
         tracer = _well_formed_tracer()
         path = tmp_path / "trace.jsonl"
         tracer.export_jsonl(path)
-        loaded = Tracer.load_jsonl(path)
+        loaded = Tracer.from_records(json.loads(line) for line in path.read_text().splitlines())
         assert loaded.fingerprint() == tracer.fingerprint()
         assert [s.to_wire() for s in loaded.spans] == [
             s.to_wire() for s in tracer.spans

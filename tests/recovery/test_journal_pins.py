@@ -31,6 +31,8 @@ from repro.recovery.statestore import FileStateStore, MemoryStateStore
 from repro.storage.datastore import DataStore
 from repro.workload.ycsb import YcsbWorkload
 
+from store_helpers import apply_commit, journal
+
 
 @pytest.fixture(params=["memory", "file"])
 def state_store(request, tmp_path):
@@ -42,11 +44,6 @@ def state_store(request, tmp_path):
     store.close()
 
 
-def journal(store) -> list:
-    """The payloads the store holds, in journal order."""
-    return list(store._iter_payloads())
-
-
 def digest(*payloads: bytes) -> str:
     return hashlib.sha256(b"".join(payloads)).hexdigest()
 
@@ -54,8 +51,8 @@ def digest(*payloads: bytes) -> str:
 def versioned_store() -> DataStore:
     """Two items, one of them written twice and read once: chains of 3 and 1."""
     store = DataStore({"item-1": 41, "item-9": 0})
-    store.apply_commit(Timestamp(3, "c1"), {"item-1": 42}, reads=["item-9"])
-    store.apply_commit(Timestamp(5, "c2"), {"item-1": [1, "two", b"3"]})
+    apply_commit(store, Timestamp(3, "c1"), {"item-1": 42}, reads=["item-9"])
+    apply_commit(store, Timestamp(5, "c2"), {"item-1": [1, "two", b"3"]})
     return store
 
 

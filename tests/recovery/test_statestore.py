@@ -20,6 +20,8 @@ from repro.sim.context import FixedCompute
 from repro.storage.datastore import DataStore
 from repro.workload.ycsb import PartitionedWorkload
 
+from store_helpers import journal
+
 
 @pytest.fixture(params=["memory", "file"])
 def state_store(request, tmp_path):
@@ -153,7 +155,7 @@ class TestWalRobustness:
         store.initialize("s0", datastore_state())
         covered = block_factory()  # height 4
         store.record_block(covered, b"\x01" * 32)
-        before = list(store._iter_payloads())
+        before = journal(store)
         checkpoint = Checkpoint(4, covered.block_hash(), {}, Timestamp(9, "c"), 2)
 
         def refuse(source, destination):
@@ -164,7 +166,7 @@ class TestWalRobustness:
             with pytest.raises(OSError, match="rename refused"):
                 store.install_checkpoint(checkpoint, datastore_state(), 5, "s0")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["server.wal"]
-        assert list(store._iter_payloads()) == before
+        assert journal(store) == before
         assert [b.height for b, _ in store.load().blocks] == [4]
         store.record_block(block_factory(height=5), b"\x02" * 32)
         assert [b.height for b, _ in store.load().blocks] == [4, 5]

@@ -33,6 +33,8 @@ from repro.recovery.statestore import FileStateStore, MemoryStateStore
 from repro.sim.context import FixedCompute
 from repro.workload.ycsb import YcsbWorkload
 
+from store_helpers import journal
+
 DEPLOYMENTS = ("classic", "scaled", "2pc")
 
 #: A file record's frame header: payload length and CRC-32, four bytes each.
@@ -74,10 +76,6 @@ def run(deployment: str, factory, compacted: bool):
         system.create_checkpoint()
         commit(system, 4, seed=4)
     return system
-
-
-def journal(store) -> list:
-    return list(store._iter_payloads())
 
 
 @pytest.fixture(

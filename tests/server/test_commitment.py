@@ -44,6 +44,8 @@ from repro.sim.context import SimContext
 from repro.storage.datastore import DataStore
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
+from store_helpers import apply_commit
+
 SERVER_IDS = ["s0", "s1"]
 
 
@@ -118,7 +120,7 @@ class TestVotePhase:
 
     def test_validation_failure_votes_abort(self):
         cohorts = make_cohorts()
-        cohorts["s0"].store.apply_commit(Timestamp(10, "z"), {"s0-item": 7})
+        apply_commit(cohorts["s0"].store, Timestamp(10, "z"), {"s0-item": 7})
         block = make_partial_block(0, [make_txn("s0-item", counter=5)], genesis_previous_hash())
         vote = cohorts["s0"].handle_get_vote(block)
         assert vote.decision == "abort"
@@ -178,7 +180,7 @@ class TestChallengePhase:
 
     def test_cohort_refuses_commit_after_voting_abort(self):
         cohorts = make_cohorts()
-        cohorts["s0"].store.apply_commit(Timestamp(10, "z"), {"s0-item": 7})
+        apply_commit(cohorts["s0"].store, Timestamp(10, "z"), {"s0-item": 7})
         block = make_partial_block(0, [make_txn("s0-item", counter=5)], genesis_previous_hash())
         votes = {sid: layer.handle_get_vote(block) for sid, layer in cohorts.items()}
         # Malicious coordinator ignores the abort vote and claims commit,
@@ -624,7 +626,7 @@ class TestTwoPhaseCommitCohort:
 
     def test_prepare_conflict_votes_abort(self):
         cohorts = make_cohorts()
-        cohorts["s0"].store.apply_commit(Timestamp(10, "z"), {"s0-item": 7})
+        apply_commit(cohorts["s0"].store, Timestamp(10, "z"), {"s0-item": 7})
         block = make_partial_block(0, [make_txn("s0-item", counter=5)], genesis_previous_hash())
         vote = cohorts["s0"].handle_prepare(block)
         assert vote.decision == "abort"

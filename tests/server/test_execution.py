@@ -44,7 +44,7 @@ class TestReadsAndWrites:
         layer.write("t1", "x", 99)
         layer.finish("t1")
         assert layer.buffered_writes("t1") == {}
-        assert "t1" not in layer.active_transactions()
+        assert "t1" not in layer._active
 
     def test_begin_is_idempotent(self, layer):
         layer.begin("t1", "c0")
@@ -79,4 +79,4 @@ class TestClientMessageArchive:
     def test_archive_keeps_signed_requests(self, layer):
         envelope = Envelope("c0", "s0", MessageType.READ, {"item_id": "x"}, signature=b"sig")
         layer.archive_client_message(envelope)
-        assert layer.client_message_log == [envelope]
+        assert layer._client_message_log == [envelope]

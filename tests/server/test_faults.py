@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check.choices import ChoiceSource, driven_by
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.core.fides import FidesSystem
 from repro.crypto.group import generator_multiply
 from repro.server.faults import FAULT_KINDS, FaultPlan, FaultPolicy
+from repro.server.triggers import ChoiceBudget
 from repro.txn.operations import WriteOp
 
 #: Parameters a kind needs before its hook has something to act on.
@@ -39,7 +41,7 @@ def observe(policy: FaultPolicy, committed) -> dict:
     """Consult every hook once with honest inputs: hook -> what came back."""
     log, served_blocks = committed
     log = log.copy()
-    policy.observe_phase("decision", 1, ("t1",))
+    policy.observe_phase("decision", 1)
     seen = {
         "corrupt_read_value": policy.corrupt_read_value("x", 5),
         "skip_validation": policy.skip_validation(),
@@ -104,22 +106,20 @@ def test_a_fault_without_a_server_side_hook_is_refused():
         FaultPolicy([FaultPlan("anchor-tamper", "ordserv")])
 
 
-def test_an_after_calls_read_corruption_counts_only_reads_of_its_item():
-    """The stale read of Scenario 1: the item's first read is honest, later ones lie."""
+def test_a_read_corruption_consults_its_trigger_only_for_reads_of_its_item():
+    """The stale read of Scenario 1: the item's first read is honest, a later one
+    lies.  Reads of another item never reach the trigger: they add no choice point."""
+    trigger = {"kind": "choice", "site": "read", "budget": ChoiceBudget(2)}
     policy = FaultPolicy(
-        [
-            FaultPlan(
-                "read-corruption",
-                "s1",
-                trigger={"kind": "after-calls", "skip": 1},
-                params={"item": "x", "value": 0},
-            )
-        ]
+        [FaultPlan("read-corruption", "s1", trigger=trigger, params={"item": "x", "value": 0})]
     )
-    assert policy.corrupt_read_value("y", 7) == 7  # not consulted: another item
-    assert policy.corrupt_read_value("x", 10) == 10
-    assert policy.corrupt_read_value("x", 10) == 0
-    assert policy.corrupt_read_value("y", 7) == 7
+    policy.observe_phase("execute", 0)
+    with driven_by(ChoiceSource(prefix=[0, 1], features={"faults"})) as source:
+        assert policy.corrupt_read_value("y", 7) == 7  # not consulted: another item
+        assert policy.corrupt_read_value("x", 10) == 10
+        assert policy.corrupt_read_value("x", 10) == 0
+        assert policy.corrupt_read_value("y", 7) == 7
+    assert [point.label for point in source.trace] == ["read/execute@0"] * 2
 
 
 def test_root_faults_act_only_on_their_victim():

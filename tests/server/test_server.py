@@ -68,7 +68,7 @@ class TestExecutionMessages:
         network, server = wired_server
         ask(network, MessageType.BEGIN_TRANSACTION, BeginTxn("t1", "c0"))
         ask(network, MessageType.READ, ReadItem("t1", "a"))
-        assert len(server.execution.client_message_log) == 2
+        assert len(server.execution._client_message_log) == 2
 
     def test_unknown_message_type_rejected(self, wired_server):
         # Every real MessageType member has a row and a handler
@@ -95,7 +95,7 @@ class TestSignedButUnreadFields:
         data = network.send("c1", "s0", MessageType.BEGIN_TRANSACTION, BeginTxn("c0-txn-77", "c0"))
         refusal = read_reply(MessageType.BEGIN_TRANSACTION, "s0", data)
         assert isinstance(refusal, Refusal) and "as c0" in refusal.reason
-        assert server.execution.active_transactions() == []
+        assert server.execution._active == {}
 
     def test_the_outer_commit_timestamp_must_be_the_transactions(self, wired_server):
         network, server = wired_server

@@ -31,7 +31,7 @@ def per_prior_conflict(prior_reads, prior_writes, reads, writes) -> bool:
 
 def per_prior_start(scheduler, deliveries, resource, reads, writes, min_ts, chained, group):
     """The earliest start of a new block, every prior decided on its own."""
-    history = scheduler.tasks_of(resource)
+    history = scheduler.all_tasks().get(resource, [])
     earliest = 0.0
     if history:
         previous = history[-1]

@@ -12,6 +12,8 @@ from repro.common.timestamps import Timestamp
 from repro.crypto.merkle import MerkleTree, verify_inclusion
 from repro.storage.datastore import DataStore
 
+from store_helpers import apply_commit
+
 
 def make_store(count: int = 8, multi: bool = True):
     return DataStore({f"item-{i}": 0 for i in range(count)}, multi_versioned=multi)
@@ -39,7 +41,7 @@ class TestDataStoreCommits:
     def test_apply_commit_updates_values_and_timestamps(self):
         store = make_store()
         ts = Timestamp(5, "c")
-        store.apply_commit(ts, {"item-1": 11}, reads=["item-2"])
+        apply_commit(store, ts, {"item-1": 11}, reads=["item-2"])
         assert store.read("item-1").value == 11
         assert store.read("item-1").wts == ts
         assert store.read("item-2").rts == ts
@@ -48,36 +50,29 @@ class TestDataStoreCommits:
     def test_apply_commit_unknown_item_rejected(self):
         store = make_store()
         with pytest.raises(StorageError):
-            store.apply_commit(Timestamp(1, "c"), {"missing": 1})
+            apply_commit(store, Timestamp(1, "c"), {"missing": 1})
 
     def test_commit_returns_mht_work(self):
         store = make_store(16)
         writes = {"item-1": 1, "item-2": 2}
         root, expected = store.speculative_root(writes)
-        work = store.apply_commit(Timestamp(1, "c"), writes)
+        work = apply_commit(store, Timestamp(1, "c"), writes)
         assert work > 0
         assert work == expected
         assert store.merkle_root() == root
 
     def test_multi_versioned_history_readable(self):
         store = make_store()
-        store.apply_commit(Timestamp(5, "c"), {"item-1": 11})
-        store.apply_commit(Timestamp(9, "c"), {"item-1": 22})
+        apply_commit(store, Timestamp(5, "c"), {"item-1": 11})
+        apply_commit(store, Timestamp(9, "c"), {"item-1": 22})
         assert store.read_version("item-1", Timestamp(5, "c")).value == 11
         assert store.read_version("item-1", Timestamp(9, "c")).value == 22
 
     def test_single_versioned_store_rejects_history_proofs(self):
         store = make_store(multi=False)
-        store.apply_commit(Timestamp(5, "c"), {"item-1": 11})
+        apply_commit(store, Timestamp(5, "c"), {"item-1": 11})
         with pytest.raises(StorageError):
             store.verification_object_at("item-1", Timestamp(5, "c"))
-
-    def test_rollback_restores_old_values(self):
-        store = make_store()
-        store.apply_commit(Timestamp(5, "c"), {"item-1": 11})
-        store.apply_commit(Timestamp(9, "c"), {"item-1": 22})
-        store.rollback_to(Timestamp(5, "c"))
-        assert store.read("item-1").value == 11
 
 
 class TestBatchedApply:
@@ -91,7 +86,7 @@ class TestBatchedApply:
         ]
         batched.apply_batch(commits)
         for commit_ts, writes, reads in commits:
-            sequential.apply_commit(commit_ts, writes, reads)
+            apply_commit(sequential, commit_ts, writes, reads)
         assert batched.snapshot() == sequential.snapshot()
         assert batched.merkle_root() == sequential.merkle_root()
         for item in ("item-1", "item-2", "item-3"):
@@ -119,7 +114,7 @@ class TestBatchedApply:
         ]
         batched_work = batched.apply_batch(commits)
         sequential_work = sum(
-            sequential.apply_commit(ts, writes, reads) for ts, writes, reads in commits
+            apply_commit(sequential, ts, writes, reads) for ts, writes, reads in commits
         )
         assert batched_work < sequential_work
         assert batched.merkle_root() == sequential.merkle_root()
@@ -139,15 +134,15 @@ class TestBatchedApply:
 
     def test_historical_tree_cache_reused_and_invalidated(self):
         store = make_store(8)
-        store.apply_commit(Timestamp(5, "c"), {"item-2": 11})
-        store.apply_commit(Timestamp(9, "c"), {"item-2": 22, "item-3": 33})
+        apply_commit(store, Timestamp(5, "c"), {"item-2": 11})
+        apply_commit(store, Timestamp(9, "c"), {"item-2": 22, "item-3": 33})
         proof_a, root_a = store.verification_object_at("item-2", Timestamp(5, "c"))
         proof_b, root_b = store.verification_object_at("item-3", Timestamp(5, "c"))
         assert root_a == root_b  # served from the same cached historical tree
         assert verify_inclusion("item-2", 11, proof_a, root_a)
         assert verify_inclusion("item-3", 0, proof_b, root_b)
         # A new commit invalidates the cache but not the historical answer.
-        store.apply_commit(Timestamp(12, "c"), {"item-4": 44})
+        apply_commit(store, Timestamp(12, "c"), {"item-4": 44})
         proof_c, root_c = store.verification_object_at("item-2", Timestamp(5, "c"))
         assert root_c == root_a
         assert verify_inclusion("item-2", 11, proof_c, root_c)
@@ -156,7 +151,7 @@ class TestBatchedApply:
         # Lemma 2: a corrupted store must fail authentication even when the
         # audit asks for a historical version served via the cached tree.
         store = make_store(8)
-        store.apply_commit(Timestamp(5, "c"), {"item-2": 11})
+        apply_commit(store, Timestamp(5, "c"), {"item-2": 11})
         _, honest_root = store.verification_object_at("item-2", Timestamp(5, "c"))
         store.corrupt("item-2", 666)
         proof, root = store.verification_object_at("item-2", Timestamp(5, "c"))
@@ -168,12 +163,12 @@ class TestDataStoreMerkleIntegration:
     def test_merkle_root_tracks_commits(self):
         store = make_store()
         before = store.merkle_root()
-        store.apply_commit(Timestamp(1, "c"), {"item-4": 44})
+        apply_commit(store, Timestamp(1, "c"), {"item-4": 44})
         assert store.merkle_root() != before
 
     def test_merkle_root_matches_snapshot_rebuild(self):
         store = make_store()
-        store.apply_commit(Timestamp(1, "c"), {"item-4": 44, "item-5": 55})
+        apply_commit(store, Timestamp(1, "c"), {"item-4": 44, "item-5": 55})
         assert store.merkle_root() == MerkleTree.from_items(store.snapshot()).root
 
     def test_speculative_root_does_not_mutate(self):
@@ -188,7 +183,7 @@ class TestDataStoreMerkleIntegration:
     def test_speculative_root_matches_actual_commit(self):
         store = make_store()
         speculative, _ = store.speculative_root({"item-2": 99})
-        store.apply_commit(Timestamp(1, "c"), {"item-2": 99})
+        apply_commit(store, Timestamp(1, "c"), {"item-2": 99})
         assert store.merkle_root() == speculative
 
     def test_speculative_root_unknown_item(self):
@@ -208,26 +203,26 @@ class TestDataStoreMerkleIntegration:
         } == proofs
         assert store.merkle_root() == MerkleTree.from_items(store.snapshot()).root
         root, _ = store.speculative_root({"item-3": 7})
-        store.apply_commit(Timestamp(1, "c"), {"item-3": 7})
+        apply_commit(store, Timestamp(1, "c"), {"item-3": 7})
         assert store.merkle_root() == root == MerkleTree.from_items(store.snapshot()).root
 
     def test_verification_object_current(self):
         store = make_store()
-        store.apply_commit(Timestamp(1, "c"), {"item-2": 99})
+        apply_commit(store, Timestamp(1, "c"), {"item-2": 99})
         proof = store.verification_object("item-2")
         assert verify_inclusion("item-2", 99, proof, store.merkle_root())
 
     def test_verification_object_at_historical_version(self):
         store = make_store()
-        store.apply_commit(Timestamp(5, "c"), {"item-2": 11})
-        store.apply_commit(Timestamp(9, "c"), {"item-2": 22})
+        apply_commit(store, Timestamp(5, "c"), {"item-2": 11})
+        apply_commit(store, Timestamp(9, "c"), {"item-2": 22})
         proof, root = store.verification_object_at("item-2", Timestamp(5, "c"))
         assert verify_inclusion("item-2", 11, proof, root)
         assert not verify_inclusion("item-2", 22, proof, root)
 
     def test_corrupt_breaks_authentication(self):
         store = make_store()
-        store.apply_commit(Timestamp(5, "c"), {"item-2": 11})
+        apply_commit(store, Timestamp(5, "c"), {"item-2": 11})
         committed_root = store.merkle_root()
         store.corrupt("item-2", 666)
         proof = store.verification_object("item-2")
@@ -247,7 +242,7 @@ class TestDataStoreMerkleIntegration:
     def test_speculative_and_real_roots_agree(self, writes):
         store = make_store()
         speculative, _ = store.speculative_root(writes)
-        store.apply_commit(Timestamp(1, "c"), writes)
+        apply_commit(store, Timestamp(1, "c"), writes)
         assert store.merkle_root() == speculative
 
 
@@ -258,7 +253,7 @@ class TestSnapshotImport:
 
     def _state(self):
         store = make_store()
-        store.apply_commit(Timestamp(3, "c"), {"item-1": 5})
+        apply_commit(store, Timestamp(3, "c"), {"item-1": 5})
         return canonical_decode(canonical_encode(store.export_state()))
 
     def test_an_exported_state_imports_to_the_same_store(self):

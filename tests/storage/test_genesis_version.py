@@ -29,6 +29,8 @@ from repro.storage.record import (
 )
 from repro.storage.shard import INITIAL_VALUE as SHARD_INITIAL_VALUE
 
+from store_helpers import apply_commit
+
 #: Equal to the initial value, but not it.
 LOOKALIKES = (False, 0.0, -0.0, "0")
 
@@ -113,7 +115,7 @@ def test_a_restored_snapshot_shares_the_genesis_version_and_keeps_the_root():
 def test_a_version_written_later_is_not_the_genesis_version():
     store = DataStore(_items())
     stamp = Timestamp(3, "c")
-    store.apply_commit(stamp, {"item-0010": INITIAL_VALUE}, reads=["item-0011"])
+    apply_commit(store, stamp, {"item-0010": INITIAL_VALUE}, reads=["item-0011"])
     restored = DataStore.import_state(store.export_state())
     assert restored.merkle_root() == store.merkle_root()
     for each in (store, restored):
@@ -138,7 +140,7 @@ def _committed_stores(draw):
     for counter in range(1, draw(st.integers(0, 4)) + 1):
         writes = draw(st.dictionaries(st.sampled_from(ids), initial, max_size=3))
         reads = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
-        store.apply_commit(Timestamp(counter, "c"), writes, reads)
+        apply_commit(store, Timestamp(counter, "c"), writes, reads)
     return store
 
 

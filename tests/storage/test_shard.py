@@ -6,8 +6,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, StorageError
-from repro.storage.datastore import DataStore
-from repro.storage.shard import Shard, ShardMap, build_uniform_partition
+from repro.storage.shard import ShardMap, build_uniform_partition
 
 
 class TestShardMap:
@@ -61,11 +60,3 @@ class TestShardMap:
         _, shard_map = build_uniform_partition(SystemConfig(num_servers=1, items_per_shard=1))
         with pytest.raises(StorageError):
             shard_map.server_for("missing")
-
-
-class TestShard:
-    def test_shard_wraps_store(self):
-        store = DataStore({"a": 1, "b": 2})
-        shard = Shard(shard_id="shard-0", server_id="s0", store=store)
-        assert len(shard) == 2
-        assert "a" in shard and "z" not in shard

@@ -4,10 +4,9 @@
 holds a list of versions, oldest first; a read advances the latest version's
 ``rts`` unless it is below it; a multi-versioned write appends, a
 single-versioned one replaces the chain; corruption overwrites the latest
-value without the Merkle tree seeing it; a rollback trims every chain of more
-than one version.  As under OCC, an item's writes come in commit-timestamp
-order, so a chain is in that order too.  Hypothesis drives the model and a :class:`DataStore`
-through the same random operations, including a dump and restore, and holds
+value without the Merkle tree seeing it.  As under OCC, an item's writes
+come in commit-timestamp order, so a chain is in that order too.  Hypothesis
+drives the model and a :class:`DataStore` through the same random operations, including a dump and restore, and holds
 every read, historical read, historical verification object, Merkle root and
 snapshot byte to the model's.  The values include ``False``, ``0.0`` and
 ``-0.0``, which equal the initial ``0`` but encode apart.  ``TestOneChain``
@@ -23,10 +22,12 @@ from hypothesis import strategies as st
 from repro.common.encoding import canonical_encode
 from repro.common.errors import StorageError
 from repro.common.timestamps import Timestamp
-from repro.crypto.merkle import MerkleTree, merkle_root_of
+from repro.crypto.merkle import MerkleTree
 from repro.recovery.statestore import SnapshotRecord, _snapshot
 from repro.storage.datastore import DataStore
 from repro.storage.record import GENESIS_CHAIN, GENESIS_VERSION, INITIAL_VALUE, RecordVersion
+
+from store_helpers import apply_commit
 
 ZERO = Timestamp.zero()
 IDS = ("b", "aa", "é", "item-7", "item-8")
@@ -57,12 +58,6 @@ class Model:
     def corrupt(self, item, value):
         latest = self.chains[item][-1]
         self.chains[item][-1] = RecordVersion(value, latest.wts, latest.rts)
-
-    def rollback_to(self, ts):
-        for item, chain in self.chains.items():
-            if len(chain) > 1:
-                self.chains[item] = [version for version in chain if version.wts <= ts]
-        self.restore()
 
     def restore(self):
         """The tree is rebuilt from the stored values, corrupted ones included."""
@@ -110,7 +105,6 @@ _operations = st.lists(
     st.one_of(
         st.tuples(st.just("batch"), _commits),
         st.tuples(st.just("corrupt"), st.sampled_from(IDS), _values),
-        st.tuples(st.just("rollback"), _stamps),
         st.tuples(st.just("restore"), st.booleans()),
     ),
     max_size=8,
@@ -164,7 +158,7 @@ def _assert_agree(store: DataStore, model: Model, untouched) -> None:
                 )
         if item in untouched:
             assert store.versions(item) is GENESIS_CHAIN
-    assert store.merkle_root() == merkle_root_of(model.tree)
+    assert store.merkle_root() == MerkleTree.from_items(model.tree).root
     assert _snapshot_of(store) == model.snapshot_bytes()
     for at in (ZERO, Timestamp(4, "c"), Timestamp(9, "d")):
         if not model.multi:
@@ -201,10 +195,6 @@ def test_a_store_keeps_the_chains_of_the_reference_model(items, multi_versioned,
             store.corrupt(*args)
             model.corrupt(*args)
             untouched.discard(args[0])
-        elif kind == "rollback":
-            before = sum(map(len, model.chains.values()))
-            model.rollback_to(*args)
-            assert store.rollback_to(*args) == before - sum(map(len, model.chains.values()))
         else:
             (through_bytes,) = args
             dumped.append((store, _snapshot_of(store)))
@@ -220,41 +210,6 @@ def test_a_store_keeps_the_chains_of_the_reference_model(items, multi_versioned,
     assert GENESIS_VERSION.wts is ZERO and GENESIS_VERSION.rts is ZERO
 
 
-def test_a_chain_that_starts_later_has_no_earlier_version():
-    chain = tuple(
-        RecordVersion(value, Timestamp(ts, "c"), Timestamp(ts, "c"))
-        for value, ts in ((1, 5), (2, 7))
-    )
-    store = DataStore.import_state({"multi_versioned": True, "items": {"x": chain}})
-    with pytest.raises(StorageError):
-        store.read_version("x", Timestamp(1, "c"))
-    with pytest.raises(StorageError):
-        store.rollback_to(Timestamp(1, "c"))
-    assert store.versions("x") == chain
-    assert store.rollback_to(Timestamp(5, "c")) == 1
-    assert store.versions("x") == chain[:1]
-
-
-def test_a_refused_rollback_changes_nothing():
-    """A rollback that would empty one chain is refused before it trims any
-    other: the chains, the Merkle root and the cached historical tree all
-    stay those of the store as it was."""
-    chains = {
-        "b": (GENESIS_VERSION, RecordVersion(6, Timestamp(6, "c"), Timestamp(6, "c"))),
-        "a": tuple(RecordVersion(ts, Timestamp(ts, "c"), Timestamp(ts, "c")) for ts in (5, 7)),
-    }
-    store = DataStore.import_state({"multi_versioned": True, "items": chains})
-    store.verification_object_at("b", Timestamp(8, "c"))
-    with pytest.raises(StorageError):
-        store.rollback_to(Timestamp(4, "c"))
-    assert {item: store.versions(item) for item in chains} == chains
-    assert store.read("b").value == 6
-    assert store.merkle_root() == merkle_root_of(store.snapshot())
-    restored = DataStore.import_state(store.export_state())
-    assert (
-        store.verification_object_at("b", Timestamp(8, "c"))[1]
-        == restored.verification_object_at("b", Timestamp(8, "c"))[1]
-    )
 
 
 def _later_chain(*stamps):
@@ -271,15 +226,15 @@ class TestOneChain:
 
     def test_latest_reflects_last_append(self):
         store = DataStore({"x": 0})
-        store.apply_commit(Timestamp(5, "c"), {"x": 10})
+        apply_commit(store, Timestamp(5, "c"), {"x": 10})
         assert store.read("x").value == 10
         assert store.read("x").wts == Timestamp(5, "c")
         assert store.versions("x")[-1] == RecordVersion(10, Timestamp(5, "c"), Timestamp(5, "c"))
 
     def test_multi_versioned_keeps_history(self):
         store = DataStore({"x": 0})
-        store.apply_commit(Timestamp(5, "c"), {"x": 10})
-        store.apply_commit(Timestamp(9, "c"), {"x": 20})
+        apply_commit(store, Timestamp(5, "c"), {"x": 10})
+        apply_commit(store, Timestamp(9, "c"), {"x": 20})
         assert len(store.versions("x")) == 3
         assert store.versions("x")[0] == GENESIS_VERSION
         assert store.read_version("x", Timestamp(5, "c")).value == 10
@@ -287,16 +242,16 @@ class TestOneChain:
 
     def test_single_versioned_discards_history(self):
         store = DataStore({"x": 0}, multi_versioned=False)
-        store.apply_commit(Timestamp(5, "c"), {"x": 10})
-        store.apply_commit(Timestamp(9, "c"), {"x": 20})
+        apply_commit(store, Timestamp(5, "c"), {"x": 10})
+        apply_commit(store, Timestamp(9, "c"), {"x": 20})
         assert store.versions("x") == (RecordVersion(20, Timestamp(9, "c"), Timestamp(9, "c")),)
         assert store.read("x").value == 20
 
     def test_record_read_advances_rts_monotonically(self):
         store = DataStore({"x": 0})
-        store.apply_commit(Timestamp(7, "c"), {}, reads=["x"])
+        apply_commit(store, Timestamp(7, "c"), {}, reads=["x"])
         assert store.read("x").rts == Timestamp(7, "c")
-        store.apply_commit(Timestamp(3, "c"), {}, reads=["x"])
+        apply_commit(store, Timestamp(3, "c"), {}, reads=["x"])
         assert store.read("x").rts == Timestamp(7, "c")
         assert store.read("x").wts == ZERO
         assert len(store.versions("x")) == 1
@@ -306,21 +261,6 @@ class TestOneChain:
         with pytest.raises(StorageError):
             store.read_version("x", Timestamp(1, "c"))
         assert store.read_version("x", Timestamp(5, "c")).value == 1
-
-    def test_rollback_removes_newer_versions(self):
-        store = DataStore({"x": 0, "y": 0})
-        store.apply_commit(Timestamp(5, "c"), {"x": 10})
-        store.apply_commit(Timestamp(9, "c"), {"x": 20})
-        assert store.rollback_to(Timestamp(5, "c")) == 1
-        assert store.read("x").value == 10
-        assert store.versions("y") is GENESIS_CHAIN
-        assert store.merkle_root() == merkle_root_of({"x": 10, "y": 0})
-
-    def test_rollback_cannot_empty_record(self):
-        store = _later_chain(5, 7)
-        with pytest.raises(StorageError):
-            store.rollback_to(Timestamp(1, "c"))
-        assert [version.value for version in store.versions("x")] == [1, 2]
 
     def test_empty_record_latest_raises(self):
         store = DataStore({"x": 0})

@@ -4,11 +4,13 @@ ls-files`` lists under its scope (pathspecs; ``*`` matches ``/``) but this one,
 finds the lines that match and that its allow-list (a regex over
 ``path:line:text``) does not, and holds when what it finds, by ``kind``, is
 exactly ``expect``.  It must fail on each of its ``plants`` (``path:text``,
-appended in memory).  A ``basic`` pattern is grep's basic syntax.
+appended in memory).  A ``basic`` pattern is grep's basic syntax.  The
+reference rule at the end reads syntax trees instead of lines.
 """
 
 from __future__ import annotations
 
+import ast
 import fnmatch
 import re
 import subprocess
@@ -17,6 +19,8 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 import pytest
+
+from repro.net.message import MessageType
 
 ROOT = Path(__file__).resolve().parents[1]
 SELF = Path(__file__).resolve().relative_to(ROOT).as_posix()
@@ -173,3 +177,87 @@ def test_the_tree_keeps_the_rule_and_each_plant_breaks_it(guard, tree):
     for plant in guard.plants:
         path, text = plant.split(":", 1)
         assert violations(guard, {**tree, path: tree.get(path, "") + "\n" + text}), plant
+
+
+# -- The reference rule ---------------------------------------------------------------
+#
+# A function, class or method defined in src/repro is named somewhere in src/repro,
+# benchmarks/ or examples/ -- what only tests reach is deleted or lives under tests/.
+# A name counts as named where code reads it (a ``Name``, an ``Attribute``) or imports
+# it, except in a subpackage's ``__init__``, whose imports only re-export; the imports
+# of ``repro.api`` make its exports named.  What the code finds by a computed name is
+# derived from how it dispatches: dunders, the server's ``"_on_" + message type``
+# handlers (``DatabaseServer.handle``) and ``visit_*`` on an ``ast.NodeVisitor``.
+
+#: Named by nothing in the package, yet kept: safety code, one reason each.
+UNREFERENCED_KEPT = {
+    "src/repro/crypto/schnorr.py schnorr_verify":
+        "the object-level verifier the signing tests hold the byte-level one to",
+}
+HANDLERS = frozenset("_on_" + message_type.value for message_type in MessageType)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+NAMING = ("src/repro/", "benchmarks/", "examples/")
+
+
+def _found_by_dispatch(name, visitor):
+    return (name.startswith("__") and name.endswith("__")) or name in HANDLERS or (
+        visitor and name.startswith("visit_"))
+
+
+def unreferenced(tree, kept=UNREFERENCED_KEPT):
+    """``path:line Class.name`` of each definition in src/repro that nothing names."""
+    named, defined = set(), []
+    for path, text in tree.items():
+        if not path.endswith(".py") or not path.startswith(NAMING):
+            continue
+        module = ast.parse(text)
+        reexports = path.endswith("/__init__.py") and path.count("/") > 2
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias) and not reexports:
+                named.update(node.name.split("."))
+        for node in module.body if path.startswith("src/repro/") else ():
+            if isinstance(node, FUNCTION + (ast.ClassDef,)):
+                defined.append((path, "", node, False))
+            if isinstance(node, ast.ClassDef):
+                visitor = any("NodeVisitor" in (getattr(base, "attr", ""), getattr(base, "id", ""))
+                              for base in node.bases)
+                defined += [(path, node.name + ".", method, visitor)
+                            for method in node.body if isinstance(method, FUNCTION)]
+    return [f"{path}:{node.lineno} {owner}{node.name}" for path, owner, node, visitor in defined
+            if not (node.name in named or _found_by_dispatch(node.name, visitor)
+                    or f"{path} {owner}{node.name}" in kept)]
+
+
+def test_every_definition_in_the_package_is_named_outside_the_tests(tree):
+    assert unreferenced(tree) == []
+    # ... and no exemption outlives the need for it.
+    assert {re.sub(r":[0-9]+ ", " ", found) for found in unreferenced(tree, kept=())} == set(
+        UNREFERENCED_KEPT)
+
+
+#: A plant appended to a module, and what the rule reports: (name, line within the plant).
+_PLANTS = {
+    "a function": ("def orphan(x):\n    return x\n", ("orphan", 1)),
+    "a method": ("class Holder:\n    def orphan(self):\n        return self\nHOLDER = Holder()\n",
+                 ("Holder.orphan", 2)),
+    "no message type's handler, a visit_ off a visitor": (
+        "class Holder:\n    def _on_nothing(self, envelope):\n        return envelope\n"
+        "    def visit_Name(self, node):\n        return node\nHOLDER = Holder()\n",
+        ("Holder._on_nothing", 2), ("Holder.visit_Name", 4)),
+    "a handler, a visitor's visit_": (
+        "class Holder(ast.NodeVisitor):\n    def visit_Name(self, node):\n        return node\n"
+        "    def _on_read(self, envelope):\n        return envelope\nHOLDER = Holder()\n",),
+}
+
+
+@pytest.mark.parametrize("plant", _PLANTS.values(), ids=_PLANTS)
+def test_each_unnamed_definition_is_reported_where_it_is(plant, tree):
+    path = "src/repro/storage/shard.py"
+    text = tree[path] + "\n"
+    end = text.count("\n")
+    assert unreferenced({**tree, path: text + plant[0]}) == [
+        f"{path}:{end + line} {name}" for name, line in plant[1:]]

@@ -8,6 +8,8 @@ from repro.storage.datastore import DataStore
 from repro.txn.occ import ConflictKind, OccValidator, classify_conflicts
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 
+from store_helpers import apply_commit
+
 
 def make_store():
     return DataStore({"x": 0, "y": 0})
@@ -33,7 +35,7 @@ class TestOccValidator:
 
     def test_read_of_stale_version_aborts(self):
         store = make_store()
-        store.apply_commit(Timestamp(10, "c1"), {"x": 99})
+        apply_commit(store, Timestamp(10, "c1"), {"x": 99})
         # The transaction read x before the ts-10 write and now tries to
         # commit at ts-12: the value it read is stale.
         txn = txn_reading("x", 0, Timestamp.zero(), Timestamp.zero(), 12, writes=())
@@ -43,7 +45,7 @@ class TestOccValidator:
 
     def test_commit_timestamp_below_existing_write_aborts(self):
         store = make_store()
-        store.apply_commit(Timestamp(10, "c1"), {"x": 99})
+        apply_commit(store, Timestamp(10, "c1"), {"x": 99})
         txn = txn_reading("x", 99, Timestamp(10, "c1"), Timestamp(10, "c1"), 7, writes=())
         outcome = OccValidator(store).validate(txn)
         assert outcome.abort
@@ -51,7 +53,7 @@ class TestOccValidator:
 
     def test_write_below_existing_write_aborts(self):
         store = make_store()
-        store.apply_commit(Timestamp(10, "c1"), {"y": 1})
+        apply_commit(store, Timestamp(10, "c1"), {"y": 1})
         txn = Transaction(
             txn_id="t",
             client_id="c0",
@@ -65,7 +67,7 @@ class TestOccValidator:
 
     def test_write_below_existing_read_aborts(self):
         store = make_store()
-        store.apply_commit(Timestamp(10, "c1"), {}, reads=["y"])
+        apply_commit(store, Timestamp(10, "c1"), {}, reads=["y"])
         assert store.read("y").rts == Timestamp(10, "c1")
         assert store.read("y").wts == Timestamp.zero()
         txn = Transaction(
@@ -86,7 +88,7 @@ class TestOccValidator:
 
     def test_conflict_description_mentions_item(self):
         store = make_store()
-        store.apply_commit(Timestamp(10, "c1"), {"x": 99})
+        apply_commit(store, Timestamp(10, "c1"), {"x": 99})
         txn = txn_reading("x", 99, Timestamp(10, "c1"), Timestamp(10, "c1"), 7)
         outcome = OccValidator(store).validate(txn)
         assert "x" in outcome.reason()

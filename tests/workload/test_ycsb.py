@@ -26,7 +26,7 @@ class TestYcsbWorkload:
         assert len(spec.item_ids()) == 5
         assert len(spec.operations) == 10
         reads = [op for op in spec.operations if op.is_read]
-        writes = [op for op in spec.operations if op.is_write]
+        writes = [op for op in spec.operations if not op.is_read]
         assert len(reads) == len(writes) == 5
 
     def test_items_within_txn_are_distinct(self):
@@ -73,7 +73,7 @@ class TestYcsbWorkload:
             item_ids=ITEMS, ops_per_txn=4, read_modify_write=False, write_fraction=1.0, seed=1
         )
         spec = workload.generate(1)[0]
-        assert all(op.is_write for op in spec.operations)
+        assert not any(op.is_read for op in spec.operations)
 
     def test_read_only_mix(self):
         workload = YcsbWorkload(
@@ -93,7 +93,7 @@ class TestYcsbWorkload:
     def test_written_values_are_unique(self):
         workload = YcsbWorkload(item_ids=ITEMS, ops_per_txn=2, seed=1)
         values = [
-            op.value for spec in workload.generate(20) for op in spec.operations if op.is_write
+            op.value for spec in workload.generate(20) for op in spec.operations if not op.is_read
         ]
         assert len(values) == len(set(values))
 
