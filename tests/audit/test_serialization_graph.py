@@ -127,6 +127,14 @@ class TestSerializationGraph:
             cyclic += expected is not None
         assert 20 < cyclic < 180  # both verdicts are exercised
 
+    def test_node_and_edge_counts(self):
+        t1 = make_txn("t1", 1, writes=["x"])
+        t2 = make_txn("t2", 2, reads=["x"], writes=["y"])
+        t3 = make_txn("t3", 3, reads=["y"])
+        graph = SerializationGraph.from_transactions([t1, t2, t3])
+        assert set(graph._edges) == {"t1", "t2", "t3"}
+        assert edges_of(graph) == {("t1", "t2"), ("t2", "t3")}
+
 
 #: A small history: ids repeat (a@1 -> b@2 -> a@3 is the one way to a cycle)
 #: and commit timestamps tie.

@@ -85,6 +85,13 @@ def test_the_distinct_values_are_distinct_objects():
     assert [repr(value) for value in floats] == ["0.0", "0.0", "-0.0", "-0.0"]
 
 
+def test_updates_leave_every_level_of_the_plain_build():
+    tree = MerkleTree(_shared(1_025))
+    tree.update_many({"item-00000003": False, "item-00001024": -0.0})
+    tree.update("item-00000004", 0.0)
+    assert tree._levels == reference_levels(tree)
+
+
 class TestWorkFollowsWhatDiffers:
     @staticmethod
     def _counted(monkeypatch, name):

@@ -50,6 +50,11 @@ class TestTriggers:
         if any(fired):
             assert all(fired[fired.index(True):])
 
+    def test_a_probability_of_zero_never_fires_and_one_fires_at_once(self):
+        never = ProbabilisticTrigger(probability=0.0, seed=9)
+        assert not any(never.fires(ctx()) for _ in range(50))
+        assert ProbabilisticTrigger(probability=1.0, seed=9).fires(ctx())
+
     def test_probability_bounds_checked(self):
         with pytest.raises(ConfigurationError):
             ProbabilisticTrigger(probability=1.5)
@@ -144,6 +149,15 @@ class TestFaultPlans:
         with pytest.raises(ConfigurationError):
             FaultPlan(fault="crash", target="s1", trigger={"kind": "phase"})
 
+    def test_a_bad_part_of_an_all_spec_fails_where_the_plan_is_built(self):
+        spec = {"kind": "all", "of": [{"kind": "at-height", "height": 1}, {"kind": "phase"}]}
+        with pytest.raises(ConfigurationError):
+            FaultPlan(fault="crash", target="s1", trigger=spec)
+
+    def test_an_unknown_trigger_kind_fails_where_the_plan_is_built(self):
+        with pytest.raises(ConfigurationError):
+            FaultPlan(fault="crash", target="s1", trigger={"kind": "full-moon"})
+
     def test_matrix_needs_three_servers(self):
         with pytest.raises(ConfigurationError):
             build_fault_matrix(["s0", "s1"])
@@ -166,6 +180,33 @@ class TestFaultPolicy:
         clock.set(3.25)
         policy.observe_phase("vote", 0)
         assert policy.context.sim_time == 3.25
+
+    def test_an_injection_is_stamped_at_its_phase_observation(self):
+        from repro.obs import Observability
+        from repro.sim import VirtualClock
+
+        clock, obs = VirtualClock(), Observability(tracing=True)
+        policy = FaultPolicy([FaultPlan(fault="read-corruption", target="s1")], clock, obs)
+        clock.set(3.25)
+        policy.observe_phase("execute", 2)
+        clock.set(4.5)  # the hook runs after the clock has moved on
+        policy.corrupt_read_value("x", 1)
+        policy.corrupt_read_value("x", 1)  # only the first injection is reported
+        (instant,) = [s for s in obs.tracer.spans if s.category == "fault-inject"]
+        assert (instant.name, instant.resource) == ("inject:read-corruption", "s1")
+        assert instant.start == 3.25
+        assert instant.attrs == {"block_height": 2}
+        assert obs.metrics.counter_value("faults.injected") == 1.0
+
+    def test_each_policy_materialises_its_own_trigger(self):
+        spec = {"kind": "probability", "probability": 0.3}
+        plan = FaultPlan(fault="read-corruption", target="s1", trigger=spec)
+        first, second = FaultPolicy([plan]), FaultPolicy([plan])
+        for policy in (first, second):
+            policy.observe_phase("execute", 0)
+        draws = [first.corrupt_read_value("x", 1) != 1 for _ in range(12)]
+        assert any(draws) and not all(draws)  # the seed latches on part way
+        assert [second.corrupt_read_value("x", 1) != 1 for _ in range(12)] == draws
 
     def test_hooks_stay_honest_until_trigger_fires(self):
         plan = FaultPlan(

@@ -129,6 +129,16 @@ class TestSignatures:
         directory = network.public_key_directory()
         assert set(directory) == {"server", "client"}
 
+    def test_an_envelope_from_outside_the_directory_does_not_verify(self, network):
+        envelope = Envelope("nobody", "server", MessageType.READ, {"item": "x"})
+        signed = envelope.with_signature(
+            network.signing_scheme.sign_bytes(keypair_for("nobody"), envelope.content_bytes())
+        )
+        assert "nobody" not in network.public_key_directory()
+        assert not network.verify_envelope(signed)
+        with pytest.raises(ConfigurationError):
+            network.sign_envelope(envelope)
+
 
 class TestAnUnknownRecipientGetsNoLink:
     """An envelope names any recipient it likes; only those in the key

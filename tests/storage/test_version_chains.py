@@ -210,6 +210,17 @@ def test_a_store_keeps_the_chains_of_the_reference_model(items, multi_versioned,
     assert GENESIS_VERSION.wts is ZERO and GENESIS_VERSION.rts is ZERO
 
 
+def test_a_chain_that_starts_later_has_no_earlier_version():
+    chain = tuple(
+        RecordVersion(value, Timestamp(ts, "c"), Timestamp(ts, "c"))
+        for value, ts in ((1, 5), (2, 7))
+    )
+    store = DataStore.import_state({"multi_versioned": True, "items": {"x": chain}})
+    with pytest.raises(StorageError):
+        store.read_version("x", Timestamp(1, "c"))
+    assert store.read_version("x", Timestamp(5, "c")).value == 1
+    assert store.read_version("x", Timestamp(6, "c")).value == 1
+    assert store.versions("x") == chain
 
 
 def _later_chain(*stamps):

@@ -242,12 +242,16 @@ def test_every_definition_in_the_package_is_named_outside_the_tests(tree):
 #: A plant appended to a module, and what the rule reports: (name, line within the plant).
 _PLANTS = {
     "a function": ("def orphan(x):\n    return x\n", ("orphan", 1)),
+    "a class": ("class Orphan:\n    pass\n", ("Orphan", 1)),
     "a method": ("class Holder:\n    def orphan(self):\n        return self\nHOLDER = Holder()\n",
                  ("Holder.orphan", 2)),
     "no message type's handler, a visit_ off a visitor": (
         "class Holder:\n    def _on_nothing(self, envelope):\n        return envelope\n"
         "    def visit_Name(self, node):\n        return node\nHOLDER = Holder()\n",
         ("Holder._on_nothing", 2), ("Holder.visit_Name", 4)),
+    "a dunder, a method the module calls": (
+        "class Holder:\n    def __repr__(self):\n        return 'h'\n"
+        "    def used(self):\n        return self\nHOLDER = Holder().used()\n",),
     "a handler, a visitor's visit_": (
         "class Holder(ast.NodeVisitor):\n    def visit_Name(self, node):\n        return node\n"
         "    def _on_read(self, envelope):\n        return envelope\nHOLDER = Holder()\n",),
@@ -261,3 +265,21 @@ def test_each_unnamed_definition_is_reported_where_it_is(plant, tree):
     end = text.count("\n")
     assert unreferenced({**tree, path: text + plant[0]}) == [
         f"{path}:{end + line} {name}" for name, line in plant[1:]]
+
+
+#: Where an import of a planted function lands, and whether the rule still reports it.
+_NAMERS = {
+    "a test": ("tests/storage/test_shard.py", True),
+    "a subpackage's re-export": ("src/repro/storage/__init__.py", True),
+    "an export of repro.api": ("src/repro/api.py", False),
+    "an example": ("examples/quickstart.py", False),
+    "a benchmark": ("benchmarks/perf/workloads.py", False),
+}
+
+
+@pytest.mark.parametrize("namer, reported", _NAMERS.values(), ids=_NAMERS)
+def test_only_code_outside_the_tests_names_a_definition(namer, reported, tree):
+    path = "src/repro/storage/shard.py"
+    planted = {**tree, path: tree[path] + "\ndef orphan(x):\n    return x\n",
+               namer: tree[namer] + "\nfrom repro.storage.shard import orphan\n"}
+    assert [found.split()[-1] for found in unreferenced(planted)] == ["orphan"] * reported
