@@ -16,10 +16,7 @@
 - :mod:`repro.check.explorer` -- prefix-branching BFS/DFS with fingerprint
   dedup and counterexample minimization;
 - :mod:`repro.check.replay` -- counterexamples saved as traces, which the
-  tests replay as deterministic regression tests;
-- :mod:`repro.check.static` -- the static protocol analyzer
-  (``python -m repro.check.static``): one walk over each module's AST
-  applying the per-node exception and determinism/assert rules.
+  tests replay as deterministic regression tests.
 
 Heavy submodules are loaded lazily: ``core``/``sim``/``net`` import the two
 leaf modules above at import time, so this package ``__init__`` must not
@@ -37,7 +34,6 @@ _LAZY = {
     "scenarios": "repro.check.scenarios",
     "explorer": "repro.check.explorer",
     "replay": "repro.check.replay",
-    "static": "repro.check.static",
 }
 
 __all__ = sorted(_LAZY)

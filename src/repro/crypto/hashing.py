@@ -13,9 +13,6 @@ from typing import Any
 
 from repro.common.encoding import canonical_encode
 
-#: Size in bytes of every digest produced by this module.
-DIGEST_SIZE = 32
-
 #: Digest of the empty string; used as the "previous hash" of the genesis block.
 EMPTY_HASH = hashlib.sha256(b"").digest()
 

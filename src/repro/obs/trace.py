@@ -31,8 +31,8 @@ Tracing is off by default; every recording method starts with an
 JSONL (one record per line, the round-trip format) and Chrome trace-event
 JSON (``{"traceEvents": [...]}``, loadable in Perfetto / chrome://tracing).
 
-Invariants checked at export time (the dynamic twin of the static
-round-state leak detector, DESIGN.md section 11):
+Invariants checked at export time (the executed-path twin of the round
+lifecycle tables, DESIGN.md sections 10 and 12):
 
 * every opened span was closed;
 * every parent link resolves to a recorded span;

@@ -13,11 +13,12 @@ its two strict readers -- ``from_wire`` for plain data (handler replies,
 catch-up responses, a decoded export) and ``from_bytes`` for bytes at rest
 (the write-ahead log); missing and undeclared fields, wrong types and
 malformed nesting raise :class:`~repro.common.errors.ValidationError`.  This
-module completes the registry -- importing it imports every module that
-declares a wire class -- and exposes it to the round-trip and fuzz suites as
-:data:`WIRE_DECODERS`.  The two functions at the bottom are this layer's
-entry points for callers outside the package: functions defined in this
-module, so that a boundary tracer books a decoded block to ``recovery.wire``.
+module completes the registry :data:`repro.common.wire.WIRE_CLASSES` --
+importing it imports every module that declares a wire class -- so the
+round-trip and fuzz suites walk ``WIRE_CLASSES[name].from_wire`` once they
+import it.  The two functions at the bottom are this layer's entry points
+for callers outside the package: functions defined in this module, so that a
+boundary tracer books a decoded block to ``recovery.wire``.
 """
 
 from __future__ import annotations
@@ -36,13 +37,8 @@ import repro.storage.datastore  # noqa: F401
 import repro.storage.record  # noqa: F401
 import repro.txn.operations  # noqa: F401
 import repro.txn.transaction  # noqa: F401
-from repro.common.wire import WIRE_CLASSES
 from repro.ledger.anchor import EpochAnchor
 from repro.ledger.block import Block
-
-#: Every wire class's strict decoder, by class name.
-WIRE_DECODERS = {name: cls.from_wire for name, cls in WIRE_CLASSES.items()}
-
 
 
 def block_from_wire(wire) -> Block:

@@ -1,4 +1,4 @@
-"""Decoder fuzzing: every ``WIRE_DECODERS`` entry against hostile input.
+"""Decoder fuzzing: every wire class's ``from_wire`` against hostile input.
 
 The round-trip suite (``test_wire_roundtrip.py``) checks decoders against
 the encoders' own output, so it cannot see what a decoder does with input no
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.common.encoding import canonical_decode, canonical_encode
 from repro.common.errors import ValidationError
 from repro.common.wire import WIRE_CLASSES
-from repro.recovery.wire import WIRE_DECODERS
+import repro.recovery.wire  # noqa: F401  (imports every module that fills WIRE_CLASSES)
 
 from test_wire_roundtrip import BUILDERS
 
@@ -90,7 +90,7 @@ def _valid_wire(class_name):
 
 def assert_rejected_or_sound(class_name, wire, faithful=False):
     try:
-        decoded = WIRE_DECODERS[class_name](wire)
+        decoded = WIRE_CLASSES[class_name].from_wire(wire)
     except ValidationError:
         return
     if decoded is None:  # the optional-cosign decoder maps None -> None
@@ -107,7 +107,7 @@ def assert_rejected_or_sound(class_name, wire, faithful=False):
         assert canonical_encode(again) == canonical_encode(state), (class_name, wire, again)
 
 
-@pytest.mark.parametrize("class_name", sorted(WIRE_DECODERS))
+@pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_mutated_valid_form_is_rejected_or_decodes_soundly(class_name, data):
@@ -128,7 +128,7 @@ def test_a_mutated_valid_form_is_rejected_or_decodes_soundly(class_name, data):
         assert_rejected_or_sound(class_name, wire, faithful=True)
 
 
-@pytest.mark.parametrize("class_name", sorted(WIRE_DECODERS))
+@pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(wire=plain_data)
 def test_arbitrary_plain_data_is_rejected_or_decodes_soundly(class_name, wire):
@@ -142,13 +142,13 @@ def test_random_bytes_never_escape_canonical_decode_with_another_exception(blob)
         wire = canonical_decode(blob)
     except ValueError:
         return
-    for class_name in sorted(WIRE_DECODERS):
+    for class_name in sorted(WIRE_CLASSES):
         assert_rejected_or_sound(class_name, wire)
 
 
 def test_a_valid_prefix_with_a_flipped_tag_still_only_raises_value_error():
     """Seeded corpus for the bytes path: real encodings, one byte damaged."""
-    for class_name in sorted(WIRE_DECODERS):
+    for class_name in sorted(WIRE_CLASSES):
         encoded = canonical_encode(BUILDERS[class_name]().to_wire())
         for offset in range(0, len(encoded), 7):
             damaged = encoded[:offset] + bytes([encoded[offset] ^ 0x5A]) + encoded[offset + 1 :]
@@ -182,4 +182,4 @@ def test_a_lying_peers_field_is_refused_not_coerced(class_name, damage):
         else:
             wire[key] = value
     with pytest.raises(ValidationError):
-        WIRE_DECODERS[class_name](wire)
+        WIRE_CLASSES[class_name].from_wire(wire)

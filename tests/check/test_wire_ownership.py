@@ -30,7 +30,6 @@ from repro.common.encoding import ENCODERS, canonical_encode
 from repro.common.timestamps import Timestamp
 from repro.common.wire import WIRE_CLASSES
 from repro.crypto.cosi import CollectiveSignature
-from repro.crypto.hashing import DIGEST_SIZE
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import Block, BlockDecision
 from repro.ledger.checkpoint import Checkpoint
@@ -391,7 +390,7 @@ def _long_bytes(instance) -> dict:
     return {
         name: value
         for name, value in vars(instance).items()
-        if name not in state and isinstance(value, (bytes, bytearray)) and len(value) > DIGEST_SIZE
+        if name not in state and isinstance(value, (bytes, bytearray)) and len(value) > 32
     }
 
 

@@ -32,7 +32,7 @@ from repro.net.message import Envelope, MessageType
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
 from repro.recovery.statestore import BlockRecord, SnapshotRecord
-from repro.recovery.wire import WIRE_DECODERS
+import repro.recovery.wire  # noqa: F401  (imports every module that fills WIRE_CLASSES)
 from repro.storage.datastore import ReadResult
 from repro.storage.record import RecordVersion
 from repro.txn.operations import ReadOp, WriteOp
@@ -222,11 +222,7 @@ BUILDERS = {
 
 class TestCoverage:
     def test_every_registered_class_has_a_builder(self):
-        assert set(BUILDERS) == set(WIRE_CLASSES) == set(WIRE_DECODERS)
-
-    def test_the_view_is_the_derived_decoder(self):
-        for name, cls in WIRE_CLASSES.items():
-            assert WIRE_DECODERS[name] is cls.from_wire
+        assert set(BUILDERS) == set(WIRE_CLASSES)
 
 
 class TestTotality:
@@ -264,7 +260,7 @@ class TestTotality:
 @pytest.mark.parametrize("class_name", sorted(WIRE_CLASSES))
 def test_round_trip(class_name):
     instance = BUILDERS[class_name]()
-    decoded = WIRE_DECODERS[class_name](instance.to_wire())
+    decoded = WIRE_CLASSES[class_name].from_wire(instance.to_wire())
     assert decoded == instance
     # And the re-encoded wire form is identical (encode is a fixpoint).
     assert decoded.to_wire() == instance.to_wire()
@@ -282,7 +278,7 @@ def test_round_trip_through_bytes_re_encodes_to_the_same_bytes(class_name):
 def test_decoders_are_strict_on_garbage(class_name):
     for garbage in ({}, None, [], "block", 7):
         with pytest.raises(ValidationError):
-            WIRE_DECODERS[class_name](garbage)
+            WIRE_CLASSES[class_name].from_wire(garbage)
 
 
 def test_optional_fields_round_trip_as_none():
@@ -295,9 +291,9 @@ def test_optional_fields_round_trip_as_none():
         cosign=None,
         group=None,
     )
-    assert WIRE_DECODERS["Block"](block.to_wire()) == block
+    assert WIRE_CLASSES["Block"].from_wire(block.to_wire()) == block
     outcome = TxnOutcome(txn_id="t9", status="aborted")
-    assert WIRE_DECODERS["TxnOutcome"](outcome.to_wire()) == outcome
+    assert WIRE_CLASSES["TxnOutcome"].from_wire(outcome.to_wire()) == outcome
 
 
 @pytest.mark.parametrize(
@@ -329,4 +325,4 @@ def test_identifiers_and_integers_are_checked_not_coerced(class_name, path, host
         node = node[key]
     node[path[-1]] = hostile
     with pytest.raises(ValidationError):
-        WIRE_DECODERS[class_name](wire)
+        WIRE_CLASSES[class_name].from_wire(wire)

@@ -34,7 +34,7 @@ def test_catching_base_catches_all():
     ids=["private-key", "uniform-latency", "fixed-compute", "scheduler-depth", "clock-advance"],
 )
 def test_argument_checks_raise_fides_errors(build, expected):
-    # The static analyzer's builtin-raise rule: protocol packages raise only
+    # The builtin-raise row of the guard table: protocol packages raise only
     # FidesError subclasses, argument checks included.
     with pytest.raises(expected):
         build()

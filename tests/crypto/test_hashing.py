@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
-    DIGEST_SIZE,
     EMPTY_HASH,
     hash_concat,
     hash_object,
@@ -25,7 +24,7 @@ class TestHashing:
         assert EMPTY_HASH == hashlib.sha256(b"").digest()
 
     def test_digest_size(self):
-        assert len(sha256(b"x")) == DIGEST_SIZE == 32
+        assert len(sha256(b"x")) == 32
 
     def test_hash_concat_is_not_plain_concatenation(self):
         assert hash_concat(b"ab", b"c") != hash_concat(b"a", b"bc")

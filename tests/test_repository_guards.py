@@ -1,5 +1,5 @@
-"""The repository's structural guards, one row each: a rule of DESIGN.md and
-the pattern whose return would break it.  A row reads the files ``git
+"""The repository's source rules and structural guards, one row each: a rule of
+DESIGN.md and the pattern whose return would break it.  A row reads the files ``git
 ls-files`` lists under its scope (pathspecs; ``*`` matches ``/``) but this one,
 finds the lines that match and that its allow-list (a regex over
 ``path:line:text``) does not, and holds when what it finds, by ``kind``, is
@@ -31,6 +31,9 @@ BLOCK = ("One block rule", '§5 "Who must have signed"')
 ANCHOR = ("One anchor rule", '§5 "Epoch anchors and the trust argument"')
 CONTRACT = ("One contract for the sweeps", '§7 "One contract"')
 COSI = ("One CoSi flow", '§10 "The round lifecycle: two transition tables"')
+RULES = '§11 "The source rules"'
+PROTOCOL = tuple(f"src/repro/{package}" for package in (
+    "core", "server", "net", "ledger", "recovery", "storage", "txn", "crypto", "sim"))
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,11 @@ class Guard:
 
 
 GUARDS = (
-    Guard("No call graph, no baseline ledger", "§11", ("src/repro/check",),
-          r"resolve_call|_reachable_decls|baseline\.json|update-baseline",
-          plants=("src/repro/check/static/rules.py:def resolve_call(node):",)),
+    Guard("The source rules are rows, no second analyzer", RULES, CODE + (CI,),
+          r"repro\.check\.static|check/static/|# static: allow",
+          plants=('src/repro/check/__init__.py:    "static": "repro.check.static",',
+                  f"{CI}:        run: python -m repro.check.static --root src/repro",
+                  "src/repro/core/rounds.py:    return time.time()  # static: allow")),
     Guard("No hand-rolled byte memo", '§6 "Who owns the bytes"', SRC,
           r"CANONICAL_CACHEABLE|_canonical_cache|_encoded_cache|_digest_cache|_group_digest_cache",
           plants=("src/repro/ledger/block.py:        self._digest_cache = {}",)),
@@ -136,6 +141,40 @@ GUARDS = (
           plants=("src/repro/sim/clock.py:import heapq",)),
     Guard("The guards are this table", '§11 "The repository guards"', (CI,), "grep", basic=True,
           plants=(f"{CI}:        run: ! grep -rn heapq src/repro",)),
+    Guard("wallclock: virtual time is the only clock", RULES, SRC,
+          r"time\.time(_ns)?\(|\b(datetime|date)\.(now|utcnow|today)\("
+          r"|from (time|datetime) import (\(|.*\b(time|time_ns|datetime|date)\b)",
+          plants=("src/repro/bench/harness.py:    started = time.time()",
+                  "src/repro/obs/trace.py:    when = datetime.now()",
+                  "src/repro/obs/timing.py:from time import time",
+                  "src/repro/bench/schema.py:from datetime import datetime as Clock")),
+    Guard("unseeded-random: every draw is seeded", RULES, SRC,
+          r"\brandom\.(?!Random\b)\w+\(|\bRandom\(\s*\)|from random import",
+          plants=("src/repro/workload/ycsb.py:    jitter = random.random()",
+                  "src/repro/net/latency.py:        self._rng = random.Random()",
+                  "src/repro/workload/ycsb.py:from random import Random, random",
+                  "src/repro/core/rounds.py:from random import choice as pick")),
+    Guard("adhoc-timing: Stopwatch is the one timer", RULES, PROTOCOL,
+          r"\b(perf_counter|monotonic|process_time)",
+          plants=("src/repro/core/rounds.py:    started = time.perf_counter()",
+                  "src/repro/core/rounds.py:    ticked = time.monotonic()",
+                  "src/repro/core/rounds.py:from time import process_time")),
+    Guard("no-print: output goes through obs", RULES, PROTOCOL, r"\bprint\s*\(",
+          plants=('src/repro/core/rounds.py:    print("committed block", height)',)),
+    Guard("bare-assert: invariants raise", RULES, PROTOCOL, r"(^\s*|[:;]\s*)assert\b",
+          plants=('src/repro/core/rounds.py:    assert height >= 0, "heights are non-negative"',
+                  "src/repro/sim/clock.py:        if now: assert now > 0")),
+    Guard("broad-except: catch what the site expects", RULES, PROTOCOL,
+          r"\b(Base)?Exception\b|\bexcept\s*:",
+          plants=("src/repro/core/rounds.py:    except Exception:",
+                  "src/repro/server/server.py:        except:",
+                  "src/repro/net/network.py:    except (KeyError,\n            BaseException):")),
+    Guard("builtin-raise: only FidesError leaves a handler", RULES, PROTOCOL,
+          r"\braise\s+(\w+\.)*((Value|Key|Type|Index|Lookup|Attribute|Runtime|Arithmetic"
+          r"|ZeroDivision|Overflow|Assertion|OS)Error|StopIteration)\b",
+          plants=('src/repro/core/viewchange.py:def helper(x):\n    if x < 0:\n'
+                  '        raise ValueError("never called from a handler")\n    return x',
+                  "src/repro/storage/shard.py:        raise builtins.KeyError(key) from None")),
 )
 
 
@@ -181,13 +220,14 @@ def test_the_tree_keeps_the_rule_and_each_plant_breaks_it(guard, tree):
 
 # -- The reference rule ---------------------------------------------------------------
 #
-# A function, class or method defined in src/repro is named somewhere in src/repro,
-# benchmarks/ or examples/ -- what only tests reach is deleted or lives under tests/.
-# A name counts as named where code reads it (a ``Name``, an ``Attribute``) or imports
-# it, except in a subpackage's ``__init__``, whose imports only re-export; the imports
-# of ``repro.api`` make its exports named.  What the code finds by a computed name is
-# derived from how it dispatches: dunders, the server's ``"_on_" + message type``
-# handlers (``DatabaseServer.handle``) and ``visit_*`` on an ``ast.NodeVisitor``.
+# A function, class, method or module-level name assigned in src/repro is named
+# somewhere in src/repro, benchmarks/ or examples/ -- what only tests reach is deleted
+# or lives under tests/.  A name counts as named where code reads it (a ``Name`` or an
+# ``Attribute`` in ``Load`` context) or imports it, except in a subpackage's
+# ``__init__``, whose imports only re-export; the imports of ``repro.api`` make its
+# exports named.  What the code finds by a computed name is derived from how it
+# dispatches: dunders and the server's ``"_on_" + message type`` handlers
+# (``DatabaseServer.handle``).
 
 #: Named by nothing in the package, yet kept: safety code, one reason each.
 UNREFERENCED_KEPT = {
@@ -199,9 +239,17 @@ FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 NAMING = ("src/repro/", "benchmarks/", "examples/")
 
 
-def _found_by_dispatch(name, visitor):
-    return (name.startswith("__") and name.endswith("__")) or name in HANDLERS or (
-        visitor and name.startswith("visit_"))
+def _defined(node):
+    """``(owner, name, line)`` of each name a module-level statement defines."""
+    if isinstance(node, FUNCTION + (ast.ClassDef,)):
+        yield "", node.name, node.lineno
+    if isinstance(node, ast.ClassDef):
+        yield from ((node.name + ".", method.name, method.lineno)
+                    for method in node.body if isinstance(method, FUNCTION))
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            yield from (("", name.id, node.lineno) for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
 
 
 def unreferenced(tree, kept=UNREFERENCED_KEPT):
@@ -213,23 +261,17 @@ def unreferenced(tree, kept=UNREFERENCED_KEPT):
         module = ast.parse(text)
         reexports = path.endswith("/__init__.py") and path.count("/") > 2
         for node in ast.walk(module):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 named.add(node.attr)
             elif isinstance(node, ast.alias) and not reexports:
                 named.update(node.name.split("."))
-        for node in module.body if path.startswith("src/repro/") else ():
-            if isinstance(node, FUNCTION + (ast.ClassDef,)):
-                defined.append((path, "", node, False))
-            if isinstance(node, ast.ClassDef):
-                visitor = any("NodeVisitor" in (getattr(base, "attr", ""), getattr(base, "id", ""))
-                              for base in node.bases)
-                defined += [(path, node.name + ".", method, visitor)
-                            for method in node.body if isinstance(method, FUNCTION)]
-    return [f"{path}:{node.lineno} {owner}{node.name}" for path, owner, node, visitor in defined
-            if not (node.name in named or _found_by_dispatch(node.name, visitor)
-                    or f"{path} {owner}{node.name}" in kept)]
+        if path.startswith("src/repro/"):
+            defined += [(path, *found) for node in module.body for found in _defined(node)]
+    return [f"{path}:{line} {owner}{name}" for path, owner, name, line in defined
+            if not (name in named or (name.startswith("__") and name.endswith("__"))
+                    or name in HANDLERS or f"{path} {owner}{name}" in kept)]
 
 
 def test_every_definition_in_the_package_is_named_outside_the_tests(tree):
@@ -243,18 +285,21 @@ def test_every_definition_in_the_package_is_named_outside_the_tests(tree):
 _PLANTS = {
     "a function": ("def orphan(x):\n    return x\n", ("orphan", 1)),
     "a class": ("class Orphan:\n    pass\n", ("Orphan", 1)),
-    "a method": ("class Holder:\n    def orphan(self):\n        return self\nHOLDER = Holder()\n",
+    "a method": ("class Holder:\n    def orphan(self):\n        return self\nHolder()\n",
                  ("Holder.orphan", 2)),
     "no message type's handler, a visit_ off a visitor": (
         "class Holder:\n    def _on_nothing(self, envelope):\n        return envelope\n"
-        "    def visit_Name(self, node):\n        return node\nHOLDER = Holder()\n",
+        "    def visit_Name(self, node):\n        return node\nHolder()\n",
         ("Holder._on_nothing", 2), ("Holder.visit_Name", 4)),
     "a dunder, a method the module calls": (
         "class Holder:\n    def __repr__(self):\n        return 'h'\n"
-        "    def used(self):\n        return self\nHOLDER = Holder().used()\n",),
+        "    def used(self):\n        return self\nHolder().used()\n",),
     "a handler, a visitor's visit_": (
         "class Holder(ast.NodeVisitor):\n    def visit_Name(self, node):\n        return node\n"
-        "    def _on_read(self, envelope):\n        return envelope\nHOLDER = Holder()\n",),
+        "    def _on_read(self, envelope):\n        return envelope\nHolder()\n",
+        ("Holder.visit_Name", 2)),
+    "unread constants": ("ORPHAN = 1\nTABLE: dict = {}\n", ("ORPHAN", 1), ("TABLE", 2)),
+    "a constant its own module reads": ("LIMIT = 2\nmax(LIMIT, 1)\n",),
 }
 
 
@@ -267,19 +312,22 @@ def test_each_unnamed_definition_is_reported_where_it_is(plant, tree):
         f"{path}:{end + line} {name}" for name, line in plant[1:]]
 
 
-#: Where an import of a planted function lands, and whether the rule still reports it.
+#: A line added to another file beside a planted function -- where, what, and whether
+#: the rule still reports the function.
+IMPORT = "from repro.storage.shard import orphan"
 _NAMERS = {
-    "a test": ("tests/storage/test_shard.py", True),
-    "a subpackage's re-export": ("src/repro/storage/__init__.py", True),
-    "an export of repro.api": ("src/repro/api.py", False),
-    "an example": ("examples/quickstart.py", False),
-    "a benchmark": ("benchmarks/perf/workloads.py", False),
+    "a test": ("tests/storage/test_shard.py", IMPORT, True),
+    "a subpackage's re-export": ("src/repro/storage/__init__.py", IMPORT, True),
+    "an assignment": ("examples/quickstart.py", "orphan = None", True),
+    "an export of repro.api": ("src/repro/api.py", IMPORT, False),
+    "an example": ("examples/quickstart.py", IMPORT, False),
+    "a benchmark": ("benchmarks/perf/workloads.py", IMPORT, False),
 }
 
 
-@pytest.mark.parametrize("namer, reported", _NAMERS.values(), ids=_NAMERS)
-def test_only_code_outside_the_tests_names_a_definition(namer, reported, tree):
+@pytest.mark.parametrize("namer, line, reported", _NAMERS.values(), ids=_NAMERS)
+def test_only_code_outside_the_tests_names_a_definition(namer, line, reported, tree):
     path = "src/repro/storage/shard.py"
     planted = {**tree, path: tree[path] + "\ndef orphan(x):\n    return x\n",
-               namer: tree[namer] + "\nfrom repro.storage.shard import orphan\n"}
+               namer: tree[namer] + "\n" + line + "\n"}
     assert [found.split()[-1] for found in unreferenced(planted)] == ["orphan"] * reported
