@@ -210,12 +210,17 @@ def tree():
 
 
 @pytest.mark.parametrize("guard", GUARDS, ids=[f"{i:02d} {g.step}" for i, g in enumerate(GUARDS)])
-def test_the_tree_keeps_the_rule_and_each_plant_breaks_it(guard, tree):
+def test_the_tree_keeps_each_rule(guard, tree):
     assert violations(guard, tree) == []
     assert guard.plants
-    for plant in guard.plants:
-        path, text = plant.split(":", 1)
-        assert violations(guard, {**tree, path: tree.get(path, "") + "\n" + text}), plant
+
+
+@pytest.mark.parametrize("guard, plant", [(g, p) for g in GUARDS for p in g.plants], ids=[
+    f"{i:02d}.{k} {p.split(':', 1)[0]}"
+    for i, g in enumerate(GUARDS) for k, p in enumerate(g.plants)])
+def test_each_plant_breaks_its_rule(guard, plant, tree):
+    path, text = plant.split(":", 1)
+    assert violations(guard, {**tree, path: tree.get(path, "") + "\n" + text}), plant
 
 
 # -- The reference rule ---------------------------------------------------------------
