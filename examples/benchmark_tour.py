@@ -25,27 +25,19 @@ from repro.bench.reporting import format_table
 
 
 def main() -> None:
-    print(format_table(
-        run_sweep("figure12", server_counts=(3, 5, 7), num_requests=20, items_per_shard=500),
-        title="Figure 12: 2PC vs TFCommit (1 txn per block)",
-    ))
-    print()
-    print(format_table(
-        run_sweep("figure13", batch_sizes=(2, 20, 40, 80, 120), num_requests=240,
-                  items_per_shard=1000),
-        title="Figure 13: transactions per block (5 servers)",
-    ))
-    print()
-    print(format_table(
-        run_sweep("figure14", server_counts=(3, 5, 7, 9), num_requests=200,
-                  items_per_shard=1000),
-        title="Figure 14: number of servers (100 txns per block)",
-    ))
-    print()
-    print(format_table(
-        run_sweep("figure15", shard_sizes=(1000, 4000, 7000, 10000), num_requests=100),
-        title="Figure 15: items per shard (5 servers, 100 txns per block)",
-    ))
+    for name, title, overrides in (
+        ("figure12", "Figure 12: 2PC vs TFCommit (1 txn per block)",
+         dict(server_counts=(3, 5, 7), num_requests=20, items_per_shard=500)),
+        ("figure13", "Figure 13: transactions per block (5 servers)",
+         dict(batch_sizes=(2, 20, 40, 80, 120), num_requests=240, items_per_shard=1000)),
+        ("figure14", "Figure 14: number of servers (100 txns per block)",
+         dict(server_counts=(3, 5, 7, 9), num_requests=200, items_per_shard=1000)),
+        ("figure15", "Figure 15: items per shard (5 servers, 100 txns per block)",
+         dict(shard_sizes=(1000, 4000, 7000, 10000), num_requests=100)),
+    ):
+        _, rows = run_sweep(name, **overrides)
+        print(format_table(rows, title=title))
+        print()
     # Beyond the paper: one scale-out point through the same run() every
     # sweep above uses -- dynamic groups over an ordering service with four
     # lanes (§4.6 plus the ordering shards of DESIGN.md §5).
@@ -62,7 +54,6 @@ def main() -> None:
         message_signing="hash",
         fixed_compute_ms=1.0,
     ))
-    print()
     print(
         f"Scale-out point: {scaled.committed_txns} txns committed through "
         f"{scaled.distinct_groups} dynamic groups over 4 ordering shards "

@@ -35,7 +35,7 @@ from repro.audit.violations import Violation, ViolationType
 from repro.common.encoding import canonical_encode
 from repro.common.errors import AuditError
 from repro.common.timestamps import Timestamp
-from repro.crypto.keys import KeyPair, keypair_for
+from repro.crypto.keys import keypair_for
 from repro.crypto.merkle import verify_inclusion
 from repro.ledger.anchor import EpochAnchor, verify_anchor_chain
 from repro.ledger.block import Block, BlockDecision
@@ -71,14 +71,14 @@ class Auditor:
         network: Network,
         server_ids: Sequence[str],
         shard_map: ShardMap,
-        keypair: Optional[KeyPair] = None,
     ) -> None:
         self.network = network
         self.server_ids = list(server_ids)
         self.shard_map = shard_map
-        self.keypair = keypair or keypair_for(AUDITOR_ID)
+        #: Checkpoints the last :meth:`collect_logs` gathered, by server.
+        self.collected_checkpoints: Dict[str, object] = {}
         if AUDITOR_ID not in network.participants:
-            network.register_observer(AUDITOR_ID, self.keypair)
+            network.register_observer(AUDITOR_ID, keypair_for(AUDITOR_ID))
 
     # -- log collection and selection (Lemmas 6 & 7) ---------------------------------
 
@@ -91,7 +91,7 @@ class Auditor:
         dropped prefix, and :meth:`check_logs` verifies the pair together.
         """
         logs: Dict[str, TransactionLog] = {}
-        self.collected_checkpoints: Dict[str, object] = {}
+        self.collected_checkpoints = {}
         for server_id in self.server_ids:
             response = self.network.send(
                 AUDITOR_ID, server_id, MessageType.AUDIT_LOG_REQUEST, AuditLogRequest()
@@ -106,7 +106,6 @@ class Auditor:
         self,
         logs: Mapping[str, TransactionLog],
         report: AuditReport,
-        checkpoints: Optional[Mapping[str, object]] = None,
     ) -> Optional[TransactionLog]:
         """Verify every copy, pick the reference log, and record log-level violations.
 
@@ -116,11 +115,13 @@ class Auditor:
         longest correct log is selected (Lemma 7 across the truncation
         boundary).  Each copy is verified on its own, except that a co-sign
         every copy holds is checked once per call (:func:`verify_copies`).
+        A copy's checkpoint is the one :meth:`collect_logs` gathered for it.
         """
-        if checkpoints is None:
-            checkpoints = getattr(self, "collected_checkpoints", {})
         results = verify_copies(
-            logs, self.network.public_key_directory(), self.server_ids, checkpoints
+            logs,
+            self.network.public_key_directory(),
+            self.server_ids,
+            self.collected_checkpoints,
         )
         report.log_results = dict(results)
 
@@ -492,7 +493,6 @@ class Auditor:
     def run_audit(
         self,
         logs: Optional[Mapping[str, TransactionLog]] = None,
-        check_datastore: bool = True,
         datastore_mode: str = "latest",
         epoch_anchors: Optional[Sequence] = None,
         ordering_shard_map=None,
@@ -522,7 +522,6 @@ class Auditor:
         self.check_transactions(reference, report)
         if epoch_anchors is not None and ordering_shard_map is not None:
             self.check_epoch_anchors(reference, epoch_anchors, ordering_shard_map, report)
-        if check_datastore:
-            self.check_datastores(reference, report, mode=datastore_mode)
+        self.check_datastores(reference, report, mode=datastore_mode)
         report.audit_wall_time_s = watch.elapsed()
         return report

@@ -14,6 +14,11 @@ List available experiments::
 
     python -m repro.bench --list
 
+Run a traced smoke sweep and check its JSONL span export::
+
+    python -m repro.bench pipeline --smoke --trace pipeline-trace.jsonl
+    python -m repro.obs validate pipeline-trace.jsonl
+
 Exit codes: 0 on success, 1 when the sweep raised or produced no rows (so a
 silently empty sweep can never pass a CI smoke step), 2 for usage errors
 (an unknown sweep, ``--requests`` below 1, or a flag its row of ``SWEEPS``
@@ -74,14 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="run with span tracing enabled and write a Chrome trace-event "
-        "JSON (Perfetto-loadable) there (experiments that support it)",
-    )
-    parser.add_argument(
-        "--trace-jsonl",
-        metavar="PATH",
-        default=None,
-        help="like --trace, but the JSONL span export (the round-trip format)",
+        help="run with span tracing enabled and write the JSONL span export "
+        "there (experiments that support it; read it with python -m repro.obs)",
     )
     parser.add_argument(
         "--metrics",
@@ -103,12 +102,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"--requests must be at least 1, not {args.requests}", file=sys.stderr)
         return 2
     sweep = SWEEPS[args.experiment]
-    tracing = bool(args.trace or args.trace_jsonl or args.metrics)
+    tracing = bool(args.trace or args.metrics)
     #: What a sweep supports is declared on its row of ``SWEEPS``.
     supported = {
         "--smoke": sweep.smoke is not None or not args.smoke,
         "--fixed-compute-ms": "fixed_compute_ms" in sweep.defaults or args.fixed_compute_ms is None,
-        "--trace/--trace-jsonl/--metrics": sweep.traced or not tracing,
+        "--trace/--metrics": sweep.traced or not tracing,
     }
     refused = [flag for flag, fine in supported.items() if not fine]
     if refused:
@@ -124,10 +123,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fixed_compute_ms is not None:
         report_config["fixed_compute_ms"] = args.fixed_compute_ms
     observability = (
-        Observability(tracing=bool(args.trace or args.trace_jsonl)) if tracing else None
+        Observability(tracing=bool(args.trace)) if tracing else None
     )
     try:
-        rows = run_sweep(args.experiment, obs=observability, **report_config)
+        _, rows = run_sweep(args.experiment, obs=observability, **report_config)
     except (FidesError, OSError):
         traceback.print_exc()
         print(f"sweep {args.experiment!r} raised; failing the run", file=sys.stderr)
@@ -148,16 +147,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         for problem in trace_problems:
             print(f"trace invariant violated: {problem}", file=sys.stderr)
         if args.trace is not None:
-            observability.tracer.export_chrome(args.trace)
-            print(
-                f"wrote Chrome trace ({observability.tracer.span_count()} spans) "
-                f"to {args.trace}"
-            )
-        if args.trace_jsonl is not None:
-            observability.tracer.export_jsonl(args.trace_jsonl)
+            observability.tracer.export_jsonl(args.trace)
             print(
                 f"wrote JSONL trace ({observability.tracer.span_count()} spans) "
-                f"to {args.trace_jsonl}"
+                f"to {args.trace}"
             )
         if args.metrics is not None:
             with open(args.metrics, "w", encoding="utf-8") as handle:

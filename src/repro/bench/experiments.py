@@ -2,10 +2,10 @@
 
 A sweep is data: a row of :data:`SWEEPS` (see :class:`Sweep`), interpreted by
 :func:`run_sweep`, which lays the grid out, runs the experiment at each point
-and returns the table rows (plus the raw result objects with
-``return_results=True``).  The sweeps default to a reduced request count so
-they finish quickly; pass ``num_requests=1000`` (the paper's size) for a full
-run via ``python -m repro.bench``.  The ablation sweeps (latency regime,
+and returns the raw result objects and the table rows.  The sweeps default
+to a reduced request count so they finish quickly; pass
+``num_requests=1000`` (the paper's size) for a full run via
+``python -m repro.bench``.  The ablation sweeps (latency regime,
 signing scheme) back the design-choice discussion in DESIGN.md.  What the
 paper found is asserted in ``tests/bench/test_experiments.py``
 (``TestPaperClaims``), one test per figure or ablation.
@@ -69,10 +69,8 @@ class Sweep:
 _CONFIG_FIELDS = frozenset(spec.name for spec in fields(ExperimentConfig))
 
 
-def run_sweep(
-    name: str, *, smoke: bool = False, return_results: bool = False, obs=None, **overrides
-):
-    """Run ``SWEEPS[name]`` and return its rows (``(results, rows)`` on request).
+def run_sweep(name: str, *, smoke: bool = False, obs=None, **overrides):
+    """Run ``SWEEPS[name]`` and return ``(results, rows)``: one result per table row.
 
     ``overrides`` replace the row's ``axes`` and ``defaults`` by keyword; any
     other name, ``smoke`` on a sweep without a smoke grid and ``obs`` on one
@@ -115,8 +113,7 @@ def run_sweep(
         reference = measured(sweep.reference(config, p)) if sweep.reference else result
         row = sweep.row(result, reference, *values) if sweep.row else result.as_row()
         pairs.append((result, row))
-    rows = [row for _, row in pairs]
-    return ([result for result, _ in pairs], rows) if return_results else rows
+    return [result for result, _ in pairs], [row for _, row in pairs]
 
 
 def _ratio(result: ExperimentResult, reference: ExperimentResult) -> float:

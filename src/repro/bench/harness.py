@@ -156,7 +156,6 @@ class ExperimentResult:
     mht_update_ms: float = 0.0
     mht_hashes_per_block: float = 0.0
     network_ms_per_block: float = 0.0
-    compute_ms_per_block: float = 0.0
     #: Wall-clock spent in crypto (sign/verify/aggregate) amortised per
     #: block, read from the run's ``crypto.*.s`` metrics counters -- the
     #: isolated micro-timer, not a share of the coarse phase compute.
@@ -285,7 +284,7 @@ def run(
     trace.
     """
     if obs is not None:
-        obs.tracer.begin_process(f"{config.label}/d{config.pipeline_depth}")
+        obs.tracer.begin_process()
     system, workload = build(config, latency, obs=obs)
     outcome = system.run_workload(
         workload.generate(config.num_requests), num_clients=config.num_clients
@@ -330,9 +329,6 @@ def _measure_blocks(result: ExperimentResult, system, block_results) -> None:
     )
     result.network_ms_per_block = (
         statistics.mean(r.timing.network_time for r in block_results) * 1000.0
-    )
-    result.compute_ms_per_block = (
-        statistics.mean(r.timing.compute_time for r in block_results) * 1000.0
     )
     # Crypto wall time comes from the micro-timers around each crypto call,
     # not from a share of the coarse phase compute.

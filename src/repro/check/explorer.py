@@ -94,9 +94,10 @@ class Explorer:
     """Budgeted BFS/DFS over one scenario's choice tree.
 
     ``scenario`` is a :class:`~repro.check.scenarios.ScenarioRow` (anything
-    with its ``name``, ``features``, ``invariants`` and ``run()`` will do).
-    A budget that admits no run is refused: an exploration that explores
-    nothing must not report itself clean.
+    with its ``name``, ``features`` and ``run()`` will do).  Every
+    counterexample is minimized before it is reported.  A budget that admits
+    no run is refused: an exploration that explores nothing must not report
+    itself clean.
     """
 
     def __init__(
@@ -107,7 +108,6 @@ class Explorer:
         max_depth: Optional[int] = None,
         strategy: str = "bfs",
         stop_at_first_violation: bool = True,
-        minimize: bool = True,
     ) -> None:
         if strategy not in ("bfs", "dfs"):
             raise ValueError(f"unknown strategy {strategy!r}")
@@ -123,7 +123,6 @@ class Explorer:
         self.max_depth = max_depth
         self.strategy = strategy
         self.stop_at_first_violation = stop_at_first_violation
-        self.should_minimize = minimize
 
     # -- single runs ---------------------------------------------------------------
 
@@ -140,7 +139,7 @@ class Explorer:
         return source, record
 
     def _violations(self, record: RunRecord) -> List[Violation]:
-        return evaluate(record, self.scenario.invariants)
+        return evaluate(record)
 
     # -- the search ----------------------------------------------------------------
 
@@ -172,9 +171,7 @@ class Explorer:
                     picks=source.picks(),
                     violations=violations,
                 )
-                if self.should_minimize:
-                    counterexample = self.minimize(counterexample)
-                result.counterexamples.append(counterexample)
+                result.counterexamples.append(self.minimize(counterexample))
                 if self.stop_at_first_violation:
                     break
             if already_seen:

@@ -18,7 +18,7 @@ in practice the quantification is total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List
 
 from repro.crypto.cosi import cosi_verify
 from repro.sim.scheduler import ORDSERV_RESOURCE
@@ -433,16 +433,9 @@ INVARIANTS: Dict[str, InvariantFn] = {
 }
 
 
-def evaluate(
-    record: RunRecord, names: Optional[Sequence[str]] = None
-) -> List[Violation]:
-    """Run the selected invariants (all by default) and collect violations."""
-    selected = list(INVARIANTS) if names is None else list(names)
+def evaluate(record: RunRecord) -> List[Violation]:
+    """Run every invariant of the catalogue and collect the violations."""
     violations: List[Violation] = []
-    for name in selected:
-        try:
-            checker = INVARIANTS[name]
-        except KeyError:
-            raise KeyError(f"unknown invariant {name!r}; known: {sorted(INVARIANTS)}") from None
+    for checker in INVARIANTS.values():
         violations.extend(checker(record))
     return violations

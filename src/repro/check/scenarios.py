@@ -28,7 +28,7 @@ milliseconds and the explorer can afford hundreds of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List
 
 from repro.bench import harness
 from repro.check.invariants import RunRecord
@@ -95,8 +95,6 @@ class ScenarioRow:
     #: ``(system, items) -> RunRecord``: drives the fresh deployment.
     script: Callable[[object, Items], RunRecord]
     config: harness.ExperimentConfig = TINY
-    #: Invariants to evaluate (``None`` means the whole catalogue).
-    invariants: Optional[List[str]] = None
 
     def run(self) -> RunRecord:
         """One run on a fresh deployment, under the active choice source."""

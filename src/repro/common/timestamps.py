@@ -71,12 +71,9 @@ class Timestamp:
         return (self.counter, self.client_id)
 
     @staticmethod
-    def zero(client_id: ClientId = "") -> "Timestamp":
-        """Return the smallest timestamp for ``client_id``.
-
-        Without a client id that is the genesis stamp, always the same object.
-        """
-        return Timestamp(0, client_id) if client_id else _GENESIS
+    def zero() -> "Timestamp":
+        """Return the genesis stamp ``(0, "")``, always the same object."""
+        return _GENESIS
 
 
 #: The genesis stamp ``(0, "")`` every item starts at; :meth:`Timestamp.zero`.

@@ -304,13 +304,12 @@ class FidesSystem:
     def run_workload(
         self,
         specs: Sequence[TransactionSpec],
-        client_index: int = 0,
         num_clients: int = 1,
     ) -> WorkloadResult:
         """Execute a list of workload transaction specs and flush pending batches.
 
-        ``num_clients`` distinct client sessions (indices ``client_index`` to
-        ``client_index + num_clients - 1``) issue the transactions round-robin,
+        ``num_clients`` distinct client sessions (indices 0 to
+        ``num_clients - 1``) issue the transactions round-robin,
         each with its own Lamport clock and its own queued-outcome resolution,
         mirroring the paper's multi-client evaluation setup (Section 6).  With
         batching enabled most ``commit`` calls return ``queued``; their final
@@ -330,7 +329,7 @@ class FidesSystem:
         }
         if mutation_enabled("pr3-double-count-blocks"):
             results_marker = {}
-        clients = [self.client(client_index + i) for i in range(num_clients)]
+        clients = [self.client(i) for i in range(num_clients)]
         result.committed_by_client = {client.client_id: 0 for client in clients}
         #: Work items are ``(spec, client_slot, attempt)``; stale-failed
         #: transactions are re-enqueued with a bumped attempt count.
@@ -385,7 +384,7 @@ class FidesSystem:
         while work or queued or any(c.pending_count for c in self._live_coordinators()):
             if work:
                 spec, slot, attempt = work.popleft()
-                outcome, reply = self._run_transaction_raw(spec.operations, client_index + slot)
+                outcome, reply = self._run_transaction_raw(spec.operations, slot)
                 flushed = type(reply) is Termination and not reply.queued
                 if outcome.pending:
                     queued[outcome.txn_id] = (slot, spec, attempt)
@@ -453,9 +452,7 @@ class FidesSystem:
         )
         return self.servers[server_id].recover(peers)
 
-    def fail_over(
-        self, server_id: Optional[ServerId] = None, reason: str = ""
-    ) -> ViewChangeOutcome:
+    def fail_over(self, server_id: Optional[ServerId] = None) -> ViewChangeOutcome:
         """Depose a leading server and hand its work to whoever leads next.
 
         Runs the view-change protocol of :mod:`repro.core.viewchange`: the
@@ -468,7 +465,7 @@ class FidesSystem:
         the router now names.  The deposed server keeps serving as a cohort
         (recover it first if it crashed).  Only a designated coordinator can
         be deposed where there is one (the successor takes the role);
-        otherwise name the server.  ``reason`` is informational.
+        otherwise name the server.
         """
         deposed = server_id if server_id is not None else self.coordinator_id
         if deposed is None or self.coordinator_id not in (None, deposed):
@@ -508,12 +505,12 @@ class FidesSystem:
         self._land_stream()
         return outcome
 
-    def create_checkpoint(self, install: bool = True) -> Checkpoint:
-        """Build, co-sign, and (by default) install a checkpoint of the full log.
+    def create_checkpoint(self) -> Checkpoint:
+        """Build, co-sign, and install a checkpoint of the full log.
 
         Mirrors the in-process CoSi round of
         :func:`~repro.ledger.checkpoint.cosign_checkpoint`: every server
-        contributes its shard root and its signature.  ``install=True``
+        contributes its shard root and its signature.  Installing it
         truncates every server's log under the checkpoint and compacts its
         durable state store (Section 3.3's storage bound).
 
@@ -537,9 +534,8 @@ class FidesSystem:
         checkpoint = cosign_checkpoint(
             checkpoint, {sid: server.keypair for sid, server in self.servers.items()}
         )
-        if install:
-            for server in self.servers.values():
-                server.install_checkpoint(checkpoint)
+        for server in self.servers.values():
+            server.install_checkpoint(checkpoint)
         return checkpoint
 
     # -- fault injection and audits ---------------------------------------------------------

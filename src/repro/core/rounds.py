@@ -44,7 +44,6 @@ class TimingBreakdown:
 
     phases: Dict[str, float] = field(default_factory=dict)
     network_time: float = 0.0
-    compute_time: float = 0.0
     mht_time: float = 0.0
     mht_hashes: int = 0
     num_txns: int = 0
@@ -293,14 +292,13 @@ def timed_exchange(
     inbound = {recipient: latency.sample() for recipient in recipients}
     refusals = [answer for answer in answers.values() if type(answer) is Refusal]
     silent = {refusal.server_id for refusal in refusals if refusal.unreachable}
-    slowest = slowest_net = slowest_compute = 0.0
+    slowest = slowest_net = 0.0
     round_trips: Dict[str, float] = {}
     for recipient in recipients:
         if recipient in silent:
             # The sender waits out the round timer on a silent peer; the
             # wait is pure network idle time, no compute ever ran.
             round_trip = net = timeout
-            compute = 0.0
         else:
             compute = sim.effective_compute(phase, answers[recipient].compute_time)
             round_trip = outbound[recipient] + compute + inbound[recipient]
@@ -309,10 +307,8 @@ def timed_exchange(
         if round_trip >= slowest:
             slowest = round_trip
             slowest_net = net
-            slowest_compute = compute
     timing.phases[phase] = slowest
     timing.network_time += slowest_net
-    timing.compute_time += slowest_compute
     obs = sim.obs
     obs.metrics.counter(f"phase.{phase}.count")
     obs.metrics.observe(f"phase.{phase}.s", slowest)
@@ -706,7 +702,6 @@ class SimScheduledRounds:
             round.cohorts,
             MessageType.ROUND_FAILED,
             RoundFailed(round.block.round_key()),
-            skip_unreachable=True,
         )
 
     # -- failover surface ---------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.wire import BOOL, BYTES, INT, STR, list_of, pair_of, wire_form
@@ -108,7 +108,7 @@ def _next_power_of_two(n: int) -> int:
 class MerkleTree:
     """A Merkle Hash Tree over an ordered set of ``item_id -> value`` leaves.
 
-    The leaf order is fixed at construction (sorted item ids by default) so
+    The leaf order is fixed at construction (sorted item ids) so
     that every correct server with the same shard contents computes the same
     root.  Values can be updated in place with :meth:`update`, which re-hashes
     only the path from the touched leaf to the root and returns the number of
@@ -116,15 +116,9 @@ class MerkleTree:
     the paper's Figure 14.
     """
 
-    def __init__(self, items: Mapping[str, object], ordered_ids: Optional[Sequence[str]] = None):
-        if ordered_ids is None:
-            ordered_ids = sorted(items)
-        else:
-            ordered_ids = list(ordered_ids)
-            if set(ordered_ids) != set(items):
-                raise StorageError("ordered_ids must cover exactly the items given")
-        self._ids: List[str] = ordered_ids
-        self._index: Dict[str, int] = {item_id: i for i, item_id in enumerate(ordered_ids)}
+    def __init__(self, items: Mapping[str, object]):
+        self._ids: List[str] = sorted(items)
+        self._index: Dict[str, int] = {item_id: i for i, item_id in enumerate(self._ids)}
         self._values: Dict[str, object] = dict(items)
         self._levels: List[List[bytes]] = []
         self._build()

@@ -286,13 +286,12 @@ class Network:
         recipients,
         message_type: MessageType,
         payload: Any,
-        skip_unreachable: bool = False,
     ) -> Dict[str, Any]:
-        """Send the same payload to several recipients; returns responses by id.
+        """Send the same payload to the reachable recipients; returns their responses by id.
 
-        ``skip_unreachable=True`` silently drops recipients that are down --
-        used for best-effort notifications (e.g. ``ROUND_FAILED``, whose very
-        cause may be a crashed cohort).
+        A recipient that is down is silently dropped: a broadcast is a
+        best-effort notification (e.g. ``ROUND_FAILED``, whose very cause may
+        be a crashed cohort).
 
         A real network gives no ordering guarantee across recipients, so
         under the model checker the delivery order is a branch point.
@@ -309,6 +308,5 @@ class Network:
                     sender, recipient, message_type, payload, payload_bytes=payload_bytes
                 )
             except UnreachableError:
-                if not skip_unreachable:
-                    raise
+                pass
         return responses

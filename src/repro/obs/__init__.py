@@ -10,7 +10,7 @@ enabled per run (``Observability(tracing=True)``), keeping the disabled-path cos
 a single attribute check.
 
 The module also runs as a CLI: ``python -m repro.obs summarize|validate|
-fingerprint|convert|diff <trace.jsonl>``.
+fingerprint|diff <trace.jsonl>``, over the tracer's one export format.
 """
 
 from __future__ import annotations

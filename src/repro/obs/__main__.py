@@ -1,7 +1,6 @@
 """Trace toolbox: ``python -m repro.obs <command> <trace.jsonl> [...]``.
 
-Commands (all read the JSONL export format, the round-trip source of
-truth; ``convert`` also reads a Chrome trace back):
+Commands (all read the JSONL export, one span record per line):
 
 ``summarize``
     Per-phase virtual-time attribution, span counts by category, and the
@@ -13,10 +12,6 @@ truth; ``convert`` also reads a Chrome trace back):
 
 ``fingerprint``
     Print the deterministic trace fingerprint (same seed -> same hash).
-
-``convert``
-    JSONL -> Chrome trace-event JSON (``--to chrome``, default) or the
-    reverse (``--to jsonl``), for loading into Perfetto and back.
 
 ``diff``
     Compare two traces: fingerprints, span-count deltas, and per-phase
@@ -31,23 +26,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.obs.trace import Tracer, spans_from_chrome
+from repro.obs.trace import Tracer
 
 
 def _load(path: Path) -> Tracer:
-    text = path.read_text()
-    # A Chrome trace is one JSON document; a JSONL export is one document
-    # *per line* (so whole-file parsing fails with "Extra data" on it).
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        return Tracer.from_records(
-            json.loads(line) for line in text.splitlines() if line.strip()
-        )
-    if isinstance(document, dict) and "traceEvents" in document:
-        return Tracer.from_records(spans_from_chrome(document))
-    # A one-line JSONL export parses as a single record document.
-    return Tracer.from_records([document] if isinstance(document, dict) else document)
+    return Tracer.from_records(
+        json.loads(line) for line in path.read_text().splitlines() if line.strip()
+    )
 
 
 def _summarize(tracer: Tracer) -> str:
@@ -78,16 +63,12 @@ def _summarize(tracer: Tracer) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarize, validate, fingerprint, convert, and diff traces.",
+        description="Summarize, validate, fingerprint, and diff traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("summarize", "validate", "fingerprint"):
         command = sub.add_parser(name)
         command.add_argument("trace", type=Path)
-    convert = sub.add_parser("convert")
-    convert.add_argument("trace", type=Path)
-    convert.add_argument("output", type=Path)
-    convert.add_argument("--to", choices=("chrome", "jsonl"), default="chrome")
     diff = sub.add_parser("diff")
     diff.add_argument("left", type=Path)
     diff.add_argument("right", type=Path)
@@ -108,14 +89,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if problems else 0
     if args.command == "fingerprint":
         print(_load(args.trace).fingerprint())
-        return 0
-    if args.command == "convert":
-        tracer = _load(args.trace)
-        if args.to == "chrome":
-            tracer.export_chrome(args.output)
-        else:
-            tracer.export_jsonl(args.output)
-        print(f"wrote {tracer.span_count()} spans to {args.output}")
         return 0
     if args.command == "diff":
         left, right = _load(args.left), _load(args.right)

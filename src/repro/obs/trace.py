@@ -16,8 +16,8 @@ Parent links cross the coordinator -> cohort boundary (RPC spans carry the
 cohort's server id as their resource) and the coordinator -> OrderingService
 boundary (a published ``Round`` keeps its span open, and it is closed
 only when the ordered block is delivered).  Fault injections and
-detections appear as instants, so a Perfetto timeline shows *when* a
-campaign fired relative to the round that caught it.
+detections appear as instants, so a trace shows *when* a campaign fired
+relative to the round that caught it.
 
 All span times are **virtual** (scheduler/loop seconds), which is what
 makes the trace deterministic: under ``FixedCompute`` the same seed yields
@@ -27,9 +27,9 @@ crypto micro-timers) ride along in ``attrs``, which the fingerprint
 deliberately excludes.
 
 Tracing is off by default; every recording method starts with an
-``enabled`` check and returns ``None`` without allocating.  Exports are
-JSONL (one record per line, the round-trip format) and Chrome trace-event
-JSON (``{"traceEvents": [...]}``, loadable in Perfetto / chrome://tracing).
+``enabled`` check and returns ``None`` without allocating.  The export is
+JSONL, one :class:`Span` record per line, which :meth:`Tracer.from_records`
+reads back span for span.
 
 Invariants checked at export time (the executed-path twin of the round
 lifecycle tables, DESIGN.md sections 10 and 12):
@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.wire import INT, MAPPING, NUMBER, STR, optional, wire_form
 
@@ -93,19 +93,17 @@ class Tracer:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.spans: List[Span] = []
-        self.processes: List[str] = ["repro"]
         self._pid = 0
         self._next_id = 0
         self._open: Dict[int, Span] = {}
 
     # -- recording ------------------------------------------------------------
 
-    def begin_process(self, name: str) -> int:
+    def begin_process(self) -> int:
         """Start attributing spans to a new logical process (bench system)."""
         if not self.enabled:
             return 0
-        self.processes.append(name)
-        self._pid = len(self.processes) - 1
+        self._pid += 1
         return self._pid
 
     def _record(
@@ -143,14 +141,13 @@ class Tracer:
         category: str,
         resource: str,
         start: float,
-        parent: Optional[int] = None,
         **attrs,
     ) -> Optional[int]:
-        """Open a span whose end is not yet known; pair with :meth:`close_span`."""
+        """Open a root span whose end is not yet known; pair with :meth:`close_span`."""
         if not self.enabled:
             return None
         span_id = self._record(
-            KIND_SPAN, name, category, resource, start, None, parent, "open", attrs
+            KIND_SPAN, name, category, resource, start, None, None, "open", attrs
         )
         self._open[span_id] = self.spans[-1]
         return span_id
@@ -204,14 +201,13 @@ class Tracer:
         category: str,
         resource: str,
         ts: float,
-        parent: Optional[int] = None,
         **attrs,
     ) -> Optional[int]:
-        """Record a zero-width event (fault injected, culprit detected, ...)."""
+        """Record a zero-width root event (fault injected, culprit detected, ...)."""
         if not self.enabled:
             return None
         return self._record(
-            KIND_INSTANT, name, category, resource, ts, ts, parent, "ok", attrs
+            KIND_INSTANT, name, category, resource, ts, ts, None, "ok", attrs
         )
 
     # -- invariants ------------------------------------------------------------
@@ -336,96 +332,3 @@ class Tracer:
             tracer.spans.append(span)
             tracer._next_id = max(tracer._next_id, span.span_id + 1)
         return tracer
-
-    def chrome_trace(self) -> Dict:
-        """The trace as Chrome trace-event JSON (Perfetto-loadable)."""
-        events: List[Dict] = []
-        threads: Dict[Tuple[int, str], int] = {}
-        for pid, name in enumerate(self.processes):
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": name},
-                }
-            )
-        for span in self.spans:
-            key = (span.pid, span.resource)
-            tid = threads.get(key)
-            if tid is None:
-                tid = threads[key] = len(threads) + 1
-                events.append(
-                    {
-                        "ph": "M",
-                        "name": "thread_name",
-                        "pid": span.pid,
-                        "tid": tid,
-                        "args": {"name": span.resource},
-                    }
-                )
-            args = dict(span.attrs)
-            args["status"] = span.status
-            args["span_id"] = span.span_id
-            if span.parent is not None:
-                args["parent"] = span.parent
-            if span.kind == KIND_INSTANT:
-                events.append(
-                    {
-                        "ph": "i",
-                        "name": span.name,
-                        "cat": span.category or "event",
-                        "ts": span.start * 1e6,
-                        "pid": span.pid,
-                        "tid": tid,
-                        "s": "p",
-                        "args": args,
-                    }
-                )
-            elif span.end is not None:
-                events.append(
-                    {
-                        "ph": "X",
-                        "name": span.name,
-                        "cat": span.category or "span",
-                        "ts": span.start * 1e6,
-                        "dur": (span.end - span.start) * 1e6,
-                        "pid": span.pid,
-                        "tid": tid,
-                        "args": args,
-                    }
-                )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def export_chrome(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.chrome_trace(), handle, indent=1, default=str)
-            handle.write("\n")
-
-
-def spans_from_chrome(trace: Dict) -> List[Dict]:
-    """Best-effort inverse of :meth:`Tracer.chrome_trace` (for the CLI)."""
-    records: List[Dict] = []
-    for event in trace.get("traceEvents", ()):
-        if event.get("ph") not in ("X", "i"):
-            continue
-        start = event["ts"] / 1e6
-        duration = event.get("dur", 0.0) / 1e6
-        args = dict(event.get("args") or {})
-        records.append(
-            {
-                "id": args.pop("span_id", len(records)),
-                "parent": args.pop("parent", None),
-                "kind": KIND_INSTANT if event["ph"] == "i" else KIND_SPAN,
-                "name": event["name"],
-                "cat": event.get("cat", ""),
-                "resource": "",
-                "pid": event.get("pid", 0),
-                "start": start,
-                "end": start + duration,
-                "status": args.pop("status", "ok"),
-                "attrs": args,
-            }
-        )
-    return records

@@ -26,8 +26,8 @@ from repro.common.errors import ProtocolInvariantError
 class VirtualClock:
     """Holds the virtual time of the currently executing activity."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: The latest time the clock has been set or advanced to.
         self.high_water = self._now
 

@@ -144,7 +144,6 @@ class PipelinedRoundScheduler:
         self._deliveries: List[Tuple[FrozenSet[str], FrozenSet[str], float]] = []
         #: Cumulative busy seconds per ordering resource (saturation metric).
         self._delivery_busy: Dict[str, float] = {}
-        self.blocks_scheduled = 0
 
     # -- block life-cycle ----------------------------------------------------------
 
@@ -202,7 +201,6 @@ class PipelinedRoundScheduler:
         )
         history.append(task)
         del history[:-_TASK_WINDOW]
-        self.blocks_scheduled += 1
         self.clock.set(earliest)
         return task
 
@@ -294,11 +292,11 @@ class PipelinedRoundScheduler:
         duration: float,
         read_items: FrozenSet[str] = frozenset(),
         write_items: FrozenSet[str] = frozenset(),
-        phase: str = "order",
         resources: Sequence[str] = (ORDSERV_RESOURCE,),
     ) -> Tuple[float, float]:
         """Close an ordered delivery and record the cross-group frontier (the
-        publishing round's block, ``task``, is the caller's to end)."""
+        publishing round's block, ``task``, is the caller's to end; its
+        ``order`` phase is the delivery window)."""
         if not resources:
             resources = (ORDSERV_RESOURCE,)
         end = start + max(0.0, duration)
@@ -312,7 +310,7 @@ class PipelinedRoundScheduler:
         self.clock.set(end)
         if task is not None:
             task.delivery_resources = tuple(resources)
-            task.phases[phase] = (start, end)
+            task.phases["order"] = (start, end)
             task.ready_at = end
         return start, end
 

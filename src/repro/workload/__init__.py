@@ -6,13 +6,11 @@ random from the union of all partitions (producing distributed transactions),
 and 100 non-conflicting transactions batched per block.
 """
 
-from repro.workload.distributions import KeyDistribution, UniformKeys, ZipfianKeys
+from repro.workload.distributions import ZipfianKeys
 from repro.workload.ycsb import TransactionSpec, YcsbWorkload
 
 __all__ = [
-    "KeyDistribution",
     "TransactionSpec",
-    "UniformKeys",
     "YcsbWorkload",
     "ZipfianKeys",
 ]

@@ -1,12 +1,10 @@
 """Transactional-YCSB-like workload generator (Section 6).
 
 The generator produces :class:`TransactionSpec` objects -- ordered lists of
-read and write operations -- with the same shape as the paper's evaluation
-workload: a configurable number of operations per transaction (5 in the
-paper), keys drawn from the union of all partitions so that transactions are
-distributed, and a configurable read/write mix (the paper uses read-write
-transactions; we default to reading and then writing each picked item, which
-produces the densest multi-record workload).
+read and write operations -- with the shape of the paper's evaluation
+workload: a configurable number of items per transaction (5 in the paper),
+drawn uniformly from the union of all partitions so that transactions are
+distributed, each item read and then written.
 
 Because the paper batches *non-conflicting* transactions into blocks, the
 generator can be asked to keep consecutive windows of transactions disjoint
@@ -18,11 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.txn.operations import Operation, ReadOp, WriteOp
-from repro.workload.distributions import KeyDistribution, UniformKeys, ZipfianKeys
+from repro.txn.operations import ReadOp, WriteOp
+from repro.workload.distributions import ZipfianKeys
 
 
 @dataclass(frozen=True)
@@ -36,6 +34,15 @@ class TransactionSpec:
         return sorted({op.item_id for op in self.operations})
 
 
+def _read_then_write(index: int, items: Sequence[str], last_value: int) -> TransactionSpec:
+    """Transaction ``index``: each item read, then written the next value after ``last_value``."""
+    operations = []
+    for value, item_id in enumerate(items, start=last_value + 1):
+        operations.append(ReadOp(item_id))
+        operations.append(WriteOp(item_id, value))
+    return TransactionSpec(txn_index=index, operations=tuple(operations))
+
+
 @dataclass
 class YcsbWorkload:
     """Generator of YCSB-like multi-record read/write transactions.
@@ -45,16 +52,10 @@ class YcsbWorkload:
     item_ids:
         The key universe (all items across all partitions).
     ops_per_txn:
-        Operations per transaction; the paper uses 5 operations on distinct items.
-    read_modify_write:
-        If True (default, matching the paper's "read-write operations"), each
-        picked item is read and then written, so a 5-item transaction has 5
-        reads and 5 writes.  If False, ``write_fraction`` of the items are
-        blind-written and the rest only read.
-    write_fraction:
-        Only used when ``read_modify_write`` is False.
-    distribution:
-        Key distribution; defaults to uniform over all items.
+        Distinct items per transaction, each read and then written (the
+        paper's "read-write operations"): the paper uses 5, so a transaction
+        has 5 reads and 5 writes.  Items are drawn uniformly from
+        ``item_ids``.
     conflict_free_window:
         If > 0, consecutive windows of this many transactions touch disjoint
         items, so batches of that size never conflict.
@@ -64,20 +65,16 @@ class YcsbWorkload:
 
     item_ids: Sequence[str]
     ops_per_txn: int = 5
-    read_modify_write: bool = True
-    write_fraction: float = 0.5
-    distribution: Optional[KeyDistribution] = None
     conflict_free_window: int = 0
     seed: int = 2020
-    _value_counter: int = field(default=0, repr=False)
+    _value_counter: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ops_per_txn < 1:
             raise ConfigurationError("ops_per_txn must be >= 1")
         if not self.item_ids:
             raise ConfigurationError("workload needs a non-empty item universe")
-        if self.distribution is None:
-            self.distribution = UniformKeys(self.item_ids, seed=self.seed)
+        self._rng = random.Random(self.seed)
         window_items = self.conflict_free_window * self.ops_per_txn
         if window_items > len(self.item_ids):
             raise ConfigurationError(
@@ -98,7 +95,8 @@ class YcsbWorkload:
             items = self._pick_items(used_in_window, fallback)
             if self.conflict_free_window:
                 used_in_window.update(items)
-            specs.append(TransactionSpec(txn_index=index, operations=tuple(self._ops_for(items))))
+            specs.append(_read_then_write(index, items, self._value_counter))
+            self._value_counter += len(items)
         return specs
 
     def _pick_items(self, excluded: set, fallback: random.Random) -> List[str]:
@@ -113,7 +111,7 @@ class YcsbWorkload:
         attempts = 0
         max_attempts = 50 * self.ops_per_txn + 100
         while len(items) < self.ops_per_txn:
-            candidate = self.distribution.sample()
+            candidate = self._rng.choice(self.item_ids)
             attempts += 1
             if candidate in seen:
                 if attempts > max_attempts:
@@ -129,24 +127,6 @@ class YcsbWorkload:
             seen.add(candidate)
             items.append(candidate)
         return items
-
-    def _ops_for(self, items: Sequence[str]) -> List[Operation]:
-        ops: List[Operation] = []
-        for position, item_id in enumerate(items):
-            if self.read_modify_write:
-                ops.append(ReadOp(item_id))
-                ops.append(WriteOp(item_id, self._next_value()))
-            else:
-                threshold = int(self.ops_per_txn * self.write_fraction)
-                if position < threshold:
-                    ops.append(WriteOp(item_id, self._next_value()))
-                else:
-                    ops.append(ReadOp(item_id))
-        return ops
-
-    def _next_value(self) -> int:
-        self._value_counter += 1
-        return self._value_counter
 
 
 @dataclass
@@ -195,7 +175,7 @@ class PartitionedWorkload:
     conflict_free_window: int = 0
     seed: int = 2020
     home_skew_theta: float = 0.0
-    _value_counter: int = field(default=0, repr=False)
+    _value_counter: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.partitions or any(not p for p in self.partitions):
@@ -242,12 +222,8 @@ class PartitionedWorkload:
             if len(self.partitions) > 1 and self._rng.random() >= self.locality:
                 pools.append((home + 1) % len(self.partitions))
             items = self._pick_items(home, pools)
-            operations = []
-            for item_id in items:
-                self._value_counter += 1
-                operations.append(ReadOp(item_id))
-                operations.append(WriteOp(item_id, self._value_counter))
-            specs.append(TransactionSpec(txn_index=index, operations=tuple(operations)))
+            specs.append(_read_then_write(index, items, self._value_counter))
+            self._value_counter += len(items)
         return specs
 
     def _pick_items(self, home: int, pools: List[int]) -> List[str]:

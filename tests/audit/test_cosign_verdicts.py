@@ -171,8 +171,10 @@ def tamper(log: TransactionLog, kind: str, i: int, j: int) -> None:
 def check(system, logs, checkpoints):
     """``(per-copy results, violations, reference server, raised)`` of one check_logs."""
     report = AuditReport()
+    auditor = system.auditor()
+    auditor.collected_checkpoints = checkpoints
     try:
-        system.auditor().check_logs(logs, report, checkpoints)
+        auditor.check_logs(logs, report)
     except AuditError:
         return report.log_results, report.violations, None, True
     return report.log_results, report.violations, report.reference_log_server, False

@@ -15,31 +15,31 @@ from repro.faultsim import build_fault_matrix
 
 class TestFigureSweeps:
     def test_figure12_rows(self):
-        rows = run_sweep("figure12", server_counts=(3,), num_requests=3, items_per_shard=60)
+        _, rows = run_sweep("figure12", server_counts=(3,), num_requests=3, items_per_shard=60)
         assert len(rows) == 2  # one per protocol
         assert {row["protocol"] for row in rows} == {"2pc", "tfcommit"}
 
     def test_figure13_rows(self):
-        rows = run_sweep("figure13", batch_sizes=(2, 4), num_requests=8, items_per_shard=120)
+        _, rows = run_sweep("figure13", batch_sizes=(2, 4), num_requests=8, items_per_shard=120)
         assert [row["txns/block"] for row in rows] == [2, 4]
         assert all(row["committed"] == 8 for row in rows)
 
     def test_figure14_rows(self):
-        rows = run_sweep(
+        _, rows = run_sweep(
             "figure14", server_counts=(3, 4), num_requests=4, items_per_shard=60, txns_per_block=2
         )
         assert [row["servers"] for row in rows] == [3, 4]
 
     def test_figure15_rows(self):
-        rows = run_sweep("figure15", shard_sizes=(50, 100), num_requests=4, txns_per_block=2)
+        _, rows = run_sweep("figure15", shard_sizes=(50, 100), num_requests=4, txns_per_block=2)
         assert [row["items/shard"] for row in rows] == [50, 100]
 
     def test_ablation_signing_scheme_rows(self):
-        rows = run_sweep("ablation-signing", num_requests=2)
+        _, rows = run_sweep("ablation-signing", num_requests=2)
         assert len(rows) == 2
 
     def test_faultmatrix_smoke_rows(self):
-        rows = run_sweep("faultmatrix", num_requests=2, smoke=True)
+        _, rows = run_sweep("faultmatrix", num_requests=2, smoke=True)
         assert len(rows) == 19  # one per fault kind, always-trigger grid
         for row in rows:
             assert {"scenario", "detected", "blocks-to-detect", "audit overhead (x)"} <= set(row)
@@ -54,7 +54,7 @@ class TestFigureSweeps:
             return result
 
         monkeypatch.setattr(experiments, "run", recording)
-        results, rows = run_sweep("scaledgroups", num_requests=8, smoke=True, return_results=True)
+        results, rows = run_sweep("scaledgroups", num_requests=8, smoke=True)
         assert len(rows) == 1  # one point per axis in smoke mode
         row = rows[0]
         assert {
@@ -75,7 +75,6 @@ class TestFigureSweeps:
             num_servers=8,
             num_requests=32,
             fixed_compute_ms=1.0,
-            return_results=True,
         )
         assert [row["shards"] for row in rows] == [1, 2]
         for row in rows:
@@ -103,7 +102,6 @@ class TestPaperClaims:
         rows = {(row["protocol"], row["servers"]): row for row in reports("figure12")["rows"]}
         results, _ = run_sweep(
             "figure12", server_counts=(3, 5, 7), num_requests=20, items_per_shard=500,
-            return_results=True,
         )
         phases = {(r.config.protocol, r.config.num_servers): r.phase_ms for r in results}
         for servers in (3, 5, 7):
@@ -144,7 +142,7 @@ class TestPaperClaims:
         assert all(row["throughput (txns/s)"] > 0 for row in rows)
         results, _ = run_sweep(
             "multiclient", client_counts=(1, 2, 4, 8), num_requests=32, items_per_shard=400,
-            txns_per_block=4, fixed_compute_ms=1.0, return_results=True,
+            txns_per_block=4, fixed_compute_ms=1.0,
         )
         # Conflict-free: interleaved clients still fill every block.
         assert [result.blocks for result in results] == [8] * 4
@@ -180,7 +178,7 @@ class TestPaperClaims:
     def test_pipeline_depth_two_beats_the_sequential_schedule(self):
         results, rows = run_sweep(
             "pipeline", depths=(1, 2), deployments=("classic", "scaled"), batch_sizes=(4,),
-            num_requests=24, return_results=True,
+            num_requests=24,
         )
         assert len(rows) == 4
         by_label = {row["label"]: row for row in rows}
@@ -198,7 +196,7 @@ class TestPaperClaims:
         rows = reports("recovery")["rows"]
         assert rows
         assert all(row["fetched blocks"] > 0 for row in rows), "the crash left no gap"
-        recovered, _ = run_sweep("recovery", smoke=True, return_results=True)
+        recovered, _ = run_sweep("recovery", smoke=True)
         for result in recovered:
             assert result.caught_up
             assert not result.rejected, f"honest peers were rejected: {result.rejected}"
@@ -221,7 +219,7 @@ class TestPaperClaims:
             assert row["reproposed rounds"] >= 1, "the stranded round was not re-proposed"
             assert row["certificates"] >= 2, "quorum of frontier certificates missing"
             assert row["post committed"] > 0, "no commits under the successor"
-        outcomes, deeper = run_sweep("failover", stall_requests=(4, 8), return_results=True)
+        outcomes, deeper = run_sweep("failover", stall_requests=(4, 8))
         assert not any(outcome.rejected_certificates for outcome in outcomes)
         # Scaled: disjoint groups keep committing through a longer outage, so
         # the successor certifies a deeper frontier.
@@ -233,7 +231,7 @@ class TestPaperClaims:
     def test_ablation_latency_wan_rounds_are_network_bound(self, reports):
         lan_row, wan_row = reports("ablation-latency")["rows"]
         assert lan_row["committed"] == wan_row["committed"] > 0
-        results, _ = run_sweep("ablation-latency", num_requests=40, return_results=True)
+        results, _ = run_sweep("ablation-latency", num_requests=40)
         lan, wan = results
         # A block's network time (its latency without the measured compute)
         # grows by well over 5x.  It is seeded draws; measured compute only

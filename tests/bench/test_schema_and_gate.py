@@ -65,7 +65,7 @@ class TestBenchCliExitCodes:
     def test_empty_sweep_fails(self, capsys, monkeypatch):
         from repro.bench import __main__ as cli
 
-        monkeypatch.setattr(cli, "run_sweep", lambda name, **kwargs: [])
+        monkeypatch.setattr(cli, "run_sweep", lambda name, **kwargs: ([], []))
         assert cli.main(["figure12"]) == 1
         assert "no result rows" in capsys.readouterr().err
 

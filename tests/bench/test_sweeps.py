@@ -67,7 +67,7 @@ def test_every_row_says_what_it_sweeps(name):
 
 @pytest.mark.parametrize("name", sorted(CLI_NAMES))
 def test_results_pair_with_rows_and_labels_are_unique(name):
-    results, rows = run_sweep(name, return_results=True, **TINY[name])
+    results, rows = run_sweep(name, **TINY[name])
     assert rows and len(results) == len(rows)
     # ``schema.summarize_rows`` keys by label and would silently overwrite a
     # duplicate (fault-matrix rows are named by their ``scenario``).

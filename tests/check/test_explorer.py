@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.check import invariants
 from repro.check.choices import ChoiceSource, choose, driven_by
 from repro.check.explorer import Counterexample, Explorer, run_fingerprint
-from repro.check.invariants import RunRecord
+from repro.check.invariants import RunRecord, check_round_state_released
 from repro.check.scenarios import SCENARIOS
 
 
@@ -33,8 +34,14 @@ def _stub_record(fingerprint: str, pending_rounds: int = 0) -> RunRecord:
 
 def _toy(name: str, run) -> SimpleNamespace:
     """A scenario-shaped stand-in with no deployment: ``run`` makes the choices."""
-    return SimpleNamespace(
-        name=name, features=frozenset(), invariants=["round-state-released"], run=run
+    return SimpleNamespace(name=name, features=frozenset(), run=run)
+
+
+@pytest.fixture
+def stub_catalogue(monkeypatch):
+    """The one invariant a stub record can be checked for: round-state-released."""
+    monkeypatch.setattr(
+        invariants, "INVARIANTS", {"round-state-released": check_round_state_released}
     )
 
 
@@ -57,6 +64,7 @@ TOY_BUGGY = _toy("toy-buggy", _buggy_run)
 TOY_COLLAPSING = _toy("toy-collapsing", _collapsing_run)
 
 
+@pytest.mark.usefixtures("stub_catalogue")
 class TestSearch:
     def test_bfs_finds_and_minimizes_the_buggy_schedule(self):
         result = Explorer(TOY_BUGGY, max_runs=50).explore()
@@ -92,7 +100,7 @@ class TestSearch:
         assert result.distinct_states == 4
 
     def test_run_budget_is_respected(self):
-        result = Explorer(TOY_BUGGY, max_runs=2, minimize=False).explore()
+        result = Explorer(TOY_BUGGY, max_runs=2).explore()
         assert result.runs == 2
         assert result.budget_exhausted
 
@@ -130,6 +138,7 @@ class TestSearch:
         assert (result.runs, result.clean) == (1, True)
 
 
+@pytest.mark.usefixtures("stub_catalogue")
 class TestMinimization:
     def test_non_minimal_counterexample_shrinks(self):
         explorer = Explorer(TOY_BUGGY, max_runs=10)

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import replace
 from types import SimpleNamespace
 
-import pytest
-
 from repro.bench import harness
+from repro.check import invariants
 from repro.check.invariants import (
     INVARIANTS,
     RunRecord,
+    Violation,
     check_agreement,
     check_decided_once,
     check_frontier_monotonic,
@@ -315,15 +315,17 @@ class TestOrderingConsistent:
 
 
 class TestEvaluate:
-    def test_unknown_invariant_raises(self):
-        record = _record({"s0": _server()})
-        with pytest.raises(KeyError):
-            evaluate(record, ["no-such-invariant"])
+    def test_runs_every_checker_in_catalogue_order(self, monkeypatch):
+        def planted(name):
+            return lambda record: [Violation(name, "planted")]
 
-    def test_selection_runs_only_named_checkers(self):
+        monkeypatch.setattr(invariants, "INVARIANTS", {"b": planted("b"), "a": planted("a")})
+        assert [v.invariant for v in evaluate(_record({}))] == ["b", "a"]
+
+    def test_a_checker_reports_only_its_own_invariant(self):
         record = _record({"s0": _server(pending_rounds=1)})
-        assert evaluate(record, ["agreement"]) == []
-        assert [v.invariant for v in evaluate(record, ["round-state-released"])] == [
+        assert INVARIANTS["agreement"](record) == []
+        assert [v.invariant for v in INVARIANTS["round-state-released"](record)] == [
             "round-state-released"
         ]
 

@@ -61,7 +61,7 @@ def test_round_failed_leak_needs_a_crash_branch():
     (no-crash) schedule is clean, so rediscovery genuinely exercises the
     crash choice points rather than falling out of run #1."""
     with mutated("pr3-round-failed-leak"):
-        result = Explorer(SCENARIOS["classic-crash"], max_runs=1, minimize=False).explore()
+        result = Explorer(SCENARIOS["classic-crash"], max_runs=1).explore()
     assert result.clean
 
 

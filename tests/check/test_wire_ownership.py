@@ -124,7 +124,7 @@ _ids = st.text(alphabet="abcxyz0123456789-", min_size=1, max_size=6) | st.sample
 #: Every item starts at the genesis stamp, which the readers take a path of
 #: their own for: it is drawn, beside its neighbours, as often as any stamp.
 _stamps = st.one_of(
-    st.sampled_from([Timestamp.zero(), Timestamp.zero("a"), Timestamp(1, "")]),
+    st.sampled_from([Timestamp.zero(), Timestamp(0, "a"), Timestamp(1, "")]),
     st.builds(Timestamp, st.integers(0, 2**40), _ids),
 )
 _values = st.one_of(

@@ -70,7 +70,7 @@ def replay(
         source = ChoiceSource(trace.choices, features=set(scenario.features))
         with driven_by(source):
             record = scenario.run()
-    return record, evaluate(record, scenario.invariants)
+    return record, evaluate(record)
 
 
 def assert_trace(path) -> None:

@@ -26,7 +26,7 @@ from repro.common.wire import TIMESTAMP
 
 #: The genesis stamp, its two neighbours, and stamps of any counter and id.
 _stamps = st.one_of(
-    st.sampled_from([Timestamp.zero(), Timestamp.zero("a"), Timestamp(1, "")]),
+    st.sampled_from([Timestamp.zero(), Timestamp(0, "a"), Timestamp(1, "")]),
     st.builds(Timestamp, st.integers(0, 2**70), st.text(max_size=6)),
 )
 

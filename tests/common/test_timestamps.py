@@ -36,9 +36,6 @@ class TestTimestamp:
     def test_str_contains_counter(self):
         assert "7" in str(Timestamp(7, "x"))
 
-    def test_zero(self):
-        assert Timestamp.zero("z") == Timestamp(0, "z")
-
 
 class TestTimestampGenerator:
     def test_next_is_strictly_increasing(self):
@@ -93,4 +90,3 @@ class TestOneGenesisStamp:
     def test_zero_is_one_object(self):
         assert Timestamp.zero() is Timestamp.zero()
         assert Timestamp.zero() == Timestamp(0, "")
-        assert Timestamp.zero("z") is not Timestamp.zero("z")

@@ -72,7 +72,7 @@ class TestClassicFailover:
         _strand_round(small_system, item_b, value=9)
         assert small_system.recover_server("s0").caught_up
 
-        outcome = small_system.fail_over(reason="round timer expired")
+        outcome = small_system.fail_over()
         assert outcome.deposed == "s0"
         assert outcome.successor == "s1"
         assert outcome.new_view == 1
@@ -361,7 +361,7 @@ class TestCrashDuringEquivocation:
 
         # The failed round released its state, so the view change finds
         # nothing to re-propose -- deposing here is about fencing, not replay.
-        outcome = small_system.fail_over(reason="equivocation detected")
+        outcome = small_system.fail_over()
         assert outcome.successor == "s1"
         assert outcome.stalled_rounds == []
 

@@ -20,7 +20,6 @@ def pipeline_point(deployment: str, depth: int, num_requests: int):
         deployments=(deployment,),
         batch_sizes=(4,),
         num_requests=num_requests,
-        return_results=True,
     )
     return result, row
 

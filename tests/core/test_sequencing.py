@@ -286,7 +286,7 @@ class TestShardedDeployment:
         system = make_scaled_system(num_servers=4, sequencer=sharded_sequencer(2))
         system.run_workload(partitioned_specs(system, 6), num_clients=2)
         leaders = sorted(system.active_group_coordinators)
-        outcome = system.fail_over(leaders[0], reason="test")
+        outcome = system.fail_over(leaders[0])
         assert outcome.new_view >= 1
         # The deployment keeps committing after the view change, and the
         # stream stays dependency-ordered across the failover flush.

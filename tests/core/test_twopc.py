@@ -75,7 +75,6 @@ class TestEmptyCohortGuards:
         assert answers == ({}, [])
         assert timing.phases["prepare"] == 0.0
         assert timing.network_time == 0.0
-        assert timing.compute_time == 0.0
 
     def test_commit_batch_with_empty_cohort_list_does_not_raise(self, twopc_system):
         from repro.core.twopc import TwoPhaseCommitCoordinator

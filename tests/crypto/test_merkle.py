@@ -79,10 +79,6 @@ class TestMerkleTreeBasics:
         with pytest.raises(StorageError):
             build_tree(4).verification_object("missing")
 
-    def test_ordered_ids_must_match_items(self):
-        with pytest.raises(StorageError):
-            MerkleTree({"a": 1}, ordered_ids=["a", "b"])
-
 
 class TestVerificationObjects:
     def test_proof_verifies_for_every_leaf(self):

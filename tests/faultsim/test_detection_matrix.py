@@ -81,7 +81,7 @@ def campaign():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "build", recording_build(built))
         reports, rows = run_sweep(
-            "faultmatrix", smoke=True, num_requests=4, return_results=True
+            "faultmatrix", smoke=True, num_requests=4
         )
     return SimpleNamespace(
         results={row["scenario"]: (report, row) for report, row in zip(reports, rows)},

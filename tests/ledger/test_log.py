@@ -141,7 +141,7 @@ def select_correct_log(logs):
     for sid, keypair in KEYPAIRS.items():
         network.register_observer(sid, keypair)
     report = AuditReport()
-    reference = Auditor(network, SERVER_IDS, shard_map=None).check_logs(logs, report, {})
+    reference = Auditor(network, SERVER_IDS, shard_map=None).check_logs(logs, report)
     return report.reference_log_server, reference, report.log_results
 
 

@@ -1,10 +1,10 @@
-"""Unit tests for the span tracer: recording, invariants, exports."""
+"""Unit tests for the span tracer: recording, invariants, the JSONL export."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.trace import Span, Tracer, spans_from_chrome
+from repro.obs.trace import Span, Tracer
 
 
 def _well_formed_tracer() -> Tracer:
@@ -20,7 +20,7 @@ def _well_formed_tracer() -> Tracer:
 class TestDisabledTracerIsInert:
     def test_every_recorder_is_a_no_op(self):
         tracer = Tracer(enabled=False)
-        assert tracer.begin_process("bench") == 0
+        assert tracer.begin_process() == 0
         assert tracer.open_span("r", "round", "s0", 0.0) is None
         assert tracer.add_span("p", "phase", "s0", 0.0, 1.0) is None
         assert tracer.instant("i", "event", "s0", 0.5) is None
@@ -60,9 +60,9 @@ class TestRecording:
 
     def test_begin_process_partitions_spans(self):
         tracer = Tracer(enabled=True)
-        first = tracer.begin_process("run-a")
+        first = tracer.begin_process()
         tracer.add_span("p", "phase", "s0", 0.0, 1.0)
-        second = tracer.begin_process("run-b")
+        second = tracer.begin_process()
         tracer.add_span("p", "phase", "s0", 0.0, 1.0)
         assert first != second
         assert [s.pid for s in tracer.spans] == [first, second]
@@ -180,24 +180,3 @@ class TestExports:
             attrs={"view": 1},
         )
         assert Span.from_wire(span.to_wire()) == span
-
-    def test_chrome_export_preserves_structure(self):
-        tracer = _well_formed_tracer()
-        tracer.processes.append("run-a")
-        trace = tracer.chrome_trace()
-        reloaded = Tracer.from_records(spans_from_chrome(trace))
-        assert reloaded.span_count() == tracer.span_count()
-        assert [s.name for s in reloaded.spans] == [s.name for s in tracer.spans]
-        assert [s.parent for s in reloaded.spans] == [s.parent for s in tracer.spans]
-        assert [s.status for s in reloaded.spans] == [s.status for s in tracer.spans]
-        assert reloaded.check_invariants() == []
-
-    def test_chrome_trace_names_processes_and_threads(self):
-        tracer = _well_formed_tracer()
-        trace = tracer.chrome_trace()
-        meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-        assert {"name": "repro"} in [e["args"] for e in meta]
-        thread_names = {
-            e["args"]["name"] for e in meta if e["name"] == "thread_name"
-        }
-        assert {"s0", "s1", "s2"} <= thread_names

@@ -18,7 +18,8 @@ class TestVirtualClock:
     def test_set_may_jump_backwards(self):
         # Scheduling another resource's earlier activity legitimately moves
         # the "current activity time" backwards (see the module docstring).
-        clock = VirtualClock(start=10.0)
+        clock = VirtualClock()
+        clock.set(10.0)
         clock.set(2.0)
         assert clock.now == 2.0
 
@@ -38,7 +39,8 @@ class TestHighWaterMark:
         assert clock.high_water == 7.0
 
     def test_a_backwards_set_does_not_lower_it(self):
-        clock = VirtualClock(start=10.0)
+        clock = VirtualClock()
+        clock.set(10.0)
         clock.set(2.0)
         assert (clock.now, clock.high_water) == (2.0, 10.0)
 

@@ -22,7 +22,7 @@ from repro.storage.record import (
 )
 
 _stamps = st.one_of(
-    st.sampled_from([Timestamp.zero(), Timestamp.zero("a"), Timestamp(1, "")]),
+    st.sampled_from([Timestamp.zero(), Timestamp(0, "a"), Timestamp(1, "")]),
     st.builds(Timestamp, st.integers(0, 2**40), st.text(max_size=3)),
 )
 #: The initial value, its look-alikes, and values that are plainly other.

@@ -1,4 +1,4 @@
-"""Tests for key-choice distributions."""
+"""Tests for the Zipfian key choice."""
 
 from __future__ import annotations
 
@@ -6,29 +6,9 @@ import collections
 
 import pytest
 
-from repro.workload.distributions import UniformKeys, ZipfianKeys
+from repro.workload.distributions import ZipfianKeys
 
 ITEMS = [f"item-{i}" for i in range(100)]
-
-
-class TestUniformKeys:
-    def test_samples_come_from_universe(self):
-        dist = UniformKeys(ITEMS, seed=1)
-        assert all(dist.sample() in ITEMS for _ in range(100))
-
-    def test_deterministic_per_seed(self):
-        a = [UniformKeys(ITEMS, seed=3).sample() for _ in range(20)]
-        b = [UniformKeys(ITEMS, seed=3).sample() for _ in range(20)]
-        assert a == b
-
-    def test_empty_universe_rejected(self):
-        with pytest.raises(ValueError):
-            UniformKeys([], seed=1)
-
-    def test_roughly_uniform_coverage(self):
-        dist = UniformKeys(ITEMS, seed=5)
-        counts = collections.Counter(dist.sample() for _ in range(5000))
-        assert len(counts) > 90  # nearly every key shows up
 
 
 class TestZipfianKeys:

@@ -68,20 +68,6 @@ class TestYcsbWorkload:
         b = YcsbWorkload(item_ids=ITEMS, seed=5).generate(10)
         assert [s.item_ids() for s in a] == [s.item_ids() for s in b]
 
-    def test_write_only_mix(self):
-        workload = YcsbWorkload(
-            item_ids=ITEMS, ops_per_txn=4, read_modify_write=False, write_fraction=1.0, seed=1
-        )
-        spec = workload.generate(1)[0]
-        assert not any(op.is_read for op in spec.operations)
-
-    def test_read_only_mix(self):
-        workload = YcsbWorkload(
-            item_ids=ITEMS, ops_per_txn=4, read_modify_write=False, write_fraction=0.0, seed=1
-        )
-        spec = workload.generate(1)[0]
-        assert all(op.is_read for op in spec.operations)
-
     def test_window_too_large_rejected(self):
         with pytest.raises(ConfigurationError):
             YcsbWorkload(item_ids=ITEMS[:10], ops_per_txn=5, conflict_free_window=10)
