@@ -36,6 +36,11 @@ class TestTimestamp:
     def test_str_contains_counter(self):
         assert "7" in str(Timestamp(7, "x"))
 
+    def test_a_client_zero_follows_the_genesis_stamp(self):
+        client_zero = Timestamp(0, "z")
+        assert client_zero is not Timestamp.zero()
+        assert Timestamp.zero() < client_zero < Timestamp(1, "")
+
 
 class TestTimestampGenerator:
     def test_next_is_strictly_increasing(self):

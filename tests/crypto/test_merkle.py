@@ -79,6 +79,13 @@ class TestMerkleTreeBasics:
         with pytest.raises(StorageError):
             build_tree(4).verification_object("missing")
 
+    def test_leaves_are_ordered_by_item_id_not_insertion(self):
+        forward = {f"item-{i:04d}": i for i in range(9)}
+        backward = dict(reversed(list(forward.items())))
+        tree = MerkleTree(backward)
+        assert tree.item_ids() == sorted(forward)
+        assert tree.root == MerkleTree(forward).root
+
 
 class TestVerificationObjects:
     def test_proof_verifies_for_every_leaf(self):

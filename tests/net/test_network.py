@@ -54,6 +54,13 @@ class TestDelivery:
         responses = network.broadcast("client", ["server", "server2"], MessageType.READ, {})
         assert set(responses) == {"server", "server2"}
 
+    def test_broadcast_skips_a_recipient_that_is_down(self, network):
+        network.register("server2", keypair_for("server2"), lambda env: {"ok": True})
+        network.unregister("server2")
+        responses = network.broadcast("client", ["server", "server2"], MessageType.READ, {})
+        assert set(responses) == {"server"}
+        assert len(network.received) == 1
+
     def test_the_registry_counts_each_delivery(self, network):
         network.send("client", "server", MessageType.READ, {})
         network.send("client", "server", MessageType.WRITE, {})

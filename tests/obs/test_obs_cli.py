@@ -33,6 +33,13 @@ class TestSummarizeAndFingerprint:
         assert main(["fingerprint", str(jsonl)]) == 0
         assert capsys.readouterr().out.strip() == tracer.fingerprint()
 
+    def test_blank_lines_between_records_are_skipped(self, trace_paths, tmp_path, capsys):
+        tracer, jsonl = trace_paths
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + "\n\n".join(jsonl.read_text().splitlines()) + "\n  \n")
+        assert main(["fingerprint", str(spaced)]) == 0
+        assert capsys.readouterr().out.strip() == tracer.fingerprint()
+
 
 class TestValidate:
     def test_clean_trace_exits_zero(self, trace_paths, capsys):

@@ -58,6 +58,14 @@ class TestRecording:
         (instant,) = [s for s in tracer.spans if s.kind == "instant"]
         assert instant.start == instant.end == 0.2
 
+    def test_opened_spans_and_instants_are_roots(self):
+        tracer = Tracer(enabled=True)
+        round_id = tracer.open_span("round-1", "round", "s0", 0.0)
+        tracer.instant("inject:crash", "fault-inject", "s1", 0.2)
+        tracer.open_span("round-2", "round", "s0", 0.1)
+        assert [s.parent for s in tracer.spans] == [None, None, None]
+        assert round_id == tracer.spans[0].span_id
+
     def test_begin_process_partitions_spans(self):
         tracer = Tracer(enabled=True)
         first = tracer.begin_process()

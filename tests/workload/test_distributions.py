@@ -30,3 +30,12 @@ class TestZipfianKeys:
     def test_samples_in_universe(self):
         dist = ZipfianKeys(ITEMS, seed=2)
         assert all(dist.sample() in ITEMS for _ in range(200))
+
+    def test_deterministic_per_seed(self):
+        a = [ZipfianKeys(ITEMS, seed=3).sample() for _ in range(20)]
+        b = [ZipfianKeys(ITEMS, seed=3).sample() for _ in range(20)]
+        assert a == b
+
+    def test_empty_universe_rejected(self):
+        with pytest.raises(ValueError):
+            ZipfianKeys([], seed=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,34 @@ class TestYcsbWorkload:
         b = YcsbWorkload(item_ids=ITEMS, seed=5).generate(10)
         assert [s.item_ids() for s in a] == [s.item_ids() for s in b]
 
+    def test_different_seeds_draw_different_items(self):
+        a = YcsbWorkload(item_ids=ITEMS, seed=5).generate(10)
+        b = YcsbWorkload(item_ids=ITEMS, seed=6).generate(10)
+        assert [s.item_ids() for s in a] != [s.item_ids() for s in b]
+
+    def test_each_item_is_read_then_written(self):
+        """Every operation pair is a read of an item and then a write of it."""
+        workload = YcsbWorkload(item_ids=ITEMS, ops_per_txn=4, seed=1)
+        for spec in workload.generate(20):
+            reads, writes = spec.operations[0::2], spec.operations[1::2]
+            assert all(op.is_read for op in reads)
+            assert not any(op.is_read for op in writes)
+            assert [op.item_id for op in reads] == [op.item_id for op in writes]
+
+    def test_draws_come_from_the_universe(self):
+        workload = YcsbWorkload(item_ids=ITEMS, ops_per_txn=5, seed=1)
+        drawn = {item for spec in workload.generate(100) for item in spec.item_ids()}
+        assert drawn <= set(ITEMS)
+
+    def test_draws_cover_the_universe(self):
+        """5 000 uniform draws over 200 items miss almost none of them."""
+        workload = YcsbWorkload(item_ids=ITEMS, ops_per_txn=5, seed=5)
+        counts = collections.Counter(
+            item for spec in workload.generate(1000) for item in spec.item_ids()
+        )
+        assert len(counts) > 190
+        assert max(counts.values()) < 4 * 5000 / len(ITEMS)
+
     def test_window_too_large_rejected(self):
         with pytest.raises(ConfigurationError):
             YcsbWorkload(item_ids=ITEMS[:10], ops_per_txn=5, conflict_free_window=10)
@@ -82,6 +112,21 @@ class TestYcsbWorkload:
             op.value for spec in workload.generate(20) for op in spec.operations if not op.is_read
         ]
         assert len(values) == len(set(values))
+
+    def test_a_second_generate_continues_the_written_values(self):
+        workload = YcsbWorkload(item_ids=ITEMS, ops_per_txn=2, seed=1)
+        written = [
+            op.value
+            for count in (3, 4)
+            for spec in workload.generate(count)
+            for op in spec.operations
+            if not op.is_read
+        ]
+        assert written == list(range(1, 15))
+
+    def test_the_value_counter_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            YcsbWorkload(item_ids=ITEMS, _value_counter=10)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=20))
