@@ -38,7 +38,7 @@ class ViolationType(Enum):
     ANCHOR_MISMATCH = "epoch-anchor-mismatch"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One detected anomaly."""
 

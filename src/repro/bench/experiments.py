@@ -28,7 +28,7 @@ from repro.recovery import FileStateStore
 from repro.server.faults import FaultPlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sweep:
     """One row of :data:`SWEEPS`: a parameter grid over one experiment.
 

@@ -42,7 +42,7 @@ from repro.sim.context import FixedCompute
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """One point in an evaluation sweep.
 

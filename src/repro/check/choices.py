@@ -39,7 +39,7 @@ class ChoiceError(Exception):
     """A choice prefix no longer matches the decision sites of the run."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoicePoint:
     """One decision taken during a driven run."""
 

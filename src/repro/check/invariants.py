@@ -30,7 +30,7 @@ _EPS = 1e-9
 _COMPUTE_PHASES = frozenset({"aggregate", "finalize"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One invariant violation found in one explored run."""
 

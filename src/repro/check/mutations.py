@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mutation:
     """One re-introducible bug."""
 

@@ -85,7 +85,7 @@ def explored_byzantine_coordinator(
     ] + [explored("equivocate", coordinator, budget)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioRow:
     """One row of :data:`SCENARIOS`: a checkable deployment and its script."""
 

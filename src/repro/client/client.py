@@ -38,7 +38,7 @@ from repro.storage.shard import ShardMap
 from repro.txn.transaction import Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitOutcome:
     """What the client learns about a terminated transaction."""
 

@@ -17,7 +17,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import ServerId, make_server_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemConfig:
     """Static configuration of a Fides cluster.
 

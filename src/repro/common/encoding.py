@@ -48,6 +48,7 @@ key of a wire form is one -- and checks an int's spelling on its bytes.
 from __future__ import annotations
 
 import struct
+from sys import intern
 from typing import Any, Callable, Dict
 
 #: The format's tag bytes, as the integers ``data[offset]`` reads.  This is
@@ -208,7 +209,7 @@ def _decode_at(data: bytes, offset: int) -> tuple:
                 offset += 5 + _length_at(data, offset + 1)[0]
                 if offset > size:
                     raise ValueError("truncated canonical encoding (payload shorter than prefix)")
-                key = data[start + 5 : offset].decode("utf-8")
+                key = intern(data[start + 5 : offset].decode("utf-8"))
             else:
                 key, offset = _decode_at(data, offset)
                 if isinstance(key, (list, dict)):

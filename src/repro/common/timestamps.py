@@ -25,7 +25,7 @@ from repro.common.types import ClientId
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Timestamp:
     """A totally ordered Lamport timestamp ``(counter, client_id)``.
 

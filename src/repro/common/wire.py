@@ -5,7 +5,7 @@ peers sign, hash and read back.  A wire class states that form next to its
 fields::
 
     @wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
-    @dataclass(frozen=True)
+    @dataclass(frozen=True, slots=True)
     class ReadResult: ...
 
 and :func:`wire_form` derives the rest from the declaration, one codec per
@@ -42,6 +42,7 @@ import struct
 from dataclasses import fields, is_dataclass
 from functools import wraps
 from operator import attrgetter, methodcaller
+from sys import intern
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.common.encoding import (
@@ -140,11 +141,13 @@ def _exactly(label: str, *types, read=None) -> Kind:
 
 
 def _read_str(data, offset):
+    # Interned: every decode of an id shares one str.  Interned strings are
+    # mortal, so bytes from a peer cannot pin memory with them.
     tag, length = _head(data, offset)
     end = offset + 5 + length
     if tag != TAG_STR or end > len(data):
         raise _expected("a str", data, offset)
-    return data[offset + 5 : end].decode(), end
+    return intern(data[offset + 5 : end].decode()), end
 
 
 def _read_bytes(data, offset):
@@ -364,7 +367,7 @@ def _read_timestamp(data, offset):
     end = start + 5 + length
     if tag != TAG_STR or end > len(data):
         raise _expected("a str", data, start)
-    client_id = data[start + 5 : end].decode()
+    client_id = intern(data[start + 5 : end].decode())
     if counter < 0:
         raise _stopped("a timestamp counter must be >= 0", offset)
     return Timestamp(counter, client_id), end

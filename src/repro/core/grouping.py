@@ -34,7 +34,7 @@ def _pick_coordinator(servers: Set[str], exclude: Iterable[str]) -> str:
 
 
 @wire_form(("members", ID_SET), ("coordinator", STR))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerGroup:
     """One dynamic group: the servers a transaction (or batch) touches."""
 

@@ -72,7 +72,7 @@ from repro.ledger.block import Block
 from repro.obs import Observability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedBlock:
     """A block as finalised by the ordering service.
 
@@ -94,7 +94,7 @@ class OrderedBlock:
         return self.block.block_hash()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderingShardMap:
     """Server → ordering-shard mapping over the deployment's servers.
 

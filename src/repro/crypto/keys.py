@@ -31,7 +31,7 @@ class PublicKey:
         return hashlib.sha256(self.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrivateKey:
     """A secret scalar in ``[1, n)`` where ``n`` is the curve order."""
 
@@ -46,7 +46,7 @@ class PrivateKey:
         return PublicKey(generator_multiply(self.scalar))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """A (secret, public) key pair owned by one participant."""
 

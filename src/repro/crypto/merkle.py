@@ -81,7 +81,7 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     ("leaf_index", INT),
     ("siblings", list_of(pair_of(BYTES, BOOL))),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationObject:
     """The sibling hashes on the path from one leaf to the root.
 
@@ -156,11 +156,6 @@ class MerkleTree:
             levels.append(parents)
             current = parents
         self._levels = levels
-
-    @classmethod
-    def from_items(cls, items: Mapping[str, object]) -> "MerkleTree":
-        """Build a tree over ``items`` with leaves ordered by item id."""
-        return cls(items)
 
     # -- queries ------------------------------------------------------------
 

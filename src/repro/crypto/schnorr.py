@@ -31,7 +31,7 @@ from repro.crypto.hashing import hash_concat, hash_to_int
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchnorrSignature:
     """A Schnorr signature ``(R, s)``: a nonce commitment point and a scalar."""
 

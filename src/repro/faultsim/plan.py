@@ -27,7 +27,7 @@ from repro.server.faults import FaultPlan
 RESERVED_ITEM = "$reserved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CampaignScenario:
     """One row of the fault matrix: plans + probe + detection expectation."""
 

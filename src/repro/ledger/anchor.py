@@ -67,7 +67,7 @@ def fold_shard_head(head: bytes, block: Block) -> bytes:
     ("shard_heads", list_of(BYTES)),
     ("previous", BYTES),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochAnchor:
     """One sealed ordering epoch (DESIGN.md section 5).
 

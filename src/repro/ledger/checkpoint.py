@@ -45,7 +45,7 @@ from repro.ledger.log import TransactionLog, checkpoint_covers
     ("transactions_covered", INT),
     ("cosign", optional(nested(CollectiveSignature))),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Checkpoint:
     """A collectively signed summary of a log prefix."""
 

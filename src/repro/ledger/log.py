@@ -28,7 +28,7 @@ from repro.crypto.keys import PublicKey
 from repro.ledger.block import Block, genesis_previous_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogVerificationResult:
     """Outcome of verifying one server's log copy.
 

@@ -50,7 +50,7 @@ from repro.txn.transaction import Transaction
 
 
 @wire_form(("txn_id", STR), ("client_id", STR))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeginTxn:
     """A client opens ``txn_id`` on a server; ``client_id`` must be the sender."""
 
@@ -59,14 +59,14 @@ class BeginTxn:
 
 
 @wire_form(("txn_id", STR), ("item_id", STR))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadItem:
     txn_id: str
     item_id: str
 
 
 @wire_form(("txn_id", STR), ("item_id", STR), ("value", ANY))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteItem:
     txn_id: str
     item_id: str
@@ -74,16 +74,21 @@ class WriteItem:
 
 
 @wire_form(("transaction", nested(Transaction)), ("commit_ts", TIMESTAMP))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndTxn:
     """A client's signed termination request; ``commit_ts`` must be the transaction's."""
 
     transaction: Transaction
     commit_ts: Timestamp
 
+    @property
+    def txn_id(self) -> str:
+        """The transaction's id, as every other client request carries one."""
+        return self.transaction.txn_id
+
 
 @wire_form(("block", nested(Block)), ("client_requests", list_of(nested(Envelope))))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """A partial block and the signed ``END_TRANSACTION`` requests behind it:
     ``GET_VOTE``, ``PREPARE``, and a stalled round handed to a view change."""
@@ -93,7 +98,7 @@ class Proposal:
 
 
 @wire_form(("challenge", SCALAR), ("aggregate_commitment", BYTES), ("block", nested(Block)))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenge:
     challenge: int
     aggregate_commitment: bytes
@@ -101,7 +106,7 @@ class Challenge:
 
 
 @wire_form(("block", nested(Block)))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecidedBlock:
     """A terminated block: ``DECISION``, ``COMMIT_DECISION``, ``ORDERED_BLOCK``."""
 
@@ -109,7 +114,7 @@ class DecidedBlock:
 
 
 @wire_form(("round_key", list_of(ANY)))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundFailed:
     """:meth:`~repro.ledger.block.Block.round_key` of a round that will see no decision."""
 
@@ -117,7 +122,7 @@ class RoundFailed:
 
 
 @wire_form(("group", optional(list_of(STR))), ("deposed", STR), ("view", INT))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewChange:
     """``VIEW_CHANGE`` and ``NEW_VIEW``: ``deposed`` no longer leads ``group``
     (``None``: any group) from ``view`` on."""
@@ -128,19 +133,19 @@ class ViewChange:
 
 
 @wire_form(("from_height", INT))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateRequest:
     from_height: int
 
 
 @wire_form(("full", BOOL))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditLogRequest:
     full: bool = True
 
 
 @wire_form(("item_id", STR), ("at", optional(TIMESTAMP)))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditVoRequest:
     """A verification object for ``item_id``, as of version ``at`` (``None``: now)."""
 
@@ -154,7 +159,7 @@ class AuditVoRequest:
 @wire_form(
     ("server_id", STR), ("reason", STR), ("compute_time", NUMBER), ("unreachable", BOOL)
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refusal:
     """Why ``server_id`` gave no answer of the row's form.
 
@@ -170,13 +175,13 @@ class Refusal:
 
 
 @wire_form(("server_id", STR))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack:
     server_id: str
 
 
 @wire_form(("old", nested(ReadResult)))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteAck:
     """The value and timestamps the buffered write will replace."""
 
@@ -210,7 +215,7 @@ class VoteResult:
 
 
 @wire_form(("involved", BOOL), ("decision", STR), ("reason", STR), ("compute_time", NUMBER))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrepareVote:
     """A 2PC cohort's vote: no commitment, no root."""
 
@@ -221,14 +226,14 @@ class PrepareVote:
 
 
 @wire_form(("response", SCALAR), ("compute_time", NUMBER))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeResponse:
     response: int
     compute_time: float
 
 
 @wire_form(("state_known", BOOL), ("compute_time", NUMBER))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Applied:
     """The block is in the log; ``state_known``: this server had voted on it."""
 
@@ -237,7 +242,7 @@ class Applied:
 
 
 @wire_form(("released", INT), ("compute_time", NUMBER))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Released:
     """How many armed rounds ``ROUND_FAILED`` / ``NEW_VIEW`` made this cohort drop."""
 
@@ -252,7 +257,7 @@ class Released:
     ("head_hash", BYTES),
     ("head", optional(MAPPING)),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierCertificate:
     """One cohort's signed-evidence claim of its commit frontier.
 
@@ -276,7 +281,7 @@ class FrontierCertificate:
     ("stalled", list_of(nested(Proposal))),
     ("compute_time", NUMBER),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierReport:
     """A cohort's answer to ``VIEW_CHANGE``: its frontier, and every round the
     deposed coordinator left armed on it."""
@@ -287,7 +292,7 @@ class FrontierReport:
 
 
 @wire_form(("head_height", INT), ("blocks", list_of(nested(Block))))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateResponse:
     """The served block range and the serving peer's (claimed) log height."""
 
@@ -304,7 +309,7 @@ class StateResponse:
     ("block_digest", optional(BYTES)),
     ("cosign", optional(nested(CollectiveSignature))),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnOutcome:
     """Outcome of one transaction within a block, and its proof: the decision
     block's signing digest and co-sign, which the client verifies itself
@@ -327,7 +332,7 @@ class TxnOutcome:
     ("outcomes", list_of(nested(TxnOutcome))),
     ("frontier", optional(TIMESTAMP)),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Termination:
     """A coordinator's answer to ``END_TRANSACTION``: ``queued`` until the
     transaction's block fills, else the ``outcomes`` of every transaction the
@@ -340,7 +345,7 @@ class Termination:
 
 
 @wire_form(("value", ANY), ("vo", nested(VerificationObject)))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inclusion:
     """An item's stored value and the Merkle path that should prove it (the
     auditor holds the co-signed root it must lead to)."""

@@ -81,7 +81,7 @@ class MessageType(Enum):
     ),
     ("signature", optional(BYTES)),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """A signed protocol message.
 

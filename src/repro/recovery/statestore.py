@@ -72,7 +72,7 @@ from repro.storage.record import VERSION_CHAIN, RecordVersion
 
 
 @wire_form(tag("kind", "block"), ("block", nested(Block)), ("shard_root", BYTES))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockRecord:
     """Journal record: one applied block and the shard root it produced."""
 
@@ -91,7 +91,7 @@ class BlockRecord:
     ),
     ("checkpoint", optional(nested(Checkpoint))),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotRecord:
     """Journal record: a datastore dump (:meth:`DataStore.export_state`'s two
     fields), the checkpoint it was taken under and the next block it expects."""

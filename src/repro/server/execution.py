@@ -16,7 +16,7 @@ touching the honest code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.common.errors import StorageError
 from repro.common.types import ClientId, ItemId, TxnId, Value
@@ -43,7 +43,8 @@ class ExecutionLayer:
         self._faults = faults or FaultPolicy()
         self._active: Dict[TxnId, ActiveTransaction] = {}
         #: Archive of signed client envelopes, the server's defence against
-        #: falsified client accusations (Section 3.2).
+        #: falsified client accusations (Section 3.2), until a checkpoint
+        #: covers their transactions.
         self._client_message_log: List[Envelope] = []
 
     @property
@@ -59,6 +60,15 @@ class ExecutionLayer:
 
     def archive_client_message(self, envelope: Envelope) -> None:
         self._client_message_log.append(envelope)
+
+    def forget_client_messages(self, txn_ids: Set[TxnId]) -> None:
+        """Drop the archived requests of ``txn_ids``, whose blocks a co-signed
+        checkpoint covers: the checkpoint, not the requests, now vouches for them."""
+        self._client_message_log = [
+            envelope
+            for envelope in self._client_message_log
+            if envelope.payload.txn_id not in txn_ids
+        ]
 
     # -- transaction life-cycle -------------------------------------------------
 

@@ -86,7 +86,7 @@ FAULT_KINDS: Dict[str, Optional[str]] = {
 _DEFAULT_CORRUPT_DELTA = 7_777_777
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultPlan:
     """One server's declared misbehaviour: which fault, where, and when."""
 

@@ -21,6 +21,7 @@ the catch-up performs.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.common.errors import (
@@ -207,11 +208,16 @@ class DatabaseServer:
         dropped.  A *stale* checkpoint -- at or below the boundary already
         installed -- is a no-op: regressing ``latest_checkpoint`` or
         rewriting the snapshot to an older boundary would leave the WAL
-        inconsistent with the live log and unrecoverable.
+        inconsistent with the live log and unrecoverable.  The archived
+        client requests of the transactions in the dropped blocks go with
+        them.
         """
         if checkpoint.height < self.log.base_height:
             return 0
+        dropped = islice(self.log, checkpoint.height + 1 - self.log.base_height)
+        covered = {txn.txn_id for block in dropped for txn in block.transactions}
         removed = apply_checkpoint(self.log, checkpoint)
+        self.execution.forget_client_messages(covered)
         self.latest_checkpoint = checkpoint
         self.state_store.install_checkpoint(
             checkpoint, self.store.export_state(), self.log.height, self.server_id

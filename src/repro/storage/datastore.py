@@ -41,7 +41,7 @@ Chain = Sequence[RecordVersion]
 
 
 @wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadResult:
     """Result of a timestamped read: the value plus its current timestamps."""
 
@@ -76,7 +76,7 @@ class DataStore:
             item_id: GENESIS_CHAIN if is_initial(value) else (initial_version(value),)
             for item_id, value in items.items()
         }
-        self._merkle = MerkleTree.from_items(items)
+        self._merkle = MerkleTree(items)
         #: Historical trees derived for audit VO requests, keyed by the audit
         #: timestamp; invalidated whenever the stored state changes.
         self._historical_trees: Dict[Tuple, MerkleTree] = {}
@@ -298,7 +298,7 @@ class DataStore:
                 )
             )
         store._records = records
-        store._merkle = MerkleTree.from_items(store.snapshot())
+        store._merkle = MerkleTree(store.snapshot())
         store._historical_trees = {}
         return store
 

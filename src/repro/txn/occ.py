@@ -34,7 +34,7 @@ class ConflictKind(Enum):
     STALE_READ = "stale-read"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conflict:
     """One detected conflict, naming the item and the timestamps involved."""
 
@@ -50,7 +50,7 @@ class Conflict:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationOutcome:
     """Result of validating one transaction against one server's datastore."""
 

@@ -16,7 +16,7 @@ from repro.common.wire import ANY, STR, tag, wire_form
 
 
 @wire_form(tag("op", "read"), ("item_id", STR))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadOp:
     """Read the current value of ``item_id``."""
 
@@ -28,7 +28,7 @@ class ReadOp:
 
 
 @wire_form(tag("op", "write"), ("item_id", STR), ("value", ANY))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteOp:
     """Write ``value`` to ``item_id``."""
 

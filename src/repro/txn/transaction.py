@@ -22,7 +22,7 @@ from repro.common.wire import ANY, BOOL, STR, TIMESTAMP, kept, list_of, nested, 
 
 
 @wire_form(("item_id", STR), ("value", ANY), ("rts", TIMESTAMP), ("wts", TIMESTAMP))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadSetEntry:
     """One read-set entry: the value observed and its timestamps at read time."""
 
@@ -40,7 +40,7 @@ class ReadSetEntry:
     ("wts", TIMESTAMP),
     ("blind", BOOL),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteSetEntry:
     """One write-set entry: the new value and, for blind writes, the old value."""
 

@@ -23,7 +23,7 @@ from repro.txn.operations import ReadOp, WriteOp
 from repro.workload.distributions import ZipfianKeys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionSpec:
     """One generated transaction: an ordered list of operations."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -240,9 +240,14 @@ class TestDerivedBytesAreTheWalkersOnGeneratedInput:
         assert envelope.content_bytes() == reference(envelope.to_wire()["content"])
 
 
+def _held(instance) -> dict:
+    """An instance's ``__dict__``; a slotted class has none and holds only its fields."""
+    return getattr(instance, "__dict__", {})
+
+
 def _kept(instance) -> dict:
     """What an instance holds beyond its fields."""
-    return {name: value for name, value in vars(instance).items() if name.endswith("()")}
+    return {name: value for name, value in _held(instance).items() if name.endswith("()")}
 
 
 def _warm(block: Block) -> None:
@@ -389,7 +394,7 @@ def _long_bytes(instance) -> dict:
     state = {field.name for field in fields(instance)}
     return {
         name: value
-        for name, value in vars(instance).items()
+        for name, value in _held(instance).items()
         if name not in state and isinstance(value, (bytes, bytearray)) and len(value) > 32
     }
 
@@ -418,6 +423,19 @@ class TestContainersStoreNothing:
                 assert instance.wire_bytes() is encoded
             else:
                 assert vars(instance) == before, class_name
+
+    def test_only_the_classes_that_keep_a_value_carry_a_dict(self):
+        """A frozen wire class is slotted unless it stores into its own
+        ``__dict__``: the two owners (``wire.kept``) and a co-sign (its verdict)."""
+        frozen = {
+            name: build()
+            for name, build in BUILDERS.items()
+            if is_dataclass(WIRE_CLASSES[name]) and WIRE_CLASSES[name].__dataclass_params__.frozen
+        }
+        assert len(frozen) > 30
+        assert {name for name, instance in frozen.items() if hasattr(instance, "__dict__")} == (
+            OWNERS | {"CollectiveSignature"}
+        )
 
     def test_a_block_keeps_its_bytes_and_digests_only(self):
         block = BUILDERS["Block"]()

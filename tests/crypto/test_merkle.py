@@ -19,7 +19,7 @@ from repro.crypto.merkle import (
 
 
 def build_tree(count: int = 16):
-    return MerkleTree.from_items({f"item-{i:04d}": i for i in range(count)})
+    return MerkleTree({f"item-{i:04d}": i for i in range(count)})
 
 
 class TestLabels:
@@ -49,12 +49,12 @@ class TestMerkleTreeBasics:
         assert build_tree().root == build_tree().root
 
     def test_different_contents_different_roots(self):
-        tree_a = MerkleTree.from_items({"a": 1, "b": 2})
-        tree_b = MerkleTree.from_items({"a": 1, "b": 3})
+        tree_a = MerkleTree({"a": 1, "b": 2})
+        tree_b = MerkleTree({"a": 1, "b": 3})
         assert tree_a.root != tree_b.root
 
     def test_single_item_tree(self):
-        tree = MerkleTree.from_items({"only": 42})
+        tree = MerkleTree({"only": 42})
         proof = tree.verification_object("only")
         assert verify_inclusion("only", 42, proof, tree.root)
 
@@ -127,7 +127,7 @@ class TestIncrementalUpdates:
         tree = build_tree(16)
         tree.update("item-0005", 500)
         tree.update("item-0011", -1)
-        rebuilt = MerkleTree.from_items(tree.snapshot())
+        rebuilt = MerkleTree(tree.snapshot())
         assert tree.root == rebuilt.root
 
     def test_update_returns_path_length(self):
@@ -142,7 +142,7 @@ class TestIncrementalUpdates:
         work = tree.update_many({"item-0001": 10, "item-0002": 20})
         assert work == 2 + 2 + (tree.depth - 1)
         assert work < 2 * (tree.depth + 1)
-        assert tree.root == MerkleTree.from_items(tree.snapshot()).root
+        assert tree.root == MerkleTree(tree.snapshot()).root
 
     def test_update_many_single_leaf_matches_update_cost(self):
         batched = build_tree(64)
@@ -184,7 +184,7 @@ class TestBatchedUpdates:
             }
             tree.update_many(batch)
             items.update(batch)
-            assert tree.root == MerkleTree.from_items(items).root
+            assert tree.root == MerkleTree(items).root
 
     def test_proofs_verify_after_batched_update(self):
         tree = build_tree(33)  # odd size -> padded leaf level
@@ -199,7 +199,7 @@ class TestBatchedUpdates:
         tree = build_tree(size)
         batch = {f"item-{i:04d}": -i for i in range(size)}
         tree.update_many(batch)
-        assert tree.root == MerkleTree.from_items(batch).root
+        assert tree.root == MerkleTree(batch).root
 
     def test_partial_batch_raises_without_mutating(self):
         tree = build_tree(8)
@@ -217,7 +217,7 @@ class TestBatchedUpdates:
         assert work < len(batch) * (tree.depth + 1)
         items = {f"item-{i:04d}": i for i in range(10_000)}
         items.update(batch)
-        assert tree.root == MerkleTree.from_items(items).root
+        assert tree.root == MerkleTree(items).root
 
     def test_clone_is_independent(self):
         tree = build_tree(16)
@@ -253,7 +253,7 @@ class TestARefusedBatchIsRefusedWhole:
         tree.update_many({"item-0000": "next"})
         items = {f"item-{i:04d}": i for i in range(8)}
         items["item-0000"] = "next"
-        assert tree.root == MerkleTree.from_items(items).root
+        assert tree.root == MerkleTree(items).root
 
     def test_update_many_with_an_unknown_id_leaves_the_tree_alone(self):
         tree = build_tree(8)
@@ -309,7 +309,7 @@ class TestSeededRandomSequences:
         rng = random.Random(seed)
         size = rng.randint(1, 120)
         items = {f"item-{i:04d}": rng.randint(-100, 100) for i in range(size)}
-        tree = MerkleTree.from_items(items)
+        tree = MerkleTree(items)
         for _ in range(30):
             op = rng.choice(["update", "update_many", "rebuild", "clone"])
             if op == "update":
@@ -323,10 +323,10 @@ class TestSeededRandomSequences:
                 items.update(batch)
                 tree.update_many(batch)
             elif op == "rebuild":
-                tree = MerkleTree.from_items(items)
+                tree = MerkleTree(items)
             else:
                 tree = tree.clone()
-            assert tree.root == MerkleTree.from_items(items).root
+            assert tree.root == MerkleTree(items).root
 
     @pytest.mark.parametrize("seed", [7, 77])
     def test_update_many_work_never_exceeds_per_leaf_updates(self, seed):
@@ -366,7 +366,7 @@ class TestMerkleProperties:
     @settings(max_examples=30, deadline=None)
     @given(_item_maps)
     def test_every_proof_verifies(self, items):
-        tree = MerkleTree.from_items(items)
+        tree = MerkleTree(items)
         for item_id, value in items.items():
             proof = tree.verification_object(item_id)
             assert verify_inclusion(item_id, value, proof, tree.root)
@@ -374,7 +374,7 @@ class TestMerkleProperties:
     @settings(max_examples=30, deadline=None)
     @given(_item_maps, st.data())
     def test_tampered_value_never_verifies(self, items, data):
-        tree = MerkleTree.from_items(items)
+        tree = MerkleTree(items)
         item_id = data.draw(st.sampled_from(sorted(items)))
         proof = tree.verification_object(item_id)
         wrong_value = data.draw(st.integers(min_value=10**6, max_value=10**7))
@@ -384,28 +384,28 @@ class TestMerkleProperties:
     @settings(max_examples=20, deadline=None)
     @given(_item_maps, st.data())
     def test_incremental_update_equals_rebuild(self, items, data):
-        tree = MerkleTree.from_items(items)
+        tree = MerkleTree(items)
         item_id = data.draw(st.sampled_from(sorted(items)))
         new_value = data.draw(st.integers())
         tree.update(item_id, new_value)
         updated_items = dict(items)
         updated_items[item_id] = new_value
-        assert tree.root == MerkleTree.from_items(updated_items).root
+        assert tree.root == MerkleTree(updated_items).root
 
     @settings(max_examples=20, deadline=None)
     @given(_item_maps, st.data())
     def test_batched_update_equals_rebuild(self, items, data):
-        tree = MerkleTree.from_items(items)
+        tree = MerkleTree(items)
         subset = data.draw(st.sets(st.sampled_from(sorted(items)), min_size=1))
         batch = {item_id: data.draw(st.integers()) for item_id in subset}
         tree.update_many(batch)
         updated_items = dict(items)
         updated_items.update(batch)
-        assert tree.root == MerkleTree.from_items(updated_items).root
+        assert tree.root == MerkleTree(updated_items).root
 
     @settings(max_examples=20, deadline=None)
     @given(_item_maps)
     def test_depth_is_ceil_log2(self, items):
-        tree = MerkleTree.from_items(items)
+        tree = MerkleTree(items)
         expected = max(0, math.ceil(math.log2(len(items)))) if len(items) > 1 else 0
         assert tree.depth == expected

@@ -59,7 +59,7 @@ class TestSpeculativeRoot:
         store = DataStore(items)
         before = _observed(store)
 
-        scratch = MerkleTree.from_items(store.snapshot()).clone()
+        scratch = MerkleTree(store.snapshot()).clone()
         expected_work = scratch.update_many(writes)
 
         assert store.speculative_root(writes) == (scratch.root, expected_work)
@@ -88,7 +88,7 @@ class TestSpeculativeRoot:
         store = DataStore(items)
         before = _observed(store)
         for item_id in items:
-            scratch = MerkleTree.from_items(items)
+            scratch = MerkleTree(items)
             work = scratch.update_many({item_id: "new"})
             assert store.speculative_root({item_id: "new"}) == (scratch.root, work)
             assert work == scratch.depth + 1
@@ -98,7 +98,7 @@ class TestSpeculativeRoot:
         rng = random.Random(23)
         items = {f"k{index}": 0 for index in range(37)}
         store = DataStore(items)
-        mirror = MerkleTree.from_items(items)
+        mirror = MerkleTree(items)
         for step in range(1, 120):
             writes = {
                 item_id: rng.randint(0, 10**6)
@@ -119,7 +119,7 @@ class TestSpeculativeRoot:
         root = store.merkle_root()
         speculated, work = store.speculative_root({"k3": 3, "k4": 4})
         assert speculated == root
-        assert work == MerkleTree.from_items(items).update_many({"k3": 3, "k4": 4})
+        assert work == MerkleTree(items).update_many({"k3": 3, "k4": 4})
 
     def test_an_empty_write_set_is_the_current_root_for_free(self):
         store = DataStore({"a": 1, "b": 2, "c": 3})

@@ -86,7 +86,7 @@ class TestCrashLifecycle:
         # over the same values (no stale internal nodes survive recovery).
         from repro.crypto.merkle import MerkleTree
 
-        assert server.store.merkle_root() == MerkleTree.from_items(server.snapshot()).root
+        assert server.store.merkle_root() == MerkleTree(server.snapshot()).root
 
     def test_mid_round_crash_fails_round_releases_state_and_recovers(
         self, small_system, run_history, workload_factory

@@ -110,7 +110,7 @@ class TestPrefixReplayReproducesRoots:
         for server in system.servers.values():
             clone = DataStore.import_state(server.store.export_state())
             assert clone.merkle_root() == server.store.merkle_root()
-            assert clone.merkle_root() == MerkleTree.from_items(clone.snapshot()).root
+            assert clone.merkle_root() == MerkleTree(clone.snapshot()).root
             # Version chains survive: historical reads agree everywhere.
             for item_id in clone.item_ids():
                 assert clone.versions(item_id) == server.store.versions(item_id)

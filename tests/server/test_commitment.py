@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from repro.common.timestamps import Timestamp
 from repro.crypto.cosi import (
@@ -304,7 +304,8 @@ class UntrustedCoordinator:
         if variant == "malformed":
             # What a sender from before the message table would put on the
             # wire: the right keys, the right values, in a dict.
-            return dict(vars(self.request(message_type, "fresh")))
+            form = self.request(message_type, "fresh")
+            return {field.name: getattr(form, field.name) for field in fields(form)}
         if message_type in (MessageType.GET_VOTE, MessageType.PREPARE):
             return Proposal(self.variant_of(self.partial, variant), (self.client_request,))
         roots = {sid: vote.root for sid, vote in self.votes.items() if vote.root}

@@ -27,6 +27,7 @@ from repro.obs import Observability
 from repro.server.server import DatabaseServer
 from repro.sim.clock import VirtualClock
 from repro.sim.context import SimContext
+from repro.txn.operations import ReadOp, WriteOp
 from repro.txn.transaction import Transaction, WriteSetEntry
 
 
@@ -84,6 +85,60 @@ class TestExecutionMessages:
         network, server = wired_server
         with pytest.raises(ProtocolError):
             network.send("c0", "s0", MessageType.END_TRANSACTION, _end_txn())
+
+
+class TestTheArchiveEndsAtACheckpoint:
+    """A server archives signed client requests to defend itself against a
+    falsified blame; a checkpoint drops them with the blocks it covers."""
+
+    def test_a_checkpoint_drops_the_requests_of_the_transactions_it_covers(
+        self, small_system
+    ):
+        for server_id in small_system.servers:
+            item = small_system.shard_map.items_of(server_id)[0]
+            small_system.run_transaction([ReadOp(item), WriteOp(item, 5)])
+        covered = {
+            txn.txn_id for block in small_system.server("s0").log for txn in block.transactions
+        }
+        # A transaction still running when the checkpoint is taken is in no block.
+        client = small_system.client(1)
+        running = client.begin()
+        for server_id in small_system.servers:
+            client.read(running, small_system.shard_map.items_of(server_id)[1])
+        archives = {
+            server_id: server.execution._client_message_log
+            for server_id, server in small_system.servers.items()
+        }
+        assert all(
+            any(envelope.payload.txn_id in covered for envelope in archive)
+            for archive in archives.values()
+        )
+
+        small_system.create_checkpoint()
+
+        for server in small_system.servers.values():
+            archive = server.execution._client_message_log
+            assert [envelope.payload.txn_id for envelope in archive] == [
+                running.txn_id,
+                running.txn_id,
+            ]
+            assert all(small_system.network.verify_envelope(envelope) for envelope in archive)
+
+    def test_every_archived_request_names_its_transaction(self, wired_server):
+        network, server = wired_server
+        ask(network, MessageType.BEGIN_TRANSACTION, BeginTxn("t1", "c0"))
+        ask(network, MessageType.READ, ReadItem("t1", "a"))
+        ask(network, MessageType.WRITE, WriteItem("t1", "a", 5))
+        with pytest.raises(ProtocolError):
+            network.send("c0", "s0", MessageType.END_TRANSACTION, _end_txn())
+        archive = server.execution._client_message_log
+        assert [envelope.message_type for envelope in archive] == [
+            MessageType.BEGIN_TRANSACTION,
+            MessageType.READ,
+            MessageType.WRITE,
+            MessageType.END_TRANSACTION,
+        ]
+        assert {envelope.payload.txn_id for envelope in archive} == {"t1"}
 
 
 class TestSignedButUnreadFields:

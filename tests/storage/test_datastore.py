@@ -169,7 +169,7 @@ class TestDataStoreMerkleIntegration:
     def test_merkle_root_matches_snapshot_rebuild(self):
         store = make_store()
         apply_commit(store, Timestamp(1, "c"), {"item-4": 44, "item-5": 55})
-        assert store.merkle_root() == MerkleTree.from_items(store.snapshot()).root
+        assert store.merkle_root() == MerkleTree(store.snapshot()).root
 
     def test_speculative_root_does_not_mutate(self):
         store = make_store()
@@ -201,10 +201,10 @@ class TestDataStoreMerkleIntegration:
         assert {
             item_id: store.verification_object(item_id) for item_id in store.item_ids()
         } == proofs
-        assert store.merkle_root() == MerkleTree.from_items(store.snapshot()).root
+        assert store.merkle_root() == MerkleTree(store.snapshot()).root
         root, _ = store.speculative_root({"item-3": 7})
         apply_commit(store, Timestamp(1, "c"), {"item-3": 7})
-        assert store.merkle_root() == root == MerkleTree.from_items(store.snapshot()).root
+        assert store.merkle_root() == root == MerkleTree(store.snapshot()).root
 
     def test_verification_object_current(self):
         store = make_store()

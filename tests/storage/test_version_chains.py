@@ -158,14 +158,14 @@ def _assert_agree(store: DataStore, model: Model, untouched) -> None:
                 )
         if item in untouched:
             assert store.versions(item) is GENESIS_CHAIN
-    assert store.merkle_root() == MerkleTree.from_items(model.tree).root
+    assert store.merkle_root() == MerkleTree(model.tree).root
     assert _snapshot_of(store) == model.snapshot_bytes()
     for at in (ZERO, Timestamp(4, "c"), Timestamp(9, "d")):
         if not model.multi:
             with pytest.raises(StorageError):
                 store.verification_object_at(IDS[0], at)
             continue
-        historical = MerkleTree.from_items(
+        historical = MerkleTree(
             {item: model.version_at(item, at).value for item in IDS}
         )
         for item in IDS:
