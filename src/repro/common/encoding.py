@@ -48,7 +48,7 @@ key of a wire form is one -- and checks an int's spelling on its bytes.
 from __future__ import annotations
 
 import struct
-from sys import intern
+import sys
 from typing import Any, Callable, Dict
 
 #: The format's tag bytes, as the integers ``data[offset]`` reads.  This is
@@ -64,6 +64,24 @@ from typing import Any, Callable, Dict
     TAG_LIST,
     TAG_DICT,
 ) = b"NTFIDSBLM"
+
+
+def _own(text: str) -> str:
+    return text
+
+
+#: What a byte reader applies to each id it decodes.  ``sys.intern`` where an
+#: interned str is mortal -- freed when its last holder drops it, as on CPython
+#: 3.10, 3.11 and 3.13 on -- so every decode of one id shares one str, and ids
+#: from a peer's bytes cannot pin memory.  CPython 3.12 makes every interned str
+#: immortal (PEP 683; ``sys.intern``'s are mortal again from 3.13, gh-113993),
+#: so there, and on any other interpreter, each decode keeps its own copy.
+intern_id: Callable[[str], str] = (
+    sys.intern
+    if sys.implementation.name == "cpython" and sys.version_info[:2] != (3, 12)
+    else _own
+)
+
 
 #: A tagged value's head: its tag byte and the four bytes after it, its
 #: payload's length or its container's count.
@@ -209,7 +227,7 @@ def _decode_at(data: bytes, offset: int) -> tuple:
                 offset += 5 + _length_at(data, offset + 1)[0]
                 if offset > size:
                     raise ValueError("truncated canonical encoding (payload shorter than prefix)")
-                key = intern(data[start + 5 : offset].decode("utf-8"))
+                key = intern_id(data[start + 5 : offset].decode("utf-8"))
             else:
                 key, offset = _decode_at(data, offset)
                 if isinstance(key, (list, dict)):

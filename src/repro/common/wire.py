@@ -42,7 +42,6 @@ import struct
 from dataclasses import fields, is_dataclass
 from functools import wraps
 from operator import attrgetter, methodcaller
-from sys import intern
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.common.encoding import (
@@ -59,6 +58,7 @@ from repro.common.encoding import (
     canonical_encode,
     decode_at,
     dict_layout,
+    intern_id,
 )
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
@@ -141,13 +141,12 @@ def _exactly(label: str, *types, read=None) -> Kind:
 
 
 def _read_str(data, offset):
-    # Interned: every decode of an id shares one str.  Interned strings are
-    # mortal, so bytes from a peer cannot pin memory with them.
+    # Interned where that is safe (``intern_id``): every decode of an id shares one str.
     tag, length = _head(data, offset)
     end = offset + 5 + length
     if tag != TAG_STR or end > len(data):
         raise _expected("a str", data, offset)
-    return intern(data[offset + 5 : end].decode()), end
+    return intern_id(data[offset + 5 : end].decode()), end
 
 
 def _read_bytes(data, offset):
@@ -367,7 +366,7 @@ def _read_timestamp(data, offset):
     end = start + 5 + length
     if tag != TAG_STR or end > len(data):
         raise _expected("a str", data, start)
-    client_id = intern(data[start + 5 : end].decode())
+    client_id = intern_id(data[start + 5 : end].decode())
     if counter < 0:
         raise _stopped("a timestamp counter must be >= 0", offset)
     return Timestamp(counter, client_id), end

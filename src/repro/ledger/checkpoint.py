@@ -26,7 +26,7 @@ boundary rules live beside the block rules in :mod:`repro.ledger.log`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.common.errors import ValidationError
 from repro.common.timestamps import Timestamp
@@ -34,6 +34,7 @@ from repro.common.wire import BYTES, INT, ROOTS, TIMESTAMP, nested, optional, wi
 from repro.crypto.cosi import CollectiveSignature, cosign
 from repro.crypto.hashing import hash_concat
 from repro.crypto.keys import KeyPair
+from repro.ledger.block import Block
 from repro.ledger.log import TransactionLog, checkpoint_covers
 
 
@@ -136,10 +137,10 @@ def cosign_checkpoint(checkpoint: Checkpoint, keypairs: Mapping[str, KeyPair]) -
     return checkpoint.with_cosign(cosign(checkpoint.digest(), keypairs))
 
 
-def apply_checkpoint(log: TransactionLog, checkpoint: Checkpoint) -> int:
+def apply_checkpoint(log: TransactionLog, checkpoint: Checkpoint) -> List[Block]:
     """Drop every block covered by ``checkpoint`` from ``log``.
 
-    Returns the number of blocks removed.  The retained suffix still chains
+    Returns the blocks removed, oldest first.  The retained suffix still chains
     correctly: its first block's ``previous_hash`` equals
     ``checkpoint.head_hash``.  Blocks are addressed by *global height*, so
     repeated checkpoints compose: applying a newer checkpoint to an
@@ -149,7 +150,7 @@ def apply_checkpoint(log: TransactionLog, checkpoint: Checkpoint) -> int:
     if checkpoint.cosign is None:
         raise ValidationError("refusing to apply an unsigned checkpoint")
     if checkpoint.height < log.base_height:
-        return 0
+        return []
     if checkpoint.height >= log.height:
         raise ValidationError("checkpoint covers blocks this log does not have")
     covered_block = log.block_at_height(checkpoint.height)

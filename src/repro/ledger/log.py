@@ -339,22 +339,22 @@ class TransactionLog:
             raise ValidationError("cannot keep a negative number of blocks")
         del self._blocks[keep:]
 
-    def drop_prefix(self, count: int) -> int:
+    def drop_prefix(self, count: int) -> List[Block]:
         """Drop the first ``count`` retained blocks (checkpointing support).
 
         Unlike the tampering helpers this is an *honest* operation: it is only
         safe when the dropped prefix is covered by a collectively signed
         checkpoint (see :mod:`repro.ledger.checkpoint`).  The truncation
         boundary advances with the drop -- global heights, the head hash, and
-        chaining of future appends are unaffected.  Returns the number of
-        blocks removed.
+        chaining of future appends are unaffected.  Returns the blocks
+        removed, oldest first.
         """
         if count < 0:
             raise ValidationError("cannot drop a negative number of blocks")
-        count = min(count, len(self._blocks))
-        if count:
-            self._base_hash = self._blocks[count - 1].block_hash()
-            self._base_height += count
+        dropped = self._blocks[:count]
+        if dropped:
+            self._base_hash = dropped[-1].block_hash()
+            self._base_height += len(dropped)
             del self._blocks[:count]
-        return count
+        return dropped
 

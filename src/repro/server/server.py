@@ -21,7 +21,6 @@ the catch-up performs.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.common.errors import (
@@ -214,15 +213,15 @@ class DatabaseServer:
         """
         if checkpoint.height < self.log.base_height:
             return 0
-        dropped = islice(self.log, checkpoint.height + 1 - self.log.base_height)
-        covered = {txn.txn_id for block in dropped for txn in block.transactions}
-        removed = apply_checkpoint(self.log, checkpoint)
-        self.execution.forget_client_messages(covered)
+        dropped = apply_checkpoint(self.log, checkpoint)
+        self.execution.forget_client_messages(
+            {txn.txn_id for block in dropped for txn in block.transactions}
+        )
         self.latest_checkpoint = checkpoint
         self.state_store.install_checkpoint(
             checkpoint, self.store.export_state(), self.log.height, self.server_id
         )
-        return removed
+        return len(dropped)
 
     # -- message dispatch -------------------------------------------------------
 

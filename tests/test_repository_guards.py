@@ -70,13 +70,16 @@ GUARDS = (
           kind="files", expect=("src/repro/ledger/block.py", "src/repro/txn/transaction.py"),
           plants=("src/repro/net/forms.py:@wire_form(owns_bytes=True)",), basic=True),
     # Each of the four stores into its own __dict__: wire.kept, or the co-sign verdict memo.
+    # A decorator left open on its line without slots=True counts too: frozen=True may follow.
     Guard("Value classes carry no dict", '§6 "Who owns the bytes"', SRC,
-          r"^\s*@(dataclasses\.)?dataclass\((?![^)]*slots=True)[^)]*frozen=True", kind="after",
+          r"^\s*@(dataclasses\.)?dataclass\((?![^)]*slots=True)([^)]*frozen=True|[^)]*$)",
+          kind="after",
           expect=tuple(line for name in ("CollectiveSignature", "PublicKey", "Block", "Transaction")
                        for line in ("@dataclass(frozen=True)", f"class {name}:")),
           plants=("src/repro/net/forms.py:@dataclass(frozen=True)\nclass Ack:",
                   "src/repro/common/timestamps.py:@dataclass(order=True, frozen=True)\nclass Stamp:",
                   "src/repro/txn/operations.py:@dataclasses.dataclass(frozen=True, slots=False)",
+                  "src/repro/net/forms.py:@dataclass(\n    frozen=True,\n)\nclass Ack:",
                   "src/repro/ledger/log.py:@dataclass(frozen=True)\nclass Transaction:")),
     Guard("No generic decode of bytes at rest", '§6 "Reading bytes at rest"', SRC,
           r"import.*\bcanonical_decode\b|\bencoding\.canonical_decode\b|^\s*canonical_decode,?$|_iter_records",
