@@ -9,7 +9,6 @@ misbehaving server it is irrefutably linked to.
 
 from repro.audit.violations import Violation, ViolationType
 from repro.audit.report import AuditReport
-from repro.audit.serialization_graph import SerializationGraph
 from repro.audit.auditor import Auditor
 
-__all__ = ["AuditReport", "Auditor", "SerializationGraph", "Violation", "ViolationType"]
+__all__ = ["AuditReport", "Auditor", "Violation", "ViolationType"]

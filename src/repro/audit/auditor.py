@@ -11,6 +11,12 @@ The auditor is a powerful external entity that, during each audit:
    requesting Verification Objects from the servers, datastore corruption
    (Lemma 2).
 
+Lemma 3 needs no serialization graph: the replay holds every read stamp to
+the log and every recorded stamp to commit-timestamp order, so each conflict
+runs forward in a total order and no cycle can form, unless one transaction
+is committed twice, which the replay reports by id and both heights
+(DESIGN.md section 5, "Which checks carry Lemma 3").
+
 Every detected anomaly is reported as a
 :class:`~repro.audit.violations.Violation` carrying the block height (the
 precise point in the transaction history) and the culprit server(s).
@@ -30,7 +36,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.audit.report import AuditReport
-from repro.audit.serialization_graph import SerializationGraph
 from repro.audit.violations import Violation, ViolationType
 from repro.common.encoding import canonical_encode
 from repro.common.errors import AuditError
@@ -218,7 +223,7 @@ class Auditor:
         """
         latest: Dict[str, Tuple[object, Timestamp]] = {}
         unwritten = (INITIAL_VALUE, Timestamp.zero()) if reference.base_height == 0 else None
-        committed: List[Transaction] = []
+        committed_at: Dict[str, int] = {}
 
         for block in reference:
             report.blocks_audited += 1
@@ -227,22 +232,11 @@ class Auditor:
                 continue
             for txn in sorted(block.transactions, key=lambda t: t.commit_ts):
                 report.transactions_audited += 1
-                committed.append(txn)
                 self._check_reads(txn, block, latest, unwritten, report)
                 self._check_timestamp_order(txn, block, report)
+                self._check_committed_once(txn, block, committed_at, report)
                 for entry in txn.write_set:
                     latest[entry.item_id] = (entry.new_value, txn.commit_ts)
-
-        graph = SerializationGraph.from_transactions(committed)
-        cycle = graph.find_cycle()
-        if cycle:
-            report.add(
-                Violation(
-                    kind=ViolationType.ISOLATION_VIOLATION,
-                    description=f"serialization graph contains a cycle: {' -> '.join(cycle)}",
-                    culprits=(),
-                )
-            )
 
     def _check_block_structure(self, block: Block, report: AuditReport) -> None:
         """A commit block must carry a root from every involved server (Section 4.3.2)."""
@@ -347,6 +341,28 @@ class Auditor:
                     culprits=(self.shard_map.server_for(conflict.item_id),),
                     block_height=block.height,
                     item_id=conflict.item_id,
+                    txn_id=txn.txn_id,
+                )
+            )
+
+    def _check_committed_once(
+        self, txn: Transaction, block: Block, committed_at: Dict[str, int], report: AuditReport
+    ) -> None:
+        """Lemma 3: a transaction commits once (``committed_at``: the height
+        each id first committed at; see the module docstring)."""
+        first = committed_at.get(txn.txn_id)
+        if first is None:
+            committed_at[txn.txn_id] = block.height
+        else:
+            report.add(
+                Violation(
+                    kind=ViolationType.ISOLATION_VIOLATION,
+                    description=(
+                        f"transaction {txn.txn_id} committed at height {first} is "
+                        f"committed again at height {block.height}"
+                    ),
+                    culprits=(),
+                    block_height=block.height,
                     txn_id=txn.txn_id,
                 )
             )

@@ -23,7 +23,9 @@ class ViolationType(Enum):
     LOG_INCOMPLETE = "log-incomplete"
     #: A read returned a value inconsistent with the preceding write (Lemma 1).
     INCORRECT_READ = "incorrect-read"
-    #: A committed transaction violates timestamp-order serializability (Lemma 3).
+    #: A committed transaction violates timestamp-order serializability (Lemma 3):
+    #: a read stamp the log does not show, a recorded stamp not below the
+    #: commit timestamp, or a transaction id committed a second time.
     ISOLATION_VIOLATION = "isolation-violation"
     #: The datastore state does not authenticate against the logged MHT root (Lemma 2).
     DATASTORE_CORRUPTION = "datastore-corruption"

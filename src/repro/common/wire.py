@@ -699,9 +699,11 @@ def wire_form(*entries, owns_bytes: bool = False):
         # read_bytes passes a dataclass its fields positionally, in field order,
         # which makes a frozen dataclass's __init__ about a quarter cheaper than
         # keywords (a slots class's __init__ need not take its slots in order).
-        # from_wire keeps keywords: it is the cold audit's path, and a faster
-        # audit op would leave the benchmark's traced self-test (a fixed
-        # teardown under 2 % of the wall) without room (ROADMAP item 1(a)).
+        # from_wire keeps keywords: it is the cold audit's path, and the
+        # benchmark's traced self-test allows 2 % of the wall unattributed.
+        # Its remainder there is a fixed teardown, 1.27-1.45 % of the traced
+        # audit_cold op (five smoke passes); an op about 1.5x faster reaches
+        # the gate (ROADMAP item 1(a)).
         in_order = state if is_dataclass(cls) else [f"{attr}={attr}" for attr in attrs]
         if not extras:
             steps = []
@@ -722,7 +724,8 @@ def wire_form(*entries, owns_bytes: bool = False):
                 f"{cls.__name__}: the wire form covers {sorted(attrs)}, "
                 f"the class holds {sorted(state)}"
             )
-        exec(source, scope)
+        # One file name per class, so a profile keeps each class's methods apart.
+        exec(compile(source, f"<wire_form {cls.__name__}>", "exec"), scope)
         if extras:
             scope["read_bytes"] = _reader(Kind(lambda value, what: scope["from_wire"](value)))
         for name in ("to_wire", *(f"{key}_bytes" for key in groups)):

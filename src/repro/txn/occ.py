@@ -3,8 +3,9 @@
 Fides provides serializable executions: "at commit time, a server checks if
 the data accessed in the terminating transaction has been updated since they
 were read.  If yes, the server chooses to abort" (Section 4.3.1).  The same
-timestamp rules drive the auditor's isolation check (Lemma 3), which looks
-for three classes of conflicting access inconsistent with timestamp order:
+timestamp rules are one of the auditor's isolation checks (Lemma 3), which
+looks for three classes of conflicting access inconsistent with timestamp
+order:
 
 * **RW-conflict** -- a transaction with a smaller timestamp read an item that
   already carries a larger write timestamp;
@@ -12,6 +13,10 @@ for three classes of conflicting access inconsistent with timestamp order:
   already written at a larger timestamp;
 * **WR-conflict** -- a transaction with a smaller timestamp wrote an item
   after it was read by a transaction with a larger timestamp.
+
+Each recorded stamp witnesses one conflict edge, so with all of them below
+the commit timestamp the serialization graph is acyclic without being built
+(DESIGN.md section 5, "Which checks carry Lemma 3").
 """
 
 from __future__ import annotations
