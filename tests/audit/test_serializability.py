@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -78,17 +80,22 @@ SHARD_MAP = ShardMap({"s0": ["x0", "x1", "x2"], "s1": ["y0", "y1", "y2"]})
 ITEMS = SHARD_MAP.all_items()
 
 
-def chained_log(blocks):
-    """A log of commit blocks holding ``blocks`` (lists of transactions), each
-    carrying a root from every involved server and co-signed by both servers."""
+def chained_log(blocks, aborted=()):
+    """A log of blocks holding ``blocks`` (lists of transactions), each
+    co-signed by both servers: abort blocks at the heights in ``aborted``,
+    commit blocks carrying a root from every involved server elsewhere."""
     log = TransactionLog()
     for txns in blocks:
         involved = SHARD_MAP.servers_for(
             item for txn in txns for item in txn.items_accessed()
         )
-        block = make_partial_block(log.height, txns, log.head_hash).with_decision(
-            BlockDecision.COMMIT, {sid: bytes([len(log)]) * 32 for sid in involved}
-        )
+        block = make_partial_block(log.height, txns, log.head_hash)
+        if block.height in aborted:
+            block = block.with_decision(BlockDecision.ABORT, {})
+        else:
+            block = block.with_decision(
+                BlockDecision.COMMIT, {sid: bytes([len(log)]) * 32 for sid in involved}
+            )
         log.append(block.with_cosign(cosign(block.body_digest(), KEYPAIRS)))
     return log
 
@@ -170,6 +177,75 @@ class TestADuplicateCommitIsReportedOnce:
         txn = history.make(writes=["x1"])
         report = audit_replay(chained_log([[history.make(writes=["y2"])], [txn, txn]]))
         assert duplicate_commits(report) == [(txn.txn_id, 1)]
+
+    @pytest.mark.parametrize("replay_writer", [True, False], ids=["writer", "read-only"])
+    def test_the_replay_is_where_the_history_goes_wrong(self, replay_writer):
+        _, _, again, log = self.replayed(replay_writer)
+        report = audit_replay(log)
+        assert not report.ok
+        assert report.first_violation_height() == again
+
+    def test_each_later_commit_is_reported_against_the_first(self):
+        history = History()
+        txn = history.make(writes=["x0"])
+        log = chained_log([[txn], [history.make(writes=["y0"])], [txn], [txn]])
+        report = audit_replay(log)
+        assert duplicate_commits(report) == [(txn.txn_id, 2), (txn.txn_id, 3)]
+        for violation in report.violations:
+            assert "height 0" in violation.description
+            assert f"height {violation.block_height}" in violation.description
+
+    def test_a_replay_under_a_fresh_commit_stamp_is_still_a_duplicate(self):
+        """The check keys on the transaction id, not on what the transaction holds."""
+        history = History()
+        txn = history.make(writes=["x0"])
+        other = history.make(writes=["y0"])
+        restamped = replace(txn, commit_ts=Timestamp(history.count + 1, "c0"),
+                            write_set=[WriteSetEntry("x0", 999)])
+        report = audit_replay(chained_log([[txn], [other], [restamped]]))
+        assert duplicate_commits(report) == [(txn.txn_id, 2)]
+
+    def test_a_stale_replay_is_reported_by_every_replay_check_at_its_height(self):
+        """A reader replayed after its item was overwritten: the read check and
+        the stamp check flag its read, and the duplicate-commit check its id,
+        each at the replay's height."""
+        history = History()
+        writer = history.make(writes=["x0"])
+        reader = history.make(reads=["x0"])
+        overwrite = history.make(writes=["x0"])
+        report = audit_replay(chained_log([[writer], [reader], [overwrite], [reader]]))
+        assert [(v.kind, v.item_id) for v in report.violations] == [
+            (ViolationType.INCORRECT_READ, "x0"),
+            (ViolationType.ISOLATION_VIOLATION, "x0"),
+            (ViolationType.ISOLATION_VIOLATION, None),
+        ]
+        assert {(v.txn_id, v.block_height) for v in report.violations} == {(reader.txn_id, 3)}
+
+    def test_heights_stay_global_in_a_checkpoint_truncated_log(self):
+        history = History()
+        first, replayed = history.make(writes=["x0"]), history.make(writes=["y0"])
+        log = chained_log([[first], [replayed], [history.make(writes=["x1"])],
+                           [replayed, history.make(writes=["y1"])]])
+        log.drop_prefix(1)
+        report = AuditReport()
+        Auditor(Network(SimContext()), SERVER_IDS, SHARD_MAP).check_transactions(log, report)
+        assert duplicate_commits(report) == [(replayed.txn_id, 3)]
+        assert "height 1" in report.violations[0].description
+
+
+class TestAnAbortedBlockCommitsNothing:
+    """A transaction in an abort block was not committed, so logging it again
+    in a commit block (or a commit again in an abort block) is no duplicate."""
+
+    @pytest.mark.parametrize("aborted", [0, 2], ids=["abort-then-commit", "commit-then-abort"])
+    def test_one_commit_and_one_abort_is_no_violation(self, aborted):
+        history = History()
+        txn = history.make(writes=["x0"])
+        log = chained_log([[txn], [history.make(writes=["y0"])], [txn]], aborted={aborted})
+        assert log[aborted].decision is BlockDecision.ABORT
+        report = audit_replay(log)
+        assert all(result.valid for result in report.log_results.values())
+        assert report.violations == []
 
 
 #: Per transaction: the items it reads and the items it writes (not both none).
